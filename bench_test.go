@@ -11,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/channel"
@@ -788,25 +787,21 @@ func BenchmarkChannelStage(b *testing.B) {
 // load from distinct users — the serve-path scaling the edged daemon
 // relies on. Unlike BenchmarkTransmitThroughput/parallel (one independent
 // system per processor), this exercises the per-user sharded state of a
-// single deployment, at every batch window in {off, 50µs, 200µs} and
-// every user count in {1, 8, 32}. The window-0 cells keep their
-// historical names (1user, 8users) so the CI baseline gate keeps
-// tracking them; the batched cells are the batching PR's headline: at 32
-// users a non-zero window should beat window-0 well past 1.5x. The
-// peruser/ cells run the same load in PerUserNoise mode, where the
-// channel stage is lock-free on pooled instances — at 8/32 users and
-// GOMAXPROCS >= 4 they should beat the classic cells, which still
-// serialize every crossing on linkMu.
+// single deployment at every user count in {1, 8, 32}. The classic cells
+// keep their historical names (1user, 8users) so the CI baseline gate
+// keeps tracking them. The peruser/ cells run the same load in
+// PerUserNoise mode, where the channel stage is lock-free on pooled
+// instances — at 8/32 users and GOMAXPROCS >= 4 they should beat the
+// classic cells, which still serialize every crossing on linkMu.
 func BenchmarkConcurrentTransmit(b *testing.B) {
 	env := experiments.Environment()
 	const maxUsers = 32
-	newSystem := func(window time.Duration, perUser bool) *core.System {
+	newSystem := func(perUser bool) *core.System {
 		sys, err := core.NewSystem(core.Config{
 			Selector:          core.SelectorSticky,
 			PinGeneral:        true,
 			DisableAutoUpdate: true,
 			Pretrained:        env.Generals,
-			BatchWindow:       window,
 			PerUserNoise:      perUser,
 		})
 		if err != nil {
@@ -857,14 +852,10 @@ func BenchmarkConcurrentTransmit(b *testing.B) {
 	}
 	cells := []struct {
 		name    string
-		d       time.Duration
 		perUser bool
 	}{
-		{"", 0, false}, // historical names: 1user, 8users, 32users
-		{"window50us/", 50 * time.Microsecond, false},
-		{"window200us/", 200 * time.Microsecond, false},
-		{"peruser/", 0, true}, // lock-free pooled channel stage
-		{"peruser/window50us/", 50 * time.Microsecond, true},
+		{"", false},        // historical names: 1user, 8users, 32users
+		{"peruser/", true}, // lock-free pooled channel stage
 	}
 	for _, c := range cells {
 		for _, users := range []int{1, 8, 32} {
@@ -873,9 +864,9 @@ func BenchmarkConcurrentTransmit(b *testing.B) {
 				name += "s"
 			}
 			users := users
-			window, perUser := c.d, c.perUser
+			perUser := c.perUser
 			b.Run(name, func(b *testing.B) {
-				sys := newSystem(window, perUser)
+				sys := newSystem(perUser)
 				b.ResetTimer()
 				if users == 1 {
 					serial(b, sys)

@@ -9,11 +9,6 @@
 // at the gate longer than -shed-after (or their own deadline hint) are
 // shed with an error instead of served late.
 //
-// With -batch-window > 0 concurrent transmits are dynamically batched:
-// in-flight requests sharing a codec run as one fused GEMM pass per
-// layer, bit-identical per request to solo serving (see
-// internal/core/batch.go).
-//
 // With -nodes N the sender side becomes an N-node edge cluster inside
 // this one process: users are routed to nodes by consistent hashing, the
 // "move" op relocates a user to a radio cell (handing their personalized

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
 	"repro/internal/rpc"
 )
@@ -52,23 +51,13 @@ func run() error {
 		fmt.Printf("messages:      %d\n", s.Messages)
 		fmt.Printf("sender hits:   %.1f%%\n", 100*s.SenderHitRate)
 		fmt.Printf("cached models: %d (%d bytes)\n", s.CachedModels, s.CacheUsedBytes)
-		fmt.Printf("decoder syncs: %d (%d bytes)\n", s.SyncCount, s.SyncBytes)
+		fmt.Printf("decoder syncs: %d (%d bytes, %d updates failed)\n", s.SyncCount, s.SyncBytes, s.UpdateFailures)
 		if sv := s.Serve; sv != nil {
 			fmt.Printf("in-flight:     %d (%d shed)\n", sv.InFlight, sv.Shed)
 			fmt.Printf("service:       p50 %.2f ms  p95 %.2f ms  p99 %.2f ms\n",
 				sv.LatencyP50Ms, sv.LatencyP95Ms, sv.LatencyP99Ms)
 			fmt.Printf("queue wait:    p50 %.2f ms  p95 %.2f ms  p99 %.2f ms\n",
 				sv.QueueWaitP50Ms, sv.QueueWaitP95Ms, sv.QueueWaitP99Ms)
-			if sv.Batches > 0 {
-				parts := make([]string, 0, len(sv.BatchOccupancy))
-				for i, n := range sv.BatchOccupancy {
-					if n > 0 {
-						parts = append(parts, fmt.Sprintf("%s:%d", rpc.BatchOccupancyLabels[i], n))
-					}
-				}
-				fmt.Printf("batches:       %d (%d requests, occupancy %s)\n",
-					sv.Batches, sv.BatchedRequests, strings.Join(parts, " "))
-			}
 		}
 		return nil
 	}

@@ -447,19 +447,8 @@ func printStats(s *rpc.Stats) {
 			sv.InFlight, sv.Shed,
 			sv.LatencyP50Ms, sv.LatencyP95Ms, sv.LatencyP99Ms,
 			sv.QueueWaitP50Ms, sv.QueueWaitP95Ms, sv.QueueWaitP99Ms)
-		if sv.Batches > 0 {
-			parts := make([]string, 0, len(sv.BatchOccupancy))
-			for i, n := range sv.BatchOccupancy {
-				if n > 0 {
-					parts = append(parts, fmt.Sprintf("%s:%d", rpc.BatchOccupancyLabels[i], n))
-				}
-			}
-			fmt.Printf("batches  : %d batches, %d requests batched (%.2f avg), occupancy %s\n",
-				sv.Batches, sv.BatchedRequests,
-				float64(sv.BatchedRequests)/float64(sv.Batches), strings.Join(parts, " "))
-		}
 	}
-	fmt.Printf("syncs    : %d decoder updates, %d bytes\n", s.SyncCount, s.SyncBytes)
+	fmt.Printf("syncs    : %d decoder updates, %d bytes, %d updates failed\n", s.SyncCount, s.SyncBytes, s.UpdateFailures)
 	if len(s.Nodes) == 0 {
 		return
 	}

@@ -41,11 +41,13 @@ func main() {
 	})
 	fmt.Printf("streaming %d messages from %d users\n\n", len(w.Requests), len(w.Users))
 
-	perUser := map[string]*selection.PerUser{}
+	// One selector per (policy, user): conversation context must not leak
+	// across interleaved user streams.
+	perUser := map[string]map[string]selection.Selector{}
 	correct := map[string]int{}
 	window := map[string]int{}
 	for _, name := range order {
-		perUser[name] = selection.NewPerUser(factories[name])
+		perUser[name] = map[string]selection.Selector{}
 	}
 
 	const reportEvery = 800
@@ -56,7 +58,11 @@ func main() {
 	fmt.Println()
 	for i, r := range w.Requests {
 		for _, name := range order {
-			sel := perUser[name].For(r.User)
+			sel, ok := perUser[name][r.User]
+			if !ok {
+				sel = factories[name]()
+				perUser[name][r.User] = sel
+			}
 			got := sel.Select(r.Msg.Words)
 			if got == r.Msg.DomainIndex {
 				correct[name]++

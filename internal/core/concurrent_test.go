@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"hash/fnv"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -228,5 +229,159 @@ func TestConcurrentOracleWorkload(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)
+	}
+}
+
+// batchTestPretrained trains the small shared codec set once per test
+// binary: every system in these tests clones it instead of retraining.
+var batchTestPretrained struct {
+	once   sync.Once
+	codecs []*semantic.Codec
+}
+
+// batchTestConfig is the fixed fast scenario the comparison tests share:
+// sticky selection, pinned generals, ample cache, and a small update
+// threshold so fine-tuning fires inside the run.
+func batchTestConfig() Config {
+	batchTestPretrained.once.Do(func() {
+		batchTestPretrained.codecs = semantic.PretrainAll(corpus.Build(), semantic.Config{
+			EmbedDim:   12,
+			FeatureDim: 6,
+			HiddenDim:  16,
+			Epochs:     2,
+			Sentences:  200,
+			Seed:       7,
+		})
+	})
+	return Config{
+		Selector:        SelectorSticky,
+		PinGeneral:      true,
+		BufferThreshold: 8,
+		Seed:            7,
+		Pretrained:      batchTestPretrained.codecs,
+	}
+}
+
+// batchUserMessages builds each user's fixed message stream: user u
+// sticks to domain u mod len(domains), seeded per user.
+func batchUserMessages(corp *corpus.Corpus, users, perUser int) [][][]string {
+	out := make([][][]string, users)
+	for u := range out {
+		gen := corpus.NewGenerator(corp, mat.NewRNG(uint64(3000+u)))
+		msgs := make([][]string, perUser)
+		for i := range msgs {
+			msgs[i] = gen.Message(u%len(corp.Domains), nil).Words
+		}
+		out[u] = msgs
+	}
+	return out
+}
+
+// hashNoiseFreeResult digests every Result field that does not depend on
+// channel-noise draws. Classic-mode noise comes from one shared RNG in
+// global arrival order (a documented property of concurrent serving), so
+// RestoredWords — the only noise-dependent field — stays out of the
+// digest; everything else, including the decoder-copy Mismatch, latency
+// accounting and the update-process outcomes, must be bit-identical
+// between serial and concurrent serving.
+func hashNoiseFreeResult(h hash.Hash, res *Result) {
+	fmt.Fprintf(h, "%d|%g|%d|%d|%d|%t|%t|%t|%t|%d\n",
+		res.SelectedDomain, res.Mismatch, res.PayloadBytes, res.Symbols,
+		res.Latency.Nanoseconds(), res.EncCacheHit, res.DecCacheHit,
+		res.UsedIndividual, res.UpdateFired, res.UpdateBytes)
+}
+
+// prefetchAll warms both edges with every general model so no run pays an
+// interleaving-dependent fetch latency.
+func prefetchAll(t *testing.T, s *System) {
+	t.Helper()
+	domains := make([]string, len(s.Corpus.Domains))
+	for i, d := range s.Corpus.Domains {
+		domains[i] = d.Name
+	}
+	if _, err := s.Sender.Prefetch(domains); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Receiver.Prefetch(domains); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// userDigests runs every user's stream against s — concurrently when
+// parallel is set — and returns one noise-free digest per user.
+func userDigests(t *testing.T, s *System, streams [][][]string, parallel bool) []uint64 {
+	t.Helper()
+	digests := make([]uint64, len(streams))
+	run := func(u int) error {
+		h := fnv.New64a()
+		user := fmt.Sprintf("user%d", u)
+		for _, words := range streams[u] {
+			res, err := s.TransmitText(user, words)
+			if err != nil {
+				return err
+			}
+			hashNoiseFreeResult(h, res)
+		}
+		digests[u] = h.Sum64()
+		return nil
+	}
+	if !parallel {
+		for u := range streams {
+			if err := run(u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return digests
+	}
+	var wg sync.WaitGroup
+	errCh := make(chan error, len(streams))
+	for u := range streams {
+		wg.Add(1)
+		go func(u int) {
+			defer wg.Done()
+			if err := run(u); err != nil {
+				errCh <- err
+			}
+		}(u)
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+	return digests
+}
+
+// TestConcurrentMatchesSerialDigests pins the transparency of concurrent
+// serving in classic mode: with the selector, buffers and update process
+// live, every user's noise-free result stream is bit-identical whether the
+// users run one after another or all at once, at any mat worker count.
+func TestConcurrentMatchesSerialDigests(t *testing.T) {
+	const users, perUser = 6, 16
+	serial, err := NewSystem(batchTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := batchUserMessages(serial.Corpus, users, perUser)
+	prefetchAll(t, serial)
+	want := userDigests(t, serial, streams, false)
+
+	prevWorkers := mat.Parallelism()
+	defer mat.SetParallelism(prevWorkers)
+
+	for _, workers := range []int{1, 2, 8} {
+		mat.SetParallelism(workers)
+		s, err := NewSystem(batchTestConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefetchAll(t, s)
+		got := userDigests(t, s, streams, true)
+		for u := range got {
+			if got[u] != want[u] {
+				t.Fatalf("workers=%d: user %d concurrent digest %016x != serial %016x",
+					workers, u, got[u], want[u])
+			}
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/mat"
@@ -27,9 +26,9 @@ func hashNodeFreeResult(h hash.Hash, res *Result) {
 
 // moverRun drives one user through messages on sys, moving them to a new
 // cell after every moveEvery-th message — between that user's own
-// transmits, so the move races whatever batches other users have in
-// flight, never the mover's own request. It returns the stream digest
-// and the number of moves that changed nodes.
+// transmits, so the move races whatever requests other users have in
+// flight, never the mover's own. It returns the stream digest and the
+// number of moves that changed nodes.
 func moverRun(t *testing.T, sys *System, user string, messages [][]string, moveEvery int) (uint64, int) {
 	t.Helper()
 	h := fnv.New64a()
@@ -61,13 +60,12 @@ func moverRun(t *testing.T, sys *System, user string, messages [][]string, moveE
 	return h.Sum64(), moved
 }
 
-// TestHandoverRacesBatchCollector pins the interaction between mobility
-// handover and cross-request batching in cluster mode: a user moved
-// mid-batch — the handover racing batches other users have in flight —
-// must keep completing every request on exactly one node, with the
-// stream digest of serial unbatched serving. Per-user noise (forced in
-// cluster mode) is what makes that comparison exact.
-func TestHandoverRacesBatchCollector(t *testing.T) {
+// TestHandoverRacesConcurrentTraffic pins the interaction between mobility
+// handover and concurrent serving in cluster mode: a user moved while
+// other users transmit concurrently must keep completing every request on
+// exactly one node, with the stream digest of serial serving. Per-user
+// noise (forced in cluster mode) is what makes that comparison exact.
+func TestHandoverRacesConcurrentTraffic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("race comparison is slow; run without -short")
 	}
@@ -76,7 +74,6 @@ func TestHandoverRacesBatchCollector(t *testing.T) {
 		moverMsgs          = 40
 		moveEvery          = 10
 		bgUsers, bgPerUser = 5, 40
-		window             = 200 * time.Microsecond
 	)
 	corp := corpus.Build()
 	moverStream := make([][]string, moverMsgs)
@@ -86,12 +83,11 @@ func TestHandoverRacesBatchCollector(t *testing.T) {
 	}
 	bgStreams := batchUserMessages(corp, bgUsers, bgPerUser)
 
-	// Reference: same cluster, no batching, mover alone, serial.
-	refSys, err := NewSystem(func() Config {
-		cfg := batchTestConfig()
-		cfg.Nodes = 3
-		return cfg
-	}())
+	cfg := batchTestConfig()
+	cfg.Nodes = 3
+
+	// Reference: same cluster, mover alone, serial.
+	refSys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +97,8 @@ func TestHandoverRacesBatchCollector(t *testing.T) {
 		t.Fatal("move schedule never changed nodes; the test exercises nothing")
 	}
 
-	// Candidate: batching on, background users keeping the collector busy
-	// while the mover's handovers happen.
-	cfg := batchTestConfig()
-	cfg.Nodes = 3
-	cfg.BatchWindow = window
+	// Candidate: background users transmitting throughout the mover's
+	// handovers.
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +128,7 @@ func TestHandoverRacesBatchCollector(t *testing.T) {
 		t.Fatalf("racing run moved nodes %d times, reference %d: move schedule is not deterministic", moves, refMoves)
 	}
 	if digest != refDigest {
-		t.Fatalf("mover stream diverged under handover-vs-batch racing: %016x != %016x", digest, refDigest)
+		t.Fatalf("mover stream diverged under handover-vs-traffic racing: %016x != %016x", digest, refDigest)
 	}
 	if got := sys.Cluster.Stats().Handovers; got != int64(moves) {
 		t.Fatalf("cluster counted %d handovers, client saw %d node changes", got, moves)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/mat"
@@ -72,10 +71,9 @@ func userNoisyDigests(t *testing.T, s *System, streams [][]trace.Request, parall
 // PerUserNoise serving over the lock-free pooled channel stage produces,
 // per user, the exact noise realizations of the pre-pool serialized path
 // (reseed the one shared RNG under linkMu) — at 1, 2 and 8 mat workers,
-// with users running concurrently, both on the solo per-request path and
-// through the cross-request batch collector. The reference runs on the
-// same binary via the serialLink test hook, which routes PerUserNoise
-// transmits back through the serialized path.
+// with users running concurrently. The reference runs on the same binary
+// via the serialLink test hook, which routes PerUserNoise transmits back
+// through the serialized path.
 func TestLinkPoolMatchesSerializedGolden(t *testing.T) {
 	const users, perUser = 6, 16
 
@@ -93,29 +91,21 @@ func TestLinkPoolMatchesSerializedGolden(t *testing.T) {
 	defer mat.SetParallelism(prevWorkers)
 
 	for _, workers := range []int{1, 2, 8} {
-		for _, window := range []time.Duration{0, 50 * time.Microsecond} {
-			name := fmt.Sprintf("workers=%d/solo", workers)
-			if window > 0 {
-				name = fmt.Sprintf("workers=%d/batched", workers)
+		t.Run(fmt.Sprintf("workers=%d/solo", workers), func(t *testing.T) {
+			mat.SetParallelism(workers)
+			s, err := NewSystem(userNoiseConfig())
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Run(name, func(t *testing.T) {
-				mat.SetParallelism(workers)
-				cfg := userNoiseConfig()
-				cfg.BatchWindow = window
-				s, err := NewSystem(cfg)
-				if err != nil {
-					t.Fatal(err)
+			prefetchAll(t, s)
+			got := userNoisyDigests(t, s, streams, true)
+			for u := range want {
+				if got[u] != want[u] {
+					t.Fatalf("user%d noise stream diverged from serialized reference:\nwant:\n%s\ngot:\n%s",
+						u, want[u], got[u])
 				}
-				prefetchAll(t, s)
-				got := userNoisyDigests(t, s, streams, true)
-				for u := range want {
-					if got[u] != want[u] {
-						t.Fatalf("user%d noise stream diverged from serialized reference:\nwant:\n%s\ngot:\n%s",
-							u, want[u], got[u])
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -144,67 +134,58 @@ func TestLinkPoolSerialHookMatchesPooledSerial(t *testing.T) {
 // TestLinkPoolRaceSoak hammers the pooled channel stage under load — one
 // hot user shared by many goroutines (per-user serialization with
 // maximal pool contention) and a wide set of distinct users (maximal
-// checkout concurrency) — on both the solo path and the batch collector.
-// Its value is highest under -race, where it proves the lock-free stage
-// is data-race-free; without the detector it still exercises pool
-// checkout under real contention.
+// checkout concurrency). Its value is highest under -race, where it proves
+// the lock-free stage is data-race-free; without the detector it still
+// exercises pool checkout under real contention.
 func TestLinkPoolRaceSoak(t *testing.T) {
 	const (
 		goroutines = 8
 		perG       = 10
 	)
-	for _, window := range []time.Duration{0, 50 * time.Microsecond} {
-		name := "solo"
-		if window > 0 {
-			name = "batched"
+	t.Run("solo", func(t *testing.T) {
+		s, err := NewSystem(userNoiseConfig())
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			cfg := userNoiseConfig()
-			cfg.BatchWindow = window
-			s, err := NewSystem(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prefetchAll(t, s)
-			gen := corpus.NewGenerator(s.Corpus, mat.NewRNG(808))
-			msgs := make([]corpus.Message, goroutines*perG)
-			for i := range msgs {
-				msgs[i] = gen.Message(i%len(s.Corpus.Domains), nil)
-			}
+		prefetchAll(t, s)
+		gen := corpus.NewGenerator(s.Corpus, mat.NewRNG(808))
+		msgs := make([]corpus.Message, goroutines*perG)
+		for i := range msgs {
+			msgs[i] = gen.Message(i%len(s.Corpus.Domains), nil)
+		}
 
-			var wg sync.WaitGroup
-			errCh := make(chan error, 2*goroutines)
-			for g := 0; g < goroutines; g++ {
-				// Half the load hammers one hot user; half spreads across
-				// distinct users.
-				wg.Add(2)
-				go func(g int) {
-					defer wg.Done()
-					for i := 0; i < perG; i++ {
-						req := trace.Request{User: "hot-user", Msg: msgs[(g*perG+i)%len(msgs)]}
-						if _, err := s.Transmit(req); err != nil {
-							errCh <- err
-							return
-						}
+		var wg sync.WaitGroup
+		errCh := make(chan error, 2*goroutines)
+		for g := 0; g < goroutines; g++ {
+			// Half the load hammers one hot user; half spreads across
+			// distinct users.
+			wg.Add(2)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < perG; i++ {
+					req := trace.Request{User: "hot-user", Msg: msgs[(g*perG+i)%len(msgs)]}
+					if _, err := s.Transmit(req); err != nil {
+						errCh <- err
+						return
 					}
-				}(g)
-				go func(g int) {
-					defer wg.Done()
-					user := fmt.Sprintf("cold-user%d", g)
-					for i := 0; i < perG; i++ {
-						req := trace.Request{User: user, Msg: msgs[(g*perG+i)%len(msgs)]}
-						if _, err := s.Transmit(req); err != nil {
-							errCh <- err
-							return
-						}
+				}
+			}(g)
+			go func(g int) {
+				defer wg.Done()
+				user := fmt.Sprintf("cold-user%d", g)
+				for i := 0; i < perG; i++ {
+					req := trace.Request{User: user, Msg: msgs[(g*perG+i)%len(msgs)]}
+					if _, err := s.Transmit(req); err != nil {
+						errCh <- err
+						return
 					}
-				}(g)
-			}
-			wg.Wait()
-			close(errCh)
-			for err := range errCh {
-				t.Fatal(err)
-			}
-		})
-	}
+				}
+			}(g)
+		}
+		wg.Wait()
+		close(errCh)
+		for err := range errCh {
+			t.Fatal(err)
+		}
+	})
 }

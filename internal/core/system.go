@@ -162,17 +162,6 @@ type Config struct {
 	// Transmit; callers then invoke ProcessUpdate explicitly.
 	DisableAutoUpdate bool
 
-	// BatchWindow enables cross-request dynamic batching when > 0: an
-	// in-flight transmit waits up to this long for others to share one
-	// fused encode/decode GEMM pass with (see internal/core/batch.go).
-	// Zero keeps the solo per-request path. Per-request outputs are
-	// bit-identical either way.
-	BatchWindow time.Duration
-	// BatchMaxTokens flushes a collecting batch early once its total
-	// token count reaches this budget; 0 selects DefaultBatchMaxTokens.
-	// Only meaningful with BatchWindow > 0.
-	BatchMaxTokens int
-
 	// Seed drives every random component (default 1).
 	Seed uint64
 
@@ -315,14 +304,11 @@ type System struct {
 	linkPool   *channel.LinkPool
 	serialLink bool
 
-	// batcher is the cross-request dynamic batching collector, nil when
-	// Config.BatchWindow is zero (solo per-request path).
-	batcher *batcher
-
 	// Aggregate counters (atomic: updated from concurrent transmits).
-	syncBytes   atomic.Int64
-	syncCount   atomic.Int64
-	syncLatency atomic.Int64 // nanoseconds
+	syncBytes      atomic.Int64
+	syncCount      atomic.Int64
+	syncLatency    atomic.Int64 // nanoseconds
+	updateFailures atomic.Int64
 }
 
 // userState is one user's shard of mutable system state. Its mutex spans
@@ -554,9 +540,6 @@ func NewSystem(cfg Config) (*System, error) {
 			return l
 		})
 	}
-	if cfg.BatchWindow > 0 {
-		s.batcher = newBatcher(s, cfg.BatchWindow, cfg.BatchMaxTokens)
-	}
 	if err := s.initSelectors(rng); err != nil {
 		return nil, err
 	}
@@ -583,9 +566,10 @@ func (s *System) initSelectors(rng *mat.RNG) error {
 	}
 	s.nb = selection.TrainNaiveBayes(s.Corpus, 150, cfg.Seed^0xbead)
 	s.selFactory = build(s, rng)
-	// Probe once, exactly as selection.NewPerUser did before per-user
-	// sharding: factories that split an RNG per instance keep the same
-	// split sequence, so per-user selector streams stay bit-identical.
+	// Probe once, as the selector family did before per-user sharding:
+	// factories that split an RNG per instance keep the same split
+	// sequence, so per-user selector streams stay bit-identical to the
+	// recorded goldens.
 	s.selFactory()
 	return nil
 }
@@ -625,6 +609,9 @@ type Result struct {
 	// individual-model update; UpdateBytes is its wire cost.
 	UpdateFired bool
 	UpdateBytes int
+	// UpdateErr is the failure of the update process this transmission
+	// triggered, nil otherwise. The message itself was still delivered.
+	UpdateErr error
 }
 
 // mix64 is the SplitMix64 finalizer: a cheap, high-avalanche mixer for
@@ -761,9 +748,6 @@ func (s *System) TransmitText(user string, words []string) (*Result, error) {
 // the returned concepts are backed by sc and must be consumed before the
 // scratch is released.
 func (s *System) transmitSelected(sc *mat.Scratch, st *userState, user string, words []string, selected int, sel selection.Selector) (*Result, []int, error) {
-	if s.batcher != nil {
-		return s.transmitBatched(sc, st, user, words, selected, sel)
-	}
 	domain := s.Corpus.Domains[selected].Name
 	sender := s.senderFor(user)
 
@@ -816,10 +800,15 @@ func (s *System) transmitSelected(sc *mat.Scratch, st *userState, user string, w
 		UsedIndividual: enc.Individual,
 	}
 
-	// Step 6: update process when the buffer is full.
+	// Step 6: update process when the buffer is full. A failed update does
+	// not fail the transmit — the message was already delivered — but it is
+	// counted and reported on the result.
 	if ready && !s.cfg.DisableAutoUpdate {
 		bytes, err := s.ProcessUpdate(domain, user)
-		if err == nil {
+		if err != nil {
+			s.updateFailures.Add(1)
+			res.UpdateErr = err
+		} else {
 			res.UpdateFired = true
 			res.UpdateBytes = bytes
 		}
@@ -876,6 +865,10 @@ func (s *System) SyncCount() int { return int(s.syncCount.Load()) }
 // SyncLatency returns the cumulative simulated edge-link transfer time of
 // all shipped decoder updates.
 func (s *System) SyncLatency() time.Duration { return time.Duration(s.syncLatency.Load()) }
+
+// UpdateFailures returns the number of update processes triggered by a
+// transmit that failed.
+func (s *System) UpdateFailures() int64 { return s.updateFailures.Load() }
 
 // CloudLink returns the (defaulted) edge-to-cloud link the system
 // charges for origin model fetches — what an external fetcher (e.g. the

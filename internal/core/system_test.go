@@ -1,10 +1,14 @@
 package core
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cache"
+	"repro/internal/corpus"
+	"repro/internal/mat"
 	"repro/internal/nn"
 	"repro/internal/semantic"
 	"repro/internal/trace"
@@ -193,6 +197,50 @@ func TestUpdateProcessFiresAndHelps(t *testing.T) {
 	// Individual models must be in play by the end.
 	if !results[len(results)-1].UsedIndividual {
 		t.Fatal("individual model not used after updates")
+	}
+}
+
+// TestUpdateFailureCounted pins that a failing update process is reported,
+// not swallowed: with the generals pinned in a sender cache sized to hold
+// only them, no individual model can ever be admitted, so every update the
+// buffer triggers fails with cache.ErrTooLarge. The transmit itself still
+// succeeds; the failure is counted and carried on the result.
+func TestUpdateFailureCounted(t *testing.T) {
+	const threshold, messages = 4, 10
+	cfg := batchTestConfig()
+	cfg.Selector = SelectorStatic
+	cfg.BufferThreshold = threshold
+	for _, c := range cfg.Pretrained {
+		cfg.SenderCacheBytes += c.SizeBytes()
+	}
+	s, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefetchAll(t, s) // every general pinned: the sender cache is now full
+	gen := corpus.NewGenerator(s.Corpus, mat.NewRNG(77))
+	for i := 1; i <= messages; i++ {
+		res, err := s.TransmitText("u1", gen.Message(0, nil).Words)
+		if err != nil {
+			t.Fatalf("message %d: %v", i, err)
+		}
+		if res.UpdateFired {
+			t.Fatalf("message %d: UpdateFired although the model cannot be cached", i)
+		}
+		// A failed update leaves the buffer full, so every message from
+		// the threshold on is a crossing.
+		if crossing := i >= threshold; crossing != (res.UpdateErr != nil) {
+			t.Fatalf("message %d: UpdateErr = %v, crossing = %t", i, res.UpdateErr, crossing)
+		}
+		if res.UpdateErr != nil && !errors.Is(res.UpdateErr, cache.ErrTooLarge) {
+			t.Fatalf("message %d: UpdateErr = %v, want cache.ErrTooLarge", i, res.UpdateErr)
+		}
+	}
+	if got, want := s.UpdateFailures(), int64(messages-threshold+1); got != want {
+		t.Fatalf("UpdateFailures = %d, want %d", got, want)
+	}
+	if s.SyncCount() != 0 {
+		t.Fatalf("SyncCount = %d after only failed updates", s.SyncCount())
 	}
 }
 

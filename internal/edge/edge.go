@@ -136,11 +136,6 @@ func New(cfg Config, origin *kb.Registry) (*Server, error) {
 // Name returns the server name.
 func (s *Server) Name() string { return s.name }
 
-// ComputePerToken returns the simulated per-token encode/decode cost.
-// Batched serve paths that run codec GEMMs outside Encode/Decode use it to
-// account compute latency identically to the solo path.
-func (s *Server) ComputePerToken() time.Duration { return s.computePerToken }
-
 // CacheStats returns a snapshot of the model-cache counters.
 func (s *Server) CacheStats() cache.Stats { return s.cache.Stats() }
 
@@ -319,28 +314,6 @@ func (s *Server) RecordTransaction(sc *mat.Scratch, domain, user string, words [
 	} else {
 		acq.Model.Codec.RoundTripInto(sc, words, tx.Decoded)
 	}
-	return tx, s.addTransaction(domain, user, tx), nil
-}
-
-// RecordDecodedTransaction is RecordTransaction with the decoder-copy
-// output already computed: decoded must be the round-trip decode of words
-// through the codec this server currently serves for (domain, user). The
-// batched serve path uses it after running the decoder copy inside a
-// cross-request fused GEMM; callers must serialize with respect to model
-// updates for the user (core holds the per-user lock across the whole
-// transmit), so the precomputed decode matches what a fresh AcquireCodec
-// round trip would produce. decoded is copied; the caller's backing array
-// (typically a scratch arena) is not retained.
-func (s *Server) RecordDecodedTransaction(domain, user string, words []string, decoded []int) (fl.Transaction, bool, error) {
-	if len(decoded) != len(words) {
-		return fl.Transaction{}, false, fmt.Errorf("edge %s: decoded length %d != words %d", s.name, len(decoded), len(words))
-	}
-	acq, err := s.AcquireCodec(domain, user)
-	if err != nil {
-		return fl.Transaction{}, false, err
-	}
-	tx := newTransaction(acq.Model.Codec.Domain(), words)
-	tx.Decoded = append(make([]int, 0, len(decoded)), decoded...)
 	return tx, s.addTransaction(domain, user, tx), nil
 }
 

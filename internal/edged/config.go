@@ -77,10 +77,6 @@ type Config struct {
 	IdleTimeout time.Duration
 	// WriteTimeout bounds each response write; 0 disables.
 	WriteTimeout time.Duration
-	// BatchWindow enables cross-request batching when > 0.
-	BatchWindow time.Duration
-	// BatchMaxTokens flushes a collecting batch at this many tokens.
-	BatchMaxTokens int
 	// ShedAfter sheds transmits queued at the admission gate longer than
 	// this; 0 = only shed on client deadline hints.
 	ShedAfter time.Duration
@@ -123,8 +119,6 @@ func FromFlags(fs *flag.FlagSet) *Config {
 	fs.IntVar(&cfg.MaxInflight, "max-inflight", 0, "max concurrently served transmits (0 = 2x GOMAXPROCS, <0 = unlimited)")
 	fs.DurationVar(&cfg.IdleTimeout, "idle-timeout", 5*time.Minute, "per-connection read deadline; 0 disables")
 	fs.DurationVar(&cfg.WriteTimeout, "write-timeout", 30*time.Second, "per-response write deadline; 0 disables")
-	fs.DurationVar(&cfg.BatchWindow, "batch-window", 0, "cross-request batching window (e.g. 50us); 0 disables batching")
-	fs.IntVar(&cfg.BatchMaxTokens, "batch-max-tokens", 0, "flush a collecting batch at this many tokens (0 = default budget)")
 	fs.DurationVar(&cfg.ShedAfter, "shed-after", 0, "shed transmits queued at the -max-inflight gate longer than this; 0 = only shed on client deadlines")
 	fs.IntVar(&cfg.BufferThreshold, "buffer-threshold", 0, "transactions per (domain,user) before an individual-model update fires (0 = default)")
 	fs.StringVar(&cfg.Tier, "tier", "f64", "serving kernel tier ("+strings.Join(validTiers, "|")+"); f64 is bit-exact, f32/int8 trade bounded accuracy for speed")
@@ -183,7 +177,6 @@ func (c *Config) Validate() error {
 	}{
 		{"idle-timeout", c.IdleTimeout},
 		{"write-timeout", c.WriteTimeout},
-		{"batch-window", c.BatchWindow},
 		{"shed-after", c.ShedAfter},
 		{"probe-interval", c.ProbeInterval},
 		{"drain-timeout", c.DrainTimeout},
@@ -191,9 +184,6 @@ func (c *Config) Validate() error {
 		if d.v < 0 {
 			return &ConfigError{Field: d.field, Value: d.v, Reason: "must be >= 0"}
 		}
-	}
-	if c.BatchMaxTokens < 0 {
-		return &ConfigError{Field: "batch-max-tokens", Value: c.BatchMaxTokens, Reason: "must be >= 0"}
 	}
 	if c.BufferThreshold < 0 {
 		return &ConfigError{Field: "buffer-threshold", Value: c.BufferThreshold, Reason: "must be >= 0"}

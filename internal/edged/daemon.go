@@ -96,8 +96,6 @@ func New(cfg Config) (*Daemon, error) {
 		PinGeneral:      true,
 		Seed:            cfg.Seed,
 		Nodes:           cfg.Nodes,
-		BatchWindow:     cfg.BatchWindow,
-		BatchMaxTokens:  cfg.BatchMaxTokens,
 		BufferThreshold: cfg.BufferThreshold,
 		Tier:            cfg.Tier,
 	}
@@ -210,9 +208,6 @@ func (d *Daemon) Serve() error {
 	}
 	if d.Mesh != nil {
 		d.Mesh.Start()
-	}
-	if d.Cfg.BatchWindow > 0 {
-		log.Printf("edged: cross-request batching on (window %v)", d.Cfg.BatchWindow)
 	}
 	err := d.srv.serve(d.ln)
 	if d.Mesh != nil {

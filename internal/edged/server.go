@@ -345,15 +345,12 @@ func (s *server) stats() *rpc.Stats {
 		QueueWaitP99Ms: s.queueWait.P(99),
 		Shed:           s.shed.Load(),
 	}
-	bs := s.sys.BatchStats()
-	serve.Batches = bs.Batches
-	serve.BatchedRequests = bs.BatchedRequests
-	serve.BatchOccupancy = bs.Occupancy
 	st := &rpc.Stats{
-		Messages:  int(s.messages.Load()),
-		SyncBytes: s.sys.SyncBytes(),
-		SyncCount: s.sys.SyncCount(),
-		Serve:     serve,
+		Messages:       int(s.messages.Load()),
+		SyncBytes:      s.sys.SyncBytes(),
+		SyncCount:      s.sys.SyncCount(),
+		UpdateFailures: s.sys.UpdateFailures(),
+		Serve:          serve,
 	}
 	if s.mesh != nil {
 		ns := s.mesh.Stats()
@@ -495,14 +492,18 @@ func (s *server) transmit(req *rpc.Request) *rpc.Response {
 	}
 	s.latency.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 	s.messages.Add(1)
+	domain := s.sys.Corpus.Domains[res.SelectedDomain].Name
+	if res.UpdateErr != nil {
+		log.Printf("edged: update failed for user %s domain %s: %v", user, domain, res.UpdateErr)
+	}
 	if s.mesh != nil {
 		s.mesh.TouchUser(user)
-		s.mesh.NoteDomain(s.sys.Corpus.Domains[res.SelectedDomain].Name)
+		s.mesh.NoteDomain(domain)
 	}
 	return &rpc.Response{
 		OK:             true,
 		Restored:       text.Join(res.RestoredWords),
-		SelectedDomain: s.sys.Corpus.Domains[res.SelectedDomain].Name,
+		SelectedDomain: domain,
 		Mismatch:       res.Mismatch,
 		PayloadBytes:   res.PayloadBytes,
 		LatencyMs:      float64(res.Latency) / float64(time.Millisecond),

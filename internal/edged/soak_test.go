@@ -1,6 +1,7 @@
 package edged
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"strings"
@@ -149,95 +150,20 @@ func TestSoakConcurrentClients(t *testing.T) {
 	}
 }
 
-// TestSoakBatchedConcurrentClients re-runs the concurrent soak with
-// cross-request batching on and asserts every request was served through
-// the collector with coherent occupancy accounting.
-func TestSoakBatchedConcurrentClients(t *testing.T) {
-	cfg := soakConfig(t)
-	cfg.BatchWindow = 100 * time.Microsecond
-	sys, err := core.NewSystem(cfg)
+// TestClientDisconnectsMidTransmit soaks the serve path against clients
+// that vanish mid-request: each rogue client fires a transmit and slams
+// the connection without reading the response, while well-behaved clients
+// keep transmitting through a 2-slot admission gate. The daemon must
+// neither wedge nor leak a gate slot on the abandoned work; the race-mode
+// CI job runs this to check the serve path's synchronization. Every
+// submitted transmit is still executed (the server only notices the dead
+// peer at write time), so the message accounting stays exact.
+func TestClientDisconnectsMidTransmit(t *testing.T) {
+	sys, err := core.NewSystem(soakConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(sys, 0)
-	addr, shutdown := startServer(t, srv)
-	defer shutdown()
-
-	const clients, perClient = 16, 6
-	var wg sync.WaitGroup
-	errCh := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			cl, err := rpc.Dial(addr)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			defer cl.Close()
-			user := fmt.Sprintf("batched%02d", c)
-			gen := corpus.NewGenerator(sys.Corpus, mat.NewRNG(uint64(4000+c)))
-			for i := 0; i < perClient; i++ {
-				resp, err := cl.Transmit(user, gen.Message(c%len(sys.Corpus.Domains), nil).Text())
-				if err != nil {
-					errCh <- fmt.Errorf("%s: %w", user, err)
-					return
-				}
-				if !resp.OK || resp.Restored == "" {
-					errCh <- fmt.Errorf("%s message %d: bad response %+v", user, i, resp)
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-
-	cl, err := rpc.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	st, err := cl.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	serve := st.Serve
-	if serve == nil || serve.BatchedRequests != clients*perClient {
-		t.Fatalf("batched requests = %+v, want %d", serve, clients*perClient)
-	}
-	if serve.Batches <= 0 || serve.Batches > serve.BatchedRequests {
-		t.Fatalf("implausible batch count: %+v", serve)
-	}
-	var occ int64
-	for _, n := range serve.BatchOccupancy {
-		occ += n
-	}
-	if occ != serve.Batches {
-		t.Fatalf("occupancy histogram sums to %d, want %d batches", occ, serve.Batches)
-	}
-}
-
-// TestBatchCollectorClientDisconnects soaks the collector against clients
-// that vanish mid-batch: each rogue client fires a transmit and slams the
-// connection without reading the response, while well-behaved clients
-// keep transmitting. The daemon must neither wedge a batch nor leak the
-// abandoned work; the race-mode CI job runs this to check the collector's
-// synchronization. Every submitted transmit is still executed (the server
-// only notices the dead peer at write time), so the batched-request
-// accounting stays exact.
-func TestBatchCollectorClientDisconnects(t *testing.T) {
-	cfg := soakConfig(t)
-	cfg.BatchWindow = 200 * time.Microsecond
-	sys, err := core.NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := newServer(sys, 0)
+	srv := newServer(sys, 2)
 	addr, shutdown := startServer(t, srv)
 	defer shutdown()
 
@@ -256,8 +182,8 @@ func TestBatchCollectorClientDisconnects(t *testing.T) {
 					return
 				}
 				// Raw wire-level write, then vanish before the response
-				// lands: the transmit is mid-batch when the peer
-				// disappears. rpc.Client cannot express this (Do always
+				// lands: the transmit is in flight when the peer
+				// disappears. rpc.Client cannot express this (it always
 				// reads the response), so this one test speaks the frame
 				// protocol directly.
 				req := rpc.Request{
@@ -287,7 +213,9 @@ func TestBatchCollectorClientDisconnects(t *testing.T) {
 			user := fmt.Sprintf("good%02d", c)
 			gen := corpus.NewGenerator(sys.Corpus, mat.NewRNG(uint64(6000+c)))
 			for i := 0; i < perClient; i++ {
-				resp, err := cl.TransmitDeadline(user, gen.Message(c%len(sys.Corpus.Domains), nil).Text(), 30*time.Second)
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+				resp, err := cl.TransmitContext(ctx, user, gen.Message(c%len(sys.Corpus.Domains), nil).Text())
+				cancel()
 				if err != nil {
 					errCh <- fmt.Errorf("%s: %w", user, err)
 					return
@@ -306,7 +234,7 @@ func TestBatchCollectorClientDisconnects(t *testing.T) {
 	}
 
 	// The daemon must still be fully serviceable, with every transmit —
-	// including the abandoned ones — accounted as batched.
+	// including the abandoned ones — counted as served.
 	cl, err := rpc.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -323,11 +251,12 @@ func TestBatchCollectorClientDisconnects(t *testing.T) {
 		}
 		// Rogue transmits may still be draining when the clients exit;
 		// poll until the counters settle.
-		if st.Serve != nil && st.Serve.BatchedRequests == (rogues+good)*perClient && st.Serve.InFlight == 0 {
+		if st.Messages == (rogues+good)*perClient && st.Serve != nil && st.Serve.InFlight == 0 && len(srv.gate) == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("collector never drained: %+v", st.Serve)
+			t.Fatalf("abandoned transmits never drained: messages %d, serve %+v, %d gate slots held",
+				st.Messages, st.Serve, len(srv.gate))
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -391,58 +320,6 @@ func TestServedMatchesDirectSerialReplay(t *testing.T) {
 	}
 }
 
-// TestBatchedServedMatchesDirectSerialReplay is the replay check with
-// cross-request batching on: a serial client stream through a batching
-// daemon must still be bit-identical to the direct system, field by field
-// — the collector must add no behavior even when every batch holds one
-// request.
-func TestBatchedServedMatchesDirectSerialReplay(t *testing.T) {
-	direct, err := core.NewSystem(soakConfig(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := soakConfig(t)
-	cfg.BatchWindow = 50 * time.Microsecond
-	servedSys, err := core.NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := newServer(servedSys, 0)
-	addr, shutdown := startServer(t, srv)
-	defer shutdown()
-
-	cl, err := rpc.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	gen := corpus.NewGenerator(direct.Corpus, mat.NewRNG(78))
-	for i := 0; i < 24; i++ {
-		words := gen.Message(i%len(direct.Corpus.Domains), nil).Words
-		want, err := direct.TransmitText("replay", words)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := cl.Transmit("replay", strings.Join(words, " "))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.OK {
-			t.Fatalf("message %d: daemon error %q", i, got.Error)
-		}
-		if got.Restored != text.Join(want.RestoredWords) ||
-			got.Mismatch != want.Mismatch ||
-			got.PayloadBytes != want.PayloadBytes ||
-			got.LatencyMs != float64(want.Latency)/float64(time.Millisecond) ||
-			got.CacheHit != want.EncCacheHit ||
-			got.Individual != want.UsedIndividual ||
-			got.UpdateFired != want.UpdateFired {
-			t.Fatalf("message %d: batched serve diverged:\n got %+v\nwant %+v", i, got, want)
-		}
-	}
-}
-
 // TestStalledClientDisconnected checks the read deadline: a connection
 // that sends nothing must be dropped instead of pinning its goroutine.
 func TestStalledClientDisconnected(t *testing.T) {
@@ -496,7 +373,9 @@ func TestAdmissionShedding(t *testing.T) {
 	defer cl.Close()
 	// The client's own patience is ample: the server's -shed-after policy
 	// is what rejects the request, and the client still gets the answer.
-	resp, err := cl.TransmitDeadline("impatient", "the server is down", 5*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	resp, err := cl.TransmitContext(ctx, "impatient", "the server is down")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,21 +72,6 @@ func (c *Client) DoContext(ctx context.Context, req *Request) (*Response, error)
 	return c.do(ctx, Version, req)
 }
 
-// Do issues one request with an explicit per-call deadline (zero selects
-// the client default).
-//
-// Deprecated: use DoContext, which derives the deadline from a context
-// and composes with cancellation.
-func (c *Client) Do(req *Request, deadline time.Duration) (*Response, error) {
-	ctx := context.Background()
-	if deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, deadline)
-		defer cancel()
-	}
-	return c.do(ctx, Version, req)
-}
-
 // do runs one framed exchange at the given protocol version under the
 // client mutex.
 func (c *Client) do(ctx context.Context, version byte, req *Request) (*Response, error) {
@@ -129,19 +114,6 @@ func (c *Client) Transmit(user, text string) (*Response, error) {
 // TransmitContext is Transmit with the deadline derived from ctx.
 func (c *Client) TransmitContext(ctx context.Context, user, text string) (*Response, error) {
 	return c.do(ctx, Version, &Request{Op: OpTransmit, User: user, Text: text})
-}
-
-// TransmitDeadline is Transmit with an explicit per-call deadline.
-//
-// Deprecated: use TransmitContext.
-func (c *Client) TransmitDeadline(user, text string, deadline time.Duration) (*Response, error) {
-	ctx := context.Background()
-	if deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, deadline)
-		defer cancel()
-	}
-	return c.TransmitContext(ctx, user, text)
 }
 
 // Move attaches user to a radio cell (cluster mode). The returned

@@ -106,7 +106,9 @@ func TestClientForwardsDeadline(t *testing.T) {
 	c := dialTest(t, reqs)
 	// The forwarded DeadlineMs is the budget remaining when the frame is
 	// written, so it lands just under the nominal value.
-	if _, err := c.TransmitDeadline("alice", "hi", 250*time.Millisecond); err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
+	defer cancel()
+	if _, err := c.TransmitContext(ctx, "alice", "hi"); err != nil {
 		t.Fatal(err)
 	}
 	req := <-reqs
@@ -251,7 +253,9 @@ func TestClientDeadlineExpires(t *testing.T) {
 	}
 	defer c.Close()
 	start := time.Now()
-	if _, err := c.TransmitDeadline("alice", "hi", 50*time.Millisecond); err == nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, err := c.TransmitContext(ctx, "alice", "hi"); err == nil {
 		t.Fatal("call against a mute server succeeded")
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {

@@ -248,11 +248,13 @@ type Stats struct {
 	SyncCount      int     `json:"sync_count"`
 	CachedModels   int     `json:"cached_models"`
 	CacheUsedBytes int64   `json:"cache_used_bytes"`
+	// UpdateFailures counts individual-model updates that a transmit
+	// triggered and that failed; the transmits themselves succeeded.
+	UpdateFailures int64 `json:"update_failures,omitempty"`
 
-	// Serve carries the daemon's serve-path metrics: admission state,
-	// latency and queue-wait histograms, and cross-request batching
-	// counters. Nil when the responder predates the serve path (e.g. a
-	// unit-test stub).
+	// Serve carries the daemon's serve-path metrics: admission state and
+	// the latency and queue-wait histograms. Nil when the responder
+	// predates the serve path (e.g. a unit-test stub).
 	Serve *ServeStats `json:"serve,omitempty"`
 
 	// Cluster-mode counters (absent in single-sender mode).
@@ -262,9 +264,8 @@ type Stats struct {
 }
 
 // ServeStats nests the serve-path metrics: what the daemon is doing right
-// now (in-flight), how fast it has been (latency percentiles), how long
-// admission queueing takes (queue-wait percentiles plus sheds), and how
-// well the cross-request batcher is packing work (occupancy histogram).
+// now (in-flight), how fast it has been (latency percentiles) and how long
+// admission queueing takes (queue-wait percentiles plus sheds).
 type ServeStats struct {
 	// InFlight is the number of transmits being served right now.
 	InFlight int `json:"in_flight"`
@@ -281,20 +282,7 @@ type ServeStats struct {
 	QueueWaitP99Ms float64 `json:"queue_wait_p99_ms"`
 	// Shed counts requests rejected by admission control.
 	Shed int64 `json:"shed,omitempty"`
-
-	// Batches counts batch executions by the cross-request collector, and
-	// BatchedRequests the transmits served through them. Both stay zero
-	// with batching off (-batch-window 0).
-	Batches         int64 `json:"batches,omitempty"`
-	BatchedRequests int64 `json:"batched_requests,omitempty"`
-	// BatchOccupancy histograms requests-per-executed-batch into the
-	// buckets 1, 2, 3–4, 5–8, 9–16 and 17+.
-	BatchOccupancy [6]int64 `json:"batch_occupancy,omitempty"`
 }
-
-// BatchOccupancyLabels names the ServeStats.BatchOccupancy buckets, for
-// printers.
-var BatchOccupancyLabels = [6]string{"1", "2", "3-4", "5-8", "9-16", "17+"}
 
 // NodeStats reports one cluster node's counters. The field set mirrors
 // cluster.NodeStats one-for-one (FetchLatency carried as milliseconds) so
@@ -340,7 +328,7 @@ type DomainHeat struct {
 // reports: additive counters sum, SenderHitRate re-weights by Messages,
 // and Nodes concatenates. Serve percentiles are per-process measurements
 // with no meaningful cross-process merge; s keeps its own Serve snapshot
-// untouched except for the additive shed/batch counters.
+// untouched except for the additive in-flight and shed counters.
 func (s *Stats) Merge(other *Stats) {
 	if other == nil {
 		return
@@ -353,6 +341,7 @@ func (s *Stats) Merge(other *Stats) {
 	s.Messages = total
 	s.SyncBytes += other.SyncBytes
 	s.SyncCount += other.SyncCount
+	s.UpdateFailures += other.UpdateFailures
 	s.CachedModels += other.CachedModels
 	s.CacheUsedBytes += other.CacheUsedBytes
 	s.Handovers += other.Handovers
@@ -364,11 +353,6 @@ func (s *Stats) Merge(other *Stats) {
 		}
 		s.Serve.InFlight += other.Serve.InFlight
 		s.Serve.Shed += other.Serve.Shed
-		s.Serve.Batches += other.Serve.Batches
-		s.Serve.BatchedRequests += other.Serve.BatchedRequests
-		for i := range s.Serve.BatchOccupancy {
-			s.Serve.BatchOccupancy[i] += other.Serve.BatchOccupancy[i]
-		}
 	}
 }
 

@@ -29,7 +29,7 @@ func TestRequestRoundTrip(t *testing.T) {
 func TestResponseRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	in := &Response{OK: true, Restored: "the server is down", SelectedDomain: "it",
-		PayloadBytes: 25, LatencyMs: 14.2, Stats: &Stats{Messages: 3}}
+		PayloadBytes: 25, LatencyMs: 14.2, Stats: &Stats{Messages: 3, UpdateFailures: 2}}
 	if err := Write(&buf, in); err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestResponseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Restored != in.Restored || out.Stats.Messages != 3 {
+	if out.Restored != in.Restored || out.Stats.Messages != 3 || out.Stats.UpdateFailures != 2 {
 		t.Fatalf("round trip mismatch: %+v", out)
 	}
 }
@@ -179,14 +179,16 @@ func TestStatsMerge(t *testing.T) {
 	a := &Stats{
 		Messages: 10, SenderHitRate: 0.8, SyncBytes: 100, SyncCount: 2,
 		CachedModels: 3, CacheUsedBytes: 300, Handovers: 1, MigratedBytes: 50,
-		Nodes: []NodeStats{{Name: "node-0", Users: 4}},
-		Serve: &ServeStats{InFlight: 1, Shed: 2, Batches: 3, BatchedRequests: 6, BatchOccupancy: [6]int64{1, 1, 1, 0, 0, 0}},
+		UpdateFailures: 1,
+		Nodes:          []NodeStats{{Name: "node-0", Users: 4}},
+		Serve:          &ServeStats{InFlight: 1, Shed: 2},
 	}
 	b := &Stats{
 		Messages: 30, SenderHitRate: 0.4, SyncBytes: 200, SyncCount: 1,
 		CachedModels: 5, CacheUsedBytes: 700, Handovers: 2, MigratedBytes: 70,
-		Nodes: []NodeStats{{Name: "node-1", Users: 6}},
-		Serve: &ServeStats{InFlight: 2, Shed: 1, Batches: 1, BatchedRequests: 2, BatchOccupancy: [6]int64{0, 1, 0, 0, 0, 0}},
+		UpdateFailures: 4,
+		Nodes:          []NodeStats{{Name: "node-1", Users: 6}},
+		Serve:          &ServeStats{InFlight: 2, Shed: 1},
 	}
 	a.Merge(b)
 	if a.Messages != 40 {
@@ -196,7 +198,7 @@ func TestStatsMerge(t *testing.T) {
 	if math.Abs(a.SenderHitRate-0.5) > 1e-12 {
 		t.Fatalf("SenderHitRate = %g, want 0.5", a.SenderHitRate)
 	}
-	if a.SyncBytes != 300 || a.SyncCount != 3 || a.CachedModels != 8 || a.CacheUsedBytes != 1000 {
+	if a.SyncBytes != 300 || a.SyncCount != 3 || a.CachedModels != 8 || a.CacheUsedBytes != 1000 || a.UpdateFailures != 5 {
 		t.Fatalf("additive counters wrong: %+v", a)
 	}
 	if a.Handovers != 3 || a.MigratedBytes != 120 {
@@ -205,11 +207,8 @@ func TestStatsMerge(t *testing.T) {
 	if len(a.Nodes) != 2 || a.Nodes[1].Name != "node-1" {
 		t.Fatalf("Nodes = %+v", a.Nodes)
 	}
-	if a.Serve.InFlight != 3 || a.Serve.Shed != 3 || a.Serve.Batches != 4 || a.Serve.BatchedRequests != 8 {
+	if a.Serve.InFlight != 3 || a.Serve.Shed != 3 {
 		t.Fatalf("Serve counters wrong: %+v", a.Serve)
-	}
-	if a.Serve.BatchOccupancy != [6]int64{1, 2, 1, 0, 0, 0} {
-		t.Fatalf("BatchOccupancy = %v", a.Serve.BatchOccupancy)
 	}
 	// Merging nil and merging into empty both behave.
 	a.Merge(nil)

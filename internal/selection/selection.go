@@ -11,7 +11,6 @@ package selection
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/corpus"
 	"repro/internal/mat"
@@ -387,42 +386,3 @@ func (u *UCB) Feedback(reward float64) {
 
 // Reset implements Selector.
 func (u *UCB) Reset() { u.pending = false }
-
-// PerUser maintains one selector instance per user so conversation context
-// never leaks across interleaved user streams — the edge server tracks
-// selection context per session, not per arrival order. The map itself is
-// safe for concurrent use; the selectors it hands out are not, so callers
-// running users in parallel must serialize per user (as core.System does
-// with its per-user locks).
-type PerUser struct {
-	factory func() Selector
-	mu      sync.Mutex
-	m       map[string]Selector
-	name    string
-}
-
-// NewPerUser builds a per-user selector family from a factory. The family
-// name is taken from a probe instance.
-func NewPerUser(factory func() Selector) *PerUser {
-	return &PerUser{
-		factory: factory,
-		m:       make(map[string]Selector, 8),
-		name:    factory().Name(),
-	}
-}
-
-// Name returns the underlying selector family name.
-func (p *PerUser) Name() string { return p.name }
-
-// For returns the selector bound to user, creating it on first use.
-// Creation is serialized, so factories may split a shared RNG.
-func (p *PerUser) For(user string) Selector {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s, ok := p.m[user]
-	if !ok {
-		s = p.factory()
-		p.m[user] = s
-	}
-	return s
-}

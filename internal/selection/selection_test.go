@@ -43,10 +43,14 @@ func ambiguousAccuracy(corp *corpus.Corpus, factory func() Selector, seed uint64
 }
 
 func accuracyOn(w *trace.Workload, factory func() Selector) float64 {
-	per := NewPerUser(factory)
+	per := map[string]Selector{}
 	correct := 0
 	for _, r := range w.Requests {
-		sel := per.For(r.User)
+		sel, ok := per[r.User]
+		if !ok {
+			sel = factory()
+			per[r.User] = sel
+		}
 		got := sel.Select(r.Msg.Words)
 		if got == r.Msg.DomainIndex {
 			correct++

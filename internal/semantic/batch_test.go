@@ -52,61 +52,6 @@ func TestBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestEncodeBatchIntoBitIdentical asserts the fused batch-of-messages
-// encode is bit-identical per message to solo encodes, at any worker
-// count and any batch composition — the invariant cross-request dynamic
-// batching rests on.
-func TestEncodeBatchIntoBitIdentical(t *testing.T) {
-	corp, codec := sharedFixtures(t)
-	msgs := batchMessages(corp, 17)
-
-	prev := mat.Parallelism()
-	defer mat.SetParallelism(prev)
-
-	mat.SetParallelism(1)
-	solo := make([][][]float64, len(msgs))
-	for i, m := range msgs {
-		sc := mat.GetScratch()
-		enc := codec.EncodeWordsInto(sc, m)
-		solo[i] = make([][]float64, enc.Rows)
-		for r := 0; r < enc.Rows; r++ {
-			solo[i][r] = append([]float64(nil), enc.Row(r)...)
-		}
-		mat.PutScratch(sc)
-	}
-
-	for _, workers := range []int{1, 2, 8} {
-		mat.SetParallelism(workers)
-		// Vary batch composition: full batch, pairs, singletons.
-		for _, span := range []int{len(msgs), 2, 1} {
-			for lo := 0; lo < len(msgs); lo += span {
-				hi := lo + span
-				if hi > len(msgs) {
-					hi = len(msgs)
-				}
-				sc := mat.GetScratch()
-				packed := codec.EncodeBatchInto(sc, msgs[lo:hi])
-				row := 0
-				for i := lo; i < hi; i++ {
-					for r := range solo[i] {
-						for k, v := range solo[i][r] {
-							if packed.Row(row)[k] != v {
-								t.Fatalf("workers %d span %d: msg %d token %d col %d: batch %v != solo %v",
-									workers, span, i, r, k, packed.Row(row)[k], v)
-							}
-						}
-						row++
-					}
-				}
-				if row != packed.Rows {
-					t.Fatalf("packed rows %d, consumed %d", packed.Rows, row)
-				}
-				mat.PutScratch(sc)
-			}
-		}
-	}
-}
-
 // TestConcurrentBatchEncode hammers one shared codec from many goroutines
 // at full parallelism. Under -race this proves the encode/decode read path
 // is free of data races (the CI race job runs it).

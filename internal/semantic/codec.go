@@ -230,40 +230,6 @@ func (c *Codec) EncodeWordsInto(sc *mat.Scratch, words []string) *mat.Dense {
 	return dst
 }
 
-// EncodeBatchInto encodes a batch of messages in one fused pass: every
-// token of every message is gathered into a single embedding matrix and
-// pushed through one encoder GEMM and one tanh sweep. The result matrix
-// (sum(len(msgs[i])) x FeatureDim, allocated from sc) holds the messages'
-// feature rows concatenated in msgs order.
-//
-// Because each output row of the batched GEMM depends only on its own
-// input row and keeps the exact serial accumulation order per element,
-// rows [start_i, start_i+len(msgs[i])) are bit-identical to a solo
-// EncodeWordsInto(sc, msgs[i]) call at any worker count and any batch
-// composition. This is what makes cross-request batching transparent: a
-// request cannot tell which batch it landed in.
-func (c *Codec) EncodeBatchInto(sc *mat.Scratch, msgs [][]string) *mat.Dense {
-	total := 0
-	for _, m := range msgs {
-		total += len(m)
-	}
-	if c.cfg.Tier != TierF64 {
-		return c.encodeBatchIntoTiered(sc, msgs, total)
-	}
-	x := sc.Mat(total, c.cfg.EmbedDim)
-	row := 0
-	for _, m := range msgs {
-		for _, w := range m {
-			copy(x.Row(row), c.embeddingRow(c.domain.SurfaceID(w)))
-			row++
-		}
-	}
-	dst := sc.Mat(total, c.cfg.FeatureDim)
-	c.enc.ForwardBatch(dst, x)
-	nn.TanhForward(dst.Data, dst.Data)
-	return dst
-}
-
 // EncodeWords encodes a token sequence into per-token feature vectors.
 // Words outside the domain lexicon encode as the unknown surface. Encoding
 // only reads the codec, so it is safe to call concurrently. The returned

@@ -9,10 +9,10 @@ import (
 )
 
 // Tier selects the numeric kernels the codec's serving entry points
-// (EncodeWordsInto/EncodeBatchInto/DecodeFeaturesInto and the APIs built on
-// them) run on. Training and the single-token EncodeSurfaceID always run
-// the bit-exact f64 path regardless of tier, so tiers never change what a
-// model learns — only how cheaply it serves. Evaluate decodes through the
+// (EncodeWordsInto/DecodeFeaturesInto and the APIs built on them) run on.
+// Training and the single-token EncodeSurfaceID always run the bit-exact
+// f64 path regardless of tier, so tiers never change what a model learns —
+// only how cheaply it serves. Evaluate decodes through the
 // serving tier, so it reports the accuracy users of that tier would see.
 type Tier uint8
 
@@ -135,12 +135,6 @@ func (c *Codec) encodeWordsToTiered(sc *mat.Scratch, dst *mat.Dense, words []str
 	for i, w := range words {
 		copy(x.Row(i), c.embeddingRow32(ts, c.domain.SurfaceID(w)))
 	}
-	c.encodeGathered32(sc, ts, x, dst)
-}
-
-// encodeGathered32 pushes gathered f32 embeddings through the tier's
-// encoder and widens the tanh features into dst.
-func (c *Codec) encodeGathered32(sc *mat.Scratch, ts *tierState, x *mat.Dense32, dst *mat.Dense) {
 	f := sc.Mat32(x.Rows, c.cfg.FeatureDim)
 	if ts.tier == TierInt8 {
 		ts.encQ8.ForwardBatch(sc, f, x)
@@ -149,22 +143,6 @@ func (c *Codec) encodeGathered32(sc *mat.Scratch, ts *tierState, x *mat.Dense32,
 	}
 	mat.Tanh32(f.Data, f.Data)
 	mat.Widen(dst.Data, f.Data)
-}
-
-// encodeBatchIntoTiered is the f32/int8 body of EncodeBatchInto.
-func (c *Codec) encodeBatchIntoTiered(sc *mat.Scratch, msgs [][]string, total int) *mat.Dense {
-	ts := c.tierShadow()
-	x := sc.Mat32(total, c.cfg.EmbedDim)
-	row := 0
-	for _, m := range msgs {
-		for _, w := range m {
-			copy(x.Row(row), c.embeddingRow32(ts, c.domain.SurfaceID(w)))
-			row++
-		}
-	}
-	dst := sc.Mat(total, c.cfg.FeatureDim)
-	c.encodeGathered32(sc, ts, x, dst)
-	return dst
 }
 
 // decodeFeaturesIntoTiered is the f32/int8 body of DecodeFeaturesInto:
