@@ -898,3 +898,36 @@ func BenchmarkCodecFineTune(b *testing.B) {
 		fresh.FineTune(examples, 3, 0, mat.NewRNG(uint64(i)+1))
 	}
 }
+
+// BenchmarkUpdateProcess measures one whole §II-D update process as the
+// serve path runs it: System.ProcessUpdate on a full 32-message buffer —
+// fine-tune, decoder delta, payload encode, receiver apply. The buffer is
+// refilled by 32 untimed transmits per iteration.
+func BenchmarkUpdateProcess(b *testing.B) {
+	env := experiments.Environment()
+	sys, err := core.NewSystem(core.Config{
+		Selector:          core.SelectorOracle,
+		PinGeneral:        true,
+		DisableAutoUpdate: true,
+		Pretrained:        env.Generals,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := sys.Corpus.Domain("it")
+	gen := corpus.NewGenerator(sys.Corpus, mat.NewRNG(1))
+	msgs := gen.Batch(d.Index, 32, corpus.NewIdiolect(sys.Corpus, mat.NewRNG(2), 0.4))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for seq, m := range msgs {
+			if _, err := sys.Transmit(trace.Request{Seq: seq, User: "u1", Cell: -1, Msg: m}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		if _, err := sys.ProcessUpdate(d.Name, "u1"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -58,6 +58,7 @@ func run() error {
 				sv.LatencyP50Ms, sv.LatencyP95Ms, sv.LatencyP99Ms)
 			fmt.Printf("queue wait:    p50 %.2f ms  p95 %.2f ms  p99 %.2f ms\n",
 				sv.QueueWaitP50Ms, sv.QueueWaitP95Ms, sv.QueueWaitP99Ms)
+			fmt.Printf("update:        p50 %.2f ms  p99 %.2f ms\n", sv.UpdateP50Ms, sv.UpdateP99Ms)
 		}
 		return nil
 	}

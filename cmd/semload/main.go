@@ -443,10 +443,11 @@ func printDaemonStats(addr string) {
 func printStats(s *rpc.Stats) {
 	fmt.Printf("daemon   : %d messages, hit %.1f%%\n", s.Messages, 100*s.SenderHitRate)
 	if sv := s.Serve; sv != nil {
-		fmt.Printf("serve    : in-flight %d, %d shed, service p50 %.2f ms p95 %.2f ms p99 %.2f ms, queue p50 %.2f ms p95 %.2f ms p99 %.2f ms\n",
+		fmt.Printf("serve    : in-flight %d, %d shed, service p50 %.2f ms p95 %.2f ms p99 %.2f ms, queue p50 %.2f ms p95 %.2f ms p99 %.2f ms, update p50 %.2f ms p99 %.2f ms\n",
 			sv.InFlight, sv.Shed,
 			sv.LatencyP50Ms, sv.LatencyP95Ms, sv.LatencyP99Ms,
-			sv.QueueWaitP50Ms, sv.QueueWaitP95Ms, sv.QueueWaitP99Ms)
+			sv.QueueWaitP50Ms, sv.QueueWaitP95Ms, sv.QueueWaitP99Ms,
+			sv.UpdateP50Ms, sv.UpdateP99Ms)
 	}
 	fmt.Printf("syncs    : %d decoder updates, %d bytes, %d updates failed\n", s.SyncCount, s.SyncBytes, s.UpdateFailures)
 	if len(s.Nodes) == 0 {

@@ -86,13 +86,62 @@ func (s *System) ExportUserForHandover(user string) (*UserExport, error) {
 	return out, nil
 }
 
+// BadHandoverError reports a handover export whose transaction buffers do
+// not fit this system's knowledge bases. The export was rejected whole:
+// nothing of it was installed.
+type BadHandoverError struct {
+	User   string
+	Domain string
+	Reason string
+}
+
+func (e *BadHandoverError) Error() string {
+	return fmt.Sprintf("core: bad handover for %s/%s: %s", e.User, e.Domain, e.Reason)
+}
+
+// checkHandoverBuffers validates the pending transactions of an export
+// against the local domains. They arrive from a peer process, and the next
+// update process indexes embeddings and logits with them: an ID out of
+// range there would panic the trainer instead of failing the import.
+func (s *System) checkHandoverBuffers(exp *UserExport) error {
+	for _, b := range exp.Buffers {
+		bad := func(format string, args ...interface{}) error {
+			return &BadHandoverError{User: exp.User, Domain: b.Domain, Reason: fmt.Sprintf(format, args...)}
+		}
+		d := s.Corpus.Domain(b.Domain)
+		if d == nil {
+			return bad("unknown domain")
+		}
+		for i, tx := range b.Txs {
+			if len(tx.SurfaceIDs) != len(tx.ConceptIDs) {
+				return bad("transaction %d has %d surfaces but %d concepts", i, len(tx.SurfaceIDs), len(tx.ConceptIDs))
+			}
+			for _, sid := range tx.SurfaceIDs {
+				if sid < 0 || sid >= d.VocabSize() {
+					return bad("transaction %d: surface %d outside [0, %d)", i, sid, d.VocabSize())
+				}
+			}
+			for _, cid := range tx.ConceptIDs {
+				if cid < -1 || cid >= d.NumConcepts() {
+					return bad("transaction %d: concept %d outside [-1, %d)", i, cid, d.NumConcepts())
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // ImportUserFromHandover installs a migrated user's serving state: both
 // edge sides' individual models and the noise sequence, under the user's
 // lock. The first transmit after import continues the user's noise
-// stream exactly where the old owner left it.
+// stream exactly where the old owner left it. Malformed transaction
+// buffers fail with a *BadHandoverError before anything is installed.
 func (s *System) ImportUserFromHandover(exp *UserExport) error {
 	if exp == nil {
 		return errors.New("core: nil handover export")
+	}
+	if err := s.checkHandoverBuffers(exp); err != nil {
+		return err
 	}
 	st := s.userState(exp.User)
 	st.mu.Lock()

@@ -51,6 +51,7 @@ import (
 	"repro/internal/fl"
 	"repro/internal/kb"
 	"repro/internal/mat"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/nn"
 	"repro/internal/selection"
@@ -309,6 +310,9 @@ type System struct {
 	syncCount      atomic.Int64
 	syncLatency    atomic.Int64 // nanoseconds
 	updateFailures atomic.Int64
+	// updateTime is the wall time of every completed ProcessUpdate, in
+	// milliseconds: the §II-D stall a full buffer adds to its request.
+	updateTime *metrics.Histogram
 }
 
 // userState is one user's shard of mutable system state. Its mutex spans
@@ -528,6 +532,7 @@ func NewSystem(cfg Config) (*System, error) {
 		userNoise:    cfg.PerUserNoise,
 		noiseRng:     noiseRng,
 		users:        make(map[string]*userState, 16),
+		updateTime:   metrics.NewLatencyHistogram(),
 	}
 	if cfg.PerUserNoise {
 		// Lock-free channel stage: the pool's instances share the
@@ -839,6 +844,7 @@ func (s *System) scoreResult(res *Result, decoded []int) {
 // serving edge and ships the decoder update across the edge link,
 // returning the payload size.
 func (s *System) ProcessUpdate(domain, user string) (int, error) {
+	start := time.Now()
 	upd, err := s.senderFor(user).RunUpdate(domain, user, fl.UpdateConfig{
 		Epochs:   s.cfg.UpdateEpochs,
 		Compress: s.cfg.Compress,
@@ -853,6 +859,7 @@ func (s *System) ProcessUpdate(domain, user string) (int, error) {
 	s.syncBytes.Add(int64(upd.Stats.PayloadBytes))
 	s.syncCount.Add(1)
 	s.syncLatency.Add(int64(s.edgeLink.TransferTime(int64(upd.Stats.PayloadBytes))))
+	s.updateTime.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 	return upd.Stats.PayloadBytes, nil
 }
 
@@ -869,6 +876,10 @@ func (s *System) SyncLatency() time.Duration { return time.Duration(s.syncLatenc
 // UpdateFailures returns the number of update processes triggered by a
 // transmit that failed.
 func (s *System) UpdateFailures() int64 { return s.updateFailures.Load() }
+
+// UpdateTime returns the histogram of completed update processes' wall
+// time in milliseconds.
+func (s *System) UpdateTime() *metrics.Histogram { return s.updateTime }
 
 // CloudLink returns the (defaulted) edge-to-cloud link the system
 // charges for origin model fetches — what an external fetcher (e.g. the

@@ -184,6 +184,9 @@ func TestUpdateProcessFiresAndHelps(t *testing.T) {
 	if s.SyncCount() != updates || s.SyncBytes() <= 0 {
 		t.Fatalf("sync counters inconsistent: count %d vs %d", s.SyncCount(), updates)
 	}
+	if ut := s.UpdateTime(); ut.N() != int64(updates) || ut.P(50) <= 0 {
+		t.Fatalf("update-time histogram holds %d samples (p50 %g ms) after %d updates", ut.N(), ut.P(50), updates)
+	}
 	// Personalization must reduce mismatch: compare first vs last quarter.
 	quarter := len(results) / 4
 	var early, late float64
@@ -239,8 +242,8 @@ func TestUpdateFailureCounted(t *testing.T) {
 	if got, want := s.UpdateFailures(), int64(messages-threshold+1); got != want {
 		t.Fatalf("UpdateFailures = %d, want %d", got, want)
 	}
-	if s.SyncCount() != 0 {
-		t.Fatalf("SyncCount = %d after only failed updates", s.SyncCount())
+	if s.SyncCount() != 0 || s.UpdateTime().N() != 0 {
+		t.Fatalf("SyncCount = %d, %d update times after only failed updates", s.SyncCount(), s.UpdateTime().N())
 	}
 }
 

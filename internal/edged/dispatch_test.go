@@ -1,6 +1,7 @@
 package edged
 
 import (
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -96,6 +97,14 @@ func TestDispatchStats(t *testing.T) {
 	}
 	if resp.Stats.Messages < 1 || resp.Stats.CachedModels < 8 {
 		t.Fatalf("stats implausible: %+v", resp.Stats)
+	}
+	// No update has run yet: the update percentiles stay off the wire.
+	wire, err := json.Marshal(resp.Stats.Serve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(wire), "update_p") {
+		t.Fatalf("update percentiles on the wire before any update: %s", wire)
 	}
 }
 

@@ -344,6 +344,8 @@ func (s *server) stats() *rpc.Stats {
 		QueueWaitP95Ms: s.queueWait.P(95),
 		QueueWaitP99Ms: s.queueWait.P(99),
 		Shed:           s.shed.Load(),
+		UpdateP50Ms:    s.sys.UpdateTime().P(50),
+		UpdateP99Ms:    s.sys.UpdateTime().P(99),
 	}
 	st := &rpc.Stats{
 		Messages:       int(s.messages.Load()),

@@ -145,6 +145,9 @@ func TestSoakConcurrentClients(t *testing.T) {
 	if st.SyncCount <= 0 || st.SyncBytes <= 0 {
 		t.Fatalf("no decoder updates under soak: %+v", st)
 	}
+	if st.Serve.UpdateP50Ms <= 0 || st.Serve.UpdateP99Ms < st.Serve.UpdateP50Ms {
+		t.Fatalf("update percentiles implausible after %d updates: %+v", st.SyncCount, st.Serve)
+	}
 	if st.SenderHitRate <= 0 {
 		t.Fatalf("sender cache never hit: %+v", st)
 	}

@@ -138,10 +138,6 @@ type UpdateConfig struct {
 type UpdateStats struct {
 	// BufferSize is the number of transactions consumed.
 	BufferSize int
-	// PreAccuracy and PostAccuracy are buffer-set reconstruction
-	// accuracies before and after fine-tuning, measured on the sender.
-	PreAccuracy  float64
-	PostAccuracy float64
 	// PayloadBytes is the wire size of the compressed decoder update.
 	PayloadBytes int
 	// DenseBytes is what the uncompressed decoder delta would cost.
@@ -174,18 +170,12 @@ func RunUpdate(codec *semantic.Codec, buf *Buffer, version int, cfg UpdateConfig
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	examples := buf.Examples()
-	pre := codec.Evaluate(examples)
-
 	before := codec.DecoderParams().Clone()
-	codec.FineTune(examples, cfg.Epochs, cfg.LR, mat.NewRNG(cfg.Seed))
-	post := codec.Evaluate(examples)
+	codec.FineTune(buf.Examples(), cfg.Epochs, cfg.LR, mat.NewRNG(cfg.Seed))
 
 	delta := codec.DecoderParams().Clone()
 	delta.AddScaled(-1, before)
-	dense := nn.Compress(delta, nn.CompressOptions{})
-	compressed := nn.Compress(delta, cfg.Compress)
-	payload := compressed.Encode()
+	payload := nn.Compress(delta, cfg.Compress).Encode()
 
 	return &Update{
 		Domain:  buf.Domain,
@@ -194,10 +184,8 @@ func RunUpdate(codec *semantic.Codec, buf *Buffer, version int, cfg UpdateConfig
 		Payload: payload,
 		Stats: UpdateStats{
 			BufferSize:   buf.Len(),
-			PreAccuracy:  pre,
-			PostAccuracy: post,
 			PayloadBytes: len(payload),
-			DenseBytes:   dense.SizeBytes(),
+			DenseBytes:   nn.DenseSizeBytes(delta),
 		},
 	}, nil
 }

@@ -120,6 +120,7 @@ func TestRunUpdateImprovesAccuracy(t *testing.T) {
 	idio := corpus.NewIdiolect(corp, mat.NewRNG(91), 0.5)
 	buf := fillBuffer(corp, individual, idio, 48, 92)
 
+	pre := individual.Evaluate(buf.Examples())
 	upd, err := RunUpdate(individual, buf, 0, UpdateConfig{Epochs: 4, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -127,9 +128,8 @@ func TestRunUpdateImprovesAccuracy(t *testing.T) {
 	if upd.Version != 1 {
 		t.Fatalf("Version = %d", upd.Version)
 	}
-	if upd.Stats.PostAccuracy <= upd.Stats.PreAccuracy {
-		t.Fatalf("fine-tune did not improve: %v -> %v",
-			upd.Stats.PreAccuracy, upd.Stats.PostAccuracy)
+	if post := individual.Evaluate(buf.Examples()); post <= pre {
+		t.Fatalf("fine-tune did not improve: %v -> %v", pre, post)
 	}
 	if upd.Stats.PayloadBytes <= 0 || upd.Stats.DenseBytes < upd.Stats.PayloadBytes {
 		t.Fatalf("byte accounting wrong: %+v", upd.Stats)

@@ -61,6 +61,17 @@ func MulMatTAddRow(dst, a, b *Dense, row []float64) {
 func mulMatTRange(dst, a, b *Dense, bias []float64, lo, hi int) {
 	k := a.Cols
 	n := b.Rows
+	if useAVX2 && k > 0 && k%4 == 0 && n >= 4 && hi-lo >= 4 {
+		// The assembly kernel works in 4-row x 4-column tiles. A range
+		// that is not a multiple of four is finished by one more band of
+		// tiles aligned to its END: the overlap is computed twice, to the
+		// same bits, by this same goroutine.
+		gemmTRows(dst, a, b, bias, lo, (hi-lo)&^3)
+		if (hi-lo)%4 != 0 {
+			gemmTRows(dst, a, b, bias, hi-4, 4)
+		}
+		return
+	}
 	for i := lo; i < hi; i++ {
 		ar := a.Data[i*k : (i+1)*k]
 		out := dst.Data[i*n : (i+1)*n]
@@ -106,6 +117,22 @@ func mulMatTRange(dst, a, b *Dense, bias []float64, lo, hi int) {
 	}
 }
 
+// gemmTRows runs f64GemmT over rows i0..i0+rows (rows a multiple of four)
+// and every column: the first n&^3 columns, then — when n is not a
+// multiple of four — the last four, overlapping the columns already done.
+func gemmTRows(dst, a, b *Dense, bias []float64, i0, rows int) {
+	k := a.Cols
+	n := b.Rows
+	var b0, bt *float64
+	if bias != nil {
+		b0, bt = &bias[0], &bias[n-4]
+	}
+	f64GemmT(&dst.Data[i0*n], &a.Data[i0*k], &b.Data[0], b0, rows, n&^3, k, n)
+	if n%4 != 0 {
+		f64GemmT(&dst.Data[i0*n+n-4], &a.Data[i0*k], &b.Data[(n-4)*k], bt, rows, 4, k, n)
+	}
+}
+
 // MulMat computes dst = a * b, where a is m x k, b is k x n and dst is
 // m x n: the batched input-gradient kernel (dst rows are per-example
 // gradients, b is the weight matrix). Each dst element accumulates b-rows
@@ -129,13 +156,18 @@ func MulMat(dst, a, b *Dense) {
 // mulMatRange computes rows lo..hi of dst = a * b in AXPY form: out += ap *
 // b-row. The adds across one output row are independent, so the plain loop
 // already has instruction-level parallelism; the per-element order over p
-// (ascending, zeros skipped) matches mulVecTRange.
+// (ascending, zeros skipped) matches mulVecTRange — and f64AxpyRows, which
+// runs the same sum with the output row held in registers.
 func mulMatRange(dst, a, b *Dense, lo, hi int) {
 	k := a.Cols
 	n := b.Cols
 	for i := lo; i < hi; i++ {
 		out := dst.Data[i*n : (i+1)*n]
 		Zero(out)
+		if useAVX2 {
+			f64AxpyRows(&out[0], n, &a.Data[i*k], 1, 1, &b.Data[0], n, k)
+			continue
+		}
 		ar := a.Data[i*k : (i+1)*k]
 		for p, ap := range ar {
 			if ap == 0 {
@@ -169,11 +201,18 @@ func AddOuterBatch(m *Dense, a float64, x, y *Dense) {
 	})
 }
 
-// addOuterBatchRange accumulates rows lo..hi of m += a * xᵀ * y.
+// addOuterBatchRange accumulates rows lo..hi of m += a * xᵀ * y: per m-row
+// the same AXPY sum as mulMatRange, the coefficients being a column of x.
 func addOuterBatchRange(m *Dense, a float64, x, y *Dense, lo, hi int) {
 	t := x.Rows
 	xc := x.Cols
 	yc := y.Cols
+	if useAVX2 {
+		for r := lo; r < hi; r++ {
+			f64AxpyRows(&m.Data[r*m.Cols], m.Cols, &x.Data[r], xc, a, &y.Data[0], yc, t)
+		}
+		return
+	}
 	for r := lo; r < hi; r++ {
 		row := m.Data[r*m.Cols : (r+1)*m.Cols]
 		for e := 0; e < t; e++ {

@@ -12,3 +12,19 @@ func f32GemmRow(dst, a, b *float32, n, k int) {
 func q8GemmRow(dst *int32, x, w *uint8, n, k int) {
 	panic("mat: q8GemmRow without AVX2")
 }
+
+func f64AxpyRows(dst *float64, n int, coef *float64, coefStride int, scale float64, rows *float64, rowStride int, count int) {
+	panic("mat: f64AxpyRows without AVX2")
+}
+
+func f64GemmT(dst, a, b, bias *float64, m, n, k, ldd int) {
+	panic("mat: f64GemmT without AVX2")
+}
+
+func f64Scale(v *float64, n int, s float64) {
+	panic("mat: f64Scale without AVX2")
+}
+
+func f64MomentumStep(p, v, grad *float64, n int, momentum, lr float64) {
+	panic("mat: f64MomentumStep without AVX2")
+}

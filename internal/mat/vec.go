@@ -26,6 +26,10 @@ func AddTo(dst, src []float64) {
 
 // Scale multiplies every element of v by s in place.
 func Scale(v []float64, s float64) {
+	if useAVX2 && len(v) > 0 {
+		f64Scale(&v[0], len(v), s)
+		return
+	}
 	for i := range v {
 		v[i] *= s
 	}
@@ -38,6 +42,22 @@ func AXPY(dst []float64, a float64, x []float64) {
 	}
 	for i, v := range x {
 		dst[i] += a * v
+	}
+}
+
+// MomentumStep applies one momentum-SGD update element-wise: v = momentum*v
+// - lr*g, then p += v. It panics if the lengths differ.
+func MomentumStep(p, v, g []float64, momentum, lr float64) {
+	if len(p) != len(v) || len(p) != len(g) {
+		panic("mat: MomentumStep length mismatch")
+	}
+	if useAVX2 && len(p) > 0 {
+		f64MomentumStep(&p[0], &v[0], &g[0], len(p), momentum, lr)
+		return
+	}
+	for j := range v {
+		v[j] = momentum*v[j] - lr*g[j]
+		p[j] += v[j]
 	}
 }
 

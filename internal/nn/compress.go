@@ -167,21 +167,7 @@ var errBadGrads = errors.New("nn: malformed compressed gradients")
 // Encode serializes the compressed update to a self-describing byte
 // payload; its length is the wire cost counted by the experiments.
 func (cg *CompressedGrads) Encode() []byte {
-	// Precompute size.
-	size := 8 // magic + tensor count
-	for i := range cg.Tensors {
-		ct := &cg.Tensors[i]
-		size += 2 + len(ct.Name) + 4 + 4 + 1 + 4 // name, rows, cols, flags, count
-		if ct.Idx != nil {
-			size += 4 * len(ct.Idx)
-		}
-		if ct.Q != nil {
-			size += 8 + len(ct.Q) // scale + int8 values
-		} else {
-			size += 8 * len(ct.Val)
-		}
-	}
-	buf := make([]byte, 0, size)
+	buf := make([]byte, 0, cg.SizeBytes())
 	var scratch [8]byte
 	putU32 := func(v uint32) {
 		binary.LittleEndian.PutUint32(scratch[:4], v)
@@ -229,17 +215,33 @@ func (cg *CompressedGrads) Encode() []byte {
 	return buf
 }
 
+// Encoded sizes: the payload opens with magic + tensor count, and every
+// tensor with its name (length-prefixed), rows, cols, flags and entry count.
+const payloadHeaderBytes = 8
+
+func tensorHeaderBytes(name string) int { return 2 + len(name) + 4 + 4 + 1 + 4 }
+
+// DenseSizeBytes returns what Compress(ps, CompressOptions{}).Encode()
+// would weigh — the lossless wire cost of ps — from its shapes alone.
+func DenseSizeBytes(ps *ParamSet) int {
+	size := payloadHeaderBytes
+	for _, p := range ps.Params {
+		size += tensorHeaderBytes(p.Name) + 8*len(p.M.Data)
+	}
+	return size
+}
+
 // SizeBytes returns the encoded payload size without materializing it.
 func (cg *CompressedGrads) SizeBytes() int {
-	size := 8
+	size := payloadHeaderBytes
 	for i := range cg.Tensors {
 		ct := &cg.Tensors[i]
-		size += 2 + len(ct.Name) + 4 + 4 + 1 + 4
+		size += tensorHeaderBytes(ct.Name)
 		if ct.Idx != nil {
 			size += 4 * len(ct.Idx)
 		}
 		if ct.Q != nil {
-			size += 8 + len(ct.Q)
+			size += 8 + len(ct.Q) // scale + int8 values
 		} else {
 			size += 8 * len(ct.Val)
 		}

@@ -86,6 +86,9 @@ func TestCompressSizeOrdering(t *testing.T) {
 	if q >= dense {
 		t.Fatalf("int8 (%d) not smaller than dense (%d)", q, dense)
 	}
+	if got := DenseSizeBytes(g); got != dense {
+		t.Fatalf("DenseSizeBytes = %d, lossless Compress weighs %d", got, dense)
+	}
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {

@@ -37,14 +37,9 @@ func (o *SGD) Step(params, grads *ParamSet) {
 	if o.velocity == nil {
 		o.velocity = params.ZeroClone()
 	}
+	lr := o.LR * scale
 	forEachTensor(params, func(i int) {
-		p := params.Params[i].M.Data
-		v := o.velocity.Params[i].M.Data
-		g := grads.Params[i].M.Data
-		for j := range v {
-			v[j] = o.Momentum*v[j] - o.LR*scale*g[j]
-			p[j] += v[j]
-		}
+		mat.MomentumStep(params.Params[i].M.Data, o.velocity.Params[i].M.Data, grads.Params[i].M.Data, o.Momentum, lr)
 	})
 }
 

@@ -282,6 +282,13 @@ type ServeStats struct {
 	QueueWaitP99Ms float64 `json:"queue_wait_p99_ms"`
 	// Shed counts requests rejected by admission control.
 	Shed int64 `json:"shed,omitempty"`
+
+	// Update percentiles are the wall time of the individual-model update
+	// processes (§II-D) this daemon has completed, in milliseconds — the
+	// stall a full buffer adds to its transmit. Absent before the first
+	// update.
+	UpdateP50Ms float64 `json:"update_p50_ms,omitempty"`
+	UpdateP99Ms float64 `json:"update_p99_ms,omitempty"`
 }
 
 // NodeStats reports one cluster node's counters. The field set mirrors

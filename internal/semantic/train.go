@@ -45,8 +45,14 @@ const trainBatch = 8
 // parameter stream is bit-identical to the historical implementation at any
 // worker count.
 func (c *Codec) TrainEpoch(examples []Example, opt nn.Optimizer, rng *mat.RNG, noiseStd float64) TrainResult {
+	return c.trainEpoch(examples, opt, rng, noiseStd, c.Params().ZeroClone())
+}
+
+// trainEpoch is TrainEpoch over a caller-owned gradient set (a ZeroClone of
+// c.Params(), all zero on entry and again on return), so multi-epoch
+// callers allocate it once.
+func (c *Codec) trainEpoch(examples []Example, opt nn.Optimizer, rng *mat.RNG, noiseStd float64, grads *nn.ParamSet) TrainResult {
 	params := c.Params()
-	grads := params.ZeroClone()
 	gEmb := grads.ByName(ParamEncEmb)
 	gEncW := grads.ByName(ParamEncW)
 	gEncB := grads.ByName(ParamEncB)
@@ -211,8 +217,9 @@ func Pretrain(d *corpus.Domain, corp *corpus.Corpus, cfg Config) *Codec {
 	}
 	opt := &nn.Adam{LR: cfg.LR, Clip: 5}
 	trainRNG := rng.Split()
+	grads := c.Params().ZeroClone()
 	for e := 0; e < cfg.Epochs; e++ {
-		c.TrainEpoch(examples, opt, trainRNG, cfg.NoiseStd)
+		c.trainEpoch(examples, opt, trainRNG, cfg.NoiseStd, grads)
 	}
 	return c
 }
@@ -241,8 +248,9 @@ func (c *Codec) FineTune(examples []Example, epochs int, lr float64, rng *mat.RN
 	}
 	opt := &nn.SGD{LR: lr, Momentum: 0.5, Clip: 5}
 	var res TrainResult
+	grads := c.Params().ZeroClone()
 	for e := 0; e < epochs; e++ {
-		res = c.TrainEpoch(examples, opt, rng, c.cfg.NoiseStd/2)
+		res = c.trainEpoch(examples, opt, rng, c.cfg.NoiseStd/2, grads)
 	}
 	return res
 }
