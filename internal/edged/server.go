@@ -93,7 +93,9 @@ func (s *server) serve(ln net.Listener) error {
 // handle serves one client connection until EOF or a missed deadline: a
 // stalled peer trips the read deadline instead of pinning the goroutine
 // forever. Responses go out framed at the version the request arrived
-// with, so v1 clients and v2 mesh peers share one port.
+// with, so v1 clients and v2 mesh peers share one port. Every frame goes
+// through one rpc.Conn: a response is one Write, and requests a peer sent
+// back to back are served in order out of its read buffer.
 func (s *server) handle(conn net.Conn) {
 	defer func() {
 		s.connMu.Lock()
@@ -101,6 +103,7 @@ func (s *server) handle(conn net.Conn) {
 		s.connMu.Unlock()
 		conn.Close()
 	}()
+	framed := rpc.NewConn(conn)
 	for {
 		if s.idleTimeout > 0 {
 			if err := conn.SetReadDeadline(time.Now().Add(s.idleTimeout)); err != nil {
@@ -110,7 +113,7 @@ func (s *server) handle(conn net.Conn) {
 		if !s.markIdle(conn) {
 			return
 		}
-		req, version, err := rpc.ReadRequestV(conn)
+		req, version, err := framed.ReadRequestV()
 		s.markBusy(conn)
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
@@ -131,7 +134,7 @@ func (s *server) handle(conn net.Conn) {
 				return
 			}
 		}
-		if err := rpc.WriteV(conn, version, resp); err != nil {
+		if err := framed.WriteV(version, resp); err != nil {
 			if !errors.Is(err, net.ErrClosed) {
 				log.Printf("edged: %s: write: %v", conn.RemoteAddr(), err)
 			}

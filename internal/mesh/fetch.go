@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 
 	"repro/internal/edge"
 	"repro/internal/kb"
@@ -87,11 +88,28 @@ func (n *Node) reviveModel(k kb.Key, payload *rpc.ModelPayload) (*kb.Model, erro
 	return &kb.Model{Key: k, Version: payload.Version, Codec: codec}, nil
 }
 
+// IndividualFetchError refuses an OpFetchModel that names a user's
+// individual model. Cooperative fetch moves general models only; an
+// individual model changes owner by handover, under the user's lock.
+type IndividualFetchError struct {
+	Domain, User string
+}
+
+func (e *IndividualFetchError) Error() string {
+	return fmt.Sprintf("mesh: fetch-model serves general models only, not %s's individual model for %q", e.User, e.Domain)
+}
+
 // HandleFetch serves a peer's OpFetchModel: peek the local sender cache
 // (Peek, so remote demand never distorts this node's own eviction order
 // or hit statistics) and ship the full codec stream on a hit. A miss
-// returns nil — the prober moves on to the next member.
+// returns nil — the prober moves on to the next member. Only general
+// models are served: the serve path never writes one, whereas a user's
+// individual model is fine-tuned in place under that user's lock, which
+// a fetch does not hold, so serializing one here could ship a torn model.
 func (n *Node) HandleFetch(f rpc.FetchRequest) (*rpc.ModelPayload, error) {
+	if f.User != "" {
+		return nil, &IndividualFetchError{Domain: f.Domain, User: f.User}
+	}
 	role, err := parseRole(f.Role)
 	if err != nil {
 		return nil, err
@@ -102,7 +120,7 @@ func (n *Node) HandleFetch(f rpc.FetchRequest) (*rpc.ModelPayload, error) {
 	if sys == nil {
 		return nil, errors.New("mesh: node not bound to a system")
 	}
-	m, ok := sys.Sender.Cache().Peek(kb.Key{Domain: f.Domain, User: f.User, Role: role})
+	m, ok := sys.Sender.Cache().Peek(kb.GeneralKey(f.Domain, role))
 	if !ok {
 		return nil, nil
 	}
@@ -111,5 +129,5 @@ func (n *Node) HandleFetch(f rpc.FetchRequest) (*rpc.ModelPayload, error) {
 		return nil, err
 	}
 	n.neighborServed.Add(1)
-	return &rpc.ModelPayload{Domain: f.Domain, User: f.User, Version: m.Version, Params: buf.Bytes()}, nil
+	return &rpc.ModelPayload{Domain: f.Domain, Version: m.Version, Params: buf.Bytes()}, nil
 }

@@ -12,7 +12,8 @@ import (
 // Client is a typed connection to an edged daemon. It owns one TCP
 // connection and serializes calls over it; a Client is safe for use from
 // multiple goroutines, with concurrent calls queueing on an internal
-// mutex.
+// mutex. Each call is one Write (the request frame) and, for a response
+// under 4 KB, one Read.
 //
 // Transport-level failures (including a per-call deadline expiring
 // mid-frame) leave the connection in an undefined framing state: the
@@ -20,7 +21,8 @@ import (
 // failures arrive as Response.OK == false with the connection intact.
 type Client struct {
 	mu      sync.Mutex
-	conn    net.Conn
+	conn    net.Conn // deadlines and Close; nil once closed
+	framed  *Conn    // every frame on conn
 	timeout time.Duration
 }
 
@@ -39,7 +41,7 @@ func Dial(addr string) (*Client, error) {
 // NewClient wraps an established connection in a Client. The Client takes
 // ownership of conn.
 func NewClient(conn net.Conn) *Client {
-	return &Client{conn: conn}
+	return &Client{conn: conn, framed: NewConn(conn)}
 }
 
 // SetTimeout sets the default per-call deadline applied when a call does
@@ -100,10 +102,11 @@ func (c *Client) do(ctx context.Context, version byte, req *Request) (*Response,
 	}
 	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Now()) })
 	defer stop()
-	if err := WriteV(conn, version, req); err != nil {
+	if err := c.framed.WriteV(version, req); err != nil {
 		return nil, err
 	}
-	return ReadResponse(conn)
+	resp, _, err := c.framed.ReadResponseV()
+	return resp, err
 }
 
 // Transmit runs one message through the daemon's semantic pipeline.

@@ -1,0 +1,304 @@
+package rpc
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"io"
+	"net"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/rpc/rpctest"
+)
+
+// Frames as the pre-Conn framing (json.Marshal behind a separate header
+// write) put them on the wire, recorded from that code: the format old
+// binaries speak, which must not drift.
+var goldenFrames = []struct {
+	name    string
+	version byte
+	msg     interface{}
+	wire    string
+}{
+	{"v1 request", Version,
+		&Request{Op: OpTransmit, User: "alice", Text: "the <server> is down & out", DeadlineMs: 250.5},
+		"\x01g\x00\x00\x00{\"op\":\"transmit\",\"user\":\"alice\",\"text\":\"the \\u003cserver\\u003e is down \\u0026 out\",\"deadline_ms\":250.5}"},
+	{"v1 response", Version,
+		&Response{OK: true, Restored: "the server is down", SelectedDomain: "it", Mismatch: 0.125, PayloadBytes: 18, LatencyMs: 12.5, CacheHit: true},
+		"\x01\x89\x00\x00\x00{\"ok\":true,\"restored\":\"the server is down\",\"selected_domain\":\"it\",\"mismatch\":0.125,\"payload_bytes\":18,\"latency_ms\":12.5,\"cache_hit\":true}"},
+	{"v2 handoff", Version2,
+		&Request{Op: OpHandoverPush, Handoff: &HandoffPayload{
+			User: "alice", FromNode: "node-0", NoiseSeq: 17,
+			Models: []HandoffModel{{Side: "sender", Model: ModelPayload{Domain: "it", User: "alice", Version: 2, Params: []byte{0, 1, 2, 250, 255}}}},
+			Reason: HandoffDrain, Belief: []float64{0.5, 0.25},
+			Buffers: []BufferState{{Domain: "it", Txs: []TxState{{Surfaces: []int{3, 1}, Concepts: []int{2}, Decoded: []int{3, 1}}}}},
+		}},
+		"\x024\x01\x00\x00{\"op\":\"handover-push\",\"handoff\":{\"user\":\"alice\",\"from_node\":\"node-0\",\"noise_seq\":17,\"models\":[{\"side\":\"sender\",\"model\":{\"domain\":\"it\",\"user\":\"alice\",\"version\":2,\"params\":\"AAEC+v8=\"}}],\"reason\":\"drain\",\"belief\":[0.5,0.25],\"buffers\":[{\"domain\":\"it\",\"txs\":[{\"surfaces\":[3,1],\"concepts\":[2],\"decoded\":[3,1]}]}]}}"},
+}
+
+// sinkConn records every Write as one segment; nothing else is used.
+type sinkConn struct {
+	net.Conn
+	segments [][]byte
+}
+
+func (c *sinkConn) Write(p []byte) (int, error) {
+	c.segments = append(c.segments, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+// TestGoldenFrameBytes pins the wire format from both writers — the
+// package-level WriteV and a Conn, whose buffer is reused from frame to
+// frame — and that each golden frame still parses to the message.
+func TestGoldenFrameBytes(t *testing.T) {
+	sink := &sinkConn{}
+	conn := NewConn(sink)
+	for _, g := range goldenFrames {
+		var buf bytes.Buffer
+		if err := WriteV(&buf, g.version, g.msg); err != nil {
+			t.Fatal(err)
+		}
+		if buf.String() != g.wire {
+			t.Errorf("%s: WriteV wrote\n%q\nwant\n%q", g.name, buf.String(), g.wire)
+		}
+		if err := conn.WriteV(g.version, g.msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(sink.segments) != len(goldenFrames) {
+		t.Fatalf("Conn made %d writes for %d frames", len(sink.segments), len(goldenFrames))
+	}
+	for i, g := range goldenFrames {
+		if string(sink.segments[i]) != g.wire {
+			t.Errorf("%s: Conn wrote\n%q\nwant\n%q", g.name, sink.segments[i], g.wire)
+		}
+		var got interface{}
+		var version byte
+		var err error
+		if _, isReq := g.msg.(*Request); isReq {
+			got, version, err = ReadRequestV(bytes.NewReader([]byte(g.wire)))
+		} else {
+			got, version, err = ReadResponseV(bytes.NewReader([]byte(g.wire)))
+		}
+		if err != nil || version != g.version || !reflect.DeepEqual(got, g.msg) {
+			t.Errorf("%s: golden frame parsed to %+v (v%d, err %v)", g.name, got, version, err)
+		}
+	}
+}
+
+// bigHandoff is a handover push the size the roam workload ships: one
+// individual model's parameters, ~70 KB on the wire after base64.
+func bigHandoff() *HandoffPayload {
+	params := make([]byte, 52<<10)
+	for i := range params {
+		params[i] = byte(i * 7)
+	}
+	return &HandoffPayload{User: "alice", FromNode: "node-0", NoiseSeq: 3,
+		Models: []HandoffModel{{Side: "sender", Model: ModelPayload{Domain: "it", User: "alice", Version: 1, Params: params}}}}
+}
+
+// pipeConns returns the two ends of an in-memory connection. A net.Pipe
+// hands each Write to the reader as one segment, so how many Reads a
+// frame costs is deterministic.
+func pipeConns(t *testing.T) (client, server net.Conn) {
+	t.Helper()
+	client, server = net.Pipe()
+	t.Cleanup(func() { client.Close(); server.Close() })
+	return client, server
+}
+
+// TestClientOneWriteOneReadPerFrame pins the syscall budget of a call: a
+// Client puts a request on the connection in exactly one Write — 100 B
+// transmit and 70 KB handover push alike — and takes a response smaller
+// than the read buffer off it in exactly one Read.
+func TestClientOneWriteOneReadPerFrame(t *testing.T) {
+	clientEnd, serverEnd := pipeConns(t)
+	counted := &rpctest.CountingConn{Conn: clientEnd}
+	cl := NewClient(counted)
+	served := &rpctest.CountingConn{Conn: serverEnd}
+	done := make(chan error, 1)
+	go func() {
+		srv := NewConn(served)
+		for {
+			req, version, err := srv.ReadRequestV()
+			if err != nil {
+				done <- err
+				return
+			}
+			if err := srv.WriteV(version, &Response{OK: true, Restored: req.Text}); err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+
+	text := "the server has a kernel bug and the doctor will scan the patient before the game"
+	resp, err := cl.Transmit("alice", text)
+	if err != nil || resp.Restored != text {
+		t.Fatalf("transmit: %+v, %v", resp, err)
+	}
+	if w, r := counted.Writes.Load(), counted.Reads.Load(); w != 1 || r != 1 {
+		t.Fatalf("transmit cost the client %d writes and %d reads, want 1 and 1", w, r)
+	}
+	if r := served.Reads.Load(); r != 1 {
+		t.Fatalf("the serving Conn took the transmit off the connection in %d reads, want 1", r)
+	}
+	if err := cl.HandoverPush(context.Background(), bigHandoff()); err != nil {
+		t.Fatal(err)
+	}
+	if w, r := counted.Writes.Load(), counted.Reads.Load(); w != 2 || r != 2 {
+		t.Fatalf("after a 70 KB push the client made %d writes and %d reads, want 2 and 2", w, r)
+	}
+	cl.Close()
+	if err := <-done; err != io.EOF {
+		t.Fatalf("serving loop ended with %v, want io.EOF", err)
+	}
+	if w := served.Writes.Load(); w != 2 {
+		t.Fatalf("serving Conn made %d writes for 2 responses", w)
+	}
+}
+
+// TestConnOneBytePerRead splits every header and payload: a connection
+// that delivers one byte per Read still yields whole frames.
+func TestConnOneBytePerRead(t *testing.T) {
+	clientEnd, serverEnd := pipeConns(t)
+	go func() {
+		for _, g := range goldenFrames {
+			if _, ok := g.msg.(*Request); ok {
+				clientEnd.Write([]byte(g.wire))
+			}
+		}
+		clientEnd.Close()
+	}()
+	conn := NewConn(rpctest.TrickleConn{Conn: serverEnd})
+	for _, g := range goldenFrames {
+		want, ok := g.msg.(*Request)
+		if !ok {
+			continue
+		}
+		got, version, err := conn.ReadRequestV()
+		if err != nil || version != g.version || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: read %+v (v%d, err %v)", g.name, got, version, err)
+		}
+	}
+	if _, _, err := conn.ReadRequestV(); err != io.EOF {
+		t.Fatalf("after the last frame: %v, want io.EOF", err)
+	}
+}
+
+// TestConnBackToBackFrames delivers two complete frames in one segment:
+// both come out, in order, and the connection is read once.
+func TestConnBackToBackFrames(t *testing.T) {
+	clientEnd, serverEnd := pipeConns(t)
+	var both bytes.Buffer
+	first := &Request{Op: OpTransmit, User: "alice", Text: "first"}
+	second := &Request{Op: OpPeerStats}
+	if err := WriteV(&both, Version, first); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteV(&both, Version2, second); err != nil {
+		t.Fatal(err)
+	}
+	go clientEnd.Write(both.Bytes())
+	counted := &rpctest.CountingConn{Conn: serverEnd}
+	conn := NewConn(counted)
+	for i, want := range []*Request{first, second} {
+		got, version, err := conn.ReadRequestV()
+		if err != nil || int(version) != i+1 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("frame %d: read %+v (v%d, err %v)", i, got, version, err)
+		}
+	}
+	if r := counted.Reads.Load(); r != 1 {
+		t.Fatalf("two frames in one segment took %d reads, want 1", r)
+	}
+}
+
+// stallReader yields its bytes, then fails the way a connection does
+// when its read deadline passes with the frame incomplete.
+type stallReader struct{ r io.Reader }
+
+var errStalled = errors.New("stalled")
+
+func (s *stallReader) Read(p []byte) (int, error) {
+	n, err := s.r.Read(p)
+	if err == io.EOF {
+		err = errStalled
+	}
+	return n, err
+}
+
+// TestReadGrowsWithArrivingBytes checks that the header does not drive
+// allocation: a peer that claims a MaxMessageBytes frame and sends five
+// bytes costs one growth step, and one that stalls part-way costs what
+// arrived plus a step — never the claimed megabyte.
+func TestReadGrowsWithArrivingBytes(t *testing.T) {
+	for _, arrived := range []int{0, 200 << 10} {
+		data := append(header(Version, MaxMessageBytes), make([]byte, arrived)...)
+		var f frameBuf
+		_, _, err := f.read(&stallReader{bytes.NewReader(data)})
+		if !errors.Is(err, errStalled) {
+			t.Fatalf("%d bytes arrived: err = %v, want the stall", arrived, err)
+		}
+		if limit := 2 * (arrived + growStepBytes); cap(f.b) > limit {
+			t.Fatalf("%d payload bytes arrived of a claimed %d: buffer grew to %d, want <= %d",
+				arrived, MaxMessageBytes, cap(f.b), limit)
+		}
+	}
+}
+
+// TestConnShrinksAfterLargeFrame checks an idle link does not keep the
+// memory of the largest frame it ever carried, in either direction, and
+// that small frames keep reusing one buffer.
+func TestConnShrinksAfterLargeFrame(t *testing.T) {
+	clientEnd, serverEnd := pipeConns(t)
+	sender, receiver := NewConn(clientEnd), NewConn(serverEnd)
+	big := &Request{Op: OpHandoverPush, Handoff: bigHandoff()}
+	small := &Request{Op: OpTransmit, User: "alice", Text: "the server is down"}
+	for _, req := range []*Request{small, big, small, small} {
+		errc := make(chan error, 1)
+		go func() { errc <- sender.WriteV(Version2, req) }()
+		got, _, err := receiver.ReadRequestV()
+		if err != nil || !reflect.DeepEqual(got, req) {
+			t.Fatalf("%s frame: err %v, equal %v", req.Op, err, reflect.DeepEqual(got, req))
+		}
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+		for side, c := range map[string]*Conn{"sender": sender, "receiver": receiver} {
+			if cap(c.f.b) > connBufBytes {
+				t.Fatalf("%s keeps a %d-byte buffer after a %s frame, want <= %d", side, cap(c.f.b), req.Op, connBufBytes)
+			}
+		}
+	}
+	if sender.f.b == nil || receiver.f.b == nil {
+		t.Fatal("small frames did not keep their buffer for reuse")
+	}
+}
+
+// TestClientStalledMidPayload checks the buffered reader does not hide a
+// stall: a daemon that sends a header and half a payload, then nothing,
+// fails the call at its deadline.
+func TestClientStalledMidPayload(t *testing.T) {
+	clientEnd, serverEnd := pipeConns(t)
+	go func() {
+		if _, err := ReadRequest(serverEnd); err != nil {
+			return
+		}
+		half := goldenFrames[1].wire[:len(goldenFrames[1].wire)/2]
+		serverEnd.Write([]byte(half))
+	}()
+	cl := NewClient(clientEnd)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := cl.TransmitContext(ctx, "alice", "hello")
+	var ne net.Error
+	if !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("err = %v, want a timeout", err)
+	}
+	if waited := time.Since(start); waited > 5*time.Second {
+		t.Fatalf("stalled call took %v to fail", waited)
+	}
+}

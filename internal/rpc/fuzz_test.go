@@ -4,9 +4,40 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"net"
 	"reflect"
 	"testing"
 )
+
+// replayConn is a connection whose peer sent data and closed.
+type replayConn struct {
+	net.Conn
+	data *bytes.Reader
+}
+
+func (c replayConn) Read(p []byte) (int, error) { return c.data.Read(p) }
+
+// checkBuffered re-parses a fuzz input through a Conn's buffered reader:
+// the path every connection takes must accept exactly what the plain
+// reader accepts, and decode it to the same message.
+func checkBuffered(t *testing.T, data []byte, want interface{}, wantVersion byte, wantErr error) {
+	t.Helper()
+	conn := NewConn(replayConn{data: bytes.NewReader(data)})
+	var got interface{}
+	var version byte
+	var err error
+	if _, isReq := want.(*Request); isReq {
+		got, version, err = conn.ReadRequestV()
+	} else {
+		got, version, err = conn.ReadResponseV()
+	}
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("buffered read: err %v, plain read: err %v", err, wantErr)
+	}
+	if err == nil && (version != wantVersion || !reflect.DeepEqual(got, want)) {
+		t.Fatalf("buffered read decoded %+v (v%d), plain read %+v (v%d)", got, version, want, wantVersion)
+	}
+}
 
 // frame wraps payload in the wire format (possibly with a lying header
 // when lieLen is set) for seeding the fuzz corpus.
@@ -113,6 +144,7 @@ func FuzzReadRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, version, err := ReadRequestV(bytes.NewReader(data))
 		checkVersionByte(t, data, err)
+		checkBuffered(t, data, req, version, err)
 		if err != nil {
 			return
 		}
@@ -155,6 +187,7 @@ func FuzzReadResponse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		resp, version, err := ReadResponseV(bytes.NewReader(data))
 		checkVersionByte(t, data, err)
+		checkBuffered(t, data, resp, version, err)
 		if err != nil {
 			return
 		}

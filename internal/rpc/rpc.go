@@ -1,11 +1,11 @@
 // Package rpc defines the versioned, length-prefixed JSON wire protocol
 // spoken between the edged daemon and its clients: a one-byte protocol
 // version, a uint32 little-endian length header, then one JSON document.
+// Connections carry frames through a Conn (one Write per frame, buffered
+// reads); Client is the typed request/response surface on top of it.
 package rpc
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -383,49 +383,18 @@ func Write(w io.Writer, v interface{}) error {
 }
 
 // WriteV marshals v and writes one framed message with an explicit
-// protocol version byte. Mesh traffic uses Version2.
+// protocol version byte, in a single Write. Mesh traffic uses Version2.
+// Connections frame through a Conn; this form serves plain writers.
 func WriteV(w io.Writer, version byte, v interface{}) error {
-	if version != Version && version != Version2 {
-		return &VersionError{Got: version}
-	}
-	payload, err := json.Marshal(v)
+	var f frameBuf
+	frame, err := f.encode(version, v)
 	if err != nil {
-		return fmt.Errorf("rpc: marshal: %w", err)
+		return err
 	}
-	if len(payload) > MaxMessageBytes {
-		return errFrameTooLarge
-	}
-	hdr := make([]byte, headerBytes)
-	hdr[0] = version
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr); err != nil {
-		return fmt.Errorf("rpc: write header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("rpc: write payload: %w", err)
+	if _, err := w.Write(frame); err != nil {
+		return fmt.Errorf("rpc: write frame: %w", err)
 	}
 	return nil
-}
-
-// read reads one framed payload and the version byte that carried it,
-// rejecting unknown protocol versions.
-func read(r io.Reader) ([]byte, byte, error) {
-	hdr := make([]byte, headerBytes)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, 0, err // io.EOF passes through for clean shutdown
-	}
-	if hdr[0] != Version && hdr[0] != Version2 {
-		return nil, 0, &VersionError{Got: hdr[0]}
-	}
-	n := binary.LittleEndian.Uint32(hdr[1:])
-	if n > MaxMessageBytes {
-		return nil, 0, errFrameTooLarge
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, 0, fmt.Errorf("rpc: read payload: %w", err)
-	}
-	return payload, hdr[0], nil
 }
 
 // ReadRequest reads one framed Request, accepting either protocol
@@ -437,17 +406,10 @@ func ReadRequest(r io.Reader) (*Request, error) {
 }
 
 // ReadRequestV reads one framed Request and reports the protocol version
-// it arrived on.
+// it arrived on. It takes exactly the frame's bytes from r.
 func ReadRequestV(r io.Reader) (*Request, byte, error) {
-	payload, version, err := read(r)
-	if err != nil {
-		return nil, 0, err
-	}
-	var req Request
-	if err := json.Unmarshal(payload, &req); err != nil {
-		return nil, 0, fmt.Errorf("rpc: unmarshal request: %w", err)
-	}
-	return &req, version, nil
+	var f frameBuf
+	return f.readRequest(r)
 }
 
 // ReadResponse reads one framed Response, accepting either protocol
@@ -458,15 +420,8 @@ func ReadResponse(r io.Reader) (*Response, error) {
 }
 
 // ReadResponseV reads one framed Response and reports the protocol
-// version it arrived on.
+// version it arrived on. It takes exactly the frame's bytes from r.
 func ReadResponseV(r io.Reader) (*Response, byte, error) {
-	payload, version, err := read(r)
-	if err != nil {
-		return nil, 0, err
-	}
-	var resp Response
-	if err := json.Unmarshal(payload, &resp); err != nil {
-		return nil, 0, fmt.Errorf("rpc: unmarshal response: %w", err)
-	}
-	return &resp, version, nil
+	var f frameBuf
+	return f.readResponse(r)
 }
