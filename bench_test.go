@@ -560,102 +560,6 @@ func BenchmarkEncodeGEMM(b *testing.B) {
 			mat.MulMatT(out, x, w)
 		}
 	})
-	// The kernel tiers over the full batched pipeline: tier/f64 repeats the
-	// gemm leg through the tier dispatcher (bit-identical to it), tier/f32
-	// and tier/int8 trade the documented accuracy budget for speed.
-	for _, tier := range semantic.Tiers() {
-		b.Run("tier/"+tier.String(), func(b *testing.B) {
-			tc := codec.Clone()
-			if err := tc.SetTier(tier); err != nil {
-				b.Fatal(err)
-			}
-			sc := mat.GetScratch()
-			defer mat.PutScratch(sc)
-			concepts := make([]int, len(words))
-			// Build the reduced-precision shadow before timing starts.
-			tc.DecodeFeaturesInto(sc, tc.EncodeWordsInto(sc, words), concepts)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sc.Reset()
-				feats := tc.EncodeWordsInto(sc, words)
-				tc.DecodeFeaturesInto(sc, feats, concepts)
-			}
-			b.ReportMetric(float64(len(words)), "tokens/op")
-		})
-	}
-}
-
-// BenchmarkTierGEMM contrasts the three kernel tiers at the decoder
-// output-layer shape (the dominant GEMM of the serve path): the bit-exact
-// f64 reference, the f32 SIMD kernel, and the int8 quantized kernel
-// including its per-call activation quantization.
-func BenchmarkTierGEMM(b *testing.B) {
-	const tokens, hidden, concepts = 1024, 24, 59
-	w := mat.NewDense(concepts, hidden)
-	w.Randomize(mat.NewRNG(3), 1)
-	x := mat.NewDense(tokens, hidden)
-	x.Randomize(mat.NewRNG(4), 1)
-	out := mat.NewDense(tokens, concepts)
-	b.Run("f64", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			mat.MulMatT(out, x, w)
-		}
-	})
-	w32 := mat.Dense32From(w)
-	x32 := mat.Dense32From(x)
-	out32 := mat.NewDense32(tokens, concepts)
-	b.Run("f32", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			mat.MulMatT32(out32, x32, w32)
-		}
-	})
-	q := mat.NewQMat8(concepts, hidden)
-	codes := make([]uint8, hidden)
-	for r := 0; r < concepts; r++ {
-		lo, scale, _ := mat.QuantizeRowQ8(codes, w32.Row(r))
-		q.SetRow(r, codes, lo, scale)
-	}
-	sc := mat.GetScratch()
-	defer mat.PutScratch(sc)
-	b.Run("int8", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sc.Reset()
-			mat.MulMatTQ8AddRow(sc, out32, x32, q, nil)
-		}
-	})
-}
-
-// BenchmarkTransmitTiers measures steady-state System.Transmit at each
-// serving tier — the end-to-end win users of `edged -tier` actually see,
-// with selection, channel simulation and Huffman framing all included.
-func BenchmarkTransmitTiers(b *testing.B) {
-	env := experiments.Environment()
-	for _, tier := range semantic.Tiers() {
-		b.Run(tier.String(), func(b *testing.B) {
-			sys, err := core.NewSystem(core.Config{
-				Selector:          core.SelectorSticky,
-				PinGeneral:        true,
-				DisableAutoUpdate: true,
-				Pretrained:        env.Generals,
-				Tier:              tier.String(),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			w := trace.Generate(sys.Corpus, trace.Config{Users: 2, Messages: 256, Seed: 3})
-			for _, r := range w.Requests[:8] { // warm caches and tier shadows
-				if _, err := sys.Transmit(r); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sys.Transmit(w.Requests[i%len(w.Requests)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkTransmitThroughput measures end-to-end System.Transmit message

@@ -22,7 +22,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment id: e1..e12, tiers, ablate, or all")
+		exp     = flag.String("exp", "all", "experiment id: e1..e11, ablate, gemm, or all")
 		quick   = flag.Bool("quick", false, "reduced sizes for a fast run")
 		workers = flag.Int("workers", 0, "parallel workers for pretraining and trial fan-out (0 = GOMAXPROCS)")
 	)
@@ -56,12 +56,10 @@ func run(exp string, quick bool) error {
 		"e9":     func() error { return runE9(env, quick) },
 		"e10":    func() error { return runE10(env, quick) },
 		"e11":    func() error { return runE11(env, quick) },
-		"e12":    func() error { return runE12(env, quick) },
-		"tiers":  func() error { return runE12(env, quick) },
 		"ablate": func() error { return runAblate(env, quick) },
 	}
 	if exp == "all" {
-		for _, id := range []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "ablate"} {
+		for _, id := range []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "ablate"} {
 			if err := runners[id](); err != nil {
 				return fmt.Errorf("%s: %w", id, err)
 			}
@@ -70,28 +68,9 @@ func run(exp string, quick bool) error {
 	}
 	r, ok := runners[exp]
 	if !ok {
-		return fmt.Errorf("unknown experiment %q (want e1..e12, tiers, ablate, gemm, all)", exp)
+		return fmt.Errorf("unknown experiment %q (want e1..e11, ablate, gemm, all)", exp)
 	}
 	return r()
-}
-
-// runE12 prints the kernel-tier accuracy-vs-speed sweep: concept accuracy
-// and mismatch delta per (tier, SNR) cell under aligned noise, plus the
-// per-tier codec compute column.
-func runE12(env *experiments.Env, quick bool) error {
-	opts := experiments.E12Options{}
-	if quick {
-		opts.MessagesPerDomain = 50
-		opts.SNRs = []float64{6, 18}
-		opts.TimingTokens = 1024
-	}
-	res, err := experiments.RunE12(env, opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println(res.TableH())
-	fmt.Println(res.TableH2())
-	return nil
 }
 
 // runGEMM prints the batched-codec throughput table: the per-vector codec

@@ -18,24 +18,17 @@ func DefaultQuantizer() Quantizer { return Quantizer{Bits: 3, Lo: -1, Hi: 1} }
 func (q Quantizer) levels() int { return 1 << uint(q.Bits) }
 
 // validate panics unless Bits is in [1,16]: the single shared contract
-// check every codec entry point (Encode/EncodeTo, Decode/DecodeInto,
-// Index/Value) runs before touching the grid.
+// check every codec entry point (Encode/EncodeTo, Decode/DecodeInto) runs
+// before touching the grid.
 func (q Quantizer) validate() {
 	if q.Bits < 1 || q.Bits > 16 {
 		panic("channel: Quantizer.Bits out of range [1,16]")
 	}
 }
 
-// Index returns the level index v quantizes to: the truncating affine grid
-// idx = trunc((v-Lo)/(Hi-Lo) * (levels-1)), with v clamped to [Lo, Hi] and
-// the index clamped to the valid range. This is the scale/zero-point
-// machinery the int8 kernel tier derives its weight grids from.
-func (q Quantizer) Index(v float64) int {
-	q.validate()
-	return q.index(v, q.levels(), q.Hi-q.Lo)
-}
-
-// index is the validation-free grid lookup the hot loops use.
+// index returns the level index v quantizes to: the truncating affine grid
+// idx = trunc((v-Lo)/span * (n-1)), with v clamped to [Lo, Hi] and the
+// index clamped to the valid range.
 func (q Quantizer) index(v float64, n int, span float64) int {
 	if v < q.Lo {
 		v = q.Lo
@@ -51,20 +44,7 @@ func (q Quantizer) index(v float64, n int, span float64) int {
 	return idx
 }
 
-// Value returns the reconstruction value of level idx: Lo + idx*StepSize.
-// The index is clamped to the valid level range.
-func (q Quantizer) Value(idx int) float64 {
-	q.validate()
-	n := q.levels()
-	if idx < 0 {
-		idx = 0
-	} else if idx > n-1 {
-		idx = n - 1
-	}
-	return q.value(idx, n, q.Hi-q.Lo)
-}
-
-// value is the validation-free reconstruction the hot loops use.
+// value returns the reconstruction value of level idx: Lo + idx*StepSize.
 func (q Quantizer) value(idx, n int, span float64) float64 {
 	return q.Lo + float64(idx)/float64(n-1)*span
 }

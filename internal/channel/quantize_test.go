@@ -3,8 +3,6 @@ package channel
 import (
 	"math"
 	"testing"
-
-	"repro/internal/mat"
 )
 
 // mustPanic asserts fn panics with the quantizer's Bits-contract message.
@@ -23,8 +21,8 @@ func mustPanic(t *testing.T, name string, fn func()) {
 }
 
 // TestQuantizerPanicContract pins the shared validation: every entry point
-// — encode, decode and the grid helpers — rejects Bits outside [1,16] with
-// the same panic, for both too-small and too-large widths.
+// — encode and decode — rejects Bits outside [1,16] with the same panic,
+// for both too-small and too-large widths.
 func TestQuantizerPanicContract(t *testing.T) {
 	vals := []float64{0.5}
 	bits := []bool{true, false, true}
@@ -35,66 +33,13 @@ func TestQuantizerPanicContract(t *testing.T) {
 		mustPanic(t, "EncodeTo", func() { q.EncodeTo(nil, vals) })
 		mustPanic(t, "Decode", func() { q.Decode(bits) })
 		mustPanic(t, "DecodeInto", func() { q.DecodeInto(dst, bits) })
-		mustPanic(t, "Index", func() { q.Index(0.5) })
-		mustPanic(t, "Value", func() { q.Value(1) })
 	}
 	// Boundary widths are accepted everywhere.
 	for _, b := range []int{1, 16} {
 		q := Quantizer{Bits: b, Lo: -1, Hi: 1}
 		q.DecodeInto(dst, q.EncodeTo(nil, vals))
-		if got := q.Value(q.Index(0.5)); math.Abs(got-0.5) > q.StepSize() {
+		if got := dst[0]; math.Abs(got-0.5) > q.StepSize() {
 			t.Fatalf("Bits=%d: round trip of 0.5 gave %v (step %v)", b, got, q.StepSize())
 		}
-	}
-}
-
-// TestQuantizerIndexValueMatchEncodeDecode proves the exported grid helpers
-// are the same machinery the bit-stream path runs: Index/Value must
-// reproduce EncodeTo/DecodeInto exactly for every value.
-func TestQuantizerIndexValueMatchEncodeDecode(t *testing.T) {
-	rng := mat.NewRNG(3)
-	for _, bitsPer := range []int{1, 3, 8, 16} {
-		q := Quantizer{Bits: bitsPer, Lo: -1, Hi: 1}
-		vals := make([]float64, 64)
-		for i := range vals {
-			vals[i] = 3*rng.Float64() - 1.5 // includes out-of-range values
-		}
-		vals[0], vals[1], vals[2] = -1, 1, 0
-		stream := q.EncodeTo(nil, vals)
-		dec := make([]float64, len(vals))
-		if got := q.DecodeInto(dec, stream); got != len(vals) {
-			t.Fatalf("Bits=%d: DecodeInto wrote %d values", bitsPer, got)
-		}
-		for i, v := range vals {
-			idx := q.Index(v)
-			if w := q.Value(idx); w != dec[i] {
-				t.Fatalf("Bits=%d: Value(Index(%v)) = %v but stream decoded %v", bitsPer, v, w, dec[i])
-			}
-			// The index itself must match the bits that were emitted.
-			enc := 0
-			for b := 0; b < bitsPer; b++ {
-				enc <<= 1
-				if stream[i*bitsPer+b] {
-					enc |= 1
-				}
-			}
-			if idx != enc {
-				t.Fatalf("Bits=%d: Index(%v) = %d but stream holds %d", bitsPer, v, idx, enc)
-			}
-		}
-	}
-}
-
-// TestQuantizerIndexClamps pins clamping at both ends of the grid.
-func TestQuantizerIndexClamps(t *testing.T) {
-	q := Quantizer{Bits: 8, Lo: -2, Hi: 2}
-	if q.Index(-100) != 0 || q.Index(-2) != 0 {
-		t.Fatal("low clamp broken")
-	}
-	if q.Index(100) != 255 || q.Index(2) != 255 {
-		t.Fatal("high clamp broken")
-	}
-	if q.Value(-5) != q.Value(0) || q.Value(999) != q.Value(255) {
-		t.Fatal("Value index clamp broken")
 	}
 }

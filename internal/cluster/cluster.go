@@ -201,7 +201,10 @@ type HandoverResult struct {
 // the cluster size), executing a handover when the serving node changes:
 // every individual model the old node holds for the user is exported,
 // shipped over the mesh, imported on the new node and dropped at the
-// source, so personalization survives the move.
+// source, so personalization survives the move. The user's pending
+// update transactions move with them — whether or not an individual model
+// exists yet — so the next update fires at the same threshold crossing on
+// the new node and the old one keeps nothing of the user.
 //
 // Calls for one user must not race that user's model accesses; core
 // serializes them under its per-user lock.
@@ -236,6 +239,8 @@ func (c *Cluster) Move(user string, cell int) (HandoverResult, error) {
 		res.Models++
 		res.Bytes += exp.SizeBytes()
 	}
+	to.edge.ImportUserBuffers(user, from.edge.ExportUserBuffers(user))
+	from.edge.DropUserBuffers(user)
 	res.Latency = c.cfg.Mesh.TransferTime(res.Bytes)
 	c.handovers.Add(1)
 	c.migratedModels.Add(int64(res.Models))

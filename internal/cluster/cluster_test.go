@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -369,5 +370,55 @@ func TestRingConsistency(t *testing.T) {
 	// nodes; a modulo hash would move about 3/4.
 	if moved > users/2 {
 		t.Fatalf("adding one node moved %d/%d users; not consistent", moved, users)
+	}
+}
+
+// TestMoveCarriesPendingTransactions checks a handover moves the user's
+// half-full update buffers along with their models: the source keeps
+// nothing of the user, and the target holds the same transactions in the
+// same order — also for a user who has buffered traffic but no individual
+// model yet, so the loop over UserDomains never runs for them.
+func TestMoveCarriesPendingTransactions(t *testing.T) {
+	corp, _ := cloudFixture(t)
+	for _, tc := range []struct {
+		name         string
+		personalized bool
+	}{{"with an individual model", true}, {"before any individual model", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCluster(t, 2, "lru")
+			user := "pending"
+			if tc.personalized {
+				personalize(t, c, user, 61)
+			}
+			from := c.Route(user)
+			to := c.Node((from.Index() + 1) % 2)
+			gen := corpus.NewGenerator(corp, mat.NewRNG(77))
+			for _, traffic := range []struct {
+				domain string
+				n      int
+			}{{"it", 5}, {"medical", 3}} {
+				for i := 0; i < traffic.n; i++ {
+					words := gen.Message(corp.Domain(traffic.domain).Index, nil).Words
+					if _, _, err := from.Edge().RecordTransaction(nil, traffic.domain, user, words, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			want := from.Edge().ExportUserBuffers(user)
+			if len(want) != 2 || len(want[0].Txs) != 5 || len(want[1].Txs) != 3 {
+				t.Fatalf("fixture buffered %+v, want 5 it + 3 medical transactions", want)
+			}
+			if _, err := c.Move(user, to.Index()); err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range corp.Domains {
+				if buf := from.Edge().Buffer(d.Name, user); buf != nil {
+					t.Fatalf("source still holds a %s buffer of %d transactions after the move", d.Name, buf.Len())
+				}
+			}
+			if got := to.Edge().ExportUserBuffers(user); !reflect.DeepEqual(got, want) {
+				t.Fatalf("target buffers after the move = %+v, want %+v", got, want)
+			}
+		})
 	}
 }

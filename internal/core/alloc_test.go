@@ -8,19 +8,12 @@ import (
 )
 
 // allocSystem builds a warm pinned system with automatic updates off, so
-// repeated transmits stay on the steady-state path.
-func allocSystem(t *testing.T) *System {
-	t.Helper()
-	return allocSystemTier(t, "", false)
-}
-
-// allocSystemTier is allocSystem at an explicit serving kernel tier and
-// noise scheme (perUser selects the pooled lock-free channel stage).
-func allocSystemTier(t *testing.T, tier string, perUser bool) *System {
+// repeated transmits stay on the steady-state path. perUser selects the
+// pooled lock-free PerUserNoise channel stage over the shared link.
+func allocSystem(t *testing.T, perUser bool) *System {
 	t.Helper()
 	cfg := goldenConfig()
 	cfg.DisableAutoUpdate = true
-	cfg.Tier = tier
 	cfg.PerUserNoise = perUser
 	s, err := NewSystem(cfg)
 	if err != nil {
@@ -44,10 +37,7 @@ func allocSystemTier(t *testing.T, tier string, perUser bool) *System {
 // link AND the pooled lock-free PerUserNoise stage, whose steady-state
 // pool checkout must not allocate. What remains outside are the retained
 // artifacts (Result, transaction buffers, restored words), which hold
-// amortized state by design. The guarantee holds at every kernel tier:
-// the reduced-precision weight shadows are built once per codec and the
-// tiered kernels draw all temporaries from the same scratch arena the
-// f64 path uses.
+// amortized state by design.
 func TestTransmitCodecPathZeroAllocs(t *testing.T) {
 	if mat.RaceEnabled {
 		t.Skip("allocation accounting differs under -race")
@@ -56,49 +46,47 @@ func TestTransmitCodecPathZeroAllocs(t *testing.T) {
 		name    string
 		perUser bool
 	}{{"shared", false}, {"pooled", true}} {
-		for _, tier := range []string{"f64", "f32", "int8"} {
-			t.Run(noise.name+"/"+tier, func(t *testing.T) {
-				s := allocSystemTier(t, tier, noise.perUser)
-				words := corpus.NewGenerator(s.Corpus, mat.NewRNG(5)).Message(s.Corpus.Domain("it").Index, nil).Words
-				const domain, user = "it", "alloc-user"
+		t.Run(noise.name, func(t *testing.T) {
+			s := allocSystem(t, noise.perUser)
+			words := corpus.NewGenerator(s.Corpus, mat.NewRNG(5)).Message(s.Corpus.Domain("it").Index, nil).Words
+			const domain, user = "it", "alloc-user"
 
-				prev := mat.Parallelism()
-				defer mat.SetParallelism(prev)
-				mat.SetParallelism(1) // sharding spawns goroutines, which allocate
+			prev := mat.Parallelism()
+			defer mat.SetParallelism(prev)
+			mat.SetParallelism(1) // sharding spawns goroutines, which allocate
 
-				sc := mat.GetScratch()
-				defer mat.PutScratch(sc)
-				mismatch := make([]int, len(words))
+			sc := mat.GetScratch()
+			defer mat.PutScratch(sc)
+			mismatch := make([]int, len(words))
 
-				var seq uint64
-				codecPath := func() {
-					sc.Reset()
-					enc, err := s.Sender.Encode(sc, domain, user, words)
-					if err != nil {
-						t.Fatal(err)
-					}
-					rx := sc.Mat(enc.Features.Rows, enc.Model.Codec.FeatureDim())
-					// The channel crossing transmitSelected performs: a derived
-					// per-message seed in PerUserNoise mode (advancing like the
-					// user's stream would), ignored by the classic shared link.
-					seed := noiseSeed(s.cfg.Seed, 12345, seq)
-					seq++
-					s.sendOverChannel(seed, rx.Data, enc.Features.Data)
-					if _, err := s.Receiver.DecodeConcepts(sc, domain, user, rx); err != nil {
-						t.Fatal(err)
-					}
-					// Decoder-copy mismatch: reuses the already-encoded features,
-					// as RecordTransaction does inside Transmit.
-					enc.Model.Codec.DecodeFeaturesInto(sc, enc.Features, mismatch)
+			var seq uint64
+			codecPath := func() {
+				sc.Reset()
+				enc, err := s.Sender.Encode(sc, domain, user, words)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for i := 0; i < 8; i++ {
-					codecPath() // warm every arena and channel buffer to its high-water mark
+				rx := sc.Mat(enc.Features.Rows, enc.Model.Codec.FeatureDim())
+				// The channel crossing transmitSelected performs: a derived
+				// per-message seed in PerUserNoise mode (advancing like the
+				// user's stream would), ignored by the classic shared link.
+				seed := noiseSeed(s.cfg.Seed, 12345, seq)
+				seq++
+				s.sendOverChannel(seed, rx.Data, enc.Features.Data)
+				if _, err := s.Receiver.DecodeConcepts(sc, domain, user, rx); err != nil {
+					t.Fatal(err)
 				}
-				if allocs := testing.AllocsPerRun(100, codecPath); allocs != 0 {
-					t.Fatalf("steady-state Transmit codec path (%s/%s) allocates %v times per message, want 0", noise.name, tier, allocs)
-				}
-			})
-		}
+				// Decoder-copy mismatch: reuses the already-encoded features,
+				// as RecordTransaction does inside Transmit.
+				enc.Model.Codec.DecodeFeaturesInto(sc, enc.Features, mismatch)
+			}
+			for i := 0; i < 8; i++ {
+				codecPath() // warm every arena and channel buffer to its high-water mark
+			}
+			if allocs := testing.AllocsPerRun(100, codecPath); allocs != 0 {
+				t.Fatalf("steady-state Transmit codec path (%s) allocates %v times per message, want 0", noise.name, allocs)
+			}
+		})
 	}
 }
 
@@ -111,7 +99,7 @@ func TestTransmitAllocBudget(t *testing.T) {
 	if mat.RaceEnabled {
 		t.Skip("allocation accounting differs under -race")
 	}
-	s := allocSystem(t)
+	s := allocSystem(t, false)
 	words := corpus.NewGenerator(s.Corpus, mat.NewRNG(6)).Message(s.Corpus.Domain("it").Index, nil).Words
 
 	prev := mat.Parallelism()

@@ -82,6 +82,55 @@ func TestClusterWorkloadWithMobility(t *testing.T) {
 	}
 }
 
+// TestClusterMoveKeepsUpdateThreshold checks a handover carries the user's
+// half-full update buffer: a user moved mid-stream fires their
+// individual-model update at the same message index as a twin who never
+// moved. With the buffer stranded on the old node the new node counted from
+// zero and the update fired late.
+func TestClusterMoveKeepsUpdateThreshold(t *testing.T) {
+	cfg := clusterTestConfig(2)
+	cfg.BufferThreshold = 8
+	const user = "roamer"
+	// firedAt streams one domain's messages and returns the index of the
+	// first that fired an update, moving the user before message moveAt.
+	firedAt := func(moveAt int) int {
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fired := -1
+		for i, req := range oracleRequests(sys.Corpus, user, 0, 2*cfg.BufferThreshold, 91) {
+			if i == moveAt {
+				res, err := sys.MoveUser(user, sys.Cluster.Route(user).Index()+1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Moved {
+					t.Fatal("fixture move did not change the serving node")
+				}
+			}
+			res, err := sys.Transmit(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.UpdateErr != nil {
+				t.Fatalf("update failed: %v", res.UpdateErr)
+			}
+			if res.UpdateFired && fired < 0 {
+				fired = i
+			}
+		}
+		return fired
+	}
+	stayed, moved := firedAt(-1), firedAt(cfg.BufferThreshold/2)
+	if stayed != cfg.BufferThreshold-1 {
+		t.Fatalf("unmoved user's update fired at message %d, want %d", stayed, cfg.BufferThreshold-1)
+	}
+	if moved != stayed {
+		t.Fatalf("moved user's update fired at message %d, the unmoved twin's at %d", moved, stayed)
+	}
+}
+
 // TestMoveUserRequiresCluster checks that mobility is rejected in the
 // classic single-sender configuration.
 func TestMoveUserRequiresCluster(t *testing.T) {

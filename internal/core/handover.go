@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
 	"repro/internal/edge"
+	"repro/internal/kb"
+	"repro/internal/nn"
 	"repro/internal/selection"
 )
 
@@ -86,9 +89,9 @@ func (s *System) ExportUserForHandover(user string) (*UserExport, error) {
 	return out, nil
 }
 
-// BadHandoverError reports a handover export whose transaction buffers do
-// not fit this system's knowledge bases. The export was rejected whole:
-// nothing of it was installed.
+// BadHandoverError reports a handover export whose model payloads or
+// transaction buffers do not fit this system's knowledge bases. The export
+// was rejected whole: nothing of it was installed.
 type BadHandoverError struct {
 	User   string
 	Domain string
@@ -131,11 +134,41 @@ func (s *System) checkHandoverBuffers(exp *UserExport) error {
 	return nil
 }
 
+// decodeHandoverModels parses every model payload of one edge side and
+// checks it against the general model of its domain — the model the
+// individual is cloned from on install, so a payload that fits it cannot
+// fail the install's own shape check. The parsed sets come back in input
+// order for the install to use, so no payload is read twice.
+func (s *System) decodeHandoverModels(models []*edge.ExportedModel) ([]*nn.ParamSet, error) {
+	out := make([]*nn.ParamSet, len(models))
+	for i, m := range models {
+		bad := func(format string, args ...interface{}) error {
+			return &BadHandoverError{User: m.User, Domain: m.Domain, Reason: fmt.Sprintf(format, args...)}
+		}
+		general, ok := s.Cloud.Get(kb.GeneralKey(m.Domain, kb.RoleCodec))
+		if !ok {
+			return nil, bad("unknown domain")
+		}
+		params, err := nn.ReadParamSet(bytes.NewReader(m.Params))
+		if err != nil {
+			return nil, bad("model payload: %v", err)
+		}
+		if err := general.Codec.Params().CheckSameShape(params); err != nil {
+			return nil, bad("model payload: %v", err)
+		}
+		out[i] = params
+	}
+	return out, nil
+}
+
 // ImportUserFromHandover installs a migrated user's serving state: both
 // edge sides' individual models and the noise sequence, under the user's
 // lock. The first transmit after import continues the user's noise
-// stream exactly where the old owner left it. Malformed transaction
-// buffers fail with a *BadHandoverError before anything is installed.
+// stream exactly where the old owner left it. The import is all or
+// nothing: a malformed model payload or transaction buffer anywhere in
+// the export fails with a *BadHandoverError before anything is installed,
+// because the pusher keeps its copy on error and a half-installed export
+// would fork the user's state across two members.
 func (s *System) ImportUserFromHandover(exp *UserExport) error {
 	if exp == nil {
 		return errors.New("core: nil handover export")
@@ -143,21 +176,29 @@ func (s *System) ImportUserFromHandover(exp *UserExport) error {
 	if err := s.checkHandoverBuffers(exp); err != nil {
 		return err
 	}
+	senderParams, err := s.decodeHandoverModels(exp.Sender)
+	if err != nil {
+		return err
+	}
+	receiverParams, err := s.decodeHandoverModels(exp.Receiver)
+	if err != nil {
+		return err
+	}
 	st := s.userState(exp.User)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if exp.NoiseSeq > st.noiseSeq {
-		st.noiseSeq = exp.NoiseSeq
-	}
-	for _, m := range exp.Sender {
-		if err := s.Sender.ImportUserModel(m); err != nil {
+	for i, m := range exp.Sender {
+		if err := s.Sender.InstallUserModel(m, senderParams[i]); err != nil {
 			return fmt.Errorf("core: import sender %s/%s: %w", m.User, m.Domain, err)
 		}
 	}
-	for _, m := range exp.Receiver {
-		if err := s.Receiver.ImportUserModel(m); err != nil {
+	for i, m := range exp.Receiver {
+		if err := s.Receiver.InstallUserModel(m, receiverParams[i]); err != nil {
 			return fmt.Errorf("core: import receiver %s/%s: %w", m.User, m.Domain, err)
 		}
+	}
+	if exp.NoiseSeq > st.noiseSeq {
+		st.noiseSeq = exp.NoiseSeq
 	}
 	if len(exp.Belief) > 0 {
 		if bc, ok := st.sel.(selection.BeliefCarrier); ok {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -77,6 +78,106 @@ func TestImportRejectsMalformedHandoverBuffers(t *testing.T) {
 			}
 			if !fired {
 				t.Fatal("the buffer filled but no update fired")
+			}
+		})
+	}
+}
+
+// TestImportRejectsMalformedHandoverModels corrupts one model payload of an
+// otherwise well-formed export — behind a good model, so an import that
+// installs payloads one by one has already landed something when it meets
+// the bad one. The import must fail with a *BadHandoverError and leave the
+// target without any of the user's state: the pusher keeps its copy on
+// error, and a half-installed export forks the user across two members.
+// Restored, the same export installs whole.
+func TestImportRejectsMalformedHandoverModels(t *testing.T) {
+	cfg := userNoiseConfig()
+	const user = "mallory"
+	src, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefetchAll(t, src)
+	names := src.Corpus.Names()[:2]
+	for _, srv := range []*edge.Server{src.Sender, src.Receiver} {
+		for _, domain := range names {
+			if _, _, err := srv.Personalize(domain, user); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	good := fl.Transaction{SurfaceIDs: []int{1, 2}, ConceptIDs: []int{0, -1}, Decoded: []int{0, 0}}
+	src.Sender.ImportUserBuffers(user, []edge.BufferState{{Domain: names[0], Txs: []fl.Transaction{good}}})
+	exp, err := src.ExportUserForHandover(user)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp.NoiseSeq = 99
+	if len(exp.Sender) != 2 || len(exp.Receiver) != 2 || len(exp.Buffers) != 1 {
+		t.Fatalf("fixture exported %d sender models, %d receiver models, %d buffers; want 2, 2, 1",
+			len(exp.Sender), len(exp.Receiver), len(exp.Buffers))
+	}
+	// A well-formed payload of the wrong shape: the decoder tensors alone.
+	model, _, err := src.Sender.Personalize(names[1], user)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoderOnly bytes.Buffer
+	if _, err := model.Codec.DecoderParams().WriteTo(&decoderOnly); err != nil {
+		t.Fatal(err)
+	}
+
+	cases := []struct {
+		name    string
+		victim  *edge.ExportedModel
+		corrupt func(params []byte) []byte
+	}{
+		{"second sender model truncated", exp.Sender[1], func(p []byte) []byte { return p[:len(p)/2] }},
+		{"second receiver model truncated", exp.Receiver[1], func(p []byte) []byte { return p[:len(p)/2] }},
+		{"second sender model of the wrong shape", exp.Sender[1], func([]byte) []byte { return decoderOnly.Bytes() }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dst, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prefetchAll(t, dst)
+			intact := tc.victim.Params
+			tc.victim.Params = tc.corrupt(intact)
+			err = dst.ImportUserFromHandover(exp)
+			tc.victim.Params = intact
+			if err == nil {
+				t.Fatal("corrupted export accepted")
+			}
+			if got := dst.Sender.UserDomains(user); len(got) != 0 {
+				t.Fatalf("rejected import installed sender models for %v", got)
+			}
+			if got := dst.Receiver.UserDomains(user); len(got) != 0 {
+				t.Fatalf("rejected import installed receiver models for %v", got)
+			}
+			if seq := dst.userState(user).noiseSeq; seq != 0 {
+				t.Fatalf("rejected import advanced the noise sequence to %d", seq)
+			}
+			if got := dst.Sender.ExportUserBuffers(user); len(got) != 0 {
+				t.Fatalf("rejected import installed buffers %+v", got)
+			}
+			var bad *BadHandoverError
+			if !errors.As(err, &bad) {
+				t.Fatalf("import error = %v, want a *BadHandoverError", err)
+			}
+			if bad.User != user || bad.Domain != tc.victim.Domain {
+				t.Fatalf("error names %s/%s, want %s/%s", bad.User, bad.Domain, user, tc.victim.Domain)
+			}
+
+			if err := dst.ImportUserFromHandover(exp); err != nil {
+				t.Fatalf("intact export rejected: %v", err)
+			}
+			if got := dst.Sender.UserDomains(user); len(got) != 2 {
+				t.Fatalf("intact import installed sender models for %v, want 2 domains", got)
+			}
+			if seq := dst.userState(user).noiseSeq; seq != 99 {
+				t.Fatalf("intact import left the noise sequence at %d, want 99", seq)
 			}
 		})
 	}

@@ -40,6 +40,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -140,13 +141,6 @@ type Config struct {
 	InterleaveDepth int
 	// SymbolRateHz converts channel symbols to air time (default 1e6).
 	SymbolRateHz float64
-
-	// Tier names the serving kernel tier for every codec in the system
-	// ("f64", "f32", "int8"; default "f64", the bit-exact reference).
-	// Pretraining always runs in f64; the tier is applied to the trained
-	// (or supplied) general models, and individual models inherit it when
-	// they are cloned from a general.
-	Tier string
 
 	// Selector names the model-selection policy (default "naivebayes").
 	Selector string
@@ -351,8 +345,9 @@ func (s *System) userState(user string) *userState {
 
 // selectorFactories maps each non-oracle selector name to a builder of
 // per-user selector constructors. Together with the SelectorOracle special
-// case it is the single source of truth for selector names: validSelector
-// and initSelectors both read it, so a new policy registers in one place.
+// case it is the single source of truth for selector names: validSelector,
+// initSelectors and SelectorNames (hence edged's flag validation) all read
+// it, so a new policy registers in one place.
 var selectorFactories = map[string]func(s *System, rng *mat.RNG) func() selection.Selector{
 	SelectorStatic: func(s *System, _ *mat.RNG) func() selection.Selector {
 		return func() selection.Selector { return &selection.Static{DomainIndex: s.cfg.StaticDomain} }
@@ -371,6 +366,18 @@ var selectorFactories = map[string]func(s *System, rng *mat.RNG) func() selectio
 	SelectorUCB: func(s *System, _ *mat.RNG) func() selection.Selector {
 		return func() selection.Selector { return selection.NewUCB(s.nb, len(s.Corpus.Domains)) }
 	},
+}
+
+// SelectorNames returns the sorted names of every selection policy that
+// works from the message alone — all but SelectorOracle, which needs the
+// ground-truth domain label only a trace carries.
+func SelectorNames() []string {
+	names := make([]string, 0, len(selectorFactories))
+	for name := range selectorFactories {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // validSelector reports whether name is a known selection policy.
@@ -402,10 +409,6 @@ func NewSystem(cfg Config) (*System, error) {
 	if !validSelector(cfg.Selector) {
 		return nil, fmt.Errorf("core: unknown selector %q", cfg.Selector)
 	}
-	tier, err := semantic.ParseTier(cfg.Tier)
-	if err != nil {
-		return nil, err
-	}
 	corp := corpus.Build()
 	var generals []*semantic.Codec
 	if len(cfg.Pretrained) == len(corp.Domains) {
@@ -423,16 +426,6 @@ func NewSystem(cfg Config) (*System, error) {
 			codecCfg.Seed = cfg.Seed
 		}
 		generals = semantic.PretrainAll(corp, codecCfg)
-	}
-	if tier != semantic.TierF64 {
-		// Serving tier on the trained generals; individual models inherit
-		// it when cloned. Applied post-training so pretraining itself stays
-		// on the bit-exact f64 path regardless of tier.
-		for _, g := range generals {
-			if err := g.SetTier(tier); err != nil {
-				return nil, err
-			}
-		}
 	}
 
 	cloud := kb.NewRegistry()

@@ -89,6 +89,13 @@ func (s *Server) ImportUserModel(m *ExportedModel) error {
 	if err != nil {
 		return fmt.Errorf("edge %s: import %s/%s: %w", s.name, m.User, m.Domain, err)
 	}
+	return s.InstallUserModel(m, params)
+}
+
+// InstallUserModel is ImportUserModel for a payload the caller has already
+// parsed (to validate a whole set of models before the first one lands):
+// m.Params is not read again.
+func (s *Server) InstallUserModel(m *ExportedModel, params *nn.ParamSet) error {
 	model, _, err := s.Personalize(m.Domain, m.User)
 	if err != nil {
 		return err
@@ -98,15 +105,8 @@ func (s *Server) ImportUserModel(m *ExportedModel) error {
 			s.name, m.User, m.Domain, model.Version, m.Version)
 	}
 	target := model.Codec.Params()
-	if len(target.Params) != len(params.Params) {
-		return fmt.Errorf("edge %s: import %s/%s: parameter count mismatch", s.name, m.User, m.Domain)
-	}
-	for i, p := range params.Params {
-		t := target.Params[i]
-		if t.Name != p.Name || t.M.Rows != p.M.Rows || t.M.Cols != p.M.Cols {
-			return fmt.Errorf("edge %s: import %s/%s: tensor %q shape mismatch",
-				s.name, m.User, m.Domain, p.Name)
-		}
+	if err := target.CheckSameShape(params); err != nil {
+		return fmt.Errorf("edge %s: import %s/%s: %w", s.name, m.User, m.Domain, err)
 	}
 	target.CopyFrom(params)
 	model.Version = m.Version

@@ -17,9 +17,11 @@ package edged
 import (
 	"flag"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/rpc"
 )
 
@@ -36,13 +38,6 @@ type ConfigError struct {
 func (e *ConfigError) Error() string {
 	return fmt.Sprintf("edged: invalid -%s %v: %s", e.Field, e.Value, e.Reason)
 }
-
-// Selector policies the daemon accepts (the oracle selector needs
-// ground-truth labels no wire request carries).
-var validSelectors = []string{"static", "naivebayes", "sticky", "qlearn", "ucb"}
-
-// Serving kernel tiers the daemon accepts.
-var validTiers = []string{"f64", "f32", "int8"}
 
 // Config is the daemon configuration. The zero value is not runnable;
 // start from FromFlags (which carries the documented defaults) and
@@ -83,8 +78,6 @@ type Config struct {
 	// BufferThreshold is the per-(domain,user) transaction count that
 	// triggers an individual-model update; 0 = core default.
 	BufferThreshold int
-	// Tier names the serving kernel tier.
-	Tier string
 
 	// Peers is the full static mesh member list, comma-separated
 	// host:port in ring-index order, this process included. Empty
@@ -108,7 +101,7 @@ type Config struct {
 func FromFlags(fs *flag.FlagSet) *Config {
 	cfg := &Config{}
 	fs.StringVar(&cfg.Addr, "addr", ":7060", "listen address")
-	fs.StringVar(&cfg.Selector, "selector", "sticky", "model-selection policy ("+strings.Join(validSelectors, "|")+")")
+	fs.StringVar(&cfg.Selector, "selector", "sticky", "model-selection policy ("+strings.Join(core.SelectorNames(), "|")+")")
 	fs.Float64Var(&cfg.SNRdB, "snr", 12, "channel SNR in dB")
 	fs.Uint64Var(&cfg.Seed, "seed", 1, "deterministic seed")
 	fs.StringVar(&cfg.KBDir, "kb", "", "directory of pretrained .kbm models (see cmd/semkb); empty pretrains at startup")
@@ -121,7 +114,6 @@ func FromFlags(fs *flag.FlagSet) *Config {
 	fs.DurationVar(&cfg.WriteTimeout, "write-timeout", 30*time.Second, "per-response write deadline; 0 disables")
 	fs.DurationVar(&cfg.ShedAfter, "shed-after", 0, "shed transmits queued at the -max-inflight gate longer than this; 0 = only shed on client deadlines")
 	fs.IntVar(&cfg.BufferThreshold, "buffer-threshold", 0, "transactions per (domain,user) before an individual-model update fires (0 = default)")
-	fs.StringVar(&cfg.Tier, "tier", "f64", "serving kernel tier ("+strings.Join(validTiers, "|")+"); f64 is bit-exact, f32/int8 trade bounded accuracy for speed")
 	fs.StringVar(&cfg.Peers, "peers", "", "mesh mode: full member list, comma-separated host:port in ring-index order (this process included)")
 	fs.IntVar(&cfg.MeshIndex, "mesh-index", 0, "mesh mode: this process's position in -peers")
 	fs.DurationVar(&cfg.ProbeInterval, "probe-interval", time.Second, "mesh liveness-probe period")
@@ -144,26 +136,16 @@ func (c *Config) MeshMembers() []rpc.PeerInfo {
 	return out
 }
 
-func oneOf(value string, valid []string) bool {
-	for _, v := range valid {
-		if v == value {
-			return true
-		}
-	}
-	return false
-}
-
 // Validate checks every field, returning a *ConfigError naming the
 // first offending flag.
 func (c *Config) Validate() error {
 	if c.Addr == "" {
 		return &ConfigError{Field: "addr", Value: c.Addr, Reason: "listen address required"}
 	}
-	if !oneOf(c.Selector, validSelectors) {
-		return &ConfigError{Field: "selector", Value: c.Selector, Reason: "unknown policy, want one of " + strings.Join(validSelectors, "|")}
-	}
-	if !oneOf(c.Tier, validTiers) {
-		return &ConfigError{Field: "tier", Value: c.Tier, Reason: "unknown tier, want one of " + strings.Join(validTiers, "|")}
+	// The oracle selector needs ground-truth labels no wire request
+	// carries, so the daemon accepts exactly core's non-oracle policies.
+	if selectors := core.SelectorNames(); !slices.Contains(selectors, c.Selector) {
+		return &ConfigError{Field: "selector", Value: c.Selector, Reason: "unknown policy, want one of " + strings.Join(selectors, "|")}
 	}
 	if c.Nodes < 0 {
 		return &ConfigError{Field: "nodes", Value: c.Nodes, Reason: "must be >= 0"}

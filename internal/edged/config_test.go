@@ -6,6 +6,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // defaultConfig parses an empty command line: the documented defaults.
@@ -24,7 +26,7 @@ func TestFromFlagsDefaultsValidate(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("defaults rejected: %v", err)
 	}
-	if cfg.Addr != ":7060" || cfg.Selector != "sticky" || cfg.Tier != "f64" || cfg.Seed != 1 {
+	if cfg.Addr != ":7060" || cfg.Selector != "sticky" || cfg.Seed != 1 {
 		t.Fatalf("unexpected defaults: %+v", cfg)
 	}
 	if cfg.MeshEnabled() {
@@ -41,7 +43,6 @@ func TestValidateTypedErrors(t *testing.T) {
 		field string
 	}{
 		{"bad selector", []string{"-selector", "psychic"}, "selector"},
-		{"bad tier", []string{"-tier", "f16"}, "tier"},
 		{"negative nodes", []string{"-nodes", "-2"}, "nodes"},
 		{"negative shed", []string{"-shed-after", "-1s"}, "shed-after"},
 		{"contention without pprof", []string{"-profile-contention"}, "profile-contention"},
@@ -70,12 +71,46 @@ func TestValidateTypedErrors(t *testing.T) {
 // The name is spelled in two halves so a repo-wide grep for the removed
 // flag comes back empty.
 func TestRemovedWindowFlagRejected(t *testing.T) {
+	wantUnknownFlag(t, "-batch"+"-window", "50us")
+}
+
+// TestRemovedTierFlagRejected checks the same for the removed kernel-tier
+// flag: f64 is the only serving arithmetic, and a command line still
+// asking for another fails at startup, even when it names the old default.
+func TestRemovedTierFlagRejected(t *testing.T) {
+	wantUnknownFlag(t, "-tier", "f32")
+	wantUnknownFlag(t, "-tier", "f64")
+}
+
+// wantUnknownFlag asserts the daemon's flag set rejects args as naming a
+// flag it does not define.
+func wantUnknownFlag(t *testing.T, args ...string) {
+	t.Helper()
 	fs := flag.NewFlagSet("edged", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	FromFlags(fs)
-	err := fs.Parse([]string{"-batch" + "-window", "50us"})
+	err := fs.Parse(args)
 	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
-		t.Fatalf("err = %v, want an unknown-flag error", err)
+		t.Fatalf("Parse(%q) = %v, want an unknown-flag error", args, err)
+	}
+}
+
+// TestSelectorsComeFromCore checks edged keeps no selector list of its
+// own: every policy core reports is accepted, and the oracle — which
+// needs labels no wire request carries — is still rejected.
+func TestSelectorsComeFromCore(t *testing.T) {
+	names := core.SelectorNames()
+	if len(names) == 0 {
+		t.Fatal("core reports no selectors")
+	}
+	for _, name := range names {
+		if err := defaultConfig(t, "-selector", name).Validate(); err != nil {
+			t.Errorf("selector %q registered in core rejected: %v", name, err)
+		}
+	}
+	var ce *ConfigError
+	if err := defaultConfig(t, "-selector", core.SelectorOracle).Validate(); !errors.As(err, &ce) || ce.Field != "selector" {
+		t.Fatalf("oracle selector: err = %v, want a *ConfigError on selector", err)
 	}
 }
 

@@ -97,7 +97,6 @@ func New(cfg Config) (*Daemon, error) {
 		Seed:            cfg.Seed,
 		Nodes:           cfg.Nodes,
 		BufferThreshold: cfg.BufferThreshold,
-		Tier:            cfg.Tier,
 	}
 	var node *mesh.Node
 	if cfg.MeshEnabled() {

@@ -200,10 +200,6 @@ func ApplyUpdate(codec *semantic.Codec, upd *Update) error {
 	if err := cg.ApplyTo(codec.DecoderParams(), 1); err != nil {
 		return fmt.Errorf("fl: apply update: %w", err)
 	}
-	// The update wrote through the shared decoder tensors: drop any cached
-	// reduced-precision kernel-tier shadows so the next tiered decode
-	// re-quantizes from the fresh weights.
-	codec.InvalidateTierCache()
 	return nil
 }
 

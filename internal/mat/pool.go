@@ -23,15 +23,6 @@ type Scratch struct {
 	ioff  int
 	mats  []*Dense
 	nmat  int
-	// Narrow-typed arenas for the f32/int8 kernel tiers.
-	f32    []float32
-	f32off int
-	bytes  []uint8
-	boff   int
-	i32s   []int32
-	i32off int
-	mats32 []*Dense32
-	nmat32 int
 }
 
 // Reset recycles the arena: every slice and matrix previously handed out is
@@ -40,10 +31,6 @@ func (s *Scratch) Reset() {
 	s.off = 0
 	s.ioff = 0
 	s.nmat = 0
-	s.f32off = 0
-	s.boff = 0
-	s.i32off = 0
-	s.nmat32 = 0
 }
 
 // Vec returns an uninitialized float64 slice of length n from the arena.
@@ -90,69 +77,6 @@ func (s *Scratch) Ints(n int) []int {
 	return v
 }
 
-// Vec32 returns an uninitialized float32 slice of length n from the arena.
-func (s *Scratch) Vec32(n int) []float32 {
-	if n < 0 {
-		panic("mat: Scratch.Vec32 negative length")
-	}
-	if s.f32off+n > len(s.f32) {
-		size := 2 * len(s.f32)
-		if size < s.f32off+n {
-			size = s.f32off + n
-		}
-		if size < 256 {
-			size = 256
-		}
-		s.f32 = make([]float32, size)
-		s.f32off = 0
-	}
-	v := s.f32[s.f32off : s.f32off+n : s.f32off+n]
-	s.f32off += n
-	return v
-}
-
-// Bytes returns an uninitialized byte slice of length n from the arena.
-func (s *Scratch) Bytes(n int) []uint8 {
-	if n < 0 {
-		panic("mat: Scratch.Bytes negative length")
-	}
-	if s.boff+n > len(s.bytes) {
-		size := 2 * len(s.bytes)
-		if size < s.boff+n {
-			size = s.boff + n
-		}
-		if size < 256 {
-			size = 256
-		}
-		s.bytes = make([]uint8, size)
-		s.boff = 0
-	}
-	v := s.bytes[s.boff : s.boff+n : s.boff+n]
-	s.boff += n
-	return v
-}
-
-// I32 returns an uninitialized int32 slice of length n from the arena.
-func (s *Scratch) I32(n int) []int32 {
-	if n < 0 {
-		panic("mat: Scratch.I32 negative length")
-	}
-	if s.i32off+n > len(s.i32s) {
-		size := 2 * len(s.i32s)
-		if size < s.i32off+n {
-			size = s.i32off + n
-		}
-		if size < 64 {
-			size = 64
-		}
-		s.i32s = make([]int32, size)
-		s.i32off = 0
-	}
-	v := s.i32s[s.i32off : s.i32off+n : s.i32off+n]
-	s.i32off += n
-	return v
-}
-
 // Mat returns an uninitialized rows x cols matrix backed by the arena.
 // Unlike NewDense it tolerates rows == 0 (an empty token sequence), so hot
 // paths need no special case.
@@ -174,24 +98,6 @@ func (s *Scratch) Wrap(rows, cols int, data []float64) *Dense {
 	}
 	d := s.header()
 	d.Rows, d.Cols, d.Data = rows, cols, data
-	return d
-}
-
-// Mat32 returns an uninitialized rows x cols float32 matrix backed by the
-// arena, tolerating rows == 0 like Mat.
-func (s *Scratch) Mat32(rows, cols int) *Dense32 {
-	if rows < 0 || cols <= 0 {
-		panic("mat: Scratch.Mat32 invalid dimensions")
-	}
-	var d *Dense32
-	if s.nmat32 < len(s.mats32) {
-		d = s.mats32[s.nmat32]
-	} else {
-		d = new(Dense32)
-		s.mats32 = append(s.mats32, d)
-	}
-	s.nmat32++
-	d.Rows, d.Cols, d.Data = rows, cols, s.Vec32(rows*cols)
 	return d
 }
 
@@ -227,7 +133,7 @@ func GetScratch() *Scratch {
 // PutScratch returns a Scratch to the package pool. The caller must not use
 // s, or any buffer obtained from it, afterwards.
 func PutScratch(s *Scratch) {
-	if len(s.arena) > maxPooledScratchFloats || len(s.f32) > maxPooledScratchFloats {
+	if len(s.arena) > maxPooledScratchFloats {
 		return
 	}
 	scratchPool.Put(s)

@@ -41,20 +41,3 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 //
 //go:noescape
 func xgetbv() (eax, edx uint32)
-
-// f32GemmRow computes dst[j] = dot(a[0:k], b[j*k:j*k+k]) for j in [0, n):
-// one activation row against every weight row, 8-lane FMA accumulation
-// with a scalar tail. dst, a and b must reference at least n, k and n*k
-// floats respectively.
-//
-//go:noescape
-func f32GemmRow(dst, a, b *float32, n, k int)
-
-// q8GemmRow computes dst[j] = Σ_p int32(x[p])*int32(w[j*k+p]) for j in
-// [0, n): unsigned 8-bit codes multiplied exactly in int32 via zero-extend
-// to int16 and VPMADDWD. k must be a positive multiple of 16 (the QMat8
-// stride — the kernel runs pure 16-code steps with no tail). Safe for
-// k < 33000 (255*255*k fits int32).
-//
-//go:noescape
-func q8GemmRow(dst *int32, x, w *uint8, n, k int)

@@ -20,230 +20,3 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL AX, eax+0(FP)
 	MOVL DX, edx+4(FP)
 	RET
-
-// func f32GemmRow(dst, a, b *float32, n, k int)
-//
-// dst[j] = dot(a[0:k], b[j*k : j*k+k]) for j in [0, n). Four weight rows
-// share each 8-lane load of the activation row (FMA into four independent
-// YMM accumulators), then a scalar tail finishes k%8 and a single-row loop
-// finishes n%4.
-TEXT ·f32GemmRow(SB), NOSPLIT, $0-40
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ n+24(FP), CX
-	MOVQ k+32(FP), R8
-
-	MOVQ R8, R9
-	ANDQ $-8, R9           // R9 = k &^ 7 (vectorized prefix)
-	XORQ R10, R10          // j = 0
-
-loop4:
-	MOVQ CX, AX
-	SUBQ R10, AX
-	CMPQ AX, $4
-	JL   loop1             // fewer than 4 rows left
-
-	// Weight row pointers j..j+3 (rows are k floats apart).
-	MOVQ  R10, AX
-	IMULQ R8, AX
-	LEAQ  (DX)(AX*4), R11
-	LEAQ  (R11)(R8*4), R12
-	LEAQ  (R12)(R8*4), R13
-	LEAQ  (R13)(R8*4), R14
-
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	XORQ   BX, BX          // p = 0
-
-vec4:
-	CMPQ        BX, R9
-	JGE         red4
-	VMOVUPS     (SI)(BX*4), Y4
-	VFMADD231PS (R11)(BX*4), Y4, Y0
-	VFMADD231PS (R12)(BX*4), Y4, Y1
-	VFMADD231PS (R13)(BX*4), Y4, Y2
-	VFMADD231PS (R14)(BX*4), Y4, Y3
-	ADDQ        $8, BX
-	JMP         vec4
-
-red4:
-	// Horizontal-reduce each accumulator into lane 0.
-	VEXTRACTF128 $1, Y0, X5
-	VADDPS       X5, X0, X0
-	VHADDPS      X0, X0, X0
-	VHADDPS      X0, X0, X0
-	VEXTRACTF128 $1, Y1, X5
-	VADDPS       X5, X1, X1
-	VHADDPS      X1, X1, X1
-	VHADDPS      X1, X1, X1
-	VEXTRACTF128 $1, Y2, X5
-	VADDPS       X5, X2, X2
-	VHADDPS      X2, X2, X2
-	VHADDPS      X2, X2, X2
-	VEXTRACTF128 $1, Y3, X5
-	VADDPS       X5, X3, X3
-	VHADDPS      X3, X3, X3
-	VHADDPS      X3, X3, X3
-
-scal4:
-	CMPQ        BX, R8
-	JGE         st4
-	VMOVSS      (SI)(BX*4), X4
-	VFMADD231SS (R11)(BX*4), X4, X0
-	VFMADD231SS (R12)(BX*4), X4, X1
-	VFMADD231SS (R13)(BX*4), X4, X2
-	VFMADD231SS (R14)(BX*4), X4, X3
-	INCQ        BX
-	JMP         scal4
-
-st4:
-	VMOVSS X0, (DI)(R10*4)
-	VMOVSS X1, 4(DI)(R10*4)
-	VMOVSS X2, 8(DI)(R10*4)
-	VMOVSS X3, 12(DI)(R10*4)
-	ADDQ   $4, R10
-	JMP    loop4
-
-loop1:
-	CMPQ R10, CX
-	JGE  done
-
-	MOVQ   R10, AX
-	IMULQ  R8, AX
-	LEAQ   (DX)(AX*4), R11
-	VXORPS Y0, Y0, Y0
-	XORQ   BX, BX
-
-vec1:
-	CMPQ        BX, R9
-	JGE         red1
-	VMOVUPS     (SI)(BX*4), Y4
-	VFMADD231PS (R11)(BX*4), Y4, Y0
-	ADDQ        $8, BX
-	JMP         vec1
-
-red1:
-	VEXTRACTF128 $1, Y0, X5
-	VADDPS       X5, X0, X0
-	VHADDPS      X0, X0, X0
-	VHADDPS      X0, X0, X0
-
-scal1:
-	CMPQ        BX, R8
-	JGE         st1
-	VMOVSS      (SI)(BX*4), X4
-	VFMADD231SS (R11)(BX*4), X4, X0
-	INCQ        BX
-	JMP         scal1
-
-st1:
-	VMOVSS X0, (DI)(R10*4)
-	INCQ   R10
-	JMP    loop1
-
-done:
-	VZEROUPPER
-	RET
-
-// func q8GemmRow(dst *int32, x, w *uint8, n, k int)
-//
-// dst[j] = Σ_p int32(x[p]) * int32(w[j*k+p]) with k a multiple of 16 (the
-// QMat8 stride; pad codes are zero on both sides, contributing nothing).
-// Codes zero-extend to int16 (max 255, so VPMADDWD's pairwise products sum
-// exactly into int32: 2*255*255 < 2^31). Four weight rows share each
-// 16-code activation load, and one VPHADDD tree reduces all four
-// accumulators to a single 4-dword store.
-TEXT ·q8GemmRow(SB), NOSPLIT, $0-40
-	MOVQ dst+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ w+16(FP), DX
-	MOVQ n+24(FP), CX
-	MOVQ k+32(FP), R8
-	XORQ R10, R10          // j = 0
-
-q4:
-	MOVQ CX, AX
-	SUBQ R10, AX
-	CMPQ AX, $4
-	JL   q1                // fewer than 4 rows left
-
-	MOVQ  R10, AX
-	IMULQ R8, AX
-	LEAQ  (DX)(AX*1), R11
-	LEAQ  (R11)(R8*1), R12
-	LEAQ  (R12)(R8*1), R13
-	LEAQ  (R13)(R8*1), R14
-	VPXOR Y0, Y0, Y0
-	VPXOR Y1, Y1, Y1
-	VPXOR Y2, Y2, Y2
-	VPXOR Y3, Y3, Y3
-	XORQ  BX, BX
-
-q4v:
-	CMPQ      BX, R8
-	JGE       q4r
-	VPMOVZXBW (SI)(BX*1), Y4
-	VPMOVZXBW (R11)(BX*1), Y5
-	VPMADDWD  Y5, Y4, Y5
-	VPADDD    Y5, Y0, Y0
-	VPMOVZXBW (R12)(BX*1), Y5
-	VPMADDWD  Y5, Y4, Y5
-	VPADDD    Y5, Y1, Y1
-	VPMOVZXBW (R13)(BX*1), Y5
-	VPMADDWD  Y5, Y4, Y5
-	VPADDD    Y5, Y2, Y2
-	VPMOVZXBW (R14)(BX*1), Y5
-	VPMADDWD  Y5, Y4, Y5
-	VPADDD    Y5, Y3, Y3
-	ADDQ      $16, BX
-	JMP       q4v
-
-q4r:
-	// [row0 pairs, row1 pairs | ...] -> [s0 s1 s2 s3] in one tree.
-	VPHADDD      Y1, Y0, Y0
-	VPHADDD      Y3, Y2, Y2
-	VPHADDD      Y2, Y0, Y0
-	VEXTRACTI128 $1, Y0, X5
-	VPADDD       X5, X0, X0
-	VMOVDQU      X0, (DI)(R10*4)
-	ADDQ         $4, R10
-	JMP          q4
-
-q1:
-	CMPQ R10, CX
-	JGE  qdone
-
-	MOVQ  R10, AX
-	IMULQ R8, AX
-	LEAQ  (DX)(AX*1), R11
-	VPXOR Y0, Y0, Y0
-	XORQ  BX, BX
-
-q1v:
-	CMPQ      BX, R8
-	JGE       q1r
-	VPMOVZXBW (SI)(BX*1), Y4
-	VPMOVZXBW (R11)(BX*1), Y5
-	VPMADDWD  Y5, Y4, Y5
-	VPADDD    Y5, Y0, Y0
-	ADDQ      $16, BX
-	JMP       q1v
-
-q1r:
-	VEXTRACTI128 $1, Y0, X5
-	VPADDD       X5, X0, X0
-	VPSHUFD      $0xee, X0, X5
-	VPADDD       X5, X0, X0
-	VPSHUFD      $0x55, X0, X5
-	VPADDD       X5, X0, X0
-	MOVQ         X0, R12   // low dword = sum (upper bits unused)
-	MOVL         R12, (DI)(R10*4)
-	INCQ         R10
-	JMP          q1
-
-qdone:
-	VZEROUPPER
-	RET

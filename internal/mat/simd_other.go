@@ -5,14 +5,6 @@ package mat
 // Non-amd64 builds always run the pure-Go reference loops.
 const useAVX2 = false
 
-func f32GemmRow(dst, a, b *float32, n, k int) {
-	panic("mat: f32GemmRow without AVX2")
-}
-
-func q8GemmRow(dst *int32, x, w *uint8, n, k int) {
-	panic("mat: q8GemmRow without AVX2")
-}
-
 func f64AxpyRows(dst *float64, n int, coef *float64, coefStride int, scale float64, rows *float64, rowStride int, count int) {
 	panic("mat: f64AxpyRows without AVX2")
 }

@@ -73,6 +73,24 @@ func (ps *ParamSet) Zero() {
 	}
 }
 
+// CheckSameShape reports the first way other differs from ps in tensor
+// count, names or shapes, or nil if values can be copied between the two.
+// It is the check to run on a set parsed from untrusted bytes before
+// CopyFrom, which panics on a mismatch.
+func (ps *ParamSet) CheckSameShape(other *ParamSet) error {
+	if len(ps.Params) != len(other.Params) {
+		return fmt.Errorf("nn: %d parameter tensors, want %d", len(other.Params), len(ps.Params))
+	}
+	for i, p := range ps.Params {
+		o := other.Params[i]
+		if p.Name != o.Name || p.M.Rows != o.M.Rows || p.M.Cols != o.M.Cols {
+			return fmt.Errorf("nn: tensor %d is %q %dx%d, want %q %dx%d",
+				i, o.Name, o.M.Rows, o.M.Cols, p.Name, p.M.Rows, p.M.Cols)
+		}
+	}
+	return nil
+}
+
 // CopyFrom copies values from src into ps. It panics if the sets are not
 // shape-compatible.
 func (ps *ParamSet) CopyFrom(src *ParamSet) {

@@ -17,7 +17,6 @@ package semantic
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/corpus"
 	"repro/internal/mat"
@@ -35,7 +34,6 @@ type Config struct {
 	Epochs     int     // pretraining epochs (default 5)
 	Sentences  int     // pretraining sentences (default 1000)
 	Seed       uint64  // weight-init / training seed (default 1)
-	Tier       Tier    // serving kernel tier (default TierF64, bit-exact); runtime-only, not serialized
 }
 
 // withDefaults returns cfg with zero fields replaced by defaults.
@@ -88,10 +86,6 @@ type Codec struct {
 	enc *nn.Linear    // E -> F
 	dec *nn.Linear    // F -> H
 	out *nn.Linear    // H -> concepts
-
-	// tiers caches the reduced-precision weight shadows for the current
-	// serving tier (nil when cold or invalidated; always nil at TierF64).
-	tiers atomic.Pointer[tierState]
 }
 
 // NewCodec builds an untrained codec for domain d.
@@ -206,10 +200,6 @@ func (c *Codec) packSurfaceEmbeddings(sc *mat.Scratch, ids []int) *mat.Dense {
 // features into dst (len(words) x FeatureDim): one gather of the token
 // embeddings, one GEMM, one tanh sweep. Temporaries come from sc.
 func (c *Codec) encodeWordsTo(sc *mat.Scratch, dst *mat.Dense, words []string) {
-	if c.cfg.Tier != TierF64 {
-		c.encodeWordsToTiered(sc, dst, words)
-		return
-	}
 	x := sc.Mat(len(words), c.cfg.EmbedDim)
 	for i, w := range words {
 		copy(x.Row(i), c.embeddingRow(c.domain.SurfaceID(w)))
@@ -287,10 +277,6 @@ func (c *Codec) DecodeFeature(feat []float64) int {
 func (c *Codec) DecodeFeaturesInto(sc *mat.Scratch, feats *mat.Dense, dst []int) {
 	if len(dst) != feats.Rows {
 		panic("semantic: DecodeFeaturesInto dst length mismatch")
-	}
-	if c.cfg.Tier != TierF64 {
-		c.decodeFeaturesIntoTiered(sc, feats, dst)
-		return
 	}
 	h := sc.Mat(feats.Rows, c.cfg.HiddenDim)
 	c.dec.ForwardBatch(h, feats)

@@ -141,8 +141,6 @@ func (c *Codec) trainEpoch(examples []Example, opt nn.Optimizer, rng *mat.RNG, n
 		scaleGrads(grads, 1/float64(n))
 		opt.Step(params, grads)
 		grads.Zero()
-		// Weights changed: any cached reduced-precision shadows are stale.
-		c.tiers.Store(nil)
 	}
 	nEx := float64(len(examples))
 	if nEx == 0 {
