@@ -46,6 +46,7 @@ type AWGN struct {
 	// already makes a channel single-goroutine.
 	sigmaFor float64
 	sigma    float64
+	hardThr  float64 // hardFlipThreshold(sigma), for the fused crossing
 	sigmaOK  bool
 	noise    []float64
 }
@@ -67,6 +68,7 @@ func (c *AWGN) NoiseSigma() float64 {
 func (c *AWGN) noiseSigmaCached() float64 {
 	if !c.sigmaOK || c.sigmaFor != c.SNRdB {
 		c.sigma = c.NoiseSigma()
+		c.hardThr = hardFlipThreshold(c.sigma)
 		c.sigmaFor = c.SNRdB
 		c.sigmaOK = true
 	}
@@ -104,10 +106,16 @@ func (c *AWGN) TransmitTo(dst, symbols []complex128) []complex128 {
 	sigma := c.noiseSigmaCached()
 	nz := c.noiseBlock(2 * len(symbols))
 	for i, s := range symbols {
-		dst = append(dst, s+complex(sigma*nz[2*i], sigma*nz[2*i+1]))
+		dst = append(dst, complex(awgnComponent(real(s), sigma, nz[2*i]), awgnComponent(imag(s), sigma, nz[2*i+1])))
 	}
 	return dst
 }
+
+// awgnComponent is one real component of a received AWGN symbol: the sent
+// component x plus the standard normal deviate n scaled to the channel's
+// sigma. TransmitTo and the fused hard-decision crossing (hard.go) both
+// evaluate it, so the two paths cannot drift apart by a rounding.
+func awgnComponent(x, sigma, n float64) float64 { return x + sigma*n }
 
 // Rayleigh models flat Rayleigh fading with AWGN and perfect channel state
 // information at the receiver: y = h*x + n, equalized as y/h.

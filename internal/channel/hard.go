@@ -1,0 +1,217 @@
+package channel
+
+import (
+	"math"
+
+	"repro/internal/mat"
+)
+
+// This file is the fused crossing of the one link every daemon builds:
+// quantize → Hamming(7,4) → BPSK → AWGN → hard decision → decode, run as a
+// single pass over bit-packed words. It is bit-identical to the staged
+// pipeline in SendFlatScratch — outputs, LinkStats and the noise
+// generator's state afterwards — and exists because the staged pipeline
+// spends most of its time computing noise deviates whose only use is a
+// sign test they cannot change.
+//
+// A BPSK receiver keeps sign(x + σ·n), x = ±1, of each symbol's real
+// component. The staged path draws n as u·f from an accepted Marsaglia
+// polar pair (u, v, s), f = sqrt(-2 ln(s) / s). Because u² <= s,
+//
+//	(u·f)² = (u²/s)·(-2 ln s) <= -2 ln s,
+//
+// so |σ·n| >= 1 — the least that can move the sum across zero — needs
+// s <= exp(-1/(2σ²)): at 12 dB about one accepted pair in eight million.
+// The kernel draws exactly the uniforms the staged path draws (one polar
+// pair per symbol; the imaginary deviate v·f is never read by a BPSK
+// decision) and evaluates the log and square root only for a pair that
+// passes neither that test nor the sign test below; for those it evaluates
+// the staged path's own expression (awgnComponent, bpskDecide).
+
+// hardFlipMargin is the safety factor on the threshold exp(-1/(2σ²)): a
+// pair is taken as unable to flip only when s exceeds the threshold
+// hardFlipMargin times over. The derivation above is in exact arithmetic;
+// a factor of 2 in s leaves |σ·n| below 1 by a relative σ²·ln 2 or more
+// (>= 4.6e-4 wherever the threshold has not underflowed to zero), eleven
+// orders of magnitude above the rounding error of the float64 evaluation.
+const hardFlipMargin = 2
+
+// hardFlipThreshold returns the value of s above which a polar pair cannot
+// flip a BPSK decision at noise level sigma. Below about -1.6 dB it is >= 1
+// and no pair passes it: every decision falls to the sign test or the
+// exact expression.
+func hardFlipThreshold(sigma float64) float64 {
+	return hardFlipMargin * math.Exp(-1/(2*sigma*sigma))
+}
+
+// hardReceive returns the hard decision for one BPSK symbol carrying sent
+// across AWGN, given the symbol's accepted polar pair (u, s). It equals
+// the staged path's decision on the same pair by construction: either the
+// noise provably cannot cross the boundary — s above thr here, or the
+// real deviate pointing away from it in hardDecide — or the staged
+// expression itself decides. The common case stays small enough to inline
+// into the kernel's symbol loop.
+func hardReceive(sent bool, u, s, sigma, thr float64) bool {
+	if s > thr {
+		return sent
+	}
+	return hardDecide(sent, u, s, sigma)
+}
+
+// hardDecide is hardReceive for a pair the threshold could not clear. The
+// deviate u·f has the sign of u (f > 0), so noise that pushes the symbol
+// away from zero leaves the decision alone whatever its size; only the
+// rest pay for the log and square root of the staged expression.
+func hardDecide(sent bool, u, s, sigma float64) bool {
+	x := -1.0
+	if sent {
+		if u >= 0 {
+			return true
+		}
+		x = 1
+	} else if u <= 0 {
+		return false
+	}
+	return bpskDecide(awgnComponent(x, sigma, u*mat.PolarScale(s)))
+}
+
+// hamming74Enc maps an information nibble (first bit most significant) to
+// its codeword, and hamming74Dec maps a received 7-bit word to the decoded
+// nibble after single-error correction; in both the first transmitted bit
+// is the most significant. They are filled from Hamming74.EncodeTo and
+// DecodeTo so the code keeps one definition.
+var (
+	hamming74Enc [16]uint8
+	hamming74Dec [128]uint8
+)
+
+func init() {
+	pack := func(bits []bool) (w uint8) {
+		for _, b := range bits {
+			w <<= 1
+			if b {
+				w |= 1
+			}
+		}
+		return w
+	}
+	unpack := func(dst []bool, w int) {
+		for i := range dst {
+			dst[i] = w>>(len(dst)-1-i)&1 != 0
+		}
+	}
+	var nibble [4]bool
+	var word [7]bool
+	for n := range hamming74Enc {
+		unpack(nibble[:], n)
+		hamming74Enc[n] = pack(Hamming74{}.EncodeTo(nil, nibble[:]))
+	}
+	for w := range hamming74Dec {
+		unpack(word[:], w)
+		hamming74Dec[w] = pack(Hamming74{}.DecodeTo(nil, word[:]))
+	}
+}
+
+// hardLink reports whether l is the configuration the fused crossing
+// implements, and returns its channel. A generator holding a cached polar
+// spare is declined: the staged path would hand that spare to the first
+// symbol, which the pair-at-a-time kernel cannot reproduce. (A link that
+// only ever carries feature messages never has one — every crossing draws
+// whole pairs — and SendSeeded reseeds first.)
+func (l FeatureLink) hardLink() (*AWGN, bool) {
+	ch, ok := l.Ch.(*AWGN)
+	if !ok || l.Code != Code(Hamming74{}) || l.Mod != Modulation(BPSK{}) || ch.Rng.HasSpare() {
+		return nil, false
+	}
+	return ch, true
+}
+
+// hardBatch is how many symbols' polar pairs the kernel draws per
+// mat.RNG.PolarPairs call: whole codewords, and enough of them that the
+// generator's branch-free batch loop is amortised.
+const hardBatch = 16 * 7
+
+// hardNoise hands the kernel one codeword's polar pairs at a time from
+// stack-sized batches, drawing exactly the pairs the message needs — never
+// one past its last symbol — so the generator is left where the staged
+// path leaves it.
+type hardNoise struct {
+	rng       *mat.RNG
+	remaining int // symbols of the message not yet drawn
+	pos, have int
+	u, v, s   [hardBatch]float64
+}
+
+// next returns the u and s of the next seven symbols' pairs. (v would
+// scale to the imaginary deviate, which a BPSK decision never reads.)
+func (n *hardNoise) next() (u, s []float64) {
+	if n.pos == n.have {
+		n.pos, n.have = 0, min(hardBatch, n.remaining)
+		n.remaining -= n.have
+		n.rng.PolarPairs(n.u[:n.have], n.v[:n.have], n.s[:n.have])
+	}
+	u, s = n.u[n.pos:n.pos+7], n.s[n.pos:n.pos+7]
+	n.pos += 7
+	return u, s
+}
+
+// crossNibble sends one information nibble across the channel as the seven
+// BPSK symbols of its codeword, symbol i riding the noise of pair (u[i],
+// s[i]), and returns the nibble the receiver decodes.
+func crossNibble(nibble uint8, u, s []float64, sigma, thr float64) uint8 {
+	cw := hamming74Enc[nibble]
+	var word uint8
+	for i := 0; i < 7; i++ {
+		word <<= 1
+		if hardReceive(cw>>uint(6-i)&1 != 0, u[i], s[i], sigma, thr) {
+			word |= 1
+		}
+	}
+	return hamming74Dec[word]
+}
+
+// sendHard is the fused crossing; see the file comment. Quantizer codes
+// stream through a bit accumulator into nibbles, each nibble crosses the
+// channel, and the decoded nibbles stream through a second accumulator
+// back into quantizer codes, so nothing message-sized is materialised
+// between flat and dst. The last nibble is zero-padded as
+// Hamming74.EncodeTo pads it, and decoding stops at len(dst) values as the
+// staged path's truncation to the sent bit count does.
+func (l FeatureLink) sendHard(ch *AWGN, dst, flat []float64) LinkStats {
+	q := l.Quant
+	q.validate()
+	levels := q.levels()
+	span := q.Hi - q.Lo
+	width := uint(q.Bits)
+	mask := uint64(levels - 1)
+	sigma := ch.noiseSigmaCached()
+	thr := ch.hardThr
+	info := len(flat) * q.Bits
+	coded := (info + 3) / 4 * 7
+	noise := hardNoise{rng: ch.Rng, remaining: coded}
+
+	var tx, rx uint64 // bit accumulators, newest bit least significant
+	var txBits, rxBits uint
+	out := 0
+	for i := 0; i <= len(flat); i++ {
+		if i < len(flat) {
+			tx = tx<<width | uint64(q.index(flat[i], levels, span))
+			txBits += width
+		} else if txBits > 0 {
+			tx <<= 4 - txBits
+			txBits = 4
+		}
+		for txBits >= 4 {
+			txBits -= 4
+			u, s := noise.next()
+			rx = rx<<4 | uint64(crossNibble(uint8(tx>>txBits&15), u, s, sigma, thr))
+			rxBits += 4
+			for rxBits >= width && out < len(dst) {
+				rxBits -= width
+				dst[out] = q.value(int(rx>>rxBits&mask), levels, span)
+				out++
+			}
+		}
+	}
+	return LinkStats{InfoBits: info, CodedBits: coded, Symbols: coded}
+}

@@ -51,9 +51,19 @@ func (l FeatureLink) SendFlat(dst, flat []float64) LinkStats {
 // modulation and channel implement the fast-path interfaces (all stock
 // implementations do). ts may be nil, which falls back to fresh buffers.
 // Results are bit-identical to Send/SendFlat.
+//
+// A Hamming74 + BPSK + *AWGN link — what DefaultFeatureLink over AWGN and
+// every daemon build — crosses through the fused kernel in hard.go
+// instead, which needs no stage buffers and leaves ts untouched; every
+// other link runs the stages below, which are also the reference the
+// kernel is tested against. The choice is made from the link's own values
+// and changes no output bit, LinkStats field or RNG state.
 func (l FeatureLink) SendFlatScratch(ts *TxScratch, dst, flat []float64) LinkStats {
 	if len(dst) != len(flat) {
 		panic("channel: SendFlat buffer length mismatch")
+	}
+	if ch, ok := l.hardLink(); ok {
+		return l.sendHard(ch, dst, flat)
 	}
 	if ts == nil {
 		ts = new(TxScratch)
@@ -139,13 +149,6 @@ func (l AnalogLink) Send(feats [][]float64, dim int) ([][]float64, LinkStats) {
 	}
 	bits := 6 * len(flat)
 	return out, LinkStats{InfoBits: bits, CodedBits: bits, Symbols: n}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // AdaptiveCode selects a channel code from the estimated channel SNR — a

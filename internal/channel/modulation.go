@@ -53,10 +53,14 @@ func (m BPSK) Demodulate(symbols []complex128) []bool {
 // DemodulateTo implements the allocation-free fast path.
 func (BPSK) DemodulateTo(dst []bool, symbols []complex128) []bool {
 	for _, s := range symbols {
-		dst = append(dst, real(s) >= 0)
+		dst = append(dst, bpskDecide(real(s)))
 	}
 	return dst
 }
+
+// bpskDecide is the BPSK hard decision on a received real component,
+// shared by DemodulateTo and the fused hard-decision crossing (hard.go).
+func bpskDecide(re float64) bool { return re >= 0 }
 
 // QPSK is quadrature phase-shift keying: two Gray-coded bits per symbol.
 type QPSK struct{}

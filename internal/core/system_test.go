@@ -207,7 +207,10 @@ func TestUpdateProcessFiresAndHelps(t *testing.T) {
 // not swallowed: with the generals pinned in a sender cache sized to hold
 // only them, no individual model can ever be admitted, so every update the
 // buffer triggers fails with cache.ErrTooLarge. The transmit itself still
-// succeeds; the failure is counted and carried on the result.
+// succeeds; the failure is counted and carried on the result, and it costs
+// one attempt per threshold: the failed attempt discards what it buffered,
+// so the pair retries BufferThreshold messages later instead of on every
+// message with an ever-growing buffer.
 func TestUpdateFailureCounted(t *testing.T) {
 	const threshold, messages = 4, 10
 	cfg := batchTestConfig()
@@ -230,16 +233,18 @@ func TestUpdateFailureCounted(t *testing.T) {
 		if res.UpdateFired {
 			t.Fatalf("message %d: UpdateFired although the model cannot be cached", i)
 		}
-		// A failed update leaves the buffer full, so every message from
-		// the threshold on is a crossing.
-		if crossing := i >= threshold; crossing != (res.UpdateErr != nil) {
+		// Every threshold-th message (4 and 8) is a crossing; none between.
+		if crossing := i%threshold == 0; crossing != (res.UpdateErr != nil) {
 			t.Fatalf("message %d: UpdateErr = %v, crossing = %t", i, res.UpdateErr, crossing)
 		}
 		if res.UpdateErr != nil && !errors.Is(res.UpdateErr, cache.ErrTooLarge) {
 			t.Fatalf("message %d: UpdateErr = %v, want cache.ErrTooLarge", i, res.UpdateErr)
 		}
+		if n := s.Sender.Buffer(s.Corpus.Domains[res.SelectedDomain].Name, "u1").Len(); n >= threshold {
+			t.Fatalf("message %d: %d transactions buffered, want fewer than the threshold %d", i, n, threshold)
+		}
 	}
-	if got, want := s.UpdateFailures(), int64(messages-threshold+1); got != want {
+	if got, want := s.UpdateFailures(), int64(messages/threshold); got != want {
 		t.Fatalf("UpdateFailures = %d, want %d", got, want)
 	}
 	if s.SyncCount() != 0 || s.UpdateTime().N() != 0 {

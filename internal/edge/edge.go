@@ -413,7 +413,11 @@ func (s *Server) DropUserBuffers(user string) {
 // RunUpdate executes the §II-D update process for (domain, user): it
 // ensures the individual model exists, fine-tunes it on the buffered
 // transactions, resets the buffer, and returns the decoder update to ship
-// to the receiver edge.
+// to the receiver edge. The buffer is reset when the attempt fails too: a
+// buffer left full would stay Ready, so every later message of the pair
+// would re-run the failing update (a model clone and a refused cache Put
+// each) while the buffer grew without bound. A failure costs one attempt
+// per threshold; the pair retries on the next BufferThreshold messages.
 func (s *Server) RunUpdate(domain, user string, cfg fl.UpdateConfig) (*fl.Update, error) {
 	s.mu.Lock()
 	buf := s.buffers[bufferKey(domain, user)]
@@ -421,6 +425,7 @@ func (s *Server) RunUpdate(domain, user string, cfg fl.UpdateConfig) (*fl.Update
 	if buf == nil || buf.Len() == 0 {
 		return nil, fmt.Errorf("edge %s: no buffered data for %s/%s", s.name, user, domain)
 	}
+	defer buf.Reset()
 	model, _, err := s.Personalize(domain, user)
 	if err != nil {
 		return nil, err
@@ -433,7 +438,6 @@ func (s *Server) RunUpdate(domain, user string, cfg fl.UpdateConfig) (*fl.Update
 	s.mu.Lock()
 	s.versions[bufferKey(domain, user)] = upd.Version
 	s.mu.Unlock()
-	buf.Reset()
 	return upd, nil
 }
 

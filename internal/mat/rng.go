@@ -63,6 +63,52 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
+// PolarPairs fills s — and the first len(s) entries of u and v, which must
+// be at least as long — with the next len(s) accepted pairs of the
+// Marsaglia polar method before scaling: u[i] and v[i] uniform in (-1, 1)
+// with s[i] = u[i]² + v[i]² in (0, 1). Pair i's two standard normal
+// deviates are u[i]*PolarScale(s[i]) and v[i]*PolarScale(s[i]).
+//
+// This is the generator's only rejection loop; NormFloat64 and
+// NormFloat64Block are built on it, so a caller that needs less than the
+// full deviate — a hard-decision receiver only has to know whether the
+// noise can cross its boundary, which s bounds — consumes exactly the
+// uniforms the same number of NormFloat64 pairs would: two per attempt,
+// the last attempt consumed being the last pair accepted. It neither reads
+// nor writes the cached spare; callers mixing it with NormFloat64 on one
+// stream check HasSpare first.
+//
+// Every attempt is stored at the next free slot and the slot advances only
+// when the attempt is accepted, so a rejected attempt (21 % of them) is
+// overwritten by the next one instead of steering a branch the predictor
+// cannot learn. The acceptance test 0 < s < 1 is one unsigned comparison
+// of the bit pattern — non-negative floats order like their bits, and
+// subtracting one wraps +0 past every valid value — which is what lets the
+// compiler turn the advance into a conditional increment.
+func (r *RNG) PolarPairs(u, v, s []float64) {
+	u, v = u[:len(s)], v[:len(s)]
+	const one = 0x3ff0000000000000 // math.Float64bits(1)
+	for n := 0; n < len(s); {
+		a := 2*r.Float64() - 1
+		b := 2*r.Float64() - 1
+		ss := a*a + b*b
+		u[n], v[n], s[n] = a, b, ss
+		if math.Float64bits(ss)-1 < one-1 {
+			n++
+		}
+	}
+}
+
+// PolarScale returns the factor that turns an accepted polar pair's
+// uniforms into standard normal deviates: sqrt(-2 ln(s) / s).
+func PolarScale(s float64) float64 {
+	return math.Sqrt(-2 * math.Log(s) / s)
+}
+
+// HasSpare reports whether the next NormFloat64 would return the cached
+// second deviate of an earlier polar pair instead of drawing a new one.
+func (r *RNG) HasSpare() bool { return r.hasSpare }
+
 // NormFloat64 returns a standard normal deviate using the Marsaglia polar
 // method.
 func (r *RNG) NormFloat64() float64 {
@@ -70,18 +116,12 @@ func (r *RNG) NormFloat64() float64 {
 		r.hasSpare = false
 		return r.spare
 	}
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s >= 1 || s == 0 {
-			continue
-		}
-		f := math.Sqrt(-2 * math.Log(s) / s)
-		r.spare = v * f
-		r.hasSpare = true
-		return u * f
-	}
+	var u, v, s [1]float64
+	r.PolarPairs(u[:], v[:], s[:])
+	f := PolarScale(s[0])
+	r.spare = v[0] * f
+	r.hasSpare = true
+	return u[0] * f
 }
 
 // NormFloat64Block fills dst with standard normal deviates, producing the
@@ -92,31 +132,27 @@ func (r *RNG) NormFloat64() float64 {
 // draws on one generator is therefore always bit-identical to scalar-only
 // draws.
 func (r *RNG) NormFloat64Block(dst []float64) {
-	i := 0
-	if r.hasSpare && i < len(dst) {
+	if r.hasSpare && len(dst) > 0 {
 		r.hasSpare = false
-		dst[i] = r.spare
-		i++
+		dst[0] = r.spare
+		dst = dst[1:]
 	}
-	// Whole pairs: generate both polar deviates without touching the spare.
-	for ; i+2 <= len(dst); i += 2 {
-		for {
-			u := 2*r.Float64() - 1
-			v := 2*r.Float64() - 1
-			s := u*u + v*v
-			if s >= 1 || s == 0 {
-				continue
-			}
-			f := math.Sqrt(-2 * math.Log(s) / s)
-			dst[i] = u * f
-			dst[i+1] = v * f
-			break
+	// Whole pairs, a stack-sized batch at a time, without touching the spare.
+	var u, v, s [64]float64
+	for len(dst) >= 2 {
+		n := min(len(dst)/2, len(s))
+		r.PolarPairs(u[:n], v[:n], s[:n])
+		for i := 0; i < n; i++ {
+			f := PolarScale(s[i])
+			dst[2*i] = u[i] * f
+			dst[2*i+1] = v[i] * f
 		}
+		dst = dst[2*n:]
 	}
-	if i < len(dst) {
+	if len(dst) == 1 {
 		// Odd tail: the scalar path caches the pair's second deviate as the
 		// spare, exactly like a plain NormFloat64 call.
-		dst[i] = r.NormFloat64()
+		dst[0] = r.NormFloat64()
 	}
 }
 
