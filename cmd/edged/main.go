@@ -9,29 +9,25 @@
 // at the gate longer than -shed-after (or their own deadline hint) are
 // shed with an error instead of served late.
 //
-// With -nodes N the sender side becomes an N-node edge cluster inside
-// this one process: users are routed to nodes by consistent hashing, the
-// "move" op relocates a user to a radio cell (handing their personalized
-// models over when the serving node changes), nodes resolve cache misses
-// from their neighbors before paying the cloud origin, and "stats"
-// reports per-node counters.
-//
 // With -pprof addr a net/http/pprof endpoint runs on a side port; adding
 // -profile-contention also records mutex and block profiles there
 // (runtime.SetMutexProfileFraction/SetBlockProfileRate), which is how
 // serve-path lock contention — e.g. the channel-stage lock the pooled
 // PerUserNoise path removed — is measured under live load.
 //
-// With -peers a,b,c -mesh-index i this process is instead member i of a
-// multi-process mesh: independent edged processes that cooperate over
-// the v2 wire protocol (liveness probes, cooperative model fetch,
-// cross-process handover) and together reproduce the in-process cluster
-// bit for bit. See internal/mesh.
+// With -peers a,b,c -mesh-index i this daemon is instead member i of a
+// multi-node edge mesh — the one multi-node deployment: clients hash
+// each user to a member over a consistent-hash ring, the "move" op
+// relocates a user to a radio cell (handing their personalized models to
+// the member serving it), members resolve cache misses from their
+// neighbors before paying the cloud origin, probe one another's liveness,
+// and "stats" reports each member's slice of the counters. Members
+// cooperate over the v2 wire protocol; see internal/mesh. For all
+// members on one machine, `semload -mesh a,b,c -spawn` starts them.
 //
 // Usage:
 //
 //	edged [-addr :7060] [-selector sticky] [-snr 12] [-seed 1] [-max-inflight 16]
-//	edged -nodes 3 ...
 //	edged -addr :7060 -peers host0:7060,host1:7060,host2:7060 -mesh-index 0 ...
 //
 // All daemon logic lives in internal/edged; this shell parses flags and

@@ -10,17 +10,17 @@
 // the throughput curve (and the onset of shedding under -deadline) is
 // visible in one run.
 //
-// With -mobility it runs the cluster churn scenario against an edged
-// started with -nodes N: one serial deterministic request stream in
-// which users roam across radio cells (OpMove) between transmits, so
-// handovers and cooperative cache fetches happen under load. The run
-// prints a 64-bit digest over every response; two runs with the same
-// -seed against identically-started daemons are bit-identical.
-//
-// With -mesh it drives a multi-process edged mesh instead of a single
+// With -mesh it drives a multi-node edged mesh instead of a single
 // daemon: requests route client-side over the same consistent-hash ring
-// the members build, -spawn launches the members as child edged
-// processes first, and -chaos-kill (with -mobility) SIGKILLs one member
+// the members build (mesh.Router), and -spawn launches the members as
+// child edged processes first — the laptop multi-node run.
+//
+// With -mobility (which needs -mesh) it runs the churn scenario: one
+// serial deterministic request stream in which users roam across radio
+// cells (OpMove) between transmits, so handovers and cooperative cache
+// fetches happen under load. The run prints a 64-bit digest over every
+// response; two runs with the same -seed against identically-started
+// members are bit-identical. -chaos-kill SIGKILLs one spawned member
 // halfway through the run, asserting that the survivors rebalance with
 // zero lost requests. -chaos-term SIGTERMs the member instead: the
 // victim drains gracefully (handing every owned model and user to the
@@ -32,9 +32,8 @@
 //	semload [-addr localhost:7060] [-users 8] [-requests 512] \
 //	        [-mix it:3,med:1] [-seed 1] [-deadline 50ms]
 //	semload -sweep 1,4,8,16,32 [-requests 512] ...
-//	semload -mobility [-cells 3] [-move-rate 0.1] ...
 //	semload -mesh host0:7060,host1:7060,host2:7060 [-spawn -edged-bin ./edged] \
-//	        -mobility [-chaos-kill] ...
+//	        [-mobility [-cells 3] [-move-rate 0.1] [-chaos-kill]] ...
 package main
 
 import (
@@ -43,7 +42,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"log"
-	"math"
 	"os/exec"
 	"runtime"
 	"sort"
@@ -55,6 +53,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/mat"
+	"repro/internal/mesh"
 	"repro/internal/metrics"
 	"repro/internal/rpc"
 )
@@ -259,10 +258,10 @@ func run() error {
 		seed      = flag.Uint64("seed", 1, "deterministic seed; user u gets the u-th split")
 		deadline  = flag.Duration("deadline", 0, "per-request deadline, forwarded to the daemon's admission gate (0 = none)")
 		sweep     = flag.String("sweep", "", "saturation sweep: comma-separated user counts, one closed-loop stage each")
-		mobility  = flag.Bool("mobility", false, "run the serial mobility scenario against a cluster-mode edged (-nodes)")
+		mobility  = flag.Bool("mobility", false, "run the serial mobility scenario against the -mesh members (requires -mesh)")
 		cells     = flag.Int("cells", 3, "radio cells users roam across (with -mobility)")
 		moveRate  = flag.Float64("move-rate", 0.1, "per-request probability a user moves to a random cell (with -mobility)")
-		mesh      = flag.String("mesh", "", "multi-process mesh member list, comma-separated host:port; requests route client-side over the members' ring")
+		meshList  = flag.String("mesh", "", "mesh member list, comma-separated host:port in ring-index order; requests route client-side over the members' ring")
 		spawn     = flag.Bool("spawn", false, "launch the -mesh members as child edged processes before the run")
 		edgedBin  = flag.String("edged-bin", "edged", "edged binary to launch with -spawn")
 		kbDir     = flag.String("kb", "", "pretrained model dir forwarded to spawned members (-spawn)")
@@ -274,14 +273,14 @@ func run() error {
 	if *users <= 0 || *requests <= 0 {
 		return fmt.Errorf("need positive -users and -requests (got %d, %d)", *users, *requests)
 	}
+	if *mobility && *meshList == "" {
+		return fmt.Errorf("-mobility requires -mesh: only a mesh has anywhere to move a user to (try -mesh a:1,b:2,c:3 -spawn)")
+	}
 	if *mobility && *cells < 2 {
 		return fmt.Errorf("-mobility needs at least 2 -cells, got %d", *cells)
 	}
-	if *chaosKill && (*mesh == "" || !*mobility || !*spawn) {
-		return fmt.Errorf("-chaos-kill requires -mesh, -mobility and -spawn")
-	}
-	if *chaosTerm && (*mesh == "" || !*mobility || !*spawn) {
-		return fmt.Errorf("-chaos-term requires -mesh, -mobility and -spawn")
+	if (*chaosKill || *chaosTerm) && (!*mobility || !*spawn) {
+		return fmt.Errorf("-chaos-kill and -chaos-term require -mesh, -mobility and -spawn: semload can only signal members it started")
 	}
 	if *chaosKill && *chaosTerm {
 		return fmt.Errorf("-chaos-kill and -chaos-term are mutually exclusive")
@@ -302,10 +301,14 @@ func run() error {
 		cum[i] = sum
 	}
 
-	if *mesh != "" {
-		addrs, err := parseMeshAddrs(*mesh)
+	if *meshList != "" {
+		members, err := mesh.ParseMembers(*meshList)
 		if err != nil {
-			return err
+			return fmt.Errorf("-mesh %q: %w", *meshList, err)
+		}
+		addrs := make([]string, len(members))
+		for i, m := range members {
+			addrs[i] = m.Addr
 		}
 		var children []*exec.Cmd
 		if *spawn {
@@ -316,28 +319,25 @@ func run() error {
 			}
 			defer stop()
 		}
-		topo := newMeshTopology(addrs, *seed)
-		defer topo.close()
+		router := mesh.NewRouter(addrs, *seed)
+		defer router.Close()
 		if *mobility {
-			return runMeshMobility(topo, children, *chaosKill, *chaosTerm, *users, *requests, *cells, *moveRate, *seed, *mix)
+			return runMeshMobility(router, addrs, children, *chaosKill, *chaosTerm, *users, *requests, *cells, *moveRate, *seed, corp, cum)
 		}
 		// Plain closed loop against the mesh: each user's sticky connection
 		// goes to its ring owner, and the final report merges every
 		// member's counters.
 		res, err := loadRun(func(user string) string {
-			return addrs[topo.owner(user)]
+			return addrs[router.Owner(user)]
 		}, *users, *requests, *deadline, *seed, corp, cum)
 		if err != nil {
 			return err
 		}
 		printLoadResult(res, *users, corp)
-		if st, err := topo.mergedStats(); err == nil {
+		if st, err := router.MergedStats(); err == nil {
 			printStats(st)
 		}
 		return nil
-	}
-	if *mobility {
-		return runMobility(*addr, *users, *requests, *cells, *moveRate, *seed, *mix)
 	}
 
 	if *sweep != "" {
@@ -457,7 +457,7 @@ func printStats(s *rpc.Stats) {
 	for _, n := range s.Nodes {
 		neighborHits += n.NeighborHits
 	}
-	fmt.Printf("cluster  : %d handovers, %d bytes migrated, %d neighbor cache hits\n",
+	fmt.Printf("mesh     : %d handovers, %d bytes migrated, %d neighbor cache hits\n",
 		s.Handovers, s.MigratedBytes, neighborHits)
 	for _, n := range s.Nodes {
 		fmt.Printf("  %-8s: %d users, hit %.1f%%, %d models, handover in/out %d/%d, neighbor hit/served %d/%d, origin %d\n",
@@ -478,105 +478,4 @@ func foldResponse(digest *uint64, parts ...string) {
 	// Mix order-dependently (boost-style) so reordered responses change
 	// the digest even when the multiset of responses is unchanged.
 	*digest ^= h.Sum64() + 0x9e3779b97f4a7c15 + (*digest << 6) + (*digest >> 2)
-}
-
-// runMobility drives the cluster churn scenario: a single connection
-// serves a serial, fully seeded stream in which each step may first move
-// the emitting user to a random cell (a handover when the serving node
-// changes) and then transmits one message. Serial execution is what makes
-// the run digest reproducible: responses arrive in issue order.
-func runMobility(addr string, users, requests, cells int, moveRate float64, seed uint64, mix string) error {
-	corp := corpus.Build()
-	weights, err := parseMix(corp, mix)
-	if err != nil {
-		return err
-	}
-	cum := make([]float64, len(weights))
-	sum := 0.0
-	for i, w := range weights {
-		sum += w
-		cum[i] = sum
-	}
-
-	cl, err := rpc.Dial(addr)
-	if err != nil {
-		return err
-	}
-	defer cl.Close()
-
-	// One scheduler stream for user order and mobility, one generator
-	// stream per user, all split in fixed order from the root seed.
-	root := mat.NewRNG(seed)
-	sched := root.Split()
-	gens := make([]*corpus.Generator, users)
-	for i := range gens {
-		gens[i] = corpus.NewGenerator(corp, root.Split())
-	}
-
-	var (
-		digest    uint64
-		hist      = metrics.NewLatencyHistogram()
-		handovers int
-		moves     int
-		daemonErr int
-	)
-	var memBefore runtime.MemStats
-	runtime.ReadMemStats(&memBefore)
-	start := time.Now()
-	for i := 0; i < requests; i++ {
-		u := sched.Intn(users)
-		user := fmt.Sprintf("u%03d", u)
-		if sched.Float64() < moveRate {
-			cell := sched.Intn(cells)
-			resp, err := cl.Move(user, cell)
-			if err != nil {
-				return fmt.Errorf("move %s: %w", user, err)
-			}
-			if !resp.OK {
-				return fmt.Errorf("move %s: daemon error %q (is edged running with -nodes?)", user, resp.Error)
-			}
-			if resp.Handover == nil {
-				return fmt.Errorf("move %s: daemon sent no handover result (version skew?)", user)
-			}
-			moves++
-			if resp.Handover.Moved {
-				handovers++
-			}
-			foldResponse(&digest, "move", user, strconv.Itoa(cell),
-				resp.Handover.From, resp.Handover.To,
-				strconv.FormatBool(resp.Handover.Moved),
-				strconv.FormatInt(resp.Handover.MigratedBytes, 10))
-		}
-		di := pickDomain(sched, cum)
-		msg := gens[u].Message(di, nil)
-		reqStart := time.Now()
-		resp, err := cl.Transmit(user, msg.Text())
-		if err != nil {
-			return fmt.Errorf("%s: transmit: %w", user, err)
-		}
-		hist.Observe(float64(time.Since(reqStart)) / float64(time.Millisecond))
-		if !resp.OK {
-			daemonErr++
-			foldResponse(&digest, "error", user, resp.Error)
-			continue
-		}
-		foldResponse(&digest, "transmit", user, resp.Restored, resp.SelectedDomain,
-			strconv.FormatUint(math.Float64bits(resp.Mismatch), 16),
-			strconv.Itoa(resp.PayloadBytes),
-			strconv.FormatUint(math.Float64bits(resp.LatencyMs), 16))
-	}
-	elapsed := time.Since(start)
-	var memAfter runtime.MemStats
-	runtime.ReadMemStats(&memAfter)
-
-	fmt.Printf("requests : %d ok, %d daemon errors, %d users (serial), %.2fs\n",
-		requests-daemonErr, daemonErr, users, elapsed.Seconds())
-	fmt.Printf("rate     : %.1f req/s (closed loop)\n", float64(requests)/elapsed.Seconds())
-	fmt.Printf("latency  : mean %.2f ms  p50 %.2f ms  p95 %.2f ms  p99 %.2f ms\n",
-		hist.Mean(), hist.P(50), hist.P(95), hist.P(99))
-	memReport(&memBefore, &memAfter, requests)
-	fmt.Printf("mobility : %d moves, %d handovers, %d cells, rate %.2f\n", moves, handovers, cells, moveRate)
-	fmt.Printf("digest   : %016x\n", digest)
-	printDaemonStats(addr)
-	return nil
 }

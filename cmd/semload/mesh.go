@@ -6,22 +6,21 @@ import (
 	"math"
 	"os"
 	"os/exec"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/corpus"
 	"repro/internal/mat"
+	"repro/internal/mesh"
 	"repro/internal/metrics"
 	"repro/internal/rpc"
 )
 
-// This file is the multi-process topology driver: -mesh lists the
-// members of an edged mesh and semload routes every request client-side
-// with the same consistent-hash ring the daemons build, keeping explicit
+// This file is the mesh driver: -mesh lists the members of an edged mesh
+// and semload routes every request client-side through a mesh.Router —
+// the same consistent-hash ring the daemons build, plus explicit
 // ownership overrides after moves. -spawn launches the members as child
 // edged processes first, which is also what arms -chaos-kill: halfway
 // through the run one child is SIGKILLed, the router discovers the death
@@ -29,214 +28,21 @@ import (
 // retries — a retried request is a rebalance, a failed one is a lost
 // request and fails the run.
 
-// meshTopology routes requests across mesh members client-side.
-type meshTopology struct {
-	addrs    []string
-	seed     uint64
-	alive    []bool
-	ring     *cluster.Ring
-	override map[string]int
-	clients  []*rpc.Client
-	// retries counts transmits that needed rerouting after a member died.
-	retries int
-}
-
-func newMeshTopology(addrs []string, seed uint64) *meshTopology {
-	m := &meshTopology{
-		addrs:    addrs,
-		seed:     seed,
-		alive:    make([]bool, len(addrs)),
-		override: make(map[string]int),
-		clients:  make([]*rpc.Client, len(addrs)),
-	}
-	for i := range m.alive {
-		m.alive[i] = true
-	}
-	m.rebuild()
-	return m
-}
-
-func (m *meshTopology) close() {
-	for i, c := range m.clients {
-		if c != nil {
-			c.Close()
-			m.clients[i] = nil
-		}
-	}
-}
-
-// liveMembers returns the indices the router believes alive, sorted —
-// the same member list a daemon's mesh.Node ranges over, so move targets
-// agree.
-func (m *meshTopology) liveMembers() []int {
-	members := make([]int, 0, len(m.addrs))
-	for i, ok := range m.alive {
-		if ok {
-			members = append(members, i)
-		}
-	}
-	sort.Ints(members)
-	return members
-}
-
-func (m *meshTopology) rebuild() {
-	m.ring = cluster.NewRingFor(m.liveMembers(), 64, m.seed)
-	for u, n := range m.override {
-		if !m.alive[n] {
-			delete(m.override, u)
-		}
-	}
-}
-
-func (m *meshTopology) owner(user string) int {
-	if n, ok := m.override[user]; ok {
-		return n
-	}
-	return m.ring.Node(user)
-}
-
-func (m *meshTopology) client(node int) (*rpc.Client, error) {
-	if m.clients[node] != nil {
-		return m.clients[node], nil
-	}
-	c, err := rpc.Dial(m.addrs[node])
-	if err != nil {
-		return nil, err
-	}
-	m.clients[node] = c
-	return c, nil
-}
-
-// markDead records a discovered death and re-routes every affected user.
-func (m *meshTopology) markDead(node int) {
-	if m.clients[node] != nil {
-		m.clients[node].Close()
-		m.clients[node] = nil
-	}
-	if m.alive[node] {
-		m.alive[node] = false
-		m.rebuild()
-	}
-}
-
-// transmit sends to the user's owner, rerouting over the recomputed ring
-// when the owner turns out dead. Exhausting every member is a lost
-// request.
-func (m *meshTopology) transmit(ctx context.Context, user, text string) (*rpc.Response, error) {
-	for attempt := 0; attempt <= len(m.addrs); attempt++ {
-		node := m.owner(user)
-		cl, err := m.client(node)
-		if err != nil {
-			m.markDead(node)
-			m.retries++
-			continue
-		}
-		resp, err := cl.TransmitContext(ctx, user, text)
-		if err != nil {
-			m.markDead(node)
-			m.retries++
-			continue
-		}
-		if resp.Draining {
-			// The member answered only after handing its state off, so the
-			// retry at the recomputed owner finds the user already there.
-			m.markDead(node)
-			m.retries++
-			continue
-		}
-		return resp, nil
-	}
-	return nil, fmt.Errorf("transmit %s: no live mesh member", user)
-}
-
-// move sends the move to the user's serving member and mirrors the
-// resulting ownership locally (same target rule as the daemon: live
-// members sorted by index, cell modulo their count).
-func (m *meshTopology) move(user string, cell int) (*rpc.Response, error) {
-	cl, err := m.client(m.owner(user))
-	if err != nil {
-		return nil, err
-	}
-	resp, err := cl.Move(user, cell)
-	if err != nil {
-		return nil, err
-	}
-	if resp.OK && resp.Handover != nil {
-		members := m.liveMembers()
-		m.override[user] = members[((cell%len(members))+len(members))%len(members)]
-	}
-	return resp, nil
-}
-
 // survivorOriginFetches sums OriginFetches over every live member except
 // skip — the "zero origin re-fetches after a graceful drain" gate reads
 // this before and after the SIGTERM.
-func (m *meshTopology) survivorOriginFetches(skip int) (int64, error) {
+func survivorOriginFetches(router *mesh.Router, skip int) (int64, error) {
+	st, err := router.MergedStats()
+	if err != nil {
+		return 0, err
+	}
 	var total int64
-	for i := range m.addrs {
-		if i == skip || !m.alive[i] {
-			continue
-		}
-		cl, err := m.client(i)
-		if err != nil {
-			return 0, err
-		}
-		st, err := cl.Stats()
-		if err != nil {
-			return 0, err
-		}
-		for _, n := range st.Nodes {
+	for _, n := range st.Nodes {
+		if n.Name != fmt.Sprintf("node-%d", skip) {
 			total += n.OriginFetches
 		}
 	}
 	return total, nil
-}
-
-// mergedStats merges every live member's counters with Stats.Merge.
-func (m *meshTopology) mergedStats() (*rpc.Stats, error) {
-	var merged *rpc.Stats
-	for i := range m.addrs {
-		if !m.alive[i] {
-			continue
-		}
-		cl, err := m.client(i)
-		if err != nil {
-			return nil, err
-		}
-		st, err := cl.Stats()
-		if err != nil {
-			return nil, err
-		}
-		if merged == nil {
-			merged = st
-		} else {
-			merged.Merge(st)
-		}
-	}
-	if merged == nil {
-		return nil, fmt.Errorf("no live mesh member")
-	}
-	return merged, nil
-}
-
-// parseMeshAddrs splits -mesh into at least two host:port members.
-func parseMeshAddrs(mesh string) ([]string, error) {
-	parts := strings.Split(mesh, ",")
-	addrs := make([]string, 0, len(parts))
-	for _, p := range parts {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			continue
-		}
-		if !strings.Contains(p, ":") {
-			return nil, fmt.Errorf("mesh member %q is not a host:port address", p)
-		}
-		addrs = append(addrs, p)
-	}
-	if len(addrs) < 2 {
-		return nil, fmt.Errorf("-mesh needs at least 2 members, got %q", mesh)
-	}
-	return addrs, nil
 }
 
 // spawnMesh launches one edged child per mesh member and waits until
@@ -299,32 +105,21 @@ func spawnMesh(bin string, addrs []string, seed uint64, kbDir string, replicas i
 	return children, stop, nil
 }
 
-// runMeshMobility is runMobility against a mesh: the same serial seeded
-// stream, routed client-side, with an optional chaos kill (SIGKILL) or
-// chaos term (SIGTERM, graceful drain) halfway through. The run fails on
-// any client-visible error, on a run with no handovers, or on one where
-// the cold members never refilled their caches from a neighbor — the
-// acceptance gates of the multi-process deployment. Chaos term adds the
-// drain gates: the victim must exit cleanly within its drain budget, and
-// the survivors must finish the run with zero new origin fetches — every
-// model the drained member owned arrived by handoff, not by re-fetching.
-func runMeshMobility(topo *meshTopology, children []*exec.Cmd, chaosKill, chaosTerm bool,
-	users, requests, cells int, moveRate float64, seed uint64, mix string) error {
-	if (chaosKill || chaosTerm) && children == nil {
-		return fmt.Errorf("chaos needs -spawn: semload can only signal members it started")
-	}
-	corp := corpus.Build()
-	weights, err := parseMix(corp, mix)
-	if err != nil {
-		return err
-	}
-	cum := make([]float64, len(weights))
-	sum := 0.0
-	for i, w := range weights {
-		sum += w
-		cum[i] = sum
-	}
-
+// runMeshMobility drives the churn scenario: one serial, fully seeded
+// stream in which each step may first move the emitting user to a random
+// cell (a handover when the serving member changes) and then transmits
+// one message, routed client-side, with an optional chaos kill (SIGKILL)
+// or chaos term (SIGTERM, graceful drain) halfway through. Serial
+// execution is what makes the run digest reproducible: responses arrive
+// in issue order. The run fails on any client-visible error, on a run
+// with no handovers, or on one where the cold members never refilled
+// their caches from a neighbor — the acceptance gates of the multi-node
+// deployment. Chaos term adds the drain gates: the victim must exit
+// cleanly within its drain budget, and the survivors must finish the run
+// with zero new origin fetches — every model the drained member owned
+// arrived by handoff, not by re-fetching.
+func runMeshMobility(router *mesh.Router, addrs []string, children []*exec.Cmd, chaosKill, chaosTerm bool,
+	users, requests, cells int, moveRate float64, seed uint64, corp *corpus.Corpus, cum []float64) error {
 	root := mat.NewRNG(seed)
 	sched := root.Split()
 	gens := make([]*corpus.Generator, users)
@@ -339,7 +134,7 @@ func runMeshMobility(topo *meshTopology, children []*exec.Cmd, chaosKill, chaosT
 		// Kill the member serving the most traffic-relevant slot after
 		// member 0 (which holds the warm cache): the highest-index member,
 		// so survivors span both a warm and a cold node.
-		victim = len(topo.addrs) - 1
+		victim = len(addrs) - 1
 	}
 	var preOrigin int64
 
@@ -355,11 +150,11 @@ func runMeshMobility(topo *meshTopology, children []*exec.Cmd, chaosKill, chaosT
 		if i == killAt {
 			if chaosTerm {
 				var err error
-				if preOrigin, err = topo.survivorOriginFetches(victim); err != nil {
+				if preOrigin, err = survivorOriginFetches(router, victim); err != nil {
 					return fmt.Errorf("pre-drain stats: %w", err)
 				}
 				fmt.Fprintf(os.Stderr, "semload: chaos: draining member %d (%s) at request %d\n",
-					victim, topo.addrs[victim], i)
+					victim, addrs[victim], i)
 				// SIGTERM, no Wait: the victim drains while the load keeps
 				// flowing; requests it parks answer Draining after handoff.
 				if err := children[victim].Process.Signal(syscall.SIGTERM); err != nil {
@@ -367,7 +162,7 @@ func runMeshMobility(topo *meshTopology, children []*exec.Cmd, chaosKill, chaosT
 				}
 			} else {
 				fmt.Fprintf(os.Stderr, "semload: chaos: killing member %d (%s) at request %d\n",
-					victim, topo.addrs[victim], i)
+					victim, addrs[victim], i)
 				children[victim].Process.Kill()
 				children[victim].Wait()
 				children[victim] = nil
@@ -380,7 +175,7 @@ func runMeshMobility(topo *meshTopology, children []*exec.Cmd, chaosKill, chaosT
 		// dead peer, and the chaos gate is about transmits, not moves.
 		if (killAt < 0 || i < killAt) && sched.Float64() < moveRate {
 			cell := sched.Intn(cells)
-			resp, err := topo.move(user, cell)
+			resp, err := router.Move(user, cell)
 			if err != nil {
 				return fmt.Errorf("move %s: %w", user, err)
 			}
@@ -402,7 +197,7 @@ func runMeshMobility(topo *meshTopology, children []*exec.Cmd, chaosKill, chaosT
 		di := pickDomain(sched, cum)
 		msg := gens[u].Message(di, nil)
 		reqStart := time.Now()
-		resp, err := topo.transmit(context.Background(), user, msg.Text())
+		resp, err := router.Transmit(context.Background(), user, msg.Text())
 		if err != nil {
 			return fmt.Errorf("request %d lost: %w", i, err)
 		}
@@ -434,8 +229,8 @@ func runMeshMobility(topo *meshTopology, children []*exec.Cmd, chaosKill, chaosT
 			return fmt.Errorf("drained member %d did not exit within 60s", victim)
 		}
 		children[victim] = nil
-		topo.markDead(victim)
-		post, err := topo.survivorOriginFetches(victim)
+		router.MarkDead(victim)
+		post, err := survivorOriginFetches(router, victim)
 		if err != nil {
 			return fmt.Errorf("post-drain stats: %w", err)
 		}
@@ -445,28 +240,21 @@ func runMeshMobility(topo *meshTopology, children []*exec.Cmd, chaosKill, chaosT
 	}
 
 	fmt.Printf("requests : %d ok, %d daemon errors, %d rerouted, %d users (serial), %.2fs\n",
-		requests-daemonErr, daemonErr, topo.retries, users, elapsed.Seconds())
+		requests-daemonErr, daemonErr, router.Retries, users, elapsed.Seconds())
 	fmt.Printf("rate     : %.1f req/s (closed loop)\n", float64(requests)/elapsed.Seconds())
 	fmt.Printf("latency  : mean %.2f ms  p50 %.2f ms  p95 %.2f ms  p99 %.2f ms\n",
 		hist.Mean(), hist.P(50), hist.P(95), hist.P(99))
 	fmt.Printf("mobility : %d moves, %d handovers, %d cells, rate %.2f\n", moves, handovers, cells, moveRate)
 	fmt.Printf("digest   : %016x\n", digest)
 
-	st, err := topo.mergedStats()
+	st, err := router.MergedStats()
 	if err != nil {
 		return fmt.Errorf("merged stats: %w", err)
 	}
+	printStats(st) // the live members' counters, merged
 	var neighborHits int64
 	for _, n := range st.Nodes {
 		neighborHits += n.NeighborHits
-	}
-	fmt.Printf("daemon   : %d messages (live members), hit %.1f%%\n", st.Messages, 100*st.SenderHitRate)
-	fmt.Printf("mesh     : %d handovers, %d bytes migrated, %d neighbor cache hits\n",
-		st.Handovers, st.MigratedBytes, neighborHits)
-	for _, n := range st.Nodes {
-		fmt.Printf("  %-8s: %d users, hit %.1f%%, %d models, handover in/out %d/%d, neighbor hit/served %d/%d, origin %d\n",
-			n.Name, n.Users, 100*n.HitRate, n.CachedModels,
-			n.HandoversIn, n.HandoversOut, n.NeighborHits, n.NeighborServed, n.OriginFetches)
 	}
 
 	// Acceptance gates (non-zero exit on violation, for CI).
@@ -479,7 +267,7 @@ func runMeshMobility(topo *meshTopology, children []*exec.Cmd, chaosKill, chaosT
 	if neighborHits == 0 {
 		return fmt.Errorf("no neighbor cache fetches: cold members never refilled cooperatively")
 	}
-	if (chaosKill || chaosTerm) && topo.retries == 0 {
+	if (chaosKill || chaosTerm) && router.Retries == 0 {
 		return fmt.Errorf("chaos was invisible: no request was ever rerouted")
 	}
 	if chaosTerm && drainOrigin != 0 {

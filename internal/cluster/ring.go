@@ -1,3 +1,9 @@
+// Package cluster holds the consistent-hash ring every part of a
+// multi-node edge deployment routes with: mesh members (internal/mesh)
+// place users and drained models on it, clients (mesh.Router, the
+// benchmark's router) hash each user to their serving member with it, and
+// core derives per-user noise seeds from its hash. The deployment itself
+// — membership, cooperative fetch, handover — is internal/mesh.
 package cluster
 
 import (
@@ -9,12 +15,11 @@ import (
 // Ring is a consistent-hash ring over node indices: every node owns a
 // fixed number of virtual points placed by a seeded hash, and a user maps
 // to the first point clockwise from their own hash. Identically-configured
-// clusters therefore route identically, and adding or removing one node
+// rings therefore route identically, and adding or removing one node
 // reassigns only the users whose arcs it owned — the property that keeps
-// cache warmth intact as a deployment scales, and that lets the
-// multi-process mesh recompute ownership on join/leave by rebuilding the
-// ring over the live members (a dead node's points vanish; every other
-// arc is untouched).
+// cache warmth intact as a deployment scales, and that lets the mesh
+// recompute ownership on join/leave by rebuilding the ring over the live
+// members (a dead node's points vanish; every other arc is untouched).
 type Ring struct {
 	points []ringPoint // sorted by hash
 }

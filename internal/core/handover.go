@@ -11,14 +11,12 @@ import (
 	"repro/internal/selection"
 )
 
-// This file is the System-level half of multi-process handover: where the
-// in-process cluster migrates models between two nodes it owns
-// (cluster.Move), a mesh of independent processes must export a user's
-// complete serving state on the old owner, ship it over the wire, and
-// import it on the new owner. The state is wider than the in-process
-// case: each process has its own receiver edge, so receiver-side
-// individual models migrate too, and the per-user noise sequence rides
-// along so the user's channel-noise stream continues bit-identically.
+// This file is the System-level half of mesh handover: the old owner
+// exports a user's complete serving state, the mesh ships it over the
+// wire, and the new owner imports it. Each member has its own receiver
+// edge, so receiver-side individual models migrate with the sender-side
+// ones, and the per-user noise sequence rides along so the user's
+// channel-noise stream continues bit-identically.
 
 // UserExport is one user's migratable serving state.
 type UserExport struct {
@@ -39,9 +37,8 @@ type UserExport struct {
 	Buffers []edge.BufferState
 }
 
-// SenderBytes sums the sender-side migration payload — the figure the
-// in-process cluster reports as MigratedBytes, kept identical here so
-// mesh and cluster handover accounting agree.
+// SenderBytes sums the sender-side migration payload — the figure a
+// handover reports as MigratedBytes.
 func (e *UserExport) SenderBytes() int64 {
 	var total int64
 	for _, m := range e.Sender {
@@ -53,12 +50,9 @@ func (e *UserExport) SenderBytes() int64 {
 // ExportUserForHandover serializes the user's individual models from both
 // edge sides plus their noise sequence, under the user's lock so no
 // transmit is mid-flight while the state is captured. Models evicted
-// between enumeration and export are skipped, exactly like cluster.Move:
-// the user simply re-personalizes on the new node.
+// between enumeration and export are skipped: the user simply
+// re-personalizes on the new node.
 func (s *System) ExportUserForHandover(user string) (*UserExport, error) {
-	if s.Cluster != nil {
-		return nil, errors.New("core: ExportUserForHandover is for single-sender (mesh member) systems; cluster mode hands over internally")
-	}
 	st := s.userState(user)
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -135,16 +129,26 @@ func (s *System) checkHandoverBuffers(exp *UserExport) error {
 }
 
 // decodeHandoverModels parses every model payload of one edge side and
-// checks it against the general model of its domain — the model the
-// individual is cloned from on install, so a payload that fits it cannot
-// fail the install's own shape check. The parsed sets come back in input
-// order for the install to use, so no payload is read twice.
-func (s *System) decodeHandoverModels(models []*edge.ExportedModel) ([]*nn.ParamSet, error) {
+// checks it against the export it rides in — it must be the export's
+// user's, and the only one for its domain — and against the general model
+// of its domain: the model the individual is cloned from on install, so a
+// payload that fits it cannot fail the install's own shape check. The
+// parsed sets come back in input order for the install to use, so no
+// payload is read twice.
+func (s *System) decodeHandoverModels(user string, models []*edge.ExportedModel) ([]*nn.ParamSet, error) {
 	out := make([]*nn.ParamSet, len(models))
+	seen := make(map[string]bool, len(models))
 	for i, m := range models {
 		bad := func(format string, args ...interface{}) error {
-			return &BadHandoverError{User: m.User, Domain: m.Domain, Reason: fmt.Sprintf(format, args...)}
+			return &BadHandoverError{User: user, Domain: m.Domain, Reason: fmt.Sprintf(format, args...)}
 		}
+		if m.User != user {
+			return nil, bad("carries a model of user %q", m.User)
+		}
+		if seen[m.Domain] {
+			return nil, bad("two models for one edge side")
+		}
+		seen[m.Domain] = true
 		general, ok := s.Cloud.Get(kb.GeneralKey(m.Domain, kb.RoleCodec))
 		if !ok {
 			return nil, bad("unknown domain")
@@ -161,32 +165,55 @@ func (s *System) decodeHandoverModels(models []*edge.ExportedModel) ([]*nn.Param
 	return out, nil
 }
 
+// checkHandoverVersions refuses an export holding a model older than the
+// one srv already caches for the user — the refusal InstallUserModel
+// would otherwise raise in the middle of the install, after earlier
+// models of the same export had landed. The caller holds the user's lock,
+// so no update can bump a version between this check and the install.
+func checkHandoverVersions(srv *edge.Server, models []*edge.ExportedModel) error {
+	for _, m := range models {
+		local, ok := srv.Cache().Peek(kb.UserKey(m.Domain, m.User, kb.RoleCodec))
+		if ok && local.Version > m.Version {
+			return &BadHandoverError{User: m.User, Domain: m.Domain,
+				Reason: fmt.Sprintf("%s already holds version %d, newer than the pushed %d", srv.Name(), local.Version, m.Version)}
+		}
+	}
+	return nil
+}
+
 // ImportUserFromHandover installs a migrated user's serving state: both
 // edge sides' individual models and the noise sequence, under the user's
 // lock. The first transmit after import continues the user's noise
 // stream exactly where the old owner left it. The import is all or
-// nothing: a malformed model payload or transaction buffer anywhere in
-// the export fails with a *BadHandoverError before anything is installed,
-// because the pusher keeps its copy on error and a half-installed export
-// would fork the user's state across two members.
+// nothing: a malformed model payload or transaction buffer, a model that
+// is not the user's, or one older than what this system already holds,
+// anywhere in the export, fails with a *BadHandoverError before anything
+// is installed, because the pusher keeps its copy on error and a
+// half-installed export would fork the user's state across two members.
 func (s *System) ImportUserFromHandover(exp *UserExport) error {
-	if exp == nil {
-		return errors.New("core: nil handover export")
+	if exp == nil || exp.User == "" {
+		return errors.New("core: handover export names no user")
 	}
 	if err := s.checkHandoverBuffers(exp); err != nil {
 		return err
 	}
-	senderParams, err := s.decodeHandoverModels(exp.Sender)
+	senderParams, err := s.decodeHandoverModels(exp.User, exp.Sender)
 	if err != nil {
 		return err
 	}
-	receiverParams, err := s.decodeHandoverModels(exp.Receiver)
+	receiverParams, err := s.decodeHandoverModels(exp.User, exp.Receiver)
 	if err != nil {
 		return err
 	}
 	st := s.userState(exp.User)
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if err := checkHandoverVersions(s.Sender, exp.Sender); err != nil {
+		return err
+	}
+	if err := checkHandoverVersions(s.Receiver, exp.Receiver); err != nil {
+		return err
+	}
 	for i, m := range exp.Sender {
 		if err := s.Sender.InstallUserModel(m, senderParams[i]); err != nil {
 			return fmt.Errorf("core: import sender %s/%s: %w", m.User, m.Domain, err)

@@ -182,3 +182,80 @@ func TestImportRejectsMalformedHandoverModels(t *testing.T) {
 		})
 	}
 }
+
+// TestImportRejectsInconsistentHandoverModels covers the exports whose
+// payloads all parse but which cannot be installed whole: a model that is
+// not the export's user's, a second model for a domain, and a model older
+// than the one the target already holds — the refusal that used to come
+// from the install itself, after the models ahead of it had landed. Each
+// sits behind good models and must fail the import before any of them is
+// installed.
+func TestImportRejectsInconsistentHandoverModels(t *testing.T) {
+	cfg := userNoiseConfig()
+	const user = "mallory"
+	src, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefetchAll(t, src)
+	names := src.Corpus.Names()[:2]
+	for _, srv := range []*edge.Server{src.Sender, src.Receiver} {
+		for _, domain := range names {
+			if _, _, err := srv.Personalize(domain, user); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	exp, err := src.ExportUserForHandover(user)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const heldVersion = 5
+	for _, tc := range []struct {
+		name   string
+		mutate func(exp *UserExport)
+		domain string
+	}{
+		{"second sender model of another user", func(e *UserExport) { e.Sender[1].User = "eve" }, names[1]},
+		{"two receiver models for one domain", func(e *UserExport) { e.Receiver[1].Domain = names[0] }, names[0]},
+		{"second receiver model older than the one held", func(e *UserExport) { e.Receiver[1].Version = heldVersion - 1 }, names[1]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dst, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prefetchAll(t, dst)
+			held, _, err := dst.Receiver.Personalize(names[1], user)
+			if err != nil {
+				t.Fatal(err)
+			}
+			held.Version = heldVersion
+			broken := &UserExport{User: exp.User, NoiseSeq: 99}
+			for _, m := range exp.Sender {
+				c := *m
+				broken.Sender = append(broken.Sender, &c)
+			}
+			for _, m := range exp.Receiver {
+				c := *m
+				c.Version = heldVersion
+				broken.Receiver = append(broken.Receiver, &c)
+			}
+			tc.mutate(broken)
+			err = dst.ImportUserFromHandover(broken)
+			var bad *BadHandoverError
+			if !errors.As(err, &bad) || bad.User != user || bad.Domain != tc.domain {
+				t.Fatalf("import error = %v, want a *BadHandoverError for %s/%s", err, user, tc.domain)
+			}
+			if got := dst.Sender.UserDomains(user); len(got) != 0 {
+				t.Fatalf("rejected import installed sender models for %v", got)
+			}
+			if got := dst.Receiver.UserDomains(user); len(got) != 1 || held.Version != heldVersion {
+				t.Fatalf("rejected import touched the receiver: domains %v, held version %d", got, held.Version)
+			}
+			if seq := dst.userState(user).noiseSeq; seq != 0 {
+				t.Fatalf("rejected import advanced the noise sequence to %d", seq)
+			}
+		})
+	}
+}

@@ -41,8 +41,8 @@ type Config struct {
 	// individual-model update; 0 selects 32.
 	BufferThreshold int
 	// Fetcher resolves local cache misses; nil selects the origin fetcher
-	// (cloud registry over Uplink). A cluster installs a cooperative
-	// fetcher here that probes neighbor caches before paying the origin.
+	// (cloud registry over Uplink). A mesh member installs its cooperative
+	// fetcher here, which probes neighbor caches before paying the origin.
 	Fetcher Fetcher
 }
 
@@ -70,8 +70,8 @@ type originFetcher struct {
 }
 
 // NewOriginFetcher returns the default miss resolver — straight to the
-// cloud origin over uplink. Composite fetchers (e.g. the cluster's
-// cooperative fetcher) delegate to it as their fallback so origin-fetch
+// cloud origin over uplink. Composite fetchers (the mesh's cooperative
+// fetcher) delegate to it as their fallback so origin-fetch
 // semantics live in one place.
 func NewOriginFetcher(origin *kb.Registry, uplink netsim.Link) Fetcher {
 	return originFetcher{origin: origin, uplink: uplink}

@@ -4,13 +4,11 @@
 // shell around this package, and tests drive the same code paths the
 // binary runs.
 //
-// A daemon serves one of three deployments:
+// A daemon serves one of two deployments:
 //
 //   - classic: one single-sender two-edge system (the default);
-//   - in-process cluster (-nodes N): the sender side is an N-node
-//     cluster inside one process;
-//   - mesh (-peers ... -mesh-index i): this process is member i of a
-//     multi-process cluster; peers cooperate over the v2 wire protocol
+//   - mesh (-peers ... -mesh-index i): this daemon is member i of a
+//     multi-node edge cluster; peers cooperate over the v2 wire protocol
 //     (see internal/mesh).
 package edged
 
@@ -22,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/mesh"
 	"repro/internal/rpc"
 )
 
@@ -53,8 +52,6 @@ type Config struct {
 	Seed uint64
 	// KBDir loads pretrained .kbm models instead of pretraining at boot.
 	KBDir string
-	// Nodes selects in-process cluster mode when > 1.
-	Nodes int
 	// PprofAddr exposes net/http/pprof when non-empty.
 	PprofAddr string
 	// ProfileContention additionally enables mutex and block profiling
@@ -105,7 +102,6 @@ func FromFlags(fs *flag.FlagSet) *Config {
 	fs.Float64Var(&cfg.SNRdB, "snr", 12, "channel SNR in dB")
 	fs.Uint64Var(&cfg.Seed, "seed", 1, "deterministic seed")
 	fs.StringVar(&cfg.KBDir, "kb", "", "directory of pretrained .kbm models (see cmd/semkb); empty pretrains at startup")
-	fs.IntVar(&cfg.Nodes, "nodes", 0, "in-process cluster mode: number of sender edge nodes (0/1 = classic single sender)")
 	fs.StringVar(&cfg.PprofAddr, "pprof", "", "expose net/http/pprof on this address (e.g. localhost:6060); empty disables")
 	fs.BoolVar(&cfg.ProfileContention, "profile-contention", false, "also record mutex and block profiles on the -pprof endpoint (has overhead; requires -pprof)")
 	fs.IntVar(&cfg.Workers, "workers", 0, "parallel workers for pretraining and codec kernels (0 = GOMAXPROCS)")
@@ -126,14 +122,11 @@ func FromFlags(fs *flag.FlagSet) *Config {
 func (c *Config) MeshEnabled() bool { return c.Peers != "" }
 
 // MeshMembers parses -peers into the static membership, self included,
-// in ring-index order. Call Validate first; this assumes a valid list.
+// in ring-index order (mesh.ParseMembers). Call Validate first; an
+// invalid list yields nil.
 func (c *Config) MeshMembers() []rpc.PeerInfo {
-	addrs := strings.Split(c.Peers, ",")
-	out := make([]rpc.PeerInfo, len(addrs))
-	for i, a := range addrs {
-		out[i] = rpc.PeerInfo{Name: fmt.Sprintf("node-%d", i), Index: i, Addr: strings.TrimSpace(a)}
-	}
-	return out
+	members, _ := mesh.ParseMembers(c.Peers)
+	return members
 }
 
 // Validate checks every field, returning a *ConfigError naming the
@@ -146,9 +139,6 @@ func (c *Config) Validate() error {
 	// carries, so the daemon accepts exactly core's non-oracle policies.
 	if selectors := core.SelectorNames(); !slices.Contains(selectors, c.Selector) {
 		return &ConfigError{Field: "selector", Value: c.Selector, Reason: "unknown policy, want one of " + strings.Join(selectors, "|")}
-	}
-	if c.Nodes < 0 {
-		return &ConfigError{Field: "nodes", Value: c.Nodes, Reason: "must be >= 0"}
 	}
 	if c.ProfileContention && c.PprofAddr == "" {
 		return &ConfigError{Field: "profile-contention", Value: c.ProfileContention, Reason: "contention profiles are served over -pprof, which is not set"}
@@ -179,18 +169,9 @@ func (c *Config) Validate() error {
 		}
 		return nil
 	}
-	if c.Nodes > 1 {
-		return &ConfigError{Field: "nodes", Value: c.Nodes, Reason: "in-process cluster and -peers mesh are mutually exclusive"}
-	}
-	members := strings.Split(c.Peers, ",")
-	if len(members) < 2 {
-		return &ConfigError{Field: "peers", Value: c.Peers, Reason: "a mesh needs at least 2 members"}
-	}
-	for i, a := range members {
-		a = strings.TrimSpace(a)
-		if a == "" || !strings.Contains(a, ":") {
-			return &ConfigError{Field: "peers", Value: c.Peers, Reason: fmt.Sprintf("member %d is not a host:port address", i)}
-		}
+	members, err := mesh.ParseMembers(c.Peers)
+	if err != nil {
+		return &ConfigError{Field: "peers", Value: c.Peers, Reason: err.Error()}
 	}
 	if c.MeshIndex < 0 || c.MeshIndex >= len(members) {
 		return &ConfigError{Field: "mesh-index", Value: c.MeshIndex, Reason: fmt.Sprintf("must be in [0,%d)", len(members))}

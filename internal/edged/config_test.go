@@ -43,13 +43,13 @@ func TestValidateTypedErrors(t *testing.T) {
 		field string
 	}{
 		{"bad selector", []string{"-selector", "psychic"}, "selector"},
-		{"negative nodes", []string{"-nodes", "-2"}, "nodes"},
 		{"negative shed", []string{"-shed-after", "-1s"}, "shed-after"},
 		{"contention without pprof", []string{"-profile-contention"}, "profile-contention"},
 		{"one-member mesh", []string{"-peers", "localhost:7060"}, "peers"},
 		{"malformed peer", []string{"-peers", "localhost:7060,nonsense"}, "peers"},
 		{"mesh index out of range", []string{"-peers", "a:1,b:2", "-mesh-index", "2"}, "mesh-index"},
-		{"mesh vs cluster", []string{"-peers", "a:1,b:2", "-nodes", "3"}, "nodes"},
+		{"empty mesh member", []string{"-peers", "a:1,,b:2"}, "peers"},
+		{"duplicate mesh member", []string{"-peers", "a:1,b:2,a:1"}, "peers"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -80,6 +80,13 @@ func TestRemovedWindowFlagRejected(t *testing.T) {
 func TestRemovedTierFlagRejected(t *testing.T) {
 	wantUnknownFlag(t, "-tier", "f32")
 	wantUnknownFlag(t, "-tier", "f64")
+}
+
+// TestRemovedNodesFlagRejected checks the same for the removed in-process
+// cluster mode: a multi-node deployment is a mesh (-peers), and a command
+// line still asking for N nodes in one process fails at startup.
+func TestRemovedNodesFlagRejected(t *testing.T) {
+	wantUnknownFlag(t, "-nodes", "3")
 }
 
 // wantUnknownFlag asserts the daemon's flag set rejects args as naming a

@@ -10,12 +10,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/edge"
 	"repro/internal/mat"
 	"repro/internal/mesh"
 	"repro/internal/rpc"
@@ -95,33 +95,7 @@ func New(cfg Config) (*Daemon, error) {
 		SNRdB:           cfg.SNRdB,
 		PinGeneral:      true,
 		Seed:            cfg.Seed,
-		Nodes:           cfg.Nodes,
 		BufferThreshold: cfg.BufferThreshold,
-	}
-	var node *mesh.Node
-	if cfg.MeshEnabled() {
-		members := cfg.MeshMembers()
-		self := members[cfg.MeshIndex]
-		others := append(append([]rpc.PeerInfo{}, members[:cfg.MeshIndex]...), members[cfg.MeshIndex+1:]...)
-		var err error
-		node, err = mesh.NewNode(mesh.Config{
-			Self:          self,
-			Peers:         others,
-			RingSeed:      cfg.Seed,
-			ProbeInterval: cfg.ProbeInterval,
-			Replicas:      cfg.Replicas,
-			Logf:          log.Printf,
-		})
-		if err != nil {
-			return nil, err
-		}
-		// A mesh member is a single-sender system named after its ring
-		// slot, with the mesh as its miss resolver and per-user noise on
-		// — the combination that makes the multi-process deployment
-		// bit-identical to the in-process cluster.
-		coreCfg.SenderName = self.Name
-		coreCfg.SenderFetcher = node
-		coreCfg.PerUserNoise = true
 	}
 	start := time.Now()
 	if cfg.KBDir != "" {
@@ -134,20 +108,35 @@ func New(cfg Config) (*Daemon, error) {
 	} else {
 		log.Printf("edged: pretraining general models (selector=%s, snr=%.1f dB)...", cfg.Selector, cfg.SNRdB)
 	}
-	sys, err := core.NewSystem(coreCfg)
+	var (
+		node *mesh.Node
+		sys  *core.System
+		err  error
+	)
+	if cfg.MeshEnabled() {
+		members := cfg.MeshMembers()
+		node, sys, err = mesh.NewMember(mesh.Config{
+			Self:          members[cfg.MeshIndex],
+			Peers:         slices.Delete(slices.Clone(members), cfg.MeshIndex, cfg.MeshIndex+1),
+			RingSeed:      cfg.Seed,
+			ProbeInterval: cfg.ProbeInterval,
+			Replicas:      cfg.Replicas,
+			Logf:          log.Printf,
+		}, coreCfg)
+	} else {
+		sys, err = core.NewSystem(coreCfg)
+	}
 	if err != nil {
 		return nil, err
 	}
 	if node != nil {
-		node.Bind(sys, edge.NewOriginFetcher(sys.Cloud, sys.CloudLink()))
 		// Coordinated eviction: a mesh member must not evict the mesh's
 		// last copy of a general model.
 		sys.Sender.Cache().SetEvictionGuard(node.EvictionGuard)
 	}
-	// In cluster mode only node 0 (= sys.Sender) is warmed; likewise a
-	// mesh warms only member 0's sender. The other nodes pull models
+	// A mesh warms only member 0's sender: the other members pull models
 	// cooperatively from their neighbors on first miss, which is exactly
-	// the behavior the cluster exists to show.
+	// the behavior the mesh exists to show.
 	if node == nil || node.Self().Index == 0 {
 		if _, err := sys.Sender.Prefetch(sys.Corpus.Names()); err != nil {
 			return nil, err
@@ -155,9 +144,6 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	if _, err := sys.Receiver.Prefetch(sys.Corpus.Names()); err != nil {
 		return nil, err
-	}
-	if sys.Cluster != nil {
-		log.Printf("edged: cluster mode, %d nodes (node-0 warm, peers cold)", sys.Cluster.NumNodes())
 	}
 	if node != nil {
 		log.Printf("edged: mesh mode, member %s (%d/%d)", node.Self().Name, node.Self().Index, node.Total())
@@ -172,9 +158,10 @@ func New(cfg Config) (*Daemon, error) {
 	return &Daemon{Cfg: cfg, Sys: sys, Mesh: node, srv: srv}, nil
 }
 
-// Listen binds the daemon's TCP listener.
+// Listen binds the daemon's listener: TCP, or the in-memory transport
+// when Cfg.Addr is a mem: address (rpc.Listen).
 func (d *Daemon) Listen() error {
-	ln, err := net.Listen("tcp", d.Cfg.Addr)
+	ln, err := rpc.Listen(d.Cfg.Addr)
 	if err != nil {
 		return err
 	}

@@ -115,3 +115,23 @@ func TestDispatchUnknownOp(t *testing.T) {
 		t.Fatal("unknown op accepted")
 	}
 }
+
+// TestDispatchNotMeshMember checks a classic daemon refuses everything
+// only a mesh member can do — the v1 move and every v2 mesh op — with one
+// error, instead of half-serving a move it has nowhere to send.
+func TestDispatchNotMeshMember(t *testing.T) {
+	s := testServer(t)
+	for _, req := range []*rpc.Request{
+		{Op: rpc.OpMove, User: "u1", Cell: 1},
+		{Op: rpc.OpPeerStats},
+		{Op: rpc.OpHandoverPush, Handoff: &rpc.HandoffPayload{User: "u1"}},
+	} {
+		resp := s.dispatch(req)
+		if want := req.Op + ": not a mesh member"; resp.OK || resp.Error != want {
+			t.Fatalf("%s on a classic daemon: %+v, want error %q", req.Op, resp, want)
+		}
+	}
+	if st := s.dispatch(&rpc.Request{Op: rpc.OpStats}).Stats; len(st.Nodes) != 0 || st.Handovers != 0 {
+		t.Fatalf("classic daemon reports mesh counters: %+v", st)
+	}
+}

@@ -3,18 +3,21 @@ package edged
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/corpus"
 	"repro/internal/mat"
+	"repro/internal/mesh"
 	"repro/internal/rpc"
 )
 
@@ -85,9 +88,7 @@ type meshDeployment struct {
 	done    []chan error
 }
 
-// bootMesh reserves n loopback ports first (the static -peers list must
-// be complete before any member boots), then builds and serves each
-// member.
+// bootMesh boots n members on loopback TCP.
 func bootMesh(t *testing.T, n int) *meshDeployment {
 	t.Helper()
 	return bootMeshCfg(t, n, nil)
@@ -97,23 +98,38 @@ func bootMesh(t *testing.T, n int) *meshDeployment {
 // degree, drain budget, ...), applied after the mesh fields are set.
 func bootMeshCfg(t *testing.T, n int, mutate func(i int, cfg *Config)) *meshDeployment {
 	t.Helper()
+	return bootMeshOn(t, n, "127.0.0.1:0", mutate)
+}
+
+// bootMeshMem boots n members on the in-memory transport: the same
+// daemons, frames and code paths as bootMesh, with no socket anywhere.
+func bootMeshMem(t *testing.T, n int) *meshDeployment {
+	t.Helper()
+	return bootMeshOn(t, n, "mem:", nil)
+}
+
+// bootMeshOn binds every member's listener on a free address first (the
+// static -peers list must be complete before any member boots), then
+// builds and serves each member. The address alone selects the transport
+// (rpc.Listen).
+func bootMeshOn(t *testing.T, n int, listenAddr string, mutate func(i int, cfg *Config)) *meshDeployment {
+	t.Helper()
 	lns := make([]net.Listener, n)
 	addrs := make([]string, n)
-	peers := ""
 	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		ln, err := rpc.Listen(listenAddr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		lns[i] = ln
 		addrs[i] = ln.Addr().String()
-		if i > 0 {
-			peers += ","
-		}
-		peers += addrs[i]
 	}
+	peers := strings.Join(addrs, ",")
 	m := &meshDeployment{addrs: addrs, daemons: make([]*Daemon, n), done: make([]chan error, n)}
-	for i := 0; i < n; i++ {
+	// Member 0 boots last: it alone warms its sender at boot, and every
+	// miss probes the peers first — against a peer whose listener is bound
+	// but not yet served, each probe would sit out the 2 s call timeout.
+	for i := n - 1; i >= 0; i-- {
 		cfg := meshBaseConfig(t)
 		cfg.Addr = addrs[i]
 		cfg.Peers = peers
@@ -141,298 +157,241 @@ func bootMeshCfg(t *testing.T, n int, mutate func(i int, cfg *Config)) *meshDepl
 	return m
 }
 
-// meshRouter routes requests the way cmd/semload does in mesh mode:
-// client-side consistent hashing over the members it believes alive,
-// with explicit per-user overrides after moves. Routing authority lives
-// in the client — the mesh's ring exists for move targets and probe
-// order, not request admission.
-type meshRouter struct {
-	t        *testing.T
-	m        *meshDeployment
-	alive    map[int]bool
-	ring     *cluster.Ring
-	override map[string]int
-	clients  map[int]*rpc.Client
-	seed     uint64
-}
-
-func newMeshRouter(t *testing.T, m *meshDeployment, seed uint64) *meshRouter {
-	r := &meshRouter{
-		t: t, m: m, seed: seed,
-		alive:    make(map[int]bool),
-		override: make(map[string]int),
-		clients:  make(map[int]*rpc.Client),
-	}
-	for i := range m.daemons {
-		r.alive[i] = true
-	}
-	r.rebuild()
-	t.Cleanup(r.closeAll)
+// newRouter routes requests the way cmd/semload does: the one
+// client-side mesh.Router, over the deployment's member addresses and
+// the ring seed meshBaseConfig boots them with.
+func newRouter(t *testing.T, m *meshDeployment) *mesh.Router {
+	t.Helper()
+	r := mesh.NewRouter(m.addrs, 11)
+	t.Cleanup(r.Close)
 	return r
 }
 
-func (r *meshRouter) rebuild() {
-	members := []int{}
-	for i, ok := range r.alive {
-		if ok {
-			members = append(members, i)
-		}
-	}
-	r.ring = cluster.NewRingFor(members, 64, r.seed)
-	for u, n := range r.override {
-		if !r.alive[n] {
-			delete(r.override, u)
-		}
-	}
-}
-
-func (r *meshRouter) closeAll() {
-	for _, c := range r.clients {
-		c.Close()
-	}
-	r.clients = make(map[int]*rpc.Client)
-}
-
-func (r *meshRouter) client(node int) (*rpc.Client, error) {
-	if c, ok := r.clients[node]; ok {
-		return c, nil
-	}
-	c, err := rpc.Dial(r.m.addrs[node])
+// transmit sends one message through the router; rerouted requests are
+// not client-visible errors, a failure after the rebalance is.
+func transmit(t *testing.T, r *mesh.Router, user, text string) *rpc.Response {
+	t.Helper()
+	resp, err := r.Transmit(context.Background(), user, text)
 	if err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
-	r.clients[node] = c
-	return c, nil
-}
-
-func (r *meshRouter) owner(user string) int {
-	if n, ok := r.override[user]; ok {
-		return n
-	}
-	return r.ring.Node(user)
-}
-
-// markDead records a discovered death and re-routes.
-func (r *meshRouter) markDead(node int) {
-	if c, ok := r.clients[node]; ok {
-		c.Close()
-		delete(r.clients, node)
-	}
-	if r.alive[node] {
-		r.alive[node] = false
-		r.rebuild()
-	}
-}
-
-// transmit sends to the user's owner; on a dead member it marks the
-// death, re-routes and retries — the client-side half of a rebalance.
-// Retried requests are not client-visible errors; a failure on a member
-// believed alive is.
-func (r *meshRouter) transmit(user, text string) (*rpc.Response, int, error) {
-	for attempt := 0; attempt < len(r.m.daemons)+1; attempt++ {
-		node := r.owner(user)
-		cl, err := r.client(node)
-		if err != nil {
-			r.markDead(node)
-			continue
-		}
-		resp, err := cl.Transmit(user, text)
-		if err != nil {
-			r.markDead(node)
-			continue
-		}
-		if resp.Draining {
-			// The member answered only after its handoff completed, so the
-			// retry at the recomputed owner finds the user's state in place.
-			r.markDead(node)
-			continue
-		}
-		return resp, attempt, nil
-	}
-	return nil, 0, fmt.Errorf("transmit %s: no live member", user)
-}
-
-// move sends a move op to the user's current serving member and applies
-// the resulting ownership override locally.
-func (r *meshRouter) move(user string, cell int) (*rpc.Response, error) {
-	node := r.owner(user)
-	cl, err := r.client(node)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := cl.Move(user, cell)
-	if err != nil {
-		return nil, err
-	}
-	if resp.OK && resp.Handover != nil {
-		members := []int{}
-		for i, ok := range r.alive {
-			if ok {
-				members = append(members, i)
-			}
-		}
-		// Same target rule as mesh.Node.MoveUser over sorted live members.
-		sortInts(members)
-		r.override[user] = members[((cell%len(members))+len(members))%len(members)]
-	}
-	return resp, err
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+	return resp
 }
 
 // nodeStats fetches one member's mesh counters over the v2 op.
-func (r *meshRouter) nodeStats(node int) (*rpc.NodeStats, error) {
-	cl, err := r.client(node)
+func nodeStats(t *testing.T, r *mesh.Router, member int) *rpc.NodeStats {
+	t.Helper()
+	cl, err := r.Client(member)
 	if err != nil {
-		return nil, err
+		t.Fatalf("member %d: %v", member, err)
 	}
-	return cl.PeerStats(testCtx(r.t))
+	ns, err := cl.PeerStats(testCtx(t))
+	if err != nil {
+		t.Fatalf("member %d stats: %v", member, err)
+	}
+	return ns
 }
 
-// mergedStats merges every live member's v1 stats snapshot — the
-// aggregation cmd/semload reports for a mesh.
-func (r *meshRouter) mergedStats() (*rpc.Stats, error) {
-	var merged *rpc.Stats
-	for i := range r.m.daemons {
-		if !r.alive[i] {
-			continue
-		}
-		cl, err := r.client(i)
-		if err != nil {
-			return nil, err
-		}
-		st, err := cl.Stats()
-		if err != nil {
-			return nil, err
-		}
-		if merged == nil {
-			merged = st
-		} else {
-			merged.Merge(st)
-		}
+// fold mirrors cmd/semload's digest folding.
+func fold(digest *uint64, parts ...string) {
+	h := fnv.New64a()
+	for _, p := range parts {
+		h.Write([]byte(p))
+		h.Write([]byte{0})
 	}
-	return merged, nil
+	*digest ^= h.Sum64() + 0x9e3779b97f4a7c15 + (*digest << 6) + (*digest >> 2)
 }
 
-// TestMeshMatchesInProcessCluster is the tentpole acceptance criterion:
-// a mobility-free serial workload against a 3-process mesh produces the
-// same run digest as the identical workload against one `edged -nodes 3`
-// in-process cluster daemon — bit-identity across the process boundary,
-// noise realizations included. The cooperative-fetch accounting must
-// agree too.
+// foldTransmit folds one served response into a run digest.
+func foldTransmit(digest *uint64, user string, resp *rpc.Response) {
+	fold(digest, "transmit", user, resp.Restored, resp.SelectedDomain,
+		strconv.FormatUint(math.Float64bits(resp.Mismatch), 16),
+		strconv.Itoa(resp.PayloadBytes),
+		strconv.FormatUint(math.Float64bits(resp.LatencyMs), 16))
+}
+
+// serialStreams seeds the serial workload every digest test drives: one
+// scheduler stream for user order (and mobility), one generator stream
+// per user, split in fixed order from the root seed — semload's scheme.
+func serialStreams(corp *corpus.Corpus, seed uint64, users int) (*mat.RNG, []*corpus.Generator) {
+	root := mat.NewRNG(seed)
+	sched := root.Split()
+	gens := make([]*corpus.Generator, users)
+	for i := range gens {
+		gens[i] = corpus.NewGenerator(corp, root.Split())
+	}
+	return sched, gens
+}
+
+// sumNeighbor totals the cooperative-fetch counters over a merged stats
+// snapshot's nodes.
+func sumNeighbor(st *rpc.Stats) (hits, served int64) {
+	for _, n := range st.Nodes {
+		hits += n.NeighborHits
+		served += n.NeighborServed
+	}
+	return hits, served
+}
+
+// TestMeshMatchesInProcessCluster pins the mesh to the deployment it
+// replaced. The golden below was recorded from the reference side of this
+// test at the last commit that had one — a single `edged -nodes 3`
+// in-process cluster daemon serving the same mobility-free serial
+// workload — and the 3-member mesh must reproduce it bit for bit, noise
+// realizations and cooperative-fetch accounting included, both across
+// loopback TCP and across the in-memory transport: TCP ≡ memory ≡ what
+// the in-process cluster produced.
 func TestMeshMatchesInProcessCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mesh acceptance run in -short mode")
 	}
-	const users, requests = 6, 180
-	corp := corpus.Build()
+	const (
+		users, requests = 6, 180
 
-	workload := func(transmit func(user, text string) *rpc.Response) uint64 {
-		root := mat.NewRNG(4242)
-		sched := root.Split()
-		gens := make([]*corpus.Generator, users)
-		for i := range gens {
-			gens[i] = corpus.NewGenerator(corp, root.Split())
-		}
+		goldenDigest         = 0x072d7694e87bcb49
+		goldenMessages       = 180
+		goldenNeighborHits   = 3
+		goldenNeighborServed = 3
+		goldenCachedModels   = 17
+	)
+	corp := corpus.Build()
+	for _, transport := range []struct {
+		name string
+		boot func(*testing.T, int) *meshDeployment
+	}{{"tcp", bootMesh}, {"memory", bootMeshMem}} {
+		t.Run(transport.name, func(t *testing.T) {
+			router := newRouter(t, transport.boot(t, 3))
+			sched, gens := serialStreams(corp, 4242, users)
+			var digest uint64
+			for i := 0; i < requests; i++ {
+				u := sched.Intn(users)
+				user := fmt.Sprintf("u%03d", u)
+				resp := transmit(t, router, user, gens[u].Message(u%len(corp.Domains), nil).Text())
+				if !resp.OK {
+					t.Fatalf("request %d failed: %q", i, resp.Error)
+				}
+				foldTransmit(&digest, user, resp)
+			}
+			st, err := router.MergedStats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if digest != goldenDigest {
+				t.Fatalf("mesh run diverged from the in-process cluster golden: %016x != %016x", digest, uint64(goldenDigest))
+			}
+			if st.Messages != goldenMessages {
+				t.Fatalf("messages: mesh %d, golden %d", st.Messages, goldenMessages)
+			}
+			if hits, served := sumNeighbor(st); hits != goldenNeighborHits || served != goldenNeighborServed {
+				t.Fatalf("cooperative-fetch accounting diverged: mesh %d/%d, golden %d/%d",
+					hits, served, goldenNeighborHits, goldenNeighborServed)
+			}
+			if st.Handovers != 0 {
+				t.Fatalf("mobility-free run reported %d handovers", st.Handovers)
+			}
+			if st.CachedModels != goldenCachedModels {
+				t.Fatalf("cached models: mesh %d, golden %d", st.CachedModels, goldenCachedModels)
+			}
+		})
+	}
+}
+
+// TestClusterMobilityDeterministicRun is the semload -mobility scenario
+// against a 3-member mesh on the in-memory transport: a serial seeded
+// stream of moves and transmits must produce handovers and neighbor
+// cache hits, every member must report its slice of the stats, and two
+// identically-seeded runs against identically-booted meshes must be
+// bit-identical — to each other and to the golden recorded from the same
+// scenario against the in-process cluster daemon (`edged -nodes 3`) at
+// the last commit that had one: mobility, handover accounting and
+// cooperative fetches included, the mesh is that deployment.
+func TestClusterMobilityDeterministicRun(t *testing.T) {
+	const (
+		users, requests, cells = 6, 200, 3
+		moveRate               = 0.15
+		seed                   = 4242
+
+		goldenDigest        = 0x7178a8fbc5187429
+		goldenHandovers     = 15
+		goldenMigratedBytes = 166561
+		goldenNeighborHits  = 10
+		goldenCachedModels  = 24
+	)
+	corp := corpus.Build()
+	run := func() (uint64, int, *rpc.Stats) {
+		router := newRouter(t, bootMeshMem(t, 3))
+		sched, gens := serialStreams(corp, seed, users)
 		var digest uint64
+		handovers := 0
 		for i := 0; i < requests; i++ {
 			u := sched.Intn(users)
 			user := fmt.Sprintf("u%03d", u)
-			resp := transmit(user, gens[u].Message(u%len(corp.Domains), nil).Text())
-			if !resp.OK {
-				t.Fatalf("request %d failed: %q", i, resp.Error)
+			if sched.Float64() < moveRate {
+				cell := sched.Intn(cells)
+				resp, err := router.Move(user, cell)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !resp.OK || resp.Handover == nil {
+					t.Fatalf("move failed: %+v", resp)
+				}
+				if resp.Handover.Moved {
+					handovers++
+				}
+				fold(&digest, "move", user, strconv.Itoa(cell),
+					resp.Handover.From, resp.Handover.To,
+					strconv.FormatBool(resp.Handover.Moved),
+					strconv.FormatInt(resp.Handover.MigratedBytes, 10))
 			}
-			fold(&digest, "transmit", user, resp.Restored, resp.SelectedDomain,
-				strconv.FormatUint(math.Float64bits(resp.Mismatch), 16),
-				strconv.Itoa(resp.PayloadBytes),
-				strconv.FormatUint(math.Float64bits(resp.LatencyMs), 16))
+			// Sticky per-user domains concentrate each user's traffic so the
+			// update process fires, individual models form, and handovers have
+			// real payloads to migrate.
+			resp := transmit(t, router, user, gens[u].Message(u%len(corp.Domains), nil).Text())
+			if !resp.OK {
+				t.Fatalf("transmit %d failed: %q", i, resp.Error)
+			}
+			foldTransmit(&digest, user, resp)
 		}
-		return digest
-	}
-
-	// Reference: one in-process cluster daemon, exactly `edged -nodes 3`.
-	refCfg := meshBaseConfig(t)
-	refCfg.Addr = "127.0.0.1:0"
-	refCfg.Nodes = 3
-	ref, err := New(refCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Listen(); err != nil {
-		t.Fatal(err)
-	}
-	refDone := make(chan error, 1)
-	go func() { refDone <- ref.Serve() }()
-	defer func() {
-		ref.Close()
-		if err := <-refDone; err != nil {
-			t.Errorf("reference serve: %v", err)
-		}
-	}()
-	refCl, err := rpc.Dial(ref.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer refCl.Close()
-	refDigest := workload(func(user, text string) *rpc.Response {
-		resp, err := refCl.Transmit(user, text)
+		st, err := router.MergedStats()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return resp
-	})
-	refStats, err := refCl.Stats()
-	if err != nil {
-		t.Fatal(err)
+		return digest, handovers, st
+	}
+	d1, h1, st1 := run()
+	d2, h2, st2 := run()
+
+	if d1 != goldenDigest {
+		t.Fatalf("mobility run diverged from the in-process cluster golden: %016x != %016x", d1, uint64(goldenDigest))
+	}
+	if h1 != goldenHandovers || st1.Handovers != goldenHandovers || st1.MigratedBytes != goldenMigratedBytes {
+		t.Fatalf("handover accounting: client saw %d, mesh %d handovers / %d bytes; golden %d / %d",
+			h1, st1.Handovers, st1.MigratedBytes, goldenHandovers, goldenMigratedBytes)
+	}
+	if hits, served := sumNeighbor(st1); hits != goldenNeighborHits || served != goldenNeighborHits {
+		t.Fatalf("cooperative fetches: %d hits, %d served, golden %d", hits, served, goldenNeighborHits)
+	}
+	if st1.CachedModels != goldenCachedModels || st1.Messages != requests {
+		t.Fatalf("mesh reports %d cached models, %d messages; golden %d, %d",
+			st1.CachedModels, st1.Messages, goldenCachedModels, requests)
+	}
+	if len(st1.Nodes) != 3 {
+		t.Fatalf("stats report %d nodes, want 3", len(st1.Nodes))
+	}
+	occupancy := 0
+	for _, n := range st1.Nodes {
+		occupancy += n.Users
+	}
+	if occupancy != users {
+		t.Fatalf("user occupancy sums to %d over the members, want %d: a handover duplicated or lost a user", occupancy, users)
 	}
 
-	// Candidate: three cooperating processes-in-miniature.
-	m := bootMesh(t, 3)
-	router := newMeshRouter(t, m, 11)
-	meshDigest := workload(func(user, text string) *rpc.Response {
-		resp, _, err := router.transmit(user, text)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	})
-	meshStats, err := router.mergedStats()
-	if err != nil {
-		t.Fatal(err)
+	if d1 != d2 {
+		t.Fatalf("identically-seeded runs diverged: %016x != %016x", d1, d2)
 	}
-
-	if meshDigest != refDigest {
-		t.Fatalf("mesh run diverged from in-process cluster: %016x != %016x", meshDigest, refDigest)
-	}
-	if meshStats.Messages != refStats.Messages {
-		t.Fatalf("messages: mesh %d, cluster %d", meshStats.Messages, refStats.Messages)
-	}
-	sumNeighbor := func(st *rpc.Stats) (hits, served int64) {
-		for _, n := range st.Nodes {
-			hits += n.NeighborHits
-			served += n.NeighborServed
-		}
-		return
-	}
-	mh, ms := sumNeighbor(meshStats)
-	rh, rs := sumNeighbor(refStats)
-	if mh == 0 {
-		t.Fatal("mesh run resolved no misses cooperatively")
-	}
-	if mh != rh || ms != rs {
-		t.Fatalf("cooperative-fetch accounting diverged: mesh %d/%d, cluster %d/%d", mh, ms, rh, rs)
-	}
-	if meshStats.Handovers != 0 || refStats.Handovers != 0 {
-		t.Fatalf("mobility-free run reported handovers: mesh %d, cluster %d", meshStats.Handovers, refStats.Handovers)
-	}
-	if meshStats.CachedModels != refStats.CachedModels {
-		t.Fatalf("cached models: mesh %d, cluster %d", meshStats.CachedModels, refStats.CachedModels)
+	if h1 != h2 || st1.Handovers != st2.Handovers || st1.MigratedBytes != st2.MigratedBytes {
+		t.Fatalf("handover accounting diverged: run1 %d/%d/%d, run2 %d/%d/%d",
+			h1, st1.Handovers, st1.MigratedBytes, h2, st2.Handovers, st2.MigratedBytes)
 	}
 }
 
@@ -446,19 +405,19 @@ func TestMeshMobilityHandover(t *testing.T) {
 		t.Skip("mesh handover run in -short mode")
 	}
 	m := bootMesh(t, 3)
-	router := newMeshRouter(t, m, 11)
+	router := newRouter(t, m)
 	corp := corpus.Build()
 
 	user := "wanderer"
-	from := router.owner(user)
+	from := router.Owner(user)
 	gen := corpus.NewGenerator(corp, mat.NewRNG(99))
 	// Enough single-domain traffic to fire the update (threshold 8), so
 	// the handover has a real payload.
 	var sawIndividual bool
 	for i := 0; i < 10; i++ {
-		resp, _, err := router.transmit(user, gen.Message(0, nil).Text())
-		if err != nil || !resp.OK {
-			t.Fatalf("warmup %d: %+v, %v", i, resp, err)
+		resp := transmit(t, router, user, gen.Message(0, nil).Text())
+		if !resp.OK {
+			t.Fatalf("warmup %d: %+v", i, resp)
 		}
 		sawIndividual = sawIndividual || resp.Individual
 	}
@@ -473,7 +432,7 @@ func TestMeshMobilityHandover(t *testing.T) {
 			break
 		}
 	}
-	resp, err := router.move(user, cell)
+	resp, err := router.Move(user, cell)
 	if err != nil || !resp.OK || resp.Handover == nil {
 		t.Fatalf("move failed: %+v, %v", resp, err)
 	}
@@ -484,28 +443,21 @@ func TestMeshMobilityHandover(t *testing.T) {
 	if h.Models == 0 || h.MigratedBytes <= 0 || h.LatencyMs <= 0 {
 		t.Fatalf("handover carried nothing: %+v", h)
 	}
-	to := router.owner(user)
+	to := router.Owner(user)
 	if to == from {
 		t.Fatalf("router still maps %s to %d", user, from)
 	}
 
 	// The new owner serves from the migrated individual model at once.
-	resp2, _, err := router.transmit(user, gen.Message(0, nil).Text())
-	if err != nil || !resp2.OK {
-		t.Fatalf("post-handover transmit: %+v, %v", resp2, err)
+	resp2 := transmit(t, router, user, gen.Message(0, nil).Text())
+	if !resp2.OK {
+		t.Fatalf("post-handover transmit: %+v", resp2)
 	}
 	if !resp2.Individual {
 		t.Fatal("post-handover transmit fell back to the general model: migration lost the individual model")
 	}
 
-	oldStats, err := router.nodeStats(from)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newStats, err := router.nodeStats(to)
-	if err != nil {
-		t.Fatal(err)
-	}
+	oldStats, newStats := nodeStats(t, router, from), nodeStats(t, router, to)
 	if oldStats.HandoversOut != 1 || newStats.HandoversIn != 1 {
 		t.Fatalf("handover counters: out %d (want 1), in %d (want 1)", oldStats.HandoversOut, newStats.HandoversIn)
 	}
@@ -579,16 +531,11 @@ func TestMeshChaosKill(t *testing.T) {
 		cells           = 3
 	)
 	m := bootMesh(t, 3)
-	router := newMeshRouter(t, m, 11)
+	router := newRouter(t, m)
 	corp := corpus.Build()
-	root := mat.NewRNG(777)
-	sched := root.Split()
-	gens := make([]*corpus.Generator, users)
-	for i := range gens {
-		gens[i] = corpus.NewGenerator(corp, root.Split())
-	}
+	sched, gens := serialStreams(corp, 777, users)
 
-	handovers, retries, survivorServed := 0, 0, 0
+	handovers, survivorServed := 0, 0
 	for i := 0; i < requests; i++ {
 		if i == killAt {
 			m.daemons[victim].Kill()
@@ -599,7 +546,7 @@ func TestMeshChaosKill(t *testing.T) {
 			// Pre-kill mobility so cross-member handovers happen; the
 			// serving member may be the victim later, exercising the
 			// override-remap path.
-			resp, err := router.move(user, sched.Intn(cells))
+			resp, err := router.Move(user, sched.Intn(cells))
 			if err != nil || !resp.OK {
 				t.Fatalf("move %d: %+v, %v", i, resp, err)
 			}
@@ -607,15 +554,11 @@ func TestMeshChaosKill(t *testing.T) {
 				handovers++
 			}
 		}
-		resp, attempts, err := router.transmit(user, gens[u].Message(u%len(corp.Domains), nil).Text())
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
+		resp := transmit(t, router, user, gens[u].Message(u%len(corp.Domains), nil).Text())
 		if !resp.OK {
 			t.Fatalf("request %d: client-visible error after rebalance: %q", i, resp.Error)
 		}
-		retries += attempts
-		if router.owner(user) != victim {
+		if router.Owner(user) != victim {
 			survivorServed++
 		}
 	}
@@ -623,10 +566,10 @@ func TestMeshChaosKill(t *testing.T) {
 	if handovers == 0 {
 		t.Fatal("chaos run produced no handovers before the kill")
 	}
-	if router.alive[victim] {
+	if slices.Contains(router.Live(), victim) {
 		t.Fatal("client never discovered the kill — no request routed to the victim?")
 	}
-	if retries == 0 {
+	if router.Retries == 0 {
 		t.Fatal("no request was retried: the kill was invisible, assertion too weak")
 	}
 
@@ -634,11 +577,7 @@ func TestMeshChaosKill(t *testing.T) {
 	// demoted the victim (zero remaining live-member churn).
 	var neighborHits int64
 	for _, idx := range []int{0, 2} {
-		ns, err := router.nodeStats(idx)
-		if err != nil {
-			t.Fatalf("survivor %d stats: %v", idx, err)
-		}
-		neighborHits += ns.NeighborHits
+		neighborHits += nodeStats(t, router, idx).NeighborHits
 	}
 	if neighborHits == 0 {
 		t.Fatal("survivors resolved no misses cooperatively")
@@ -658,7 +597,7 @@ func TestMeshChaosKill(t *testing.T) {
 	// The mesh is still fully serviceable after the rebalance: the
 	// survivors' counters account for every request the client routed to
 	// them (the victim's pre-kill share died with it, by design).
-	st, err := router.mergedStats()
+	st, err := router.MergedStats()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -701,14 +640,9 @@ func TestMeshChaosDrain(t *testing.T) {
 		}
 	}
 
-	workload := func(m *meshDeployment, router *meshRouter, drain bool) uint64 {
+	workload := func(m *meshDeployment, router *mesh.Router, drain bool) uint64 {
 		t.Helper()
-		root := mat.NewRNG(515)
-		sched := root.Split()
-		gens := make([]*corpus.Generator, users)
-		for i := range gens {
-			gens[i] = corpus.NewGenerator(corp, root.Split())
-		}
+		sched, gens := serialStreams(corp, 515, users)
 		drainErr := make(chan error, 1)
 		var digest uint64
 		for i := 0; i < requests; i++ {
@@ -719,17 +653,11 @@ func TestMeshChaosDrain(t *testing.T) {
 			}
 			u := sched.Intn(users)
 			user := fmt.Sprintf("u%03d", u)
-			resp, _, err := router.transmit(user, gens[u].Message(u%len(corp.Domains), nil).Text())
-			if err != nil {
-				t.Fatalf("request %d: %v", i, err)
-			}
+			resp := transmit(t, router, user, gens[u].Message(u%len(corp.Domains), nil).Text())
 			if !resp.OK {
 				t.Fatalf("request %d: client-visible error during drain: %q", i, resp.Error)
 			}
-			fold(&digest, "transmit", user, resp.Restored, resp.SelectedDomain,
-				strconv.FormatUint(math.Float64bits(resp.Mismatch), 16),
-				strconv.Itoa(resp.PayloadBytes),
-				strconv.FormatUint(math.Float64bits(resp.LatencyMs), 16))
+			foldTransmit(&digest, user, resp)
 		}
 		if drain {
 			select {
@@ -748,37 +676,30 @@ func TestMeshChaosDrain(t *testing.T) {
 	// membership never changes.
 	ref := bootMesh(t, 3)
 	warmAll(ref)
-	refDigest := workload(ref, newMeshRouter(t, ref, 11), false)
+	refDigest := workload(ref, newRouter(t, ref), false)
 
 	// Candidate: same mesh, with member 1 drained at the midpoint.
 	m := bootMesh(t, 3)
 	warmAll(m)
-	router := newMeshRouter(t, m, 11)
+	router := newRouter(t, m)
 	// Boot and warmup legitimately paid origin fetches (member 0 fills
 	// the mesh's first copy from the cloud); the drain gate is that the
 	// run itself adds none.
 	preOrigin := make(map[int]int64)
 	for _, idx := range []int{0, 2} {
-		ns, err := router.nodeStats(idx)
-		if err != nil {
-			t.Fatalf("survivor %d stats: %v", idx, err)
-		}
-		preOrigin[idx] = ns.OriginFetches
+		preOrigin[idx] = nodeStats(t, router, idx).OriginFetches
 	}
 	digest := workload(m, router, true)
 
 	if digest != refDigest {
 		t.Fatalf("drained run diverged from undrained reference: %016x != %016x", digest, refDigest)
 	}
-	if router.alive[victim] {
+	if slices.Contains(router.Live(), victim) {
 		t.Fatal("client never observed the drain — no request was ever rerouted")
 	}
 	var handoversIn int64
 	for _, idx := range []int{0, 2} {
-		ns, err := router.nodeStats(idx)
-		if err != nil {
-			t.Fatalf("survivor %d stats: %v", idx, err)
-		}
+		ns := nodeStats(t, router, idx)
 		if grew := ns.OriginFetches - preOrigin[idx]; grew != 0 {
 			t.Fatalf("survivor %d paid %d origin re-fetches; a graceful drain must hand everything off", idx, grew)
 		}
@@ -865,7 +786,7 @@ func TestMeshReplicaPush(t *testing.T) {
 		t.Skip("replica run in -short mode")
 	}
 	m := bootMeshCfg(t, 3, func(i int, cfg *Config) { cfg.Replicas = 1 })
-	router := newMeshRouter(t, m, 11)
+	router := newRouter(t, m)
 	corp := corpus.Build()
 
 	// Pick a user owned by member 0 or 1, so the push successor is a cold
@@ -873,7 +794,7 @@ func TestMeshReplicaPush(t *testing.T) {
 	user, owner := "", -1
 	for u := 0; u < 64; u++ {
 		name := fmt.Sprintf("r%03d", u)
-		if o := router.owner(name); o != 2 {
+		if o := router.Owner(name); o != 2 {
 			user, owner = name, o
 			break
 		}
@@ -885,9 +806,8 @@ func TestMeshReplicaPush(t *testing.T) {
 
 	gen := corpus.NewGenerator(corp, mat.NewRNG(5))
 	for i := 0; i < 24; i++ {
-		resp, _, err := router.transmit(user, gen.Message(0, nil).Text())
-		if err != nil || !resp.OK {
-			t.Fatalf("transmit %d: %+v, %v", i, resp, err)
+		if resp := transmit(t, router, user, gen.Message(0, nil).Text()); !resp.OK {
+			t.Fatalf("transmit %d: %+v", i, resp)
 		}
 	}
 
@@ -896,14 +816,12 @@ func TestMeshReplicaPush(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	var os, ss *rpc.NodeStats
 	for {
-		var err1, err2 error
-		os, err1 = router.nodeStats(owner)
-		ss, err2 = router.nodeStats(succ)
-		if err1 == nil && err2 == nil && os.ReplicasOut >= 1 && ss.ReplicasIn >= 1 {
+		os, ss = nodeStats(t, router, owner), nodeStats(t, router, succ)
+		if os.ReplicasOut >= 1 && ss.ReplicasIn >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("replica never arrived: owner %+v, successor %+v (%v/%v)", os, ss, err1, err2)
+			t.Fatalf("replica never arrived: owner %+v, successor %+v", os, ss)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

@@ -116,7 +116,7 @@ func (s *server) handle(conn net.Conn) {
 		req, version, err := framed.ReadRequestV()
 		s.markBusy(conn)
 		if err != nil {
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
+			if err != io.EOF && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrClosedPipe) {
 				log.Printf("edged: %s: %v", conn.RemoteAddr(), err)
 			}
 			return
@@ -135,7 +135,7 @@ func (s *server) handle(conn net.Conn) {
 			}
 		}
 		if err := framed.WriteV(version, resp); err != nil {
-			if !errors.Is(err, net.ErrClosed) {
+			if !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrClosedPipe) {
 				log.Printf("edged: %s: write: %v", conn.RemoteAddr(), err)
 			}
 			return
@@ -283,60 +283,24 @@ func (s *server) dispatch(req *rpc.Request) *rpc.Response {
 	case rpc.OpMove:
 		return s.move(req)
 	case rpc.OpJoin, rpc.OpLeave, rpc.OpPeerStats, rpc.OpFetchModel, rpc.OpHandoverPush:
-		return s.meshOp(req)
+		if s.mesh == nil {
+			return notMeshMember(req.Op)
+		}
+		return s.mesh.HandleOp(req)
 	default:
 		return &rpc.Response{Error: fmt.Sprintf("unknown op %q", req.Op)}
 	}
 }
 
-// meshOp serves the v2 mesh surface; a daemon that is not a mesh member
-// rejects every mesh op.
-func (s *server) meshOp(req *rpc.Request) *rpc.Response {
-	if s.mesh == nil {
-		return &rpc.Response{Error: fmt.Sprintf("%s: not a mesh member", req.Op)}
-	}
-	switch req.Op {
-	case rpc.OpJoin:
-		if req.Peer == nil {
-			return &rpc.Response{Error: "join requires peer info"}
-		}
-		return &rpc.Response{OK: true, Peers: s.mesh.HandleJoin(*req.Peer)}
-	case rpc.OpLeave:
-		if req.Peer == nil {
-			return &rpc.Response{Error: "leave requires peer info"}
-		}
-		s.mesh.HandleLeave(*req.Peer)
-		return &rpc.Response{OK: true}
-	case rpc.OpPeerStats:
-		ns := s.mesh.Stats()
-		return &rpc.Response{OK: true, Node: &ns}
-	case rpc.OpFetchModel:
-		if req.Fetch == nil {
-			return &rpc.Response{Error: "fetch-model requires a model key"}
-		}
-		payload, err := s.mesh.HandleFetch(*req.Fetch)
-		if err != nil {
-			return &rpc.Response{Error: err.Error()}
-		}
-		// A nil Model is a clean miss: the prober moves on.
-		return &rpc.Response{OK: true, Model: payload}
-	case rpc.OpHandoverPush:
-		if req.Handoff == nil {
-			return &rpc.Response{Error: "handover-push requires a payload"}
-		}
-		if err := s.mesh.HandleHandoverPush(req.Handoff); err != nil {
-			return &rpc.Response{Error: err.Error()}
-		}
-		return &rpc.Response{OK: true}
-	default:
-		return &rpc.Response{Error: fmt.Sprintf("unknown mesh op %q", req.Op)}
-	}
+// notMeshMember is the answer to every op only a mesh member serves: the
+// v2 mesh surface and the v1 move.
+func notMeshMember(op string) *rpc.Response {
+	return &rpc.Response{Error: fmt.Sprintf("%s: not a mesh member", op)}
 }
 
-// stats snapshots the daemon counters; in cluster mode the sender-side
-// numbers aggregate every node and per-node detail rides along, and a
-// mesh member reports itself as the single node of its slice of the
-// deployment (clients merge slices with rpc.Stats.Merge).
+// stats snapshots the daemon counters. A mesh member reports itself as
+// the single node of its slice of the deployment; clients merge slices
+// with rpc.Stats.Merge.
 func (s *server) stats() *rpc.Stats {
 	serve := &rpc.ServeStats{
 		InFlight:       int(s.inflight.Load()),
@@ -366,35 +330,19 @@ func (s *server) stats() *rpc.Stats {
 		st.Nodes = []rpc.NodeStats{ns}
 		return st
 	}
-	if s.sys.Cluster == nil {
-		cs := s.sys.Sender.CacheStats()
-		st.SenderHitRate = cs.HitRate()
-		st.CachedModels = s.sys.Sender.Cache().Len()
-		st.CacheUsedBytes = s.sys.Sender.Cache().Used()
-		return st
-	}
-	cl := s.sys.Cluster.Stats()
-	st.Handovers = cl.Handovers
-	st.MigratedBytes = cl.MigratedBytes
-	var hits, misses uint64
-	st.Nodes = make([]rpc.NodeStats, len(cl.Nodes))
-	for i, n := range cl.Nodes {
-		hits += n.Cache.Hits
-		misses += n.Cache.Misses
-		st.CachedModels += n.CachedModels
-		st.CacheUsedBytes += n.CacheUsedBytes
-		st.Nodes[i] = n.RPC()
-	}
-	if total := hits + misses; total > 0 {
-		st.SenderHitRate = float64(hits) / float64(total)
-	}
+	st.SenderHitRate = s.sys.Sender.CacheStats().HitRate()
+	st.CachedModels = s.sys.Sender.Cache().Len()
+	st.CacheUsedBytes = s.sys.Sender.Cache().Used()
 	return st
 }
 
 // move serves one OpMove: attach the user to a cell, handing their
-// individual models over when the serving node changes — across
-// processes in mesh mode, across in-process nodes in cluster mode.
+// serving state to another member when the cell maps to one. Only a mesh
+// member has anywhere to move a user to.
 func (s *server) move(req *rpc.Request) *rpc.Response {
+	if s.mesh == nil {
+		return notMeshMember(req.Op)
+	}
 	if req.User == "" {
 		return &rpc.Response{Error: "move requires a user"}
 	}
@@ -402,25 +350,11 @@ func (s *server) move(req *rpc.Request) *rpc.Response {
 		return drainingResponse()
 	}
 	defer s.endOp()
-	if s.mesh != nil {
-		h, err := s.mesh.MoveUser(req.User, req.Cell)
-		if err != nil {
-			return &rpc.Response{Error: err.Error()}
-		}
-		return &rpc.Response{OK: true, Handover: h}
-	}
-	res, err := s.sys.MoveUser(req.User, req.Cell)
+	h, err := s.mesh.MoveUser(req.User, req.Cell)
 	if err != nil {
 		return &rpc.Response{Error: err.Error()}
 	}
-	return &rpc.Response{OK: true, Handover: &rpc.Handover{
-		From:          s.sys.Cluster.Node(res.From).Name(),
-		To:            s.sys.Cluster.Node(res.To).Name(),
-		Moved:         res.Moved,
-		Models:        res.Models,
-		MigratedBytes: res.Bytes,
-		LatencyMs:     float64(res.Latency) / float64(time.Millisecond),
-	}}
+	return &rpc.Response{OK: true, Handover: h}
 }
 
 // shedLimit derives the admission-queue patience for one request: the

@@ -2,12 +2,15 @@ package experiments
 
 import (
 	"fmt"
+	"net"
+	"slices"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/kb"
+	"repro/internal/core"
+	"repro/internal/mesh"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
+	"repro/internal/rpc"
 	"repro/internal/trace"
 )
 
@@ -78,7 +81,64 @@ type E11Result struct {
 	Cells []E11Cell
 }
 
-// RunE11 replays a mobile workload against a model-serving cluster for
+// e11Member is one edge node of a sweep cell: a mesh member living in
+// this process.
+type e11Member struct {
+	node *mesh.Node
+	sys  *core.System
+	ln   net.Listener
+}
+
+// newE11Mesh boots an n-member edge mesh inside this process: every
+// member is a mesh.Node plus its core.System, answering its peers' fetch
+// and handover ops over the in-memory rpc transport — the deployment
+// edged runs, minus the daemons and the sockets. Nobody probes (Start is
+// never called), so membership is static and a cell is deterministic.
+// stop tears the mesh down, also after an error.
+func newE11Mesh(env *Env, n int, policy string, cacheBytes int64, seed uint64) (members []e11Member, addrs []string, stop func(), err error) {
+	members = make([]e11Member, n)
+	stop = func() {
+		for _, m := range members {
+			if m.ln != nil {
+				m.ln.Close()
+			}
+			if m.node != nil {
+				m.node.Abort()
+			}
+		}
+	}
+	peers := make([]rpc.PeerInfo, n)
+	for i := range peers {
+		if members[i].ln, err = rpc.Listen("mem:"); err != nil {
+			return members, nil, stop, err
+		}
+		addrs = append(addrs, members[i].ln.Addr().String())
+		peers[i] = rpc.PeerInfo{Name: fmt.Sprintf("node-%d", i), Index: i, Addr: addrs[i]}
+	}
+	for i := range peers {
+		m := &members[i]
+		m.node, m.sys, err = mesh.NewMember(mesh.Config{
+			Self:     peers[i],
+			Peers:    slices.Delete(slices.Clone(peers), i, i+1),
+			MeshLink: netsim.Link{Latency: 5 * time.Millisecond, BandwidthBps: 400e6},
+			RingSeed: seed,
+		}, core.Config{
+			Selector:         core.SelectorOracle,
+			Policy:           policy,
+			SenderCacheBytes: cacheBytes,
+			CloudLink:        netsim.Link{Latency: 40 * time.Millisecond, BandwidthBps: 200e6},
+			Seed:             seed,
+			Pretrained:       env.Generals,
+		})
+		if err != nil {
+			return members, nil, stop, err
+		}
+		go m.node.Serve(m.ln)
+	}
+	return members, addrs, stop, nil
+}
+
+// RunE11 replays a mobile workload against a model-serving edge mesh for
 // every (policy, node count, mobility rate) combination: users roam
 // between cells (handover migrates their personalized models) while nodes
 // resolve cache misses cooperatively before paying the origin fetch. It
@@ -87,15 +147,9 @@ type E11Result struct {
 // eviction policy decides how much of the working set survives.
 func RunE11(env *Env, opts E11Options) (*E11Result, error) {
 	opts = opts.withDefaults()
-	// Shared read-only cloud registry of general models.
-	cloud := kb.NewRegistry()
 	var modelBytes int64
-	for i, d := range env.Corpus.Domains {
-		m := &kb.Model{Key: kb.GeneralKey(d.Name, kb.RoleCodec), Version: 1, Codec: env.Generals[i]}
-		cloud.Put(m)
-		if s := m.SizeBytes(); s > modelBytes {
-			modelBytes = s
-		}
+	for _, g := range env.Generals {
+		modelBytes = max(modelBytes, g.SizeBytes())
 	}
 
 	type combo struct {
@@ -121,62 +175,62 @@ func RunE11(env *Env, opts E11Options) (*E11Result, error) {
 			Cells: cb.nodes, MobilityRate: cb.rate,
 			MeanRunLength: 8, Seed: opts.Seed,
 		})
-		c, err := cluster.New(cluster.Config{
-			Nodes:      cb.nodes,
-			CacheBytes: modelBytes * int64(opts.CapacityModels),
-			Policy:     cb.policy,
-			Uplink:     netsim.Link{Latency: 40 * time.Millisecond, BandwidthBps: 200e6},
-			Mesh:       netsim.Link{Latency: 5 * time.Millisecond, BandwidthBps: 400e6},
-			Seed:       opts.Seed,
-		}, cloud)
+		members, addrs, stop, err := newE11Mesh(env, cb.nodes, cb.policy, modelBytes*int64(opts.CapacityModels), opts.Seed)
+		defer stop()
 		if err != nil {
 			return err
 		}
+		router := mesh.NewRouter(addrs, opts.Seed)
 		personalized := make(map[string]bool, opts.Users*2)
 		var totalFetch time.Duration
 		next := 0
 		for _, req := range w.Requests {
 			for next < len(w.Moves) && w.Moves[next].Seq <= req.Seq {
-				if _, err := c.Move(w.Moves[next].User, w.Moves[next].Cell); err != nil {
+				mv := w.Moves[next]
+				if _, err := members[router.Owner(mv.User)].node.MoveUser(mv.User, mv.Cell); err != nil {
 					return err
 				}
+				router.Moved(mv.User, mv.Cell)
 				next++
 			}
-			node := c.Route(req.User)
+			sender := members[router.Owner(req.User)].sys.Sender
 			// First touch of a (user, domain) pair personalizes there, so
 			// mobility has individual models to migrate.
 			pk := req.User + "/" + req.Msg.DomainName
 			if !personalized[pk] {
 				personalized[pk] = true
-				_, lat, err := node.Edge().Personalize(req.Msg.DomainName, req.User)
+				_, lat, err := sender.Personalize(req.Msg.DomainName, req.User)
 				if err != nil {
 					return err
 				}
 				totalFetch += lat
 			}
-			acq, err := node.Edge().AcquireCodec(req.Msg.DomainName, req.User)
+			acq, err := sender.AcquireCodec(req.Msg.DomainName, req.User)
 			if err != nil {
 				return err
 			}
 			totalFetch += acq.FetchLatency
 		}
-		st := c.Stats()
-		var hits, misses uint64
-		var neighbor, origin int64
-		for _, n := range st.Nodes {
-			hits += n.Cache.Hits
-			misses += n.Cache.Misses
-			neighbor += n.NeighborHits
-			origin += n.OriginFetches
-		}
 		cell := E11Cell{
 			Policy:       cb.policy,
 			Nodes:        cb.nodes,
 			MobilityRate: cb.rate,
-			Handovers:    st.Handovers,
-			MigratedKB:   float64(st.MigratedBytes) / 1024,
 			MeanFetchMs:  float64(totalFetch.Milliseconds()) / float64(len(w.Requests)),
 		}
+		var hits, misses uint64
+		var neighbor, origin, migrated int64
+		for _, m := range members {
+			cs := m.sys.Sender.CacheStats()
+			hits += cs.Hits
+			misses += cs.Misses
+			ns := m.node.Stats()
+			neighbor += ns.NeighborHits
+			origin += ns.OriginFetches
+			handovers, bytes := m.node.HandoverStats()
+			cell.Handovers += handovers
+			migrated += bytes
+		}
+		cell.MigratedKB = float64(migrated) / 1024
 		if total := hits + misses; total > 0 {
 			cell.LocalHitRate = float64(hits) / float64(total)
 		}

@@ -139,6 +139,26 @@ func TestE11Shapes(t *testing.T) {
 			t.Fatalf("%s: hit rates missing", p)
 		}
 	}
+	// Table G is pinned cell for cell to what this sweep measured on the
+	// in-process cluster at the last commit that had one (PR 16's tree):
+	// re-expressing the experiment on mesh members changed how the nodes
+	// talk — wire frames instead of shared memory — and none of the
+	// hit/miss, neighbor/origin, handover or latency accounting.
+	golden := []E11Cell{
+		{Policy: "lru", Nodes: 2, MobilityRate: 0, LocalHitRate: 0.7551181102362204, NeighborShare: 0.3987138263665595, Handovers: 0, MigratedKB: 0, MeanFetchMs: 6.968333333333334},
+		{Policy: "lru", Nodes: 2, MobilityRate: 0.1, LocalHitRate: 0.7425665101721439, NeighborShare: 0.40425531914893614, Handovers: 57, MigratedKB: 104.6494140625, MeanFetchMs: 7.3133333333333335},
+		{Policy: "lru", Nodes: 3, MobilityRate: 0, LocalHitRate: 0.8275590551181102, NeighborShare: 0.5570776255707762, Handovers: 0, MigratedKB: 0, MeanFetchMs: 3.88},
+		{Policy: "lru", Nodes: 3, MobilityRate: 0.1, LocalHitRate: 0.7844961240310078, NeighborShare: 0.5755395683453237, Handovers: 76, MigratedKB: 259.02734375, MeanFetchMs: 4.6275},
+		{Policy: "gdsf", Nodes: 2, MobilityRate: 0, LocalHitRate: 0.7606299212598425, NeighborShare: 0.2894736842105263, Handovers: 0, MigratedKB: 0, MeanFetchMs: 7.793333333333333},
+		{Policy: "gdsf", Nodes: 2, MobilityRate: 0.1, LocalHitRate: 0.7230046948356808, NeighborShare: 0.3446327683615819, Handovers: 57, MigratedKB: 103.90625, MeanFetchMs: 8.458333333333334},
+		{Policy: "gdsf", Nodes: 3, MobilityRate: 0, LocalHitRate: 0.7937007874015748, NeighborShare: 0.37786259541984735, Handovers: 0, MigratedKB: 0, MeanFetchMs: 6.030833333333334},
+		{Policy: "gdsf", Nodes: 3, MobilityRate: 0.1, LocalHitRate: 0.7717391304347826, NeighborShare: 0.5136054421768708, Handovers: 76, MigratedKB: 232.8173828125, MeanFetchMs: 5.44},
+	}
+	for i, want := range golden {
+		if res.Cells[i] != want {
+			t.Errorf("Table G cell %d drifted from the in-process cluster golden:\n got %+v\nwant %+v", i, res.Cells[i], want)
+		}
+	}
 	// Determinism: the sweep must reproduce bit-identically.
 	res2, err := RunE11(env, opts)
 	if err != nil {

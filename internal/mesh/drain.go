@@ -51,7 +51,7 @@ func (n *Node) Drain(ctx context.Context) error {
 		n.cfg.Logf("mesh: drain: no live peers, nothing to hand off")
 		return nil
 	}
-	ring := cluster.NewRingFor(survivors, n.cfg.RingReplicas, n.cfg.RingSeed)
+	ring := cluster.NewRingFor(survivors, ringReplicas, n.cfg.RingSeed)
 
 	var firstErr error
 	fail := func(err error) {

@@ -87,7 +87,7 @@ func exportFromWire(h *rpc.HandoffPayload) (*core.UserExport, error) {
 // radio cell and, when the cell maps to a different live member, push
 // the user's serving state there and drop it locally. The reported
 // latency is the simulated mesh-link transfer of the sender-side
-// payload, mirroring the in-process cluster's handover accounting.
+// payload.
 func (n *Node) MoveUser(user string, cell int) (*rpc.Handover, error) {
 	n.mu.RLock()
 	sys := n.sys
@@ -95,8 +95,7 @@ func (n *Node) MoveUser(user string, cell int) (*rpc.Handover, error) {
 	if sys == nil {
 		return nil, fmt.Errorf("mesh: node not bound to a system")
 	}
-	members := n.LiveMembers()
-	target := members[((cell%len(members))+len(members))%len(members)]
+	target := cellMember(n.LiveMembers(), cell)
 	if target == n.self.Index {
 		n.TouchUser(user)
 		return &rpc.Handover{From: n.self.Name, To: n.self.Name}, nil

@@ -1,20 +1,24 @@
-// Package mesh turns independent edged processes into one cooperative
-// edge cluster: the multi-process counterpart of internal/cluster.
+// Package mesh turns independent edge members into one cooperative edge
+// cluster — the paper's multi-edge picture (users hashed to an edge,
+// handover of individual models, cooperative fetch before the cloud) and
+// the repository's only implementation of it.
 //
-// Each process runs a single-sender core.System plus a mesh.Node. The
+// Each member runs a single-sender core.System plus a mesh.Node. The
 // node knows the static peer list, probes peer liveness, and maintains a
-// consistent-hash ring over the live members — the same ring (same seed,
-// same virtual points) the in-process cluster uses, so a user hashes to
-// node i in a 3-process mesh exactly when the in-process `-nodes 3`
-// cluster routes them to node i. On top of membership the node provides
-// the two cross-process data paths:
+// consistent-hash ring (cluster.Ring) over the live members; clients
+// route with the same ring through a Router. Members are usually edged
+// processes cooperating over TCP; because a peer address may also name
+// the in-memory transport (rpc.Listen, "mem:<name>"), any number of
+// members can equally run inside one process, each answering its peers
+// through Serve, with no daemon and no sockets — which is how the
+// experiments and this package's tests run a mesh. On top of membership
+// the node provides the two cross-member data paths:
 //
 //   - cooperative fetch: the node implements edge.Fetcher; a local
 //     general-model cache miss probes peer caches over the v2 wire
 //     protocol (OpFetchModel) in ring order before paying the cloud
-//     origin, mirroring the in-process cooperative fetcher including its
-//     latency accounting (simulated mesh-link transfer time, not
-//     wall-clock).
+//     origin. Latency is accounted as simulated mesh-link transfer
+//     time, not wall-clock.
 //
 //   - handover: when a user's serving node changes (mobility or a peer
 //     death), the old owner exports the user's serving state —
@@ -26,7 +30,6 @@ package mesh
 import (
 	"context"
 	"fmt"
-	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -48,19 +51,15 @@ type Config struct {
 	// the address peers reach it at.
 	Self rpc.PeerInfo
 	// Peers lists every other static member. Indices must be distinct
-	// and, together with Self.Index, cover 0..len(Peers) so the ring
-	// matches the in-process cluster's.
+	// and, together with Self.Index, cover 0..len(Peers) so every member
+	// and every Router build the same ring.
 	Peers []rpc.PeerInfo
 	// MeshLink models inter-node transfers (default 10 ms, 100 Mbps —
-	// the core EdgeLink default, which is what the in-process cluster
-	// charges for neighbor fetches).
+	// the core EdgeLink default).
 	MeshLink netsim.Link
-	// RingReplicas is the number of virtual points per node (default 64,
-	// matching internal/cluster).
-	RingReplicas int
-	// RingSeed places the virtual points (default 1, matching
-	// internal/cluster). Must equal the system seed the in-process
-	// deployment would use for routing parity.
+	// RingSeed places the virtual points (default 1). Every member and
+	// every Router of one mesh must use the same seed; edged passes its
+	// system seed.
 	RingSeed uint64
 	// ProbeInterval is the liveness-probe period (default 1s).
 	ProbeInterval time.Duration
@@ -80,9 +79,6 @@ type Config struct {
 func (cfg Config) withDefaults() Config {
 	if cfg.MeshLink == (netsim.Link{}) {
 		cfg.MeshLink = netsim.Link{Latency: 10 * time.Millisecond, BandwidthBps: 100e6}
-	}
-	if cfg.RingReplicas == 0 {
-		cfg.RingReplicas = 64
 	}
 	if cfg.RingSeed == 0 {
 		cfg.RingSeed = 1
@@ -132,8 +128,7 @@ func (p *peer) call(ctx context.Context, timeout time.Duration, fn func(ctx cont
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.client == nil {
-		var d net.Dialer
-		conn, err := d.DialContext(ctx, "tcp", p.info.Addr)
+		conn, err := rpc.DialContext(ctx, p.info.Addr)
 		if err != nil {
 			return err
 		}
@@ -156,7 +151,7 @@ func (p *peer) close() {
 	}
 }
 
-// Node is this process's mesh membership: liveness view, ring, coop
+// Node is one member's mesh membership: liveness view, ring, coop
 // fetcher and handover endpoints. It implements edge.Fetcher.
 type Node struct {
 	cfg   Config
@@ -202,9 +197,9 @@ type Node struct {
 }
 
 // NewNode validates the static membership and builds the node. Every
-// member starts presumed alive: the ring initially equals the in-process
-// cluster's full ring, and the probe loop (Start) demotes members that
-// turn out to be unreachable.
+// member starts presumed alive: the ring initially spans the whole static
+// membership, and the probe loop (Start) demotes members that turn out to
+// be unreachable.
 func NewNode(cfg Config) (*Node, error) {
 	cfg = cfg.withDefaults()
 	total := len(cfg.Peers) + 1
@@ -248,6 +243,28 @@ func (n *Node) Bind(sys *core.System, origin edge.Fetcher) {
 	n.sys = sys
 	n.origin = origin
 	n.corp = sys.Corpus
+}
+
+// NewMember builds one complete mesh member: the node, and its serving
+// system wired the way every member must be — a single sender named after
+// the ring slot, the node as its miss resolver, per-user noise on (a
+// user's stream must not depend on which member serves them), and the
+// node bound back to the system with the cloud origin as its fallback.
+// sysCfg supplies everything else.
+func NewMember(cfg Config, sysCfg core.Config) (*Node, *core.System, error) {
+	n, err := NewNode(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	sysCfg.SenderName = cfg.Self.Name
+	sysCfg.SenderFetcher = n
+	sysCfg.PerUserNoise = true
+	sys, err := core.NewSystem(sysCfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	n.Bind(sys, edge.NewOriginFetcher(sys.Cloud, sys.CloudLink()))
+	return n, sys, nil
 }
 
 // Self returns this member's identity.
@@ -427,7 +444,7 @@ func (n *Node) setAlive(p *peer, alive bool) {
 // rebuildRing recomputes the ring over the live members. Callers hold
 // n.mu (NewNode runs before concurrency starts).
 func (n *Node) rebuildRing() {
-	n.ring = cluster.NewRingFor(n.liveMembersLocked(), n.cfg.RingReplicas, n.cfg.RingSeed)
+	n.ring = cluster.NewRingFor(n.liveMembersLocked(), ringReplicas, n.cfg.RingSeed)
 }
 
 func (n *Node) liveMembersLocked() []int {
@@ -633,8 +650,8 @@ func (n *Node) EvictionGuard(k kb.Key) bool {
 	return false
 }
 
-// HandoverStats returns the aggregate handover counters (out-side, the
-// figure the in-process cluster reports).
+// HandoverStats returns the aggregate handover counters, counted on the
+// pushing side.
 func (n *Node) HandoverStats() (handovers, migratedBytes int64) {
 	return n.handoversOut.Load(), n.migratedBytes.Load()
 }

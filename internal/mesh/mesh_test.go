@@ -1,0 +1,183 @@
+package mesh
+
+import (
+	"fmt"
+	"net"
+	"slices"
+	"sync"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/corpus"
+	"repro/internal/mat"
+	"repro/internal/rpc"
+	"repro/internal/semantic"
+)
+
+// This file is the in-memory mesh harness: N members — a Node plus its
+// core.System each — inside the test process, answering one another
+// through Node.Serve on mem: listeners. The frames, the ops and every
+// code path between two members are the ones two edged processes run;
+// only the daemon and the sockets are absent, which is what makes these
+// tests fast enough to run un-gated, under -race, on every PR.
+
+var testPretrained struct {
+	once   sync.Once
+	codecs []*semantic.Codec
+}
+
+// pretrained trains one small codec per corpus domain, once per test
+// binary; every member clones from it.
+func pretrained() []*semantic.Codec {
+	testPretrained.once.Do(func() {
+		testPretrained.codecs = semantic.PretrainAll(corpus.Build(), semantic.Config{
+			EmbedDim: 12, FeatureDim: 8, HiddenDim: 16, Epochs: 3, Sentences: 500, Seed: 11,
+		})
+	})
+	return testPretrained.codecs
+}
+
+// member is one in-process mesh member.
+type member struct {
+	node *Node
+	sys  *core.System
+	ln   net.Listener
+}
+
+// serve runs one message through the member the way edged's transmit op
+// does: the system serves it, the node records who it served.
+func (m *member) serve(t testing.TB, user string, words []string) *core.Result {
+	t.Helper()
+	res, err := m.sys.TransmitText(user, words)
+	if err != nil {
+		t.Fatalf("%s: transmit for %s: %v", m.node.Self().Name, user, err)
+	}
+	if res.UpdateErr != nil {
+		t.Fatalf("%s: update for %s failed: %v", m.node.Self().Name, user, res.UpdateErr)
+	}
+	m.node.TouchUser(user)
+	return res
+}
+
+// memMesh is a booted in-memory mesh plus the client-side router over it.
+type memMesh struct {
+	members []*member
+	router  *Router
+}
+
+// testSeed is the system and ring seed of every harness mesh.
+const testSeed = 11
+
+// newMemMesh boots n members on the in-memory transport. The defaults are
+// the edged test scenario (sticky selector, threshold 8, generals pinned);
+// mutate adjusts member i's configs before it is built. Nobody probes
+// unless a test calls Start: membership is static and every member
+// presumed alive, so runs are deterministic.
+func newMemMesh(t testing.TB, n int, mutate func(i int, cfg *Config, sys *core.Config)) *memMesh {
+	t.Helper()
+	return newMemMeshOn(t, n, mutate, func(_ int, ln net.Listener) net.Listener { return ln })
+}
+
+// newMemMeshOn is newMemMesh with member i accepting through wrap(i, its
+// listener) — where a test puts a faulty link.
+func newMemMeshOn(t testing.TB, n int, mutate func(i int, cfg *Config, sys *core.Config), wrap func(i int, ln net.Listener) net.Listener) *memMesh {
+	t.Helper()
+	peers := make([]rpc.PeerInfo, n)
+	addrs := make([]string, n)
+	mm := &memMesh{members: make([]*member, n)}
+	for i := range peers {
+		ln, err := rpc.Listen("mem:")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		mm.members[i] = &member{ln: ln}
+		addrs[i] = ln.Addr().String()
+		peers[i] = rpc.PeerInfo{Name: fmt.Sprintf("node-%d", i), Index: i, Addr: addrs[i]}
+	}
+	for i, m := range mm.members {
+		cfg := Config{
+			Self:     peers[i],
+			Peers:    slices.Delete(slices.Clone(peers), i, i+1),
+			RingSeed: testSeed,
+			Logf:     t.Logf,
+		}
+		sysCfg := core.Config{
+			Selector:        core.SelectorSticky,
+			PinGeneral:      true,
+			BufferThreshold: 8,
+			Seed:            testSeed,
+			Pretrained:      pretrained(),
+		}
+		if mutate != nil {
+			mutate(i, &cfg, &sysCfg)
+		}
+		var err error
+		if m.node, m.sys, err = NewMember(cfg, sysCfg); err != nil {
+			t.Fatal(err)
+		}
+		go m.node.Serve(wrap(i, m.ln))
+		t.Cleanup(m.node.Abort)
+	}
+	mm.router = NewRouter(addrs, testSeed)
+	return mm
+}
+
+// warm prefetches every general model into both edges of the given
+// members (all of them when none is named), so no later request pays —
+// or counts — a fetch.
+func (mm *memMesh) warm(t testing.TB, which ...int) {
+	t.Helper()
+	if len(which) == 0 {
+		for i := range mm.members {
+			which = append(which, i)
+		}
+	}
+	for _, i := range which {
+		sys := mm.members[i].sys
+		if _, err := sys.Sender.Prefetch(sys.Corpus.Names()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Receiver.Prefetch(sys.Corpus.Names()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// owner returns the member the router currently maps user to.
+func (mm *memMesh) owner(user string) *member { return mm.members[mm.router.Owner(user)] }
+
+// move attaches user to cell the way a client does: the move goes to the
+// user's serving member, and the router mirrors the outcome.
+func (mm *memMesh) move(t testing.TB, user string, cell int) *rpc.Handover {
+	t.Helper()
+	h, err := mm.owner(user).node.MoveUser(user, cell)
+	if err != nil {
+		t.Fatalf("move %s to cell %d: %v", user, cell, err)
+	}
+	mm.router.Moved(user, cell)
+	return h
+}
+
+// messages draws n single-domain messages from a seeded generator.
+func messages(domain, n int, seed uint64) [][]string {
+	gen := corpus.NewGenerator(corpus.Build(), mat.NewRNG(seed))
+	out := make([][]string, n)
+	for i := range out {
+		out[i] = gen.Message(domain, nil).Words
+	}
+	return out
+}
+
+// personalize streams single-domain traffic through the user's owner
+// until an update fired and the user is served from an individual model.
+func (mm *memMesh) personalize(t testing.TB, user string, domain int, seed uint64) {
+	t.Helper()
+	individual := false
+	for _, words := range messages(domain, 10, seed) {
+		individual = mm.owner(user).serve(t, user, words).UsedIndividual || individual
+	}
+	if !individual {
+		t.Fatalf("%s was never served from an individual model: the fixture personalized nobody", user)
+	}
+}

@@ -1,0 +1,172 @@
+package mesh
+
+import (
+	"context"
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/rpc"
+)
+
+// TestParseMembers is the one member-list parser's table: what edged
+// -peers and semload -mesh both accept, and what both refuse. A list
+// either side read differently would shift every ring index after the
+// disagreement.
+func TestParseMembers(t *testing.T) {
+	for _, tc := range []struct {
+		name, list string
+		want       []string // member addresses; nil = rejected
+		reason     string   // substring of the rejection
+	}{
+		{"two members", "a:1,b:2", []string{"a:1", "b:2"}, ""},
+		{"whitespace trimmed", "h0:1, h1:2 ,h2:3", []string{"h0:1", "h1:2", "h2:3"}, ""},
+		{"in-memory members", "mem:a,mem:b", []string{"mem:a", "mem:b"}, ""},
+		{"empty list", "", nil, "at least 2"},
+		{"one member", "a:1", nil, "at least 2"},
+		{"empty member", "a:1,,b:2", nil, "member 1"},
+		{"trailing comma", "a:1,b:2,", nil, "member 2"},
+		{"blank member", "a:1, ,b:2", nil, "member 1"},
+		{"not host:port", "a:1,nonsense", nil, "member 1"},
+		{"duplicate", "a:1,a:1", nil, "members 0 and 1"},
+		{"duplicate after trim", "a:1,b:2, a:1", nil, "members 0 and 2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			members, err := ParseMembers(tc.list)
+			if tc.want == nil {
+				if err == nil || !strings.Contains(err.Error(), tc.reason) {
+					t.Fatalf("ParseMembers(%q) = %v, %v; want an error naming %q", tc.list, members, err, tc.reason)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(members) != len(tc.want) {
+				t.Fatalf("got %d members, want %d", len(members), len(tc.want))
+			}
+			for i, m := range members {
+				if want := (rpc.PeerInfo{Name: fmt.Sprintf("node-%d", i), Index: i, Addr: tc.want[i]}); m != want {
+					t.Fatalf("member %d = %+v, want %+v", i, m, want)
+				}
+			}
+		})
+	}
+}
+
+// TestNewNodeValidation checks a membership that cannot form a ring is
+// refused at construction.
+func TestNewNodeValidation(t *testing.T) {
+	peer := func(i int, addr string) rpc.PeerInfo {
+		return rpc.PeerInfo{Name: fmt.Sprintf("node-%d", i), Index: i, Addr: addr}
+	}
+	for name, cfg := range map[string]Config{
+		"self out of range": {Self: peer(2, "a:1"), Peers: []rpc.PeerInfo{peer(0, "b:2")}},
+		"peer out of range": {Self: peer(0, "a:1"), Peers: []rpc.PeerInfo{peer(5, "b:2")}},
+		"duplicate index":   {Self: peer(0, "a:1"), Peers: []rpc.PeerInfo{peer(0, "b:2")}},
+		"peer without addr": {Self: peer(0, "a:1"), Peers: []rpc.PeerInfo{peer(1, "")}},
+	} {
+		if _, err := NewNode(cfg); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestRouterMatchesNodeAndReroutes checks the client-side view against a
+// member's: same ring, same cell rule; a dead member's users — ring-owned
+// or moved there — fall to the ring over the survivors, and nobody else
+// moves.
+func TestRouterMatchesNodeAndReroutes(t *testing.T) {
+	members, err := ParseMembers("mem:r0,mem:r1,mem:r2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := NewNode(Config{Self: members[0], Peers: members[1:], RingSeed: testSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRouter([]string{"mem:r0", "mem:r1", "mem:r2"}, testSeed)
+	users := make([]string, 300)
+	seen := map[int]int{}
+	for i := range users {
+		users[i] = fmt.Sprintf("u%03d", i)
+		if got, want := r.Owner(users[i]), node.Owner(users[i]); got != want {
+			t.Fatalf("%s: router owner %d, member's owner %d", users[i], got, want)
+		}
+		seen[r.Owner(users[i])]++
+	}
+	if len(seen) != 3 {
+		t.Fatalf("ring left a member without users: %v", seen)
+	}
+	live := node.LiveMembers()
+	for cell := -4; cell < 7; cell++ {
+		r.Moved("probe", cell)
+		if got, want := r.Owner("probe"), cellMember(live, cell); got != want {
+			t.Fatalf("cell %d: router target %d, member target %d", cell, got, want)
+		}
+	}
+
+	before := make(map[string]int, len(users))
+	for _, u := range users {
+		before[u] = r.Owner(u)
+	}
+	r.Moved("visitor", 1) // parked on the member about to die
+	r.MarkDead(1)
+	if live := r.Live(); len(live) != 2 || live[0] != 0 || live[1] != 2 {
+		t.Fatalf("live view after MarkDead(1): %v", r.Live())
+	}
+	for _, u := range append(users, "visitor") {
+		now := r.Owner(u)
+		if now == 1 {
+			t.Fatalf("%s still routes to the dead member", u)
+		}
+		if was, ok := before[u]; ok && was != 1 && now != was {
+			t.Fatalf("%s moved %d -> %d though their member survived", u, was, now)
+		}
+	}
+	// The cell rule now ranges over the survivors, as theirs does.
+	r.Moved("probe", 1)
+	if got := r.Owner("probe"); got != 2 {
+		t.Fatalf("cell 1 over live members [0 2] resolved to %d, want 2", got)
+	}
+}
+
+// TestServeAnswersOnlyMeshOps pins the wire surface of a daemon-less
+// member: v2 mesh ops are served, a mesh op on a v1 frame bounces with the
+// protocol error, and a client op is refused rather than half-served.
+func TestServeAnswersOnlyMeshOps(t *testing.T) {
+	mm := newMemMesh(t, 2, nil)
+	addr := mm.members[0].node.Self().Addr
+	cl, err := rpc.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	peers, err := cl.Join(context.Background(), mm.members[1].node.Self())
+	if err != nil || len(peers) != 2 {
+		t.Fatalf("v2 join: %v, %v", peers, err)
+	}
+	resp, err := cl.Transmit("u1", "the server has a kernel bug")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.OK || !strings.Contains(resp.Error, "not a mesh op") {
+		t.Fatalf("transmit on a mesh-only listener: %+v", resp)
+	}
+
+	conn, err := rpc.DialContext(context.Background(), addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := rpc.Write(conn, &rpc.Request{Op: rpc.OpPeerStats}); err != nil {
+		t.Fatal(err)
+	}
+	v1, err := rpc.ReadResponse(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v1.OK || v1.Error != rpc.ErrMeshOpVersion.Error() {
+		t.Fatalf("v1-framed mesh op not rejected: %+v", v1)
+	}
+}

@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// Client is a typed connection to an edged daemon. It owns one TCP
+// Client is a typed connection to an edged daemon. It owns one
 // connection and serializes calls over it; a Client is safe for use from
 // multiple goroutines, with concurrent calls queueing on an internal
 // mutex. Each call is one Write (the request frame) and, for a response
@@ -29,9 +29,10 @@ type Client struct {
 // ErrClosed reports a call on a closed Client.
 var ErrClosed = errors.New("rpc: client closed")
 
-// Dial connects to an edged daemon at addr.
+// Dial connects to an edged daemon at addr (see DialContext for the
+// address forms).
 func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
+	conn, err := DialContext(context.Background(), addr)
 	if err != nil {
 		return nil, fmt.Errorf("rpc: dial %s: %w", addr, err)
 	}
@@ -119,8 +120,8 @@ func (c *Client) TransmitContext(ctx context.Context, user, text string) (*Respo
 	return c.do(ctx, Version, &Request{Op: OpTransmit, User: user, Text: text})
 }
 
-// Move attaches user to a radio cell (cluster mode). The returned
-// Response carries the Handover outcome when the daemon runs a cluster.
+// Move attaches user to a radio cell. The returned Response carries the
+// Handover outcome when the daemon is a mesh member.
 func (c *Client) Move(user string, cell int) (*Response, error) {
 	return c.do(context.Background(), Version, &Request{Op: OpMove, User: user, Cell: cell})
 }

@@ -302,3 +302,32 @@ func TestClientStalledMidPayload(t *testing.T) {
 		t.Fatalf("stalled call took %v to fail", waited)
 	}
 }
+
+// TestCutConnFailsBothEndsMidFrame pins the fault double: a frame larger
+// than the cut never reaches the reader as a request, the reader sees an
+// error instead of a short frame, and the writer's single Write fails
+// rather than reporting the frame sent.
+func TestCutConnFailsBothEndsMidFrame(t *testing.T) {
+	clientEnd, serverEnd := net.Pipe()
+	defer clientEnd.Close()
+	cut := &rpctest.CutConn{Conn: serverEnd, After: 1000}
+	readErr := make(chan error, 1)
+	go func() {
+		req, _, err := NewConn(cut).ReadRequestV()
+		if err == nil {
+			err = errors.New("read a whole request: " + req.Op)
+		}
+		readErr <- err
+	}()
+	push := &Request{Op: OpHandoverPush, Handoff: &HandoffPayload{User: "u",
+		General: []ModelPayload{{Domain: "it", Params: make([]byte, 20<<10)}}}}
+	if err := NewConn(clientEnd).WriteV(Version2, push); err == nil {
+		t.Fatal("the writer was told a frame cut at byte 1000 had been sent")
+	}
+	if err := <-readErr; !errors.Is(err, io.ErrClosedPipe) && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
+		t.Fatalf("reader error = %v, want the connection's end", err)
+	}
+	if cut.After != 0 {
+		t.Fatalf("cut fired with %d bytes of budget left", cut.After)
+	}
+}

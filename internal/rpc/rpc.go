@@ -35,8 +35,8 @@ const MaxMessageBytes = 1 << 20
 const (
 	// OpTransmit runs one message through the semantic pipeline.
 	OpTransmit = "transmit"
-	// OpMove attaches a user to a radio cell (cluster mode), triggering a
-	// handover when the serving node changes.
+	// OpMove attaches a user to a radio cell (mesh members only),
+	// triggering a handover when the serving member changes.
 	OpMove = "move"
 	// OpStats returns system counters.
 	OpStats = "stats"
@@ -102,7 +102,8 @@ type PeerInfo struct {
 	// Name is the node name ("node-0", ...); Index its mesh position.
 	Name  string `json:"name"`
 	Index int    `json:"index"`
-	// Addr is the peer's mesh listen address, host:port.
+	// Addr is the peer's mesh listen address: host:port, or a mem: name
+	// for a member in the dialing process (see Listen).
 	Addr string `json:"addr,omitempty"`
 }
 
@@ -257,7 +258,8 @@ type Stats struct {
 	// predates the serve path (e.g. a unit-test stub).
 	Serve *ServeStats `json:"serve,omitempty"`
 
-	// Cluster-mode counters (absent in single-sender mode).
+	// Mesh counters (absent on a classic single-sender daemon): one
+	// NodeStats per member whose snapshot was merged in.
 	Nodes         []NodeStats `json:"nodes,omitempty"`
 	Handovers     int64       `json:"handovers,omitempty"`
 	MigratedBytes int64       `json:"migrated_bytes,omitempty"`
@@ -291,10 +293,9 @@ type ServeStats struct {
 	UpdateP99Ms float64 `json:"update_p99_ms,omitempty"`
 }
 
-// NodeStats reports one cluster node's counters. The field set mirrors
-// cluster.NodeStats one-for-one (FetchLatency carried as milliseconds) so
-// per-process mesh snapshots and single-process cluster snapshots
-// aggregate through the same code.
+// NodeStats reports one mesh member's counters: the answer to
+// OpPeerStats, and the member's entry in Stats.Nodes. FetchLatencyMs is
+// simulated transfer time, summed.
 type NodeStats struct {
 	Name           string  `json:"name"`
 	Users          int     `json:"users"`
@@ -330,10 +331,9 @@ type DomainHeat struct {
 	Count  int64  `json:"count"`
 }
 
-// Merge folds other's counters into s, so per-process stats scraped from
-// N mesh daemons aggregate to the same totals a single-process cluster
-// reports: additive counters sum, SenderHitRate re-weights by Messages,
-// and Nodes concatenates. Serve percentiles are per-process measurements
+// Merge folds other's counters into s, so the stats scraped from N mesh
+// members aggregate to deployment totals: additive counters sum,
+// SenderHitRate re-weights by Messages, and Nodes concatenates. Serve percentiles are per-process measurements
 // with no meaningful cross-process merge; s keeps its own Serve snapshot
 // untouched except for the additive in-flight and shed counters.
 func (s *Stats) Merge(other *Stats) {

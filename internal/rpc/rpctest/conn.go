@@ -1,12 +1,35 @@
 // Package rpctest holds net.Conn doubles for tests and benchmarks that
 // pin how frames reach the socket: how many Read and Write calls a frame
-// costs, and that framing survives any segmentation of the byte stream.
+// costs, that framing survives any segmentation of the byte stream, and
+// what a link that dies mid-frame does to both ends.
 package rpctest
 
 import (
 	"net"
 	"sync/atomic"
 )
+
+// CutConn is a link that fails mid-stream: it delivers the first After
+// bytes read through it and then closes the connection. The Read that
+// reaches the mark returns the bytes up to it; every later Read fails,
+// and so does the rest of whatever Write the peer had in flight — a frame
+// larger than After arrives cut mid-payload, which is the fault a
+// process-level kill cannot place. Wrap the accepting side's connection.
+type CutConn struct {
+	net.Conn
+	After int
+}
+
+func (c *CutConn) Read(p []byte) (int, error) {
+	if len(p) > c.After {
+		p = p[:c.After]
+	}
+	n, err := c.Conn.Read(p)
+	if c.After -= n; c.After == 0 {
+		c.Conn.Close()
+	}
+	return n, err
+}
 
 // CountingConn counts the calls that moved bytes on the wrapped
 // connection. A Read that returned nothing (EOF, deadline, close) is not

@@ -25,7 +25,7 @@ type Request struct {
 }
 
 // Move is one mobility event: User attaches to Cell before the request at
-// Seq is served. A cluster maps cells onto nodes and executes a handover
+// Seq is served. A mesh maps cells onto members and executes a handover
 // for each Move that changes the serving node.
 type Move struct {
 	Seq  int
