@@ -44,6 +44,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/channel"
 	"repro/internal/cluster"
 	"repro/internal/corpus"
@@ -376,7 +377,7 @@ func validSelector(name string) bool {
 // expensive pretraining so misconfiguration fails fast.
 func NewSystem(cfg Config) (*System, error) {
 	cfg = cfg.withDefaults()
-	if _, ok := newPolicy(cfg.Policy); !ok {
+	if _, ok := cache.NewPolicy(cfg.Policy); !ok {
 		return nil, fmt.Errorf("core: unknown cache policy %q", cfg.Policy)
 	}
 	code, err := newCode(cfg.CodeName)
@@ -426,10 +427,8 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 
 	mkEdge := func(name string, capacity int64, fetcher edge.Fetcher) (*edge.Server, error) {
-		policy, ok := newPolicy(cfg.Policy)
-		if !ok {
-			return nil, fmt.Errorf("core: unknown cache policy %q", cfg.Policy)
-		}
+		// The name was validated above; each edge owns its policy's state.
+		policy, _ := cache.NewPolicy(cfg.Policy)
 		return edge.New(edge.Config{
 			Name:            name,
 			CacheCapacity:   capacity,
@@ -502,12 +501,6 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// newPolicy mirrors cache.NewPolicy without exporting the dependency to
-// callers of this package.
-func newPolicy(name string) (edgePolicy, bool) {
-	return cachePolicyByName(name)
 }
 
 // initSelectors trains the shared classifier and builds the per-user
@@ -886,6 +879,6 @@ func Summarize(results []Result) (Summary, error) {
 	sum.MeanPayloadBytes /= n
 	sum.MeanLatency /= time.Duration(len(results))
 	sum.IndividualShare /= n
-	sum.P95Latency = percentileDuration(latencies, 95)
+	sum.P95Latency = time.Duration(metrics.Percentile(latencies, 95))
 	return sum, nil
 }

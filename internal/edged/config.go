@@ -167,6 +167,9 @@ func (c *Config) Validate() error {
 		if c.Replicas > 0 {
 			return &ConfigError{Field: "replicas", Value: c.Replicas, Reason: "replication needs mesh mode (-peers)"}
 		}
+		if c.MeshIndex != 0 {
+			return &ConfigError{Field: "mesh-index", Value: c.MeshIndex, Reason: "a mesh position needs mesh mode (-peers)"}
+		}
 		return nil
 	}
 	members, err := mesh.ParseMembers(c.Peers)

@@ -11,7 +11,7 @@ import (
 )
 
 // defaultConfig parses an empty command line: the documented defaults.
-func defaultConfig(t *testing.T, args ...string) *Config {
+func defaultConfig(t testing.TB, args ...string) *Config {
 	t.Helper()
 	fs := flag.NewFlagSet("edged", flag.ContinueOnError)
 	cfg := FromFlags(fs)
@@ -48,6 +48,8 @@ func TestValidateTypedErrors(t *testing.T) {
 		{"one-member mesh", []string{"-peers", "localhost:7060"}, "peers"},
 		{"malformed peer", []string{"-peers", "localhost:7060,nonsense"}, "peers"},
 		{"mesh index out of range", []string{"-peers", "a:1,b:2", "-mesh-index", "2"}, "mesh-index"},
+		{"mesh index without peers", []string{"-mesh-index", "2"}, "mesh-index"},
+		{"replicas without peers", []string{"-replicas", "1"}, "replicas"},
 		{"empty mesh member", []string{"-peers", "a:1,,b:2"}, "peers"},
 		{"duplicate mesh member", []string{"-peers", "a:1,b:2,a:1"}, "peers"},
 	}

@@ -39,7 +39,7 @@ var meshKB struct {
 // to .kbm files once per test binary: every daemon in these tests boots
 // through the real -kb load path with identical weights, without paying
 // pretraining per daemon.
-func meshKBDir(t *testing.T) string {
+func meshKBDir(t testing.TB) string {
 	t.Helper()
 	meshKB.once.Do(func() {
 		dir, err := os.MkdirTemp("", "edged-mesh-kb-*")

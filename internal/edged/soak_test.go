@@ -25,7 +25,7 @@ var (
 // soakPretrained trains one small set of general codecs shared by every
 // soak/replay system in this file: identical weights are what make the
 // served-versus-direct comparison meaningful.
-func soakPretrained(t *testing.T) []*semantic.Codec {
+func soakPretrained(t testing.TB) []*semantic.Codec {
 	t.Helper()
 	soakOnce.Do(func() {
 		soakGenerals = semantic.PretrainAll(corpus.Build(), semantic.Config{

@@ -1,8 +1,7 @@
 // Package experiments implements the reproduction harness: one runner per
 // experiment in DESIGN.md's experiment index (E1-E8 plus ablations), each
 // producing the table or figure series the evaluation reports. Runners are
-// deterministic given their Options and shared by cmd/sembench and the
-// top-level benchmarks.
+// deterministic given their Options and run by cmd/sembench.
 package experiments
 
 import (

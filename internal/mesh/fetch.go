@@ -78,11 +78,19 @@ func (n *Node) FetchModel(k kb.Key) (edge.Fetch, error) {
 
 // reviveModel reconstructs a kb.Model from its wire payload — the full
 // codec stream, so the receiving process depends only on bytes that
-// actually crossed the network, never on shared memory.
+// actually crossed the network, never on shared memory. The answer must
+// be the general model that was asked for, in its label and in the
+// stream itself: the result is cached under k and served from then on.
 func (n *Node) reviveModel(k kb.Key, payload *rpc.ModelPayload) (*kb.Model, error) {
+	if payload.User != "" || payload.Domain != k.Domain {
+		return nil, fmt.Errorf("mesh: fetch of %s answered with a model labelled %q/%q", k, payload.Domain, payload.User)
+	}
 	codec, err := semantic.ReadCodec(bytes.NewReader(payload.Params), n.corp)
 	if err != nil {
 		return nil, err
+	}
+	if got := codec.Domain().Name; got != k.Domain {
+		return nil, fmt.Errorf("mesh: fetch of %s answered with a %q codec", k, got)
 	}
 	return &kb.Model{Key: k, Version: payload.Version, Codec: codec}, nil
 }

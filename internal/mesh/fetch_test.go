@@ -1,11 +1,14 @@
 package mesh
 
 import (
+	"bytes"
 	"errors"
+	"net"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/corpus"
 	"repro/internal/kb"
 	"repro/internal/rpc"
 )
@@ -128,5 +131,114 @@ func TestCooperativeFetchFallsBackToOrigin(t *testing.T) {
 	}
 	if st.NeighborHits != 0 || mm.members[0].node.Stats().NeighborServed != 0 {
 		t.Fatal("phantom neighbor hit")
+	}
+}
+
+// lyingPeer stands in for a mesh member on ln: it acknowledges every op
+// and answers each fetch-model with whatever answer makes of the request.
+func lyingPeer(ln net.Listener, answer func(rpc.FetchRequest) *rpc.ModelPayload) {
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		go func() {
+			defer conn.Close()
+			framed := rpc.NewConn(conn)
+			for {
+				req, version, err := framed.ReadRequestV()
+				if err != nil {
+					return
+				}
+				resp := &rpc.Response{OK: true}
+				if req.Op == rpc.OpFetchModel && req.Fetch != nil {
+					resp.Model = answer(*req.Fetch)
+				}
+				if framed.WriteV(version, resp) != nil {
+					return
+				}
+			}
+		}()
+	}
+}
+
+// TestCooperativeFetchRefusesWrongModel puts a peer that answers every
+// fetch with something other than what was asked first in the probe
+// order. Whatever the lie — another domain's codec under the right
+// label, the wrong label on the right codec, a user's name on a general
+// fetch — the answer must not be cached under the key that was asked
+// for: the prober drops the peer's connection, asks the next member, and
+// pays the origin when nobody else has the model.
+func TestCooperativeFetchRefusesWrongModel(t *testing.T) {
+	// The two domains' real codec streams; every lie swaps one for the other.
+	corp := corpus.Build()
+	stream := make(map[string][]byte)
+	other := map[string]string{"it": "medical", "medical": "it"}
+	for domain := range other {
+		var buf bytes.Buffer
+		if _, err := pretrained()[corp.Domain(domain).Index].WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		stream[domain] = buf.Bytes()
+	}
+	lies := map[string]func(rpc.FetchRequest) *rpc.ModelPayload{
+		"another domain's codec": func(f rpc.FetchRequest) *rpc.ModelPayload {
+			return &rpc.ModelPayload{Domain: f.Domain, Version: 1, Params: stream[other[f.Domain]]}
+		},
+		"another domain's label": func(f rpc.FetchRequest) *rpc.ModelPayload {
+			return &rpc.ModelPayload{Domain: other[f.Domain], Version: 1, Params: stream[f.Domain]}
+		},
+		"a user's name": func(f rpc.FetchRequest) *rpc.ModelPayload {
+			return &rpc.ModelPayload{Domain: f.Domain, User: "mallory", Version: 1, Params: stream[f.Domain]}
+		},
+	}
+	for name, lie := range lies {
+		t.Run(name, func(t *testing.T) {
+			// Member 1 — member 0's nearest successor — is the liar: its
+			// listener goes to lyingPeer and its real node serves nothing.
+			mm := newMemMeshOn(t, 3, unpinned, func(i int, ln net.Listener) net.Listener {
+				if i != 1 {
+					return ln
+				}
+				go lyingPeer(ln, lie)
+				unserved, err := rpc.Listen("mem:")
+				if err != nil {
+					t.Fatal(err)
+				}
+				unserved.Close()
+				return unserved
+			})
+			if _, err := mm.members[2].sys.Sender.Prefetch([]string{"it"}); err != nil {
+				t.Fatal(err)
+			}
+			prober := mm.members[0]
+
+			// "it": the liar is refused, member 2 answers.
+			acq, err := prober.sys.Sender.AcquireCodec("it", "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := acq.Model.Codec.Domain().Name; got != "it" {
+				t.Fatalf("the %q key now serves a %q codec", "it", got)
+			}
+			if st := prober.node.Stats(); !acq.Remote || st.NeighborHits != 1 || st.OriginFetches != 0 {
+				t.Fatalf("after the refusal the next member was not asked: remote %t, %+v", acq.Remote, st)
+			}
+			if served := mm.members[2].node.Stats().NeighborServed; served != 1 {
+				t.Fatalf("member 2 served %d probes, want 1", served)
+			}
+
+			// "medical": nobody honest holds it, so the origin is paid.
+			acq, err = prober.sys.Sender.AcquireCodec("medical", "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := acq.Model.Codec.Domain().Name; got != "medical" {
+				t.Fatalf("the %q key now serves a %q codec", "medical", got)
+			}
+			if st := prober.node.Stats(); acq.Remote || st.NeighborHits != 1 || st.OriginFetches != 1 {
+				t.Fatalf("a refused answer with no other holder did not fall back to the origin: remote %t, %+v", acq.Remote, st)
+			}
+		})
 	}
 }

@@ -16,6 +16,19 @@ import (
 	"repro/internal/semantic"
 )
 
+// cacheListing names every cached model that where selects, with its
+// version, in sorted order.
+func cacheListing(c *cache.Cache, where func(kb.Key) bool) string {
+	keys := c.KeysWhere(where)
+	lines := make([]string, len(keys))
+	for i, k := range keys {
+		m, _ := c.Peek(k)
+		lines[i] = fmt.Sprintf("%s@%d", k, m.Version)
+	}
+	sort.Strings(lines)
+	return fmt.Sprintln(lines)
+}
+
 // userState captures everything a handover push may change on a member:
 // which individual models each edge caches and at what version, and the
 // complete exportable state (model bytes, noise sequence, belief, pending
@@ -24,14 +37,7 @@ func userState(t *testing.T, sys *core.System, users ...string) string {
 	t.Helper()
 	var b strings.Builder
 	for _, c := range []*cache.Cache{sys.Sender.Cache(), sys.Receiver.Cache()} {
-		keys := c.KeysWhere(func(k kb.Key) bool { return k.User != "" })
-		lines := make([]string, len(keys))
-		for i, k := range keys {
-			m, _ := c.Peek(k)
-			lines[i] = fmt.Sprintf("%s@%d", k, m.Version)
-		}
-		sort.Strings(lines)
-		fmt.Fprintln(&b, lines)
+		b.WriteString(cacheListing(c, func(k kb.Key) bool { return k.User != "" }))
 	}
 	for _, u := range users {
 		exp, err := sys.ExportUserForHandover(u)
@@ -47,6 +53,14 @@ func userState(t *testing.T, sys *core.System, users ...string) string {
 	return b.String()
 }
 
+// tinyCodecs keeps a fuzz seed — and so every mutated input the engine
+// has to parse and minimize — at a few kilobytes.
+func tinyCodecs() []*semantic.Codec {
+	return semantic.PretrainAll(corpus.Build(), semantic.Config{
+		EmbedDim: 2, FeatureDim: 2, HiddenDim: 2, Epochs: 1, Sentences: 50, Seed: testSeed,
+	})
+}
+
 // FuzzHandleHandoverPush feeds arbitrary handover payloads to a member
 // that already serves a personalized user. Whatever the bytes say, the
 // push must not panic, and a push that is refused must leave the member
@@ -54,11 +68,7 @@ func userState(t *testing.T, sys *core.System, users ...string) string {
 // promises, seen from the wire: the pusher keeps its copy on error, so a
 // half-installed payload would fork a user across two members.
 func FuzzHandleHandoverPush(f *testing.F) {
-	// Tiny codecs keep the seed payload — and so every mutated input the
-	// engine has to parse and minimize — at a few kilobytes.
-	tiny := semantic.PretrainAll(corpus.Build(), semantic.Config{
-		EmbedDim: 2, FeatureDim: 2, HiddenDim: 2, Epochs: 1, Sentences: 50, Seed: testSeed,
-	})
+	tiny := tinyCodecs()
 	mm := newMemMesh(f, 2, func(_ int, _ *Config, sys *core.Config) { sys.Pretrained = tiny })
 	mm.warm(f)
 	const resident = "resident"
@@ -95,6 +105,49 @@ func FuzzHandleHandoverPush(f *testing.F) {
 		}
 		if after := userState(t, target.sys, resident, h.User); !reflect.DeepEqual(after, before) {
 			t.Fatalf("a refused push changed the member's state:\nbefore %.300s\nafter  %.300s", before, after)
+		}
+	})
+}
+
+// FuzzReviveModel feeds arbitrary fetch-model answers to the prober's
+// side of a cooperative fetch, seeded with what a real member serves.
+// Whatever a peer sends back, reviving it must not panic; what revives is
+// the general model that was asked for, and what does not leaves nothing
+// behind in the sender cache the answer was meant for.
+func FuzzReviveModel(f *testing.F) {
+	tiny := tinyCodecs()
+	mm := newMemMesh(f, 2, func(_ int, _ *Config, sys *core.Config) { sys.Pretrained = tiny })
+	mm.warm(f)
+	holder, prober := mm.members[0], mm.members[1]
+	k := kb.GeneralKey("it", kb.RoleCodec)
+	for _, domain := range []string{"it", "medical"} {
+		real, err := holder.node.HandleFetch(rpc.FetchRequest{Domain: domain, Role: k.Role.String()})
+		if err != nil || real == nil {
+			f.Fatalf("seed fetch of %q: payload %v, err %v", domain, real, err)
+		}
+		f.Logf("seed payload: %d bytes", len(real.Params))
+		// Labelled as asked: the honest answer, and the other domain's codec.
+		f.Add(k.Domain, "", real.Version, real.Params)
+	}
+	f.Add("medical", "", 1, []byte("AAAA"))
+	f.Add(k.Domain, "mallory", 1, []byte("AAAA"))
+
+	senderCache := prober.sys.Sender.Cache()
+	all := func(kb.Key) bool { return true }
+	before := cacheListing(senderCache, all)
+	f.Fuzz(func(t *testing.T, domain, user string, version int, params []byte) {
+		m, err := prober.node.reviveModel(k, &rpc.ModelPayload{Domain: domain, User: user, Version: version, Params: params})
+		if err == nil {
+			if domain != k.Domain || user != "" || m.Key != k || m.Codec.Domain().Name != k.Domain {
+				t.Fatalf("a fetch of %s revived %s from an answer labelled %q/%q holding a %q codec", k, m.Key, domain, user, m.Codec.Domain().Name)
+			}
+			return
+		}
+		if m != nil {
+			t.Fatalf("a refused answer still produced a model: %v", err)
+		}
+		if after := cacheListing(senderCache, all); after != before {
+			t.Fatalf("a refused answer changed the sender cache:\nbefore %safter  %s", before, after)
 		}
 	})
 }
