@@ -450,6 +450,10 @@ func printStats(s *rpc.Stats) {
 			sv.UpdateP50Ms, sv.UpdateP99Ms)
 	}
 	fmt.Printf("syncs    : %d decoder updates, %d bytes, %d updates failed\n", s.SyncCount, s.SyncBytes, s.UpdateFailures)
+	if s.MemoLookups > 0 {
+		fmt.Printf("memo     : %d feature rows decoded, %.1f%% from the decode memo, %d inserted, %d replaced\n",
+			s.MemoLookups, 100*s.MemoStats.HitRate(), s.MemoInserts, s.MemoReplaced)
+	}
 	if len(s.Nodes) == 0 {
 		return
 	}

@@ -132,7 +132,9 @@ func (s *System) checkHandoverBuffers(exp *UserExport) error {
 // checks it against the export it rides in — it must be the export's
 // user's, and the only one for its domain — and against the general model
 // of its domain: the model the individual is cloned from on install, so a
-// payload that fits it cannot fail the install's own shape check. The
+// payload that fits it cannot fail the install's own shape check. Every
+// weight must be finite — a model holding one NaN decodes every token to
+// concept 0 from then on, and nothing downstream would notice. The
 // parsed sets come back in input order for the install to use, so no
 // payload is read twice.
 func (s *System) decodeHandoverModels(user string, models []*edge.ExportedModel) ([]*nn.ParamSet, error) {
@@ -157,7 +159,10 @@ func (s *System) decodeHandoverModels(user string, models []*edge.ExportedModel)
 		if err != nil {
 			return nil, bad("model payload: %v", err)
 		}
-		if err := general.Codec.Params().CheckSameShape(params); err != nil {
+		if err := general.Codec.CheckParamShape(params); err != nil {
+			return nil, bad("model payload: %v", err)
+		}
+		if err := params.CheckFinite(); err != nil {
 			return nil, bad("model payload: %v", err)
 		}
 		out[i] = params

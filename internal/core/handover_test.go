@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/corpus"
@@ -135,6 +137,14 @@ func TestImportRejectsMalformedHandoverModels(t *testing.T) {
 		{"second sender model truncated", exp.Sender[1], func(p []byte) []byte { return p[:len(p)/2] }},
 		{"second receiver model truncated", exp.Receiver[1], func(p []byte) []byte { return p[:len(p)/2] }},
 		{"second sender model of the wrong shape", exp.Sender[1], func([]byte) []byte { return decoderOnly.Bytes() }},
+		// Well-formed and of the right shape, one weight (the payload's
+		// last value) NaN: installed, the model would decode every token
+		// to concept 0.
+		{"second sender model holding a NaN weight", exp.Sender[1], func(p []byte) []byte {
+			q := append([]byte(nil), p...)
+			binary.LittleEndian.PutUint64(q[len(q)-8:], math.Float64bits(math.NaN()))
+			return q
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -801,6 +801,14 @@ func (s *System) SyncLatency() time.Duration { return time.Duration(s.syncLatenc
 // transmit that failed.
 func (s *System) UpdateFailures() int64 { return s.updateFailures.Load() }
 
+// DecodeMemoStats returns the decode-memo counters of the system's two
+// edge servers, summed.
+func (s *System) DecodeMemoStats() semantic.MemoStats {
+	st := s.Sender.DecodeMemoStats()
+	st.Add(s.Receiver.DecodeMemoStats())
+	return st
+}
+
 // UpdateTime returns the histogram of completed update processes' wall
 // time in milliseconds.
 func (s *System) UpdateTime() *metrics.Histogram { return s.updateTime }

@@ -4,6 +4,12 @@
 // semantic encoding/decoding with simulated compute cost, records
 // transactions in per-user domain buffers via its decoder copy, and
 // triggers the individual-model update process.
+//
+// Both decodes a server runs — the receiver's and the §II-C decoder copy —
+// go through its semantic.DecodeMemo, which computes each distinct feature
+// row once per model state. That is exact only because the codec is
+// context-free per token (a concept depends on one feature row and the
+// weights, nothing else); a contextual codec would have to drop the memo.
 package edge
 
 import (
@@ -20,6 +26,7 @@ import (
 	"repro/internal/kb"
 	"repro/internal/mat"
 	"repro/internal/netsim"
+	"repro/internal/semantic"
 )
 
 // Config parameterizes an edge server.
@@ -94,6 +101,7 @@ type Server struct {
 	computePerToken time.Duration
 	pinGeneral      bool
 	bufferThreshold int
+	memo            *semantic.DecodeMemo
 
 	mu       sync.Mutex
 	buffers  map[string]*fl.Buffer
@@ -128,6 +136,7 @@ func New(cfg Config, origin *kb.Registry) (*Server, error) {
 		computePerToken: cfg.ComputePerToken,
 		pinGeneral:      cfg.PinGeneral,
 		bufferThreshold: cfg.BufferThreshold,
+		memo:            semantic.NewDecodeMemo(),
 		buffers:         make(map[string]*fl.Buffer, 16),
 		versions:        make(map[string]int, 16),
 	}, nil
@@ -144,6 +153,10 @@ func (s *Server) ResetCacheStats() { s.cache.ResetStats() }
 
 // Cache exposes the underlying model cache for inspection.
 func (s *Server) Cache() *cache.Cache { return s.cache }
+
+// DecodeMemoStats returns the counters of the server's decode memo: how
+// many feature rows its two decodes looked up and how many skipped the MLP.
+func (s *Server) DecodeMemoStats() semantic.MemoStats { return s.memo.Stats() }
 
 // PinsGeneral reports whether this server pins general models in its
 // cache once fetched, so a peer pushing a general model (mesh drain) can
@@ -256,16 +269,18 @@ type DecodeResult struct {
 }
 
 // DecodeConcepts restores the concept sequence from received features for
-// (domain, user) with batched GEMMs, without rendering surface words. sc
-// must be non-nil: concepts and all temporaries are allocated from it, so a
-// warm steady-state call performs no heap allocation.
+// (domain, user) without rendering surface words: rows the server's decode
+// memo holds for the model's current weights are read back, the rest run
+// through the batched GEMMs — bit-identical to decoding every row. sc must
+// be non-nil: concepts and all temporaries are allocated from it, so a warm
+// steady-state call performs no heap allocation.
 func (s *Server) DecodeConcepts(sc *mat.Scratch, domain, user string, feats *mat.Dense) (DecodeResult, error) {
 	acq, err := s.AcquireCodec(domain, user)
 	if err != nil {
 		return DecodeResult{}, err
 	}
 	concepts := sc.Ints(feats.Rows)
-	acq.Model.Codec.DecodeFeaturesInto(sc, feats, concepts)
+	s.memo.DecodeFeaturesInto(sc, acq.Model.Codec, feats, concepts)
 	return DecodeResult{
 		AcquireResult:  acq,
 		Concepts:       concepts,
@@ -296,6 +311,8 @@ func (s *Server) Decode(sc *mat.Scratch, domain, user string, feats *mat.Dense) 
 // codec is the same model instance the already-computed features are
 // reused and only the decoder half of the round trip runs. Encoding is
 // deterministic, so the recorded transaction is bit-identical either way.
+// The decoder half goes through the server's decode memo like the
+// receiver's decode does.
 func (s *Server) RecordTransaction(sc *mat.Scratch, domain, user string, words []string, enc *EncodeResult) (fl.Transaction, bool, error) {
 	acq, err := s.AcquireCodec(domain, user)
 	if err != nil {
@@ -309,11 +326,13 @@ func (s *Server) RecordTransaction(sc *mat.Scratch, domain, user string, words [
 	// Decoded is retained by the buffer until the next update fires, so it
 	// lives on the heap, not in the scratch arena.
 	tx.Decoded = make([]int, len(words))
+	var feats *mat.Dense
 	if enc != nil && enc.Model == acq.Model {
-		acq.Model.Codec.DecodeFeaturesInto(sc, enc.Features, tx.Decoded)
+		feats = enc.Features
 	} else {
-		acq.Model.Codec.RoundTripInto(sc, words, tx.Decoded)
+		feats = acq.Model.Codec.EncodeWordsInto(sc, words)
 	}
+	s.memo.DecodeFeaturesInto(sc, acq.Model.Codec, feats, tx.Decoded)
 	return tx, s.addTransaction(domain, user, tx), nil
 }
 

@@ -70,7 +70,7 @@ func (s *Server) ExportUserModel(domain, user string) (*ExportedModel, error) {
 		return nil, fmt.Errorf("edge %s: %w for %s/%s", s.name, ErrNoIndividual, user, domain)
 	}
 	var buf bytes.Buffer
-	if _, err := acq.Model.Codec.Params().WriteTo(&buf); err != nil {
+	if _, err := acq.Model.Codec.WriteParamsTo(&buf); err != nil {
 		return nil, fmt.Errorf("edge %s: export %s/%s: %w", s.name, user, domain, err)
 	}
 	return &ExportedModel{
@@ -87,6 +87,9 @@ func (s *Server) ExportUserModel(domain, user string) (*ExportedModel, error) {
 func (s *Server) ImportUserModel(m *ExportedModel) error {
 	params, err := nn.ReadParamSet(bytes.NewReader(m.Params))
 	if err != nil {
+		return fmt.Errorf("edge %s: import %s/%s: %w", s.name, m.User, m.Domain, err)
+	}
+	if err := params.CheckFinite(); err != nil {
 		return fmt.Errorf("edge %s: import %s/%s: %w", s.name, m.User, m.Domain, err)
 	}
 	return s.InstallUserModel(m, params)

@@ -1,0 +1,279 @@
+package edge
+
+import (
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/corpus"
+	"repro/internal/fl"
+	"repro/internal/kb"
+	"repro/internal/mat"
+	"repro/internal/netsim"
+	"repro/internal/nn"
+	"repro/internal/semantic"
+)
+
+// probeRows is a fixed matrix of 300 random feature rows: enough that any
+// real change to a decoder moves the argmax of some, few enough that the
+// server's memo holds nearly all of them at once.
+func probeRows(cols int) *mat.Dense {
+	rng := mat.NewRNG(31)
+	d := mat.NewDense(300, cols)
+	for i := range d.Data {
+		d.Data[i] = 2*rng.Float64() - 1
+	}
+	return d
+}
+
+// serverDecode decodes feats on srv for (domain, user) — through the
+// server's memo — and returns a copy of the concepts.
+func serverDecode(t *testing.T, srv *Server, domain, user string, feats *mat.Dense) []int {
+	t.Helper()
+	sc := mat.GetScratch()
+	defer mat.PutScratch(sc)
+	res, err := srv.DecodeConcepts(sc, domain, user, feats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append([]int(nil), res.Concepts...)
+}
+
+// directDecode decodes feats with the model srv serves for (domain, user),
+// bypassing the memo.
+func directDecode(t *testing.T, srv *Server, domain, user string, feats *mat.Dense) []int {
+	t.Helper()
+	acq, err := srv.AcquireCodec(domain, user)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := mat.GetScratch()
+	defer mat.PutScratch(sc)
+	out := make([]int, feats.Rows)
+	acq.Model.Codec.DecodeFeaturesInto(sc, feats, out)
+	return out
+}
+
+// TestEveryWriterRestamps is the table the memo's validity rests on: for
+// every call site outside package semantic that writes a served codec's
+// weights (the `Params()` / `DecoderParams()` doors of fl.ApplyUpdate,
+// fl.ApplyAverageDelta, FedAvg's DP noise, InstallUserModel and
+// ImportUserModel, plus the fine-tune behind RunUpdate), warm the
+// server's memo on the old weights, write, and require the server's
+// decode to equal a fresh un-memoized decode of the new ones — and to
+// differ from the old answer, so a stale memo could not pass. Package
+// semantic's own writers run the same table in its memo_test.go.
+func TestEveryWriterRestamps(t *testing.T) {
+	corp, _ := cloudFixture(t)
+	userKey := kb.UserKey("it", "u1", kb.RoleCodec)
+	// donor is a second edge whose u1 model has been fine-tuned: the source
+	// of updates, exports and deltas that differ from srv's weights.
+	tuned := func(t *testing.T, seed uint64) *Server {
+		donor := newServer(t, 6, nil)
+		personalizeOn(t, donor, corp, seed)
+		return donor
+	}
+	writers := []struct {
+		name  string
+		write func(t *testing.T, srv *Server)
+	}{
+		{"RunUpdate/FineTune", func(t *testing.T, srv *Server) {
+			personalizeOn(t, srv, corp, 61)
+		}},
+		{"ApplyRemoteUpdate/fl.ApplyUpdate", func(t *testing.T, srv *Server) {
+			donor := newServer(t, 6, nil)
+			rng := mat.NewRNG(62)
+			idio := corpus.NewIdiolect(corp, rng.Split(), 0.5)
+			gen := corpus.NewGenerator(corp, rng.Split())
+			donor.bufferThreshold = 24
+			for i := 0; i < 24; i++ {
+				if _, _, err := donor.RecordTransaction(nil, "it", "u1", gen.Message(corp.Domain("it").Index, idio).Words, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			upd, err := donor.RunUpdate("it", "u1", fl.UpdateConfig{Epochs: 6, LR: 0.1, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.ApplyRemoteUpdate(upd); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"ImportUserModel", func(t *testing.T, srv *Server) {
+			exp, err := tuned(t, 63).ExportUserModel("it", "u1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.ImportUserModel(exp); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"InstallUserModel", func(t *testing.T, srv *Server) {
+			exp, err := tuned(t, 64).ExportUserModel("it", "u1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			acq, err := tuned(t, 64).AcquireCodec("it", "u1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.InstallUserModel(exp, acq.Model.Codec.Params().Clone()); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"fl.ApplyAverageDelta", func(t *testing.T, srv *Server) {
+			served, err := srv.AcquireCodec("it", "u1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			donor, err := tuned(t, 65).AcquireCodec("it", "u1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			delta := fl.CodecDelta(donor.Model.Codec, served.Model.Codec)
+			// CodecDelta opened the door too; decode between it and the
+			// write so only ApplyAverageDelta's own stamp can save the test.
+			serverDecode(t, srv, "it", "u1", probeRows(served.Model.Codec.FeatureDim()))
+			if err := fl.ApplyAverageDelta(served.Model.Codec, []*nn.ParamSet{delta}, 1); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"fl.RunFederated/DP-noise", func(t *testing.T, srv *Server) {
+			served, err := srv.AcquireCodec("it", "u1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen := corpus.NewGenerator(corp, mat.NewRNG(66))
+			d := corp.Domain("it")
+			var examples []semantic.Example
+			for _, m := range gen.Batch(d.Index, 30, nil) {
+				examples = append(examples, semantic.ExamplesFromMessage(d, m)...)
+			}
+			global, err := fl.RunFederated(served.Model.Codec, [][]semantic.Example{examples}, fl.FederatedConfig{
+				Rounds: 1, LocalEpochs: 1, Seed: 3, DP: fl.DPConfig{ClipNorm: 1, NoiseMultiplier: 0.5},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.cache.Remove(userKey)
+			if err := srv.cache.Put(&kb.Model{Key: userKey, Version: 1, Codec: global}, false); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, w := range writers {
+		t.Run(w.name, func(t *testing.T) {
+			srv := newServer(t, 6, nil)
+			if _, _, err := srv.Personalize("it", "u1"); err != nil {
+				t.Fatal(err)
+			}
+			acq, err := srv.AcquireCodec("it", "u1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			feats := probeRows(acq.Model.Codec.FeatureDim())
+			old := serverDecode(t, srv, "it", "u1", feats)
+			if got := serverDecode(t, srv, "it", "u1", feats); !reflect.DeepEqual(got, old) {
+				t.Fatal("warm decode differs from cold decode")
+			}
+			// (Not necessarily every row: five of them in one set evict one.)
+			if st := srv.DecodeMemoStats(); st.Hits*10 < uint64(feats.Rows)*9 {
+				t.Fatalf("the memo is not warm before the write: %+v", st)
+			}
+			w.write(t, srv)
+			fresh := directDecode(t, srv, "it", "u1", feats)
+			if reflect.DeepEqual(fresh, old) {
+				t.Fatal("the write changed no decode: the case proves nothing")
+			}
+			if got := serverDecode(t, srv, "it", "u1", feats); !reflect.DeepEqual(got, fresh) {
+				t.Fatal("the server decoded with answers memoized before the write")
+			}
+		})
+	}
+}
+
+// TestMemoServesBothDecodes: the receiver's decode and the §II-C decoder
+// copy of one server share its memo, match the bare codec, and a repeated
+// message is served from the table.
+func TestMemoServesBothDecodes(t *testing.T) {
+	corp, _ := cloudFixture(t)
+	srv := newServer(t, 6, nil)
+	gen := corpus.NewGenerator(corp, mat.NewRNG(71))
+	sc := mat.GetScratch()
+	defer mat.PutScratch(sc)
+	for i := 0; i < 30; i++ {
+		m := gen.Message(corp.Domain("it").Index, nil)
+		sc.Reset()
+		enc, err := srv.Encode(sc, "it", "", m.Words)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := enc.Model.Codec.RoundTrip(m.Words)
+		// With the sender's features, and (enc == nil) re-encoding them.
+		for _, e := range []*EncodeResult{&enc, nil} {
+			tx, _, err := srv.RecordTransaction(sc, "it", "", m.Words, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(tx.Decoded, want) {
+				t.Fatalf("decoder copy recorded %v, the codec round-trips to %v", tx.Decoded, want)
+			}
+		}
+		dec, err := srv.Decode(sc, "it", "", enc.Features)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(dec.Concepts, want) {
+			t.Fatalf("receiver decoded %v, the codec round-trips to %v", dec.Concepts, want)
+		}
+	}
+	st := srv.DecodeMemoStats()
+	if st.Lookups == 0 || st.Hits*2 < st.Lookups || st.Inserts == 0 {
+		t.Fatalf("three decodes of each message should mostly hit: %+v", st)
+	}
+}
+
+// TestMemoMixedFeatureDims: models of different feature widths — narrower
+// than the memo's key, equal to it, and wider (not memoized) — served by
+// one server neither panic nor see each other's rows, even when the rows
+// agree on every shared column.
+func TestMemoMixedFeatureDims(t *testing.T) {
+	corp := corpus.Build()
+	cloud := kb.NewRegistry()
+	dims := map[string]int{"it": 6, "medical": 8, "finance": 12}
+	var size int64
+	for name, dim := range dims {
+		d := corp.Domain(name)
+		if d == nil {
+			t.Fatalf("corpus has no domain %q", name)
+		}
+		m := &kb.Model{Key: kb.GeneralKey(name, kb.RoleCodec), Version: 1,
+			Codec: semantic.NewCodec(d, semantic.Config{EmbedDim: 8, FeatureDim: dim, HiddenDim: 12, Seed: uint64(dim)})}
+		cloud.Put(m)
+		size += m.SizeBytes()
+	}
+	srv, err := New(Config{Name: "mixed", CacheCapacity: 2 * size,
+		Uplink: netsim.Link{Latency: time.Millisecond, BandwidthBps: 1e9}}, cloud)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := probeRows(12)
+	for round := 0; round < 3; round++ {
+		for name, dim := range dims {
+			// The first dim columns of the same rows for every model.
+			feats := mat.NewDense(wide.Rows, dim)
+			for i := 0; i < wide.Rows; i++ {
+				copy(feats.Row(i), wide.Row(i)[:dim])
+			}
+			got := serverDecode(t, srv, name, "", feats)
+			if want := directDecode(t, srv, name, "", feats); !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d, %s (dim %d): memoized decode differs from direct", round, name, dim)
+			}
+		}
+	}
+	// Two memoizable models x three rounds, the last two served from the
+	// table but for set conflicts.
+	if st := srv.DecodeMemoStats(); st.Lookups != uint64(3*2*wide.Rows) || st.Hits*10 < uint64(2*2*wide.Rows)*9 {
+		t.Fatalf("two memoizable models, three rounds of %d rows: %+v", wide.Rows, st)
+	}
+}

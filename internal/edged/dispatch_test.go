@@ -106,6 +106,14 @@ func TestDispatchStats(t *testing.T) {
 	if strings.Contains(string(wire), "update_p") {
 		t.Fatalf("update percentiles on the wire before any update: %s", wire)
 	}
+	// Every token of the transmit was decoded twice — receiver and decoder
+	// copy — through the edge servers' decode memos, and the stats say so.
+	if st := resp.Stats; st.MemoLookups == 0 || st.MemoInserts == 0 || st.MemoHits > st.MemoLookups {
+		t.Fatalf("decode-memo counters after a transmit: %+v", st.MemoStats)
+	}
+	if wire, err = json.Marshal(resp.Stats); err != nil || !strings.Contains(string(wire), `"memo_lookups":`) {
+		t.Fatalf("memo counters missing from the stats wire form: %s (%v)", wire, err)
+	}
 }
 
 func TestDispatchUnknownOp(t *testing.T) {

@@ -463,6 +463,59 @@ func TestMeshMobilityHandover(t *testing.T) {
 	}
 }
 
+// TestMeshMemoStatsMerge: each member of a mesh reports the decode-memo
+// counters of its own edge servers — on the stats op and on its NodeStats
+// entry — and a client's merged snapshot is their sum, so the hit rate of
+// a deployment reads off one line. The same message sent again is served
+// from the memo.
+func TestMeshMemoStatsMerge(t *testing.T) {
+	m := bootMeshMem(t, 2)
+	router := newRouter(t, m)
+	gen := corpus.NewGenerator(corpus.Build(), mat.NewRNG(5))
+	served := make(map[int]bool)
+	for u := 0; len(served) < 2 || u < 6; u++ {
+		if u == 64 {
+			t.Fatal("64 users all hash to one member")
+		}
+		user := fmt.Sprintf("memo-%d", u)
+		text := gen.Message(u%3, nil).Text()
+		for rep := 0; rep < 2; rep++ {
+			if resp := transmit(t, router, user, text); !resp.OK {
+				t.Fatalf("%s: %+v", user, resp)
+			}
+		}
+		served[router.Owner(user)] = true
+	}
+	st, err := router.MergedStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Nodes) != 2 {
+		t.Fatalf("merged stats carry %d nodes, want 2", len(st.Nodes))
+	}
+	var sum rpc.MemoStats
+	for i := range st.Nodes {
+		n := st.Nodes[i]
+		if n.MemoLookups == 0 || n.MemoHits == 0 || n.MemoInserts == 0 {
+			t.Errorf("%s served traffic but reports memo counters %+v", n.Name, n.MemoStats)
+		}
+		if direct := nodeStats(t, router, i); direct.MemoStats != n.MemoStats {
+			t.Errorf("%s: peer-stats op says %+v, stats op said %+v", n.Name, direct.MemoStats, n.MemoStats)
+		}
+		sum.MemoLookups += n.MemoLookups
+		sum.MemoHits += n.MemoHits
+		sum.MemoInserts += n.MemoInserts
+		sum.MemoReplaced += n.MemoReplaced
+	}
+	if st.MemoStats != sum {
+		t.Fatalf("merged memo counters %+v, members sum to %+v", st.MemoStats, sum)
+	}
+	// Each message went out twice: at least the whole second copy hit.
+	if st.MemoHits*2 < st.MemoLookups {
+		t.Fatalf("repeated messages hit %d of %d rows", st.MemoHits, st.MemoLookups)
+	}
+}
+
 // TestMeshOpsRequireV2 pins the wire-compat contract: v1 clients keep
 // full access to the classic ops, and mesh ops on a v1 frame are
 // rejected with the protocol error, never silently served.

@@ -326,6 +326,7 @@ func (s *server) stats() *rpc.Stats {
 		st.SenderHitRate = ns.HitRate
 		st.CachedModels = ns.CachedModels
 		st.CacheUsedBytes = ns.CacheUsedBytes
+		st.MemoStats = ns.MemoStats
 		st.Handovers, st.MigratedBytes = s.mesh.HandoverStats()
 		st.Nodes = []rpc.NodeStats{ns}
 		return st
@@ -333,6 +334,7 @@ func (s *server) stats() *rpc.Stats {
 	st.SenderHitRate = s.sys.Sender.CacheStats().HitRate()
 	st.CachedModels = s.sys.Sender.Cache().Len()
 	st.CacheUsedBytes = s.sys.Sender.Cache().Used()
+	st.MemoStats = mesh.MemoStats(s.sys)
 	return st
 }
 

@@ -2,7 +2,9 @@ package mesh
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -166,7 +168,7 @@ func lyingPeer(ln net.Listener, answer func(rpc.FetchRequest) *rpc.ModelPayload)
 // fetch with something other than what was asked first in the probe
 // order. Whatever the lie — another domain's codec under the right
 // label, the wrong label on the right codec, a user's name on a general
-// fetch — the answer must not be cached under the key that was asked
+// fetch, a non-finite weight in the right codec — the answer must not be cached under the key that was asked
 // for: the prober drops the peer's connection, asks the next member, and
 // pays the origin when nobody else has the model.
 func TestCooperativeFetchRefusesWrongModel(t *testing.T) {
@@ -190,6 +192,14 @@ func TestCooperativeFetchRefusesWrongModel(t *testing.T) {
 		},
 		"a user's name": func(f rpc.FetchRequest) *rpc.ModelPayload {
 			return &rpc.ModelPayload{Domain: f.Domain, User: "mallory", Version: 1, Params: stream[f.Domain]}
+		},
+		// The right codec under the right label, one weight (the stream's
+		// last value) infinite: installed, it would decode every token of
+		// the domain to concept 0 from then on.
+		"an infinite weight": func(f rpc.FetchRequest) *rpc.ModelPayload {
+			poisoned := append([]byte(nil), stream[f.Domain]...)
+			binary.LittleEndian.PutUint64(poisoned[len(poisoned)-8:], math.Float64bits(math.Inf(1)))
+			return &rpc.ModelPayload{Domain: f.Domain, Version: 1, Params: poisoned}
 		},
 	}
 	for name, lie := range lies {

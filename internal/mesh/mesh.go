@@ -576,9 +576,16 @@ func (n *Node) Stats() rpc.NodeStats {
 		st.CachedModels = sys.Sender.Cache().Len()
 		st.CacheUsedBytes = sys.Sender.Cache().Used()
 		st.Generals = n.generalDomains(sys)
+		st.MemoStats = MemoStats(sys)
 	}
 	st.Hot = n.hotDomains()
 	return st
+}
+
+// MemoStats renders sys's decode-memo counters in the wire shape.
+func MemoStats(sys *core.System) rpc.MemoStats {
+	m := sys.DecodeMemoStats()
+	return rpc.MemoStats{MemoLookups: m.Lookups, MemoHits: m.Hits, MemoInserts: m.Inserts, MemoReplaced: m.Replaced}
 }
 
 // generalDomains lists the domains whose general model the sender cache

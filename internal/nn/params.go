@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/mat"
 )
@@ -86,6 +87,21 @@ func (ps *ParamSet) CheckSameShape(other *ParamSet) error {
 		if p.Name != o.Name || p.M.Rows != o.M.Rows || p.M.Cols != o.M.Cols {
 			return fmt.Errorf("nn: tensor %d is %q %dx%d, want %q %dx%d",
 				i, o.Name, o.M.Rows, o.M.Cols, p.Name, p.M.Rows, p.M.Cols)
+		}
+	}
+	return nil
+}
+
+// CheckFinite reports the first NaN or infinite value in the set, or nil.
+// Run it, like CheckSameShape, on a set parsed from untrusted bytes before
+// installing it: one non-finite weight makes every decode of that model an
+// argmax over NaN logits — concept 0 for every token, silently.
+func (ps *ParamSet) CheckFinite() error {
+	for _, p := range ps.Params {
+		for i, v := range p.M.Data {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("nn: tensor %q holds %v at index %d", p.Name, v, i)
+			}
 		}
 	}
 	return nil

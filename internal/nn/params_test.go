@@ -2,6 +2,8 @@ package nn
 
 import (
 	"bytes"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/mat"
@@ -97,5 +99,26 @@ func TestParamSetSerializationRoundTrip(t *testing.T) {
 func TestReadParamSetRejectsGarbage(t *testing.T) {
 	if _, err := ReadParamSet(bytes.NewReader([]byte{1, 2, 3})); err == nil {
 		t.Fatal("accepted truncated input")
+	}
+}
+
+// TestCheckFinite: a set parsed from a peer's bytes may hold any bit
+// pattern; CheckFinite names the first NaN or infinity and passes
+// everything else, subnormals and huge values included.
+func TestCheckFinite(t *testing.T) {
+	ps := &ParamSet{}
+	ps.Add("w", mat.NewDense(2, 3))
+	ps.Add("b", mat.NewDense(1, 3))
+	ps.Params[0].M.Data[4] = math.SmallestNonzeroFloat64
+	ps.Params[1].M.Data[0] = -math.MaxFloat64
+	if err := ps.CheckFinite(); err != nil {
+		t.Fatalf("finite set refused: %v", err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		ps.Params[1].M.Data[2] = bad
+		err := ps.CheckFinite()
+		if err == nil || !strings.Contains(err.Error(), `"b"`) {
+			t.Fatalf("%v in tensor b: err = %v", bad, err)
+		}
 	}
 }

@@ -252,6 +252,7 @@ type Stats struct {
 	// UpdateFailures counts individual-model updates that a transmit
 	// triggered and that failed; the transmits themselves succeeded.
 	UpdateFailures int64 `json:"update_failures,omitempty"`
+	MemoStats
 
 	// Serve carries the daemon's serve-path metrics: admission state and
 	// the latency and queue-wait histograms. Nil when the responder
@@ -323,6 +324,34 @@ type NodeStats struct {
 	// ring-successors; ReplicasIn counts replicas it received.
 	ReplicasOut int64 `json:"replicas_out,omitempty"`
 	ReplicasIn  int64 `json:"replicas_in,omitempty"`
+	MemoStats
+}
+
+// MemoStats carries the decode-memo counters of a daemon's two edge
+// servers, summed (semantic.MemoStats on the wire): feature rows looked
+// up, rows that skipped the decoder MLP, entries inserted, and inserts
+// that overwrote a live entry. MemoHits/MemoLookups is the hit rate.
+type MemoStats struct {
+	MemoLookups  uint64 `json:"memo_lookups,omitempty"`
+	MemoHits     uint64 `json:"memo_hits,omitempty"`
+	MemoInserts  uint64 `json:"memo_inserts,omitempty"`
+	MemoReplaced uint64 `json:"memo_replaced,omitempty"`
+}
+
+// HitRate returns MemoHits/MemoLookups, or 0 before any lookup.
+func (m MemoStats) HitRate() float64 {
+	if m.MemoLookups == 0 {
+		return 0
+	}
+	return float64(m.MemoHits) / float64(m.MemoLookups)
+}
+
+// add folds o into m.
+func (m *MemoStats) add(o MemoStats) {
+	m.MemoLookups += o.MemoLookups
+	m.MemoHits += o.MemoHits
+	m.MemoInserts += o.MemoInserts
+	m.MemoReplaced += o.MemoReplaced
 }
 
 // DomainHeat is one entry of NodeStats.Hot.
@@ -349,6 +378,7 @@ func (s *Stats) Merge(other *Stats) {
 	s.SyncBytes += other.SyncBytes
 	s.SyncCount += other.SyncCount
 	s.UpdateFailures += other.UpdateFailures
+	s.MemoStats.add(other.MemoStats)
 	s.CachedModels += other.CachedModels
 	s.CacheUsedBytes += other.CacheUsedBytes
 	s.Handovers += other.Handovers

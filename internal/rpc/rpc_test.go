@@ -180,6 +180,7 @@ func TestStatsMerge(t *testing.T) {
 		Messages: 10, SenderHitRate: 0.8, SyncBytes: 100, SyncCount: 2,
 		CachedModels: 3, CacheUsedBytes: 300, Handovers: 1, MigratedBytes: 50,
 		UpdateFailures: 1,
+		MemoStats:      MemoStats{MemoLookups: 100, MemoHits: 90, MemoInserts: 10, MemoReplaced: 1},
 		Nodes:          []NodeStats{{Name: "node-0", Users: 4}},
 		Serve:          &ServeStats{InFlight: 1, Shed: 2},
 	}
@@ -187,6 +188,7 @@ func TestStatsMerge(t *testing.T) {
 		Messages: 30, SenderHitRate: 0.4, SyncBytes: 200, SyncCount: 1,
 		CachedModels: 5, CacheUsedBytes: 700, Handovers: 2, MigratedBytes: 70,
 		UpdateFailures: 4,
+		MemoStats:      MemoStats{MemoLookups: 50, MemoHits: 20, MemoInserts: 30, MemoReplaced: 4},
 		Nodes:          []NodeStats{{Name: "node-1", Users: 6}},
 		Serve:          &ServeStats{InFlight: 2, Shed: 1},
 	}
@@ -200,6 +202,12 @@ func TestStatsMerge(t *testing.T) {
 	}
 	if a.SyncBytes != 300 || a.SyncCount != 3 || a.CachedModels != 8 || a.CacheUsedBytes != 1000 || a.UpdateFailures != 5 {
 		t.Fatalf("additive counters wrong: %+v", a)
+	}
+	if want := (MemoStats{MemoLookups: 150, MemoHits: 110, MemoInserts: 40, MemoReplaced: 5}); a.MemoStats != want {
+		t.Fatalf("memo counters = %+v, want %+v", a.MemoStats, want)
+	}
+	if got := a.MemoStats.HitRate(); math.Abs(got-110.0/150) > 1e-12 || (MemoStats{}).HitRate() != 0 {
+		t.Fatalf("memo hit rate = %g, want 110/150 (and 0 before any lookup)", got)
 	}
 	if a.Handovers != 3 || a.MigratedBytes != 120 {
 		t.Fatalf("handover counters wrong: %+v", a)

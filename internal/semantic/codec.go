@@ -13,10 +13,19 @@
 // quantize them uniformly. Training is denoising: Gaussian noise is added
 // to features so decoding stays robust under channel corruption, mirroring
 // how DeepSC-style systems train through the channel.
+//
+// The codec is context-free per token: a feature row is a function of one
+// surface id and the encoder weights, a decoded concept a function of one
+// feature row and the decoder weights — no attention, no recurrence, no
+// statistic over the message. DecodeMemo (memo.go) relies on exactly that
+// to decode each distinct row once per model state; a contextual codec
+// would have to drop it.
 package semantic
 
 import (
 	"fmt"
+	"io"
+	"sync/atomic"
 
 	"repro/internal/corpus"
 	"repro/internal/mat"
@@ -86,13 +95,28 @@ type Codec struct {
 	enc *nn.Linear    // E -> F
 	dec *nn.Linear    // F -> H
 	out *nn.Linear    // H -> concepts
+
+	// stamp names "exactly these weights" for the DecodeMemo: a value no
+	// other codec and no earlier state of this one ever had. See restamp.
+	stamp atomic.Uint64
 }
+
+// lastStamp is the process-wide source of codec stamps.
+var lastStamp atomic.Uint64
+
+// restamp gives the codec a fresh stamp. It runs when the codec is built
+// (NewCodec, Clone) and every time mutable parameter storage is handed
+// out (Params, EncoderParams, DecoderParams — the only doors to the
+// tensors), so memo entries computed from weights that may since have
+// been written stop matching. Writers promise nothing; reads that must not
+// orphan a model's entries go through the read-only methods instead.
+func (c *Codec) restamp() { c.stamp.Store(lastStamp.Add(1)) }
 
 // NewCodec builds an untrained codec for domain d.
 func NewCodec(d *corpus.Domain, cfg Config) *Codec {
 	cfg = cfg.withDefaults()
 	rng := mat.NewRNG(cfg.Seed)
-	return &Codec{
+	c := &Codec{
 		domain: d,
 		cfg:    cfg,
 		emb:    nn.NewEmbedding(rng, d.VocabSize(), cfg.EmbedDim),
@@ -100,6 +124,8 @@ func NewCodec(d *corpus.Domain, cfg Config) *Codec {
 		dec:    nn.NewLinear(rng, cfg.FeatureDim, cfg.HiddenDim),
 		out:    nn.NewLinear(rng, cfg.HiddenDim, d.NumConcepts()),
 	}
+	c.restamp()
+	return c
 }
 
 // Domain returns the domain the codec specializes in.
@@ -111,21 +137,39 @@ func (c *Codec) Config() Config { return c.cfg }
 // FeatureDim returns the width of transmitted feature vectors.
 func (c *Codec) FeatureDim() int { return c.cfg.FeatureDim }
 
-// Params returns the full parameter set (shared storage, not a copy).
+// Params returns the full parameter set (shared storage, not a copy) for
+// writing, and restamps the codec: write through the handle right away. A
+// caller that keeps it and writes again after a later decode must call
+// Params again, or a DecodeMemo may serve rows decoded in between.
 func (c *Codec) Params() *nn.ParamSet {
-	ps := &nn.ParamSet{}
-	ps.Add(ParamEncEmb, c.emb.Table)
-	ps.Add(ParamEncW, c.enc.W)
-	ps.Add(ParamEncB, c.enc.B)
-	ps.Add(ParamDecW, c.dec.W)
-	ps.Add(ParamDecB, c.dec.B)
-	ps.Add(ParamOutW, c.out.W)
-	ps.Add(ParamOutB, c.out.B)
-	return ps
+	c.restamp()
+	return c.params()
 }
 
-// EncoderParams returns the encoder-side tensors (shared storage).
+// EncoderParams returns the encoder-side tensors (shared storage) under
+// the contract of Params.
 func (c *Codec) EncoderParams() *nn.ParamSet {
+	c.restamp()
+	return c.encoderParams()
+}
+
+// DecoderParams returns the decoder-side tensors (shared storage) under
+// the contract of Params. These are the tensors synchronized to the
+// receiver edge in the update process.
+func (c *Codec) DecoderParams() *nn.ParamSet {
+	c.restamp()
+	return c.decoderParams()
+}
+
+// params is Params for code that only reads the tensors: no restamp.
+func (c *Codec) params() *nn.ParamSet {
+	ps := c.encoderParams()
+	ps.Params = append(ps.Params, c.decoderParams().Params...)
+	return ps
+}
+
+// encoderParams is the read-only EncoderParams.
+func (c *Codec) encoderParams() *nn.ParamSet {
 	ps := &nn.ParamSet{}
 	ps.Add(ParamEncEmb, c.emb.Table)
 	ps.Add(ParamEncW, c.enc.W)
@@ -133,9 +177,8 @@ func (c *Codec) EncoderParams() *nn.ParamSet {
 	return ps
 }
 
-// DecoderParams returns the decoder-side tensors (shared storage). These
-// are the tensors synchronized to the receiver edge in the update process.
-func (c *Codec) DecoderParams() *nn.ParamSet {
+// decoderParams is the read-only DecoderParams.
+func (c *Codec) decoderParams() *nn.ParamSet {
 	ps := &nn.ParamSet{}
 	ps.Add(ParamDecW, c.dec.W)
 	ps.Add(ParamDecB, c.dec.B)
@@ -143,12 +186,21 @@ func (c *Codec) DecoderParams() *nn.ParamSet {
 	ps.Add(ParamOutB, c.out.B)
 	return ps
 }
+
+// WriteParamsTo serializes the full parameter set (nn.ParamSet.WriteTo)
+// without restamping: exporting a model does not orphan its memo entries.
+func (c *Codec) WriteParamsTo(w io.Writer) (int64, error) { return c.params().WriteTo(w) }
+
+// CheckParamShape reports the first way other differs from the codec's
+// full parameter set in tensor count, names or shapes (see
+// nn.ParamSet.CheckSameShape), without restamping.
+func (c *Codec) CheckParamShape(other *nn.ParamSet) error { return c.params().CheckSameShape(other) }
 
 // Clone returns a deep copy of the codec. Individual (user-specific) models
 // start as clones of the domain's general model, exactly as in the paper's
 // Fig. 1 step 2.
 func (c *Codec) Clone() *Codec {
-	return &Codec{
+	out := &Codec{
 		domain: c.domain,
 		cfg:    c.cfg,
 		emb:    &nn.Embedding{Table: c.emb.Table.Clone()},
@@ -156,17 +208,19 @@ func (c *Codec) Clone() *Codec {
 		dec:    &nn.Linear{W: c.dec.W.Clone(), B: c.dec.B.Clone()},
 		out:    &nn.Linear{W: c.out.W.Clone(), B: c.out.B.Clone()},
 	}
+	out.restamp()
+	return out
 }
 
 // SizeBytes returns the serialized size of all parameters: the footprint
 // the codec occupies in an edge cache.
-func (c *Codec) SizeBytes() int64 { return c.Params().SizeBytes() }
+func (c *Codec) SizeBytes() int64 { return c.params().SizeBytes() }
 
 // EncoderSizeBytes returns the serialized size of the encoder tensors.
-func (c *Codec) EncoderSizeBytes() int64 { return c.EncoderParams().SizeBytes() }
+func (c *Codec) EncoderSizeBytes() int64 { return c.encoderParams().SizeBytes() }
 
 // DecoderSizeBytes returns the serialized size of the decoder tensors.
-func (c *Codec) DecoderSizeBytes() int64 { return c.DecoderParams().SizeBytes() }
+func (c *Codec) DecoderSizeBytes() int64 { return c.decoderParams().SizeBytes() }
 
 // EncodeSurfaceID computes the feature vector for one local surface ID.
 func (c *Codec) EncodeSurfaceID(id int, dst []float64) {

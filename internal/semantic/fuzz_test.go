@@ -3,9 +3,11 @@ package semantic
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/mat"
 )
 
 // FuzzReadCodec feeds arbitrary bytes to the .kbm reader: it must never
@@ -49,6 +51,92 @@ func FuzzReadCodec(f *testing.F) {
 		}
 		if _, err := ReadCodec(bytes.NewReader(out.Bytes()), corp); err != nil {
 			t.Fatalf("re-serialized codec fails to parse: %v", err)
+		}
+	})
+}
+
+// FuzzDecodeMemo drives one memo shared by three codecs (two key widths)
+// with a fuzzer-chosen program: decode a message of fuzzer-chosen rows,
+// flood the table with more distinct rows than it has slots, rewrite a
+// codec's weights through a stamping door, switch codec. After every
+// decode the oracle is the bare kernel on the same rows.
+func FuzzDecodeMemo(f *testing.F) {
+	f.Add([]byte{0, 5, 1, 2, 3, 4, 5, 0, 5, 1, 2, 3, 4, 5})       // a message, twice
+	f.Add([]byte{0, 3, 9, 9, 9, 2, 7, 0, 3, 9, 9, 9})             // decode, rewrite, decode
+	f.Add([]byte{1, 4, 0, 2, 1, 2, 1, 5, 0, 2, 1, 2})             // flood between two decodes
+	f.Add([]byte{0, 2, 7, 7, 3, 0, 2, 7, 7, 3, 3, 0, 2, 7, 7})    // same rows under each codec
+	f.Add([]byte{0, 6, 250, 251, 252, 253, 254, 255, 2, 1, 1, 9}) // the odd values
+	values := []float64{
+		math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), 3.5,
+		-1, -0.7142857142857143, -0.4285714285714286, -0.1428571428571429,
+		0.1428571428571428, 0.4285714285714286, 0.7142857142857142, 1,
+	}
+	base := []*Codec{memoCodec(8, 1), memoCodec(6, 2), memoCodec(8, 3)}
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 256 {
+			prog = prog[:256]
+		}
+		codecs := make([]*Codec, len(base)) // the program writes to them
+		for i, c := range base {
+			codecs[i] = c.Clone()
+		}
+		cur := 0
+		m := NewDecodeMemo()
+		sc := mat.GetScratch()
+		defer mat.PutScratch(sc)
+		next := func() byte {
+			if len(prog) == 0 {
+				return 0
+			}
+			b := prog[0]
+			prog = prog[1:]
+			return b
+		}
+		check := func(feats *mat.Dense) {
+			c := codecs[cur]
+			want := make([]int, feats.Rows)
+			got := make([]int, feats.Rows)
+			sc.Reset()
+			c.DecodeFeaturesInto(sc, feats, want)
+			m.DecodeFeaturesInto(sc, c, feats, got)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("row %d %v: %d through the memo, %d directly", i, feats.Row(i), got[i], want[i])
+				}
+			}
+		}
+		floods := 0
+		for len(prog) > 0 {
+			dim := codecs[cur].FeatureDim()
+			switch next() % 4 {
+			case 0: // a message: each row is one byte expanded over the value table
+				n := int(next()%32) + 1
+				feats := mat.NewDense(n, dim)
+				for i := 0; i < n; i++ {
+					b := int(next())
+					for j := 0; j < dim; j++ {
+						feats.Set(i, j, values[(b+j*(b>>4+1))%len(values)])
+					}
+				}
+				check(feats)
+			case 1: // slot pressure: 1.5x the table's slots in distinct rows
+				if floods == 2 {
+					continue // bounded work per input
+				}
+				floods++
+				rng := mat.NewRNG(uint64(next()) + 1)
+				feats := mat.NewDense(3*memoSets*memoWays/2, dim)
+				for i := range feats.Data {
+					feats.Data[i] = rng.Float64()
+				}
+				check(feats)
+			case 2: // a writer: through the door, then write
+				ps := codecs[cur].DecoderParams()
+				t := ps.Params[int(next())%len(ps.Params)].M
+				t.Data[int(next())%len(t.Data)] += float64(int(next())-128) / 8
+			case 3:
+				cur = int(next()) % len(codecs)
+			}
 		}
 	})
 }

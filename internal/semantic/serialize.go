@@ -72,7 +72,7 @@ func (c *Codec) WriteTo(w io.Writer) (int64, error) {
 	if err := writeF64(c.cfg.LR); err != nil {
 		return written, fmt.Errorf("semantic: write config: %w", err)
 	}
-	m, err := c.Params().WriteTo(w)
+	m, err := c.WriteParamsTo(w)
 	written += m
 	if err != nil {
 		return written, fmt.Errorf("semantic: write params: %w", err)
@@ -163,6 +163,9 @@ func ReadCodec(r io.Reader, corp *corpus.Corpus) (*Codec, error) {
 		if t.Name != p.Name || t.M.Rows != p.M.Rows || t.M.Cols != p.M.Cols {
 			return nil, fmt.Errorf("semantic: tensor %q mismatch against domain %q", p.Name, d.Name)
 		}
+	}
+	if err := params.CheckFinite(); err != nil {
+		return nil, fmt.Errorf("%w: %v", errBadCodec, err)
 	}
 	target.CopyFrom(params)
 	if err := c.Validate(); err != nil {

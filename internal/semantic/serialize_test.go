@@ -2,6 +2,9 @@ package semantic
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/corpus"
@@ -78,5 +81,23 @@ func TestReadCodecUnknownDomain(t *testing.T) {
 	data[9] = 'z'
 	if _, err := ReadCodec(bytes.NewReader(data), corp); err == nil {
 		t.Fatal("unknown domain accepted")
+	}
+}
+
+// TestReadCodecRejectsNonFiniteWeights: a stream whose shapes all fit but
+// which carries one NaN or infinite weight is a malformed codec, not a
+// model that decodes every token to concept 0.
+func TestReadCodecRejectsNonFiniteWeights(t *testing.T) {
+	corp, c := sharedFixtures(t)
+	var buf bytes.Buffer
+	if _, err := c.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		data := append([]byte(nil), buf.Bytes()...)
+		binary.LittleEndian.PutUint64(data[len(data)-8:], math.Float64bits(bad)) // the last output bias
+		if _, err := ReadCodec(bytes.NewReader(data), corp); !errors.Is(err, errBadCodec) {
+			t.Fatalf("weight %v: err = %v, want errBadCodec", bad, err)
+		}
 	}
 }

@@ -45,7 +45,7 @@ const trainBatch = 8
 // parameter stream is bit-identical to the historical implementation at any
 // worker count.
 func (c *Codec) TrainEpoch(examples []Example, opt nn.Optimizer, rng *mat.RNG, noiseStd float64) TrainResult {
-	return c.trainEpoch(examples, opt, rng, noiseStd, c.Params().ZeroClone())
+	return c.trainEpoch(examples, opt, rng, noiseStd, c.params().ZeroClone())
 }
 
 // trainEpoch is TrainEpoch over a caller-owned gradient set (a ZeroClone of
@@ -215,7 +215,7 @@ func Pretrain(d *corpus.Domain, corp *corpus.Corpus, cfg Config) *Codec {
 	}
 	opt := &nn.Adam{LR: cfg.LR, Clip: 5}
 	trainRNG := rng.Split()
-	grads := c.Params().ZeroClone()
+	grads := c.params().ZeroClone()
 	for e := 0; e < cfg.Epochs; e++ {
 		c.trainEpoch(examples, opt, trainRNG, cfg.NoiseStd, grads)
 	}
@@ -246,7 +246,7 @@ func (c *Codec) FineTune(examples []Example, epochs int, lr float64, rng *mat.RN
 	}
 	opt := &nn.SGD{LR: lr, Momentum: 0.5, Clip: 5}
 	var res TrainResult
-	grads := c.Params().ZeroClone()
+	grads := c.params().ZeroClone()
 	for e := 0; e < epochs; e++ {
 		res = c.trainEpoch(examples, opt, rng, c.cfg.NoiseStd/2, grads)
 	}
