@@ -1,11 +1,16 @@
-// Command sembench regenerates every table and figure in EXPERIMENTS.md:
-// one experiment per flag value, or all of them.
+// Command sembench prints the tables and figures the repository
+// reproduces (README "What is reproduced"): one experiment of the
+// internal/experiments registry per flag value, or all of them.
 //
 // Usage:
 //
 //	sembench -exp e1          # Figure A + Table A
-//	sembench -exp all         # everything (takes a few minutes)
+//	sembench -exp all         # everything (about 7 s)
 //	sembench -exp e2 -quick   # reduced sizes for a fast look
+//
+// The output is deterministic and pinned: -exp all prints
+// internal/experiments/testdata/all.golden, -exp all -quick prints
+// quick.golden.
 package main
 
 import (
@@ -13,16 +18,16 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 	"time"
 
-	"repro/internal/corpus"
 	"repro/internal/experiments"
 	"repro/internal/mat"
 )
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment id: e1..e11, ablate, gemm, or all")
+		exp     = flag.String("exp", "all", "experiment id: "+strings.Join(experiments.IDs(), ", ")+", or all")
 		quick   = flag.Bool("quick", false, "reduced sizes for a fast run")
 		workers = flag.Int("workers", 0, "parallel workers for pretraining and trial fan-out (0 = GOMAXPROCS)")
 	)
@@ -42,315 +47,5 @@ func run(exp string, quick bool) error {
 	t0 := time.Now()
 	env := experiments.Environment()
 	fmt.Fprintf(os.Stderr, "sembench: environment ready in %v\n\n", time.Since(t0).Round(time.Millisecond))
-
-	runners := map[string]func() error{
-		"gemm":   func() error { return runGEMM(env, quick) },
-		"e1":     func() error { return runE1(env, quick) },
-		"e2":     func() error { return runE2(env, quick) },
-		"e3":     func() error { return runE3(env, quick) },
-		"e4":     func() error { return runE4(env, quick) },
-		"e5":     func() error { return runE5(env, quick) },
-		"e6":     func() error { return runE6(env, quick) },
-		"e7":     func() error { return runE7(env, quick) },
-		"e8":     func() error { return runE8(env, quick) },
-		"e9":     func() error { return runE9(env, quick) },
-		"e10":    func() error { return runE10(env, quick) },
-		"e11":    func() error { return runE11(env, quick) },
-		"ablate": func() error { return runAblate(env, quick) },
-	}
-	if exp == "all" {
-		for _, id := range []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "ablate"} {
-			if err := runners[id](); err != nil {
-				return fmt.Errorf("%s: %w", id, err)
-			}
-		}
-		return nil
-	}
-	r, ok := runners[exp]
-	if !ok {
-		return fmt.Errorf("unknown experiment %q (want e1..e11, ablate, gemm, all)", exp)
-	}
-	return r()
-}
-
-// runGEMM prints the batched-codec throughput table: the per-vector codec
-// path against the batched GEMM + scratch-arena path on one fixed token
-// stream. Outputs are bit-identical by construction (verified by the
-// package bit-identity tests); only the schedule differs.
-func runGEMM(env *experiments.Env, quick bool) error {
-	tokens := 1 << 14
-	if quick {
-		tokens = 1 << 12
-	}
-	codec := env.General("it")
-	gen := corpus.NewGenerator(env.Corpus, mat.NewRNG(7))
-	var words []string
-	for len(words) < tokens {
-		words = append(words, gen.Message(env.Corpus.Domain("it").Index, nil).Words...)
-	}
-	words = words[:tokens]
-	ids := make([]int, len(words))
-	for i, w := range words {
-		ids[i] = codec.Domain().SurfaceID(w)
-	}
-
-	// Best-of-N timing with a warm-up round each, so cold scratch arenas
-	// and pool fills do not land on either side of the comparison.
-	const rounds = 5
-	bestOf := func(fn func()) time.Duration {
-		fn() // warm up
-		best := time.Duration(1<<63 - 1)
-		for r := 0; r < rounds; r++ {
-			t0 := time.Now()
-			fn()
-			if d := time.Since(t0); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-
-	feat := make([]float64, codec.FeatureDim())
-	concepts := make([]int, len(words))
-	perVector := bestOf(func() {
-		for t, id := range ids {
-			codec.EncodeSurfaceID(id, feat)
-			concepts[t] = codec.DecodeFeature(feat)
-		}
-	})
-
-	sc := mat.GetScratch()
-	defer mat.PutScratch(sc)
-	batched := make([]int, len(words))
-	gemm := bestOf(func() {
-		sc.Reset()
-		feats := codec.EncodeWordsInto(sc, words)
-		codec.DecodeFeaturesInto(sc, feats, batched)
-	})
-
-	for i := range concepts {
-		if concepts[i] != batched[i] {
-			return fmt.Errorf("gemm: batched decode diverged at token %d", i)
-		}
-	}
-	rate := func(d time.Duration) float64 { return float64(tokens) / d.Seconds() }
-	fmt.Println("GEMM codec throughput (encode+decode, outputs bit-identical)")
-	fmt.Printf("  %-22s %12s %14s\n", "path", "time", "tokens/s")
-	fmt.Printf("  %-22s %12v %14.0f\n", "per-vector", perVector.Round(time.Microsecond), rate(perVector))
-	fmt.Printf("  %-22s %12v %14.0f\n", "batched GEMM", gemm.Round(time.Microsecond), rate(gemm))
-	fmt.Printf("  (today's per-vector entry points share the blocked kernels,\n")
-	fmt.Printf("   so parity here means the batch API itself costs nothing)\n\n")
-
-	// Kernel-level contrast at the decoder output-layer shape: the seed's
-	// one-accumulator-chain dot (FP-add-latency-bound) against the blocked
-	// GEMM with interleaved accumulation chains. Same element order, same
-	// bits, different schedule.
-	const hidden = 24
-	vocab := codec.Domain().NumConcepts()
-	w := mat.NewDense(vocab, hidden)
-	w.Randomize(mat.NewRNG(3), 1)
-	x := mat.NewDense(tokens, hidden)
-	x.Randomize(mat.NewRNG(4), 1)
-	out := mat.NewDense(tokens, vocab)
-	chain := bestOf(func() {
-		for t := 0; t < tokens; t++ {
-			xr := x.Row(t)
-			or := out.Row(t)
-			for r := 0; r < vocab; r++ {
-				row := w.Row(r)
-				s := 0.0
-				for j, wv := range row {
-					s += wv * xr[j]
-				}
-				or[r] = s
-			}
-		}
-	})
-	ref := out.Clone()
-	blocked := bestOf(func() { mat.MulMatT(out, x, w) })
-	for i := range ref.Data {
-		if out.Data[i] != ref.Data[i] {
-			return fmt.Errorf("gemm: blocked kernel diverged at element %d", i)
-		}
-	}
-	madds := float64(tokens) * float64(vocab) * hidden
-	fmt.Printf("decoder-shape kernel (%dx%d x %d tokens, bit-identical)\n", vocab, hidden, tokens)
-	fmt.Printf("  %-22s %12s %14s\n", "kernel", "time", "Gmadd/s")
-	fmt.Printf("  %-22s %12v %14.2f\n", "serial chain (seed)", chain.Round(time.Microsecond), madds/chain.Seconds()/1e9)
-	fmt.Printf("  %-22s %12v %14.2f\n", "blocked GEMM", blocked.Round(time.Microsecond), madds/blocked.Seconds()/1e9)
-	fmt.Printf("  kernel speedup: %.2fx\n\n", chain.Seconds()/blocked.Seconds())
-	return nil
-}
-
-func runE11(env *experiments.Env, quick bool) error {
-	opts := experiments.E11Options{}
-	if quick {
-		opts.Requests = 1000
-		opts.NodeCounts = []int{2}
-	}
-	res, err := experiments.RunE11(env, opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println(res.TableG())
-	return nil
-}
-
-func runE9(env *experiments.Env, quick bool) error {
-	opts := experiments.E9Options{}
-	if quick {
-		opts.Donors = 6
-		opts.Rounds = 3
-	}
-	res, err := experiments.RunE9(env, opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println(res.TableE())
-	return nil
-}
-
-func runE10(env *experiments.Env, quick bool) error {
-	opts := experiments.E10Options{}
-	if quick {
-		opts.Frames = 120
-	}
-	res, err := experiments.RunE10(env, opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println(res.TableF())
-	return nil
-}
-
-func runE1(env *experiments.Env, quick bool) error {
-	opts := experiments.E1Options{}
-	if quick {
-		opts.MessagesPerDomain = 40
-		opts.Domains = []string{"it"}
-	}
-	res, err := experiments.RunE1(env, opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println(res.FigureA())
-	fmt.Println(res.TableA())
-	// The Rayleigh companion sweep.
-	opts.Rayleigh = true
-	resR, err := experiments.RunE1(env, opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println(resR.FigureA())
-	return nil
-}
-
-func runE2(env *experiments.Env, quick bool) error {
-	opts := experiments.E2Options{}
-	if quick {
-		opts.Requests = 1500
-	}
-	res, err := experiments.RunE2(env, opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println(res.FigureB())
-	fmt.Println(res.LatencyTable())
-	return nil
-}
-
-func runE3(env *experiments.Env, quick bool) error {
-	opts := experiments.E3Options{}
-	if quick {
-		opts.Users = 4
-		opts.Rounds = 16
-	}
-	res, err := experiments.RunE3(env, opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println(res.FigureC())
-	fmt.Printf("final mismatch gap (general - individual): %.4f\n\n", res.FinalGap)
-	return nil
-}
-
-func runE4(env *experiments.Env, quick bool) error {
-	opts := experiments.E4Options{}
-	if quick {
-		opts.Rounds = 8
-	}
-	res, err := experiments.RunE4(env, opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println(res.TableB())
-	return nil
-}
-
-func runE5(env *experiments.Env, quick bool) error {
-	opts := experiments.E5Options{}
-	if quick {
-		opts.Messages = 800
-	}
-	res, err := experiments.RunE5(env, opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println(res.FigureD())
-	return nil
-}
-
-func runE6(env *experiments.Env, quick bool) error {
-	opts := experiments.E6Options{}
-	if quick {
-		opts.Messages = 150
-	}
-	res, err := experiments.RunE6(env, opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println(res.TableC())
-	return nil
-}
-
-func runE7(env *experiments.Env, quick bool) error {
-	opts := experiments.E7Options{}
-	if quick {
-		opts.Updates = 3
-	}
-	res, err := experiments.RunE7(env, opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println(res.FigureE())
-	return nil
-}
-
-func runE8(env *experiments.Env, quick bool) error {
-	opts := experiments.E8Options{}
-	if quick {
-		opts.UserCounts = []int{1, 4, 16}
-		opts.MessagesPerUser = 100
-	}
-	res, err := experiments.RunE8(env, opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println(res.TableD())
-	return nil
-}
-
-func runAblate(env *experiments.Env, quick bool) error {
-	opts := experiments.AblationOptions{}
-	if quick {
-		opts.Messages = 80
-	}
-	res, err := experiments.RunAblations(env, opts)
-	if err != nil {
-		return err
-	}
-	for _, t := range res.Tables() {
-		fmt.Println(t)
-	}
-	return nil
+	return experiments.Render(os.Stdout, env, exp, quick)
 }
