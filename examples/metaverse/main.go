@@ -117,6 +117,7 @@ func streamPoses() {
 		Ch:    &channel.AWGN{SNRdB: 8, Rng: rng.Split()},
 	}
 	feat := make([]float64, 5)
+	rx := make([]float64, 5)
 	out := make([]float64, 12)
 	num, den, bytes := 0.0, 0.0, 0
 	const frames = 200
@@ -124,8 +125,8 @@ func streamPoses() {
 		x := make([]float64, 12)
 		samplePose(x)
 		vc.Encode(feat, x)
-		rx, stats := link.Send([][]float64{feat}, 5)
-		vc.Decode(out, rx[0])
+		stats := link.SendFlatScratch(nil, rx, feat)
+		vc.Decode(out, rx)
 		for j := range x {
 			d := out[j] - x[j]
 			num += d * d

@@ -36,7 +36,12 @@ func TestHuffmanRoundTrip(t *testing.T) {
 
 func TestHuffmanCompresses(t *testing.T) {
 	h, samples := trainedHuffman(t)
-	mean := h.MeanBitsPerByte(samples)
+	bits, bytes := 0, 0
+	for _, s := range samples {
+		bits += len(h.Encode(s))
+		bytes += len(s)
+	}
+	mean := float64(bits) / float64(bytes)
 	if mean <= 0 || mean >= 8 {
 		t.Fatalf("mean bits/byte = %v, want in (0,8)", mean)
 	}
@@ -50,7 +55,7 @@ func TestHuffmanPrefixFree(t *testing.T) {
 	h, _ := trainedHuffman(t)
 	var codes []string
 	for b := 0; b < 256; b++ {
-		if l := h.CodeLen(byte(b)); l > 0 {
+		if len(h.codes[byte(b)]) > 0 {
 			var sb strings.Builder
 			for _, bit := range h.codes[byte(b)] {
 				if bit {
@@ -96,7 +101,7 @@ func TestHuffmanDeterministic(t *testing.T) {
 	h1 := Train(samples)
 	h2 := Train(samples)
 	for b := 0; b < 256; b++ {
-		if h1.CodeLen(byte(b)) != h2.CodeLen(byte(b)) {
+		if len(h1.codes[byte(b)]) != len(h2.codes[byte(b)]) {
 			t.Fatal("Huffman training not deterministic")
 		}
 	}

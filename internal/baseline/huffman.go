@@ -149,25 +149,3 @@ func (h *Huffman) Decode(bits []bool) string {
 	}
 	return string(out)
 }
-
-// CodeLen returns the code length in bits for byte b, or 0 when absent.
-func (h *Huffman) CodeLen(b byte) int { return len(h.codes[b]) }
-
-// MeanBitsPerByte estimates the expected code length under the sample
-// distribution used at training time, weighted by the trained tree's
-// structure. It reports compression efficiency in the experiment tables.
-func (h *Huffman) MeanBitsPerByte(samples []string) float64 {
-	totalBits, totalBytes := 0, 0
-	for _, s := range samples {
-		for i := 0; i < len(s); i++ {
-			if l := h.CodeLen(s[i]); l > 0 {
-				totalBits += l
-				totalBytes++
-			}
-		}
-	}
-	if totalBytes == 0 {
-		return 0
-	}
-	return float64(totalBits) / float64(totalBytes)
-}

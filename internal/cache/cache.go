@@ -3,7 +3,6 @@ package cache
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/kb"
@@ -249,8 +248,7 @@ func (c *Cache) ResetStats() {
 
 // KeysWhere returns the cached keys satisfying pred, in no particular
 // order. pred runs under the cache lock and must not call back into the
-// cache. Unlike Keys it never renders or sorts the full key set, so
-// filtered scans stay cheap on large caches.
+// cache.
 func (c *Cache) KeysWhere(pred func(kb.Key) bool) []kb.Key {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -262,18 +260,3 @@ func (c *Cache) KeysWhere(pred func(kb.Key) bool) []kb.Key {
 	}
 	return keys
 }
-
-// Keys returns the cached keys in deterministic (string-sorted) order.
-func (c *Cache) Keys() []kb.Key {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	keys := make([]kb.Key, 0, len(c.entries))
-	for k := range c.entries {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
-	return keys
-}
-
-// PolicyName returns the eviction policy's name.
-func (c *Cache) PolicyName() string { return c.policy.Name() }

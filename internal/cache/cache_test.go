@@ -295,24 +295,6 @@ func TestUsedNeverExceedsCapacity(t *testing.T) {
 	}
 }
 
-func TestKeysSorted(t *testing.T) {
-	c, err := New(capacityFor(t, 4), NewLRU())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []string{"zeta", "alpha", "mid"} {
-		if err := c.Put(testModel(t, n, "", kb.RoleCodec), false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	keys := c.Keys()
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1].String() >= keys[i].String() {
-			t.Fatal("Keys not sorted")
-		}
-	}
-}
-
 func TestResetStats(t *testing.T) {
 	c, err := New(capacityFor(t, 2), NewLRU())
 	if err != nil {

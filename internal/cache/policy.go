@@ -14,8 +14,8 @@ import (
 // Policy orders cache entries for eviction. Implementations are not safe
 // for concurrent use; Cache serializes calls under its own lock.
 //
-// All policies select victims in O(log n) or better: LRU, FIFO and CLOCK
-// are list-based, LFU and GDSF keep an indexed min-heap so cluster-scale
+// All policies select victims in O(log n) or better: LRU and FIFO are
+// list-based, LFU and GDSF keep an indexed min-heap so cluster-scale
 // caches (tens of thousands of individual models) never pay a linear scan.
 type Policy interface {
 	// Name identifies the policy in experiment output.
@@ -350,8 +350,8 @@ func (p *GDSF) Victim() (kb.Key, bool) {
 // Len implements Policy.
 func (p *GDSF) Len() int { return len(p.items) }
 
-// NewPolicy builds a policy by name ("lru", "fifo", "lfu", "gdsf",
-// "clock"), returning false for unknown names.
+// NewPolicy builds a policy by name ("lru", "fifo", "lfu", "gdsf"),
+// returning false for unknown names.
 func NewPolicy(name string) (Policy, bool) {
 	switch name {
 	case "lru":
@@ -362,8 +362,6 @@ func NewPolicy(name string) (Policy, bool) {
 		return NewLFU(), true
 	case "gdsf":
 		return NewGDSF(), true
-	case "clock":
-		return NewClock(), true
 	default:
 		return nil, false
 	}

@@ -241,7 +241,7 @@ func checkInvariants(t *testing.T, step int, c *Cache, shadow map[kb.Key]shadowE
 		t.Fatalf("step %d: Len %d != shadow %d", step, c.Len(), len(shadow))
 	}
 	if got := c.policy.Len(); got != unpinned {
-		t.Fatalf("step %d: policy %s tracks %d entries, want %d unpinned", step, c.PolicyName(), got, unpinned)
+		t.Fatalf("step %d: policy %s tracks %d entries, want %d unpinned", step, c.policy.Name(), got, unpinned)
 	}
 	st := c.Stats()
 	if int64(st.Hits+st.Misses) != gets {
@@ -262,7 +262,7 @@ func TestCacheInvariantsUnderRandomOps(t *testing.T) {
 	if testing.Short() {
 		steps = 800
 	}
-	for _, name := range []string{"lru", "fifo", "lfu", "gdsf", "clock"} {
+	for _, name := range []string{"lru", "fifo", "lfu", "gdsf"} {
 		t.Run(name, func(t *testing.T) {
 			policy, ok := NewPolicy(name)
 			if !ok {

@@ -17,45 +17,6 @@ func PackBits(bits []bool) []byte {
 	return out
 }
 
-// UnpackBits expands bytes into n bits, most significant bit first. It
-// panics if n exceeds the available bits.
-func UnpackBits(data []byte, n int) []bool {
-	if n > 8*len(data) {
-		panic("channel: UnpackBits length exceeds data")
-	}
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = data[i/8]&(1<<(7-uint(i%8))) != 0
-	}
-	return out
-}
-
-// BytesToBits converts a byte slice to its full bit representation.
-func BytesToBits(data []byte) []bool {
-	return UnpackBits(data, 8*len(data))
-}
-
-// BitErrors counts positions where a and b differ, comparing over the
-// shorter length and adding the length difference as errors.
-func BitErrors(a, b []bool) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	errs := 0
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			errs++
-		}
-	}
-	if len(a) > n {
-		errs += len(a) - n
-	} else if len(b) > n {
-		errs += len(b) - n
-	}
-	return errs
-}
-
 // CRC16 computes the CRC-16/CCITT-FALSE checksum of the packed form of
 // bits. The baseline pipeline uses it for frame-integrity detection.
 func CRC16(bits []bool) uint16 {

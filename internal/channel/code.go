@@ -4,8 +4,6 @@ package channel
 type Code interface {
 	// Name identifies the code in experiment output.
 	Name() string
-	// Rate returns information bits per coded bit (<= 1).
-	Rate() float64
 	// Encode maps information bits to coded bits.
 	Encode(bits []bool) []bool
 	// Decode maps coded bits back to information bits, correcting errors
@@ -20,9 +18,6 @@ var _ Code = Identity{}
 
 // Name implements Code.
 func (Identity) Name() string { return "none" }
-
-// Rate implements Code.
-func (Identity) Rate() float64 { return 1 }
 
 // Encode implements Code.
 func (c Identity) Encode(bits []bool) []bool {
@@ -63,9 +58,6 @@ func (r Repetition) Name() string {
 		return "repN"
 	}
 }
-
-// Rate implements Code.
-func (r Repetition) Rate() float64 { return 1 / float64(r.n()) }
 
 func (r Repetition) n() int {
 	if r.N < 3 {
@@ -120,9 +112,6 @@ var _ Code = Hamming74{}
 
 // Name implements Code.
 func (Hamming74) Name() string { return "hamming74" }
-
-// Rate implements Code.
-func (Hamming74) Rate() float64 { return 4.0 / 7.0 }
 
 // Encode implements Code. Codeword layout: p1 p2 d1 p3 d2 d3 d4 with
 // parity positions 1, 2 and 4 (1-indexed).

@@ -57,9 +57,6 @@ var _ Code = InterleavedCode{}
 // Name implements Code.
 func (c InterleavedCode) Name() string { return c.Inner.Name() + "+ilv" }
 
-// Rate implements Code.
-func (c InterleavedCode) Rate() float64 { return c.Inner.Rate() }
-
 // Encode implements Code.
 func (c InterleavedCode) Encode(bits []bool) []bool {
 	return c.IV.Interleave(c.Inner.Encode(bits))

@@ -7,10 +7,8 @@ import "math"
 type Modulation interface {
 	// Name identifies the modulation in experiment output.
 	Name() string
-	// BitsPerSymbol returns the number of bits each symbol carries.
-	BitsPerSymbol() int
 	// Modulate maps bits to symbols. Bit streams are zero-padded to a
-	// multiple of BitsPerSymbol.
+	// whole number of symbols.
 	Modulate(bits []bool) []complex128
 	// Demodulate maps symbols back to bits by nearest-constellation-point
 	// decision.
@@ -24,9 +22,6 @@ var _ Modulation = BPSK{}
 
 // Name implements Modulation.
 func (BPSK) Name() string { return "bpsk" }
-
-// BitsPerSymbol implements Modulation.
-func (BPSK) BitsPerSymbol() int { return 1 }
 
 // Modulate implements Modulation.
 func (m BPSK) Modulate(bits []bool) []complex128 {
@@ -69,9 +64,6 @@ var _ Modulation = QPSK{}
 
 // Name implements Modulation.
 func (QPSK) Name() string { return "qpsk" }
-
-// BitsPerSymbol implements Modulation.
-func (QPSK) BitsPerSymbol() int { return 2 }
 
 // qpskAmp normalizes unit average energy: each I/Q component is ±1/√2.
 var qpskAmp = 1 / math.Sqrt2
@@ -125,9 +117,6 @@ var _ Modulation = QAM16{}
 
 // Name implements Modulation.
 func (QAM16) Name() string { return "16qam" }
-
-// BitsPerSymbol implements Modulation.
-func (QAM16) BitsPerSymbol() int { return 4 }
 
 // qam16Amp normalizes average symbol energy to 1 for levels {±1, ±3}:
 // E = 2 * mean{1,9} = 10, so divide by √10.

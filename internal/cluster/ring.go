@@ -48,20 +48,11 @@ func Hash64(s string) uint64 {
 	return x
 }
 
-// NewRing places replicas virtual points per node for nodes 0..nodes-1,
-// seeded by seed.
-func NewRing(nodes, replicas int, seed uint64) *Ring {
-	members := make([]int, nodes)
-	for i := range members {
-		members[i] = i
-	}
-	return NewRingFor(members, replicas, seed)
-}
-
 // NewRingFor builds the ring over an explicit member set (node indices,
-// not necessarily contiguous). A member's virtual points depend only on
-// its own index, so NewRingFor([0,2], ...) is exactly NewRing(3, ...)
-// with node 1's points removed — the rebalance a mesh performs when a
+// not necessarily contiguous), placing replicas virtual points per member.
+// A member's virtual points depend only on its own index, so
+// NewRingFor([0,2], ...) is exactly NewRingFor([0,1,2], ...) with node 1's
+// points removed — the rebalance a mesh performs when a
 // peer dies.
 func NewRingFor(members []int, replicas int, seed uint64) *Ring {
 	r := &Ring{points: make([]ringPoint, 0, len(members)*replicas)}

@@ -6,8 +6,8 @@ import (
 )
 
 func TestRoutingDeterministicAndBalanced(t *testing.T) {
-	a := NewRing(4, 64, 1)
-	b := NewRing(4, 64, 1)
+	a := NewRingFor([]int{0, 1, 2, 3}, 64, 1)
+	b := NewRingFor([]int{0, 1, 2, 3}, 64, 1)
 	counts := make([]int, 4)
 	for u := 0; u < 400; u++ {
 		user := fmt.Sprintf("u%03d", u)
@@ -29,8 +29,8 @@ func TestRoutingDeterministicAndBalanced(t *testing.T) {
 func TestRingConsistency(t *testing.T) {
 	// Growing the ring by one node must only reassign users, never produce
 	// an out-of-range node, and must keep most users in place.
-	small := NewRing(3, 64, 1)
-	big := NewRing(4, 64, 1)
+	small := NewRingFor([]int{0, 1, 2}, 64, 1)
+	big := NewRingFor([]int{0, 1, 2, 3}, 64, 1)
 	moved := 0
 	const users = 1000
 	for u := 0; u < users; u++ {
@@ -54,7 +54,7 @@ func TestRingConsistency(t *testing.T) {
 // when a member dies: the ring over the survivors is the full ring with
 // the dead node's points removed, so only its users move.
 func TestRingForLosesOnlyTheDeadNodesArcs(t *testing.T) {
-	full := NewRing(3, 64, 7)
+	full := NewRingFor([]int{0, 1, 2}, 64, 7)
 	survivors := NewRingFor([]int{0, 2}, 64, 7)
 	rehomed := 0
 	for u := 0; u < 1000; u++ {

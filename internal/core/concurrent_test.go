@@ -145,8 +145,8 @@ func TestConcurrentDistinctUsers(t *testing.T) {
 	if int64(s.SyncCount()) != updates.Load() {
 		t.Fatalf("SyncCount = %d, updates observed = %d", s.SyncCount(), updates.Load())
 	}
-	if s.SyncBytes() <= 0 || s.SyncLatency() <= 0 {
-		t.Fatalf("sync accounting empty: bytes %d latency %v", s.SyncBytes(), s.SyncLatency())
+	if s.SyncBytes() <= 0 {
+		t.Fatalf("sync accounting empty: bytes %d", s.SyncBytes())
 	}
 	if individual.Load() == 0 {
 		t.Fatal("no transmit used an individual model despite updates")

@@ -39,7 +39,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,6 +67,14 @@ const (
 	SelectorSticky     = "sticky"
 	SelectorQLearn     = "qlearn"
 	SelectorUCB        = "ucb"
+)
+
+// The air interface between the two edges is fixed: channel symbols leave
+// at symbolRateHz, and a message pays edgeLatency of propagation on top of
+// its air time.
+const (
+	symbolRateHz = 1e6
+	edgeLatency  = 10 * time.Millisecond
 )
 
 // Config parameterizes a System. Zero fields select documented defaults.
@@ -106,9 +113,6 @@ type Config struct {
 	// CloudLink is the edge-to-cloud link for model fetches (default
 	// 40 ms, 200 Mbps).
 	CloudLink netsim.Link
-	// EdgeLink is the edge-to-edge link carrying decoder updates
-	// (default 10 ms, 100 Mbps).
-	EdgeLink netsim.Link
 	// ComputePerToken is the per-token semantic compute cost (default
 	// 200 µs).
 	ComputePerToken time.Duration
@@ -117,8 +121,6 @@ type Config struct {
 	SNRdB float64
 	// Rayleigh selects Rayleigh fading instead of pure AWGN.
 	Rayleigh bool
-	// QuantBits is the feature quantization width (default 3).
-	QuantBits int
 	// CodeName names the channel code ("hamming74", "rep3", "rep5",
 	// "none"; default "hamming74").
 	CodeName string
@@ -128,8 +130,6 @@ type Config struct {
 	// InterleaveDepth enables block interleaving of coded bits when > 1;
 	// useful against burst errors under Rayleigh fading.
 	InterleaveDepth int
-	// SymbolRateHz converts channel symbols to air time (default 1e6).
-	SymbolRateHz float64
 
 	// Selector names the model-selection policy (default "naivebayes").
 	Selector string
@@ -164,23 +164,14 @@ func (cfg Config) withDefaults() Config {
 	if cfg.CloudLink == (netsim.Link{}) {
 		cfg.CloudLink = netsim.Link{Latency: 40 * time.Millisecond, BandwidthBps: 200e6}
 	}
-	if cfg.EdgeLink == (netsim.Link{}) {
-		cfg.EdgeLink = netsim.Link{Latency: 10 * time.Millisecond, BandwidthBps: 100e6}
-	}
 	if cfg.SNRdB == 0 {
 		cfg.SNRdB = 12
-	}
-	if cfg.QuantBits == 0 {
-		cfg.QuantBits = 3
 	}
 	if cfg.CodeName == "" {
 		cfg.CodeName = "hamming74"
 	}
 	if cfg.ModName == "" {
 		cfg.ModName = "bpsk"
-	}
-	if cfg.SymbolRateHz == 0 {
-		cfg.SymbolRateHz = 1e6
 	}
 	if cfg.Selector == "" {
 		cfg.Selector = SelectorNaiveBayes
@@ -260,11 +251,9 @@ type System struct {
 	// small next to the encode/decode compute, which runs outside it.
 	// linkScratch holds the reusable channel stage buffers, guarded by
 	// the same mutex.
-	linkMu       sync.Mutex
-	link         channel.FeatureLink
-	linkScratch  channel.TxScratch
-	symbolRateHz float64
-	edgeLink     netsim.Link
+	linkMu      sync.Mutex
+	link        channel.FeatureLink
+	linkScratch channel.TxScratch
 
 	// userNoise selects per-user derived noise streams. Every draw's seed
 	// is then a pure function of (user, seq), independent of arrival
@@ -284,7 +273,6 @@ type System struct {
 	// Aggregate counters (atomic: updated from concurrent transmits).
 	syncBytes      atomic.Int64
 	syncCount      atomic.Int64
-	syncLatency    atomic.Int64 // nanoseconds
 	updateFailures atomic.Int64
 	// updateTime is the wall time of every completed ProcessUpdate, in
 	// milliseconds: the §II-D stall a full buffer adds to its request.
@@ -327,9 +315,8 @@ func (s *System) userState(user string) *userState {
 
 // selectorFactories maps each non-oracle selector name to a builder of
 // per-user selector constructors. Together with the SelectorOracle special
-// case it is the single source of truth for selector names: validSelector,
-// initSelectors and SelectorNames (hence edged's flag validation) all read
-// it, so a new policy registers in one place.
+// case it is every policy NewSystem accepts (validSelector, initSelectors);
+// SelectorNames is the subset a daemon may serve.
 var selectorFactories = map[string]func(s *System, rng *mat.RNG) func() selection.Selector{
 	SelectorStatic: func(s *System, _ *mat.RNG) func() selection.Selector {
 		return func() selection.Selector { return &selection.Static{DomainIndex: s.cfg.StaticDomain} }
@@ -350,17 +337,15 @@ var selectorFactories = map[string]func(s *System, rng *mat.RNG) func() selectio
 	},
 }
 
-// SelectorNames returns the sorted names of every selection policy that
-// works from the message alone — all but SelectorOracle, which needs the
-// ground-truth domain label only a trace carries.
-func SelectorNames() []string {
-	names := make([]string, 0, len(selectorFactories))
-	for name := range selectorFactories {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+// SelectorNames returns the sorted names of the selection policies a
+// daemon can serve — the one list edged's -selector flag and validation
+// read. The rest exist for the experiments only: SelectorOracle needs the
+// ground-truth label only a trace carries, SelectorStatic a
+// Config.StaticDomain no flag sets (it would encode every message with
+// domain 0's model), and SelectorQLearn / SelectorUCB are Figure D's
+// negative result (0.602 / 0.343 selection accuracy against sticky's
+// 0.978).
+func SelectorNames() []string { return []string{SelectorNaiveBayes, SelectorSticky} }
 
 // validSelector reports whether name is a known selection policy.
 func validSelector(name string) bool {
@@ -465,26 +450,24 @@ func NewSystem(cfg Config) (*System, error) {
 		return &channel.AWGN{SNRdB: cfg.SNRdB, Rng: r}
 	}
 	link := channel.FeatureLink{
-		Quant: channel.Quantizer{Bits: cfg.QuantBits, Lo: -1, Hi: 1},
+		Quant: channel.DefaultQuantizer(),
 		Code:  code,
 		Mod:   mod,
 		Ch:    mkChannel(noiseRng),
 	}
 
 	s := &System{
-		cfg:          cfg,
-		Corpus:       corp,
-		Cloud:        cloud,
-		Sender:       sender,
-		Receiver:     receiver,
-		Generals:     generals,
-		link:         link,
-		symbolRateHz: cfg.SymbolRateHz,
-		edgeLink:     cfg.EdgeLink,
-		userNoise:    cfg.PerUserNoise,
-		noiseRng:     noiseRng,
-		users:        make(map[string]*userState, 16),
-		updateTime:   metrics.NewLatencyHistogram(),
+		cfg:        cfg,
+		Corpus:     corp,
+		Cloud:      cloud,
+		Sender:     sender,
+		Receiver:   receiver,
+		Generals:   generals,
+		link:       link,
+		userNoise:  cfg.PerUserNoise,
+		noiseRng:   noiseRng,
+		users:      make(map[string]*userState, 16),
+		updateTime: metrics.NewLatencyHistogram(),
 	}
 	if cfg.PerUserNoise {
 		// Lock-free channel stage: the pool's instances share the
@@ -697,8 +680,8 @@ func (s *System) transmitSelected(sc *mat.Scratch, st *userState, user string, w
 	}
 	rx := sc.Mat(enc.Features.Rows, enc.Model.Codec.FeatureDim())
 	stats := s.sendOverChannel(seed, rx.Data, enc.Features.Data)
-	airTime := time.Duration(float64(stats.Symbols) / s.symbolRateHz * float64(time.Second))
-	airTime += s.edgeLink.Latency
+	airTime := time.Duration(float64(stats.Symbols) / symbolRateHz * float64(time.Second))
+	airTime += edgeLatency
 
 	// Step 4: receiver-side semantic decoding (batched GEMMs).
 	dec, err := s.Receiver.Decode(sc, domain, user, rx)
@@ -782,7 +765,6 @@ func (s *System) ProcessUpdate(domain, user string) (int, error) {
 	}
 	s.syncBytes.Add(int64(upd.Stats.PayloadBytes))
 	s.syncCount.Add(1)
-	s.syncLatency.Add(int64(s.edgeLink.TransferTime(int64(upd.Stats.PayloadBytes))))
 	s.updateTime.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 	return upd.Stats.PayloadBytes, nil
 }
@@ -792,10 +774,6 @@ func (s *System) SyncBytes() int64 { return s.syncBytes.Load() }
 
 // SyncCount returns the number of decoder updates shipped.
 func (s *System) SyncCount() int { return int(s.syncCount.Load()) }
-
-// SyncLatency returns the cumulative simulated edge-link transfer time of
-// all shipped decoder updates.
-func (s *System) SyncLatency() time.Duration { return time.Duration(s.syncLatency.Load()) }
 
 // UpdateFailures returns the number of update processes triggered by a
 // transmit that failed.

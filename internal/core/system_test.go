@@ -57,10 +57,12 @@ func TestNewSystemValidation(t *testing.T) {
 	if _, err := NewSystem(cfg); err == nil {
 		t.Fatal("unknown selector accepted")
 	}
-	cfg = testConfig()
-	cfg.Policy = "belady"
-	if _, err := NewSystem(cfg); err == nil {
-		t.Fatal("unknown policy accepted")
+	for _, policy := range []string{"belady", "clock"} { // clock: removed in PR 21
+		cfg = testConfig()
+		cfg.Policy = policy
+		if _, err := NewSystem(cfg); err == nil {
+			t.Fatalf("unknown policy %q accepted", policy)
+		}
 	}
 	cfg = testConfig()
 	cfg.CodeName = "turbo"

@@ -1,9 +1,6 @@
 package corpus
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Domain is a fully built domain knowledge base: the lexicon a
 // domain-specialized semantic codec is trained on.
@@ -44,20 +41,6 @@ func (d *Domain) SurfaceID(word string) int {
 	return UnknownSurfaceID
 }
 
-// Surface returns the word for a local surface ID.
-func (d *Domain) Surface(id int) string {
-	if id < 0 || id >= len(d.surfaces) {
-		return "<unk>"
-	}
-	return d.surfaces[id]
-}
-
-// HasSurface reports whether word belongs to this domain's lexicon.
-func (d *Domain) HasSurface(word string) bool {
-	_, ok := d.surfaceIDs[word]
-	return ok
-}
-
 // ConceptOf returns the concept index expressed by word within this domain.
 func (d *Domain) ConceptOf(word string) (int, bool) {
 	id, ok := d.surfaceIDs[word]
@@ -69,15 +52,6 @@ func (d *Domain) ConceptOf(word string) (int, bool) {
 		return -1, false
 	}
 	return ci, true
-}
-
-// ConceptOfSurfaceID returns the concept index for a local surface ID, or
-// -1 for the unknown surface.
-func (d *Domain) ConceptOfSurfaceID(id int) int {
-	if id < 0 || id >= len(d.surfaceConcept) {
-		return -1
-	}
-	return d.surfaceConcept[id]
 }
 
 // Canonical returns the canonical surface of concept index ci.
@@ -94,13 +68,6 @@ func (d *Domain) ContentConcepts() []int {
 	for i := d.NumFunction; i < len(d.Concepts); i++ {
 		out = append(out, i)
 	}
-	return out
-}
-
-// Surfaces returns a copy of the local lexicon in surface-ID order.
-func (d *Domain) Surfaces() []string {
-	out := make([]string, len(d.surfaces))
-	copy(out, d.surfaces)
 	return out
 }
 
@@ -199,23 +166,5 @@ func (c *Corpus) Names() []string {
 	for i, d := range c.Domains {
 		out[i] = d.Name
 	}
-	return out
-}
-
-// AllSurfaces returns the sorted union of every domain's lexicon (excluding
-// the unknown surface). The classical baseline trains its source coder on
-// this set.
-func (c *Corpus) AllSurfaces() []string {
-	set := make(map[string]struct{}, 1024)
-	for _, d := range c.Domains {
-		for _, s := range d.surfaces[1:] {
-			set[s] = struct{}{}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
 	return out
 }

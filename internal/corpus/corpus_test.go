@@ -57,12 +57,6 @@ func TestUnknownSurface(t *testing.T) {
 	if _, ok := d.ConceptOf("zzzzz"); ok {
 		t.Error("unknown word should have no concept")
 	}
-	if d.ConceptOfSurfaceID(UnknownSurfaceID) != -1 {
-		t.Error("unknown surface should map to concept -1")
-	}
-	if d.Surface(-5) != "<unk>" || d.Surface(99999) != "<unk>" {
-		t.Error("out-of-range surface IDs should render <unk>")
-	}
 }
 
 func TestPolysemyAcrossDomains(t *testing.T) {
@@ -266,18 +260,5 @@ func TestZipfPopularityDiffersAcrossDomains(t *testing.T) {
 	}
 	if len(distinct) < 4 {
 		t.Fatalf("top concepts identical across too many domains: %v", top)
-	}
-}
-
-func TestAllSurfacesSortedUnique(t *testing.T) {
-	c := Build()
-	all := c.AllSurfaces()
-	if len(all) < 300 {
-		t.Fatalf("global lexicon suspiciously small: %d", len(all))
-	}
-	for i := 1; i < len(all); i++ {
-		if all[i] <= all[i-1] {
-			t.Fatalf("AllSurfaces not sorted/unique at %d: %q, %q", i, all[i-1], all[i])
-		}
 	}
 }

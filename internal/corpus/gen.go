@@ -132,9 +132,6 @@ func NewGenerator(c *Corpus, rng *mat.RNG) *Generator {
 	return g
 }
 
-// Corpus returns the corpus the generator draws from.
-func (g *Generator) Corpus() *Corpus { return g.corpus }
-
 // Message samples one message from the domain at index di. idio may be nil
 // for a generic speaker.
 func (g *Generator) Message(di int, idio *Idiolect) Message {

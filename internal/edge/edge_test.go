@@ -264,10 +264,14 @@ func TestUpdateRoundTripBetweenEdges(t *testing.T) {
 		t.Fatal("individual models missing after update")
 	}
 	msgs := gen.Batch(corp.Domain("it").Index, 20, idio)
+	sc := mat.GetScratch()
+	defer mat.PutScratch(sc)
 	for _, m := range msgs {
-		feats := sm.Model.Codec.EncodeWords(m.Words)
-		a := sm.Model.Codec.DecodeFeatures(feats)
-		b := rm.Model.Codec.DecodeFeatures(feats)
+		sc.Reset()
+		feats := sm.Model.Codec.EncodeWordsInto(sc, m.Words)
+		a, b := make([]int, feats.Rows), make([]int, feats.Rows)
+		sm.Model.Codec.DecodeFeaturesInto(sc, feats, a)
+		rm.Model.Codec.DecodeFeaturesInto(sc, feats, b)
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatal("receiver decoder diverged from sender after sync")

@@ -61,10 +61,13 @@ func TestHandoverPreservesModel(t *testing.T) {
 		t.Fatalf("imported version = %d", b.Model.Version)
 	}
 	gen := corpus.NewGenerator(corp, mat.NewRNG(52))
+	sc := mat.GetScratch()
+	defer mat.PutScratch(sc)
 	for i := 0; i < 20; i++ {
 		m := gen.Message(corp.Domain("it").Index, idio)
-		x := a.Model.Codec.RoundTrip(m.Words)
-		y := b.Model.Codec.RoundTrip(m.Words)
+		x, y := make([]int, len(m.Words)), make([]int, len(m.Words))
+		a.Model.Codec.RoundTripInto(sc, m.Words, x)
+		b.Model.Codec.RoundTripInto(sc, m.Words, y)
 		for j := range x {
 			if x[j] != y[j] {
 				t.Fatal("imported model decodes differently")

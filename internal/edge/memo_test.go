@@ -208,7 +208,8 @@ func TestMemoServesBothDecodes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := enc.Model.Codec.RoundTrip(m.Words)
+		want := make([]int, len(m.Words))
+		enc.Model.Codec.RoundTripInto(sc, m.Words, want)
 		// With the sender's features, and (enc == nil) re-encoding them.
 		for _, e := range []*EncodeResult{&enc, nil} {
 			tx, _, err := srv.RecordTransaction(sc, "it", "", m.Words, e)

@@ -135,8 +135,9 @@ func (c *Config) Validate() error {
 	if c.Addr == "" {
 		return &ConfigError{Field: "addr", Value: c.Addr, Reason: "listen address required"}
 	}
-	// The oracle selector needs ground-truth labels no wire request
-	// carries, so the daemon accepts exactly core's non-oracle policies.
+	// The daemon accepts exactly the policies core says one can serve:
+	// not oracle (needs labels no wire request carries), not static (no
+	// flag names its domain), not the qlearn / ucb experiment rows.
 	if selectors := core.SelectorNames(); !slices.Contains(selectors, c.Selector) {
 		return &ConfigError{Field: "selector", Value: c.Selector, Reason: "unknown policy, want one of " + strings.Join(selectors, "|")}
 	}

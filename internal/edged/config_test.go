@@ -43,6 +43,9 @@ func TestValidateTypedErrors(t *testing.T) {
 		field string
 	}{
 		{"bad selector", []string{"-selector", "psychic"}, "selector"},
+		{"static selector", []string{"-selector", core.SelectorStatic}, "selector"},
+		{"qlearn selector", []string{"-selector", core.SelectorQLearn}, "selector"},
+		{"ucb selector", []string{"-selector", core.SelectorUCB}, "selector"},
 		{"negative shed", []string{"-shed-after", "-1s"}, "shed-after"},
 		{"contention without pprof", []string{"-profile-contention"}, "profile-contention"},
 		{"one-member mesh", []string{"-peers", "localhost:7060"}, "peers"},
@@ -105,8 +108,9 @@ func wantUnknownFlag(t *testing.T, args ...string) {
 }
 
 // TestSelectorsComeFromCore checks edged keeps no selector list of its
-// own: every policy core reports is accepted, and the oracle — which
-// needs labels no wire request carries — is still rejected.
+// own: every policy core reports as servable is accepted, and the oracle —
+// which needs labels no wire request carries — is still rejected (the
+// other experiment-only policies: TestValidateTypedErrors).
 func TestSelectorsComeFromCore(t *testing.T) {
 	names := core.SelectorNames()
 	if len(names) == 0 {

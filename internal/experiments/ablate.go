@@ -11,8 +11,7 @@ import (
 	"repro/internal/semantic"
 )
 
-// AblationOptions parameterizes the design-choice ablations from
-// DESIGN.md §5.
+// AblationOptions parameterizes the design-choice ablations.
 type AblationOptions struct {
 	// SNRdB is the operating point (default 6: noisy but workable).
 	SNRdB float64
@@ -78,39 +77,29 @@ func RunAblations(env *Env, opts AblationOptions) (*AblationResult, error) {
 		codec := semantic.Pretrain(d, env.Corpus, semantic.Config{
 			FeatureDim: dim, Seed: opts.Seed,
 		})
-		row, err := measureTransport(env, codec, "digital/hamming", opts)
-		if err != nil {
-			return nil, err
-		}
+		row := measureTransport(env, codec, "digital/hamming", opts)
 		row.Config = fmt.Sprintf("feature_dim=%d", dim)
 		res.FeatureDim = append(res.FeatureDim, row)
 	}
 
 	// Study 2: transport comparison on the default codec.
 	codec := env.Generals[d.Index]
-	for _, transport := range []string{"digital/hamming", "digital/none", "digital/rep3", "analog"} {
-		row, err := measureTransport(env, codec, transport, opts)
-		if err != nil {
-			return nil, err
-		}
-		row.Config = transport
+	for _, name := range []string{"digital/hamming", "digital/none", "digital/rep3", "analog"} {
+		row := measureTransport(env, codec, name, opts)
+		row.Config = name
 		res.Transport = append(res.Transport, row)
 	}
 
 	// Study 3: symbol erasures (losses/congestion). Both pipelines use
 	// Hamming(7,4) + BPSK; the channel drops symbols independently.
 	for _, p := range []float64{0.01, 0.03, 0.05, 0.10, 0.20} {
-		row, err := measureErasure(env, codec, p, opts)
-		if err != nil {
-			return nil, err
-		}
-		res.Erasure = append(res.Erasure, row)
+		res.Erasure = append(res.Erasure, measureErasure(env, codec, p, opts))
 	}
 	return res, nil
 }
 
 // measureErasure compares meaning recovery under a symbol-erasure channel.
-func measureErasure(env *Env, codec *semantic.Codec, p float64, opts AblationOptions) (ErasureRow, error) {
+func measureErasure(env *Env, codec *semantic.Codec, p float64, opts AblationOptions) ErasureRow {
 	d := codec.Domain()
 	rng := mat.NewRNG(opts.Seed + 991)
 	gen := corpus.NewGenerator(env.Corpus, rng.Split())
@@ -118,11 +107,13 @@ func measureErasure(env *Env, codec *semantic.Codec, p float64, opts AblationOpt
 	link := channel.DefaultFeatureLink(ch)
 	pipe := tradPipeline(env, ch)
 
+	sc := mat.GetScratch()
+	defer mat.PutScratch(sc)
+	var ts channel.TxScratch
 	row := ErasureRow{ErasureP: p}
 	for i := 0; i < opts.Messages; i++ {
 		m := gen.Message(d.Index, nil)
-		rx, _ := link.Send(codec.EncodeWords(m.Words), codec.FeatureDim())
-		decoded := codec.DecodeFeatures(rx)
+		decoded, _ := roundTrip(sc, &ts, codec, codec, link, m.Words)
 		row.SemanticAcc += semantic.ConceptAccuracy(decoded, m.ConceptIDs)
 
 		got, _, _ := pipe.Send(m.Text())
@@ -132,38 +123,38 @@ func measureErasure(env *Env, codec *semantic.Codec, p float64, opts AblationOpt
 	n := float64(opts.Messages)
 	row.SemanticAcc /= n
 	row.TraditionalAcc /= n
-	return row, nil
+	return row
 }
 
 // measureTransport runs messages through one transport configuration.
-func measureTransport(env *Env, codec *semantic.Codec, transport string, opts AblationOptions) (AblationRow, error) {
+func measureTransport(env *Env, codec *semantic.Codec, name string, opts AblationOptions) AblationRow {
 	d := codec.Domain()
 	rng := mat.NewRNG(opts.Seed + 77)
 	gen := corpus.NewGenerator(env.Corpus, rng.Split())
 	ch := &channel.AWGN{SNRdB: opts.SNRdB, Rng: rng.Split()}
 
-	send := func(feats [][]float64) ([][]float64, channel.LinkStats) {
-		switch transport {
-		case "digital/hamming":
-			return channel.DefaultFeatureLink(ch).Send(feats, codec.FeatureDim())
-		case "digital/none":
-			l := channel.DefaultFeatureLink(ch)
-			l.Code = channel.Identity{}
-			return l.Send(feats, codec.FeatureDim())
-		case "digital/rep3":
-			l := channel.DefaultFeatureLink(ch)
-			l.Code = channel.Repetition{N: 3}
-			return l.Send(feats, codec.FeatureDim())
-		default: // analog
-			return channel.AnalogLink{Ch: ch}.Send(feats, codec.FeatureDim())
-		}
+	digital := channel.DefaultFeatureLink(ch)
+	var link transport
+	switch name {
+	case "digital/hamming":
+		link = digital
+	case "digital/none":
+		digital.Code = channel.Identity{}
+		link = digital
+	case "digital/rep3":
+		digital.Code = channel.Repetition{N: 3}
+		link = digital
+	default: // analog
+		link = channel.AnalogLink{Ch: ch}
 	}
 
+	sc := mat.GetScratch()
+	defer mat.PutScratch(sc)
+	var ts channel.TxScratch
 	var row AblationRow
 	for i := 0; i < opts.Messages; i++ {
 		m := gen.Message(d.Index, nil)
-		rx, stats := send(codec.EncodeWords(m.Words))
-		decoded := codec.DecodeFeatures(rx)
+		decoded, stats := roundTrip(sc, &ts, codec, codec, link, m.Words)
 		row.Similarity += semantic.Similarity(codec, decoded, m.ConceptIDs)
 		row.ConceptAcc += semantic.ConceptAccuracy(decoded, m.ConceptIDs)
 		row.PayloadBytes += float64(stats.PayloadBytes())
@@ -172,7 +163,7 @@ func measureTransport(env *Env, codec *semantic.Codec, transport string, opts Ab
 	row.Similarity /= n
 	row.ConceptAcc /= n
 	row.PayloadBytes /= n
-	return row, nil
+	return row
 }
 
 // tradPipeline builds the traditional pipeline over ch.

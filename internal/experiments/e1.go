@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"repro/internal/baseline"
 	"repro/internal/channel"
 	"repro/internal/corpus"
 	"repro/internal/mat"
@@ -102,12 +101,10 @@ func RunE1(env *Env, opts E1Options) (*E1Result, error) {
 			ch = &channel.AWGN{SNRdB: snr, Rng: noiseRNGs[pi]}
 		}
 		link := channel.DefaultFeatureLink(ch)
-		pipe := baseline.Pipeline{
-			Huff: env.Huffman,
-			Code: channel.Hamming74{},
-			Mod:  channel.BPSK{},
-			Ch:   ch,
-		}
+		pipe := tradPipeline(env, ch)
+		sc := mat.GetScratch()
+		defer mat.PutScratch(sc)
+		var ts channel.TxScratch
 		var pt E1Point
 		pt.SNRdB = snr
 		var n float64
@@ -115,9 +112,7 @@ func RunE1(env *Env, opts E1Options) (*E1Result, error) {
 			for _, m := range set.msgs {
 				n++
 				// Semantic pipeline.
-				feats := set.codec.EncodeWords(m.Words)
-				rx, stats := link.Send(feats, set.codec.FeatureDim())
-				decoded := set.codec.DecodeFeatures(rx)
+				decoded, stats := roundTrip(sc, &ts, set.codec, set.codec, link, m.Words)
 				pt.SemSimilarity += semantic.Similarity(set.codec, decoded, m.ConceptIDs)
 				pt.SemConceptAcc += semantic.ConceptAccuracy(decoded, m.ConceptIDs)
 				pt.SemPayloadByte += float64(stats.PayloadBytes())

@@ -107,12 +107,13 @@ func RunE10(env *Env, opts E10Options) (*E10Result, error) {
 			Ch:    &channel.AWGN{SNRdB: opts.SNRdB, Rng: rng.Split()},
 		}
 		feat := make([]float64, opts.FeatureDim)
+		rx := make([]float64, opts.FeatureDim)
 		out := make([]float64, opts.PoseDim)
 		num, den, bytes := 0.0, 0.0, 0.0
 		for _, x := range test {
 			vc.Encode(feat, x)
-			rx, stats := link.Send([][]float64{feat}, opts.FeatureDim)
-			vc.Decode(out, rx[0])
+			stats := link.SendFlatScratch(nil, rx, feat)
+			vc.Decode(out, rx)
 			for i := range x {
 				dd := out[i] - x[i]
 				num += dd * dd
@@ -138,11 +139,12 @@ func RunE10(env *Env, opts E10Options) (*E10Result, error) {
 			Mod:   channel.BPSK{},
 			Ch:    &channel.AWGN{SNRdB: opts.SNRdB, Rng: rng.Split()},
 		}
+		rx := make([]float64, opts.PoseDim)
 		num, den, bytes := 0.0, 0.0, 0.0
 		for _, x := range test {
-			rx, stats := link.Send([][]float64{x}, opts.PoseDim)
+			stats := link.SendFlatScratch(nil, rx, x)
 			for i := range x {
-				dd := rx[0][i] - x[i]
+				dd := rx[i] - x[i]
 				num += dd * dd
 				den += x[i] * x[i]
 			}

@@ -94,6 +94,8 @@ func RunE3(env *Env, opts E3Options) (*E3Result, error) {
 		}
 	}
 
+	sc := mat.GetScratch()
+	defer mat.PutScratch(sc)
 	res := &E3Result{Rounds: make([]E3Round, 0, opts.Rounds)}
 	for round := 0; round < opts.Rounds; round++ {
 		row := E3Round{Round: round + 1}
@@ -105,15 +107,7 @@ func RunE3(env *Env, opts E3Options) (*E3Result, error) {
 				row.GeneralMismatch += 1 - general.Evaluate(exs)
 				// Individual-model mismatch + buffering.
 				row.IndividualMismatch += 1 - u.individual.Evaluate(exs)
-				tx := fl.Transaction{
-					SurfaceIDs: make([]int, len(msg.Words)),
-					ConceptIDs: msg.ConceptIDs,
-					Decoded:    u.individual.RoundTrip(msg.Words),
-				}
-				for i, w := range msg.Words {
-					tx.SurfaceIDs[i] = d.SurfaceID(w)
-				}
-				u.buf.Add(tx)
+				u.buf.Add(transaction(sc, d, msg, u.individual, u.individual))
 			}
 			if u.buf.Ready() {
 				if _, err := fl.RunUpdate(u.individual, u.buf, 0, fl.UpdateConfig{

@@ -84,6 +84,8 @@ func RunE4(env *Env, opts E4Options) (*E4Result, error) {
 		{name: "decoder-copy + top10% int8 sync", compress: nn.CompressOptions{TopKFrac: 0.10, Int8: true}},
 	}
 
+	sc := mat.GetScratch()
+	defer mat.PutScratch(sc)
 	res := &E4Result{Rounds: opts.Rounds}
 	for _, mc := range mechs {
 		sender := general.Clone()
@@ -97,21 +99,14 @@ func RunE4(env *Env, opts E4Options) (*E4Result, error) {
 			buf := fl.NewBuffer(d.Name, "u1", opts.BufferSize)
 			for i := 0; i < opts.BufferSize; i++ {
 				msg := gen.Message(d.Index, idio)
-				tx := fl.Transaction{
-					SurfaceIDs: make([]int, len(msg.Words)),
-					ConceptIDs: msg.ConceptIDs,
-				}
-				for j, w := range msg.Words {
-					tx.SurfaceIDs[j] = d.SurfaceID(w)
-				}
+				var tx fl.Transaction
 				if mc.outputReturn {
 					// The receiver decodes and returns its output text.
-					decoded := receiver.DecodeFeatures(sender.EncodeWords(msg.Words))
-					tx.Decoded = decoded
-					feedbackTotal += float64(tx.OutputReturnBytes(receiver.RestoreWords(decoded)))
+					tx = transaction(sc, d, msg, sender, receiver)
+					feedbackTotal += float64(tx.OutputReturnBytes(receiver.RestoreWords(tx.Decoded)))
 				} else {
 					// Decoder copy: computed locally, no feedback traffic.
-					tx.Decoded = sender.RoundTrip(msg.Words)
+					tx = transaction(sc, d, msg, sender, sender)
 				}
 				buf.Add(tx)
 			}

@@ -67,6 +67,8 @@ func RunE7(env *Env, opts E7Options) (*E7Result, error) {
 	d := env.Corpus.Domain(opts.Domain)
 	general := env.Generals[d.Index]
 
+	sc := mat.GetScratch()
+	defer mat.PutScratch(sc)
 	res := &E7Result{}
 	for _, int8q := range []bool{false, true} {
 		for _, frac := range opts.TopKFracs {
@@ -86,15 +88,7 @@ func RunE7(env *Env, opts E7Options) (*E7Result, error) {
 				buf := fl.NewBuffer(d.Name, "u1", opts.BufferSize)
 				for i := 0; i < opts.BufferSize; i++ {
 					msg := gen.Message(d.Index, idio)
-					tx := fl.Transaction{
-						SurfaceIDs: make([]int, len(msg.Words)),
-						ConceptIDs: msg.ConceptIDs,
-						Decoded:    sender.RoundTrip(msg.Words),
-					}
-					for j, w := range msg.Words {
-						tx.SurfaceIDs[j] = d.SurfaceID(w)
-					}
-					buf.Add(tx)
+					buf.Add(transaction(sc, d, msg, sender, sender))
 				}
 				upd, err := fl.RunUpdate(sender, buf, u, fl.UpdateConfig{
 					Epochs: 3, Seed: uint64(u) + 1, Compress: compress,

@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// The experiment tests use reduced sizes: they verify the qualitative
-// shapes EXPERIMENTS.md reports, not the full-resolution numbers.
+// The experiment tests use reduced sizes: they state the qualitative
+// claims (README "What is reproduced"); the numbers themselves are pinned
+// by TestTablesGolden.
 
 func TestE1Shapes(t *testing.T) {
 	env := Environment()
@@ -250,25 +251,6 @@ func TestE7Shapes(t *testing.T) {
 	}
 }
 
-func TestE8Shapes(t *testing.T) {
-	env := Environment()
-	res, err := RunE8(env, E8Options{UserCounts: []int{1, 4}, MessagesPerUser: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	for _, row := range res.Rows {
-		if row.Throughput <= 0 {
-			t.Fatal("non-positive throughput")
-		}
-	}
-	if res.TableD().NumRows() != 2 {
-		t.Fatal("table shape wrong")
-	}
-}
-
 func TestAblationShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping ablation sweeps in -short")
@@ -315,8 +297,5 @@ func TestEnvironmentSingleton(t *testing.T) {
 	b := Environment()
 	if a != b {
 		t.Fatal("Environment not cached")
-	}
-	if a.General("it") == nil || a.General("nope") != nil {
-		t.Fatal("General lookup wrong")
 	}
 }

@@ -34,17 +34,17 @@ func fillBuffer(corp *corpus.Corpus, codec *semantic.Codec, idio *corpus.Idiolec
 	d := codec.Domain()
 	gen := corpus.NewGenerator(corp, mat.NewRNG(seed))
 	buf := NewBuffer(d.Name, "u1", n)
+	sc := mat.GetScratch()
+	defer mat.PutScratch(sc)
 	for i := 0; i < n; i++ {
 		m := gen.Message(d.Index, idio)
 		sids := make([]int, len(m.Words))
 		for j, w := range m.Words {
 			sids[j] = d.SurfaceID(w)
 		}
-		buf.Add(Transaction{
-			SurfaceIDs: sids,
-			ConceptIDs: m.ConceptIDs,
-			Decoded:    codec.RoundTrip(m.Words),
-		})
+		decoded := make([]int, len(m.Words))
+		codec.RoundTripInto(sc, m.Words, decoded)
+		buf.Add(Transaction{SurfaceIDs: sids, ConceptIDs: m.ConceptIDs, Decoded: decoded})
 	}
 	return buf
 }
@@ -206,17 +206,16 @@ func TestUpdateDoesNotTouchEncoderOnReceiver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	encBefore := receiver.EncoderParams().Clone()
+	before := receiver.Params().Clone()
 	if err := ApplyUpdate(receiver, upd); err != nil {
 		t.Fatal(err)
 	}
-	encAfter := receiver.EncoderParams()
-	for i := range encBefore.Params {
-		a := encBefore.Params[i].M.Data
-		b := encAfter.Params[i].M.Data
+	after := receiver.Params()
+	for _, name := range []string{semantic.ParamEncEmb, semantic.ParamEncW, semantic.ParamEncB} {
+		a, b := before.ByName(name).Data, after.ByName(name).Data
 		for j := range a {
 			if a[j] != b[j] {
-				t.Fatal("decoder update modified receiver encoder")
+				t.Fatalf("decoder update modified receiver encoder tensor %s", name)
 			}
 		}
 	}

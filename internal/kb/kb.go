@@ -6,7 +6,6 @@ package kb
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/semantic"
@@ -122,28 +121,9 @@ func (r *Registry) Get(k Key) (*Model, bool) {
 	return m, ok
 }
 
-// Delete removes the model for k if present.
-func (r *Registry) Delete(k Key) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.models, k)
-}
-
 // Len returns the number of stored models.
 func (r *Registry) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.models)
-}
-
-// Keys returns all keys in deterministic (string-sorted) order.
-func (r *Registry) Keys() []Key {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	keys := make([]Key, 0, len(r.models))
-	for k := range r.models {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
-	return keys
 }

@@ -89,27 +89,6 @@ func TestRegistryCRUD(t *testing.T) {
 	if r.Len() != 1 {
 		t.Fatalf("Len = %d", r.Len())
 	}
-	r.Delete(m.Key)
-	if r.Len() != 0 {
-		t.Fatal("Delete failed")
-	}
-}
-
-func TestRegistryKeysSorted(t *testing.T) {
-	r := NewRegistry()
-	codec := newTestCodec(t)
-	for _, d := range []string{"zeta", "alpha", "news"} {
-		r.Put(&Model{Key: GeneralKey(d, RoleCodec), Codec: codec})
-	}
-	keys := r.Keys()
-	if len(keys) != 3 {
-		t.Fatalf("keys = %v", keys)
-	}
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1].String() >= keys[i].String() {
-			t.Fatal("Keys not sorted")
-		}
-	}
 }
 
 func TestRegistryConcurrent(t *testing.T) {

@@ -217,9 +217,6 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 	return &Zipf{cdf: cdf, rng: rng}
 }
 
-// N returns the number of items the sampler draws from.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Sample draws one index in [0, n) with Zipf-distributed probability.
 func (z *Zipf) Sample() int {
 	u := z.rng.Float64()

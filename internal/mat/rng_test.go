@@ -178,8 +178,8 @@ func TestZipfSkew(t *testing.T) {
 func TestZipfCoversRange(t *testing.T) {
 	r := NewRNG(23)
 	z := NewZipf(r, 5, 0.8)
-	if z.N() != 5 {
-		t.Fatalf("N() = %d, want 5", z.N())
+	if len(z.cdf) != 5 {
+		t.Fatalf("sampler draws from %d items, want 5", len(z.cdf))
 	}
 	seen := make(map[int]bool)
 	for i := 0; i < 10000; i++ {

@@ -149,17 +149,6 @@ func Tanh(dst, src []float64) {
 	}
 }
 
-// Clamp limits every element of v to [lo, hi] in place.
-func Clamp(v []float64, lo, hi float64) {
-	for i, x := range v {
-		if x < lo {
-			v[i] = lo
-		} else if x > hi {
-			v[i] = hi
-		}
-	}
-}
-
 // MaxAbs returns the largest absolute value in v, or 0 for an empty slice.
 func MaxAbs(v []float64) float64 {
 	m := 0.0

@@ -54,8 +54,7 @@ type Config struct {
 	// and, together with Self.Index, cover 0..len(Peers) so every member
 	// and every Router build the same ring.
 	Peers []rpc.PeerInfo
-	// MeshLink models inter-node transfers (default 10 ms, 100 Mbps —
-	// the core EdgeLink default).
+	// MeshLink models inter-node transfers (default 10 ms, 100 Mbps).
 	MeshLink netsim.Link
 	// RingSeed places the virtual points (default 1). Every member and
 	// every Router of one mesh must use the same seed; edged passes its

@@ -1,6 +1,6 @@
 // Package metrics provides the small statistics and table-rendering
-// utilities shared by the benchmark harness: streaming mean/variance,
-// percentiles and fixed-width experiment tables.
+// utilities shared by the daemon's stats and the experiments: percentiles,
+// latency histograms and fixed-width experiment tables.
 package metrics
 
 import (
@@ -10,47 +10,6 @@ import (
 	"strings"
 	"time"
 )
-
-// Welford accumulates mean and variance in a single streaming pass.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds one observation into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (0 with no observations).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the sample variance (0 with fewer than two observations).
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
-
-// CI95 returns the 95% confidence half-interval of the mean under a normal
-// approximation.
-func (w *Welford) CI95() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return 1.96 * w.Std() / math.Sqrt(float64(w.n))
-}
 
 // Percentile returns the p-th percentile (0-100) of values using linear
 // interpolation; it copies and sorts internally. It returns 0 for empty
@@ -85,9 +44,6 @@ type Durations struct {
 
 // Add records one duration.
 func (d *Durations) Add(v time.Duration) { d.ds = append(d.ds, v) }
-
-// N returns the number of observations.
-func (d *Durations) N() int { return len(d.ds) }
 
 // P returns the p-th percentile duration.
 func (d *Durations) P(p float64) time.Duration {

@@ -1,14 +1,10 @@
-// Package netsim models the network substrate between users, edge servers
-// and the cloud origin: point-to-point links with propagation latency and
-// finite bandwidth, composed into a named topology. Transfer times are
-// computed analytically in virtual time, keeping experiments deterministic.
+// Package netsim models the network substrate between edge servers and
+// the cloud origin: point-to-point links with propagation latency and
+// finite bandwidth. Transfer times are computed analytically in virtual
+// time, keeping experiments deterministic.
 package netsim
 
-import (
-	"fmt"
-	"sort"
-	"time"
-)
+import "time"
 
 // Link is a directed point-to-point connection.
 type Link struct {
@@ -28,56 +24,4 @@ func (l Link) TransferTime(size int64) time.Duration {
 		d += time.Duration(seconds * float64(time.Second))
 	}
 	return d
-}
-
-// Topology is a set of named nodes and directed links.
-type Topology struct {
-	links map[[2]string]Link
-}
-
-// NewTopology returns an empty topology.
-func NewTopology() *Topology {
-	return &Topology{links: make(map[[2]string]Link, 8)}
-}
-
-// Connect adds a bidirectional link between a and b.
-func (t *Topology) Connect(a, b string, l Link) {
-	t.links[[2]string{a, b}] = l
-	t.links[[2]string{b, a}] = l
-}
-
-// ConnectDirected adds a one-way link from a to b.
-func (t *Topology) ConnectDirected(a, b string, l Link) {
-	t.links[[2]string{a, b}] = l
-}
-
-// Link returns the direct link from a to b.
-func (t *Topology) Link(a, b string) (Link, bool) {
-	l, ok := t.links[[2]string{a, b}]
-	return l, ok
-}
-
-// TransferTime returns the time to move size bytes from a to b over the
-// direct link, or an error when no link exists.
-func (t *Topology) TransferTime(a, b string, size int64) (time.Duration, error) {
-	l, ok := t.Link(a, b)
-	if !ok {
-		return 0, fmt.Errorf("netsim: no link %s -> %s", a, b)
-	}
-	return l.TransferTime(size), nil
-}
-
-// Nodes returns the sorted set of node names appearing in any link.
-func (t *Topology) Nodes() []string {
-	set := make(map[string]struct{}, 2*len(t.links))
-	for k := range t.links {
-		set[k[0]] = struct{}{}
-		set[k[1]] = struct{}{}
-	}
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

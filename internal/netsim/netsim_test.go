@@ -40,56 +40,3 @@ func TestTransferTimeMonotoneInSize(t *testing.T) {
 		prev = d
 	}
 }
-
-func TestTopologyConnect(t *testing.T) {
-	topo := NewTopology()
-	topo.Connect("edge1", "cloud", Link{Latency: 40 * time.Millisecond})
-	if _, ok := topo.Link("edge1", "cloud"); !ok {
-		t.Fatal("forward link missing")
-	}
-	if _, ok := topo.Link("cloud", "edge1"); !ok {
-		t.Fatal("reverse link missing")
-	}
-	if _, ok := topo.Link("edge1", "edge2"); ok {
-		t.Fatal("phantom link present")
-	}
-}
-
-func TestTopologyConnectDirected(t *testing.T) {
-	topo := NewTopology()
-	topo.ConnectDirected("a", "b", Link{Latency: time.Millisecond})
-	if _, ok := topo.Link("a", "b"); !ok {
-		t.Fatal("directed link missing")
-	}
-	if _, ok := topo.Link("b", "a"); ok {
-		t.Fatal("directed link should be one-way")
-	}
-}
-
-func TestTopologyTransferTime(t *testing.T) {
-	topo := NewTopology()
-	topo.Connect("a", "b", Link{Latency: 3 * time.Millisecond})
-	d, err := topo.TransferTime("a", "b", 100)
-	if err != nil || d != 3*time.Millisecond {
-		t.Fatalf("TransferTime = %v, %v", d, err)
-	}
-	if _, err := topo.TransferTime("a", "zzz", 100); err == nil {
-		t.Fatal("missing link should error")
-	}
-}
-
-func TestTopologyNodes(t *testing.T) {
-	topo := NewTopology()
-	topo.Connect("edge2", "cloud", Link{})
-	topo.Connect("edge1", "cloud", Link{})
-	nodes := topo.Nodes()
-	want := []string{"cloud", "edge1", "edge2"}
-	if len(nodes) != len(want) {
-		t.Fatalf("Nodes = %v", nodes)
-	}
-	for i := range want {
-		if nodes[i] != want[i] {
-			t.Fatalf("Nodes = %v, want %v", nodes, want)
-		}
-	}
-}

@@ -115,32 +115,3 @@ func TanhBackward(dst, y, dy []float64) {
 		dst[i] = dy[i] * (1 - y[i]*y[i])
 	}
 }
-
-// ReLUForward applies max(0, x) element-wise. dst may alias src.
-func ReLUForward(dst, src []float64) {
-	if len(dst) != len(src) {
-		panic("nn: ReLUForward length mismatch")
-	}
-	for i, v := range src {
-		if v > 0 {
-			dst[i] = v
-		} else {
-			dst[i] = 0
-		}
-	}
-}
-
-// ReLUBackward computes dx = dy where the forward output was positive, else
-// zero. y is the forward output. dst may alias dy.
-func ReLUBackward(dst, y, dy []float64) {
-	if len(dst) != len(y) || len(y) != len(dy) {
-		panic("nn: ReLUBackward length mismatch")
-	}
-	for i := range dst {
-		if y[i] > 0 {
-			dst[i] = dy[i]
-		} else {
-			dst[i] = 0
-		}
-	}
-}

@@ -155,21 +155,6 @@ func TestEmbeddingGradCheck(t *testing.T) {
 	}
 }
 
-func TestReLU(t *testing.T) {
-	src := []float64{-1, 0, 2}
-	dst := make([]float64, 3)
-	ReLUForward(dst, src)
-	if dst[0] != 0 || dst[1] != 0 || dst[2] != 2 {
-		t.Fatalf("ReLUForward = %v", dst)
-	}
-	dy := []float64{5, 5, 5}
-	dx := make([]float64, 3)
-	ReLUBackward(dx, dst, dy)
-	if dx[0] != 0 || dx[1] != 0 || dx[2] != 5 {
-		t.Fatalf("ReLUBackward = %v", dx)
-	}
-}
-
 func TestMSE(t *testing.T) {
 	pred := []float64{1, 2}
 	target := []float64{0, 2}

@@ -148,17 +148,6 @@ func (ps *ParamSet) SizeBytes() int64 {
 	return n
 }
 
-// MaxAbs returns the largest absolute scalar across all tensors.
-func (ps *ParamSet) MaxAbs() float64 {
-	m := 0.0
-	for _, p := range ps.Params {
-		if v := mat.MaxAbs(p.M.Data); v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // errBadParamSet reports a malformed serialized ParamSet.
 var errBadParamSet = errors.New("nn: malformed serialized parameter set")
 

@@ -46,8 +46,10 @@ func TestZeroCloneShape(t *testing.T) {
 	if z.NumValues() != ps.NumValues() {
 		t.Fatalf("ZeroClone values = %d, want %d", z.NumValues(), ps.NumValues())
 	}
-	if z.MaxAbs() != 0 {
-		t.Fatal("ZeroClone not zero")
+	for _, p := range z.Params {
+		if mat.MaxAbs(p.M.Data) != 0 {
+			t.Fatalf("ZeroClone tensor %q not zero", p.Name)
+		}
 	}
 }
 

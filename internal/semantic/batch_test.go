@@ -1,8 +1,6 @@
 package semantic
 
 import (
-	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/corpus"
@@ -18,74 +16,6 @@ func batchMessages(corp *corpus.Corpus, n int) [][]string {
 		msgs = append(msgs, m.Words)
 	}
 	return msgs
-}
-
-// TestBatchMatchesSerial asserts EncodeBatch/DecodeBatch are bit-identical
-// to per-message EncodeWords/DecodeFeatures at any worker count.
-func TestBatchMatchesSerial(t *testing.T) {
-	corp, codec := sharedFixtures(t)
-	msgs := batchMessages(corp, 40)
-
-	prev := mat.Parallelism()
-	defer mat.SetParallelism(prev)
-
-	mat.SetParallelism(1)
-	wantFeats := make([][][]float64, len(msgs))
-	for i, m := range msgs {
-		wantFeats[i] = codec.EncodeWords(m)
-	}
-	wantConcepts := make([][]int, len(msgs))
-	for i, f := range wantFeats {
-		wantConcepts[i] = codec.DecodeFeatures(f)
-	}
-
-	for _, workers := range []int{1, 2, 8} {
-		mat.SetParallelism(workers)
-		feats := codec.EncodeBatch(msgs)
-		if !reflect.DeepEqual(feats, wantFeats) {
-			t.Fatalf("EncodeBatch at %d workers differs from serial encode", workers)
-		}
-		concepts := codec.DecodeBatch(feats)
-		if !reflect.DeepEqual(concepts, wantConcepts) {
-			t.Fatalf("DecodeBatch at %d workers differs from serial decode", workers)
-		}
-	}
-}
-
-// TestConcurrentBatchEncode hammers one shared codec from many goroutines
-// at full parallelism. Under -race this proves the encode/decode read path
-// is free of data races (the CI race job runs it).
-func TestConcurrentBatchEncode(t *testing.T) {
-	corp, codec := sharedFixtures(t)
-	msgs := batchMessages(corp, 24)
-
-	prev := mat.Parallelism()
-	defer mat.SetParallelism(prev)
-	mat.SetParallelism(8)
-
-	want := codec.DecodeBatch(codec.EncodeBatch(msgs))
-
-	const goroutines = 8
-	var wg sync.WaitGroup
-	errs := make(chan string, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for iter := 0; iter < 4; iter++ {
-				got := codec.DecodeBatch(codec.EncodeBatch(msgs))
-				if !reflect.DeepEqual(got, want) {
-					errs <- "concurrent batch encode/decode not deterministic"
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for msg := range errs {
-		t.Fatal(msg)
-	}
 }
 
 // TestPretrainAllParallelDeterminism asserts PretrainAll produces the same

@@ -106,10 +106,10 @@ var lastStamp atomic.Uint64
 
 // restamp gives the codec a fresh stamp. It runs when the codec is built
 // (NewCodec, Clone) and every time mutable parameter storage is handed
-// out (Params, EncoderParams, DecoderParams — the only doors to the
-// tensors), so memo entries computed from weights that may since have
-// been written stop matching. Writers promise nothing; reads that must not
-// orphan a model's entries go through the read-only methods instead.
+// out (Params, DecoderParams — the only doors to the tensors), so memo
+// entries computed from weights that may since have been written stop
+// matching. Writers promise nothing; reads that must not orphan a model's
+// entries go through the read-only methods instead.
 func (c *Codec) restamp() { c.stamp.Store(lastStamp.Add(1)) }
 
 // NewCodec builds an untrained codec for domain d.
@@ -146,13 +146,6 @@ func (c *Codec) Params() *nn.ParamSet {
 	return c.params()
 }
 
-// EncoderParams returns the encoder-side tensors (shared storage) under
-// the contract of Params.
-func (c *Codec) EncoderParams() *nn.ParamSet {
-	c.restamp()
-	return c.encoderParams()
-}
-
 // DecoderParams returns the decoder-side tensors (shared storage) under
 // the contract of Params. These are the tensors synchronized to the
 // receiver edge in the update process.
@@ -168,7 +161,8 @@ func (c *Codec) params() *nn.ParamSet {
 	return ps
 }
 
-// encoderParams is the read-only EncoderParams.
+// encoderParams returns the encoder-side tensors (shared storage), for
+// code that only reads them: no restamp.
 func (c *Codec) encoderParams() *nn.ParamSet {
 	ps := &nn.ParamSet{}
 	ps.Add(ParamEncEmb, c.emb.Table)
@@ -274,43 +268,6 @@ func (c *Codec) EncodeWordsInto(sc *mat.Scratch, words []string) *mat.Dense {
 	return dst
 }
 
-// EncodeWords encodes a token sequence into per-token feature vectors.
-// Words outside the domain lexicon encode as the unknown surface. Encoding
-// only reads the codec, so it is safe to call concurrently. The returned
-// vectors are rows of one batched GEMM result, bit-identical to per-token
-// encoding.
-func (c *Codec) EncodeWords(words []string) [][]float64 {
-	feats := make([][]float64, len(words))
-	if len(words) == 0 {
-		return feats
-	}
-	sc := mat.GetScratch()
-	defer mat.PutScratch(sc)
-	dst := mat.NewDense(len(words), c.cfg.FeatureDim)
-	c.encodeWordsTo(sc, dst, words)
-	for i := range feats {
-		feats[i] = dst.Row(i)
-	}
-	return feats
-}
-
-// EncodeBatch encodes a batch of token sequences, sharding messages across
-// the mat worker pool. The result is ordered like msgs and bit-identical
-// to calling EncodeWords on each message serially.
-func (c *Codec) EncodeBatch(msgs [][]string) [][][]float64 {
-	out := make([][][]float64, len(msgs))
-	mat.ParallelFor(len(msgs), batchGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = c.EncodeWords(msgs[i])
-		}
-	})
-	return out
-}
-
-// batchGrain is the minimum number of messages per worker for the batch
-// encode/decode entry points.
-const batchGrain = 8
-
 // DecodeFeature returns the most likely concept index for one feature
 // vector. Scratch comes from the package pool, so steady-state calls are
 // allocation-free.
@@ -342,41 +299,6 @@ func (c *Codec) DecodeFeaturesInto(sc *mat.Scratch, feats *mat.Dense, dst []int)
 	}
 }
 
-// DecodeFeatures decodes a feature sequence into concept indices. Decoding
-// only reads the codec, so it is safe to call concurrently. The sequence is
-// packed into one matrix and decoded with batched GEMMs, bit-identical to
-// per-token decoding.
-func (c *Codec) DecodeFeatures(feats [][]float64) []int {
-	out := make([]int, len(feats))
-	if len(feats) == 0 {
-		return out
-	}
-	sc := mat.GetScratch()
-	defer mat.PutScratch(sc)
-	d := sc.Mat(len(feats), c.cfg.FeatureDim)
-	for i, f := range feats {
-		if len(f) != c.cfg.FeatureDim {
-			panic("semantic: DecodeFeatures feature length mismatch")
-		}
-		copy(d.Row(i), f)
-	}
-	c.DecodeFeaturesInto(sc, d, out)
-	return out
-}
-
-// DecodeBatch decodes a batch of feature sequences, sharding messages
-// across the mat worker pool. The result is ordered like feats and
-// bit-identical to calling DecodeFeatures on each sequence serially.
-func (c *Codec) DecodeBatch(feats [][][]float64) [][]int {
-	out := make([][]int, len(feats))
-	mat.ParallelFor(len(feats), batchGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = c.DecodeFeatures(feats[i])
-		}
-	})
-	return out
-}
-
 // RestoreWords renders concept indices as canonical surface forms: the
 // restored message shown to the receiving user.
 func (c *Codec) RestoreWords(concepts []int) []string {
@@ -392,21 +314,6 @@ func (c *Codec) RestoreWords(concepts []int) []string {
 // temporaries come from sc, so steady-state calls allocate nothing.
 func (c *Codec) RoundTripInto(sc *mat.Scratch, words []string, dst []int) {
 	c.DecodeFeaturesInto(sc, c.EncodeWordsInto(sc, words), dst)
-}
-
-// RoundTrip encodes then decodes words with no channel in between; it is
-// the sender-edge "decoder copy" computation from the paper's §II-C used
-// for mismatch calculation. One scratch arena from the package pool backs
-// the whole round trip instead of per-token buffers.
-func (c *Codec) RoundTrip(words []string) []int {
-	out := make([]int, len(words))
-	if len(words) == 0 {
-		return out
-	}
-	sc := mat.GetScratch()
-	defer mat.PutScratch(sc)
-	c.RoundTripInto(sc, words, out)
-	return out
 }
 
 // Validate performs internal shape consistency checks, returning an error

@@ -81,11 +81,14 @@ func TestRoundTripMatchesEncodeDecode(t *testing.T) {
 	corp, c := sharedFixtures(t)
 	gen := corpus.NewGenerator(corp, mat.NewRNG(55))
 	m := gen.Message(corp.Domain("it").Index, nil)
-	got := c.RoundTrip(m.Words)
-	want := c.DecodeFeatures(c.EncodeWords(m.Words))
+	sc := mat.GetScratch()
+	defer mat.PutScratch(sc)
+	got, want := make([]int, len(m.Words)), make([]int, len(m.Words))
+	c.RoundTripInto(sc, m.Words, got)
+	c.DecodeFeaturesInto(sc, c.EncodeWordsInto(sc, m.Words), want)
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatal("RoundTrip disagrees with Encode+Decode")
+			t.Fatal("RoundTripInto disagrees with Encode+Decode")
 		}
 	}
 }
@@ -93,13 +96,14 @@ func TestRoundTripMatchesEncodeDecode(t *testing.T) {
 func TestFeaturesBounded(t *testing.T) {
 	corp, c := sharedFixtures(t)
 	gen := corpus.NewGenerator(corp, mat.NewRNG(77))
+	sc := mat.GetScratch()
+	defer mat.PutScratch(sc)
 	for i := 0; i < 20; i++ {
 		m := gen.Message(corp.Domain("it").Index, nil)
-		for _, f := range c.EncodeWords(m.Words) {
-			for _, v := range f {
-				if v < -1 || v > 1 {
-					t.Fatalf("feature %v outside [-1,1]", v)
-				}
+		sc.Reset()
+		for _, v := range c.EncodeWordsInto(sc, m.Words).Data {
+			if v < -1 || v > 1 {
+				t.Fatalf("feature %v outside [-1,1]", v)
 			}
 		}
 	}
@@ -157,11 +161,15 @@ func TestDecoderSyncViaDelta(t *testing.T) {
 	}
 
 	// Sender and receiver decoders must now agree everywhere.
+	sc := mat.GetScratch()
+	defer mat.PutScratch(sc)
 	for i := 0; i < 40; i++ {
 		m := gen.Message(d.Index, idio)
-		feats := sender.EncodeWords(m.Words)
-		a := sender.DecodeFeatures(feats)
-		b := receiver.DecodeFeatures(feats)
+		sc.Reset()
+		feats := sender.EncodeWordsInto(sc, m.Words)
+		a, b := make([]int, feats.Rows), make([]int, feats.Rows)
+		sender.DecodeFeaturesInto(sc, feats, a)
+		receiver.DecodeFeaturesInto(sc, feats, b)
 		for j := range a {
 			if a[j] != b[j] {
 				t.Fatal("receiver decoder diverged after delta sync")
@@ -207,8 +215,11 @@ func TestPolysemyDecodesPerDomain(t *testing.T) {
 	cfg := testConfig()
 	travelC := Pretrain(corp.Domain("travel"), corp, cfg)
 
-	itConcepts := itC.RoundTrip([]string{"bus"})
-	travelConcepts := travelC.RoundTrip([]string{"bus"})
+	sc := mat.GetScratch()
+	defer mat.PutScratch(sc)
+	itConcepts, travelConcepts := make([]int, 1), make([]int, 1)
+	itC.RoundTripInto(sc, []string{"bus"}, itConcepts)
+	travelC.RoundTripInto(sc, []string{"bus"}, travelConcepts)
 	itWord := itC.RestoreWords(itConcepts)[0]
 	travelWord := travelC.RestoreWords(travelConcepts)[0]
 	if itWord != "interconnect" {

@@ -372,23 +372,18 @@ func TestSemanticWritersRestamp(t *testing.T) {
 			c := trained.Clone()
 			m := NewDecodeMemo()
 			requireMemoMatchesDirect(t, m, c, feats, "before the write")
-			old := c.DecodeFeatures(rowsOf(feats))
+			sc := mat.GetScratch()
+			defer mat.PutScratch(sc)
+			old, changed := make([]int, feats.Rows), make([]int, feats.Rows)
+			c.DecodeFeaturesInto(sc, feats, old)
 			c = w.write(c)
-			if reflect.DeepEqual(old, c.DecodeFeatures(rowsOf(feats))) {
+			c.DecodeFeaturesInto(sc, feats, changed)
+			if reflect.DeepEqual(old, changed) {
 				t.Fatal("the write changed no decode: the case proves nothing")
 			}
 			requireMemoMatchesDirect(t, m, c, feats, "after the write")
 		})
 	}
-}
-
-// rowsOf views a matrix as a slice of rows.
-func rowsOf(d *mat.Dense) [][]float64 {
-	out := make([][]float64, d.Rows)
-	for i := range out {
-		out[i] = d.Row(i)
-	}
-	return out
 }
 
 // TestReadOnlyAccessKeepsStamp: sizing, serializing and shape-checking a
@@ -422,7 +417,7 @@ func TestReadOnlyAccessKeepsStamp(t *testing.T) {
 // TestCodecTensorDoorsAreStamped is the guard against a new way to the
 // weights that forgets the stamp. By reflection: Codec has no exported
 // field, and every exported method that returns parameter storage is one
-// of the three stamping doors (and does restamp). By source: the
+// of the two stamping doors (and does restamp). By source: the
 // unexported read-only accessors are called only from the functions listed
 // here, each of which has been read and only reads. A new door, or a new
 // caller, fails until it is added — after checking that it stamps.
@@ -433,7 +428,7 @@ func TestCodecTensorDoorsAreStamped(t *testing.T) {
 			t.Errorf("Codec.%s is exported: tensors must stay behind the stamping doors", f.Name)
 		}
 	}
-	doors := map[string]bool{"Params": true, "EncoderParams": true, "DecoderParams": true}
+	doors := map[string]bool{"Params": true, "DecoderParams": true}
 	storage := map[reflect.Type]bool{
 		reflect.TypeOf(&nn.ParamSet{}):  true,
 		reflect.TypeOf(nn.ParamSet{}):   true,
@@ -470,7 +465,7 @@ func TestCodecTensorDoorsAreStamped(t *testing.T) {
 
 	readers := map[string]bool{
 		// the doors themselves, after restamping
-		"Params": true, "EncoderParams": true, "DecoderParams": true,
+		"Params": true, "DecoderParams": true,
 		// composition and pure reads
 		"params": true, "SizeBytes": true, "EncoderSizeBytes": true, "DecoderSizeBytes": true,
 		"WriteParamsTo": true, "CheckParamShape": true,

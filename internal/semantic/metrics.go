@@ -1,8 +1,6 @@
 package semantic
 
 import (
-	"math"
-
 	"repro/internal/corpus"
 	"repro/internal/mat"
 )
@@ -79,34 +77,4 @@ func WordAccuracy(got, want []string) float64 {
 		}
 	}
 	return float64(correct) / float64(len(want))
-}
-
-// BLEU1 computes unigram-precision BLEU with brevity penalty between a
-// candidate and reference token sequence. It is the classical text-fidelity
-// metric reported alongside semantic similarity.
-func BLEU1(candidate, reference []string) float64 {
-	if len(candidate) == 0 || len(reference) == 0 {
-		return 0
-	}
-	refCounts := make(map[string]int, len(reference))
-	for _, w := range reference {
-		refCounts[w]++
-	}
-	match := 0
-	for _, w := range candidate {
-		if refCounts[w] > 0 {
-			refCounts[w]--
-			match++
-		}
-	}
-	precision := float64(match) / float64(len(candidate))
-	if precision == 0 {
-		return 0
-	}
-	// Brevity penalty.
-	bp := 1.0
-	if len(candidate) < len(reference) {
-		bp = math.Exp(1 - float64(len(reference))/float64(len(candidate)))
-	}
-	return bp * precision
 }

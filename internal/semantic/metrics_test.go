@@ -40,30 +40,6 @@ func TestWordAccuracy(t *testing.T) {
 	}
 }
 
-func TestBLEU1(t *testing.T) {
-	ref := []string{"the", "server", "is", "down"}
-	if got := BLEU1(ref, ref); got != 1 {
-		t.Fatalf("BLEU1 identical = %v", got)
-	}
-	if got := BLEU1([]string{"x", "y", "z", "w"}, ref); got != 0 {
-		t.Fatalf("BLEU1 disjoint = %v", got)
-	}
-	// Clipping: repeated candidate words must not overcount.
-	got := BLEU1([]string{"the", "the", "the", "the"}, ref)
-	if got != 0.25 {
-		t.Fatalf("BLEU1 clipped = %v, want 0.25", got)
-	}
-	// Brevity penalty: a 2-token candidate against a 4-token reference.
-	short := BLEU1([]string{"the", "server"}, ref)
-	want := math.Exp(1-2) * 1.0
-	if math.Abs(short-want) > 1e-12 {
-		t.Fatalf("BLEU1 brevity = %v, want %v", short, want)
-	}
-	if BLEU1(nil, ref) != 0 || BLEU1(ref, nil) != 0 {
-		t.Fatal("BLEU1 empty cases should be 0")
-	}
-}
-
 func TestSimilarityBounds(t *testing.T) {
 	_, c := sharedFixtures(t)
 	d := c.Domain()

@@ -33,10 +33,13 @@ func TestCodecSerializationRoundTrip(t *testing.T) {
 	}
 	// Loaded codec must behave identically.
 	gen := corpus.NewGenerator(corp, mat.NewRNG(321))
+	sc := mat.GetScratch()
+	defer mat.PutScratch(sc)
 	for i := 0; i < 20; i++ {
 		m := gen.Message(corp.Domain("it").Index, nil)
-		a := c.RoundTrip(m.Words)
-		b := got.RoundTrip(m.Words)
+		a, b := make([]int, len(m.Words)), make([]int, len(m.Words))
+		c.RoundTripInto(sc, m.Words, a)
+		got.RoundTripInto(sc, m.Words, b)
 		for j := range a {
 			if a[j] != b[j] {
 				t.Fatal("loaded codec decodes differently")

@@ -30,12 +30,6 @@ func NewVectorCodec(rng *mat.RNG, inDim, featDim int) *VectorCodec {
 	}
 }
 
-// InDim returns the source vector dimensionality.
-func (vc *VectorCodec) InDim() int { return vc.inDim }
-
-// FeatureDim returns the transmitted feature dimensionality.
-func (vc *VectorCodec) FeatureDim() int { return vc.featDim }
-
 // Params returns the parameter set (shared storage).
 func (vc *VectorCodec) Params() *nn.ParamSet {
 	ps := &nn.ParamSet{}
@@ -46,8 +40,8 @@ func (vc *VectorCodec) Params() *nn.ParamSet {
 	return ps
 }
 
-// Encode computes the bounded feature vector for x. dst must have length
-// FeatureDim.
+// Encode computes the bounded feature vector for x. dst must have the
+// codec's feature length.
 func (vc *VectorCodec) Encode(dst, x []float64) {
 	if len(x) != vc.inDim || len(dst) != vc.featDim {
 		panic("semantic: VectorCodec.Encode length mismatch")
@@ -56,8 +50,8 @@ func (vc *VectorCodec) Encode(dst, x []float64) {
 	nn.TanhForward(dst, dst)
 }
 
-// Decode reconstructs a source vector from features. dst must have length
-// InDim.
+// Decode reconstructs a source vector from features. dst must have the
+// source vector length.
 func (vc *VectorCodec) Decode(dst, feat []float64) {
 	if len(feat) != vc.featDim || len(dst) != vc.inDim {
 		panic("semantic: VectorCodec.Decode length mismatch")
@@ -135,29 +129,4 @@ func (vc *VectorCodec) Train(samples [][]float64, epochs int, lr, noiseStd float
 		lastMSE = total / float64(len(samples)) / float64(vc.inDim) * 2 // MSE returns 0.5*sum
 	}
 	return lastMSE, nil
-}
-
-// NMSE returns the normalized mean squared reconstruction error of the
-// codec over samples (reconstruction energy relative to signal energy),
-// without noise. Lower is better; 0 is perfect.
-func (vc *VectorCodec) NMSE(samples [][]float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	feat := make([]float64, vc.featDim)
-	out := make([]float64, vc.inDim)
-	num, den := 0.0, 0.0
-	for _, x := range samples {
-		vc.Encode(feat, x)
-		vc.Decode(out, feat)
-		for i := range x {
-			d := out[i] - x[i]
-			num += d * d
-			den += x[i] * x[i]
-		}
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
 }

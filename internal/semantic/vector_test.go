@@ -108,3 +108,28 @@ func TestVectorCodecNMSEEmpty(t *testing.T) {
 		t.Fatal("empty NMSE should be 0")
 	}
 }
+
+// NMSE is these tests' quality measure: the normalized mean squared
+// reconstruction error of the codec over samples (reconstruction energy
+// relative to signal energy), without noise. Lower is better; 0 is perfect.
+func (vc *VectorCodec) NMSE(samples [][]float64) float64 {
+	if len(samples) == 0 {
+		return 0
+	}
+	feat := make([]float64, vc.featDim)
+	out := make([]float64, vc.inDim)
+	num, den := 0.0, 0.0
+	for _, x := range samples {
+		vc.Encode(feat, x)
+		vc.Decode(out, feat)
+		for i := range x {
+			d := out[i] - x[i]
+			num += d * d
+			den += x[i] * x[i]
+		}
+	}
+	if den == 0 {
+		return 0
+	}
+	return num / den
+}

@@ -1,97 +1,11 @@
-// Package text provides tokenization and vocabulary primitives shared by
-// the semantic codecs, the classical baseline and the workload generators.
+// Package text provides the tokenizer shared by the daemon, the classical
+// baseline and the experiments.
 package text
 
 import (
 	"strings"
 	"unicode"
 )
-
-// UnknownID is the reserved token ID for out-of-vocabulary words.
-const UnknownID = 0
-
-// UnknownWord is the surface form of the unknown token.
-const UnknownWord = "<unk>"
-
-// Vocab is an append-only bidirectional mapping between words and dense
-// integer IDs. ID 0 is always the unknown token.
-type Vocab struct {
-	words []string
-	index map[string]int
-}
-
-// NewVocab returns a vocabulary containing only the unknown token.
-func NewVocab() *Vocab {
-	v := &Vocab{
-		words: make([]string, 0, 64),
-		index: make(map[string]int, 64),
-	}
-	v.Add(UnknownWord)
-	return v
-}
-
-// Add inserts word if absent and returns its ID.
-func (v *Vocab) Add(word string) int {
-	if id, ok := v.index[word]; ok {
-		return id
-	}
-	id := len(v.words)
-	v.words = append(v.words, word)
-	v.index[word] = id
-	return id
-}
-
-// ID returns the ID for word, or UnknownID if the word is absent.
-func (v *Vocab) ID(word string) int {
-	if id, ok := v.index[word]; ok {
-		return id
-	}
-	return UnknownID
-}
-
-// Has reports whether word is present.
-func (v *Vocab) Has(word string) bool {
-	_, ok := v.index[word]
-	return ok
-}
-
-// Word returns the surface form for id, or the unknown word for
-// out-of-range IDs.
-func (v *Vocab) Word(id int) string {
-	if id < 0 || id >= len(v.words) {
-		return UnknownWord
-	}
-	return v.words[id]
-}
-
-// Size returns the number of distinct tokens including the unknown token.
-func (v *Vocab) Size() int { return len(v.words) }
-
-// Words returns a copy of the vocabulary in ID order.
-func (v *Vocab) Words() []string {
-	out := make([]string, len(v.words))
-	copy(out, v.words)
-	return out
-}
-
-// Encode tokenizes s and maps each token to its ID (UnknownID when absent).
-func (v *Vocab) Encode(s string) []int {
-	tokens := Tokenize(s)
-	ids := make([]int, len(tokens))
-	for i, tok := range tokens {
-		ids[i] = v.ID(tok)
-	}
-	return ids
-}
-
-// Decode renders a space-joined sentence from token IDs.
-func (v *Vocab) Decode(ids []int) string {
-	words := make([]string, len(ids))
-	for i, id := range ids {
-		words[i] = v.Word(id)
-	}
-	return strings.Join(words, " ")
-}
 
 // Tokenize lower-cases s and splits it into maximal runs of letters and
 // digits. Punctuation separates tokens and is dropped.

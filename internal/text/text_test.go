@@ -33,64 +33,6 @@ func TestTokenize(t *testing.T) {
 	}
 }
 
-func TestVocabAddIdempotent(t *testing.T) {
-	v := NewVocab()
-	a := v.Add("alpha")
-	b := v.Add("alpha")
-	if a != b {
-		t.Fatalf("Add not idempotent: %d vs %d", a, b)
-	}
-	if v.Size() != 2 { // <unk> + alpha
-		t.Fatalf("Size = %d, want 2", v.Size())
-	}
-}
-
-func TestVocabUnknown(t *testing.T) {
-	v := NewVocab()
-	if v.ID("missing") != UnknownID {
-		t.Fatal("missing word should map to UnknownID")
-	}
-	if v.Word(UnknownID) != UnknownWord {
-		t.Fatal("UnknownID should map to UnknownWord")
-	}
-	if v.Word(-1) != UnknownWord || v.Word(9999) != UnknownWord {
-		t.Fatal("out-of-range IDs should map to UnknownWord")
-	}
-	if v.Has("missing") {
-		t.Fatal("Has(missing) = true")
-	}
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	v := NewVocab()
-	for _, w := range []string{"semantic", "edge", "cache"} {
-		v.Add(w)
-	}
-	ids := v.Encode("semantic edge cache")
-	if got := v.Decode(ids); got != "semantic edge cache" {
-		t.Fatalf("round trip = %q", got)
-	}
-}
-
-func TestEncodeUnknownWords(t *testing.T) {
-	v := NewVocab()
-	v.Add("known")
-	ids := v.Encode("known stranger")
-	if ids[0] == UnknownID || ids[1] != UnknownID {
-		t.Fatalf("Encode = %v", ids)
-	}
-}
-
-func TestWordsCopy(t *testing.T) {
-	v := NewVocab()
-	v.Add("x")
-	w := v.Words()
-	w[0] = "mutated"
-	if v.Word(0) != UnknownWord {
-		t.Fatal("Words() leaked internal storage")
-	}
-}
-
 // Property: every token produced by Tokenize is non-empty and lower-case,
 // and re-tokenizing a joined token stream is the identity.
 func TestTokenizeQuick(t *testing.T) {

@@ -99,15 +99,6 @@ type Workload struct {
 	Idiolects map[string]*corpus.Idiolect
 }
 
-// DomainCounts returns how many requests carry each true domain.
-func (w *Workload) DomainCounts(numDomains int) []int {
-	counts := make([]int, numDomains)
-	for _, r := range w.Requests {
-		counts[r.Msg.DomainIndex]++
-	}
-	return counts
-}
-
 // Generate builds a workload over corp under cfg. It is deterministic
 // given cfg.Seed.
 func Generate(corp *corpus.Corpus, cfg Config) *Workload {
