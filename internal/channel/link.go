@@ -25,7 +25,8 @@ type FeatureLink struct {
 }
 
 // DefaultFeatureLink builds the standard configuration used by the
-// experiments: 6-bit quantization, Hamming(7,4) and BPSK over ch.
+// experiments and every daemon: DefaultQuantizer (3 bits per dimension),
+// Hamming(7,4) and BPSK over ch.
 func DefaultFeatureLink(ch Channel) FeatureLink {
 	return FeatureLink{
 		Quant: DefaultQuantizer(),
@@ -90,8 +91,9 @@ type AnalogLink struct {
 
 // SendFlatScratch transmits a flat feature buffer in analog form under
 // the contract of FeatureLink.SendFlatScratch. Payload accounting charges
-// the equivalent of one 6-bit code per dimension so analog and digital
-// rows are comparable in the ablation tables.
+// what the default digital link would — one DefaultQuantizer code per
+// dimension — so analog and digital rows are comparable in the ablation
+// tables.
 func (l AnalogLink) SendFlatScratch(ts *TxScratch, dst, flat []float64) LinkStats {
 	if len(dst) != len(flat) {
 		panic("channel: SendFlatScratch buffer length mismatch")
@@ -114,6 +116,6 @@ func (l AnalogLink) SendFlatScratch(ts *TxScratch, dst, flat []float64) LinkStat
 			dst[2*i+1] = imag(r)
 		}
 	}
-	bits := 6 * len(flat)
+	bits := DefaultQuantizer().Bits * len(flat)
 	return LinkStats{InfoBits: bits, CodedBits: bits, Symbols: len(ts.symbols)}
 }

@@ -1,8 +1,8 @@
 package channel
 
 // Quantizer maps bounded float values to fixed-width bit codes and back.
-// Semantic feature vectors are tanh-bounded, so [-1,1] with 4-8 bits per
-// dimension is the standard configuration.
+// Semantic feature vectors are tanh-bounded, so the standard configuration
+// (DefaultQuantizer) is [-1,1] at 3 bits per dimension.
 type Quantizer struct {
 	Bits   int     // bits per value; must be in [1,16]
 	Lo, Hi float64 // value range; values outside are clamped
