@@ -663,7 +663,8 @@ func (s *System) transmitSelected(sc *mat.Scratch, st *userState, user string, w
 	domain := s.Corpus.Domains[selected].Name
 	sender := s.Sender
 
-	// Step 2: sender-side semantic encoding (one batched GEMM).
+	// Step 2: sender-side semantic encoding (a gather from the model's
+	// sender table).
 	enc, err := sender.Encode(sc, domain, user, words)
 	if err != nil {
 		return nil, nil, err
@@ -690,8 +691,8 @@ func (s *System) transmitSelected(sc *mat.Scratch, st *userState, user string, w
 	}
 
 	// Step 5: sender-side mismatch via decoder copy, buffered. The encode
-	// result rides along so the round trip reuses the already-computed
-	// features when the decoder copy is the same model instance.
+	// result rides along so the already-resolved surface IDs are reused
+	// when the decoder copy is the same model instance.
 	tx, ready, err := sender.RecordTransaction(sc, domain, user, words, &enc)
 	if err != nil {
 		return nil, nil, err

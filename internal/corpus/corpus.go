@@ -41,17 +41,26 @@ func (d *Domain) SurfaceID(word string) int {
 	return UnknownSurfaceID
 }
 
+// SurfaceIDsInto resolves each word to its local surface ID (SurfaceID),
+// writing into dst (length len(words)): the one string lookup per token the
+// sender side pays; everything downstream works on the IDs.
+func (d *Domain) SurfaceIDsInto(dst []int, words []string) {
+	if len(dst) != len(words) {
+		panic("corpus: SurfaceIDsInto dst length mismatch")
+	}
+	for i, w := range words {
+		dst[i] = d.SurfaceID(w)
+	}
+}
+
+// SurfaceConcept returns the concept index the local surface id (as
+// SurfaceID returns it) expresses, or -1 for the unknown surface.
+func (d *Domain) SurfaceConcept(id int) int { return d.surfaceConcept[id] }
+
 // ConceptOf returns the concept index expressed by word within this domain.
 func (d *Domain) ConceptOf(word string) (int, bool) {
-	id, ok := d.surfaceIDs[word]
-	if !ok {
-		return -1, false
-	}
-	ci := d.surfaceConcept[id]
-	if ci < 0 {
-		return -1, false
-	}
-	return ci, true
+	ci := d.SurfaceConcept(d.SurfaceID(word))
+	return ci, ci >= 0
 }
 
 // Canonical returns the canonical surface of concept index ci.

@@ -5,23 +5,23 @@
 // transactions in per-user domain buffers via its decoder copy, and
 // triggers the individual-model update process.
 //
-// Both decodes a server runs — the receiver's and the §II-C decoder copy —
-// go through its semantic.DecodeMemo, which computes each distinct feature
-// row once per model state. That is exact only because the codec is
+// The sender side reads a codec's sender table (each surface computed once
+// per model state: Encode is a row gather, the §II-C decoder copy an array
+// read); the receiver's decode, whose rows crossed the channel, goes through
+// the server's semantic.DecodeMemo, which computes each distinct feature row
+// once per model state. Both are exact only because the codec is
 // context-free per token (a concept depends on one feature row and the
-// weights, nothing else); a contextual codec would have to drop the memo.
+// weights, nothing else); a contextual codec would have to drop them.
 package edge
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/cache"
-	"repro/internal/corpus"
 	"repro/internal/fl"
 	"repro/internal/kb"
 	"repro/internal/mat"
@@ -103,10 +103,14 @@ type Server struct {
 	bufferThreshold int
 	memo            *semantic.DecodeMemo
 
-	mu       sync.Mutex
-	buffers  map[string]*fl.Buffer
-	versions map[string]int
+	mu      sync.Mutex
+	buffers map[bufferKey]*fl.Buffer
 }
+
+// bufferKey names one transaction buffer. User names are client-supplied,
+// so the pair is kept as fields: no separator can make one user's key a
+// prefix of another's.
+type bufferKey struct{ user, domain string }
 
 // New builds an edge server backed by the given cloud origin registry.
 func New(cfg Config, origin *kb.Registry) (*Server, error) {
@@ -137,8 +141,7 @@ func New(cfg Config, origin *kb.Registry) (*Server, error) {
 		pinGeneral:      cfg.PinGeneral,
 		bufferThreshold: cfg.BufferThreshold,
 		memo:            semantic.NewDecodeMemo(),
-		buffers:         make(map[string]*fl.Buffer, 16),
-		versions:        make(map[string]int, 16),
+		buffers:         make(map[bufferKey]*fl.Buffer, 16),
 	}, nil
 }
 
@@ -155,16 +158,13 @@ func (s *Server) ResetCacheStats() { s.cache.ResetStats() }
 func (s *Server) Cache() *cache.Cache { return s.cache }
 
 // DecodeMemoStats returns the counters of the server's decode memo: how
-// many feature rows its two decodes looked up and how many skipped the MLP.
+// many received feature rows it looked up and how many skipped the MLP.
 func (s *Server) DecodeMemoStats() semantic.MemoStats { return s.memo.Stats() }
 
 // PinsGeneral reports whether this server pins general models in its
 // cache once fetched, so a peer pushing a general model (mesh drain) can
 // install it exactly as a local fetch would have.
 func (s *Server) PinsGeneral() bool { return s.pinGeneral }
-
-// bufferKey builds the buffers map key.
-func bufferKey(domain, user string) string { return user + "/" + domain }
 
 // AcquireResult reports how a codec was obtained.
 type AcquireResult struct {
@@ -232,6 +232,10 @@ func (s *Server) Personalize(domain, user string) (*kb.Model, time.Duration, err
 // EncodeResult is the outcome of sender-side semantic encoding.
 type EncodeResult struct {
 	AcquireResult
+	// SurfaceIDs are the words resolved in the model's domain lexicon, one
+	// per token: RecordTransaction reuses them instead of looking every
+	// word up again. Backed by the scratch arena, like Features.
+	SurfaceIDs []int
 	// Features is the len(words) x FeatureDim matrix of per-token semantic
 	// feature vectors. It is backed by the scratch arena passed to Encode
 	// and must be consumed before that scratch is reset or pooled.
@@ -240,17 +244,22 @@ type EncodeResult struct {
 	ComputeLatency time.Duration
 }
 
-// Encode runs semantic feature extraction for (domain, user) over words as
-// one batched GEMM. sc must be non-nil: the feature matrix is allocated
-// from it, so a warm steady-state call performs no heap allocation.
+// Encode runs semantic feature extraction for (domain, user) over words:
+// one lexicon lookup per word, then a gather from the codec's sender table.
+// sc must be non-nil: the IDs and the feature matrix are allocated from it,
+// so a warm steady-state call performs no heap allocation.
 func (s *Server) Encode(sc *mat.Scratch, domain, user string, words []string) (EncodeResult, error) {
 	acq, err := s.AcquireCodec(domain, user)
 	if err != nil {
 		return EncodeResult{}, err
 	}
+	codec := acq.Model.Codec
+	ids := sc.Ints(len(words))
+	codec.Domain().SurfaceIDsInto(ids, words)
 	return EncodeResult{
 		AcquireResult:  acq,
-		Features:       acq.Model.Codec.EncodeWordsInto(sc, words),
+		SurfaceIDs:     ids,
+		Features:       codec.EncodeSurfaceIDsInto(sc, ids),
 		ComputeLatency: time.Duration(len(words)) * s.computePerToken,
 	}, nil
 }
@@ -301,57 +310,38 @@ func (s *Server) Decode(sc *mat.Scratch, domain, user string, feats *mat.Dense) 
 }
 
 // RecordTransaction performs the §II-C decoder-copy mismatch calculation on
-// the sender edge: it round-trips the message through the local codec,
-// derives ground-truth concepts from the domain KB, and stores the
-// transaction in the (user, domain) buffer. It returns the transaction and
-// whether the buffer has reached its update threshold.
+// the sender edge: it reads what the local codec's own decoder restores
+// from the message's clean features (the codec's sender table — no decode
+// runs and the decode memo is not touched), derives ground-truth concepts
+// from the domain KB, and stores the transaction in the (user, domain)
+// buffer. It returns the transaction and whether the buffer has reached its
+// update threshold.
 //
-// sc may be nil (an internal pooled scratch is used). enc, when non-nil,
-// is the EncodeResult of the same words on this server: if the acquired
-// codec is the same model instance the already-computed features are
-// reused and only the decoder half of the round trip runs. Encoding is
-// deterministic, so the recorded transaction is bit-identical either way.
-// The decoder half goes through the server's decode memo like the
-// receiver's decode does.
-func (s *Server) RecordTransaction(sc *mat.Scratch, domain, user string, words []string, enc *EncodeResult) (fl.Transaction, bool, error) {
+// enc, when non-nil, is the EncodeResult of the same words on this server:
+// if the acquired codec is the same model instance its surface IDs are
+// reused, otherwise the words are resolved again. The recorded transaction
+// is bit-identical either way. The scratch parameter is unused (nothing
+// here needs temporaries any more); callers pass the one they hold.
+func (s *Server) RecordTransaction(_ *mat.Scratch, domain, user string, words []string, enc *EncodeResult) (fl.Transaction, bool, error) {
 	acq, err := s.AcquireCodec(domain, user)
 	if err != nil {
 		return fl.Transaction{}, false, err
 	}
-	tx := newTransaction(acq.Model.Codec.Domain(), words)
-	if sc == nil {
-		sc = mat.GetScratch()
-		defer mat.PutScratch(sc)
-	}
-	// Decoded is retained by the buffer until the next update fires, so it
-	// lives on the heap, not in the scratch arena.
-	tx.Decoded = make([]int, len(words))
-	var feats *mat.Dense
+	codec, n := acq.Model.Codec, len(words)
+	// The transaction is retained by the buffer until the next update
+	// fires, so it lives on the heap: one backing array, three capped views.
+	ints := make([]int, 3*n)
+	tx := fl.Transaction{SurfaceIDs: ints[:n:n], ConceptIDs: ints[n : 2*n : 2*n], Decoded: ints[2*n:]}
 	if enc != nil && enc.Model == acq.Model {
-		feats = enc.Features
+		copy(tx.SurfaceIDs, enc.SurfaceIDs)
 	} else {
-		feats = acq.Model.Codec.EncodeWordsInto(sc, words)
+		codec.Domain().SurfaceIDsInto(tx.SurfaceIDs, words)
 	}
-	s.memo.DecodeFeaturesInto(sc, acq.Model.Codec, feats, tx.Decoded)
+	for i, id := range tx.SurfaceIDs {
+		tx.ConceptIDs[i] = codec.Domain().SurfaceConcept(id) // -1 out of domain: always a mismatch
+	}
+	codec.DecoderCopyInto(tx.SurfaceIDs, tx.Decoded)
 	return tx, s.addTransaction(domain, user, tx), nil
-}
-
-// newTransaction builds the ground-truth half of a transaction: surface
-// IDs and KB concept IDs for words under domain d.
-func newTransaction(d *corpus.Domain, words []string) fl.Transaction {
-	tx := fl.Transaction{
-		SurfaceIDs: make([]int, len(words)),
-		ConceptIDs: make([]int, len(words)),
-	}
-	for i, w := range words {
-		tx.SurfaceIDs[i] = d.SurfaceID(w)
-		if ci, ok := d.ConceptOf(w); ok {
-			tx.ConceptIDs[i] = ci
-		} else {
-			tx.ConceptIDs[i] = -1 // out-of-domain word: always a mismatch
-		}
-	}
-	return tx
 }
 
 // addTransaction appends tx to the (user, domain) buffer, creating it on
@@ -359,7 +349,7 @@ func newTransaction(d *corpus.Domain, words []string) fl.Transaction {
 func (s *Server) addTransaction(domain, user string, tx fl.Transaction) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	key := bufferKey(domain, user)
+	key := bufferKey{user, domain}
 	buf, ok := s.buffers[key]
 	if !ok {
 		buf = fl.NewBuffer(domain, user, s.bufferThreshold)
@@ -373,7 +363,7 @@ func (s *Server) addTransaction(domain, user string, tx fl.Transaction) bool {
 func (s *Server) Buffer(domain, user string) *fl.Buffer {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.buffers[bufferKey(domain, user)]
+	return s.buffers[bufferKey{user, domain}]
 }
 
 // BufferState is one user domain-buffer snapshot, portable across edge
@@ -390,9 +380,8 @@ func (s *Server) ExportUserBuffers(user string) []BufferState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []BufferState
-	prefix := user + "/"
 	for key, buf := range s.buffers {
-		if !strings.HasPrefix(key, prefix) || buf.Len() == 0 {
+		if key.user != user || buf.Len() == 0 {
 			continue
 		}
 		out = append(out, BufferState{Domain: buf.Domain, Txs: buf.Transactions()})
@@ -407,12 +396,11 @@ func (s *Server) ImportUserBuffers(user string, states []BufferState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, st := range states {
-		key := bufferKey(st.Domain, user)
 		buf := fl.NewBuffer(st.Domain, user, s.bufferThreshold)
 		for _, tx := range st.Txs {
 			buf.Add(tx)
 		}
-		s.buffers[key] = buf
+		s.buffers[bufferKey{user, st.Domain}] = buf
 	}
 }
 
@@ -421,9 +409,8 @@ func (s *Server) ImportUserBuffers(user string, states []BufferState) {
 func (s *Server) DropUserBuffers(user string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	prefix := user + "/"
 	for key := range s.buffers {
-		if strings.HasPrefix(key, prefix) {
+		if key.user == user {
 			delete(s.buffers, key)
 		}
 	}
@@ -439,7 +426,7 @@ func (s *Server) DropUserBuffers(user string) {
 // per threshold; the pair retries on the next BufferThreshold messages.
 func (s *Server) RunUpdate(domain, user string, cfg fl.UpdateConfig) (*fl.Update, error) {
 	s.mu.Lock()
-	buf := s.buffers[bufferKey(domain, user)]
+	buf := s.buffers[bufferKey{user, domain}]
 	s.mu.Unlock()
 	if buf == nil || buf.Len() == 0 {
 		return nil, fmt.Errorf("edge %s: no buffered data for %s/%s", s.name, user, domain)
@@ -454,9 +441,6 @@ func (s *Server) RunUpdate(domain, user string, cfg fl.UpdateConfig) (*fl.Update
 		return nil, err
 	}
 	model.Version = upd.Version
-	s.mu.Lock()
-	s.versions[bufferKey(domain, user)] = upd.Version
-	s.mu.Unlock()
 	return upd, nil
 }
 

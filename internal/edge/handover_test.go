@@ -128,3 +128,40 @@ func TestImportRejectsWrongDomainShapes(t *testing.T) {
 		t.Fatal("cross-domain import accepted")
 	}
 }
+
+// TestUserBuffersMatchWholeUserName: user names are client-supplied, so
+// one may extend another past a "/" ("a", "a/b"). Exporting and dropping
+// a's buffers for a handover must take exactly a's: a key built by
+// concatenation and matched by prefix took a/b's pending transactions too,
+// and the import filed them under a.
+func TestUserBuffersMatchWholeUserName(t *testing.T) {
+	corp, _ := cloudFixture(t)
+	src := newServer(t, 6, nil)
+	gen := corpus.NewGenerator(corp, mat.NewRNG(55))
+	record := func(user string, n int) {
+		for i := 0; i < n; i++ {
+			if _, _, err := src.RecordTransaction(nil, "it", user, gen.Message(corp.Domain("it").Index, nil).Words, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	record("a", 2)
+	record("a/b", 3)
+
+	exported := src.ExportUserBuffers("a")
+	if len(exported) != 1 || exported[0].Domain != "it" || len(exported[0].Txs) != 2 {
+		t.Fatalf("export of a carries %+v, want its one buffer of 2 transactions", exported)
+	}
+	src.DropUserBuffers("a")
+	if b := src.Buffer("it", "a"); b != nil {
+		t.Fatalf("a's buffer survived the drop with %d transactions", b.Len())
+	}
+	if b := src.Buffer("it", "a/b"); b == nil || b.Len() != 3 {
+		t.Fatalf("dropping a's buffers disturbed a/b's: %v", b)
+	}
+	dst := newServer(t, 6, nil)
+	dst.ImportUserBuffers("a", exported)
+	if b := dst.Buffer("it", "a"); b == nil || b.Len() != 2 {
+		t.Fatalf("the new owner holds %v for a, want 2 transactions", b)
+	}
+}

@@ -54,6 +54,42 @@ func directDecode(t *testing.T, srv *Server, domain, user string, feats *mat.Den
 	return out
 }
 
+// senderView returns what the server's sender side makes of words for
+// (domain, user) — the encoded features and the decoder-copy concepts, both
+// read from the served codec's sender table — and directSender the same from
+// the per-token kernels of the model the server serves.
+func senderView(t *testing.T, srv *Server, domain, user string, words []string) ([]float64, []int) {
+	t.Helper()
+	sc := mat.GetScratch()
+	defer mat.PutScratch(sc)
+	enc, err := srv.Encode(sc, domain, user, words)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, _, err := srv.RecordTransaction(sc, domain, user, words, &enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append([]float64(nil), enc.Features.Data...), tx.Decoded
+}
+
+func directSender(t *testing.T, srv *Server, domain, user string, words []string) ([]float64, []int) {
+	t.Helper()
+	acq, err := srv.AcquireCodec(domain, user)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := acq.Model.Codec
+	feats := make([]float64, len(words)*c.FeatureDim())
+	concepts := make([]int, len(words))
+	for i, w := range words {
+		row := feats[i*c.FeatureDim() : (i+1)*c.FeatureDim()]
+		c.EncodeSurfaceID(c.Domain().SurfaceID(w), row)
+		concepts[i] = c.DecodeFeature(row)
+	}
+	return feats, concepts
+}
+
 // TestEveryWriterRestamps is the table the memo's validity rests on: for
 // every call site outside package semantic that writes a served codec's
 // weights (the `Params()` / `DecoderParams()` doors of fl.ApplyUpdate,
@@ -61,8 +97,11 @@ func directDecode(t *testing.T, srv *Server, domain, user string, feats *mat.Den
 // ImportUserModel, plus the fine-tune behind RunUpdate), warm the
 // server's memo on the old weights, write, and require the server's
 // decode to equal a fresh un-memoized decode of the new ones — and to
-// differ from the old answer, so a stale memo could not pass. Package
-// semantic's own writers run the same table in its memo_test.go.
+// differ from the old answer, so a stale memo could not pass. The codec's
+// sender table hangs on the same stamp, so the same writers must orphan it:
+// what the server encodes and decoder-copies after the write must equal the
+// per-token kernels on the new weights, and the features must have moved.
+// Package semantic's own writers run the same table in its memo_test.go.
 func TestEveryWriterRestamps(t *testing.T) {
 	corp, _ := cloudFixture(t)
 	userKey := kb.UserKey("it", "u1", kb.RoleCodec)
@@ -180,6 +219,12 @@ func TestEveryWriterRestamps(t *testing.T) {
 			if st := srv.DecodeMemoStats(); st.Hits*10 < uint64(feats.Rows)*9 {
 				t.Fatalf("the memo is not warm before the write: %+v", st)
 			}
+			// The whole lexicon plus an out-of-domain word: every table row.
+			words := []string{"notaword"}
+			for _, c := range corp.Domain("it").Concepts {
+				words = append(words, c.Surfaces...)
+			}
+			oldFeats, oldCopy := senderView(t, srv, "it", "u1", words) // builds the sender table
 			w.write(t, srv)
 			fresh := directDecode(t, srv, "it", "u1", feats)
 			if reflect.DeepEqual(fresh, old) {
@@ -188,19 +233,30 @@ func TestEveryWriterRestamps(t *testing.T) {
 			if got := serverDecode(t, srv, "it", "u1", feats); !reflect.DeepEqual(got, fresh) {
 				t.Fatal("the server decoded with answers memoized before the write")
 			}
+			freshFeats, freshCopy := directSender(t, srv, "it", "u1", words)
+			gotFeats, gotCopy := senderView(t, srv, "it", "u1", words)
+			if !reflect.DeepEqual(gotFeats, freshFeats) || !reflect.DeepEqual(gotCopy, freshCopy) {
+				t.Fatal("the server's sender side read a table built before the write")
+			}
+			if reflect.DeepEqual(oldFeats, freshFeats) && reflect.DeepEqual(oldCopy, freshCopy) {
+				t.Fatal("the write moved nothing the sender table holds: the case proves nothing")
+			}
 		})
 	}
 }
 
-// TestMemoServesBothDecodes: the receiver's decode and the §II-C decoder
-// copy of one server share its memo, match the bare codec, and a repeated
-// message is served from the table.
-func TestMemoServesBothDecodes(t *testing.T) {
+// TestMemoServesOnlyTheReceiver: the receiver's decode (through the memo)
+// and the §II-C decoder copy (read from the sender table) both match the
+// bare codec, a repeated message is served from the memo, and the memo has
+// looked up exactly the receiver's rows — recording a transaction, with or
+// without the sender's encode result, never goes near it.
+func TestMemoServesOnlyTheReceiver(t *testing.T) {
 	corp, _ := cloudFixture(t)
 	srv := newServer(t, 6, nil)
 	gen := corpus.NewGenerator(corp, mat.NewRNG(71))
 	sc := mat.GetScratch()
 	defer mat.PutScratch(sc)
+	received := 0
 	for i := 0; i < 30; i++ {
 		m := gen.Message(corp.Domain("it").Index, nil)
 		sc.Reset()
@@ -208,9 +264,8 @@ func TestMemoServesBothDecodes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := make([]int, len(m.Words))
-		enc.Model.Codec.RoundTripInto(sc, m.Words, want)
-		// With the sender's features, and (enc == nil) re-encoding them.
+		_, want := directSender(t, srv, "it", "", m.Words)
+		// With the sender's surface IDs, and (enc == nil) resolving again.
 		for _, e := range []*EncodeResult{&enc, nil} {
 			tx, _, err := srv.RecordTransaction(sc, "it", "", m.Words, e)
 			if err != nil {
@@ -220,17 +275,20 @@ func TestMemoServesBothDecodes(t *testing.T) {
 				t.Fatalf("decoder copy recorded %v, the codec round-trips to %v", tx.Decoded, want)
 			}
 		}
-		dec, err := srv.Decode(sc, "it", "", enc.Features)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(dec.Concepts, want) {
-			t.Fatalf("receiver decoded %v, the codec round-trips to %v", dec.Concepts, want)
+		for range 2 {
+			dec, err := srv.Decode(sc, "it", "", enc.Features)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(dec.Concepts, want) {
+				t.Fatalf("receiver decoded %v, the codec round-trips to %v", dec.Concepts, want)
+			}
+			received += len(m.Words)
 		}
 	}
 	st := srv.DecodeMemoStats()
-	if st.Lookups == 0 || st.Hits*2 < st.Lookups || st.Inserts == 0 {
-		t.Fatalf("three decodes of each message should mostly hit: %+v", st)
+	if st.Lookups != uint64(received) || st.Hits*2 < st.Lookups || st.Inserts == 0 {
+		t.Fatalf("two receiver decodes of each message (%d rows) should be the memo's only traffic and mostly hit: %+v", received, st)
 	}
 }
 

@@ -57,10 +57,16 @@ func (s *Static) Reset() {}
 // smoothing. It has no context memory.
 type NaiveBayes struct {
 	domains []string
-	// logPrior[d] and logLik[d][word] are fixed after training.
+	// Everything below is fixed after training. rows maps each word of the
+	// training vocabulary to its row of logLik, a words x domains matrix
+	// (row-major) of smoothed log-likelihoods: one string lookup scores a
+	// word under every domain.
 	logPrior []float64
-	logLik   []map[string]float64
-	// logUnseen[d] is the smoothed likelihood of an unseen word.
+	rows     map[string]int
+	logLik   []float64
+	// logUnseen[d] is the smoothed likelihood of a word domain d never
+	// produced: the row of a word outside the vocabulary, and the entry a
+	// word another domain produced holds for d.
 	logUnseen []float64
 }
 
@@ -71,33 +77,38 @@ var _ Selector = (*NaiveBayes)(nil)
 func TrainNaiveBayes(corp *corpus.Corpus, sentencesPerDomain int, seed uint64) *NaiveBayes {
 	rng := mat.NewRNG(seed)
 	gen := corpus.NewGenerator(corp, rng)
+	n := len(corp.Domains)
 	nb := &NaiveBayes{
 		domains:   corp.Names(),
-		logPrior:  make([]float64, len(corp.Domains)),
-		logLik:    make([]map[string]float64, len(corp.Domains)),
-		logUnseen: make([]float64, len(corp.Domains)),
+		logPrior:  make([]float64, n),
+		rows:      make(map[string]int, 1024),
+		logUnseen: make([]float64, n),
 	}
-	vocab := make(map[string]struct{}, 1024)
-	counts := make([]map[string]int, len(corp.Domains))
-	totals := make([]int, len(corp.Domains))
+	var counts []int // words x domains, like logLik
+	totals := make([]int, n)
 	for di := range corp.Domains {
-		counts[di] = make(map[string]int, 256)
 		for _, m := range gen.Batch(di, sentencesPerDomain, nil) {
 			for _, w := range m.Words {
-				counts[di][w]++
+				r, ok := nb.rows[w]
+				if !ok {
+					r = len(nb.rows)
+					nb.rows[w] = r
+					counts = append(counts, make([]int, n)...)
+				}
+				counts[r*n+di]++
 				totals[di]++
-				vocab[w] = struct{}{}
 			}
 		}
 	}
-	v := float64(len(vocab))
-	uniformPrior := math.Log(1 / float64(len(corp.Domains)))
+	v := float64(len(nb.rows))
+	uniformPrior := math.Log(1 / float64(n))
+	nb.logLik = make([]float64, len(counts))
 	for di := range corp.Domains {
 		nb.logPrior[di] = uniformPrior
-		nb.logLik[di] = make(map[string]float64, len(counts[di]))
 		denom := float64(totals[di]) + v
-		for w, c := range counts[di] {
-			nb.logLik[di][w] = math.Log((float64(c) + 1) / denom)
+		// A zero count yields exactly logUnseen: the same expression.
+		for i := di; i < len(counts); i += n {
+			nb.logLik[i] = math.Log((float64(counts[i]) + 1) / denom)
 		}
 		nb.logUnseen[di] = math.Log(1 / denom)
 	}
@@ -110,18 +121,24 @@ func (nb *NaiveBayes) Name() string { return "naivebayes" }
 // Scores returns the per-domain log-posterior scores for words.
 func (nb *NaiveBayes) Scores(words []string) []float64 {
 	scores := make([]float64, len(nb.domains))
-	for di := range nb.domains {
-		s := nb.logPrior[di]
-		for _, w := range words {
-			if ll, ok := nb.logLik[di][w]; ok {
-				s += ll
-			} else {
-				s += nb.logUnseen[di]
-			}
-		}
-		scores[di] = s
-	}
+	nb.scoresInto(scores, words)
 	return scores
+}
+
+// scoresInto is Scores into dst (length len(domains)). Each word adds its
+// row, in message order: per domain the additions a loop over that
+// domain's likelihoods alone would make, in the same order.
+func (nb *NaiveBayes) scoresInto(dst []float64, words []string) {
+	n := copy(dst, nb.logPrior)
+	for _, w := range words {
+		row := nb.logUnseen
+		if r, ok := nb.rows[w]; ok {
+			row = nb.logLik[r*n : (r+1)*n]
+		}
+		for d, ll := range row {
+			dst[d] += ll
+		}
+	}
 }
 
 // Select implements Selector.
@@ -149,6 +166,9 @@ type Sticky struct {
 	StayProb float64
 
 	belief []float64 // posterior over domains; nil until first message
+	// tmp holds Select's three per-message vectors (prior, scores, log
+	// posterior): a Sticky serves one stream, so they are reused.
+	tmp []float64
 }
 
 var _ Selector = (*Sticky)(nil)
@@ -176,7 +196,10 @@ func (s *Sticky) Select(words []string) int {
 	}
 	// Transition: belief' = T * belief with sticky diagonal.
 	switchP := (1 - s.StayProb) / float64(n-1)
-	prior := make([]float64, n)
+	if s.tmp == nil {
+		s.tmp = make([]float64, 3*n)
+	}
+	prior, scores, logPost := s.tmp[:n], s.tmp[n:2*n], s.tmp[2*n:]
 	var total float64
 	for d := range prior {
 		p := 0.0
@@ -191,8 +214,7 @@ func (s *Sticky) Select(words []string) int {
 		total += p
 	}
 	// Observation: multiply by likelihood in log space, then normalize.
-	scores := s.NB.Scores(words)
-	logPost := make([]float64, n)
+	s.NB.scoresInto(scores, words)
 	for d := range logPost {
 		logPost[d] = math.Log(prior[d]/total) + scores[d]
 	}

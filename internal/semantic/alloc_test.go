@@ -54,7 +54,7 @@ func TestCodecSteadyStateZeroAllocs(t *testing.T) {
 		d := sc.Mat(total, codec.FeatureDim())
 		row := 0
 		for _, m := range msgs {
-			codec.encodeWordsTo(sc, sc.Wrap(len(m), codec.FeatureDim(), d.Data[row*codec.FeatureDim():(row+len(m))*codec.FeatureDim()]), m)
+			copy(d.Data[row*codec.FeatureDim():], codec.EncodeWordsInto(sc, m).Data)
 			row += len(m)
 		}
 		codec.DecodeFeaturesInto(sc, d, batchConcepts)

@@ -17,9 +17,11 @@
 // The codec is context-free per token: a feature row is a function of one
 // surface id and the encoder weights, a decoded concept a function of one
 // feature row and the decoder weights — no attention, no recurrence, no
-// statistic over the message. DecodeMemo (memo.go) relies on exactly that
-// to decode each distinct row once per model state; a contextual codec
-// would have to drop it.
+// statistic over the message. Two things rely on exactly that, and a
+// contextual codec would have to drop both: the sender table (table.go)
+// encodes and decoder-copies each surface once per model state, and
+// DecodeMemo (memo.go) decodes each distinct received row once per model
+// state.
 package semantic
 
 import (
@@ -96,9 +98,12 @@ type Codec struct {
 	dec *nn.Linear    // F -> H
 	out *nn.Linear    // H -> concepts
 
-	// stamp names "exactly these weights" for the DecodeMemo: a value no
-	// other codec and no earlier state of this one ever had. See restamp.
+	// stamp names "exactly these weights" for the DecodeMemo and the sender
+	// table: a value no other codec and no earlier state of this one ever
+	// had. See restamp.
 	stamp atomic.Uint64
+	// table is the sender table last built, current while its stamp is.
+	table atomic.Pointer[senderTable]
 }
 
 // lastStamp is the process-wide source of codec stamps.
@@ -107,9 +112,9 @@ var lastStamp atomic.Uint64
 // restamp gives the codec a fresh stamp. It runs when the codec is built
 // (NewCodec, Clone) and every time mutable parameter storage is handed
 // out (Params, DecoderParams — the only doors to the tensors), so memo
-// entries computed from weights that may since have been written stop
-// matching. Writers promise nothing; reads that must not orphan a model's
-// entries go through the read-only methods instead.
+// entries and the sender table computed from weights that may since have
+// been written stop matching. Writers promise nothing; reads that must not
+// orphan a model's entries go through the read-only methods instead.
 func (c *Codec) restamp() { c.stamp.Store(lastStamp.Add(1)) }
 
 // NewCodec builds an untrained codec for domain d.
@@ -225,14 +230,16 @@ func (c *Codec) EncodeSurfaceID(id int, dst []float64) {
 	nn.TanhForward(dst, dst)
 }
 
-// embeddingRow returns the embedding for id, clamping out-of-lexicon IDs to
-// the unknown surface.
-func (c *Codec) embeddingRow(id int) []float64 {
+// surface clamps an out-of-lexicon ID to the unknown surface.
+func (c *Codec) surface(id int) int {
 	if id < 0 || id >= c.emb.Vocab() {
-		id = corpus.UnknownSurfaceID
+		return corpus.UnknownSurfaceID
 	}
-	return c.emb.Lookup(id)
+	return id
 }
+
+// embeddingRow returns the embedding for id (clamped, see surface).
+func (c *Codec) embeddingRow(id int) []float64 { return c.emb.Lookup(c.surface(id)) }
 
 // packSurfaceEmbeddings gathers the embeddings of the given surface IDs
 // into an n x EmbedDim scratch matrix (row order = id order).
@@ -244,28 +251,14 @@ func (c *Codec) packSurfaceEmbeddings(sc *mat.Scratch, ids []int) *mat.Dense {
 	return x
 }
 
-// encodeWordsTo runs the batched encoder over words, writing the per-token
-// features into dst (len(words) x FeatureDim): one gather of the token
-// embeddings, one GEMM, one tanh sweep. Temporaries come from sc.
-func (c *Codec) encodeWordsTo(sc *mat.Scratch, dst *mat.Dense, words []string) {
-	x := sc.Mat(len(words), c.cfg.EmbedDim)
-	for i, w := range words {
-		copy(x.Row(i), c.embeddingRow(c.domain.SurfaceID(w)))
-	}
-	c.enc.ForwardBatch(dst, x)
-	nn.TanhForward(dst.Data, dst.Data)
-}
-
 // EncodeWordsInto encodes a token sequence into a len(words) x FeatureDim
-// feature matrix allocated from sc: the zero-allocation batched encode used
-// by the steady-state serving path. Words outside the domain lexicon encode
-// as the unknown surface. The result is bit-identical to per-token
-// EncodeSurfaceID calls at any worker count; it is owned by sc and must be
-// consumed before the scratch is reset or returned to the pool.
+// feature matrix allocated from sc: each word is resolved to its surface ID
+// and the rows are gathered from the sender table (EncodeSurfaceIDsInto).
+// Words outside the domain lexicon encode as the unknown surface.
 func (c *Codec) EncodeWordsInto(sc *mat.Scratch, words []string) *mat.Dense {
-	dst := sc.Mat(len(words), c.cfg.FeatureDim)
-	c.encodeWordsTo(sc, dst, words)
-	return dst
+	ids := sc.Ints(len(words))
+	c.domain.SurfaceIDsInto(ids, words)
+	return c.EncodeSurfaceIDsInto(sc, ids)
 }
 
 // DecodeFeature returns the most likely concept index for one feature

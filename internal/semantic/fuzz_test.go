@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/mat"
+	"repro/internal/nn"
 )
 
 // FuzzReadCodec feeds arbitrary bytes to the .kbm reader: it must never
@@ -134,6 +135,64 @@ func FuzzDecodeMemo(f *testing.F) {
 				ps := codecs[cur].DecoderParams()
 				t := ps.Params[int(next())%len(ps.Params)].M
 				t.Data[int(next())%len(t.Data)] += float64(int(next())-128) / 8
+			case 3:
+				cur = int(next()) % len(codecs)
+			}
+		}
+	})
+}
+
+// FuzzSenderTable drives the sender tables of three codecs (two feature
+// widths) with a fuzzer-chosen program: read a message of fuzzer-chosen
+// surface IDs (in range, negative, past the vocabulary), write an encoder
+// or a decoder weight through its stamping door, switch codec. After every
+// read the oracle is the per-token kernels on the same IDs, so a table
+// built before a write must never be served after it.
+func FuzzSenderTable(f *testing.F) {
+	f.Add([]byte{0, 5, 1, 2, 3, 4, 5, 0, 5, 1, 2, 3, 4, 5})        // a message, twice
+	f.Add([]byte{0, 3, 9, 9, 9, 1, 1, 7, 200, 0, 3, 9, 9, 9})      // read, encoder write, read
+	f.Add([]byte{0, 3, 9, 9, 9, 2, 3, 7, 200, 0, 3, 9, 9, 9})      // read, decoder write, read
+	f.Add([]byte{0, 2, 7, 7, 3, 1, 0, 2, 7, 7, 3, 2, 0, 2, 7, 7})  // same IDs under each codec
+	f.Add([]byte{0, 6, 0, 127, 128, 129, 254, 255, 1, 0, 0, 1, 0}) // the IDs that clamp
+	base := []*Codec{memoCodec(8, 1), memoCodec(6, 2), memoCodec(8, 3)}
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 256 {
+			prog = prog[:256]
+		}
+		codecs := make([]*Codec, len(base)) // the program writes to them
+		for i, c := range base {
+			codecs[i] = c.Clone()
+		}
+		cur := 0
+		sc := mat.GetScratch()
+		defer mat.PutScratch(sc)
+		next := func() byte {
+			if len(prog) == 0 {
+				return 0
+			}
+			b := prog[0]
+			prog = prog[1:]
+			return b
+		}
+		write := func(ps *nn.ParamSet) {
+			m := ps.Params[int(next())%len(ps.Params)].M
+			m.Data[int(next())%len(m.Data)] += float64(int(next())-128) / 8
+		}
+		for len(prog) > 0 {
+			c := codecs[cur]
+			switch next() % 4 {
+			case 0: // a message: bytes 0..127 are IDs (the top of the range is past the vocabulary), 128..255 negative
+				ids := make([]int, int(next()%32)+1)
+				for i := range ids {
+					ids[i] = int(int8(next()))
+				}
+				if !requireTableMatchesKernels(t, sc, c, ids, "read") {
+					t.FailNow()
+				}
+			case 1: // a writer: through the door to every tensor (the encoder's among them), then write
+				write(c.Params())
+			case 2: // a decoder-only writer: the feature rows stand, the concept column may not
+				write(c.DecoderParams())
 			case 3:
 				cur = int(next()) % len(codecs)
 			}

@@ -10,7 +10,10 @@ import (
 
 // This file implements the decode memo: a fixed-size table an edge server
 // keeps from (weights stamp, exact bit pattern of one feature row) to the
-// concept that row decodes to.
+// concept that row decodes to. It serves the receiver's decode, whose rows
+// crossed the channel; the sender's decoder copy sees only clean rows, a
+// function of the surface ID, and reads them from the sender table
+// (table.go) without coming here.
 //
 // It is exact because the codec is context-free per token — a concept is
 // the argmax of a two-layer MLP over ONE feature row — and because the
@@ -103,18 +106,19 @@ func (s *MemoStats) Add(o MemoStats) {
 }
 
 // DecodeMemo is the table. Its size is a compile-time constant: it is
-// allocated once per edge server and nothing is ever allocated per codec,
-// per user or per request. It is safe for concurrent use, and any number
-// of codecs may share one.
+// allocated once per edge server, on the first decode (a server that only
+// ever sends holds none), and nothing is ever allocated per codec, per user
+// or per request. It is safe for concurrent use, and any number of codecs
+// may share one.
 type DecodeMemo struct {
 	mu   sync.Mutex
-	tick uint32 // one per DecodeFeaturesInto call; wrapping only blurs the LRU order
-	sets [memoSets]memoSet
+	tick uint32             // one per DecodeFeaturesInto call; wrapping only blurs the LRU order
+	sets *[memoSets]memoSet // nil until the first lookup
 
 	lookups, hits, inserts, replaced atomic.Uint64
 }
 
-// NewDecodeMemo allocates an empty memo.
+// NewDecodeMemo returns an empty memo.
 func NewDecodeMemo() *DecodeMemo { return new(DecodeMemo) }
 
 // Stats returns the memo's counters. A nil memo reports zeros.
@@ -169,6 +173,9 @@ func (m *DecodeMemo) DecodeFeaturesInto(sc *mat.Scratch, c *Codec, feats *mat.De
 	stamp := c.stamp.Load()
 	missed := sc.Ints(feats.Rows)[:0]
 	m.mu.Lock()
+	if m.sets == nil {
+		m.sets = new([memoSets]memoSet)
+	}
 	m.tick++
 	for i := 0; i < feats.Rows; i++ {
 		key := memoKey(feats.Row(i))

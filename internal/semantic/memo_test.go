@@ -243,14 +243,17 @@ func TestDecodeMemoConcurrent(t *testing.T) {
 // the process heap where it was, because the table is one fixed-size
 // allocation and a lookup or insert allocates nothing.
 func TestDecodeMemoFootprintIsFlat(t *testing.T) {
-	if size := unsafe.Sizeof(DecodeMemo{}); size > 168<<10 {
+	if size := unsafe.Sizeof(DecodeMemo{}) + unsafe.Sizeof([memoSets]memoSet{}); size > 168<<10 {
 		t.Fatalf("DecodeMemo is %d bytes; the rss_mb budget it was sized for is 160 KB per edge server", size)
+	}
+	c := memoCodec(8, 1)
+	m := NewDecodeMemo()
+	if m.sets != nil {
+		t.Fatal("a memo that has decoded nothing already holds its table: a sender-only server would pay 160 KB for it")
 	}
 	if testing.Short() || mat.RaceEnabled {
 		t.Skip("1M-row soak skipped under -short / -race")
 	}
-	c := memoCodec(8, 1)
-	m := NewDecodeMemo()
 	sc := mat.GetScratch()
 	defer mat.PutScratch(sc)
 	const batch, total = 256, 1 << 20
@@ -437,8 +440,9 @@ func TestCodecTensorDoorsAreStamped(t *testing.T) {
 		reflect.TypeOf(&nn.Linear{}):    true,
 		reflect.TypeOf(&nn.Embedding{}): true,
 	}
-	// *mat.Dense results are scratch-owned feature matrices, never weights.
-	scratchOwned := map[string]bool{"EncodeWordsInto": true}
+	// *mat.Dense results are scratch-owned feature matrices (copies of
+	// sender-table rows), never weights and never the table's own storage.
+	scratchOwned := map[string]bool{"EncodeWordsInto": true, "EncodeSurfaceIDsInto": true}
 	_, c := sharedFixtures(t)
 	c = c.Clone()
 	for i := 0; i < typ.NumMethod(); i++ {
