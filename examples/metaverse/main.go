@@ -2,7 +2,7 @@
 // that motivates the paper. Avatars chat across domains (gaming voice
 // chat, entertainment streams, IT support) while the edges cache
 // domain-general models, spin up user-specific individual models, and
-// synchronize decoder updates — all over a fading radio channel.
+// synchronize decoder updates — all over a noisy 8 dB radio channel.
 //
 // Run with: go run ./examples/metaverse
 package main
@@ -25,7 +25,6 @@ func main() {
 	sys, err := core.NewSystem(core.Config{
 		Selector:        core.SelectorSticky,
 		SNRdB:           8,
-		Rayleigh:        true, // mobile radio: fading channel
 		PinGeneral:      true,
 		BufferThreshold: 24,
 		Seed:            7,

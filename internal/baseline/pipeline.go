@@ -27,14 +27,14 @@ func (p Pipeline) Send(text string) (decoded string, ok bool, stats channel.Link
 		frame = append(frame, crc&(1<<uint(b)) != 0)
 	}
 
-	coded := p.Code.Encode(frame)
-	symbols := p.Mod.Modulate(coded)
-	received := p.Ch.Transmit(symbols)
-	codedRx := p.Mod.Demodulate(received)
+	coded := p.Code.EncodeTo(nil, frame)
+	symbols := p.Mod.ModulateTo(nil, coded)
+	received := p.Ch.TransmitTo(nil, symbols)
+	codedRx := p.Mod.DemodulateTo(nil, received)
 	if len(codedRx) > len(coded) {
 		codedRx = codedRx[:len(coded)]
 	}
-	frameRx := p.Code.Decode(codedRx)
+	frameRx := p.Code.DecodeTo(nil, codedRx)
 	if len(frameRx) > len(frame) {
 		frameRx = frameRx[:len(frame)]
 	}

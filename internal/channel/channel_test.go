@@ -107,12 +107,12 @@ func TestCodesRoundTripClean(t *testing.T) {
 	rng := mat.NewRNG(4)
 	for _, code := range []Code{Identity{}, Repetition{N: 3}, Repetition{N: 5}, Hamming74{}} {
 		bits := randomBits(rng, 64)
-		decoded := code.Decode(code.Encode(bits))
+		decoded := code.DecodeTo(nil, code.EncodeTo(nil, bits))
 		if len(decoded) < len(bits) {
-			t.Fatalf("%s: decoded shorter than input", code.Name())
+			t.Fatalf("%T: decoded shorter than input", code)
 		}
 		if BitErrors(bits, decoded[:len(bits)]) != 0 {
-			t.Fatalf("%s: clean round trip corrupted bits", code.Name())
+			t.Fatalf("%T: clean round trip corrupted bits", code)
 		}
 	}
 }
@@ -121,13 +121,13 @@ func TestHamming74CorrectsSingleErrors(t *testing.T) {
 	rng := mat.NewRNG(5)
 	code := Hamming74{}
 	bits := randomBits(rng, 64)
-	coded := code.Encode(bits)
+	coded := code.EncodeTo(nil, bits)
 	// Flip exactly one bit in every 7-bit block.
 	for blk := 0; blk*7 < len(coded); blk++ {
 		pos := blk*7 + rng.Intn(7)
 		coded[pos] = !coded[pos]
 	}
-	decoded := code.Decode(coded)
+	decoded := code.DecodeTo(nil, coded)
 	if BitErrors(bits, decoded[:len(bits)]) != 0 {
 		t.Fatal("Hamming74 failed to correct single errors per block")
 	}
@@ -136,51 +136,40 @@ func TestHamming74CorrectsSingleErrors(t *testing.T) {
 func TestRepetitionCorrectsMinorityErrors(t *testing.T) {
 	code := Repetition{N: 3}
 	bits := []bool{true, false, true, true}
-	coded := code.Encode(bits)
+	coded := code.EncodeTo(nil, bits)
 	coded[0] = !coded[0] // one of three copies
 	coded[5] = !coded[5]
-	decoded := code.Decode(coded)
+	decoded := code.DecodeTo(nil, coded)
 	if BitErrors(bits, decoded) != 0 {
 		t.Fatal("rep3 failed to correct single flips")
 	}
 }
 
 func TestModulationsRoundTripClean(t *testing.T) {
-	rng := mat.NewRNG(6)
-	for _, mod := range []Modulation{BPSK{}, QPSK{}, QAM16{}} {
-		n := 4 * 12 // a whole number of symbols at 1, 2 and 4 bits each
-		bits := randomBits(rng, n)
-		rx := mod.Demodulate(mod.Modulate(bits))
-		if BitErrors(bits, rx[:n]) != 0 {
-			t.Fatalf("%s: clean demodulation corrupted bits", mod.Name())
-		}
+	bits := randomBits(mat.NewRNG(6), 48)
+	rx := BPSK{}.DemodulateTo(nil, BPSK{}.ModulateTo(nil, bits))
+	if BitErrors(bits, rx) != 0 {
+		t.Fatal("clean BPSK demodulation corrupted bits")
 	}
 }
 
 func TestModulationUnitEnergy(t *testing.T) {
-	rng := mat.NewRNG(7)
-	for _, mod := range []Modulation{BPSK{}, QPSK{}, QAM16{}} {
-		bits := randomBits(rng, 4*256)
-		symbols := mod.Modulate(bits)
-		e := 0.0
-		for _, s := range symbols {
-			e += real(s)*real(s) + imag(s)*imag(s)
-		}
-		e /= float64(len(symbols))
-		if math.Abs(e-1) > 0.1 {
-			t.Fatalf("%s: mean symbol energy %v, want ~1", mod.Name(), e)
-		}
+	symbols := BPSK{}.ModulateTo(nil, randomBits(mat.NewRNG(7), 1024))
+	e := 0.0
+	for _, s := range symbols {
+		e += real(s)*real(s) + imag(s)*imag(s)
+	}
+	if e /= float64(len(symbols)); math.Abs(e-1) > 0.1 {
+		t.Fatalf("mean BPSK symbol energy %v, want ~1", e)
 	}
 }
 
 func TestAWGNBERDecreasesWithSNR(t *testing.T) {
 	rng := mat.NewRNG(8)
-	mod := BPSK{}
 	bits := randomBits(rng, 20000)
 	ber := func(snr float64) float64 {
 		ch := &AWGN{SNRdB: snr, Rng: rng.Split()}
-		rx := mod.Demodulate(ch.Transmit(mod.Modulate(bits)))
-		return float64(BitErrors(bits, rx)) / float64(len(bits))
+		return bpskBER(ch, bits)
 	}
 	low := ber(-2)
 	mid := ber(4)
@@ -200,10 +189,7 @@ func TestAWGNTheoreticalBER(t *testing.T) {
 	// BPSK over AWGN: Pb = Q(sqrt(2*SNR)). At 6 dB, Pb ~ 2.4e-3.
 	rng := mat.NewRNG(9)
 	bits := randomBits(rng, 200000)
-	ch := &AWGN{SNRdB: 6, Rng: rng.Split()}
-	mod := BPSK{}
-	rx := mod.Demodulate(ch.Transmit(mod.Modulate(bits)))
-	got := float64(BitErrors(bits, rx)) / float64(len(bits))
+	got := bpskBER(&AWGN{SNRdB: 6, Rng: rng.Split()}, bits)
 	want := 0.5 * math.Erfc(math.Sqrt(math.Pow(10, 0.6)))
 	if got < want/2 || got > want*2 {
 		t.Fatalf("BPSK BER at 6 dB = %v, theory %v", got, want)
@@ -213,13 +199,38 @@ func TestAWGNTheoreticalBER(t *testing.T) {
 func TestRayleighWorseThanAWGN(t *testing.T) {
 	rng := mat.NewRNG(10)
 	bits := randomBits(rng, 30000)
-	mod := BPSK{}
-	awgn := &AWGN{SNRdB: 8, Rng: rng.Split()}
-	ray := &Rayleigh{SNRdB: 8, Rng: rng.Split()}
-	berA := float64(BitErrors(bits, mod.Demodulate(awgn.Transmit(mod.Modulate(bits))))) / float64(len(bits))
-	berR := float64(BitErrors(bits, mod.Demodulate(ray.Transmit(mod.Modulate(bits))))) / float64(len(bits))
+	berA := bpskBER(&AWGN{SNRdB: 8, Rng: rng.Split()}, bits)
+	berR := bpskBER(&Rayleigh{SNRdB: 8, Rng: rng.Split()}, bits)
 	if berR <= berA {
 		t.Fatalf("Rayleigh BER %v should exceed AWGN BER %v at equal SNR", berR, berA)
+	}
+}
+
+// TestRayleighDegradesVsAWGN is the same claim one layer up, on the link
+// every system crosses: at 6 dB, features sent through DefaultFeatureLink
+// arrive further from what was sent over Rayleigh fading than over AWGN,
+// Hamming(7,4) included.
+func TestRayleighDegradesVsAWGN(t *testing.T) {
+	rng := mat.NewRNG(71)
+	flat := make([]float64, 80*8*8) // 80 messages of 8 tokens x 8 dims
+	for i := range flat {
+		flat[i] = 2*rng.Float64() - 1
+	}
+	mse := func(ch Channel) float64 {
+		rx := make([]float64, len(flat))
+		DefaultFeatureLink(ch).SendFlatScratch(nil, rx, flat)
+		sum := 0.0
+		for i := range flat {
+			sum += (rx[i] - flat[i]) * (rx[i] - flat[i])
+		}
+		return sum / float64(len(flat))
+	}
+	a := mse(&AWGN{SNRdB: 6, Rng: rng.Split()})
+	r := mse(&Rayleigh{SNRdB: 6, Rng: rng.Split()})
+	// Quantization alone costs both links 0.027; AWGN adds next to nothing
+	// behind the code, fading about as much again.
+	if r <= 1.5*a {
+		t.Fatalf("feature MSE over Rayleigh (%v) should be well above AWGN (%v) at 6 dB", r, a)
 	}
 }
 
@@ -230,7 +241,7 @@ func TestErasureRate(t *testing.T) {
 	for i := range symbols {
 		symbols[i] = complex(1, 0)
 	}
-	rx := ch.Transmit(symbols)
+	rx := ch.TransmitTo(nil, symbols)
 	erased := 0
 	for _, s := range rx {
 		if s == 0 {
@@ -245,7 +256,7 @@ func TestErasureRate(t *testing.T) {
 
 func TestCleanChannelIdentity(t *testing.T) {
 	in := []complex128{1, complex(0, 1), complex(-0.5, 0.5)}
-	out := Clean{}.Transmit(in)
+	out := Clean{}.TransmitTo(nil, in)
 	for i := range in {
 		if in[i] != out[i] {
 			t.Fatal("clean channel altered symbols")
@@ -315,10 +326,10 @@ func TestHammingQuick(t *testing.T) {
 		rng := mat.NewRNG(seed)
 		bits := randomBits(rng, 32)
 		code := Hamming74{}
-		coded := code.Encode(bits)
+		coded := code.EncodeTo(nil, bits)
 		pos := int(flipPos) % len(coded)
 		coded[pos] = !coded[pos]
-		decoded := code.Decode(coded)
+		decoded := code.DecodeTo(nil, coded)
 		return BitErrors(bits, decoded[:len(bits)]) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -351,6 +362,13 @@ func TestQuantizerQuick(t *testing.T) {
 
 // The bit helpers below serve only these tests (as the inverse of PackBits
 // and as the error count every round-trip assertion uses).
+
+// bpskBER sends bits over ch as BPSK symbols and returns the share the
+// hard decision gets wrong.
+func bpskBER(ch Channel, bits []bool) float64 {
+	rx := BPSK{}.DemodulateTo(nil, ch.TransmitTo(nil, BPSK{}.ModulateTo(nil, bits)))
+	return float64(BitErrors(bits, rx)) / float64(len(bits))
+}
 
 // UnpackBits expands bytes into n bits, most significant bit first. It
 // panics if n exceeds the available bits.

@@ -8,10 +8,9 @@ import (
 
 // Channel distorts a symbol stream as a physical medium would.
 type Channel interface {
-	// Name identifies the channel in experiment output.
-	Name() string
-	// Transmit returns the received symbols for the given sent symbols.
-	Transmit(symbols []complex128) []complex128
+	// TransmitTo appends the received symbols for the sent symbols to dst
+	// and returns it, like the built-in append.
+	TransmitTo(dst, symbols []complex128) []complex128
 }
 
 // Clean is a distortion-free channel, useful as a control condition.
@@ -19,15 +18,7 @@ type Clean struct{}
 
 var _ Channel = Clean{}
 
-// Name implements Channel.
-func (Clean) Name() string { return "clean" }
-
-// Transmit implements Channel.
-func (c Clean) Transmit(symbols []complex128) []complex128 {
-	return c.TransmitTo(make([]complex128, 0, len(symbols)), symbols)
-}
-
-// TransmitTo implements the allocation-free fast path.
+// TransmitTo implements Channel.
 func (Clean) TransmitTo(dst, symbols []complex128) []complex128 {
 	return append(dst, symbols...)
 }
@@ -53,9 +44,6 @@ type AWGN struct {
 
 var _ Channel = (*AWGN)(nil)
 
-// Name implements Channel.
-func (c *AWGN) Name() string { return "awgn" }
-
 // NoiseSigma returns the per-component noise standard deviation implied by
 // SNRdB for unit-energy symbols.
 func (c *AWGN) NoiseSigma() float64 {
@@ -75,17 +63,6 @@ func (c *AWGN) noiseSigmaCached() float64 {
 	return c.sigma
 }
 
-// Transmit implements Channel.
-func (c *AWGN) Transmit(symbols []complex128) []complex128 {
-	return c.TransmitTo(make([]complex128, 0, len(symbols)), symbols)
-}
-
-// ReseedNoise implements NoiseReseeder: the next Transmit draws the
-// exact noise stream a freshly constructed channel with this seed would.
-// The cached sigma and the warm noise buffer survive — they carry no
-// stream state.
-func (c *AWGN) ReseedNoise(seed uint64) { c.Rng.Reseed(seed) }
-
 // noiseBlock fills and returns c's reusable buffer with n normal deviates
 // drawn as one block: bit-identical to n scalar NormFloat64 calls
 // (mat.RNG.NormFloat64Block), amortizing per-draw call overhead across the
@@ -99,9 +76,9 @@ func (c *AWGN) noiseBlock(n int) []float64 {
 	return nz
 }
 
-// TransmitTo implements the allocation-free fast path; the noise RNG is
-// consumed in exactly the Transmit order (the block draw reproduces the
-// scalar sequence bit for bit).
+// TransmitTo implements Channel; the block draw reproduces the scalar
+// NormFloat64 sequence — real deviate, then imaginary, per symbol — bit
+// for bit.
 func (c *AWGN) TransmitTo(dst, symbols []complex128) []complex128 {
 	sigma := c.noiseSigmaCached()
 	nz := c.noiseBlock(2 * len(symbols))
@@ -137,9 +114,6 @@ type Rayleigh struct {
 
 var _ Channel = (*Rayleigh)(nil)
 
-// Name implements Channel.
-func (c *Rayleigh) Name() string { return "rayleigh" }
-
 // noiseSigmaCached returns the per-component noise sigma, recomputing only
 // when SNRdB changed since the last call.
 func (c *Rayleigh) noiseSigmaCached() float64 {
@@ -152,20 +126,10 @@ func (c *Rayleigh) noiseSigmaCached() float64 {
 	return c.sigma
 }
 
-// Transmit implements Channel.
-func (c *Rayleigh) Transmit(symbols []complex128) []complex128 {
-	return c.TransmitTo(make([]complex128, 0, len(symbols)), symbols)
-}
-
-// ReseedNoise implements NoiseReseeder: fading and noise draws restart
-// from the state a fresh channel with this seed would have.
-func (c *Rayleigh) ReseedNoise(seed uint64) { c.Rng.Reseed(seed) }
-
-// TransmitTo implements the allocation-free fast path; fading and noise
-// draws consume the RNG in exactly the Transmit order. Per-symbol fading
-// (the default) draws all four deviates per symbol — h_re, h_im, n_re,
-// n_im — as one block per message, bit-identical to the scalar sequence;
-// coherence blocks larger than one keep the scalar draw pattern.
+// TransmitTo implements Channel. Per-symbol fading (the default) draws all
+// four deviates per symbol — h_re, h_im, n_re, n_im — as one block per
+// message, bit-identical to the scalar sequence; coherence blocks larger
+// than one keep the scalar draw pattern.
 func (c *Rayleigh) TransmitTo(dst, symbols []complex128) []complex128 {
 	sigma := c.noiseSigmaCached()
 	block := c.BlockLen
@@ -217,20 +181,7 @@ type Erasure struct {
 
 var _ Channel = (*Erasure)(nil)
 
-// Name implements Channel.
-func (c *Erasure) Name() string { return "erasure" }
-
-// Transmit implements Channel.
-func (c *Erasure) Transmit(symbols []complex128) []complex128 {
-	return c.TransmitTo(make([]complex128, 0, len(symbols)), symbols)
-}
-
-// ReseedNoise implements NoiseReseeder: erasure draws restart from the
-// state a fresh channel with this seed would have.
-func (c *Erasure) ReseedNoise(seed uint64) { c.Rng.Reseed(seed) }
-
-// TransmitTo implements the allocation-free fast path; erasure draws
-// consume the RNG in exactly the Transmit order.
+// TransmitTo implements Channel.
 func (c *Erasure) TransmitTo(dst, symbols []complex128) []complex128 {
 	for _, s := range symbols {
 		if c.Rng.Float64() < c.P {

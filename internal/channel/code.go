@@ -1,14 +1,13 @@
 package channel
 
-// Code is a forward-error-correction channel code over bit streams.
+// Code is a forward-error-correction channel code over bit streams. Both
+// methods append to dst and return it, like the built-in append.
 type Code interface {
-	// Name identifies the code in experiment output.
-	Name() string
-	// Encode maps information bits to coded bits.
-	Encode(bits []bool) []bool
-	// Decode maps coded bits back to information bits, correcting errors
-	// within the code's capability.
-	Decode(coded []bool) []bool
+	// EncodeTo appends the coded bits for the information bits to dst.
+	EncodeTo(dst, bits []bool) []bool
+	// DecodeTo appends the information bits for coded to dst, correcting
+	// errors within the code's capability.
+	DecodeTo(dst, coded []bool) []bool
 }
 
 // Identity is the no-coding passthrough.
@@ -16,25 +15,12 @@ type Identity struct{}
 
 var _ Code = Identity{}
 
-// Name implements Code.
-func (Identity) Name() string { return "none" }
-
-// Encode implements Code.
-func (c Identity) Encode(bits []bool) []bool {
-	return c.EncodeTo(make([]bool, 0, len(bits)), bits)
-}
-
-// EncodeTo implements the allocation-free fast path.
+// EncodeTo implements Code.
 func (Identity) EncodeTo(dst, bits []bool) []bool {
 	return append(dst, bits...)
 }
 
-// Decode implements Code.
-func (c Identity) Decode(coded []bool) []bool {
-	return c.DecodeTo(make([]bool, 0, len(coded)), coded)
-}
-
-// DecodeTo implements the allocation-free fast path.
+// DecodeTo implements Code.
 func (Identity) DecodeTo(dst, coded []bool) []bool {
 	return append(dst, coded...)
 }
@@ -47,18 +33,6 @@ type Repetition struct {
 
 var _ Code = Repetition{}
 
-// Name implements Code.
-func (r Repetition) Name() string {
-	switch r.N {
-	case 3:
-		return "rep3"
-	case 5:
-		return "rep5"
-	default:
-		return "repN"
-	}
-}
-
 func (r Repetition) n() int {
 	if r.N < 3 {
 		return 3
@@ -66,12 +40,7 @@ func (r Repetition) n() int {
 	return r.N | 1 // force odd
 }
 
-// Encode implements Code.
-func (r Repetition) Encode(bits []bool) []bool {
-	return r.EncodeTo(make([]bool, 0, len(bits)*r.n()), bits)
-}
-
-// EncodeTo implements the allocation-free fast path.
+// EncodeTo implements Code.
 func (r Repetition) EncodeTo(dst, bits []bool) []bool {
 	n := r.n()
 	for _, b := range bits {
@@ -82,12 +51,7 @@ func (r Repetition) EncodeTo(dst, bits []bool) []bool {
 	return dst
 }
 
-// Decode implements Code.
-func (r Repetition) Decode(coded []bool) []bool {
-	return r.DecodeTo(make([]bool, 0, len(coded)/r.n()), coded)
-}
-
-// DecodeTo implements the allocation-free fast path.
+// DecodeTo implements Code.
 func (r Repetition) DecodeTo(dst, coded []bool) []bool {
 	n := r.n()
 	count := len(coded) / n
@@ -110,16 +74,8 @@ type Hamming74 struct{}
 
 var _ Code = Hamming74{}
 
-// Name implements Code.
-func (Hamming74) Name() string { return "hamming74" }
-
-// Encode implements Code. Codeword layout: p1 p2 d1 p3 d2 d3 d4 with
+// EncodeTo implements Code. Codeword layout: p1 p2 d1 p3 d2 d3 d4 with
 // parity positions 1, 2 and 4 (1-indexed).
-func (c Hamming74) Encode(bits []bool) []bool {
-	return c.EncodeTo(make([]bool, 0, (len(bits)+3)/4*7), bits)
-}
-
-// EncodeTo implements the allocation-free fast path.
 func (Hamming74) EncodeTo(dst, bits []bool) []bool {
 	blocks := (len(bits) + 3) / 4
 	var d [4]bool
@@ -140,12 +96,8 @@ func (Hamming74) EncodeTo(dst, bits []bool) []bool {
 	return dst
 }
 
-// Decode implements Code, correcting at most one bit error per 7-bit block.
-func (c Hamming74) Decode(coded []bool) []bool {
-	return c.DecodeTo(make([]bool, 0, len(coded)/7*4), coded)
-}
-
-// DecodeTo implements the allocation-free fast path.
+// DecodeTo implements Code, correcting at most one bit error per 7-bit
+// block.
 func (Hamming74) DecodeTo(dst, coded []bool) []bool {
 	blocks := len(coded) / 7
 	var w [7]bool

@@ -41,9 +41,7 @@ func DefaultFeatureLink(ch Channel) FeatureLink {
 // which must have length len(flat); positions past the received stream are
 // zeroed. Every intermediate (bit streams, symbol vectors) appends into
 // the caller-owned ts, so a warm steady-state transmission allocates
-// nothing when the configured code, modulation and channel implement the
-// fast-path interfaces (all stock implementations do). ts may be nil,
-// which falls back to fresh buffers.
+// nothing. ts may be nil, which falls back to fresh buffers.
 //
 // A Hamming74 + BPSK + *AWGN link — what DefaultFeatureLink over AWGN and
 // every daemon build — crosses through the fused kernel in hard.go
@@ -62,15 +60,15 @@ func (l FeatureLink) SendFlatScratch(ts *TxScratch, dst, flat []float64) LinkSta
 		ts = new(TxScratch)
 	}
 	ts.info = l.Quant.EncodeTo(ts.info[:0], flat)
-	ts.coded = codeEncode(l.Code, ts.coded[:0], ts.info)
-	ts.symbols = modulate(l.Mod, ts.symbols[:0], ts.coded)
-	ts.received = transmit(l.Ch, ts.received[:0], ts.symbols)
-	codedRx := demodulate(l.Mod, ts.codedRx[:0], ts.received)
+	ts.coded = l.Code.EncodeTo(ts.coded[:0], ts.info)
+	ts.symbols = l.Mod.ModulateTo(ts.symbols[:0], ts.coded)
+	ts.received = l.Ch.TransmitTo(ts.received[:0], ts.symbols)
+	codedRx := l.Mod.DemodulateTo(ts.codedRx[:0], ts.received)
 	ts.codedRx = codedRx
 	if len(codedRx) > len(ts.coded) {
 		codedRx = codedRx[:len(ts.coded)]
 	}
-	infoRx := codeDecode(l.Code, ts.infoRx[:0], codedRx)
+	infoRx := l.Code.DecodeTo(ts.infoRx[:0], codedRx)
 	ts.infoRx = infoRx
 	if len(infoRx) > len(ts.info) {
 		infoRx = infoRx[:len(ts.info)]
@@ -109,7 +107,7 @@ func (l AnalogLink) SendFlatScratch(ts *TxScratch, dst, flat []float64) LinkStat
 		}
 		ts.symbols = append(ts.symbols, complex(flat[i], im))
 	}
-	ts.received = transmit(l.Ch, ts.received[:0], ts.symbols)
+	ts.received = l.Ch.TransmitTo(ts.received[:0], ts.symbols)
 	for i, r := range ts.received {
 		dst[2*i] = real(r)
 		if 2*i+1 < len(dst) {

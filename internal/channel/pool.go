@@ -12,38 +12,30 @@ package channel
 // global mutex. Classic shared-RNG serving, whose noise stream advances
 // in global arrival order, cannot use the pool and keeps its lock.
 
-import "sync"
+import (
+	"sync"
 
-// NoiseReseeder is a Channel whose randomness can be reset to a derived
-// seed, making one long-lived instance (and its warm noise buffers)
-// reusable across independent noise streams. Every stock stochastic
-// channel (AWGN, Rayleigh, Erasure) implements it; Clean has no
-// randomness to reseed.
-type NoiseReseeder interface {
-	// ReseedNoise resets the channel's RNG to the exact state a freshly
-	// constructed channel with this seed would have, discarding any
-	// cached deviates, so the next Transmit draws a stream depending
-	// only on seed.
-	ReseedNoise(seed uint64)
-}
+	"repro/internal/mat"
+)
 
 // TxInstance is everything one in-flight transmission needs exclusive
-// access to: a FeatureLink whose Channel owns a private RNG, and the
-// reusable stage buffers. An instance is not safe for concurrent use;
-// a LinkPool hands each transmission its own.
+// access to: the default feature link over an AWGN channel that owns a
+// private RNG, and the reusable stage buffers. An instance is not safe for
+// concurrent use; a LinkPool hands each transmission its own.
 type TxInstance struct {
 	link    FeatureLink
-	reseed  NoiseReseeder
+	rng     *mat.RNG
 	scratch TxScratch
 }
 
-// SendSeeded resets the instance's noise stream to seed and runs one
+// SendSeeded resets the instance's noise stream to the exact state a
+// freshly constructed channel with this seed would have and runs one
 // allocation-free crossing. The output is bit-identical to reseeding a
 // shared serialized channel under a lock and calling SendFlatScratch:
 // the draw depends only on seed, never on which instance (or how warm a
 // buffer) performs it.
 func (t *TxInstance) SendSeeded(seed uint64, dst, flat []float64) LinkStats {
-	t.reseed.ReseedNoise(seed)
+	t.rng.Reseed(seed)
 	return t.link.SendFlatScratch(&t.scratch, dst, flat)
 }
 
@@ -55,21 +47,14 @@ type LinkPool struct {
 	pool sync.Pool
 }
 
-// NewLinkPool builds a pool whose instances are created by mk. Each call
-// to mk must return an independent FeatureLink — in particular a freshly
-// constructed Channel owning its own RNG; sharing one channel between
-// instances would race. The channel must implement NoiseReseeder
-// (checked at first construction, panicking otherwise: a pooled channel
-// that cannot be reseeded would silently correlate streams).
-func NewLinkPool(mk func() FeatureLink) *LinkPool {
+// NewLinkPool builds a pool of DefaultFeatureLink instances over AWGN at
+// snrDB. Each instance owns its channel and RNG; the RNG's initial seed is
+// never drawn from, because SendSeeded reseeds first.
+func NewLinkPool(snrDB float64) *LinkPool {
 	p := &LinkPool{}
 	p.pool.New = func() interface{} {
-		l := mk()
-		rs, ok := l.Ch.(NoiseReseeder)
-		if !ok {
-			panic("channel: pooled Channel must implement NoiseReseeder")
-		}
-		return &TxInstance{link: l, reseed: rs}
+		rng := mat.NewRNG(0)
+		return &TxInstance{link: DefaultFeatureLink(&AWGN{SNRdB: snrDB, Rng: rng}), rng: rng}
 	}
 	return p
 }

@@ -7,10 +7,14 @@ import (
 	"repro/internal/mat"
 )
 
-// poolTestLink builds the standard link over a Rayleigh channel with a
-// private RNG — the configuration the serve path pools.
-func poolTestLink() FeatureLink {
-	return DefaultFeatureLink(&Rayleigh{SNRdB: 12, Rng: mat.NewRNG(0)})
+// poolTestSNR is the SNR every pool test runs at; sharedLink builds the
+// serialized reference for it: the link a pool instance holds, around an
+// RNG the test reseeds itself.
+const poolTestSNR = 12
+
+func sharedLink() (FeatureLink, *mat.RNG) {
+	rng := mat.NewRNG(0)
+	return DefaultFeatureLink(&AWGN{SNRdB: poolTestSNR, Rng: rng}), rng
 }
 
 // poolTestPayload is a deterministic flat feature buffer.
@@ -35,11 +39,11 @@ func TestSendSeededMatchesSerializedReseed(t *testing.T) {
 	flat := poolTestPayload(dims, 42)
 
 	// Serialized reference: one shared channel, reseeded per message.
-	shared := poolTestLink()
+	shared, sharedRng := sharedLink()
 	var ts TxScratch
 	want := make([][]float64, len(seeds))
 	for i, seed := range seeds {
-		shared.Ch.(NoiseReseeder).ReseedNoise(seed)
+		sharedRng.Reseed(seed)
 		dst := make([]float64, dims)
 		shared.SendFlatScratch(&ts, dst, flat)
 		want[i] = dst
@@ -47,7 +51,7 @@ func TestSendSeededMatchesSerializedReseed(t *testing.T) {
 
 	// Pooled path: interleave two instances so each crossing runs on an
 	// instance warmed by a DIFFERENT seed's history.
-	pool := NewLinkPool(poolTestLink)
+	pool := NewLinkPool(poolTestSNR)
 	a, b := pool.Get(), pool.Get()
 	insts := []*TxInstance{a, b}
 	for i, seed := range seeds {
@@ -70,7 +74,7 @@ func TestSendSeededMatchesSerializedReseed(t *testing.T) {
 func TestLinkPoolSameSeedSameBytes(t *testing.T) {
 	const dims = 64
 	flat := poolTestPayload(dims, 7)
-	pool := NewLinkPool(poolTestLink)
+	pool := NewLinkPool(poolTestSNR)
 	a, b := pool.Get(), pool.Get()
 	// Warm b with unrelated traffic first.
 	scratchDst := make([]float64, dims)
@@ -92,19 +96,6 @@ func TestLinkPoolSameSeedSameBytes(t *testing.T) {
 	pool.Put(b)
 }
 
-// TestLinkPoolRequiresReseeder pins the constructor's safety check: a
-// pool over a channel without ReseedNoise must panic at first checkout
-// rather than silently correlate noise streams.
-func TestLinkPoolRequiresReseeder(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Get over a non-reseedable Channel did not panic")
-		}
-	}()
-	pool := NewLinkPool(func() FeatureLink { return DefaultFeatureLink(Clean{}) })
-	pool.Get()
-}
-
 // TestLinkPoolCheckoutZeroAllocs pins the steady-state cost of the
 // lock-free channel stage at the channel layer: a warm Get → SendSeeded →
 // Put cycle performs zero heap allocations. (The serve-path pin in core
@@ -116,7 +107,7 @@ func TestLinkPoolCheckoutZeroAllocs(t *testing.T) {
 	const dims = 96
 	flat := poolTestPayload(dims, 9)
 	dst := make([]float64, dims)
-	pool := NewLinkPool(poolTestLink)
+	pool := NewLinkPool(poolTestSNR)
 	crossing := func() {
 		inst := pool.Get()
 		inst.SendSeeded(123, dst, flat)
@@ -142,20 +133,20 @@ func TestLinkPoolConcurrentCrossings(t *testing.T) {
 	flat := poolTestPayload(dims, 21)
 
 	// Reference bytes per seed, drawn serially.
-	shared := poolTestLink()
+	shared, sharedRng := sharedLink()
 	var ts TxScratch
 	want := make(map[uint64][]float64)
 	for g := 0; g < goroutines; g++ {
 		for i := 0; i < perG; i++ {
 			seed := uint64(g*1000 + i)
-			shared.Ch.(NoiseReseeder).ReseedNoise(seed)
+			sharedRng.Reseed(seed)
 			dst := make([]float64, dims)
 			shared.SendFlatScratch(&ts, dst, flat)
 			want[seed] = dst
 		}
 	}
 
-	pool := NewLinkPool(poolTestLink)
+	pool := NewLinkPool(poolTestSNR)
 	var wg sync.WaitGroup
 	errs := make(chan string, goroutines)
 	for g := 0; g < goroutines; g++ {

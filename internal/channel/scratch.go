@@ -1,84 +1,12 @@
 package channel
 
-// This file implements the allocation-free transmit path: a TxScratch of
-// reusable stage buffers and optional append-style fast-path interfaces
-// (EncodeTo/DecodeTo, ModulateTo/DemodulateTo, TransmitTo) that the stock
-// codes, modulations and channels implement. Every *To method appends to
-// the destination it is given and returns the result, exactly like the
-// built-in append; the plain interface methods delegate to the *To
-// variants with a fresh buffer, so both paths share one implementation and
-// are bit-identical by construction. Exotic implementations that lack the
-// fast path simply fall back to their allocating methods.
-
-// TxScratch holds the per-stage buffers of one feature transmission. Reuse
-// a TxScratch across transmissions (serialized by the caller — the buffers
-// are not safe for concurrent use) and the steady-state channel path stops
-// allocating: each buffer reaches its high-water mark after the first few
-// messages.
+// TxScratch holds the per-stage buffers of one feature transmission. Every
+// Code, Modulation and Channel method appends to the destination it is
+// given, so reusing a TxScratch across transmissions (serialized by the
+// caller — the buffers are not safe for concurrent use) stops the staged
+// channel path allocating: each buffer reaches its high-water mark after
+// the first few messages.
 type TxScratch struct {
 	info, coded, codedRx, infoRx []bool
 	symbols, received            []complex128
-}
-
-// codeTo is the allocation-free fast path of a Code.
-type codeTo interface {
-	// EncodeTo appends the coded bits for bits to dst and returns it.
-	EncodeTo(dst, bits []bool) []bool
-	// DecodeTo appends the decoded bits for coded to dst and returns it.
-	DecodeTo(dst, coded []bool) []bool
-}
-
-// modTo is the allocation-free fast path of a Modulation.
-type modTo interface {
-	// ModulateTo appends the symbols for bits to dst and returns it.
-	ModulateTo(dst []complex128, bits []bool) []complex128
-	// DemodulateTo appends the bits for symbols to dst and returns it.
-	DemodulateTo(dst []bool, symbols []complex128) []bool
-}
-
-// chTo is the allocation-free fast path of a Channel.
-type chTo interface {
-	// TransmitTo appends the received symbols to dst and returns it,
-	// consuming the channel's noise RNG exactly like Transmit.
-	TransmitTo(dst, symbols []complex128) []complex128
-}
-
-// codeEncode dispatches to the fast path when the code has one.
-func codeEncode(c Code, dst, bits []bool) []bool {
-	if ct, ok := c.(codeTo); ok {
-		return ct.EncodeTo(dst, bits)
-	}
-	return c.Encode(bits)
-}
-
-// codeDecode dispatches to the fast path when the code has one.
-func codeDecode(c Code, dst, coded []bool) []bool {
-	if ct, ok := c.(codeTo); ok {
-		return ct.DecodeTo(dst, coded)
-	}
-	return c.Decode(coded)
-}
-
-// modulate dispatches to the fast path when the modulation has one.
-func modulate(m Modulation, dst []complex128, bits []bool) []complex128 {
-	if mt, ok := m.(modTo); ok {
-		return mt.ModulateTo(dst, bits)
-	}
-	return m.Modulate(bits)
-}
-
-// demodulate dispatches to the fast path when the modulation has one.
-func demodulate(m Modulation, dst []bool, symbols []complex128) []bool {
-	if mt, ok := m.(modTo); ok {
-		return mt.DemodulateTo(dst, symbols)
-	}
-	return m.Demodulate(symbols)
-}
-
-// transmit dispatches to the fast path when the channel has one.
-func transmit(c Channel, dst, symbols []complex128) []complex128 {
-	if ct, ok := c.(chTo); ok {
-		return ct.TransmitTo(dst, symbols)
-	}
-	return c.Transmit(symbols)
 }

@@ -4,12 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/text"
-	"repro/internal/trace"
 )
 
-// Integration tests exercising system configurations beyond the defaults:
-// fading channels, higher-order modulations, interleaving and the live
-// TransmitText path.
+// Integration tests of the live TransmitText path and the explicit update
+// entry point.
 
 // buildSystem constructs a system with the shared small codec config plus
 // the given mutator.
@@ -27,91 +25,6 @@ func buildSystem(t *testing.T, mutate func(*Config)) *System {
 		t.Fatal(err)
 	}
 	return s
-}
-
-// fidelity runs a workload and returns mean word accuracy.
-func fidelity(t *testing.T, s *System, seed uint64, n int) float64 {
-	t.Helper()
-	w := trace.Generate(s.Corpus, trace.Config{Users: 2, Messages: n, Seed: seed})
-	results, err := s.RunWorkload(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, err := Summarize(results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sum.MeanWordAccuracy
-}
-
-func TestRayleighDegradesVsAWGN(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping multi-system channel-behavior test in -short")
-	}
-	awgn := buildSystem(t, func(c *Config) { c.SNRdB = 6 })
-	ray := buildSystem(t, func(c *Config) { c.SNRdB = 6; c.Rayleigh = true })
-	a := fidelity(t, awgn, 71, 80)
-	r := fidelity(t, ray, 71, 80)
-	if r >= a {
-		t.Fatalf("Rayleigh fidelity (%v) should be below AWGN (%v) at 6 dB", r, a)
-	}
-}
-
-func TestInterleavingHelpsBlockFading(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping multi-system channel-behavior test in -short")
-	}
-	plain := buildSystem(t, func(c *Config) { c.SNRdB = 9; c.Rayleigh = true })
-	ilv := buildSystem(t, func(c *Config) {
-		c.SNRdB = 9
-		c.Rayleigh = true
-		c.InterleaveDepth = 14
-	})
-	p := fidelity(t, plain, 73, 120)
-	i := fidelity(t, ilv, 73, 120)
-	// Per-symbol fading with BPSK leaves little burst structure, so the
-	// requirement is weak: interleaving must not hurt.
-	if i < p-0.03 {
-		t.Fatalf("interleaving hurt fidelity: %v -> %v", p, i)
-	}
-}
-
-func TestHigherOrderModulations(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping multi-system channel-behavior test in -short")
-	}
-	// At high SNR all modulations must work; at the same SNR the denser
-	// constellation loses more than BPSK.
-	for _, mod := range []string{"qpsk", "16qam"} {
-		mod := mod
-		t.Run(mod, func(t *testing.T) {
-			high := buildSystem(t, func(c *Config) { c.ModName = mod; c.SNRdB = 16 })
-			if acc := fidelity(t, high, 79, 60); acc < 0.8 {
-				t.Fatalf("%s at 16 dB accuracy = %v", mod, acc)
-			}
-		})
-	}
-	bpskLow := buildSystem(t, func(c *Config) { c.ModName = "bpsk"; c.SNRdB = 4 })
-	qamLow := buildSystem(t, func(c *Config) { c.ModName = "16qam"; c.SNRdB = 4 })
-	bAcc := fidelity(t, bpskLow, 83, 80)
-	qAcc := fidelity(t, qamLow, 83, 80)
-	if qAcc >= bAcc {
-		t.Fatalf("16-QAM at 4 dB (%v) should lose to BPSK (%v)", qAcc, bAcc)
-	}
-	// But 16-QAM uses 4x fewer symbols (air time).
-	wq := trace.Generate(qamLow.Corpus, trace.Config{Users: 1, Messages: 10, Seed: 83})
-	resQ, err := qamLow.RunWorkload(wq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resB, err := bpskLow.RunWorkload(wq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 16-QAM carries 4 bits/symbol vs BPSK's 1: expect ~4x fewer symbols.
-	if resQ[0].Symbols >= resB[0].Symbols/3 {
-		t.Fatalf("16-QAM should use ~4x fewer symbols: %d vs %d", resQ[0].Symbols, resB[0].Symbols)
-	}
 }
 
 func TestTransmitText(t *testing.T) {
@@ -142,19 +55,5 @@ func TestProcessUpdateWithoutData(t *testing.T) {
 	s := buildSystem(t, nil)
 	if _, err := s.ProcessUpdate("it", "ghost"); err == nil {
 		t.Fatal("update without buffered data accepted")
-	}
-}
-
-func TestInterleaveConfigValidated(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping multi-system channel-behavior test in -short")
-	}
-	// Depth 1 and 0 are no-ops, not errors.
-	for _, depth := range []int{0, 1, 8} {
-		depth := depth
-		s := buildSystem(t, func(c *Config) { c.InterleaveDepth = depth })
-		if acc := fidelity(t, s, 89, 30); acc < 0.7 {
-			t.Fatalf("depth %d accuracy = %v", depth, acc)
-		}
 	}
 }

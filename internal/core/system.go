@@ -53,7 +53,6 @@ import (
 	"repro/internal/mat"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
-	"repro/internal/nn"
 	"repro/internal/selection"
 	"repro/internal/semantic"
 	"repro/internal/trace"
@@ -71,11 +70,16 @@ const (
 
 // The air interface between the two edges is fixed: channel symbols leave
 // at symbolRateHz, and a message pays edgeLatency of propagation on top of
-// its air time.
+// its air time. So is the §II-D update: updateEpochs fine-tuning passes,
+// the decoder delta shipped lossless.
 const (
 	symbolRateHz = 1e6
 	edgeLatency  = 10 * time.Millisecond
+	updateEpochs = 3
 )
+
+// cloudLink is the edge-to-cloud link every origin model fetch is charged.
+var cloudLink = netsim.Link{Latency: 40 * time.Millisecond, BandwidthBps: 200e6}
 
 // Config parameterizes a System. Zero fields select documented defaults.
 type Config struct {
@@ -110,38 +114,16 @@ type Config struct {
 	Policy string
 	// PinGeneral pins general models in the edge caches once fetched.
 	PinGeneral bool
-	// CloudLink is the edge-to-cloud link for model fetches (default
-	// 40 ms, 200 Mbps).
-	CloudLink netsim.Link
-	// ComputePerToken is the per-token semantic compute cost (default
-	// 200 µs).
-	ComputePerToken time.Duration
 
-	// SNRdB is the physical channel signal-to-noise ratio (default 12).
+	// SNRdB is the signal-to-noise ratio of the AWGN channel between the
+	// edges (default 12), crossed by channel.DefaultFeatureLink.
 	SNRdB float64
-	// Rayleigh selects Rayleigh fading instead of pure AWGN.
-	Rayleigh bool
-	// CodeName names the channel code ("hamming74", "rep3", "rep5",
-	// "none"; default "hamming74").
-	CodeName string
-	// ModName names the modulation ("bpsk", "qpsk", "16qam"; default
-	// "bpsk").
-	ModName string
-	// InterleaveDepth enables block interleaving of coded bits when > 1;
-	// useful against burst errors under Rayleigh fading.
-	InterleaveDepth int
 
 	// Selector names the model-selection policy (default "naivebayes").
 	Selector string
-	// StaticDomain is the fixed choice for the "static" selector.
-	StaticDomain int
 
 	// BufferThreshold triggers individual-model updates (default 32).
 	BufferThreshold int
-	// UpdateEpochs is the fine-tuning pass count per update (default 3).
-	UpdateEpochs int
-	// Compress selects decoder-update compression (default lossless).
-	Compress nn.CompressOptions
 	// DisableAutoUpdate turns off automatic update processing inside
 	// Transmit; callers then invoke ProcessUpdate explicitly.
 	DisableAutoUpdate bool
@@ -161,26 +143,14 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Policy == "" {
 		cfg.Policy = "lru"
 	}
-	if cfg.CloudLink == (netsim.Link{}) {
-		cfg.CloudLink = netsim.Link{Latency: 40 * time.Millisecond, BandwidthBps: 200e6}
-	}
 	if cfg.SNRdB == 0 {
 		cfg.SNRdB = 12
-	}
-	if cfg.CodeName == "" {
-		cfg.CodeName = "hamming74"
-	}
-	if cfg.ModName == "" {
-		cfg.ModName = "bpsk"
 	}
 	if cfg.Selector == "" {
 		cfg.Selector = SelectorNaiveBayes
 	}
 	if cfg.BufferThreshold == 0 {
 		cfg.BufferThreshold = 32
-	}
-	if cfg.UpdateEpochs == 0 {
-		cfg.UpdateEpochs = 3
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -189,36 +159,6 @@ func (cfg Config) withDefaults() Config {
 		cfg.SenderName = "edge-sender"
 	}
 	return cfg
-}
-
-// newCode builds a channel code by name.
-func newCode(name string) (channel.Code, error) {
-	switch name {
-	case "hamming74":
-		return channel.Hamming74{}, nil
-	case "rep3":
-		return channel.Repetition{N: 3}, nil
-	case "rep5":
-		return channel.Repetition{N: 5}, nil
-	case "none":
-		return channel.Identity{}, nil
-	default:
-		return nil, fmt.Errorf("core: unknown channel code %q", name)
-	}
-}
-
-// newModulation builds a modulation by name.
-func newModulation(name string) (channel.Modulation, error) {
-	switch name {
-	case "bpsk":
-		return channel.BPSK{}, nil
-	case "qpsk":
-		return channel.QPSK{}, nil
-	case "16qam":
-		return channel.QAM16{}, nil
-	default:
-		return nil, fmt.Errorf("core: unknown modulation %q", name)
-	}
 }
 
 // System is a running semantic communication deployment: one sender edge
@@ -319,7 +259,7 @@ func (s *System) userState(user string) *userState {
 // SelectorNames is the subset a daemon may serve.
 var selectorFactories = map[string]func(s *System, rng *mat.RNG) func() selection.Selector{
 	SelectorStatic: func(s *System, _ *mat.RNG) func() selection.Selector {
-		return func() selection.Selector { return &selection.Static{DomainIndex: s.cfg.StaticDomain} }
+		return func() selection.Selector { return &selection.Static{} }
 	},
 	SelectorNaiveBayes: func(s *System, _ *mat.RNG) func() selection.Selector {
 		return func() selection.Selector { return s.nb }
@@ -340,9 +280,9 @@ var selectorFactories = map[string]func(s *System, rng *mat.RNG) func() selectio
 // SelectorNames returns the sorted names of the selection policies a
 // daemon can serve — the one list edged's -selector flag and validation
 // read. The rest exist for the experiments only: SelectorOracle needs the
-// ground-truth label only a trace carries, SelectorStatic a
-// Config.StaticDomain no flag sets (it would encode every message with
-// domain 0's model), and SelectorQLearn / SelectorUCB are Figure D's
+// ground-truth label only a trace carries, SelectorStatic encodes every
+// message with domain 0's model (E5's Figure D row), and SelectorQLearn /
+// SelectorUCB are Figure D's
 // negative result (0.602 / 0.343 selection accuracy against sticky's
 // 0.978).
 func SelectorNames() []string { return []string{SelectorNaiveBayes, SelectorSticky} }
@@ -364,14 +304,6 @@ func NewSystem(cfg Config) (*System, error) {
 	cfg = cfg.withDefaults()
 	if _, ok := cache.NewPolicy(cfg.Policy); !ok {
 		return nil, fmt.Errorf("core: unknown cache policy %q", cfg.Policy)
-	}
-	code, err := newCode(cfg.CodeName)
-	if err != nil {
-		return nil, err
-	}
-	mod, err := newModulation(cfg.ModName)
-	if err != nil {
-		return nil, err
 	}
 	if !validSelector(cfg.Selector) {
 		return nil, fmt.Errorf("core: unknown selector %q", cfg.Selector)
@@ -418,8 +350,7 @@ func NewSystem(cfg Config) (*System, error) {
 			Name:            name,
 			CacheCapacity:   capacity,
 			Policy:          policy,
-			Uplink:          cfg.CloudLink,
-			ComputePerToken: cfg.ComputePerToken,
+			Uplink:          cloudLink,
 			PinGeneral:      cfg.PinGeneral,
 			BufferThreshold: cfg.BufferThreshold,
 			Fetcher:         fetcher,
@@ -434,27 +365,8 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, err
 	}
 
-	if cfg.InterleaveDepth > 1 {
-		code = channel.InterleavedCode{Inner: code, IV: channel.Interleaver{Depth: cfg.InterleaveDepth}}
-	}
 	rng := mat.NewRNG(cfg.Seed ^ 0x5eed)
 	noiseRng := rng.Split()
-	// mkChannel builds one stochastic channel instance around its own RNG;
-	// the shared link uses noiseRng, and in PerUserNoise mode the link
-	// pool constructs additional instances whose RNGs are reseeded from
-	// the (user, seq) derivation before every message.
-	mkChannel := func(r *mat.RNG) channel.Channel {
-		if cfg.Rayleigh {
-			return &channel.Rayleigh{SNRdB: cfg.SNRdB, Rng: r}
-		}
-		return &channel.AWGN{SNRdB: cfg.SNRdB, Rng: r}
-	}
-	link := channel.FeatureLink{
-		Quant: channel.DefaultQuantizer(),
-		Code:  code,
-		Mod:   mod,
-		Ch:    mkChannel(noiseRng),
-	}
 
 	s := &System{
 		cfg:        cfg,
@@ -463,22 +375,16 @@ func NewSystem(cfg Config) (*System, error) {
 		Sender:     sender,
 		Receiver:   receiver,
 		Generals:   generals,
-		link:       link,
+		link:       channel.DefaultFeatureLink(&channel.AWGN{SNRdB: cfg.SNRdB, Rng: noiseRng}),
 		userNoise:  cfg.PerUserNoise,
 		noiseRng:   noiseRng,
 		users:      make(map[string]*userState, 16),
 		updateTime: metrics.NewLatencyHistogram(),
 	}
 	if cfg.PerUserNoise {
-		// Lock-free channel stage: the pool's instances share the
-		// stateless quantizer/code/modulation values with the main link
-		// but each own a private channel + RNG, seeded per message. The
-		// placeholder seed is never drawn from — SendSeeded reseeds first.
-		s.linkPool = channel.NewLinkPool(func() channel.FeatureLink {
-			l := link
-			l.Ch = mkChannel(mat.NewRNG(0))
-			return l
-		})
+		// Lock-free channel stage: each pooled instance is the same link
+		// over a private channel + RNG, seeded per message.
+		s.linkPool = channel.NewLinkPool(cfg.SNRdB)
 	}
 	if err := s.initSelectors(rng); err != nil {
 		return nil, err
@@ -754,9 +660,8 @@ func (s *System) scoreResult(res *Result, decoded []int) {
 func (s *System) ProcessUpdate(domain, user string) (int, error) {
 	start := time.Now()
 	upd, err := s.Sender.RunUpdate(domain, user, fl.UpdateConfig{
-		Epochs:   s.cfg.UpdateEpochs,
-		Compress: s.cfg.Compress,
-		Seed:     s.cfg.Seed ^ 0xfade,
+		Epochs: updateEpochs,
+		Seed:   s.cfg.Seed ^ 0xfade,
 	})
 	if err != nil {
 		return 0, err
@@ -792,10 +697,10 @@ func (s *System) DecodeMemoStats() semantic.MemoStats {
 // time in milliseconds.
 func (s *System) UpdateTime() *metrics.Histogram { return s.updateTime }
 
-// CloudLink returns the (defaulted) edge-to-cloud link the system
-// charges for origin model fetches — what an external fetcher (the
-// mesh's origin fallback) must charge to account like the built-in one.
-func (s *System) CloudLink() netsim.Link { return s.cfg.CloudLink }
+// CloudLink returns the edge-to-cloud link the system charges for origin
+// model fetches — what an external fetcher (the mesh's origin fallback)
+// must charge to account like the built-in one.
+func (s *System) CloudLink() netsim.Link { return cloudLink }
 
 // RunWorkload transmits every request in w, returning per-message
 // results. A single System has nowhere to move a user to, so the

@@ -9,7 +9,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/corpus"
 	"repro/internal/mat"
-	"repro/internal/nn"
 	"repro/internal/semantic"
 	"repro/internal/trace"
 )
@@ -63,11 +62,6 @@ func TestNewSystemValidation(t *testing.T) {
 		if _, err := NewSystem(cfg); err == nil {
 			t.Fatalf("unknown policy %q accepted", policy)
 		}
-	}
-	cfg = testConfig()
-	cfg.CodeName = "turbo"
-	if _, err := NewSystem(cfg); err == nil {
-		t.Fatal("unknown code accepted")
 	}
 }
 
@@ -157,7 +151,6 @@ func TestUpdateProcessFiresAndHelps(t *testing.T) {
 	cfg.Selector = SelectorOracle
 	cfg.PinGeneral = true
 	cfg.BufferThreshold = 24
-	cfg.UpdateEpochs = 4
 	s, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -289,8 +282,7 @@ func TestSelectorLearnsFromMismatchReward(t *testing.T) {
 
 func TestWrongSelectionScoresLow(t *testing.T) {
 	cfg := testConfig()
-	cfg.Selector = SelectorStatic
-	cfg.StaticDomain = 0 // always "it"
+	cfg.Selector = SelectorStatic // always domain 0, "it"
 	cfg.PinGeneral = true
 	cfg.DisableAutoUpdate = true
 	s, err := NewSystem(cfg)
@@ -319,39 +311,6 @@ func TestWrongSelectionScoresLow(t *testing.T) {
 	if rightAcc/float64(right) <= wrongAcc/float64(wrong) {
 		t.Fatalf("wrong-domain selection should hurt fidelity: right %v wrong %v",
 			rightAcc/float64(right), wrongAcc/float64(wrong))
-	}
-}
-
-func TestCompressedUpdatesSmaller(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping two-system compression comparison in -short")
-	}
-	run := func(compress nn.CompressOptions) int64 {
-		cfg := testConfig()
-		cfg.Selector = SelectorOracle
-		cfg.PinGeneral = true
-		cfg.BufferThreshold = 24
-		cfg.Compress = compress
-		s, err := NewSystem(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := trace.Generate(s.Corpus, trace.Config{
-			Users: 1, Messages: 60, Seed: 37,
-			IdiolectStrength: 0.4, MeanRunLength: 1e9,
-		})
-		if _, err := s.RunWorkload(w); err != nil {
-			t.Fatal(err)
-		}
-		return s.SyncBytes()
-	}
-	dense := run(nn.CompressOptions{})
-	sparse := run(nn.CompressOptions{TopKFrac: 0.1, Int8: true})
-	if dense == 0 || sparse == 0 {
-		t.Fatal("no sync traffic recorded")
-	}
-	if sparse >= dense/4 {
-		t.Fatalf("top-10%%+int8 sync (%d) not much smaller than dense (%d)", sparse, dense)
 	}
 }
 

@@ -29,6 +29,9 @@ import (
 	"repro/internal/semantic"
 )
 
+// computePerToken is the simulated semantic encode/decode cost per token.
+const computePerToken = 200 * time.Microsecond
+
 // Config parameterizes an edge server.
 type Config struct {
 	// Name identifies the server (e.g. "edge-a").
@@ -39,9 +42,6 @@ type Config struct {
 	Policy cache.Policy
 	// Uplink is the link to the cloud origin used for model fetches.
 	Uplink netsim.Link
-	// ComputePerToken is the simulated semantic encode/decode cost per
-	// token; 0 selects 200µs.
-	ComputePerToken time.Duration
 	// PinGeneral pins domain-general models in the cache once fetched.
 	PinGeneral bool
 	// BufferThreshold is the per-user domain-buffer size that triggers an
@@ -98,7 +98,6 @@ type Server struct {
 	name            string
 	cache           *cache.Cache
 	fetcher         Fetcher
-	computePerToken time.Duration
 	pinGeneral      bool
 	bufferThreshold int
 	memo            *semantic.DecodeMemo
@@ -120,9 +119,6 @@ func New(cfg Config, origin *kb.Registry) (*Server, error) {
 	if cfg.Policy == nil {
 		cfg.Policy = cache.NewLRU()
 	}
-	if cfg.ComputePerToken == 0 {
-		cfg.ComputePerToken = 200 * time.Microsecond
-	}
 	if cfg.BufferThreshold == 0 {
 		cfg.BufferThreshold = 32
 	}
@@ -137,7 +133,6 @@ func New(cfg Config, origin *kb.Registry) (*Server, error) {
 		name:            cfg.Name,
 		cache:           c,
 		fetcher:         cfg.Fetcher,
-		computePerToken: cfg.ComputePerToken,
 		pinGeneral:      cfg.PinGeneral,
 		bufferThreshold: cfg.BufferThreshold,
 		memo:            semantic.NewDecodeMemo(),
@@ -260,7 +255,7 @@ func (s *Server) Encode(sc *mat.Scratch, domain, user string, words []string) (E
 		AcquireResult:  acq,
 		SurfaceIDs:     ids,
 		Features:       codec.EncodeSurfaceIDsInto(sc, ids),
-		ComputeLatency: time.Duration(len(words)) * s.computePerToken,
+		ComputeLatency: time.Duration(len(words)) * computePerToken,
 	}, nil
 }
 
@@ -293,7 +288,7 @@ func (s *Server) DecodeConcepts(sc *mat.Scratch, domain, user string, feats *mat
 	return DecodeResult{
 		AcquireResult:  acq,
 		Concepts:       concepts,
-		ComputeLatency: time.Duration(feats.Rows) * s.computePerToken,
+		ComputeLatency: time.Duration(feats.Rows) * computePerToken,
 	}, nil
 }
 

@@ -15,6 +15,7 @@ package edged
 import (
 	"flag"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"time"
@@ -46,7 +47,7 @@ type Config struct {
 	Addr string
 	// Selector names the model-selection policy.
 	Selector string
-	// SNRdB is the channel signal-to-noise ratio.
+	// SNRdB is the channel signal-to-noise ratio: finite and not exactly 0.
 	SNRdB float64
 	// Seed is the deterministic system seed (and the mesh ring seed).
 	Seed uint64
@@ -99,7 +100,7 @@ func FromFlags(fs *flag.FlagSet) *Config {
 	cfg := &Config{}
 	fs.StringVar(&cfg.Addr, "addr", ":7060", "listen address")
 	fs.StringVar(&cfg.Selector, "selector", "sticky", "model-selection policy ("+strings.Join(core.SelectorNames(), "|")+")")
-	fs.Float64Var(&cfg.SNRdB, "snr", 12, "channel SNR in dB")
+	fs.Float64Var(&cfg.SNRdB, "snr", 12, "channel SNR in dB (finite; not exactly 0, which reads as the default)")
 	fs.Uint64Var(&cfg.Seed, "seed", 1, "deterministic seed")
 	fs.StringVar(&cfg.KBDir, "kb", "", "directory of pretrained .kbm models (see cmd/semkb); empty pretrains at startup")
 	fs.StringVar(&cfg.PprofAddr, "pprof", "", "expose net/http/pprof on this address (e.g. localhost:6060); empty disables")
@@ -140,6 +141,15 @@ func (c *Config) Validate() error {
 	// flag names its domain), not the qlearn / ucb experiment rows.
 	if selectors := core.SelectorNames(); !slices.Contains(selectors, c.Selector) {
 		return &ConfigError{Field: "selector", Value: c.Selector, Reason: "unknown policy, want one of " + strings.Join(selectors, "|")}
+	}
+	// The daemon serves the SNR on its command line or does not boot: a
+	// non-finite value would make the noise sigma not a number, and core
+	// reads a zero SNRdB as "use the default".
+	if math.IsNaN(c.SNRdB) || math.IsInf(c.SNRdB, 0) {
+		return &ConfigError{Field: "snr", Value: c.SNRdB, Reason: "must be a finite number of dB"}
+	}
+	if c.SNRdB == 0 {
+		return &ConfigError{Field: "snr", Value: c.SNRdB, Reason: "exactly 0 dB cannot be asked for (the system reads a zero SNR as its 12 dB default); pass a value just off zero, such as 0.01"}
 	}
 	if c.ProfileContention && c.PprofAddr == "" {
 		return &ConfigError{Field: "profile-contention", Value: c.ProfileContention, Reason: "contention profiles are served over -pprof, which is not set"}

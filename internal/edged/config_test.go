@@ -46,6 +46,10 @@ func TestValidateTypedErrors(t *testing.T) {
 		{"static selector", []string{"-selector", core.SelectorStatic}, "selector"},
 		{"qlearn selector", []string{"-selector", core.SelectorQLearn}, "selector"},
 		{"ucb selector", []string{"-selector", core.SelectorUCB}, "selector"},
+		{"zero snr", []string{"-snr", "0"}, "snr"},
+		{"negative zero snr", []string{"-snr", "-0"}, "snr"},
+		{"NaN snr", []string{"-snr", "NaN"}, "snr"},
+		{"infinite snr", []string{"-snr", "+Inf"}, "snr"},
 		{"negative shed", []string{"-shed-after", "-1s"}, "shed-after"},
 		{"contention without pprof", []string{"-profile-contention"}, "profile-contention"},
 		{"one-member mesh", []string{"-peers", "localhost:7060"}, "peers"},

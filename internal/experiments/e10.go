@@ -98,22 +98,15 @@ func RunE10(env *Env, opts E10Options) (*E10Result, error) {
 	// Pose values exceed [-1,1]; raw transports quantize over [-4,4].
 	rawRange := 4.0
 
-	// Transport 1: semantic features, 6-bit quantization, Hamming, BPSK.
-	{
-		link := channel.FeatureLink{
-			Quant: channel.Quantizer{Bits: 6, Lo: -1, Hi: 1},
-			Code:  channel.Hamming74{},
-			Mod:   channel.BPSK{},
-			Ch:    &channel.AWGN{SNRdB: opts.SNRdB, Rng: rng.Split()},
-		}
-		feat := make([]float64, opts.FeatureDim)
-		rx := make([]float64, opts.FeatureDim)
-		out := make([]float64, opts.PoseDim)
+	// score sends every test pose across its own Hamming(7,4) / BPSK / AWGN
+	// link quantizing with q — carry puts one pose on the link and returns
+	// what the receiver restores — and appends the transport's row.
+	score := func(name string, q channel.Quantizer, carry func(link channel.FeatureLink, x []float64) ([]float64, channel.LinkStats)) {
+		link := channel.DefaultFeatureLink(&channel.AWGN{SNRdB: opts.SNRdB, Rng: rng.Split()})
+		link.Quant = q
 		num, den, bytes := 0.0, 0.0, 0.0
 		for _, x := range test {
-			vc.Encode(feat, x)
-			stats := link.SendFlatScratch(nil, rx, feat)
-			vc.Decode(out, rx)
+			out, stats := carry(link, x)
 			for i := range x {
 				dd := out[i] - x[i]
 				num += dd * dd
@@ -122,44 +115,33 @@ func RunE10(env *Env, opts E10Options) (*E10Result, error) {
 			bytes += float64(stats.PayloadBytes())
 		}
 		res.Rows = append(res.Rows, E10Row{
-			Transport:    "semantic (vector codec, 5x6b)",
-			NMSE:         num / den,
-			BytesPerPose: bytes / float64(len(test)),
-		})
-	}
-
-	// Transports 2-3: raw per-dimension quantization, once at an equal
-	// byte budget (3 bits/dim ~ the semantic payload) and once at 6
-	// bits/dim (2.4x the bytes) to show what raw transport must pay to
-	// beat the semantic codec on quality.
-	for _, bits := range []int{3, 6} {
-		link := channel.FeatureLink{
-			Quant: channel.Quantizer{Bits: bits, Lo: -rawRange, Hi: rawRange},
-			Code:  channel.Hamming74{},
-			Mod:   channel.BPSK{},
-			Ch:    &channel.AWGN{SNRdB: opts.SNRdB, Rng: rng.Split()},
-		}
-		rx := make([]float64, opts.PoseDim)
-		num, den, bytes := 0.0, 0.0, 0.0
-		for _, x := range test {
-			stats := link.SendFlatScratch(nil, rx, x)
-			for i := range x {
-				dd := rx[i] - x[i]
-				num += dd * dd
-				den += x[i] * x[i]
-			}
-			bytes += float64(stats.PayloadBytes())
-		}
-		name := "raw quantized (12x3b, equal bytes)"
-		if bits == 6 {
-			name = "raw quantized (12x6b, 2.4x bytes)"
-		}
-		res.Rows = append(res.Rows, E10Row{
 			Transport:    name,
 			NMSE:         num / den,
 			BytesPerPose: bytes / float64(len(test)),
 		})
 	}
+
+	// Transport 1: semantic features at 6 bits each.
+	feat := make([]float64, opts.FeatureDim)
+	rxFeat := make([]float64, opts.FeatureDim)
+	pose := make([]float64, opts.PoseDim)
+	score("semantic (vector codec, 5x6b)", channel.Quantizer{Bits: 6, Lo: -1, Hi: 1},
+		func(link channel.FeatureLink, x []float64) ([]float64, channel.LinkStats) {
+			vc.Encode(feat, x)
+			stats := link.SendFlatScratch(nil, rxFeat, feat)
+			vc.Decode(pose, rxFeat)
+			return pose, stats
+		})
+
+	// Transports 2-3: raw per-dimension quantization, once at an equal
+	// byte budget (3 bits/dim ~ the semantic payload) and once at 6
+	// bits/dim (2.4x the bytes) to show what raw transport must pay to
+	// beat the semantic codec on quality.
+	raw := func(link channel.FeatureLink, x []float64) ([]float64, channel.LinkStats) {
+		return pose, link.SendFlatScratch(nil, pose, x)
+	}
+	score("raw quantized (12x3b, equal bytes)", channel.Quantizer{Bits: 3, Lo: -rawRange, Hi: rawRange}, raw)
+	score("raw quantized (12x6b, 2.4x bytes)", channel.Quantizer{Bits: 6, Lo: -rawRange, Hi: rawRange}, raw)
 	return res, nil
 }
 

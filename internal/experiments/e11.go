@@ -126,7 +126,6 @@ func newE11Mesh(env *Env, n int, policy string, cacheBytes int64, seed uint64) (
 			Selector:         core.SelectorOracle,
 			Policy:           policy,
 			SenderCacheBytes: cacheBytes,
-			CloudLink:        netsim.Link{Latency: 40 * time.Millisecond, BandwidthBps: 200e6},
 			Seed:             seed,
 			Pretrained:       env.Generals,
 		})

@@ -51,7 +51,7 @@ func (n *Node) Drain(ctx context.Context) error {
 		n.cfg.Logf("mesh: drain: no live peers, nothing to hand off")
 		return nil
 	}
-	ring := cluster.NewRingFor(survivors, ringReplicas, n.cfg.RingSeed)
+	ring := newRing(survivors, n.cfg.RingSeed)
 
 	var firstErr error
 	fail := func(err error) {

@@ -80,7 +80,6 @@ func memoRun(t *testing.T, memo, parallel bool, mutate func(sys *core.Config)) [
 	const users, perUser, moveEvery = 8, 48, 14
 	mm := newMemMesh(t, 2, func(_ int, _ *Config, sys *core.Config) {
 		sys.BufferThreshold = 4
-		sys.UpdateEpochs = 6
 		sys.Pretrained = undertrained()
 		mutate(sys)
 	})

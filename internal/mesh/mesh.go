@@ -79,9 +79,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.MeshLink == (netsim.Link{}) {
 		cfg.MeshLink = netsim.Link{Latency: 10 * time.Millisecond, BandwidthBps: 100e6}
 	}
-	if cfg.RingSeed == 0 {
-		cfg.RingSeed = 1
-	}
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = time.Second
 	}
@@ -443,7 +440,7 @@ func (n *Node) setAlive(p *peer, alive bool) {
 // rebuildRing recomputes the ring over the live members. Callers hold
 // n.mu (NewNode runs before concurrency starts).
 func (n *Node) rebuildRing() {
-	n.ring = cluster.NewRingFor(n.liveMembersLocked(), ringReplicas, n.cfg.RingSeed)
+	n.ring = newRing(n.liveMembersLocked(), n.cfg.RingSeed)
 }
 
 func (n *Node) liveMembersLocked() []int {

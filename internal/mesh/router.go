@@ -14,6 +14,17 @@ import (
 // for every Node and Router so that all of them build one ring.
 const ringReplicas = 64
 
+// newRing builds the user ring over the live members. Every ring of a mesh
+// — each member's, each Router's, a draining member's view of its
+// survivors — is built here, so the one reading of the seed (0 means 1, as
+// for every other seed in the system) cannot differ between them.
+func newRing(live []int, seed uint64) *cluster.Ring {
+	if seed == 0 {
+		seed = 1
+	}
+	return cluster.NewRingFor(live, ringReplicas, seed)
+}
+
 // ParseMembers splits a comma-separated member list — edged's -peers,
 // semload's -mesh — into the static membership in ring-index order:
 // member i is named "node-i". Every member must be a non-empty, distinct
@@ -107,7 +118,7 @@ func (r *Router) Live() []int {
 // which is where a draining member hands them and where a killed member's
 // users re-personalize.
 func (r *Router) rebuild() {
-	r.ring = cluster.NewRingFor(r.Live(), ringReplicas, r.seed)
+	r.ring = newRing(r.Live(), r.seed)
 	for u, m := range r.override {
 		if r.dead[m] {
 			delete(r.override, u)

@@ -72,6 +72,36 @@ func TestNewNodeValidation(t *testing.T) {
 	}
 }
 
+// TestRouterAndNodeAgreeAtSeedZero pins the one reading of a zero ring
+// seed: `semload -mesh … -seed 0` hands the same 0 to its Router and, as
+// -seed, to every edged it spawns, so both sides must place every user on
+// the same member — the default seed's ring, not one side's seed-0 ring.
+func TestRouterAndNodeAgreeAtSeedZero(t *testing.T) {
+	members, err := ParseMembers("mem:z0,mem:z1,mem:z2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := NewNode(Config{Self: members[0], Peers: members[1:]}) // RingSeed 0
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := []string{"mem:z0", "mem:z1", "mem:z2"}
+	zero, one := NewRouter(addrs, 0), NewRouter(addrs, 1)
+	disagree, notDefault := 0, 0
+	for i := 0; i < 200; i++ {
+		user := fmt.Sprintf("u%03d", i)
+		if zero.Owner(user) != node.Owner(user) {
+			disagree++
+		}
+		if zero.Owner(user) != one.Owner(user) {
+			notDefault++
+		}
+	}
+	if disagree > 0 || notDefault > 0 {
+		t.Fatalf("at seed 0 the router disagrees with the member on %d of 200 owners, and with a seed-1 router on %d", disagree, notDefault)
+	}
+}
+
 // TestRouterMatchesNodeAndReroutes checks the client-side view against a
 // member's: same ring, same cell rule; a dead member's users — ring-owned
 // or moved there — fall to the ring over the survivors, and nobody else
