@@ -1,7 +1,7 @@
 // Command edged runs a semantic edge-server daemon: it boots the full
 // two-edge semantic communication system (general models pretrained at
-// startup) and serves transmit/stats requests over a length-prefixed JSON
-// TCP protocol (see internal/rpc).
+// startup) as one member of an edge mesh and serves transmit/move/stats
+// requests over a length-prefixed JSON TCP protocol (see internal/rpc).
 //
 // Connections dispatch directly into the concurrent core.System: requests
 // from different users run in parallel, bounded by the -max-inflight gate;
@@ -12,18 +12,21 @@
 // With -pprof addr a net/http/pprof endpoint runs on a side port; adding
 // -profile-contention also records mutex and block profiles there
 // (runtime.SetMutexProfileFraction/SetBlockProfileRate), which is how
-// serve-path lock contention — e.g. the channel-stage lock the pooled
-// PerUserNoise path removed — is measured under live load.
+// serve-path lock contention is measured under live load.
 //
-// With -peers a,b,c -mesh-index i this daemon is instead member i of a
-// multi-node edge mesh — the one multi-node deployment: clients hash
-// each user to a member over a consistent-hash ring, the "move" op
-// relocates a user to a radio cell (handing their personalized models to
-// the member serving it), members resolve cache misses from their
-// neighbors before paying the cloud origin, probe one another's liveness,
-// and "stats" reports each member's slice of the counters. Members
-// cooperate over the v2 wire protocol; see internal/mesh. For all
-// members on one machine, `semload -mesh a,b,c -spawn` starts them.
+// There is one deployment. With -peers a,b,c -mesh-index i this daemon is
+// member i of a multi-node edge mesh; without -peers it is node-0 of a
+// mesh of one at -addr, the same code with nobody to cooperate with.
+// Clients hash each user to a member over a consistent-hash ring, the
+// "move" op relocates a user to a radio cell (handing their personalized
+// models to the member serving it), members resolve cache misses from
+// their neighbors before paying the cloud origin, probe one another's
+// liveness, and "stats" reports each member's slice of the counters.
+// Every member draws channel noise per (user, message sequence), so a
+// user's responses do not depend on which member serves them or on what
+// else is in flight. Members cooperate over the v2 wire protocol; see
+// internal/mesh. For all members on one machine, `semload -mesh a,b,c
+// -spawn` starts them.
 //
 // Usage:
 //

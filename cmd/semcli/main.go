@@ -48,22 +48,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("messages:      %d\n", s.Messages)
-		fmt.Printf("sender hits:   %.1f%%\n", 100*s.SenderHitRate)
-		fmt.Printf("cached models: %d (%d bytes)\n", s.CachedModels, s.CacheUsedBytes)
-		fmt.Printf("decoder syncs: %d (%d bytes, %d updates failed)\n", s.SyncCount, s.SyncBytes, s.UpdateFailures)
-		if s.MemoLookups > 0 {
-			fmt.Printf("decode memo:   %d rows, %.1f%% hits (%d inserted, %d replaced)\n",
-				s.MemoLookups, 100*s.MemoStats.HitRate(), s.MemoInserts, s.MemoReplaced)
-		}
-		if sv := s.Serve; sv != nil {
-			fmt.Printf("in-flight:     %d (%d shed)\n", sv.InFlight, sv.Shed)
-			fmt.Printf("service:       p50 %.2f ms  p95 %.2f ms  p99 %.2f ms\n",
-				sv.LatencyP50Ms, sv.LatencyP95Ms, sv.LatencyP99Ms)
-			fmt.Printf("queue wait:    p50 %.2f ms  p95 %.2f ms  p99 %.2f ms\n",
-				sv.QueueWaitP50Ms, sv.QueueWaitP95Ms, sv.QueueWaitP99Ms)
-			fmt.Printf("update:        p50 %.2f ms  p99 %.2f ms\n", sv.UpdateP50Ms, sv.UpdateP99Ms)
-		}
+		s.Print(os.Stdout)
 		return nil
 	}
 

@@ -1,21 +1,22 @@
-// Command semload is a closed-loop load generator for the edged daemon:
-// N concurrent users, each with its own sticky connection and
-// deterministic RNG, draw messages from a configurable mix of corpus
-// domains and keep exactly one request outstanding per user until a fixed
-// request budget drains. It reports client-side throughput and a latency
-// histogram, then the daemon's own counters.
+// Command semload is a closed-loop load generator for edged: N concurrent
+// users, each with its own sticky connection and deterministic RNG, draw
+// messages from a configurable mix of corpus domains and keep exactly one
+// request outstanding per user until a fixed request budget drains. It
+// reports client-side throughput and a latency histogram, then the
+// daemons' own counters.
+//
+// -mesh lists the members of the edged mesh it drives — one address for a
+// lone daemon (the default, localhost:7060), several for a multi-node
+// mesh. Requests route client-side over the same consistent-hash ring the
+// members build (mesh.Router), and -spawn launches the members as child
+// edged processes first — the laptop multi-node run.
 //
 // With -sweep it instead runs a saturation sweep: the same closed loop at
 // each user count in the list, one summary line per stage, so the knee of
 // the throughput curve (and the onset of shedding under -deadline) is
 // visible in one run.
 //
-// With -mesh it drives a multi-node edged mesh instead of a single
-// daemon: requests route client-side over the same consistent-hash ring
-// the members build (mesh.Router), and -spawn launches the members as
-// child edged processes first — the laptop multi-node run.
-//
-// With -mobility (which needs -mesh) it runs the churn scenario: one
+// With -mobility it runs the churn scenario: one
 // serial deterministic request stream in which users roam across radio
 // cells (OpMove) between transmits, so handovers and cooperative cache
 // fetches happen under load. The run prints a 64-bit digest over every
@@ -29,7 +30,7 @@
 //
 // Usage:
 //
-//	semload [-addr localhost:7060] [-users 8] [-requests 512] \
+//	semload [-mesh localhost:7060] [-users 8] [-requests 512] \
 //	        [-mix it:3,med:1] [-seed 1] [-deadline 50ms]
 //	semload -sweep 1,4,8,16,32 [-requests 512] ...
 //	semload -mesh host0:7060,host1:7060,host2:7060 [-spawn -edged-bin ./edged] \
@@ -42,6 +43,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"log"
+	"os"
 	"os/exec"
 	"runtime"
 	"sort"
@@ -189,16 +191,10 @@ type loadResult struct {
 	memAfter  runtime.MemStats
 }
 
-// fixedAddr routes every user to one address — the single-daemon case.
-func fixedAddr(addr string) func(string) string {
-	return func(string) string { return addr }
-}
-
 // loadRun drains one request budget across `users` closed-loop clients,
-// each dialing the address addrFor maps its user name to (one fixed
-// daemon, or the user's ring owner in mesh mode). Per-user RNGs split in
-// user order from one seeded root, so a run is reproducible for any
-// fixed (seed, users).
+// each dialing the address addrFor maps its user name to (the user's ring
+// owner). Per-user RNGs split in user order from one seeded root, so a
+// run is reproducible for any fixed (seed, users).
 func loadRun(addrFor func(user string) string, users, requests int, deadline time.Duration,
 	seed uint64, corp *corpus.Corpus, cum []float64) (*loadResult, error) {
 	root := mat.NewRNG(seed)
@@ -251,36 +247,32 @@ func loadRun(addrFor func(user string) string, users, requests int, deadline tim
 
 func run() error {
 	var (
-		addr      = flag.String("addr", "localhost:7060", "edged address")
 		users     = flag.Int("users", 8, "concurrent users, one sticky connection each")
 		requests  = flag.Int("requests", 512, "total request budget across all users (per stage with -sweep)")
 		mix       = flag.String("mix", "", "domain mix as name:weight,... (default uniform over all domains)")
 		seed      = flag.Uint64("seed", 1, "deterministic seed; user u gets the u-th split")
 		deadline  = flag.Duration("deadline", 0, "per-request deadline, forwarded to the daemon's admission gate (0 = none)")
 		sweep     = flag.String("sweep", "", "saturation sweep: comma-separated user counts, one closed-loop stage each")
-		mobility  = flag.Bool("mobility", false, "run the serial mobility scenario against the -mesh members (requires -mesh)")
+		mobility  = flag.Bool("mobility", false, "run the serial mobility scenario against the -mesh members")
 		cells     = flag.Int("cells", 3, "radio cells users roam across (with -mobility)")
 		moveRate  = flag.Float64("move-rate", 0.1, "per-request probability a user moves to a random cell (with -mobility)")
-		meshList  = flag.String("mesh", "", "mesh member list, comma-separated host:port in ring-index order; requests route client-side over the members' ring")
+		meshList  = flag.String("mesh", "localhost:7060", "edged member list, comma-separated host:port in ring-index order (one address = a lone daemon); requests route client-side over the members' ring")
 		spawn     = flag.Bool("spawn", false, "launch the -mesh members as child edged processes before the run")
 		edgedBin  = flag.String("edged-bin", "edged", "edged binary to launch with -spawn")
 		kbDir     = flag.String("kb", "", "pretrained model dir forwarded to spawned members (-spawn)")
-		chaosKill = flag.Bool("chaos-kill", false, "SIGKILL one spawned mesh member halfway through a -mesh -mobility run")
-		chaosTerm = flag.Bool("chaos-term", false, "SIGTERM one spawned mesh member halfway through a -mesh -mobility run (graceful drain; gates on zero errors and zero lost models)")
+		chaosKill = flag.Bool("chaos-kill", false, "SIGKILL one spawned mesh member halfway through a -mobility run")
+		chaosTerm = flag.Bool("chaos-term", false, "SIGTERM one spawned mesh member halfway through a -mobility run (graceful drain; gates on zero errors and zero lost models)")
 		replicas  = flag.Int("replicas", 0, "forward -replicas to spawned members: hot-model replication degree (-spawn)")
 	)
 	flag.Parse()
 	if *users <= 0 || *requests <= 0 {
 		return fmt.Errorf("need positive -users and -requests (got %d, %d)", *users, *requests)
 	}
-	if *mobility && *meshList == "" {
-		return fmt.Errorf("-mobility requires -mesh: only a mesh has anywhere to move a user to (try -mesh a:1,b:2,c:3 -spawn)")
-	}
 	if *mobility && *cells < 2 {
 		return fmt.Errorf("-mobility needs at least 2 -cells, got %d", *cells)
 	}
 	if (*chaosKill || *chaosTerm) && (!*mobility || !*spawn) {
-		return fmt.Errorf("-chaos-kill and -chaos-term require -mesh, -mobility and -spawn: semload can only signal members it started")
+		return fmt.Errorf("-chaos-kill and -chaos-term require -mobility and -spawn: semload can only signal members it started")
 	}
 	if *chaosKill && *chaosTerm {
 		return fmt.Errorf("-chaos-kill and -chaos-term are mutually exclusive")
@@ -301,61 +293,51 @@ func run() error {
 		cum[i] = sum
 	}
 
-	if *meshList != "" {
-		members, err := mesh.ParseMembers(*meshList)
-		if err != nil {
-			return fmt.Errorf("-mesh %q: %w", *meshList, err)
-		}
-		addrs := make([]string, len(members))
-		for i, m := range members {
-			addrs[i] = m.Addr
-		}
-		var children []*exec.Cmd
-		if *spawn {
-			var stop func()
-			children, stop, err = spawnMesh(*edgedBin, addrs, *seed, *kbDir, *replicas)
-			if err != nil {
-				return err
-			}
-			defer stop()
-		}
-		router := mesh.NewRouter(addrs, *seed)
-		defer router.Close()
-		if *mobility {
-			return runMeshMobility(router, addrs, children, *chaosKill, *chaosTerm, *users, *requests, *cells, *moveRate, *seed, corp, cum)
-		}
-		// Plain closed loop against the mesh: each user's sticky connection
-		// goes to its ring owner, and the final report merges every
-		// member's counters.
-		res, err := loadRun(func(user string) string {
-			return addrs[router.Owner(user)]
-		}, *users, *requests, *deadline, *seed, corp, cum)
+	members, err := mesh.ParseMembers(*meshList)
+	if err != nil {
+		return fmt.Errorf("-mesh %q: %w", *meshList, err)
+	}
+	addrs := make([]string, len(members))
+	for i, m := range members {
+		addrs[i] = m.Addr
+	}
+	var children []*exec.Cmd
+	if *spawn {
+		var stop func()
+		children, stop, err = spawnMesh(*edgedBin, addrs, *seed, *kbDir, *replicas)
 		if err != nil {
 			return err
 		}
-		printLoadResult(res, *users, corp)
-		if st, err := router.MergedStats(); err == nil {
-			printStats(st)
-		}
-		return nil
+		defer stop()
 	}
-
+	router := mesh.NewRouter(addrs, *seed)
+	defer router.Close()
+	if *mobility {
+		return runMeshMobility(router, addrs, children, *chaosKill, *chaosTerm, *users, *requests, *cells, *moveRate, *seed, corp, cum)
+	}
+	// Closed loop: each user's sticky connection goes to its ring owner.
+	ownerAddr := func(user string) string { return addrs[router.Owner(user)] }
 	if *sweep != "" {
 		stages, err := parseSweep(*sweep)
 		if err != nil {
 			return err
 		}
-		return runSweep(*addr, stages, *requests, *deadline, *seed, corp, cum)
+		if err := runSweep(ownerAddr, stages, *requests, *deadline, *seed, corp, cum); err != nil {
+			return err
+		}
+	} else {
+		res, err := loadRun(ownerAddr, *users, *requests, *deadline, *seed, corp, cum)
+		if err != nil {
+			return err
+		}
+		printLoadResult(res, *users, corp)
 	}
-
-	res, err := loadRun(fixedAddr(*addr), *users, *requests, *deadline, *seed, corp, cum)
+	// Close with the daemons' own view of the run, merged over the members.
+	st, err := router.MergedStats()
 	if err != nil {
-		return err
+		return fmt.Errorf("daemon stats: %w", err)
 	}
-	printLoadResult(res, *users, corp)
-
-	// Close with the daemon's own view of the run.
-	printDaemonStats(*addr)
+	st.Print(os.Stdout)
 	return nil
 }
 
@@ -389,12 +371,12 @@ func printLoadResult(res *loadResult, users int, corp *corpus.Corpus) {
 // compact table: the stage where rate stops scaling (or shedding starts
 // under -deadline) is the daemon's saturation point. Stage s runs with
 // seed+s so stages do not replay identical traffic at a warming cache.
-func runSweep(addr string, stages []int, requests int, deadline time.Duration,
+func runSweep(addrFor func(user string) string, stages []int, requests int, deadline time.Duration,
 	seed uint64, corp *corpus.Corpus, cum []float64) error {
 	fmt.Printf("%7s %10s %9s %9s %9s %6s %6s\n",
 		"users", "req/s", "p50 ms", "p95 ms", "p99 ms", "shed", "errs")
 	for s, n := range stages {
-		res, err := loadRun(fixedAddr(addr), n, requests, deadline, seed+uint64(s), corp, cum)
+		res, err := loadRun(addrFor, n, requests, deadline, seed+uint64(s), corp, cum)
 		if err != nil {
 			return fmt.Errorf("sweep stage %d users: %w", n, err)
 		}
@@ -402,7 +384,6 @@ func runSweep(addr string, stages []int, requests int, deadline time.Duration,
 			n, float64(res.done)/res.elapsed.Seconds(),
 			res.hist.P(50), res.hist.P(95), res.hist.P(99), res.shed, res.errs)
 	}
-	printDaemonStats(addr)
 	return nil
 }
 
@@ -421,53 +402,6 @@ func memReport(before, after *runtime.MemStats, requests int) {
 	}
 	fmt.Printf("memory   : %.1f MiB allocated (%.0f B/req), %d allocs, %d GC cycles, %s pause total\n",
 		float64(allocBytes)/(1<<20), perReq, allocs, gcs, pause.Round(10*time.Microsecond))
-}
-
-// printDaemonStats fetches and prints the daemon counters (best-effort:
-// the client-side report is already out).
-func printDaemonStats(addr string) {
-	cl, err := rpc.Dial(addr)
-	if err != nil {
-		return
-	}
-	defer cl.Close()
-	s, err := cl.Stats()
-	if err != nil {
-		return
-	}
-	printStats(s)
-}
-
-// printStats prints one counter snapshot — a single daemon's, or several
-// mesh members' merged with Stats.Merge.
-func printStats(s *rpc.Stats) {
-	fmt.Printf("daemon   : %d messages, hit %.1f%%\n", s.Messages, 100*s.SenderHitRate)
-	if sv := s.Serve; sv != nil {
-		fmt.Printf("serve    : in-flight %d, %d shed, service p50 %.2f ms p95 %.2f ms p99 %.2f ms, queue p50 %.2f ms p95 %.2f ms p99 %.2f ms, update p50 %.2f ms p99 %.2f ms\n",
-			sv.InFlight, sv.Shed,
-			sv.LatencyP50Ms, sv.LatencyP95Ms, sv.LatencyP99Ms,
-			sv.QueueWaitP50Ms, sv.QueueWaitP95Ms, sv.QueueWaitP99Ms,
-			sv.UpdateP50Ms, sv.UpdateP99Ms)
-	}
-	fmt.Printf("syncs    : %d decoder updates, %d bytes, %d updates failed\n", s.SyncCount, s.SyncBytes, s.UpdateFailures)
-	if s.MemoLookups > 0 {
-		fmt.Printf("memo     : %d feature rows decoded, %.1f%% from the decode memo, %d inserted, %d replaced\n",
-			s.MemoLookups, 100*s.MemoStats.HitRate(), s.MemoInserts, s.MemoReplaced)
-	}
-	if len(s.Nodes) == 0 {
-		return
-	}
-	var neighborHits int64
-	for _, n := range s.Nodes {
-		neighborHits += n.NeighborHits
-	}
-	fmt.Printf("mesh     : %d handovers, %d bytes migrated, %d neighbor cache hits\n",
-		s.Handovers, s.MigratedBytes, neighborHits)
-	for _, n := range s.Nodes {
-		fmt.Printf("  %-8s: %d users, hit %.1f%%, %d models, handover in/out %d/%d, neighbor hit/served %d/%d, origin %d\n",
-			n.Name, n.Users, 100*n.HitRate, n.CachedModels,
-			n.HandoversIn, n.HandoversOut, n.NeighborHits, n.NeighborServed, n.OriginFetches)
-	}
 }
 
 // foldResponse folds the deterministic fields of one response into the

@@ -18,11 +18,12 @@ import (
 	"repro/internal/rpc"
 )
 
-// This file is the mesh driver: -mesh lists the members of an edged mesh
-// and semload routes every request client-side through a mesh.Router —
-// the same consistent-hash ring the daemons build, plus explicit
-// ownership overrides after moves. -spawn launches the members as child
-// edged processes first, which is also what arms -chaos-kill: halfway
+// This file spawns mesh members and drives the mobility scenario: -mesh
+// lists the members of an edged mesh and semload routes every request
+// client-side through a mesh.Router — the same consistent-hash ring the
+// daemons build, plus explicit ownership overrides after moves. -spawn
+// launches the members as child edged processes first, which is also
+// what arms -chaos-kill: halfway
 // through the run one child is SIGKILLed, the router discovers the death
 // through a failed call, recomputes the ring over the survivors and
 // retries — a retried request is a rebalance, a failed one is a lost
@@ -251,7 +252,7 @@ func runMeshMobility(router *mesh.Router, addrs []string, children []*exec.Cmd, 
 	if err != nil {
 		return fmt.Errorf("merged stats: %w", err)
 	}
-	printStats(st) // the live members' counters, merged
+	st.Print(os.Stdout) // the live members' counters, merged
 	var neighborHits int64
 	for _, n := range st.Nodes {
 		neighborHits += n.NeighborHits

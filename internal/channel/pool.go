@@ -9,8 +9,9 @@ package channel
 // function of (user, seq), WHICH physical instance performs the draw is
 // irrelevant — reseeding any instance to the derived seed reproduces the
 // exact bytes a single serialized channel would have produced under a
-// global mutex. Classic shared-RNG serving, whose noise stream advances
-// in global arrival order, cannot use the pool and keeps its lock.
+// global mutex. A system on the shared-RNG scheme — no daemon any more,
+// only what core.Config.PerUserNoise lists — advances one noise stream in
+// global arrival order, cannot use the pool and keeps its lock.
 
 import (
 	"sync"

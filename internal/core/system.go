@@ -21,15 +21,17 @@
 // exact result sequence the fully serialized system would produce; under
 // concurrent traffic per-user state still evolves identically.
 //
-// Channel noise comes in two schemes. The classic single-sender mode
+// Channel noise comes in two schemes. A system with Config.PerUserNoise
+// set — every mesh member, so every edged daemon, a lone one included —
+// derives an independent noise stream per (user, message-sequence) pair,
+// making every user's noise independent of interleaving AND of which
+// member serves them: a user handed from one member's System to
+// another's continues the same stream bit-for-bit. Left off, the system
 // draws from one shared RNG in global arrival order, so individual noise
-// realizations depend on the interleaving (historical behavior, pinned
-// by golden digests) and every transmission serializes through one
-// mutex-guarded channel. A system with Config.PerUserNoise set — every
-// mesh member — instead derives an independent noise stream per (user,
-// message-sequence) pair, making every user's noise independent of
-// interleaving AND of which member serves them: a user handed from one
-// member's System to another's continues the same stream bit-for-bit.
+// realizations depend on the interleaving and every transmission
+// serializes through one mutex-guarded channel; that is the historical
+// behavior no daemon runs any more, kept only for what still pins its
+// draws (see Config.PerUserNoise).
 // Because those derived seeds depend on nothing shared, the PerUserNoise
 // channel stage runs lock-free on a pool of per-request channel instances
 // — transmissions cross the physical layer fully in parallel, with
@@ -89,9 +91,13 @@ type Config struct {
 	// PerUserNoise derives an independent channel-noise stream per
 	// (user, message-sequence) pair instead of drawing from one shared
 	// RNG in global arrival order. Every mesh member sets it
-	// (mesh.NewMember): it is what lets a user change members without
-	// changing their noise. Off by default in classic mode, whose shared
-	// stream is pinned by golden digests.
+	// (mesh.NewMember), which is every daemon: it is what lets a user
+	// change members without changing their noise. Only callers whose
+	// recorded numbers pin the shared stream still leave it off — the E5
+	// and E6 tables, examples/quickstart and examples/metaverse, this
+	// package's own goldens, and the benchmark's replay twin on its
+	// single-member workloads; the field and the shared route go once
+	// those are re-recorded.
 	PerUserNoise bool
 
 	// SenderName overrides the sender edge server's name (default
@@ -184,7 +190,7 @@ type System struct {
 	users   map[string]*userState
 
 	// The physical channel comes in two implementations, selected once at
-	// NewSystem. Classic shared-RNG mode keeps linkMu: the noise RNG is
+	// NewSystem. Shared-RNG mode keeps linkMu: the noise RNG is
 	// the one stateful component every transmission crosses, and its
 	// draws advance in strict global arrival order (pinned by golden
 	// digests), so transmits serialize here — the critical section is
@@ -229,6 +235,9 @@ type userState struct {
 	// (PerUserNoise mode). It migrates with the user on a mesh handover so
 	// the noise stream continues bit-identically on the new serving node.
 	noiseSeq uint64
+	// userHash is the user's stable hash, the (user) part of every noise
+	// seed: taken once here instead of per message.
+	userHash uint64
 }
 
 // userState returns the state shard for user, creating it on first use.
@@ -244,7 +253,7 @@ func (s *System) userState(user string) *userState {
 	s.usersMu.Lock()
 	defer s.usersMu.Unlock()
 	if st = s.users[user]; st == nil {
-		st = &userState{}
+		st = &userState{userHash: cluster.Hash64(user)}
 		if !s.oracle {
 			st.sel = s.selFactory()
 		}
@@ -474,10 +483,10 @@ func noiseSeed(systemSeed, userHash, seq uint64) uint64 {
 
 // nextNoiseSeed advances the user's message sequence and returns the
 // derived seed for this message. Caller must hold st.mu.
-func (s *System) nextNoiseSeed(st *userState, user string) uint64 {
+func (s *System) nextNoiseSeed(st *userState) uint64 {
 	seq := st.noiseSeq
 	st.noiseSeq++
-	return noiseSeed(s.cfg.Seed, cluster.Hash64(user), seq)
+	return noiseSeed(s.cfg.Seed, st.userHash, seq)
 }
 
 // sendOverChannel runs one message's physical-channel crossing using the
@@ -485,7 +494,7 @@ func (s *System) nextNoiseSeed(st *userState, user string) uint64 {
 // lock-free: a pooled channel instance is checked out, reseeded to the
 // message's derived seed and returned — bit-identical to reseeding one
 // shared serialized channel, because the draw depends only on seed. In
-// classic shared-RNG mode (seed is then ignored) every crossing
+// shared-RNG mode (seed is then ignored) every crossing
 // serializes under linkMu so the shared noise stream advances in strict
 // global arrival order. The serialLink test hook routes PerUserNoise
 // crossings through the serialized path as the bit-identity reference.
@@ -579,11 +588,11 @@ func (s *System) transmitSelected(sc *mat.Scratch, st *userState, user string, w
 	// Step 3: physical channel. In PerUserNoise mode the crossing is
 	// lock-free on a pooled channel instance seeded from (user, seq), so
 	// the draw is independent of arrival interleaving, serving process
-	// AND of every other in-flight transmission; classic mode serializes
-	// the shared noise RNG under linkMu in global arrival order.
+	// AND of every other in-flight transmission; shared-RNG mode
+	// serializes the noise RNG under linkMu in global arrival order.
 	var seed uint64
 	if s.userNoise {
-		seed = s.nextNoiseSeed(st, user)
+		seed = s.nextNoiseSeed(st)
 	}
 	rx := sc.Mat(enc.Features.Rows, enc.Model.Codec.FeatureDim())
 	stats := s.sendOverChannel(seed, rx.Data, enc.Features.Data)

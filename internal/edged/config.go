@@ -4,12 +4,11 @@
 // shell around this package, and tests drive the same code paths the
 // binary runs.
 //
-// A daemon serves one of two deployments:
-//
-//   - classic: one single-sender two-edge system (the default);
-//   - mesh (-peers ... -mesh-index i): this daemon is member i of a
-//     multi-node edge cluster; peers cooperate over the v2 wire protocol
-//     (see internal/mesh).
+// There is one deployment: every daemon is a member of an edge mesh (see
+// internal/mesh). -peers ... -mesh-index i makes it member i of that
+// list; without -peers it is node-0 of a mesh of one, whose only address
+// is -addr. Members cooperate over the v2 wire protocol, and a lone
+// daemon simply has no peer to cooperate with.
 package edged
 
 import (
@@ -78,8 +77,8 @@ type Config struct {
 	BufferThreshold int
 
 	// Peers is the full static mesh member list, comma-separated
-	// host:port in ring-index order, this process included. Empty
-	// disables mesh mode.
+	// host:port in ring-index order, this process included. Empty means
+	// a mesh of one: this daemon alone, at Addr.
 	Peers string
 	// MeshIndex is this process's position in Peers.
 	MeshIndex int
@@ -111,23 +110,27 @@ func FromFlags(fs *flag.FlagSet) *Config {
 	fs.DurationVar(&cfg.WriteTimeout, "write-timeout", 30*time.Second, "per-response write deadline; 0 disables")
 	fs.DurationVar(&cfg.ShedAfter, "shed-after", 0, "shed transmits queued at the -max-inflight gate longer than this; 0 = only shed on client deadlines")
 	fs.IntVar(&cfg.BufferThreshold, "buffer-threshold", 0, "transactions per (domain,user) before an individual-model update fires (0 = default)")
-	fs.StringVar(&cfg.Peers, "peers", "", "mesh mode: full member list, comma-separated host:port in ring-index order (this process included)")
-	fs.IntVar(&cfg.MeshIndex, "mesh-index", 0, "mesh mode: this process's position in -peers")
+	fs.StringVar(&cfg.Peers, "peers", "", "full mesh member list, comma-separated host:port in ring-index order (this process included); empty = a mesh of one at -addr")
+	fs.IntVar(&cfg.MeshIndex, "mesh-index", 0, "this process's position in -peers")
 	fs.DurationVar(&cfg.ProbeInterval, "probe-interval", time.Second, "mesh liveness-probe period")
 	fs.DurationVar(&cfg.DrainTimeout, "drain-timeout", 30*time.Second, "graceful-drain budget after SIGTERM before falling back to crash-stop")
-	fs.IntVar(&cfg.Replicas, "replicas", 0, "mesh mode: keep this many ring-successors warm for hot general models (0 disables replication)")
+	fs.IntVar(&cfg.Replicas, "replicas", 0, "keep this many ring-successors warm for hot general models (0 disables replication)")
 	return cfg
 }
 
-// MeshEnabled reports whether the config selects mesh mode.
-func (c *Config) MeshEnabled() bool { return c.Peers != "" }
-
-// MeshMembers parses -peers into the static membership, self included,
-// in ring-index order (mesh.ParseMembers). Call Validate first; an
-// invalid list yields nil.
+// MeshMembers is the static membership, self included, in ring-index
+// order: -peers through mesh.ParseMembers, or this daemon alone at -addr
+// when no list was given. Call Validate first; an invalid list yields nil.
 func (c *Config) MeshMembers() []rpc.PeerInfo {
-	members, _ := mesh.ParseMembers(c.Peers)
+	members, _ := c.members()
 	return members
+}
+
+func (c *Config) members() ([]rpc.PeerInfo, error) {
+	if c.Peers == "" {
+		return []rpc.PeerInfo{{Name: "node-0", Addr: c.Addr}}, nil
+	}
+	return mesh.ParseMembers(c.Peers)
 }
 
 // Validate checks every field, returning a *ConfigError naming the
@@ -171,27 +174,18 @@ func (c *Config) Validate() error {
 	if c.BufferThreshold < 0 {
 		return &ConfigError{Field: "buffer-threshold", Value: c.BufferThreshold, Reason: "must be >= 0"}
 	}
-	if c.Replicas < 0 {
-		return &ConfigError{Field: "replicas", Value: c.Replicas, Reason: "must be >= 0"}
-	}
-	if !c.MeshEnabled() {
-		if c.Replicas > 0 {
-			return &ConfigError{Field: "replicas", Value: c.Replicas, Reason: "replication needs mesh mode (-peers)"}
-		}
-		if c.MeshIndex != 0 {
-			return &ConfigError{Field: "mesh-index", Value: c.MeshIndex, Reason: "a mesh position needs mesh mode (-peers)"}
-		}
-		return nil
-	}
-	members, err := mesh.ParseMembers(c.Peers)
+	members, err := c.members()
 	if err != nil {
 		return &ConfigError{Field: "peers", Value: c.Peers, Reason: err.Error()}
 	}
 	if c.MeshIndex < 0 || c.MeshIndex >= len(members) {
 		return &ConfigError{Field: "mesh-index", Value: c.MeshIndex, Reason: fmt.Sprintf("must be in [0,%d)", len(members))}
 	}
+	if c.Replicas < 0 || c.Replicas >= len(members) {
+		return &ConfigError{Field: "replicas", Value: c.Replicas, Reason: fmt.Sprintf("must be in [0,%d): a member has that many ring-successors", len(members))}
+	}
 	if c.ProbeInterval == 0 {
-		return &ConfigError{Field: "probe-interval", Value: c.ProbeInterval, Reason: "mesh mode needs a liveness-probe period"}
+		return &ConfigError{Field: "probe-interval", Value: c.ProbeInterval, Reason: "a member needs a liveness-probe period"}
 	}
 	return nil
 }

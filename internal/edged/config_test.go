@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/rpc"
 )
 
 // defaultConfig parses an empty command line: the documented defaults.
@@ -29,8 +30,12 @@ func TestFromFlagsDefaultsValidate(t *testing.T) {
 	if cfg.Addr != ":7060" || cfg.Selector != "sticky" || cfg.Seed != 1 {
 		t.Fatalf("unexpected defaults: %+v", cfg)
 	}
-	if cfg.MeshEnabled() {
-		t.Fatal("mesh enabled by default")
+	// No -peers: this daemon alone, node-0 of a mesh of one at -addr.
+	if m := cfg.MeshMembers(); len(m) != 1 || m[0] != (rpc.PeerInfo{Name: "node-0", Index: 0, Addr: ":7060"}) {
+		t.Fatalf("default membership %+v, want node-0 alone at :7060", m)
+	}
+	if err := defaultConfig(t, "-peers", "localhost:7060").Validate(); err != nil {
+		t.Fatalf("a one-address -peers list rejected: %v", err)
 	}
 }
 
@@ -52,11 +57,14 @@ func TestValidateTypedErrors(t *testing.T) {
 		{"infinite snr", []string{"-snr", "+Inf"}, "snr"},
 		{"negative shed", []string{"-shed-after", "-1s"}, "shed-after"},
 		{"contention without pprof", []string{"-profile-contention"}, "profile-contention"},
-		{"one-member mesh", []string{"-peers", "localhost:7060"}, "peers"},
 		{"malformed peer", []string{"-peers", "localhost:7060,nonsense"}, "peers"},
 		{"mesh index out of range", []string{"-peers", "a:1,b:2", "-mesh-index", "2"}, "mesh-index"},
-		{"mesh index without peers", []string{"-mesh-index", "2"}, "mesh-index"},
+		{"mesh index without peers", []string{"-mesh-index", "1"}, "mesh-index"},
+		{"negative mesh index", []string{"-mesh-index", "-1"}, "mesh-index"},
 		{"replicas without peers", []string{"-replicas", "1"}, "replicas"},
+		{"replicas out of range", []string{"-peers", "a:1,b:2", "-replicas", "2"}, "replicas"},
+		{"negative replicas", []string{"-replicas", "-1"}, "replicas"},
+		{"no probe period", []string{"-probe-interval", "0"}, "probe-interval"},
 		{"empty mesh member", []string{"-peers", "a:1,,b:2"}, "peers"},
 		{"duplicate mesh member", []string{"-peers", "a:1,b:2,a:1"}, "peers"},
 	}

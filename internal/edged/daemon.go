@@ -46,12 +46,12 @@ func loadKB(dir string) ([]*semantic.Codec, error) {
 	return out, nil
 }
 
-// Daemon is one booted edged instance: the serving system, the optional
-// mesh membership, and the request server, ready to Listen and Serve.
+// Daemon is one booted edged instance: the serving system, its mesh
+// membership, and the request server, ready to Listen and Serve.
 type Daemon struct {
 	Cfg  Config
 	Sys  *core.System
-	Mesh *mesh.Node // nil outside mesh mode
+	Mesh *mesh.Node
 
 	srv      *server
 	ln       net.Listener
@@ -59,9 +59,9 @@ type Daemon struct {
 }
 
 // New validates cfg and boots the daemon: models pretrained or loaded,
-// system built, caches warmed (in mesh mode only member 0 warms its
-// sender — peers fill cooperatively, which is the behavior the mesh
-// exists to show), mesh membership constructed. It does not listen yet.
+// mesh member built (node-0 of one without -peers), caches warmed (only
+// member 0 warms its sender — the others fill cooperatively, which is the
+// behavior the mesh exists to show). It does not listen yet.
 func New(cfg Config) (*Daemon, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -108,36 +108,25 @@ func New(cfg Config) (*Daemon, error) {
 	} else {
 		log.Printf("edged: pretraining general models (selector=%s, snr=%.1f dB)...", cfg.Selector, cfg.SNRdB)
 	}
-	var (
-		node *mesh.Node
-		sys  *core.System
-		err  error
-	)
-	if cfg.MeshEnabled() {
-		members := cfg.MeshMembers()
-		node, sys, err = mesh.NewMember(mesh.Config{
-			Self:          members[cfg.MeshIndex],
-			Peers:         slices.Delete(slices.Clone(members), cfg.MeshIndex, cfg.MeshIndex+1),
-			RingSeed:      cfg.Seed,
-			ProbeInterval: cfg.ProbeInterval,
-			Replicas:      cfg.Replicas,
-			Logf:          log.Printf,
-		}, coreCfg)
-	} else {
-		sys, err = core.NewSystem(coreCfg)
-	}
+	members := cfg.MeshMembers()
+	node, sys, err := mesh.NewMember(mesh.Config{
+		Self:          members[cfg.MeshIndex],
+		Peers:         slices.Delete(slices.Clone(members), cfg.MeshIndex, cfg.MeshIndex+1),
+		RingSeed:      cfg.Seed,
+		ProbeInterval: cfg.ProbeInterval,
+		Replicas:      cfg.Replicas,
+		Logf:          log.Printf,
+	}, coreCfg)
 	if err != nil {
 		return nil, err
 	}
-	if node != nil {
-		// Coordinated eviction: a mesh member must not evict the mesh's
-		// last copy of a general model.
-		sys.Sender.Cache().SetEvictionGuard(node.EvictionGuard)
-	}
+	// Coordinated eviction: a member must not evict the mesh's last copy
+	// of a general model.
+	sys.Sender.Cache().SetEvictionGuard(node.EvictionGuard)
 	// A mesh warms only member 0's sender: the other members pull models
 	// cooperatively from their neighbors on first miss, which is exactly
 	// the behavior the mesh exists to show.
-	if node == nil || node.Self().Index == 0 {
+	if node.Self().Index == 0 {
 		if _, err := sys.Sender.Prefetch(sys.Corpus.Names()); err != nil {
 			return nil, err
 		}
@@ -145,13 +134,10 @@ func New(cfg Config) (*Daemon, error) {
 	if _, err := sys.Receiver.Prefetch(sys.Corpus.Names()); err != nil {
 		return nil, err
 	}
-	if node != nil {
-		log.Printf("edged: mesh mode, member %s (%d/%d)", node.Self().Name, node.Self().Index, node.Total())
-	}
-	log.Printf("edged: ready in %v (domains: %v)", time.Since(start).Round(time.Millisecond), sys.Corpus.Names())
+	log.Printf("edged: member %s (%d/%d) ready in %v (domains: %v)", node.Self().Name, node.Self().Index, node.Total(),
+		time.Since(start).Round(time.Millisecond), sys.Corpus.Names())
 
-	srv := newServer(sys, cfg.MaxInflight)
-	srv.mesh = node
+	srv := newServer(sys, node, cfg.MaxInflight)
 	srv.idleTimeout = cfg.IdleTimeout
 	srv.writeTimeout = cfg.WriteTimeout
 	srv.shedAfter = cfg.ShedAfter
@@ -192,13 +178,9 @@ func (d *Daemon) Serve() error {
 			return err
 		}
 	}
-	if d.Mesh != nil {
-		d.Mesh.Start()
-	}
+	d.Mesh.Start()
 	err := d.srv.serve(d.ln)
-	if d.Mesh != nil {
-		d.Mesh.Stop()
-	}
+	d.Mesh.Stop()
 	return err
 }
 
@@ -207,9 +189,7 @@ func (d *Daemon) Serve() error {
 // so Serve can drain the busy ones and return. Safe to call more than
 // once.
 func (d *Daemon) Close() {
-	if d.Mesh != nil {
-		d.Mesh.Stop()
-	}
+	d.Mesh.Stop()
 	if d.ln != nil {
 		d.ln.Close()
 	}
@@ -240,7 +220,7 @@ func (d *Daemon) Drain() error {
 	defer d.srv.finishDrain()
 	d.srv.beginDrain()
 	err := d.srv.awaitIdle(ctx)
-	if err == nil && d.Mesh != nil {
+	if err == nil {
 		err = d.Mesh.Drain(ctx)
 	}
 	if err != nil {
@@ -258,9 +238,7 @@ func (d *Daemon) Drain() error {
 // liveness probes, exactly as with a real SIGKILL), the listener closes
 // and every open connection is severed mid-stream.
 func (d *Daemon) Kill() {
-	if d.Mesh != nil {
-		d.Mesh.Abort()
-	}
+	d.Mesh.Abort()
 	d.Close()
 	d.srv.killConns()
 }

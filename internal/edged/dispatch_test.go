@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mesh"
 	"repro/internal/rpc"
 	"repro/internal/semantic"
 )
@@ -17,11 +18,20 @@ var (
 	srvErr  error
 )
 
+// loneMember builds what a daemon without -peers serves: node-0 of a
+// mesh of one, through the same mesh.NewMember call New makes.
+func loneMember(sysCfg core.Config) (*mesh.Node, *core.System, error) {
+	return mesh.NewMember(mesh.Config{
+		Self:     rpc.PeerInfo{Name: "node-0", Addr: "mem:lone"},
+		RingSeed: sysCfg.Seed,
+	}, sysCfg)
+}
+
 // testServer boots one daemon-side server with small codecs.
 func testServer(t *testing.T) *server {
 	t.Helper()
 	srvOnce.Do(func() {
-		sys, err := core.NewSystem(core.Config{
+		node, sys, err := loneMember(core.Config{
 			Selector:   core.SelectorSticky,
 			PinGeneral: true,
 			Seed:       3,
@@ -42,7 +52,7 @@ func testServer(t *testing.T) *server {
 			srvErr = err
 			return
 		}
-		srvInst = newServer(sys, 0)
+		srvInst = newServer(sys, node, 0)
 	})
 	if srvErr != nil {
 		t.Fatal(srvErr)
@@ -124,22 +134,28 @@ func TestDispatchUnknownOp(t *testing.T) {
 	}
 }
 
-// TestDispatchNotMeshMember checks a classic daemon refuses everything
-// only a mesh member can do — the v1 move and every v2 mesh op — with one
-// error, instead of half-serving a move it has nowhere to send.
-func TestDispatchNotMeshMember(t *testing.T) {
+// TestMeshOfOneServesEveryOp: a lone daemon is node-0 of a mesh of one,
+// so it answers the ops a member answers instead of refusing them
+// wholesale. A move lands on the only member and moves nothing, stats
+// carry the member's own node entry, and the one thing it still refuses
+// is a handover push — it has no peer a push could come from.
+func TestMeshOfOneServesEveryOp(t *testing.T) {
 	s := testServer(t)
-	for _, req := range []*rpc.Request{
-		{Op: rpc.OpMove, User: "u1", Cell: 1},
-		{Op: rpc.OpPeerStats},
-		{Op: rpc.OpHandoverPush, Handoff: &rpc.HandoffPayload{User: "u1"}},
-	} {
-		resp := s.dispatch(req)
-		if want := req.Op + ": not a mesh member"; resp.OK || resp.Error != want {
-			t.Fatalf("%s on a classic daemon: %+v, want error %q", req.Op, resp, want)
-		}
+	resp := s.dispatch(&rpc.Request{Op: rpc.OpMove, User: "u1", Cell: 1})
+	if h := resp.Handover; !resp.OK || h == nil || h.Moved || h.From != "node-0" || h.To != "node-0" {
+		t.Fatalf("move on a lone daemon: %+v (handover %+v), want an unmoved node-0 -> node-0", resp, h)
 	}
-	if st := s.dispatch(&rpc.Request{Op: rpc.OpStats}).Stats; len(st.Nodes) != 0 || st.Handovers != 0 {
-		t.Fatalf("classic daemon reports mesh counters: %+v", st)
+	if resp = s.dispatch(&rpc.Request{Op: rpc.OpPeerStats}); !resp.OK || resp.Node == nil || resp.Node.Name != "node-0" {
+		t.Fatalf("peer-stats on a lone daemon: %+v", resp)
+	}
+	st := s.dispatch(&rpc.Request{Op: rpc.OpStats}).Stats
+	if len(st.Nodes) != 1 || st.Nodes[0].Name != "node-0" || st.Handovers != 0 {
+		t.Fatalf("lone daemon's stats: nodes %+v, %d handovers; want itself and none", st.Nodes, st.Handovers)
+	}
+	for _, from := range []string{"node-0", "node-1", ""} {
+		resp = s.dispatch(&rpc.Request{Op: rpc.OpHandoverPush, Handoff: &rpc.HandoffPayload{User: "u1", FromNode: from}})
+		if resp.OK || !strings.Contains(resp.Error, "not a peer") {
+			t.Fatalf("push signed %q on a lone daemon: %+v, want the not-a-peer refusal", from, resp)
+		}
 	}
 }

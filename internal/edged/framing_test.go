@@ -19,7 +19,8 @@ import (
 // wrap, when non-nil, dresses the handler's end in a conn double.
 func handleOn(t *testing.T, idleTimeout time.Duration, wrap func(net.Conn) net.Conn) (net.Conn, <-chan struct{}) {
 	t.Helper()
-	srv := newServer(testServer(t).sys, 0)
+	shared := testServer(t)
+	srv := newServer(shared.sys, shared.mesh, 0)
 	srv.idleTimeout = idleTimeout
 	near, far := net.Pipe()
 	t.Cleanup(func() { near.Close() })
@@ -120,12 +121,12 @@ func TestHandleOneWritePerFrame(t *testing.T) {
 	for i := range params {
 		params[i] = byte(i * 7)
 	}
-	// No mesh behind this server, so the push is refused — in one frame,
-	// after the whole 70 KB request came off the connection.
+	// A mesh of one has no peer to take a push from, so it is refused — in
+	// one frame, after the whole 70 KB request came off the connection.
 	err = cl.HandoverPush(context.Background(), &rpc.HandoffPayload{User: "alice", FromNode: "node-0",
 		Models: []rpc.HandoffModel{{Side: "sender", Model: rpc.ModelPayload{Domain: "it", User: "alice", Params: params}}}})
 	if err == nil {
-		t.Fatal("handover push accepted by a daemon outside any mesh")
+		t.Fatal("handover push accepted by a daemon with no peers")
 	}
 	if err := cl.Ping(); err != nil {
 		t.Fatalf("connection unusable after a 70 KB frame: %v", err)

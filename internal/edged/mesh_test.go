@@ -111,7 +111,7 @@ func bootMeshMem(t *testing.T, n int) *meshDeployment {
 // bootMeshOn binds every member's listener on a free address first (the
 // static -peers list must be complete before any member boots), then
 // builds and serves each member. The address alone selects the transport
-// (rpc.Listen).
+// (rpc.Listen). n == 1 boots what `edged -addr a` is: no -peers at all.
 func bootMeshOn(t *testing.T, n int, listenAddr string, mutate func(i int, cfg *Config)) *meshDeployment {
 	t.Helper()
 	lns := make([]net.Listener, n)
@@ -132,8 +132,10 @@ func bootMeshOn(t *testing.T, n int, listenAddr string, mutate func(i int, cfg *
 	for i := n - 1; i >= 0; i-- {
 		cfg := meshBaseConfig(t)
 		cfg.Addr = addrs[i]
-		cfg.Peers = peers
-		cfg.MeshIndex = i
+		if n > 1 {
+			cfg.Peers = peers
+			cfg.MeshIndex = i
+		}
 		if mutate != nil {
 			mutate(i, &cfg)
 		}
@@ -231,6 +233,134 @@ func sumNeighbor(st *rpc.Stats) (hits, served int64) {
 		served += n.NeighborServed
 	}
 	return hits, served
+}
+
+// TestMeshShapeInvariance is the invariant every daemon serves under: a
+// user's response stream is a pure function of (seed, user, seq), whatever
+// the deployment's shape and whatever else is in flight. Six users send 60
+// messages each at 3 dB — noisy enough that a different noise draw restores
+// different words; at the 12 dB default the link is error-free and every
+// scheme would give the same bytes — to a lone daemon serially, to a lone
+// daemon from one goroutine and one Router per user, and to a 3-member
+// mesh serially, and each user's digest over (restored, domain, mismatch,
+// payload, individual, update fired) is the same in all three. Simulated
+// latency and the cache-hit flag are left out: a cold mesh member pays
+// fetches a warm lone daemon does not. Each user keeps to one domain, so
+// the six individual models fit the cache's eight slots and the concurrent
+// leg cannot differ by eviction order.
+func TestMeshShapeInvariance(t *testing.T) {
+	const users, perUser, seed = 6, 60, 909
+	corp := corpus.Build()
+	noisy := func(_ int, cfg *Config) { cfg.SNRdB = 3 }
+	userName := func(u int) string { return fmt.Sprintf("u%03d", u) }
+	// send drives one user's whole stream through r, in order.
+	send := func(r *mesh.Router, u int, gen *corpus.Generator, n int, digest *uint64) error {
+		for i := 0; i < n; i++ {
+			resp, err := r.Transmit(context.Background(), userName(u), gen.Message(u%len(corp.Domains), nil).Text())
+			if err != nil {
+				return err
+			}
+			if !resp.OK {
+				return fmt.Errorf("%s message %d: %s", userName(u), i, resp.Error)
+			}
+			fold(digest, resp.Restored, resp.SelectedDomain,
+				strconv.FormatUint(math.Float64bits(resp.Mismatch), 16), strconv.Itoa(resp.PayloadBytes),
+				strconv.FormatBool(resp.Individual), strconv.FormatBool(resp.UpdateFired))
+		}
+		return nil
+	}
+	// serial interleaves the users message by message over one router.
+	serial := func(members int) [users]uint64 {
+		router := newRouter(t, bootMeshOn(t, members, "mem:", noisy))
+		_, gens := serialStreams(corp, seed, users)
+		var digests [users]uint64
+		for i := 0; i < perUser; i++ {
+			for u := range gens {
+				if err := send(router, u, gens[u], 1, &digests[u]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return digests
+	}
+	concurrent := func() [users]uint64 {
+		m := bootMeshOn(t, 1, "mem:", noisy)
+		_, gens := serialStreams(corp, seed, users)
+		var digests [users]uint64
+		var wg sync.WaitGroup
+		for u := range gens {
+			router := newRouter(t, m)
+			wg.Add(1)
+			go func(u int) {
+				defer wg.Done()
+				if err := send(router, u, gens[u], perUser, &digests[u]); err != nil {
+					t.Error(err)
+				}
+			}(u)
+		}
+		wg.Wait()
+		return digests
+	}
+	lone := serial(1)
+	for name, got := range map[string][users]uint64{
+		"a lone daemon under concurrent traffic": concurrent(),
+		"a 3-member mesh":                        serial(3),
+	} {
+		for u := range got {
+			if got[u] != lone[u] {
+				t.Errorf("%s served by %s: digest %016x, by a lone daemon serially %016x", userName(u), name, got[u], lone[u])
+			}
+		}
+	}
+}
+
+// TestMeshOfOneDrains: a lone daemon is routed to, moved on and drained
+// like any member. A Router over its one address serves transmits, a move
+// is answered and moves nobody, and a SIGTERM-style Drain finds no live
+// peer, hands nothing off, returns nil and lets Serve exit clean — after
+// which the router has nobody left to send to.
+func TestMeshOfOneDrains(t *testing.T) {
+	m := bootMeshOn(t, 1, "mem:", nil)
+	router := newRouter(t, m)
+	gen := corpus.NewGenerator(corpus.Build(), mat.NewRNG(7))
+	for i := 0; i < 3; i++ {
+		if resp := transmit(t, router, "solo", gen.Message(0, nil).Text()); !resp.OK {
+			t.Fatalf("transmit %d: %+v", i, resp)
+		}
+	}
+	resp, err := router.Move("solo", 2)
+	if err != nil || !resp.OK || resp.Handover == nil {
+		t.Fatalf("move: %+v, %v", resp, err)
+	}
+	if h := resp.Handover; h.Moved || h.From != "node-0" || h.To != "node-0" {
+		t.Fatalf("move on a mesh of one: %+v, want an unmoved node-0 -> node-0", h)
+	}
+	st, err := router.MergedStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Messages != 3 || len(st.Nodes) != 1 || st.Nodes[0].Name != "node-0" || st.Nodes[0].Users != 1 {
+		t.Fatalf("stats of a mesh of one: %d messages, nodes %+v", st.Messages, st.Nodes)
+	}
+	if err := m.daemons[0].Drain(); err != nil {
+		t.Fatalf("drain with no peers: %v", err)
+	}
+	select {
+	case err := <-m.done[0]:
+		if err != nil {
+			t.Fatalf("serve after the drain: %v", err)
+		}
+		m.done[0] <- err // the deployment's cleanup reads it too
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve never returned after the drain")
+	}
+	// Out of members is an error, for a transmit and for a move alike.
+	if _, err := router.Transmit(context.Background(), "solo", "the server is down"); err == nil {
+		t.Fatal("a drained lone daemon still served a transmit")
+	}
+	if _, err := router.Move("solo", 1); err == nil {
+		t.Fatal("a drained lone daemon still served a move")
+	}
 }
 
 // TestMeshMatchesInProcessCluster pins the mesh to the deployment it
@@ -517,7 +647,7 @@ func TestMeshMemoStatsMerge(t *testing.T) {
 }
 
 // TestMeshOpsRequireV2 pins the wire-compat contract: v1 clients keep
-// full access to the classic ops, and mesh ops on a v1 frame are
+// full access to the client ops, and mesh ops on a v1 frame are
 // rejected with the protocol error, never silently served.
 func TestMeshOpsRequireV2(t *testing.T) {
 	if testing.Short() {

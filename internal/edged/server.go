@@ -24,7 +24,7 @@ import (
 // so load spikes queue at the door instead of oversubscribing the host.
 type server struct {
 	sys       *core.System
-	mesh      *mesh.Node // nil outside mesh mode
+	mesh      *mesh.Node
 	messages  atomic.Int64
 	inflight  atomic.Int64
 	shed      atomic.Int64
@@ -51,14 +51,15 @@ type server struct {
 	drainGate chan struct{}
 }
 
-// newServer wraps sys. maxInflight 0 selects 2x GOMAXPROCS; negative
-// disables the gate.
-func newServer(sys *core.System, maxInflight int) *server {
+// newServer wraps one mesh member: its serving system and its node.
+// maxInflight 0 selects 2x GOMAXPROCS; negative disables the gate.
+func newServer(sys *core.System, node *mesh.Node, maxInflight int) *server {
 	if maxInflight == 0 {
 		maxInflight = 2 * runtime.GOMAXPROCS(0)
 	}
 	s := &server{
 		sys:       sys,
+		mesh:      node,
 		latency:   metrics.NewLatencyHistogram(),
 		queueWait: metrics.NewLatencyHistogram(),
 		conns:     make(map[net.Conn]bool),
@@ -283,24 +284,15 @@ func (s *server) dispatch(req *rpc.Request) *rpc.Response {
 	case rpc.OpMove:
 		return s.move(req)
 	case rpc.OpJoin, rpc.OpLeave, rpc.OpPeerStats, rpc.OpFetchModel, rpc.OpHandoverPush:
-		if s.mesh == nil {
-			return notMeshMember(req.Op)
-		}
 		return s.mesh.HandleOp(req)
 	default:
 		return &rpc.Response{Error: fmt.Sprintf("unknown op %q", req.Op)}
 	}
 }
 
-// notMeshMember is the answer to every op only a mesh member serves: the
-// v2 mesh surface and the v1 move.
-func notMeshMember(op string) *rpc.Response {
-	return &rpc.Response{Error: fmt.Sprintf("%s: not a mesh member", op)}
-}
-
-// stats snapshots the daemon counters. A mesh member reports itself as
-// the single node of its slice of the deployment; clients merge slices
-// with rpc.Stats.Merge.
+// stats snapshots the daemon counters. A member reports itself as the
+// single node of its slice of the deployment; clients merge slices with
+// rpc.Stats.Merge.
 func (s *server) stats() *rpc.Stats {
 	serve := &rpc.ServeStats{
 		InFlight:       int(s.inflight.Load()),
@@ -314,37 +306,27 @@ func (s *server) stats() *rpc.Stats {
 		UpdateP50Ms:    s.sys.UpdateTime().P(50),
 		UpdateP99Ms:    s.sys.UpdateTime().P(99),
 	}
+	ns := s.mesh.Stats()
 	st := &rpc.Stats{
 		Messages:       int(s.messages.Load()),
+		SenderHitRate:  ns.HitRate,
+		CachedModels:   ns.CachedModels,
+		CacheUsedBytes: ns.CacheUsedBytes,
+		MemoStats:      ns.MemoStats,
 		SyncBytes:      s.sys.SyncBytes(),
 		SyncCount:      s.sys.SyncCount(),
 		UpdateFailures: s.sys.UpdateFailures(),
 		Serve:          serve,
+		Nodes:          []rpc.NodeStats{ns},
 	}
-	if s.mesh != nil {
-		ns := s.mesh.Stats()
-		st.SenderHitRate = ns.HitRate
-		st.CachedModels = ns.CachedModels
-		st.CacheUsedBytes = ns.CacheUsedBytes
-		st.MemoStats = ns.MemoStats
-		st.Handovers, st.MigratedBytes = s.mesh.HandoverStats()
-		st.Nodes = []rpc.NodeStats{ns}
-		return st
-	}
-	st.SenderHitRate = s.sys.Sender.CacheStats().HitRate()
-	st.CachedModels = s.sys.Sender.Cache().Len()
-	st.CacheUsedBytes = s.sys.Sender.Cache().Used()
-	st.MemoStats = mesh.MemoStats(s.sys)
+	st.Handovers, st.MigratedBytes = s.mesh.HandoverStats()
 	return st
 }
 
 // move serves one OpMove: attach the user to a cell, handing their
-// serving state to another member when the cell maps to one. Only a mesh
-// member has anywhere to move a user to.
+// serving state to another member when the cell maps to one (in a mesh of
+// one every cell maps to this member: the move is served and moves nothing).
 func (s *server) move(req *rpc.Request) *rpc.Response {
-	if s.mesh == nil {
-		return notMeshMember(req.Op)
-	}
 	if req.User == "" {
 		return &rpc.Response{Error: "move requires a user"}
 	}
@@ -437,10 +419,8 @@ func (s *server) transmit(req *rpc.Request) *rpc.Response {
 	if res.UpdateErr != nil {
 		log.Printf("edged: update failed for user %s domain %s: %v", user, domain, res.UpdateErr)
 	}
-	if s.mesh != nil {
-		s.mesh.TouchUser(user)
-		s.mesh.NoteDomain(domain)
-	}
+	s.mesh.TouchUser(user)
+	s.mesh.NoteDomain(domain)
 	return &rpc.Response{
 		OK:             true,
 		Restored:       text.Join(res.RestoredWords),

@@ -71,11 +71,11 @@ func startServer(t *testing.T, srv *server) (string, func()) {
 // sticky connections across distinct users and checks every response plus
 // the exact final counter state.
 func TestSoakConcurrentClients(t *testing.T) {
-	sys, err := core.NewSystem(soakConfig(t))
+	node, sys, err := loneMember(soakConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(sys, 0)
+	srv := newServer(sys, node, 0)
 	addr, shutdown := startServer(t, srv)
 	defer shutdown()
 
@@ -162,11 +162,11 @@ func TestSoakConcurrentClients(t *testing.T) {
 // submitted transmit is still executed (the server only notices the dead
 // peer at write time), so the message accounting stays exact.
 func TestClientDisconnectsMidTransmit(t *testing.T) {
-	sys, err := core.NewSystem(soakConfig(t))
+	node, sys, err := loneMember(soakConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(sys, 2)
+	srv := newServer(sys, node, 2)
 	addr, shutdown := startServer(t, srv)
 	defer shutdown()
 
@@ -266,19 +266,19 @@ func TestClientDisconnectsMidTransmit(t *testing.T) {
 }
 
 // TestServedMatchesDirectSerialReplay replays one user's message sequence
-// through a served daemon and through a direct identically-seeded System,
+// through a served daemon and through a direct identically-built member's System,
 // and requires bit-identical results field by field — the serve path must
 // add no behavior.
 func TestServedMatchesDirectSerialReplay(t *testing.T) {
-	direct, err := core.NewSystem(soakConfig(t))
+	_, direct, err := loneMember(soakConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	servedSys, err := core.NewSystem(soakConfig(t))
+	node, servedSys, err := loneMember(soakConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(servedSys, 0)
+	srv := newServer(servedSys, node, 0)
 	addr, shutdown := startServer(t, srv)
 	defer shutdown()
 
@@ -326,11 +326,11 @@ func TestServedMatchesDirectSerialReplay(t *testing.T) {
 // TestStalledClientDisconnected checks the read deadline: a connection
 // that sends nothing must be dropped instead of pinning its goroutine.
 func TestStalledClientDisconnected(t *testing.T) {
-	sys, err := core.NewSystem(soakConfig(t))
+	node, sys, err := loneMember(soakConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(sys, 0)
+	srv := newServer(sys, node, 0)
 	srv.idleTimeout = 50 * time.Millisecond
 	addr, shutdown := startServer(t, srv)
 	defer shutdown()
@@ -356,11 +356,11 @@ func TestStalledClientDisconnected(t *testing.T) {
 // of queueing, and that the shed counter and queue-wait histogram record
 // the event.
 func TestAdmissionShedding(t *testing.T) {
-	sys, err := core.NewSystem(soakConfig(t))
+	node, sys, err := loneMember(soakConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(sys, 1)
+	srv := newServer(sys, node, 1)
 	srv.shedAfter = 20 * time.Millisecond
 	addr, shutdown := startServer(t, srv)
 	defer shutdown()

@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
@@ -66,7 +67,9 @@ func tinyCodecs() []*semantic.Codec {
 // push must not panic, and a push that is refused must leave the member
 // exactly as it was — the all-or-nothing import core.ImportUserFromHandover
 // promises, seen from the wire: the pusher keeps its copy on error, so a
-// half-installed payload would fork a user across two members.
+// half-installed payload would fork a user across two members. And a push
+// is taken only from the membership: one signed by any name but the
+// target's one peer is refused with *NotPeerError, whatever it carries.
 func FuzzHandleHandoverPush(f *testing.F) {
 	tiny := tinyCodecs()
 	mm := newMemMesh(f, 2, func(_ int, _ *Config, sys *core.Config) { sys.Pretrained = tiny })
@@ -84,15 +87,21 @@ func FuzzHandleHandoverPush(f *testing.F) {
 	if len(exp.Sender) == 0 || len(exp.Receiver) == 0 || len(exp.Buffers) == 0 {
 		f.Fatalf("seed export carries %d/%d models and %d buffers, want all three", len(exp.Sender), len(exp.Receiver), len(exp.Buffers))
 	}
-	real, err := json.Marshal(exportToWire(exp, "node-x"))
+	// The seeds are signed by the target's peer, so each still reaches the
+	// code it was written for; the last two are signed by nobody the target
+	// knows and by the target itself.
+	peer := target.node.peersByIndex()[0].info.Name
+	real, err := json.Marshal(exportToWire(exp, peer))
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Logf("seed payload: %d bytes", len(real))
 	f.Add(real)
+	f.Add([]byte(`{"user":"nobody","from_node":"` + peer + `","noise_seq":7}`))
+	f.Add([]byte(`{"user":"resident","from_node":"` + peer + `","models":[{"side":"sideways","model":{"domain":"it","version":1,"params":"AAAA"}}]}`))
+	f.Add([]byte(`{"user":"","from_node":"` + peer + `","reason":"replica","general":[{"domain":"it","version":1,"params":"AAAA"}]}`))
 	f.Add([]byte(`{"user":"nobody","from_node":"node-x","noise_seq":7}`))
-	f.Add([]byte(`{"user":"resident","models":[{"side":"sideways","model":{"domain":"it","version":1,"params":"AAAA"}}]}`))
-	f.Add([]byte(`{"user":"","reason":"replica","general":[{"domain":"it","version":1,"params":"AAAA"}]}`))
+	f.Add([]byte(`{"user":"nobody","from_node":"` + target.node.Self().Name + `","noise_seq":7}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var h rpc.HandoffPayload
@@ -100,7 +109,12 @@ func FuzzHandleHandoverPush(f *testing.F) {
 			return
 		}
 		before := userState(t, target.sys, resident, h.User)
-		if err := target.node.HandleHandoverPush(&h); err == nil {
+		err := target.node.HandleHandoverPush(&h)
+		var notPeer *NotPeerError
+		if errors.As(err, &notPeer) != (h.FromNode != peer) {
+			t.Fatalf("push signed %q at a member whose one peer is %q: %v", h.FromNode, peer, err)
+		}
+		if err == nil {
 			return
 		}
 		if after := userState(t, target.sys, resident, h.User); !reflect.DeepEqual(after, before) {

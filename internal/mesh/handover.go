@@ -131,11 +131,37 @@ func (n *Node) MoveUser(user string, cell int) (*rpc.Handover, error) {
 	}, nil
 }
 
+// NotPeerError refuses a handover push signed by a name that is not one
+// of the member's static peers.
+type NotPeerError struct {
+	Member string // the refusing member
+	From   string // the push's FromNode
+}
+
+func (e *NotPeerError) Error() string {
+	return fmt.Sprintf("mesh: %s takes no push from %q: not a peer of this mesh", e.Member, e.From)
+}
+
+// isPeer reports whether name is one of the static peers (never self).
+func (n *Node) isPeer(name string) bool {
+	for _, p := range n.peers {
+		if p.info.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
 // HandleHandoverPush serves a peer's OpHandoverPush: install any pushed
 // general models (drain rebalancing or a hot-model replica), then the
 // user state, so the first local transmit continues the user's noise
-// stream exactly where the old owner stopped.
+// stream exactly where the old owner stopped. Only the membership pushes:
+// anything signed by another name is refused before a byte of it is
+// revived or imported, which is also why a mesh of one takes no push.
 func (n *Node) HandleHandoverPush(h *rpc.HandoffPayload) error {
+	if !n.isPeer(h.FromNode) {
+		return &NotPeerError{Member: n.self.Name, From: h.FromNode}
+	}
 	n.mu.RLock()
 	sys := n.sys
 	n.mu.RUnlock()

@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"reflect"
@@ -52,6 +53,44 @@ func TestMoveOverridesRouting(t *testing.T) {
 	mm.move(t, user, target-3)
 	if got := mm.router.Owner(user); got != target {
 		t.Fatalf("negative cell routed to %d, want %d", got, target)
+	}
+}
+
+// TestHandoverPushOnlyFromMembership: a member installs models and user
+// state only for its static peers. A real, importable export signed by a
+// name the mesh has never heard of — or by the target itself — is refused
+// with *NotPeerError and leaves the target exactly as it was; the same
+// payload signed by the peer that owns the user is taken.
+func TestHandoverPushOnlyFromMembership(t *testing.T) {
+	mm := newMemMesh(t, 3, nil)
+	mm.warm(t)
+	const user = "pushed"
+	mm.personalize(t, user, 0, 61)
+	from := mm.owner(user)
+	target := mm.members[(from.node.Self().Index+1)%3]
+	exp, err := from.sys.ExportUserForHandover(user)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := userState(t, target.sys, user)
+	for _, signer := range []string{"node-9", "", target.node.Self().Name} {
+		err := target.node.HandleHandoverPush(exportToWire(exp, signer))
+		var notPeer *NotPeerError
+		if !errors.As(err, &notPeer) || notPeer.From != signer {
+			t.Fatalf("push signed %q: %v, want a *NotPeerError naming it", signer, err)
+		}
+		if after := userState(t, target.sys, user); after != before {
+			t.Fatalf("a push refused for its signer %q changed the member's state", signer)
+		}
+	}
+	if in := target.node.Stats().HandoversIn; in != 0 {
+		t.Fatalf("refused pushes counted as %d handovers in", in)
+	}
+	if err := target.node.HandleHandoverPush(exportToWire(exp, from.node.Self().Name)); err != nil {
+		t.Fatalf("push signed by the owning peer refused: %v", err)
+	}
+	if after := userState(t, target.sys, user); after == before {
+		t.Fatal("an accepted push installed nothing")
 	}
 }
 

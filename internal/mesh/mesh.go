@@ -3,10 +3,12 @@
 // handover of individual models, cooperative fetch before the cloud) and
 // the repository's only implementation of it.
 //
-// Each member runs a single-sender core.System plus a mesh.Node. The
-// node knows the static peer list, probes peer liveness, and maintains a
-// consistent-hash ring (cluster.Ring) over the live members; clients
-// route with the same ring through a Router. Members are usually edged
+// Each member runs a single-sender core.System plus a mesh.Node; a mesh
+// may have one member (an edged started without -peers), which simply has
+// nobody to probe, fetch from or hand off to. The node knows the static
+// peer list, probes peer liveness, and maintains a consistent-hash ring
+// (cluster.Ring) over the live members; clients route with the same ring
+// through a Router. Members are usually edged
 // processes cooperating over TCP; because a peer address may also name
 // the in-memory transport (rpc.Listen, "mem:<name>"), any number of
 // members can equally run inside one process, each answering its peers
@@ -534,8 +536,16 @@ func (n *Node) HandleLeave(pi rpc.PeerInfo) {
 	}
 }
 
-// TouchUser records that this node served user (stats only).
+// TouchUser records that this node served user: the user count in Stats
+// and the list a drain hands off. It runs on every transmit, so a user
+// already tracked costs a read lock only.
 func (n *Node) TouchUser(user string) {
+	n.mu.RLock()
+	_, tracked := n.users[user]
+	n.mu.RUnlock()
+	if tracked {
+		return
+	}
 	n.mu.Lock()
 	n.users[user] = struct{}{}
 	n.mu.Unlock()
@@ -572,16 +582,11 @@ func (n *Node) Stats() rpc.NodeStats {
 		st.CachedModels = sys.Sender.Cache().Len()
 		st.CacheUsedBytes = sys.Sender.Cache().Used()
 		st.Generals = n.generalDomains(sys)
-		st.MemoStats = MemoStats(sys)
+		m := sys.DecodeMemoStats()
+		st.MemoStats = rpc.MemoStats{MemoLookups: m.Lookups, MemoHits: m.Hits, MemoInserts: m.Inserts, MemoReplaced: m.Replaced}
 	}
 	st.Hot = n.hotDomains()
 	return st
-}
-
-// MemoStats renders sys's decode-memo counters in the wire shape.
-func MemoStats(sys *core.System) rpc.MemoStats {
-	m := sys.DecodeMemoStats()
-	return rpc.MemoStats{MemoLookups: m.Lookups, MemoHits: m.Hits, MemoInserts: m.Inserts, MemoReplaced: m.Replaced}
 }
 
 // generalDomains lists the domains whose general model the sender cache

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/cluster"
@@ -28,13 +29,10 @@ func newRing(live []int, seed uint64) *cluster.Ring {
 // ParseMembers splits a comma-separated member list — edged's -peers,
 // semload's -mesh — into the static membership in ring-index order:
 // member i is named "node-i". Every member must be a non-empty, distinct
-// host:port address and there must be at least two, so the daemons of one
-// mesh and the clients routing to it always agree on who owns which index.
+// host:port address, so the daemons of one mesh and the clients routing to
+// it always agree on who owns which index. One address is a mesh of one.
 func ParseMembers(list string) ([]rpc.PeerInfo, error) {
 	addrs := strings.Split(list, ",")
-	if len(addrs) < 2 {
-		return nil, errors.New("a mesh needs at least 2 members")
-	}
 	seen := make(map[string]int, len(addrs))
 	out := make([]rpc.PeerInfo, len(addrs))
 	for i, a := range addrs {
@@ -113,6 +111,10 @@ func (r *Router) Live() []int {
 	return live
 }
 
+// anyLive reports whether some member is not marked dead. With none the
+// ring is empty and Owner has nobody to name.
+func (r *Router) anyLive() bool { return slices.Contains(r.dead, false) }
+
 // rebuild recomputes the ring over the live members and forgets the
 // overrides that pointed at dead ones: those users fall back to the ring,
 // which is where a draining member hands them and where a killed member's
@@ -171,7 +173,7 @@ func (r *Router) Client(member int) (*rpc.Client, error) {
 // member answers only after handing its state off, so the retry finds the
 // user already there. Only running out of members loses the request.
 func (r *Router) Transmit(ctx context.Context, user, text string) (*rpc.Response, error) {
-	for attempt := 0; attempt <= len(r.addrs); attempt++ {
+	for r.anyLive() {
 		member := r.Owner(user)
 		cl, err := r.Client(member)
 		if err == nil {
@@ -190,6 +192,9 @@ func (r *Router) Transmit(ctx context.Context, user, text string) (*rpc.Response
 // Move sends the move to the user's serving member and mirrors the
 // resulting ownership locally.
 func (r *Router) Move(user string, cell int) (*rpc.Response, error) {
+	if !r.anyLive() {
+		return nil, fmt.Errorf("move %s: no live mesh member", user)
+	}
 	cl, err := r.Client(r.Owner(user))
 	if err != nil {
 		return nil, err

@@ -22,8 +22,8 @@ func TestParseMembers(t *testing.T) {
 		{"two members", "a:1,b:2", []string{"a:1", "b:2"}, ""},
 		{"whitespace trimmed", "h0:1, h1:2 ,h2:3", []string{"h0:1", "h1:2", "h2:3"}, ""},
 		{"in-memory members", "mem:a,mem:b", []string{"mem:a", "mem:b"}, ""},
-		{"empty list", "", nil, "at least 2"},
-		{"one member", "a:1", nil, "at least 2"},
+		{"empty list", "", nil, "member 0"},
+		{"one member", "h:1", []string{"h:1"}, ""},
 		{"empty member", "a:1,,b:2", nil, "member 1"},
 		{"trailing comma", "a:1,b:2,", nil, "member 2"},
 		{"blank member", "a:1, ,b:2", nil, "member 1"},

@@ -35,8 +35,8 @@ const MaxMessageBytes = 1 << 20
 const (
 	// OpTransmit runs one message through the semantic pipeline.
 	OpTransmit = "transmit"
-	// OpMove attaches a user to a radio cell (mesh members only),
-	// triggering a handover when the serving member changes.
+	// OpMove attaches a user to a radio cell, triggering a handover when
+	// the serving member changes.
 	OpMove = "move"
 	// OpStats returns system counters.
 	OpStats = "stats"
@@ -259,8 +259,8 @@ type Stats struct {
 	// predates the serve path (e.g. a unit-test stub).
 	Serve *ServeStats `json:"serve,omitempty"`
 
-	// Mesh counters (absent on a classic single-sender daemon): one
-	// NodeStats per member whose snapshot was merged in.
+	// Mesh counters: one NodeStats per member whose snapshot was merged
+	// in (a daemon reports itself; a lone daemon is the only entry).
 	Nodes         []NodeStats `json:"nodes,omitempty"`
 	Handovers     int64       `json:"handovers,omitempty"`
 	MigratedBytes int64       `json:"migrated_bytes,omitempty"`
@@ -390,6 +390,37 @@ func (s *Stats) Merge(other *Stats) {
 		}
 		s.Serve.InFlight += other.Serve.InFlight
 		s.Serve.Shed += other.Serve.Shed
+	}
+}
+
+// Print renders one counter snapshot — a single daemon's, or several
+// members' merged with Merge — the way semcli -stats and semload's closing
+// report show it.
+func (s *Stats) Print(w io.Writer) {
+	fmt.Fprintf(w, "daemon   : %d messages, hit %.1f%%, %d cached models (%d bytes)\n",
+		s.Messages, 100*s.SenderHitRate, s.CachedModels, s.CacheUsedBytes)
+	if sv := s.Serve; sv != nil {
+		fmt.Fprintf(w, "serve    : in-flight %d, %d shed, service p50 %.2f ms p95 %.2f ms p99 %.2f ms, queue p50 %.2f ms p95 %.2f ms p99 %.2f ms, update p50 %.2f ms p99 %.2f ms\n",
+			sv.InFlight, sv.Shed,
+			sv.LatencyP50Ms, sv.LatencyP95Ms, sv.LatencyP99Ms,
+			sv.QueueWaitP50Ms, sv.QueueWaitP95Ms, sv.QueueWaitP99Ms,
+			sv.UpdateP50Ms, sv.UpdateP99Ms)
+	}
+	fmt.Fprintf(w, "syncs    : %d decoder updates, %d bytes, %d updates failed\n", s.SyncCount, s.SyncBytes, s.UpdateFailures)
+	if s.MemoLookups > 0 {
+		fmt.Fprintf(w, "memo     : %d feature rows decoded, %.1f%% from the decode memo, %d inserted, %d replaced\n",
+			s.MemoLookups, 100*s.MemoStats.HitRate(), s.MemoInserts, s.MemoReplaced)
+	}
+	var neighborHits int64
+	for _, n := range s.Nodes {
+		neighborHits += n.NeighborHits
+	}
+	fmt.Fprintf(w, "mesh     : %d handovers, %d bytes migrated, %d neighbor cache hits\n",
+		s.Handovers, s.MigratedBytes, neighborHits)
+	for _, n := range s.Nodes {
+		fmt.Fprintf(w, "  %-8s: %d users, hit %.1f%%, %d models, handover in/out %d/%d, neighbor hit/served %d/%d, origin %d\n",
+			n.Name, n.Users, 100*n.HitRate, n.CachedModels,
+			n.HandoversIn, n.HandoversOut, n.NeighborHits, n.NeighborServed, n.OriginFetches)
 	}
 }
 
