@@ -158,8 +158,10 @@ var errEmptyBuffer = errors.New("fl: update with empty buffer")
 
 // RunUpdate executes Fig. 1 steps 3-4 on the sender edge: fine-tune the
 // user's individual codec on the buffered transactions, extract the decoder
-// delta, and package it (optionally compressed) for the receiver. The
-// buffer is not reset; callers reset it after a successful send.
+// delta, and package it (optionally compressed) for the receiver. RunUpdate
+// leaves the buffer as it is; resetting it is the caller's decision
+// (edge.Server.RunUpdate resets it after every attempt, failed ones
+// included).
 func RunUpdate(codec *semantic.Codec, buf *Buffer, version int, cfg UpdateConfig) (*Update, error) {
 	if buf.Len() == 0 {
 		return nil, errEmptyBuffer
@@ -170,11 +172,9 @@ func RunUpdate(codec *semantic.Codec, buf *Buffer, version int, cfg UpdateConfig
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	before := codec.DecoderParams().Clone()
+	delta := codec.DecoderParams().Clone() // the decoder before the fine-tune
 	codec.FineTune(buf.Examples(), cfg.Epochs, cfg.LR, mat.NewRNG(cfg.Seed))
-
-	delta := codec.DecoderParams().Clone()
-	delta.AddScaled(-1, before)
+	delta.SubFrom(codec.DecoderParams())
 	payload := nn.Compress(delta, cfg.Compress).Encode()
 
 	return &Update{

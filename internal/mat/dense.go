@@ -41,9 +41,6 @@ func (m *Dense) Clone() *Dense {
 	return out
 }
 
-// Zero sets all elements to zero.
-func (m *Dense) Zero() { Zero(m.Data) }
-
 // CopyFrom copies src's contents into m. It panics if shapes differ.
 func (m *Dense) CopyFrom(src *Dense) {
 	if m.Rows != src.Rows || m.Cols != src.Cols {

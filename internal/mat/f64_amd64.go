@@ -3,12 +3,14 @@
 package mat
 
 // AVX2 float64 kernels behind mulMatTRange, mulMatRange, addOuterBatchRange,
-// Scale and MomentumStep. Each one is bit-identical to the pure-Go loop it
-// shadows, by construction: a SIMD lane is always one independent output
-// element, that element's accumulation keeps its ascending order, multiply
-// and add stay separate instructions (no FMA — the Go compiler does not fuse
-// on amd64 either), and zero-coefficient skips sit exactly where the Go
-// loops have them. The Go loops stay as the fallback and the test oracle.
+// Scale, MomentumStep, Softmax (exp) and Tanh. Each one is bit-identical to
+// the pure-Go loop it shadows, by construction: a SIMD lane is always one
+// independent output element, that element's accumulation keeps its
+// ascending order, multiply and add stay separate instructions (no FMA —
+// the Go compiler does not fuse on amd64 either), and zero-coefficient
+// skips sit exactly where the Go loops have them. The one place an FMA
+// appears is inside exp, where math.Exp's own assembly has it. The Go
+// loops stay as the fallback and the test oracle.
 
 // f64AxpyRows computes, for c ascending in [0, count):
 //
@@ -47,3 +49,23 @@ func f64Scale(v *float64, n int, s float64)
 //
 //go:noescape
 func f64MomentumStep(p, v, grad *float64, n int, momentum, lr float64)
+
+// f64ExpShift computes dst[i] = math.Exp(src[i] - shift) four elements at a
+// time and stops before the first block of four holding an argument outside
+// (-700, 700), or before a tail shorter than four; it returns how many
+// elements it wrote. Inside that range math.Exp runs the straight-line
+// avxfma path of math/exp_amd64.s, which the kernel repeats lane for lane
+// (exp_amd64.s) — so it may run only while math.Exp takes that path
+// (expOnFMAPath).
+//
+//go:noescape
+func f64ExpShift(dst, src *float64, n int, shift float64) int
+
+// f64Tanh computes dst[i] = math.Tanh(src[i]) four elements at a time and
+// stops before the first block holding a zero, a NaN or an |x| > 44, or
+// before a tail shorter than four; it returns how many elements it wrote.
+// Each lane computes both of math.tanh's branches (its exp through the
+// f64ExpShift code) and keeps the one |x| selects.
+//
+//go:noescape
+func f64Tanh(dst, src *float64, n int) int

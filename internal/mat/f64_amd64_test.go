@@ -22,7 +22,8 @@ func requireAVX2(t *testing.T) {
 	}
 }
 
-// pureGo runs fn with the assembly kernels switched off.
+// pureGo runs fn with the assembly kernels switched off — every one of
+// them, exp and tanh included, dispatches on useAVX2.
 func pureGo(fn func()) {
 	prev := useAVX2
 	useAVX2 = false

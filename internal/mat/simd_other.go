@@ -3,7 +3,10 @@
 package mat
 
 // Non-amd64 builds always run the pure-Go reference loops.
-const useAVX2 = false
+const (
+	useAVX2      = false
+	expOnFMAPath = false
+)
 
 func f64AxpyRows(dst *float64, n int, coef *float64, coefStride int, scale float64, rows *float64, rowStride int, count int) {
 	panic("mat: f64AxpyRows without AVX2")
@@ -19,4 +22,12 @@ func f64Scale(v *float64, n int, s float64) {
 
 func f64MomentumStep(p, v, grad *float64, n int, momentum, lr float64) {
 	panic("mat: f64MomentumStep without AVX2")
+}
+
+func f64ExpShift(dst, src *float64, n int, shift float64) int {
+	panic("mat: f64ExpShift without AVX2")
+}
+
+func f64Tanh(dst, src *float64, n int) int {
+	panic("mat: f64Tanh without AVX2")
 }

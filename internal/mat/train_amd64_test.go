@@ -28,8 +28,9 @@ func sameParams(t *testing.T, what string, got, want *nn.ParamSet) {
 // TestTrainingBitExactWithF64Kernels runs the two training entry points the
 // system uses — one Pretrain epoch (Adam) and a FineTune (momentum SGD, the
 // §II-D update) at the default codec shapes — once on the assembly kernels
-// and once on the pure-Go loops, and requires every parameter bit to agree:
-// f64 stays the reference tier, so no golden moves.
+// (the f64 GEMM and element-wise ones, and exp and tanh) and once on the
+// pure-Go loops and the math package, and requires every parameter bit to
+// agree: f64 stays the reference tier, so no golden moves.
 func TestTrainingBitExactWithF64Kernels(t *testing.T) {
 	mat.RequireAVX2(t)
 	corp := corpus.Build()

@@ -128,10 +128,9 @@ func Softmax(dst, logits []float64) {
 			max = v
 		}
 	}
+	expShift(dst, logits, max)
 	sum := 0.0
-	for i, v := range logits {
-		e := math.Exp(v - max)
-		dst[i] = e
+	for _, e := range dst {
 		sum += e
 	}
 	for i := range dst {
@@ -139,13 +138,33 @@ func Softmax(dst, logits []float64) {
 	}
 }
 
+// expShift sets dst[i] = math.Exp(src[i] - shift); dst may alias src. The
+// exp kernel takes every whole block of four it can, math.Exp the rest.
+func expShift(dst, src []float64, shift float64) {
+	for i := 0; i < len(src); i++ {
+		if useAVX2 && expOnFMAPath && len(src)-i >= 4 {
+			if i += f64ExpShift(&dst[i], &src[i], len(src)-i, shift); i == len(src) {
+				break
+			}
+		}
+		dst[i] = math.Exp(src[i] - shift)
+	}
+}
+
 // Tanh applies tanh element-wise, writing into dst (which may alias src).
+// The tanh kernel takes every whole block of four it can, math.Tanh the
+// rest; the results are math.Tanh's bits either way.
 func Tanh(dst, src []float64) {
 	if len(dst) != len(src) {
 		panic("mat: Tanh length mismatch")
 	}
-	for i, v := range src {
-		dst[i] = math.Tanh(v)
+	for i := 0; i < len(src); i++ {
+		if useAVX2 && expOnFMAPath && len(src)-i >= 4 {
+			if i += f64Tanh(&dst[i], &src[i], len(src)-i); i == len(src) {
+				break
+			}
+		}
+		dst[i] = math.Tanh(src[i])
 	}
 }
 

@@ -7,6 +7,14 @@ import (
 	"repro/internal/mat"
 )
 
+// crossEntropy is the loss whose gradient SoftmaxCrossEntropy writes:
+// −log softmax(logits)[target].
+func crossEntropy(logits []float64, target int) float64 {
+	p := make([]float64, len(logits))
+	mat.Softmax(p, logits)
+	return -math.Log(p[target])
+}
+
 // numericalGrad estimates d(loss)/d(param) by central differences.
 func numericalGrad(param *float64, loss func() float64) float64 {
 	const h = 1e-6
@@ -30,8 +38,7 @@ func TestLinearGradCheck(t *testing.T) {
 	loss := func() float64 {
 		y := make([]float64, 3)
 		l.Forward(y, x)
-		d := make([]float64, 3)
-		return SoftmaxCrossEntropy(d, y, target)
+		return crossEntropy(y, target)
 	}
 
 	// Analytic gradients.
@@ -80,8 +87,7 @@ func TestTanhGradCheck(t *testing.T) {
 		TanhForward(h, h)
 		y := make([]float64, 2)
 		l2.Forward(y, h)
-		d := make([]float64, 2)
-		return SoftmaxCrossEntropy(d, y, target)
+		return crossEntropy(y, target)
 	}
 
 	// Forward.
@@ -123,8 +129,7 @@ func TestEmbeddingGradCheck(t *testing.T) {
 	loss := func() float64 {
 		y := make([]float64, 3)
 		l.Forward(y, emb.Lookup(id))
-		d := make([]float64, 3)
-		return SoftmaxCrossEntropy(d, y, target)
+		return crossEntropy(y, target)
 	}
 
 	y := make([]float64, 3)

@@ -1,28 +1,20 @@
 package nn
 
 import (
-	"math"
-
 	"repro/internal/mat"
 )
 
-// SoftmaxCrossEntropy computes the cross-entropy loss of logits against the
-// target class and writes the gradient w.r.t. the logits into dLogits
-// (softmax(logits) with 1 subtracted at the target). dLogits may alias
-// logits. It returns the loss value.
-func SoftmaxCrossEntropy(dLogits, logits []float64, target int) float64 {
+// SoftmaxCrossEntropy writes the gradient of the cross-entropy loss of
+// logits against the target class, w.r.t. the logits, into dLogits:
+// softmax(logits) with 1 subtracted at the target. dLogits may alias
+// logits. Training consumes only this gradient, so the loss value itself is
+// not computed.
+func SoftmaxCrossEntropy(dLogits, logits []float64, target int) {
 	if target < 0 || target >= len(logits) {
 		panic("nn: SoftmaxCrossEntropy target out of range")
 	}
 	mat.Softmax(dLogits, logits)
-	p := dLogits[target]
-	// Guard against log(0) from extreme logits.
-	if p < 1e-300 {
-		p = 1e-300
-	}
-	loss := -math.Log(p)
 	dLogits[target] -= 1
-	return loss
 }
 
 // MSE computes 0.5*||pred-target||^2 and writes the gradient (pred-target)

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/mat"
 )
@@ -12,6 +13,16 @@ type Optimizer interface {
 	// Step applies one update. Implementations must not retain grads.
 	Step(params, grads *ParamSet)
 }
+
+// A step visits only what can move. A gradient tensor may be row-sparse
+// (Param.Rows); the optimizers keep, per such tensor, the set of rows their
+// state has ever been stepped on, and step the rows of that set after
+// adding the gradient's. Every other row has zero state and a zero
+// gradient, and the update of such a row is provably the identity: SGD
+// adds −lr·(+0) (momentum: velocity m·0 − lr·0 = +0, then p + 0), Adam
+// moves by −LR·0/(0+eps). The one exception is SGD with momentum on a
+// weight that is exactly −0, which p + (+0) turns into +0 — and no weight
+// this repository trains or loads is −0 (TestPretrainedWeightsHoldNoNegativeZero).
 
 // SGD is stochastic gradient descent with optional momentum and global
 // gradient-norm clipping.
@@ -30,16 +41,19 @@ func (o *SGD) Step(params, grads *ParamSet) {
 	scale := clipScale(grads, o.Clip)
 	if o.Momentum == 0 {
 		forEachTensor(params, func(i int) {
-			mat.AXPY(params.Params[i].M.Data, -o.LR*scale, grads.Params[i].M.Data)
+			p, g := params.Params[i].M.Data, &grads.Params[i]
+			g.spans(func(lo, hi int) { mat.AXPY(p[lo:hi], -o.LR*scale, g.M.Data[lo:hi]) })
 		})
 		return
 	}
 	if o.velocity == nil {
-		o.velocity = params.ZeroClone()
+		o.velocity = stateFor(params, grads)
 	}
 	lr := o.LR * scale
 	forEachTensor(params, func(i int) {
-		mat.MomentumStep(params.Params[i].M.Data, o.velocity.Params[i].M.Data, grads.Params[i].M.Data, o.Momentum, lr)
+		p, g, v := params.Params[i].M.Data, grads.Params[i].M.Data, &o.velocity.Params[i]
+		v.track(&grads.Params[i])
+		v.spans(func(lo, hi int) { mat.MomentumStep(p[lo:hi], v.M.Data[lo:hi], g[lo:hi], o.Momentum, lr) })
 	})
 }
 
@@ -51,7 +65,7 @@ type Adam struct {
 	Eps   float64 // 0 means default 1e-8
 	Clip  float64 // 0 disables clipping
 
-	m, v *ParamSet
+	m, v *ParamSet // m's row sets track the rows of both
 	t    int
 }
 
@@ -70,7 +84,7 @@ func (o *Adam) Step(params, grads *ParamSet) {
 		eps = 1e-8
 	}
 	if o.m == nil {
-		o.m = params.ZeroClone()
+		o.m = stateFor(params, grads)
 		o.v = params.ZeroClone()
 	}
 	o.t++
@@ -78,19 +92,48 @@ func (o *Adam) Step(params, grads *ParamSet) {
 	c1 := 1 - math.Pow(b1, float64(o.t))
 	c2 := 1 - math.Pow(b2, float64(o.t))
 	forEachTensor(params, func(i int) {
-		md := o.m.Params[i].M.Data
-		vd := o.v.Params[i].M.Data
-		gd := grads.Params[i].M.Data
-		pd := params.Params[i].M.Data
-		for j := range pd {
-			g := gd[j] * scale
-			md[j] = b1*md[j] + (1-b1)*g
-			vd[j] = b2*vd[j] + (1-b2)*g*g
-			mHat := md[j] / c1
-			vHat := vd[j] / c2
-			pd[j] -= o.LR * mHat / (math.Sqrt(vHat) + eps)
-		}
+		m := &o.m.Params[i]
+		md, vd := m.M.Data, o.v.Params[i].M.Data
+		gd, pd := grads.Params[i].M.Data, params.Params[i].M.Data
+		m.track(&grads.Params[i])
+		m.spans(func(lo, hi int) {
+			for j := lo; j < hi; j++ {
+				g := gd[j] * scale
+				md[j] = b1*md[j] + (1-b1)*g
+				vd[j] = b2*vd[j] + (1-b2)*g*g
+				mHat := md[j] / c1
+				vHat := vd[j] / c2
+				pd[j] -= o.LR * mHat / (math.Sqrt(vHat) + eps)
+			}
+		})
 	})
+}
+
+// stateFor returns zero optimizer state shaped like params, with an empty
+// row set on every tensor whose gradient is row-sparse.
+func stateFor(params, grads *ParamSet) *ParamSet {
+	s := params.ZeroClone()
+	for i, g := range grads.Params {
+		if g.Rows != nil {
+			s.Params[i].Rows = NewRowSet(g.M.Rows)
+		}
+	}
+	return s
+}
+
+// track readies optimizer-state tensor s for a step with gradient g: a
+// row-tracked s adds g's rows to its set, and turns dense for good when g
+// is dense (that step writes every row's state).
+func (s *Param) track(g *Param) {
+	switch {
+	case s.Rows == nil:
+	case g.Rows == nil:
+		s.Rows = nil
+	default:
+		for _, r := range g.Rows.rows {
+			s.Rows.Add(r)
+		}
+	}
 }
 
 // parallelStepThreshold is the minimum total scalar count before an
@@ -116,22 +159,77 @@ func forEachTensor(ps *ParamSet, fn func(i int)) {
 }
 
 // clipScale returns the multiplier that rescales grads to global L2 norm at
-// most clip (1 when clip is 0 or the norm is within bounds). The reduction
-// stays serial deliberately: a sharded sum would change the floating-point
-// accumulation order and break bit-reproducibility across worker counts.
+// most clip (1 when clip is 0 or the norm is within bounds).
+//
+// The norm is the square root of the serial sum of squares, tensor by
+// tensor in element order — a sharded or reordered sum rounds differently,
+// and the scale must not depend on the worker count. The unlisted rows of
+// a row-sparse tensor add +0, which leaves the sum's bits alone, so the sum
+// visits only listed rows (in ascending order).
+//
+// That sum is one long chain of dependent adds, so it is first certified
+// away: laneSquares sums the same n terms g·g in another order, and any two
+// orders of summing n non-negative terms differ by at most about 2n·u
+// relative (u = 2⁻⁵³; each is within γ(n−1) ≈ (n−1)·u of the exact sum).
+// When the lane sum inflated by (4n+16)·u — that bound with room for the
+// rounding of the bound itself — still has a square root ≤ clip, the serial
+// sum's root is ≤ clip too (correctly rounded sqrt is monotone), the scale
+// is exactly 1 and the serial sum is skipped. Otherwise it runs as the
+// reference.
 func clipScale(grads *ParamSet, clip float64) float64 {
 	if clip <= 0 {
 		return 1
 	}
+	lanes, n := laneSquares(grads)
+	if math.Sqrt(lanes*(1+float64(4*n+16)*0x1p-53)) <= clip {
+		return 1
+	}
 	sq := 0.0
-	for _, p := range grads.Params {
-		for _, g := range p.M.Data {
-			sq += g * g
+	for i := range grads.Params {
+		p := &grads.Params[i]
+		if p.Rows != nil {
+			slices.Sort(p.Rows.rows)
 		}
+		p.spans(func(lo, hi int) {
+			for _, g := range p.M.Data[lo:hi] {
+				sq += g * g
+			}
+		})
 	}
 	norm := math.Sqrt(sq)
 	if norm <= clip {
 		return 1
 	}
 	return clip / norm
+}
+
+// laneSquares returns the sum of g·g over every value clipScale's serial sum
+// visits, accumulated in four interleaved lanes, and the number of terms.
+func laneSquares(grads *ParamSet) (float64, int) {
+	var acc [4]float64
+	n := 0
+	for i := range grads.Params {
+		p := &grads.Params[i]
+		p.spans(func(lo, hi int) {
+			n += hi - lo
+			addSquares(&acc, p.M.Data[lo:hi])
+		})
+	}
+	return (acc[0] + acc[1]) + (acc[2] + acc[3]), n
+}
+
+// addSquares adds v's squares into the four lane sums: four independent
+// dependency chains instead of one.
+func addSquares(acc *[4]float64, v []float64) {
+	a0, a1, a2, a3 := acc[0], acc[1], acc[2], acc[3]
+	for ; len(v) >= 4; v = v[4:] {
+		a0 += v[0] * v[0]
+		a1 += v[1] * v[1]
+		a2 += v[2] * v[2]
+		a3 += v[3] * v[3]
+	}
+	for _, x := range v {
+		a0 += x * x
+	}
+	acc[0], acc[1], acc[2], acc[3] = a0, a1, a2, a3
 }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/mat"
@@ -38,7 +39,8 @@ func toyProblem(opt Optimizer) (loss0, lossN float64) {
 		dy := make([]float64, 2)
 		for _, e := range data {
 			l.Forward(y, e.x)
-			total += SoftmaxCrossEntropy(dy, y, e.y)
+			total += crossEntropy(y, e.y)
+			SoftmaxCrossEntropy(dy, y, e.y)
 			l.Backward(e.x, dy, grads.ByName("W"), grads.ByName("B"), nil)
 		}
 		mat.Scale(grads.ByName("W").Data, 1/float64(len(data)))
@@ -100,5 +102,165 @@ func TestSGDClippedStepBounded(t *testing.T) {
 	// After clipping to norm 1, the step must have magnitude <= 1.
 	if n := mat.L2(ps.ByName("a").Data); n > 1+1e-9 {
 		t.Fatalf("clipped step norm = %v, want <= 1", n)
+	}
+}
+
+// sparsePair returns two identical parameter sets (a 12x5 "table" and a
+// dense 3x4 tensor, values in (-1, 1), none of them -0) and two zero
+// gradient sets for them, the first with a row-sparse table.
+func sparsePair() (pSparse, pDense, gSparse, gDense *ParamSet) {
+	rng := mat.NewRNG(41)
+	pSparse = &ParamSet{}
+	pSparse.Add("table", mat.NewDense(12, 5))
+	pSparse.Add("w", mat.NewDense(3, 4))
+	for _, p := range pSparse.Params {
+		p.M.Randomize(rng, 1)
+	}
+	pDense = pSparse.Clone()
+	gSparse = pSparse.ZeroClone()
+	gSparse.Param("table").Rows = NewRowSet(12)
+	gDense = pSparse.ZeroClone()
+	return pSparse, pDense, gSparse, gDense
+}
+
+// TestRowSparseStepsMatchDense drives each optimizer for 30 steps on a
+// row-sparse gradient and on the same gradient stored dense — rows touched
+// in some steps and not in others, rows never touched, scales that clip
+// and scales that do not — and requires identical parameter bits, and the
+// gradient sets zero again after every step.
+func TestRowSparseStepsMatchDense(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opt  func() Optimizer
+	}{
+		{"sgd", func() Optimizer { return &SGD{LR: 0.1, Clip: 1} }},
+		{"sgd_momentum", func() Optimizer { return &SGD{LR: 0.05, Momentum: 0.5, Clip: 2} }},
+		{"adam", func() Optimizer { return &Adam{LR: 0.03, Clip: 1.5} }},
+		{"adam_noclip", func() Optimizer { return &Adam{LR: 0.03} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pS, pD, gS, gD := sparsePair()
+			optS, optD := tc.opt(), tc.opt()
+			rng := mat.NewRNG(43)
+			for step := 0; step < 30; step++ {
+				mag := 0.1 + 3*rng.Float64() // some steps clip, some do not
+				for k := 0; k < 1+rng.Intn(4); k++ {
+					r := rng.Intn(10) // rows 10 and 11 are never touched
+					gS.Param("table").Rows.Add(r)
+					for j := 0; j < 5; j++ {
+						v := (2*rng.Float64() - 1) * mag
+						gS.ByName("table").Data[r*5+j] += v
+						gD.ByName("table").Data[r*5+j] += v
+					}
+				}
+				for j := range gS.ByName("w").Data {
+					v := (2*rng.Float64() - 1) * mag
+					gS.ByName("w").Data[j] = v
+					gD.ByName("w").Data[j] = v
+				}
+				gS.Scale(0.5)
+				gD.Scale(0.5)
+				optS.Step(pS, gS)
+				optD.Step(pD, gD)
+				gS.Zero()
+				gD.Zero()
+				for i, p := range pD.Params {
+					for j, want := range p.M.Data {
+						if got := pS.Params[i].M.Data[j]; math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("step %d: %s[%d] = %v row-sparse, %v dense", step, p.Name, j, got, want)
+						}
+					}
+				}
+				for _, p := range gS.Params {
+					if mat.MaxAbs(p.M.Data) != 0 {
+						t.Fatalf("step %d: gradient %s not zero after Zero", step, p.Name)
+					}
+				}
+			}
+		})
+	}
+}
+
+// serialClipScale is clipScale without the certificate: the serial sum of
+// squares over every value, the reference the certified version must
+// reproduce bit for bit.
+func serialClipScale(grads *ParamSet, clip float64) float64 {
+	if clip <= 0 {
+		return 1
+	}
+	sq := 0.0
+	for _, p := range grads.Params {
+		for _, g := range p.M.Data {
+			sq += g * g
+		}
+	}
+	norm := math.Sqrt(sq)
+	if norm <= clip {
+		return 1
+	}
+	return clip / norm
+}
+
+// TestClipScaleCertificate compares clipScale with the serial reference on
+// gradients of ~3.4k values (the codec's size) whose norm sits just below,
+// at and just above the clip — within a few ulps, where the certificate
+// must decline — and far from it on either side, dense and row-sparse.
+func TestClipScaleCertificate(t *testing.T) {
+	rng := mat.NewRNG(47)
+	grads := &ParamSet{}
+	grads.Add("table", mat.NewDense(100, 16))
+	grads.Add("w", mat.NewDense(59, 24))
+	grads.Add("b", mat.NewDense(1, 59))
+	sparse := grads.ZeroClone()
+	sparse.Param("table").Rows = NewRowSet(100)
+	for trial := 0; trial < 200; trial++ {
+		grads.Zero()
+		sparse.Zero()
+		for _, r := range []int{71, 3, 3, 40, 99, 0, 12, 58} { // unsorted, repeated
+			sparse.Param("table").Rows.Add(r)
+			for j := 0; j < 16; j++ {
+				v := 2*rng.Float64() - 1
+				grads.ByName("table").Data[r*16+j] = v
+				sparse.ByName("table").Data[r*16+j] = v
+			}
+		}
+		for _, name := range []string{"w", "b"} {
+			for j := range grads.ByName(name).Data {
+				v := (2*rng.Float64() - 1) * 0.1
+				grads.ByName(name).Data[j] = v
+				sparse.ByName(name).Data[j] = v
+			}
+		}
+		norm := math.Sqrt(func() float64 {
+			sq := 0.0
+			for _, p := range grads.Params {
+				for _, g := range p.M.Data {
+					sq += g * g
+				}
+			}
+			return sq
+		}())
+		clip := norm
+		switch trial % 5 {
+		case 0:
+			clip = norm * 2
+		case 1:
+			clip = norm / 2
+		case 2:
+			for k := 0; k < trial%7; k++ {
+				clip = math.Nextafter(clip, 0)
+			}
+		case 3:
+			for k := 0; k < trial%7; k++ {
+				clip = math.Nextafter(clip, math.Inf(1))
+			}
+		}
+		want := serialClipScale(grads, clip)
+		if got := clipScale(grads, clip); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d dense: clipScale = %v, serial %v (clip %v, norm %v)", trial, got, want, clip, norm)
+		}
+		if got := clipScale(sparse, clip); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d row-sparse: clipScale = %v, serial %v (clip %v, norm %v)", trial, got, want, clip, norm)
+		}
 	}
 }

@@ -24,6 +24,50 @@ import (
 type Param struct {
 	Name string
 	M    *mat.Dense
+	// Rows, when non-nil, makes a gradient tensor row-sparse: every row it
+	// does not list is zero, so ParamSet.Zero, ParamSet.Scale, the clip
+	// norm and the optimizers visit only the listed rows. Nil (every tensor
+	// ZeroClone makes) is dense.
+	Rows *RowSet
+}
+
+// RowSet lists rows of a row-sparse tensor, each once, in no particular
+// order.
+type RowSet struct {
+	rows   []int
+	listed []bool // by row
+}
+
+// NewRowSet returns an empty set over a tensor of n rows.
+func NewRowSet(n int) *RowSet { return &RowSet{listed: make([]bool, n)} }
+
+// Add lists row r; a listed row stays listed once.
+func (s *RowSet) Add(r int) {
+	if !s.listed[r] {
+		s.listed[r] = true
+		s.rows = append(s.rows, r)
+	}
+}
+
+// clear empties the set.
+func (s *RowSet) clear() {
+	for _, r := range s.rows {
+		s.listed[r] = false
+	}
+	s.rows = s.rows[:0]
+}
+
+// spans calls fn(lo, hi) for each stretch p.M.Data[lo:hi] that may hold a
+// non-zero value: the whole tensor when it is dense, each listed row when
+// it is row-sparse.
+func (p *Param) spans(fn func(lo, hi int)) {
+	if p.Rows == nil {
+		fn(0, len(p.M.Data))
+		return
+	}
+	for _, r := range p.Rows.rows {
+		fn(r*p.M.Cols, (r+1)*p.M.Cols)
+	}
 }
 
 // ParamSet is an ordered collection of named parameters. Order is
@@ -40,9 +84,18 @@ func (ps *ParamSet) Add(name string, m *mat.Dense) {
 
 // ByName returns the tensor with the given name, or nil if absent.
 func (ps *ParamSet) ByName(name string) *mat.Dense {
-	for _, p := range ps.Params {
-		if p.Name == name {
-			return p.M
+	if p := ps.Param(name); p != nil {
+		return p.M
+	}
+	return nil
+}
+
+// Param returns the entry of the named tensor (shared, so its Rows can be
+// set), or nil if absent.
+func (ps *ParamSet) Param(name string) *Param {
+	for i := range ps.Params {
+		if ps.Params[i].Name == name {
+			return &ps.Params[i]
 		}
 	}
 	return nil
@@ -67,10 +120,25 @@ func (ps *ParamSet) ZeroClone() *ParamSet {
 	return out
 }
 
-// Zero clears every tensor in place.
+// Zero clears every tensor in place; a row-sparse tensor clears its listed
+// rows and then its row list.
 func (ps *ParamSet) Zero() {
-	for _, p := range ps.Params {
-		p.M.Zero()
+	for i := range ps.Params {
+		p := &ps.Params[i]
+		p.spans(func(lo, hi int) { mat.Zero(p.M.Data[lo:hi]) })
+		if p.Rows != nil {
+			p.Rows.clear()
+		}
+	}
+}
+
+// Scale multiplies every value by s > 0 in place. The unlisted rows of a
+// row-sparse tensor are +0, which s > 0 leaves as they are, so they are
+// not visited.
+func (ps *ParamSet) Scale(s float64) {
+	for i := range ps.Params {
+		p := &ps.Params[i]
+		p.spans(func(lo, hi int) { mat.Scale(p.M.Data[lo:hi], s) })
 	}
 }
 
@@ -126,6 +194,26 @@ func (ps *ParamSet) AddScaled(a float64, other *ParamSet) {
 	}
 	for i, p := range ps.Params {
 		p.M.AddScaled(a, other.Params[i].M)
+	}
+}
+
+// SubFrom overwrites ps, a copy taken before an update, with the update's
+// delta after − ps: each value b becomes a + (−1·b), a being after's value at
+// the same place — the expression AddScaled(−1, ps) evaluates on a copy of
+// after, so the same bits (for every value but NaN, whose sign bit the
+// compiler's −1· may flip) without that copy. It panics on shape mismatch.
+func (ps *ParamSet) SubFrom(after *ParamSet) {
+	if len(ps.Params) != len(after.Params) {
+		panic("nn: SubFrom param count mismatch")
+	}
+	for i, p := range ps.Params {
+		a := after.Params[i].M
+		if a.Rows != p.M.Rows || a.Cols != p.M.Cols {
+			panic("nn: SubFrom shape mismatch")
+		}
+		for j, b := range p.M.Data {
+			p.M.Data[j] = a.Data[j] + -1*b
+		}
 	}
 }
 

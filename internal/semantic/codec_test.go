@@ -1,6 +1,7 @@
 package semantic
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -230,12 +231,40 @@ func TestPolysemyDecodesPerDomain(t *testing.T) {
 	}
 }
 
+// TestTrainEpochEmptyExamples: an epoch over no examples leaves every
+// parameter as it was.
 func TestTrainEpochEmptyExamples(t *testing.T) {
 	corp := corpus.Build()
 	c := NewCodec(corp.Domain("it"), testConfig())
-	res := c.TrainEpoch(nil, &nn.SGD{LR: 0.1}, mat.NewRNG(1), 0)
-	if res.MeanLoss != 0 || res.Accuracy != 0 {
-		t.Fatalf("empty epoch result = %+v", res)
+	before := c.Clone()
+	c.TrainEpoch(nil, &nn.SGD{LR: 0.1}, mat.NewRNG(1), 0)
+	c.TrainEpoch(nil, &nn.Adam{LR: 0.1, Clip: 5}, mat.NewRNG(1), 0.2)
+	c.FineTune(nil, 3, 0, mat.NewRNG(1))
+	sameParamBits(t, "empty epochs", c.Params(), before.Params())
+}
+
+// TestPretrainedWeightsHoldNoNegativeZero: a momentum-SGD step on a row
+// with zero velocity and zero gradient is the identity on every weight but
+// −0, which p + (+0) turns into +0 — and the fine-tune skips such rows
+// (nn.Param.Rows). So no weight of a pretrained KB, which every individual
+// model starts from, may be −0: the knowledge bases a daemon builds (seed
+// 1, all domains, default sizes) and semkb's -seed 11 store.
+func TestPretrainedWeightsHoldNoNegativeZero(t *testing.T) {
+	corp := corpus.Build()
+	seeds := []uint64{1, 11}
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	for _, seed := range seeds {
+		for _, c := range PretrainAll(corp, Config{Seed: seed}) {
+			for _, p := range c.params().Params {
+				for j, v := range p.M.Data {
+					if v == 0 && math.Signbit(v) {
+						t.Fatalf("seed %d, domain %s: %s[%d] is -0", seed, c.Domain().Name, p.Name, j)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package semantic
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/corpus"
@@ -20,49 +22,123 @@ func trainExamples(corp *corpus.Corpus, n int) []Example {
 	return out[:n]
 }
 
-// TestTrainEpochMatchesReference asserts the batched GEMM TrainEpoch
-// produces bitwise-identical parameters, loss and accuracy to the
-// historical per-example loop, at 1, 2 and 8 workers, for both optimizers
-// and with and without noise.
+// sameParamBits fails on the first parameter scalar whose bits differ.
+func sameParamBits(t *testing.T, what string, got, want *nn.ParamSet) {
+	t.Helper()
+	for i, p := range want.Params {
+		for j, w := range p.M.Data {
+			if g := got.Params[i].M.Data[j]; math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s: %s[%d] = %v (%x), reference %v (%x)",
+					what, p.Name, j, g, math.Float64bits(g), w, math.Float64bits(w))
+			}
+		}
+	}
+}
+
+// clipCounter wraps a reference optimizer and counts the steps whose
+// gradient norm the clip bounds (scale < 1) and the steps it leaves alone.
+type clipCounter struct {
+	nn.Optimizer
+	clip               float64
+	clipped, unclipped int
+}
+
+func (c *clipCounter) Step(params, grads *nn.ParamSet) {
+	if clipScaleReference(grads, c.clip) < 1 {
+		c.clipped++
+	} else {
+		c.unclipped++
+	}
+	c.Optimizer.Step(params, grads)
+}
+
+// TestTrainEpochMatchesReference holds the batched, row-sparse training
+// step to the per-example loop on dense gradients and the pre-row-sparse
+// optimizers and clip (train_reference_test.go): every parameter bit, at
+// 1, 2 and 8 workers. The cases are pretraining's Adam, the fine-tune's
+// momentum SGD (noiseless, and at the fine-tune's noise), a learning rate
+// and clip where some steps clip and some do not (both sides of the clip
+// certificate), examples that leave most embedding rows untouched, and a
+// whole FineTune of 3 epochs.
 func TestTrainEpochMatchesReference(t *testing.T) {
 	corp := corpus.Build()
 	base := NewCodec(corp.Domain("it"), Config{Seed: 9})
 	examples := trainExamples(corp, 83) // 83 = 10 full batches + tail of 3
+	var sparse []Example                // every third surface only
+	for _, ex := range trainExamples(corp, 300) {
+		if ex.SurfaceID%3 == 0 {
+			sparse = append(sparse, ex)
+		}
+	}
+	touched := map[int]bool{}
+	for _, ex := range sparse {
+		touched[ex.SurfaceID] = true
+	}
+	if len(touched) == 0 || len(touched) > base.emb.Vocab()/2 {
+		t.Fatalf("sparse examples touch %d of %d embedding rows", len(touched), base.emb.Vocab())
+	}
 
 	prev := mat.Parallelism()
 	defer mat.SetParallelism(prev)
 
+	cfg := base.Config()
+	const clip = 0.8
 	for _, tc := range []struct {
 		name     string
+		examples []Example
+		epochs   int // > 0: a FineTune of that many epochs instead of one TrainEpoch
 		noiseStd float64
-		opt      func() nn.Optimizer
+		opt      func() nn.Optimizer // the product optimizer
+		ref      func() nn.Optimizer // its pre-row-sparse reference
 	}{
-		{"adam_noise", 0.2, func() nn.Optimizer { return &nn.Adam{LR: 0.03, Clip: 5} }},
-		{"sgd_noiseless", 0, func() nn.Optimizer { return &nn.SGD{LR: 0.01, Momentum: 0.5, Clip: 5} }},
+		{"adam_noise", examples, 0, 0.2,
+			func() nn.Optimizer { return &nn.Adam{LR: 0.03, Clip: 5} },
+			func() nn.Optimizer { return &adamReference{LR: 0.03, Clip: 5} }},
+		{"sgd_noiseless", examples, 0, 0,
+			func() nn.Optimizer { return &nn.SGD{LR: 0.01, Momentum: 0.5, Clip: 5} },
+			func() nn.Optimizer { return &sgdReference{LR: 0.01, Momentum: 0.5, Clip: 5} }},
+		{"sgd_finetune_noise", examples, 0, cfg.NoiseStd / 2,
+			func() nn.Optimizer { return &nn.SGD{LR: cfg.LR / 2, Momentum: 0.5, Clip: 5} },
+			func() nn.Optimizer { return &sgdReference{LR: cfg.LR / 2, Momentum: 0.5, Clip: 5} }},
+		{"sgd_clipping", examples, 0, 0.2,
+			func() nn.Optimizer { return &nn.SGD{LR: 0.2, Momentum: 0.5, Clip: clip} },
+			func() nn.Optimizer {
+				return &clipCounter{Optimizer: &sgdReference{LR: 0.2, Momentum: 0.5, Clip: clip}, clip: clip}
+			}},
+		{"adam_clipping", examples, 0, 0.2,
+			func() nn.Optimizer { return &nn.Adam{LR: 0.05, Clip: clip} },
+			func() nn.Optimizer { return &clipCounter{Optimizer: &adamReference{LR: 0.05, Clip: clip}, clip: clip} }},
+		{"adam_untouched_rows", sparse, 0, 0.2,
+			func() nn.Optimizer { return &nn.Adam{LR: 0.03, Clip: 5} },
+			func() nn.Optimizer { return &adamReference{LR: 0.03, Clip: 5} }},
+		{"sgd_untouched_rows", sparse, 0, 0.1,
+			func() nn.Optimizer { return &nn.SGD{LR: 0.015, Momentum: 0.5, Clip: 5} },
+			func() nn.Optimizer { return &sgdReference{LR: 0.015, Momentum: 0.5, Clip: 5} }},
+		{"finetune_3_epochs", examples, 3, cfg.NoiseStd / 2, nil,
+			func() nn.Optimizer { return &sgdReference{LR: cfg.LR / 2, Momentum: 0.5, Clip: 5} }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mat.SetParallelism(1)
 			ref := base.Clone()
-			wantRes := trainEpochReference(ref, examples, tc.opt(), mat.NewRNG(31), tc.noiseStd)
+			refOpt := tc.ref()
+			rng := mat.NewRNG(31)
+			for e := 0; e < max(tc.epochs, 1); e++ {
+				trainEpochReference(ref, tc.examples, refOpt, rng, tc.noiseStd)
+			}
+			if cc, ok := refOpt.(*clipCounter); ok && (cc.clipped == 0 || cc.unclipped == 0) {
+				t.Fatalf("clip %v bounds %d steps and leaves %d: want both kinds", clip, cc.clipped, cc.unclipped)
+			}
 			want := ref.Params()
 
 			for _, workers := range []int{1, 2, 8} {
 				mat.SetParallelism(workers)
 				got := base.Clone()
-				gotRes := got.TrainEpoch(examples, tc.opt(), mat.NewRNG(31), tc.noiseStd)
-				if gotRes != wantRes {
-					t.Fatalf("%d workers: TrainResult %+v, want %+v", workers, gotRes, wantRes)
+				if tc.epochs > 0 {
+					got.FineTune(tc.examples, tc.epochs, 0, mat.NewRNG(31))
+				} else {
+					got.TrainEpoch(tc.examples, tc.opt(), mat.NewRNG(31), tc.noiseStd)
 				}
-				gp := got.Params()
-				for i := range want.Params {
-					wm, gm := want.Params[i].M, gp.Params[i].M
-					for j := range wm.Data {
-						if gm.Data[j] != wm.Data[j] {
-							t.Fatalf("%d workers: tensor %q element %d = %v, want %v",
-								workers, want.Params[i].Name, j, gm.Data[j], wm.Data[j])
-						}
-					}
-				}
+				sameParamBits(t, fmt.Sprintf("%d workers", workers), got.Params(), want)
 			}
 		})
 	}

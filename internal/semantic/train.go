@@ -23,12 +23,6 @@ func ExamplesFromMessage(d *corpus.Domain, m corpus.Message) []Example {
 	return out
 }
 
-// TrainResult summarizes one training epoch.
-type TrainResult struct {
-	MeanLoss float64
-	Accuracy float64
-}
-
 // trainBatch is the minibatch size: the optimizer steps once per
 // trainBatch examples, with the trailing partial batch stepped on its own
 // (matching the historical per-example loop's boundaries exactly).
@@ -44,16 +38,30 @@ const trainBatch = 8
 // consumed in the same example-major order as the per-example loop, so the
 // parameter stream is bit-identical to the historical implementation at any
 // worker count.
-func (c *Codec) TrainEpoch(examples []Example, opt nn.Optimizer, rng *mat.RNG, noiseStd float64) TrainResult {
-	return c.trainEpoch(examples, opt, rng, noiseStd, c.params().ZeroClone())
+//
+// An epoch computes only what its parameter updates consume: the loss
+// gradient, not the loss or the accuracy; and the embedding gradient of a
+// minibatch is row-sparse — the at most trainBatch rows it touched — so
+// scaling, clipping, stepping and zeroing it skip the untouched rows
+// (internal/nn/optim.go says why the parameters come out the same).
+func (c *Codec) TrainEpoch(examples []Example, opt nn.Optimizer, rng *mat.RNG, noiseStd float64) {
+	c.trainEpoch(examples, opt, rng, noiseStd, c.newGrads())
 }
 
-// trainEpoch is TrainEpoch over a caller-owned gradient set (a ZeroClone of
-// c.Params(), all zero on entry and again on return), so multi-epoch
-// callers allocate it once.
-func (c *Codec) trainEpoch(examples []Example, opt nn.Optimizer, rng *mat.RNG, noiseStd float64, grads *nn.ParamSet) TrainResult {
+// newGrads returns a zero gradient set for the codec's parameters whose
+// embedding tensor is row-sparse.
+func (c *Codec) newGrads() *nn.ParamSet {
+	grads := c.params().ZeroClone()
+	grads.Param(ParamEncEmb).Rows = nn.NewRowSet(c.emb.Vocab())
+	return grads
+}
+
+// trainEpoch is TrainEpoch over a caller-owned gradient set (from
+// newGrads, all zero on entry and again on return), so multi-epoch callers
+// allocate it once.
+func (c *Codec) trainEpoch(examples []Example, opt nn.Optimizer, rng *mat.RNG, noiseStd float64, grads *nn.ParamSet) {
 	params := c.Params()
-	gEmb := grads.ByName(ParamEncEmb)
+	gEmb := grads.Param(ParamEncEmb)
 	gEncW := grads.ByName(ParamEncW)
 	gEncB := grads.ByName(ParamEncB)
 	gDecW := grads.ByName(ParamDecW)
@@ -81,8 +89,6 @@ func (c *Codec) trainEpoch(examples []Example, opt nn.Optimizer, rng *mat.RNG, n
 	sids := sc.Ints(trainBatch)
 
 	order := rng.Perm(len(examples))
-	totalLoss := 0.0
-	correct := 0
 	for start := 0; start < len(order); start += trainBatch {
 		n := min(trainBatch, len(order)-start)
 		xB, preB, featB, noisyB := x, pre, feat, noisy
@@ -122,11 +128,7 @@ func (c *Codec) trainEpoch(examples []Example, opt nn.Optimizer, rng *mat.RNG, n
 		nn.TanhForward(hB.Data, hPreB.Data)
 		c.out.ForwardBatch(logitsB, hB)
 		for t := 0; t < n; t++ {
-			ex := examples[order[start+t]]
-			if mat.Argmax(logitsB.Row(t)) == ex.ConceptID {
-				correct++
-			}
-			totalLoss += nn.SoftmaxCrossEntropy(dLogitsB.Row(t), logitsB.Row(t), ex.ConceptID)
+			nn.SoftmaxCrossEntropy(dLogitsB.Row(t), logitsB.Row(t), examples[order[start+t]].ConceptID)
 		}
 		// Backward: decoder.
 		c.out.BackwardBatch(hB, dLogitsB, gOutW, gOutB, dHB)
@@ -136,23 +138,12 @@ func (c *Codec) trainEpoch(examples []Example, opt nn.Optimizer, rng *mat.RNG, n
 		nn.TanhBackward(dFeatB.Data, featB.Data, dFeatB.Data)
 		c.enc.BackwardBatch(xB, dFeatB, gEncW, gEncB, dXB)
 		for t := 0; t < n; t++ {
-			c.emb.AccumulateGrad(gEmb, sids[t], dXB.Row(t))
+			c.emb.AccumulateGrad(gEmb.M, sids[t], dXB.Row(t))
+			gEmb.Rows.Add(sids[t])
 		}
-		scaleGrads(grads, 1/float64(n))
+		grads.Scale(1 / float64(n))
 		opt.Step(params, grads)
 		grads.Zero()
-	}
-	nEx := float64(len(examples))
-	if nEx == 0 {
-		return TrainResult{}
-	}
-	return TrainResult{MeanLoss: totalLoss / nEx, Accuracy: float64(correct) / nEx}
-}
-
-// scaleGrads multiplies every gradient tensor by s.
-func scaleGrads(grads *nn.ParamSet, s float64) {
-	for _, p := range grads.Params {
-		mat.Scale(p.M.Data, s)
 	}
 }
 
@@ -215,7 +206,7 @@ func Pretrain(d *corpus.Domain, corp *corpus.Corpus, cfg Config) *Codec {
 	}
 	opt := &nn.Adam{LR: cfg.LR, Clip: 5}
 	trainRNG := rng.Split()
-	grads := c.params().ZeroClone()
+	grads := c.newGrads()
 	for e := 0; e < cfg.Epochs; e++ {
 		c.trainEpoch(examples, opt, trainRNG, cfg.NoiseStd, grads)
 	}
@@ -237,18 +228,15 @@ func PretrainAll(corp *corpus.Corpus, cfg Config) []*Codec {
 }
 
 // FineTune adapts a codec (typically a Clone of the general model) on a
-// user's buffered traffic for the given number of epochs, returning the
-// final epoch's result. This is the individual-model update step of the
-// paper's §II-D.
-func (c *Codec) FineTune(examples []Example, epochs int, lr float64, rng *mat.RNG) TrainResult {
+// user's buffered traffic for the given number of epochs. This is the
+// individual-model update step of the paper's §II-D.
+func (c *Codec) FineTune(examples []Example, epochs int, lr float64, rng *mat.RNG) {
 	if lr <= 0 {
 		lr = c.cfg.LR / 2
 	}
 	opt := &nn.SGD{LR: lr, Momentum: 0.5, Clip: 5}
-	var res TrainResult
-	grads := c.params().ZeroClone()
+	grads := c.newGrads()
 	for e := 0; e < epochs; e++ {
-		res = c.trainEpoch(examples, opt, rng, c.cfg.NoiseStd/2, grads)
+		c.trainEpoch(examples, opt, rng, c.cfg.NoiseStd/2, grads)
 	}
-	return res
 }

@@ -1,16 +1,25 @@
 package semantic
 
 import (
+	"math"
+
 	"repro/internal/mat"
 	"repro/internal/nn"
 )
 
+// The references the batched, row-sparse training step is held to, bit
+// for bit: the pre-GEMM per-example loop and the dense optimizers and clip
+// as they were before gradients could be row-sparse. They share no code
+// with the paths they check beyond the mat kernels (which mat's own tests
+// hold to the pure-Go loops).
+
 // trainEpochReference is the pre-GEMM per-example training loop, preserved
-// verbatim as the bit-identity reference for the batched TrainEpoch: one
-// example at a time through Forward/Backward with fresh per-call scratch
-// slices, stepping the optimizer every 8 examples. The batched
-// implementation must reproduce its parameter stream bit for bit.
-func trainEpochReference(c *Codec, examples []Example, opt nn.Optimizer, rng *mat.RNG, noiseStd float64) TrainResult {
+// as the bit-identity reference for the batched TrainEpoch: one example at
+// a time through Forward/Backward with fresh per-call scratch slices, a
+// dense gradient set, stepping the optimizer every 8 examples. It computes
+// no loss or accuracy (the cross-entropy is gradient-only); otherwise it is
+// the historical loop verbatim.
+func trainEpochReference(c *Codec, examples []Example, opt nn.Optimizer, rng *mat.RNG, noiseStd float64) {
 	params := c.Params()
 	grads := params.ZeroClone()
 	gEmb := grads.ByName(ParamEncEmb)
@@ -35,8 +44,6 @@ func trainEpochReference(c *Codec, examples []Example, opt nn.Optimizer, rng *ma
 	dEmb := make([]float64, c.cfg.EmbedDim)
 
 	order := rng.Perm(len(examples))
-	totalLoss := 0.0
-	correct := 0
 	const batch = 8
 	inBatch := 0
 	for _, oi := range order {
@@ -56,10 +63,7 @@ func trainEpochReference(c *Codec, examples []Example, opt nn.Optimizer, rng *ma
 		c.dec.Forward(hPre, noisy)
 		nn.TanhForward(h, hPre)
 		c.out.Forward(logits, h)
-		if mat.Argmax(logits) == ex.ConceptID {
-			correct++
-		}
-		totalLoss += nn.SoftmaxCrossEntropy(dLogits, logits, ex.ConceptID)
+		nn.SoftmaxCrossEntropy(dLogits, logits, ex.ConceptID)
 		// Backward: decoder.
 		c.out.Backward(h, dLogits, gOutW, gOutB, dH)
 		nn.TanhBackward(dH, h, dH)
@@ -71,19 +75,116 @@ func trainEpochReference(c *Codec, examples []Example, opt nn.Optimizer, rng *ma
 
 		inBatch++
 		if inBatch == batch {
-			scaleGrads(grads, 1/float64(batch))
+			scaleGradsReference(grads, 1/float64(batch))
 			opt.Step(params, grads)
 			grads.Zero()
 			inBatch = 0
 		}
 	}
 	if inBatch > 0 {
-		scaleGrads(grads, 1/float64(inBatch))
+		scaleGradsReference(grads, 1/float64(inBatch))
 		opt.Step(params, grads)
 	}
-	n := float64(len(examples))
-	if n == 0 {
-		return TrainResult{}
+}
+
+// scaleGradsReference multiplies every gradient tensor by s.
+func scaleGradsReference(grads *nn.ParamSet, s float64) {
+	for _, p := range grads.Params {
+		mat.Scale(p.M.Data, s)
 	}
-	return TrainResult{MeanLoss: totalLoss / n, Accuracy: float64(correct) / n}
+}
+
+// sgdReference is nn.SGD's Step before row-sparse gradients, verbatim but
+// for the serial tensor loop (the sharded one only starts at 1<<15 values,
+// far above a codec's, and is bit-identical anyway).
+type sgdReference struct {
+	LR       float64
+	Momentum float64
+	Clip     float64
+
+	velocity *nn.ParamSet
+}
+
+func (o *sgdReference) Step(params, grads *nn.ParamSet) {
+	scale := clipScaleReference(grads, o.Clip)
+	if o.Momentum == 0 {
+		for i := range params.Params {
+			mat.AXPY(params.Params[i].M.Data, -o.LR*scale, grads.Params[i].M.Data)
+		}
+		return
+	}
+	if o.velocity == nil {
+		o.velocity = params.ZeroClone()
+	}
+	lr := o.LR * scale
+	for i := range params.Params {
+		mat.MomentumStep(params.Params[i].M.Data, o.velocity.Params[i].M.Data, grads.Params[i].M.Data, o.Momentum, lr)
+	}
+}
+
+// adamReference is nn.Adam's Step before row-sparse gradients, verbatim
+// but for the serial tensor loop.
+type adamReference struct {
+	LR    float64
+	Beta1 float64
+	Beta2 float64
+	Eps   float64
+	Clip  float64
+
+	m, v *nn.ParamSet
+	t    int
+}
+
+func (o *adamReference) Step(params, grads *nn.ParamSet) {
+	b1, b2, eps := o.Beta1, o.Beta2, o.Eps
+	if b1 == 0 {
+		b1 = 0.9
+	}
+	if b2 == 0 {
+		b2 = 0.999
+	}
+	if eps == 0 {
+		eps = 1e-8
+	}
+	if o.m == nil {
+		o.m = params.ZeroClone()
+		o.v = params.ZeroClone()
+	}
+	o.t++
+	scale := clipScaleReference(grads, o.Clip)
+	c1 := 1 - math.Pow(b1, float64(o.t))
+	c2 := 1 - math.Pow(b2, float64(o.t))
+	for i := range params.Params {
+		md := o.m.Params[i].M.Data
+		vd := o.v.Params[i].M.Data
+		gd := grads.Params[i].M.Data
+		pd := params.Params[i].M.Data
+		for j := range pd {
+			g := gd[j] * scale
+			md[j] = b1*md[j] + (1-b1)*g
+			vd[j] = b2*vd[j] + (1-b2)*g*g
+			mHat := md[j] / c1
+			vHat := vd[j] / c2
+			pd[j] -= o.LR * mHat / (math.Sqrt(vHat) + eps)
+		}
+	}
+}
+
+// clipScaleReference is clipScale before the certificate: the serial sum
+// of squares over every gradient value, every step.
+func clipScaleReference(grads *nn.ParamSet, clip float64) float64 {
+	if clip <= 0 {
+		return 1
+	}
+	sq := 0.0
+	for _, p := range grads.Params {
+		for _, g := range p.M.Data {
+			sq += g * g
+		}
+	}
+	norm := math.Sqrt(sq)
+	if norm <= clip {
+		return 1
+	}
+	return clip / norm
 }

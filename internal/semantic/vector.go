@@ -115,14 +115,14 @@ func (vc *VectorCodec) Train(samples [][]float64, epochs int, lr, noiseStd float
 			vc.enc.Backward(x, dFeat, gEncW, gEncB, nil)
 			inBatch++
 			if inBatch == batch {
-				scaleGrads(grads, 1/float64(batch))
+				grads.Scale(1 / float64(batch))
 				opt.Step(params, grads)
 				grads.Zero()
 				inBatch = 0
 			}
 		}
 		if inBatch > 0 {
-			scaleGrads(grads, 1/float64(inBatch))
+			grads.Scale(1 / float64(inBatch))
 			opt.Step(params, grads)
 			grads.Zero()
 		}
