@@ -98,7 +98,7 @@ func TestHandlePipelinedFrames(t *testing.T) {
 
 // TestHandleOneWritePerFrame pins the daemon's side of the syscall
 // budget: each request under the read buffer's size is one Read, each
-// response exactly one Write — after a 100 B transmit and after a 70 KB
+// response exactly one Write — after a 100 B transmit and after a 52 KB
 // handover push alike.
 func TestHandleOneWritePerFrame(t *testing.T) {
 	var counted *rpctest.CountingConn
@@ -122,14 +122,14 @@ func TestHandleOneWritePerFrame(t *testing.T) {
 		params[i] = byte(i * 7)
 	}
 	// A mesh of one has no peer to take a push from, so it is refused — in
-	// one frame, after the whole 70 KB request came off the connection.
+	// one frame, after the whole 52 KB request came off the connection.
 	err = cl.HandoverPush(context.Background(), &rpc.HandoffPayload{User: "alice", FromNode: "node-0",
 		Models: []rpc.HandoffModel{{Side: "sender", Model: rpc.ModelPayload{Domain: "it", User: "alice", Params: params}}}})
 	if err == nil {
 		t.Fatal("handover push accepted by a daemon with no peers")
 	}
 	if err := cl.Ping(); err != nil {
-		t.Fatalf("connection unusable after a 70 KB frame: %v", err)
+		t.Fatalf("connection unusable after a 52 KB frame: %v", err)
 	}
 	cl.Close()
 	awaitExit(t, exited)

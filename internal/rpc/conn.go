@@ -14,7 +14,7 @@ const (
 	// connBufBytes sizes a Conn's buffered reader, and is the largest
 	// frame buffer a Conn keeps between frames: client traffic (100 B to
 	// 1 KB frames) reuses one buffer forever, while a link that carried a
-	// 70 KB handover frame gives the memory back once the frame is done.
+	// ≈63 KB handover frame gives the memory back once the frame is done.
 	connBufBytes = 4096
 	// minFrameBytes is the smallest frame buffer allocated, so a short
 	// frame's header and payload share one allocation.
@@ -23,10 +23,14 @@ const (
 	// the bytes that have actually arrived: a peer that sends only a
 	// header claiming MaxMessageBytes pins one step, not the full claim.
 	growStepBytes = 64 << 10
+	// jsonLenBytes is the size of a v2 body's JSON length prefix.
+	jsonLenBytes = 4
 )
 
 // frameBuf assembles and parses frames in one reusable buffer: 5 header
-// bytes, then the JSON document.
+// bytes, then the body (see the package comment). A decoded frame with a
+// parameter tail hands the buffer over to the message, whose Params slice
+// it, so the next frame never overwrites them.
 type frameBuf struct {
 	b   []byte
 	enc *json.Encoder // appends to b through Write
@@ -54,7 +58,8 @@ func (f *frameBuf) release() {
 }
 
 // encode marshals v straight into the buffer behind the reserved header
-// bytes and returns the complete frame, valid until the next use of f.
+// bytes, appends the parameter tail on a v2 frame, and returns the
+// complete frame, valid until the next use of f.
 func (f *frameBuf) encode(version byte, v interface{}) ([]byte, error) {
 	if version != Version && version != Version2 {
 		return nil, &VersionError{Got: version}
@@ -64,12 +69,30 @@ func (f *frameBuf) encode(version byte, v interface{}) ([]byte, error) {
 	}
 	f.reset()
 	f.b = append(f.b, version, 0, 0, 0, 0)
+	if version == Version2 {
+		f.b = append(f.b, 0, 0, 0, 0)
+	}
+	start := len(f.b)
 	if err := f.enc.Encode(v); err != nil {
 		return nil, fmt.Errorf("rpc: marshal: %w", err)
 	}
 	// Encode ends the document with a newline json.Marshal does not
 	// produce; the wire format is the bare document.
 	f.b = f.b[:len(f.b)-1]
+	if version == Version2 {
+		binary.LittleEndian.PutUint32(f.b[headerBytes:], uint32(len(f.b)-start))
+	}
+	ms, tail := models(v), 0
+	for _, m := range ms {
+		tail += len(m.Params)
+	}
+	if version == Version && tail > 0 {
+		return nil, errV1Params
+	}
+	f.b = slices.Grow(f.b, tail)
+	for _, m := range ms {
+		f.b = append(f.b, m.Params...)
+	}
 	n := len(f.b) - headerBytes
 	if n > MaxMessageBytes {
 		return nil, errFrameTooLarge
@@ -106,28 +129,65 @@ func (f *frameBuf) read(r io.Reader) ([]byte, byte, error) {
 	return f.b[headerBytes:], version, nil
 }
 
-// readRequest reads and decodes one framed Request.
-func (f *frameBuf) readRequest(r io.Reader) (*Request, byte, error) {
+// decode reads one frame into v (a *Request or *Response): the JSON
+// document, then, on a v2 frame, each ModelPayload's Params sliced off
+// the tail by its params_len. The lengths must consume the tail exactly.
+func (f *frameBuf) decode(r io.Reader, v interface{}) (byte, error) {
 	payload, version, err := f.read(r)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
+	doc, tail := payload, payload[len(payload):]
+	if version == Version2 {
+		if len(payload) < jsonLenBytes {
+			return 0, errBadTail
+		}
+		n := binary.LittleEndian.Uint32(payload)
+		if uint64(n) > uint64(len(payload)-jsonLenBytes) {
+			return 0, errBadTail
+		}
+		doc, tail = payload[jsonLenBytes:jsonLenBytes+n], payload[jsonLenBytes+n:]
+	}
+	if err := json.Unmarshal(doc, v); err != nil {
+		return 0, fmt.Errorf("rpc: unmarshal: %w", err)
+	}
+	rest := tail
+	for _, m := range models(v) {
+		n := m.paramsLen
+		if n < 0 || n > len(rest) {
+			return 0, errBadTail
+		}
+		if n > 0 {
+			m.Params = rest[:n:n]
+		}
+		m.paramsLen = 0
+		rest = rest[n:]
+	}
+	if len(rest) != 0 {
+		return 0, errBadTail
+	}
+	if len(tail) > 0 {
+		f.b = nil // the decoded Params own the buffer now
+	}
+	return version, nil
+}
+
+// readRequest reads and decodes one framed Request.
+func (f *frameBuf) readRequest(r io.Reader) (*Request, byte, error) {
 	var req Request
-	if err := json.Unmarshal(payload, &req); err != nil {
-		return nil, 0, fmt.Errorf("rpc: unmarshal request: %w", err)
+	version, err := f.decode(r, &req)
+	if err != nil {
+		return nil, 0, err
 	}
 	return &req, version, nil
 }
 
 // readResponse reads and decodes one framed Response.
 func (f *frameBuf) readResponse(r io.Reader) (*Response, byte, error) {
-	payload, version, err := f.read(r)
+	var resp Response
+	version, err := f.decode(r, &resp)
 	if err != nil {
 		return nil, 0, err
-	}
-	var resp Response
-	if err := json.Unmarshal(payload, &resp); err != nil {
-		return nil, 0, fmt.Errorf("rpc: unmarshal response: %w", err)
 	}
 	return &resp, version, nil
 }

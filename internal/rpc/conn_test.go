@@ -13,9 +13,11 @@ import (
 	"repro/internal/rpc/rpctest"
 )
 
-// Frames as the pre-Conn framing (json.Marshal behind a separate header
-// write) put them on the wire, recorded from that code: the format old
-// binaries speak, which must not drift.
+// Pinned wire frames. The v1 frames are as the pre-Conn framing
+// (json.Marshal behind a separate header write) put them on the wire,
+// recorded from that code: the format old clients speak, which must not
+// drift. The v2 frames carry the JSON length prefix and the raw parameter
+// tail after the document.
 var goldenFrames = []struct {
 	name    string
 	version byte
@@ -35,7 +37,10 @@ var goldenFrames = []struct {
 			Reason: HandoffDrain, Belief: []float64{0.5, 0.25},
 			Buffers: []BufferState{{Domain: "it", Txs: []TxState{{Surfaces: []int{3, 1}, Concepts: []int{2}, Decoded: []int{3, 1}}}}},
 		}},
-		"\x024\x01\x00\x00{\"op\":\"handover-push\",\"handoff\":{\"user\":\"alice\",\"from_node\":\"node-0\",\"noise_seq\":17,\"models\":[{\"side\":\"sender\",\"model\":{\"domain\":\"it\",\"user\":\"alice\",\"version\":2,\"params\":\"AAEC+v8=\"}}],\"reason\":\"drain\",\"belief\":[0.5,0.25],\"buffers\":[{\"domain\":\"it\",\"txs\":[{\"surfaces\":[3,1],\"concepts\":[2],\"decoded\":[3,1]}]}]}}"},
+		"\x028\x01\x00\x00/\x01\x00\x00{\"op\":\"handover-push\",\"handoff\":{\"user\":\"alice\",\"from_node\":\"node-0\",\"noise_seq\":17,\"models\":[{\"side\":\"sender\",\"model\":{\"domain\":\"it\",\"user\":\"alice\",\"version\":2,\"params_len\":5}}],\"reason\":\"drain\",\"belief\":[0.5,0.25],\"buffers\":[{\"domain\":\"it\",\"txs\":[{\"surfaces\":[3,1],\"concepts\":[2],\"decoded\":[3,1]}]}]}}\x00\x01\x02\xfa\xff"},
+	{"v2 fetch-model hit", Version2,
+		&Response{OK: true, Model: &ModelPayload{Domain: "it", User: "alice", Version: 3, Params: []byte{7, 0, 9}}},
+		"\x02\x82\x00\x00\x00{\x00\x00\x00{\"ok\":true,\"mismatch\":0,\"payload_bytes\":0,\"latency_ms\":0,\"model\":{\"domain\":\"it\",\"user\":\"alice\",\"version\":3,\"params_len\":3}}\a\x00\t"},
 }
 
 // sinkConn records every Write as one segment; nothing else is used.
@@ -48,6 +53,11 @@ func (c *sinkConn) Write(p []byte) (int, error) {
 	c.segments = append(c.segments, append([]byte(nil), p...))
 	return len(p), nil
 }
+
+// discardConn accepts every Write and keeps nothing.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
 
 // TestGoldenFrameBytes pins the wire format from both writers — the
 // package-level WriteV and a Conn, whose buffer is reused from frame to
@@ -88,8 +98,8 @@ func TestGoldenFrameBytes(t *testing.T) {
 	}
 }
 
-// bigHandoff is a handover push the size the roam workload ships: one
-// individual model's parameters, ~70 KB on the wire after base64.
+// bigHandoff is a handover push near the size the roam workload ships
+// (≈63 KB): one individual model's parameters, ≈52 KB on the wire.
 func bigHandoff() *HandoffPayload {
 	params := make([]byte, 52<<10)
 	for i := range params {
@@ -111,7 +121,7 @@ func pipeConns(t *testing.T) (client, server net.Conn) {
 
 // TestClientOneWriteOneReadPerFrame pins the syscall budget of a call: a
 // Client puts a request on the connection in exactly one Write — 100 B
-// transmit and 70 KB handover push alike — and takes a response smaller
+// transmit and 52 KB handover push alike — and takes a response smaller
 // than the read buffer off it in exactly one Read.
 func TestClientOneWriteOneReadPerFrame(t *testing.T) {
 	clientEnd, serverEnd := pipeConns(t)
@@ -149,7 +159,7 @@ func TestClientOneWriteOneReadPerFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	if w, r := counted.Writes.Load(), counted.Reads.Load(); w != 2 || r != 2 {
-		t.Fatalf("after a 70 KB push the client made %d writes and %d reads, want 2 and 2", w, r)
+		t.Fatalf("after a 52 KB push the client made %d writes and %d reads, want 2 and 2", w, r)
 	}
 	cl.Close()
 	if err := <-done; err != io.EOF {
@@ -330,4 +340,99 @@ func TestCutConnFailsBothEndsMidFrame(t *testing.T) {
 	if cut.After != 0 {
 		t.Fatalf("cut fired with %d bytes of budget left", cut.After)
 	}
+}
+
+// TestDecodedParamsSurviveNextFrame checks decoded Params do not alias a
+// Conn's reusable frame buffer: a fetch-model hit small enough that the
+// Conn keeps its buffer, then a second one on the same Conn, and the
+// first model's Params are unchanged.
+func TestDecodedParamsSurviveNextFrame(t *testing.T) {
+	params := bytes.Repeat([]byte{0xa5}, 256)
+	var stream bytes.Buffer
+	if err := WriteV(&stream, Version2, &Response{OK: true, Model: &ModelPayload{Domain: "it", Version: 1, Params: params}}); err != nil {
+		t.Fatal(err)
+	}
+	if stream.Len() > connBufBytes {
+		t.Fatalf("first frame is %d bytes, want one the Conn keeps its buffer for (<= %d)", stream.Len(), connBufBytes)
+	}
+	second := &Response{OK: true, Model: &ModelPayload{Domain: "it", Version: 2, Params: bytes.Repeat([]byte{0x5a}, 256)}}
+	if err := WriteV(&stream, Version2, second); err != nil {
+		t.Fatal(err)
+	}
+	conn := NewConn(replayConn{data: bytes.NewReader(stream.Bytes())})
+	first, _, err := conn.ReadResponseV()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := conn.ReadResponseV(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Model.Params, params) {
+		t.Fatal("a later frame on the Conn overwrote the first response's Params")
+	}
+}
+
+// roamPush is a handover push the size the roam workload ships: two
+// ≈31 KB individual models (sender and receiver side), the user's belief
+// and two federated buffers of ten transactions each.
+func roamPush() *Request {
+	model := func(side string, seed byte) HandoffModel {
+		params := make([]byte, 31<<10)
+		for i := range params {
+			params[i] = byte(i*7) + seed
+		}
+		return HandoffModel{Side: side, Model: ModelPayload{Domain: "it", User: "u07", Version: 4, Params: params}}
+	}
+	buffer := func(domain string) BufferState {
+		b := BufferState{Domain: domain}
+		for i := 0; i < 10; i++ {
+			tx := TxState{}
+			for j := 0; j < 12; j++ {
+				tx.Surfaces = append(tx.Surfaces, 100+i*12+j)
+				tx.Concepts = append(tx.Concepts, 40+j)
+				tx.Decoded = append(tx.Decoded, 40+j)
+			}
+			b.Txs = append(b.Txs, tx)
+		}
+		return b
+	}
+	return &Request{Op: OpHandoverPush, Handoff: &HandoffPayload{
+		User: "u07", FromNode: "node-0", NoiseSeq: 1234,
+		Models:  []HandoffModel{model("sender", 1), model("receiver", 2)},
+		Belief:  []float64{0.61, 0.12, 0.09, 0.08, 0.06, 0.04},
+		Buffers: []BufferState{buffer("it"), buffer("medical")},
+	}}
+}
+
+// BenchmarkHandoverPushFrame encodes and decodes one roam-sized handover
+// push through a pair of Conns, the way a member ships it to a peer.
+func BenchmarkHandoverPushFrame(b *testing.B) {
+	push := roamPush()
+	var frame bytes.Buffer
+	if err := WriteV(&frame, Version2, push); err != nil {
+		b.Fatal(err)
+	}
+	wire := frame.Bytes()
+	b.Run("encode", func(b *testing.B) {
+		conn := NewConn(discardConn{})
+		b.SetBytes(int64(len(wire)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := conn.WriteV(Version2, push); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		src := bytes.NewReader(wire)
+		conn := NewConn(replayConn{data: src})
+		b.SetBytes(int64(len(wire)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			src.Reset(wire)
+			if _, _, err := conn.ReadRequestV(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
 	"reflect"
 	"testing"
@@ -81,8 +82,62 @@ func seedFrames(f *testing.F, valid interface{}) {
 	f.Add(frameV(0xff, []byte(`{}`), 0))            // junk version byte
 }
 
+// bodyV2 is a v2 body: the JSON length (jsonLen, or the document's
+// true length when jsonLen is negative), the document, then tail.
+func bodyV2(jsonLen int, doc string, tail []byte) []byte {
+	if jsonLen < 0 {
+		jsonLen = len(doc)
+	}
+	b := binary.LittleEndian.AppendUint32(nil, uint32(jsonLen))
+	return append(append(b, doc...), tail...)
+}
+
+// tailFrame is a frame exercising the v2 parameter tail, and whether the
+// reader of its message type must accept it.
+type tailFrame struct {
+	name  string
+	req   bool // a Request frame; otherwise a Response frame
+	frame []byte
+	ok    bool
+}
+
+// tailFrames builds, for a handover push and a fetch-model hit, frames
+// whose JSON length and params_len fields consume the body exactly or
+// fail to, plus the pre-tail layout with base64 "params".
+func tailFrames() []tailFrame {
+	docs := []struct {
+		req bool
+		doc string
+	}{
+		{true, `{"op":"handover-push","handoff":{"user":"u","general":[{"domain":"it","version":1,"params_len":%d}]}}`},
+		{false, `{"ok":true,"model":{"domain":"it","version":2,"params_len":%d}}`},
+	}
+	var out []tailFrame
+	for _, d := range docs {
+		tail := []byte{1, 2, 3}
+		add := func(name string, body []byte, ok bool) {
+			out = append(out, tailFrame{name, d.req, frameV(Version2, body, 0), ok})
+		}
+		add("exact tail", bodyV2(-1, fmt.Sprintf(d.doc, 3), tail), true)
+		add("no params", bodyV2(-1, fmt.Sprintf(d.doc, 0), nil), true)
+		add("JSON length past the payload", bodyV2(1000, fmt.Sprintf(d.doc, 3), tail), false)
+		add("params_len short of the tail", bodyV2(-1, fmt.Sprintf(d.doc, 2), tail), false)
+		add("params_len past the tail", bodyV2(-1, fmt.Sprintf(d.doc, 4), tail), false)
+		add("negative params_len", bodyV2(-1, fmt.Sprintf(d.doc, -1), tail), false)
+		add("body shorter than the JSON length prefix", []byte{2, 0}, false)
+		out = append(out, tailFrame{"params_len on a v1 frame", d.req, frame([]byte(fmt.Sprintf(d.doc, 3)), 0), false})
+	}
+	// The pre-tail layout, one JSON document with base64 "params": a
+	// member of an older build must be refused, never served a model
+	// with empty Params.
+	out = append(out,
+		tailFrame{"pre-tail push", true, []byte("\x024\x01\x00\x00{\"op\":\"handover-push\",\"handoff\":{\"user\":\"alice\",\"from_node\":\"node-0\",\"noise_seq\":17,\"models\":[{\"side\":\"sender\",\"model\":{\"domain\":\"it\",\"user\":\"alice\",\"version\":2,\"params\":\"AAEC+v8=\"}}],\"reason\":\"drain\",\"belief\":[0.5,0.25],\"buffers\":[{\"domain\":\"it\",\"txs\":[{\"surfaces\":[3,1],\"concepts\":[2],\"decoded\":[3,1]}]}]}}"), false},
+		tailFrame{"pre-tail hit", false, frameV(Version2, []byte(`{"ok":true,"model":{"domain":"it","version":2,"params":"AAEC+v8="}}`), 0), false})
+	return out
+}
+
 // seedFramesV2 adds v2-framed variants of the mesh messages to the
-// corpus.
+// corpus, and the tail frames.
 func seedFramesV2(f *testing.F, valids ...interface{}) {
 	f.Helper()
 	for _, valid := range valids {
@@ -91,6 +146,53 @@ func seedFramesV2(f *testing.F, valids ...interface{}) {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
+	}
+	for _, tf := range tailFrames() {
+		f.Add(tf.frame)
+	}
+	// Empty arrays, which re-frame as absent fields.
+	f.Add(frameV(Version2, bodyV2(-1, `{"op":"handover-push","ok":true,"handoff":{"belief":[],"buffers":[{"txs":[{"concepts":[]}]}]},"peers":[]}`, nil), 0))
+}
+
+// TestFrameTailLengths checks the decoder accepts a v2 body only when its
+// JSON length and params_len fields consume it exactly.
+func TestFrameTailLengths(t *testing.T) {
+	for _, tf := range tailFrames() {
+		var err error
+		if tf.req {
+			_, _, err = ReadRequestV(bytes.NewReader(tf.frame))
+		} else {
+			_, _, err = ReadResponseV(bytes.NewReader(tf.frame))
+		}
+		if (err == nil) != tf.ok {
+			t.Errorf("%s (request %v): err %v, want accepted %v", tf.name, tf.req, err, tf.ok)
+		}
+	}
+}
+
+// canonical sets every empty slice reachable from v to nil, except byte
+// slices: the JSON document omits empty slices, so a decoded empty slice
+// re-frames as an absent one. Params travel in the tail, so their nil vs
+// empty stays compared.
+func canonical(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			canonical(v.Elem())
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Field(i).CanSet() {
+				canonical(v.Field(i))
+			}
+		}
+	case reflect.Slice:
+		if v.Len() == 0 && v.Type().Elem().Kind() != reflect.Uint8 {
+			v.SetZero()
+		}
+		for i := 0; i < v.Len(); i++ {
+			canonical(v.Index(i))
+		}
 	}
 }
 
@@ -159,6 +261,7 @@ func FuzzReadRequest(f *testing.F) {
 		if v2 != version {
 			t.Fatalf("version changed across round-trip: %d != %d", v2, version)
 		}
+		canonical(reflect.ValueOf(req))
 		if !reflect.DeepEqual(again, req) {
 			t.Fatalf("request round-trip changed: %+v != %+v", again, req)
 		}
@@ -199,6 +302,7 @@ func FuzzReadResponse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-framed response fails to parse: %v", err)
 		}
+		canonical(reflect.ValueOf(resp))
 		if !reflect.DeepEqual(again, resp) {
 			t.Fatalf("response round-trip changed: %+v != %+v", again, resp)
 		}

@@ -1,11 +1,15 @@
 // Package rpc defines the versioned, length-prefixed JSON wire protocol
 // spoken between the edged daemon and its clients: a one-byte protocol
-// version, a uint32 little-endian length header, then one JSON document.
+// version, a uint32 little-endian length header, then the body. A v1 body
+// is one JSON document. A v2 (mesh) body is a uint32 little-endian JSON
+// length, the JSON document, then the raw bytes of every
+// ModelPayload.Params in the message, in document order.
 // Connections carry frames through a Conn (one Write per frame, buffered
 // reads); Client is the typed request/response surface on top of it.
 package rpc
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -17,8 +21,10 @@ import (
 const Version = 1
 
 // Version2 adds the mesh ops (join/leave/peer-stats/fetch-model/
-// handover-push) spoken between edged peers. A v2 frame is identical
-// framing with version byte 2; readers accept both versions and report
+// handover-push) spoken between edged peers. A v2 frame has the same
+// header with version byte 2, and its body carries model parameters raw
+// after the JSON document (see the package comment); v2 is spoken only
+// between members of one build. Readers accept both versions and report
 // which one arrived, so v1 clients keep working against a v2 daemon.
 // Frames with any other version byte are rejected with *VersionError.
 const Version2 = 2
@@ -120,12 +126,69 @@ type FetchRequest struct {
 // ModelPayload is a serialized model shipped between peers: the
 // OpFetchModel hit response and each entry of a handover push.
 type ModelPayload struct {
-	Domain  string `json:"domain"`
-	User    string `json:"user,omitempty"`
-	Version int    `json:"version"`
-	// Params is the full parameter payload in nn.ParamSet wire form
-	// (base64 over JSON).
-	Params []byte `json:"params"`
+	Domain  string
+	User    string
+	Version int
+	// Params is the full parameter payload in nn.ParamSet wire form. It
+	// travels raw in the v2 frame's tail; the JSON document carries only
+	// its length, which the frame encoder fills. A v1 frame cannot carry
+	// it.
+	Params []byte
+
+	// paramsLen is the decoded params_len, held until the frame decoder
+	// slices Params out of the tail.
+	paramsLen int
+}
+
+// modelPayloadJSON is ModelPayload's JSON form.
+type modelPayloadJSON struct {
+	Domain    string `json:"domain"`
+	User      string `json:"user,omitempty"`
+	Version   int    `json:"version"`
+	ParamsLen int    `json:"params_len"`
+}
+
+// MarshalJSON writes the payload with params_len in place of Params.
+func (m ModelPayload) MarshalJSON() ([]byte, error) {
+	return json.Marshal(modelPayloadJSON{Domain: m.Domain, User: m.User, Version: m.Version, ParamsLen: len(m.Params)})
+}
+
+// UnmarshalJSON reads the payload's fields and params_len; Params stays
+// nil until the frame decoder fills it from the tail. A JSON null leaves
+// m unchanged, as it does for any other struct.
+func (m *ModelPayload) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		return nil
+	}
+	var w modelPayloadJSON
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	*m = ModelPayload{Domain: w.Domain, User: w.User, Version: w.Version, paramsLen: w.ParamsLen}
+	return nil
+}
+
+// models lists the ModelPayloads of a message in document order: the
+// order of their params_len fields in its JSON, and so of their Params in
+// a v2 frame's tail. Messages of other types carry none.
+func models(v interface{}) []*ModelPayload {
+	var ms []*ModelPayload
+	switch m := v.(type) {
+	case *Request:
+		if m != nil && m.Handoff != nil {
+			for i := range m.Handoff.Models {
+				ms = append(ms, &m.Handoff.Models[i].Model)
+			}
+			for i := range m.Handoff.General {
+				ms = append(ms, &m.Handoff.General[i])
+			}
+		}
+	case *Response:
+		if m != nil && m.Model != nil {
+			ms = append(ms, m.Model)
+		}
+	}
+	return ms
 }
 
 // HandoffModel is one individual model inside a handover push, tagged
@@ -426,6 +489,14 @@ func (s *Stats) Print(w io.Writer) {
 
 // errFrameTooLarge reports an oversized wire frame.
 var errFrameTooLarge = errors.New("rpc: frame exceeds MaxMessageBytes")
+
+// errBadTail reports a v2 body whose JSON length or params_len fields do
+// not consume it exactly — among them a frame in the pre-tail layout.
+var errBadTail = errors.New("rpc: frame body lengths do not match its JSON and parameter tail")
+
+// errV1Params reports model parameters written on a v1 frame, which has
+// no tail to carry them.
+var errV1Params = errors.New("rpc: model parameters require protocol version 2")
 
 // VersionError reports a frame whose version byte is not a protocol
 // version this build understands (1 or 2).
