@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -87,29 +88,35 @@ func FuzzHandleHandoverPush(f *testing.F) {
 	if len(exp.Sender) == 0 || len(exp.Receiver) == 0 || len(exp.Buffers) == 0 {
 		f.Fatalf("seed export carries %d/%d models and %d buffers, want all three", len(exp.Sender), len(exp.Receiver), len(exp.Buffers))
 	}
-	// The seeds are signed by the target's peer, so each still reaches the
-	// code it was written for; the last two are signed by nobody the target
-	// knows and by the target itself.
+	// The seeds are v2 handover-push frames, decoded by the frame codec as
+	// a member decodes them, so model parameters arrive from the frame's
+	// tail. They are signed by the target's peer, so each still reaches
+	// the code it was written for; the last two are signed by nobody the
+	// target knows and by the target itself.
 	peer := target.node.peersByIndex()[0].info.Name
-	real, err := json.Marshal(exportToWire(exp, peer))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Logf("seed payload: %d bytes", len(real))
+	real := pushFrame(f, exportToWire(exp, peer))
+	f.Logf("seed frame: %d bytes", len(real))
 	f.Add(real)
-	f.Add([]byte(`{"user":"nobody","from_node":"` + peer + `","noise_seq":7}`))
-	f.Add([]byte(`{"user":"resident","from_node":"` + peer + `","models":[{"side":"sideways","model":{"domain":"it","version":1,"params":"AAAA"}}]}`))
-	f.Add([]byte(`{"user":"","from_node":"` + peer + `","reason":"replica","general":[{"domain":"it","version":1,"params":"AAAA"}]}`))
-	f.Add([]byte(`{"user":"nobody","from_node":"node-x","noise_seq":7}`))
-	f.Add([]byte(`{"user":"nobody","from_node":"` + target.node.Self().Name + `","noise_seq":7}`))
+	junk := []byte{0, 0, 0} // not a parameter set
+	f.Add(pushFrame(f, &rpc.HandoffPayload{User: "nobody", FromNode: peer, NoiseSeq: 7}))
+	f.Add(pushFrame(f, &rpc.HandoffPayload{User: resident, FromNode: peer, Models: []rpc.HandoffModel{
+		{Side: "sideways", Model: rpc.ModelPayload{Domain: "it", Version: 1, Params: junk}}}}))
+	f.Add(pushFrame(f, &rpc.HandoffPayload{FromNode: peer, Reason: "replica", General: []rpc.ModelPayload{
+		{Domain: "it", Version: 1, Params: junk}}}))
+	f.Add(pushFrame(f, &rpc.HandoffPayload{User: "nobody", FromNode: "node-x", NoiseSeq: 7}))
+	f.Add(pushFrame(f, &rpc.HandoffPayload{User: "nobody", FromNode: target.node.Self().Name, NoiseSeq: 7}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var h rpc.HandoffPayload
-		if json.Unmarshal(data, &h) != nil {
+		req, _, err := rpc.ReadRequestV(bytes.NewReader(data))
+		if err != nil || req.Handoff == nil {
 			return
 		}
+		h := req.Handoff
 		before := userState(t, target.sys, resident, h.User)
-		err := target.node.HandleHandoverPush(&h)
+		err = target.node.HandleHandoverPush(h)
+		if err != nil && bytes.Equal(data, real) {
+			t.Fatalf("the member refused a real export from its peer: %v", err)
+		}
 		var notPeer *NotPeerError
 		if errors.As(err, &notPeer) != (h.FromNode != peer) {
 			t.Fatalf("push signed %q at a member whose one peer is %q: %v", h.FromNode, peer, err)
@@ -121,6 +128,16 @@ func FuzzHandleHandoverPush(f *testing.F) {
 			t.Fatalf("a refused push changed the member's state:\nbefore %.300s\nafter  %.300s", before, after)
 		}
 	})
+}
+
+// pushFrame is h as a member sends it: a v2 handover-push frame.
+func pushFrame(f *testing.F, h *rpc.HandoffPayload) []byte {
+	f.Helper()
+	var b bytes.Buffer
+	if err := rpc.WriteV(&b, rpc.Version2, &rpc.Request{Op: rpc.OpHandoverPush, Handoff: h}); err != nil {
+		f.Fatal(err)
+	}
+	return b.Bytes()
 }
 
 // FuzzReviveModel feeds arbitrary fetch-model answers to the prober's

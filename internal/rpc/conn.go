@@ -242,3 +242,54 @@ func (c *Conn) ReadResponseV() (*Response, byte, error) {
 	defer c.f.release()
 	return c.f.readResponse(c.br)
 }
+
+// modelPayloadJSON is ModelPayload's JSON form.
+type modelPayloadJSON struct {
+	Domain    string `json:"domain"`
+	User      string `json:"user,omitempty"`
+	Version   int    `json:"version"`
+	ParamsLen int    `json:"params_len"`
+}
+
+// MarshalJSON writes the payload with params_len in place of Params.
+func (m ModelPayload) MarshalJSON() ([]byte, error) {
+	return json.Marshal(modelPayloadJSON{Domain: m.Domain, User: m.User, Version: m.Version, ParamsLen: len(m.Params)})
+}
+
+// UnmarshalJSON reads the payload's fields and params_len; Params stays
+// nil until the frame decoder fills it from the tail. A JSON null leaves
+// m unchanged, as it does for any other struct.
+func (m *ModelPayload) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		return nil
+	}
+	var w modelPayloadJSON
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	*m = ModelPayload{Domain: w.Domain, User: w.User, Version: w.Version, paramsLen: w.ParamsLen}
+	return nil
+}
+
+// models lists the ModelPayloads of a message in document order: the
+// order of their params_len fields in its JSON, and so of their Params in
+// a v2 frame's tail. Messages of other types carry none.
+func models(v interface{}) []*ModelPayload {
+	var ms []*ModelPayload
+	switch m := v.(type) {
+	case *Request:
+		if m != nil && m.Handoff != nil {
+			for i := range m.Handoff.Models {
+				ms = append(ms, &m.Handoff.Models[i].Model)
+			}
+			for i := range m.Handoff.General {
+				ms = append(ms, &m.Handoff.General[i])
+			}
+		}
+	case *Response:
+		if m != nil && m.Model != nil {
+			ms = append(ms, m.Model)
+		}
+	}
+	return ms
+}

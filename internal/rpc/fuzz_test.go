@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -170,10 +171,11 @@ func TestFrameTailLengths(t *testing.T) {
 	}
 }
 
-// canonical sets every empty slice reachable from v to nil, except byte
-// slices: the JSON document omits empty slices, so a decoded empty slice
-// re-frames as an absent one. Params travel in the tail, so their nil vs
-// empty stays compared.
+// canonical sets to nil each empty slice reachable from v that sits in a
+// struct field tagged omitempty: the encoder drops such a field, so a
+// decoded [] re-frames as absent, and no frame can carry the difference.
+// This loosens the round-trip property for exactly those fields; every
+// other slice, Params included, keeps nil and empty apart.
 func canonical(v reflect.Value) {
 	switch v.Kind() {
 	case reflect.Pointer:
@@ -182,14 +184,16 @@ func canonical(v reflect.Value) {
 		}
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
-			if v.Field(i).CanSet() {
-				canonical(v.Field(i))
+			fv, ft := v.Field(i), v.Type().Field(i)
+			if !fv.CanSet() {
+				continue
 			}
+			if fv.Kind() == reflect.Slice && fv.Len() == 0 && strings.Contains(ft.Tag.Get("json"), ",omitempty") {
+				fv.SetZero()
+			}
+			canonical(fv)
 		}
 	case reflect.Slice:
-		if v.Len() == 0 && v.Type().Elem().Kind() != reflect.Uint8 {
-			v.SetZero()
-		}
 		for i := 0; i < v.Len(); i++ {
 			canonical(v.Index(i))
 		}
