@@ -22,11 +22,26 @@ import (
 //
 // so |σ·n| >= 1 — the least that can move the sum across zero — needs
 // s <= exp(-1/(2σ²)): at 12 dB about one accepted pair in eight million.
-// The kernel draws exactly the uniforms the staged path draws (one polar
-// pair per symbol; the imaginary deviate v·f is never read by a BPSK
-// decision) and evaluates the log and square root only for a pair that
-// passes neither that test nor the sign test below; for those it evaluates
-// the staged path's own expression (awgnComponent, bpskDecide).
+// The per-symbol receiver draws exactly the uniforms the staged path draws
+// (one polar pair per symbol; the imaginary deviate v·f is never read by a
+// BPSK decision) and evaluates the log and square root only for a pair
+// that passes neither that test nor the sign test below; for those it
+// evaluates the staged path's own expression (awgnComponent, bpskDecide).
+//
+// Most crossings never reach that receiver. An accepted pair's (u, v) is
+// uniform on the unit disk, so s = u² + v², the squared radius, is uniform
+// on (0, 1): a message of n symbols has a pair at or below the threshold
+// with probability 1 - (1-thr)^n ≈ n·thr, about one 4,032-symbol message
+// in a thousand at the daemon's 12 dB. sendHard therefore first runs
+// mat.RNG.PolarClear over the message's n pairs. It consumes the same
+// uniforms in the same order, through the same a, b and s = a*a + b*b
+// expressions as the PolarPairs batches the receiver reads, so it stops on
+// the same last accepted pair and sees every s the receiver would. When
+// every s clears the threshold, no decision flips, every codeword decodes
+// to its own nibble, and the output is each value's quantize → dequantize
+// round trip; the generator is already where the receiver would leave it.
+// Otherwise the generator is restored and the per-symbol receiver runs
+// over the same pairs: it stays the exact reference and the fallback.
 
 // hardFlipMargin is the safety factor on the threshold exp(-1/(2σ²)): a
 // pair is taken as unable to flip only when s exceeds the threshold
@@ -131,6 +146,19 @@ func (l FeatureLink) hardLink() (*AWGN, bool) {
 // generator's branch-free batch loop is amortised.
 const hardBatch = 16 * 7
 
+// hardScanBound is the largest coded·thr for which sendHard tries the
+// clean-crossing certificate. The scan costs S whatever its verdict and
+// saves the per-symbol receiver's E only when it holds, with probability
+// p ≈ exp(-coded·thr), so it pays when p·E > S, that is when coded·thr <
+// ln(E/S). On a long_msg crossing the scan is about four-fifths of the
+// receiver (S/E ≈ 0.8, BenchmarkHardCrossing), so the break-even sits near
+// ln(1.25) ≈ 0.22. Half of that keeps the scan only where it fails at most
+// about one crossing in eight, which leaves a margin for hardware where
+// the ratio is less favourable. The daemon's 12 dB reads coded·thr ≈ 1e-3
+// on its longest messages; 9 dB and below are sent straight to the
+// receiver.
+const hardScanBound = 1.0 / 8
+
 // hardNoise hands the kernel one codeword's polar pairs at a time from
 // stack-sized batches, drawing exactly the pairs the message needs — never
 // one past its last symbol — so the generator is left where the staged
@@ -170,13 +198,16 @@ func crossNibble(nibble uint8, u, s []float64, sigma, thr float64) uint8 {
 	return hamming74Dec[word]
 }
 
-// sendHard is the fused crossing; see the file comment. Quantizer codes
-// stream through a bit accumulator into nibbles, each nibble crosses the
-// channel, and the decoded nibbles stream through a second accumulator
-// back into quantizer codes, so nothing message-sized is materialised
-// between flat and dst. The last nibble is zero-padded as
-// Hamming74.EncodeTo pads it, and decoding stops at len(dst) values as the
-// staged path's truncation to the sent bit count does.
+// sendHard is the fused crossing; see the file comment. Unless
+// coded·thr is past hardScanBound, it first certifies a clean crossing
+// and, if that holds, returns each value's quantize → dequantize round
+// trip. Otherwise quantizer codes stream through a bit accumulator into
+// nibbles, each nibble crosses the channel, and the decoded nibbles stream
+// through a second accumulator back into quantizer codes, so nothing
+// message-sized is materialised between flat and dst. The last nibble is
+// zero-padded as Hamming74.EncodeTo pads it, and decoding stops at
+// len(dst) values as the staged path's truncation to the sent bit count
+// does.
 func (l FeatureLink) sendHard(ch *AWGN, dst, flat []float64) LinkStats {
 	q := l.Quant
 	q.validate()
@@ -188,6 +219,17 @@ func (l FeatureLink) sendHard(ch *AWGN, dst, flat []float64) LinkStats {
 	thr := ch.hardThr
 	info := len(flat) * q.Bits
 	coded := (info + 3) / 4 * 7
+	stats := LinkStats{InfoBits: info, CodedBits: coded, Symbols: coded}
+	if float64(coded)*thr <= hardScanBound {
+		saved := *ch.Rng
+		if ch.Rng.PolarClear(coded, thr) {
+			for i, v := range flat {
+				dst[i] = q.value(q.index(v, levels, span), levels, span)
+			}
+			return stats
+		}
+		*ch.Rng = saved
+	}
 	noise := hardNoise{rng: ch.Rng, remaining: coded}
 
 	var tx, rx uint64 // bit accumulators, newest bit least significant
@@ -213,5 +255,5 @@ func (l FeatureLink) sendHard(ch *AWGN, dst, flat []float64) LinkStats {
 			}
 		}
 	}
-	return LinkStats{InfoBits: info, CodedBits: coded, Symbols: coded}
+	return stats
 }

@@ -80,6 +80,23 @@ func sameStream(t testing.TB, fused, staged FeatureLink, label string) {
 	}
 }
 
+// hardRoute reports which way the fused crossing of an n-value message on
+// l will go — "skipped" (coded·thr past hardScanBound), "certified" (the
+// clean-crossing scan holds) or "fallback" (the scan fails and the
+// per-symbol receiver runs) — scanning a copy of l's generator.
+func hardRoute(l FeatureLink, n int) string {
+	ch := l.Ch.(*AWGN)
+	ch.noiseSigmaCached()
+	coded := (n*l.Quant.Bits + 3) / 4 * 7
+	if float64(coded)*ch.hardThr > hardScanBound {
+		return "skipped"
+	}
+	if rng := *ch.Rng; rng.PolarClear(coded, ch.hardThr) {
+		return "certified"
+	}
+	return "fallback"
+}
+
 var hardSNRs = []float64{-6, -2, 0, 3, 6, 9, 12, 20}
 
 // TestHardCrossingMatchesStaged is the proof obligation of the fused path:
@@ -87,13 +104,24 @@ var hardSNRs = []float64{-6, -2, 0, 3, 6, 9, 12, 20}
 // and padded final blocks, and both noise schemes — consecutive messages
 // on one continuing stream (classic) and one reseed per message
 // (TxInstance.SendSeeded) — outputs, LinkStats and generator state equal
-// the staged pipeline's.
+// the staged pipeline's, on every route through sendHard: the bound
+// skipping the clean-crossing scan, the scan certifying a message, and
+// the scan failing and restoring the generator for the receiver.
 func TestHardCrossingMatchesStaged(t *testing.T) {
 	seeds := 40
 	if testing.Short() {
 		seeds = 8
 	}
 	t.Run("classic", func(t *testing.T) {
+		routes := map[string]int{}
+		defer func() {
+			t.Logf("routes: %v", routes)
+			for _, r := range []string{"skipped", "certified", "fallback"} {
+				if routes[r] == 0 {
+					t.Errorf("no message took the %s route (%v)", r, routes)
+				}
+			}
+		}()
 		for _, snr := range hardSNRs {
 			corrupted := 0
 			for bits := 1; bits <= 8; bits++ {
@@ -106,6 +134,7 @@ func TestHardCrossingMatchesStaged(t *testing.T) {
 					// message (12 tokens x 8 dims).
 					for msg, n := range []int{3, 96, 0, 17} {
 						label := fmt.Sprintf("snr %v bits %d seed %d msg %d", snr, bits, seed, msg)
+						routes[hardRoute(fused, n)]++
 						corrupted += crossBoth(t, q, viaLink(fused), viaLink(staged), hardFeats(src, n), label)
 						sameStream(t, fused, staged, label)
 					}
@@ -317,16 +346,19 @@ func FuzzHardCrossing(f *testing.F) {
 }
 
 // BenchmarkHardCrossing times one long_msg-shaped crossing (96 tokens x 8
-// dims x 3 bits = 4,032 symbols at the daemon's 12 dB) on the fused path
-// and on the staged reference.
+// dims x 3 bits = 4,032 symbols): on the fused path at the daemon's 12 dB,
+// where the clean-crossing certificate almost always holds, and at 6 dB,
+// where the coded·thr bound sends it straight to the per-symbol receiver;
+// on the staged reference; and the certificate's scan alone.
 func BenchmarkHardCrossing(b *testing.B) {
 	flat := hardFeats(mat.NewRNG(1), 96*8)
 	dst := make([]float64, len(flat))
-	fused, staged := hardPair(DefaultQuantizer(), 12, 1)
+	fused12, staged12 := hardPair(DefaultQuantizer(), 12, 1)
+	fused6, _ := hardPair(DefaultQuantizer(), 6, 1)
 	for _, c := range []struct {
 		name string
 		link FeatureLink
-	}{{"fused", fused}, {"staged", staged}} {
+	}{{"fused", fused12}, {"fused-6dB", fused6}, {"staged", staged12}} {
 		b.Run(c.name, func(b *testing.B) {
 			var ts TxScratch
 			for i := 0; i < b.N; i++ {
@@ -334,4 +366,12 @@ func BenchmarkHardCrossing(b *testing.B) {
 			}
 		})
 	}
+	b.Run("scan", func(b *testing.B) {
+		ch := fused12.Ch.(*AWGN)
+		ch.noiseSigmaCached()
+		coded := (len(flat)*DefaultQuantizer().Bits + 3) / 4 * 7
+		for i := 0; i < b.N; i++ {
+			ch.Rng.PolarClear(coded, ch.hardThr)
+		}
+	})
 }

@@ -120,3 +120,43 @@ func TestHasSpareTracksOddDraws(t *testing.T) {
 		t.Fatal("Reseed kept the spare")
 	}
 }
+
+// TestPolarClearMatchesPolarPairs is PolarClear's oracle: over many seeds,
+// message lengths and thresholds, its verdict equals all(s[:n] > thr) over
+// the pairs PolarPairs draws on a twin generator, and both generators end
+// in the same state. Thresholds at and past 1 fail every accepted pair, so
+// there the verdict is false whatever the scan does and the generator
+// state is what catches a scan that miscounts acceptances or runs an
+// attempt past the n-th accepted pair.
+func TestPolarClearMatchesPolarPairs(t *testing.T) {
+	seeds := 200
+	if testing.Short() {
+		seeds = 40
+	}
+	thrs := []float64{0, 2.6e-7, 0.05, 0.5, 1, 2}
+	u, v, s := make([]float64, 4032), make([]float64, 4032), make([]float64, 4032)
+	verdicts := map[bool]int{}
+	for seed := 0; seed < seeds; seed++ {
+		for _, n := range []int{0, 1, 7, 112, 4032} {
+			for _, thr := range thrs {
+				scan, twin := NewRNG(uint64(seed)*7919+uint64(n)), NewRNG(uint64(seed)*7919+uint64(n))
+				got := scan.PolarClear(n, thr)
+				twin.PolarPairs(u[:n], v[:n], s[:n])
+				want := true
+				for _, si := range s[:n] {
+					want = want && si > thr
+				}
+				if got != want {
+					t.Fatalf("seed %d n %d thr %v: PolarClear %v, pairs say %v", seed, n, thr, got, want)
+				}
+				if scan.Uint64() != twin.Uint64() {
+					t.Fatalf("seed %d n %d thr %v: generator states diverged", seed, n, thr)
+				}
+				verdicts[got]++
+			}
+		}
+	}
+	if verdicts[true] == 0 || verdicts[false] == 0 {
+		t.Fatalf("verdicts %v: both outcomes must be exercised", verdicts)
+	}
+}
