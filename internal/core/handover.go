@@ -47,14 +47,13 @@ func (e *UserExport) SenderBytes() int64 {
 	return total
 }
 
-// ExportUserForHandover serializes the user's individual models from both
-// edge sides plus their noise sequence, under the user's lock so no
-// transmit is mid-flight while the state is captured. Models evicted
-// between enumeration and export are skipped: the user simply
-// re-personalizes on the new node.
+// ExportUserForHandover serializes the user's record — individual models
+// from both edge sides, noise sequence, selection belief and pending
+// buffers — under the user's lock so no transmit is mid-flight while the
+// state is captured. Models evicted between enumeration and export are
+// skipped: the user simply re-personalizes on the new node.
 func (s *System) ExportUserForHandover(user string) (*UserExport, error) {
-	st := s.userState(user)
-	st.mu.Lock()
+	st := s.lockUser(user)
 	defer st.mu.Unlock()
 	out := &UserExport{User: user, NoiseSeq: st.noiseSeq}
 	export := func(srv *edge.Server, dst *[]*edge.ExportedModel) error {
@@ -210,8 +209,7 @@ func (s *System) ImportUserFromHandover(exp *UserExport) error {
 	if err != nil {
 		return err
 	}
-	st := s.userState(exp.User)
-	st.mu.Lock()
+	st := s.lockUser(exp.User)
 	defer st.mu.Unlock()
 	if err := checkHandoverVersions(s.Sender, exp.Sender); err != nil {
 		return err
@@ -243,25 +241,27 @@ func (s *System) ImportUserFromHandover(exp *UserExport) error {
 	return nil
 }
 
-// DropUserAfterHandover removes the exported individual models from both
-// local edges — the source side of a completed handover push. Dropping
-// only what was exported keeps the operation idempotent against models
-// created concurrently (none can be: the exporter holds no transmit for
-// the user once ownership moved).
+// DropUserAfterHandover removes everything this system holds for exp's
+// user once the export reached its new owner: the record, every
+// individual model on both edges and every transaction buffer, not only
+// what the export listed. The record is marked dead under its lock before
+// it leaves the map, so a transmit, export or import that was waiting on
+// that lock looks the user up again instead of changing a record nothing
+// can reach.
 func (s *System) DropUserAfterHandover(exp *UserExport) {
-	if exp == nil {
-		return
+	if exp != nil {
+		s.retireUser(s.lockUser(exp.User), exp.User)
 	}
-	st := s.userState(exp.User)
-	st.mu.Lock()
+}
+
+// retireUser drops user's models and buffers and retires st, the user's
+// live record, then releases st.mu, which the caller holds.
+func (s *System) retireUser(st *userState, user string) {
 	defer st.mu.Unlock()
-	for _, m := range exp.Sender {
-		s.Sender.DropUserModel(m.Domain, m.User)
-	}
-	for _, m := range exp.Receiver {
-		s.Receiver.DropUserModel(m.Domain, m.User)
-	}
-	if len(exp.Buffers) > 0 {
-		s.Sender.DropUserBuffers(exp.User)
-	}
+	s.Sender.DropUser(user)
+	s.Receiver.DropUser(user)
+	st.dead = true
+	s.usersMu.Lock()
+	delete(s.users, user)
+	s.usersMu.Unlock()
 }

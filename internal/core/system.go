@@ -41,6 +41,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -183,9 +185,10 @@ type System struct {
 	selFactory func() selection.Selector
 	oracle     bool
 
-	// users shards per-user mutable state; usersMu guards the map only.
-	// Each userState carries its own mutex so independent users transmit
-	// in parallel while one user's requests stay serialized.
+	// users holds one record per user: the member's only user map, so
+	// also the set a drain hands off. usersMu guards the map only; each
+	// userState carries its own mutex so independent users transmit in
+	// parallel while one user's requests stay serialized.
 	usersMu sync.RWMutex
 	users   map[string]*userState
 
@@ -225,12 +228,15 @@ type System struct {
 	updateTime *metrics.Histogram
 }
 
-// userState is one user's shard of mutable system state. Its mutex spans
+// userState is one user's record of mutable system state. Its mutex spans
 // the whole transmit so the selector context, buffer arithmetic and
 // individual-model updates of one user form a serial stream.
 type userState struct {
-	mu  sync.Mutex
-	sel selection.Selector // nil under the oracle policy
+	mu sync.Mutex
+	// dead marks a record DropUserAfterHandover removed from the map: a
+	// caller that was waiting on mu looks the user up again (lockUser).
+	dead bool
+	sel  selection.Selector // nil under the oracle policy
 	// noiseSeq counts the user's messages for per-user noise derivation
 	// (PerUserNoise mode). It migrates with the user on a mesh handover so
 	// the noise stream continues bit-identically on the new serving node.
@@ -260,6 +266,29 @@ func (s *System) userState(user string) *userState {
 		s.users[user] = st
 	}
 	return st
+}
+
+// lockUser returns user's live record with its mutex held, creating the
+// record on first use. A record retired while the caller waited for its
+// lock is passed over for the user's current one, so nothing ever changes
+// a record the map no longer reaches.
+func (s *System) lockUser(user string) *userState {
+	for {
+		st := s.userState(user)
+		st.mu.Lock()
+		if !st.dead {
+			return st
+		}
+		st.mu.Unlock()
+	}
+}
+
+// Users returns, sorted, every user this system holds a record for: the
+// users it served or imported and has not handed off since.
+func (s *System) Users() []string {
+	s.usersMu.RLock()
+	defer s.usersMu.RUnlock()
+	return slices.Sorted(maps.Keys(s.users))
 }
 
 // selectorFactories maps each non-oracle selector name to a builder of
@@ -518,8 +547,7 @@ func (s *System) sendOverChannel(seed uint64, dst, src []float64) channel.LinkSt
 // different users run concurrently; same-user calls serialize.
 func (s *System) Transmit(req trace.Request) (*Result, error) {
 	msg := req.Msg
-	st := s.userState(req.User)
-	st.mu.Lock()
+	st := s.lockUser(req.User)
 	defer st.mu.Unlock()
 	// One pooled scratch arena backs the whole codec path of this request;
 	// everything it hands out is consumed before the arena is pooled again.
@@ -550,8 +578,7 @@ func (s *System) TransmitText(user string, words []string) (*Result, error) {
 	if s.oracle {
 		return nil, errors.New("core: oracle selector requires ground-truth requests")
 	}
-	st := s.userState(user)
-	st.mu.Lock()
+	st := s.lockUser(user)
 	defer st.mu.Unlock()
 	sc := mat.GetScratch()
 	defer mat.PutScratch(sc)

@@ -102,14 +102,12 @@ type Server struct {
 	bufferThreshold int
 	memo            *semantic.DecodeMemo
 
+	// buffers holds the transaction buffers by user, then domain: a
+	// hand-off reads or drops one user's entry without visiting anyone
+	// else's.
 	mu      sync.Mutex
-	buffers map[bufferKey]*fl.Buffer
+	buffers map[string]map[string]*fl.Buffer
 }
-
-// bufferKey names one transaction buffer. User names are client-supplied,
-// so the pair is kept as fields: no separator can make one user's key a
-// prefix of another's.
-type bufferKey struct{ user, domain string }
 
 // New builds an edge server backed by the given cloud origin registry.
 func New(cfg Config, origin *kb.Registry) (*Server, error) {
@@ -136,7 +134,7 @@ func New(cfg Config, origin *kb.Registry) (*Server, error) {
 		pinGeneral:      cfg.PinGeneral,
 		bufferThreshold: cfg.BufferThreshold,
 		memo:            semantic.NewDecodeMemo(),
-		buffers:         make(map[bufferKey]*fl.Buffer, 16),
+		buffers:         make(map[string]map[string]*fl.Buffer, 16),
 	}, nil
 }
 
@@ -344,11 +342,15 @@ func (s *Server) RecordTransaction(_ *mat.Scratch, domain, user string, words []
 func (s *Server) addTransaction(domain, user string, tx fl.Transaction) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	key := bufferKey{user, domain}
-	buf, ok := s.buffers[key]
-	if !ok {
+	byDomain := s.buffers[user]
+	if byDomain == nil {
+		byDomain = make(map[string]*fl.Buffer, 2)
+		s.buffers[user] = byDomain
+	}
+	buf := byDomain[domain]
+	if buf == nil {
 		buf = fl.NewBuffer(domain, user, s.bufferThreshold)
-		s.buffers[key] = buf
+		byDomain[domain] = buf
 	}
 	buf.Add(tx)
 	return buf.Ready()
@@ -358,7 +360,7 @@ func (s *Server) addTransaction(domain, user string, tx fl.Transaction) bool {
 func (s *Server) Buffer(domain, user string) *fl.Buffer {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.buffers[bufferKey{user, domain}]
+	return s.buffers[user][domain]
 }
 
 // BufferState is one user domain-buffer snapshot, portable across edge
@@ -375,8 +377,8 @@ func (s *Server) ExportUserBuffers(user string) []BufferState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []BufferState
-	for key, buf := range s.buffers {
-		if key.user != user || buf.Len() == 0 {
+	for _, buf := range s.buffers[user] {
+		if buf.Len() == 0 {
 			continue
 		}
 		out = append(out, BufferState{Domain: buf.Domain, Txs: buf.Transactions()})
@@ -385,30 +387,20 @@ func (s *Server) ExportUserBuffers(user string) []BufferState {
 	return out
 }
 
-// ImportUserBuffers replaces the user's domain buffers with the given
-// snapshots (the exporter owned the user, so its view is authoritative).
+// ImportUserBuffers replaces the user's buffers with the given snapshots
+// (the exporter owned the user, so its view is authoritative).
 func (s *Server) ImportUserBuffers(user string, states []BufferState) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	byDomain := make(map[string]*fl.Buffer, len(states))
 	for _, st := range states {
 		buf := fl.NewBuffer(st.Domain, user, s.bufferThreshold)
 		for _, tx := range st.Txs {
 			buf.Add(tx)
 		}
-		s.buffers[bufferKey{user, st.Domain}] = buf
+		byDomain[st.Domain] = buf
 	}
-}
-
-// DropUserBuffers discards every transaction buffer held for user, after
-// a handover shipped them to the new owner.
-func (s *Server) DropUserBuffers(user string) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	for key := range s.buffers {
-		if key.user == user {
-			delete(s.buffers, key)
-		}
-	}
+	s.buffers[user] = byDomain
+	s.mu.Unlock()
 }
 
 // RunUpdate executes the §II-D update process for (domain, user): it
@@ -421,7 +413,7 @@ func (s *Server) DropUserBuffers(user string) {
 // per threshold; the pair retries on the next BufferThreshold messages.
 func (s *Server) RunUpdate(domain, user string, cfg fl.UpdateConfig) (*fl.Update, error) {
 	s.mu.Lock()
-	buf := s.buffers[bufferKey{user, domain}]
+	buf := s.buffers[user][domain]
 	s.mu.Unlock()
 	if buf == nil || buf.Len() == 0 {
 		return nil, fmt.Errorf("edge %s: no buffered data for %s/%s", s.name, user, domain)

@@ -52,11 +52,16 @@ func (s *Server) UserDomains(user string) []string {
 	return out
 }
 
-// DropUserModel removes the user's individual model for domain from the
-// local cache — the source side of a completed handover — reporting
-// whether it was present.
-func (s *Server) DropUserModel(domain, user string) bool {
-	return s.cache.Remove(kb.UserKey(domain, user, kb.RoleCodec))
+// DropUser removes everything the server holds for user — every
+// individual model and every transaction buffer — once a handover shipped
+// the user to the new owner.
+func (s *Server) DropUser(user string) {
+	for _, domain := range s.UserDomains(user) {
+		s.cache.Remove(kb.UserKey(domain, user, kb.RoleCodec))
+	}
+	s.mu.Lock()
+	delete(s.buffers, user)
+	s.mu.Unlock()
 }
 
 // ExportUserModel serializes the user's individual model for migration to

@@ -131,7 +131,7 @@ func TestImportRejectsWrongDomainShapes(t *testing.T) {
 
 // TestUserBuffersMatchWholeUserName: user names are client-supplied, so
 // one may extend another past a "/" ("a", "a/b"). Exporting and dropping
-// a's buffers for a handover must take exactly a's: a key built by
+// a for a handover must take exactly a's buffers: a key built by
 // concatenation and matched by prefix took a/b's pending transactions too,
 // and the import filed them under a.
 func TestUserBuffersMatchWholeUserName(t *testing.T) {
@@ -152,7 +152,7 @@ func TestUserBuffersMatchWholeUserName(t *testing.T) {
 	if len(exported) != 1 || exported[0].Domain != "it" || len(exported[0].Txs) != 2 {
 		t.Fatalf("export of a carries %+v, want its one buffer of 2 transactions", exported)
 	}
-	src.DropUserBuffers("a")
+	src.DropUser("a")
 	if b := src.Buffer("it", "a"); b != nil {
 		t.Fatalf("a's buffer survived the drop with %d transactions", b.Len())
 	}

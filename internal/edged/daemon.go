@@ -198,7 +198,7 @@ func (d *Daemon) Close() {
 
 // Drain removes the daemon from service gracefully: new transmits and
 // moves park at the drain gate, in-flight ones finish, and the mesh
-// membership hands every owned model and tracked user to the new
+// membership hands every owned model and user record to the new
 // consistent-hash owners before announcing departure (see mesh.Drain).
 // Parked requests are answered with Draining only after the handoff
 // completes, so a client that retries at the new owner finds its state

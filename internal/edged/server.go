@@ -419,7 +419,6 @@ func (s *server) transmit(req *rpc.Request) *rpc.Response {
 	if res.UpdateErr != nil {
 		log.Printf("edged: update failed for user %s domain %s: %v", user, domain, res.UpdateErr)
 	}
-	s.mesh.TouchUser(user)
 	s.mesh.NoteDomain(domain)
 	return &rpc.Response{
 		OK:             true,

@@ -3,19 +3,17 @@ package mesh
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/kb"
 	"repro/internal/rpc"
 )
 
 // Drain gracefully removes this member from the mesh: it stops the probe
-// loop, pushes every general model it owns and every tracked user's
-// complete serving state to the consistent-hash owners under the
-// surviving membership, announces OpLeave to every live peer (in
-// parallel), and closes the peer connections. Every peer RPC is bounded
+// loop, pushes every general model it owns and hands every user record off
+// to the consistent-hash owners under the surviving membership, announces
+// OpLeave to every live peer (in parallel), and closes the peer
+// connections. Every peer RPC is bounded
 // by ctx as well as CallTimeout, so a dead peer cannot stall the drain
 // past its budget; on ctx expiry the remaining pushes fail fast and the
 // caller falls back to crash-stop semantics for whatever state is left.
@@ -32,21 +30,18 @@ func (n *Node) Drain(ctx context.Context) error {
 		}
 	}()
 
-	n.mu.RLock()
-	sys := n.sys
-	n.mu.RUnlock()
+	sys := n.system()
 
 	// The handoff ring is built over the surviving membership — the same
 	// membership (and ring seed) a client recomputes after marking this
 	// member dead, so every pushed user lands exactly where retried
 	// requests will be routed.
 	var survivors []int
-	for idx, p := range n.peers {
+	for _, p := range n.peersByIndex() {
 		if p.usable() {
-			survivors = append(survivors, idx)
+			survivors = append(survivors, p.info.Index)
 		}
 	}
-	sort.Ints(survivors)
 	if len(survivors) == 0 {
 		n.cfg.Logf("mesh: drain: no live peers, nothing to hand off")
 		return nil
@@ -74,21 +69,17 @@ func (n *Node) Drain(ctx context.Context) error {
 // its new ring owner, skipping owners whose latest stats snapshot shows
 // they already hold a copy.
 func (n *Node) drainGenerals(ctx context.Context, sys *core.System, ring *cluster.Ring, fail func(error)) {
-	keys := sys.Sender.Cache().KeysWhere(func(k kb.Key) bool {
-		return k.User == "" && k.Role == kb.RoleCodec
-	})
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Domain < keys[j].Domain })
-	for _, k := range keys {
-		target := ring.Node(k.Domain)
+	for _, domain := range n.generalDomains(sys) {
+		target := ring.Node(domain)
 		p, ok := n.peers[target]
 		if !ok || !p.usable() {
-			fail(fmt.Errorf("mesh: drain: no live owner for general %s (target %d)", k.Domain, target))
+			fail(fmt.Errorf("mesh: drain: no live owner for general %s (target %d)", domain, target))
 			continue
 		}
-		if st := p.lastStats.Load(); st != nil && containsString(st.Generals, k.Domain) {
+		if st := p.lastStats.Load(); st != nil && containsString(st.Generals, domain) {
 			continue // the new owner already holds a copy: nothing lost
 		}
-		payload, ok := n.generalPayload(sys, k.Domain)
+		payload, ok := n.generalPayload(sys, domain)
 		if !ok {
 			continue
 		}
@@ -97,29 +88,17 @@ func (n *Node) drainGenerals(ctx context.Context, sys *core.System, ring *cluste
 			Reason:   rpc.HandoffDrain,
 			General:  []rpc.ModelPayload{*payload},
 		}
-		err := p.call(ctx, n.cfg.CallTimeout, func(ctx context.Context, c *rpc.Client) error {
-			return c.HandoverPush(ctx, push)
-		})
-		if err != nil {
-			n.setAlive(p, false)
-			fail(fmt.Errorf("mesh: drain push general %s to %s: %w", k.Domain, p.info.Name, err))
+		if err := n.push(ctx, p, push); err != nil {
+			fail(fmt.Errorf("mesh: drain push general %s to %s: %w", domain, p.info.Name, err))
 			continue
 		}
-		n.cfg.Logf("mesh: drained general %s to %s", k.Domain, p.info.Name)
+		n.cfg.Logf("mesh: drained general %s to %s", domain, p.info.Name)
 	}
 }
 
-// drainUsers exports and pushes every tracked user's serving state to
-// its new ring owner, dropping the local copy after each successful
-// push.
+// drainUsers hands every user record off to its new ring owner.
 func (n *Node) drainUsers(ctx context.Context, sys *core.System, ring *cluster.Ring, fail func(error)) {
-	n.mu.RLock()
-	users := make([]string, 0, len(n.users))
-	for u := range n.users {
-		users = append(users, u)
-	}
-	n.mu.RUnlock()
-	sort.Strings(users)
+	users := sys.Users()
 	handed := 0
 	for _, user := range users {
 		target := ring.Node(user)
@@ -128,25 +107,10 @@ func (n *Node) drainUsers(ctx context.Context, sys *core.System, ring *cluster.R
 			fail(fmt.Errorf("mesh: drain: no live owner for user %s (target %d)", user, target))
 			continue
 		}
-		exp, err := sys.ExportUserForHandover(user)
-		if err != nil {
-			fail(fmt.Errorf("mesh: drain export %s: %w", user, err))
+		if _, err := n.handOff(ctx, sys, user, p, rpc.HandoffDrain); err != nil {
+			fail(fmt.Errorf("mesh: drain: %w", err))
 			continue
 		}
-		h := exportToWire(exp, n.self.Name)
-		h.Reason = rpc.HandoffDrain
-		err = p.call(ctx, n.cfg.CallTimeout, func(ctx context.Context, c *rpc.Client) error {
-			return c.HandoverPush(ctx, h)
-		})
-		if err != nil {
-			n.setAlive(p, false)
-			fail(fmt.Errorf("mesh: drain push %s to %s: %w", user, p.info.Name, err))
-			continue
-		}
-		sys.DropUserAfterHandover(exp)
-		n.dropUser(user)
-		n.handoversOut.Add(1)
-		n.migratedBytes.Add(exp.SenderBytes())
 		handed++
 	}
 	n.cfg.Logf("mesh: drained %d/%d users", handed, len(users))

@@ -39,13 +39,12 @@ func (n *Node) FetchModel(k kb.Key) (edge.Fetch, error) {
 			continue
 		}
 		var payload *rpc.ModelPayload
-		err := p.call(context.Background(), n.cfg.CallTimeout, func(ctx context.Context, c *rpc.Client) error {
+		err := n.call(context.Background(), p, func(ctx context.Context, c *rpc.Client) error {
 			var err error
 			payload, err = c.FetchModel(ctx, req)
 			return err
 		})
 		if err != nil {
-			n.setAlive(p, false)
 			continue
 		}
 		if payload == nil {
@@ -121,9 +120,7 @@ func (n *Node) HandleFetch(f rpc.FetchRequest) (*rpc.ModelPayload, error) {
 	if err != nil {
 		return nil, err
 	}
-	n.mu.RLock()
-	sys := n.sys
-	n.mu.RUnlock()
+	sys := n.system()
 	if sys == nil {
 		return nil, errors.New("mesh: node not bound to a system")
 	}

@@ -83,44 +83,49 @@ func exportFromWire(h *rpc.HandoffPayload) (*core.UserExport, error) {
 	return exp, nil
 }
 
+// handOff is the one way a user leaves this member, for a move and a drain
+// alike: export the user's record, push it to p, and once p took it drop
+// everything this member holds for the user. A failed push leaves the
+// record here, still serving.
+func (n *Node) handOff(ctx context.Context, sys *core.System, user string, p *peer, reason string) (*core.UserExport, error) {
+	exp, err := sys.ExportUserForHandover(user)
+	if err != nil {
+		return nil, fmt.Errorf("mesh: export %s: %w", user, err)
+	}
+	h := exportToWire(exp, n.self.Name)
+	h.Reason = reason
+	if err := n.push(ctx, p, h); err != nil {
+		return nil, fmt.Errorf("mesh: handover %s to %s: %w", user, p.info.Name, err)
+	}
+	sys.DropUserAfterHandover(exp)
+	n.handoversOut.Add(1)
+	n.migratedBytes.Add(exp.SenderBytes())
+	return exp, nil
+}
+
 // MoveUser serves a v1 "move" op on a mesh member: attach the user to a
-// radio cell and, when the cell maps to a different live member, push
-// the user's serving state there and drop it locally. The reported
-// latency is the simulated mesh-link transfer of the sender-side
+// radio cell and, when the cell maps to a different live member, hand the
+// user off there. A move to this member's own cell changes nothing. The
+// reported latency is the simulated mesh-link transfer of the sender-side
 // payload.
 func (n *Node) MoveUser(user string, cell int) (*rpc.Handover, error) {
-	n.mu.RLock()
-	sys := n.sys
-	n.mu.RUnlock()
+	sys := n.system()
 	if sys == nil {
 		return nil, fmt.Errorf("mesh: node not bound to a system")
 	}
 	target := cellMember(n.LiveMembers(), cell)
 	if target == n.self.Index {
-		n.TouchUser(user)
 		return &rpc.Handover{From: n.self.Name, To: n.self.Name}, nil
 	}
 	p, ok := n.peers[target]
 	if !ok {
 		return nil, fmt.Errorf("mesh: no peer at index %d", target)
 	}
-	exp, err := sys.ExportUserForHandover(user)
+	exp, err := n.handOff(context.Background(), sys, user, p, "")
 	if err != nil {
 		return nil, err
 	}
-	payload := exportToWire(exp, n.self.Name)
-	err = p.call(context.Background(), n.cfg.CallTimeout, func(ctx context.Context, c *rpc.Client) error {
-		return c.HandoverPush(ctx, payload)
-	})
-	if err != nil {
-		n.setAlive(p, false)
-		return nil, fmt.Errorf("mesh: handover %s to %s: %w", user, p.info.Name, err)
-	}
-	sys.DropUserAfterHandover(exp)
-	n.dropUser(user)
 	bytes := exp.SenderBytes()
-	n.handoversOut.Add(1)
-	n.migratedBytes.Add(bytes)
 	return &rpc.Handover{
 		From:          n.self.Name,
 		To:            p.info.Name,
@@ -154,17 +159,15 @@ func (n *Node) isPeer(name string) bool {
 
 // HandleHandoverPush serves a peer's OpHandoverPush: install any pushed
 // general models (drain rebalancing or a hot-model replica), then the
-// user state, so the first local transmit continues the user's noise
-// stream exactly where the old owner stopped. Only the membership pushes:
+// user's record, so the first local transmit continues the user's stream
+// exactly where the old owner stopped. Only the membership pushes:
 // anything signed by another name is refused before a byte of it is
 // revived or imported, which is also why a mesh of one takes no push.
 func (n *Node) HandleHandoverPush(h *rpc.HandoffPayload) error {
 	if !n.isPeer(h.FromNode) {
 		return &NotPeerError{Member: n.self.Name, From: h.FromNode}
 	}
-	n.mu.RLock()
-	sys := n.sys
-	n.mu.RUnlock()
+	sys := n.system()
 	if sys == nil {
 		return fmt.Errorf("mesh: node not bound to a system")
 	}
@@ -202,6 +205,5 @@ func (n *Node) HandleHandoverPush(h *rpc.HandoffPayload) error {
 		return err
 	}
 	n.handoversIn.Add(1)
-	n.TouchUser(h.User)
 	return nil
 }

@@ -2,15 +2,19 @@ package mesh
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/mat"
+	"repro/internal/rpc"
 	"repro/internal/trace"
 )
 
@@ -315,7 +319,6 @@ func TestWorkloadWithMobility(t *testing.T) {
 			if err != nil {
 				t.Fatalf("request %d: %v", req.Seq, err)
 			}
-			m.node.TouchUser(req.User)
 			out.results = append(out.results, *res)
 		}
 		for _, m := range mm.members {
@@ -535,5 +538,115 @@ func TestConcurrentMeshUse(t *testing.T) {
 	}
 	if handovers == 0 {
 		t.Fatal("concurrent run produced no handovers")
+	}
+}
+
+// TestRefusedPushKeepsPeer: a push the target answers with a refusal — here
+// it already holds a newer individual model for the user — is an answer
+// from a live member, not a link fault. The move fails with the refusal,
+// the target stays on the ring, the source keeps serving the user from
+// their individual model, and the connection survives for the next push.
+func TestRefusedPushKeepsPeer(t *testing.T) {
+	mm := newMemMesh(t, 2, nil)
+	mm.warm(t)
+	const user = "refused"
+	mm.personalize(t, user, 0, 71)
+	src := mm.owner(user)
+	dstIdx := 1 - src.node.Self().Index
+	dst := mm.members[dstIdx]
+	domain := src.sys.Corpus.Domains[0].Name
+	mine, err := src.sys.Sender.ExportUserModel(domain, user)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newer, _, err := dst.sys.Sender.Personalize(domain, user)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newer.Version = mine.Version + 1
+
+	_, err = src.node.MoveUser(user, dstIdx)
+	var remote *rpc.RemoteError
+	if !errors.As(err, &remote) || !strings.Contains(remote.Msg, "already holds version") {
+		t.Fatalf("move onto a newer model: %v, want the target's refusal as an *rpc.RemoteError", err)
+	}
+	if live := src.node.LiveMembers(); len(live) != 2 {
+		t.Fatalf("a refusal demoted the peer that sent it: live members %v", live)
+	}
+	if !slices.Contains(src.sys.Users(), user) {
+		t.Fatalf("the source dropped the record of a user it never handed off: %v", src.sys.Users())
+	}
+	if res := src.serve(t, user, messages(0, 1, 72)[0]); !res.UsedIndividual {
+		t.Fatal("after the refused move the source no longer serves from the individual model")
+	}
+	conn := src.node.peers[dstIdx].client
+	if conn == nil {
+		t.Fatal("the refusal tore down the connection it arrived on")
+	}
+
+	dst.sys.Sender.DropUser(user) // the stale-newer model goes; the next push is taken
+	if h, err := src.node.MoveUser(user, dstIdx); err != nil || !h.Moved {
+		t.Fatalf("move after the target gave way: %+v, %v", h, err)
+	}
+	if src.node.peers[dstIdx].client != conn {
+		t.Fatal("the next push dialed a new connection")
+	}
+}
+
+// TestDrainAfterMovePushesOnlyHeld: a user moved away from a member is no
+// longer that member's to hand off. Draining the old member pushes nothing
+// for the user, leaves the new owner's record (noise sequence, belief,
+// buffers, models) exactly as it was, and the user's next messages there
+// equal those of a mesh where nobody drained.
+func TestDrainAfterMovePushesOnlyHeld(t *testing.T) {
+	const user = "moved"
+	run := func(drain bool) uint64 {
+		mm := newMemMesh(t, 3, nil)
+		mm.warm(t)
+		mm.personalize(t, user, 0, 81)
+		a := mm.owner(user)
+		bIdx := (a.node.Self().Index + 1) % 3
+		b := mm.members[bIdx]
+		if h := mm.move(t, user, bIdx); !h.Moved {
+			t.Fatalf("fixture move stayed on %s", h.From)
+		}
+		for _, words := range messages(0, 5, 82) {
+			b.serve(t, user, words)
+		}
+		if users := a.sys.Users(); len(users) != 0 {
+			t.Fatalf("the old member still holds records for %v after the move", users)
+		}
+		if drain {
+			before := userState(t, b.sys, user)
+			handedIn := func() (in int64) {
+				for _, m := range mm.members {
+					if m != a {
+						in += m.node.Stats().HandoversIn
+					}
+				}
+				return in
+			}
+			in := handedIn()
+			if err := a.node.Drain(context.Background()); err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+			if out, _ := a.node.HandoverStats(); out != 1 || handedIn() != in {
+				t.Fatalf("the drain pushed user state: %d handovers out (want the move's 1), %d in (was %d)", out, handedIn(), in)
+			}
+			if after := userState(t, b.sys, user); after != before {
+				t.Fatalf("the drain changed the new owner's record:\nbefore %.300s\nafter  %.300s", before, after)
+			}
+		}
+		h := fnv.New64a()
+		for _, words := range messages(0, 6, 83) {
+			res := b.serve(t, user, words)
+			fmt.Fprintf(h, "%d|%v|%g|%d|%d|%t|%t|%d\n",
+				res.SelectedDomain, res.RestoredWords, res.Mismatch, res.PayloadBytes, res.Symbols,
+				res.UsedIndividual, res.UpdateFired, res.UpdateBytes)
+		}
+		return h.Sum64()
+	}
+	if drained, undrained := run(true), run(false); drained != undrained {
+		t.Fatalf("after the old member's drain the user's stream is %016x, undrained %016x", drained, undrained)
 	}
 }

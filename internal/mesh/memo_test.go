@@ -128,7 +128,6 @@ func memoRun(t *testing.T, memo, parallel bool, mutate func(sys *core.Config)) [
 			if res.UpdateErr != nil {
 				return fmt.Errorf("%s message %d: update: %w", c.user, i, res.UpdateErr)
 			}
-			m.node.TouchUser(c.user)
 			fmt.Fprintf(h, "%d|%v|%g|%g|%d|%d|%t|%t|%d\n",
 				res.SelectedDomain, res.RestoredWords, res.Mismatch, res.WordAccuracy, res.PayloadBytes,
 				res.Symbols, res.UsedIndividual, res.UpdateFired, res.UpdateBytes)

@@ -22,15 +22,18 @@
 //     origin. Latency is accounted as simulated mesh-link transfer
 //     time, not wall-clock.
 //
-//   - handover: when a user's serving node changes (mobility or a peer
-//     death), the old owner exports the user's serving state —
-//     individual models of both edge sides plus the per-user noise
-//     sequence — and pushes it to the new owner (OpHandoverPush), which
-//     resumes the user's noise stream bit-identically.
+//   - handover: when a user's serving node changes (a move or a drain),
+//     the old owner exports the user's record — individual models of
+//     both edge sides, the per-user noise sequence, the selection belief
+//     and the pending update buffers — and pushes it to the new owner
+//     (OpHandoverPush), which resumes the user's stream bit-identically.
+//     Every user push carries the whole record; the member's users are
+//     exactly its System's records (core.System.Users).
 package mesh
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -118,8 +121,9 @@ func (p *peer) usable() bool { return p.alive.Load() && !p.departed.Load() }
 // call dials the peer if needed and runs fn on its client, serializing
 // callers (the underlying connection carries one request at a time). The
 // call is bounded by both ctx and timeout, whichever expires first, so a
-// dead peer can never stall a shutdown past its drain budget. Any error
-// tears the connection down so the next call redials.
+// dead peer can never stall a shutdown past its drain budget. A transport
+// failure tears the connection down so the next call redials; a refusal
+// the peer answered with (*rpc.RemoteError) leaves it in place.
 func (p *peer) call(ctx context.Context, timeout time.Duration, fn func(ctx context.Context, c *rpc.Client) error) error {
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
@@ -132,12 +136,19 @@ func (p *peer) call(ctx context.Context, timeout time.Duration, fn func(ctx cont
 		}
 		p.client = rpc.NewClient(conn)
 	}
-	if err := fn(ctx, p.client); err != nil {
+	err := fn(ctx, p.client)
+	if transportFailure(err) {
 		p.client.Close()
 		p.client = nil
-		return err
 	}
-	return nil
+	return err
+}
+
+// transportFailure reports whether err is a failed exchange rather than an
+// answer: nil and *rpc.RemoteError are answers.
+func transportFailure(err error) bool {
+	var remote *rpc.RemoteError
+	return err != nil && !errors.As(err, &remote)
 }
 
 func (p *peer) close() {
@@ -164,7 +175,6 @@ type Node struct {
 	mu    sync.RWMutex
 	peers map[int]*peer // static; peer state mutates, map does not
 	ring  *cluster.Ring
-	users map[string]struct{}
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -210,7 +220,6 @@ func NewNode(cfg Config) (*Node, error) {
 		self:       cfg.Self,
 		total:      total,
 		peers:      make(map[int]*peer, len(cfg.Peers)),
-		users:      make(map[string]struct{}, 16),
 		stop:       make(chan struct{}),
 		heat:       make(map[string]int64, 8),
 		replicated: make(map[string]bool, 8),
@@ -241,6 +250,13 @@ func (n *Node) Bind(sys *core.System, origin edge.Fetcher) {
 	n.sys = sys
 	n.origin = origin
 	n.corp = sys.Corpus
+}
+
+// system returns the System Bind attached, nil before that.
+func (n *Node) system() *core.System {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return n.sys
 }
 
 // NewMember builds one complete mesh member: the node, and its serving
@@ -356,7 +372,7 @@ func (n *Node) announceLeave(ctx context.Context) {
 		wg.Add(1)
 		go func(p *peer) {
 			defer wg.Done()
-			err := p.call(ctx, n.cfg.CallTimeout, func(ctx context.Context, c *rpc.Client) error {
+			err := n.call(ctx, p, func(ctx context.Context, c *rpc.Client) error {
 				return c.Leave(ctx, n.self)
 			})
 			if err != nil {
@@ -370,14 +386,15 @@ func (n *Node) announceLeave(ctx context.Context) {
 // join performs the OpJoin handshake with one peer and applies the
 // outcome to the liveness view.
 func (n *Node) join(p *peer) {
-	err := p.call(context.Background(), n.cfg.CallTimeout, func(ctx context.Context, c *rpc.Client) error {
+	err := n.call(context.Background(), p, func(ctx context.Context, c *rpc.Client) error {
 		_, err := c.Join(ctx, n.self)
 		return err
 	})
-	n.setAlive(p, err == nil)
 	if err != nil {
 		n.cfg.Logf("mesh: join %s (%s): %v", p.info.Name, p.info.Addr, err)
+		return
 	}
+	n.setAlive(p, true)
 }
 
 // probeLoop probes every peer once per ProbeInterval, flipping liveness
@@ -399,18 +416,37 @@ func (n *Node) probeLoop() {
 			if p.departed.Load() {
 				continue
 			}
-			var st *rpc.NodeStats
-			err := p.call(context.Background(), n.cfg.CallTimeout, func(ctx context.Context, c *rpc.Client) error {
-				var err error
-				st, err = c.PeerStats(ctx)
+			err := n.call(context.Background(), p, func(ctx context.Context, c *rpc.Client) error {
+				st, err := c.PeerStats(ctx)
+				if err == nil {
+					p.lastStats.Store(st)
+				}
 				return err
 			})
-			if err == nil && st != nil {
-				p.lastStats.Store(st)
+			if err == nil {
+				n.setAlive(p, true)
 			}
-			n.setAlive(p, err == nil)
 		}
 	}
+}
+
+// call runs fn on p's client (peer.call) and is the one place where a
+// call's failure changes p's liveness: a transport failure marks p down,
+// and an error p answered with never does — the peer that refused a push
+// or a fetch is alive and keeps its place on the ring.
+func (n *Node) call(ctx context.Context, p *peer, fn func(ctx context.Context, c *rpc.Client) error) error {
+	err := p.call(ctx, n.cfg.CallTimeout, fn)
+	if transportFailure(err) {
+		n.setAlive(p, false)
+	}
+	return err
+}
+
+// push ships one handover-push payload to p.
+func (n *Node) push(ctx context.Context, p *peer, h *rpc.HandoffPayload) error {
+	return n.call(ctx, p, func(ctx context.Context, c *rpc.Client) error {
+		return c.HandoverPush(ctx, h)
+	})
 }
 
 // setAlive records a liveness observation, rebuilding the ring on a
@@ -487,12 +523,11 @@ func (n *Node) Members() []rpc.PeerInfo {
 // peersByIndex returns the remote peers in ascending index order.
 func (n *Node) peersByIndex() []*peer {
 	out := make([]*peer, 0, len(n.peers))
-	for off := 1; off < n.total; off++ {
-		if p, ok := n.peers[(n.self.Index+off)%n.total]; ok {
+	for i := 0; i < n.total; i++ {
+		if p, ok := n.peers[i]; ok {
 			out = append(out, p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].info.Index < out[j].info.Index })
 	return out
 }
 
@@ -536,36 +571,11 @@ func (n *Node) HandleLeave(pi rpc.PeerInfo) {
 	}
 }
 
-// TouchUser records that this node served user: the user count in Stats
-// and the list a drain hands off. It runs on every transmit, so a user
-// already tracked costs a read lock only.
-func (n *Node) TouchUser(user string) {
-	n.mu.RLock()
-	_, tracked := n.users[user]
-	n.mu.RUnlock()
-	if tracked {
-		return
-	}
-	n.mu.Lock()
-	n.users[user] = struct{}{}
-	n.mu.Unlock()
-}
-
-func (n *Node) dropUser(user string) {
-	n.mu.Lock()
-	delete(n.users, user)
-	n.mu.Unlock()
-}
-
 // Stats snapshots this member's mesh counters in the shared wire shape.
 func (n *Node) Stats() rpc.NodeStats {
-	n.mu.RLock()
-	users := len(n.users)
-	sys := n.sys
-	n.mu.RUnlock()
+	sys := n.system()
 	st := rpc.NodeStats{
 		Name:           n.self.Name,
-		Users:          users,
 		HandoversIn:    n.handoversIn.Load(),
 		HandoversOut:   n.handoversOut.Load(),
 		NeighborHits:   n.neighborHits.Load(),
@@ -578,6 +588,7 @@ func (n *Node) Stats() rpc.NodeStats {
 		ReplicasOut:    n.replicasOut.Load(),
 	}
 	if sys != nil {
+		st.Users = len(sys.Users())
 		st.HitRate = sys.Sender.CacheStats().HitRate()
 		st.CachedModels = sys.Sender.Cache().Len()
 		st.CacheUsedBytes = sys.Sender.Cache().Used()

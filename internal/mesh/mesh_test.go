@@ -45,7 +45,7 @@ type member struct {
 }
 
 // serve runs one message through the member the way edged's transmit op
-// does: the system serves it, the node records who it served.
+// does, failing the test on a transmit or update error.
 func (m *member) serve(t testing.TB, user string, words []string) *core.Result {
 	t.Helper()
 	res, err := m.sys.TransmitText(user, words)
@@ -55,7 +55,6 @@ func (m *member) serve(t testing.TB, user string, words []string) *core.Result {
 	if res.UpdateErr != nil {
 		t.Fatalf("%s: update for %s failed: %v", m.node.Self().Name, user, res.UpdateErr)
 	}
-	m.node.TouchUser(user)
 	return res
 }
 

@@ -42,9 +42,7 @@ func (n *Node) NoteDomain(domain string) {
 // successor whose latest stats snapshot already lists the domain counts
 // as warm without a wire transfer.
 func (n *Node) pushReplicas(domain string) {
-	n.mu.RLock()
-	sys := n.sys
-	n.mu.RUnlock()
+	sys := n.system()
 	if sys == nil {
 		return
 	}
@@ -67,11 +65,7 @@ func (n *Node) pushReplicas(domain string) {
 			pushed++ // already warm
 			continue
 		}
-		err := p.call(context.Background(), n.cfg.CallTimeout, func(ctx context.Context, c *rpc.Client) error {
-			return c.HandoverPush(ctx, push)
-		})
-		if err != nil {
-			n.setAlive(p, false)
+		if err := n.push(context.Background(), p, push); err != nil {
 			n.cfg.Logf("mesh: replica push %s to %s: %v", domain, p.info.Name, err)
 			continue
 		}

@@ -161,39 +161,50 @@ func (c *Client) PingContext(ctx context.Context) error {
 
 // Mesh calls: peer-to-peer ops framed at protocol version 2.
 
-// Join announces peer to the daemon and returns the daemon's current
-// membership view.
-func (c *Client) Join(ctx context.Context, peer PeerInfo) ([]PeerInfo, error) {
-	resp, err := c.do(ctx, Version2, &Request{Op: OpJoin, Peer: &peer})
+// RemoteError is an answer the peer sent: the call crossed the wire and the
+// peer refused it (Response.OK false), so the connection is intact and the
+// peer alive. Every mesh call returns one for a refusal; any other error is
+// a transport failure.
+type RemoteError struct {
+	Op  string // the refused op
+	Msg string // the peer's Response.Error
+}
+
+func (e *RemoteError) Error() string { return fmt.Sprintf("rpc: %s: %s", e.Op, e.Msg) }
+
+// mesh runs one v2 exchange, turning a refusal into a *RemoteError.
+func (c *Client) mesh(ctx context.Context, req *Request) (*Response, error) {
+	resp, err := c.do(ctx, Version2, req)
 	if err != nil {
 		return nil, err
 	}
 	if !resp.OK {
-		return nil, fmt.Errorf("rpc: join: %s", resp.Error)
+		return nil, &RemoteError{Op: req.Op, Msg: resp.Error}
+	}
+	return resp, nil
+}
+
+// Join announces peer to the daemon and returns the daemon's current
+// membership view.
+func (c *Client) Join(ctx context.Context, peer PeerInfo) ([]PeerInfo, error) {
+	resp, err := c.mesh(ctx, &Request{Op: OpJoin, Peer: &peer})
+	if err != nil {
+		return nil, err
 	}
 	return resp.Peers, nil
 }
 
 // Leave announces peer's graceful shutdown to the daemon.
 func (c *Client) Leave(ctx context.Context, peer PeerInfo) error {
-	resp, err := c.do(ctx, Version2, &Request{Op: OpLeave, Peer: &peer})
-	if err != nil {
-		return err
-	}
-	if !resp.OK {
-		return fmt.Errorf("rpc: leave: %s", resp.Error)
-	}
-	return nil
+	_, err := c.mesh(ctx, &Request{Op: OpLeave, Peer: &peer})
+	return err
 }
 
 // PeerStats fetches the daemon's own per-node counter snapshot.
 func (c *Client) PeerStats(ctx context.Context) (*NodeStats, error) {
-	resp, err := c.do(ctx, Version2, &Request{Op: OpPeerStats})
+	resp, err := c.mesh(ctx, &Request{Op: OpPeerStats})
 	if err != nil {
 		return nil, err
-	}
-	if !resp.OK {
-		return nil, fmt.Errorf("rpc: peer-stats: %s", resp.Error)
 	}
 	if resp.Node == nil {
 		return nil, errors.New("rpc: peer-stats response carried no node")
@@ -205,12 +216,9 @@ func (c *Client) PeerStats(ctx context.Context) (*NodeStats, error) {
 // (nil, nil): the daemon answers with Peek semantics and never forwards
 // to origin, so the caller decides when to pay the uplink.
 func (c *Client) FetchModel(ctx context.Context, fetch FetchRequest) (*ModelPayload, error) {
-	resp, err := c.do(ctx, Version2, &Request{Op: OpFetchModel, Fetch: &fetch})
+	resp, err := c.mesh(ctx, &Request{Op: OpFetchModel, Fetch: &fetch})
 	if err != nil {
 		return nil, err
-	}
-	if !resp.OK {
-		return nil, fmt.Errorf("rpc: fetch-model: %s", resp.Error)
 	}
 	return resp.Model, nil
 }
@@ -218,12 +226,6 @@ func (c *Client) FetchModel(ctx context.Context, fetch FetchRequest) (*ModelPayl
 // HandoverPush ships a user's serving state to the daemon taking
 // ownership.
 func (c *Client) HandoverPush(ctx context.Context, h *HandoffPayload) error {
-	resp, err := c.do(ctx, Version2, &Request{Op: OpHandoverPush, Handoff: h})
-	if err != nil {
-		return err
-	}
-	if !resp.OK {
-		return fmt.Errorf("rpc: handover-push: %s", resp.Error)
-	}
-	return nil
+	_, err := c.mesh(ctx, &Request{Op: OpHandoverPush, Handoff: h})
+	return err
 }

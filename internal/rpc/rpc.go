@@ -63,8 +63,9 @@ const (
 	// Request.Fetch, returning the serialized parameters on a hit
 	// (cooperative fetch over the mesh).
 	OpFetchModel = "fetch-model"
-	// OpHandoverPush ships a user's serving state (individual models plus
-	// the per-user noise sequence) to the node taking ownership.
+	// OpHandoverPush ships a user's whole record (individual models, the
+	// per-user noise sequence, the selection belief and the pending update
+	// buffers) to the node taking ownership, or general models alone.
 	OpHandoverPush = "handover-push"
 )
 
@@ -163,13 +164,13 @@ const (
 	HandoffReplica = "replica"
 )
 
-// HandoffPayload is the complete user state shipped by OpHandoverPush:
-// every individual model both pipeline sides hold for the user, plus the
-// per-user channel-noise sequence counter so the user's noise stream
-// continues bit-identically on the new owner. Drain pushes additionally
-// carry the user's selection-filter posterior and buffered federated
-// transactions, so the stream continues exactly where it left off, and
-// may ship general models (as do replica pushes) with User empty.
+// HandoffPayload is the complete user record shipped by OpHandoverPush.
+// Every user push — a move or a drain — carries every individual model
+// both pipeline sides hold for the user, the per-user channel-noise
+// sequence counter, the selection-filter posterior and the buffered
+// federated transactions, so the user's stream continues bit-identically
+// on the new owner. Drain and replica pushes may instead ship general
+// models with User empty.
 type HandoffPayload struct {
 	User     string         `json:"user"`
 	FromNode string         `json:"from_node"`
