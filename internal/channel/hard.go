@@ -36,7 +36,10 @@ import (
 // mat.RNG.PolarClear over the message's n pairs. It consumes the same
 // uniforms in the same order, through the same a, b and s = a*a + b*b
 // expressions as the PolarPairs batches the receiver reads, so it stops on
-// the same last accepted pair and sees every s the receiver would. When
+// the same last accepted pair and sees every s the receiver would. On AVX2
+// hardware it runs four attempts at a time, one per lane, each lane
+// computing those same expressions, and finishes the last few acceptances
+// on the Go loop; it is about four times cheaper than the receiver. When
 // every s clears the threshold, no decision flips, every codeword decodes
 // to its own nibble, and the output is each value's quantize → dequantize
 // round trip; the generator is already where the receiver would leave it.
@@ -150,14 +153,18 @@ const hardBatch = 16 * 7
 // clean-crossing certificate. The scan costs S whatever its verdict and
 // saves the per-symbol receiver's E only when it holds, with probability
 // p ≈ exp(-coded·thr), so it pays when p·E > S, that is when coded·thr <
-// ln(E/S). On a long_msg crossing the scan is about four-fifths of the
-// receiver (S/E ≈ 0.8, BenchmarkHardCrossing), so the break-even sits near
-// ln(1.25) ≈ 0.22. Half of that keeps the scan only where it fails at most
-// about one crossing in eight, which leaves a margin for hardware where
-// the ratio is less favourable. The daemon's 12 dB reads coded·thr ≈ 1e-3
-// on its longest messages; 9 dB and below are sent straight to the
-// receiver.
-const hardScanBound = 1.0 / 8
+// ln(E/S). On a long_msg crossing the four-lane AVX2 scan is a quarter of
+// the receiver or less (BenchmarkHardCrossing/scan ≈ 17–19 µs against
+// /receiver ≈ 66–85 µs on a 2-core 2 GHz Xeon: S/E ≈ 0.20–0.29), so the
+// break-even sits near ln(4) ≈ 1.4 and no lower than 1.2. Half of that,
+// rounded down to 1/2, leaves a margin for hardware where the ratio is
+// less favourable: on a CPU without AVX2 the scan is the Go loop, S/E is
+// 0.6–0.8 and a crossing near the bound pays up to a fifth more than the
+// receiver alone. The daemon's 12 dB reads coded·thr ≈ 1e-3 on its longest
+// messages and 10 dB ≈ 0.37, where the scan holds on seven crossings in
+// ten (BenchmarkHardCrossing/fused-10dB); 9 dB and below are sent straight
+// to the receiver.
+const hardScanBound = 1.0 / 2
 
 // hardNoise hands the kernel one codeword's polar pairs at a time from
 // stack-sized batches, drawing exactly the pairs the message needs — never
@@ -201,20 +208,12 @@ func crossNibble(nibble uint8, u, s []float64, sigma, thr float64) uint8 {
 // sendHard is the fused crossing; see the file comment. Unless
 // coded·thr is past hardScanBound, it first certifies a clean crossing
 // and, if that holds, returns each value's quantize → dequantize round
-// trip. Otherwise quantizer codes stream through a bit accumulator into
-// nibbles, each nibble crosses the channel, and the decoded nibbles stream
-// through a second accumulator back into quantizer codes, so nothing
-// message-sized is materialised between flat and dst. The last nibble is
-// zero-padded as Hamming74.EncodeTo pads it, and decoding stops at
-// len(dst) values as the staged path's truncation to the sent bit count
-// does.
+// trip. Otherwise the per-symbol receiver runs.
 func (l FeatureLink) sendHard(ch *AWGN, dst, flat []float64) LinkStats {
 	q := l.Quant
 	q.validate()
 	levels := q.levels()
 	span := q.Hi - q.Lo
-	width := uint(q.Bits)
-	mask := uint64(levels - 1)
 	sigma := ch.noiseSigmaCached()
 	thr := ch.hardThr
 	info := len(flat) * q.Bits
@@ -230,7 +229,25 @@ func (l FeatureLink) sendHard(ch *AWGN, dst, flat []float64) LinkStats {
 		}
 		*ch.Rng = saved
 	}
-	noise := hardNoise{rng: ch.Rng, remaining: coded}
+	l.receiveHard(ch.Rng, dst, flat, coded, sigma, thr)
+	return stats
+}
+
+// receiveHard is the per-symbol receiver over the message's coded symbols,
+// drawing their pairs from rng. Quantizer codes stream through a bit
+// accumulator into nibbles, each nibble crosses the channel, and the
+// decoded nibbles stream through a second accumulator back into quantizer
+// codes, so nothing message-sized is materialised between flat and dst.
+// The last nibble is zero-padded as Hamming74.EncodeTo pads it, and
+// decoding stops at len(dst) values as the staged path's truncation to the
+// sent bit count does.
+func (l FeatureLink) receiveHard(rng *mat.RNG, dst, flat []float64, coded int, sigma, thr float64) {
+	q := l.Quant
+	levels := q.levels()
+	span := q.Hi - q.Lo
+	width := uint(q.Bits)
+	mask := uint64(levels - 1)
+	noise := hardNoise{rng: rng, remaining: coded}
 
 	var tx, rx uint64 // bit accumulators, newest bit least significant
 	var txBits, rxBits uint
@@ -255,5 +272,4 @@ func (l FeatureLink) sendHard(ch *AWGN, dst, flat []float64) LinkStats {
 			}
 		}
 	}
-	return stats
 }

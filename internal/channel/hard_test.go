@@ -347,18 +347,22 @@ func FuzzHardCrossing(f *testing.F) {
 
 // BenchmarkHardCrossing times one long_msg-shaped crossing (96 tokens x 8
 // dims x 3 bits = 4,032 symbols): on the fused path at the daemon's 12 dB,
-// where the clean-crossing certificate almost always holds, and at 6 dB,
-// where the coded·thr bound sends it straight to the per-symbol receiver;
-// on the staged reference; and the certificate's scan alone.
+// where the clean-crossing certificate almost always holds; at 10 dB, where
+// coded·thr ≈ 0.37 is inside hardScanBound and the certificate holds on
+// about seven crossings in ten; at 6 dB, where the bound sends it straight
+// to the per-symbol receiver; on the staged reference; and, at 12 dB, the
+// certificate's scan alone and the per-symbol receiver alone — the S and E
+// that hardScanBound weighs.
 func BenchmarkHardCrossing(b *testing.B) {
 	flat := hardFeats(mat.NewRNG(1), 96*8)
 	dst := make([]float64, len(flat))
 	fused12, staged12 := hardPair(DefaultQuantizer(), 12, 1)
+	fused10, _ := hardPair(DefaultQuantizer(), 10, 1)
 	fused6, _ := hardPair(DefaultQuantizer(), 6, 1)
 	for _, c := range []struct {
 		name string
 		link FeatureLink
-	}{{"fused", fused12}, {"fused-6dB", fused6}, {"staged", staged12}} {
+	}{{"fused", fused12}, {"fused-10dB", fused10}, {"fused-6dB", fused6}, {"staged", staged12}} {
 		b.Run(c.name, func(b *testing.B) {
 			var ts TxScratch
 			for i := 0; i < b.N; i++ {
@@ -366,12 +370,17 @@ func BenchmarkHardCrossing(b *testing.B) {
 			}
 		})
 	}
+	ch := fused12.Ch.(*AWGN)
+	sigma := ch.noiseSigmaCached()
+	coded := (len(flat)*DefaultQuantizer().Bits + 3) / 4 * 7
 	b.Run("scan", func(b *testing.B) {
-		ch := fused12.Ch.(*AWGN)
-		ch.noiseSigmaCached()
-		coded := (len(flat)*DefaultQuantizer().Bits + 3) / 4 * 7
 		for i := 0; i < b.N; i++ {
 			ch.Rng.PolarClear(coded, ch.hardThr)
+		}
+	})
+	b.Run("receiver", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			fused12.receiveHard(ch.Rng, dst, flat, coded, sigma, ch.hardThr)
 		}
 	})
 }

@@ -170,16 +170,20 @@ func (s *System) decodeHandoverModels(user string, models []*edge.ExportedModel)
 }
 
 // checkHandoverVersions refuses an export holding a model older than the
-// one srv already caches for the user — the refusal InstallUserModel
-// would otherwise raise in the middle of the install, after earlier
-// models of the same export had landed. The caller holds the user's lock,
-// so no update can bump a version between this check and the install.
-func checkHandoverVersions(srv *edge.Server, models []*edge.ExportedModel) error {
-	for _, m := range models {
-		local, ok := srv.Cache().Peek(kb.UserKey(m.Domain, m.User, kb.RoleCodec))
-		if ok && local.Version > m.Version {
-			return &BadHandoverError{User: m.User, Domain: m.Domain,
-				Reason: fmt.Sprintf("%s already holds version %d, newer than the pushed %d", srv.Name(), local.Version, m.Version)}
+// one either edge already caches for the user — the refusal
+// InstallUserModel would otherwise raise in the middle of the install,
+// after earlier models of the same export had landed.
+func (s *System) checkHandoverVersions(exp *UserExport) error {
+	for _, side := range []struct {
+		srv    *edge.Server
+		models []*edge.ExportedModel
+	}{{s.Sender, exp.Sender}, {s.Receiver, exp.Receiver}} {
+		for _, m := range side.models {
+			local, ok := side.srv.Cache().Peek(kb.UserKey(m.Domain, m.User, kb.RoleCodec))
+			if ok && local.Version > m.Version {
+				return &BadHandoverError{User: m.User, Domain: m.Domain,
+					Reason: fmt.Sprintf("%s already holds version %d, newer than the pushed %d", side.srv.Name(), local.Version, m.Version)}
+			}
 		}
 	}
 	return nil
@@ -209,12 +213,18 @@ func (s *System) ImportUserFromHandover(exp *UserExport) error {
 	if err != nil {
 		return err
 	}
-	st := s.lockUser(exp.User)
-	defer st.mu.Unlock()
-	if err := checkHandoverVersions(s.Sender, exp.Sender); err != nil {
+	// The versions are checked before lockUser, which creates a record for
+	// a user this system does not know yet, so a refused import leaves
+	// Users() as it found it. They are checked again under the lock, which
+	// keeps an update from bumping a version before the install. A model
+	// that became newer in between was installed under the user's lock, by
+	// a transmit or an import that made the record first.
+	if err := s.checkHandoverVersions(exp); err != nil {
 		return err
 	}
-	if err := checkHandoverVersions(s.Receiver, exp.Receiver); err != nil {
+	st := s.lockUser(exp.User)
+	defer st.mu.Unlock()
+	if err := s.checkHandoverVersions(exp); err != nil {
 		return err
 	}
 	for i, m := range exp.Sender {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/corpus"
@@ -267,5 +268,52 @@ func TestImportRejectsInconsistentHandoverModels(t *testing.T) {
 				t.Fatalf("rejected import advanced the noise sequence to %d", seq)
 			}
 		})
+	}
+}
+
+// TestRefusedImportLeavesUsers pushes a user to a member that holds a newer
+// individual model of theirs: once with no record of the user (it must not
+// appear in Users()), once with one (it must stay).
+func TestRefusedImportLeavesUsers(t *testing.T) {
+	cfg := userNoiseConfig()
+	const user = "mallory"
+	src, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefetchAll(t, src)
+	domain := src.Corpus.Names()[0]
+	if _, _, err := src.Receiver.Personalize(domain, user); err != nil {
+		t.Fatal(err)
+	}
+	exp, err := src.ExportUserForHandover(user)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, known := range []bool{false, true} {
+		dst, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefetchAll(t, dst)
+		held, _, err := dst.Receiver.Personalize(domain, user)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held.Version = exp.Receiver[0].Version + 1
+		if known {
+			dst.userState(user)
+		}
+		before := dst.Users()
+		if known != slices.Contains(before, user) {
+			t.Fatalf("record %v: Users() = %v before the push", known, before)
+		}
+		var bad *BadHandoverError
+		if err := dst.ImportUserFromHandover(exp); !errors.As(err, &bad) {
+			t.Fatalf("record %v: import error = %v, want a *BadHandoverError", known, err)
+		}
+		if got := dst.Users(); !slices.Equal(got, before) {
+			t.Fatalf("record %v: refused import changed Users() from %v to %v", known, before, got)
+		}
 	}
 }

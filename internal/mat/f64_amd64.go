@@ -3,7 +3,8 @@
 package mat
 
 // AVX2 float64 kernels behind mulMatTRange, mulMatRange, addOuterBatchRange,
-// Scale, MomentumStep, Softmax (exp) and Tanh. Each one is bit-identical to
+// Scale, MomentumStep, Softmax (exp) and Tanh, and the scan behind
+// RNG.PolarClear (polar_amd64.s). Each one is bit-identical to
 // the pure-Go loop it shadows, by construction: a SIMD lane is always one
 // independent output element, that element's accumulation keeps its
 // ascending order, multiply and add stay separate instructions (no FMA —
@@ -69,3 +70,11 @@ func f64ExpShift(dst, src *float64, n int, shift float64) int
 //
 //go:noescape
 func f64Tanh(dst, src *float64, n int) int
+
+// polarScan4 runs RNG.PolarClear's attempts from state four at a time while
+// at least four of n acceptances are still wanted. It returns how many
+// blocks of four attempts it ran (the generator is then 8γ per block
+// further on), how many of their pairs were accepted, and a non-zero bad
+// when an accepted pair's s was not above the float64 whose bits are t,
+// which must be below 2^63.
+func polarScan4(state uint64, n int, t uint64) (blocks, acc int, bad uint64)

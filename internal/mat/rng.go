@@ -42,9 +42,12 @@ func (r *RNG) Reseed(seed uint64) {
 	r.hasSpare = false
 }
 
+// splitMixGamma is what every draw adds to the state.
+const splitMixGamma = 0x9e3779b97f4a7c15
+
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += splitMixGamma
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -112,11 +115,28 @@ func (r *RNG) PolarPairs(u, v, s []float64) {
 // count and or-ed into the verdict. A scan that branched on acceptance
 // mispredicts on the 21 % of attempts that are rejected, and was measured
 // slower than the channel crossing it was meant to shortcut.
+//
+// With AVX2 the scan runs four attempts at a time first (polar_amd64.s):
+// the state only ever adds splitMixGamma, so attempt j of a block draws
+// from the state plus (2j+1)γ and (2j+2)γ, and four lanes carry four
+// independent attempts through the same mix, uniform, s and comparisons.
+// Blocks run only while at least four acceptances are still wanted, so
+// none can pass the n-th; the loop below then places the last few from
+// where the blocks left the generator. It is also the whole scan on CPUs
+// without AVX2, and the oracle the kernel is tested against.
 func (r *RNG) PolarClear(n int, thr float64) bool {
 	const one = 0x3ff0000000000000 // math.Float64bits(1)
 	t := math.Float64bits(thr)
 	var bad uint64
-	for acc := 0; acc < n; {
+	acc := 0
+	if useAVX2 {
+		var blocks int
+		// Capping t keeps the kernel's signed compare in the unsigned order:
+		// s is never negative, so its bits are below 2^63 either way.
+		blocks, acc, bad = polarScan4(r.state, n, min(t, math.MaxInt64))
+		r.state += uint64(8*blocks) * splitMixGamma
+	}
+	for acc < n {
 		a := 2*r.Float64() - 1
 		b := 2*r.Float64() - 1
 		sb := math.Float64bits(a*a + b*b)

@@ -1,6 +1,10 @@
 package mat
 
-import "testing"
+import (
+	"math"
+	"slices"
+	"testing"
+)
 
 // TestNormFloat64BlockMatchesScalar proves the block fill is bit-identical
 // to repeated scalar draws, including spare handling across odd-sized
@@ -127,36 +131,47 @@ func TestHasSpareTracksOddDraws(t *testing.T) {
 // in the same state. Thresholds at and past 1 fail every accepted pair, so
 // there the verdict is false whatever the scan does and the generator
 // state is what catches a scan that miscounts acceptances or runs an
-// attempt past the n-th accepted pair.
+// attempt past the n-th accepted pair. The lengths around 4 straddle the
+// four-attempt blocks of the AVX2 scan, and a threshold equal to the
+// smallest accepted s, and one just below it, pin the strict s > thr. It
+// runs with the kernel dispatched and with the Go loop alone.
 func TestPolarClearMatchesPolarPairs(t *testing.T) {
 	seeds := 200
 	if testing.Short() {
 		seeds = 40
 	}
-	thrs := []float64{0, 2.6e-7, 0.05, 0.5, 1, 2}
-	u, v, s := make([]float64, 4032), make([]float64, 4032), make([]float64, 4032)
-	verdicts := map[bool]int{}
-	for seed := 0; seed < seeds; seed++ {
-		for _, n := range []int{0, 1, 7, 112, 4032} {
-			for _, thr := range thrs {
-				scan, twin := NewRNG(uint64(seed)*7919+uint64(n)), NewRNG(uint64(seed)*7919+uint64(n))
-				got := scan.PolarClear(n, thr)
-				twin.PolarPairs(u[:n], v[:n], s[:n])
-				want := true
-				for _, si := range s[:n] {
-					want = want && si > thr
+	withEachPath(t, func(t *testing.T) {
+		u, v, s := make([]float64, 4032), make([]float64, 4032), make([]float64, 4032)
+		verdicts := map[bool]int{}
+		for seed := 0; seed < seeds; seed++ {
+			for _, n := range []int{0, 1, 3, 4, 5, 7, 8, 9, 112, 4032} {
+				seed := uint64(seed)*7919 + uint64(n)
+				NewRNG(seed).PolarPairs(u[:n], v[:n], s[:n])
+				thrs := []float64{0, 2.6e-7, 0.05, 0.5, 1, 2}
+				if n > 0 {
+					least := slices.Min(s[:n])
+					thrs = append(thrs, least, math.Nextafter(least, 0))
 				}
-				if got != want {
-					t.Fatalf("seed %d n %d thr %v: PolarClear %v, pairs say %v", seed, n, thr, got, want)
+				for _, thr := range thrs {
+					scan, twin := NewRNG(seed), NewRNG(seed)
+					got := scan.PolarClear(n, thr)
+					twin.PolarPairs(u[:n], v[:n], s[:n])
+					want := true
+					for _, si := range s[:n] {
+						want = want && si > thr
+					}
+					if got != want {
+						t.Fatalf("seed %d n %d thr %v: PolarClear %v, pairs say %v", seed, n, thr, got, want)
+					}
+					if scan.Uint64() != twin.Uint64() {
+						t.Fatalf("seed %d n %d thr %v: generator states diverged", seed, n, thr)
+					}
+					verdicts[got]++
 				}
-				if scan.Uint64() != twin.Uint64() {
-					t.Fatalf("seed %d n %d thr %v: generator states diverged", seed, n, thr)
-				}
-				verdicts[got]++
 			}
 		}
-	}
-	if verdicts[true] == 0 || verdicts[false] == 0 {
-		t.Fatalf("verdicts %v: both outcomes must be exercised", verdicts)
-	}
+		if verdicts[true] == 0 || verdicts[false] == 0 {
+			t.Fatalf("verdicts %v: both outcomes must be exercised", verdicts)
+		}
+	})
 }

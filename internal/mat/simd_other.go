@@ -31,3 +31,7 @@ func f64ExpShift(dst, src *float64, n int, shift float64) int {
 func f64Tanh(dst, src *float64, n int) int {
 	panic("mat: f64Tanh without AVX2")
 }
+
+func polarScan4(state uint64, n int, t uint64) (blocks, acc int, bad uint64) {
+	panic("mat: polarScan4 without AVX2")
+}
