@@ -32,7 +32,7 @@ import (
 // uniform on the unit disk, so s = u² + v², the squared radius, is uniform
 // on (0, 1): a message of n symbols has a pair at or below the threshold
 // with probability 1 - (1-thr)^n ≈ n·thr, about one 4,032-symbol message
-// in a thousand at the daemon's 12 dB. sendHard therefore first runs
+// in a thousand at the daemon's 12 dB. The crossing therefore first runs
 // mat.RNG.PolarClear over the message's n pairs. It consumes the same
 // uniforms in the same order, through the same a, b and s = a*a + b*b
 // expressions as the PolarPairs batches the receiver reads, so it stops on
@@ -135,7 +135,8 @@ func init() {
 // spare is declined: the staged path would hand that spare to the first
 // symbol, which the pair-at-a-time kernel cannot reproduce. (A link that
 // only ever carries feature messages never has one — every crossing draws
-// whole pairs — and SendSeeded reseeds first.)
+// whole pairs — and a SeededLink starts every message on a fresh
+// generator.)
 func (l FeatureLink) hardLink() (*AWGN, bool) {
 	ch, ok := l.Ch.(*AWGN)
 	if !ok || l.Code != Code(Hamming74{}) || l.Mod != Modulation(BPSK{}) || ch.Rng.HasSpare() {
@@ -149,7 +150,7 @@ func (l FeatureLink) hardLink() (*AWGN, bool) {
 // generator's branch-free batch loop is amortised.
 const hardBatch = 16 * 7
 
-// hardScanBound is the largest coded·thr for which sendHard tries the
+// hardScanBound is the largest coded·thr for which the crossing tries the
 // clean-crossing certificate. The scan costs S whatever its verdict and
 // saves the per-symbol receiver's E only when it holds, with probability
 // p ≈ exp(-coded·thr), so it pays when p·E > S, that is when coded·thr <
@@ -205,35 +206,71 @@ func crossNibble(nibble uint8, u, s []float64, sigma, thr float64) uint8 {
 	return hamming74Dec[word]
 }
 
-// sendHard is the fused crossing; see the file comment. Unless
-// coded·thr is past hardScanBound, it first certifies a clean crossing
-// and, if that holds, returns each value's quantize → dequantize round
-// trip. Otherwise the per-symbol receiver runs.
+// sendHard is the fused crossing on the channel's own continuing noise
+// stream: SeededLink.cross with l's quantizer and ch's noise level.
 func (l FeatureLink) sendHard(ch *AWGN, dst, flat []float64) LinkStats {
-	q := l.Quant
+	l.Quant.validate()
+	sigma := ch.noiseSigmaCached()
+	return SeededLink{quant: l.Quant, sigma: sigma, thr: ch.hardThr}.cross(ch.Rng, dst, flat)
+}
+
+// SeededLink is DefaultFeatureLink over AWGN at one SNR, crossing every
+// message on a noise stream of its own: Send(seed, …) is bit-identical to
+// that link's SendFlatScratch right after its generator was reseeded to
+// seed. It holds no generator and no buffers — only the quantizer, noise
+// sigma and flip threshold, fixed by NewSeededLink — so one value serves
+// any number of concurrent transmissions without a lock.
+type SeededLink struct {
+	quant      Quantizer
+	sigma, thr float64
+}
+
+// NewSeededLink returns the seeded default link at snrDB.
+func NewSeededLink(snrDB float64) SeededLink {
+	q := DefaultQuantizer()
 	q.validate()
+	sigma := (&AWGN{SNRdB: snrDB}).NoiseSigma()
+	return SeededLink{quant: q, sigma: sigma, thr: hardFlipThreshold(sigma)}
+}
+
+// Send transmits flat under the contract of FeatureLink.SendFlatScratch,
+// drawing the noise from a generator seeded with seed that lives on the
+// stack for this one message.
+func (l SeededLink) Send(seed uint64, dst, flat []float64) LinkStats {
+	if len(dst) != len(flat) {
+		panic("channel: Send buffer length mismatch")
+	}
+	var rng mat.RNG
+	rng.Reseed(seed)
+	return l.cross(&rng, dst, flat)
+}
+
+// cross is the fused crossing over rng's stream; see the file comment.
+// Unless coded·thr is past hardScanBound, it first certifies a clean
+// crossing and, if that holds, returns each value's quantize → dequantize
+// round trip. Otherwise the per-symbol receiver runs.
+func (l SeededLink) cross(rng *mat.RNG, dst, flat []float64) LinkStats {
+	q := l.quant
 	levels := q.levels()
 	span := q.Hi - q.Lo
-	sigma := ch.noiseSigmaCached()
-	thr := ch.hardThr
 	info := len(flat) * q.Bits
 	coded := (info + 3) / 4 * 7
 	stats := LinkStats{InfoBits: info, CodedBits: coded, Symbols: coded}
-	if float64(coded)*thr <= hardScanBound {
-		saved := *ch.Rng
-		if ch.Rng.PolarClear(coded, thr) {
+	if float64(coded)*l.thr <= hardScanBound {
+		saved := *rng
+		if rng.PolarClear(coded, l.thr) {
 			for i, v := range flat {
 				dst[i] = q.value(q.index(v, levels, span), levels, span)
 			}
 			return stats
 		}
-		*ch.Rng = saved
+		*rng = saved
 	}
-	l.receiveHard(ch.Rng, dst, flat, coded, sigma, thr)
+	l.receive(rng, dst, flat, coded)
 	return stats
 }
 
-// receiveHard is the per-symbol receiver over the message's coded symbols,
+// receive is the per-symbol receiver over the message's coded symbols,
 // drawing their pairs from rng. Quantizer codes stream through a bit
 // accumulator into nibbles, each nibble crosses the channel, and the
 // decoded nibbles stream through a second accumulator back into quantizer
@@ -241,8 +278,8 @@ func (l FeatureLink) sendHard(ch *AWGN, dst, flat []float64) LinkStats {
 // The last nibble is zero-padded as Hamming74.EncodeTo pads it, and
 // decoding stops at len(dst) values as the staged path's truncation to the
 // sent bit count does.
-func (l FeatureLink) receiveHard(rng *mat.RNG, dst, flat []float64, coded int, sigma, thr float64) {
-	q := l.Quant
+func (l SeededLink) receive(rng *mat.RNG, dst, flat []float64, coded int) {
+	q := l.quant
 	levels := q.levels()
 	span := q.Hi - q.Lo
 	width := uint(q.Bits)
@@ -263,7 +300,7 @@ func (l FeatureLink) receiveHard(rng *mat.RNG, dst, flat []float64, coded int, s
 		for txBits >= 4 {
 			txBits -= 4
 			u, s := noise.next()
-			rx = rx<<4 | uint64(crossNibble(uint8(tx>>txBits&15), u, s, sigma, thr))
+			rx = rx<<4 | uint64(crossNibble(uint8(tx>>txBits&15), u, s, l.sigma, l.thr))
 			rxBits += 4
 			for rxBits >= width && out < len(dst) {
 				rxBits -= width

@@ -32,11 +32,11 @@ func hardFeats(rng *mat.RNG, n int) []float64 {
 	return out
 }
 
-// crossing is one way of sending a message: a bare link or a pooled
-// instance reseeded first.
+// crossing is one way of sending a message: a link on its continuing
+// stream, or a fresh stream per message.
 type crossing func(dst, flat []float64) LinkStats
 
-// viaLink crosses on l the way the classic shared-stream route does.
+// viaLink crosses on l's continuing stream.
 func viaLink(l FeatureLink) crossing {
 	var ts TxScratch
 	return func(dst, flat []float64) LinkStats { return l.SendFlatScratch(&ts, dst, flat) }
@@ -66,7 +66,7 @@ func crossBoth(t testing.TB, q Quantizer, fused, staged crossing, flat []float64
 }
 
 // sameStream fails unless both links' generators are in the same state:
-// the next message of a shared classic stream must see the same noise.
+// the next message on a continuing stream must see the same noise.
 func sameStream(t testing.TB, fused, staged FeatureLink, label string) {
 	t.Helper()
 	f, s := fused.Ch.(*AWGN).Rng, staged.Ch.(*AWGN).Rng
@@ -101,12 +101,14 @@ var hardSNRs = []float64{-6, -2, 0, 3, 6, 9, 12, 20}
 
 // TestHardCrossingMatchesStaged is the proof obligation of the fused path:
 // over the SNR range the experiments sweep, every quantizer width, whole
-// and padded final blocks, and both noise schemes — consecutive messages
-// on one continuing stream (classic) and one reseed per message
-// (TxInstance.SendSeeded) — outputs, LinkStats and generator state equal
-// the staged pipeline's, on every route through sendHard: the bound
-// skipping the clean-crossing scan, the scan certifying a message, and
-// the scan failing and restoring the generator for the receiver.
+// and padded final blocks, and both ways a stream is used — consecutive
+// messages on one continuing stream (classic), where outputs, LinkStats
+// and generator state must equal the staged pipeline's, and one fresh
+// stream per message (reseeded: SeededLink.Send against the staged link
+// reseeded to the same seed), where outputs and LinkStats must — on every
+// route through the crossing: the bound skipping the clean-crossing scan,
+// the scan certifying a message, and the scan failing and restoring the
+// generator for the receiver.
 func TestHardCrossingMatchesStaged(t *testing.T) {
 	seeds := 40
 	if testing.Short() {
@@ -151,18 +153,20 @@ func TestHardCrossingMatchesStaged(t *testing.T) {
 		for _, snr := range hardSNRs {
 			for _, bits := range []int{3, 5} {
 				q := Quantizer{Bits: bits, Lo: -1, Hi: 1}
-				fused, staged := hardPair(q, snr, 0)
-				fi := &TxInstance{link: fused, rng: fused.Ch.(*AWGN).Rng}
-				si := &TxInstance{link: staged, rng: staged.Ch.(*AWGN).Rng}
+				sigma := (&AWGN{SNRdB: snr}).NoiseSigma()
+				seeded := SeededLink{quant: q, sigma: sigma, thr: hardFlipThreshold(sigma)}
+				_, staged := hardPair(q, snr, 0)
+				stagedRng := staged.Ch.(*AWGN).Rng
 				src := mat.NewRNG(uint64(bits))
 				for msg := 0; msg < seeds; msg++ {
 					seed := mat.NewRNG(uint64(msg)).Uint64()
-					seeded := func(inst *TxInstance) crossing {
-						return func(dst, flat []float64) LinkStats { return inst.SendSeeded(seed, dst, flat) }
+					fresh := func(dst, flat []float64) LinkStats { return seeded.Send(seed, dst, flat) }
+					reseeded := func(dst, flat []float64) LinkStats {
+						stagedRng.Reseed(seed)
+						return viaLink(staged)(dst, flat)
 					}
 					label := fmt.Sprintf("snr %v bits %d msg %d", snr, bits, msg)
-					crossBoth(t, q, seeded(fi), seeded(si), hardFeats(src, 3+msg%40), label)
-					sameStream(t, fused, staged, label)
+					crossBoth(t, q, fresh, reseeded, hardFeats(src, 3+msg%40), label)
 				}
 			}
 		}
@@ -372,6 +376,7 @@ func BenchmarkHardCrossing(b *testing.B) {
 	}
 	ch := fused12.Ch.(*AWGN)
 	sigma := ch.noiseSigmaCached()
+	seeded := SeededLink{quant: fused12.Quant, sigma: sigma, thr: ch.hardThr}
 	coded := (len(flat)*DefaultQuantizer().Bits + 3) / 4 * 7
 	b.Run("scan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -380,7 +385,7 @@ func BenchmarkHardCrossing(b *testing.B) {
 	})
 	b.Run("receiver", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			fused12.receiveHard(ch.Rng, dst, flat, coded, sigma, ch.hardThr)
+			seeded.receive(ch.Rng, dst, flat, coded)
 		}
 	})
 }

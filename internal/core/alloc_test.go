@@ -8,13 +8,11 @@ import (
 )
 
 // allocSystem builds a warm pinned system with automatic updates off, so
-// repeated transmits stay on the steady-state path. perUser selects the
-// pooled lock-free PerUserNoise channel stage over the shared link.
-func allocSystem(t *testing.T, perUser bool) *System {
+// repeated transmits stay on the steady-state path.
+func allocSystem(t *testing.T) *System {
 	t.Helper()
 	cfg := goldenConfig()
 	cfg.DisableAutoUpdate = true
-	cfg.PerUserNoise = perUser
 	s, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -32,61 +30,51 @@ func allocSystem(t *testing.T, perUser bool) *System {
 // path — batched encode on the sender edge, the physical channel, batched
 // decode on the receiver edge, and the decoder-copy mismatch decode — at
 // zero heap allocations per message. This is exactly the per-message
-// compute transmitSelected performs, crossing the channel through
-// sendOverChannel so both schemes are covered: the classic serialized
-// link AND the pooled lock-free PerUserNoise stage, whose steady-state
-// pool checkout must not allocate. What remains outside are the retained
-// artifacts (Result, transaction buffers, restored words), which hold
-// amortized state by design.
+// compute transmitSelected performs, crossing the channel on the
+// message's derived seed as every transmit does. What remains outside are
+// the retained artifacts (Result, transaction buffers, restored words),
+// which hold amortized state by design.
 func TestTransmitCodecPathZeroAllocs(t *testing.T) {
 	if mat.RaceEnabled {
 		t.Skip("allocation accounting differs under -race")
 	}
-	for _, noise := range []struct {
-		name    string
-		perUser bool
-	}{{"shared", false}, {"pooled", true}} {
-		t.Run(noise.name, func(t *testing.T) {
-			s := allocSystem(t, noise.perUser)
-			words := corpus.NewGenerator(s.Corpus, mat.NewRNG(5)).Message(s.Corpus.Domain("it").Index, nil).Words
-			const domain, user = "it", "alloc-user"
+	s := allocSystem(t)
+	words := corpus.NewGenerator(s.Corpus, mat.NewRNG(5)).Message(s.Corpus.Domain("it").Index, nil).Words
+	const domain, user = "it", "alloc-user"
 
-			prev := mat.Parallelism()
-			defer mat.SetParallelism(prev)
-			mat.SetParallelism(1) // sharding spawns goroutines, which allocate
+	prev := mat.Parallelism()
+	defer mat.SetParallelism(prev)
+	mat.SetParallelism(1) // sharding spawns goroutines, which allocate
 
-			sc := mat.GetScratch()
-			defer mat.PutScratch(sc)
-			mismatch := make([]int, len(words))
+	sc := mat.GetScratch()
+	defer mat.PutScratch(sc)
+	mismatch := make([]int, len(words))
 
-			var seq uint64
-			codecPath := func() {
-				sc.Reset()
-				enc, err := s.Sender.Encode(sc, domain, user, words)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rx := sc.Mat(enc.Features.Rows, enc.Model.Codec.FeatureDim())
-				// The channel crossing transmitSelected performs: a derived
-				// per-message seed in PerUserNoise mode (advancing like the
-				// user's stream would), ignored by the classic shared link.
-				seed := noiseSeed(s.cfg.Seed, 12345, seq)
-				seq++
-				s.sendOverChannel(seed, rx.Data, enc.Features.Data)
-				if _, err := s.Receiver.DecodeConcepts(sc, domain, user, rx); err != nil {
-					t.Fatal(err)
-				}
-				// Decoder-copy mismatch: reuses the already-encoded features,
-				// as RecordTransaction does inside Transmit.
-				enc.Model.Codec.DecodeFeaturesInto(sc, enc.Features, mismatch)
-			}
-			for i := 0; i < 8; i++ {
-				codecPath() // warm every arena and channel buffer to its high-water mark
-			}
-			if allocs := testing.AllocsPerRun(100, codecPath); allocs != 0 {
-				t.Fatalf("steady-state Transmit codec path (%s) allocates %v times per message, want 0", noise.name, allocs)
-			}
-		})
+	var seq uint64
+	codecPath := func() {
+		sc.Reset()
+		enc, err := s.Sender.Encode(sc, domain, user, words)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rx := sc.Mat(enc.Features.Rows, enc.Model.Codec.FeatureDim())
+		// The channel crossing transmitSelected performs, on a derived
+		// per-message seed advancing like the user's stream would.
+		seed := noiseSeed(s.cfg.Seed, 12345, seq)
+		seq++
+		s.link.Send(seed, rx.Data, enc.Features.Data)
+		if _, err := s.Receiver.DecodeConcepts(sc, domain, user, rx); err != nil {
+			t.Fatal(err)
+		}
+		// Decoder-copy mismatch: reuses the already-encoded features,
+		// as RecordTransaction does inside Transmit.
+		enc.Model.Codec.DecodeFeaturesInto(sc, enc.Features, mismatch)
+	}
+	for i := 0; i < 8; i++ {
+		codecPath() // warm every arena to its high-water mark
+	}
+	if allocs := testing.AllocsPerRun(100, codecPath); allocs != 0 {
+		t.Fatalf("steady-state Transmit codec path allocates %v times per message, want 0", allocs)
 	}
 }
 
@@ -101,7 +89,7 @@ func TestTransmitAllocBudget(t *testing.T) {
 	if mat.RaceEnabled {
 		t.Skip("allocation accounting differs under -race")
 	}
-	s := allocSystem(t, false)
+	s := allocSystem(t)
 	words := corpus.NewGenerator(s.Corpus, mat.NewRNG(6)).Message(s.Corpus.Domain("it").Index, nil).Words
 
 	prev := mat.Parallelism()

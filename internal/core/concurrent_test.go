@@ -277,20 +277,6 @@ func batchUserMessages(corp *corpus.Corpus, users, perUser int) [][][]string {
 	return out
 }
 
-// hashNoiseFreeResult digests every Result field that does not depend on
-// channel-noise draws. Classic-mode noise comes from one shared RNG in
-// global arrival order (a documented property of concurrent serving), so
-// RestoredWords — the only noise-dependent field — stays out of the
-// digest; everything else, including the decoder-copy Mismatch, latency
-// accounting and the update-process outcomes, must be bit-identical
-// between serial and concurrent serving.
-func hashNoiseFreeResult(h hash.Hash, res *Result) {
-	fmt.Fprintf(h, "%d|%g|%d|%d|%d|%t|%t|%t|%t|%d\n",
-		res.SelectedDomain, res.Mismatch, res.PayloadBytes, res.Symbols,
-		res.Latency.Nanoseconds(), res.EncCacheHit, res.DecCacheHit,
-		res.UsedIndividual, res.UpdateFired, res.UpdateBytes)
-}
-
 // prefetchAll warms both edges with every general model so no run pays an
 // interleaving-dependent fetch latency.
 func prefetchAll(t *testing.T, s *System) {
@@ -308,7 +294,8 @@ func prefetchAll(t *testing.T, s *System) {
 }
 
 // userDigests runs every user's stream against s — concurrently when
-// parallel is set — and returns one noise-free digest per user.
+// parallel is set — and returns one digest per user over every field
+// hashResult folds, the noise-dependent RestoredWords included.
 func userDigests(t *testing.T, s *System, streams [][][]string, parallel bool) []uint64 {
 	t.Helper()
 	digests := make([]uint64, len(streams))
@@ -320,7 +307,7 @@ func userDigests(t *testing.T, s *System, streams [][][]string, parallel bool) [
 			if err != nil {
 				return err
 			}
-			hashNoiseFreeResult(h, res)
+			hashResult(h, res)
 		}
 		digests[u] = h.Sum64()
 		return nil
@@ -353,12 +340,16 @@ func userDigests(t *testing.T, s *System, streams [][][]string, parallel bool) [
 }
 
 // TestConcurrentMatchesSerialDigests pins the transparency of concurrent
-// serving in classic mode: with the selector, buffers and update process
-// live, every user's noise-free result stream is bit-identical whether the
-// users run one after another or all at once, at any mat worker count.
+// serving: with the selector, buffers and update process live, every
+// user's result stream — channel noise included — is bit-identical whether
+// the users run one after another or all at once, at any mat worker count.
+// It runs at 3 dB, where the noise flips decisions, so a crossing that
+// drew from anything but its own (user, seq) seed would show.
 func TestConcurrentMatchesSerialDigests(t *testing.T) {
 	const users, perUser = 6, 16
-	serial, err := NewSystem(batchTestConfig())
+	cfg := batchTestConfig()
+	cfg.SNRdB = 3
+	serial, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +362,7 @@ func TestConcurrentMatchesSerialDigests(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 8} {
 		mat.SetParallelism(workers)
-		s, err := NewSystem(batchTestConfig())
+		s, err := NewSystem(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -383,5 +374,52 @@ func TestConcurrentMatchesSerialDigests(t *testing.T) {
 					workers, u, got[u], want[u])
 			}
 		}
+	}
+}
+
+// TestSeededCrossingRaceSoak hammers the channel crossing under load — one
+// hot user shared by many goroutines (per-user serialization) and a wide
+// set of distinct users, all crossing the one SeededLink at once. Its value
+// is highest under -race, where it proves the crossing shares no mutable
+// state between transmissions.
+func TestSeededCrossingRaceSoak(t *testing.T) {
+	const (
+		goroutines = 8
+		perG       = 10
+	)
+	s, err := NewSystem(userNoiseConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefetchAll(t, s)
+	gen := corpus.NewGenerator(s.Corpus, mat.NewRNG(808))
+	msgs := make([]corpus.Message, goroutines*perG)
+	for i := range msgs {
+		msgs[i] = gen.Message(i%len(s.Corpus.Domains), nil)
+	}
+
+	var wg sync.WaitGroup
+	errCh := make(chan error, 2*goroutines)
+	send := func(user string, g int) {
+		defer wg.Done()
+		for i := 0; i < perG; i++ {
+			req := trace.Request{User: user, Msg: msgs[(g*perG+i)%len(msgs)]}
+			if _, err := s.Transmit(req); err != nil {
+				errCh <- err
+				return
+			}
+		}
+	}
+	for g := 0; g < goroutines; g++ {
+		// Half the load hammers one hot user; half spreads across
+		// distinct users.
+		wg.Add(2)
+		go send("hot-user", g)
+		go send(fmt.Sprintf("cold-user%d", g), g)
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
 	}
 }

@@ -21,8 +21,7 @@ import (
 // UserExport is one user's migratable serving state.
 type UserExport struct {
 	User string
-	// NoiseSeq is the user's next channel-noise sequence number
-	// (PerUserNoise mode).
+	// NoiseSeq is the user's next channel-noise sequence number.
 	NoiseSeq uint64
 	// Sender and Receiver hold the individual models each edge side
 	// caches for the user.

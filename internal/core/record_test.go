@@ -11,12 +11,11 @@ import (
 	"repro/internal/selection"
 )
 
-// recordTestSystem is a per-user-noise system with the sticky selector, so
-// a user's record carries a belief, a noise sequence and buffers.
+// recordTestSystem is a system with the sticky selector, so a user's
+// record carries a belief, a noise sequence and buffers.
 func recordTestSystem(t *testing.T, name string) *System {
 	t.Helper()
 	cfg := batchTestConfig()
-	cfg.PerUserNoise = true
 	cfg.SenderName = name
 	s, err := NewSystem(cfg)
 	if err != nil {

@@ -21,21 +21,13 @@
 // exact result sequence the fully serialized system would produce; under
 // concurrent traffic per-user state still evolves identically.
 //
-// Channel noise comes in two schemes. A system with Config.PerUserNoise
-// set — every mesh member, so every edged daemon, a lone one included —
-// derives an independent noise stream per (user, message-sequence) pair,
-// making every user's noise independent of interleaving AND of which
-// member serves them: a user handed from one member's System to
-// another's continues the same stream bit-for-bit. Left off, the system
-// draws from one shared RNG in global arrival order, so individual noise
-// realizations depend on the interleaving and every transmission
-// serializes through one mutex-guarded channel; that is the historical
-// behavior no daemon runs any more, kept only for what still pins its
-// draws (see Config.PerUserNoise).
-// Because those derived seeds depend on nothing shared, the PerUserNoise
-// channel stage runs lock-free on a pool of per-request channel instances
-// — transmissions cross the physical layer fully in parallel, with
-// outputs bit-identical to the serialized draws at any worker count.
+// Channel noise is drawn per message from a seed derived from (system
+// seed, user, message sequence), so a user's noise depends neither on the
+// interleaving of other users' traffic nor on which mesh member serves
+// them: a user handed from one member's System to another's continues the
+// same stream bit-for-bit. The seed is all a crossing needs, so every
+// transmission crosses the physical layer in parallel through one
+// immutable channel.SeededLink, with no lock and no pool.
 package core
 
 import (
@@ -90,16 +82,9 @@ type Config struct {
 	// Codec sets codec hyper-parameters for all general models.
 	Codec semantic.Config
 
-	// PerUserNoise derives an independent channel-noise stream per
-	// (user, message-sequence) pair instead of drawing from one shared
-	// RNG in global arrival order. Every mesh member sets it
-	// (mesh.NewMember), which is every daemon: it is what lets a user
-	// change members without changing their noise. Only callers whose
-	// recorded numbers pin the shared stream still leave it off — the E5
-	// and E6 tables, examples/quickstart and examples/metaverse, this
-	// package's own goldens, and the benchmark's replay twin on its
-	// single-member workloads; the field and the shared route go once
-	// those are re-recorded.
+	// Deprecated: no effect. Every System derives its channel noise per
+	// (user, message sequence); the field remains only for callers that
+	// still assign it.
 	PerUserNoise bool
 
 	// SenderName overrides the sender edge server's name (default
@@ -124,7 +109,8 @@ type Config struct {
 	PinGeneral bool
 
 	// SNRdB is the signal-to-noise ratio of the AWGN channel between the
-	// edges (default 12), crossed by channel.DefaultFeatureLink.
+	// edges (default 12), crossed by channel.DefaultFeatureLink's seeded
+	// form, channel.SeededLink.
 	SNRdB float64
 
 	// Selector names the model-selection policy (default "naivebayes").
@@ -192,32 +178,9 @@ type System struct {
 	usersMu sync.RWMutex
 	users   map[string]*userState
 
-	// The physical channel comes in two implementations, selected once at
-	// NewSystem. Shared-RNG mode keeps linkMu: the noise RNG is
-	// the one stateful component every transmission crosses, and its
-	// draws advance in strict global arrival order (pinned by golden
-	// digests), so transmits serialize here — the critical section is
-	// small next to the encode/decode compute, which runs outside it.
-	// linkScratch holds the reusable channel stage buffers, guarded by
-	// the same mutex.
-	linkMu      sync.Mutex
-	link        channel.FeatureLink
-	linkScratch channel.TxScratch
-
-	// userNoise selects per-user derived noise streams. Every draw's seed
-	// is then a pure function of (user, seq), independent of arrival
-	// order and serving process, so the channel stage needs no lock:
-	// linkPool hands each transmission its own channel instance (private
-	// RNG + stage scratch), reseeded per message. Outputs are
-	// bit-identical to serializing the draws under linkMu at any worker
-	// count and interleaving. serialLink is a test-only override that
-	// routes PerUserNoise transmits back through the pre-pool serialized
-	// path (reseed the shared RNG under linkMu), preserved as the
-	// bit-identity reference; it must be set before any traffic.
-	userNoise  bool
-	noiseRng   *mat.RNG
-	linkPool   *channel.LinkPool
-	serialLink bool
+	// link is the physical channel between the edges. It holds no state a
+	// crossing changes: each message's noise comes from its own seed.
+	link channel.SeededLink
 
 	// Aggregate counters (atomic: updated from concurrent transmits).
 	syncBytes      atomic.Int64
@@ -237,9 +200,9 @@ type userState struct {
 	// caller that was waiting on mu looks the user up again (lockUser).
 	dead bool
 	sel  selection.Selector // nil under the oracle policy
-	// noiseSeq counts the user's messages for per-user noise derivation
-	// (PerUserNoise mode). It migrates with the user on a mesh handover so
-	// the noise stream continues bit-identically on the new serving node.
+	// noiseSeq counts the user's messages for the noise-seed derivation.
+	// It migrates with the user on a mesh handover so the noise stream
+	// continues bit-identically on the new serving node.
 	noiseSeq uint64
 	// userHash is the user's stable hash, the (user) part of every noise
 	// seed: taken once here instead of per message.
@@ -404,7 +367,9 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 
 	rng := mat.NewRNG(cfg.Seed ^ 0x5eed)
-	noiseRng := rng.Split()
+	// Nothing draws from this split; taking it keeps the selector RNG's
+	// split sequence, and so the pinned q-learning row of Figure D.
+	rng.Split()
 
 	s := &System{
 		cfg:        cfg,
@@ -413,16 +378,9 @@ func NewSystem(cfg Config) (*System, error) {
 		Sender:     sender,
 		Receiver:   receiver,
 		Generals:   generals,
-		link:       channel.DefaultFeatureLink(&channel.AWGN{SNRdB: cfg.SNRdB, Rng: noiseRng}),
-		userNoise:  cfg.PerUserNoise,
-		noiseRng:   noiseRng,
+		link:       channel.NewSeededLink(cfg.SNRdB),
 		users:      make(map[string]*userState, 16),
 		updateTime: metrics.NewLatencyHistogram(),
-	}
-	if cfg.PerUserNoise {
-		// Lock-free channel stage: each pooled instance is the same link
-		// over a private channel + RNG, seeded per message.
-		s.linkPool = channel.NewLinkPool(cfg.SNRdB)
 	}
 	if err := s.initSelectors(rng); err != nil {
 		return nil, err
@@ -500,12 +458,11 @@ func mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// noiseSeed derives the channel-noise seed for one message in PerUserNoise
-// mode from the system seed, the user's stable hash and the user's
-// message sequence number. The derivation depends on nothing else — not
-// the serving node, not the arrival interleaving — which is the whole
-// point: any deployment shape serving the same (user, seq) message draws
-// the same noise.
+// noiseSeed derives the channel-noise seed for one message from the
+// system seed, the user's stable hash and the user's message sequence
+// number. The derivation depends on nothing else — not the serving node,
+// not the arrival interleaving — which is the whole point: any deployment
+// shape serving the same (user, seq) message draws the same noise.
 func noiseSeed(systemSeed, userHash, seq uint64) uint64 {
 	return mix64(mix64(systemSeed^0x6e6f697365) ^ userHash ^ (seq * 0x9e3779b97f4a7c15))
 }
@@ -516,31 +473,6 @@ func (s *System) nextNoiseSeed(st *userState) uint64 {
 	seq := st.noiseSeq
 	st.noiseSeq++
 	return noiseSeed(s.cfg.Seed, st.userHash, seq)
-}
-
-// sendOverChannel runs one message's physical-channel crossing using the
-// scheme selected at NewSystem. In PerUserNoise mode the crossing is
-// lock-free: a pooled channel instance is checked out, reseeded to the
-// message's derived seed and returned — bit-identical to reseeding one
-// shared serialized channel, because the draw depends only on seed. In
-// shared-RNG mode (seed is then ignored) every crossing
-// serializes under linkMu so the shared noise stream advances in strict
-// global arrival order. The serialLink test hook routes PerUserNoise
-// crossings through the serialized path as the bit-identity reference.
-func (s *System) sendOverChannel(seed uint64, dst, src []float64) channel.LinkStats {
-	if s.userNoise && !s.serialLink {
-		inst := s.linkPool.Get()
-		stats := inst.SendSeeded(seed, dst, src)
-		s.linkPool.Put(inst)
-		return stats
-	}
-	s.linkMu.Lock()
-	if s.userNoise {
-		s.noiseRng.Reseed(seed)
-	}
-	stats := s.link.SendFlatScratch(&s.linkScratch, dst, src)
-	s.linkMu.Unlock()
-	return stats
 }
 
 // Transmit runs one message through the full pipeline. Transmissions for
@@ -612,17 +544,11 @@ func (s *System) transmitSelected(sc *mat.Scratch, st *userState, user string, w
 		return nil, nil, err
 	}
 
-	// Step 3: physical channel. In PerUserNoise mode the crossing is
-	// lock-free on a pooled channel instance seeded from (user, seq), so
+	// Step 3: physical channel, on noise seeded from (user, seq) alone, so
 	// the draw is independent of arrival interleaving, serving process
-	// AND of every other in-flight transmission; shared-RNG mode
-	// serializes the noise RNG under linkMu in global arrival order.
-	var seed uint64
-	if s.userNoise {
-		seed = s.nextNoiseSeed(st)
-	}
+	// and every other in-flight transmission.
 	rx := sc.Mat(enc.Features.Rows, enc.Model.Codec.FeatureDim())
-	stats := s.sendOverChannel(seed, rx.Data, enc.Features.Data)
+	stats := s.link.Send(s.nextNoiseSeed(st), rx.Data, enc.Features.Data)
 	airTime := time.Duration(float64(stats.Symbols) / symbolRateHz * float64(time.Second))
 	airTime += edgeLatency
 

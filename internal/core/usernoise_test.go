@@ -9,13 +9,12 @@ import (
 	"repro/internal/trace"
 )
 
-// userNoiseConfig is a fast per-user-noise system: oracle selection (no
-// selector state, so every divergence in these tests is a noise
+// userNoiseConfig is a fast system for the noise tests: oracle selection
+// (no selector state, so every divergence in these tests is a noise
 // divergence), pinned generals, shared pretrained codecs.
 func userNoiseConfig() Config {
 	cfg := batchTestConfig()
 	cfg.Selector = SelectorOracle
-	cfg.PerUserNoise = true
 	return cfg
 }
 
@@ -44,11 +43,9 @@ func noisyDigest(results []*Result) string {
 }
 
 // TestPerUserNoiseInterleavingInvariance checks the defining property of
-// PerUserNoise mode: one user's complete result stream — noise
-// realizations included — is bit-identical whether the user runs alone or
-// interleaved with arbitrary other traffic. (Classic mode deliberately
-// lacks this property: its shared RNG draws in global arrival order,
-// pinned by the serialized-baseline golden.)
+// per-user noise: one user's complete result stream — noise realizations
+// included — is bit-identical whether the user runs alone or interleaved
+// with arbitrary other traffic.
 func TestPerUserNoiseInterleavingInvariance(t *testing.T) {
 	mkSys := func() *System {
 		s, err := NewSystem(userNoiseConfig())
@@ -88,7 +85,7 @@ func TestPerUserNoiseInterleavingInvariance(t *testing.T) {
 	}
 
 	if a, b := noisyDigest(soloResults), noisyDigest(mixedResults); a != b {
-		t.Fatalf("alice's stream depends on interleaving under PerUserNoise:\nsolo:\n%s\nmixed:\n%s", a, b)
+		t.Fatalf("alice's stream depends on interleaving:\nsolo:\n%s\nmixed:\n%s", a, b)
 	}
 }
 

@@ -74,8 +74,8 @@ func New(cfg Config) (*Daemon, error) {
 			// Opt-in contention observability: sample every mutex hold
 			// and every blocking event so /debug/pprof/mutex and
 			// /debug/pprof/block show where serve-path goroutines wait.
-			// This is how the per-user channel lock was measured before
-			// the pooled lock-free stage replaced it.
+			// This is how the shared channel lock was measured before
+			// the seeded lock-free crossing replaced it.
 			runtime.SetMutexProfileFraction(1)
 			runtime.SetBlockProfileRate(1)
 		}

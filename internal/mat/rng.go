@@ -32,8 +32,9 @@ func NewRNG(seed uint64) *RNG {
 // produce, discarding any cached polar spare. It lets a long-lived
 // generator (and whatever buffers hang off its consumers) be reused for
 // many independent short streams without reallocating. The body is two
-// stores and inlines into per-message call sites: the lock-free channel
-// stage reseeds once per transmission, so this sits on the serve path.
+// stores and inlines into per-message call sites: the seeded channel
+// crossing reseeds a fresh generator once per transmission, so this sits
+// on the serve path.
 // The stale spare value itself is left in place — hasSpare alone gates
 // every read of it, so clearing the float would be a third store for
 // nothing.

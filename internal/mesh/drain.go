@@ -14,7 +14,7 @@ import (
 // to the consistent-hash owners under the surviving membership, announces
 // OpLeave to every live peer (in parallel), and closes the peer
 // connections. Every peer RPC is bounded
-// by ctx as well as CallTimeout, so a dead peer cannot stall the drain
+// by ctx as well as callTimeout, so a dead peer cannot stall the drain
 // past its budget; on ctx expiry the remaining pushes fail fast and the
 // caller falls back to crash-stop semantics for whatever state is left.
 // Drain, Stop and Abort are mutually idempotent — whichever runs first

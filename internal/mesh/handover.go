@@ -160,7 +160,9 @@ func (n *Node) isPeer(name string) bool {
 // HandleHandoverPush serves a peer's OpHandoverPush: install any pushed
 // general models (drain rebalancing or a hot-model replica), then the
 // user's record, so the first local transmit continues the user's stream
-// exactly where the old owner stopped. Only the membership pushes:
+// exactly where the old owner stopped. A replica of a general the sender
+// cache already holds changes nothing: the cached copy keeps its object
+// and its pin, and the push is not counted. Only the membership pushes:
 // anything signed by another name is refused before a byte of it is
 // revived or imported, which is also why a mesh of one takes no push.
 func (n *Node) HandleHandoverPush(h *rpc.HandoffPayload) error {
@@ -174,6 +176,9 @@ func (n *Node) HandleHandoverPush(h *rpc.HandoffPayload) error {
 	for i := range h.General {
 		g := &h.General[i]
 		k := kb.Key{Domain: g.Domain, Role: kb.RoleCodec}
+		if h.Reason == rpc.HandoffReplica && sys.Sender.Cache().Contains(k) {
+			continue
+		}
 		m, err := n.reviveModel(k, g)
 		if err != nil {
 			return fmt.Errorf("mesh: revive pushed general %s: %w", g.Domain, err)

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/kb"
 	"repro/internal/mat"
 	"repro/internal/rpc"
 	"repro/internal/trace"
@@ -648,5 +649,32 @@ func TestDrainAfterMovePushesOnlyHeld(t *testing.T) {
 	}
 	if drained, undrained := run(true), run(false); drained != undrained {
 		t.Fatalf("after the old member's drain the user's stream is %016x, undrained %016x", drained, undrained)
+	}
+}
+
+// TestReplicaPushLeavesHeldGeneral: a replica of a general the successor
+// already caches is a no-op there. Both members boot warm, so member 1
+// holds "it" pinned before member 0 pushes it; afterwards member 1 must
+// hold the very same model object (not a revived, unpinned copy) and must
+// not count the push as a replica taken in.
+func TestReplicaPushLeavesHeldGeneral(t *testing.T) {
+	mm := newMemMesh(t, 2, func(_ int, cfg *Config, _ *core.Config) { cfg.Replicas = 1 })
+	mm.warm(t)
+	k := kb.Key{Domain: "it", Role: kb.RoleCodec}
+	cache := mm.members[1].sys.Sender.Cache()
+	before, ok := cache.Peek(k)
+	if !ok {
+		t.Fatal("warm member 1 does not cache the it general")
+	}
+	mm.members[0].node.pushReplicas("it")
+	if out := mm.members[0].node.Stats().ReplicasOut; out != 1 {
+		t.Fatalf("member 0 pushed %d replicas, want 1", out)
+	}
+	after, ok := cache.Peek(k)
+	if !ok || after != before {
+		t.Fatalf("the replica push replaced member 1's cached general (still cached: %v)", ok)
+	}
+	if in := mm.members[1].node.Stats().ReplicasIn; in != 0 {
+		t.Fatalf("member 1 counted %d replicas in, want 0", in)
 	}
 }

@@ -67,8 +67,6 @@ type Config struct {
 	RingSeed uint64
 	// ProbeInterval is the liveness-probe period (default 1s).
 	ProbeInterval time.Duration
-	// CallTimeout bounds every mesh RPC, probes included (default 2s).
-	CallTimeout time.Duration
 	// Replicas keeps that many ring-successors warm for hot general
 	// models: once a domain's local transmit count crosses the promotion
 	// threshold, its general model is proactively pushed to the next
@@ -87,14 +85,14 @@ func (cfg Config) withDefaults() Config {
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = time.Second
 	}
-	if cfg.CallTimeout == 0 {
-		cfg.CallTimeout = 2 * time.Second
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...interface{}) {}
 	}
 	return cfg
 }
+
+// callTimeout bounds every mesh RPC, probes included.
+const callTimeout = 2 * time.Second
 
 // peer is one remote member: a lazily-dialed client plus liveness state.
 type peer struct {
@@ -120,12 +118,12 @@ func (p *peer) usable() bool { return p.alive.Load() && !p.departed.Load() }
 
 // call dials the peer if needed and runs fn on its client, serializing
 // callers (the underlying connection carries one request at a time). The
-// call is bounded by both ctx and timeout, whichever expires first, so a
+// call is bounded by both ctx and callTimeout, whichever expires first, so a
 // dead peer can never stall a shutdown past its drain budget. A transport
 // failure tears the connection down so the next call redials; a refusal
 // the peer answered with (*rpc.RemoteError) leaves it in place.
-func (p *peer) call(ctx context.Context, timeout time.Duration, fn func(ctx context.Context, c *rpc.Client) error) error {
-	ctx, cancel := context.WithTimeout(ctx, timeout)
+func (p *peer) call(ctx context.Context, fn func(ctx context.Context, c *rpc.Client) error) error {
+	ctx, cancel := context.WithTimeout(ctx, callTimeout)
 	defer cancel()
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -261,10 +259,9 @@ func (n *Node) system() *core.System {
 
 // NewMember builds one complete mesh member: the node, and its serving
 // system wired the way every member must be — a single sender named after
-// the ring slot, the node as its miss resolver, per-user noise on (a
-// user's stream must not depend on which member serves them), and the
-// node bound back to the system with the cloud origin as its fallback.
-// sysCfg supplies everything else.
+// the ring slot, the node as its miss resolver, and the node bound back to
+// the system with the cloud origin as its fallback. sysCfg supplies
+// everything else.
 func NewMember(cfg Config, sysCfg core.Config) (*Node, *core.System, error) {
 	n, err := NewNode(cfg)
 	if err != nil {
@@ -272,7 +269,6 @@ func NewMember(cfg Config, sysCfg core.Config) (*Node, *core.System, error) {
 	}
 	sysCfg.SenderName = cfg.Self.Name
 	sysCfg.SenderFetcher = n
-	sysCfg.PerUserNoise = true
 	sys, err := core.NewSystem(sysCfg)
 	if err != nil {
 		return nil, nil, err
@@ -361,7 +357,7 @@ func (n *Node) Abort() {
 }
 
 // announceLeave sends OpLeave to every usable peer in parallel. Each call
-// is bounded by ctx and CallTimeout, so a dead peer costs at most one
+// is bounded by ctx and callTimeout, so a dead peer costs at most one
 // timeout of the caller's budget, not one per peer.
 func (n *Node) announceLeave(ctx context.Context) {
 	var wg sync.WaitGroup
@@ -435,7 +431,7 @@ func (n *Node) probeLoop() {
 // and an error p answered with never does — the peer that refused a push
 // or a fetch is alive and keeps its place on the ring.
 func (n *Node) call(ctx context.Context, p *peer, fn func(ctx context.Context, c *rpc.Client) error) error {
-	err := p.call(ctx, n.cfg.CallTimeout, fn)
+	err := p.call(ctx, fn)
 	if transportFailure(err) {
 		n.setAlive(p, false)
 	}
