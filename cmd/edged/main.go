@@ -25,7 +25,7 @@
 // liveness, and "stats" reports each member's slice of the counters.
 // Every member draws channel noise per (user, message sequence), so a
 // user's responses do not depend on which member serves them or on what
-// else is in flight. Members cooperate over the v2 wire protocol; see
+// else is in flight. Members cooperate over the rpc mesh ops; see
 // internal/mesh. For all members on one machine, `semload -mesh a,b,c
 // -spawn` starts them.
 //

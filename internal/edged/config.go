@@ -7,8 +7,8 @@
 // There is one deployment: every daemon is a member of an edge mesh (see
 // internal/mesh). -peers ... -mesh-index i makes it member i of that
 // list; without -peers it is node-0 of a mesh of one, whose only address
-// is -addr. Members cooperate over the v2 wire protocol, and a lone
-// daemon simply has no peer to cooperate with.
+// is -addr. Members cooperate over the rpc protocol's mesh ops, and a
+// lone daemon simply has no peer to cooperate with.
 package edged
 
 import (

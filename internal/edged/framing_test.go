@@ -72,20 +72,20 @@ func TestHandlePipelinedFrames(t *testing.T) {
 		return counted
 	})
 	var both bytes.Buffer
-	if err := rpc.Write(&both, &rpc.Request{Op: rpc.OpTransmit, User: "alice", Text: framingText}); err != nil {
+	if err := rpc.WriteV(&both, rpc.Version, &rpc.Request{Op: rpc.OpTransmit, User: "alice", Text: framingText}); err != nil {
 		t.Fatal(err)
 	}
-	if err := rpc.Write(&both, &rpc.Request{Op: rpc.OpStats}); err != nil {
+	if err := rpc.WriteV(&both, rpc.Version, &rpc.Request{Op: rpc.OpStats}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := near.Write(both.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	first, err := rpc.ReadResponse(near)
+	first, _, err := rpc.ReadResponseV(near)
 	if err != nil || !first.OK || first.Restored == "" || first.Stats != nil {
 		t.Fatalf("first response is not the transmit's: %+v, %v", first, err)
 	}
-	second, err := rpc.ReadResponse(near)
+	second, _, err := rpc.ReadResponseV(near)
 	if err != nil || !second.OK || second.Stats == nil || second.Restored != "" {
 		t.Fatalf("second response is not the stats': %+v, %v", second, err)
 	}
@@ -144,7 +144,7 @@ func TestHandleOneWritePerFrame(t *testing.T) {
 func TestHandleStallMidPayload(t *testing.T) {
 	near, exited := handleOn(t, 50*time.Millisecond, nil)
 	var frame bytes.Buffer
-	if err := rpc.Write(&frame, &rpc.Request{Op: rpc.OpTransmit, User: "alice", Text: framingText}); err != nil {
+	if err := rpc.WriteV(&frame, rpc.Version, &rpc.Request{Op: rpc.OpTransmit, User: "alice", Text: framingText}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := near.Write(frame.Bytes()[:frame.Len()/2]); err != nil {

@@ -2,8 +2,10 @@ package edged
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math"
 	"net"
 	"os"
@@ -180,7 +182,7 @@ func transmit(t *testing.T, r *mesh.Router, user, text string) *rpc.Response {
 	return resp
 }
 
-// nodeStats fetches one member's mesh counters over the v2 op.
+// nodeStats fetches one member's mesh counters over the peer-stats op.
 func nodeStats(t *testing.T, r *mesh.Router, member int) *rpc.NodeStats {
 	t.Helper()
 	cl, err := r.Client(member)
@@ -526,7 +528,7 @@ func TestClusterMobilityDeterministicRun(t *testing.T) {
 }
 
 // TestMeshMobilityHandover moves a personalized user between mesh
-// members: the v1 move op on the serving member must push the user's
+// members: the move op on the serving member must push the user's
 // individual models and noise sequence to the new owner over the wire,
 // and the first transmit there must already serve from the migrated
 // individual model.
@@ -646,49 +648,56 @@ func TestMeshMemoStatsMerge(t *testing.T) {
 	}
 }
 
-// TestMeshOpsRequireV2 pins the wire-compat contract: v1 clients keep
-// full access to the client ops, and mesh ops on a v1 frame are
-// rejected with the protocol error, never silently served.
-func TestMeshOpsRequireV2(t *testing.T) {
+// TestMeshRefusesV1Frame pins the one wire layout: a frame at the
+// retired version 1 — a client op and a mesh op alike — is never served.
+// The daemon closes the connection unanswered, and current clients and
+// peers on other connections are served as before.
+func TestMeshRefusesV1Frame(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mesh boot in -short mode")
 	}
 	m := bootMesh(t, 2)
-
-	// v1 surface intact.
 	cl, err := rpc.Dial(m.addrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if err := cl.Ping(); err != nil {
+	before, err := cl.Stats()
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := cl.Transmit("v1user", "the server has a kernel bug")
+
+	for _, doc := range []string{
+		`{"op":"transmit","user":"stale","text":"the server has a kernel bug"}`,
+		`{"op":"join","peer":{"name":"node-1","index":1}}`,
+	} {
+		conn, err := net.Dial("tcp", m.addrs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		v1 := append([]byte{1}, binary.LittleEndian.AppendUint32(nil, uint32(len(doc)))...)
+		if _, err := conn.Write(append(v1, doc...)); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+			t.Fatalf("v1 frame %s: read %d bytes, err %v; want io.EOF from the daemon closing the connection", doc, n, err)
+		}
+		conn.Close()
+	}
+
+	after, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Messages != before.Messages {
+		t.Fatalf("a v1 transmit was served: messages %d -> %d", before.Messages, after.Messages)
+	}
+	resp, err := cl.Transmit("current", "the server has a kernel bug")
 	if err != nil || !resp.OK {
-		t.Fatalf("v1 transmit: %+v, %v", resp, err)
+		t.Fatalf("transmit: %+v, %v", resp, err)
 	}
-
-	// A mesh op framed at v1 must bounce with the version error.
-	conn, err := net.Dial("tcp", m.addrs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	self := m.daemons[1].Mesh.Self()
-	if err := rpc.Write(conn, &rpc.Request{Op: rpc.OpJoin, Peer: &self}); err != nil {
-		t.Fatal(err)
-	}
-	v1resp, err := rpc.ReadResponse(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v1resp.OK || v1resp.Error != rpc.ErrMeshOpVersion.Error() {
-		t.Fatalf("v1-framed mesh op not rejected: %+v", v1resp)
-	}
-
-	// The same op at v2 is served.
-	peers, err := cl.Join(testCtx(t), self)
+	peers, err := cl.Join(testCtx(t), m.daemons[1].Mesh.Self())
 	if err != nil {
 		t.Fatal(err)
 	}

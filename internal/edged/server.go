@@ -93,8 +93,9 @@ func (s *server) serve(ln net.Listener) error {
 
 // handle serves one client connection until EOF or a missed deadline: a
 // stalled peer trips the read deadline instead of pinning the goroutine
-// forever. Responses go out framed at the version the request arrived
-// with, so v1 clients and v2 mesh peers share one port. Every frame goes
+// forever. Clients and mesh peers share one port and one frame layout; a
+// frame that fails to parse (a retired version byte among them) is
+// logged and the connection closed, never served. Every frame goes
 // through one rpc.Conn: a response is one Write, and requests a peer sent
 // back to back are served in order out of its read buffer.
 func (s *server) handle(conn net.Conn) {
@@ -114,7 +115,7 @@ func (s *server) handle(conn net.Conn) {
 		if !s.markIdle(conn) {
 			return
 		}
-		req, version, err := framed.ReadRequestV()
+		req, err := framed.ReadRequest()
 		s.markBusy(conn)
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrClosedPipe) {
@@ -122,20 +123,13 @@ func (s *server) handle(conn net.Conn) {
 			}
 			return
 		}
-		var resp *rpc.Response
-		if rpc.IsMeshOp(req.Op) && version < rpc.Version2 {
-			// Mesh ops are a v2 surface: a v1 frame carrying one is a
-			// protocol error, never silently served.
-			resp = &rpc.Response{Error: rpc.ErrMeshOpVersion.Error()}
-		} else {
-			resp = s.dispatch(req)
-		}
+		resp := s.dispatch(req)
 		if s.writeTimeout > 0 {
 			if err := conn.SetWriteDeadline(time.Now().Add(s.writeTimeout)); err != nil {
 				return
 			}
 		}
-		if err := framed.WriteV(version, resp); err != nil {
+		if err := framed.Write(resp); err != nil {
 			if !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrClosedPipe) {
 				log.Printf("edged: %s: write: %v", conn.RemoteAddr(), err)
 			}

@@ -194,7 +194,7 @@ func TestClientDisconnectsMidTransmit(t *testing.T) {
 					User: fmt.Sprintf("rogue%02d", c),
 					Text: gen.Message(c%len(sys.Corpus.Domains), nil).Text(),
 				}
-				err = rpc.Write(conn, &req)
+				err = rpc.WriteV(conn, rpc.Version, &req)
 				conn.Close()
 				if err != nil {
 					errCh <- err

@@ -148,7 +148,7 @@ func lyingPeer(ln net.Listener, answer func(rpc.FetchRequest) *rpc.ModelPayload)
 			defer conn.Close()
 			framed := rpc.NewConn(conn)
 			for {
-				req, version, err := framed.ReadRequestV()
+				req, err := framed.ReadRequest()
 				if err != nil {
 					return
 				}
@@ -156,7 +156,7 @@ func lyingPeer(ln net.Listener, answer func(rpc.FetchRequest) *rpc.ModelPayload)
 				if req.Op == rpc.OpFetchModel && req.Fetch != nil {
 					resp.Model = answer(*req.Fetch)
 				}
-				if framed.WriteV(version, resp) != nil {
+				if framed.Write(resp) != nil {
 					return
 				}
 			}

@@ -88,7 +88,7 @@ func FuzzHandleHandoverPush(f *testing.F) {
 	if len(exp.Sender) == 0 || len(exp.Receiver) == 0 || len(exp.Buffers) == 0 {
 		f.Fatalf("seed export carries %d/%d models and %d buffers, want all three", len(exp.Sender), len(exp.Receiver), len(exp.Buffers))
 	}
-	// The seeds are v2 handover-push frames, decoded by the frame codec as
+	// The seeds are handover-push frames, decoded by the frame codec as
 	// a member decodes them, so model parameters arrive from the frame's
 	// tail. They are signed by the target's peer, so each still reaches
 	// the code it was written for; the last two are signed by nobody the
@@ -130,11 +130,11 @@ func FuzzHandleHandoverPush(f *testing.F) {
 	})
 }
 
-// pushFrame is h as a member sends it: a v2 handover-push frame.
+// pushFrame is h as a member sends it: a handover-push frame.
 func pushFrame(f *testing.F, h *rpc.HandoffPayload) []byte {
 	f.Helper()
 	var b bytes.Buffer
-	if err := rpc.WriteV(&b, rpc.Version2, &rpc.Request{Op: rpc.OpHandoverPush, Handoff: h}); err != nil {
+	if err := rpc.WriteV(&b, rpc.Version, &rpc.Request{Op: rpc.OpHandoverPush, Handoff: h}); err != nil {
 		f.Fatal(err)
 	}
 	return b.Bytes()

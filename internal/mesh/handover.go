@@ -18,7 +18,7 @@ const (
 	sideReceiver = "receiver"
 )
 
-// exportToWire flattens a user's exported serving state into the v2
+// exportToWire flattens a user's exported serving state into the
 // handover payload: both sides' individual models, the selection belief
 // and the pending federated-update buffers.
 func exportToWire(exp *core.UserExport, from string) *rpc.HandoffPayload {
@@ -103,7 +103,7 @@ func (n *Node) handOff(ctx context.Context, sys *core.System, user string, p *pe
 	return exp, nil
 }
 
-// MoveUser serves a v1 "move" op on a mesh member: attach the user to a
+// MoveUser serves a client's "move" op on a mesh member: attach the user to a
 // radio cell and, when the cell maps to a different live member, hand the
 // user off there. A move to this member's own cell changes nothing. The
 // reported latency is the simulated mesh-link transfer of the sender-side

@@ -17,8 +17,8 @@
 // the node provides the two cross-member data paths:
 //
 //   - cooperative fetch: the node implements edge.Fetcher; a local
-//     general-model cache miss probes peer caches over the v2 wire
-//     protocol (OpFetchModel) in ring order before paying the cloud
+//     general-model cache miss probes peer caches over the wire
+//     (OpFetchModel) in ring order before paying the cloud
 //     origin. Latency is accounted as simulated mesh-link transfer
 //     time, not wall-clock.
 //

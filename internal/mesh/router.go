@@ -91,11 +91,8 @@ func NewRouter(addrs []string, ringSeed uint64) *Router {
 
 // Close drops every member connection; the next call redials.
 func (r *Router) Close() {
-	for i, c := range r.clients {
-		if c != nil {
-			c.Close()
-			r.clients[i] = nil
-		}
+	for i := range r.clients {
+		r.closeClient(i)
 	}
 }
 
@@ -143,12 +140,17 @@ func (r *Router) Moved(user string, cell int) {
 	r.override[user] = cellMember(r.Live(), cell)
 }
 
-// MarkDead records a discovered death and reroutes every affected user.
-func (r *Router) MarkDead(member int) {
+// closeClient drops the connection to member; the next call redials.
+func (r *Router) closeClient(member int) {
 	if c := r.clients[member]; c != nil {
 		c.Close()
 		r.clients[member] = nil
 	}
+}
+
+// MarkDead records a discovered death and reroutes every affected user.
+func (r *Router) MarkDead(member int) {
+	r.closeClient(member)
 	if !r.dead[member] {
 		r.dead[member] = true
 		r.rebuild()
@@ -171,7 +173,9 @@ func (r *Router) Client(member int) (*rpc.Client, error) {
 // fails mid-call or answers Draining is marked dead and the request is
 // retried at the recomputed owner — a rebalance, not an error: a draining
 // member answers only after handing its state off, so the retry finds the
-// user already there. Only running out of members loses the request.
+// user already there. Only running out of members loses the request. A
+// call that fails because ctx ended says nothing about the member: it
+// returns ctx's error and marks nobody dead.
 func (r *Router) Transmit(ctx context.Context, user, text string) (*rpc.Response, error) {
 	for r.anyLive() {
 		member := r.Owner(user)
@@ -182,6 +186,10 @@ func (r *Router) Transmit(ctx context.Context, user, text string) (*rpc.Response
 			if err == nil && !resp.Draining {
 				return resp, nil
 			}
+		}
+		if ctx.Err() != nil {
+			r.closeClient(member) // a call cut short leaves the framing undefined
+			return nil, ctx.Err()
 		}
 		r.MarkDead(member)
 		r.Retries++

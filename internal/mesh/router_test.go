@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -162,8 +163,8 @@ func TestRouterMatchesNodeAndReroutes(t *testing.T) {
 }
 
 // TestServeAnswersOnlyMeshOps pins the wire surface of a daemon-less
-// member: v2 mesh ops are served, a mesh op on a v1 frame bounces with the
-// protocol error, and a client op is refused rather than half-served.
+// member: mesh ops are served, and a client op is refused rather than
+// half-served.
 func TestServeAnswersOnlyMeshOps(t *testing.T) {
 	mm := newMemMesh(t, 2, nil)
 	addr := mm.members[0].node.Self().Addr
@@ -174,7 +175,7 @@ func TestServeAnswersOnlyMeshOps(t *testing.T) {
 	defer cl.Close()
 	peers, err := cl.Join(context.Background(), mm.members[1].node.Self())
 	if err != nil || len(peers) != 2 {
-		t.Fatalf("v2 join: %v, %v", peers, err)
+		t.Fatalf("join: %v, %v", peers, err)
 	}
 	resp, err := cl.Transmit("u1", "the server has a kernel bug")
 	if err != nil {
@@ -183,20 +184,51 @@ func TestServeAnswersOnlyMeshOps(t *testing.T) {
 	if resp.OK || !strings.Contains(resp.Error, "not a mesh op") {
 		t.Fatalf("transmit on a mesh-only listener: %+v", resp)
 	}
+}
 
-	conn, err := rpc.DialContext(context.Background(), addr)
-	if err != nil {
-		t.Fatal(err)
+// TestRouterTransmitCancelledKeepsMembers checks that a transmit failing
+// on the caller's own context marks no member dead: the error is the
+// context's, every member stays live, and the next call is served.
+func TestRouterTransmitCancelledKeepsMembers(t *testing.T) {
+	addrs := make([]string, 3)
+	for i := range addrs {
+		ln, err := rpc.Listen("mem:")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		addrs[i] = ln.Addr().String()
+		go func() {
+			for {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				go func() {
+					defer conn.Close()
+					framed := rpc.NewConn(conn)
+					for {
+						req, err := framed.ReadRequest()
+						if err != nil || framed.Write(&rpc.Response{OK: true, Restored: req.Text}) != nil {
+							return
+						}
+					}
+				}()
+			}
+		}()
 	}
-	defer conn.Close()
-	if err := rpc.Write(conn, &rpc.Request{Op: rpc.OpPeerStats}); err != nil {
-		t.Fatal(err)
+	r := NewRouter(addrs, testSeed)
+	defer r.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := r.Transmit(ctx, "u1", "hello"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled transmit: err = %v, want context.Canceled", err)
 	}
-	v1, err := rpc.ReadResponse(conn)
-	if err != nil {
-		t.Fatal(err)
+	if live := r.Live(); len(live) != 3 || r.Retries != 0 {
+		t.Fatalf("after a cancelled transmit: live %v, %d retries; want all 3 members, 0 retries", live, r.Retries)
 	}
-	if v1.OK || v1.Error != rpc.ErrMeshOpVersion.Error() {
-		t.Fatalf("v1-framed mesh op not rejected: %+v", v1)
+	resp, err := r.Transmit(context.Background(), "u1", "hello")
+	if err != nil || resp.Restored != "hello" {
+		t.Fatalf("transmit after the cancelled one: %+v, %v", resp, err)
 	}
 }

@@ -3,14 +3,15 @@ package mesh
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 
 	"repro/internal/rpc"
 )
 
 // HandleOp serves one mesh op (rpc.IsMeshOp) — the whole peer-to-peer
-// surface of a member. edged dispatches its v2 mesh frames here; Serve
-// answers nothing else.
+// surface of a member. edged dispatches its mesh ops here; Serve answers
+// nothing else.
 func (n *Node) HandleOp(req *rpc.Request) *rpc.Response {
 	switch req.Op {
 	case rpc.OpJoin:
@@ -69,25 +70,25 @@ func (n *Node) Serve(ln net.Listener) error {
 	}
 }
 
-// serveConn answers one peer connection until it fails or closes.
+// serveConn answers one peer connection until it fails or closes. A
+// frame that fails to parse (a retired version byte among them) is
+// logged and closes the connection unanswered.
 func (n *Node) serveConn(conn net.Conn) {
 	defer conn.Close()
 	framed := rpc.NewConn(conn)
 	for {
-		req, version, err := framed.ReadRequestV()
+		req, err := framed.ReadRequest()
 		if err != nil {
+			if err != io.EOF && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrClosedPipe) {
+				n.cfg.Logf("mesh: %s: %v", conn.RemoteAddr(), err)
+			}
 			return
 		}
-		var resp *rpc.Response
-		switch {
-		case !rpc.IsMeshOp(req.Op):
-			resp = &rpc.Response{Error: fmt.Sprintf("%s: not a mesh op", req.Op)}
-		case version < rpc.Version2:
-			resp = &rpc.Response{Error: rpc.ErrMeshOpVersion.Error()}
-		default:
+		resp := &rpc.Response{Error: fmt.Sprintf("%s: not a mesh op", req.Op)}
+		if rpc.IsMeshOp(req.Op) {
 			resp = n.HandleOp(req)
 		}
-		if framed.WriteV(version, resp) != nil {
+		if framed.Write(resp) != nil {
 			return
 		}
 	}

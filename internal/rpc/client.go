@@ -24,6 +24,10 @@ type Client struct {
 	conn    net.Conn // deadlines and Close; nil once closed
 	framed  *Conn    // every frame on conn
 	timeout time.Duration
+	// expired receives once from a call's context.AfterFunc callback
+	// after it has expired the connection deadline, so the call can
+	// clear that deadline after it rather than before.
+	expired chan struct{}
 }
 
 // ErrClosed reports a call on a closed Client.
@@ -42,7 +46,7 @@ func Dial(addr string) (*Client, error) {
 // NewClient wraps an established connection in a Client. The Client takes
 // ownership of conn.
 func NewClient(conn net.Conn) *Client {
-	return &Client{conn: conn, framed: NewConn(conn)}
+	return &Client{conn: conn, framed: NewConn(conn), expired: make(chan struct{}, 1)}
 }
 
 // SetTimeout sets the default per-call deadline applied when a call does
@@ -72,12 +76,15 @@ func (c *Client) Close() error {
 // instead of serving it late. Cancelling ctx mid-call unblocks the
 // exchange by expiring the connection deadline.
 func (c *Client) DoContext(ctx context.Context, req *Request) (*Response, error) {
-	return c.do(ctx, Version, req)
+	return c.do(ctx, req)
 }
 
-// do runs one framed exchange at the given protocol version under the
-// client mutex.
-func (c *Client) do(ctx context.Context, version byte, req *Request) (*Response, error) {
+// do runs one framed exchange under the client mutex. It leaves the
+// connection without a deadline, also when ctx ends just as the exchange
+// completes: a cancellation callback that has already begun is waited
+// for, so its expired deadline cannot outlive the call and fail the next
+// one.
+func (c *Client) do(ctx context.Context, req *Request) (*Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.conn == nil {
@@ -86,7 +93,6 @@ func (c *Client) do(ctx context.Context, version byte, req *Request) (*Response,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	conn := c.conn
 	deadline, ok := ctx.Deadline()
 	if !ok && c.timeout > 0 {
 		deadline = time.Now().Add(c.timeout)
@@ -96,18 +102,27 @@ func (c *Client) do(ctx context.Context, version byte, req *Request) (*Response,
 		if remain := time.Until(deadline); remain > 0 {
 			req.DeadlineMs = float64(remain) / float64(time.Millisecond)
 		}
-		if err := conn.SetDeadline(deadline); err != nil {
+		if err := c.conn.SetDeadline(deadline); err != nil {
 			return nil, fmt.Errorf("rpc: set deadline: %w", err)
 		}
-		defer conn.SetDeadline(time.Time{})
 	}
-	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Now()) })
-	defer stop()
-	if err := c.framed.WriteV(version, req); err != nil {
+	stop := context.AfterFunc(ctx, func() {
+		c.conn.SetDeadline(time.Now()) // c.mu, held by this call, keeps c.conn set
+		c.expired <- struct{}{}
+	})
+	defer func() {
+		if !stop() {
+			<-c.expired
+			ok = true
+		}
+		if ok {
+			c.conn.SetDeadline(time.Time{})
+		}
+	}()
+	if err := c.framed.Write(req); err != nil {
 		return nil, err
 	}
-	resp, _, err := c.framed.ReadResponseV()
-	return resp, err
+	return c.framed.ReadResponse()
 }
 
 // Transmit runs one message through the daemon's semantic pipeline.
@@ -117,18 +132,18 @@ func (c *Client) Transmit(user, text string) (*Response, error) {
 
 // TransmitContext is Transmit with the deadline derived from ctx.
 func (c *Client) TransmitContext(ctx context.Context, user, text string) (*Response, error) {
-	return c.do(ctx, Version, &Request{Op: OpTransmit, User: user, Text: text})
+	return c.do(ctx, &Request{Op: OpTransmit, User: user, Text: text})
 }
 
 // Move attaches user to a radio cell. The returned Response carries the
 // Handover outcome when the daemon is a mesh member.
 func (c *Client) Move(user string, cell int) (*Response, error) {
-	return c.do(context.Background(), Version, &Request{Op: OpMove, User: user, Cell: cell})
+	return c.do(context.Background(), &Request{Op: OpMove, User: user, Cell: cell})
 }
 
 // Stats fetches the daemon's counters.
 func (c *Client) Stats() (*Stats, error) {
-	resp, err := c.do(context.Background(), Version, &Request{Op: OpStats})
+	resp, err := c.do(context.Background(), &Request{Op: OpStats})
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +164,7 @@ func (c *Client) Ping() error {
 // PingContext checks daemon liveness, honoring ctx for cancellation and
 // deadline.
 func (c *Client) PingContext(ctx context.Context) error {
-	resp, err := c.do(ctx, Version, &Request{Op: OpPing})
+	resp, err := c.do(ctx, &Request{Op: OpPing})
 	if err != nil {
 		return err
 	}
@@ -159,7 +174,7 @@ func (c *Client) PingContext(ctx context.Context) error {
 	return nil
 }
 
-// Mesh calls: peer-to-peer ops framed at protocol version 2.
+// Mesh calls: peer-to-peer ops.
 
 // RemoteError is an answer the peer sent: the call crossed the wire and the
 // peer refused it (Response.OK false), so the connection is intact and the
@@ -172,9 +187,9 @@ type RemoteError struct {
 
 func (e *RemoteError) Error() string { return fmt.Sprintf("rpc: %s: %s", e.Op, e.Msg) }
 
-// mesh runs one v2 exchange, turning a refusal into a *RemoteError.
+// mesh runs one exchange, turning a refusal into a *RemoteError.
 func (c *Client) mesh(ctx context.Context, req *Request) (*Response, error) {
-	resp, err := c.do(ctx, Version2, req)
+	resp, err := c.do(ctx, req)
 	if err != nil {
 		return nil, err
 	}

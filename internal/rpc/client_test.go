@@ -20,8 +20,9 @@ func echoServer(t *testing.T, ln net.Listener, reqs chan<- *Request) {
 			return
 		}
 		defer conn.Close()
+		framed := NewConn(conn)
 		for {
-			req, version, err := ReadRequestV(conn)
+			req, err := framed.ReadRequest()
 			if err != nil {
 				return
 			}
@@ -29,28 +30,23 @@ func echoServer(t *testing.T, ln net.Listener, reqs chan<- *Request) {
 				reqs <- req
 			}
 			resp := &Response{OK: true}
-			if IsMeshOp(req.Op) && version != Version2 {
-				resp.OK = false
-				resp.Error = ErrMeshOpVersion.Error()
-			} else {
-				switch req.Op {
-				case OpTransmit:
-					resp.Restored = req.Text
-				case OpStats:
-					resp.Stats = &Stats{Messages: 9, Serve: &ServeStats{InFlight: 1}}
-				case OpMove:
-					resp.Handover = &Handover{From: "node-0", To: "node-1", Moved: true}
-				case OpJoin:
-					resp.Peers = []PeerInfo{{Name: "node-0", Index: 0, Addr: "127.0.0.1:1"}, *req.Peer}
-				case OpPeerStats:
-					resp.Node = &NodeStats{Name: "node-0", NeighborHits: 2}
-				case OpFetchModel:
-					if req.Fetch.Domain == "it" {
-						resp.Model = &ModelPayload{Domain: "it", Version: 1, Params: []byte{5, 6}}
-					}
+			switch req.Op {
+			case OpTransmit:
+				resp.Restored = req.Text
+			case OpStats:
+				resp.Stats = &Stats{Messages: 9, Serve: &ServeStats{InFlight: 1}}
+			case OpMove:
+				resp.Handover = &Handover{From: "node-0", To: "node-1", Moved: true}
+			case OpJoin:
+				resp.Peers = []PeerInfo{{Name: "node-0", Index: 0, Addr: "127.0.0.1:1"}, *req.Peer}
+			case OpPeerStats:
+				resp.Node = &NodeStats{Name: "node-0", NeighborHits: 2}
+			case OpFetchModel:
+				if req.Fetch.Domain == "it" {
+					resp.Model = &ModelPayload{Domain: "it", Version: 1, Params: []byte{5, 6}}
 				}
 			}
-			if err := WriteV(conn, version, resp); err != nil {
+			if err := framed.Write(resp); err != nil {
 				return
 			}
 		}
@@ -182,6 +178,53 @@ func TestClientContextCancelUnblocks(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("cancel ignored: call blocked %v", elapsed)
+	}
+}
+
+// cancelOnReadConn cancels a context in the Read that delivers the first
+// bytes of a response: the call's context ends just as its exchange
+// succeeds.
+type cancelOnReadConn struct {
+	net.Conn
+	cancel context.CancelFunc // nil once fired
+}
+
+func (c *cancelOnReadConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 && c.cancel != nil {
+		c.cancel()
+		c.cancel = nil
+	}
+	return n, err
+}
+
+// TestClientCancelAfterExchange checks a context that ends just after a
+// successful exchange leaves no expired deadline on the connection: the
+// next call on the client is served, not failed with a timeout.
+func TestClientCancelAfterExchange(t *testing.T) {
+	clientEnd, serverEnd := pipeConns(t)
+	go func() {
+		srv := NewConn(serverEnd)
+		for {
+			if _, err := srv.ReadRequest(); err != nil {
+				return
+			}
+			if srv.Write(&Response{OK: true}) != nil {
+				return
+			}
+		}
+	}()
+	conn := &cancelOnReadConn{Conn: clientEnd}
+	cl := NewClient(conn)
+	for i := 0; i < 20; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		conn.cancel = cancel
+		if err := cl.PingContext(ctx); err != nil {
+			t.Fatalf("round %d: ping cancelled as its response arrived: %v", i, err)
+		}
+		if err := cl.Ping(); err != nil {
+			t.Fatalf("round %d: ping after a call whose context ended: %v", i, err)
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ const (
 	// the bytes that have actually arrived: a peer that sends only a
 	// header claiming MaxMessageBytes pins one step, not the full claim.
 	growStepBytes = 64 << 10
-	// jsonLenBytes is the size of a v2 body's JSON length prefix.
+	// jsonLenBytes is the size of a body's JSON length prefix.
 	jsonLenBytes = 4
 )
 
@@ -58,20 +58,14 @@ func (f *frameBuf) release() {
 }
 
 // encode marshals v straight into the buffer behind the reserved header
-// bytes, appends the parameter tail on a v2 frame, and returns the
+// and JSON length bytes, appends the parameter tail, and returns the
 // complete frame, valid until the next use of f.
-func (f *frameBuf) encode(version byte, v interface{}) ([]byte, error) {
-	if version != Version && version != Version2 {
-		return nil, &VersionError{Got: version}
-	}
+func (f *frameBuf) encode(v interface{}) ([]byte, error) {
 	if f.enc == nil {
 		f.enc = json.NewEncoder(f)
 	}
 	f.reset()
-	f.b = append(f.b, version, 0, 0, 0, 0)
-	if version == Version2 {
-		f.b = append(f.b, 0, 0, 0, 0)
-	}
+	f.b = append(f.b, Version, 0, 0, 0, 0, 0, 0, 0, 0)
 	start := len(f.b)
 	if err := f.enc.Encode(v); err != nil {
 		return nil, fmt.Errorf("rpc: marshal: %w", err)
@@ -79,15 +73,10 @@ func (f *frameBuf) encode(version byte, v interface{}) ([]byte, error) {
 	// Encode ends the document with a newline json.Marshal does not
 	// produce; the wire format is the bare document.
 	f.b = f.b[:len(f.b)-1]
-	if version == Version2 {
-		binary.LittleEndian.PutUint32(f.b[headerBytes:], uint32(len(f.b)-start))
-	}
+	binary.LittleEndian.PutUint32(f.b[headerBytes:], uint32(len(f.b)-start))
 	ms, tail := models(v), 0
 	for _, m := range ms {
 		tail += len(m.Params)
-	}
-	if version == Version && tail > 0 {
-		return nil, errV1Params
 	}
 	f.b = slices.Grow(f.b, tail)
 	for _, m := range ms {
@@ -102,60 +91,55 @@ func (f *frameBuf) encode(version byte, v interface{}) ([]byte, error) {
 }
 
 // read reads one frame from r, taking exactly the frame's bytes, and
-// returns its payload (valid until the next use of f) and version byte,
-// rejecting unknown protocol versions and oversized frames before any
-// payload is read.
-func (f *frameBuf) read(r io.Reader) ([]byte, byte, error) {
+// returns its body (valid until the next use of f), rejecting any version
+// byte but Version and oversized frames before any body byte is read.
+func (f *frameBuf) read(r io.Reader) ([]byte, error) {
 	f.reset()
 	f.b = f.b[:headerBytes]
 	if _, err := io.ReadFull(r, f.b); err != nil {
-		return nil, 0, err // io.EOF passes through for clean shutdown
+		return nil, err // io.EOF passes through for clean shutdown
 	}
-	version := f.b[0]
-	if version != Version && version != Version2 {
-		return nil, 0, &VersionError{Got: version}
+	if f.b[0] != Version {
+		return nil, &VersionError{Got: f.b[0]}
 	}
 	n := binary.LittleEndian.Uint32(f.b[1:])
 	if n > MaxMessageBytes {
-		return nil, 0, errFrameTooLarge
+		return nil, errFrameTooLarge
 	}
 	for total := headerBytes + int(n); len(f.b) < total; {
 		step := min(total-len(f.b), growStepBytes)
 		f.b = slices.Grow(f.b, step)[:len(f.b)+step]
 		if _, err := io.ReadFull(r, f.b[len(f.b)-step:]); err != nil {
-			return nil, 0, fmt.Errorf("rpc: read payload: %w", err)
+			return nil, fmt.Errorf("rpc: read payload: %w", err)
 		}
 	}
-	return f.b[headerBytes:], version, nil
+	return f.b[headerBytes:], nil
 }
 
 // decode reads one frame into v (a *Request or *Response): the JSON
-// document, then, on a v2 frame, each ModelPayload's Params sliced off
-// the tail by its params_len. The lengths must consume the tail exactly.
-func (f *frameBuf) decode(r io.Reader, v interface{}) (byte, error) {
-	payload, version, err := f.read(r)
+// document, then each ModelPayload's Params sliced off the tail by its
+// params_len. The lengths must consume the body exactly.
+func (f *frameBuf) decode(r io.Reader, v interface{}) error {
+	body, err := f.read(r)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	doc, tail := payload, payload[len(payload):]
-	if version == Version2 {
-		if len(payload) < jsonLenBytes {
-			return 0, errBadTail
-		}
-		n := binary.LittleEndian.Uint32(payload)
-		if uint64(n) > uint64(len(payload)-jsonLenBytes) {
-			return 0, errBadTail
-		}
-		doc, tail = payload[jsonLenBytes:jsonLenBytes+n], payload[jsonLenBytes+n:]
+	if len(body) < jsonLenBytes {
+		return errBadTail
 	}
+	n := binary.LittleEndian.Uint32(body)
+	if uint64(n) > uint64(len(body)-jsonLenBytes) {
+		return errBadTail
+	}
+	doc, tail := body[jsonLenBytes:jsonLenBytes+n], body[jsonLenBytes+n:]
 	if err := json.Unmarshal(doc, v); err != nil {
-		return 0, fmt.Errorf("rpc: unmarshal: %w", err)
+		return fmt.Errorf("rpc: unmarshal: %w", err)
 	}
 	rest := tail
 	for _, m := range models(v) {
 		n := m.paramsLen
 		if n < 0 || n > len(rest) {
-			return 0, errBadTail
+			return errBadTail
 		}
 		if n > 0 {
 			m.Params = rest[:n:n]
@@ -164,32 +148,21 @@ func (f *frameBuf) decode(r io.Reader, v interface{}) (byte, error) {
 		rest = rest[n:]
 	}
 	if len(rest) != 0 {
-		return 0, errBadTail
+		return errBadTail
 	}
 	if len(tail) > 0 {
 		f.b = nil // the decoded Params own the buffer now
 	}
-	return version, nil
+	return nil
 }
 
-// readRequest reads and decodes one framed Request.
-func (f *frameBuf) readRequest(r io.Reader) (*Request, byte, error) {
-	var req Request
-	version, err := f.decode(r, &req)
-	if err != nil {
-		return nil, 0, err
+// readMsg reads and decodes one framed Request or Response.
+func readMsg[T Request | Response](f *frameBuf, r io.Reader) (*T, error) {
+	var m T
+	if err := f.decode(r, &m); err != nil {
+		return nil, err
 	}
-	return &req, version, nil
-}
-
-// readResponse reads and decodes one framed Response.
-func (f *frameBuf) readResponse(r io.Reader) (*Response, byte, error) {
-	var resp Response
-	version, err := f.decode(r, &resp)
-	if err != nil {
-		return nil, 0, err
-	}
-	return &resp, version, nil
+	return &m, nil
 }
 
 // Conn is one framed connection: every frame a Client, the daemon or a
@@ -215,11 +188,10 @@ func NewConn(conn net.Conn) *Conn {
 	return &Conn{conn: conn, br: bufio.NewReaderSize(conn, connBufBytes)}
 }
 
-// WriteV marshals v and sends it as one frame at the given protocol
-// version, in a single Write.
-func (c *Conn) WriteV(version byte, v interface{}) error {
+// Write marshals v and sends it as one frame, in a single Write.
+func (c *Conn) Write(v interface{}) error {
 	defer c.f.release()
-	frame, err := c.f.encode(version, v)
+	frame, err := c.f.encode(v)
 	if err != nil {
 		return err
 	}
@@ -229,18 +201,16 @@ func (c *Conn) WriteV(version byte, v interface{}) error {
 	return nil
 }
 
-// ReadRequestV reads one framed Request and reports the protocol version
-// it arrived on.
-func (c *Conn) ReadRequestV() (*Request, byte, error) {
+// ReadRequest reads one framed Request.
+func (c *Conn) ReadRequest() (*Request, error) {
 	defer c.f.release()
-	return c.f.readRequest(c.br)
+	return readMsg[Request](&c.f, c.br)
 }
 
-// ReadResponseV reads one framed Response and reports the protocol
-// version it arrived on.
-func (c *Conn) ReadResponseV() (*Response, byte, error) {
+// ReadResponse reads one framed Response.
+func (c *Conn) ReadResponse() (*Response, error) {
 	defer c.f.release()
-	return c.f.readResponse(c.br)
+	return readMsg[Response](&c.f, c.br)
 }
 
 // modelPayloadJSON is ModelPayload's JSON form.
@@ -273,7 +243,7 @@ func (m *ModelPayload) UnmarshalJSON(data []byte) error {
 
 // models lists the ModelPayloads of a message in document order: the
 // order of their params_len fields in its JSON, and so of their Params in
-// a v2 frame's tail. Messages of other types carry none.
+// the frame's tail. Messages of other types carry none.
 func models(v interface{}) []*ModelPayload {
 	var ms []*ModelPayload
 	switch m := v.(type) {

@@ -13,24 +13,23 @@ import (
 	"repro/internal/rpc/rpctest"
 )
 
-// Pinned wire frames. The v1 frames are as the pre-Conn framing
-// (json.Marshal behind a separate header write) put them on the wire,
-// recorded from that code: the format old clients speak, which must not
-// drift. The v2 frames carry the JSON length prefix and the raw parameter
-// tail after the document.
+// Pinned wire frames, one layout for every op: the version byte, the body
+// length, the JSON length, the JSON document, then the raw parameter
+// tail. The transmit request and response are the JSON documents the
+// pre-Conn framing (json.Marshal behind a separate header write) put on
+// the wire, now behind the JSON length prefix.
 var goldenFrames = []struct {
-	name    string
-	version byte
-	msg     interface{}
-	wire    string
+	name string
+	msg  interface{}
+	wire string
 }{
-	{"v1 request", Version,
+	{"transmit request",
 		&Request{Op: OpTransmit, User: "alice", Text: "the <server> is down & out", DeadlineMs: 250.5},
-		"\x01g\x00\x00\x00{\"op\":\"transmit\",\"user\":\"alice\",\"text\":\"the \\u003cserver\\u003e is down \\u0026 out\",\"deadline_ms\":250.5}"},
-	{"v1 response", Version,
+		"\x02k\x00\x00\x00g\x00\x00\x00{\"op\":\"transmit\",\"user\":\"alice\",\"text\":\"the \\u003cserver\\u003e is down \\u0026 out\",\"deadline_ms\":250.5}"},
+	{"transmit response",
 		&Response{OK: true, Restored: "the server is down", SelectedDomain: "it", Mismatch: 0.125, PayloadBytes: 18, LatencyMs: 12.5, CacheHit: true},
-		"\x01\x89\x00\x00\x00{\"ok\":true,\"restored\":\"the server is down\",\"selected_domain\":\"it\",\"mismatch\":0.125,\"payload_bytes\":18,\"latency_ms\":12.5,\"cache_hit\":true}"},
-	{"v2 handoff", Version2,
+		"\x02\x8d\x00\x00\x00\x89\x00\x00\x00{\"ok\":true,\"restored\":\"the server is down\",\"selected_domain\":\"it\",\"mismatch\":0.125,\"payload_bytes\":18,\"latency_ms\":12.5,\"cache_hit\":true}"},
+	{"handoff push",
 		&Request{Op: OpHandoverPush, Handoff: &HandoffPayload{
 			User: "alice", FromNode: "node-0", NoiseSeq: 17,
 			Models: []HandoffModel{{Side: "sender", Model: ModelPayload{Domain: "it", User: "alice", Version: 2, Params: []byte{0, 1, 2, 250, 255}}}},
@@ -38,7 +37,7 @@ var goldenFrames = []struct {
 			Buffers: []BufferState{{Domain: "it", Txs: []TxState{{Surfaces: []int{3, 1}, Concepts: []int{2}, Decoded: []int{3, 1}}}}},
 		}},
 		"\x028\x01\x00\x00/\x01\x00\x00{\"op\":\"handover-push\",\"handoff\":{\"user\":\"alice\",\"from_node\":\"node-0\",\"noise_seq\":17,\"models\":[{\"side\":\"sender\",\"model\":{\"domain\":\"it\",\"user\":\"alice\",\"version\":2,\"params_len\":5}}],\"reason\":\"drain\",\"belief\":[0.5,0.25],\"buffers\":[{\"domain\":\"it\",\"txs\":[{\"surfaces\":[3,1],\"concepts\":[2],\"decoded\":[3,1]}]}]}}\x00\x01\x02\xfa\xff"},
-	{"v2 fetch-model hit", Version2,
+	{"fetch-model hit",
 		&Response{OK: true, Model: &ModelPayload{Domain: "it", User: "alice", Version: 3, Params: []byte{7, 0, 9}}},
 		"\x02\x82\x00\x00\x00{\x00\x00\x00{\"ok\":true,\"mismatch\":0,\"payload_bytes\":0,\"latency_ms\":0,\"model\":{\"domain\":\"it\",\"user\":\"alice\",\"version\":3,\"params_len\":3}}\a\x00\t"},
 }
@@ -67,13 +66,13 @@ func TestGoldenFrameBytes(t *testing.T) {
 	conn := NewConn(sink)
 	for _, g := range goldenFrames {
 		var buf bytes.Buffer
-		if err := WriteV(&buf, g.version, g.msg); err != nil {
+		if err := WriteV(&buf, Version, g.msg); err != nil {
 			t.Fatal(err)
 		}
 		if buf.String() != g.wire {
 			t.Errorf("%s: WriteV wrote\n%q\nwant\n%q", g.name, buf.String(), g.wire)
 		}
-		if err := conn.WriteV(g.version, g.msg); err != nil {
+		if err := conn.Write(g.msg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,15 +84,14 @@ func TestGoldenFrameBytes(t *testing.T) {
 			t.Errorf("%s: Conn wrote\n%q\nwant\n%q", g.name, sink.segments[i], g.wire)
 		}
 		var got interface{}
-		var version byte
 		var err error
 		if _, isReq := g.msg.(*Request); isReq {
-			got, version, err = ReadRequestV(bytes.NewReader([]byte(g.wire)))
+			got, _, err = ReadRequestV(bytes.NewReader([]byte(g.wire)))
 		} else {
-			got, version, err = ReadResponseV(bytes.NewReader([]byte(g.wire)))
+			got, _, err = ReadResponseV(bytes.NewReader([]byte(g.wire)))
 		}
-		if err != nil || version != g.version || !reflect.DeepEqual(got, g.msg) {
-			t.Errorf("%s: golden frame parsed to %+v (v%d, err %v)", g.name, got, version, err)
+		if err != nil || !reflect.DeepEqual(got, g.msg) {
+			t.Errorf("%s: golden frame parsed to %+v (err %v)", g.name, got, err)
 		}
 	}
 }
@@ -132,12 +130,12 @@ func TestClientOneWriteOneReadPerFrame(t *testing.T) {
 	go func() {
 		srv := NewConn(served)
 		for {
-			req, version, err := srv.ReadRequestV()
+			req, err := srv.ReadRequest()
 			if err != nil {
 				done <- err
 				return
 			}
-			if err := srv.WriteV(version, &Response{OK: true, Restored: req.Text}); err != nil {
+			if err := srv.Write(&Response{OK: true, Restored: req.Text}); err != nil {
 				done <- err
 				return
 			}
@@ -188,12 +186,12 @@ func TestConnOneBytePerRead(t *testing.T) {
 		if !ok {
 			continue
 		}
-		got, version, err := conn.ReadRequestV()
-		if err != nil || version != g.version || !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: read %+v (v%d, err %v)", g.name, got, version, err)
+		got, err := conn.ReadRequest()
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: read %+v (err %v)", g.name, got, err)
 		}
 	}
-	if _, _, err := conn.ReadRequestV(); err != io.EOF {
+	if _, err := conn.ReadRequest(); err != io.EOF {
 		t.Fatalf("after the last frame: %v, want io.EOF", err)
 	}
 }
@@ -208,16 +206,16 @@ func TestConnBackToBackFrames(t *testing.T) {
 	if err := WriteV(&both, Version, first); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteV(&both, Version2, second); err != nil {
+	if err := WriteV(&both, Version, second); err != nil {
 		t.Fatal(err)
 	}
 	go clientEnd.Write(both.Bytes())
 	counted := &rpctest.CountingConn{Conn: serverEnd}
 	conn := NewConn(counted)
 	for i, want := range []*Request{first, second} {
-		got, version, err := conn.ReadRequestV()
-		if err != nil || int(version) != i+1 || !reflect.DeepEqual(got, want) {
-			t.Fatalf("frame %d: read %+v (v%d, err %v)", i, got, version, err)
+		got, err := conn.ReadRequest()
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("frame %d: read %+v (err %v)", i, got, err)
 		}
 	}
 	if r := counted.Reads.Load(); r != 1 {
@@ -247,7 +245,7 @@ func TestReadGrowsWithArrivingBytes(t *testing.T) {
 	for _, arrived := range []int{0, 200 << 10} {
 		data := append(header(Version, MaxMessageBytes), make([]byte, arrived)...)
 		var f frameBuf
-		_, _, err := f.read(&stallReader{bytes.NewReader(data)})
+		_, err := f.read(&stallReader{bytes.NewReader(data)})
 		if !errors.Is(err, errStalled) {
 			t.Fatalf("%d bytes arrived: err = %v, want the stall", arrived, err)
 		}
@@ -268,8 +266,8 @@ func TestConnShrinksAfterLargeFrame(t *testing.T) {
 	small := &Request{Op: OpTransmit, User: "alice", Text: "the server is down"}
 	for _, req := range []*Request{small, big, small, small} {
 		errc := make(chan error, 1)
-		go func() { errc <- sender.WriteV(Version2, req) }()
-		got, _, err := receiver.ReadRequestV()
+		go func() { errc <- sender.Write(req) }()
+		got, err := receiver.ReadRequest()
 		if err != nil || !reflect.DeepEqual(got, req) {
 			t.Fatalf("%s frame: err %v, equal %v", req.Op, err, reflect.DeepEqual(got, req))
 		}
@@ -293,7 +291,7 @@ func TestConnShrinksAfterLargeFrame(t *testing.T) {
 func TestClientStalledMidPayload(t *testing.T) {
 	clientEnd, serverEnd := pipeConns(t)
 	go func() {
-		if _, err := ReadRequest(serverEnd); err != nil {
+		if _, _, err := ReadRequestV(serverEnd); err != nil {
 			return
 		}
 		half := goldenFrames[1].wire[:len(goldenFrames[1].wire)/2]
@@ -323,7 +321,7 @@ func TestCutConnFailsBothEndsMidFrame(t *testing.T) {
 	cut := &rpctest.CutConn{Conn: serverEnd, After: 1000}
 	readErr := make(chan error, 1)
 	go func() {
-		req, _, err := NewConn(cut).ReadRequestV()
+		req, err := NewConn(cut).ReadRequest()
 		if err == nil {
 			err = errors.New("read a whole request: " + req.Op)
 		}
@@ -331,7 +329,7 @@ func TestCutConnFailsBothEndsMidFrame(t *testing.T) {
 	}()
 	push := &Request{Op: OpHandoverPush, Handoff: &HandoffPayload{User: "u",
 		General: []ModelPayload{{Domain: "it", Params: make([]byte, 20<<10)}}}}
-	if err := NewConn(clientEnd).WriteV(Version2, push); err == nil {
+	if err := NewConn(clientEnd).Write(push); err == nil {
 		t.Fatal("the writer was told a frame cut at byte 1000 had been sent")
 	}
 	if err := <-readErr; !errors.Is(err, io.ErrClosedPipe) && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
@@ -349,22 +347,22 @@ func TestCutConnFailsBothEndsMidFrame(t *testing.T) {
 func TestDecodedParamsSurviveNextFrame(t *testing.T) {
 	params := bytes.Repeat([]byte{0xa5}, 256)
 	var stream bytes.Buffer
-	if err := WriteV(&stream, Version2, &Response{OK: true, Model: &ModelPayload{Domain: "it", Version: 1, Params: params}}); err != nil {
+	if err := WriteV(&stream, Version, &Response{OK: true, Model: &ModelPayload{Domain: "it", Version: 1, Params: params}}); err != nil {
 		t.Fatal(err)
 	}
 	if stream.Len() > connBufBytes {
 		t.Fatalf("first frame is %d bytes, want one the Conn keeps its buffer for (<= %d)", stream.Len(), connBufBytes)
 	}
 	second := &Response{OK: true, Model: &ModelPayload{Domain: "it", Version: 2, Params: bytes.Repeat([]byte{0x5a}, 256)}}
-	if err := WriteV(&stream, Version2, second); err != nil {
+	if err := WriteV(&stream, Version, second); err != nil {
 		t.Fatal(err)
 	}
 	conn := NewConn(replayConn{data: bytes.NewReader(stream.Bytes())})
-	first, _, err := conn.ReadResponseV()
+	first, err := conn.ReadResponse()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := conn.ReadResponseV(); err != nil {
+	if _, err := conn.ReadResponse(); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(first.Model.Params, params) {
@@ -409,7 +407,7 @@ func roamPush() *Request {
 func BenchmarkHandoverPushFrame(b *testing.B) {
 	push := roamPush()
 	var frame bytes.Buffer
-	if err := WriteV(&frame, Version2, push); err != nil {
+	if err := WriteV(&frame, Version, push); err != nil {
 		b.Fatal(err)
 	}
 	wire := frame.Bytes()
@@ -418,7 +416,7 @@ func BenchmarkHandoverPushFrame(b *testing.B) {
 		b.SetBytes(int64(len(wire)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := conn.WriteV(Version2, push); err != nil {
+			if err := conn.Write(push); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -430,7 +428,7 @@ func BenchmarkHandoverPushFrame(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			src.Reset(wire)
-			if _, _, err := conn.ReadRequestV(); err != nil {
+			if _, err := conn.ReadRequest(); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -22,33 +22,32 @@ func (c replayConn) Read(p []byte) (int, error) { return c.data.Read(p) }
 // checkBuffered re-parses a fuzz input through a Conn's buffered reader:
 // the path every connection takes must accept exactly what the plain
 // reader accepts, and decode it to the same message.
-func checkBuffered(t *testing.T, data []byte, want interface{}, wantVersion byte, wantErr error) {
+func checkBuffered(t *testing.T, data []byte, want interface{}, wantErr error) {
 	t.Helper()
 	conn := NewConn(replayConn{data: bytes.NewReader(data)})
 	var got interface{}
-	var version byte
 	var err error
 	if _, isReq := want.(*Request); isReq {
-		got, version, err = conn.ReadRequestV()
+		got, err = conn.ReadRequest()
 	} else {
-		got, version, err = conn.ReadResponseV()
+		got, err = conn.ReadResponse()
 	}
 	if (err == nil) != (wantErr == nil) {
 		t.Fatalf("buffered read: err %v, plain read: err %v", err, wantErr)
 	}
-	if err == nil && (version != wantVersion || !reflect.DeepEqual(got, want)) {
-		t.Fatalf("buffered read decoded %+v (v%d), plain read %+v (v%d)", got, version, want, wantVersion)
+	if err == nil && !reflect.DeepEqual(got, want) {
+		t.Fatalf("buffered read decoded %+v, plain read %+v", got, want)
 	}
 }
 
-// frame wraps payload in the wire format (possibly with a lying header
-// when lieLen is set) for seeding the fuzz corpus.
-func frame(payload []byte, lieLen uint32) []byte {
-	return frameV(Version, payload, lieLen)
+// frame wraps a JSON document in the wire format (possibly with a lying
+// header when lieLen is set) for seeding the fuzz corpus.
+func frame(doc []byte, lieLen uint32) []byte {
+	return frameV(Version, body(-1, string(doc), nil), lieLen)
 }
 
-// frameV is frame with an explicit version byte, for seeding
-// wrong-version inputs.
+// frameV puts payload behind a header with an explicit version byte, for
+// seeding wrong-version and malformed-body inputs.
 func frameV(version byte, payload []byte, lieLen uint32) []byte {
 	hdr := make([]byte, headerBytes)
 	hdr[0] = version
@@ -61,14 +60,16 @@ func frameV(version byte, payload []byte, lieLen uint32) []byte {
 }
 
 // seedFrames is the shared corpus for both framed-message parsers: valid
-// messages, truncations, oversized and lying headers, and JSON garbage.
+// messages, truncations, oversized and lying headers, JSON garbage and
+// wrong version bytes.
 func seedFrames(f *testing.F, valid interface{}) {
 	f.Helper()
 	var buf bytes.Buffer
-	if err := Write(&buf, valid); err != nil {
+	if err := WriteV(&buf, Version, valid); err != nil {
 		f.Fatal(err)
 	}
 	full := buf.Bytes()
+	doc := full[headerBytes+jsonLenBytes:]
 	f.Add(full)
 	f.Add(full[:len(full)-2])                       // truncated payload
 	f.Add(full[:3])                                 // truncated header
@@ -78,14 +79,14 @@ func seedFrames(f *testing.F, valid interface{}) {
 	f.Add(frame([]byte(`{}`), 1<<30))               // lying oversize header
 	f.Add(frame(bytes.Repeat([]byte{0xff}, 64), 0)) // binary garbage
 	f.Add(frameV(0, []byte(`{}`), 0))               // pre-versioning framing
-	f.Add(frameV(Version2, []byte(`{}`), 0))        // mesh protocol version
+	f.Add(frameV(1, doc, 0))                        // the retired version 1
 	f.Add(frameV(3, []byte(`{}`), 0))               // future protocol version
 	f.Add(frameV(0xff, []byte(`{}`), 0))            // junk version byte
 }
 
-// bodyV2 is a v2 body: the JSON length (jsonLen, or the document's
-// true length when jsonLen is negative), the document, then tail.
-func bodyV2(jsonLen int, doc string, tail []byte) []byte {
+// body is a frame body: the JSON length (jsonLen, or the document's true
+// length when jsonLen is negative), the document, then tail.
+func body(jsonLen int, doc string, tail []byte) []byte {
 	if jsonLen < 0 {
 		jsonLen = len(doc)
 	}
@@ -93,7 +94,7 @@ func bodyV2(jsonLen int, doc string, tail []byte) []byte {
 	return append(append(b, doc...), tail...)
 }
 
-// tailFrame is a frame exercising the v2 parameter tail, and whether the
+// tailFrame is a frame exercising the parameter tail, and whether the
 // reader of its message type must accept it.
 type tailFrame struct {
 	name  string
@@ -104,7 +105,8 @@ type tailFrame struct {
 
 // tailFrames builds, for a handover push and a fetch-model hit, frames
 // whose JSON length and params_len fields consume the body exactly or
-// fail to, plus the pre-tail layout with base64 "params".
+// fail to, the same body at the retired version 1, and the pre-tail
+// layout with base64 "params".
 func tailFrames() []tailFrame {
 	docs := []struct {
 		req bool
@@ -116,34 +118,34 @@ func tailFrames() []tailFrame {
 	var out []tailFrame
 	for _, d := range docs {
 		tail := []byte{1, 2, 3}
-		add := func(name string, body []byte, ok bool) {
-			out = append(out, tailFrame{name, d.req, frameV(Version2, body, 0), ok})
+		add := func(name string, payload []byte, ok bool) {
+			out = append(out, tailFrame{name, d.req, frameV(Version, payload, 0), ok})
 		}
-		add("exact tail", bodyV2(-1, fmt.Sprintf(d.doc, 3), tail), true)
-		add("no params", bodyV2(-1, fmt.Sprintf(d.doc, 0), nil), true)
-		add("JSON length past the payload", bodyV2(1000, fmt.Sprintf(d.doc, 3), tail), false)
-		add("params_len short of the tail", bodyV2(-1, fmt.Sprintf(d.doc, 2), tail), false)
-		add("params_len past the tail", bodyV2(-1, fmt.Sprintf(d.doc, 4), tail), false)
-		add("negative params_len", bodyV2(-1, fmt.Sprintf(d.doc, -1), tail), false)
+		add("exact tail", body(-1, fmt.Sprintf(d.doc, 3), tail), true)
+		add("no params", body(-1, fmt.Sprintf(d.doc, 0), nil), true)
+		add("JSON length past the payload", body(1000, fmt.Sprintf(d.doc, 3), tail), false)
+		add("params_len short of the tail", body(-1, fmt.Sprintf(d.doc, 2), tail), false)
+		add("params_len past the tail", body(-1, fmt.Sprintf(d.doc, 4), tail), false)
+		add("negative params_len", body(-1, fmt.Sprintf(d.doc, -1), tail), false)
 		add("body shorter than the JSON length prefix", []byte{2, 0}, false)
-		out = append(out, tailFrame{"params_len on a v1 frame", d.req, frame([]byte(fmt.Sprintf(d.doc, 3)), 0), false})
+		out = append(out, tailFrame{"exact tail at version 1", d.req, frameV(1, body(-1, fmt.Sprintf(d.doc, 3), tail), 0), false})
 	}
 	// The pre-tail layout, one JSON document with base64 "params": a
 	// member of an older build must be refused, never served a model
 	// with empty Params.
 	out = append(out,
 		tailFrame{"pre-tail push", true, []byte("\x024\x01\x00\x00{\"op\":\"handover-push\",\"handoff\":{\"user\":\"alice\",\"from_node\":\"node-0\",\"noise_seq\":17,\"models\":[{\"side\":\"sender\",\"model\":{\"domain\":\"it\",\"user\":\"alice\",\"version\":2,\"params\":\"AAEC+v8=\"}}],\"reason\":\"drain\",\"belief\":[0.5,0.25],\"buffers\":[{\"domain\":\"it\",\"txs\":[{\"surfaces\":[3,1],\"concepts\":[2],\"decoded\":[3,1]}]}]}}"), false},
-		tailFrame{"pre-tail hit", false, frameV(Version2, []byte(`{"ok":true,"model":{"domain":"it","version":2,"params":"AAEC+v8="}}`), 0), false})
+		tailFrame{"pre-tail hit", false, frameV(Version, []byte(`{"ok":true,"model":{"domain":"it","version":2,"params":"AAEC+v8="}}`), 0), false})
 	return out
 }
 
-// seedFramesV2 adds v2-framed variants of the mesh messages to the
-// corpus, and the tail frames.
-func seedFramesV2(f *testing.F, valids ...interface{}) {
+// seedMeshFrames adds the mesh messages to the corpus, and the tail
+// frames.
+func seedMeshFrames(f *testing.F, valids ...interface{}) {
 	f.Helper()
 	for _, valid := range valids {
 		var buf bytes.Buffer
-		if err := WriteV(&buf, Version2, valid); err != nil {
+		if err := WriteV(&buf, Version, valid); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
@@ -152,11 +154,12 @@ func seedFramesV2(f *testing.F, valids ...interface{}) {
 		f.Add(tf.frame)
 	}
 	// Empty arrays, which re-frame as absent fields.
-	f.Add(frameV(Version2, bodyV2(-1, `{"op":"handover-push","ok":true,"handoff":{"belief":[],"buffers":[{"txs":[{"concepts":[]}]}]},"peers":[]}`, nil), 0))
+	f.Add(frameV(Version, body(-1, `{"op":"handover-push","ok":true,"handoff":{"belief":[],"buffers":[{"txs":[{"concepts":[]}]}]},"peers":[]}`, nil), 0))
 }
 
-// TestFrameTailLengths checks the decoder accepts a v2 body only when its
-// JSON length and params_len fields consume it exactly.
+// TestFrameTailLengths checks the decoder accepts a body only when its
+// JSON length and params_len fields consume it exactly, and only at
+// Version.
 func TestFrameTailLengths(t *testing.T) {
 	for _, tf := range tailFrames() {
 		var err error
@@ -201,23 +204,19 @@ func canonical(v reflect.Value) {
 }
 
 // checkVersionByte asserts the parser's version handling for one fuzz
-// input: any frame whose first byte is neither supported version must be
-// rejected with *VersionError (never accepted, never misreported), and
-// *VersionError must never surface for a supported-version frame.
+// input: a frame whose first byte is not Version — the retired version 1
+// among them — must fail with *VersionError naming that byte, and
+// *VersionError must never surface for a frame at Version.
 func checkVersionByte(t *testing.T, data []byte, err error) {
 	t.Helper()
 	var verr *VersionError
-	wrongVersion := len(data) >= headerBytes && data[0] != Version && data[0] != Version2
-	if wrongVersion && err == nil {
-		t.Fatalf("frame with version byte %d accepted", data[0])
+	wrongVersion := len(data) >= headerBytes && data[0] != Version
+	isVersionErr := errors.As(err, &verr)
+	if wrongVersion && !isVersionErr {
+		t.Fatalf("frame with version byte %d: err = %v, want *VersionError", data[0], err)
 	}
-	if errors.As(err, &verr) {
-		if !wrongVersion {
-			t.Fatalf("VersionError %v for frame %q", verr, data)
-		}
-		if verr.Got != data[0] {
-			t.Fatalf("VersionError.Got = %d, frame has %d", verr.Got, data[0])
-		}
+	if isVersionErr && (!wrongVersion || verr.Got != data[0]) {
+		t.Fatalf("VersionError %v for frame %q", verr, data)
 	}
 }
 
@@ -225,7 +224,7 @@ func checkVersionByte(t *testing.T, data []byte, err error) {
 // never panic, and every frame it accepts must re-frame losslessly.
 func FuzzReadRequest(f *testing.F) {
 	seedFrames(f, &Request{Op: OpTransmit, User: "u01", Text: "the server restarted", Cell: 2})
-	seedFramesV2(f,
+	seedMeshFrames(f,
 		&Request{Op: OpJoin, Peer: &PeerInfo{Name: "node-1", Index: 1, Addr: "127.0.0.1:7102"}},
 		&Request{Op: OpLeave, Peer: &PeerInfo{Name: "node-2", Index: 2}},
 		&Request{Op: OpPeerStats},
@@ -250,20 +249,20 @@ func FuzzReadRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, version, err := ReadRequestV(bytes.NewReader(data))
 		checkVersionByte(t, data, err)
-		checkBuffered(t, data, req, version, err)
+		checkBuffered(t, data, req, err)
 		if err != nil {
 			return
 		}
+		if version != Version {
+			t.Fatalf("accepted a frame reported at version %d", version)
+		}
 		var buf bytes.Buffer
-		if err := WriteV(&buf, version, req); err != nil {
+		if err := WriteV(&buf, Version, req); err != nil {
 			t.Fatalf("accepted request %+v fails to serialize: %v", req, err)
 		}
-		again, v2, err := ReadRequestV(&buf)
+		again, _, err := ReadRequestV(&buf)
 		if err != nil {
 			t.Fatalf("re-framed request fails to parse: %v", err)
-		}
-		if v2 != version {
-			t.Fatalf("version changed across round-trip: %d != %d", v2, version)
 		}
 		canonical(reflect.ValueOf(req))
 		if !reflect.DeepEqual(again, req) {
@@ -280,7 +279,7 @@ func FuzzReadResponse(f *testing.F) {
 		Handover: &Handover{From: "node-0", To: "node-1", Moved: true, Models: 1},
 		Stats:    &Stats{Messages: 7, Nodes: []NodeStats{{Name: "node-0", Users: 3}}},
 	})
-	seedFramesV2(f,
+	seedMeshFrames(f,
 		&Response{OK: true, Model: &ModelPayload{Domain: "it", Version: 2, Params: []byte{9, 8, 7}}},
 		&Response{OK: true, Node: &NodeStats{Name: "node-1", NeighborHits: 4, NeighborBytes: 512, OriginBytes: 2048, FetchLatencyMs: 5.5}},
 		&Response{OK: true, Node: &NodeStats{
@@ -288,21 +287,24 @@ func FuzzReadResponse(f *testing.F) {
 			Hot: []DomainHeat{{Domain: "it", Count: 31}}, ReplicasOut: 2, ReplicasIn: 1,
 		}},
 		&Response{OK: true, Peers: []PeerInfo{{Name: "node-0", Index: 0, Addr: "127.0.0.1:7101"}}},
-		&Response{OK: false, Error: ErrMeshOpVersion.Error()},
+		&Response{OK: false, Error: (&VersionError{Got: 1}).Error()},
 		&Response{OK: false, Draining: true, Error: "draining: member is leaving the mesh"},
 	)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		resp, version, err := ReadResponseV(bytes.NewReader(data))
 		checkVersionByte(t, data, err)
-		checkBuffered(t, data, resp, version, err)
+		checkBuffered(t, data, resp, err)
 		if err != nil {
 			return
 		}
+		if version != Version {
+			t.Fatalf("accepted a frame reported at version %d", version)
+		}
 		var buf bytes.Buffer
-		if err := WriteV(&buf, version, resp); err != nil {
+		if err := WriteV(&buf, Version, resp); err != nil {
 			t.Fatalf("accepted response fails to serialize: %v", err)
 		}
-		again, err := ReadResponse(&buf)
+		again, _, err := ReadResponseV(&buf)
 		if err != nil {
 			t.Fatalf("re-framed response fails to parse: %v", err)
 		}

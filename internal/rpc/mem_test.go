@@ -22,8 +22,8 @@ func echoPings(ln net.Listener) {
 			defer conn.Close()
 			framed := NewConn(conn)
 			for {
-				_, version, err := framed.ReadRequestV()
-				if err != nil || framed.WriteV(version, &Response{OK: true}) != nil {
+				_, err := framed.ReadRequest()
+				if err != nil || framed.Write(&Response{OK: true}) != nil {
 					return
 				}
 			}
@@ -48,7 +48,7 @@ func TestMemTransportRoundTrip(t *testing.T) {
 		if err := cl.Ping(); err != nil {
 			t.Fatalf("%s: ping: %v", ln.Addr(), err)
 		}
-		// A v2 frame far past the 4 KB read buffer crosses whole.
+		// A frame far past the 4 KB read buffer crosses whole.
 		big := &HandoffPayload{User: "u", General: []ModelPayload{{Domain: "it", Params: make([]byte, 70<<10)}}}
 		if err := cl.HandoverPush(context.Background(), big); err != nil {
 			t.Fatalf("%s: 70 KB push: %v", ln.Addr(), err)

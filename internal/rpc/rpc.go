@@ -1,9 +1,11 @@
-// Package rpc defines the versioned, length-prefixed JSON wire protocol
-// spoken between the edged daemon and its clients: a one-byte protocol
-// version, a uint32 little-endian length header, then the body. A v1 body
-// is one JSON document. A v2 (mesh) body is a uint32 little-endian JSON
-// length, the JSON document, then the raw bytes of every
-// ModelPayload.Params in the message, in document order.
+// Package rpc defines the length-prefixed wire protocol spoken between the
+// edged daemon, its clients and its mesh peers. A frame is a one-byte
+// protocol version, a uint32 little-endian body length, then the body: a
+// uint32 little-endian JSON length, the JSON document, then the raw bytes
+// of every ModelPayload.Params in the message, in document order. A frame
+// without models is the JSON document behind its 4-byte length. Every op,
+// client and mesh alike, travels in this one layout; a frame with any
+// other version byte is refused with *VersionError.
 // Connections carry frames through a Conn (one Write per frame, buffered
 // reads); Client is the typed request/response surface on top of it.
 package rpc
@@ -14,19 +16,16 @@ import (
 	"io"
 )
 
-// Version is the wire protocol version written by this build for the
-// client-facing ops (transmit/move/stats/ping). The original unversioned
-// framing is retroactively version 1.
-const Version = 1
+// Version is the wire protocol version: the one frame layout this build
+// writes and reads. Version 1, the JSON document alone behind the
+// header, is retired; a reader refuses it with *VersionError.
+const Version = 2
 
-// Version2 adds the mesh ops (join/leave/peer-stats/fetch-model/
-// handover-push) spoken between edged peers. A v2 frame has the same
-// header with version byte 2, and its body carries model parameters raw
-// after the JSON document (see the package comment); v2 is spoken only
-// between members of one build. Readers accept both versions and report
-// which one arrived, so v1 clients keep working against a v2 daemon.
-// Frames with any other version byte are rejected with *VersionError.
-const Version2 = 2
+// Version2 names Version for callers written when mesh frames had a
+// version of their own.
+//
+// Deprecated: use Version.
+const Version2 = Version
 
 // headerBytes is the framed-message header size: 1 version byte + 4-byte
 // little-endian payload length.
@@ -49,9 +48,8 @@ const (
 	OpPing = "ping"
 )
 
-// Mesh ops, spoken between edged peers over v2 frames. A daemon rejects
-// these on a v1 frame (see ErrMeshOpVersion) so pre-mesh clients cannot
-// accidentally drive peer-only state transitions.
+// Mesh ops, spoken between edged peers. A daemon-less member's listener
+// (mesh.Node.Serve) answers only these.
 const (
 	// OpJoin announces a peer coming online; Request.Peer identifies it.
 	OpJoin = "join"
@@ -69,8 +67,7 @@ const (
 	OpHandoverPush = "handover-push"
 )
 
-// IsMeshOp reports whether op is peer-to-peer only and therefore requires
-// a v2 frame.
+// IsMeshOp reports whether op is peer-to-peer only.
 func IsMeshOp(op string) bool {
 	switch op {
 	case OpJoin, OpLeave, OpPeerStats, OpFetchModel, OpHandoverPush:
@@ -78,9 +75,6 @@ func IsMeshOp(op string) bool {
 	}
 	return false
 }
-
-// ErrMeshOpVersion reports a mesh op carried on a v1 frame.
-var ErrMeshOpVersion = errors.New("rpc: mesh op requires protocol version 2")
 
 // Request is a client-to-daemon message.
 type Request struct {
@@ -133,9 +127,8 @@ type ModelPayload struct {
 	User    string
 	Version int
 	// Params is the full parameter payload in nn.ParamSet wire form. It
-	// travels raw in the v2 frame's tail; the JSON document carries only
-	// its length, which the frame encoder fills. A v1 frame cannot carry
-	// it.
+	// travels raw in the frame's tail; the JSON document carries only its
+	// length, which the frame encoder fills.
 	Params []byte
 
 	// paramsLen is the decoded params_len, held until the frame decoder
@@ -442,36 +435,29 @@ func (s *Stats) Print(w io.Writer) {
 // errFrameTooLarge reports an oversized wire frame.
 var errFrameTooLarge = errors.New("rpc: frame exceeds MaxMessageBytes")
 
-// errBadTail reports a v2 body whose JSON length or params_len fields do
-// not consume it exactly — among them a frame in the pre-tail layout.
+// errBadTail reports a body whose JSON length or params_len fields do not
+// consume it exactly — among them a frame in an older layout.
 var errBadTail = errors.New("rpc: frame body lengths do not match its JSON and parameter tail")
 
-// errV1Params reports model parameters written on a v1 frame, which has
-// no tail to carry them.
-var errV1Params = errors.New("rpc: model parameters require protocol version 2")
-
-// VersionError reports a frame whose version byte is not a protocol
-// version this build understands (1 or 2).
+// VersionError reports a frame whose version byte is not Version.
 type VersionError struct {
 	// Got is the version byte received from the peer.
 	Got byte
 }
 
 func (e *VersionError) Error() string {
-	return fmt.Sprintf("rpc: unsupported protocol version %d (want %d or %d)", e.Got, Version, Version2)
+	return fmt.Sprintf("rpc: unsupported protocol version %d (want %d)", e.Got, Version)
 }
 
-// Write marshals v and writes one framed v1 message.
-func Write(w io.Writer, v interface{}) error {
-	return WriteV(w, Version, v)
-}
-
-// WriteV marshals v and writes one framed message with an explicit
-// protocol version byte, in a single Write. Mesh traffic uses Version2.
-// Connections frame through a Conn; this form serves plain writers.
+// WriteV marshals v and writes one frame in a single Write. version must
+// be Version. Connections frame through a Conn; this form serves plain
+// writers.
 func WriteV(w io.Writer, version byte, v interface{}) error {
+	if version != Version {
+		return &VersionError{Got: version}
+	}
 	var f frameBuf
-	frame, err := f.encode(version, v)
+	frame, err := f.encode(v)
 	if err != nil {
 		return err
 	}
@@ -481,31 +467,18 @@ func WriteV(w io.Writer, version byte, v interface{}) error {
 	return nil
 }
 
-// ReadRequest reads one framed Request, accepting either protocol
-// version. Servers that must gate mesh ops on the frame version use
-// ReadRequestV.
-func ReadRequest(r io.Reader) (*Request, error) {
-	req, _, err := ReadRequestV(r)
-	return req, err
-}
-
-// ReadRequestV reads one framed Request and reports the protocol version
-// it arrived on. It takes exactly the frame's bytes from r.
+// ReadRequestV reads one framed Request and reports its version byte,
+// which is always Version. It takes exactly the frame's bytes from r.
 func ReadRequestV(r io.Reader) (*Request, byte, error) {
 	var f frameBuf
-	return f.readRequest(r)
+	req, err := readMsg[Request](&f, r)
+	return req, Version, err
 }
 
-// ReadResponse reads one framed Response, accepting either protocol
-// version.
-func ReadResponse(r io.Reader) (*Response, error) {
-	resp, _, err := ReadResponseV(r)
-	return resp, err
-}
-
-// ReadResponseV reads one framed Response and reports the protocol
-// version it arrived on. It takes exactly the frame's bytes from r.
+// ReadResponseV reads one framed Response and reports its version byte,
+// which is always Version. It takes exactly the frame's bytes from r.
 func ReadResponseV(r io.Reader) (*Response, byte, error) {
 	var f frameBuf
-	return f.readResponse(r)
+	resp, err := readMsg[Response](&f, r)
+	return resp, Version, err
 }

@@ -14,10 +14,10 @@ import (
 func TestRequestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	in := &Request{Op: OpTransmit, User: "alice", Text: "the server is down"}
-	if err := Write(&buf, in); err != nil {
+	if err := WriteV(&buf, Version, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadRequest(&buf)
+	out, _, err := ReadRequestV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,10 +30,10 @@ func TestResponseRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	in := &Response{OK: true, Restored: "the server is down", SelectedDomain: "it",
 		PayloadBytes: 25, LatencyMs: 14.2, Stats: &Stats{Messages: 3, UpdateFailures: 2}}
-	if err := Write(&buf, in); err != nil {
+	if err := WriteV(&buf, Version, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadResponse(&buf)
+	out, _, err := ReadResponseV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func header(version byte, n uint32) []byte {
 func TestReadRejectsOversizedFrame(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write(header(Version, MaxMessageBytes+1))
-	if _, err := ReadRequest(&buf); err == nil {
+	if _, _, err := ReadRequestV(&buf); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }
@@ -76,27 +76,41 @@ func TestReadTruncatedPayload(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write(header(Version, 100))
 	buf.WriteString("short")
-	if _, err := ReadRequest(&buf); err == nil {
+	if _, _, err := ReadRequestV(&buf); err == nil {
 		t.Fatal("truncated payload accepted")
 	}
 }
 
+// TestWriteEmitsVersionByte checks both writers start every frame with
+// the one protocol version, 2.
 func TestWriteEmitsVersionByte(t *testing.T) {
+	if Version != 2 {
+		t.Fatalf("Version = %d, want 2", Version)
+	}
 	var buf bytes.Buffer
-	if err := Write(&buf, &Request{Op: OpPing}); err != nil {
+	if err := WriteV(&buf, Version, &Request{Op: OpPing}); err != nil {
 		t.Fatal(err)
 	}
-	if got := buf.Bytes()[0]; got != Version {
-		t.Fatalf("frame starts with %d, want version byte %d", got, Version)
+	sink := &sinkConn{}
+	if err := NewConn(sink).Write(&Response{OK: true}); err != nil {
+		t.Fatal(err)
+	}
+	for _, frame := range [][]byte{buf.Bytes(), sink.segments[0]} {
+		if frame[0] != Version {
+			t.Fatalf("frame starts with %d, want version byte %d", frame[0], Version)
+		}
 	}
 }
 
+// TestReadRejectsUnknownVersions checks every version byte but Version —
+// the retired version 1 among them — fails with *VersionError before the
+// body is read.
 func TestReadRejectsUnknownVersions(t *testing.T) {
-	for _, v := range []byte{0, 3, 0x7f, 0xff} {
+	for _, v := range []byte{0, 1, 3, 0x7f, 0xff} {
 		var buf bytes.Buffer
 		buf.Write(header(v, 2))
 		buf.WriteString("{}")
-		_, err := ReadRequest(&buf)
+		_, _, err := ReadRequestV(&buf)
 		var verr *VersionError
 		if !errors.As(err, &verr) {
 			t.Fatalf("version %d: err = %v, want *VersionError", v, err)
@@ -107,6 +121,8 @@ func TestReadRejectsUnknownVersions(t *testing.T) {
 	}
 }
 
+// TestV2RequestRoundTrip round-trips a handover push, its parameters in
+// the frame's tail, at Version (2).
 func TestV2RequestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	in := &Request{Op: OpHandoverPush, Handoff: &HandoffPayload{
@@ -115,18 +131,15 @@ func TestV2RequestRoundTrip(t *testing.T) {
 			Domain: "it", User: "alice", Version: 2, Params: []byte{1, 2, 3},
 		}}},
 	}}
-	if err := WriteV(&buf, Version2, in); err != nil {
+	if err := WriteV(&buf, Version, in); err != nil {
 		t.Fatal(err)
-	}
-	if got := buf.Bytes()[0]; got != Version2 {
-		t.Fatalf("frame starts with %d, want version byte %d", got, Version2)
 	}
 	out, version, err := ReadRequestV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if version != Version2 {
-		t.Fatalf("version = %d, want %d", version, Version2)
+	if version != Version {
+		t.Fatalf("version = %d, want %d", version, Version)
 	}
 	if out.Handoff == nil || out.Handoff.NoiseSeq != 17 || len(out.Handoff.Models) != 1 {
 		t.Fatalf("handoff round trip: %+v", out.Handoff)
@@ -137,28 +150,16 @@ func TestV2RequestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestV1ReaderStillAcceptsV1(t *testing.T) {
-	// The version-returning reader must report v1 for legacy frames so a
-	// server can gate mesh ops on the version a request arrived with.
-	var buf bytes.Buffer
-	if err := Write(&buf, &Request{Op: OpTransmit, User: "alice"}); err != nil {
-		t.Fatal(err)
-	}
-	req, version, err := ReadRequestV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if version != Version || req.Op != OpTransmit {
-		t.Fatalf("version = %d op = %q, want %d %q", version, req.Op, Version, OpTransmit)
-	}
-}
-
+// TestWriteVRejectsUnknownVersion checks WriteV writes only Version: the
+// retired version 1 and an unknown byte alike fail with *VersionError.
 func TestWriteVRejectsUnknownVersion(t *testing.T) {
-	var buf bytes.Buffer
-	err := WriteV(&buf, 9, &Request{Op: OpPing})
-	var verr *VersionError
-	if !errors.As(err, &verr) || verr.Got != 9 {
-		t.Fatalf("err = %v, want *VersionError{Got: 9}", err)
+	for _, v := range []byte{1, 9} {
+		var buf bytes.Buffer
+		err := WriteV(&buf, v, &Request{Op: OpPing})
+		var verr *VersionError
+		if !errors.As(err, &verr) || verr.Got != v || buf.Len() != 0 {
+			t.Fatalf("version %d: err = %v, %d bytes written; want *VersionError{Got: %d} and nothing written", v, err, buf.Len(), v)
+		}
 	}
 }
 
@@ -228,16 +229,13 @@ func TestStatsMerge(t *testing.T) {
 }
 
 func TestReadEOFPassthrough(t *testing.T) {
-	if _, err := ReadRequest(bytes.NewReader(nil)); err != io.EOF {
+	if _, _, err := ReadRequestV(bytes.NewReader(nil)); err != io.EOF {
 		t.Fatalf("err = %v, want io.EOF", err)
 	}
 }
 
 func TestReadGarbageJSON(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write(header(Version, 4))
-	buf.WriteString("]]]]")
-	if _, err := ReadRequest(&buf); err == nil {
+	if _, _, err := ReadRequestV(bytes.NewReader(frame([]byte("]]]]"), 0))); err == nil {
 		t.Fatal("garbage JSON accepted")
 	}
 }
@@ -256,22 +254,22 @@ func TestOverTCP(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		req, err := ReadRequest(conn)
+		req, _, err := ReadRequestV(conn)
 		if err != nil {
 			done <- err
 			return
 		}
-		done <- Write(conn, &Response{OK: true, Restored: req.Text})
+		done <- WriteV(conn, Version, &Response{OK: true, Restored: req.Text})
 	}()
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := Write(conn, &Request{Op: OpPing, Text: "hello"}); err != nil {
+	if err := WriteV(conn, Version, &Request{Op: OpPing, Text: "hello"}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := ReadResponse(conn)
+	resp, _, err := ReadResponseV(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
