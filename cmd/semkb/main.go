@@ -62,19 +62,15 @@ func runPretrain(dir string, seed uint64) error {
 		t0 := time.Now()
 		codec := semantic.Pretrain(d, corp, semantic.Config{Seed: seed})
 		path := filepath.Join(dir, d.Name+".kbm")
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		n, err := codec.WriteTo(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
+		stream, err := codec.AppendTo(nil)
+		if err == nil {
+			err = os.WriteFile(path, stream, 0o666)
 		}
 		if err != nil {
 			return fmt.Errorf("write %s: %w", path, err)
 		}
 		fmt.Printf("%-14s -> %s (%d bytes, trained in %v)\n",
-			d.Name, path, n, time.Since(t0).Round(time.Millisecond))
+			d.Name, path, len(stream), time.Since(t0).Round(time.Millisecond))
 	}
 	return nil
 }
@@ -82,12 +78,11 @@ func runPretrain(dir string, seed uint64) error {
 // runInspect prints one model's metadata.
 func runInspect(path string) error {
 	corp := corpus.Build()
-	f, err := os.Open(path)
+	stream, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	codec, err := semantic.ReadCodec(f, corp)
+	codec, err := semantic.ParseCodec(stream, corp)
 	if err != nil {
 		return err
 	}
@@ -117,12 +112,11 @@ func runVerify(dir string) error {
 			continue
 		}
 		path := filepath.Join(dir, e.Name())
-		f, err := os.Open(path)
+		stream, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		codec, err := semantic.ReadCodec(f, corp)
-		f.Close()
+		codec, err := semantic.ParseCodec(stream, corp)
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}

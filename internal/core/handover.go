@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 
@@ -129,12 +128,12 @@ func (s *System) checkHandoverBuffers(exp *UserExport) error {
 // decodeHandoverModels parses every model payload of one edge side and
 // checks it against the export it rides in — it must be the export's
 // user's, and the only one for its domain — and against the general model
-// of its domain: the model the individual is cloned from on install, so a
-// payload that fits it cannot fail the install's own shape check. Every
-// weight must be finite — a model holding one NaN decodes every token to
-// concept 0 from then on, and nothing downstream would notice. The
-// parsed sets come back in input order for the install to use, so no
-// payload is read twice.
+// of its domain, whose domain and configuration a newly installed
+// individual is built with, so a payload that fits it cannot fail the
+// install's own shape check. Every weight must be finite — a model
+// holding one NaN decodes every token to concept 0 from then on, and
+// nothing downstream would notice. The parsed sets come back in input
+// order for the install to adopt, so no payload is read twice.
 func (s *System) decodeHandoverModels(user string, models []*edge.ExportedModel) ([]*nn.ParamSet, error) {
 	out := make([]*nn.ParamSet, len(models))
 	seen := make(map[string]bool, len(models))
@@ -153,7 +152,7 @@ func (s *System) decodeHandoverModels(user string, models []*edge.ExportedModel)
 		if !ok {
 			return nil, bad("unknown domain")
 		}
-		params, err := nn.ReadParamSet(bytes.NewReader(m.Params))
+		params, err := nn.ParseParamSet(m.Params)
 		if err != nil {
 			return nil, bad("model payload: %v", err)
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -125,8 +124,8 @@ func TestImportRejectsMalformedHandoverModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var decoderOnly bytes.Buffer
-	if _, err := model.Codec.DecoderParams().WriteTo(&decoderOnly); err != nil {
+	decoderOnly, err := model.Codec.DecoderParams().AppendTo(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -137,7 +136,7 @@ func TestImportRejectsMalformedHandoverModels(t *testing.T) {
 	}{
 		{"second sender model truncated", exp.Sender[1], func(p []byte) []byte { return p[:len(p)/2] }},
 		{"second receiver model truncated", exp.Receiver[1], func(p []byte) []byte { return p[:len(p)/2] }},
-		{"second sender model of the wrong shape", exp.Sender[1], func([]byte) []byte { return decoderOnly.Bytes() }},
+		{"second sender model of the wrong shape", exp.Sender[1], func([]byte) []byte { return decoderOnly }},
 		// Well-formed and of the right shape, one weight (the payload's
 		// last value) NaN: installed, the model would decode every token
 		// to concept 0.

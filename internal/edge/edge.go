@@ -26,6 +26,7 @@ import (
 	"repro/internal/kb"
 	"repro/internal/mat"
 	"repro/internal/netsim"
+	"repro/internal/nn"
 	"repro/internal/semantic"
 )
 
@@ -202,24 +203,40 @@ func (s *Server) AcquireCodec(domain, user string) (AcquireResult, error) {
 // domain-general model (Fig. 1 step 2) and caches it. If an individual
 // model already exists it is returned unchanged.
 func (s *Server) Personalize(domain, user string) (*kb.Model, time.Duration, error) {
+	m, _, lat, err := s.personalize(domain, user, nil, 0)
+	return m, lat, err
+}
+
+// personalize returns user's cached individual model for domain, or
+// creates and caches one, reporting created: at version, built on params'
+// tensors (adopted) when params is non-nil, else a clone of the general
+// model. Either way the general model is acquired first, so the cache
+// sees the same lookups whatever the individual starts from.
+func (s *Server) personalize(domain, user string, params *nn.ParamSet, version int) (*kb.Model, bool, time.Duration, error) {
 	if user == "" {
-		return nil, 0, errors.New("edge: Personalize requires a user")
+		return nil, false, 0, errors.New("edge: Personalize requires a user")
 	}
 	userKey := kb.UserKey(domain, user, kb.RoleCodec)
 	if s.cache.Contains(userKey) {
 		if m, ok := s.cache.Get(userKey); ok {
-			return m, 0, nil
+			return m, false, 0, nil
 		}
 	}
 	acq, err := s.AcquireCodec(domain, "")
 	if err != nil {
-		return nil, 0, err
+		return nil, false, 0, err
 	}
-	m := &kb.Model{Key: userKey, Version: 0, Codec: acq.Model.Codec.Clone()}
+	var codec *semantic.Codec
+	if params == nil {
+		codec = acq.Model.Codec.Clone()
+	} else if codec, err = acq.Model.Codec.WithParams(params); err != nil {
+		return nil, false, 0, err
+	}
+	m := &kb.Model{Key: userKey, Version: version, Codec: codec}
 	if err := s.cache.Put(m, false); err != nil {
-		return nil, 0, fmt.Errorf("edge %s: cache individual model: %w", s.name, err)
+		return nil, false, 0, fmt.Errorf("edge %s: cache individual model: %w", s.name, err)
 	}
-	return m, acq.FetchLatency, nil
+	return m, true, acq.FetchLatency, nil
 }
 
 // EncodeResult is the outcome of sender-side semantic encoding.

@@ -1,7 +1,6 @@
 package edge
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -74,23 +73,24 @@ func (s *Server) ExportUserModel(domain, user string) (*ExportedModel, error) {
 	if !acq.Individual {
 		return nil, fmt.Errorf("edge %s: %w for %s/%s", s.name, ErrNoIndividual, user, domain)
 	}
-	var buf bytes.Buffer
-	if _, err := acq.Model.Codec.WriteParamsTo(&buf); err != nil {
+	params, err := acq.Model.Codec.AppendParams(nil)
+	if err != nil {
 		return nil, fmt.Errorf("edge %s: export %s/%s: %w", s.name, user, domain, err)
 	}
 	return &ExportedModel{
 		Domain:  domain,
 		User:    user,
 		Version: acq.Model.Version,
-		Params:  buf.Bytes(),
+		Params:  params,
 	}, nil
 }
 
-// ImportUserModel installs a migrated individual model, creating the local
-// individual entry from the general model first and then overwriting its
-// parameters. Older versions than the locally cached one are rejected.
+// ImportUserModel installs a migrated individual model: a new individual
+// entry built on the parsed parameters, or, when one is cached already,
+// its parameters overwritten. Older versions than the locally cached one
+// are rejected.
 func (s *Server) ImportUserModel(m *ExportedModel) error {
-	params, err := nn.ReadParamSet(bytes.NewReader(m.Params))
+	params, err := nn.ParseParamSet(m.Params)
 	if err != nil {
 		return fmt.Errorf("edge %s: import %s/%s: %w", s.name, m.User, m.Domain, err)
 	}
@@ -102,11 +102,16 @@ func (s *Server) ImportUserModel(m *ExportedModel) error {
 
 // InstallUserModel is ImportUserModel for a payload the caller has already
 // parsed (to validate a whole set of models before the first one lands):
-// m.Params is not read again.
+// m.Params is not read again. When the server caches no individual model
+// for (m.User, m.Domain), the new one is built on params' tensors, which
+// it adopts: the caller must not touch params again.
 func (s *Server) InstallUserModel(m *ExportedModel, params *nn.ParamSet) error {
-	model, _, err := s.Personalize(m.Domain, m.User)
+	model, created, _, err := s.personalize(m.Domain, m.User, params, m.Version)
 	if err != nil {
 		return err
+	}
+	if created {
+		return nil
 	}
 	if model.Version > m.Version {
 		return fmt.Errorf("edge %s: import %s/%s: local version %d newer than %d",

@@ -29,12 +29,11 @@ func loadKB(dir string) ([]*semantic.Codec, error) {
 	out := make([]*semantic.Codec, len(corp.Domains))
 	for i, d := range corp.Domains {
 		path := filepath.Join(dir, d.Name+".kbm")
-		f, err := os.Open(path)
+		stream, err := os.ReadFile(path)
 		if err != nil {
 			return nil, fmt.Errorf("edged: %w (run `semkb -pretrain -out %s` first)", err, dir)
 		}
-		codec, err := semantic.ReadCodec(f, corp)
-		f.Close()
+		codec, err := semantic.ParseCodec(stream, corp)
 		if err != nil {
 			return nil, fmt.Errorf("edged: %s: %w", path, err)
 		}

@@ -1,8 +1,10 @@
 package edged
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -50,15 +52,12 @@ func meshKBDir(t testing.TB) string {
 			return
 		}
 		for _, codec := range soakPretrained(t) {
-			f, err := os.Create(filepath.Join(dir, codec.Domain().Name+".kbm"))
-			if err != nil {
-				meshKB.err = err
-				return
+			stream, err := codec.AppendTo(nil)
+			if err == nil {
+				err = os.WriteFile(filepath.Join(dir, codec.Domain().Name+".kbm"), stream, 0o666)
 			}
-			_, werr := codec.WriteTo(f)
-			cerr := f.Close()
-			if werr != nil || cerr != nil {
-				meshKB.err = fmt.Errorf("write kb: %v / %v", werr, cerr)
+			if err != nil {
+				meshKB.err = fmt.Errorf("write kb: %w", err)
 				return
 			}
 		}
@@ -648,10 +647,13 @@ func TestMeshMemoStatsMerge(t *testing.T) {
 	}
 }
 
-// TestMeshRefusesV1Frame pins the one wire layout: a frame at the
-// retired version 1 — a client op and a mesh op alike — is never served.
-// The daemon closes the connection unanswered, and current clients and
-// peers on other connections are served as before.
+// TestMeshRefusesV1Frame pins the one wire layout: a frame at a retired
+// version — a client op and a mesh op at version 1, and a version-2
+// handover push, whose pending transactions travel as JSON arrays a
+// version-3 reader would ignore — is never served. Each fails the read
+// with *rpc.VersionError; the daemon closes the connection unanswered,
+// takes no user in, and serves current clients and peers on other
+// connections as before.
 func TestMeshRefusesV1Frame(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mesh boot in -short mode")
@@ -666,24 +668,39 @@ func TestMeshRefusesV1Frame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	usersBefore := m.daemons[0].Sys.Users()
 
-	for _, doc := range []string{
-		`{"op":"transmit","user":"stale","text":"the server has a kernel bug"}`,
-		`{"op":"join","peer":{"name":"node-1","index":1}}`,
+	v2push := `{"op":"handover-push","handoff":{"user":"stale-push","from_node":"node-1","noise_seq":17,` +
+		`"buffers":[{"domain":"it","txs":[{"surfaces":[3,1],"concepts":[2,-1],"decoded":[3,1]}]}]}}`
+	for _, stale := range []struct {
+		version byte
+		body    []byte
+	}{
+		{1, []byte(`{"op":"transmit","user":"stale","text":"the server has a kernel bug"}`)},
+		{1, []byte(`{"op":"join","peer":{"name":"node-1","index":1}}`)},
+		{2, append(binary.LittleEndian.AppendUint32(nil, uint32(len(v2push))), v2push...)},
 	} {
+		frame := append([]byte{stale.version}, binary.LittleEndian.AppendUint32(nil, uint32(len(stale.body)))...)
+		frame = append(frame, stale.body...)
+		var verr *rpc.VersionError
+		if _, _, err := rpc.ReadRequestV(bytes.NewReader(frame)); !errors.As(err, &verr) || verr.Got != stale.version {
+			t.Fatalf("v%d frame %s: read err %v, want *rpc.VersionError", stale.version, stale.body, err)
+		}
 		conn, err := net.Dial("tcp", m.addrs[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		v1 := append([]byte{1}, binary.LittleEndian.AppendUint32(nil, uint32(len(doc)))...)
-		if _, err := conn.Write(append(v1, doc...)); err != nil {
+		if _, err := conn.Write(frame); err != nil {
 			t.Fatal(err)
 		}
 		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 		if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
-			t.Fatalf("v1 frame %s: read %d bytes, err %v; want io.EOF from the daemon closing the connection", doc, n, err)
+			t.Fatalf("v%d frame %s: read %d bytes, err %v; want io.EOF from the daemon closing the connection", stale.version, stale.body, n, err)
 		}
 		conn.Close()
+	}
+	if got := m.daemons[0].Sys.Users(); !slices.Equal(got, usersBefore) {
+		t.Fatalf("a refused v2 push changed the member's users: %v -> %v", usersBefore, got)
 	}
 
 	after, err := cl.Stats()

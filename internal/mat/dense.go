@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Dense is a row-major dense matrix of float64 values.
@@ -129,72 +130,60 @@ func (m *Dense) AddScaled(a float64, other *Dense) {
 
 const denseMagic = uint32(0x4d415431) // "MAT1"
 
+// denseHeaderBytes is the size of a serialized matrix's header: magic,
+// rows and cols.
+const denseHeaderBytes = 12
+
 // errBadMatrix reports a malformed serialized matrix.
 var errBadMatrix = errors.New("mat: malformed serialized matrix")
 
-// WriteTo serializes m in a fixed little-endian binary layout:
-// magic, rows, cols (uint32 each) followed by Rows*Cols float64 values.
-func (m *Dense) WriteTo(w io.Writer) (int64, error) {
-	hdr := make([]byte, 12)
-	binary.LittleEndian.PutUint32(hdr[0:], denseMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(m.Rows))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(m.Cols))
-	n, err := w.Write(hdr)
-	written := int64(n)
-	if err != nil {
-		return written, fmt.Errorf("mat: write header: %w", err)
-	}
-	buf := make([]byte, 8*len(m.Data))
+// AppendTo appends m's binary form to dst and returns the extended slice:
+// magic, rows, cols (uint32 each, little-endian) followed by Rows*Cols
+// float64 values. dst grows at most once, by SizeBytes.
+func (m *Dense) AppendTo(dst []byte) []byte {
+	dst = slices.Grow(dst, int(m.SizeBytes()))
+	dst = binary.LittleEndian.AppendUint32(dst, denseMagic)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(m.Rows))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(m.Cols))
+	n := len(dst)
+	dst = dst[:n+8*len(m.Data)]
 	for i, v := range m.Data {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
+		binary.LittleEndian.PutUint64(dst[n+8*i:], math.Float64bits(v))
 	}
-	n, err = w.Write(buf)
-	written += int64(n)
-	if err != nil {
-		return written, fmt.Errorf("mat: write data: %w", err)
-	}
-	return written, nil
+	return dst
 }
 
-// ReadDense deserializes a matrix previously written by WriteTo.
-func ReadDense(r io.Reader) (*Dense, error) {
-	hdr := make([]byte, 12)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("mat: read header: %w", err)
+// ParseDense decodes the matrix AppendTo wrote at the front of b and
+// returns it with the bytes that follow it. The header, and the data's
+// length against b, are checked before the matrix is allocated.
+func ParseDense(b []byte) (*Dense, []byte, error) {
+	if len(b) < denseHeaderBytes {
+		return nil, nil, fmt.Errorf("mat: read header: %w", io.ErrUnexpectedEOF)
 	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != denseMagic {
-		return nil, errBadMatrix
+	if binary.LittleEndian.Uint32(b[0:]) != denseMagic {
+		return nil, nil, errBadMatrix
 	}
-	rows := int(binary.LittleEndian.Uint32(hdr[4:]))
-	cols := int(binary.LittleEndian.Uint32(hdr[8:]))
+	rows := int(binary.LittleEndian.Uint32(b[4:]))
+	cols := int(binary.LittleEndian.Uint32(b[8:]))
 	// The element-count bound is checked in uint64: on 32-bit platforms
 	// rows*cols computed in int can overflow and wrap to a small positive
 	// value, bypassing the limit before allocation. 1<<20 elements (8 MiB)
 	// is orders of magnitude above any real model tensor while keeping the
 	// worst-case allocation a forged header can demand modest.
 	if rows <= 0 || cols <= 0 || uint64(rows)*uint64(cols) > 1<<20 {
-		return nil, errBadMatrix
+		return nil, nil, errBadMatrix
+	}
+	b = b[denseHeaderBytes:]
+	n := rows * cols
+	if len(b) < 8*n {
+		return nil, nil, fmt.Errorf("mat: read data: %w", io.ErrUnexpectedEOF)
 	}
 	m := NewDense(rows, cols)
-	// Decode in bounded chunks: a forged header over a short stream then
-	// fails at the first missing chunk without a matching giant byte
-	// buffer having been allocated up front.
-	buf := make([]byte, 8*1024)
-	for i := 0; i < len(m.Data); {
-		n := len(m.Data) - i
-		if n > len(buf)/8 {
-			n = len(buf) / 8
-		}
-		if _, err := io.ReadFull(r, buf[:8*n]); err != nil {
-			return nil, fmt.Errorf("mat: read data: %w", err)
-		}
-		for j := 0; j < n; j++ {
-			m.Data[i+j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[j*8:]))
-		}
-		i += n
+	for i := range m.Data {
+		m.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
-	return m, nil
+	return m, b[8*n:], nil
 }
 
 // SizeBytes returns the serialized size of m in bytes.
-func (m *Dense) SizeBytes() int64 { return 12 + int64(8*len(m.Data)) }
+func (m *Dense) SizeBytes() int64 { return denseHeaderBytes + int64(8*len(m.Data)) }

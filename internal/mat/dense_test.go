@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -106,17 +107,20 @@ func TestGlorotInitBounds(t *testing.T) {
 func TestDenseSerializationRoundTrip(t *testing.T) {
 	m := NewDense(3, 5)
 	m.Randomize(NewRNG(4), 2)
-	var buf bytes.Buffer
-	n, err := m.WriteTo(&buf)
-	if err != nil {
-		t.Fatalf("WriteTo: %v", err)
+	prefix := []byte("prefix")
+	b := m.AppendTo(append([]byte(nil), prefix...))
+	if !bytes.HasPrefix(b, prefix) {
+		t.Fatal("AppendTo overwrote dst")
 	}
-	if n != m.SizeBytes() {
-		t.Fatalf("WriteTo wrote %d bytes, SizeBytes says %d", n, m.SizeBytes())
+	if n := len(b) - len(prefix); int64(n) != m.SizeBytes() {
+		t.Fatalf("AppendTo wrote %d bytes, SizeBytes says %d", n, m.SizeBytes())
 	}
-	got, err := ReadDense(&buf)
+	got, rest, err := ParseDense(append(b[len(prefix):], "next"...))
 	if err != nil {
-		t.Fatalf("ReadDense: %v", err)
+		t.Fatalf("ParseDense: %v", err)
+	}
+	if string(rest) != "next" {
+		t.Fatalf("ParseDense left %q after the matrix, want %q", rest, "next")
 	}
 	if got.Rows != 3 || got.Cols != 5 {
 		t.Fatalf("round-trip shape %dx%d", got.Rows, got.Cols)
@@ -128,12 +132,28 @@ func TestDenseSerializationRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadDenseRejectsGarbage(t *testing.T) {
-	if _, err := ReadDense(bytes.NewReader([]byte("not a matrix at all"))); err == nil {
-		t.Fatal("ReadDense accepted garbage")
+// TestAppendToGrowsOnce: AppendTo sizes dst from SizeBytes, so appending
+// one matrix costs at most one allocation, and none when dst has room.
+func TestAppendToGrowsOnce(t *testing.T) {
+	if RaceEnabled {
+		t.Skip("allocation accounting differs under -race")
 	}
-	if _, err := ReadDense(bytes.NewReader(nil)); err == nil {
-		t.Fatal("ReadDense accepted empty input")
+	m := NewDense(40, 30)
+	if got := testing.AllocsPerRun(20, func() { m.AppendTo(nil) }); got != 1 {
+		t.Fatalf("AppendTo(nil) made %v allocations, want 1", got)
+	}
+	dst := make([]byte, 0, m.SizeBytes())
+	if got := testing.AllocsPerRun(20, func() { m.AppendTo(dst) }); got != 0 {
+		t.Fatalf("AppendTo into a buffer with room made %v allocations, want 0", got)
+	}
+}
+
+func TestReadDenseRejectsGarbage(t *testing.T) {
+	if _, _, err := ParseDense([]byte("not a matrix at all")); err == nil {
+		t.Fatal("ParseDense accepted garbage")
+	}
+	if _, _, err := ParseDense(nil); err == nil {
+		t.Fatal("ParseDense accepted empty input")
 	}
 }
 
@@ -157,15 +177,29 @@ func TestReadDenseRejectsElementCountOverflow(t *testing.T) {
 		{1 << 15, 1 << 14}, // product 2^29: over the 2^28 element limit
 	}
 	for _, c := range cases {
-		if _, err := ReadDense(bytes.NewReader(denseHeader(c.rows, c.cols))); err == nil {
-			t.Fatalf("ReadDense accepted %dx%d header", c.rows, c.cols)
+		if _, _, err := ParseDense(denseHeader(c.rows, c.cols)); err == nil {
+			t.Fatalf("ParseDense accepted %dx%d header", c.rows, c.cols)
 		}
 	}
-	// A legitimate header still reads (the data section is just short).
-	_, err := ReadDense(bytes.NewReader(denseHeader(2, 2)))
-	if err == nil {
-		t.Fatal("ReadDense with truncated data should error")
+	// A legitimate header still parses (the data section is just short),
+	// and is refused before the matrix it names is allocated.
+	short := append(denseHeader(1<<10, 1<<10), make([]byte, 64)...)
+	var err error
+	if n := allocatedBytes(func() { _, _, err = ParseDense(short) }); n > 4096 {
+		t.Fatalf("ParseDense of a short 1024x1024 matrix allocated %d bytes", n)
 	}
+	if err == nil {
+		t.Fatal("ParseDense with truncated data should error")
+	}
+}
+
+// allocatedBytes returns the heap bytes one call of fn allocates.
+func allocatedBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // Property: (Mᵀ)ᵀ x == M x is trivially true, but MulVec and MulVecT must be
@@ -202,12 +236,8 @@ func TestSerializationQuick(t *testing.T) {
 		cols := 1 + rng.Intn(6)
 		m := NewDense(rows, cols)
 		m.Randomize(rng, 10)
-		var buf bytes.Buffer
-		if _, err := m.WriteTo(&buf); err != nil {
-			return false
-		}
-		got, err := ReadDense(&buf)
-		if err != nil {
+		got, rest, err := ParseDense(m.AppendTo(nil))
+		if err != nil || len(rest) != 0 {
 			return false
 		}
 		if got.Rows != rows || got.Cols != cols {

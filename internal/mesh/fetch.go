@@ -1,7 +1,6 @@
 package mesh
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -84,7 +83,7 @@ func (n *Node) reviveModel(k kb.Key, payload *rpc.ModelPayload) (*kb.Model, erro
 	if payload.User != "" || payload.Domain != k.Domain {
 		return nil, fmt.Errorf("mesh: fetch of %s answered with a model labelled %q/%q", k, payload.Domain, payload.User)
 	}
-	codec, err := semantic.ReadCodec(bytes.NewReader(payload.Params), n.corp)
+	codec, err := semantic.ParseCodec(payload.Params, n.corp)
 	if err != nil {
 		return nil, err
 	}
@@ -128,10 +127,10 @@ func (n *Node) HandleFetch(f rpc.FetchRequest) (*rpc.ModelPayload, error) {
 	if !ok {
 		return nil, nil
 	}
-	var buf bytes.Buffer
-	if _, err := m.Codec.WriteTo(&buf); err != nil {
+	stream, err := m.Codec.AppendTo(nil)
+	if err != nil {
 		return nil, err
 	}
 	n.neighborServed.Add(1)
-	return &rpc.ModelPayload{Domain: f.Domain, Version: m.Version, Params: buf.Bytes()}, nil
+	return &rpc.ModelPayload{Domain: f.Domain, Version: m.Version, Params: stream}, nil
 }

@@ -1,7 +1,6 @@
 package mesh
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -177,11 +176,11 @@ func TestCooperativeFetchRefusesWrongModel(t *testing.T) {
 	stream := make(map[string][]byte)
 	other := map[string]string{"it": "medical", "medical": "it"}
 	for domain := range other {
-		var buf bytes.Buffer
-		if _, err := pretrained()[corp.Domain(domain).Index].WriteTo(&buf); err != nil {
+		b, err := pretrained()[corp.Domain(domain).Index].AppendTo(nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		stream[domain] = buf.Bytes()
+		stream[domain] = b
 	}
 	lies := map[string]func(rpc.FetchRequest) *rpc.ModelPayload{
 		"another domain's codec": func(f rpc.FetchRequest) *rpc.ModelPayload {

@@ -141,7 +141,8 @@ func pushFrame(f *testing.F, h *rpc.HandoffPayload) []byte {
 }
 
 // FuzzReviveModel feeds arbitrary fetch-model answers to the prober's
-// side of a cooperative fetch, seeded with what a real member serves.
+// side of a cooperative fetch (semantic.ParseCodec on the answer's bytes),
+// seeded with what a real member serves.
 // Whatever a peer sends back, reviving it must not panic; what revives is
 // the general model that was asked for, and what does not leaves nothing
 // behind in the sender cache the answer was meant for.
@@ -157,8 +158,10 @@ func FuzzReviveModel(f *testing.F) {
 			f.Fatalf("seed fetch of %q: payload %v, err %v", domain, real, err)
 		}
 		f.Logf("seed payload: %d bytes", len(real.Params))
-		// Labelled as asked: the honest answer, and the other domain's codec.
+		// Labelled as asked: the honest answer, and the other domain's codec,
+		// each also with a byte after its last tensor.
 		f.Add(k.Domain, "", real.Version, real.Params)
+		f.Add(k.Domain, "", real.Version, append(real.Params[:len(real.Params):len(real.Params)], 0))
 	}
 	f.Add("medical", "", 1, []byte("AAAA"))
 	f.Add(k.Domain, "mallory", 1, []byte("AAAA"))

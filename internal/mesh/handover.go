@@ -22,7 +22,8 @@ const (
 // handover payload: both sides' individual models, the selection belief
 // and the pending federated-update buffers.
 func exportToWire(exp *core.UserExport, from string) *rpc.HandoffPayload {
-	h := &rpc.HandoffPayload{User: exp.User, FromNode: from, NoiseSeq: exp.NoiseSeq}
+	h := &rpc.HandoffPayload{User: exp.User, FromNode: from, NoiseSeq: exp.NoiseSeq,
+		Models: make([]rpc.HandoffModel, 0, len(exp.Sender)+len(exp.Receiver))}
 	add := func(side string, models []*edge.ExportedModel) {
 		for _, m := range models {
 			h.Models = append(h.Models, rpc.HandoffModel{Side: side, Model: rpc.ModelPayload{
@@ -37,13 +38,9 @@ func exportToWire(exp *core.UserExport, from string) *rpc.HandoffPayload {
 	add(sideReceiver, exp.Receiver)
 	h.Belief = exp.Belief
 	for _, b := range exp.Buffers {
-		wb := rpc.BufferState{Domain: b.Domain}
-		for _, tx := range b.Txs {
-			wb.Txs = append(wb.Txs, rpc.TxState{
-				Surfaces: tx.SurfaceIDs,
-				Concepts: tx.ConceptIDs,
-				Decoded:  tx.Decoded,
-			})
+		wb := rpc.BufferState{Domain: b.Domain, Txs: make([]rpc.TxState, len(b.Txs))}
+		for i, tx := range b.Txs {
+			wb.Txs[i] = rpc.TxState{Surfaces: tx.SurfaceIDs, Concepts: tx.ConceptIDs, Decoded: tx.Decoded}
 		}
 		h.Buffers = append(h.Buffers, wb)
 	}
@@ -70,13 +67,9 @@ func exportFromWire(h *rpc.HandoffPayload) (*core.UserExport, error) {
 		}
 	}
 	for _, wb := range h.Buffers {
-		b := edge.BufferState{Domain: wb.Domain}
-		for _, tx := range wb.Txs {
-			b.Txs = append(b.Txs, fl.Transaction{
-				SurfaceIDs: tx.Surfaces,
-				ConceptIDs: tx.Concepts,
-				Decoded:    tx.Decoded,
-			})
+		b := edge.BufferState{Domain: wb.Domain, Txs: make([]fl.Transaction, len(wb.Txs))}
+		for i, tx := range wb.Txs {
+			b.Txs[i] = fl.Transaction{SurfaceIDs: tx.Surfaces, ConceptIDs: tx.Concepts, Decoded: tx.Decoded}
 		}
 		exp.Buffers = append(exp.Buffers, b)
 	}

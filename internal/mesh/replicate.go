@@ -1,7 +1,6 @@
 package mesh
 
 import (
-	"bytes"
 	"context"
 
 	"repro/internal/core"
@@ -83,12 +82,12 @@ func (n *Node) generalPayload(sys *core.System, domain string) (*rpc.ModelPayloa
 	if !ok {
 		return nil, false
 	}
-	var buf bytes.Buffer
-	if _, err := m.Codec.WriteTo(&buf); err != nil {
+	stream, err := m.Codec.AppendTo(nil)
+	if err != nil {
 		n.cfg.Logf("mesh: serialize general %s: %v", domain, err)
 		return nil, false
 	}
-	return &rpc.ModelPayload{Domain: domain, Version: m.Version, Params: buf.Bytes()}, true
+	return &rpc.ModelPayload{Domain: domain, Version: m.Version, Params: stream}, true
 }
 
 func containsString(ss []string, s string) bool {

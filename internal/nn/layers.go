@@ -20,9 +20,6 @@ func NewEmbedding(rng *mat.RNG, vocab, dim int) *Embedding {
 // Vocab returns the number of rows (token IDs) in the table.
 func (e *Embedding) Vocab() int { return e.Table.Rows }
 
-// Dim returns the embedding dimensionality.
-func (e *Embedding) Dim() int { return e.Table.Cols }
-
 // Lookup returns a read-only view of the embedding for token id.
 func (e *Embedding) Lookup(id int) []float64 { return e.Table.Row(id) }
 
@@ -45,12 +42,6 @@ func NewLinear(rng *mat.RNG, in, out int) *Linear {
 	l.W.GlorotInit(rng, in, out)
 	return l
 }
-
-// In returns the input dimensionality.
-func (l *Linear) In() int { return l.W.Cols }
-
-// Out returns the output dimensionality.
-func (l *Linear) Out() int { return l.W.Rows }
 
 // Forward computes dst = W*x + b. dst must have length Out and must not
 // alias x.

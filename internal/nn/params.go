@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/mat"
 )
@@ -239,68 +240,62 @@ func (ps *ParamSet) SizeBytes() int64 {
 // errBadParamSet reports a malformed serialized ParamSet.
 var errBadParamSet = errors.New("nn: malformed serialized parameter set")
 
-// WriteTo serializes the set: a uint32 tensor count, then for each tensor a
-// uint16 name length, the name bytes, and the matrix in mat binary form.
-func (ps *ParamSet) WriteTo(w io.Writer) (int64, error) {
-	var written int64
-	hdr := make([]byte, 4)
-	binary.LittleEndian.PutUint32(hdr, uint32(len(ps.Params)))
-	n, err := w.Write(hdr)
-	written += int64(n)
-	if err != nil {
-		return written, fmt.Errorf("nn: write count: %w", err)
-	}
+// minTensorBytes is the least a serialized tensor can take: a name length,
+// a matrix header and one value.
+const minTensorBytes = 2 + 12 + 8
+
+// AppendTo appends the set's binary form to dst and returns the extended
+// slice: a uint32 tensor count, then for each tensor a uint16 name length,
+// the name bytes, and the matrix in mat binary form (little-endian
+// throughout). dst grows at most once, by SizeBytes.
+func (ps *ParamSet) AppendTo(dst []byte) ([]byte, error) {
 	for _, p := range ps.Params {
 		if len(p.Name) > 1<<16-1 {
-			return written, fmt.Errorf("nn: parameter name too long: %q", p.Name)
-		}
-		nameHdr := make([]byte, 2)
-		binary.LittleEndian.PutUint16(nameHdr, uint16(len(p.Name)))
-		n, err = w.Write(nameHdr)
-		written += int64(n)
-		if err != nil {
-			return written, fmt.Errorf("nn: write name length: %w", err)
-		}
-		n, err = io.WriteString(w, p.Name)
-		written += int64(n)
-		if err != nil {
-			return written, fmt.Errorf("nn: write name: %w", err)
-		}
-		m, err := p.M.WriteTo(w)
-		written += m
-		if err != nil {
-			return written, fmt.Errorf("nn: write tensor %q: %w", p.Name, err)
+			return dst, fmt.Errorf("nn: parameter name too long: %q", p.Name)
 		}
 	}
-	return written, nil
+	dst = slices.Grow(dst, int(ps.SizeBytes()))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ps.Params)))
+	for _, p := range ps.Params {
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(p.Name)))
+		dst = append(dst, p.Name...)
+		dst = p.M.AppendTo(dst)
+	}
+	return dst, nil
 }
 
-// ReadParamSet deserializes a set written by WriteTo.
-func ReadParamSet(r io.Reader) (*ParamSet, error) {
-	hdr := make([]byte, 4)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("nn: read count: %w", err)
+// ParseParamSet decodes a set AppendTo wrote, which must be all of b:
+// trailing bytes are refused. Every count is checked against the bytes
+// left before anything it sizes is allocated.
+func ParseParamSet(b []byte) (*ParamSet, error) {
+	if len(b) < 4 {
+		return nil, fmt.Errorf("nn: read count: %w", io.ErrUnexpectedEOF)
 	}
-	count := binary.LittleEndian.Uint32(hdr)
-	if count > 1<<16 {
+	count := binary.LittleEndian.Uint32(b)
+	b = b[4:]
+	if count > 1<<16 || uint64(count)*minTensorBytes > uint64(len(b)) {
 		return nil, errBadParamSet
 	}
 	ps := &ParamSet{Params: make([]Param, 0, count)}
-	nameHdr := make([]byte, 2)
 	for i := uint32(0); i < count; i++ {
-		if _, err := io.ReadFull(r, nameHdr); err != nil {
-			return nil, fmt.Errorf("nn: read name length: %w", err)
+		if len(b) < 2 {
+			return nil, fmt.Errorf("nn: read name length: %w", io.ErrUnexpectedEOF)
 		}
-		nameLen := binary.LittleEndian.Uint16(nameHdr)
-		nameBuf := make([]byte, nameLen)
-		if _, err := io.ReadFull(r, nameBuf); err != nil {
-			return nil, fmt.Errorf("nn: read name: %w", err)
+		nameLen := int(binary.LittleEndian.Uint16(b))
+		b = b[2:]
+		if len(b) < nameLen {
+			return nil, fmt.Errorf("nn: read name: %w", io.ErrUnexpectedEOF)
 		}
-		m, err := mat.ReadDense(r)
+		name := string(b[:nameLen])
+		m, rest, err := mat.ParseDense(b[nameLen:])
 		if err != nil {
-			return nil, fmt.Errorf("nn: read tensor %q: %w", nameBuf, err)
+			return nil, fmt.Errorf("nn: read tensor %q: %w", name, err)
 		}
-		ps.Add(string(nameBuf), m)
+		ps.Add(name, m)
+		b = rest
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("%w: %d bytes after the last tensor", errBadParamSet, len(b))
 	}
 	return ps, nil
 }

@@ -1,8 +1,9 @@
 package nn
 
 import (
-	"bytes"
+	"encoding/binary"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -70,17 +71,19 @@ func TestAddScaledAndCopyFrom(t *testing.T) {
 
 func TestParamSetSerializationRoundTrip(t *testing.T) {
 	ps := sampleParams(5)
-	var buf bytes.Buffer
-	n, err := ps.WriteTo(&buf)
+	b, err := ps.AppendTo(nil)
 	if err != nil {
-		t.Fatalf("WriteTo: %v", err)
+		t.Fatalf("AppendTo: %v", err)
 	}
-	if n != ps.SizeBytes() {
-		t.Fatalf("wrote %d bytes, SizeBytes = %d", n, ps.SizeBytes())
+	if int64(len(b)) != ps.SizeBytes() {
+		t.Fatalf("wrote %d bytes, SizeBytes = %d", len(b), ps.SizeBytes())
 	}
-	got, err := ReadParamSet(&buf)
+	if allocs := testing.AllocsPerRun(20, func() { ps.AppendTo(nil) }); allocs != 1 && !mat.RaceEnabled {
+		t.Fatalf("AppendTo(nil) made %v allocations, want the one buffer", allocs)
+	}
+	got, err := ParseParamSet(b)
 	if err != nil {
-		t.Fatalf("ReadParamSet: %v", err)
+		t.Fatalf("ParseParamSet: %v", err)
 	}
 	if len(got.Params) != 2 {
 		t.Fatalf("round-trip param count = %d", len(got.Params))
@@ -98,9 +101,38 @@ func TestParamSetSerializationRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadParamSetRejectsGarbage: the parser refuses every malformed set
+// — truncated anywhere, a tensor count the bytes cannot hold, trailing
+// bytes — and a forged count is refused before the entries it would size
+// are allocated.
 func TestReadParamSetRejectsGarbage(t *testing.T) {
-	if _, err := ReadParamSet(bytes.NewReader([]byte{1, 2, 3})); err == nil {
-		t.Fatal("accepted truncated input")
+	valid, err := sampleParams(5).AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hugeCount := binary.LittleEndian.AppendUint32(nil, 1<<16)
+	hugeCount = append(hugeCount, valid[4:]...)
+	cases := map[string][]byte{
+		"truncated count":       {1, 2, 3},
+		"empty":                 nil,
+		"truncated name length": valid[:5],
+		"truncated name":        valid[:7],
+		"truncated tensor":      valid[:len(valid)-1],
+		"count past the bytes":  hugeCount,
+		"trailing byte":         append(append([]byte(nil), valid...), 0),
+		"over the count limit":  binary.LittleEndian.AppendUint32(nil, 1<<16+1),
+	}
+	for name, b := range cases {
+		if _, err := ParseParamSet(b); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ParseParamSet(hugeCount)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 4096 {
+		t.Fatalf("a forged count of %d tensors allocated %d bytes before it was refused", 1<<16, n)
 	}
 }
 

@@ -22,7 +22,9 @@ const (
 	// growStepBytes caps how far a read grows the frame buffer ahead of
 	// the bytes that have actually arrived: a peer that sends only a
 	// header claiming MaxMessageBytes pins one step, not the full claim.
-	growStepBytes = 64 << 10
+	// A handover push (≈80 KB for two models per edge side) fits one
+	// step, so its buffer is allocated once, at its exact size.
+	growStepBytes = 128 << 10
 	// jsonLenBytes is the size of a body's JSON length prefix.
 	jsonLenBytes = 4
 )
@@ -58,13 +60,26 @@ func (f *frameBuf) release() {
 }
 
 // encode marshals v straight into the buffer behind the reserved header
-// and JSON length bytes, appends the parameter tail, and returns the
-// complete frame, valid until the next use of f.
+// and JSON length bytes, appends the binary tail, and returns the
+// complete frame, valid until the next use of f. A frame with a tail
+// sizes the buffer for it, and for a document of up to minFrameBytes,
+// before the document is written.
 func (f *frameBuf) encode(v interface{}) ([]byte, error) {
 	if f.enc == nil {
 		f.enc = json.NewEncoder(f)
 	}
+	ms, bs := tailParts(v)
+	tail := 0
+	for _, m := range ms {
+		tail += len(m.Params)
+	}
+	for _, b := range bs {
+		tail += packedTxsBytes(b.Txs)
+	}
 	f.reset()
+	if tail > 0 {
+		f.b = slices.Grow(f.b, headerBytes+jsonLenBytes+minFrameBytes+tail)
+	}
 	f.b = append(f.b, Version, 0, 0, 0, 0, 0, 0, 0, 0)
 	start := len(f.b)
 	if err := f.enc.Encode(v); err != nil {
@@ -74,13 +89,12 @@ func (f *frameBuf) encode(v interface{}) ([]byte, error) {
 	// produce; the wire format is the bare document.
 	f.b = f.b[:len(f.b)-1]
 	binary.LittleEndian.PutUint32(f.b[headerBytes:], uint32(len(f.b)-start))
-	ms, tail := models(v), 0
-	for _, m := range ms {
-		tail += len(m.Params)
-	}
 	f.b = slices.Grow(f.b, tail)
 	for _, m := range ms {
 		f.b = append(f.b, m.Params...)
+	}
+	for _, b := range bs {
+		f.b = appendTxs(f.b, b.Txs)
 	}
 	n := len(f.b) - headerBytes
 	if n > MaxMessageBytes {
@@ -118,7 +132,8 @@ func (f *frameBuf) read(r io.Reader) ([]byte, error) {
 
 // decode reads one frame into v (a *Request or *Response): the JSON
 // document, then each ModelPayload's Params sliced off the tail by its
-// params_len. The lengths must consume the body exactly.
+// params_len, then each BufferState's Txs unpacked from the rest by its
+// txs_len. The lengths must consume the body exactly.
 func (f *frameBuf) decode(r io.Reader, v interface{}) error {
 	body, err := f.read(r)
 	if err != nil {
@@ -135,22 +150,35 @@ func (f *frameBuf) decode(r io.Reader, v interface{}) error {
 	if err := json.Unmarshal(doc, v); err != nil {
 		return fmt.Errorf("rpc: unmarshal: %w", err)
 	}
-	rest := tail
-	for _, m := range models(v) {
+	ms, bs := tailParts(v)
+	rest, sliced := tail, false
+	for _, m := range ms {
 		n := m.paramsLen
 		if n < 0 || n > len(rest) {
 			return errBadTail
 		}
 		if n > 0 {
-			m.Params = rest[:n:n]
+			m.Params, sliced = rest[:n:n], true
 		}
 		m.paramsLen = 0
+		rest = rest[n:]
+	}
+	for _, b := range bs {
+		n := b.txsLen
+		if n < 0 || n > len(rest) {
+			return errBadTail
+		}
+		txs, err := unpackTxs(rest[:n])
+		if err != nil {
+			return err
+		}
+		b.Txs, b.txsLen = txs, 0
 		rest = rest[n:]
 	}
 	if len(rest) != 0 {
 		return errBadTail
 	}
-	if len(tail) > 0 {
+	if sliced {
 		f.b = nil // the decoded Params own the buffer now
 	}
 	return nil
@@ -241,11 +269,122 @@ func (m *ModelPayload) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// models lists the ModelPayloads of a message in document order: the
-// order of their params_len fields in its JSON, and so of their Params in
-// the frame's tail. Messages of other types carry none.
-func models(v interface{}) []*ModelPayload {
+// bufferStateJSON is BufferState's JSON form.
+type bufferStateJSON struct {
+	Domain string `json:"domain"`
+	TxsLen int    `json:"txs_len"`
+}
+
+// MarshalJSON writes the buffer with txs_len, the packed size of its
+// transactions, in place of Txs. An id outside int32 fails it.
+func (b BufferState) MarshalJSON() ([]byte, error) {
+	for _, tx := range b.Txs {
+		for _, ids := range [...][]int{tx.Surfaces, tx.Concepts, tx.Decoded} {
+			for _, id := range ids {
+				if id != int(int32(id)) {
+					return nil, fmt.Errorf("rpc: buffer %q: transaction id %d does not fit in an int32", b.Domain, id)
+				}
+			}
+		}
+	}
+	return json.Marshal(bufferStateJSON{Domain: b.Domain, TxsLen: packedTxsBytes(b.Txs)})
+}
+
+// UnmarshalJSON reads the buffer's domain and txs_len; Txs stays nil until
+// the frame decoder unpacks it from the tail. A JSON null leaves b
+// unchanged.
+func (b *BufferState) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		return nil
+	}
+	var w bufferStateJSON
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	*b = BufferState{Domain: w.Domain, txsLen: w.TxsLen}
+	return nil
+}
+
+// txHeaderBytes is the size of a packed transaction's header: the uint32
+// lengths of its surface, concept and decoded lists.
+const txHeaderBytes = 12
+
+// packedTxsBytes is the size of txs in appendTxs's form.
+func packedTxsBytes(txs []TxState) int {
+	n := 0
+	for _, tx := range txs {
+		n += txHeaderBytes + 4*(len(tx.Surfaces)+len(tx.Concepts)+len(tx.Decoded))
+	}
+	return n
+}
+
+// appendTxs packs txs onto dst: per transaction the three list lengths,
+// then the surfaces, concepts and decoded ids, every number 4 bytes
+// little-endian, the ids as int32.
+func appendTxs(dst []byte, txs []TxState) []byte {
+	for _, tx := range txs {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(tx.Surfaces)))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(tx.Concepts)))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(tx.Decoded)))
+		for _, ids := range [...][]int{tx.Surfaces, tx.Concepts, tx.Decoded} {
+			for _, id := range ids {
+				dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(id)))
+			}
+		}
+	}
+	return dst
+}
+
+// unpackTxs decodes what appendTxs packed, which must be all of b. A first
+// pass checks every length against the bytes present, so the transactions
+// and their ids are then allocated once each, sized exactly.
+func unpackTxs(b []byte) ([]TxState, error) {
+	count, ids := 0, 0
+	for rest := b; len(rest) > 0; count++ {
+		if len(rest) < txHeaderBytes {
+			return nil, errBadTail
+		}
+		n := uint64(binary.LittleEndian.Uint32(rest)) +
+			uint64(binary.LittleEndian.Uint32(rest[4:])) +
+			uint64(binary.LittleEndian.Uint32(rest[8:]))
+		if n > uint64(len(rest)-txHeaderBytes)/4 {
+			return nil, errBadTail
+		}
+		ids += int(n)
+		rest = rest[txHeaderBytes+4*n:]
+	}
+	if count == 0 {
+		return nil, nil
+	}
+	txs, all := make([]TxState, count), make([]int, ids)
+	for i := range txs {
+		var lens [3]int
+		for j := range lens {
+			lens[j] = int(binary.LittleEndian.Uint32(b[4*j:]))
+		}
+		b = b[txHeaderBytes:]
+		for j, dst := range [...]*[]int{&txs[i].Surfaces, &txs[i].Concepts, &txs[i].Decoded} {
+			n := lens[j]
+			if n == 0 {
+				continue
+			}
+			list := all[:n:n]
+			for k := range list {
+				list[k] = int(int32(binary.LittleEndian.Uint32(b[4*k:])))
+			}
+			*dst, all, b = list, all[n:], b[4*n:]
+		}
+	}
+	return txs, nil
+}
+
+// tailParts lists what a message carries in the frame's tail, in document
+// order: its ModelPayloads, whose Params come first, then its
+// BufferStates, whose packed Txs follow. Messages of other types carry
+// neither.
+func tailParts(v interface{}) ([]*ModelPayload, []*BufferState) {
 	var ms []*ModelPayload
+	var bs []*BufferState
 	switch m := v.(type) {
 	case *Request:
 		if m != nil && m.Handoff != nil {
@@ -255,11 +394,14 @@ func models(v interface{}) []*ModelPayload {
 			for i := range m.Handoff.General {
 				ms = append(ms, &m.Handoff.General[i])
 			}
+			for i := range m.Handoff.Buffers {
+				bs = append(bs, &m.Handoff.Buffers[i])
+			}
 		}
 	case *Response:
 		if m != nil && m.Model != nil {
 			ms = append(ms, m.Model)
 		}
 	}
-	return ms
+	return ms, bs
 }

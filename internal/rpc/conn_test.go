@@ -14,8 +14,8 @@ import (
 )
 
 // Pinned wire frames, one layout for every op: the version byte, the body
-// length, the JSON length, the JSON document, then the raw parameter
-// tail. The transmit request and response are the JSON documents the
+// length, the JSON length, the JSON document, then the binary tail — the
+// raw parameters, then the packed transactions. The transmit request and response are the JSON documents the
 // pre-Conn framing (json.Marshal behind a separate header write) put on
 // the wire, now behind the JSON length prefix.
 var goldenFrames = []struct {
@@ -25,21 +25,24 @@ var goldenFrames = []struct {
 }{
 	{"transmit request",
 		&Request{Op: OpTransmit, User: "alice", Text: "the <server> is down & out", DeadlineMs: 250.5},
-		"\x02k\x00\x00\x00g\x00\x00\x00{\"op\":\"transmit\",\"user\":\"alice\",\"text\":\"the \\u003cserver\\u003e is down \\u0026 out\",\"deadline_ms\":250.5}"},
+		"\x03k\x00\x00\x00g\x00\x00\x00{\"op\":\"transmit\",\"user\":\"alice\",\"text\":\"the \\u003cserver\\u003e is down \\u0026 out\",\"deadline_ms\":250.5}"},
 	{"transmit response",
 		&Response{OK: true, Restored: "the server is down", SelectedDomain: "it", Mismatch: 0.125, PayloadBytes: 18, LatencyMs: 12.5, CacheHit: true},
-		"\x02\x8d\x00\x00\x00\x89\x00\x00\x00{\"ok\":true,\"restored\":\"the server is down\",\"selected_domain\":\"it\",\"mismatch\":0.125,\"payload_bytes\":18,\"latency_ms\":12.5,\"cache_hit\":true}"},
+		"\x03\x8d\x00\x00\x00\x89\x00\x00\x00{\"ok\":true,\"restored\":\"the server is down\",\"selected_domain\":\"it\",\"mismatch\":0.125,\"payload_bytes\":18,\"latency_ms\":12.5,\"cache_hit\":true}"},
 	{"handoff push",
 		&Request{Op: OpHandoverPush, Handoff: &HandoffPayload{
 			User: "alice", FromNode: "node-0", NoiseSeq: 17,
 			Models: []HandoffModel{{Side: "sender", Model: ModelPayload{Domain: "it", User: "alice", Version: 2, Params: []byte{0, 1, 2, 250, 255}}}},
 			Reason: HandoffDrain, Belief: []float64{0.5, 0.25},
-			Buffers: []BufferState{{Domain: "it", Txs: []TxState{{Surfaces: []int{3, 1}, Concepts: []int{2}, Decoded: []int{3, 1}}}}},
+			Buffers: []BufferState{{Domain: "it", Txs: []TxState{{Surfaces: []int{3, 1}, Concepts: []int{2, -1}, Decoded: []int{3, 1}}}}},
 		}},
-		"\x028\x01\x00\x00/\x01\x00\x00{\"op\":\"handover-push\",\"handoff\":{\"user\":\"alice\",\"from_node\":\"node-0\",\"noise_seq\":17,\"models\":[{\"side\":\"sender\",\"model\":{\"domain\":\"it\",\"user\":\"alice\",\"version\":2,\"params_len\":5}}],\"reason\":\"drain\",\"belief\":[0.5,0.25],\"buffers\":[{\"domain\":\"it\",\"txs\":[{\"surfaces\":[3,1],\"concepts\":[2],\"decoded\":[3,1]}]}]}}\x00\x01\x02\xfa\xff"},
+		"\x03/\x01\x00\x00\x02\x01\x00\x00{\"op\":\"handover-push\",\"handoff\":{\"user\":\"alice\",\"from_node\":\"node-0\",\"noise_seq\":17,\"models\":[{\"side\":\"sender\",\"model\":{\"domain\":\"it\",\"user\":\"alice\",\"version\":2,\"params_len\":5}}],\"reason\":\"drain\",\"belief\":[0.5,0.25],\"buffers\":[{\"domain\":\"it\",\"txs_len\":36}]}}" +
+			"\x00\x01\x02\xfa\xff" + // the model's parameters
+			"\x02\x00\x00\x00\x02\x00\x00\x00\x02\x00\x00\x00" + // the transaction's three list lengths
+			"\x03\x00\x00\x00\x01\x00\x00\x00\x02\x00\x00\x00\xff\xff\xff\xff\x03\x00\x00\x00\x01\x00\x00\x00"}, // its ids, int32,
 	{"fetch-model hit",
 		&Response{OK: true, Model: &ModelPayload{Domain: "it", User: "alice", Version: 3, Params: []byte{7, 0, 9}}},
-		"\x02\x82\x00\x00\x00{\x00\x00\x00{\"ok\":true,\"mismatch\":0,\"payload_bytes\":0,\"latency_ms\":0,\"model\":{\"domain\":\"it\",\"user\":\"alice\",\"version\":3,\"params_len\":3}}\a\x00\t"},
+		"\x03\x82\x00\x00\x00{\x00\x00\x00{\"ok\":true,\"mismatch\":0,\"payload_bytes\":0,\"latency_ms\":0,\"model\":{\"domain\":\"it\",\"user\":\"alice\",\"version\":3,\"params_len\":3}}\a\x00\t"},
 }
 
 // sinkConn records every Write as one segment; nothing else is used.

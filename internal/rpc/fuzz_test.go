@@ -80,7 +80,8 @@ func seedFrames(f *testing.F, valid interface{}) {
 	f.Add(frame(bytes.Repeat([]byte{0xff}, 64), 0)) // binary garbage
 	f.Add(frameV(0, []byte(`{}`), 0))               // pre-versioning framing
 	f.Add(frameV(1, doc, 0))                        // the retired version 1
-	f.Add(frameV(3, []byte(`{}`), 0))               // future protocol version
+	f.Add(frameV(2, full[headerBytes:], 0))         // the retired version 2
+	f.Add(frameV(4, []byte(`{}`), 0))               // future protocol version
 	f.Add(frameV(0xff, []byte(`{}`), 0))            // junk version byte
 }
 
@@ -105,8 +106,9 @@ type tailFrame struct {
 
 // tailFrames builds, for a handover push and a fetch-model hit, frames
 // whose JSON length and params_len fields consume the body exactly or
-// fail to, the same body at the retired version 1, and the pre-tail
-// layout with base64 "params".
+// fail to, the same body at the retired versions 1 and 2, and the
+// pre-tail layout with base64 "params"; then push frames whose txs_len
+// fields and packed transactions consume the tail exactly or fail to.
 func tailFrames() []tailFrame {
 	docs := []struct {
 		req bool
@@ -128,13 +130,48 @@ func tailFrames() []tailFrame {
 		add("params_len past the tail", body(-1, fmt.Sprintf(d.doc, 4), tail), false)
 		add("negative params_len", body(-1, fmt.Sprintf(d.doc, -1), tail), false)
 		add("body shorter than the JSON length prefix", []byte{2, 0}, false)
-		out = append(out, tailFrame{"exact tail at version 1", d.req, frameV(1, body(-1, fmt.Sprintf(d.doc, 3), tail), 0), false})
+		for _, v := range []byte{1, 2} {
+			out = append(out, tailFrame{fmt.Sprintf("exact tail at version %d", v), d.req, frameV(v, body(-1, fmt.Sprintf(d.doc, 3), tail), 0), false})
+		}
+	}
+	// A push whose model parameters are followed by one buffer's packed
+	// transactions: per transaction three uint32 list lengths, then the
+	// int32 ids.
+	u32s := func(vs ...uint32) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint32(b, v)
+		}
+		return b
+	}
+	const bufDoc = `{"op":"handover-push","handoff":{"user":"u","general":[{"domain":"it","version":1,"params_len":1}],"buffers":[{"domain":"it","txs_len":%d}]}}`
+	txs := u32s(1, 1, 0, 7, 0xffffffff) // surfaces [7], concepts [-1]
+	pushTail := func(txsLen int, packed []byte) []byte {
+		return body(-1, fmt.Sprintf(bufDoc, txsLen), append([]byte{9}, packed...))
+	}
+	for _, c := range []struct {
+		name   string
+		txsLen int
+		packed []byte
+		ok     bool
+	}{
+		{"packed transactions", len(txs), txs, true},
+		{"an empty transaction", 12, u32s(0, 0, 0), true},
+		{"txs_len short of the tail", len(txs) - 4, txs, false},
+		{"txs_len past the tail", len(txs) + 4, txs, false},
+		{"negative txs_len", -1, txs, false},
+		{"txs_len inside a transaction header", 8, u32s(0, 0), false},
+		{"list lengths past the segment", 20, u32s(1, 1, 1, 7, 7), false},
+		{"list lengths that overflow uint32 sums", 16, u32s(0xffffffff, 0xffffffff, 2, 0), false},
+		{"a list length past MaxMessageBytes", 12, u32s(1<<30, 0, 0), false},
+	} {
+		out = append(out, tailFrame{"push with " + c.name, true, frameV(Version, pushTail(c.txsLen, c.packed), 0), c.ok})
 	}
 	// The pre-tail layout, one JSON document with base64 "params": a
 	// member of an older build must be refused, never served a model
 	// with empty Params.
 	out = append(out,
-		tailFrame{"pre-tail push", true, []byte("\x024\x01\x00\x00{\"op\":\"handover-push\",\"handoff\":{\"user\":\"alice\",\"from_node\":\"node-0\",\"noise_seq\":17,\"models\":[{\"side\":\"sender\",\"model\":{\"domain\":\"it\",\"user\":\"alice\",\"version\":2,\"params\":\"AAEC+v8=\"}}],\"reason\":\"drain\",\"belief\":[0.5,0.25],\"buffers\":[{\"domain\":\"it\",\"txs\":[{\"surfaces\":[3,1],\"concepts\":[2],\"decoded\":[3,1]}]}]}}"), false},
+		tailFrame{"pre-tail push", true, []byte("\x034\x01\x00\x00{\"op\":\"handover-push\",\"handoff\":{\"user\":\"alice\",\"from_node\":\"node-0\",\"noise_seq\":17,\"models\":[{\"side\":\"sender\",\"model\":{\"domain\":\"it\",\"user\":\"alice\",\"version\":2,\"params\":\"AAEC+v8=\"}}],\"reason\":\"drain\",\"belief\":[0.5,0.25],\"buffers\":[{\"domain\":\"it\",\"txs\":[{\"surfaces\":[3,1],\"concepts\":[2],\"decoded\":[3,1]}]}]}}"), false},
 		tailFrame{"pre-tail hit", false, frameV(Version, []byte(`{"ok":true,"model":{"domain":"it","version":2,"params":"AAEC+v8="}}`), 0), false})
 	return out
 }
@@ -244,6 +281,20 @@ func FuzzReadRequest(f *testing.F) {
 		&Request{Op: OpHandoverPush, Handoff: &HandoffPayload{
 			FromNode: "node-2", Reason: HandoffReplica,
 			General: []ModelPayload{{Domain: "sports", Version: 1, Params: []byte{7}}},
+		}},
+		&Request{Op: OpHandoverPush, Handoff: &HandoffPayload{
+			User: "u03", FromNode: "node-1", NoiseSeq: 12,
+			Models: []HandoffModel{
+				{Side: "sender", Model: ModelPayload{Domain: "it", User: "u03", Version: 2, Params: []byte{1, 2}}},
+				{Side: "receiver", Model: ModelPayload{Domain: "it", User: "u03", Version: 2, Params: []byte{3}}},
+			},
+			Buffers: []BufferState{
+				{Domain: "it", Txs: []TxState{
+					{Surfaces: []int{5, 6}, Concepts: []int{1, -1}, Decoded: []int{1, 0}},
+					{Surfaces: []int{4}, Concepts: []int{3}, Decoded: []int{3}},
+				}},
+				{Domain: "medical", Txs: []TxState{{}}},
+			},
 		}},
 	)
 	f.Fuzz(func(t *testing.T, data []byte) {

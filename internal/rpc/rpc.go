@@ -1,11 +1,13 @@
 // Package rpc defines the length-prefixed wire protocol spoken between the
 // edged daemon, its clients and its mesh peers. A frame is a one-byte
 // protocol version, a uint32 little-endian body length, then the body: a
-// uint32 little-endian JSON length, the JSON document, then the raw bytes
-// of every ModelPayload.Params in the message, in document order. A frame
-// without models is the JSON document behind its 4-byte length. Every op,
-// client and mesh alike, travels in this one layout; a frame with any
-// other version byte is refused with *VersionError.
+// uint32 little-endian JSON length, the JSON document, then the binary
+// tail — the raw bytes of every ModelPayload.Params in the message, then
+// the packed transactions of every BufferState, each in document order.
+// A frame without models or buffers is the JSON document behind its
+// 4-byte length. Every op, client and mesh alike, travels in this one
+// layout; a frame with any other version byte is refused with
+// *VersionError.
 // Connections carry frames through a Conn (one Write per frame, buffered
 // reads); Client is the typed request/response surface on top of it.
 package rpc
@@ -17,9 +19,12 @@ import (
 )
 
 // Version is the wire protocol version: the one frame layout this build
-// writes and reads. Version 1, the JSON document alone behind the
-// header, is retired; a reader refuses it with *VersionError.
-const Version = 2
+// writes and reads. Version 3 moved the pending transactions of a
+// handover push out of the JSON into the tail. Versions 1 (the JSON
+// document alone behind the header) and 2 (transactions as JSON arrays)
+// are retired; a reader refuses them with *VersionError, so a member of
+// an older build can never hand a user over with its buffers dropped.
+const Version = 3
 
 // Version2 names Version for callers written when mesh frames had a
 // version of their own.
@@ -181,17 +186,26 @@ type HandoffPayload struct {
 }
 
 // BufferState is one (user, domain) federated-update buffer in wire form.
+// Its JSON form (see conn.go) carries txs_len in place of Txs, so, like
+// ModelPayload, it is meaningful only inside an rpc frame.
 type BufferState struct {
-	Domain string    `json:"domain"`
-	Txs    []TxState `json:"txs,omitempty"`
+	Domain string
+	// Txs travel packed in the frame's tail, after every model's Params;
+	// the JSON document carries only their packed length.
+	Txs []TxState
+
+	// txsLen is the decoded txs_len, held until the frame decoder unpacks
+	// Txs from the tail.
+	txsLen int
 }
 
 // TxState is one buffered transaction: the surface token ids, the concept
-// ids the encoder chose, and the decoder's reconstruction.
+// ids the encoder chose, and the decoder's reconstruction. Every id must
+// fit in an int32. An empty list decodes as nil.
 type TxState struct {
-	Surfaces []int `json:"surfaces,omitempty"`
-	Concepts []int `json:"concepts,omitempty"`
-	Decoded  []int `json:"decoded,omitempty"`
+	Surfaces []int
+	Concepts []int
+	Decoded  []int
 }
 
 // Response is a daemon-to-client message.

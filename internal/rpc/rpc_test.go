@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"reflect"
 	"testing"
 )
 
@@ -82,10 +83,10 @@ func TestReadTruncatedPayload(t *testing.T) {
 }
 
 // TestWriteEmitsVersionByte checks both writers start every frame with
-// the one protocol version, 2.
+// the one protocol version, 3.
 func TestWriteEmitsVersionByte(t *testing.T) {
-	if Version != 2 {
-		t.Fatalf("Version = %d, want 2", Version)
+	if Version != 3 {
+		t.Fatalf("Version = %d, want 3", Version)
 	}
 	var buf bytes.Buffer
 	if err := WriteV(&buf, Version, &Request{Op: OpPing}); err != nil {
@@ -103,10 +104,10 @@ func TestWriteEmitsVersionByte(t *testing.T) {
 }
 
 // TestReadRejectsUnknownVersions checks every version byte but Version —
-// the retired version 1 among them — fails with *VersionError before the
-// body is read.
+// the retired versions 1 and 2 among them — fails with *VersionError
+// before the body is read.
 func TestReadRejectsUnknownVersions(t *testing.T) {
-	for _, v := range []byte{0, 1, 3, 0x7f, 0xff} {
+	for _, v := range []byte{0, 1, 2, 4, 0x7f, 0xff} {
 		var buf bytes.Buffer
 		buf.Write(header(v, 2))
 		buf.WriteString("{}")
@@ -121,8 +122,10 @@ func TestReadRejectsUnknownVersions(t *testing.T) {
 	}
 }
 
-// TestV2RequestRoundTrip round-trips a handover push, its parameters in
-// the frame's tail, at Version (2).
+// TestV2RequestRoundTrip round-trips a handover push at Version with
+// everything its tail carries: each model's parameters (the tail version
+// 2 introduced) and the packed pending transactions (version 3), empty
+// lists and negative ids included.
 func TestV2RequestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	in := &Request{Op: OpHandoverPush, Handoff: &HandoffPayload{
@@ -130,6 +133,16 @@ func TestV2RequestRoundTrip(t *testing.T) {
 		Models: []HandoffModel{{Side: "sender", Model: ModelPayload{
 			Domain: "it", User: "alice", Version: 2, Params: []byte{1, 2, 3},
 		}}},
+		General: []ModelPayload{{Domain: "medical", Version: 1, Params: []byte{4, 5}}},
+		Buffers: []BufferState{
+			{Domain: "it", Txs: []TxState{
+				{Surfaces: []int{3, 1, 4}, Concepts: []int{-1, 0, 1 << 30}, Decoded: []int{2, 2, 2}},
+				{},
+				{Surfaces: []int{9}, Concepts: []int{-1}},
+			}},
+			{Domain: "medical"},
+			{Domain: "sports", Txs: []TxState{{Decoded: []int{-1 << 31, 1<<31 - 1}}}},
+		},
 	}}
 	if err := WriteV(&buf, Version, in); err != nil {
 		t.Fatal(err)
@@ -141,19 +154,22 @@ func TestV2RequestRoundTrip(t *testing.T) {
 	if version != Version {
 		t.Fatalf("version = %d, want %d", version, Version)
 	}
-	if out.Handoff == nil || out.Handoff.NoiseSeq != 17 || len(out.Handoff.Models) != 1 {
-		t.Fatalf("handoff round trip: %+v", out.Handoff)
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("handoff round trip:\n got %+v\nwant %+v", out.Handoff, in.Handoff)
 	}
-	m := out.Handoff.Models[0]
-	if m.Side != "sender" || m.Model.Domain != "it" || !bytes.Equal(m.Model.Params, []byte{1, 2, 3}) {
-		t.Fatalf("model round trip: %+v", m)
+	// An id outside int32 cannot be packed: the write fails whole.
+	buf.Reset()
+	in.Handoff.Buffers[0].Txs[0].Surfaces[0] = 1 << 31
+	if err := WriteV(&buf, Version, in); err == nil || buf.Len() != 0 {
+		t.Fatalf("an id past int32 wrote %d bytes (err %v)", buf.Len(), err)
 	}
 }
 
 // TestWriteVRejectsUnknownVersion checks WriteV writes only Version: the
-// retired version 1 and an unknown byte alike fail with *VersionError.
+// retired versions 1 and 2 and an unknown byte alike fail with
+// *VersionError.
 func TestWriteVRejectsUnknownVersion(t *testing.T) {
-	for _, v := range []byte{1, 9} {
+	for _, v := range []byte{1, 2, 9} {
 		var buf bytes.Buffer
 		err := WriteV(&buf, v, &Request{Op: OpPing})
 		var verr *VersionError

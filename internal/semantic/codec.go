@@ -26,7 +26,6 @@ package semantic
 
 import (
 	"fmt"
-	"io"
 	"sync/atomic"
 
 	"repro/internal/corpus"
@@ -161,34 +160,67 @@ func (c *Codec) DecoderParams() *nn.ParamSet {
 
 // params is Params for code that only reads the tensors: no restamp.
 func (c *Codec) params() *nn.ParamSet {
-	ps := c.encoderParams()
-	ps.Params = append(ps.Params, c.decoderParams().Params...)
-	return ps
+	return &nn.ParamSet{Params: []nn.Param{
+		{Name: ParamEncEmb, M: c.emb.Table},
+		{Name: ParamEncW, M: c.enc.W},
+		{Name: ParamEncB, M: c.enc.B},
+		{Name: ParamDecW, M: c.dec.W},
+		{Name: ParamDecB, M: c.dec.B},
+		{Name: ParamOutW, M: c.out.W},
+		{Name: ParamOutB, M: c.out.B},
+	}}
 }
 
 // encoderParams returns the encoder-side tensors (shared storage), for
 // code that only reads them: no restamp.
 func (c *Codec) encoderParams() *nn.ParamSet {
-	ps := &nn.ParamSet{}
-	ps.Add(ParamEncEmb, c.emb.Table)
-	ps.Add(ParamEncW, c.enc.W)
-	ps.Add(ParamEncB, c.enc.B)
-	return ps
+	return &nn.ParamSet{Params: c.params().Params[:3:3]}
 }
 
 // decoderParams is the read-only DecoderParams.
 func (c *Codec) decoderParams() *nn.ParamSet {
-	ps := &nn.ParamSet{}
-	ps.Add(ParamDecW, c.dec.W)
-	ps.Add(ParamDecB, c.dec.B)
-	ps.Add(ParamOutW, c.out.W)
-	ps.Add(ParamOutB, c.out.B)
-	return ps
+	return &nn.ParamSet{Params: c.params().Params[3:]}
 }
 
-// WriteParamsTo serializes the full parameter set (nn.ParamSet.WriteTo)
-// without restamping: exporting a model does not orphan its memo entries.
-func (c *Codec) WriteParamsTo(w io.Writer) (int64, error) { return c.params().WriteTo(w) }
+// AppendParams appends the full parameter set in nn.ParamSet binary form
+// (nn.ParamSet.AppendTo) to dst without restamping: exporting a model does
+// not orphan its memo entries.
+func (c *Codec) AppendParams(dst []byte) ([]byte, error) { return c.params().AppendTo(dst) }
+
+// WithParams returns a codec of c's domain and configuration built on ps's
+// tensors, which it adopts rather than copies: the caller hands ps over
+// and must not touch it again. ps must hold the codec's tensors by name
+// and shape. c is only read.
+func (c *Codec) WithParams(ps *nn.ParamSet) (*Codec, error) { return newCodecOn(c.domain, c.cfg, ps) }
+
+// newCodecOn builds a codec for domain d and cfg (defaults applied) on
+// ps's tensors, adopted as they are, after checking that ps holds exactly
+// the tensors NewCodec would allocate: the same names, order and shapes.
+func newCodecOn(d *corpus.Domain, cfg Config, ps *nn.ParamSet) (*Codec, error) {
+	names := [...]string{ParamEncEmb, ParamEncW, ParamEncB, ParamDecW, ParamDecB, ParamOutW, ParamOutB}
+	t := ps.Params
+	if len(t) != len(names) {
+		return nil, fmt.Errorf("%w: %d tensors, want %d", errBadCodec, len(t), len(names))
+	}
+	for i, name := range names {
+		if t[i].Name != name {
+			return nil, fmt.Errorf("%w: tensor %d is %q, want %q", errBadCodec, i, t[i].Name, name)
+		}
+	}
+	c := &Codec{
+		domain: d,
+		cfg:    cfg,
+		emb:    &nn.Embedding{Table: t[0].M},
+		enc:    &nn.Linear{W: t[1].M, B: t[2].M},
+		dec:    &nn.Linear{W: t[3].M, B: t[4].M},
+		out:    &nn.Linear{W: t[5].M, B: t[6].M},
+	}
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	c.restamp()
+	return c, nil
+}
 
 // CheckParamShape reports the first way other differs from the codec's
 // full parameter set in tensor count, names or shapes (see
@@ -309,21 +341,28 @@ func (c *Codec) RoundTripInto(sc *mat.Scratch, words []string, dst []int) {
 	c.DecodeFeaturesInto(sc, c.EncodeWordsInto(sc, words), dst)
 }
 
-// Validate performs internal shape consistency checks, returning an error
-// describing the first violation. It is cheap and intended for use after
-// deserialization.
+// Validate reports the first tensor whose shape is not the one the
+// codec's domain and configuration call for — what NewCodec allocates.
+// It is cheap, and every codec built on parsed tensors passes it first.
 func (c *Codec) Validate() error {
-	if c.emb.Dim() != c.enc.In() {
-		return fmt.Errorf("semantic: embedding dim %d != encoder in %d", c.emb.Dim(), c.enc.In())
-	}
-	if c.enc.Out() != c.dec.In() {
-		return fmt.Errorf("semantic: encoder out %d != decoder in %d", c.enc.Out(), c.dec.In())
-	}
-	if c.dec.Out() != c.out.In() {
-		return fmt.Errorf("semantic: decoder hidden %d != output in %d", c.dec.Out(), c.out.In())
-	}
-	if c.out.Out() != c.domain.NumConcepts() {
-		return fmt.Errorf("semantic: output dim %d != concepts %d", c.out.Out(), c.domain.NumConcepts())
+	d, cfg := c.domain, c.cfg
+	for _, w := range []struct {
+		name       string
+		m          *mat.Dense
+		rows, cols int
+	}{
+		{ParamEncEmb, c.emb.Table, d.VocabSize(), cfg.EmbedDim},
+		{ParamEncW, c.enc.W, cfg.FeatureDim, cfg.EmbedDim},
+		{ParamEncB, c.enc.B, 1, cfg.FeatureDim},
+		{ParamDecW, c.dec.W, cfg.HiddenDim, cfg.FeatureDim},
+		{ParamDecB, c.dec.B, 1, cfg.HiddenDim},
+		{ParamOutW, c.out.W, d.NumConcepts(), cfg.HiddenDim},
+		{ParamOutB, c.out.B, 1, d.NumConcepts()},
+	} {
+		if w.m.Rows != w.rows || w.m.Cols != w.cols {
+			return fmt.Errorf("semantic: tensor %q is %dx%d, want %dx%d for domain %q",
+				w.name, w.m.Rows, w.m.Cols, w.rows, w.cols, d.Name)
+		}
 	}
 	return nil
 }

@@ -1,7 +1,6 @@
 package semantic
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -11,7 +10,7 @@ import (
 	"repro/internal/nn"
 )
 
-// FuzzReadCodec feeds arbitrary bytes to the .kbm reader: it must never
+// FuzzReadCodec feeds arbitrary bytes to the .kbm parser, ParseCodec: it must never
 // panic or over-allocate (forged headers once drove NewCodec into
 // makeslice panics), and every stream it accepts must validate and
 // re-serialize stably.
@@ -20,11 +19,10 @@ func FuzzReadCodec(f *testing.F) {
 	codec := NewCodec(corp.Domains[0], Config{
 		EmbedDim: 6, FeatureDim: 3, HiddenDim: 8, Epochs: 1, Sentences: 50,
 	})
-	var buf bytes.Buffer
-	if _, err := codec.WriteTo(&buf); err != nil {
+	valid, err := codec.AppendTo(nil)
+	if err != nil {
 		f.Fatal(err)
 	}
-	valid := buf.Bytes()
 	f.Add(valid)
 	f.Add(valid[:16])           // truncated after the header
 	f.Add(valid[:len(valid)/2]) // truncated mid-tensor
@@ -37,20 +35,21 @@ func FuzzReadCodec(f *testing.F) {
 		forged = binary.LittleEndian.AppendUint32(forged, 0xfffffff0)
 	}
 	f.Add(forged)
+	f.Add(append(valid[:len(valid):len(valid)], 0)) // a trailing byte
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := ReadCodec(bytes.NewReader(data), corp)
+		c, err := ParseCodec(data, corp)
 		if err != nil {
 			return
 		}
 		if err := c.Validate(); err != nil {
-			t.Fatalf("reader accepted a codec that fails validation: %v", err)
+			t.Fatalf("parser accepted a codec that fails validation: %v", err)
 		}
-		var out bytes.Buffer
-		if _, err := c.WriteTo(&out); err != nil {
+		out, err := c.AppendTo(nil)
+		if err != nil {
 			t.Fatalf("accepted codec fails to serialize: %v", err)
 		}
-		if _, err := ReadCodec(bytes.NewReader(out.Bytes()), corp); err != nil {
+		if _, err := ParseCodec(out, corp); err != nil {
 			t.Fatalf("re-serialized codec fails to parse: %v", err)
 		}
 	})

@@ -355,13 +355,22 @@ func TestSemanticWritersRestamp(t *testing.T) {
 			mat.Scale(out.Params().ByName(ParamOutW).Data, -1)
 			return out
 		}},
-		{"ReadCodec", func(c *Codec) *Codec {
+		{"ReadCodec", func(c *Codec) *Codec { // ParseCodec, behind the reader
 			mat.Scale(c.Params().ByName(ParamOutB).Data, -3)
-			var buf bytes.Buffer
-			if _, err := c.WriteTo(&buf); err != nil {
+			b, err := c.AppendTo(nil)
+			if err != nil {
 				t.Fatal(err)
 			}
-			out, err := ReadCodec(&buf, corp)
+			out, err := ReadCodec(bytes.NewReader(b), corp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}},
+		{"WithParams", func(c *Codec) *Codec {
+			ps := c.params().Clone()
+			mat.Scale(ps.ByName(ParamOutB).Data, -3)
+			out, err := c.WithParams(ps)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -398,11 +407,13 @@ func TestReadOnlyAccessKeepsStamp(t *testing.T) {
 	c.SizeBytes()
 	c.EncoderSizeBytes()
 	c.DecoderSizeBytes()
-	var buf bytes.Buffer
-	if _, err := c.WriteTo(&buf); err != nil {
+	if _, err := c.AppendTo(nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.WriteParamsTo(&buf); err != nil {
+	if _, err := c.AppendParams(nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.WithParams(c.params().Clone()); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.CheckParamShape(c.Clone().Params()); err != nil {
@@ -471,8 +482,9 @@ func TestCodecTensorDoorsAreStamped(t *testing.T) {
 		// the doors themselves, after restamping
 		"Params": true, "DecoderParams": true,
 		// composition and pure reads
-		"params": true, "SizeBytes": true, "EncoderSizeBytes": true, "DecoderSizeBytes": true,
-		"WriteParamsTo": true, "CheckParamShape": true,
+		"params": true, "encoderParams": true, "decoderParams": true,
+		"SizeBytes": true, "EncoderSizeBytes": true, "DecoderSizeBytes": true,
+		"AppendTo": true, "AppendParams": true, "CheckParamShape": true,
 		// gradient buffers shaped like the parameters (ZeroClone)
 		"newGrads": true,
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/corpus"
 	"repro/internal/nn"
@@ -27,96 +28,75 @@ const (
 // errBadCodec reports a malformed serialized codec.
 var errBadCodec = errors.New("semantic: malformed serialized codec")
 
-// WriteTo serializes the codec: magic, domain name, hyper-parameters and
-// all parameter tensors. The domain's lexicon itself is not stored — it is
-// reconstructed from the corpus at load time, mirroring how a deployed KB
-// model references its knowledge base by name.
-func (c *Codec) WriteTo(w io.Writer) (int64, error) {
-	var written int64
-	var scratch [8]byte
-	writeU32 := func(v uint32) error {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		n, err := w.Write(scratch[:4])
-		written += int64(n)
-		return err
+// configBytes is the size of the serialized hyper-parameters: five uint32
+// and two float64.
+const configBytes = 5*4 + 2*8
+
+// headerBytes is the size of the codec's header in AppendTo's form: magic,
+// name length, the name and the hyper-parameters.
+func (c *Codec) headerBytes() int { return 4 + 4 + len(c.domain.Name) + configBytes }
+
+// AppendTo appends the codec's .kbm form to dst and returns the extended
+// slice: magic, domain name, hyper-parameters and all parameter tensors
+// (little-endian throughout). dst grows at most once. The domain's lexicon
+// itself is not stored — it is reconstructed from the corpus at load time,
+// mirroring how a deployed KB model references its knowledge base by name.
+func (c *Codec) AppendTo(dst []byte) ([]byte, error) {
+	ps := c.params()
+	dst = slices.Grow(dst, c.headerBytes()+int(ps.SizeBytes()))
+	dst = binary.LittleEndian.AppendUint32(dst, codecMagic)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(c.domain.Name)))
+	dst = append(dst, c.domain.Name...)
+	for _, v := range []int{c.cfg.EmbedDim, c.cfg.FeatureDim, c.cfg.HiddenDim, c.cfg.Epochs, c.cfg.Sentences} {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
 	}
-	writeF64 := func(v float64) error {
-		binary.LittleEndian.PutUint64(scratch[:8], math.Float64bits(v))
-		n, err := w.Write(scratch[:8])
-		written += int64(n)
-		return err
-	}
-	if err := writeU32(codecMagic); err != nil {
-		return written, fmt.Errorf("semantic: write magic: %w", err)
-	}
-	name := c.domain.Name
-	if err := writeU32(uint32(len(name))); err != nil {
-		return written, fmt.Errorf("semantic: write name length: %w", err)
-	}
-	n, err := io.WriteString(w, name)
-	written += int64(n)
-	if err != nil {
-		return written, fmt.Errorf("semantic: write name: %w", err)
-	}
-	for _, v := range []uint32{
-		uint32(c.cfg.EmbedDim), uint32(c.cfg.FeatureDim), uint32(c.cfg.HiddenDim),
-		uint32(c.cfg.Epochs), uint32(c.cfg.Sentences),
-	} {
-		if err := writeU32(v); err != nil {
-			return written, fmt.Errorf("semantic: write config: %w", err)
-		}
-	}
-	if err := writeF64(c.cfg.NoiseStd); err != nil {
-		return written, fmt.Errorf("semantic: write config: %w", err)
-	}
-	if err := writeF64(c.cfg.LR); err != nil {
-		return written, fmt.Errorf("semantic: write config: %w", err)
-	}
-	m, err := c.WriteParamsTo(w)
-	written += m
-	if err != nil {
-		return written, fmt.Errorf("semantic: write params: %w", err)
-	}
-	return written, nil
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(c.cfg.NoiseStd))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(c.cfg.LR))
+	return ps.AppendTo(dst)
 }
 
-// ReadCodec deserializes a codec written by WriteTo, binding it to the
-// matching domain in corp. It validates shapes against the domain lexicon.
-func ReadCodec(r io.Reader, corp *corpus.Corpus) (*Codec, error) {
-	var scratch [8]byte
-	readU32 := func() (uint32, error) {
-		if _, err := io.ReadFull(r, scratch[:4]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(scratch[:4]), nil
+// ParseCodec decodes a codec AppendTo wrote, which must be all of b, and
+// binds it to the matching domain in corp. The parsed tensors become the
+// codec's own: they are checked against the domain lexicon's shapes and
+// for finiteness, never copied into a freshly initialized codec.
+func ParseCodec(b []byte, corp *corpus.Corpus) (*Codec, error) {
+	eof := func(what string) error {
+		return fmt.Errorf("semantic: read %s: %w", what, io.ErrUnexpectedEOF)
 	}
-	readF64 := func() (float64, error) {
-		if _, err := io.ReadFull(r, scratch[:8]); err != nil {
-			return 0, err
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(scratch[:8])), nil
+	u32 := func() uint32 {
+		v := binary.LittleEndian.Uint32(b)
+		b = b[4:]
+		return v
 	}
-	magic, err := readU32()
-	if err != nil {
-		return nil, fmt.Errorf("semantic: read magic: %w", err)
+	f64 := func() float64 {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(b))
+		b = b[8:]
+		return v
 	}
-	if magic != codecMagic {
+	if len(b) < 4 {
+		return nil, eof("magic")
+	}
+	if u32() != codecMagic {
 		return nil, errBadCodec
 	}
-	nameLen, err := readU32()
-	if err != nil {
-		return nil, fmt.Errorf("semantic: read name length: %w", err)
+	if len(b) < 4 {
+		return nil, eof("name length")
 	}
+	nameLen := u32()
 	if nameLen > 256 {
 		return nil, errBadCodec
 	}
-	nameBuf := make([]byte, nameLen)
-	if _, err := io.ReadFull(r, nameBuf); err != nil {
-		return nil, fmt.Errorf("semantic: read name: %w", err)
+	if len(b) < int(nameLen) {
+		return nil, eof("name")
 	}
-	d := corp.Domain(string(nameBuf))
+	name := string(b[:nameLen])
+	b = b[nameLen:]
+	d := corp.Domain(name)
 	if d == nil {
-		return nil, fmt.Errorf("semantic: unknown domain %q in serialized codec", nameBuf)
+		return nil, fmt.Errorf("semantic: unknown domain %q in serialized codec", name)
+	}
+	if len(b) < configBytes {
+		return nil, eof("config")
 	}
 	var cfg Config
 	for _, f := range []struct {
@@ -129,47 +109,35 @@ func ReadCodec(r io.Reader, corp *corpus.Corpus) (*Codec, error) {
 		{&cfg.Epochs, maxCodecCount},
 		{&cfg.Sentences, maxCodecCount},
 	} {
-		v, err := readU32()
-		if err != nil {
-			return nil, fmt.Errorf("semantic: read config: %w", err)
-		}
+		v := u32()
 		if v == 0 || v > uint32(f.limit) {
 			return nil, errBadCodec
 		}
 		*f.dst = int(v)
 	}
-	if cfg.NoiseStd, err = readF64(); err != nil {
-		return nil, fmt.Errorf("semantic: read config: %w", err)
-	}
-	if cfg.LR, err = readF64(); err != nil {
-		return nil, fmt.Errorf("semantic: read config: %w", err)
-	}
+	cfg.NoiseStd, cfg.LR = f64(), f64()
 	if math.IsNaN(cfg.NoiseStd) || math.IsInf(cfg.NoiseStd, 0) ||
 		math.IsNaN(cfg.LR) || math.IsInf(cfg.LR, 0) {
 		return nil, errBadCodec
 	}
-	params, err := nn.ReadParamSet(r)
+	params, err := nn.ParseParamSet(b)
 	if err != nil {
 		return nil, fmt.Errorf("semantic: read params: %w", err)
-	}
-	cfg.Seed = 1 // seeds are not persisted; loaded codecs are already trained
-	c := NewCodec(d, cfg)
-	target := c.Params()
-	if len(target.Params) != len(params.Params) {
-		return nil, errBadCodec
-	}
-	for i, p := range params.Params {
-		t := target.Params[i]
-		if t.Name != p.Name || t.M.Rows != p.M.Rows || t.M.Cols != p.M.Cols {
-			return nil, fmt.Errorf("semantic: tensor %q mismatch against domain %q", p.Name, d.Name)
-		}
 	}
 	if err := params.CheckFinite(); err != nil {
 		return nil, fmt.Errorf("%w: %v", errBadCodec, err)
 	}
-	target.CopyFrom(params)
-	if err := c.Validate(); err != nil {
-		return nil, err
+	cfg.Seed = 1 // seeds are not persisted; loaded codecs are already trained
+	return newCodecOn(d, cfg.withDefaults(), params)
+}
+
+// ReadCodec reads r to its end and parses what it read with ParseCodec.
+//
+// Deprecated: read the bytes and call ParseCodec.
+func ReadCodec(r io.Reader, corp *corpus.Corpus) (*Codec, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("semantic: read codec: %w", err)
 	}
-	return c, nil
+	return ParseCodec(b, corp)
 }

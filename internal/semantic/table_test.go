@@ -1,7 +1,6 @@
 package semantic
 
 import (
-	"io"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -69,7 +68,7 @@ func TestSenderTableMatchesKernels(t *testing.T) {
 		}
 		requireTableMatchesKernels(t, sc, c, ids, "half-filled")
 		requireTableMatchesKernels(t, sc, c, ids, "warm")
-		if _, err := c.WriteParamsTo(io.Discard); err != nil {
+		if _, err := c.AppendParams(nil); err != nil {
 			t.Fatal(err)
 		}
 		if c.table.Load() != built {
