@@ -51,33 +51,59 @@ func (e *UserExport) SenderBytes() int64 {
 // state is captured. Models evicted between enumeration and export are
 // skipped: the user simply re-personalizes on the new node.
 func (s *System) ExportUserForHandover(user string) (*UserExport, error) {
+	exp, _, err := s.ExportUserForHandoverTo(user, nil)
+	return exp, err
+}
+
+// ExportUserForHandoverTo is ExportUserForHandover serializing every
+// model's parameters, in export order, into one buffer: alloc(n) supplies
+// it with room for the n bytes the cached models take (nil allocates it).
+// Each model's Params view the returned buffer, which the caller may reuse
+// only once it is done with them.
+func (s *System) ExportUserForHandoverTo(user string, alloc func(n int) []byte) (*UserExport, []byte, error) {
 	st := s.lockUser(user)
 	defer st.mu.Unlock()
 	out := &UserExport{User: user, NoiseSeq: st.noiseSeq}
-	export := func(srv *edge.Server, dst *[]*edge.ExportedModel) error {
-		for _, domain := range srv.UserDomains(user) {
-			exp, err := srv.ExportUserModel(domain, user)
+	sides := [...]struct {
+		srv     *edge.Server
+		domains []string
+		dst     *[]*edge.ExportedModel
+	}{
+		{s.Sender, s.Sender.UserDomains(user), &out.Sender},
+		{s.Receiver, s.Receiver.UserDomains(user), &out.Receiver},
+	}
+	size := 0
+	for _, side := range sides {
+		for _, domain := range side.domains {
+			if m, ok := side.srv.Cache().Peek(kb.UserKey(domain, user, kb.RoleCodec)); ok {
+				size += int(m.SizeBytes())
+			}
+		}
+	}
+	var buf []byte
+	if alloc != nil {
+		buf = alloc(size)
+	} else {
+		buf = make([]byte, 0, size)
+	}
+	for _, side := range sides {
+		for _, domain := range side.domains {
+			exp, next, err := side.srv.AppendUserModel(buf, domain, user)
 			if errors.Is(err, edge.ErrNoIndividual) {
 				continue
 			}
 			if err != nil {
-				return fmt.Errorf("core: export %s/%s: %w", user, domain, err)
+				return nil, buf, fmt.Errorf("core: export %s/%s: %w", user, domain, err)
 			}
-			*dst = append(*dst, exp)
+			buf = next
+			*side.dst = append(*side.dst, exp)
 		}
-		return nil
-	}
-	if err := export(s.Sender, &out.Sender); err != nil {
-		return nil, err
-	}
-	if err := export(s.Receiver, &out.Receiver); err != nil {
-		return nil, err
 	}
 	if bc, ok := st.sel.(selection.BeliefCarrier); ok {
 		out.Belief = bc.ExportBelief()
 	}
 	out.Buffers = s.Sender.ExportUserBuffers(user)
-	return out, nil
+	return out, buf, nil
 }
 
 // BadHandoverError reports a handover export whose model payloads or

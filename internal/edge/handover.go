@@ -66,23 +66,32 @@ func (s *Server) DropUser(user string) {
 // ExportUserModel serializes the user's individual model for migration to
 // a peer edge. It fails if the user has no individual model here.
 func (s *Server) ExportUserModel(domain, user string) (*ExportedModel, error) {
+	m, _, err := s.AppendUserModel(nil, domain, user)
+	return m, err
+}
+
+// AppendUserModel is ExportUserModel serializing into dst: the model's
+// parameters are appended to dst, the returned model's Params view them,
+// and the extended buffer comes back for the next model.
+func (s *Server) AppendUserModel(dst []byte, domain, user string) (*ExportedModel, []byte, error) {
 	acq, err := s.AcquireCodec(domain, user)
 	if err != nil {
-		return nil, err
+		return nil, dst, err
 	}
 	if !acq.Individual {
-		return nil, fmt.Errorf("edge %s: %w for %s/%s", s.name, ErrNoIndividual, user, domain)
+		return nil, dst, fmt.Errorf("edge %s: %w for %s/%s", s.name, ErrNoIndividual, user, domain)
 	}
-	params, err := acq.Model.Codec.AppendParams(nil)
+	start := len(dst)
+	dst, err = acq.Model.Codec.AppendParams(dst)
 	if err != nil {
-		return nil, fmt.Errorf("edge %s: export %s/%s: %w", s.name, user, domain, err)
+		return nil, dst, fmt.Errorf("edge %s: export %s/%s: %w", s.name, user, domain, err)
 	}
 	return &ExportedModel{
 		Domain:  domain,
 		User:    user,
 		Version: acq.Model.Version,
-		Params:  params,
-	}, nil
+		Params:  dst[start:len(dst):len(dst)],
+	}, dst, nil
 }
 
 // ImportUserModel installs a migrated individual model: a new individual

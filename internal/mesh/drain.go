@@ -107,7 +107,7 @@ func (n *Node) drainUsers(ctx context.Context, sys *core.System, ring *cluster.R
 			fail(fmt.Errorf("mesh: drain: no live owner for user %s (target %d)", user, target))
 			continue
 		}
-		if _, err := n.handOff(ctx, sys, user, p, rpc.HandoffDrain); err != nil {
+		if _, _, err := n.handOff(ctx, sys, user, p, rpc.HandoffDrain); err != nil {
 			fail(fmt.Errorf("mesh: drain: %w", err))
 			continue
 		}

@@ -79,21 +79,25 @@ func exportFromWire(h *rpc.HandoffPayload) (*core.UserExport, error) {
 // handOff is the one way a user leaves this member, for a move and a drain
 // alike: export the user's record, push it to p, and once p took it drop
 // everything this member holds for the user. A failed push leaves the
-// record here, still serving.
-func (n *Node) handOff(ctx context.Context, sys *core.System, user string, p *peer, reason string) (*core.UserExport, error) {
-	exp, err := sys.ExportUserForHandover(user)
+// record here, still serving. The models' parameters are exported into a
+// pooled buffer, which goes back once the push has framed them. handOff
+// reports the sender-side models it shipped and their bytes.
+func (n *Node) handOff(ctx context.Context, sys *core.System, user string, p *peer, reason string) (int, int64, error) {
+	exp, buf, err := sys.ExportUserForHandoverTo(user, rpc.GetBuffer)
+	defer rpc.PutBuffer(buf)
 	if err != nil {
-		return nil, fmt.Errorf("mesh: export %s: %w", user, err)
+		return 0, 0, fmt.Errorf("mesh: export %s: %w", user, err)
 	}
 	h := exportToWire(exp, n.self.Name)
 	h.Reason = reason
 	if err := n.push(ctx, p, h); err != nil {
-		return nil, fmt.Errorf("mesh: handover %s to %s: %w", user, p.info.Name, err)
+		return 0, 0, fmt.Errorf("mesh: handover %s to %s: %w", user, p.info.Name, err)
 	}
 	sys.DropUserAfterHandover(exp)
+	bytes := exp.SenderBytes()
 	n.handoversOut.Add(1)
-	n.migratedBytes.Add(exp.SenderBytes())
-	return exp, nil
+	n.migratedBytes.Add(bytes)
+	return len(exp.Sender), bytes, nil
 }
 
 // MoveUser serves a client's "move" op on a mesh member: attach the user to a
@@ -114,16 +118,15 @@ func (n *Node) MoveUser(user string, cell int) (*rpc.Handover, error) {
 	if !ok {
 		return nil, fmt.Errorf("mesh: no peer at index %d", target)
 	}
-	exp, err := n.handOff(context.Background(), sys, user, p, "")
+	models, bytes, err := n.handOff(context.Background(), sys, user, p, "")
 	if err != nil {
 		return nil, err
 	}
-	bytes := exp.SenderBytes()
 	return &rpc.Handover{
 		From:          n.self.Name,
 		To:            p.info.Name,
 		Moved:         true,
-		Models:        len(exp.Sender),
+		Models:        models,
 		MigratedBytes: bytes,
 		LatencyMs:     float64(n.cfg.MeshLink.TransferTime(bytes)) / float64(time.Millisecond),
 	}, nil

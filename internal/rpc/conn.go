@@ -13,29 +13,34 @@ import (
 const (
 	// connBufBytes sizes a Conn's buffered reader, and is the largest
 	// frame buffer a Conn keeps between frames: client traffic (100 B to
-	// 1 KB frames) reuses one buffer forever, while a link that carried a
-	// ≈63 KB handover frame gives the memory back once the frame is done.
+	// 1 KB frames) reuses one buffer forever, while a frame larger than
+	// this (a ≈80 KB handover push) is assembled or read in a buffer from
+	// the pool (pool.go), which goes back once the frame is done.
 	connBufBytes = 4096
 	// minFrameBytes is the smallest frame buffer allocated, so a short
 	// frame's header and payload share one allocation.
 	minFrameBytes = 512
-	// growStepBytes caps how far a read grows the frame buffer ahead of
-	// the bytes that have actually arrived: a peer that sends only a
-	// header claiming MaxMessageBytes pins one step, not the full claim.
-	// A handover push (≈80 KB for two models per edge side) fits one
-	// step, so its buffer is allocated once, at its exact size.
+	// growStepBytes caps how far a read allocates ahead of the bytes that
+	// have actually arrived: a peer that sends only a header claiming
+	// MaxMessageBytes pins one step, not the full claim. A handover push
+	// (≈80 KB for two models per edge side) fits one step, so its buffer
+	// is allocated once, at its size class, when the pool has none.
 	growStepBytes = 128 << 10
 	// jsonLenBytes is the size of a body's JSON length prefix.
 	jsonLenBytes = 4
 )
 
-// frameBuf assembles and parses frames in one reusable buffer: 5 header
-// bytes, then the body (see the package comment). A decoded frame with a
-// parameter tail hands the buffer over to the message, whose Params slice
-// it, so the next frame never overwrites them.
+// frameBuf assembles and parses frames: 5 header bytes, then the body (see
+// the package comment). Frames up to connBufBytes reuse one buffer; a
+// larger one takes a buffer from the pool, which release gives back. A
+// decoded frame with a parameter tail hands its buffer over to the
+// message, whose Params slice it, so the next frame never overwrites
+// them; a Conn serving requests lends it instead and takes it back
+// (reclaim) once the response is written.
 type frameBuf struct {
-	b   []byte
-	enc *json.Encoder // appends to b through Write
+	b    []byte        // the frame under assembly or just read
+	lent []byte        // the frame the last request's Params view
+	enc  *json.Encoder // appends to b through Write
 }
 
 // Write appends to the frame under assembly; it is the json.Encoder's sink.
@@ -52,18 +57,27 @@ func (f *frameBuf) reset() {
 	f.b = f.b[:0]
 }
 
-// release drops a buffer that a large frame grew past connBufBytes.
+// release gives a buffer grown past connBufBytes back to the pool.
 func (f *frameBuf) release() {
 	if cap(f.b) > connBufBytes {
+		PutBuffer(f.b)
 		f.b = nil
 	}
+}
+
+// reclaim ends the loan of the last request's frame, whose Params must
+// not be read again.
+func (f *frameBuf) reclaim() {
+	PutBuffer(f.lent)
+	f.lent = nil
 }
 
 // encode marshals v straight into the buffer behind the reserved header
 // and JSON length bytes, appends the binary tail, and returns the
 // complete frame, valid until the next use of f. A frame with a tail
 // sizes the buffer for it, and for a document of up to minFrameBytes,
-// before the document is written.
+// before the document is written, taking it from the pool when that is
+// more than connBufBytes.
 func (f *frameBuf) encode(v interface{}) ([]byte, error) {
 	if f.enc == nil {
 		f.enc = json.NewEncoder(f)
@@ -76,9 +90,10 @@ func (f *frameBuf) encode(v interface{}) ([]byte, error) {
 	for _, b := range bs {
 		tail += packedTxsBytes(b.Txs)
 	}
-	f.reset()
-	if tail > 0 {
-		f.b = slices.Grow(f.b, headerBytes+jsonLenBytes+minFrameBytes+tail)
+	if size := headerBytes + jsonLenBytes + minFrameBytes + tail; tail > 0 && size > connBufBytes {
+		f.b = GetBuffer(size)
+	} else {
+		f.reset()
 	}
 	f.b = append(f.b, Version, 0, 0, 0, 0, 0, 0, 0, 0)
 	start := len(f.b)
@@ -106,7 +121,11 @@ func (f *frameBuf) encode(v interface{}) ([]byte, error) {
 
 // read reads one frame from r, taking exactly the frame's bytes, and
 // returns its body (valid until the next use of f), rejecting any version
-// byte but Version and oversized frames before any body byte is read.
+// byte but Version and oversized frames before any body byte is read. A
+// frame over connBufBytes is read into a pooled buffer of its own size
+// class. When the pool holds none, a frame that fits one growth step gets
+// a new buffer of its class, at most growStepBytes, and a larger one grows
+// with the bytes that arrive.
 func (f *frameBuf) read(r io.Reader) ([]byte, error) {
 	f.reset()
 	f.b = f.b[:headerBytes]
@@ -120,7 +139,14 @@ func (f *frameBuf) read(r io.Reader) ([]byte, error) {
 	if n > MaxMessageBytes {
 		return nil, errFrameTooLarge
 	}
-	for total := headerBytes + int(n); len(f.b) < total; {
+	total := headerBytes + int(n)
+	switch {
+	case total > growStepBytes:
+		f.b = append(pooled(total), f.b...)
+	case total > connBufBytes:
+		f.b = append(GetBuffer(total), f.b...)
+	}
+	for len(f.b) < total {
 		step := min(total-len(f.b), growStepBytes)
 		f.b = slices.Grow(f.b, step)[:len(f.b)+step]
 		if _, err := io.ReadFull(r, f.b[len(f.b)-step:]); err != nil {
@@ -134,7 +160,10 @@ func (f *frameBuf) read(r io.Reader) ([]byte, error) {
 // document, then each ModelPayload's Params sliced off the tail by its
 // params_len, then each BufferState's Txs unpacked from the rest by its
 // txs_len. The lengths must consume the body exactly.
-func (f *frameBuf) decode(r io.Reader, v interface{}) error {
+//
+// When lend is set and Params were sliced, the buffer is lent to v until
+// reclaim; otherwise v owns it.
+func (f *frameBuf) decode(r io.Reader, v interface{}, lend bool) error {
 	body, err := f.read(r)
 	if err != nil {
 		return err
@@ -179,15 +208,19 @@ func (f *frameBuf) decode(r io.Reader, v interface{}) error {
 		return errBadTail
 	}
 	if sliced {
-		f.b = nil // the decoded Params own the buffer now
+		if lend {
+			f.lent = f.b
+		}
+		f.b = nil // the decoded Params hold the buffer now
 	}
 	return nil
 }
 
-// readMsg reads and decodes one framed Request or Response.
-func readMsg[T Request | Response](f *frameBuf, r io.Reader) (*T, error) {
+// readMsg reads and decodes one framed Request or Response, lending it the
+// frame's buffer when lend is set (see decode).
+func readMsg[T Request | Response](f *frameBuf, r io.Reader, lend bool) (*T, error) {
 	var m T
-	if err := f.decode(r, &m); err != nil {
+	if err := f.decode(r, &m, lend); err != nil {
 		return nil, err
 	}
 	return &m, nil
@@ -203,7 +236,10 @@ func readMsg[T Request | Response](f *frameBuf, r io.Reader) (*T, error) {
 //
 // A Conn is not safe for concurrent use: both directions share one frame
 // buffer, which fits the protocol's strict request/response alternation.
-// Deadlines and Close stay on the net.Conn, which the caller keeps.
+// The serving side of that alternation borrows: a request's Params view
+// the frame it arrived in until the Conn's next Write or read (see
+// ModelPayload.Params). Deadlines and Close stay on the net.Conn, which
+// the caller keeps.
 type Conn struct {
 	conn net.Conn
 	br   *bufio.Reader
@@ -216,8 +252,11 @@ func NewConn(conn net.Conn) *Conn {
 	return &Conn{conn: conn, br: bufio.NewReaderSize(conn, connBufBytes)}
 }
 
-// Write marshals v and sends it as one frame, in a single Write.
+// Write marshals v and sends it as one frame, in a single Write. Once the
+// frame is written, the frame buffer and the last request's lent frame go
+// back to the pool.
 func (c *Conn) Write(v interface{}) error {
+	defer c.f.reclaim()
 	defer c.f.release()
 	frame, err := c.f.encode(v)
 	if err != nil {
@@ -229,16 +268,21 @@ func (c *Conn) Write(v interface{}) error {
 	return nil
 }
 
-// ReadRequest reads one framed Request.
+// ReadRequest reads one framed Request. Its ModelPayload Params are lent:
+// they view the frame, which the Conn takes back at its next Write or
+// read, so a handler must copy any it keeps past its response.
 func (c *Conn) ReadRequest() (*Request, error) {
+	c.f.reclaim()
 	defer c.f.release()
-	return readMsg[Request](&c.f, c.br)
+	return readMsg[Request](&c.f, c.br, true)
 }
 
-// ReadResponse reads one framed Response.
+// ReadResponse reads one framed Response. Its ModelPayload Params are the
+// caller's to keep.
 func (c *Conn) ReadResponse() (*Response, error) {
+	c.f.reclaim()
 	defer c.f.release()
-	return readMsg[Response](&c.f, c.br)
+	return readMsg[Response](&c.f, c.br, false)
 }
 
 // modelPayloadJSON is ModelPayload's JSON form.

@@ -133,7 +133,13 @@ type ModelPayload struct {
 	Version int
 	// Params is the full parameter payload in nn.ParamSet wire form. It
 	// travels raw in the frame's tail; the JSON document carries only its
-	// length, which the frame encoder fills.
+	// length, which the frame encoder fills. Decoded, it is a view of the
+	// frame. In a request a Conn served (Conn.ReadRequest) the view is
+	// lent: it is valid until that Conn's next Write or read, after which
+	// the frame's buffer goes back to the pool and is reused, so a handler
+	// parses or copies Params before its response is written. A response
+	// (Conn.ReadResponse) and a message read by ReadRequestV or
+	// ReadResponseV keep their Params.
 	Params []byte
 
 	// paramsLen is the decoded params_len, held until the frame decoder
@@ -471,6 +477,7 @@ func WriteV(w io.Writer, version byte, v interface{}) error {
 		return &VersionError{Got: version}
 	}
 	var f frameBuf
+	defer f.release()
 	frame, err := f.encode(v)
 	if err != nil {
 		return err
@@ -485,7 +492,8 @@ func WriteV(w io.Writer, version byte, v interface{}) error {
 // which is always Version. It takes exactly the frame's bytes from r.
 func ReadRequestV(r io.Reader) (*Request, byte, error) {
 	var f frameBuf
-	req, err := readMsg[Request](&f, r)
+	defer f.release()
+	req, err := readMsg[Request](&f, r, false)
 	return req, Version, err
 }
 
@@ -493,6 +501,7 @@ func ReadRequestV(r io.Reader) (*Request, byte, error) {
 // which is always Version. It takes exactly the frame's bytes from r.
 func ReadResponseV(r io.Reader) (*Response, byte, error) {
 	var f frameBuf
-	resp, err := readMsg[Response](&f, r)
+	defer f.release()
+	resp, err := readMsg[Response](&f, r, false)
 	return resp, Version, err
 }

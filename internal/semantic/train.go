@@ -86,6 +86,7 @@ func (c *Codec) trainEpoch(examples []Example, opt nn.Optimizer, rng *mat.RNG, n
 	dH := sc.Mat(trainBatch, H)
 	dFeat := sc.Mat(trainBatch, F)
 	dX := sc.Mat(trainBatch, E)
+	deviates := sc.Vec(trainBatch * F) // the minibatch's channel noise
 	sids := sc.Ints(trainBatch)
 
 	order := rng.Perm(len(examples))
@@ -116,11 +117,14 @@ func (c *Codec) trainEpoch(examples []Example, opt nn.Optimizer, rng *mat.RNG, n
 		c.enc.ForwardBatch(preB, xB)
 		nn.TanhForward(featB.Data, preB.Data)
 		// Channel-noise injection (denoising training), drawn in
-		// example-major order: the exact RNG stream of the serial loop.
+		// example-major order as one block: NormFloat64Block yields the
+		// exact RNG stream of the serial per-element loop.
 		copy(noisyB.Data, featB.Data)
 		if noiseStd > 0 {
-			for i := range noisyB.Data {
-				noisyB.Data[i] += noiseStd * rng.NormFloat64()
+			z := deviates[:len(noisyB.Data)]
+			rng.NormFloat64Block(z)
+			for i, v := range z {
+				noisyB.Data[i] += noiseStd * v
 			}
 		}
 		// Forward: decoder.
