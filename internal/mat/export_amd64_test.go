@@ -10,5 +10,6 @@ import "testing"
 // PureGo runs fn with the assembly kernels switched off.
 func PureGo(fn func()) { pureGo(fn) }
 
-// RequireAVX2 fails the test when the assembly kernels are not dispatched.
+// RequireAVX2 fails the test when the assembly kernels are not dispatched,
+// and skips it in a purego build, which compiles none.
 func RequireAVX2(t *testing.T) { requireAVX2(t) }

@@ -1,15 +1,16 @@
-//go:build amd64
+//go:build amd64 && !purego
 
 package mat
 
 // AVX2 float64 kernels behind mulMatTRange, mulMatRange, addOuterBatchRange,
-// Scale, MomentumStep, Softmax (exp) and Tanh, and the scan behind
-// RNG.PolarClear (polar_amd64.s). Each one is bit-identical to
-// the pure-Go loop it shadows, by construction: a SIMD lane is always one
-// independent output element, that element's accumulation keeps its
-// ascending order, multiply and add stay separate instructions (no FMA —
-// the Go compiler does not fuse on amd64 either), and zero-coefficient
-// skips sit exactly where the Go loops have them. The one place an FMA
+// AddRowsTo, Scale, ScaleSquares, MomentumStep, Softmax (exp and the
+// division) and Tanh, and the scan behind RNG.PolarClear (polar_amd64.s).
+// Each one is bit-identical to the pure-Go loop it shadows, by
+// construction: a SIMD lane is always one independent output element,
+// that element's accumulation keeps its ascending order, multiply and add
+// stay separate instructions (no FMA — the Go compiler does not fuse on
+// amd64 either), and zero-coefficient skips sit exactly where the Go loops
+// have them. The one place an FMA
 // appears is inside exp, where math.Exp's own assembly has it. The Go
 // loops stay as the fallback and the test oracle.
 
@@ -41,10 +42,24 @@ func f64GemmT(dst, a, b, bias *float64, m, n, k, ldd int)
 //go:noescape
 func f64Scale(v *float64, n int, s float64)
 
+// f64ScaleSquares computes v[i] *= s for i in [0, n) and adds the squared
+// results into acc: element i of each whole block of four into acc[i%4],
+// the tail into acc[0] (ScaleSquares' Go loop, to the bit).
+//
+//go:noescape
+func f64ScaleSquares(v *float64, n int, s float64, acc *[4]float64)
+
+// f64Div computes v[i] /= d for i in [0, n). VDIVPD rounds each lane
+// correctly, as the scalar division does.
+//
+//go:noescape
+func f64Div(v *float64, n int, d float64)
+
 // f64MomentumStep computes, for j in [0, n):
 //
 //	v[j] = momentum*v[j] - lr*grad[j]
 //	p[j] += v[j]
+//	grad[j] = +0
 //
 // (The gradient parameter is not called g: Go assembly reserves that name.)
 //

@@ -1,4 +1,4 @@
-//go:build amd64
+//go:build amd64 && !purego
 
 #include "textflag.h"
 
@@ -27,8 +27,13 @@
 
 // func f64AxpyRows(dst *float64, n int, coef *float64, coefStride int, scale float64, rows *float64, rowStride int, count int)
 //
-// Column blocks of 16, 8, 4 and 1 doubles; within a block the destination
-// stays in registers while every coefficient is applied in ascending order.
+// Column blocks of 24, 16, 8, 4 and 1 doubles; within a block the
+// destination stays in registers while every coefficient is applied in
+// ascending order. Each coefficient's adds wait on the previous ones into
+// the same registers, so a pass costs about one add latency per
+// coefficient however wide it is up to six registers: the 24-wide block
+// covers a 24-column row (the out layer's, the codec's widest training
+// row) in one pass where 16 + 8 took two.
 TEXT ·f64AxpyRows(SB), NOSPLIT, $0-64
 	MOVQ   dst+0(FP), DI
 	MOVQ   n+8(FP), CX
@@ -41,6 +46,47 @@ TEXT ·f64AxpyRows(SB), NOSPLIT, $0-64
 	VXORPD X13, X13, X13           // zero for the skip compare
 	CMPQ   count+56(FP), $0
 	JLE    done
+
+blk24:
+	CMPQ    CX, $24
+	JL      blk16
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	VMOVUPD 128(DI), Y4
+	VMOVUPD 160(DI), Y5
+	MOVQ    coef+16(FP), SI
+	MOVQ    R10, DX
+	MOVQ    count+56(FP), BX
+
+c24:
+	AXPYCOEF(n24)
+	VMULPD (DX), Y12, Y6
+	VMULPD 32(DX), Y12, Y7
+	VMULPD 64(DX), Y12, Y8
+	VMULPD 96(DX), Y12, Y9
+	VMULPD 128(DX), Y12, Y10
+	VMULPD 160(DX), Y12, Y11
+	VADDPD Y6, Y0, Y0
+	VADDPD Y7, Y1, Y1
+	VADDPD Y8, Y2, Y2
+	VADDPD Y9, Y3, Y3
+	VADDPD Y10, Y4, Y4
+	VADDPD Y11, Y5, Y5
+
+n24:
+	AXPYNEXT(c24)
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	ADDQ    $192, DI
+	ADDQ    $192, R10
+	SUBQ    $24, CX
+	JMP     blk24
 
 blk16:
 	CMPQ    CX, $16
@@ -278,10 +324,84 @@ scaledone:
 	VZEROUPPER
 	RET
 
+// func f64ScaleSquares(v *float64, n int, s float64, acc *[4]float64)
+//
+// v *= s, and the squares of the products into the four lane sums: Y2
+// holds acc across the blocks of four, then goes back to memory so the
+// tail can run on lane 0 alone (a scalar VEX op would clear Y2's upper
+// half).
+TEXT ·f64ScaleSquares(SB), NOSPLIT, $0-32
+	MOVQ         v+0(FP), DI
+	MOVQ         n+8(FP), CX
+	VBROADCASTSD s+16(FP), Y1
+	MOVQ         acc+24(FP), SI
+	VMOVUPD      (SI), Y2
+
+sq4:
+	CMPQ    CX, $4
+	JL      sqtail
+	VMULPD  (DI), Y1, Y0
+	VMOVUPD Y0, (DI)
+	VMULPD  Y0, Y0, Y0
+	VADDPD  Y0, Y2, Y2
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+	JMP     sq4
+
+sqtail:
+	VMOVUPD Y2, (SI)
+	VMOVSD  (SI), X2
+
+sq1:
+	TESTQ  CX, CX
+	JZ     sqdone
+	VMULSD (DI), X1, X0
+	VMOVSD X0, (DI)
+	VMULSD X0, X0, X0
+	VADDSD X0, X2, X2
+	ADDQ   $8, DI
+	DECQ   CX
+	JMP    sq1
+
+sqdone:
+	VMOVSD X2, (SI)
+	VZEROUPPER
+	RET
+
+// func f64Div(v *float64, n int, d float64)
+TEXT ·f64Div(SB), NOSPLIT, $0-24
+	MOVQ         v+0(FP), DI
+	MOVQ         n+8(FP), CX
+	VBROADCASTSD d+16(FP), Y1
+
+div4:
+	CMPQ    CX, $4
+	JL      div1
+	VMOVUPD (DI), Y0
+	VDIVPD  Y1, Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+	JMP     div4
+
+div1:
+	TESTQ  CX, CX
+	JZ     divdone
+	VMOVSD (DI), X0
+	VDIVSD X1, X0, X0
+	VMOVSD X0, (DI)
+	ADDQ   $8, DI
+	DECQ   CX
+	JMP    div1
+
+divdone:
+	VZEROUPPER
+	RET
+
 // func f64MomentumStep(p, v, grad *float64, n int, momentum, lr float64)
 //
 // v = momentum*v - lr*grad; p += v — two products, one subtract, one add, in
-// the Go loop's order.
+// the Go loop's order — and grad = +0 once it is read.
 TEXT ·f64MomentumStep(SB), NOSPLIT, $0-48
 	MOVQ         p+0(FP), DI
 	MOVQ         v+8(FP), SI
@@ -289,12 +409,14 @@ TEXT ·f64MomentumStep(SB), NOSPLIT, $0-48
 	MOVQ         n+24(FP), CX
 	VBROADCASTSD momentum+32(FP), Y4
 	VBROADCASTSD lr+40(FP), Y5
+	VXORPD       Y6, Y6, Y6
 
 mom4:
 	CMPQ    CX, $4
 	JL      mom1
 	VMULPD  (SI), Y4, Y0
 	VMULPD  (DX), Y5, Y1
+	VMOVUPD Y6, (DX)
 	VSUBPD  Y1, Y0, Y0
 	VMOVUPD Y0, (SI)
 	VADDPD  (DI), Y0, Y0
@@ -310,6 +432,7 @@ mom1:
 	JZ     momdone
 	VMULSD (SI), X4, X0
 	VMULSD (DX), X5, X1
+	VMOVSD X6, (DX)
 	VSUBSD X1, X0, X0
 	VMOVSD X0, (SI)
 	VADDSD (DI), X0, X0

@@ -1,4 +1,4 @@
-//go:build amd64
+//go:build amd64 && !purego
 
 package mat
 
@@ -233,8 +233,10 @@ func TestF64KernelsSkipSemantics(t *testing.T) {
 	}
 }
 
-// TestF64ElementwiseKernelsBitExact covers Scale and MomentumStep over
-// lengths around the 4-lane boundary, aligned and unaligned.
+// TestF64ElementwiseKernelsBitExact covers Scale, ScaleSquares, the
+// softmax's division, MomentumStep (which must leave the gradient +0) and
+// AddRowsTo (over 1 to 9 rows) over lengths around the 4-lane boundary,
+// aligned and unaligned.
 func TestF64ElementwiseKernelsBitExact(t *testing.T) {
 	requireAVX2(t)
 	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 64, 101} {
@@ -255,15 +257,52 @@ func TestF64ElementwiseKernelsBitExact(t *testing.T) {
 					t.Fatalf("Scale %s: element %d = %v, Go loop %v", name, i, v[i], want[i])
 				}
 
+				v = mk(1, fill.plant == 1)
+				want = Clone(v)
+				var acc, wantAcc [4]float64
+				pureGo(func() { ScaleSquares(want, -0.37, &wantAcc) })
+				ScaleSquares(v, -0.37, &acc)
+				if i, ok := sameKernelOutput(v, want); !ok {
+					t.Fatalf("ScaleSquares %s: element %d = %v, Go loop %v", name, i, v[i], want[i])
+				}
+				if i, ok := sameKernelOutput(acc[:], wantAcc[:]); !ok {
+					t.Fatalf("ScaleSquares %s: lane %d = %v, Go loop %v", name, i, acc[i], wantAcc[i])
+				}
+
+				v = mk(1, fill.plant == 1)
+				want = Clone(v)
+				pureGo(func() { divideBy(want, 0.37) })
+				divideBy(v, 0.37)
+				if i, ok := sameKernelOutput(v, want); !ok {
+					t.Fatalf("divideBy %s: element %d = %v, Go loop %v", name, i, v[i], want[i])
+				}
+
 				p, vel, g := mk(2, false), mk(3, fill.plant == 1), mk(4, fill.plant == 2)
-				wantP, wantV := Clone(p), Clone(vel)
-				pureGo(func() { MomentumStep(wantP, wantV, g, 0.5, 0.0125) })
+				wantP, wantV, wantG := Clone(p), Clone(vel), Clone(g)
+				pureGo(func() { MomentumStep(wantP, wantV, wantG, 0.5, 0.0125) })
 				MomentumStep(p, vel, g, 0.5, 0.0125)
 				if i, ok := sameKernelOutput(vel, wantV); !ok {
 					t.Fatalf("MomentumStep %s: velocity %d = %v, Go loop %v", name, i, vel[i], wantV[i])
 				}
 				if i, ok := sameKernelOutput(p, wantP); !ok {
 					t.Fatalf("MomentumStep %s: parameter %d = %v, Go loop %v", name, i, p[i], wantP[i])
+				}
+				for i := range g {
+					if math.Float64bits(g[i]) != 0 || math.Float64bits(wantG[i]) != 0 {
+						t.Fatalf("MomentumStep %s: gradient %d left %v (kernel), %v (Go loop), want +0", name, i, g[i], wantG[i])
+					}
+				}
+
+				for rows := 1; rows <= 9 && n > 0; rows++ {
+					m := offsetDense(rows, n, off)
+					fillKernel(m.Data, uint64(rows), fill.special, fill.plant == 2)
+					dst := mk(5, fill.plant == 1)
+					wantDst := Clone(dst)
+					pureGo(func() { AddRowsTo(wantDst, m) })
+					AddRowsTo(dst, m)
+					if i, ok := sameKernelOutput(dst, wantDst); !ok {
+						t.Fatalf("AddRowsTo %s rows=%d: element %d = %v, Go loop %v", name, rows, i, dst[i], wantDst[i])
+					}
 				}
 			}
 		}
@@ -274,10 +313,28 @@ func TestF64ElementwiseKernelsBitExact(t *testing.T) {
 // shadow at the codec's three layer shapes (in -> out), for a training
 // minibatch (m=8) and a long served message (m=96): the layer forward
 // (MulMatTAddRow), the input gradient (MulMat) and the weight gradient
-// (AddOuterBatch).
+// (AddOuterBatch); and the rest of a fine-tune step at its shapes: the
+// softmax of a minibatch's 8x59 logits, the out-layer's bias gradient over
+// the same 8 rows, and the optimizer's two sweeps over 2,048 gradient
+// values (about a codec's): scale-and-square, and the momentum step that
+// clears the gradient.
 func BenchmarkF64Kernels(b *testing.B) {
 	if !useAVX2 {
 		b.Skip("no AVX2: only the Go loops exist on this machine")
+	}
+	run := func(b *testing.B, name string, op func()) {
+		b.Run(name+"/asm", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+		})
+		b.Run(name+"/go", func(b *testing.B) {
+			pureGo(func() {
+				for i := 0; i < b.N; i++ {
+					op()
+				}
+			})
+		})
 	}
 	layers := []struct{ in, out int }{{16, 8}, {8, 24}, {24, 59}}
 	for _, l := range layers {
@@ -301,20 +358,28 @@ func BenchmarkF64Kernels(b *testing.B) {
 				{"weightgrad", func() { AddOuterBatch(gw, 1, dy, x) }},
 			}
 			for _, op := range ops {
-				name := fmt.Sprintf("%s/%dto%d/m%d", op.name, l.in, l.out, m)
-				b.Run(name+"/asm", func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						op.run()
-					}
-				})
-				b.Run(name+"/go", func(b *testing.B) {
-					pureGo(func() {
-						for i := 0; i < b.N; i++ {
-							op.run()
-						}
-					})
-				})
+				run(b, fmt.Sprintf("%s/%dto%d/m%d", op.name, l.in, l.out, m), op.run)
 			}
 		}
 	}
+
+	logits := NewDense(8, 59)
+	logits.Randomize(NewRNG(4), 3)
+	probs := NewDense(8, 59)
+	gB := make([]float64, 59)
+	g := make([]float64, 2048)
+	p := make([]float64, len(g))
+	v := make([]float64, len(g))
+	for _, x := range [][]float64{g, p, v} {
+		fillKernel(x, uint64(len(x)), 0, false)
+	}
+	run(b, "softmax/8x59", func() { SoftmaxRows(probs, logits) })
+	run(b, "biasgrad/8x59", func() { AddRowsTo(gB, logits) })
+	// Scale 1 and momentum 1 keep the values where they are: the gradient
+	// is +0 after the first momentum step, and the velocity stays put.
+	run(b, "scalesquares/2048", func() {
+		var acc [4]float64
+		ScaleSquares(g, 1, &acc)
+	})
+	run(b, "momentumclear/2048", func() { MomentumStep(p, v, g, 1, 1e-3) })
 }

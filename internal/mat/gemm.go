@@ -239,3 +239,22 @@ func AddRowTo(m *Dense, row []float64) {
 		AddTo(m.Data[i*m.Cols:(i+1)*m.Cols], row)
 	}
 }
+
+// AddRowsTo adds every row of m into dst, in ascending row order: the
+// batched bias gradient, bit-identical to one AddTo per row. The kernel
+// runs it as f64AxpyRows with coefficient 1 at stride 0 — 1·x is x, and
+// the destination accumulates the rows in the same order. It panics on
+// length mismatch.
+func AddRowsTo(dst []float64, m *Dense) {
+	if len(dst) != m.Cols {
+		panic("mat: AddRowsTo length mismatch")
+	}
+	if useAVX2 && m.Rows > 0 && m.Cols > 0 {
+		one := 1.0
+		f64AxpyRows(&dst[0], m.Cols, &one, 0, 1, &m.Data[0], m.Cols, m.Rows)
+		return
+	}
+	for i := 0; i < m.Rows; i++ {
+		AddTo(dst, m.Data[i*m.Cols:(i+1)*m.Cols])
+	}
+}

@@ -1,4 +1,4 @@
-//go:build amd64
+//go:build amd64 && !purego
 
 package mat
 
@@ -7,7 +7,8 @@ import "math"
 // useAVX2 reports whether the AVX2+FMA assembly kernels may run: the CPU
 // must advertise AVX2 and FMA3 and the OS must have enabled YMM state
 // (OSXSAVE + XCR0). Detected once at startup; the pure-Go loops remain the
-// reference fallback on older hardware.
+// reference fallback on older hardware, and the only path in a build with
+// the purego tag (simd_other.go).
 var useAVX2 = detectAVX2()
 
 // expOnFMAPath reports whether math.Exp takes the avxfma path of

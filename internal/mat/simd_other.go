@@ -1,8 +1,10 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package mat
 
-// Non-amd64 builds always run the pure-Go reference loops.
+// Non-amd64 builds, and any build with the purego tag, run the pure-Go
+// reference loops only: no assembly is compiled, and these stubs are never
+// called.
 const (
 	useAVX2      = false
 	expOnFMAPath = false
@@ -18,6 +20,14 @@ func f64GemmT(dst, a, b, bias *float64, m, n, k, ldd int) {
 
 func f64Scale(v *float64, n int, s float64) {
 	panic("mat: f64Scale without AVX2")
+}
+
+func f64ScaleSquares(v *float64, n int, s float64, acc *[4]float64) {
+	panic("mat: f64ScaleSquares without AVX2")
+}
+
+func f64Div(v *float64, n int, d float64) {
+	panic("mat: f64Div without AVX2")
 }
 
 func f64MomentumStep(p, v, grad *float64, n int, momentum, lr float64) {

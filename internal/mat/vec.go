@@ -45,8 +45,38 @@ func AXPY(dst []float64, a float64, x []float64) {
 	}
 }
 
-// MomentumStep applies one momentum-SGD update element-wise: v = momentum*v
-// - lr*g, then p += v. It panics if the lengths differ.
+// ScaleSquares multiplies every element of v by s in place and adds the
+// squares of the results into the four lane sums of acc: element i of
+// every whole block of four into acc[i%4], the tail into acc[0]. It is one
+// sweep for what Scale and a sum of squares would take two; the lane sums
+// add in another order than a serial sum does, so they are fit only for a
+// bound that tolerates any order (the optimizers' clip certificate).
+func ScaleSquares(v []float64, s float64, acc *[4]float64) {
+	if useAVX2 && len(v) > 0 {
+		f64ScaleSquares(&v[0], len(v), s, acc)
+		return
+	}
+	a0, a1, a2, a3 := acc[0], acc[1], acc[2], acc[3]
+	w := v
+	for ; len(w) >= 4; w = w[4:] {
+		x0, x1, x2, x3 := w[0]*s, w[1]*s, w[2]*s, w[3]*s
+		w[0], w[1], w[2], w[3] = x0, x1, x2, x3
+		a0 += x0 * x0
+		a1 += x1 * x1
+		a2 += x2 * x2
+		a3 += x3 * x3
+	}
+	for i := range w {
+		x := w[i] * s
+		w[i] = x
+		a0 += x * x
+	}
+	acc[0], acc[1], acc[2], acc[3] = a0, a1, a2, a3
+}
+
+// MomentumStep applies one momentum-SGD update element-wise and consumes
+// the gradient: v = momentum*v - lr*g, then p += v, then g = +0. It panics
+// if the lengths differ.
 func MomentumStep(p, v, g []float64, momentum, lr float64) {
 	if len(p) != len(v) || len(p) != len(g) {
 		panic("mat: MomentumStep length mismatch")
@@ -58,6 +88,7 @@ func MomentumStep(p, v, g []float64, momentum, lr float64) {
 	for j := range v {
 		v[j] = momentum*v[j] - lr*g[j]
 		p[j] += v[j]
+		g[j] = 0
 	}
 }
 
@@ -114,7 +145,7 @@ func Argmax(v []float64) int {
 
 // Softmax writes the softmax of logits into dst (which may alias logits).
 // It uses the max-subtraction trick for numerical stability and panics if
-// the lengths differ.
+// the lengths differ. It is SoftmaxRows on a single row.
 func Softmax(dst, logits []float64) {
 	if len(dst) != len(logits) {
 		panic("mat: Softmax length mismatch")
@@ -122,19 +153,97 @@ func Softmax(dst, logits []float64) {
 	if len(logits) == 0 {
 		return
 	}
-	max := logits[0]
-	for _, v := range logits[1:] {
-		if v > max {
-			max = v
+	softmaxRows(dst, logits, 1, len(logits))
+}
+
+// SoftmaxRows writes the softmax of every row of logits into the same row
+// of dst (which may alias logits). Each row gets exactly the bits Softmax
+// gives it alone. It panics if the shapes differ.
+func SoftmaxRows(dst, logits *Dense) {
+	if dst.Rows != logits.Rows || dst.Cols != logits.Cols {
+		panic("mat: SoftmaxRows shape mismatch")
+	}
+	if logits.Cols == 0 {
+		return
+	}
+	softmaxRows(dst.Data, logits.Data, logits.Rows, logits.Cols)
+}
+
+// softmaxRows is the one softmax: per row, the running max over the row in
+// order, exp(x − max), the sum of those in order, and a division of each
+// by the sum. Rows go four at a time with their max and sum chains
+// interleaved — four independent dependency chains where one row alone is
+// latency-bound — and each row keeps its own order, so its bits are the
+// single-row loop's. The division is correctly rounded in any width, so
+// divideBy may take it four lanes at a time.
+func softmaxRows(dst, src []float64, rows, cols int) {
+	r := 0
+	for ; r+4 <= rows; r += 4 {
+		s0 := src[r*cols:][:cols]
+		s1 := src[(r+1)*cols:][:cols]
+		s2 := src[(r+2)*cols:][:cols]
+		s3 := src[(r+3)*cols:][:cols]
+		m0, m1, m2, m3 := s0[0], s1[0], s2[0], s3[0]
+		for j := 1; j < cols; j++ {
+			if v := s0[j]; v > m0 {
+				m0 = v
+			}
+			if v := s1[j]; v > m1 {
+				m1 = v
+			}
+			if v := s2[j]; v > m2 {
+				m2 = v
+			}
+			if v := s3[j]; v > m3 {
+				m3 = v
+			}
 		}
+		d0 := dst[r*cols:][:cols]
+		d1 := dst[(r+1)*cols:][:cols]
+		d2 := dst[(r+2)*cols:][:cols]
+		d3 := dst[(r+3)*cols:][:cols]
+		expShift(d0, s0, m0)
+		expShift(d1, s1, m1)
+		expShift(d2, s2, m2)
+		expShift(d3, s3, m3)
+		t0, t1, t2, t3 := 0.0, 0.0, 0.0, 0.0
+		for j := range d0 {
+			t0 += d0[j]
+			t1 += d1[j]
+			t2 += d2[j]
+			t3 += d3[j]
+		}
+		divideBy(d0, t0)
+		divideBy(d1, t1)
+		divideBy(d2, t2)
+		divideBy(d3, t3)
 	}
-	expShift(dst, logits, max)
-	sum := 0.0
-	for _, e := range dst {
-		sum += e
+	for ; r < rows; r++ {
+		s := src[r*cols:][:cols]
+		d := dst[r*cols:][:cols]
+		max := s[0]
+		for _, v := range s[1:] {
+			if v > max {
+				max = v
+			}
+		}
+		expShift(d, s, max)
+		sum := 0.0
+		for _, e := range d {
+			sum += e
+		}
+		divideBy(d, sum)
 	}
-	for i := range dst {
-		dst[i] /= sum
+}
+
+// divideBy sets v[i] /= d.
+func divideBy(v []float64, d float64) {
+	if useAVX2 && len(v) > 0 {
+		f64Div(&v[0], len(v), d)
+		return
+	}
+	for i := range v {
+		v[i] /= d
 	}
 }
 

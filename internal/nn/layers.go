@@ -69,9 +69,7 @@ func (l *Linear) ForwardBatch(dst, x *mat.Dense) {
 //	dx     — batch input-gradient buffer (may be nil to skip)
 func (l *Linear) BackwardBatch(x, dy *mat.Dense, gW, gB *mat.Dense, dx *mat.Dense) {
 	mat.AddOuterBatch(gW, 1, dy, x)
-	for i := 0; i < dy.Rows; i++ {
-		mat.AddTo(gB.Row(0), dy.Row(i))
-	}
+	mat.AddRowsTo(gB.Row(0), dy)
 	if dx != nil {
 		mat.MulMat(dx, dy, l.W)
 	}

@@ -15,6 +15,12 @@ func crossEntropy(logits []float64, target int) float64 {
 	return -math.Log(p[target])
 }
 
+// rowCE runs SoftmaxCrossEntropy on one example: a minibatch of one row.
+func rowCE(dLogits, logits []float64, target int) {
+	SoftmaxCrossEntropy(&mat.Dense{Rows: 1, Cols: len(dLogits), Data: dLogits},
+		&mat.Dense{Rows: 1, Cols: len(logits), Data: logits}, []int{target})
+}
+
 // numericalGrad estimates d(loss)/d(param) by central differences.
 func numericalGrad(param *float64, loss func() float64) float64 {
 	const h = 1e-6
@@ -45,7 +51,7 @@ func TestLinearGradCheck(t *testing.T) {
 	y := make([]float64, 3)
 	l.Forward(y, x)
 	dy := make([]float64, 3)
-	SoftmaxCrossEntropy(dy, y, target)
+	rowCE(dy, y, target)
 	gW := mat.NewDense(3, 4)
 	gB := mat.NewDense(1, 3)
 	dx := make([]float64, 4)
@@ -97,7 +103,7 @@ func TestTanhGradCheck(t *testing.T) {
 	y := make([]float64, 2)
 	l2.Forward(y, h)
 	dy := make([]float64, 2)
-	SoftmaxCrossEntropy(dy, y, target)
+	rowCE(dy, y, target)
 	// Backward.
 	g2W := mat.NewDense(2, 5)
 	g2B := mat.NewDense(1, 2)
@@ -135,7 +141,7 @@ func TestEmbeddingGradCheck(t *testing.T) {
 	y := make([]float64, 3)
 	l.Forward(y, emb.Lookup(id))
 	dy := make([]float64, 3)
-	SoftmaxCrossEntropy(dy, y, target)
+	rowCE(dy, y, target)
 	gW := mat.NewDense(3, 4)
 	gB := mat.NewDense(1, 3)
 	dEmb := make([]float64, 4)
@@ -179,6 +185,6 @@ func TestSoftmaxCrossEntropyTargetPanic(t *testing.T) {
 			t.Fatal("expected panic for out-of-range target")
 		}
 	}()
-	d := make([]float64, 2)
-	SoftmaxCrossEntropy(d, []float64{1, 2}, 5)
+	logits := mat.NewDense(2, 2)
+	SoftmaxCrossEntropy(logits, logits, []int{1, 5})
 }

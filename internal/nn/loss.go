@@ -4,17 +4,25 @@ import (
 	"repro/internal/mat"
 )
 
-// SoftmaxCrossEntropy writes the gradient of the cross-entropy loss of
-// logits against the target class, w.r.t. the logits, into dLogits:
-// softmax(logits) with 1 subtracted at the target. dLogits may alias
-// logits. Training consumes only this gradient, so the loss value itself is
-// not computed.
-func SoftmaxCrossEntropy(dLogits, logits []float64, target int) {
-	if target < 0 || target >= len(logits) {
-		panic("nn: SoftmaxCrossEntropy target out of range")
+// SoftmaxCrossEntropy writes, for every row of a minibatch of logits, the
+// gradient of the cross-entropy loss against that row's target class
+// w.r.t. the logits into the same row of dLogits: softmax(logits) with 1
+// subtracted at the target. The rows run through mat.SoftmaxRows together.
+// dLogits may alias logits. Training consumes only this gradient, so the
+// loss value itself is not computed.
+func SoftmaxCrossEntropy(dLogits, logits *mat.Dense, targets []int) {
+	if len(targets) != logits.Rows {
+		panic("nn: SoftmaxCrossEntropy target count mismatch")
 	}
-	mat.Softmax(dLogits, logits)
-	dLogits[target] -= 1
+	for _, t := range targets {
+		if t < 0 || t >= logits.Cols {
+			panic("nn: SoftmaxCrossEntropy target out of range")
+		}
+	}
+	mat.SoftmaxRows(dLogits, logits)
+	for i, t := range targets {
+		dLogits.Data[i*dLogits.Cols+t] -= 1
+	}
 }
 
 // MSE computes 0.5*||pred-target||^2 and writes the gradient (pred-target)

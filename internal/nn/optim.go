@@ -10,10 +10,18 @@ import (
 // Optimizer updates a parameter set in place from a gradient set of the
 // same shape.
 type Optimizer interface {
-	// Step applies one update. Implementations must not retain grads.
-	Step(params, grads *ParamSet)
+	// Step applies one update from the gradient times scale (a minibatch
+	// step passes 1/n for the mean over its n examples) and consumes the
+	// gradient: every value is +0 and every row set empty on return.
+	// Implementations must not retain grads.
+	Step(params, grads *ParamSet, scale float64)
 }
 
+// A step is two sweeps over the gradient. The first (clipScale) multiplies
+// it by the step's scale and stores the product, summing its squares for
+// the clip norm on the way; the second updates the parameters and writes
+// +0 back over every gradient value it reads.
+//
 // A step visits only what can move. A gradient tensor may be row-sparse
 // (Param.Rows); the optimizers keep, per such tensor, the set of rows their
 // state has ever been stepped on, and step the rows of that set after
@@ -37,24 +45,29 @@ type SGD struct {
 var _ Optimizer = (*SGD)(nil)
 
 // Step applies one SGD update to params.
-func (o *SGD) Step(params, grads *ParamSet) {
-	scale := clipScale(grads, o.Clip)
+func (o *SGD) Step(params, grads *ParamSet, scale float64) {
+	clip := clipScale(grads, scale, o.Clip)
 	if o.Momentum == 0 {
 		forEachTensor(params, func(i int) {
 			p, g := params.Params[i].M.Data, &grads.Params[i]
-			g.spans(func(lo, hi int) { mat.AXPY(p[lo:hi], -o.LR*scale, g.M.Data[lo:hi]) })
+			g.spans(func(lo, hi int) {
+				mat.AXPY(p[lo:hi], -o.LR*clip, g.M.Data[lo:hi])
+				mat.Zero(g.M.Data[lo:hi])
+			})
 		})
+		clearRows(grads)
 		return
 	}
 	if o.velocity == nil {
 		o.velocity = stateFor(params, grads)
 	}
-	lr := o.LR * scale
+	lr := o.LR * clip
 	forEachTensor(params, func(i int) {
 		p, g, v := params.Params[i].M.Data, grads.Params[i].M.Data, &o.velocity.Params[i]
 		v.track(&grads.Params[i])
 		v.spans(func(lo, hi int) { mat.MomentumStep(p[lo:hi], v.M.Data[lo:hi], g[lo:hi], o.Momentum, lr) })
 	})
+	clearRows(grads)
 }
 
 // Adam is the Adam optimizer with bias correction.
@@ -72,7 +85,7 @@ type Adam struct {
 var _ Optimizer = (*Adam)(nil)
 
 // Step applies one Adam update to params.
-func (o *Adam) Step(params, grads *ParamSet) {
+func (o *Adam) Step(params, grads *ParamSet, scale float64) {
 	b1, b2, eps := o.Beta1, o.Beta2, o.Eps
 	if b1 == 0 {
 		b1 = 0.9
@@ -88,7 +101,7 @@ func (o *Adam) Step(params, grads *ParamSet) {
 		o.v = params.ZeroClone()
 	}
 	o.t++
-	scale := clipScale(grads, o.Clip)
+	clip := clipScale(grads, scale, o.Clip)
 	c1 := 1 - math.Pow(b1, float64(o.t))
 	c2 := 1 - math.Pow(b2, float64(o.t))
 	forEachTensor(params, func(i int) {
@@ -98,7 +111,8 @@ func (o *Adam) Step(params, grads *ParamSet) {
 		m.track(&grads.Params[i])
 		m.spans(func(lo, hi int) {
 			for j := lo; j < hi; j++ {
-				g := gd[j] * scale
+				g := gd[j] * clip
+				gd[j] = 0
 				md[j] = b1*md[j] + (1-b1)*g
 				vd[j] = b2*vd[j] + (1-b2)*g*g
 				mHat := md[j] / c1
@@ -107,6 +121,17 @@ func (o *Adam) Step(params, grads *ParamSet) {
 			}
 		})
 	})
+	clearRows(grads)
+}
+
+// clearRows empties the row set of every row-sparse gradient tensor, whose
+// listed rows the step has just zeroed.
+func clearRows(grads *ParamSet) {
+	for _, p := range grads.Params {
+		if p.Rows != nil {
+			p.Rows.clear()
+		}
+	}
 }
 
 // stateFor returns zero optimizer state shaped like params, with an empty
@@ -158,8 +183,11 @@ func forEachTensor(ps *ParamSet, fn func(i int)) {
 	})
 }
 
-// clipScale returns the multiplier that rescales grads to global L2 norm at
-// most clip (1 when clip is 0 or the norm is within bounds).
+// clipScale multiplies every gradient value by s > 0 in place — the
+// unlisted rows of a row-sparse tensor are +0, which s leaves as they are,
+// so they are not visited — and returns the multiplier that rescales the
+// result to global L2 norm at most clip (1 when clip is 0 or the norm is
+// within bounds).
 //
 // The norm is the square root of the serial sum of squares, tensor by
 // tensor in element order — a sharded or reordered sum rounds differently,
@@ -168,19 +196,28 @@ func forEachTensor(ps *ParamSet, fn func(i int)) {
 // visits only listed rows (in ascending order).
 //
 // That sum is one long chain of dependent adds, so it is first certified
-// away: laneSquares sums the same n terms g·g in another order, and any two
-// orders of summing n non-negative terms differ by at most about 2n·u
-// relative (u = 2⁻⁵³; each is within γ(n−1) ≈ (n−1)·u of the exact sum).
-// When the lane sum inflated by (4n+16)·u — that bound with room for the
-// rounding of the bound itself — still has a square root ≤ clip, the serial
-// sum's root is ≤ clip too (correctly rounded sqrt is monotone), the scale
-// is exactly 1 and the serial sum is skipped. Otherwise it runs as the
-// reference.
-func clipScale(grads *ParamSet, clip float64) float64 {
+// away: the scaling sweep (mat.ScaleSquares) also sums the same n terms g·g
+// in four lanes, and any two orders of summing n non-negative terms differ
+// by at most about 2n·u relative (u = 2⁻⁵³; each is within γ(n−1) ≈
+// (n−1)·u of the exact sum). When the lane sum inflated by (4n+16)·u — that
+// bound with room for the rounding of the bound itself — still has a
+// square root ≤ clip, the serial sum's root is ≤ clip too (correctly
+// rounded sqrt is monotone), the scale is exactly 1 and the serial sum is
+// skipped. Otherwise it runs as the reference.
+func clipScale(grads *ParamSet, s, clip float64) float64 {
+	var acc [4]float64
+	n := 0
+	for i := range grads.Params {
+		p := &grads.Params[i]
+		p.spans(func(lo, hi int) {
+			n += hi - lo
+			mat.ScaleSquares(p.M.Data[lo:hi], s, &acc)
+		})
+	}
 	if clip <= 0 {
 		return 1
 	}
-	lanes, n := laneSquares(grads)
+	lanes := (acc[0] + acc[1]) + (acc[2] + acc[3])
 	if math.Sqrt(lanes*(1+float64(4*n+16)*0x1p-53)) <= clip {
 		return 1
 	}
@@ -201,35 +238,4 @@ func clipScale(grads *ParamSet, clip float64) float64 {
 		return 1
 	}
 	return clip / norm
-}
-
-// laneSquares returns the sum of g·g over every value clipScale's serial sum
-// visits, accumulated in four interleaved lanes, and the number of terms.
-func laneSquares(grads *ParamSet) (float64, int) {
-	var acc [4]float64
-	n := 0
-	for i := range grads.Params {
-		p := &grads.Params[i]
-		p.spans(func(lo, hi int) {
-			n += hi - lo
-			addSquares(&acc, p.M.Data[lo:hi])
-		})
-	}
-	return (acc[0] + acc[1]) + (acc[2] + acc[3]), n
-}
-
-// addSquares adds v's squares into the four lane sums: four independent
-// dependency chains instead of one.
-func addSquares(acc *[4]float64, v []float64) {
-	a0, a1, a2, a3 := acc[0], acc[1], acc[2], acc[3]
-	for ; len(v) >= 4; v = v[4:] {
-		a0 += v[0] * v[0]
-		a1 += v[1] * v[1]
-		a2 += v[2] * v[2]
-		a3 += v[3] * v[3]
-	}
-	for _, x := range v {
-		a0 += x * x
-	}
-	acc[0], acc[1], acc[2], acc[3] = a0, a1, a2, a3
 }

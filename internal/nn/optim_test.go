@@ -33,19 +33,16 @@ func toyProblem(opt Optimizer) (loss0, lossN float64) {
 	}
 
 	step := func() float64 {
-		grads.Zero()
 		total := 0.0
 		y := make([]float64, 2)
 		dy := make([]float64, 2)
 		for _, e := range data {
 			l.Forward(y, e.x)
 			total += crossEntropy(y, e.y)
-			SoftmaxCrossEntropy(dy, y, e.y)
+			rowCE(dy, y, e.y)
 			l.Backward(e.x, dy, grads.ByName("W"), grads.ByName("B"), nil)
 		}
-		mat.Scale(grads.ByName("W").Data, 1/float64(len(data)))
-		mat.Scale(grads.ByName("B").Data, 1/float64(len(data)))
-		opt.Step(params, grads)
+		opt.Step(params, grads, 1/float64(len(data)))
 		return total / float64(len(data))
 	}
 
@@ -81,14 +78,24 @@ func TestClipScale(t *testing.T) {
 	ps := &ParamSet{}
 	ps.Add("a", mat.NewDense(1, 2))
 	copy(ps.ByName("a").Data, []float64{3, 4}) // norm 5
-	if s := clipScale(ps, 10); s != 1 {
+	if s := clipScale(ps, 1, 10); s != 1 {
 		t.Fatalf("clip above norm should be 1, got %v", s)
 	}
-	if s := clipScale(ps, 2.5); s != 0.5 {
+	if s := clipScale(ps, 1, 2.5); s != 0.5 {
 		t.Fatalf("clip to half norm should be 0.5, got %v", s)
 	}
-	if s := clipScale(ps, 0); s != 1 {
+	if s := clipScale(ps, 1, 0); s != 1 {
 		t.Fatalf("clip 0 disables clipping, got %v", s)
+	}
+	// The scale lands in the gradient first; the clip bounds the product.
+	if s := clipScale(ps, 2, 5); s != 0.5 {
+		t.Fatalf("clip 5 of the doubled norm 10 should be 0.5, got %v", s)
+	}
+	if got := ps.ByName("a").Data; got[0] != 6 || got[1] != 8 {
+		t.Fatalf("gradient after scale 2 = %v, want [6 8]", got)
+	}
+	if s := clipScale(ps, 0.5, 0); s != 1 || ps.ByName("a").Data[1] != 4 {
+		t.Fatalf("clip 0 must still scale: got %v and %v", s, ps.ByName("a").Data)
 	}
 }
 
@@ -98,7 +105,7 @@ func TestSGDClippedStepBounded(t *testing.T) {
 	grads := ps.ZeroClone()
 	copy(grads.ByName("a").Data, []float64{300, 400}) // norm 500
 	opt := &SGD{LR: 1, Clip: 1}
-	opt.Step(ps, grads)
+	opt.Step(ps, grads, 1)
 	// After clipping to norm 1, the step must have magnitude <= 1.
 	if n := mat.L2(ps.ByName("a").Data); n > 1+1e-9 {
 		t.Fatalf("clipped step norm = %v, want <= 1", n)
@@ -126,8 +133,8 @@ func sparsePair() (pSparse, pDense, gSparse, gDense *ParamSet) {
 // TestRowSparseStepsMatchDense drives each optimizer for 30 steps on a
 // row-sparse gradient and on the same gradient stored dense — rows touched
 // in some steps and not in others, rows never touched, scales that clip
-// and scales that do not — and requires identical parameter bits, and the
-// gradient sets zero again after every step.
+// and scales that do not — and requires identical parameter bits, and each
+// Step to leave both gradient sets +0 and the row set empty.
 func TestRowSparseStepsMatchDense(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -158,12 +165,8 @@ func TestRowSparseStepsMatchDense(t *testing.T) {
 					gS.ByName("w").Data[j] = v
 					gD.ByName("w").Data[j] = v
 				}
-				gS.Scale(0.5)
-				gD.Scale(0.5)
-				optS.Step(pS, gS)
-				optD.Step(pD, gD)
-				gS.Zero()
-				gD.Zero()
+				optS.Step(pS, gS, 0.5)
+				optD.Step(pD, gD, 0.5)
 				for i, p := range pD.Params {
 					for j, want := range p.M.Data {
 						if got := pS.Params[i].M.Data[j]; math.Float64bits(got) != math.Float64bits(want) {
@@ -171,10 +174,17 @@ func TestRowSparseStepsMatchDense(t *testing.T) {
 						}
 					}
 				}
-				for _, p := range gS.Params {
-					if mat.MaxAbs(p.M.Data) != 0 {
-						t.Fatalf("step %d: gradient %s not zero after Zero", step, p.Name)
+				for _, g := range []*ParamSet{gS, gD} {
+					for _, p := range g.Params {
+						for j, v := range p.M.Data {
+							if math.Float64bits(v) != 0 {
+								t.Fatalf("step %d: gradient %s[%d] = %v after Step, want +0", step, p.Name, j, v)
+							}
+						}
 					}
+				}
+				if rows := gS.Param("table").Rows.rows; len(rows) != 0 {
+					t.Fatalf("step %d: row set %v not empty after Step", step, rows)
 				}
 			}
 		})
@@ -214,8 +224,7 @@ func TestClipScaleCertificate(t *testing.T) {
 	sparse := grads.ZeroClone()
 	sparse.Param("table").Rows = NewRowSet(100)
 	for trial := 0; trial < 200; trial++ {
-		grads.Zero()
-		sparse.Zero()
+		// Every trial writes the same rows, so no stale value survives.
 		for _, r := range []int{71, 3, 3, 40, 99, 0, 12, 58} { // unsorted, repeated
 			sparse.Param("table").Rows.Add(r)
 			for j := 0; j < 16; j++ {
@@ -256,10 +265,10 @@ func TestClipScaleCertificate(t *testing.T) {
 			}
 		}
 		want := serialClipScale(grads, clip)
-		if got := clipScale(grads, clip); math.Float64bits(got) != math.Float64bits(want) {
+		if got := clipScale(grads, 1, clip); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("trial %d dense: clipScale = %v, serial %v (clip %v, norm %v)", trial, got, want, clip, norm)
 		}
-		if got := clipScale(sparse, clip); math.Float64bits(got) != math.Float64bits(want) {
+		if got := clipScale(sparse, 1, clip); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("trial %d row-sparse: clipScale = %v, serial %v (clip %v, norm %v)", trial, got, want, clip, norm)
 		}
 	}

@@ -26,9 +26,9 @@ type Param struct {
 	Name string
 	M    *mat.Dense
 	// Rows, when non-nil, makes a gradient tensor row-sparse: every row it
-	// does not list is zero, so ParamSet.Zero, ParamSet.Scale, the clip
-	// norm and the optimizers visit only the listed rows. Nil (every tensor
-	// ZeroClone makes) is dense.
+	// does not list is zero, so an optimizer step — its scale, its clip norm,
+	// its update and the clearing of the gradient — visits only the listed
+	// rows. Nil (every tensor ZeroClone makes) is dense.
 	Rows *RowSet
 }
 
@@ -119,28 +119,6 @@ func (ps *ParamSet) ZeroClone() *ParamSet {
 		out.Add(p.Name, mat.NewDense(p.M.Rows, p.M.Cols))
 	}
 	return out
-}
-
-// Zero clears every tensor in place; a row-sparse tensor clears its listed
-// rows and then its row list.
-func (ps *ParamSet) Zero() {
-	for i := range ps.Params {
-		p := &ps.Params[i]
-		p.spans(func(lo, hi int) { mat.Zero(p.M.Data[lo:hi]) })
-		if p.Rows != nil {
-			p.Rows.clear()
-		}
-	}
-}
-
-// Scale multiplies every value by s > 0 in place. The unlisted rows of a
-// row-sparse tensor are +0, which s > 0 leaves as they are, so they are
-// not visited.
-func (ps *ParamSet) Scale(s float64) {
-	for i := range ps.Params {
-		p := &ps.Params[i]
-		p.spans(func(lo, hi int) { mat.Scale(p.M.Data[lo:hi], s) })
-	}
 }
 
 // CheckSameShape reports the first way other differs from ps in tensor

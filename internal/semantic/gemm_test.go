@@ -37,19 +37,22 @@ func sameParamBits(t *testing.T, what string, got, want *nn.ParamSet) {
 
 // clipCounter wraps a reference optimizer and counts the steps whose
 // gradient norm the clip bounds (scale < 1) and the steps it leaves alone.
+// It applies the minibatch scale itself, to see the norm the step clips,
+// and hands the wrapped optimizer a scale of 1, which changes no bit.
 type clipCounter struct {
 	nn.Optimizer
 	clip               float64
 	clipped, unclipped int
 }
 
-func (c *clipCounter) Step(params, grads *nn.ParamSet) {
+func (c *clipCounter) Step(params, grads *nn.ParamSet, s float64) {
+	scaleGradsReference(grads, s)
 	if clipScaleReference(grads, c.clip) < 1 {
 		c.clipped++
 	} else {
 		c.unclipped++
 	}
-	c.Optimizer.Step(params, grads)
+	c.Optimizer.Step(params, grads, 1)
 }
 
 // TestTrainEpochMatchesReference holds the batched, row-sparse training
@@ -58,8 +61,10 @@ func (c *clipCounter) Step(params, grads *nn.ParamSet) {
 // 1, 2 and 8 workers. The cases are pretraining's Adam, the fine-tune's
 // momentum SGD (noiseless, and at the fine-tune's noise), a learning rate
 // and clip where some steps clip and some do not (both sides of the clip
-// certificate), examples that leave most embedding rows untouched, and a
-// whole FineTune of 3 epochs.
+// certificate), examples that leave most embedding rows untouched, a
+// whole FineTune of 3 epochs, and the daemon's update itself: a pretrained
+// model fine-tuned for 3 epochs at clip 5 on a 32-message idiolect buffer,
+// where some steps clip (41 of 102) and the rest do not.
 func TestTrainEpochMatchesReference(t *testing.T) {
 	corp := corpus.Build()
 	base := NewCodec(corp.Domain("it"), Config{Seed: 9})
@@ -78,6 +83,20 @@ func TestTrainEpochMatchesReference(t *testing.T) {
 		t.Fatalf("sparse examples touch %d of %d embedding rows", len(touched), base.emb.Vocab())
 	}
 
+	// The daemon's update: a pretrained general model fine-tuned on one
+	// user's 32-message idiolect buffer, whose size leaves a partial batch.
+	d := corp.Domain("it")
+	general := Pretrain(d, corp, Config{Seed: 9})
+	idio := corpus.NewIdiolect(corp, mat.NewRNG(91), 0.8)
+	gen := corpus.NewGenerator(corp, mat.NewRNG(92))
+	var buffer []Example
+	for i := 0; i < 32; i++ {
+		buffer = append(buffer, ExamplesFromMessage(d, gen.Message(d.Index, idio))...)
+	}
+	if len(buffer)%trainBatch == 0 {
+		t.Fatalf("idiolect buffer of %d examples leaves no partial batch", len(buffer))
+	}
+
 	prev := mat.Parallelism()
 	defer mat.SetParallelism(prev)
 
@@ -85,54 +104,66 @@ func TestTrainEpochMatchesReference(t *testing.T) {
 	const clip = 0.8
 	for _, tc := range []struct {
 		name     string
+		from     *Codec // nil: the untrained base
 		examples []Example
 		epochs   int // > 0: a FineTune of that many epochs instead of one TrainEpoch
 		noiseStd float64
 		opt      func() nn.Optimizer // the product optimizer
 		ref      func() nn.Optimizer // its pre-row-sparse reference
 	}{
-		{"adam_noise", examples, 0, 0.2,
+		{"adam_noise", nil, examples, 0, 0.2,
 			func() nn.Optimizer { return &nn.Adam{LR: 0.03, Clip: 5} },
 			func() nn.Optimizer { return &adamReference{LR: 0.03, Clip: 5} }},
-		{"sgd_noiseless", examples, 0, 0,
+		{"sgd_noiseless", nil, examples, 0, 0,
 			func() nn.Optimizer { return &nn.SGD{LR: 0.01, Momentum: 0.5, Clip: 5} },
 			func() nn.Optimizer { return &sgdReference{LR: 0.01, Momentum: 0.5, Clip: 5} }},
-		{"sgd_finetune_noise", examples, 0, cfg.NoiseStd / 2,
+		{"sgd_finetune_noise", nil, examples, 0, cfg.NoiseStd / 2,
 			func() nn.Optimizer { return &nn.SGD{LR: cfg.LR / 2, Momentum: 0.5, Clip: 5} },
 			func() nn.Optimizer { return &sgdReference{LR: cfg.LR / 2, Momentum: 0.5, Clip: 5} }},
-		{"sgd_clipping", examples, 0, 0.2,
+		{"sgd_clipping", nil, examples, 0, 0.2,
 			func() nn.Optimizer { return &nn.SGD{LR: 0.2, Momentum: 0.5, Clip: clip} },
 			func() nn.Optimizer {
 				return &clipCounter{Optimizer: &sgdReference{LR: 0.2, Momentum: 0.5, Clip: clip}, clip: clip}
 			}},
-		{"adam_clipping", examples, 0, 0.2,
+		{"adam_clipping", nil, examples, 0, 0.2,
 			func() nn.Optimizer { return &nn.Adam{LR: 0.05, Clip: clip} },
 			func() nn.Optimizer { return &clipCounter{Optimizer: &adamReference{LR: 0.05, Clip: clip}, clip: clip} }},
-		{"adam_untouched_rows", sparse, 0, 0.2,
+		{"adam_untouched_rows", nil, sparse, 0, 0.2,
 			func() nn.Optimizer { return &nn.Adam{LR: 0.03, Clip: 5} },
 			func() nn.Optimizer { return &adamReference{LR: 0.03, Clip: 5} }},
-		{"sgd_untouched_rows", sparse, 0, 0.1,
+		{"sgd_untouched_rows", nil, sparse, 0, 0.1,
 			func() nn.Optimizer { return &nn.SGD{LR: 0.015, Momentum: 0.5, Clip: 5} },
 			func() nn.Optimizer { return &sgdReference{LR: 0.015, Momentum: 0.5, Clip: 5} }},
-		{"finetune_3_epochs", examples, 3, cfg.NoiseStd / 2, nil,
+		{"finetune_3_epochs", nil, examples, 3, cfg.NoiseStd / 2, nil,
 			func() nn.Optimizer { return &sgdReference{LR: cfg.LR / 2, Momentum: 0.5, Clip: 5} }},
+		{"finetune_idiolect_buffer", general, buffer, 3, cfg.NoiseStd / 2, nil,
+			func() nn.Optimizer {
+				return &clipCounter{Optimizer: &sgdReference{LR: cfg.LR / 2, Momentum: 0.5, Clip: 5}, clip: 5}
+			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mat.SetParallelism(1)
-			ref := base.Clone()
+			from := base
+			if tc.from != nil {
+				from = tc.from
+			}
+			ref := from.Clone()
 			refOpt := tc.ref()
 			rng := mat.NewRNG(31)
 			for e := 0; e < max(tc.epochs, 1); e++ {
 				trainEpochReference(ref, tc.examples, refOpt, rng, tc.noiseStd)
 			}
-			if cc, ok := refOpt.(*clipCounter); ok && (cc.clipped == 0 || cc.unclipped == 0) {
-				t.Fatalf("clip %v bounds %d steps and leaves %d: want both kinds", clip, cc.clipped, cc.unclipped)
+			if cc, ok := refOpt.(*clipCounter); ok {
+				if cc.clipped == 0 || cc.unclipped == 0 {
+					t.Fatalf("clip %v bounds %d steps and leaves %d: want both kinds", cc.clip, cc.clipped, cc.unclipped)
+				}
+				t.Logf("%d examples: clip %v bounds %d steps and leaves %d", len(tc.examples), cc.clip, cc.clipped, cc.unclipped)
 			}
 			want := ref.Params()
 
 			for _, workers := range []int{1, 2, 8} {
 				mat.SetParallelism(workers)
-				got := base.Clone()
+				got := from.Clone()
 				if tc.epochs > 0 {
 					got.FineTune(tc.examples, tc.epochs, 0, mat.NewRNG(31))
 				} else {

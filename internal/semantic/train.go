@@ -43,7 +43,10 @@ const trainBatch = 8
 // gradient, not the loss or the accuracy; and the embedding gradient of a
 // minibatch is row-sparse — the at most trainBatch rows it touched — so
 // scaling, clipping, stepping and zeroing it skip the untouched rows
-// (internal/nn/optim.go says why the parameters come out the same).
+// (internal/nn/optim.go says why the parameters come out the same). The
+// softmax cross-entropy runs over the whole minibatch at once, and the
+// optimizer scales, certifies the clip of, steps and clears the gradient
+// in two sweeps.
 func (c *Codec) TrainEpoch(examples []Example, opt nn.Optimizer, rng *mat.RNG, noiseStd float64) {
 	c.trainEpoch(examples, opt, rng, noiseStd, c.newGrads())
 }
@@ -88,6 +91,7 @@ func (c *Codec) trainEpoch(examples []Example, opt nn.Optimizer, rng *mat.RNG, n
 	dX := sc.Mat(trainBatch, E)
 	deviates := sc.Vec(trainBatch * F) // the minibatch's channel noise
 	sids := sc.Ints(trainBatch)
+	targets := sc.Ints(trainBatch)
 
 	order := rng.Perm(len(examples))
 	for start := 0; start < len(order); start += trainBatch {
@@ -112,6 +116,7 @@ func (c *Codec) trainEpoch(examples []Example, opt nn.Optimizer, rng *mat.RNG, n
 		for t := 0; t < n; t++ {
 			ex := examples[order[start+t]]
 			sids[t] = ex.SurfaceID
+			targets[t] = ex.ConceptID
 			copy(xB.Row(t), c.emb.Lookup(ex.SurfaceID))
 		}
 		c.enc.ForwardBatch(preB, xB)
@@ -131,9 +136,7 @@ func (c *Codec) trainEpoch(examples []Example, opt nn.Optimizer, rng *mat.RNG, n
 		c.dec.ForwardBatch(hPreB, noisyB)
 		nn.TanhForward(hB.Data, hPreB.Data)
 		c.out.ForwardBatch(logitsB, hB)
-		for t := 0; t < n; t++ {
-			nn.SoftmaxCrossEntropy(dLogitsB.Row(t), logitsB.Row(t), examples[order[start+t]].ConceptID)
-		}
+		nn.SoftmaxCrossEntropy(dLogitsB, logitsB, targets[:n])
 		// Backward: decoder.
 		c.out.BackwardBatch(hB, dLogitsB, gOutW, gOutB, dHB)
 		nn.TanhBackward(dHB.Data, hB.Data, dHB.Data)
@@ -145,9 +148,7 @@ func (c *Codec) trainEpoch(examples []Example, opt nn.Optimizer, rng *mat.RNG, n
 			c.emb.AccumulateGrad(gEmb.M, sids[t], dXB.Row(t))
 			gEmb.Rows.Add(sids[t])
 		}
-		grads.Scale(1 / float64(n))
-		opt.Step(params, grads)
-		grads.Zero()
+		opt.Step(params, grads, 1/float64(n))
 	}
 }
 

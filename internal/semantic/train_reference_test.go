@@ -63,7 +63,8 @@ func trainEpochReference(c *Codec, examples []Example, opt nn.Optimizer, rng *ma
 		c.dec.Forward(hPre, noisy)
 		nn.TanhForward(h, hPre)
 		c.out.Forward(logits, h)
-		nn.SoftmaxCrossEntropy(dLogits, logits, ex.ConceptID)
+		mat.Softmax(dLogits, logits) // the cross-entropy gradient
+		dLogits[ex.ConceptID] -= 1
 		// Backward: decoder.
 		c.out.Backward(h, dLogits, gOutW, gOutB, dH)
 		nn.TanhBackward(dH, h, dH)
@@ -75,15 +76,12 @@ func trainEpochReference(c *Codec, examples []Example, opt nn.Optimizer, rng *ma
 
 		inBatch++
 		if inBatch == batch {
-			scaleGradsReference(grads, 1/float64(batch))
-			opt.Step(params, grads)
-			grads.Zero()
+			opt.Step(params, grads, 1/float64(batch))
 			inBatch = 0
 		}
 	}
 	if inBatch > 0 {
-		scaleGradsReference(grads, 1/float64(inBatch))
-		opt.Step(params, grads)
+		opt.Step(params, grads, 1/float64(inBatch))
 	}
 }
 
@@ -94,9 +92,19 @@ func scaleGradsReference(grads *nn.ParamSet, s float64) {
 	}
 }
 
+// zeroGradsReference sets every gradient value to +0.
+func zeroGradsReference(grads *nn.ParamSet) {
+	for _, p := range grads.Params {
+		mat.Zero(p.M.Data)
+	}
+}
+
 // sgdReference is nn.SGD's Step before row-sparse gradients, verbatim but
 // for the serial tensor loop (the sharded one only starts at 1<<15 values,
-// far above a codec's, and is bit-identical anyway).
+// far above a codec's, and is bit-identical anyway). Like every
+// nn.Optimizer it takes the minibatch scale and consumes the gradient:
+// the scaling and the zeroing are the separate passes they were before
+// the optimizers took them over, around the unchanged step.
 type sgdReference struct {
 	LR       float64
 	Momentum float64
@@ -105,7 +113,9 @@ type sgdReference struct {
 	velocity *nn.ParamSet
 }
 
-func (o *sgdReference) Step(params, grads *nn.ParamSet) {
+func (o *sgdReference) Step(params, grads *nn.ParamSet, s float64) {
+	scaleGradsReference(grads, s)
+	defer zeroGradsReference(grads)
 	scale := clipScaleReference(grads, o.Clip)
 	if o.Momentum == 0 {
 		for i := range params.Params {
@@ -123,7 +133,8 @@ func (o *sgdReference) Step(params, grads *nn.ParamSet) {
 }
 
 // adamReference is nn.Adam's Step before row-sparse gradients, verbatim
-// but for the serial tensor loop.
+// but for the serial tensor loop, between the same scaling and zeroing
+// passes as sgdReference.
 type adamReference struct {
 	LR    float64
 	Beta1 float64
@@ -135,7 +146,9 @@ type adamReference struct {
 	t    int
 }
 
-func (o *adamReference) Step(params, grads *nn.ParamSet) {
+func (o *adamReference) Step(params, grads *nn.ParamSet, s float64) {
+	scaleGradsReference(grads, s)
+	defer zeroGradsReference(grads)
 	b1, b2, eps := o.Beta1, o.Beta2, o.Eps
 	if b1 == 0 {
 		b1 = 0.9

@@ -97,7 +97,6 @@ func (vc *VectorCodec) Train(samples [][]float64, epochs int, lr, noiseStd float
 		order := rng.Perm(len(samples))
 		total := 0.0
 		inBatch := 0
-		grads.Zero()
 		for _, si := range order {
 			x := samples[si]
 			vc.enc.Forward(pre, x)
@@ -115,16 +114,12 @@ func (vc *VectorCodec) Train(samples [][]float64, epochs int, lr, noiseStd float
 			vc.enc.Backward(x, dFeat, gEncW, gEncB, nil)
 			inBatch++
 			if inBatch == batch {
-				grads.Scale(1 / float64(batch))
-				opt.Step(params, grads)
-				grads.Zero()
+				opt.Step(params, grads, 1/float64(batch))
 				inBatch = 0
 			}
 		}
 		if inBatch > 0 {
-			grads.Scale(1 / float64(inBatch))
-			opt.Step(params, grads)
-			grads.Zero()
+			opt.Step(params, grads, 1/float64(inBatch))
 		}
 		lastMSE = total / float64(len(samples)) / float64(vc.inDim) * 2 // MSE returns 0.5*sum
 	}
