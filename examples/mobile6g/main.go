@@ -1,8 +1,10 @@
-// Mobile6G: user mobility and handover between edge servers. A user with
-// a personalized individual model moves from edge A to edge B; the
-// serving infrastructure migrates the individual model over the backhaul
-// so personalization survives the handover, and the example accounts for
-// the migration cost against re-learning from scratch.
+// Mobile6G: user mobility and handover between edges. A user with
+// personalized individual models moves from edge A to edge B; the serving
+// infrastructure migrates the user's serving state over the backhaul —
+// the individual models of both edge sides, the channel-noise sequence and
+// the pending update transactions, as an edged mesh member hands a user
+// over — so personalization survives the handover instead of being
+// relearned from scratch, and the example accounts for the migration cost.
 //
 // Run with: go run ./examples/mobile6g
 package main
@@ -12,10 +14,8 @@ import (
 	"log"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/edge"
-	"repro/internal/fl"
-	"repro/internal/kb"
 	"repro/internal/mat"
 	"repro/internal/netsim"
 	"repro/internal/semantic"
@@ -31,20 +31,15 @@ func run() error {
 	fmt.Println("== 6G mobility: individual-model handover between edges ==")
 	corp := corpus.Build()
 	d := corp.Domain("it")
-	fmt.Println("pretraining the IT general model...")
-	general := semantic.Pretrain(d, corp, semantic.Config{Seed: 3})
-
-	cloud := kb.NewRegistry()
-	cloud.Put(&kb.Model{Key: kb.GeneralKey(d.Name, kb.RoleCodec), Version: 1, Codec: general})
-
-	backhaul := netsim.Link{Latency: 15 * time.Millisecond, BandwidthBps: 500e6}
-	mkEdge := func(name string) (*edge.Server, error) {
-		return edge.New(edge.Config{
-			Name:            name,
-			CacheCapacity:   1 << 20,
-			Uplink:          netsim.Link{Latency: 40 * time.Millisecond, BandwidthBps: 200e6},
+	fmt.Println("pretraining the general models...")
+	generals := semantic.PretrainAll(corp, semantic.Config{Seed: 3})
+	mkEdge := func(name string) (*core.System, error) {
+		return core.NewSystem(core.Config{
+			SenderName:      name,
+			Pretrained:      generals,
 			BufferThreshold: 24,
-		}, cloud)
+			Seed:            11,
+		})
 	}
 	edgeA, err := mkEdge("edge-A")
 	if err != nil {
@@ -55,65 +50,87 @@ func run() error {
 		return err
 	}
 
-	// Phase 1: the user lives on edge A and personalizes.
 	rng := mat.NewRNG(11)
 	idio := corpus.NewIdiolect(corp, rng.Split(), 0.5)
 	gen := corpus.NewGenerator(corp, rng.Split())
-	fmt.Println("\nphase 1: user attached to edge-A, personalizing...")
-	mismatchAt := func(srv *edge.Server, label string) float64 {
-		probe := gen.Batch(d.Index, 40, idio)
-		total := 0.0
-		for _, m := range probe {
-			acq, err := srv.AcquireCodec(d.Name, "u1")
-			if err != nil {
-				log.Fatal(err)
-			}
-			var exs []semantic.Example
-			exs = append(exs, semantic.ExamplesFromMessage(d, m)...)
-			total += 1 - acq.Model.Codec.Evaluate(exs)
-		}
-		fmt.Printf("  %-28s mismatch %.3f\n", label, total/40)
-		return total / 40
+	// Every phase is scored on one probe batch, so the three mismatches
+	// differ only by the model that decodes them.
+	var probe []semantic.Example
+	for _, m := range gen.Batch(d.Index, 40, idio) {
+		probe = append(probe, semantic.ExamplesFromMessage(d, m)...)
 	}
-	before := mismatchAt(edgeA, "general model on edge-A:")
-	for round := 0; round < 4; round++ {
-		for i := 0; i < 24; i++ {
-			m := gen.Message(d.Index, idio)
-			if _, _, err := edgeA.RecordTransaction(nil, d.Name, "u1", m.Words, nil); err != nil {
-				return err
-			}
+	mismatchAt := func(sys *core.System, label string) (float64, error) {
+		acq, err := sys.Sender.AcquireCodec(d.Name, "u1")
+		if err != nil {
+			return 0, err
 		}
-		if _, err := edgeA.RunUpdate(d.Name, "u1", fl.UpdateConfig{Epochs: 3, Seed: uint64(round) + 1}); err != nil {
-			return err
-		}
+		mismatch := 1 - acq.Model.Codec.Evaluate(probe)
+		fmt.Printf("  %-28s mismatch %.3f\n", label, mismatch)
+		return mismatch, nil
 	}
-	after := mismatchAt(edgeA, "personalized on edge-A:")
-	fmt.Printf("  personalization gain: %.3f\n", before-after)
 
-	// Phase 2: handover. Export the individual model on edge A, ship it
-	// over the backhaul, import on edge B.
-	fmt.Println("\nphase 2: user moves; handover edge-A -> edge-B")
-	exported, err := edgeA.ExportUserModel(d.Name, "u1")
+	// Phase 1: the user lives on edge A and personalizes: every 24
+	// messages in a domain fire an update of the user's individual model.
+	fmt.Println("\nphase 1: user attached to edge-A, personalizing...")
+	before, err := mismatchAt(edgeA, "general model on edge-A:")
 	if err != nil {
 		return err
 	}
-	transfer := backhaul.TransferTime(exported.SizeBytes())
-	fmt.Printf("  migrating %d bytes of individual model: %.2f ms over backhaul\n",
-		exported.SizeBytes(), float64(transfer)/float64(time.Millisecond))
-	if err := edgeB.ImportUserModel(exported); err != nil {
+	const messages = 4*24 + 5
+	updates := 0
+	for i := 0; i < messages; i++ {
+		res, err := edgeA.TransmitText("u1", gen.Message(d.Index, idio).Words)
+		if err != nil {
+			return err
+		}
+		if res.UpdateErr != nil {
+			return res.UpdateErr
+		}
+		if res.UpdateFired {
+			updates++
+		}
+	}
+	after, err := mismatchAt(edgeA, "personalized on edge-A:")
+	if err != nil {
 		return err
 	}
+	fmt.Printf("  %d messages, %d update rounds, personalization gain: %.3f\n", messages, updates, before-after)
 
-	// Phase 3: verify personalization survived the move.
-	fmt.Println("\nphase 3: user attached to edge-B")
-	afterMove := mismatchAt(edgeB, "migrated model on edge-B:")
-	if afterMove > after+0.02 {
-		return fmt.Errorf("handover lost personalization: %.3f -> %.3f", after, afterMove)
+	// Phase 2: handover. Export the user's serving state on edge A, ship it
+	// over the backhaul, import it on edge B, and drop it on edge A.
+	fmt.Println("\nphase 2: user moves; handover edge-A -> edge-B")
+	exp, err := edgeA.ExportUserForHandover("u1")
+	if err != nil {
+		return err
 	}
-	fresh := before
-	fmt.Printf("\nhandover verdict: migrated mismatch %.3f vs %.3f if restarting from the general model\n",
-		afterMove, fresh)
+	pending := 0
+	for _, b := range exp.Buffers {
+		pending += len(b.Txs)
+	}
+	backhaul := netsim.Link{Latency: 15 * time.Millisecond, BandwidthBps: 500e6}
+	transfer := backhaul.TransferTime(exp.SenderBytes())
+	fmt.Printf("  migrating %d sender + %d receiver individual models, noise sequence %d, %d pending transactions\n",
+		len(exp.Sender), len(exp.Receiver), exp.NoiseSeq, pending)
+	fmt.Printf("  %d bytes of sender-side models: %.2f ms over backhaul\n",
+		exp.SenderBytes(), float64(transfer)/float64(time.Millisecond))
+	if err := edgeB.ImportUserFromHandover(exp); err != nil {
+		return err
+	}
+	edgeA.DropUserAfterHandover(exp)
+
+	// Phase 3: verify personalization survived the move. A handover moves
+	// the models bit for bit, so edge B must score exactly what edge A did.
+	fmt.Println("\nphase 3: user attached to edge-B")
+	afterMove, err := mismatchAt(edgeB, "migrated model on edge-B:")
+	if err != nil {
+		return err
+	}
+	if afterMove != after {
+		return fmt.Errorf("handover changed the personalized model: mismatch %.6f on edge-A, %.6f on edge-B", after, afterMove)
+	}
+	fmt.Printf("\nhandover verdict: migrated mismatch %.3f, equal to edge-A's, vs %.3f if restarting from the general model\n",
+		afterMove, before)
 	fmt.Printf("the %.2f ms migration preserved %d update rounds of personalization\n",
-		float64(transfer)/float64(time.Millisecond), 4)
+		float64(transfer)/float64(time.Millisecond), updates)
 	return nil
 }

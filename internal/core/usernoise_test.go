@@ -153,7 +153,7 @@ func TestPerUserNoiseHandoverContinuity(t *testing.T) {
 	}
 	old.DropUserAfterHandover(exp)
 	for _, m := range exp.Sender {
-		if _, err := old.Sender.ExportUserModel(m.Domain, "carol"); err == nil {
+		if _, _, err := old.Sender.AppendUserModel(nil, m.Domain, "carol"); err == nil {
 			t.Fatalf("sender model %s/carol still present after drop", m.Domain)
 		}
 	}

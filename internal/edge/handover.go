@@ -63,16 +63,10 @@ func (s *Server) DropUser(user string) {
 	s.mu.Unlock()
 }
 
-// ExportUserModel serializes the user's individual model for migration to
-// a peer edge. It fails if the user has no individual model here.
-func (s *Server) ExportUserModel(domain, user string) (*ExportedModel, error) {
-	m, _, err := s.AppendUserModel(nil, domain, user)
-	return m, err
-}
-
-// AppendUserModel is ExportUserModel serializing into dst: the model's
-// parameters are appended to dst, the returned model's Params view them,
-// and the extended buffer comes back for the next model.
+// AppendUserModel serializes the user's individual model for migration to
+// a peer edge, failing with ErrNoIndividual if there is none here: the
+// model's parameters are appended to dst, the returned model's Params view
+// them, and the extended buffer comes back for the next model.
 func (s *Server) AppendUserModel(dst []byte, domain, user string) (*ExportedModel, []byte, error) {
 	acq, err := s.AcquireCodec(domain, user)
 	if err != nil {
@@ -94,26 +88,14 @@ func (s *Server) AppendUserModel(dst []byte, domain, user string) (*ExportedMode
 	}, dst, nil
 }
 
-// ImportUserModel installs a migrated individual model: a new individual
-// entry built on the parsed parameters, or, when one is cached already,
-// its parameters overwritten. Older versions than the locally cached one
-// are rejected.
-func (s *Server) ImportUserModel(m *ExportedModel) error {
-	params, err := nn.ParseParamSet(m.Params)
-	if err != nil {
-		return fmt.Errorf("edge %s: import %s/%s: %w", s.name, m.User, m.Domain, err)
-	}
-	if err := params.CheckFinite(); err != nil {
-		return fmt.Errorf("edge %s: import %s/%s: %w", s.name, m.User, m.Domain, err)
-	}
-	return s.InstallUserModel(m, params)
-}
-
-// InstallUserModel is ImportUserModel for a payload the caller has already
-// parsed (to validate a whole set of models before the first one lands):
-// m.Params is not read again. When the server caches no individual model
-// for (m.User, m.Domain), the new one is built on params' tensors, which
-// it adopts: the caller must not touch params again.
+// InstallUserModel installs a migrated individual model from params, its
+// payload as the caller parsed and validated it (core checks a whole
+// export before the first model lands): m.Params is not read again. When
+// the server caches no individual model for (m.User, m.Domain), a new one
+// is built on params' tensors, which it adopts: the caller must not touch
+// params again. Otherwise the cached model's parameters are overwritten;
+// a version older than the cached one, or params of another shape, is
+// refused and leaves the cached model as it was.
 func (s *Server) InstallUserModel(m *ExportedModel, params *nn.ParamSet) error {
 	model, created, _, err := s.personalize(m.Domain, m.User, params, m.Version)
 	if err != nil {

@@ -1,11 +1,13 @@
 package edge
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/corpus"
 	"repro/internal/fl"
 	"repro/internal/mat"
+	"repro/internal/nn"
 )
 
 // personalizeOn runs enough idiolect traffic through srv to produce a
@@ -28,20 +30,32 @@ func personalizeOn(t *testing.T, srv *Server, corp *corpus.Corpus, seed uint64) 
 	return idio
 }
 
+// exportU1 is the two ends of a handover of u1's "it" model: srv's export,
+// and the parameters the importing side parses from it.
+func exportU1(t *testing.T, srv *Server) (*ExportedModel, *nn.ParamSet) {
+	t.Helper()
+	m, _, err := srv.AppendUserModel(nil, "it", "u1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	params, err := nn.ParseParamSet(m.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, params
+}
+
 func TestHandoverPreservesModel(t *testing.T) {
 	corp, _ := cloudFixture(t)
 	edgeA := newServer(t, 6, nil)
 	edgeB := newServer(t, 6, nil)
 	idio := personalizeOn(t, edgeA, corp, 51)
 
-	exported, err := edgeA.ExportUserModel("it", "u1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	exported, params := exportU1(t, edgeA)
 	if exported.SizeBytes() <= 0 || exported.Version != 1 {
 		t.Fatalf("export metadata wrong: %+v", exported)
 	}
-	if err := edgeB.ImportUserModel(exported); err != nil {
+	if err := edgeB.InstallUserModel(exported, params); err != nil {
 		t.Fatal(err)
 	}
 
@@ -78,18 +92,25 @@ func TestHandoverPreservesModel(t *testing.T) {
 
 func TestExportWithoutIndividualModel(t *testing.T) {
 	srv := newServer(t, 4, nil)
-	if _, err := srv.ExportUserModel("it", "nobody"); err == nil {
+	if _, _, err := srv.AppendUserModel(nil, "it", "nobody"); err == nil {
 		t.Fatal("export without individual model accepted")
 	}
 }
 
+// TestImportRejectsGarbage: junk payload bytes do not parse, and a payload
+// that parses but holds no codec's tensors is refused by the install,
+// which then caches nothing for the user.
 func TestImportRejectsGarbage(t *testing.T) {
+	if _, err := nn.ParseParamSet([]byte("junk")); err == nil {
+		t.Fatal("garbage payload parsed")
+	}
 	srv := newServer(t, 4, nil)
-	err := srv.ImportUserModel(&ExportedModel{
-		Domain: "it", User: "u1", Version: 1, Params: []byte("junk"),
-	})
-	if err == nil {
-		t.Fatal("garbage import accepted")
+	m := &ExportedModel{Domain: "it", User: "u1", Version: 1}
+	if err := srv.InstallUserModel(m, &nn.ParamSet{}); err == nil {
+		t.Fatal("install of an empty parameter set accepted")
+	}
+	if domains := srv.UserDomains("u1"); len(domains) != 0 {
+		t.Fatalf("a refused install left individual models %v", domains)
 	}
 }
 
@@ -98,17 +119,15 @@ func TestImportRejectsStaleVersion(t *testing.T) {
 	edgeA := newServer(t, 6, nil)
 	edgeB := newServer(t, 6, nil)
 	personalizeOn(t, edgeA, corp, 53)
-	exported, err := edgeA.ExportUserModel("it", "u1")
-	if err != nil {
+	exported, params := exportU1(t, edgeA)
+	if err := edgeB.InstallUserModel(exported, params); err != nil {
 		t.Fatal(err)
 	}
-	if err := edgeB.ImportUserModel(exported); err != nil {
-		t.Fatal(err)
-	}
-	// A second import with an older version must be rejected.
+	// A second install with an older version must be rejected.
 	stale := *exported
 	stale.Version = 0
-	if err := edgeB.ImportUserModel(&stale); err == nil {
+	_, params = exportU1(t, edgeA)
+	if err := edgeB.InstallUserModel(&stale, params); err == nil {
 		t.Fatal("stale import accepted")
 	}
 }
@@ -118,14 +137,36 @@ func TestImportRejectsWrongDomainShapes(t *testing.T) {
 	edgeA := newServer(t, 6, nil)
 	edgeB := newServer(t, 6, nil)
 	personalizeOn(t, edgeA, corp, 54)
-	exported, err := edgeA.ExportUserModel("it", "u1")
+	exported, params := exportU1(t, edgeA)
+	// Claim the payload is for a different domain: tensor shapes differ.
+	exported.Domain = "medical"
+	if err := edgeB.InstallUserModel(exported, params); err == nil {
+		t.Fatal("cross-domain import accepted")
+	}
+}
+
+// TestInstallOverwriteRejectsOtherShape: a newer payload of another shape
+// for a model the server already caches fails the overwrite's shape check
+// and leaves the cached parameters and version as they were. (core checks
+// every payload's shape before an install, so only a direct caller of
+// InstallUserModel reaches this refusal.)
+func TestInstallOverwriteRejectsOtherShape(t *testing.T) {
+	corp, _ := cloudFixture(t)
+	srv := newServer(t, 6, nil)
+	personalizeOn(t, srv, corp, 56)
+	before, _ := exportU1(t, srv)
+	medical, err := srv.AcquireCodec("medical", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Claim the payload is for a different domain: tensor shapes differ.
-	exported.Domain = "medical"
-	if err := edgeB.ImportUserModel(exported); err == nil {
-		t.Fatal("cross-domain import accepted")
+	newer := &ExportedModel{Domain: "it", User: "u1", Version: before.Version + 1}
+	if err := srv.InstallUserModel(newer, medical.Model.Codec.Params().Clone()); err == nil {
+		t.Fatal("overwrite with a payload of another shape accepted")
+	}
+	after, _ := exportU1(t, srv)
+	if after.Version != before.Version || !bytes.Equal(after.Params, before.Params) {
+		t.Fatalf("a refused overwrite changed the cached model: version %d -> %d, params equal %v",
+			before.Version, after.Version, bytes.Equal(after.Params, before.Params))
 	}
 }
 

@@ -93,14 +93,14 @@ func directSender(t *testing.T, srv *Server, domain, user string, words []string
 // TestEveryWriterRestamps is the table the memo's validity rests on: for
 // every call site outside package semantic that writes a served codec's
 // weights (the `Params()` / `DecoderParams()` doors of fl.ApplyUpdate,
-// fl.ApplyAverageDelta, FedAvg's DP noise, InstallUserModel and
-// ImportUserModel, plus the fine-tune behind RunUpdate), warm the
-// server's memo on the old weights, write, and require the server's
-// decode to equal a fresh un-memoized decode of the new ones — and to
-// differ from the old answer, so a stale memo could not pass. The codec's
-// sender table hangs on the same stamp, so the same writers must orphan it:
-// what the server encodes and decoder-copies after the write must equal the
-// per-token kernels on the new weights, and the features must have moved.
+// fl.ApplyAverageDelta, FedAvg's DP noise and InstallUserModel, plus the
+// fine-tune behind RunUpdate), warm the server's memo on the old weights,
+// write, and require the server's decode to equal a fresh un-memoized
+// decode of the new ones — and to differ from the old answer, so a stale
+// memo could not pass. The codec's sender table hangs on the same stamp,
+// so the same writers must orphan it: what the server encodes and
+// decoder-copies after the write must equal the per-token kernels on the
+// new weights, and the features must have moved.
 // Package semantic's own writers run the same table in its memo_test.go.
 func TestEveryWriterRestamps(t *testing.T) {
 	corp, _ := cloudFixture(t)
@@ -138,25 +138,9 @@ func TestEveryWriterRestamps(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"ImportUserModel", func(t *testing.T, srv *Server) {
-			exp, err := tuned(t, 63).ExportUserModel("it", "u1")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := srv.ImportUserModel(exp); err != nil {
-				t.Fatal(err)
-			}
-		}},
 		{"InstallUserModel", func(t *testing.T, srv *Server) {
-			exp, err := tuned(t, 64).ExportUserModel("it", "u1")
-			if err != nil {
-				t.Fatal(err)
-			}
-			acq, err := tuned(t, 64).AcquireCodec("it", "u1")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := srv.InstallUserModel(exp, acq.Model.Codec.Params().Clone()); err != nil {
+			exp, params := exportU1(t, tuned(t, 64))
+			if err := srv.InstallUserModel(exp, params); err != nil {
 				t.Fatal(err)
 			}
 		}},

@@ -87,18 +87,6 @@ func (b *Buffer) Ready() bool { return len(b.txs) >= b.Threshold }
 // Reset clears the buffer after an update.
 func (b *Buffer) Reset() { b.txs = b.txs[:0] }
 
-// MeanMismatch returns the average transaction mismatch, or 0 when empty.
-func (b *Buffer) MeanMismatch() float64 {
-	if len(b.txs) == 0 {
-		return 0
-	}
-	total := 0.0
-	for _, tx := range b.txs {
-		total += tx.Mismatch()
-	}
-	return total / float64(len(b.txs))
-}
-
 // Examples flattens the buffered transactions into training pairs.
 // Out-of-domain tokens (concept -1, e.g. after a wrong model selection)
 // carry no supervision signal and are skipped.

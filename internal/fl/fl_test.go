@@ -97,15 +97,6 @@ func TestBufferDefaultThreshold(t *testing.T) {
 	}
 }
 
-func TestBufferMeanMismatch(t *testing.T) {
-	b := NewBuffer("it", "u1", 8)
-	b.Add(Transaction{ConceptIDs: []int{1, 2}, Decoded: []int{1, 2}}) // 0
-	b.Add(Transaction{ConceptIDs: []int{1, 2}, Decoded: []int{9, 9}}) // 1
-	if got := b.MeanMismatch(); got != 0.5 {
-		t.Fatalf("MeanMismatch = %v", got)
-	}
-}
-
 func TestRunUpdateEmptyBuffer(t *testing.T) {
 	_, gen := fixtures(t)
 	buf := NewBuffer("it", "u1", 4)

@@ -65,59 +65,55 @@ func (m *Dense) GlorotInit(rng *RNG, fanIn, fanOut int) {
 }
 
 // MulVec computes dst = m * x where x has length Cols and dst has length
-// Rows. dst must not alias x. It panics on length mismatches. Large
-// matrices shard rows across the package worker pool; results are
-// bit-identical to serial execution at any parallelism.
+// Rows. dst must not alias x. It panics on length mismatches.
 func (m *Dense) MulVec(dst, x []float64) {
 	if len(x) != m.Cols || len(dst) != m.Rows {
 		panic("mat: MulVec length mismatch")
 	}
-	grain := kernelGrain(m.Cols)
-	if Parallelism() == 1 || m.Rows <= grain {
-		// Inline fast path: no closure, no scheduling.
-		m.mulVecRange(dst, x, 0, m.Rows)
-		return
+	for i := range dst {
+		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+		s := 0.0
+		for j, w := range row {
+			s += w * x[j]
+		}
+		dst[i] = s
 	}
-	ParallelFor(m.Rows, grain, func(lo, hi int) {
-		m.mulVecRange(dst, x, lo, hi)
-	})
 }
 
 // MulVecT computes dst = mᵀ * x where x has length Rows and dst has length
-// Cols. dst must not alias x. It panics on length mismatches. Large
-// matrices shard output columns across the package worker pool; each
-// column accumulates rows in serial order, so results are bit-identical to
-// serial execution at any parallelism.
+// Cols. dst must not alias x. It panics on length mismatches.
 func (m *Dense) MulVecT(dst, x []float64) {
 	if len(x) != m.Rows || len(dst) != m.Cols {
 		panic("mat: MulVecT length mismatch")
 	}
-	grain := kernelGrain(m.Rows)
-	if Parallelism() == 1 || m.Cols <= grain {
-		m.mulVecTRange(dst, x, 0, m.Cols)
-		return
+	Zero(dst)
+	for i, xi := range x {
+		if xi == 0 {
+			continue
+		}
+		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+		for j, w := range row {
+			dst[j] += w * xi
+		}
 	}
-	ParallelFor(m.Cols, grain, func(lo, hi int) {
-		m.mulVecTRange(dst, x, lo, hi)
-	})
 }
 
 // AddOuter accumulates m += a * x * yᵀ, where x has length Rows and y has
-// length Cols. It panics on length mismatches. Large matrices shard rows
-// across the package worker pool; results are bit-identical to serial
-// execution at any parallelism.
+// length Cols. It panics on length mismatches.
 func (m *Dense) AddOuter(a float64, x, y []float64) {
 	if len(x) != m.Rows || len(y) != m.Cols {
 		panic("mat: AddOuter length mismatch")
 	}
-	grain := kernelGrain(m.Cols)
-	if Parallelism() == 1 || m.Rows <= grain {
-		m.addOuterRange(a, x, y, 0, m.Rows)
-		return
+	for i, xi := range x {
+		axi := a * xi
+		if axi == 0 {
+			continue
+		}
+		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+		for j, yj := range y {
+			row[j] += axi * yj
+		}
 	}
-	ParallelFor(m.Rows, grain, func(lo, hi int) {
-		m.addOuterRange(a, x, y, lo, hi)
-	})
 }
 
 // AddScaled accumulates m += a * other. It panics if shapes differ.

@@ -3,8 +3,8 @@
 package mat
 
 // AVX2 float64 kernels behind mulMatTRange, mulMatRange, addOuterBatchRange,
-// AddRowsTo, Scale, ScaleSquares, MomentumStep, Softmax (exp and the
-// division) and Tanh, and the scan behind RNG.PolarClear (polar_amd64.s).
+// AddRowsTo, ScaleSquares, MomentumStep, Softmax (exp and the division) and
+// Tanh, and the scan behind RNG.PolarClear (polar_amd64.s).
 // Each one is bit-identical to the pure-Go loop it shadows, by
 // construction: a SIMD lane is always one independent output element,
 // that element's accumulation keeps its ascending order, multiply and add
@@ -36,11 +36,6 @@ func f64AxpyRows(dst *float64, n int, coef *float64, coefStride int, scale float
 //
 //go:noescape
 func f64GemmT(dst, a, b, bias *float64, m, n, k, ldd int)
-
-// f64Scale computes v[i] *= s for i in [0, n).
-//
-//go:noescape
-func f64Scale(v *float64, n int, s float64)
 
 // f64ScaleSquares computes v[i] *= s for i in [0, n) and adds the squared
 // results into acc: element i of each whole block of four into acc[i%4],

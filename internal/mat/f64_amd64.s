@@ -296,34 +296,6 @@ store:
 	VZEROUPPER
 	RET
 
-// func f64Scale(v *float64, n int, s float64)
-TEXT ·f64Scale(SB), NOSPLIT, $0-24
-	MOVQ         v+0(FP), DI
-	MOVQ         n+8(FP), CX
-	VBROADCASTSD s+16(FP), Y1
-
-scale4:
-	CMPQ    CX, $4
-	JL      scale1
-	VMULPD  (DI), Y1, Y0
-	VMOVUPD Y0, (DI)
-	ADDQ    $32, DI
-	SUBQ    $4, CX
-	JMP     scale4
-
-scale1:
-	TESTQ  CX, CX
-	JZ     scaledone
-	VMULSD (DI), X1, X0
-	VMOVSD X0, (DI)
-	ADDQ   $8, DI
-	DECQ   CX
-	JMP    scale1
-
-scaledone:
-	VZEROUPPER
-	RET
-
 // func f64ScaleSquares(v *float64, n int, s float64, acc *[4]float64)
 //
 // v *= s, and the squares of the products into the four lane sums: Y2

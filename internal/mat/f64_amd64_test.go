@@ -233,8 +233,8 @@ func TestF64KernelsSkipSemantics(t *testing.T) {
 	}
 }
 
-// TestF64ElementwiseKernelsBitExact covers Scale, ScaleSquares, the
-// softmax's division, MomentumStep (which must leave the gradient +0) and
+// TestF64ElementwiseKernelsBitExact covers ScaleSquares, the softmax's
+// division, MomentumStep (which must leave the gradient +0) and
 // AddRowsTo (over 1 to 9 rows) over lengths around the 4-lane boundary,
 // aligned and unaligned.
 func TestF64ElementwiseKernelsBitExact(t *testing.T) {
@@ -251,14 +251,6 @@ func TestF64ElementwiseKernelsBitExact(t *testing.T) {
 
 				v := mk(1, fill.plant == 1)
 				want := Clone(v)
-				pureGo(func() { Scale(want, -0.37) })
-				Scale(v, -0.37)
-				if i, ok := sameKernelOutput(v, want); !ok {
-					t.Fatalf("Scale %s: element %d = %v, Go loop %v", name, i, v[i], want[i])
-				}
-
-				v = mk(1, fill.plant == 1)
-				want = Clone(v)
 				var acc, wantAcc [4]float64
 				pureGo(func() { ScaleSquares(want, -0.37, &wantAcc) })
 				ScaleSquares(v, -0.37, &acc)

@@ -156,7 +156,7 @@ func MulMat(dst, a, b *Dense) {
 // mulMatRange computes rows lo..hi of dst = a * b in AXPY form: out += ap *
 // b-row. The adds across one output row are independent, so the plain loop
 // already has instruction-level parallelism; the per-element order over p
-// (ascending, zeros skipped) matches mulVecTRange — and f64AxpyRows, which
+// (ascending, zeros skipped) matches MulVecT — and f64AxpyRows, which
 // runs the same sum with the output row held in registers.
 func mulMatRange(dst, a, b *Dense, lo, hi int) {
 	k := a.Cols

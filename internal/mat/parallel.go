@@ -8,13 +8,12 @@ import (
 
 // This file implements the package's parallel compute layer: a bounded
 // worker budget shared by every kernel, a ParallelFor primitive that shards
-// index ranges across it, and the row/column-sharded variants of the
-// dominant dense kernels (MulVec, MulVecT, AddOuter).
-//
-// Every parallel kernel is bit-identical to its serial loop at any worker
-// count: MulVec and AddOuter write disjoint rows, and MulVecT is sharded
-// over columns so each output element accumulates in exactly the serial
-// order. Determinism therefore never depends on SetParallelism.
+// index ranges across it, and the grain that keeps small kernel calls
+// serial. The batched kernels (gemm.go) shard output rows through it, each
+// output element accumulating in exactly its serial order, so results are
+// bit-identical at any worker count: determinism never depends on
+// SetParallelism. The per-vector kernels (MulVec, MulVecT, AddOuter) run
+// only at layer sizes far below parallelCutoff and are plain serial loops.
 
 // pool is the immutable worker budget snapshot ParallelFor operates on.
 // sem has capacity workers-1: the calling goroutine always executes chunks
@@ -94,8 +93,7 @@ func ParallelFor(n, grain int, body func(lo, hi int)) {
 // scheduling. Below it the kernels run their plain serial loops.
 const parallelCutoff = 1 << 15
 
-// kernelGrain converts a per-index cost (row length for row-sharded
-// kernels, column height for MulVecT) into the ParallelFor grain that
+// kernelGrain converts a per-row cost into the ParallelFor grain that
 // enforces parallelCutoff.
 func kernelGrain(perIndex int) int {
 	if perIndex <= 0 {
@@ -106,74 +104,4 @@ func kernelGrain(perIndex int) int {
 		g = 1
 	}
 	return g
-}
-
-// mulVecRange computes dst[lo:hi] of dst = m * x: the row-sharded MulVec
-// kernel body. Four rows run at a time with independent accumulator chains
-// — each output element still sums its products in exact serial order, so
-// the result is bit-identical to the one-row-at-a-time loop, but the four
-// chains interleave to hide FP-add latency.
-func (m *Dense) mulVecRange(dst, x []float64, lo, hi int) {
-	c := m.Cols
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		r0 := m.Data[i*c : i*c+c]
-		r1 := m.Data[(i+1)*c : (i+1)*c+c]
-		r2 := m.Data[(i+2)*c : (i+2)*c+c]
-		r3 := m.Data[(i+3)*c : (i+3)*c+c]
-		var s0, s1, s2, s3 float64
-		for j, xv := range x {
-			s0 += r0[j] * xv
-			s1 += r1[j] * xv
-			s2 += r2[j] * xv
-			s3 += r3[j] * xv
-		}
-		dst[i] = s0
-		dst[i+1] = s1
-		dst[i+2] = s2
-		dst[i+3] = s3
-	}
-	for ; i < hi; i++ {
-		row := m.Data[i*c : (i+1)*c]
-		s := 0.0
-		for j, w := range row {
-			s += w * x[j]
-		}
-		dst[i] = s
-	}
-}
-
-// mulVecTRange computes dst[lo:hi] of dst = mᵀ * x: the column-sharded
-// MulVecT kernel body. For each output column the accumulation visits rows
-// in ascending order — the exact order of the serial loop — so results are
-// bit-identical to serial execution without partial-buffer reductions.
-func (m *Dense) mulVecTRange(dst, x []float64, lo, hi int) {
-	for j := lo; j < hi; j++ {
-		dst[j] = 0
-	}
-	for i := 0; i < m.Rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j := lo; j < hi; j++ {
-			dst[j] += row[j] * xi
-		}
-	}
-}
-
-// addOuterRange accumulates rows lo..hi of m += a * x * yᵀ: the row-sharded
-// AddOuter kernel body.
-func (m *Dense) addOuterRange(a float64, x, y []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		axi := a * x[i]
-		if axi == 0 {
-			continue
-		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, yj := range y {
-			row[j] += axi * yj
-		}
-	}
 }

@@ -219,15 +219,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Shuffle pseudo-randomly reorders the first n elements using swap, with the
-// same contract as math/rand.Shuffle.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Split derives a new generator whose stream is independent of the parent's
 // subsequent output. It is the supported way to hand deterministic
 // sub-streams to parallel components.

@@ -107,19 +107,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShufflePreservesElements(t *testing.T) {
-	r := NewRNG(6)
-	s := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-	for _, v := range s {
-		sum += v
-	}
-	if sum != 36 {
-		t.Fatalf("shuffle changed multiset; sum = %d, want 36", sum)
-	}
-}
-
 func TestReseedRestartsStream(t *testing.T) {
 	r := NewRNG(42)
 	fresh := NewRNG(42)

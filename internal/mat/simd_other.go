@@ -18,10 +18,6 @@ func f64GemmT(dst, a, b, bias *float64, m, n, k, ldd int) {
 	panic("mat: f64GemmT without AVX2")
 }
 
-func f64Scale(v *float64, n int, s float64) {
-	panic("mat: f64Scale without AVX2")
-}
-
 func f64ScaleSquares(v *float64, n int, s float64, acc *[4]float64) {
 	panic("mat: f64ScaleSquares without AVX2")
 }

@@ -87,7 +87,7 @@ func checkStepKernels(t *testing.T, seed uint64, rows, cols int, special, spread
 	// serial sum of their squares in either order of comparison.
 	n := len(logits.Data)
 	scaled := Clone(logits.Data)
-	pureGo(func() { Scale(scaled, s) })
+	Scale(scaled, s)
 	serial := 0.0
 	for _, x := range scaled {
 		serial += x * x

@@ -26,10 +26,6 @@ func AddTo(dst, src []float64) {
 
 // Scale multiplies every element of v by s in place.
 func Scale(v []float64, s float64) {
-	if useAVX2 && len(v) > 0 {
-		f64Scale(&v[0], len(v), s)
-		return
-	}
 	for i := range v {
 		v[i] *= s
 	}

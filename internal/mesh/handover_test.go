@@ -111,11 +111,11 @@ func TestHandoverGoldenRoundTrip(t *testing.T) {
 	from := mm.owner(user)
 	words := messages(0, 1, 99)[0]
 
-	preSender, err := from.sys.Sender.ExportUserModel(domain, user)
+	preSender, _, err := from.sys.Sender.AppendUserModel(nil, domain, user)
 	if err != nil {
 		t.Fatal(err)
 	}
-	preReceiver, err := from.sys.Receiver.ExportUserModel(domain, user)
+	preReceiver, _, err := from.sys.Receiver.AppendUserModel(nil, domain, user)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +145,11 @@ func TestHandoverGoldenRoundTrip(t *testing.T) {
 	if to == from {
 		t.Fatal("router did not follow the move")
 	}
-	postSender, err := to.sys.Sender.ExportUserModel(domain, user)
+	postSender, _, err := to.sys.Sender.AppendUserModel(nil, domain, user)
 	if err != nil {
 		t.Fatal(err)
 	}
-	postReceiver, err := to.sys.Receiver.ExportUserModel(domain, user)
+	postReceiver, _, err := to.sys.Receiver.AppendUserModel(nil, domain, user)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,7 +556,7 @@ func TestRefusedPushKeepsPeer(t *testing.T) {
 	dstIdx := 1 - src.node.Self().Index
 	dst := mm.members[dstIdx]
 	domain := src.sys.Corpus.Domains[0].Name
-	mine, err := src.sys.Sender.ExportUserModel(domain, user)
+	mine, _, err := src.sys.Sender.AppendUserModel(nil, domain, user)
 	if err != nil {
 		t.Fatal(err)
 	}

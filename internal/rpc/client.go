@@ -20,10 +20,9 @@ import (
 // caller should Close the client and Dial a fresh one. Application-level
 // failures arrive as Response.OK == false with the connection intact.
 type Client struct {
-	mu      sync.Mutex
-	conn    net.Conn // deadlines and Close; nil once closed
-	framed  *Conn    // every frame on conn
-	timeout time.Duration
+	mu     sync.Mutex
+	conn   net.Conn // deadlines and Close; nil once closed
+	framed *Conn    // every frame on conn
 	// expired receives once from a call's context.AfterFunc callback
 	// after it has expired the connection deadline, so the call can
 	// clear that deadline after it rather than before.
@@ -49,14 +48,6 @@ func NewClient(conn net.Conn) *Client {
 	return &Client{conn: conn, framed: NewConn(conn), expired: make(chan struct{}, 1)}
 }
 
-// SetTimeout sets the default per-call deadline applied when a call does
-// not carry its own. Zero (the initial state) means calls wait forever.
-func (c *Client) SetTimeout(d time.Duration) {
-	c.mu.Lock()
-	c.timeout = d
-	c.mu.Unlock()
-}
-
 // Close shuts the connection down. Calls after Close fail with ErrClosed.
 func (c *Client) Close() error {
 	c.mu.Lock()
@@ -69,21 +60,15 @@ func (c *Client) Close() error {
 	return err
 }
 
-// DoContext issues one request and reads its response. The exchange
-// deadline derives from ctx (falling back to the client default timeout
-// when ctx carries none), and the remaining budget is forwarded to the
-// daemon as Request.DeadlineMs so admission control can shed the request
-// instead of serving it late. Cancelling ctx mid-call unblocks the
-// exchange by expiring the connection deadline.
-func (c *Client) DoContext(ctx context.Context, req *Request) (*Response, error) {
-	return c.do(ctx, req)
-}
-
-// do runs one framed exchange under the client mutex. It leaves the
-// connection without a deadline, also when ctx ends just as the exchange
-// completes: a cancellation callback that has already begun is waited
-// for, so its expired deadline cannot outlive the call and fail the next
-// one.
+// do issues one request and reads its response, under the client mutex.
+// The exchange deadline is ctx's (a call without one waits forever), and
+// the remaining budget is forwarded to the daemon as Request.DeadlineMs so
+// admission control can shed the request instead of serving it late.
+// Cancelling ctx mid-call unblocks the exchange by expiring the connection
+// deadline. do leaves the connection without a deadline, also when ctx
+// ends just as the exchange completes: a cancellation callback that has
+// already begun is waited for, so its expired deadline cannot outlive the
+// call and fail the next one.
 func (c *Client) do(ctx context.Context, req *Request) (*Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -94,10 +79,6 @@ func (c *Client) do(ctx context.Context, req *Request) (*Response, error) {
 		return nil, err
 	}
 	deadline, ok := ctx.Deadline()
-	if !ok && c.timeout > 0 {
-		deadline = time.Now().Add(c.timeout)
-		ok = true
-	}
 	if ok {
 		if remain := time.Until(deadline); remain > 0 {
 			req.DeadlineMs = float64(remain) / float64(time.Millisecond)

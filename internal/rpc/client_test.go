@@ -97,6 +97,10 @@ func TestClientCalls(t *testing.T) {
 	}
 }
 
+// TestClientForwardsDeadline: a call's context deadline reaches the daemon
+// as DeadlineMs; a call whose context is already cancelled fails without
+// writing a frame, so the next request the daemon reads is the call after
+// it; and a call without a deadline forwards none.
 func TestClientForwardsDeadline(t *testing.T) {
 	reqs := make(chan *Request, 1)
 	c := dialTest(t, reqs)
@@ -111,38 +115,16 @@ func TestClientForwardsDeadline(t *testing.T) {
 	if req.DeadlineMs <= 100 || req.DeadlineMs > 250 {
 		t.Fatalf("DeadlineMs = %g, want in (100, 250]", req.DeadlineMs)
 	}
-	// The default timeout applies when a call carries no deadline of its
-	// own.
-	c.SetTimeout(500 * time.Millisecond)
-	if _, err := c.Transmit("alice", "hi"); err != nil {
-		t.Fatal(err)
-	}
-	if req = <-reqs; req.DeadlineMs <= 250 || req.DeadlineMs > 500 {
-		t.Fatalf("default DeadlineMs = %g, want in (250, 500]", req.DeadlineMs)
-	}
-}
-
-func TestClientDoContext(t *testing.T) {
-	reqs := make(chan *Request, 1)
-	c := dialTest(t, reqs)
-	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
-	defer cancel()
-	resp, err := c.DoContext(ctx, &Request{Op: OpTransmit, User: "alice", Text: "hello"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.OK || resp.Restored != "hello" {
-		t.Fatalf("resp = %+v", resp)
-	}
-	req := <-reqs
-	if req.DeadlineMs <= 0 || req.DeadlineMs > 300 {
-		t.Fatalf("DeadlineMs = %g, want in (0, 300]", req.DeadlineMs)
-	}
-	// A cancelled context fails fast without touching the wire.
 	cancelled, stop := context.WithCancel(context.Background())
 	stop()
-	if _, err := c.DoContext(cancelled, &Request{Op: OpPing}); !errors.Is(err, context.Canceled) {
+	if err := c.PingContext(cancelled); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if _, err := c.Transmit("alice", "next"); err != nil {
+		t.Fatal(err)
+	}
+	if req = <-reqs; req.Op != OpTransmit || req.DeadlineMs != 0 {
+		t.Fatalf("after the cancelled call the daemon read %s with DeadlineMs %g, want the next transmit with none", req.Op, req.DeadlineMs)
 	}
 }
 

@@ -100,7 +100,7 @@ func TestMemListenerNames(t *testing.T) {
 
 // TestMemTransportHonoursDeadlines checks the two waits a dead peer can
 // cause are bounded exactly as over TCP: a dial nobody accepts ends with
-// its context, and a call nobody answers ends at the client's deadline.
+// its context, and a call nobody answers ends at the call's deadline.
 func TestMemTransportHonoursDeadlines(t *testing.T) {
 	ln, err := Listen("mem:")
 	if err != nil {
@@ -125,9 +125,10 @@ func TestMemTransportHonoursDeadlines(t *testing.T) {
 	}
 	defer cl.Close()
 	defer func() { (<-accepted).Close() }()
-	cl.SetTimeout(30 * time.Millisecond)
+	callCtx, cancelCall := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancelCall()
 	start := time.Now()
-	err = cl.Ping()
+	err = cl.PingContext(callCtx)
 	if !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("call on a silent peer: %v, want a deadline error", err)
 	}

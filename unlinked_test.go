@@ -1,5 +1,6 @@
 // Package repro holds no product code: its one test keeps internal/ free
-// of functions no shipped binary links.
+// of functions no shipped binary links, and lists what only the paper's
+// reproduction links beside what a served binary links.
 package repro
 
 import (
@@ -18,40 +19,78 @@ import (
 	"testing"
 )
 
+// servedBinaries are the binaries that run the system: the daemon, its
+// load generator, its client and its model-store tool. Every other binary
+// the repository ships — sembench, the examples and the benchmark —
+// reproduces the paper on top of them.
+var servedBinaries = map[string]bool{"cmd-edged": true, "cmd-semcli": true, "cmd-semkb": true, "cmd-semload": true}
+
 // TestNoUnlinkedFunctions builds every binary the repository ships —
 // ./cmd/*, ./examples/* and the benchmark — with inlining off (so an
-// inlined callee still has a symbol), and fails for any function with a
-// body under internal/ that is in none of them and not listed, with its
-// reason, in testdata/unlinked.keep. A function only tests reach is either
-// deleted, moved into a _test.go file, or kept on purpose and said so.
+// inlined callee still has a symbol), and checks two lists of the
+// functions with a body under internal/, each entry "symbol reason":
+//   - testdata/unlinked.keep lists exactly those no binary links. A
+//     function only tests reach is either deleted, moved into a _test.go
+//     file, or kept on purpose and said so.
+//   - testdata/reproonly.keep lists exactly those of a served package (one
+//     whose functions a served binary links) that only sembench, an
+//     example or the benchmark links: the variants the product tree keeps
+//     beside the serve path for the reproduction, each with its reason.
 func TestNoUnlinkedFunctions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds every binary with -gcflags=all=-l")
 	}
-	linked := linkedSymbols(t)
-	keep := readKeepList(t, filepath.Join("testdata", "unlinked.keep"))
-	var unlinked []string
-	for _, sym := range internalFunctions(t) {
-		switch {
-		case linked[sym] && keep[sym] != "":
-			t.Errorf("%s is linked into a binary: drop it from testdata/unlinked.keep", sym)
-		case !linked[sym] && keep[sym] == "":
-			unlinked = append(unlinked, sym)
+	served, linked := linkedSymbols(t)
+	fns := internalFunctions(t)
+	servedPkg := make(map[string]bool)
+	for _, fn := range fns {
+		if served[fn.sym] {
+			servedPkg[fn.pkg] = true
 		}
-		delete(keep, sym)
+	}
+	unlinked := make(map[string]bool)
+	reproOnly := make(map[string]bool)
+	for _, fn := range fns {
+		switch {
+		case !linked[fn.sym]:
+			unlinked[fn.sym] = true
+		case servedPkg[fn.pkg] && !served[fn.sym]:
+			reproOnly[fn.sym] = true
+		}
+	}
+	checkKeepList(t, filepath.Join("testdata", "unlinked.keep"), "in no binary", unlinked)
+	checkKeepList(t, filepath.Join("testdata", "reproonly.keep"),
+		"in a served package and linked only by sembench, an example or bench", reproOnly)
+}
+
+// checkKeepList fails for every function in want that the keep file at
+// path does not list, and for every entry of the file that is not in
+// want: a stale entry, or one the rule no longer selects.
+func checkKeepList(t *testing.T, path, rule string, want map[string]bool) {
+	t.Helper()
+	keep := readKeepList(t, path)
+	var missing []string
+	for sym := range want {
+		if keep[sym] == "" {
+			missing = append(missing, sym)
+		}
 	}
 	for sym := range keep {
-		t.Errorf("testdata/unlinked.keep lists %s, which is not a function under internal/", sym)
+		if !want[sym] {
+			t.Errorf("%s lists %s, which is not a function under internal/ %s: drop it", path, sym, rule)
+		}
 	}
-	if len(unlinked) > 0 {
-		t.Errorf("%d functions under internal/ are in no binary (delete them, or add each to testdata/unlinked.keep with its reason):\n  %s",
-			len(unlinked), strings.Join(unlinked, "\n  "))
+	if len(missing) > 0 {
+		sort.Strings(missing)
+		t.Errorf("%d functions under internal/ are %s (delete them, or add each to %s with its reason):\n  %s",
+			len(missing), rule, path, strings.Join(missing, "\n  "))
 	}
 }
 
-// linkedSymbols returns every symbol of every shipped binary, generic
-// instantiations folded onto the function's own name.
-func linkedSymbols(t *testing.T) map[string]bool {
+// linkedSymbols returns the symbols of the served binaries and of every
+// shipped binary, generic instantiations folded onto the function's own
+// name.
+func linkedSymbols(t *testing.T) (served, linked map[string]bool) {
 	t.Helper()
 	out := t.TempDir()
 	var bins []string
@@ -75,8 +114,9 @@ func linkedSymbols(t *testing.T) map[string]bool {
 	}
 	goBuild("bench", "-C", "bench")
 
-	linked := make(map[string]bool)
+	served, linked = make(map[string]bool), make(map[string]bool)
 	for _, bin := range bins {
+		isServed := servedBinaries[filepath.Base(bin)]
 		syms, err := exec.Command("go", "tool", "nm", bin).Output()
 		if err != nil {
 			t.Fatalf("go tool nm %s: %v", bin, err)
@@ -88,19 +128,26 @@ func linkedSymbols(t *testing.T) map[string]bool {
 			if f := strings.SplitN(strings.TrimSpace(sc.Text()), " ", 3); len(f) == 3 {
 				name, _, _ := strings.Cut(f[2], "[")
 				linked[name] = true
+				if isServed {
+					served[name] = true
+				}
 			}
 		}
 	}
-	return linked
+	return served, linked
 }
 
-// internalFunctions returns, spelled as nm spells them, the functions and
-// methods with a body in the non-test files under internal/ that this
-// platform compiles. init functions are skipped: the linker names them
-// init.0, init.1, … and a linked package always runs them.
-func internalFunctions(t *testing.T) []string {
+// function is one function or method with a body under internal/: its
+// package's import path and its symbol as nm spells it.
+type function struct{ pkg, sym string }
+
+// internalFunctions returns the functions and methods with a body in the
+// non-test files under internal/ that this platform compiles. init
+// functions are skipped: the linker names them init.0, init.1, … and a
+// linked package always runs them.
+func internalFunctions(t *testing.T) []function {
 	t.Helper()
-	var syms []string
+	var fns []function
 	fset := token.NewFileSet()
 	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
@@ -129,15 +176,14 @@ func internalFunctions(t *testing.T) []string {
 					sym += fn.Recv.List[0].Type.(*ast.Ident).Name + "."
 				}
 			}
-			syms = append(syms, sym+fn.Name.Name)
+			fns = append(fns, function{pkg, sym + fn.Name.Name})
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sort.Strings(syms)
-	return syms
+	return fns
 }
 
 // readKeepList parses "symbol reason…" lines; blank lines and # comments
