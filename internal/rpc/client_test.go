@@ -97,10 +97,6 @@ func TestClientCalls(t *testing.T) {
 	}
 }
 
-// TestClientForwardsDeadline: a call's context deadline reaches the daemon
-// as DeadlineMs; a call whose context is already cancelled fails without
-// writing a frame, so the next request the daemon reads is the call after
-// it; and a call without a deadline forwards none.
 func TestClientForwardsDeadline(t *testing.T) {
 	reqs := make(chan *Request, 1)
 	c := dialTest(t, reqs)
@@ -115,16 +111,48 @@ func TestClientForwardsDeadline(t *testing.T) {
 	if req.DeadlineMs <= 100 || req.DeadlineMs > 250 {
 		t.Fatalf("DeadlineMs = %g, want in (100, 250]", req.DeadlineMs)
 	}
+	// A call without a deadline forwards none.
+	if _, err := c.Transmit("alice", "hi"); err != nil {
+		t.Fatal(err)
+	}
+	if req = <-reqs; req.DeadlineMs != 0 {
+		t.Fatalf("DeadlineMs = %g without a deadline, want 0", req.DeadlineMs)
+	}
+}
+
+// TestClientDoContext: the context call every method goes through forwards
+// its deadline and returns the daemon's response; a call whose context is
+// already cancelled fails without writing a frame, so the next request the
+// daemon reads is the call after it.
+func TestClientDoContext(t *testing.T) {
+	reqs := make(chan *Request, 1)
+	c := dialTest(t, reqs)
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	resp, err := c.do(ctx, &Request{Op: OpTransmit, User: "alice", Text: "hello"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.OK || resp.Restored != "hello" {
+		t.Fatalf("resp = %+v", resp)
+	}
+	req := <-reqs
+	if req.DeadlineMs <= 0 || req.DeadlineMs > 300 {
+		t.Fatalf("DeadlineMs = %g, want in (0, 300]", req.DeadlineMs)
+	}
 	cancelled, stop := context.WithCancel(context.Background())
 	stop()
-	if err := c.PingContext(cancelled); !errors.Is(err, context.Canceled) {
+	if _, err := c.do(cancelled, &Request{Op: OpPing}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if err := c.PingContext(cancelled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("PingContext err = %v, want context.Canceled", err)
 	}
 	if _, err := c.Transmit("alice", "next"); err != nil {
 		t.Fatal(err)
 	}
 	if req = <-reqs; req.Op != OpTransmit || req.DeadlineMs != 0 {
-		t.Fatalf("after the cancelled call the daemon read %s with DeadlineMs %g, want the next transmit with none", req.Op, req.DeadlineMs)
+		t.Fatalf("after the cancelled calls the daemon read %s with DeadlineMs %g, want the next transmit with none", req.Op, req.DeadlineMs)
 	}
 }
 
