@@ -40,6 +40,7 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"log"
 	"os"
 	"os/signal"
@@ -73,28 +74,32 @@ func run() error {
 	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
 	drainStarted := make(chan struct{})
 	drainDone := make(chan struct{})
+	var drainErr error
 	go func() {
 		<-sigCh
 		log.Print("edged: shutting down (signal again to force)")
 		close(drainStarted)
 		go func() {
 			defer close(drainDone)
-			if err := d.Drain(); err != nil {
-				log.Printf("edged: drain: %v", err)
-			}
+			drainErr = d.Drain()
 		}()
 		<-sigCh
 		log.Print("edged: second signal, forcing shutdown")
 		d.Kill()
 		os.Exit(1)
 	}()
+	d.Mesh.Start()
 	err = d.Serve()
 	// Serve returns once the listener closes, which mid-drain happens
 	// before the handoff completes; wait the drain out so the process
-	// exits with every owned model and user safely pushed.
+	// exits with every owned model and user safely pushed, and fail if
+	// it could not hand them off.
 	select {
 	case <-drainStarted:
 		<-drainDone
+		if drainErr != nil {
+			return fmt.Errorf("drain: %w", drainErr)
+		}
 	default:
 	}
 	return err

@@ -108,7 +108,7 @@ func New(cfg Config) (*Daemon, error) {
 		log.Printf("edged: pretraining general models (selector=%s, snr=%.1f dB)...", cfg.Selector, cfg.SNRdB)
 	}
 	members := cfg.MeshMembers()
-	node, sys, err := mesh.NewMember(mesh.Config{
+	d, err := NewMember(mesh.Config{
 		Self:          members[cfg.MeshIndex],
 		Peers:         slices.Delete(slices.Clone(members), cfg.MeshIndex, cfg.MeshIndex+1),
 		RingSeed:      cfg.Seed,
@@ -119,6 +119,7 @@ func New(cfg Config) (*Daemon, error) {
 	if err != nil {
 		return nil, err
 	}
+	sys, node := d.Sys, d.Mesh
 	// Coordinated eviction: a member must not evict the mesh's last copy
 	// of a general model.
 	sys.Sender.Cache().SetEvictionGuard(node.EvictionGuard)
@@ -136,11 +137,26 @@ func New(cfg Config) (*Daemon, error) {
 	log.Printf("edged: member %s (%d/%d) ready in %v (domains: %v)", node.Self().Name, node.Self().Index, node.Total(),
 		time.Since(start).Round(time.Millisecond), sys.Corpus.Names())
 
-	srv := newServer(sys, node, cfg.MaxInflight)
-	srv.idleTimeout = cfg.IdleTimeout
-	srv.writeTimeout = cfg.WriteTimeout
-	srv.shedAfter = cfg.ShedAfter
-	return &Daemon{Cfg: cfg, Sys: sys, Mesh: node, srv: srv}, nil
+	d.Cfg = cfg
+	d.srv.gate = newGate(cfg.MaxInflight)
+	d.srv.idleTimeout = cfg.IdleTimeout
+	d.srv.writeTimeout = cfg.WriteTimeout
+	d.srv.shedAfter = cfg.ShedAfter
+	return d, nil
+}
+
+// NewMember builds a mesh member and the request server in front of it,
+// with the server's defaults: a 2x GOMAXPROCS admission gate and no
+// deadlines. It warms no cache, installs no eviction guard and starts no
+// membership (Mesh.Start) — what an in-process mesh needs to stay a
+// deterministic function of its inputs. Its Cfg stays zero: only New
+// has flags to record.
+func NewMember(cfg mesh.Config, sysCfg core.Config) (*Daemon, error) {
+	node, sys, err := mesh.NewMember(cfg, sysCfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Daemon{Sys: sys, Mesh: node, srv: newServer(sys, node, 0)}, nil
 }
 
 // Listen binds the daemon's listener: TCP, or the in-memory transport
@@ -168,16 +184,16 @@ func (d *Daemon) Addr() string {
 	return d.ln.Addr().String()
 }
 
-// Serve runs the accept loop until Close (or an accept error), after
-// announcing this member to its mesh peers. It drains in-flight
-// handlers before returning.
+// Serve runs the accept loop until Close (or an accept error) and drains
+// in-flight handlers before returning. It does not start the membership:
+// a daemon joins its peers and probes them only once its owner calls
+// Mesh.Start, which an in-process mesh never does.
 func (d *Daemon) Serve() error {
 	if d.ln == nil {
 		if err := d.Listen(); err != nil {
 			return err
 		}
 	}
-	d.Mesh.Start()
 	err := d.srv.serve(d.ln)
 	d.Mesh.Stop()
 	return err

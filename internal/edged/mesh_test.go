@@ -147,6 +147,7 @@ func bootMeshOn(t *testing.T, n int, listenAddr string, mutate func(i int, cfg *
 		d.ListenOn(lns[i])
 		m.daemons[i] = d
 		m.done[i] = make(chan error, 1)
+		d.Mesh.Start()
 		go func(i int) { m.done[i] <- d.Serve() }(i)
 	}
 	t.Cleanup(func() {

@@ -51,23 +51,29 @@ type server struct {
 	drainGate chan struct{}
 }
 
-// newServer wraps one mesh member: its serving system and its node.
-// maxInflight 0 selects 2x GOMAXPROCS; negative disables the gate.
+// newServer wraps one mesh member: its serving system and its node,
+// behind an admission gate of maxInflight slots (newGate).
 func newServer(sys *core.System, node *mesh.Node, maxInflight int) *server {
-	if maxInflight == 0 {
-		maxInflight = 2 * runtime.GOMAXPROCS(0)
-	}
-	s := &server{
+	return &server{
 		sys:       sys,
 		mesh:      node,
+		gate:      newGate(maxInflight),
 		latency:   metrics.NewLatencyHistogram(),
 		queueWait: metrics.NewLatencyHistogram(),
 		conns:     make(map[net.Conn]bool),
 	}
-	if maxInflight > 0 {
-		s.gate = make(chan struct{}, maxInflight)
+}
+
+// newGate sizes the admission gate: maxInflight 0 selects 2x GOMAXPROCS;
+// negative disables the gate (nil).
+func newGate(maxInflight int) chan struct{} {
+	if maxInflight == 0 {
+		maxInflight = 2 * runtime.GOMAXPROCS(0)
 	}
-	return s
+	if maxInflight < 0 {
+		return nil
+	}
+	return make(chan struct{}, maxInflight)
 }
 
 // serve accepts connections until the listener closes, then drains the
@@ -277,11 +283,11 @@ func (s *server) dispatch(req *rpc.Request) *rpc.Response {
 		return s.transmit(req)
 	case rpc.OpMove:
 		return s.move(req)
-	case rpc.OpJoin, rpc.OpLeave, rpc.OpPeerStats, rpc.OpFetchModel, rpc.OpHandoverPush:
-		return s.mesh.HandleOp(req)
-	default:
-		return &rpc.Response{Error: fmt.Sprintf("unknown op %q", req.Op)}
 	}
+	if rpc.IsMeshOp(req.Op) {
+		return s.mesh.HandleOp(req)
+	}
+	return &rpc.Response{Error: fmt.Sprintf("unknown op %q", req.Op)}
 }
 
 // stats snapshots the daemon counters. A member reports itself as the

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"net"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/edged"
 	"repro/internal/mesh"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
@@ -81,43 +83,36 @@ type E11Result struct {
 	Cells []E11Cell
 }
 
-// e11Member is one edge node of a sweep cell: a mesh member living in
-// this process.
-type e11Member struct {
-	node *mesh.Node
-	sys  *core.System
-	ln   net.Listener
-}
-
 // newE11Mesh boots an n-member edge mesh inside this process: every
-// member is a mesh.Node plus its core.System, answering its peers' fetch
-// and handover ops over the in-memory rpc transport — the deployment
-// edged runs, minus the daemons and the sockets. Nobody probes (Start is
-// never called), so membership is static and a cell is deterministic.
-// stop tears the mesh down, also after an error.
-func newE11Mesh(env *Env, n int, policy string, cacheBytes int64, seed uint64) (members []e11Member, addrs []string, stop func(), err error) {
-	members = make([]e11Member, n)
+// member is an edged daemon (edged.NewMember) answering its peers' fetch
+// and handover ops on the in-memory rpc transport — the deployment edged
+// runs, minus the flags, the boot-time warm-up and the sockets. Nobody
+// probes (Mesh.Start is never called), so membership is static and a cell
+// is deterministic. stop tears the mesh down, also after an error.
+func newE11Mesh(env *Env, n int, policy string, cacheBytes int64, seed uint64) (members []*edged.Daemon, addrs []string, stop func(), err error) {
+	members = make([]*edged.Daemon, n)
+	lns := make([]net.Listener, n)
+	var serving sync.WaitGroup
 	stop = func() {
-		for _, m := range members {
-			if m.ln != nil {
-				m.ln.Close()
-			}
-			if m.node != nil {
-				m.node.Abort()
+		for i, d := range members {
+			if d != nil {
+				d.Kill()
+			} else if lns[i] != nil {
+				lns[i].Close()
 			}
 		}
+		serving.Wait()
 	}
 	peers := make([]rpc.PeerInfo, n)
 	for i := range peers {
-		if members[i].ln, err = rpc.Listen("mem:"); err != nil {
+		if lns[i], err = rpc.Listen("mem:"); err != nil {
 			return members, nil, stop, err
 		}
-		addrs = append(addrs, members[i].ln.Addr().String())
+		addrs = append(addrs, lns[i].Addr().String())
 		peers[i] = rpc.PeerInfo{Name: fmt.Sprintf("node-%d", i), Index: i, Addr: addrs[i]}
 	}
 	for i := range peers {
-		m := &members[i]
-		m.node, m.sys, err = mesh.NewMember(mesh.Config{
+		d, err := edged.NewMember(mesh.Config{
 			Self:     peers[i],
 			Peers:    slices.Delete(slices.Clone(peers), i, i+1),
 			MeshLink: netsim.Link{Latency: 5 * time.Millisecond, BandwidthBps: 400e6},
@@ -132,7 +127,13 @@ func newE11Mesh(env *Env, n int, policy string, cacheBytes int64, seed uint64) (
 		if err != nil {
 			return members, nil, stop, err
 		}
-		go m.node.Serve(m.ln)
+		d.ListenOn(lns[i])
+		members[i] = d
+		serving.Add(1)
+		go func() {
+			defer serving.Done()
+			d.Serve() // returns once stop kills the member
+		}()
 	}
 	return members, addrs, stop, nil
 }
@@ -186,13 +187,13 @@ func RunE11(env *Env, opts E11Options) (*E11Result, error) {
 		for _, req := range w.Requests {
 			for next < len(w.Moves) && w.Moves[next].Seq <= req.Seq {
 				mv := w.Moves[next]
-				if _, err := members[router.Owner(mv.User)].node.MoveUser(mv.User, mv.Cell); err != nil {
+				if _, err := members[router.Owner(mv.User)].Mesh.MoveUser(mv.User, mv.Cell); err != nil {
 					return err
 				}
 				router.Moved(mv.User, mv.Cell)
 				next++
 			}
-			sender := members[router.Owner(req.User)].sys.Sender
+			sender := members[router.Owner(req.User)].Sys.Sender
 			// First touch of a (user, domain) pair personalizes there, so
 			// mobility has individual models to migrate.
 			pk := req.User + "/" + req.Msg.DomainName
@@ -219,13 +220,13 @@ func RunE11(env *Env, opts E11Options) (*E11Result, error) {
 		var hits, misses uint64
 		var neighbor, origin, migrated int64
 		for _, m := range members {
-			cs := m.sys.Sender.CacheStats()
+			cs := m.Sys.Sender.CacheStats()
 			hits += cs.Hits
 			misses += cs.Misses
-			ns := m.node.Stats()
+			ns := m.Mesh.Stats()
 			neighbor += ns.NeighborHits
 			origin += ns.OriginFetches
-			handovers, bytes := m.node.HandoverStats()
+			handovers, bytes := m.Mesh.HandoverStats()
 			cell.Handovers += handovers
 			migrated += bytes
 		}

@@ -1,4 +1,4 @@
-package mesh
+package mesh_test
 
 import (
 	"net"
@@ -47,7 +47,7 @@ func TestHandoverPushCutMidFrame(t *testing.T) {
 	words := messages(0, 3, 32)
 
 	// Drop the established link so the push has to dial — into the fault.
-	src.node.peers[dstIdx].close()
+	src.node.ClosePeer(dstIdx)
 	armed.Store(true)
 	if h, err := src.node.MoveUser(user, dstIdx); err == nil {
 		t.Fatalf("move over a link cut mid-frame succeeded: %+v", h)

@@ -1,4 +1,4 @@
-package mesh
+package mesh_test
 
 import (
 	"encoding/binary"
@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/kb"
+	"repro/internal/mesh"
 	"repro/internal/rpc"
 )
 
@@ -34,12 +35,12 @@ func TestHandleFetchServesGeneralModelsOnly(t *testing.T) {
 	if err != nil || payload == nil || payload.User != "" || len(payload.Params) == 0 {
 		t.Fatalf("general model fetch: payload %+v, err %v", payload, err)
 	}
-	if _, err := n.reviveModel(kb.GeneralKey("it", kb.RoleCodec), payload); err != nil {
+	if _, err := n.ReviveModel(kb.GeneralKey("it", kb.RoleCodec), payload); err != nil {
 		t.Fatalf("served general model does not revive: %v", err)
 	}
 
 	payload, err = n.HandleFetch(rpc.FetchRequest{Domain: "it", User: "alice", Role: role})
-	var refused *IndividualFetchError
+	var refused *mesh.IndividualFetchError
 	if !errors.As(err, &refused) || payload != nil {
 		t.Fatalf("individual model fetch: payload %v, err %v, want *IndividualFetchError", payload, err)
 	}
@@ -53,7 +54,7 @@ func TestHandleFetchServesGeneralModelsOnly(t *testing.T) {
 
 // unpinned lets the fetch tests start from cold caches that fill on
 // demand.
-func unpinned(_ int, _ *Config, sys *core.Config) { sys.PinGeneral = false }
+func unpinned(_ int, _ *mesh.Config, sys *core.Config) { sys.PinGeneral = false }
 
 // TestCooperativeFetchPrefersNeighbor checks the miss path's order and its
 // accounting: a cold member resolves a miss from a peer's cache before the

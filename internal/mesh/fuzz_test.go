@@ -1,4 +1,4 @@
-package mesh
+package mesh_test
 
 import (
 	"bytes"
@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/kb"
+	"repro/internal/mesh"
 	"repro/internal/rpc"
 	"repro/internal/semantic"
 )
@@ -73,7 +74,7 @@ func tinyCodecs() []*semantic.Codec {
 // target's one peer is refused with *NotPeerError, whatever it carries.
 func FuzzHandleHandoverPush(f *testing.F) {
 	tiny := tinyCodecs()
-	mm := newMemMesh(f, 2, func(_ int, _ *Config, sys *core.Config) { sys.Pretrained = tiny })
+	mm := newMemMesh(f, 2, func(_ int, _ *mesh.Config, sys *core.Config) { sys.Pretrained = tiny })
 	mm.warm(f)
 	const resident = "resident"
 	mm.personalize(f, resident, 0, 41)
@@ -93,8 +94,8 @@ func FuzzHandleHandoverPush(f *testing.F) {
 	// tail. They are signed by the target's peer, so each still reaches
 	// the code it was written for; the last two are signed by nobody the
 	// target knows and by the target itself.
-	peer := target.node.peersByIndex()[0].info.Name
-	real := pushFrame(f, exportToWire(exp, peer))
+	peer := target.node.FirstPeerName()
+	real := pushFrame(f, mesh.ExportToWire(exp, peer))
 	f.Logf("seed frame: %d bytes", len(real))
 	f.Add(real)
 	junk := []byte{0, 0, 0} // not a parameter set
@@ -117,7 +118,7 @@ func FuzzHandleHandoverPush(f *testing.F) {
 		if err != nil && bytes.Equal(data, real) {
 			t.Fatalf("the member refused a real export from its peer: %v", err)
 		}
-		var notPeer *NotPeerError
+		var notPeer *mesh.NotPeerError
 		if errors.As(err, &notPeer) != (h.FromNode != peer) {
 			t.Fatalf("push signed %q at a member whose one peer is %q: %v", h.FromNode, peer, err)
 		}
@@ -148,7 +149,7 @@ func pushFrame(f *testing.F, h *rpc.HandoffPayload) []byte {
 // behind in the sender cache the answer was meant for.
 func FuzzReviveModel(f *testing.F) {
 	tiny := tinyCodecs()
-	mm := newMemMesh(f, 2, func(_ int, _ *Config, sys *core.Config) { sys.Pretrained = tiny })
+	mm := newMemMesh(f, 2, func(_ int, _ *mesh.Config, sys *core.Config) { sys.Pretrained = tiny })
 	mm.warm(f)
 	holder, prober := mm.members[0], mm.members[1]
 	k := kb.GeneralKey("it", kb.RoleCodec)
@@ -170,7 +171,7 @@ func FuzzReviveModel(f *testing.F) {
 	all := func(kb.Key) bool { return true }
 	before := cacheListing(senderCache, all)
 	f.Fuzz(func(t *testing.T, domain, user string, version int, params []byte) {
-		m, err := prober.node.reviveModel(k, &rpc.ModelPayload{Domain: domain, User: user, Version: version, Params: params})
+		m, err := prober.node.ReviveModel(k, &rpc.ModelPayload{Domain: domain, User: user, Version: version, Params: params})
 		if err == nil {
 			if domain != k.Domain || user != "" || m.Key != k || m.Codec.Domain().Name != k.Domain {
 				t.Fatalf("a fetch of %s revived %s from an answer labelled %q/%q holding a %q codec", k, m.Key, domain, user, m.Codec.Domain().Name)

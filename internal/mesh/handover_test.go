@@ -1,4 +1,4 @@
-package mesh
+package mesh_test
 
 import (
 	"bytes"
@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/kb"
 	"repro/internal/mat"
+	"repro/internal/mesh"
 	"repro/internal/rpc"
 	"repro/internal/trace"
 )
@@ -79,8 +80,8 @@ func TestHandoverPushOnlyFromMembership(t *testing.T) {
 	}
 	before := userState(t, target.sys, user)
 	for _, signer := range []string{"node-9", "", target.node.Self().Name} {
-		err := target.node.HandleHandoverPush(exportToWire(exp, signer))
-		var notPeer *NotPeerError
+		err := target.node.HandleHandoverPush(mesh.ExportToWire(exp, signer))
+		var notPeer *mesh.NotPeerError
 		if !errors.As(err, &notPeer) || notPeer.From != signer {
 			t.Fatalf("push signed %q: %v, want a *NotPeerError naming it", signer, err)
 		}
@@ -91,7 +92,7 @@ func TestHandoverPushOnlyFromMembership(t *testing.T) {
 	if in := target.node.Stats().HandoversIn; in != 0 {
 		t.Fatalf("refused pushes counted as %d handovers in", in)
 	}
-	if err := target.node.HandleHandoverPush(exportToWire(exp, from.node.Self().Name)); err != nil {
+	if err := target.node.HandleHandoverPush(mesh.ExportToWire(exp, from.node.Self().Name)); err != nil {
 		t.Fatalf("push signed by the owning peer refused: %v", err)
 	}
 	if after := userState(t, target.sys, user); after == before {
@@ -289,7 +290,7 @@ func TestStatsOccupancy(t *testing.T) {
 // fetches must happen (only member 0 is warmed), and two identically
 // seeded meshes must agree result for result.
 func TestWorkloadWithMobility(t *testing.T) {
-	oracle := func(_ int, _ *Config, sys *core.Config) { sys.Selector = core.SelectorOracle }
+	oracle := func(_ int, _ *mesh.Config, sys *core.Config) { sys.Selector = core.SelectorOracle }
 	type outcome struct {
 		results              []core.Result
 		handovers, migrated  int64
@@ -483,7 +484,7 @@ func TestHandoverRacesConcurrentTraffic(t *testing.T) {
 // is skipped, never an error.
 func TestConcurrentMeshUse(t *testing.T) {
 	modelBytes := pretrained()[0].SizeBytes()
-	mm := newMemMesh(t, 3, func(_ int, _ *Config, sys *core.Config) {
+	mm := newMemMesh(t, 3, func(_ int, _ *mesh.Config, sys *core.Config) {
 		sys.PinGeneral = false
 		sys.SenderCacheBytes = 8 * modelBytes
 	})
@@ -502,7 +503,7 @@ func TestConcurrentMeshUse(t *testing.T) {
 		go func(u int) {
 			defer wg.Done()
 			user := fmt.Sprintf("c%02d", u)
-			router := NewRouter(addrs, testSeed)
+			router := mesh.NewRouter(addrs, testSeed)
 			for i := 0; i < 30; i++ {
 				m := mm.members[router.Owner(user)]
 				if _, err := m.sys.Sender.AcquireCodec("it", user); err != nil {
@@ -580,7 +581,7 @@ func TestRefusedPushKeepsPeer(t *testing.T) {
 	if res := src.serve(t, user, messages(0, 1, 72)[0]); !res.UsedIndividual {
 		t.Fatal("after the refused move the source no longer serves from the individual model")
 	}
-	conn := src.node.peers[dstIdx].client
+	conn := src.node.PeerClient(dstIdx)
 	if conn == nil {
 		t.Fatal("the refusal tore down the connection it arrived on")
 	}
@@ -589,7 +590,7 @@ func TestRefusedPushKeepsPeer(t *testing.T) {
 	if h, err := src.node.MoveUser(user, dstIdx); err != nil || !h.Moved {
 		t.Fatalf("move after the target gave way: %+v, %v", h, err)
 	}
-	if src.node.peers[dstIdx].client != conn {
+	if src.node.PeerClient(dstIdx) != conn {
 		t.Fatal("the next push dialed a new connection")
 	}
 }
@@ -658,7 +659,7 @@ func TestDrainAfterMovePushesOnlyHeld(t *testing.T) {
 // hold the very same model object (not a revived, unpinned copy) and must
 // not count the push as a replica taken in.
 func TestReplicaPushLeavesHeldGeneral(t *testing.T) {
-	mm := newMemMesh(t, 2, func(_ int, cfg *Config, _ *core.Config) { cfg.Replicas = 1 })
+	mm := newMemMesh(t, 2, func(_ int, cfg *mesh.Config, _ *core.Config) { cfg.Replicas = 1 })
 	mm.warm(t)
 	k := kb.Key{Domain: "it", Role: kb.RoleCodec}
 	cache := mm.members[1].sys.Sender.Cache()
@@ -666,7 +667,7 @@ func TestReplicaPushLeavesHeldGeneral(t *testing.T) {
 	if !ok {
 		t.Fatal("warm member 1 does not cache the it general")
 	}
-	mm.members[0].node.pushReplicas("it")
+	mm.members[0].node.PushReplicas("it")
 	if out := mm.members[0].node.Stats().ReplicasOut; out != 1 {
 		t.Fatalf("member 0 pushed %d replicas, want 1", out)
 	}

@@ -1,4 +1,4 @@
-package mesh
+package mesh_test
 
 import (
 	"fmt"
@@ -13,6 +13,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/edge"
 	"repro/internal/mat"
+	"repro/internal/mesh"
 	"repro/internal/semantic"
 )
 
@@ -78,7 +79,7 @@ func undertrained() []*semantic.Codec {
 func memoRun(t *testing.T, memo, parallel bool, mutate func(sys *core.Config)) []uint64 {
 	t.Helper()
 	const users, perUser, moveEvery = 8, 48, 14
-	mm := newMemMesh(t, 2, func(_ int, _ *Config, sys *core.Config) {
+	mm := newMemMesh(t, 2, func(_ int, _ *mesh.Config, sys *core.Config) {
 		sys.BufferThreshold = 4
 		sys.Pretrained = undertrained()
 		mutate(sys)
@@ -93,7 +94,7 @@ func memoRun(t *testing.T, memo, parallel bool, mutate func(sys *core.Config)) [
 	}
 	type client struct {
 		user   string
-		router *Router
+		router *mesh.Router
 		stream [][]string
 		cell   int
 		digest hash.Hash64
@@ -104,7 +105,7 @@ func memoRun(t *testing.T, memo, parallel bool, mutate func(sys *core.Config)) [
 		h := fnv.New64a()
 		c := &client{
 			user:   fmt.Sprintf("u%d", u),
-			router: NewRouter(addrs, testSeed),
+			router: mesh.NewRouter(addrs, testSeed),
 			// Two domains per user: two individual models each, so small
 			// caches churn.
 			stream: append(idiolectMessages(u%3, perUser/2, uint64(900+u)), idiolectMessages(3+u%2, perUser/2, uint64(950+u))...),

@@ -11,8 +11,8 @@
 // through a Router. Members are usually edged
 // processes cooperating over TCP; because a peer address may also name
 // the in-memory transport (rpc.Listen, "mem:<name>"), any number of
-// members can equally run inside one process, each answering its peers
-// through Serve, with no daemon and no sockets — which is how the
+// members can equally run inside one process, each an edged daemon
+// (edged.NewMember) serving its peers with no sockets — which is how the
 // experiments and this package's tests run a mesh. On top of membership
 // the node provides the two cross-member data paths:
 //

@@ -1,4 +1,4 @@
-package mesh
+package mesh_test
 
 import (
 	"fmt"
@@ -9,16 +9,19 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/edged"
 	"repro/internal/mat"
+	"repro/internal/mesh"
 	"repro/internal/rpc"
 	"repro/internal/semantic"
 )
 
-// This file is the in-memory mesh harness: N members — a Node plus its
-// core.System each — inside the test process, answering one another
-// through Node.Serve on mem: listeners. The frames, the ops and every
-// code path between two members are the ones two edged processes run;
-// only the daemon and the sockets are absent, which is what makes these
+// This file is the in-memory mesh harness: N members inside the test
+// process, each an edged daemon (edged.NewMember: a mesh.Node, its
+// core.System and the request server) answering the others on a mem:
+// listener. The server, the frames, the ops and every code path between
+// two members are the ones two edged processes run; only the flags, the
+// boot-time warm-up and the sockets are absent, which is what makes these
 // tests fast enough to run un-gated, under -race, on every PR.
 
 var testPretrained struct {
@@ -39,9 +42,8 @@ func pretrained() []*semantic.Codec {
 
 // member is one in-process mesh member.
 type member struct {
-	node *Node
+	node *mesh.Node
 	sys  *core.System
-	ln   net.Listener
 }
 
 // serve runs one message through the member the way edged's transmit op
@@ -61,7 +63,7 @@ func (m *member) serve(t testing.TB, user string, words []string) *core.Result {
 // memMesh is a booted in-memory mesh plus the client-side router over it.
 type memMesh struct {
 	members []*member
-	router  *Router
+	router  *mesh.Router
 }
 
 // testSeed is the system and ring seed of every harness mesh.
@@ -72,30 +74,31 @@ const testSeed = 11
 // mutate adjusts member i's configs before it is built. Nobody probes
 // unless a test calls Start: membership is static and every member
 // presumed alive, so runs are deterministic.
-func newMemMesh(t testing.TB, n int, mutate func(i int, cfg *Config, sys *core.Config)) *memMesh {
+func newMemMesh(t testing.TB, n int, mutate func(i int, cfg *mesh.Config, sys *core.Config)) *memMesh {
 	t.Helper()
 	return newMemMeshOn(t, n, mutate, func(_ int, ln net.Listener) net.Listener { return ln })
 }
 
 // newMemMeshOn is newMemMesh with member i accepting through wrap(i, its
 // listener) — where a test puts a faulty link.
-func newMemMeshOn(t testing.TB, n int, mutate func(i int, cfg *Config, sys *core.Config), wrap func(i int, ln net.Listener) net.Listener) *memMesh {
+func newMemMeshOn(t testing.TB, n int, mutate func(i int, cfg *mesh.Config, sys *core.Config), wrap func(i int, ln net.Listener) net.Listener) *memMesh {
 	t.Helper()
 	peers := make([]rpc.PeerInfo, n)
 	addrs := make([]string, n)
-	mm := &memMesh{members: make([]*member, n)}
+	lns := make([]net.Listener, n)
 	for i := range peers {
 		ln, err := rpc.Listen("mem:")
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { ln.Close() })
-		mm.members[i] = &member{ln: ln}
+		lns[i] = ln
 		addrs[i] = ln.Addr().String()
 		peers[i] = rpc.PeerInfo{Name: fmt.Sprintf("node-%d", i), Index: i, Addr: addrs[i]}
 	}
-	for i, m := range mm.members {
-		cfg := Config{
+	mm := &memMesh{members: make([]*member, n)}
+	for i := range mm.members {
+		cfg := mesh.Config{
 			Self:     peers[i],
 			Peers:    slices.Delete(slices.Clone(peers), i, i+1),
 			RingSeed: testSeed,
@@ -111,14 +114,22 @@ func newMemMeshOn(t testing.TB, n int, mutate func(i int, cfg *Config, sys *core
 		if mutate != nil {
 			mutate(i, &cfg, &sysCfg)
 		}
-		var err error
-		if m.node, m.sys, err = NewMember(cfg, sysCfg); err != nil {
+		d, err := edged.NewMember(cfg, sysCfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-		go m.node.Serve(wrap(i, m.ln))
-		t.Cleanup(m.node.Abort)
+		d.ListenOn(wrap(i, lns[i]))
+		served := make(chan error, 1)
+		go func() { served <- d.Serve() }()
+		t.Cleanup(func() {
+			d.Kill()
+			if err := <-served; err != nil {
+				t.Errorf("%s serve: %v", peers[i].Name, err)
+			}
+		})
+		mm.members[i] = &member{node: d.Mesh, sys: d.Sys}
 	}
-	mm.router = NewRouter(addrs, testSeed)
+	mm.router = mesh.NewRouter(addrs, testSeed)
 	return mm
 }
 

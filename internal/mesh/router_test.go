@@ -1,4 +1,4 @@
-package mesh
+package mesh_test
 
 import (
 	"context"
@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/mesh"
 	"repro/internal/rpc"
 )
 
@@ -33,7 +34,7 @@ func TestParseMembers(t *testing.T) {
 		{"duplicate after trim", "a:1,b:2, a:1", nil, "members 0 and 2"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			members, err := ParseMembers(tc.list)
+			members, err := mesh.ParseMembers(tc.list)
 			if tc.want == nil {
 				if err == nil || !strings.Contains(err.Error(), tc.reason) {
 					t.Fatalf("ParseMembers(%q) = %v, %v; want an error naming %q", tc.list, members, err, tc.reason)
@@ -61,13 +62,13 @@ func TestNewNodeValidation(t *testing.T) {
 	peer := func(i int, addr string) rpc.PeerInfo {
 		return rpc.PeerInfo{Name: fmt.Sprintf("node-%d", i), Index: i, Addr: addr}
 	}
-	for name, cfg := range map[string]Config{
+	for name, cfg := range map[string]mesh.Config{
 		"self out of range": {Self: peer(2, "a:1"), Peers: []rpc.PeerInfo{peer(0, "b:2")}},
 		"peer out of range": {Self: peer(0, "a:1"), Peers: []rpc.PeerInfo{peer(5, "b:2")}},
 		"duplicate index":   {Self: peer(0, "a:1"), Peers: []rpc.PeerInfo{peer(0, "b:2")}},
 		"peer without addr": {Self: peer(0, "a:1"), Peers: []rpc.PeerInfo{peer(1, "")}},
 	} {
-		if _, err := NewNode(cfg); err == nil {
+		if _, err := mesh.NewNode(cfg); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -78,16 +79,16 @@ func TestNewNodeValidation(t *testing.T) {
 // -seed, to every edged it spawns, so both sides must place every user on
 // the same member — the default seed's ring, not one side's seed-0 ring.
 func TestRouterAndNodeAgreeAtSeedZero(t *testing.T) {
-	members, err := ParseMembers("mem:z0,mem:z1,mem:z2")
+	members, err := mesh.ParseMembers("mem:z0,mem:z1,mem:z2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, err := NewNode(Config{Self: members[0], Peers: members[1:]}) // RingSeed 0
+	node, err := mesh.NewNode(mesh.Config{Self: members[0], Peers: members[1:]}) // RingSeed 0
 	if err != nil {
 		t.Fatal(err)
 	}
 	addrs := []string{"mem:z0", "mem:z1", "mem:z2"}
-	zero, one := NewRouter(addrs, 0), NewRouter(addrs, 1)
+	zero, one := mesh.NewRouter(addrs, 0), mesh.NewRouter(addrs, 1)
 	disagree, notDefault := 0, 0
 	for i := 0; i < 200; i++ {
 		user := fmt.Sprintf("u%03d", i)
@@ -108,15 +109,15 @@ func TestRouterAndNodeAgreeAtSeedZero(t *testing.T) {
 // or moved there — fall to the ring over the survivors, and nobody else
 // moves.
 func TestRouterMatchesNodeAndReroutes(t *testing.T) {
-	members, err := ParseMembers("mem:r0,mem:r1,mem:r2")
+	members, err := mesh.ParseMembers("mem:r0,mem:r1,mem:r2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, err := NewNode(Config{Self: members[0], Peers: members[1:], RingSeed: testSeed})
+	node, err := mesh.NewNode(mesh.Config{Self: members[0], Peers: members[1:], RingSeed: testSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRouter([]string{"mem:r0", "mem:r1", "mem:r2"}, testSeed)
+	r := mesh.NewRouter([]string{"mem:r0", "mem:r1", "mem:r2"}, testSeed)
 	users := make([]string, 300)
 	seen := map[int]int{}
 	for i := range users {
@@ -132,7 +133,7 @@ func TestRouterMatchesNodeAndReroutes(t *testing.T) {
 	live := node.LiveMembers()
 	for cell := -4; cell < 7; cell++ {
 		r.Moved("probe", cell)
-		if got, want := r.Owner("probe"), cellMember(live, cell); got != want {
+		if got, want := r.Owner("probe"), mesh.CellMember(live, cell); got != want {
 			t.Fatalf("cell %d: router target %d, member target %d", cell, got, want)
 		}
 	}
@@ -162,13 +163,13 @@ func TestRouterMatchesNodeAndReroutes(t *testing.T) {
 	}
 }
 
-// TestServeAnswersOnlyMeshOps pins the wire surface of a daemon-less
-// member: mesh ops are served, and a client op is refused rather than
-// half-served.
-func TestServeAnswersOnlyMeshOps(t *testing.T) {
+// TestMemberServesMeshAndClientOps pins the wire surface of an
+// in-process member: the same listener answers a peer's join with the
+// whole membership and then serves a client's transmit.
+func TestMemberServesMeshAndClientOps(t *testing.T) {
 	mm := newMemMesh(t, 2, nil)
-	addr := mm.members[0].node.Self().Addr
-	cl, err := rpc.Dial(addr)
+	mm.warm(t)
+	cl, err := rpc.Dial(mm.members[0].node.Self().Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,12 +178,13 @@ func TestServeAnswersOnlyMeshOps(t *testing.T) {
 	if err != nil || len(peers) != 2 {
 		t.Fatalf("join: %v, %v", peers, err)
 	}
-	resp, err := cl.Transmit("u1", "the server has a kernel bug")
+	const msg = "the server has a kernel bug"
+	resp, err := cl.Transmit("u1", msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.OK || !strings.Contains(resp.Error, "not a mesh op") {
-		t.Fatalf("transmit on a mesh-only listener: %+v", resp)
+	if !resp.OK || resp.Restored != msg {
+		t.Fatalf("transmit on a member's listener: %+v, want OK with %q restored", resp, msg)
 	}
 }
 
@@ -217,7 +219,7 @@ func TestRouterTransmitCancelledKeepsMembers(t *testing.T) {
 			}
 		}()
 	}
-	r := NewRouter(addrs, testSeed)
+	r := mesh.NewRouter(addrs, testSeed)
 	defer r.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -53,8 +53,8 @@ const (
 	OpPing = "ping"
 )
 
-// Mesh ops, spoken between edged peers. A daemon-less member's listener
-// (mesh.Node.Serve) answers only these.
+// Mesh ops, spoken between edged peers; a daemon routes them to its
+// mesh.Node (IsMeshOp).
 const (
 	// OpJoin announces a peer coming online; Request.Peer identifies it.
 	OpJoin = "join"
