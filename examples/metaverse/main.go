@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/channel"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/mat"
 	"repro/internal/semantic"
 	"repro/internal/trace"
@@ -44,7 +45,7 @@ func main() {
 	})
 	fmt.Printf("running %d messages from %d avatars...\n\n", len(w.Requests), len(w.Users))
 
-	results, err := sys.RunWorkload(w)
+	results, err := experiments.RunTrace(sys, w)
 	if err != nil {
 		log.Fatalf("metaverse: %v", err)
 	}
@@ -59,7 +60,7 @@ func main() {
 	}
 
 	// Session-level report.
-	sum, err := core.Summarize(results)
+	sum, err := experiments.Summarize(results)
 	if err != nil {
 		log.Fatalf("metaverse: %v", err)
 	}

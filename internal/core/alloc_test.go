@@ -26,11 +26,11 @@ func allocSystem(t *testing.T) *System {
 	return s
 }
 
-// TestTransmitCodecPathZeroAllocs pins the steady-state Transmit codec
+// TestTransmitCodecPathZeroAllocs pins the steady-state TransmitText codec
 // path — batched encode on the sender edge, the physical channel, batched
 // decode on the receiver edge, and the decoder-copy mismatch decode — at
 // zero heap allocations per message. This is exactly the per-message
-// compute transmitSelected performs, crossing the channel on the
+// compute TransmitText performs, crossing the channel on the
 // message's derived seed as every transmit does. What remains outside are
 // the retained artifacts (Result, transaction buffers, restored words),
 // which hold amortized state by design.
@@ -58,7 +58,7 @@ func TestTransmitCodecPathZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		rx := sc.Mat(enc.Features.Rows, enc.Model.Codec.FeatureDim())
-		// The channel crossing transmitSelected performs, on a derived
+		// The channel crossing TransmitText performs, on a derived
 		// per-message seed advancing like the user's stream would.
 		seed := noiseSeed(s.cfg.Seed, 12345, seq)
 		seq++
@@ -67,14 +67,14 @@ func TestTransmitCodecPathZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Decoder-copy mismatch: reuses the already-encoded features,
-		// as RecordTransaction does inside Transmit.
+		// as RecordTransaction does inside TransmitText.
 		enc.Model.Codec.DecodeFeaturesInto(sc, enc.Features, mismatch)
 	}
 	for i := 0; i < 8; i++ {
 		codecPath() // warm every arena to its high-water mark
 	}
 	if allocs := testing.AllocsPerRun(100, codecPath); allocs != 0 {
-		t.Fatalf("steady-state Transmit codec path allocates %v times per message, want 0", allocs)
+		t.Fatalf("steady-state TransmitText codec path allocates %v times per message, want 0", allocs)
 	}
 }
 

@@ -29,7 +29,7 @@ func BenchmarkUpdateProcess(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		for seq, m := range msgs {
-			if _, err := sys.Transmit(trace.Request{Seq: seq, User: "u1", Cell: -1, Msg: m}); err != nil {
+			if _, err := transmitReq(sys, trace.Request{Seq: seq, User: "u1", Cell: -1, Msg: m}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -14,7 +14,6 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/mat"
 	"repro/internal/semantic"
-	"repro/internal/trace"
 )
 
 // goldenConfig is the fixed scenario for the serialized-baseline digest:
@@ -199,39 +198,6 @@ func TestConcurrentSameUser(t *testing.T) {
 	}
 }
 
-// TestConcurrentOracleWorkload drives the ground-truth Transmit entry
-// point concurrently under the oracle selector.
-func TestConcurrentOracleWorkload(t *testing.T) {
-	cfg := goldenConfig()
-	cfg.Selector = SelectorOracle
-	s, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := trace.Generate(s.Corpus, trace.Config{Users: 6, Messages: 90, Seed: 19})
-	var wg sync.WaitGroup
-	errCh := make(chan error, len(w.Requests))
-	for _, req := range w.Requests {
-		wg.Add(1)
-		go func(req trace.Request) {
-			defer wg.Done()
-			res, err := s.Transmit(req)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			if !res.CorrectSelection {
-				errCh <- fmt.Errorf("oracle mis-selected for %s", req.User)
-			}
-		}(req)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-}
-
 // batchTestPretrained trains the small shared codec set once per test
 // binary: every system in these tests clones it instead of retraining.
 var batchTestPretrained struct {
@@ -381,21 +347,22 @@ func TestConcurrentMatchesSerialDigests(t *testing.T) {
 // hot user shared by many goroutines (per-user serialization) and a wide
 // set of distinct users, all crossing the one SeededLink at once. Its value
 // is highest under -race, where it proves the crossing shares no mutable
-// state between transmissions.
+// state between transmissions. It runs the sticky selector: the oracle's
+// one shared selector must not be primed concurrently.
 func TestSeededCrossingRaceSoak(t *testing.T) {
 	const (
 		goroutines = 8
 		perG       = 10
 	)
-	s, err := NewSystem(userNoiseConfig())
+	s, err := NewSystem(batchTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	prefetchAll(t, s)
 	gen := corpus.NewGenerator(s.Corpus, mat.NewRNG(808))
-	msgs := make([]corpus.Message, goroutines*perG)
+	msgs := make([][]string, goroutines*perG)
 	for i := range msgs {
-		msgs[i] = gen.Message(i%len(s.Corpus.Domains), nil)
+		msgs[i] = gen.Message(i%len(s.Corpus.Domains), nil).Words
 	}
 
 	var wg sync.WaitGroup
@@ -403,8 +370,7 @@ func TestSeededCrossingRaceSoak(t *testing.T) {
 	send := func(user string, g int) {
 		defer wg.Done()
 		for i := 0; i < perG; i++ {
-			req := trace.Request{User: user, Msg: msgs[(g*perG+i)%len(msgs)]}
-			if _, err := s.Transmit(req); err != nil {
+			if _, err := s.TransmitText(user, msgs[(g*perG+i)%len(msgs)]); err != nil {
 				errCh <- err
 				return
 			}

@@ -69,7 +69,7 @@ func TestImportRejectsMalformedHandoverBuffers(t *testing.T) {
 			}
 			fired := false
 			for _, req := range oracleRequests(corp, "mallory", domain, cfg.BufferThreshold, 504) {
-				res, err := s.Transmit(req)
+				res, err := transmitReq(s, req)
 				if err != nil {
 					t.Fatal(err)
 				}

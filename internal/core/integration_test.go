@@ -44,10 +44,28 @@ func TestTransmitText(t *testing.T) {
 	}
 }
 
-func TestTransmitTextOracleRejected(t *testing.T) {
+// TestOracleSteersTransmitText: under the oracle selector, the domain a
+// driver sets through Oracle is the domain TransmitText encodes with,
+// whatever the words say — an IT message is sent on each domain in turn.
+func TestOracleSteersTransmitText(t *testing.T) {
 	s := buildSystem(t, nil) // oracle selector
-	if _, err := s.TransmitText("alice", []string{"the", "server"}); err == nil {
-		t.Fatal("oracle TransmitText should error")
+	sticky, err := NewSystem(batchTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o := sticky.Oracle(); o != nil {
+		t.Fatalf("Oracle() = %v under the sticky selector, want nil", o)
+	}
+	words := text.Tokenize("the server has a kernel bug")
+	for _, d := range s.Corpus.Domains {
+		s.Oracle().DomainIndex = d.Index
+		res, err := s.TransmitText("alice", words)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SelectedDomain != d.Index || len(res.RestoredWords) != len(words) {
+			t.Fatalf("oracle set to %s: selected %d, restored %v", d.Name, res.SelectedDomain, res.RestoredWords)
+		}
 	}
 }
 

@@ -58,7 +58,7 @@ func TestUserRecordLifecycle(t *testing.T) {
 		t.Helper()
 		for _, req := range reqs[lo:hi] {
 			for _, sys := range []*System{s, twin} {
-				res, err := sys.Transmit(req)
+				res, err := transmitReq(sys, req)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -116,7 +116,7 @@ func TestDropRetiresRecordUnderWaitingTransmit(t *testing.T) {
 	s := recordTestSystem(t, "node-0")
 	reqs := oracleRequests(s.Corpus, user, 0, 4, 603)
 	for _, req := range reqs[:3] {
-		if _, err := s.Transmit(req); err != nil {
+		if _, err := transmitReq(s, req); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -128,7 +128,7 @@ func TestDropRetiresRecordUnderWaitingTransmit(t *testing.T) {
 	belief := sel.ExportBelief()
 	done := make(chan error)
 	go func() {
-		_, err := s.Transmit(reqs[3])
+		_, err := transmitReq(s, reqs[3])
 		done <- err
 	}()
 	waitParkedInLockUser()

@@ -31,7 +31,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -51,7 +50,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/selection"
 	"repro/internal/semantic"
-	"repro/internal/trace"
 )
 
 // Selector policy names accepted by Config.Selector.
@@ -119,7 +117,7 @@ type Config struct {
 	// BufferThreshold triggers individual-model updates (default 32).
 	BufferThreshold int
 	// DisableAutoUpdate turns off automatic update processing inside
-	// Transmit; callers then invoke ProcessUpdate explicitly.
+	// TransmitText; callers then invoke ProcessUpdate explicitly.
 	DisableAutoUpdate bool
 
 	// Seed drives every random component (default 1).
@@ -169,7 +167,9 @@ type System struct {
 
 	nb         *selection.NaiveBayes
 	selFactory func() selection.Selector
-	oracle     bool
+	// oracle is the one selector every user shares under SelectorOracle,
+	// nil under any other policy (Oracle).
+	oracle *selection.Static
 
 	// users holds one record per user: the member's only user map, so
 	// also the set a drain hands off. usersMu guards the map only; each
@@ -199,7 +199,7 @@ type userState struct {
 	// dead marks a record DropUserAfterHandover removed from the map: a
 	// caller that was waiting on mu looks the user up again (lockUser).
 	dead bool
-	sel  selection.Selector // nil under the oracle policy
+	sel  selection.Selector
 	// noiseSeq counts the user's messages for the noise-seed derivation.
 	// It migrates with the user on a mesh handover so the noise stream
 	// continues bit-identically on the new serving node.
@@ -222,10 +222,7 @@ func (s *System) userState(user string) *userState {
 	s.usersMu.Lock()
 	defer s.usersMu.Unlock()
 	if st = s.users[user]; st == nil {
-		st = &userState{userHash: cluster.Hash64(user)}
-		if !s.oracle {
-			st.sel = s.selFactory()
-		}
+		st = &userState{userHash: cluster.Hash64(user), sel: s.selFactory()}
 		s.users[user] = st
 	}
 	return st
@@ -254,11 +251,14 @@ func (s *System) Users() []string {
 	return slices.Sorted(maps.Keys(s.users))
 }
 
-// selectorFactories maps each non-oracle selector name to a builder of
-// per-user selector constructors. Together with the SelectorOracle special
-// case it is every policy NewSystem accepts (validSelector, initSelectors);
-// SelectorNames is the subset a daemon may serve.
+// selectorFactories maps each selector name to a builder of per-user
+// selector constructors: every policy NewSystem accepts. SelectorNames is
+// the subset a daemon may serve.
 var selectorFactories = map[string]func(s *System, rng *mat.RNG) func() selection.Selector{
+	SelectorOracle: func(s *System, _ *mat.RNG) func() selection.Selector {
+		s.oracle = &selection.Static{}
+		return func() selection.Selector { return s.oracle }
+	},
 	SelectorStatic: func(s *System, _ *mat.RNG) func() selection.Selector {
 		return func() selection.Selector { return &selection.Static{} }
 	},
@@ -280,22 +280,20 @@ var selectorFactories = map[string]func(s *System, rng *mat.RNG) func() selectio
 
 // SelectorNames returns the sorted names of the selection policies a
 // daemon can serve — the one list edged's -selector flag and validation
-// read. The rest exist for the experiments only: SelectorOracle needs the
-// ground-truth label only a trace carries, SelectorStatic encodes every
-// message with domain 0's model (E5's Figure D row), and SelectorQLearn /
-// SelectorUCB are Figure D's
-// negative result (0.602 / 0.343 selection accuracy against sticky's
-// 0.978).
+// read. The rest exist for the experiments only: SelectorOracle needs a
+// driver that knows each message's true domain and sets it through Oracle
+// before each transmit, SelectorStatic encodes every message with domain
+// 0's model (E5's Figure D row), and SelectorQLearn / SelectorUCB are
+// Figure D's negative result (0.602 / 0.343 selection accuracy against
+// sticky's 0.978).
 func SelectorNames() []string { return []string{SelectorNaiveBayes, SelectorSticky} }
 
-// validSelector reports whether name is a known selection policy.
-func validSelector(name string) bool {
-	if name == SelectorOracle {
-		return true
-	}
-	_, ok := selectorFactories[name]
-	return ok
-}
+// Oracle returns the selector every user shares under SelectorOracle, nil
+// under any other policy. A driver that knows each message's true domain
+// sets its DomainIndex before each TransmitText. Only a serial driver may
+// use it: the one DomainIndex serves every user, so concurrent transmits
+// would read each other's domain.
+func (s *System) Oracle() *selection.Static { return s.oracle }
 
 // NewSystem pretrains the general models, registers them in the cloud,
 // boots both edge servers and the selection policy, and returns the ready
@@ -306,7 +304,8 @@ func NewSystem(cfg Config) (*System, error) {
 	if _, ok := cache.NewPolicy(cfg.Policy); !ok {
 		return nil, fmt.Errorf("core: unknown cache policy %q", cfg.Policy)
 	}
-	if !validSelector(cfg.Selector) {
+	buildSelector, ok := selectorFactories[cfg.Selector]
+	if !ok {
 		return nil, fmt.Errorf("core: unknown selector %q", cfg.Selector)
 	}
 	corp := corpus.Build()
@@ -381,51 +380,28 @@ func NewSystem(cfg Config) (*System, error) {
 		link:       channel.NewSeededLink(cfg.SNRdB),
 		users:      make(map[string]*userState, 16),
 		updateTime: metrics.NewLatencyHistogram(),
+		// The shared classifier draws from its own seed, not from rng.
+		nb: selection.TrainNaiveBayes(corp, 150, cfg.Seed^0xbead),
 	}
-	if err := s.initSelectors(rng); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// initSelectors trains the shared classifier and builds the per-user
-// selector family.
-func (s *System) initSelectors(rng *mat.RNG) error {
-	cfg := s.cfg
-	if cfg.Selector == SelectorOracle {
-		s.oracle = true
-		return nil
-	}
-	build, ok := selectorFactories[cfg.Selector]
-	if !ok {
-		return fmt.Errorf("core: unknown selector %q", cfg.Selector)
-	}
-	s.nb = selection.TrainNaiveBayes(s.Corpus, 150, cfg.Seed^0xbead)
-	s.selFactory = build(s, rng)
+	s.selFactory = buildSelector(s, rng)
 	// Probe once, as the selector family did before per-user sharding:
 	// factories that split an RNG per instance keep the same split
 	// sequence, so per-user selector streams stay bit-identical to the
 	// recorded goldens.
 	s.selFactory()
-	return nil
+	return s, nil
 }
 
-// Result reports one end-to-end semantic transmission.
+// Result reports one end-to-end semantic transmission. It holds what the
+// edges know; scoring against a ground truth is the reproduction's
+// (internal/experiments).
 type Result struct {
-	// Req is the originating request.
-	Req trace.Request
 	// SelectedDomain is the model-selection outcome.
 	SelectedDomain int
-	// CorrectSelection reports SelectedDomain == true domain.
-	CorrectSelection bool
-	// RestoredWords is the receiver's restored message.
+	// RestoredWords is the receiver's restored message: the canonical
+	// surface of each concept the receiver decoded, in the selected
+	// domain.
 	RestoredWords []string
-	// CanonicalWords renders the ground-truth meaning.
-	CanonicalWords []string
-	// WordAccuracy compares restored to canonical words.
-	WordAccuracy float64
-	// Similarity is the graded semantic fidelity in [0,1].
-	Similarity float64
 	// Mismatch is the sender-side decoder-copy estimate.
 	Mismatch float64
 	// PayloadBytes is the semantic payload size on the air.
@@ -475,65 +451,21 @@ func (s *System) nextNoiseSeed(st *userState) uint64 {
 	return noiseSeed(s.cfg.Seed, st.userHash, seq)
 }
 
-// Transmit runs one message through the full pipeline. Transmissions for
-// different users run concurrently; same-user calls serialize.
-func (s *System) Transmit(req trace.Request) (*Result, error) {
-	msg := req.Msg
-	st := s.lockUser(req.User)
-	defer st.mu.Unlock()
-	// One pooled scratch arena backs the whole codec path of this request;
-	// everything it hands out is consumed before the arena is pooled again.
-	sc := mat.GetScratch()
-	defer mat.PutScratch(sc)
-	// Step 1: model selection on the sender edge.
-	var selected int
-	if s.oracle {
-		selected = msg.DomainIndex
-	} else {
-		selected = st.sel.Select(msg.Words)
-	}
-	res, decoded, err := s.transmitSelected(sc, st, req.User, msg.Words, selected, st.sel)
-	if err != nil {
-		return nil, err
-	}
-	res.Req = req
-	res.CorrectSelection = selected == msg.DomainIndex
-	s.scoreResult(res, decoded)
-	return res, nil
-}
-
-// TransmitText runs live text (no ground truth) through the pipeline: the
-// daemon's entry point. Fidelity fields that require ground truth stay
-// zero; the sender-side Mismatch estimate is still populated. The oracle
-// selector cannot serve live text.
+// TransmitText runs one message through the full pipeline: the daemon's
+// entry point, and the reproduction's, which scores the result against the
+// ground truth its traces carry. Transmissions for different users run
+// concurrently; same-user calls serialize. All codec-path temporaries
+// (feature matrices, received features, concept buffers) come from one
+// pooled scratch arena, so the steady-state codec path allocates nothing.
 func (s *System) TransmitText(user string, words []string) (*Result, error) {
-	if s.oracle {
-		return nil, errors.New("core: oracle selector requires ground-truth requests")
-	}
 	st := s.lockUser(user)
 	defer st.mu.Unlock()
+	// Everything the arena hands out is consumed before it is pooled again.
 	sc := mat.GetScratch()
 	defer mat.PutScratch(sc)
-	selected := st.sel.Select(words)
-	res, _, err := s.transmitSelected(sc, st, user, words, selected, st.sel)
-	if err != nil {
-		return nil, err
-	}
-	res.Req = trace.Request{User: user, Msg: corpus.Message{
-		DomainIndex: selected,
-		DomainName:  s.Corpus.Domains[selected].Name,
-		Words:       words,
-	}}
-	return res, nil
-}
 
-// transmitSelected runs pipeline steps 2-6 for an already-selected domain.
-// It returns the partially scored result and the decoded concepts. All
-// codec-path temporaries (feature matrices, received features, concept
-// buffers) come from sc, so the steady-state codec path allocates nothing;
-// the returned concepts are backed by sc and must be consumed before the
-// scratch is released.
-func (s *System) transmitSelected(sc *mat.Scratch, st *userState, user string, words []string, selected int, sel selection.Selector) (*Result, []int, error) {
+	// Step 1: model selection on the sender edge.
+	selected := st.sel.Select(words)
 	domain := s.Corpus.Domains[selected].Name
 	sender := s.Sender
 
@@ -541,7 +473,7 @@ func (s *System) transmitSelected(sc *mat.Scratch, st *userState, user string, w
 	// sender table).
 	enc, err := sender.Encode(sc, domain, user, words)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Step 3: physical channel, on noise seeded from (user, seq) alone, so
@@ -555,7 +487,7 @@ func (s *System) transmitSelected(sc *mat.Scratch, st *userState, user string, w
 	// Step 4: receiver-side semantic decoding (batched GEMMs).
 	dec, err := s.Receiver.Decode(sc, domain, user, rx)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Step 5: sender-side mismatch via decoder copy, buffered. The encode
@@ -563,11 +495,9 @@ func (s *System) transmitSelected(sc *mat.Scratch, st *userState, user string, w
 	// when the decoder copy is the same model instance.
 	tx, ready, err := sender.RecordTransaction(sc, domain, user, words, &enc)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if sel != nil {
-		sel.Feedback(1 - tx.Mismatch())
-	}
+	st.sel.Feedback(1 - tx.Mismatch())
 
 	res := &Result{
 		SelectedDomain: selected,
@@ -594,26 +524,7 @@ func (s *System) transmitSelected(sc *mat.Scratch, st *userState, user string, w
 			res.UpdateBytes = bytes
 		}
 	}
-	return res, dec.Concepts, nil
-}
-
-// scoreResult fills the fidelity metrics against ground truth.
-func (s *System) scoreResult(res *Result, decoded []int) {
-	msg := res.Req.Msg
-	trueDomain := s.Corpus.Domains[msg.DomainIndex]
-	canonical := make([]string, len(msg.ConceptIDs))
-	for i, ci := range msg.ConceptIDs {
-		canonical[i] = trueDomain.Canonical(ci)
-	}
-	res.CanonicalWords = canonical
-	res.WordAccuracy = semantic.WordAccuracy(res.RestoredWords, canonical)
-	if res.CorrectSelection {
-		res.Similarity = semantic.Similarity(s.Generals[msg.DomainIndex], decoded, msg.ConceptIDs)
-	} else {
-		// Cross-domain decoding has no shared concept space; fall back to
-		// surface-level fidelity.
-		res.Similarity = res.WordAccuracy
-	}
+	return res, nil
 }
 
 // ProcessUpdate runs the update process for (domain, user) on the sender
@@ -663,76 +574,3 @@ func (s *System) UpdateTime() *metrics.Histogram { return s.updateTime }
 // model fetches — what an external fetcher (the mesh's origin fallback)
 // must charge to account like the built-in one.
 func (s *System) CloudLink() netsim.Link { return cloudLink }
-
-// RunWorkload transmits every request in w, returning per-message
-// results. A single System has nowhere to move a user to, so the
-// workload's mobility events are not applied; drivers of a mesh apply
-// them through mesh.Node.MoveUser.
-func (s *System) RunWorkload(w *trace.Workload) ([]Result, error) {
-	out := make([]Result, 0, len(w.Requests))
-	for _, req := range w.Requests {
-		res, err := s.Transmit(req)
-		if err != nil {
-			return out, fmt.Errorf("core: request %d: %w", req.Seq, err)
-		}
-		out = append(out, *res)
-	}
-	return out, nil
-}
-
-// errNoResults reports summarizing an empty result set.
-var errNoResults = errors.New("core: no results to summarize")
-
-// Summary aggregates a result set.
-type Summary struct {
-	Messages          int
-	MeanWordAccuracy  float64
-	MeanSimilarity    float64
-	MeanMismatch      float64
-	SelectionAccuracy float64
-	MeanPayloadBytes  float64
-	MeanLatency       time.Duration
-	P95Latency        time.Duration
-	IndividualShare   float64
-	Updates           int
-	UpdateBytes       int64
-}
-
-// Summarize reduces results to aggregate metrics.
-func Summarize(results []Result) (Summary, error) {
-	if len(results) == 0 {
-		return Summary{}, errNoResults
-	}
-	var sum Summary
-	latencies := make([]float64, 0, len(results))
-	for i := range results {
-		r := &results[i]
-		sum.MeanWordAccuracy += r.WordAccuracy
-		sum.MeanSimilarity += r.Similarity
-		sum.MeanMismatch += r.Mismatch
-		if r.CorrectSelection {
-			sum.SelectionAccuracy++
-		}
-		sum.MeanPayloadBytes += float64(r.PayloadBytes)
-		sum.MeanLatency += r.Latency
-		latencies = append(latencies, float64(r.Latency))
-		if r.UsedIndividual {
-			sum.IndividualShare++
-		}
-		if r.UpdateFired {
-			sum.Updates++
-			sum.UpdateBytes += int64(r.UpdateBytes)
-		}
-	}
-	n := float64(len(results))
-	sum.Messages = len(results)
-	sum.MeanWordAccuracy /= n
-	sum.MeanSimilarity /= n
-	sum.MeanMismatch /= n
-	sum.SelectionAccuracy /= n
-	sum.MeanPayloadBytes /= n
-	sum.MeanLatency /= time.Duration(len(results))
-	sum.IndividualShare /= n
-	sum.P95Latency = time.Duration(metrics.Percentile(latencies, 95))
-	return sum, nil
-}

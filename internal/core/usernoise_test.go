@@ -62,7 +62,7 @@ func TestPerUserNoiseInterleavingInvariance(t *testing.T) {
 	solo := mkSys()
 	var soloResults []*Result
 	for i := range alice {
-		res, err := solo.Transmit(alice[i])
+		res, err := transmitReq(solo, alice[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,10 +74,10 @@ func TestPerUserNoiseInterleavingInvariance(t *testing.T) {
 	mixed := mkSys()
 	var mixedResults []*Result
 	for i := range alice {
-		if _, err := mixed.Transmit(bob[i]); err != nil {
+		if _, err := transmitReq(mixed, bob[i]); err != nil {
 			t.Fatal(err)
 		}
-		res, err := mixed.Transmit(alice[i])
+		res, err := transmitReq(mixed, alice[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestPerUserNoiseHandoverContinuity(t *testing.T) {
 	ref := mkSys("node-0")
 	var refTail []*Result
 	for i := range reqs {
-		res, err := ref.Transmit(reqs[i])
+		res, err := transmitReq(ref, reqs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestPerUserNoiseHandoverContinuity(t *testing.T) {
 	// Handover: first half on node 0, export/import, second half on node 1.
 	old := mkSys("node-0")
 	for i := 0; i < split; i++ {
-		if _, err := old.Transmit(reqs[i]); err != nil {
+		if _, err := transmitReq(old, reqs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,7 +159,7 @@ func TestPerUserNoiseHandoverContinuity(t *testing.T) {
 	}
 	var newTail []*Result
 	for i := split; i < len(reqs); i++ {
-		res, err := neu.Transmit(reqs[i])
+		res, err := transmitReq(neu, reqs[i])
 		if err != nil {
 			t.Fatal(err)
 		}

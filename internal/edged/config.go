@@ -140,8 +140,9 @@ func (c *Config) Validate() error {
 		return &ConfigError{Field: "addr", Value: c.Addr, Reason: "listen address required"}
 	}
 	// The daemon accepts exactly the policies core says one can serve:
-	// not oracle (needs labels no wire request carries), not static (no
-	// flag names its domain), not the qlearn / ucb experiment rows.
+	// not oracle (it needs a driver that knows each message's true
+	// domain, which no wire request carries), not static (no flag names
+	// its domain), not the qlearn / ucb experiment rows.
 	if selectors := core.SelectorNames(); !slices.Contains(selectors, c.Selector) {
 		return &ConfigError{Field: "selector", Value: c.Selector, Reason: "unknown policy, want one of " + strings.Join(selectors, "|")}
 	}

@@ -118,7 +118,6 @@ func newE11Mesh(env *Env, n int, policy string, cacheBytes int64, seed uint64) (
 			MeshLink: netsim.Link{Latency: 5 * time.Millisecond, BandwidthBps: 400e6},
 			RingSeed: seed,
 		}, core.Config{
-			Selector:         core.SelectorOracle,
 			Policy:           policy,
 			SenderCacheBytes: cacheBytes,
 			Seed:             seed,

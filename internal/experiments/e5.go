@@ -85,11 +85,11 @@ func RunE5(env *Env, opts E5Options) (*E5Result, error) {
 			MinLen:        3, MaxLen: 6, FuncProb: 0.55,
 			Seed: opts.Seed + 100,
 		})
-		results, err := sys.RunWorkload(w)
+		results, err := RunTrace(sys, w)
 		if err != nil {
 			return err
 		}
-		sum, err := core.Summarize(results)
+		sum, err := Summarize(results)
 		if err != nil {
 			return err
 		}

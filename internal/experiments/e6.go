@@ -95,7 +95,7 @@ func RunE6(env *Env, opts E6Options) (*E6Result, error) {
 		w := trace.Generate(sys.Corpus, trace.Config{
 			Users: 8, Messages: opts.Messages, MeanRunLength: 6, Seed: opts.Seed + 9,
 		})
-		results, err := sys.RunWorkload(w)
+		results, err := RunTrace(sys, w)
 		if err != nil {
 			return nil, err
 		}

@@ -193,13 +193,22 @@ func TestReadDenseRejectsElementCountOverflow(t *testing.T) {
 	}
 }
 
-// allocatedBytes returns the heap bytes one call of fn allocates.
+// allocatedBytes returns the heap bytes one call of fn allocates: the
+// mean over many calls after a warm-up one, all on one P, the way
+// testing.AllocsPerRun counts allocations, so another goroutine's
+// allocation in the window is spread over every call instead of charged
+// to one.
 func allocatedBytes(fn func()) uint64 {
+	const runs = 100
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	fn()
+	for range runs {
+		fn()
+	}
 	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
+	return (after.TotalAlloc - before.TotalAlloc) / runs
 }
 
 // Property: (Mᵀ)ᵀ x == M x is trivially true, but MulVec and MulVecT must be

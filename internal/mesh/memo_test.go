@@ -129,8 +129,8 @@ func memoRun(t *testing.T, memo, parallel bool, mutate func(sys *core.Config)) [
 			if res.UpdateErr != nil {
 				return fmt.Errorf("%s message %d: update: %w", c.user, i, res.UpdateErr)
 			}
-			fmt.Fprintf(h, "%d|%v|%g|%g|%d|%d|%t|%t|%d\n",
-				res.SelectedDomain, res.RestoredWords, res.Mismatch, res.WordAccuracy, res.PayloadBytes,
+			fmt.Fprintf(h, "%d|%v|%g|%d|%d|%t|%t|%d\n",
+				res.SelectedDomain, res.RestoredWords, res.Mismatch, res.PayloadBytes,
 				res.Symbols, res.UsedIndividual, res.UpdateFired, res.UpdateBytes)
 			return nil
 		}

@@ -3,7 +3,6 @@ package nn
 import (
 	"encoding/binary"
 	"math"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -127,12 +126,10 @@ func TestReadParamSetRejectsGarbage(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	ParseParamSet(hugeCount)
-	runtime.ReadMemStats(&after)
-	if n := after.TotalAlloc - before.TotalAlloc; n > 4096 {
-		t.Fatalf("a forged count of %d tensors allocated %d bytes before it was refused", 1<<16, n)
+	// The refusal allocates nothing. AllocsPerRun counts on one P after a
+	// warm-up call, so no other goroutine's allocation lands in the window.
+	if n := testing.AllocsPerRun(100, func() { ParseParamSet(hugeCount) }); n != 0 {
+		t.Fatalf("a forged count of %d tensors made %v allocations before it was refused", 1<<16, n)
 	}
 }
 

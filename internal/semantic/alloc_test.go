@@ -28,7 +28,7 @@ func TestCodecSteadyStateZeroAllocs(t *testing.T) {
 	defer mat.PutScratch(sc)
 	concepts := make([]int, len(words))
 
-	// The per-message codec path exactly as Transmit drives it: batched
+	// The per-message codec path exactly as TransmitText drives it: batched
 	// encode, batched decode of the received features, and the decoder-copy
 	// round trip reusing the encoded features.
 	message := func() {

@@ -1,6 +1,7 @@
-// Package repro holds no product code: its one test keeps internal/ free
-// of functions no shipped binary links, and lists what only the paper's
-// reproduction links beside what a served binary links.
+// Package repro holds no product code: its tests keep internal/ free of
+// functions no shipped binary links, list what only the paper's
+// reproduction links beside what a served binary links, and keep the
+// reproduction's own packages out of every served binary.
 package repro
 
 import (
@@ -14,6 +15,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -24,6 +26,33 @@ import (
 // the repository ships — sembench, the examples and the benchmark —
 // reproduces the paper on top of them.
 var servedBinaries = map[string]bool{"cmd-edged": true, "cmd-semcli": true, "cmd-semkb": true, "cmd-semload": true}
+
+// reproductionPackages exist only to reproduce the paper: the trace
+// generator, the experiment runners and the classical baseline they
+// compare against.
+var reproductionPackages = []string{"repro/internal/baseline", "repro/internal/experiments", "repro/internal/trace"}
+
+// TestServedBinariesLinkNoReproduction fails for every served binary that
+// depends on a reproduction package: what the daemon and its tools run
+// carries no workload generator, ground truth or scoring.
+func TestServedBinariesLinkNoReproduction(t *testing.T) {
+	var dirs []string
+	for bin := range servedBinaries {
+		dirs = append(dirs, "./"+strings.Replace(bin, "-", "/", 1))
+	}
+	sort.Strings(dirs)
+	for _, dir := range dirs {
+		out, err := exec.Command("go", "list", "-deps", dir).Output()
+		if err != nil {
+			t.Fatalf("go list -deps %s: %v", dir, err)
+		}
+		for _, pkg := range strings.Fields(string(out)) {
+			if slices.Contains(reproductionPackages, pkg) {
+				t.Errorf("%s links %s, a reproduction package", dir, pkg)
+			}
+		}
+	}
+}
 
 // TestNoUnlinkedFunctions builds every binary the repository ships —
 // ./cmd/*, ./examples/* and the benchmark — with inlining off (so an
