@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/corpus"
@@ -12,7 +13,7 @@ import (
 func allocSystem(t *testing.T) *System {
 	t.Helper()
 	cfg := goldenConfig()
-	cfg.DisableAutoUpdate = true
+	cfg.BufferThreshold = math.MaxInt
 	s, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/corpus"
@@ -15,9 +16,9 @@ import (
 // untimed transmits per iteration.
 func BenchmarkUpdateProcess(b *testing.B) {
 	sys, err := NewSystem(Config{
-		Selector:          SelectorOracle,
-		PinGeneral:        true,
-		DisableAutoUpdate: true,
+		Selector:        SelectorOracle,
+		PinGeneral:      true,
+		BufferThreshold: math.MaxInt,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/text"
@@ -16,7 +17,7 @@ func buildSystem(t *testing.T, mutate func(*Config)) *System {
 	cfg := testConfig()
 	cfg.Selector = SelectorOracle
 	cfg.PinGeneral = true
-	cfg.DisableAutoUpdate = true
+	cfg.BufferThreshold = math.MaxInt
 	if mutate != nil {
 		mutate(&cfg)
 	}

@@ -115,10 +115,9 @@ type Config struct {
 	Selector string
 
 	// BufferThreshold triggers individual-model updates (default 32).
+	// math.MaxInt means no update ever fires inside TransmitText; callers
+	// then invoke ProcessUpdate explicitly.
 	BufferThreshold int
-	// DisableAutoUpdate turns off automatic update processing inside
-	// TransmitText; callers then invoke ProcessUpdate explicitly.
-	DisableAutoUpdate bool
 
 	// Seed drives every random component (default 1).
 	Seed uint64
@@ -514,7 +513,7 @@ func (s *System) TransmitText(user string, words []string) (*Result, error) {
 	// Step 6: update process when the buffer is full. A failed update does
 	// not fail the transmit — the message was already delivered — but it is
 	// counted and reported on the result.
-	if ready && !s.cfg.DisableAutoUpdate {
+	if ready {
 		bytes, err := s.ProcessUpdate(domain, user)
 		if err != nil {
 			s.updateFailures.Add(1)

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -229,7 +230,7 @@ func TestSelectorLearnsFromMismatchReward(t *testing.T) {
 	cfg := testConfig()
 	cfg.Selector = SelectorQLearn
 	cfg.PinGeneral = true
-	cfg.DisableAutoUpdate = true
+	cfg.BufferThreshold = math.MaxInt
 	s, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -41,19 +41,17 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 	// middle of the result line.
 	log.SetOutput(io.Discard)
 	defer log.SetOutput(os.Stderr)
-	d, err := New(*cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
 	accepted := make(chan *rpctest.CountingConn, 1)
-	d.ListenOn(countingListener{Listener: ln, accepted: accepted})
-	served := make(chan error, 1)
-	go func() { served <- d.Serve() }()
-	conn, err := net.Dial("tcp", ln.Addr().String())
+	c, err := StartCluster(1, "127.0.0.1:0", func(_ int, members []rpc.PeerInfo) (*Daemon, error) {
+		cfg.Addr = members[0].Addr
+		return New(*cfg)
+	}, func(_ int, ln net.Listener) net.Listener {
+		return countingListener{Listener: ln, accepted: accepted}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", c.Addrs[0])
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -74,9 +72,8 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 	}
 	b.StopTimer()
 	cl.Close()
-	d.Close()
-	// Serve returns once the connection's handler has: the counts are final.
-	if err := <-served; err != nil {
+	// Stop returns once the connection's handler has: the counts are final.
+	if err := c.Stop(); err != nil {
 		b.Fatal(err)
 	}
 	trips := float64(b.N + 1)

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/edge"
 	"repro/internal/mat"
 	"repro/internal/mesh"
 	"repro/internal/rpc"
@@ -46,7 +47,8 @@ func loadKB(dir string) ([]*semantic.Codec, error) {
 }
 
 // Daemon is one booted edged instance: the serving system, its mesh
-// membership, and the request server, ready to Listen and Serve.
+// membership, and the request server, ready to Listen and Serve (or to
+// be served by StartCluster).
 type Daemon struct {
 	Cfg  Config
 	Sys  *core.System
@@ -145,18 +147,29 @@ func New(cfg Config) (*Daemon, error) {
 	return d, nil
 }
 
-// NewMember builds a mesh member and the request server in front of it,
-// with the server's defaults: a 2x GOMAXPROCS admission gate and no
-// deadlines. It warms no cache, installs no eviction guard and starts no
-// membership (Mesh.Start) — what an in-process mesh needs to stay a
-// deterministic function of its inputs. Its Cfg stays zero: only New
-// has flags to record.
+// NewMember builds one complete mesh member and the request server in
+// front of it: the node, and its serving system wired the way every
+// member must be (a single sender named after the ring slot, the node as
+// its miss resolver, the node bound back to the system with the cloud
+// origin as its fallback), behind the server's defaults: a 2x GOMAXPROCS
+// admission gate and no deadlines. sysCfg supplies everything else. It
+// warms no cache, installs no eviction guard and starts no membership
+// (Mesh.Start), which is what an in-process mesh needs to stay a
+// deterministic function of its inputs. Its Cfg stays zero: only New has
+// flags to record.
 func NewMember(cfg mesh.Config, sysCfg core.Config) (*Daemon, error) {
-	node, sys, err := mesh.NewMember(cfg, sysCfg)
+	node, err := mesh.NewNode(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Daemon{Sys: sys, Mesh: node, srv: newServer(sys, node, 0)}, nil
+	sysCfg.SenderName = cfg.Self.Name
+	sysCfg.SenderFetcher = node
+	sys, err := core.NewSystem(sysCfg)
+	if err != nil {
+		return nil, err
+	}
+	node.Bind(sys, edge.NewOriginFetcher(sys.Cloud, sys.CloudLink()))
+	return &Daemon{Sys: sys, Mesh: node, srv: newServer(sys, node)}, nil
 }
 
 // Listen binds the daemon's listener: TCP, or the in-memory transport
@@ -171,29 +184,11 @@ func (d *Daemon) Listen() error {
 	return nil
 }
 
-// ListenOn adopts a pre-bound listener instead of binding Cfg.Addr —
-// mesh tests reserve every member's port up front, because the static
-// peer list must be complete before any member boots.
-func (d *Daemon) ListenOn(ln net.Listener) { d.ln = ln }
-
-// Addr returns the bound listen address (useful with ":0").
-func (d *Daemon) Addr() string {
-	if d.ln == nil {
-		return ""
-	}
-	return d.ln.Addr().String()
-}
-
-// Serve runs the accept loop until Close (or an accept error) and drains
-// in-flight handlers before returning. It does not start the membership:
-// a daemon joins its peers and probes them only once its owner calls
-// Mesh.Start, which an in-process mesh never does.
+// Serve runs the accept loop on the listener Listen bound (or StartCluster
+// handed over) until Close or an accept error, and drains in-flight
+// handlers before returning. It does not start the membership: a daemon
+// joins its peers and probes them only once its owner calls Mesh.Start.
 func (d *Daemon) Serve() error {
-	if d.ln == nil {
-		if err := d.Listen(); err != nil {
-			return err
-		}
-	}
 	err := d.srv.serve(d.ln)
 	d.Mesh.Stop()
 	return err

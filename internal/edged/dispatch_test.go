@@ -18,20 +18,15 @@ var (
 	srvErr  error
 )
 
-// loneMember builds what a daemon without -peers serves: node-0 of a
-// mesh of one, through the same mesh.NewMember call New makes.
-func loneMember(sysCfg core.Config) (*mesh.Node, *core.System, error) {
-	return mesh.NewMember(mesh.Config{
-		Self:     rpc.PeerInfo{Name: "node-0", Addr: "mem:lone"},
-		RingSeed: sysCfg.Seed,
-	}, sysCfg)
-}
+// lone is the membership of a daemon without -peers: node-0 of a mesh
+// of one.
+var lone = []rpc.PeerInfo{{Name: "node-0", Addr: "mem:lone"}}
 
 // testServer boots one daemon-side server with small codecs.
 func testServer(t *testing.T) *server {
 	t.Helper()
 	srvOnce.Do(func() {
-		node, sys, err := loneMember(core.Config{
+		d, err := NewMember(mesh.Config{Self: lone[0], RingSeed: 3}, core.Config{
 			Selector:   core.SelectorSticky,
 			PinGeneral: true,
 			Seed:       3,
@@ -44,6 +39,7 @@ func testServer(t *testing.T) *server {
 			srvErr = err
 			return
 		}
+		sys := d.Sys
 		if _, err := sys.Sender.Prefetch(sys.Corpus.Names()); err != nil {
 			srvErr = err
 			return
@@ -52,7 +48,7 @@ func testServer(t *testing.T) *server {
 			srvErr = err
 			return
 		}
-		srvInst = newServer(sys, node, 0)
+		srvInst = d.srv
 	})
 	if srvErr != nil {
 		t.Fatal(srvErr)

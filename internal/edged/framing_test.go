@@ -20,7 +20,7 @@ import (
 func handleOn(t *testing.T, idleTimeout time.Duration, wrap func(net.Conn) net.Conn) (net.Conn, <-chan struct{}) {
 	t.Helper()
 	shared := testServer(t)
-	srv := newServer(shared.sys, shared.mesh, 0)
+	srv := newServer(shared.sys, shared.mesh)
 	srv.idleTimeout = idleTimeout
 	near, far := net.Pipe()
 	t.Cleanup(func() { near.Close() })

@@ -81,92 +81,62 @@ func meshBaseConfig(t *testing.T) Config {
 	return cfg
 }
 
-// meshDeployment is a booted multi-process-shaped mesh: one Daemon per
-// member, each on its own TCP listener, cooperating over the wire only.
-type meshDeployment struct {
-	daemons []*Daemon
-	addrs   []string
-	done    []chan error
-}
-
 // bootMesh boots n members on loopback TCP.
-func bootMesh(t *testing.T, n int) *meshDeployment {
+func bootMesh(t *testing.T, n int) *Cluster {
 	t.Helper()
-	return bootMeshCfg(t, n, nil)
-}
-
-// bootMeshCfg is bootMesh with a per-member config hook (replication
-// degree, drain budget, ...), applied after the mesh fields are set.
-func bootMeshCfg(t *testing.T, n int, mutate func(i int, cfg *Config)) *meshDeployment {
-	t.Helper()
-	return bootMeshOn(t, n, "127.0.0.1:0", mutate)
+	return bootMeshOn(t, n, "127.0.0.1:0", nil)
 }
 
 // bootMeshMem boots n members on the in-memory transport: the same
 // daemons, frames and code paths as bootMesh, with no socket anywhere.
-func bootMeshMem(t *testing.T, n int) *meshDeployment {
+func bootMeshMem(t *testing.T, n int) *Cluster {
 	t.Helper()
 	return bootMeshOn(t, n, "mem:", nil)
 }
 
-// bootMeshOn binds every member's listener on a free address first (the
-// static -peers list must be complete before any member boots), then
-// builds and serves each member. The address alone selects the transport
+// bootMeshOn boots what n edged processes sharing one -peers list are
+// (New from the daemon's own Config, then Mesh.Start), mutate adjusting
+// member i's Config. The address alone selects the transport
 // (rpc.Listen). n == 1 boots what `edged -addr a` is: no -peers at all.
-func bootMeshOn(t *testing.T, n int, listenAddr string, mutate func(i int, cfg *Config)) *meshDeployment {
+func bootMeshOn(t *testing.T, n int, listenAddr string, mutate func(i int, cfg *Config)) *Cluster {
 	t.Helper()
-	lns := make([]net.Listener, n)
-	addrs := make([]string, n)
-	for i := range lns {
-		ln, err := rpc.Listen(listenAddr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	peers := strings.Join(addrs, ",")
-	m := &meshDeployment{addrs: addrs, daemons: make([]*Daemon, n), done: make([]chan error, n)}
-	// Member 0 boots last: it alone warms its sender at boot, and every
-	// miss probes the peers first — against a peer whose listener is bound
-	// but not yet served, each probe would sit out the 2 s call timeout.
-	for i := n - 1; i >= 0; i-- {
+	c, err := StartCluster(n, listenAddr, func(i int, members []rpc.PeerInfo) (*Daemon, error) {
 		cfg := meshBaseConfig(t)
-		cfg.Addr = addrs[i]
+		cfg.Addr = members[i].Addr
 		if n > 1 {
-			cfg.Peers = peers
+			var addrs []string
+			for _, m := range members {
+				addrs = append(addrs, m.Addr)
+			}
+			cfg.Peers = strings.Join(addrs, ",")
 			cfg.MeshIndex = i
 		}
 		if mutate != nil {
 			mutate(i, &cfg)
 		}
 		d, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
+		if err == nil {
+			d.Mesh.Start()
 		}
-		d.ListenOn(lns[i])
-		m.daemons[i] = d
-		m.done[i] = make(chan error, 1)
-		d.Mesh.Start()
-		go func(i int) { m.done[i] <- d.Serve() }(i)
+		return d, err
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		for i, d := range m.daemons {
-			d.Close()
-			if err := <-m.done[i]; err != nil {
-				t.Errorf("node %d serve: %v", i, err)
-			}
+		if err := c.Stop(); err != nil {
+			t.Error(err)
 		}
 	})
-	return m
+	return c
 }
 
 // newRouter routes requests the way cmd/semload does: the one
 // client-side mesh.Router, over the deployment's member addresses and
 // the ring seed meshBaseConfig boots them with.
-func newRouter(t *testing.T, m *meshDeployment) *mesh.Router {
+func newRouter(t *testing.T, m *Cluster) *mesh.Router {
 	t.Helper()
-	r := mesh.NewRouter(m.addrs, 11)
+	r := mesh.NewRouter(m.Addrs, 11)
 	t.Cleanup(r.Close)
 	return r
 }
@@ -344,15 +314,14 @@ func TestMeshOfOneDrains(t *testing.T) {
 	if st.Messages != 3 || len(st.Nodes) != 1 || st.Nodes[0].Name != "node-0" || st.Nodes[0].Users != 1 {
 		t.Fatalf("stats of a mesh of one: %d messages, nodes %+v", st.Messages, st.Nodes)
 	}
-	if err := m.daemons[0].Drain(); err != nil {
+	if err := m.Members[0].Drain(); err != nil {
 		t.Fatalf("drain with no peers: %v", err)
 	}
 	select {
-	case err := <-m.done[0]:
-		if err != nil {
+	case <-m.exited[0]:
+		if err := m.errs[0]; err != nil {
 			t.Fatalf("serve after the drain: %v", err)
 		}
-		m.done[0] <- err // the deployment's cleanup reads it too
 	case <-time.After(10 * time.Second):
 		t.Fatal("Serve never returned after the drain")
 	}
@@ -389,7 +358,7 @@ func TestMeshMatchesInProcessCluster(t *testing.T) {
 	corp := corpus.Build()
 	for _, transport := range []struct {
 		name string
-		boot func(*testing.T, int) *meshDeployment
+		boot func(*testing.T, int) *Cluster
 	}{{"tcp", bootMesh}, {"memory", bootMeshMem}} {
 		t.Run(transport.name, func(t *testing.T) {
 			router := newRouter(t, transport.boot(t, 3))
@@ -660,7 +629,7 @@ func TestMeshRefusesV1Frame(t *testing.T) {
 		t.Skip("mesh boot in -short mode")
 	}
 	m := bootMesh(t, 2)
-	cl, err := rpc.Dial(m.addrs[0])
+	cl, err := rpc.Dial(m.Addrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -669,7 +638,7 @@ func TestMeshRefusesV1Frame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	usersBefore := m.daemons[0].Sys.Users()
+	usersBefore := m.Members[0].Sys.Users()
 
 	v2push := `{"op":"handover-push","handoff":{"user":"stale-push","from_node":"node-1","noise_seq":17,` +
 		`"buffers":[{"domain":"it","txs":[{"surfaces":[3,1],"concepts":[2,-1],"decoded":[3,1]}]}]}}`
@@ -687,7 +656,7 @@ func TestMeshRefusesV1Frame(t *testing.T) {
 		if _, _, err := rpc.ReadRequestV(bytes.NewReader(frame)); !errors.As(err, &verr) || verr.Got != stale.version {
 			t.Fatalf("v%d frame %s: read err %v, want *rpc.VersionError", stale.version, stale.body, err)
 		}
-		conn, err := net.Dial("tcp", m.addrs[0])
+		conn, err := net.Dial("tcp", m.Addrs[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -700,7 +669,7 @@ func TestMeshRefusesV1Frame(t *testing.T) {
 		}
 		conn.Close()
 	}
-	if got := m.daemons[0].Sys.Users(); !slices.Equal(got, usersBefore) {
+	if got := m.Members[0].Sys.Users(); !slices.Equal(got, usersBefore) {
 		t.Fatalf("a refused v2 push changed the member's users: %v -> %v", usersBefore, got)
 	}
 
@@ -715,7 +684,7 @@ func TestMeshRefusesV1Frame(t *testing.T) {
 	if err != nil || !resp.OK {
 		t.Fatalf("transmit: %+v, %v", resp, err)
 	}
-	peers, err := cl.Join(testCtx(t), m.daemons[1].Mesh.Self())
+	peers, err := cl.Join(testCtx(t), m.Members[1].Mesh.Self())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -748,7 +717,7 @@ func TestMeshChaosKill(t *testing.T) {
 	handovers, survivorServed := 0, 0
 	for i := 0; i < requests; i++ {
 		if i == killAt {
-			m.daemons[victim].Kill()
+			m.Members[victim].Kill()
 		}
 		u := sched.Intn(users)
 		user := fmt.Sprintf("u%03d", u)
@@ -794,7 +763,7 @@ func TestMeshChaosKill(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		live := m.daemons[0].Mesh.LiveMembers()
+		live := m.Members[0].Mesh.LiveMembers()
 		if len(live) == 2 && live[0] == 0 && live[1] == 2 {
 			break
 		}
@@ -841,16 +810,16 @@ func TestMeshChaosDrain(t *testing.T) {
 	// identical cache latencies, which is what makes the digests
 	// comparable (the drain moves users between members, and a response
 	// must not depend on which member produced it).
-	warmAll := func(m *meshDeployment) {
+	warmAll := func(m *Cluster) {
 		t.Helper()
-		for _, d := range m.daemons {
+		for _, d := range m.Members {
 			if _, err := d.Sys.Sender.Prefetch(d.Sys.Corpus.Names()); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 
-	workload := func(m *meshDeployment, router *mesh.Router, drain bool) uint64 {
+	workload := func(m *Cluster, router *mesh.Router, drain bool) uint64 {
 		t.Helper()
 		sched, gens := serialStreams(corp, 515, users)
 		drainErr := make(chan error, 1)
@@ -859,7 +828,7 @@ func TestMeshChaosDrain(t *testing.T) {
 			if drain && i == drainAt {
 				// Asynchronous, exactly like a SIGTERM landing mid-run: the
 				// serial load keeps flowing while the victim drains.
-				go func() { drainErr <- m.daemons[victim].Drain() }()
+				go func() { drainErr <- m.Members[victim].Drain() }()
 			}
 			u := sched.Intn(users)
 			user := fmt.Sprintf("u%03d", u)
@@ -920,7 +889,7 @@ func TestMeshChaosDrain(t *testing.T) {
 	}
 	// The drained member's probe-announced departure pinned it down:
 	// survivors agree on the two-member view.
-	live := m.daemons[0].Mesh.LiveMembers()
+	live := m.Members[0].Mesh.LiveMembers()
 	if len(live) != 2 || live[0] != 0 || live[1] != 2 {
 		t.Fatalf("survivor 0 live view after drain: %v, want [0 2]", live)
 	}
@@ -935,7 +904,7 @@ func TestMeshLeavePinsDeparted(t *testing.T) {
 		t.Skip("mesh boot in -short mode")
 	}
 	m := bootMesh(t, 3)
-	cl, err := rpc.Dial(m.addrs[0])
+	cl, err := rpc.Dial(m.Addrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -946,24 +915,24 @@ func TestMeshLeavePinsDeparted(t *testing.T) {
 	// are about to declare departed.
 	deadline := time.Now().Add(10 * time.Second)
 	for stable := 0; stable < 10; {
-		if len(m.daemons[0].Mesh.LiveMembers()) == 3 {
+		if len(m.Members[0].Mesh.LiveMembers()) == 3 {
 			stable++
 		} else {
 			stable = 0
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("mesh never settled: live view %v", m.daemons[0].Mesh.LiveMembers())
+			t.Fatalf("mesh never settled: live view %v", m.Members[0].Mesh.LiveMembers())
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
 
 	// Forge member 1's departure announcement at member 0 while member 1
 	// is in fact still up and answering member 0's probes.
-	self1 := m.daemons[1].Mesh.Self()
+	self1 := m.Members[1].Mesh.Self()
 	if err := cl.Leave(testCtx(t), self1); err != nil {
 		t.Fatal(err)
 	}
-	live := m.daemons[0].Mesh.LiveMembers()
+	live := m.Members[0].Mesh.LiveMembers()
 	if len(live) != 2 || live[0] != 0 || live[1] != 2 {
 		t.Fatalf("live view after leave: %v, want [0 2]", live)
 	}
@@ -971,7 +940,7 @@ func TestMeshLeavePinsDeparted(t *testing.T) {
 	// Six probe intervals' worth of successful probes against the live
 	// member must not lift the pin.
 	time.Sleep(6 * 50 * time.Millisecond)
-	live = m.daemons[0].Mesh.LiveMembers()
+	live = m.Members[0].Mesh.LiveMembers()
 	if len(live) != 2 || live[0] != 0 || live[1] != 2 {
 		t.Fatalf("probe success resurrected the departed member: live view %v, want [0 2]", live)
 	}
@@ -980,7 +949,7 @@ func TestMeshLeavePinsDeparted(t *testing.T) {
 	if _, err := cl.Join(testCtx(t), self1); err != nil {
 		t.Fatal(err)
 	}
-	live = m.daemons[0].Mesh.LiveMembers()
+	live = m.Members[0].Mesh.LiveMembers()
 	if len(live) != 3 {
 		t.Fatalf("join did not revive the member: live view %v, want [0 1 2]", live)
 	}
@@ -995,7 +964,7 @@ func TestMeshReplicaPush(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replica run in -short mode")
 	}
-	m := bootMeshCfg(t, 3, func(i int, cfg *Config) { cfg.Replicas = 1 })
+	m := bootMeshOn(t, 3, "127.0.0.1:0", func(i int, cfg *Config) { cfg.Replicas = 1 })
 	router := newRouter(t, m)
 	corp := corpus.Build()
 

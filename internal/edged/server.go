@@ -51,13 +51,13 @@ type server struct {
 	drainGate chan struct{}
 }
 
-// newServer wraps one mesh member: its serving system and its node,
-// behind an admission gate of maxInflight slots (newGate).
-func newServer(sys *core.System, node *mesh.Node, maxInflight int) *server {
+// newServer wraps one mesh member, its serving system and its node,
+// behind the default admission gate (newGate(0)).
+func newServer(sys *core.System, node *mesh.Node) *server {
 	return &server{
 		sys:       sys,
 		mesh:      node,
-		gate:      newGate(maxInflight),
+		gate:      newGate(0),
 		latency:   metrics.NewLatencyHistogram(),
 		queueWait: metrics.NewLatencyHistogram(),
 		conns:     make(map[net.Conn]bool),

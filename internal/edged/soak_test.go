@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/mat"
+	"repro/internal/mesh"
 	"repro/internal/rpc"
 	"repro/internal/semantic"
 	"repro/internal/text"
@@ -49,35 +51,41 @@ func soakConfig(t *testing.T) core.Config {
 	}
 }
 
-// startServer boots an in-process daemon on a loopback port and returns
-// its address plus a shutdown func that joins the serve loop.
-func startServer(t *testing.T, srv *server) (string, func()) {
+// soakMember builds member i of a mesh of soakConfig members, through
+// the NewMember call New makes.
+func soakMember(t *testing.T, i int, members []rpc.PeerInfo) (*Daemon, error) {
+	return NewMember(mesh.Config{Self: members[i], Peers: slices.Delete(slices.Clone(members), i, i+1), RingSeed: 11}, soakConfig(t))
+}
+
+// startLone serves a daemon without -peers (soakMember 0 of 1) on a
+// loopback port, adjust (when non-nil) changing its server's defaults
+// first, and returns the server and its address. It stops with the test.
+func startLone(t *testing.T, adjust func(*server)) (*server, string) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	c, err := StartCluster(1, "127.0.0.1:0", func(_ int, members []rpc.PeerInfo) (*Daemon, error) {
+		d, err := soakMember(t, 0, members)
+		if err == nil && adjust != nil {
+			adjust(d.srv)
+		}
+		return d, err
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() { done <- srv.serve(ln) }()
-	return ln.Addr().String(), func() {
-		ln.Close()
-		if err := <-done; err != nil {
-			t.Errorf("serve: %v", err)
+	t.Cleanup(func() {
+		if err := c.Stop(); err != nil {
+			t.Error(err)
 		}
-	}
+	})
+	return c.Members[0].srv, c.Addrs[0]
 }
 
 // TestSoakConcurrentClients hammers a started daemon with 32 concurrent
 // sticky connections across distinct users and checks every response plus
 // the exact final counter state.
 func TestSoakConcurrentClients(t *testing.T) {
-	node, sys, err := loneMember(soakConfig(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := newServer(sys, node, 0)
-	addr, shutdown := startServer(t, srv)
-	defer shutdown()
+	srv, addr := startLone(t, nil)
+	sys := srv.sys
 
 	const clients, perClient = 32, 8
 	var wg sync.WaitGroup
@@ -162,13 +170,8 @@ func TestSoakConcurrentClients(t *testing.T) {
 // submitted transmit is still executed (the server only notices the dead
 // peer at write time), so the message accounting stays exact.
 func TestClientDisconnectsMidTransmit(t *testing.T) {
-	node, sys, err := loneMember(soakConfig(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := newServer(sys, node, 2)
-	addr, shutdown := startServer(t, srv)
-	defer shutdown()
+	srv, addr := startLone(t, func(s *server) { s.gate = newGate(2) })
+	sys := srv.sys
 
 	const rogues, good, perClient = 8, 8, 6
 	var wg sync.WaitGroup
@@ -270,17 +273,12 @@ func TestClientDisconnectsMidTransmit(t *testing.T) {
 // and requires bit-identical results field by field — the serve path must
 // add no behavior.
 func TestServedMatchesDirectSerialReplay(t *testing.T) {
-	_, direct, err := loneMember(soakConfig(t))
+	d, err := soakMember(t, 0, lone)
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, servedSys, err := loneMember(soakConfig(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := newServer(servedSys, node, 0)
-	addr, shutdown := startServer(t, srv)
-	defer shutdown()
+	direct := d.Sys
+	_, addr := startLone(t, nil)
 
 	cl, err := rpc.Dial(addr)
 	if err != nil {
@@ -326,14 +324,7 @@ func TestServedMatchesDirectSerialReplay(t *testing.T) {
 // TestStalledClientDisconnected checks the read deadline: a connection
 // that sends nothing must be dropped instead of pinning its goroutine.
 func TestStalledClientDisconnected(t *testing.T) {
-	node, sys, err := loneMember(soakConfig(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := newServer(sys, node, 0)
-	srv.idleTimeout = 50 * time.Millisecond
-	addr, shutdown := startServer(t, srv)
-	defer shutdown()
+	_, addr := startLone(t, func(s *server) { s.idleTimeout = 50 * time.Millisecond })
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -356,14 +347,10 @@ func TestStalledClientDisconnected(t *testing.T) {
 // of queueing, and that the shed counter and queue-wait histogram record
 // the event.
 func TestAdmissionShedding(t *testing.T) {
-	node, sys, err := loneMember(soakConfig(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := newServer(sys, node, 1)
-	srv.shedAfter = 20 * time.Millisecond
-	addr, shutdown := startServer(t, srv)
-	defer shutdown()
+	srv, addr := startLone(t, func(s *server) {
+		s.gate = newGate(1)
+		s.shedAfter = 20 * time.Millisecond
+	})
 
 	// Occupy the only slot directly so the timing is deterministic.
 	srv.gate <- struct{}{}

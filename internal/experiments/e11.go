@@ -1,10 +1,9 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
-	"net"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -83,60 +82,6 @@ type E11Result struct {
 	Cells []E11Cell
 }
 
-// newE11Mesh boots an n-member edge mesh inside this process: every
-// member is an edged daemon (edged.NewMember) answering its peers' fetch
-// and handover ops on the in-memory rpc transport — the deployment edged
-// runs, minus the flags, the boot-time warm-up and the sockets. Nobody
-// probes (Mesh.Start is never called), so membership is static and a cell
-// is deterministic. stop tears the mesh down, also after an error.
-func newE11Mesh(env *Env, n int, policy string, cacheBytes int64, seed uint64) (members []*edged.Daemon, addrs []string, stop func(), err error) {
-	members = make([]*edged.Daemon, n)
-	lns := make([]net.Listener, n)
-	var serving sync.WaitGroup
-	stop = func() {
-		for i, d := range members {
-			if d != nil {
-				d.Kill()
-			} else if lns[i] != nil {
-				lns[i].Close()
-			}
-		}
-		serving.Wait()
-	}
-	peers := make([]rpc.PeerInfo, n)
-	for i := range peers {
-		if lns[i], err = rpc.Listen("mem:"); err != nil {
-			return members, nil, stop, err
-		}
-		addrs = append(addrs, lns[i].Addr().String())
-		peers[i] = rpc.PeerInfo{Name: fmt.Sprintf("node-%d", i), Index: i, Addr: addrs[i]}
-	}
-	for i := range peers {
-		d, err := edged.NewMember(mesh.Config{
-			Self:     peers[i],
-			Peers:    slices.Delete(slices.Clone(peers), i, i+1),
-			MeshLink: netsim.Link{Latency: 5 * time.Millisecond, BandwidthBps: 400e6},
-			RingSeed: seed,
-		}, core.Config{
-			Policy:           policy,
-			SenderCacheBytes: cacheBytes,
-			Seed:             seed,
-			Pretrained:       env.Generals,
-		})
-		if err != nil {
-			return members, nil, stop, err
-		}
-		d.ListenOn(lns[i])
-		members[i] = d
-		serving.Add(1)
-		go func() {
-			defer serving.Done()
-			d.Serve() // returns once stop kills the member
-		}()
-	}
-	return members, addrs, stop, nil
-}
-
 // RunE11 replays a mobile workload against a model-serving edge mesh for
 // every (policy, node count, mobility rate) combination: users roam
 // between cells (handover migrates their personalized models) while nodes
@@ -166,7 +111,7 @@ func RunE11(env *Env, opts E11Options) (*E11Result, error) {
 	}
 
 	res := &E11Result{Cells: make([]E11Cell, len(combos))}
-	err := forEachTrial(len(combos), func(ci int) error {
+	err := forEachTrial(len(combos), func(ci int) (err error) {
 		cb := combos[ci]
 		// Cells map 1:1 onto nodes; the workload's cell indices wrap.
 		w := trace.Generate(env.Corpus, trace.Config{
@@ -174,25 +119,39 @@ func RunE11(env *Env, opts E11Options) (*E11Result, error) {
 			Cells: cb.nodes, MobilityRate: cb.rate,
 			MeanRunLength: 8, Seed: opts.Seed,
 		})
-		members, addrs, stop, err := newE11Mesh(env, cb.nodes, cb.policy, modelBytes*int64(opts.CapacityModels), opts.Seed)
-		defer stop()
+		// Every member is an edged daemon on the in-memory transport. Nobody
+		// probes (no Mesh.Start), so a cell is deterministic.
+		c, err := edged.StartCluster(cb.nodes, "mem:", func(i int, members []rpc.PeerInfo) (*edged.Daemon, error) {
+			return edged.NewMember(mesh.Config{
+				Self:     members[i],
+				Peers:    slices.Delete(slices.Clone(members), i, i+1),
+				MeshLink: netsim.Link{Latency: 5 * time.Millisecond, BandwidthBps: 400e6},
+				RingSeed: opts.Seed,
+			}, core.Config{
+				Policy:           cb.policy,
+				SenderCacheBytes: modelBytes * int64(opts.CapacityModels),
+				Seed:             opts.Seed,
+				Pretrained:       env.Generals,
+			})
+		}, nil)
 		if err != nil {
 			return err
 		}
-		router := mesh.NewRouter(addrs, opts.Seed)
+		defer func() { err = errors.Join(err, c.Stop()) }()
+		router := mesh.NewRouter(c.Addrs, opts.Seed)
 		personalized := make(map[string]bool, opts.Users*2)
 		var totalFetch time.Duration
 		next := 0
 		for _, req := range w.Requests {
 			for next < len(w.Moves) && w.Moves[next].Seq <= req.Seq {
 				mv := w.Moves[next]
-				if _, err := members[router.Owner(mv.User)].Mesh.MoveUser(mv.User, mv.Cell); err != nil {
+				if _, err := c.Members[router.Owner(mv.User)].Mesh.MoveUser(mv.User, mv.Cell); err != nil {
 					return err
 				}
 				router.Moved(mv.User, mv.Cell)
 				next++
 			}
-			sender := members[router.Owner(req.User)].Sys.Sender
+			sender := c.Members[router.Owner(req.User)].Sys.Sender
 			// First touch of a (user, domain) pair personalizes there, so
 			// mobility has individual models to migrate.
 			pk := req.User + "/" + req.Msg.DomainName
@@ -218,7 +177,7 @@ func RunE11(env *Env, opts E11Options) (*E11Result, error) {
 		}
 		var hits, misses uint64
 		var neighbor, origin, migrated int64
-		for _, m := range members {
+		for _, m := range c.Members {
 			cs := m.Sys.Sender.CacheStats()
 			hits += cs.Hits
 			misses += cs.Misses

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/trace"
@@ -70,11 +71,11 @@ func RunE5(env *Env, opts E5Options) (*E5Result, error) {
 	err := forEachTrial(len(opts.Selectors), func(si int) error {
 		sel := opts.Selectors[si]
 		sys, err := core.NewSystem(core.Config{
-			Selector:          sel,
-			PinGeneral:        true,
-			DisableAutoUpdate: true,
-			Seed:              opts.Seed,
-			Pretrained:        env.Generals,
+			Selector:        sel,
+			PinGeneral:      true,
+			BufferThreshold: math.MaxInt,
+			Seed:            opts.Seed,
+			Pretrained:      env.Generals,
 		})
 		if err != nil {
 			return err

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -67,11 +68,11 @@ func RunE6(env *Env, opts E6Options) (*E6Result, error) {
 	res := &E6Result{Rows: make([]E6Row, 0, len(conds))}
 	for _, cond := range conds {
 		cfg := core.Config{
-			Selector:          core.SelectorOracle,
-			PinGeneral:        cond.prewarm,
-			DisableAutoUpdate: true,
-			Seed:              opts.Seed,
-			Pretrained:        env.Generals,
+			Selector:        core.SelectorOracle,
+			PinGeneral:      cond.prewarm,
+			BufferThreshold: math.MaxInt,
+			Seed:            opts.Seed,
+			Pretrained:      env.Generals,
 		}
 		if cond.capacity > 0 {
 			cfg.SenderCacheBytes = cond.capacity

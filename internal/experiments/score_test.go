@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -21,10 +22,10 @@ func scoreTestSystem(t *testing.T, selector string) *core.System {
 			Epochs:     3,
 			Sentences:  400,
 		},
-		Selector:          selector,
-		PinGeneral:        true,
-		DisableAutoUpdate: true,
-		Seed:              7,
+		Selector:        selector,
+		PinGeneral:      true,
+		BufferThreshold: math.MaxInt,
+		Seed:            7,
 	})
 	if err != nil {
 		t.Fatal(err)

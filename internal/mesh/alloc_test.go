@@ -21,7 +21,7 @@ func TestHandoverAllocBudget(t *testing.T) {
 	if mat.RaceEnabled {
 		t.Skip("allocation accounting differs under -race")
 	}
-	mm := newMemMesh(t, 2, nil)
+	mm := newMemMesh(t, 2, nil, nil)
 	mm.warm(t)
 	const user = "budget"
 	mm.personalize(t, user, 0, 71)

@@ -35,7 +35,7 @@ func (l cutListener) Accept() (net.Conn, error) {
 // move succeeds.
 func TestHandoverPushCutMidFrame(t *testing.T) {
 	var armed atomic.Bool
-	mm := newMemMeshOn(t, 2, nil, func(_ int, ln net.Listener) net.Listener {
+	mm := newMemMesh(t, 2, nil, func(_ int, ln net.Listener) net.Listener {
 		return cutListener{Listener: ln, armed: &armed}
 	})
 	mm.warm(t)

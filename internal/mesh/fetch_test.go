@@ -21,7 +21,7 @@ import (
 // under a lock the fetch does not take — is refused with the typed error
 // even though that model is cached too.
 func TestHandleFetchServesGeneralModelsOnly(t *testing.T) {
-	mm := newMemMesh(t, 2, nil)
+	mm := newMemMesh(t, 2, nil, nil)
 	n, sys := mm.members[0].node, mm.members[0].sys
 	if _, _, err := sys.Sender.Personalize("it", "alice"); err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func unpinned(_ int, _ *mesh.Config, sys *core.Config) { sys.PinGeneral = false 
 // counts a neighbor hit, the peer that answered counts a served probe,
 // and nobody's origin counter moves.
 func TestCooperativeFetchPrefersNeighbor(t *testing.T) {
-	mm := newMemMesh(t, 3, unpinned)
+	mm := newMemMesh(t, 3, unpinned, nil)
 	// Warm member 0 only: every other member starts cold.
 	if _, err := mm.members[0].sys.Sender.Prefetch([]string{"it", "medical"}); err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestCooperativeFetchPrefersNeighbor(t *testing.T) {
 // TestCooperativeFetchFallsBackToOrigin checks a key no member holds is
 // paid for at the cloud origin, over the uplink, and counted as such.
 func TestCooperativeFetchFallsBackToOrigin(t *testing.T) {
-	mm := newMemMesh(t, 2, unpinned)
+	mm := newMemMesh(t, 2, unpinned, nil)
 	acq, err := mm.members[1].sys.Sender.AcquireCodec("it", "")
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +206,7 @@ func TestCooperativeFetchRefusesWrongModel(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			// Member 1 — member 0's nearest successor — is the liar: its
 			// listener goes to lyingPeer and its real node serves nothing.
-			mm := newMemMeshOn(t, 3, unpinned, func(i int, ln net.Listener) net.Listener {
+			mm := newMemMesh(t, 3, unpinned, func(i int, ln net.Listener) net.Listener {
 				if i != 1 {
 					return ln
 				}

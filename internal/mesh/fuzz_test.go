@@ -74,7 +74,7 @@ func tinyCodecs() []*semantic.Codec {
 // target's one peer is refused with *NotPeerError, whatever it carries.
 func FuzzHandleHandoverPush(f *testing.F) {
 	tiny := tinyCodecs()
-	mm := newMemMesh(f, 2, func(_ int, _ *mesh.Config, sys *core.Config) { sys.Pretrained = tiny })
+	mm := newMemMesh(f, 2, func(_ int, _ *mesh.Config, sys *core.Config) { sys.Pretrained = tiny }, nil)
 	mm.warm(f)
 	const resident = "resident"
 	mm.personalize(f, resident, 0, 41)
@@ -149,7 +149,7 @@ func pushFrame(f *testing.F, h *rpc.HandoffPayload) []byte {
 // behind in the sender cache the answer was meant for.
 func FuzzReviveModel(f *testing.F) {
 	tiny := tinyCodecs()
-	mm := newMemMesh(f, 2, func(_ int, _ *mesh.Config, sys *core.Config) { sys.Pretrained = tiny })
+	mm := newMemMesh(f, 2, func(_ int, _ *mesh.Config, sys *core.Config) { sys.Pretrained = tiny }, nil)
 	mm.warm(f)
 	holder, prober := mm.members[0], mm.members[1]
 	k := kb.GeneralKey("it", kb.RoleCodec)

@@ -26,7 +26,7 @@ import (
 // mirrors it, and from then on the user routes there instead of to their
 // ring slot.
 func TestMoveOverridesRouting(t *testing.T) {
-	mm := newMemMesh(t, 3, nil)
+	mm := newMemMesh(t, 3, nil, nil)
 	user := "roamer"
 	home := mm.router.Owner(user)
 	if got := mm.members[0].node.Owner(user); got != home {
@@ -69,7 +69,7 @@ func TestMoveOverridesRouting(t *testing.T) {
 // with *NotPeerError and leaves the target exactly as it was; the same
 // payload signed by the peer that owns the user is taken.
 func TestHandoverPushOnlyFromMembership(t *testing.T) {
-	mm := newMemMesh(t, 3, nil)
+	mm := newMemMesh(t, 3, nil, nil)
 	mm.warm(t)
 	const user = "pushed"
 	mm.personalize(t, user, 0, 61)
@@ -106,7 +106,7 @@ func TestHandoverPushOnlyFromMembership(t *testing.T) {
 // encode outputs equal the old member's exactly, and the old member keeps
 // nothing.
 func TestHandoverGoldenRoundTrip(t *testing.T) {
-	mm := newMemMesh(t, 2, nil)
+	mm := newMemMesh(t, 2, nil, nil)
 	mm.warm(t)
 	const user, domain = "golden", "it"
 	mm.personalize(t, user, 0, 51)
@@ -185,7 +185,7 @@ func TestMoveCarriesPendingTransactions(t *testing.T) {
 		personalized bool
 	}{{"with an individual model", true}, {"before any individual model", false}} {
 		t.Run(tc.name, func(t *testing.T) {
-			mm := newMemMesh(t, 2, nil)
+			mm := newMemMesh(t, 2, nil, nil)
 			mm.warm(t)
 			user := "pending"
 			if tc.personalized {
@@ -238,7 +238,7 @@ func TestMoveKeepsUpdateThreshold(t *testing.T) {
 	// firedAt streams one domain's messages and returns the index of the
 	// first that fired an update, moving the user before message moveAt.
 	firedAt := func(moveAt int) int {
-		mm := newMemMesh(t, 2, nil)
+		mm := newMemMesh(t, 2, nil, nil)
 		mm.warm(t)
 		fired := -1
 		for i, words := range messages(0, 2*threshold, 91) {
@@ -265,7 +265,7 @@ func TestMoveKeepsUpdateThreshold(t *testing.T) {
 // TestStatsOccupancy checks every user is counted on exactly one member:
 // the one that last served them, moves included.
 func TestStatsOccupancy(t *testing.T) {
-	mm := newMemMesh(t, 2, nil)
+	mm := newMemMesh(t, 2, nil, nil)
 	mm.warm(t)
 	words := messages(0, 1, 5)[0]
 	for u := 0; u < 10; u++ {
@@ -300,7 +300,7 @@ func TestWorkloadWithMobility(t *testing.T) {
 	}
 	var w *trace.Workload
 	run := func() outcome {
-		mm := newMemMesh(t, 3, oracle)
+		mm := newMemMesh(t, 3, oracle, nil)
 		mm.warm(t, 0)
 		for _, m := range mm.members[1:] {
 			if _, err := m.sys.Receiver.Prefetch(m.sys.Corpus.Names()); err != nil {
@@ -414,7 +414,7 @@ func TestHandoverRacesConcurrentTraffic(t *testing.T) {
 	stream := messages(0, 40, 5150)
 
 	// Reference: the same mesh, the mover alone, serial.
-	ref := newMemMesh(t, 3, nil)
+	ref := newMemMesh(t, 3, nil, nil)
 	ref.warm(t)
 	refDigest, refMoves := moverRun(t, ref, mover, stream, moveEvery)
 	if refMoves == 0 {
@@ -423,7 +423,7 @@ func TestHandoverRacesConcurrentTraffic(t *testing.T) {
 
 	// Candidate: background users transmitting at their ring owners
 	// throughout the mover's handovers.
-	mm := newMemMesh(t, 3, nil)
+	mm := newMemMesh(t, 3, nil, nil)
 	mm.warm(t)
 	var wg sync.WaitGroup
 	for u := 0; u < bgUsers; u++ {
@@ -492,13 +492,9 @@ func TestConcurrentMeshUse(t *testing.T) {
 	mm := newMemMesh(t, 3, func(_ int, _ *mesh.Config, sys *core.Config) {
 		sys.PinGeneral = false
 		sys.SenderCacheBytes = 8 * modelBytes
-	})
+	}, nil)
 	if _, err := mm.members[0].sys.Sender.Prefetch([]string{"it", "medical"}); err != nil {
 		t.Fatal(err)
-	}
-	addrs := make([]string, len(mm.members))
-	for i, m := range mm.members {
-		addrs[i] = m.node.Self().Addr
 	}
 	const users = 16
 	var wg sync.WaitGroup
@@ -508,7 +504,7 @@ func TestConcurrentMeshUse(t *testing.T) {
 		go func(u int) {
 			defer wg.Done()
 			user := fmt.Sprintf("c%02d", u)
-			router := mesh.NewRouter(addrs, testSeed)
+			router := mesh.NewRouter(mm.addrs, testSeed)
 			for i := 0; i < 30; i++ {
 				m := mm.members[router.Owner(user)]
 				if _, err := m.sys.Sender.AcquireCodec("it", user); err != nil {
@@ -554,7 +550,7 @@ func TestConcurrentMeshUse(t *testing.T) {
 // the target stays on the ring, the source keeps serving the user from
 // their individual model, and the connection survives for the next push.
 func TestRefusedPushKeepsPeer(t *testing.T) {
-	mm := newMemMesh(t, 2, nil)
+	mm := newMemMesh(t, 2, nil, nil)
 	mm.warm(t)
 	const user = "refused"
 	mm.personalize(t, user, 0, 71)
@@ -608,7 +604,7 @@ func TestRefusedPushKeepsPeer(t *testing.T) {
 func TestDrainAfterMovePushesOnlyHeld(t *testing.T) {
 	const user = "moved"
 	run := func(drain bool) uint64 {
-		mm := newMemMesh(t, 3, nil)
+		mm := newMemMesh(t, 3, nil, nil)
 		mm.warm(t)
 		mm.personalize(t, user, 0, 81)
 		a := mm.owner(user)
@@ -664,7 +660,7 @@ func TestDrainAfterMovePushesOnlyHeld(t *testing.T) {
 // hold the very same model object (not a revived, unpinned copy) and must
 // not count the push as a replica taken in.
 func TestReplicaPushLeavesHeldGeneral(t *testing.T) {
-	mm := newMemMesh(t, 2, func(_ int, cfg *mesh.Config, _ *core.Config) { cfg.Replicas = 1 })
+	mm := newMemMesh(t, 2, func(_ int, cfg *mesh.Config, _ *core.Config) { cfg.Replicas = 1 }, nil)
 	mm.warm(t)
 	k := kb.Key{Domain: "it", Role: kb.RoleCodec}
 	cache := mm.members[1].sys.Sender.Cache()

@@ -83,11 +83,9 @@ func memoRun(t *testing.T, memo, parallel bool, mutate func(sys *core.Config)) [
 		sys.BufferThreshold = 4
 		sys.Pretrained = undertrained()
 		mutate(sys)
-	})
+	}, nil)
 	mm.warm(t)
-	addrs := make([]string, len(mm.members))
-	for i, m := range mm.members {
-		addrs[i] = m.node.Self().Addr
+	for _, m := range mm.members {
 		if !memo {
 			dropDecodeMemos(t, m.sys)
 		}
@@ -105,7 +103,7 @@ func memoRun(t *testing.T, memo, parallel bool, mutate func(sys *core.Config)) [
 		h := fnv.New64a()
 		c := &client{
 			user:   fmt.Sprintf("u%d", u),
-			router: mesh.NewRouter(addrs, testSeed),
+			router: mesh.NewRouter(mm.addrs, testSeed),
 			// Two domains per user: two individual models each, so small
 			// caches churn.
 			stream: append(idiolectMessages(u%3, perUser/2, uint64(900+u)), idiolectMessages(3+u%2, perUser/2, uint64(950+u))...),

@@ -12,8 +12,10 @@
 // processes cooperating over TCP; because a peer address may also name
 // the in-memory transport (rpc.Listen, "mem:<name>"), any number of
 // members can equally run inside one process, each an edged daemon
-// (edged.NewMember) serving its peers with no sockets — which is how the
-// experiments and this package's tests run a mesh. On top of membership
+// (edged.NewMember, the one member constructor: this node, its System and
+// the request server) serving its peers with no sockets. edged.StartCluster
+// is the one boot of such a mesh, which is how the experiments and this
+// package's tests run one. On top of membership
 // the node provides the two cross-member data paths:
 //
 //   - cooperative fetch: the node implements edge.Fetcher; a local
@@ -255,26 +257,6 @@ func (n *Node) system() *core.System {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	return n.sys
-}
-
-// NewMember builds one complete mesh member: the node, and its serving
-// system wired the way every member must be — a single sender named after
-// the ring slot, the node as its miss resolver, and the node bound back to
-// the system with the cloud origin as its fallback. sysCfg supplies
-// everything else.
-func NewMember(cfg Config, sysCfg core.Config) (*Node, *core.System, error) {
-	n, err := NewNode(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	sysCfg.SenderName = cfg.Self.Name
-	sysCfg.SenderFetcher = n
-	sys, err := core.NewSystem(sysCfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	n.Bind(sys, edge.NewOriginFetcher(sys.Cloud, sys.CloudLink()))
-	return n, sys, nil
 }
 
 // Self returns this member's identity.

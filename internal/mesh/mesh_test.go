@@ -1,7 +1,6 @@
 package mesh_test
 
 import (
-	"fmt"
 	"net"
 	"slices"
 	"sync"
@@ -18,8 +17,8 @@ import (
 
 // This file is the in-memory mesh harness: N members inside the test
 // process, each an edged daemon (edged.NewMember: a mesh.Node, its
-// core.System and the request server) answering the others on a mem:
-// listener. The server, the frames, the ops and every code path between
+// core.System and the request server) booted by edged.StartCluster and
+// answering the others on a mem: listener. The server, the frames, the ops and every code path between
 // two members are the ones two edged processes run; only the flags, the
 // boot-time warm-up and the sockets are absent, which is what makes these
 // tests fast enough to run un-gated, under -race, on every PR.
@@ -60,9 +59,11 @@ func (m *member) serve(t testing.TB, user string, words []string) *core.Result {
 	return res
 }
 
-// memMesh is a booted in-memory mesh plus the client-side router over it.
+// memMesh is a booted in-memory mesh, its member addresses and the
+// client-side router over them.
 type memMesh struct {
 	members []*member
+	addrs   []string
 	router  *mesh.Router
 }
 
@@ -71,36 +72,17 @@ const testSeed = 11
 
 // newMemMesh boots n members on the in-memory transport. The defaults are
 // the edged test scenario (sticky selector, threshold 8, generals pinned);
-// mutate adjusts member i's configs before it is built. Nobody probes
-// unless a test calls Start: membership is static and every member
-// presumed alive, so runs are deterministic.
-func newMemMesh(t testing.TB, n int, mutate func(i int, cfg *mesh.Config, sys *core.Config)) *memMesh {
+// mutate adjusts member i's configs before it is built, and member i
+// accepts through wrap(i, its listener) when wrap is non-nil — where a
+// test puts a faulty link. Nobody probes unless a test calls Start:
+// membership is static and every member presumed alive, so runs are
+// deterministic.
+func newMemMesh(t testing.TB, n int, mutate func(i int, cfg *mesh.Config, sys *core.Config), wrap func(i int, ln net.Listener) net.Listener) *memMesh {
 	t.Helper()
-	return newMemMeshOn(t, n, mutate, func(_ int, ln net.Listener) net.Listener { return ln })
-}
-
-// newMemMeshOn is newMemMesh with member i accepting through wrap(i, its
-// listener) — where a test puts a faulty link.
-func newMemMeshOn(t testing.TB, n int, mutate func(i int, cfg *mesh.Config, sys *core.Config), wrap func(i int, ln net.Listener) net.Listener) *memMesh {
-	t.Helper()
-	peers := make([]rpc.PeerInfo, n)
-	addrs := make([]string, n)
-	lns := make([]net.Listener, n)
-	for i := range peers {
-		ln, err := rpc.Listen("mem:")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ln.Close() })
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-		peers[i] = rpc.PeerInfo{Name: fmt.Sprintf("node-%d", i), Index: i, Addr: addrs[i]}
-	}
-	mm := &memMesh{members: make([]*member, n)}
-	for i := range mm.members {
+	c, err := edged.StartCluster(n, "mem:", func(i int, members []rpc.PeerInfo) (*edged.Daemon, error) {
 		cfg := mesh.Config{
-			Self:     peers[i],
-			Peers:    slices.Delete(slices.Clone(peers), i, i+1),
+			Self:     members[i],
+			Peers:    slices.Delete(slices.Clone(members), i, i+1),
 			RingSeed: testSeed,
 			Logf:     t.Logf,
 		}
@@ -114,22 +96,20 @@ func newMemMeshOn(t testing.TB, n int, mutate func(i int, cfg *mesh.Config, sys 
 		if mutate != nil {
 			mutate(i, &cfg, &sysCfg)
 		}
-		d, err := edged.NewMember(cfg, sysCfg)
-		if err != nil {
-			t.Fatal(err)
+		return edged.NewMember(cfg, sysCfg)
+	}, wrap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := c.Stop(); err != nil {
+			t.Error(err)
 		}
-		d.ListenOn(wrap(i, lns[i]))
-		served := make(chan error, 1)
-		go func() { served <- d.Serve() }()
-		t.Cleanup(func() {
-			d.Kill()
-			if err := <-served; err != nil {
-				t.Errorf("%s serve: %v", peers[i].Name, err)
-			}
-		})
+	})
+	mm := &memMesh{members: make([]*member, n), addrs: c.Addrs, router: mesh.NewRouter(c.Addrs, testSeed)}
+	for i, d := range c.Members {
 		mm.members[i] = &member{node: d.Mesh, sys: d.Sys}
 	}
-	mm.router = mesh.NewRouter(addrs, testSeed)
 	return mm
 }
 

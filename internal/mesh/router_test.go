@@ -167,9 +167,9 @@ func TestRouterMatchesNodeAndReroutes(t *testing.T) {
 // in-process member: the same listener answers a peer's join with the
 // whole membership and then serves a client's transmit.
 func TestMemberServesMeshAndClientOps(t *testing.T) {
-	mm := newMemMesh(t, 2, nil)
+	mm := newMemMesh(t, 2, nil, nil)
 	mm.warm(t)
-	cl, err := rpc.Dial(mm.members[0].node.Self().Addr)
+	cl, err := rpc.Dial(mm.addrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,45 +192,19 @@ func TestMemberServesMeshAndClientOps(t *testing.T) {
 // on the caller's own context marks no member dead: the error is the
 // context's, every member stays live, and the next call is served.
 func TestRouterTransmitCancelledKeepsMembers(t *testing.T) {
-	addrs := make([]string, 3)
-	for i := range addrs {
-		ln, err := rpc.Listen("mem:")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ln.Close() })
-		addrs[i] = ln.Addr().String()
-		go func() {
-			for {
-				conn, err := ln.Accept()
-				if err != nil {
-					return
-				}
-				go func() {
-					defer conn.Close()
-					framed := rpc.NewConn(conn)
-					for {
-						req, err := framed.ReadRequest()
-						if err != nil || framed.Write(&rpc.Response{OK: true, Restored: req.Text}) != nil {
-							return
-						}
-					}
-				}()
-			}
-		}()
-	}
-	r := mesh.NewRouter(addrs, testSeed)
+	r := newMemMesh(t, 3, nil, nil).router
 	defer r.Close()
+	const msg = "the server has a kernel bug"
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := r.Transmit(ctx, "u1", "hello"); !errors.Is(err, context.Canceled) {
+	if _, err := r.Transmit(ctx, "u1", msg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled transmit: err = %v, want context.Canceled", err)
 	}
 	if live := r.Live(); len(live) != 3 || r.Retries != 0 {
 		t.Fatalf("after a cancelled transmit: live %v, %d retries; want all 3 members, 0 retries", live, r.Retries)
 	}
-	resp, err := r.Transmit(context.Background(), "u1", "hello")
-	if err != nil || resp.Restored != "hello" {
+	resp, err := r.Transmit(context.Background(), "u1", msg)
+	if err != nil || !resp.OK || resp.Restored != msg {
 		t.Fatalf("transmit after the cancelled one: %+v, %v", resp, err)
 	}
 }
