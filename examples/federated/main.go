@@ -11,7 +11,7 @@ import (
 	"log"
 
 	"repro/internal/corpus"
-	"repro/internal/fl"
+	"repro/internal/experiments"
 	"repro/internal/mat"
 	"repro/internal/semantic"
 )
@@ -44,7 +44,7 @@ func run() error {
 		donors[i] = exs
 	}
 	fmt.Printf("federating %d donors x 4 rounds...\n", donorCount)
-	improved, err := fl.RunFederated(general, donors, fl.FederatedConfig{
+	improved, err := experiments.RunFederated(general, donors, experiments.FederatedConfig{
 		Rounds: 4, LocalEpochs: 2, Seed: 7,
 	})
 	if err != nil {

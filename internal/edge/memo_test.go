@@ -10,7 +10,6 @@ import (
 	"repro/internal/kb"
 	"repro/internal/mat"
 	"repro/internal/netsim"
-	"repro/internal/nn"
 	"repro/internal/semantic"
 )
 
@@ -92,21 +91,20 @@ func directSender(t *testing.T, srv *Server, domain, user string, words []string
 
 // TestEveryWriterRestamps is the table the memo's validity rests on: for
 // every call site outside package semantic that writes a served codec's
-// weights (the `Params()` / `DecoderParams()` doors of fl.ApplyUpdate,
-// fl.ApplyAverageDelta, FedAvg's DP noise and InstallUserModel, plus the
-// fine-tune behind RunUpdate), warm the server's memo on the old weights,
-// write, and require the server's decode to equal a fresh un-memoized
+// weights (the `Params()` / `DecoderParams()` doors of fl.ApplyUpdate and
+// InstallUserModel, plus the fine-tune behind RunUpdate), warm the server's
+// memo on the old weights, write, and require the server's decode to equal a fresh un-memoized
 // decode of the new ones — and to differ from the old answer, so a stale
 // memo could not pass. The codec's sender table hangs on the same stamp,
 // so the same writers must orphan it: what the server encodes and
 // decoder-copies after the write must equal the per-token kernels on the
 // new weights, and the features must have moved.
-// Package semantic's own writers run the same table in its memo_test.go.
+// Package semantic's own writers run the same table in its memo_test.go,
+// and experiments' FedAvg writers in TestFedAvgWritersRestamp.
 func TestEveryWriterRestamps(t *testing.T) {
 	corp, _ := cloudFixture(t)
-	userKey := kb.UserKey("it", "u1", kb.RoleCodec)
 	// donor is a second edge whose u1 model has been fine-tuned: the source
-	// of updates, exports and deltas that differ from srv's weights.
+	// of updates and exports that differ from srv's weights.
 	tuned := func(t *testing.T, seed uint64) *Server {
 		donor := newServer(t, 6, nil)
 		personalizeOn(t, donor, corp, seed)
@@ -141,45 +139,6 @@ func TestEveryWriterRestamps(t *testing.T) {
 		{"InstallUserModel", func(t *testing.T, srv *Server) {
 			exp, params := exportU1(t, tuned(t, 64))
 			if err := srv.InstallUserModel(exp, params); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"fl.ApplyAverageDelta", func(t *testing.T, srv *Server) {
-			served, err := srv.AcquireCodec("it", "u1")
-			if err != nil {
-				t.Fatal(err)
-			}
-			donor, err := tuned(t, 65).AcquireCodec("it", "u1")
-			if err != nil {
-				t.Fatal(err)
-			}
-			delta := fl.CodecDelta(donor.Model.Codec, served.Model.Codec)
-			// CodecDelta opened the door too; decode between it and the
-			// write so only ApplyAverageDelta's own stamp can save the test.
-			serverDecode(t, srv, "it", "u1", probeRows(served.Model.Codec.FeatureDim()))
-			if err := fl.ApplyAverageDelta(served.Model.Codec, []*nn.ParamSet{delta}, 1); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"fl.RunFederated/DP-noise", func(t *testing.T, srv *Server) {
-			served, err := srv.AcquireCodec("it", "u1")
-			if err != nil {
-				t.Fatal(err)
-			}
-			gen := corpus.NewGenerator(corp, mat.NewRNG(66))
-			d := corp.Domain("it")
-			var examples []semantic.Example
-			for _, m := range gen.Batch(d.Index, 30, nil) {
-				examples = append(examples, semantic.ExamplesFromMessage(d, m)...)
-			}
-			global, err := fl.RunFederated(served.Model.Codec, [][]semantic.Example{examples}, fl.FederatedConfig{
-				Rounds: 1, LocalEpochs: 1, Seed: 3, DP: fl.DPConfig{ClipNorm: 1, NoiseMultiplier: 0.5},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv.cache.Remove(userKey)
-			if err := srv.cache.Put(&kb.Model{Key: userKey, Version: 1, Codec: global}, false); err != nil {
 				t.Fatal(err)
 			}
 		}},

@@ -5,7 +5,6 @@ import (
 	"repro/internal/fl"
 	"repro/internal/mat"
 	"repro/internal/metrics"
-	"repro/internal/nn"
 )
 
 // E4Options parameterizes the decoder-copy traffic comparison.
@@ -75,13 +74,13 @@ func RunE4(env *Env, opts E4Options) (*E4Result, error) {
 	type mech struct {
 		name         string
 		outputReturn bool
-		compress     nn.CompressOptions
+		compress     compressOptions
 	}
 	mechs := []mech{
 		{name: "output-return + dense sync", outputReturn: true},
 		{name: "decoder-copy + dense sync"},
-		{name: "decoder-copy + top10% sync", compress: nn.CompressOptions{TopKFrac: 0.10}},
-		{name: "decoder-copy + top10% int8 sync", compress: nn.CompressOptions{TopKFrac: 0.10, Int8: true}},
+		{name: "decoder-copy + top10% sync", compress: compressOptions{topKFrac: 0.10}},
+		{name: "decoder-copy + top10% int8 sync", compress: compressOptions{topKFrac: 0.10, int8: true}},
 	}
 
 	sc := mat.GetScratch()
@@ -103,7 +102,7 @@ func RunE4(env *Env, opts E4Options) (*E4Result, error) {
 				if mc.outputReturn {
 					// The receiver decodes and returns its output text.
 					tx = transaction(sc, d, msg, sender, receiver)
-					feedbackTotal += float64(tx.OutputReturnBytes(receiver.RestoreWords(tx.Decoded)))
+					feedbackTotal += float64(outputReturnBytes(receiver.RestoreWords(tx.Decoded)))
 				} else {
 					// Decoder copy: computed locally, no feedback traffic.
 					tx = transaction(sc, d, msg, sender, sender)
@@ -111,15 +110,16 @@ func RunE4(env *Env, opts E4Options) (*E4Result, error) {
 				buf.Add(tx)
 			}
 			upd, err := fl.RunUpdate(sender, buf, round, fl.UpdateConfig{
-				Epochs: 3, Seed: ftRNG.Uint64()%1000 + 1, Compress: mc.compress,
+				Epochs: 3, Seed: ftRNG.Uint64()%1000 + 1,
 			})
 			if err != nil {
 				return nil, err
 			}
-			if err := fl.ApplyUpdate(receiver, upd); err != nil {
+			bytes, err := lossySync(receiver, upd, mc.compress)
+			if err != nil {
 				return nil, err
 			}
-			syncTotal += float64(upd.Stats.PayloadBytes)
+			syncTotal += float64(bytes)
 			lastExamples = buf.Transactions()
 		}
 		// Post-sync receiver accuracy on the final round's traffic.
@@ -128,7 +128,7 @@ func RunE4(env *Env, opts E4Options) (*E4Result, error) {
 		for _, tx := range exs {
 			buf.Add(tx)
 		}
-		post := fl.CrossEvaluate(sender, receiver, buf.Examples())
+		post := crossEvaluate(sender, receiver, buf.Examples())
 
 		res.Mechanisms = append(res.Mechanisms, E4Mechanism{
 			Name:                  mc.name,

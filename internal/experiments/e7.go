@@ -7,7 +7,6 @@ import (
 	"repro/internal/fl"
 	"repro/internal/mat"
 	"repro/internal/metrics"
-	"repro/internal/nn"
 )
 
 // E7Options parameterizes the gradient-compression ablation.
@@ -72,9 +71,9 @@ func RunE7(env *Env, opts E7Options) (*E7Result, error) {
 	res := &E7Result{}
 	for _, int8q := range []bool{false, true} {
 		for _, frac := range opts.TopKFracs {
-			compress := nn.CompressOptions{Int8: int8q}
+			compress := compressOptions{int8: int8q}
 			if frac < 1 {
-				compress.TopKFrac = frac
+				compress.topKFrac = frac
 			}
 			rng := mat.NewRNG(opts.Seed)
 			idio := corpus.NewIdiolect(env.Corpus, rng.Split(), 0.4)
@@ -91,15 +90,16 @@ func RunE7(env *Env, opts E7Options) (*E7Result, error) {
 					buf.Add(transaction(sc, d, msg, sender, sender))
 				}
 				upd, err := fl.RunUpdate(sender, buf, u, fl.UpdateConfig{
-					Epochs: 3, Seed: uint64(u) + 1, Compress: compress,
+					Epochs: 3, Seed: uint64(u) + 1,
 				})
 				if err != nil {
 					return nil, err
 				}
-				if err := fl.ApplyUpdate(receiver, upd); err != nil {
+				bytes, err := lossySync(receiver, upd, compress)
+				if err != nil {
 					return nil, err
 				}
-				syncBytes += float64(upd.Stats.PayloadBytes)
+				syncBytes += float64(bytes)
 				lastBuf = buf
 			}
 			exs := lastBuf.Examples()
@@ -108,7 +108,7 @@ func RunE7(env *Env, opts E7Options) (*E7Result, error) {
 				Int8:             int8q,
 				BytesPerSync:     syncBytes / float64(opts.Updates),
 				SenderAccuracy:   sender.Evaluate(exs),
-				ReceiverAccuracy: fl.CrossEvaluate(sender, receiver, exs),
+				ReceiverAccuracy: crossEvaluate(sender, receiver, exs),
 			})
 		}
 	}

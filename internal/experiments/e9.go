@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"repro/internal/corpus"
-	"repro/internal/fl"
 	"repro/internal/mat"
 	"repro/internal/metrics"
 	"repro/internal/semantic"
@@ -86,7 +85,7 @@ func RunE9(env *Env, opts E9Options) (*E9Result, error) {
 		}
 		donors[i] = exs
 	}
-	improved, err := fl.RunFederated(stock, donors, fl.FederatedConfig{
+	improved, err := RunFederated(stock, donors, FederatedConfig{
 		Rounds: opts.Rounds, LocalEpochs: 2, Seed: opts.Seed + 99,
 	})
 	if err != nil {

@@ -1,4 +1,4 @@
-package fl
+package experiments
 
 import (
 	"errors"
@@ -9,41 +9,43 @@ import (
 	"repro/internal/semantic"
 )
 
-// newRNG is a seam for deterministic seeding in tests.
-func newRNG(seed uint64) *mat.RNG { return mat.NewRNG(seed) }
-
 // This file implements the federated-learning extension the paper points
 // at via its FL reference and §III research directions: periodically
 // aggregating many users' individual-model improvements back into the
 // domain-general model (FedAvg), so new users cold-start from a model that
 // already knows the population's rare vocabulary. The base system keeps
-// general models immutable (§II-D); this is the explicit relaxation.
+// general models immutable (§II-D); this is the explicit relaxation (E9
+// and examples/federated).
 
-// CodecDelta returns the full parameter delta after - before. The codecs
+// codecDelta returns the full parameter delta after - before. The codecs
 // must share shapes (clones of a common ancestor).
-func CodecDelta(after, before *semantic.Codec) *nn.ParamSet {
-	delta := after.Params().Clone()
-	delta.AddScaled(-1, before.Params())
+func codecDelta(after, before *semantic.Codec) *nn.ParamSet {
+	delta := before.Params().Clone()
+	delta.SubFrom(after.Params())
 	return delta
 }
 
 // errNoDeltas reports an aggregation call with no inputs.
-var errNoDeltas = errors.New("fl: no deltas to aggregate")
+var errNoDeltas = errors.New("experiments: no deltas to aggregate")
 
-// ApplyAverageDelta applies the FedAvg aggregate (the element-wise mean of
+// applyAverageDelta applies the FedAvg aggregate (the element-wise mean of
 // deltas, scaled by scale) to codec's parameters in place. A scale of 1
 // is classic FedAvg; smaller values damp the global step.
-func ApplyAverageDelta(codec *semantic.Codec, deltas []*nn.ParamSet, scale float64) error {
+func applyAverageDelta(codec *semantic.Codec, deltas []*nn.ParamSet, scale float64) error {
 	if len(deltas) == 0 {
 		return errNoDeltas
 	}
 	target := codec.Params()
 	factor := scale / float64(len(deltas))
 	for _, d := range deltas {
-		if len(d.Params) != len(target.Params) {
-			return errors.New("fl: delta shape mismatch")
+		if err := target.CheckSameShape(d); err != nil {
+			return err
 		}
-		target.AddScaled(factor, d)
+	}
+	for _, d := range deltas {
+		for i, p := range target.Params {
+			mat.AXPY(p.M.Data, factor, d.Params[i].M.Data)
+		}
 	}
 	return nil
 }
@@ -106,7 +108,7 @@ func RunFederated(general *semantic.Codec, donorData [][]semantic.Example, cfg F
 	}
 	cfg = cfg.withDefaults()
 	global := general.Clone()
-	noiseRNG := newRNG(cfg.Seed ^ 0xd9)
+	noiseRNG := mat.NewRNG(cfg.Seed ^ 0xd9)
 	for round := 0; round < cfg.Rounds; round++ {
 		deltas := make([]*nn.ParamSet, 0, len(donorData))
 		for di, examples := range donorData {
@@ -115,14 +117,14 @@ func RunFederated(general *semantic.Codec, donorData [][]semantic.Example, cfg F
 			}
 			local := global.Clone()
 			seed := cfg.Seed + uint64(round*1009+di*31+1)
-			local.FineTune(examples, cfg.LocalEpochs, cfg.LR, newRNG(seed))
-			delta := CodecDelta(local, global)
+			local.FineTune(examples, cfg.LocalEpochs, cfg.LR, mat.NewRNG(seed))
+			delta := codecDelta(local, global)
 			if cfg.DP.Enabled() {
 				clipToNorm(delta, cfg.DP.ClipNorm)
 			}
 			deltas = append(deltas, delta)
 		}
-		if err := ApplyAverageDelta(global, deltas, cfg.Scale); err != nil {
+		if err := applyAverageDelta(global, deltas, cfg.Scale); err != nil {
 			return nil, err
 		}
 		if cfg.DP.Enabled() && cfg.DP.NoiseMultiplier > 0 {
@@ -143,7 +145,7 @@ func clipToNorm(ps *nn.ParamSet, clip float64) {
 			sq += v * v
 		}
 	}
-	norm := sqrt(sq)
+	norm := math.Sqrt(sq)
 	if norm <= clip || norm == 0 {
 		return
 	}
@@ -164,6 +166,3 @@ func addGaussianNoise(ps *nn.ParamSet, sigma float64, rng *mat.RNG) {
 		}
 	}
 }
-
-// sqrt is a local alias keeping the math import localized.
-func sqrt(v float64) float64 { return math.Sqrt(v) }

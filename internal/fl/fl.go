@@ -3,11 +3,9 @@
 // computes semantic mismatch locally using its decoder copy, fine-tunes the
 // user-specific individual model once enough data accumulates, and ships
 // only the decoder update to the receiver edge — the federated-learning-
-// style synchronization step.
-//
-// It also implements the anti-pattern the decoder copy exists to avoid:
-// returning the receiver's decoded output to the sender per message. Both
-// paths are metered so experiment E4 can compare their traffic.
+// style synchronization step. Both edges of a deployment live in one
+// process, so the update travels as a parameter delta; its byte count is
+// what a lossless wire encoding of that delta would weigh.
 package fl
 
 import (
@@ -41,18 +39,6 @@ func (t Transaction) Mismatch() float64 {
 		}
 	}
 	return float64(bad) / float64(len(t.ConceptIDs))
-}
-
-// OutputReturnBytes is the feedback traffic the transaction would cost if
-// the receiver had to send its decoded output back to the sender (the
-// design rejected in §II-C): one byte per character of each decoded word
-// plus a separator.
-func (t Transaction) OutputReturnBytes(words []string) int {
-	n := 0
-	for _, w := range words {
-		n += len(w) + 1
-	}
-	return n
 }
 
 // Buffer is the per-(user, domain) transaction store b_m of Fig. 1 step 3.
@@ -116,8 +102,6 @@ type UpdateConfig struct {
 	Epochs int
 	// LR is the fine-tuning learning rate; 0 selects the codec default.
 	LR float64
-	// Compress selects the lossy encoding of the decoder delta.
-	Compress nn.CompressOptions
 	// Seed drives fine-tuning randomness.
 	Seed uint64
 }
@@ -126,10 +110,8 @@ type UpdateConfig struct {
 type UpdateStats struct {
 	// BufferSize is the number of transactions consumed.
 	BufferSize int
-	// PayloadBytes is the wire size of the compressed decoder update.
+	// PayloadBytes is the lossless wire cost of the decoder delta.
 	PayloadBytes int
-	// DenseBytes is what the uncompressed decoder delta would cost.
-	DenseBytes int
 }
 
 // Update is a decoder synchronization message from sender to receiver edge.
@@ -137,19 +119,19 @@ type Update struct {
 	Domain  string
 	User    string
 	Version int
-	Payload []byte
-	Stats   UpdateStats
+	// Delta is the decoder's parameter change, after − before.
+	Delta *nn.ParamSet
+	Stats UpdateStats
 }
 
 // errEmptyBuffer reports an update attempt with no data.
 var errEmptyBuffer = errors.New("fl: update with empty buffer")
 
 // RunUpdate executes Fig. 1 steps 3-4 on the sender edge: fine-tune the
-// user's individual codec on the buffered transactions, extract the decoder
-// delta, and package it (optionally compressed) for the receiver. RunUpdate
-// leaves the buffer as it is; resetting it is the caller's decision
-// (edge.Server.RunUpdate resets it after every attempt, failed ones
-// included).
+// user's individual codec on the buffered transactions and package the
+// decoder delta for the receiver. RunUpdate leaves the buffer as it is;
+// resetting it is the caller's decision (edge.Server.RunUpdate resets it
+// after every attempt, failed ones included).
 func RunUpdate(codec *semantic.Codec, buf *Buffer, version int, cfg UpdateConfig) (*Update, error) {
 	if buf.Len() == 0 {
 		return nil, errEmptyBuffer
@@ -163,48 +145,29 @@ func RunUpdate(codec *semantic.Codec, buf *Buffer, version int, cfg UpdateConfig
 	delta := codec.DecoderParams().Clone() // the decoder before the fine-tune
 	codec.FineTune(buf.Examples(), cfg.Epochs, cfg.LR, mat.NewRNG(cfg.Seed))
 	delta.SubFrom(codec.DecoderParams())
-	payload := nn.Compress(delta, cfg.Compress).Encode()
 
 	return &Update{
 		Domain:  buf.Domain,
 		User:    buf.User,
 		Version: version + 1,
-		Payload: payload,
+		Delta:   delta,
 		Stats: UpdateStats{
 			BufferSize:   buf.Len(),
-			PayloadBytes: len(payload),
-			DenseBytes:   nn.DenseSizeBytes(delta),
+			PayloadBytes: nn.DenseSizeBytes(delta),
 		},
 	}, nil
 }
 
-// ApplyUpdate applies a received decoder update to the receiver's copy of
-// the user's individual codec.
+// ApplyUpdate adds a received decoder delta to the receiver's copy of the
+// user's individual codec. A delta whose tensors differ from the decoder's
+// in count, names or shapes is refused before any weight is written.
 func ApplyUpdate(codec *semantic.Codec, upd *Update) error {
-	cg, err := nn.DecodeCompressed(upd.Payload)
-	if err != nil {
-		return fmt.Errorf("fl: decode update payload: %w", err)
-	}
-	if err := cg.ApplyTo(codec.DecoderParams(), 1); err != nil {
+	dec := codec.DecoderParams()
+	if err := dec.CheckSameShape(upd.Delta); err != nil {
 		return fmt.Errorf("fl: apply update: %w", err)
 	}
+	for i, p := range dec.Params {
+		mat.AddTo(p.M.Data, upd.Delta.Params[i].M.Data)
+	}
 	return nil
-}
-
-// CrossEvaluate measures end-to-end reconstruction accuracy when the
-// sender's encoder feeds the receiver's decoder — the metric that exposes
-// decoder-copy staleness and lossy-sync error.
-func CrossEvaluate(sender, receiver *semantic.Codec, examples []semantic.Example) float64 {
-	if len(examples) == 0 {
-		return 0
-	}
-	feat := make([]float64, sender.FeatureDim())
-	correct := 0
-	for _, ex := range examples {
-		sender.EncodeSurfaceID(ex.SurfaceID, feat)
-		if receiver.DecodeFeature(feat) == ex.ConceptID {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(examples))
 }

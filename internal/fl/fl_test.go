@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -63,13 +64,6 @@ func TestTransactionMismatch(t *testing.T) {
 	}
 }
 
-func TestOutputReturnBytes(t *testing.T) {
-	tx := Transaction{}
-	if got := tx.OutputReturnBytes([]string{"ab", "cde"}); got != 7 {
-		t.Fatalf("OutputReturnBytes = %d, want 7", got)
-	}
-}
-
 func TestBufferLifecycle(t *testing.T) {
 	b := NewBuffer("it", "u1", 3)
 	if b.Ready() {
@@ -122,8 +116,8 @@ func TestRunUpdateImprovesAccuracy(t *testing.T) {
 	if post := individual.Evaluate(buf.Examples()); post <= pre {
 		t.Fatalf("fine-tune did not improve: %v -> %v", pre, post)
 	}
-	if upd.Stats.PayloadBytes <= 0 || upd.Stats.DenseBytes < upd.Stats.PayloadBytes {
-		t.Fatalf("byte accounting wrong: %+v", upd.Stats)
+	if want := nn.DenseSizeBytes(upd.Delta); upd.Stats.PayloadBytes != want {
+		t.Fatalf("byte accounting wrong: %+v, want %d", upd.Stats, want)
 	}
 }
 
@@ -141,49 +135,50 @@ func TestApplyUpdateSynchronizesReceiver(t *testing.T) {
 	if err := ApplyUpdate(receiver, upd); err != nil {
 		t.Fatal(err)
 	}
-	// Lossless sync: sender-encoder -> receiver-decoder must match
-	// sender-local accuracy exactly.
-	examples := buf.Examples()
-	local := sender.Evaluate(examples)
-	cross := CrossEvaluate(sender, receiver, examples)
-	if local != cross {
-		t.Fatalf("lossless sync mismatch: local %v cross %v", local, cross)
-	}
-}
-
-func TestCompressedUpdateCloseToLossless(t *testing.T) {
-	corp, gen := fixtures(t)
-	sender := gen.Clone()
-	receiver := gen.Clone()
-	idio := corpus.NewIdiolect(corp, mat.NewRNG(95), 0.5)
-	buf := fillBuffer(corp, sender, idio, 48, 96)
-
-	upd, err := RunUpdate(sender, buf, 0, UpdateConfig{
-		Epochs: 4, Seed: 5,
-		Compress: nn.CompressOptions{TopKFrac: 0.25, Int8: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ApplyUpdate(receiver, upd); err != nil {
-		t.Fatal(err)
-	}
-	examples := buf.Examples()
-	local := sender.Evaluate(examples)
-	cross := CrossEvaluate(sender, receiver, examples)
-	if cross < local-0.15 {
-		t.Fatalf("compressed sync degraded too much: local %v cross %v", local, cross)
-	}
-	if upd.Stats.PayloadBytes >= upd.Stats.DenseBytes/2 {
-		t.Fatalf("top-25%%+int8 payload %d not much smaller than dense %d",
-			upd.Stats.PayloadBytes, upd.Stats.DenseBytes)
+	// Lossless sync: every feature the sender's encoder makes decodes on
+	// the receiver as on the sender.
+	feat := make([]float64, sender.FeatureDim())
+	for _, ex := range buf.Examples() {
+		sender.EncodeSurfaceID(ex.SurfaceID, feat)
+		if a, b := sender.DecodeFeature(feat), receiver.DecodeFeature(feat); a != b {
+			t.Fatalf("surface %d: sender decodes %d, receiver %d", ex.SurfaceID, a, b)
+		}
 	}
 }
 
 func TestApplyUpdateRejectsGarbage(t *testing.T) {
 	_, gen := fixtures(t)
-	if err := ApplyUpdate(gen.Clone(), &Update{Payload: []byte("junk")}); err == nil {
-		t.Fatal("garbage payload accepted")
+	junk := &nn.ParamSet{}
+	junk.Add("junk", mat.NewDense(1, 1))
+	if err := ApplyUpdate(gen.Clone(), &Update{Delta: junk}); err == nil {
+		t.Fatal("garbage delta accepted")
+	}
+}
+
+// TestApplyUpdateAllOrNothing: a delta whose second tensor is misnamed or
+// misshaped is refused before its first tensor is added, so every weight
+// of the receiver keeps its bits.
+func TestApplyUpdateAllOrNothing(t *testing.T) {
+	_, gen := fixtures(t)
+	for name, spoil := range map[string]func(p *nn.Param){
+		"misnamed":  func(p *nn.Param) { p.Name = "dec.X" },
+		"misshaped": func(p *nn.Param) { p.M = mat.NewDense(p.M.Rows, p.M.Cols+1) },
+	} {
+		receiver := gen.Clone()
+		delta := receiver.DecoderParams().ZeroClone()
+		for _, p := range delta.Params {
+			for i := range p.M.Data {
+				p.M.Data[i] = 1
+			}
+		}
+		spoil(&delta.Params[1])
+		before := receiver.Params().Clone()
+		if err := ApplyUpdate(receiver, &Update{Delta: delta}); err == nil {
+			t.Fatalf("%s: delta accepted", name)
+		}
+		if !reflect.DeepEqual(receiver.Params(), before) {
+			t.Fatalf("%s: a refused delta changed the receiver's weights", name)
+		}
 	}
 }
 
@@ -209,12 +204,5 @@ func TestUpdateDoesNotTouchEncoderOnReceiver(t *testing.T) {
 				t.Fatalf("decoder update modified receiver encoder tensor %s", name)
 			}
 		}
-	}
-}
-
-func TestCrossEvaluateEmpty(t *testing.T) {
-	_, gen := fixtures(t)
-	if got := CrossEvaluate(gen, gen, nil); got != 0 {
-		t.Fatalf("empty CrossEvaluate = %v", got)
 	}
 }

@@ -116,14 +116,6 @@ func (m *Dense) AddOuter(a float64, x, y []float64) {
 	}
 }
 
-// AddScaled accumulates m += a * other. It panics if shapes differ.
-func (m *Dense) AddScaled(a float64, other *Dense) {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		panic("mat: AddScaled shape mismatch")
-	}
-	AXPY(m.Data, a, other.Data)
-}
-
 const denseMagic = uint32(0x4d415431) // "MAT1"
 
 // denseHeaderBytes is the size of a serialized matrix's header: magic,

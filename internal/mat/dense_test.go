@@ -78,17 +78,6 @@ func TestCloneAndCopyFrom(t *testing.T) {
 	}
 }
 
-func TestAddScaled(t *testing.T) {
-	a := NewDense(1, 2)
-	b := NewDense(1, 2)
-	copy(a.Data, []float64{1, 2})
-	copy(b.Data, []float64{10, 20})
-	a.AddScaled(0.5, b)
-	if a.Data[0] != 6 || a.Data[1] != 12 {
-		t.Fatalf("AddScaled = %v", a.Data)
-	}
-}
-
 func TestGlorotInitBounds(t *testing.T) {
 	m := NewDense(8, 8)
 	m.GlorotInit(NewRNG(1), 8, 8)

@@ -3,6 +3,7 @@ package mesh
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -76,7 +77,7 @@ func (n *Node) drainGenerals(ctx context.Context, sys *core.System, ring *cluste
 			fail(fmt.Errorf("mesh: drain: no live owner for general %s (target %d)", domain, target))
 			continue
 		}
-		if st := p.lastStats.Load(); st != nil && containsString(st.Generals, domain) {
+		if st := p.lastStats.Load(); st != nil && slices.Contains(st.Generals, domain) {
 			continue // the new owner already holds a copy: nothing lost
 		}
 		payload, ok := n.generalPayload(sys, domain)

@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/kb"
@@ -60,7 +61,7 @@ func (n *Node) pushReplicas(domain string) {
 		if !ok || !p.usable() {
 			continue
 		}
-		if st := p.lastStats.Load(); st != nil && containsString(st.Generals, domain) {
+		if st := p.lastStats.Load(); st != nil && slices.Contains(st.Generals, domain) {
 			pushed++ // already warm
 			continue
 		}
@@ -88,13 +89,4 @@ func (n *Node) generalPayload(sys *core.System, domain string) (*rpc.ModelPayloa
 		return nil, false
 	}
 	return &rpc.ModelPayload{Domain: domain, Version: m.Version, Params: stream}, true
-}
-
-func containsString(ss []string, s string) bool {
-	for _, v := range ss {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }

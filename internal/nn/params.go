@@ -1,10 +1,10 @@
 // Package nn is a small, pure-Go neural-network substrate: dense and
-// embedding layers with manual backpropagation, SGD/Adam optimizers,
-// parameter serialization and gradient compression.
+// embedding layers with manual backpropagation, SGD/Adam optimizers and
+// parameter serialization.
 //
 // It exists because the reproduced paper's knowledge bases (KBs) are
 // deep-learning encoder/decoder models that are trained, fine-tuned per
-// user, and synchronized across edge servers by shipping gradients. This
+// user, and synchronized across edge servers by shipping parameter deltas. This
 // package provides exactly those mechanics with no external dependencies.
 package nn
 
@@ -20,8 +20,8 @@ import (
 )
 
 // Param is one named parameter tensor. Biases are stored as 1xN matrices so
-// that every parameter flows through the same serialization, optimization
-// and compression paths.
+// that every parameter flows through the same serialization and
+// optimization paths.
 type Param struct {
 	Name string
 	M    *mat.Dense
@@ -165,20 +165,9 @@ func (ps *ParamSet) CopyFrom(src *ParamSet) {
 	}
 }
 
-// AddScaled accumulates ps += a*other tensor-wise. It panics on shape
-// mismatch.
-func (ps *ParamSet) AddScaled(a float64, other *ParamSet) {
-	if len(ps.Params) != len(other.Params) {
-		panic("nn: AddScaled param count mismatch")
-	}
-	for i, p := range ps.Params {
-		p.M.AddScaled(a, other.Params[i].M)
-	}
-}
-
 // SubFrom overwrites ps, a copy taken before an update, with the update's
 // delta after − ps: each value b becomes a + (−1·b), a being after's value at
-// the same place — the expression AddScaled(−1, ps) evaluates on a copy of
+// the same place — the expression mat.AXPY(a, −1, b) evaluates on a copy of
 // after, so the same bits (for every value but NaN, whose sign bit the
 // compiler's −1· may flip) without that copy. It panics on shape mismatch.
 func (ps *ParamSet) SubFrom(after *ParamSet) {
@@ -203,6 +192,20 @@ func (ps *ParamSet) NumValues() int {
 		n += len(p.M.Data)
 	}
 	return n
+}
+
+// DenseSizeBytes is the decoder sync's cost model: the bytes a
+// self-describing lossless encoding of a delta shaped like ps would take,
+// from its shapes alone — an 8-byte set header, then per tensor a
+// length-prefixed name, rows, cols, a flags byte and an entry count, and
+// 8 bytes per value. No such encoding is built: both edges of a deployment
+// share one process, and the delta is handed over as it is.
+func DenseSizeBytes(ps *ParamSet) int {
+	size := 8
+	for _, p := range ps.Params {
+		size += 2 + len(p.Name) + 4 + 4 + 1 + 4 + 8*len(p.M.Data)
+	}
+	return size
 }
 
 // SizeBytes returns the serialized size of the set: the true footprint a

@@ -153,12 +153,12 @@ func TestDecoderSyncViaDelta(t *testing.T) {
 	before := sender.DecoderParams().Clone()
 	sender.FineTune(examples, 2, 0.02, mat.NewRNG(11))
 
-	// Delta = after - before, shipped and applied to the receiver.
-	delta := sender.DecoderParams().Clone()
-	delta.AddScaled(-1, before)
-	cg := nn.Compress(delta, nn.CompressOptions{})
-	if err := cg.ApplyTo(receiver.DecoderParams(), 1); err != nil {
-		t.Fatalf("apply delta: %v", err)
+	// Delta = after - before, added to the receiver's decoder as
+	// fl.RunUpdate and fl.ApplyUpdate compute it.
+	delta := before
+	delta.SubFrom(sender.DecoderParams())
+	for i, p := range receiver.DecoderParams().Params {
+		mat.AddTo(p.M.Data, delta.Params[i].M.Data)
 	}
 
 	// Sender and receiver decoders must now agree everywhere.
