@@ -39,6 +39,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -140,30 +141,47 @@ func parseSweep(s string) ([]int, error) {
 // userLoop is one closed-loop client: claim a request from the shared
 // budget, send it on the sticky connection, wait for the response, repeat.
 // A non-zero deadline is applied per call and forwarded to the daemon's
-// admission gate, so requests queued past it come back as Shed.
+// admission gate, so requests queued past it come back as Shed. A call
+// whose deadline passes before the response arrives counts as timed out,
+// and the client redials: a call cut short leaves the connection's framing
+// undefined. Any other transport error ends the run.
 func userLoop(addr, user string, rng *mat.RNG, corp *corpus.Corpus, cum []float64,
 	deadline time.Duration, budget *atomic.Int64, hist *metrics.Histogram,
-	sent []atomic.Int64, errs, shed *atomic.Int64) error {
+	sent []atomic.Int64, errs, shed, timedOut *atomic.Int64) error {
 	cl, err := rpc.Dial(addr)
 	if err != nil {
 		return fmt.Errorf("%s: dial: %w", user, err)
 	}
-	defer cl.Close()
+	defer func() { cl.Close() }()
 	gen := corpus.NewGenerator(corp, rng)
-	send := func(text string) (*rpc.Response, error) {
+	// send reports expired when the call's own deadline cut it short. The
+	// connection's deadline is the context's, so its i/o timeout can fire
+	// a moment before ctx.Err() turns non-nil.
+	send := func(text string) (resp *rpc.Response, expired bool, err error) {
 		ctx := context.Background()
 		if deadline > 0 {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, deadline)
 			defer cancel()
 		}
-		return cl.TransmitContext(ctx, user, text)
+		resp, err = cl.TransmitContext(ctx, user, text)
+		return resp, err != nil && (ctx.Err() != nil || errors.Is(err, os.ErrDeadlineExceeded)), err
 	}
 	for budget.Add(-1) >= 0 {
 		di := pickDomain(rng, cum)
 		msg := gen.Message(di, nil)
 		start := time.Now()
-		resp, err := send(msg.Text())
+		resp, expired, err := send(msg.Text())
+		if expired {
+			timedOut.Add(1)
+			cl.Close()
+			next, err := rpc.Dial(addr)
+			if err != nil {
+				return fmt.Errorf("%s: redial: %w", user, err)
+			}
+			cl = next
+			continue
+		}
 		if err != nil {
 			return fmt.Errorf("%s: transmit: %w", user, err)
 		}
@@ -184,6 +202,7 @@ type loadResult struct {
 	done      int64
 	errs      int64
 	shed      int64
+	timedOut  int64
 	elapsed   time.Duration
 	hist      *metrics.Histogram
 	sent      []atomic.Int64
@@ -208,12 +227,13 @@ func loadRun(addrFor func(user string) string, users, requests int, deadline tim
 		sent: make([]atomic.Int64, len(corp.Domains)),
 	}
 	var (
-		budget  atomic.Int64
-		errs    atomic.Int64
-		shed    atomic.Int64
-		loopErr error
-		errMu   sync.Mutex
-		wg      sync.WaitGroup
+		budget   atomic.Int64
+		errs     atomic.Int64
+		shed     atomic.Int64
+		timedOut atomic.Int64
+		loopErr  error
+		errMu    sync.Mutex
+		wg       sync.WaitGroup
 	)
 	budget.Store(int64(requests))
 
@@ -224,7 +244,7 @@ func loadRun(addrFor func(user string) string, users, requests int, deadline tim
 		go func(u int) {
 			defer wg.Done()
 			user := fmt.Sprintf("u%03d", u)
-			if err := userLoop(addrFor(user), user, rngs[u], corp, cum, deadline, &budget, res.hist, res.sent, &errs, &shed); err != nil {
+			if err := userLoop(addrFor(user), user, rngs[u], corp, cum, deadline, &budget, res.hist, res.sent, &errs, &shed, &timedOut); err != nil {
 				errMu.Lock()
 				if loopErr == nil {
 					loopErr = err
@@ -241,6 +261,7 @@ func loadRun(addrFor func(user string) string, users, requests int, deadline tim
 	}
 	res.errs = errs.Load()
 	res.shed = shed.Load()
+	res.timedOut = timedOut.Load()
 	res.done = res.hist.N()
 	return res, nil
 }
@@ -343,8 +364,8 @@ func run() error {
 
 // printLoadResult prints the client-side report of one closed-loop run.
 func printLoadResult(res *loadResult, users int, corp *corpus.Corpus) {
-	fmt.Printf("requests : %d ok, %d daemon errors, %d shed, %d users, %.2fs\n",
-		res.done-res.errs-res.shed, res.errs, res.shed, users, res.elapsed.Seconds())
+	fmt.Printf("requests : %d ok, %d daemon errors, %d shed, %d timed out, %d users, %.2fs\n",
+		res.done-res.errs-res.shed, res.errs, res.shed, res.timedOut, users, res.elapsed.Seconds())
 	fmt.Printf("rate     : %.1f req/s (closed loop)\n", float64(res.done)/res.elapsed.Seconds())
 	fmt.Printf("latency  : mean %.2f ms  p50 %.2f ms  p95 %.2f ms  p99 %.2f ms\n",
 		res.hist.Mean(), res.hist.P(50), res.hist.P(95), res.hist.P(99))
@@ -373,16 +394,16 @@ func printLoadResult(res *loadResult, users int, corp *corpus.Corpus) {
 // seed+s so stages do not replay identical traffic at a warming cache.
 func runSweep(addrFor func(user string) string, stages []int, requests int, deadline time.Duration,
 	seed uint64, corp *corpus.Corpus, cum []float64) error {
-	fmt.Printf("%7s %10s %9s %9s %9s %6s %6s\n",
-		"users", "req/s", "p50 ms", "p95 ms", "p99 ms", "shed", "errs")
+	fmt.Printf("%7s %10s %9s %9s %9s %6s %8s %6s\n",
+		"users", "req/s", "p50 ms", "p95 ms", "p99 ms", "shed", "timeout", "errs")
 	for s, n := range stages {
 		res, err := loadRun(addrFor, n, requests, deadline, seed+uint64(s), corp, cum)
 		if err != nil {
 			return fmt.Errorf("sweep stage %d users: %w", n, err)
 		}
-		fmt.Printf("%7d %10.1f %9.2f %9.2f %9.2f %6d %6d\n",
+		fmt.Printf("%7d %10.1f %9.2f %9.2f %9.2f %6d %8d %6d\n",
 			n, float64(res.done)/res.elapsed.Seconds(),
-			res.hist.P(50), res.hist.P(95), res.hist.P(99), res.shed, res.errs)
+			res.hist.P(50), res.hist.P(95), res.hist.P(99), res.shed, res.timedOut, res.errs)
 	}
 	return nil
 }

@@ -43,10 +43,6 @@ func TestTransmitCodecPathZeroAllocs(t *testing.T) {
 	words := corpus.NewGenerator(s.Corpus, mat.NewRNG(5)).Message(s.Corpus.Domain("it").Index, nil).Words
 	const domain, user = "it", "alloc-user"
 
-	prev := mat.Parallelism()
-	defer mat.SetParallelism(prev)
-	mat.SetParallelism(1) // sharding spawns goroutines, which allocate
-
 	sc := mat.GetScratch()
 	defer mat.PutScratch(sc)
 	mismatch := make([]int, len(words))
@@ -92,10 +88,6 @@ func TestTransmitAllocBudget(t *testing.T) {
 	}
 	s := allocSystem(t)
 	words := corpus.NewGenerator(s.Corpus, mat.NewRNG(6)).Message(s.Corpus.Domain("it").Index, nil).Words
-
-	prev := mat.Parallelism()
-	defer mat.SetParallelism(prev)
-	mat.SetParallelism(1)
 
 	transmit := func() {
 		if _, err := s.TransmitText("budget-user", words); err != nil {

@@ -308,7 +308,7 @@ func userDigests(t *testing.T, s *System, streams [][][]string, parallel bool) [
 // TestConcurrentMatchesSerialDigests pins the transparency of concurrent
 // serving: with the selector, buffers and update process live, every
 // user's result stream — channel noise included — is bit-identical whether
-// the users run one after another or all at once, at any mat worker count.
+// the users run one after another or all at once.
 // It runs at 3 dB, where the noise flips decisions, so a crossing that
 // drew from anything but its own (user, seq) seed would show.
 func TestConcurrentMatchesSerialDigests(t *testing.T) {
@@ -323,22 +323,15 @@ func TestConcurrentMatchesSerialDigests(t *testing.T) {
 	prefetchAll(t, serial)
 	want := userDigests(t, serial, streams, false)
 
-	prevWorkers := mat.Parallelism()
-	defer mat.SetParallelism(prevWorkers)
-
-	for _, workers := range []int{1, 2, 8} {
-		mat.SetParallelism(workers)
-		s, err := NewSystem(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prefetchAll(t, s)
-		got := userDigests(t, s, streams, true)
-		for u := range got {
-			if got[u] != want[u] {
-				t.Fatalf("workers=%d: user %d concurrent digest %016x != serial %016x",
-					workers, u, got[u], want[u])
-			}
+	s, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefetchAll(t, s)
+	got := userDigests(t, s, streams, true)
+	for u := range got {
+		if got[u] != want[u] {
+			t.Fatalf("user %d concurrent digest %016x != serial %016x", u, got[u], want[u])
 		}
 	}
 }

@@ -310,14 +310,10 @@ func NewSystem(cfg Config) (*System, error) {
 	corp := corpus.Build()
 	var generals []*semantic.Codec
 	if len(cfg.Pretrained) == len(corp.Domains) {
-		// Clones are independent deep copies of read-only sources, so they
-		// shard across the mat worker pool.
 		generals = make([]*semantic.Codec, len(cfg.Pretrained))
-		mat.ParallelFor(len(cfg.Pretrained), 1, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				generals[i] = cfg.Pretrained[i].Clone()
-			}
-		})
+		for i, c := range cfg.Pretrained {
+			generals[i] = c.Clone()
+		}
 	} else {
 		codecCfg := cfg.Codec
 		if codecCfg.Seed == 0 {

@@ -60,8 +60,6 @@ type Config struct {
 	// Requires PprofAddr; the profiles have measurable overhead, so the
 	// flag is opt-in.
 	ProfileContention bool
-	// Workers caps pretraining/kernel parallelism; 0 = GOMAXPROCS.
-	Workers int
 	// MaxInflight caps concurrently served transmits; 0 = 2x GOMAXPROCS,
 	// negative = unlimited.
 	MaxInflight int
@@ -104,7 +102,6 @@ func FromFlags(fs *flag.FlagSet) *Config {
 	fs.StringVar(&cfg.KBDir, "kb", "", "directory of pretrained .kbm models (see cmd/semkb); empty pretrains at startup")
 	fs.StringVar(&cfg.PprofAddr, "pprof", "", "expose net/http/pprof on this address (e.g. localhost:6060); empty disables")
 	fs.BoolVar(&cfg.ProfileContention, "profile-contention", false, "also record mutex and block profiles on the -pprof endpoint (has overhead; requires -pprof)")
-	fs.IntVar(&cfg.Workers, "workers", 0, "parallel workers for pretraining and codec kernels (0 = GOMAXPROCS)")
 	fs.IntVar(&cfg.MaxInflight, "max-inflight", 0, "max concurrently served transmits (0 = 2x GOMAXPROCS, <0 = unlimited)")
 	fs.DurationVar(&cfg.IdleTimeout, "idle-timeout", 5*time.Minute, "per-connection read deadline; 0 disables")
 	fs.DurationVar(&cfg.WriteTimeout, "write-timeout", 30*time.Second, "per-response write deadline; 0 disables")

@@ -17,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/edge"
-	"repro/internal/mat"
 	"repro/internal/mesh"
 	"repro/internal/rpc"
 	"repro/internal/semantic"
@@ -66,9 +65,6 @@ type Daemon struct {
 func New(cfg Config) (*Daemon, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Workers > 0 {
-		mat.SetParallelism(cfg.Workers)
 	}
 	if cfg.PprofAddr != "" {
 		if cfg.ProfileContention {

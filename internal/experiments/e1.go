@@ -92,7 +92,7 @@ func RunE1(env *Env, opts E1Options) (*E1Result, error) {
 		noiseRNGs[i] = rng.Split()
 	}
 	res := &E1Result{Rayleigh: opts.Rayleigh, Points: make([]E1Point, len(opts.SNRs))}
-	err := forEachTrial(len(opts.SNRs), func(pi int) error {
+	err := mat.ForEach(len(opts.SNRs), func(pi int) error {
 		snr := opts.SNRs[pi]
 		var ch channel.Channel
 		if opts.Rayleigh {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/edged"
+	"repro/internal/mat"
 	"repro/internal/mesh"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
@@ -111,7 +112,7 @@ func RunE11(env *Env, opts E11Options) (*E11Result, error) {
 	}
 
 	res := &E11Result{Cells: make([]E11Cell, len(combos))}
-	err := forEachTrial(len(combos), func(ci int) (err error) {
+	err := mat.ForEach(len(combos), func(ci int) (err error) {
 		cb := combos[ci]
 		// Cells map 1:1 onto nodes; the workload's cell indices wrap.
 		w := trace.Generate(env.Corpus, trace.Config{

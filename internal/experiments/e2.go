@@ -7,6 +7,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/edge"
 	"repro/internal/kb"
+	"repro/internal/mat"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/trace"
@@ -81,10 +82,10 @@ func RunE2(env *Env, opts E2Options) (*E2Result, error) {
 	})
 
 	// Every (policy, capacity) cell replays the same read-only workload
-	// against its own cache, so cells shard across the worker pool; the
+	// against its own cache, so cells run through mat.ForEach; the
 	// grid stays in insertion order because cells write by index.
 	res := &E2Result{Cells: make([]E2Cell, len(opts.Policies)*len(opts.Capacities))}
-	err := forEachTrial(len(res.Cells), func(ci int) error {
+	err := mat.ForEach(len(res.Cells), func(ci int) error {
 		policyName := opts.Policies[ci/len(opts.Capacities)]
 		capModels := opts.Capacities[ci%len(opts.Capacities)]
 		policy, ok := cache.NewPolicy(policyName)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 	"repro/internal/core"
+	"repro/internal/mat"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
@@ -66,9 +67,9 @@ func RunE5(env *Env, opts E5Options) (*E5Result, error) {
 	opts = opts.withDefaults()
 	// Each selector gets its own full System (cloned from the shared
 	// pretrained codecs) and a deterministic workload, so the comparison
-	// rows shard across the worker pool and land by index.
+	// rows run through mat.ForEach and land by index.
 	res := &E5Result{Rows: make([]E5Row, len(opts.Selectors))}
-	err := forEachTrial(len(opts.Selectors), func(si int) error {
+	err := mat.ForEach(len(opts.Selectors), func(si int) error {
 		sel := opts.Selectors[si]
 		sys, err := core.NewSystem(core.Config{
 			Selector:        sel,

@@ -1,42 +1,11 @@
 package experiments
 
 import (
-	"errors"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/mat"
 )
-
-func TestForEachTrialCoversAllAndPropagatesError(t *testing.T) {
-	prev := mat.Parallelism()
-	defer mat.SetParallelism(prev)
-	for _, workers := range []int{1, 4} {
-		mat.SetParallelism(workers)
-		var ran atomic.Int64
-		if err := forEachTrial(17, func(i int) error {
-			ran.Add(1)
-			return nil
-		}); err != nil {
-			t.Fatalf("workers=%d: unexpected error %v", workers, err)
-		}
-		if got := ran.Load(); got != 17 {
-			t.Fatalf("workers=%d: ran %d of 17 trials", workers, got)
-		}
-
-		boom := errors.New("boom")
-		err := forEachTrial(9, func(i int) error {
-			if i == 4 {
-				return boom
-			}
-			return nil
-		})
-		if !errors.Is(err, boom) {
-			t.Fatalf("workers=%d: error = %v, want boom", workers, err)
-		}
-	}
-}
 
 // TestTrialFanOutDeterminism asserts the parallelized runners produce
 // results identical to serial execution: per-trial RNGs are split before

@@ -100,13 +100,11 @@ var (
 )
 
 // TestF64KernelsBitExactGrid runs the three GEMM range kernels over the
-// shape grid, aligned and unaligned, on every fill, sharded at grain 1 over
-// 1, 2 and 8 workers (odd row ranges hit the kernels' row and column
-// tails), and requires the assembly path's output to equal the Go loop's.
+// shape grid, aligned and unaligned, on every fill (odd row and column
+// counts hit the kernels' row and column tails), and requires the assembly
+// path's output to equal the Go loop's.
 func TestF64KernelsBitExactGrid(t *testing.T) {
 	requireAVX2(t)
-	prev := Parallelism()
-	defer SetParallelism(prev)
 
 	type kernel struct {
 		name string
@@ -160,22 +158,18 @@ func TestF64KernelsBitExactGrid(t *testing.T) {
 									fillKernel(bias, seed+3, 0, false)
 								}
 
-								SetParallelism(1)
 								want := make([]float64, len(init))
 								copy(out.Data, init)
 								pureGo(func() { kn.run(a, b, out, bias, 0, m) })
 								copy(want, out.Data)
 
-								for _, workers := range []int{1, 2, 8} {
-									SetParallelism(workers)
-									copy(out.Data, init)
-									ParallelFor(m, 1, func(lo, hi int) { kn.run(a, b, out, bias, lo, hi) })
-									if i, ok := sameKernelOutput(out.Data, want); !ok {
-										t.Fatalf("m=%d k=%d n=%d off=%d workers=%d: element %d = %x (%v), Go loop %x (%v)",
-											m, k, n, off, workers, i,
-											math.Float64bits(out.Data[i]), out.Data[i],
-											math.Float64bits(want[i]), want[i])
-									}
+								copy(out.Data, init)
+								kn.run(a, b, out, bias, 0, m)
+								if i, ok := sameKernelOutput(out.Data, want); !ok {
+									t.Fatalf("m=%d k=%d n=%d off=%d: element %d = %x (%v), Go loop %x (%v)",
+										m, k, n, off, i,
+										math.Float64bits(out.Data[i]), out.Data[i],
+										math.Float64bits(want[i]), want[i])
 								}
 							}
 						}

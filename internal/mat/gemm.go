@@ -1,14 +1,13 @@
 package mat
 
 // This file implements the blocked matrix-matrix kernels the batched codec
-// paths run on. Every kernel shards output rows across the package worker
-// pool (ParallelFor) and keeps the EXACT serial accumulation order for each
-// individual output element, so results are bit-identical to the per-vector
-// kernels (MulVec, MulVecT, AddOuter) applied row by row — at any worker
-// count. Throughput comes not from reordering floating-point sums (which
-// would change bits) but from interleaving several independent output
-// elements' accumulation chains in the inner loop, hiding FP-add latency
-// that a single serial dot product is bound by.
+// paths run on. Every kernel keeps the EXACT serial accumulation order for
+// each individual output element, so results are bit-identical to the
+// per-vector kernels (MulVec, MulVecT, AddOuter) applied row by row.
+// Throughput comes not from reordering floating-point sums (which would
+// change bits) but from interleaving several independent output elements'
+// accumulation chains in the inner loop, hiding FP-add latency that a
+// single serial dot product is bound by.
 
 // MulMatT computes dst = a * bᵀ, where a is m x k, b is n x k and dst is
 // m x n: the batched forward kernel of a Linear layer (rows of a are
@@ -20,15 +19,7 @@ func MulMatT(dst, a, b *Dense) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic("mat: MulMatT shape mismatch")
 	}
-	grain := kernelGrain(a.Cols * b.Rows)
-	if Parallelism() == 1 || a.Rows <= grain {
-		// Inline fast path: no closure, no scheduling.
-		mulMatTRange(dst, a, b, nil, 0, a.Rows)
-		return
-	}
-	ParallelFor(a.Rows, grain, func(lo, hi int) {
-		mulMatTRange(dst, a, b, nil, lo, hi)
-	})
+	mulMatTRange(dst, a, b, nil, 0, a.Rows)
 }
 
 // MulMatTAddRow computes dst = a * bᵀ with row added to every output row:
@@ -43,14 +34,7 @@ func MulMatTAddRow(dst, a, b *Dense, row []float64) {
 	if len(row) != dst.Cols {
 		panic("mat: MulMatTAddRow row length mismatch")
 	}
-	grain := kernelGrain(a.Cols * b.Rows)
-	if Parallelism() == 1 || a.Rows <= grain {
-		mulMatTRange(dst, a, b, row, 0, a.Rows)
-		return
-	}
-	ParallelFor(a.Rows, grain, func(lo, hi int) {
-		mulMatTRange(dst, a, b, row, lo, hi)
-	})
+	mulMatTRange(dst, a, b, row, 0, a.Rows)
 }
 
 // mulMatTRange computes rows lo..hi of dst = a * bᵀ, adding bias[j] to
@@ -65,7 +49,7 @@ func mulMatTRange(dst, a, b *Dense, bias []float64, lo, hi int) {
 		// The assembly kernel works in 4-row x 4-column tiles. A range
 		// that is not a multiple of four is finished by one more band of
 		// tiles aligned to its END: the overlap is computed twice, to the
-		// same bits, by this same goroutine.
+		// same bits.
 		gemmTRows(dst, a, b, bias, lo, (hi-lo)&^3)
 		if (hi-lo)%4 != 0 {
 			gemmTRows(dst, a, b, bias, hi-4, 4)
@@ -143,14 +127,7 @@ func MulMat(dst, a, b *Dense) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic("mat: MulMat shape mismatch")
 	}
-	grain := kernelGrain(a.Cols * b.Cols)
-	if Parallelism() == 1 || a.Rows <= grain {
-		mulMatRange(dst, a, b, 0, a.Rows)
-		return
-	}
-	ParallelFor(a.Rows, grain, func(lo, hi int) {
-		mulMatRange(dst, a, b, lo, hi)
-	})
+	mulMatRange(dst, a, b, 0, a.Rows)
 }
 
 // mulMatRange computes rows lo..hi of dst = a * b in AXPY form: out += ap *
@@ -186,19 +163,12 @@ func mulMatRange(dst, a, b *Dense, lo, hi int) {
 // m.AddOuter(a, x.Row(i), y.Row(i)) for every row i in order. Each m
 // element accumulates examples in ascending row order and skips zero
 // coefficients, exactly like the per-vector AddOuter loop, so results are
-// bit-identical at any worker count. It panics on shape mismatches.
+// bit-identical to it. It panics on shape mismatches.
 func AddOuterBatch(m *Dense, a float64, x, y *Dense) {
 	if x.Rows != y.Rows || x.Cols != m.Rows || y.Cols != m.Cols {
 		panic("mat: AddOuterBatch shape mismatch")
 	}
-	grain := kernelGrain(x.Rows * m.Cols)
-	if Parallelism() == 1 || m.Rows <= grain {
-		addOuterBatchRange(m, a, x, y, 0, m.Rows)
-		return
-	}
-	ParallelFor(m.Rows, grain, func(lo, hi int) {
-		addOuterBatchRange(m, a, x, y, lo, hi)
-	})
+	addOuterBatchRange(m, a, x, y, 0, m.Rows)
 }
 
 // addOuterBatchRange accumulates rows lo..hi of m += a * xᵀ * y: per m-row

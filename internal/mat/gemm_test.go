@@ -4,8 +4,8 @@ import (
 	"testing"
 )
 
-// gemmShapes straddle the parallel cutoff: tiny (always inline), medium,
-// and one large enough that every kernel shards across workers.
+// gemmShapes run from one element to a few hundred rows, with odd sizes
+// that hit the kernels' row and column tails.
 var gemmShapes = []struct{ m, k, n int }{
 	{1, 1, 1},
 	{3, 5, 7},
@@ -49,87 +49,64 @@ func refMulMat(dst, a, b *Dense) {
 }
 
 // TestMulMatTMatchesMulVec asserts MulMatT is bit-identical to the
-// per-vector MulVec path at 1, 2 and 8 workers.
+// per-vector MulVec path.
 func TestMulMatTMatchesMulVec(t *testing.T) {
-	prev := Parallelism()
-	defer SetParallelism(prev)
 	for _, sh := range gemmShapes {
 		a := NewDense(sh.m, sh.k)
 		b := NewDense(sh.n, sh.k)
 		fillDeterministic(a, 1)
 		fillDeterministic(b, 2)
-		SetParallelism(1)
 		want := NewDense(sh.m, sh.n)
 		refMulMatT(want, a, b)
-		for _, workers := range []int{1, 2, 8} {
-			SetParallelism(workers)
-			got := NewDense(sh.m, sh.n)
-			MulMatT(got, a, b)
-			for i := range want.Data {
-				if got.Data[i] != want.Data[i] {
-					t.Fatalf("%dx%dx%d at %d workers: element %d = %v, want %v",
-						sh.m, sh.k, sh.n, workers, i, got.Data[i], want.Data[i])
-				}
-			}
+		got := NewDense(sh.m, sh.n)
+		MulMatT(got, a, b)
+		requireSameGEMM(t, sh.m, sh.k, sh.n, got, want)
+	}
+}
+
+// requireSameGEMM fails t at the first element where got and want differ.
+func requireSameGEMM(t *testing.T, m, k, n int, got, want *Dense) {
+	t.Helper()
+	for i := range want.Data {
+		if got.Data[i] != want.Data[i] {
+			t.Fatalf("%dx%dx%d: element %d = %v, want %v", m, k, n, i, got.Data[i], want.Data[i])
 		}
 	}
 }
 
 // TestMulMatMatchesMulVecT asserts MulMat is bit-identical to the
-// per-vector MulVecT path at 1, 2 and 8 workers.
+// per-vector MulVecT path.
 func TestMulMatMatchesMulVecT(t *testing.T) {
-	prev := Parallelism()
-	defer SetParallelism(prev)
 	for _, sh := range gemmShapes {
 		a := NewDense(sh.m, sh.k)
 		b := NewDense(sh.k, sh.n)
 		fillDeterministic(a, 3)
 		fillDeterministic(b, 4)
-		SetParallelism(1)
 		want := NewDense(sh.m, sh.n)
 		refMulMat(want, a, b)
-		for _, workers := range []int{1, 2, 8} {
-			SetParallelism(workers)
-			got := NewDense(sh.m, sh.n)
-			MulMat(got, a, b)
-			for i := range want.Data {
-				if got.Data[i] != want.Data[i] {
-					t.Fatalf("%dx%dx%d at %d workers: element %d = %v, want %v",
-						sh.m, sh.k, sh.n, workers, i, got.Data[i], want.Data[i])
-				}
-			}
-		}
+		got := NewDense(sh.m, sh.n)
+		MulMat(got, a, b)
+		requireSameGEMM(t, sh.m, sh.k, sh.n, got, want)
 	}
 }
 
 // TestAddOuterBatchMatchesAddOuter asserts AddOuterBatch equals per-row
-// AddOuter calls bitwise at 1, 2 and 8 workers.
+// AddOuter calls bitwise.
 func TestAddOuterBatchMatchesAddOuter(t *testing.T) {
-	prev := Parallelism()
-	defer SetParallelism(prev)
 	for _, sh := range gemmShapes {
 		x := NewDense(sh.k, sh.m) // k examples of dimension m
 		y := NewDense(sh.k, sh.n)
 		fillDeterministic(x, 5)
 		fillDeterministic(y, 6)
-		SetParallelism(1)
 		want := NewDense(sh.m, sh.n)
 		fillDeterministic(want, 7)
 		for i := 0; i < sh.k; i++ {
 			want.AddOuter(0.5, x.Row(i), y.Row(i))
 		}
-		for _, workers := range []int{1, 2, 8} {
-			SetParallelism(workers)
-			got := NewDense(sh.m, sh.n)
-			fillDeterministic(got, 7)
-			AddOuterBatch(got, 0.5, x, y)
-			for i := range want.Data {
-				if got.Data[i] != want.Data[i] {
-					t.Fatalf("%dx%dx%d at %d workers: element %d = %v, want %v",
-						sh.m, sh.k, sh.n, workers, i, got.Data[i], want.Data[i])
-				}
-			}
-		}
+		got := NewDense(sh.m, sh.n)
+		fillDeterministic(got, 7)
+		AddOuterBatch(got, 0.5, x, y)
+		requireSameGEMM(t, sh.m, sh.k, sh.n, got, want)
 	}
 }
 
@@ -180,10 +157,8 @@ func TestGEMMShapePanics(t *testing.T) {
 }
 
 // TestMulMatTAddRowMatchesUnfused asserts the fused bias GEMM equals
-// MulMatT followed by AddRowTo bitwise at 1, 2 and 8 workers.
+// MulMatT followed by AddRowTo bitwise.
 func TestMulMatTAddRowMatchesUnfused(t *testing.T) {
-	prev := Parallelism()
-	defer SetParallelism(prev)
 	for _, sh := range gemmShapes {
 		a := NewDense(sh.m, sh.k)
 		b := NewDense(sh.n, sh.k)
@@ -193,21 +168,12 @@ func TestMulMatTAddRowMatchesUnfused(t *testing.T) {
 		for i := range bias {
 			bias[i] = float64(i%13)*0.17 - 1
 		}
-		SetParallelism(1)
 		want := NewDense(sh.m, sh.n)
 		MulMatT(want, a, b)
 		AddRowTo(want, bias)
-		for _, workers := range []int{1, 2, 8} {
-			SetParallelism(workers)
-			got := NewDense(sh.m, sh.n)
-			MulMatTAddRow(got, a, b, bias)
-			for i := range want.Data {
-				if got.Data[i] != want.Data[i] {
-					t.Fatalf("%dx%dx%d at %d workers: element %d = %v, want %v",
-						sh.m, sh.k, sh.n, workers, i, got.Data[i], want.Data[i])
-				}
-			}
-		}
+		got := NewDense(sh.m, sh.n)
+		MulMatTAddRow(got, a, b, bias)
+		requireSameGEMM(t, sh.m, sh.k, sh.n, got, want)
 	}
 }
 

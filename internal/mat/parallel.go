@@ -6,102 +6,69 @@ import (
 	"sync/atomic"
 )
 
-// This file implements the package's parallel compute layer: a bounded
-// worker budget shared by every kernel, a ParallelFor primitive that shards
-// index ranges across it, and the grain that keeps small kernel calls
-// serial. The batched kernels (gemm.go) shard output rows through it, each
-// output element accumulating in exactly its serial order, so results are
-// bit-identical at any worker count: determinism never depends on
-// SetParallelism. The per-vector kernels (MulVec, MulVecT, AddOuter) run
-// only at layer sizes far below parallelCutoff and are plain serial loops.
+// This file holds the repository's one fan-out: ForEach runs independent
+// jobs — a domain's pretraining, an experiment's trial — across a worker
+// budget. The codec kernels (gemm.go, the per-vector kernels) are serial:
+// a served daemon runs its requests in parallel across users, and the
+// codec's matrices are far too small for sharding them to pay.
 
-// pool is the immutable worker budget snapshot ParallelFor operates on.
-// sem has capacity workers-1: the calling goroutine always executes chunks
-// too, so n workers means the caller plus at most n-1 helpers.
-type pool struct {
-	workers int
-	sem     chan struct{}
-}
-
-var curPool atomic.Pointer[pool]
+var workers atomic.Int64
 
 func init() { SetParallelism(runtime.GOMAXPROCS(0)) }
 
-// SetParallelism sets the target number of concurrent workers used by the
-// parallel kernels and ParallelFor. Values below 1 are clamped to 1, which
-// forces fully serial execution. The default is runtime.GOMAXPROCS(0).
-// Changing parallelism never changes numerical results.
+// SetParallelism sets the number of goroutines ForEach runs its jobs on.
+// Values below 1 are clamped to 1, which runs every job on the caller. The
+// default is runtime.GOMAXPROCS(0).
 func SetParallelism(n int) {
 	if n < 1 {
 		n = 1
 	}
-	curPool.Store(&pool{workers: n, sem: make(chan struct{}, n-1)})
+	workers.Store(int64(n))
 }
 
-// Parallelism returns the current target worker count.
-func Parallelism() int { return curPool.Load().workers }
+// Parallelism returns the current worker count.
+func Parallelism() int { return int(workers.Load()) }
 
-// ParallelFor runs body over contiguous chunks covering [0, n) using up to
-// Parallelism() concurrent workers, including the calling goroutine. grain
-// is the minimum chunk size: when n <= grain or parallelism is 1 the whole
-// range runs inline as body(0, n), so small problems pay no scheduling
-// overhead. Helper goroutines are drawn from a bounded budget; when the
-// budget is exhausted (e.g. nested ParallelFor calls) chunks run inline on
-// the caller, which makes nesting deadlock-free. ParallelFor returns only
-// after every chunk has completed.
-func ParallelFor(n, grain int, body func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if grain < 1 {
-		grain = 1
-	}
-	p := curPool.Load()
-	if p.workers == 1 || n <= grain {
-		body(0, n)
-		return
-	}
-	parts := (n + grain - 1) / grain
-	if parts > p.workers {
-		parts = p.workers
-	}
-	chunk := (n + parts - 1) / parts
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi >= n {
-			// Final chunk always runs on the calling goroutine.
-			body(lo, n)
-			break
+// ForEach runs fn(0) … fn(n-1) on up to Parallelism() goroutines, handing
+// out indices one at a time as workers free up. On failure it returns the
+// error of the lowest-numbered failing job — the same error serial
+// execution would return — so error reporting, like results, never depends
+// on scheduling. Callers must make fn write results by index and derive
+// any randomness from the index, not from the order jobs run in; then the
+// result is bit-identical at any worker count.
+func ForEach(n int, fn func(i int) error) error {
+	w := min(Parallelism(), n)
+	if w <= 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				return err
+			}
 		}
-		select {
-		case p.sem <- struct{}{}:
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer func() { <-p.sem; wg.Done() }()
-				body(lo, hi)
-			}(lo, hi)
-		default:
-			body(lo, hi)
-		}
+		return nil
+	}
+	errs := make([]error, n)
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	for range w {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				errs[i] = fn(i)
+			}
+		}()
 	}
 	wg.Wait()
-}
-
-// parallelCutoff is the minimum number of scalar multiply-adds a kernel
-// call must perform before sharding across workers pays for goroutine
-// scheduling. Below it the kernels run their plain serial loops.
-const parallelCutoff = 1 << 15
-
-// kernelGrain converts a per-row cost into the ParallelFor grain that
-// enforces parallelCutoff.
-func kernelGrain(perIndex int) int {
-	if perIndex <= 0 {
-		return 1
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
-	g := parallelCutoff / perIndex
-	if g < 1 {
-		g = 1
-	}
-	return g
+	return nil
 }

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"errors"
 	"math"
 	"runtime"
 	"sync/atomic"
@@ -58,22 +59,21 @@ func serialAddOuter(m *Dense, a float64, x, y []float64) {
 	}
 }
 
-// kernelShapes straddle the parallel cutoff: tiny shapes that stay serial,
-// shapes right around parallelCutoff elements, and large shapes that shard
-// across several workers, including skinny and wide aspect ratios.
+// kernelShapes run from tiny to a few hundred thousand elements, including
+// skinny and wide aspect ratios and the 4-row block tails.
 var kernelShapes = []struct{ rows, cols int }{
 	{1, 1},
 	{3, 7},
 	{17, 33},
 	{64, 64},
-	{127, 258}, // just under the cutoff
-	{128, 256}, // exactly the cutoff
-	{129, 256}, // just over the cutoff
+	{127, 258},
+	{128, 256},
+	{129, 256},
 	{1000, 37}, // tall and skinny
 	{37, 1000}, // short and wide
-	{300, 301}, // well above the cutoff
-	{1, 40000}, // single row wider than the cutoff
-	{40000, 1}, // single column taller than the cutoff
+	{300, 301},
+	{1, 40000}, // a single wide row
+	{40000, 1}, // a single tall column
 }
 
 // randomVec fills a deterministic pseudo-random vector with ~1/8 exact
@@ -102,6 +102,8 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
+// TestParallelKernelsMatchSerial: the per-vector kernels (MulVec, MulVecT,
+// AddOuter) are bit-identical to their plain reference loops.
 func TestParallelKernelsMatchSerial(t *testing.T) {
 	rng := NewRNG(42)
 	for _, sh := range kernelShapes {
@@ -117,47 +119,42 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 		wantAO := m.Clone()
 		serialAddOuter(wantAO, 0.75, xr, xc)
 
-		for _, workers := range []int{1, 2, 3, 8} {
-			withParallelism(t, workers, func() {
-				got := make([]float64, sh.rows)
-				m.MulVec(got, xc)
-				if !bitsEqual(got, wantMV) {
-					t.Errorf("MulVec %dx%d workers=%d differs from serial", sh.rows, sh.cols, workers)
-				}
-				gotT := make([]float64, sh.cols)
-				m.MulVecT(gotT, xr)
-				if !bitsEqual(gotT, wantMVT) {
-					t.Errorf("MulVecT %dx%d workers=%d differs from serial", sh.rows, sh.cols, workers)
-				}
-				ao := m.Clone()
-				ao.AddOuter(0.75, xr, xc)
-				if !bitsEqual(ao.Data, wantAO.Data) {
-					t.Errorf("AddOuter %dx%d workers=%d differs from serial", sh.rows, sh.cols, workers)
-				}
-			})
+		got := make([]float64, sh.rows)
+		m.MulVec(got, xc)
+		if !bitsEqual(got, wantMV) {
+			t.Errorf("MulVec %dx%d differs from serial", sh.rows, sh.cols)
+		}
+		gotT := make([]float64, sh.cols)
+		m.MulVecT(gotT, xr)
+		if !bitsEqual(gotT, wantMVT) {
+			t.Errorf("MulVecT %dx%d differs from serial", sh.rows, sh.cols)
+		}
+		ao := m.Clone()
+		ao.AddOuter(0.75, xr, xc)
+		if !bitsEqual(ao.Data, wantAO.Data) {
+			t.Errorf("AddOuter %dx%d differs from serial", sh.rows, sh.cols)
 		}
 	}
 }
 
-func TestParallelForCoversRangeOnce(t *testing.T) {
+func TestForEachCoversRangeOnce(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		withParallelism(t, workers, func() {
 			for _, n := range []int{0, 1, 7, 64, 1000} {
-				for _, grain := range []int{1, 3, 64, 5000} {
-					visits := make([]int32, n)
-					ParallelFor(n, grain, func(lo, hi int) {
-						if lo < 0 || hi > n || lo >= hi {
-							t.Fatalf("bad chunk [%d,%d) for n=%d", lo, hi, n)
-						}
-						for i := lo; i < hi; i++ {
-							atomic.AddInt32(&visits[i], 1)
-						}
-					})
-					for i, v := range visits {
-						if v != 1 {
-							t.Fatalf("n=%d grain=%d workers=%d: index %d visited %d times",
-								n, grain, workers, i, v)
-						}
+				visits := make([]int32, n)
+				if err := ForEach(n, func(i int) error {
+					if i < 0 || i >= n {
+						t.Errorf("index %d out of range for n=%d", i, n)
+						return nil
+					}
+					atomic.AddInt32(&visits[i], 1)
+					return nil
+				}); err != nil {
+					t.Fatalf("n=%d workers=%d: unexpected error %v", n, workers, err)
+				}
+				for i, v := range visits {
+					if v != 1 {
+						t.Fatalf("n=%d workers=%d: index %d visited %d times", n, workers, i, v)
 					}
 				}
 			}
@@ -165,18 +162,39 @@ func TestParallelForCoversRangeOnce(t *testing.T) {
 	}
 }
 
-func TestParallelForNestedNoDeadlock(t *testing.T) {
-	withParallelism(t, 4, func() {
-		var count atomic.Int64
-		ParallelFor(16, 1, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				ParallelFor(16, 1, func(lo2, hi2 int) {
-					count.Add(int64(hi2 - lo2))
-				})
+// TestForEachReturnsLowestIndexError: whatever order the jobs finish in,
+// the error is the one serial execution would have stopped at.
+func TestForEachReturnsLowestIndexError(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		withParallelism(t, workers, func() {
+			errs := []error{errors.New("job 3"), errors.New("job 6")}
+			err := ForEach(9, func(i int) error {
+				switch i {
+				case 3:
+					return errs[0]
+				case 6:
+					return errs[1]
+				}
+				return nil
+			})
+			if !errors.Is(err, errs[0]) {
+				t.Fatalf("workers=%d: error = %v, want job 3", workers, err)
 			}
 		})
+	}
+}
+
+func TestForEachNested(t *testing.T) {
+	withParallelism(t, 4, func() {
+		var count atomic.Int64
+		_ = ForEach(16, func(int) error {
+			return ForEach(16, func(int) error {
+				count.Add(1)
+				return nil
+			})
+		})
 		if got := count.Load(); got != 16*16 {
-			t.Fatalf("nested ParallelFor covered %d of %d indices", got, 16*16)
+			t.Fatalf("nested ForEach covered %d of %d indices", got, 16*16)
 		}
 	})
 }

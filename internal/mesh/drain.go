@@ -3,7 +3,6 @@ package mesh
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -77,23 +76,14 @@ func (n *Node) drainGenerals(ctx context.Context, sys *core.System, ring *cluste
 			fail(fmt.Errorf("mesh: drain: no live owner for general %s (target %d)", domain, target))
 			continue
 		}
-		if st := p.lastStats.Load(); st != nil && slices.Contains(st.Generals, domain) {
-			continue // the new owner already holds a copy: nothing lost
-		}
-		payload, ok := n.generalPayload(sys, domain)
-		if !ok {
-			continue
-		}
-		push := &rpc.HandoffPayload{
-			FromNode: n.self.Name,
-			Reason:   rpc.HandoffDrain,
-			General:  []rpc.ModelPayload{*payload},
-		}
-		if err := n.push(ctx, p, push); err != nil {
+		sent, err := n.pushGeneral(ctx, sys, p, domain, rpc.HandoffDrain)
+		if err != nil {
 			fail(fmt.Errorf("mesh: drain push general %s to %s: %w", domain, p.info.Name, err))
 			continue
 		}
-		n.cfg.Logf("mesh: drained general %s to %s", domain, p.info.Name)
+		if sent {
+			n.cfg.Logf("mesh: drained general %s to %s", domain, p.info.Name)
+		}
 	}
 }
 

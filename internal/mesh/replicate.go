@@ -46,33 +46,43 @@ func (n *Node) pushReplicas(domain string) {
 	if sys == nil {
 		return
 	}
-	payload, ok := n.generalPayload(sys, domain)
-	if !ok {
-		return // evicted since promotion; nothing to push
-	}
-	push := &rpc.HandoffPayload{
-		FromNode: n.self.Name,
-		Reason:   rpc.HandoffReplica,
-		General:  []rpc.ModelPayload{*payload},
-	}
 	pushed := 0
 	for off := 1; off < n.total && pushed < n.cfg.Replicas; off++ {
 		p, ok := n.peers[(n.self.Index+off)%n.total]
 		if !ok || !p.usable() {
 			continue
 		}
-		if st := p.lastStats.Load(); st != nil && slices.Contains(st.Generals, domain) {
-			pushed++ // already warm
-			continue
-		}
-		if err := n.push(context.Background(), p, push); err != nil {
+		sent, err := n.pushGeneral(context.Background(), sys, p, domain, rpc.HandoffReplica)
+		if err != nil {
 			n.cfg.Logf("mesh: replica push %s to %s: %v", domain, p.info.Name, err)
 			continue
 		}
-		n.replicasOut.Add(1)
 		pushed++
-		n.cfg.Logf("mesh: replicated hot model %s to %s", domain, p.info.Name)
+		if sent {
+			n.replicasOut.Add(1)
+			n.cfg.Logf("mesh: replicated hot model %s to %s", domain, p.info.Name)
+		}
 	}
+}
+
+// pushGeneral hands domain's general model to p in a one-model push tagged
+// reason. It sends nothing, and reports false, when p's latest stats
+// snapshot already lists the domain (p holds a copy) or when the model is
+// no longer in the local sender cache.
+func (n *Node) pushGeneral(ctx context.Context, sys *core.System, p *peer, domain, reason string) (bool, error) {
+	if st := p.lastStats.Load(); st != nil && slices.Contains(st.Generals, domain) {
+		return false, nil
+	}
+	payload, ok := n.generalPayload(sys, domain)
+	if !ok {
+		return false, nil
+	}
+	push := &rpc.HandoffPayload{
+		FromNode: n.self.Name,
+		Reason:   reason,
+		General:  []rpc.ModelPayload{*payload},
+	}
+	return true, n.push(ctx, p, push)
 }
 
 // generalPayload serializes domain's general model from the local sender

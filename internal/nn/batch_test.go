@@ -22,63 +22,43 @@ func batchFixture(t *testing.T, examples, in, out int) (*Linear, *mat.Dense, *ma
 }
 
 // TestForwardBatchMatchesForward asserts the batched forward equals the
-// per-example Forward bitwise at 1, 2 and 8 workers.
+// per-example Forward bitwise.
 func TestForwardBatchMatchesForward(t *testing.T) {
-	prev := mat.Parallelism()
-	defer mat.SetParallelism(prev)
 	l, x, _ := batchFixture(t, 9, 16, 8)
-
-	mat.SetParallelism(1)
 	want := mat.NewDense(9, 8)
 	for i := 0; i < x.Rows; i++ {
 		l.Forward(want.Row(i), x.Row(i))
 	}
-	for _, workers := range []int{1, 2, 8} {
-		mat.SetParallelism(workers)
-		got := mat.NewDense(9, 8)
-		l.ForwardBatch(got, x)
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("%d workers: element %d = %v, want %v", workers, i, got.Data[i], want.Data[i])
-			}
-		}
-	}
+	got := mat.NewDense(9, 8)
+	l.ForwardBatch(got, x)
+	requireSame(t, "y", got, want)
 }
 
 // TestBackwardBatchMatchesBackward asserts the batched backward produces
 // bitwise-identical gradients to per-example Backward calls in order.
 func TestBackwardBatchMatchesBackward(t *testing.T) {
-	prev := mat.Parallelism()
-	defer mat.SetParallelism(prev)
 	l, x, dy := batchFixture(t, 9, 16, 8)
-
-	mat.SetParallelism(1)
 	wantGW := mat.NewDense(8, 16)
 	wantGB := mat.NewDense(1, 8)
 	wantDX := mat.NewDense(9, 16)
 	for i := 0; i < x.Rows; i++ {
 		l.Backward(x.Row(i), dy.Row(i), wantGW, wantGB, wantDX.Row(i))
 	}
-	for _, workers := range []int{1, 2, 8} {
-		mat.SetParallelism(workers)
-		gW := mat.NewDense(8, 16)
-		gB := mat.NewDense(1, 8)
-		dx := mat.NewDense(9, 16)
-		l.BackwardBatch(x, dy, gW, gB, dx)
-		for i := range wantGW.Data {
-			if gW.Data[i] != wantGW.Data[i] {
-				t.Fatalf("%d workers: gW[%d] = %v, want %v", workers, i, gW.Data[i], wantGW.Data[i])
-			}
-		}
-		for i := range wantGB.Data {
-			if gB.Data[i] != wantGB.Data[i] {
-				t.Fatalf("%d workers: gB[%d] = %v, want %v", workers, i, gB.Data[i], wantGB.Data[i])
-			}
-		}
-		for i := range wantDX.Data {
-			if dx.Data[i] != wantDX.Data[i] {
-				t.Fatalf("%d workers: dx[%d] = %v, want %v", workers, i, dx.Data[i], wantDX.Data[i])
-			}
+	gW := mat.NewDense(8, 16)
+	gB := mat.NewDense(1, 8)
+	dx := mat.NewDense(9, 16)
+	l.BackwardBatch(x, dy, gW, gB, dx)
+	requireSame(t, "gW", gW, wantGW)
+	requireSame(t, "gB", gB, wantGB)
+	requireSame(t, "dx", dx, wantDX)
+}
+
+// requireSame fails t at the first element where got and want differ.
+func requireSame(t *testing.T, name string, got, want *mat.Dense) {
+	t.Helper()
+	for i := range want.Data {
+		if got.Data[i] != want.Data[i] {
+			t.Fatalf("%s[%d] = %v, want %v", name, i, got.Data[i], want.Data[i])
 		}
 	}
 }

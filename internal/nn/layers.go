@@ -53,7 +53,7 @@ func (l *Linear) Forward(dst, x []float64) {
 // ForwardBatch computes dst = x*Wᵀ + b for a batch: row i of dst is the
 // layer output for row i of x. It is bit-identical to calling Forward on
 // each row in order (each output element keeps the serial dot-product
-// accumulation order), at any worker count. dst must not alias x.
+// accumulation order). dst must not alias x.
 func (l *Linear) ForwardBatch(dst, x *mat.Dense) {
 	mat.MulMatTAddRow(dst, x, l.W, l.B.Row(0))
 }

@@ -48,13 +48,13 @@ var _ Optimizer = (*SGD)(nil)
 func (o *SGD) Step(params, grads *ParamSet, scale float64) {
 	clip := clipScale(grads, scale, o.Clip)
 	if o.Momentum == 0 {
-		forEachTensor(params, func(i int) {
+		for i := range params.Params {
 			p, g := params.Params[i].M.Data, &grads.Params[i]
 			g.spans(func(lo, hi int) {
 				mat.AXPY(p[lo:hi], -o.LR*clip, g.M.Data[lo:hi])
 				mat.Zero(g.M.Data[lo:hi])
 			})
-		})
+		}
 		clearRows(grads)
 		return
 	}
@@ -62,11 +62,11 @@ func (o *SGD) Step(params, grads *ParamSet, scale float64) {
 		o.velocity = stateFor(params, grads)
 	}
 	lr := o.LR * clip
-	forEachTensor(params, func(i int) {
+	for i := range params.Params {
 		p, g, v := params.Params[i].M.Data, grads.Params[i].M.Data, &o.velocity.Params[i]
 		v.track(&grads.Params[i])
 		v.spans(func(lo, hi int) { mat.MomentumStep(p[lo:hi], v.M.Data[lo:hi], g[lo:hi], o.Momentum, lr) })
-	})
+	}
 	clearRows(grads)
 }
 
@@ -104,7 +104,7 @@ func (o *Adam) Step(params, grads *ParamSet, scale float64) {
 	clip := clipScale(grads, scale, o.Clip)
 	c1 := 1 - math.Pow(b1, float64(o.t))
 	c2 := 1 - math.Pow(b2, float64(o.t))
-	forEachTensor(params, func(i int) {
+	for i := range params.Params {
 		m := &o.m.Params[i]
 		md, vd := m.M.Data, o.v.Params[i].M.Data
 		gd, pd := grads.Params[i].M.Data, params.Params[i].M.Data
@@ -120,7 +120,7 @@ func (o *Adam) Step(params, grads *ParamSet, scale float64) {
 				pd[j] -= o.LR * mHat / (math.Sqrt(vHat) + eps)
 			}
 		})
-	})
+	}
 	clearRows(grads)
 }
 
@@ -161,28 +161,6 @@ func (s *Param) track(g *Param) {
 	}
 }
 
-// parallelStepThreshold is the minimum total scalar count before an
-// optimizer step shards tensors across the mat worker pool; the paper's
-// small codecs stay on the serial path.
-const parallelStepThreshold = 1 << 15
-
-// forEachTensor applies fn to every tensor index, sharding across the mat
-// worker pool for large parameter sets. Tensors are disjoint, so the update
-// is bit-identical to the serial loop at any parallelism.
-func forEachTensor(ps *ParamSet, fn func(i int)) {
-	if ps.NumValues() < parallelStepThreshold {
-		for i := range ps.Params {
-			fn(i)
-		}
-		return
-	}
-	mat.ParallelFor(len(ps.Params), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
-	})
-}
-
 // clipScale multiplies every gradient value by s > 0 in place — the
 // unlisted rows of a row-sparse tensor are +0, which s leaves as they are,
 // so they are not visited — and returns the multiplier that rescales the
@@ -190,8 +168,8 @@ func forEachTensor(ps *ParamSet, fn func(i int)) {
 // within bounds).
 //
 // The norm is the square root of the serial sum of squares, tensor by
-// tensor in element order — a sharded or reordered sum rounds differently,
-// and the scale must not depend on the worker count. The unlisted rows of
+// tensor in element order — a reordered sum rounds differently, and the
+// scale must equal the reference step's bit for bit. The unlisted rows of
 // a row-sparse tensor add +0, which leaves the sum's bits alone, so the sum
 // visits only listed rows (in ascending order).
 //

@@ -8,9 +8,11 @@ import (
 
 // TestCodecSteadyStateZeroAllocs pins the warm codec hot path at zero heap
 // allocations: encode, batched decode (a whole batch in one matrix), and
-// the decoder-copy round trip, all against one reused scratch arena. Any
-// regression that reintroduces per-token or per-call buffers fails here.
-// The race detector instruments allocations, so the budget only holds in
+// the decoder-copy round trip, all against one reused scratch arena — for
+// a short message and for a 96-token one, the long_msg workload's shape.
+// Any regression that reintroduces per-token or per-call buffers, or a
+// kernel that fans a long message out over goroutines, fails here. The
+// race detector instruments allocations, so the budget only holds in
 // non-race builds.
 func TestCodecSteadyStateZeroAllocs(t *testing.T) {
 	if mat.RaceEnabled {
@@ -20,10 +22,6 @@ func TestCodecSteadyStateZeroAllocs(t *testing.T) {
 	msgs := batchMessages(corp, 8)
 	words := msgs[0]
 
-	prev := mat.Parallelism()
-	defer mat.SetParallelism(prev)
-	mat.SetParallelism(1) // sharding spawns goroutines, which allocate
-
 	sc := mat.GetScratch()
 	defer mat.PutScratch(sc)
 	concepts := make([]int, len(words))
@@ -31,15 +29,28 @@ func TestCodecSteadyStateZeroAllocs(t *testing.T) {
 	// The per-message codec path exactly as TransmitText drives it: batched
 	// encode, batched decode of the received features, and the decoder-copy
 	// round trip reusing the encoded features.
-	message := func() {
-		sc.Reset()
-		feats := codec.EncodeWordsInto(sc, words)
-		codec.DecodeFeaturesInto(sc, feats, concepts)
-		codec.DecodeFeaturesInto(sc, feats, concepts)
+	var long []string
+	for _, m := range msgs {
+		long = append(long, m...)
 	}
-	message() // warm the arena to its high-water mark
-	if allocs := testing.AllocsPerRun(100, message); allocs != 0 {
-		t.Fatalf("steady-state encode/decode allocates %v times per message, want 0", allocs)
+	long = long[:96]
+	longConcepts := make([]int, len(long))
+	for _, tc := range []struct {
+		name     string
+		words    []string
+		concepts []int
+	}{{"short", words, concepts}, {"long", long, longConcepts}} {
+		message := func() {
+			sc.Reset()
+			feats := codec.EncodeWordsInto(sc, tc.words)
+			codec.DecodeFeaturesInto(sc, feats, tc.concepts)
+			codec.DecodeFeaturesInto(sc, feats, tc.concepts)
+		}
+		message() // warm the arena to its high-water mark
+		if allocs := testing.AllocsPerRun(100, message); allocs != 0 {
+			t.Fatalf("steady-state encode/decode of a %d-token message allocates %v times per message, want 0",
+				len(tc.words), allocs)
+		}
 	}
 
 	// The batched decode path: every token of a whole message batch packed

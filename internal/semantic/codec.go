@@ -308,8 +308,7 @@ func (c *Codec) DecodeFeature(feat []float64) int {
 // concept indices written to dst (length feats.Rows): two batched GEMMs
 // (hidden, logits) and an argmax sweep, with all temporaries drawn from sc.
 // It is the zero-allocation batched decode used by the steady-state serving
-// path and is bit-identical to per-token DecodeFeature calls at any worker
-// count.
+// path and is bit-identical to per-token DecodeFeature calls.
 func (c *Codec) DecodeFeaturesInto(sc *mat.Scratch, feats *mat.Dense, dst []int) {
 	if len(dst) != feats.Rows {
 		panic("semantic: DecodeFeaturesInto dst length mismatch")

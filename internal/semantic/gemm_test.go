@@ -1,7 +1,6 @@
 package semantic
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -57,8 +56,8 @@ func (c *clipCounter) Step(params, grads *nn.ParamSet, s float64) {
 
 // TestTrainEpochMatchesReference holds the batched, row-sparse training
 // step to the per-example loop on dense gradients and the pre-row-sparse
-// optimizers and clip (train_reference_test.go): every parameter bit, at
-// 1, 2 and 8 workers. The cases are pretraining's Adam, the fine-tune's
+// optimizers and clip (train_reference_test.go): every parameter bit. The
+// cases are pretraining's Adam, the fine-tune's
 // momentum SGD (noiseless, and at the fine-tune's noise), a learning rate
 // and clip where some steps clip and some do not (both sides of the clip
 // certificate), examples that leave most embedding rows untouched, a
@@ -96,9 +95,6 @@ func TestTrainEpochMatchesReference(t *testing.T) {
 	if len(buffer)%trainBatch == 0 {
 		t.Fatalf("idiolect buffer of %d examples leaves no partial batch", len(buffer))
 	}
-
-	prev := mat.Parallelism()
-	defer mat.SetParallelism(prev)
 
 	cfg := base.Config()
 	const clip = 0.8
@@ -142,7 +138,6 @@ func TestTrainEpochMatchesReference(t *testing.T) {
 			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			mat.SetParallelism(1)
 			from := base
 			if tc.from != nil {
 				from = tc.from
@@ -161,33 +156,28 @@ func TestTrainEpochMatchesReference(t *testing.T) {
 			}
 			want := ref.Params()
 
-			for _, workers := range []int{1, 2, 8} {
-				mat.SetParallelism(workers)
-				got := from.Clone()
-				if tc.epochs > 0 {
-					got.FineTune(tc.examples, tc.epochs, 0, mat.NewRNG(31))
-				} else {
-					got.TrainEpoch(tc.examples, tc.opt(), mat.NewRNG(31), tc.noiseStd)
-				}
-				sameParamBits(t, fmt.Sprintf("%d workers", workers), got.Params(), want)
+			got := from.Clone()
+			if tc.epochs > 0 {
+				got.FineTune(tc.examples, tc.epochs, 0, mat.NewRNG(31))
+			} else {
+				got.TrainEpoch(tc.examples, tc.opt(), mat.NewRNG(31), tc.noiseStd)
 			}
+			sameParamBits(t, "batched", got.Params(), want)
 		})
 	}
 }
 
 // TestEncodeDecodeGEMMMatchesPerToken asserts the batched encode/decode
 // entry points are bit-identical to the per-token EncodeSurfaceID /
-// single-vector decode path at 1, 2 and 8 workers.
+// single-vector decode path.
 func TestEncodeDecodeGEMMMatchesPerToken(t *testing.T) {
 	corp, codec := sharedFixtures(t)
 	msgs := batchMessages(corp, 12)
-
-	prev := mat.Parallelism()
-	defer mat.SetParallelism(prev)
+	sc := mat.GetScratch()
+	defer mat.PutScratch(sc)
 
 	for _, words := range msgs {
 		// Per-token reference path.
-		mat.SetParallelism(1)
 		wantFeats := make([][]float64, len(words))
 		for i, w := range words {
 			f := make([]float64, codec.FeatureDim())
@@ -199,34 +189,30 @@ func TestEncodeDecodeGEMMMatchesPerToken(t *testing.T) {
 			wantConcepts[i] = codec.DecodeFeature(f)
 		}
 
-		for _, workers := range []int{1, 2, 8} {
-			mat.SetParallelism(workers)
-			sc := mat.GetScratch()
-			feats := codec.EncodeWordsInto(sc, words)
-			for i := range words {
-				for j, v := range wantFeats[i] {
-					if feats.At(i, j) != v {
-						t.Fatalf("%d workers: feature (%d,%d) = %v, want %v", workers, i, j, feats.At(i, j), v)
-					}
+		sc.Reset()
+		feats := codec.EncodeWordsInto(sc, words)
+		for i := range words {
+			for j, v := range wantFeats[i] {
+				if feats.At(i, j) != v {
+					t.Fatalf("feature (%d,%d) = %v, want %v", i, j, feats.At(i, j), v)
 				}
 			}
-			got := make([]int, len(words))
-			codec.DecodeFeaturesInto(sc, feats, got)
-			for i := range got {
-				if got[i] != wantConcepts[i] {
-					t.Fatalf("%d workers: concept %d = %d, want %d", workers, i, got[i], wantConcepts[i])
-				}
+		}
+		got := make([]int, len(words))
+		codec.DecodeFeaturesInto(sc, feats, got)
+		for i := range got {
+			if got[i] != wantConcepts[i] {
+				t.Fatalf("concept %d = %d, want %d", i, got[i], wantConcepts[i])
 			}
-			// RoundTripInto must agree with encode-then-decode.
-			sc.Reset()
-			rt := make([]int, len(words))
-			codec.RoundTripInto(sc, words, rt)
-			for i := range rt {
-				if rt[i] != wantConcepts[i] {
-					t.Fatalf("%d workers: roundtrip concept %d = %d, want %d", workers, i, rt[i], wantConcepts[i])
-				}
+		}
+		// RoundTripInto must agree with encode-then-decode.
+		sc.Reset()
+		rt := make([]int, len(words))
+		codec.RoundTripInto(sc, words, rt)
+		for i := range rt {
+			if rt[i] != wantConcepts[i] {
+				t.Fatalf("roundtrip concept %d = %d, want %d", i, rt[i], wantConcepts[i])
 			}
-			mat.PutScratch(sc)
 		}
 	}
 }

@@ -294,9 +294,6 @@ func TestDecodeMemoZeroAllocs(t *testing.T) {
 	if mat.RaceEnabled {
 		t.Skip("allocation accounting differs under -race")
 	}
-	prev := mat.Parallelism()
-	defer mat.SetParallelism(prev)
-	mat.SetParallelism(1)
 	c := memoCodec(8, 2)
 	m := NewDecodeMemo()
 	sc := mat.GetScratch()
@@ -534,9 +531,6 @@ func TestCodecTensorDoorsAreStamped(t *testing.T) {
 // serving shape — a warm table with a couple of rows the channel flipped.
 func BenchmarkDecodeMemo(b *testing.B) {
 	const rows = 96
-	prev := mat.Parallelism()
-	defer mat.SetParallelism(prev)
-	mat.SetParallelism(1) // sharding a 96-row miss batch spawns goroutines, which allocate
 	c := memoCodec(8, 2)
 	sc := mat.GetScratch()
 	defer mat.PutScratch(sc)

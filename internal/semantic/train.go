@@ -36,8 +36,7 @@ const trainBatch = 8
 // encoder GEMM, decoder GEMMs, batched backward). Every gradient element
 // accumulates examples in ascending minibatch order and the noise RNG is
 // consumed in the same example-major order as the per-example loop, so the
-// parameter stream is bit-identical to the historical implementation at any
-// worker count.
+// parameter stream is bit-identical to the historical implementation.
 //
 // An epoch computes only what its parameter updates consume: the loss
 // gradient, not the loss or the accuracy; and the embedding gradient of a
@@ -219,15 +218,14 @@ func Pretrain(d *corpus.Domain, corp *corpus.Corpus, cfg Config) *Codec {
 }
 
 // PretrainAll builds one general codec per domain, in domain order. The
-// domains train concurrently on the mat worker pool: each Pretrain derives
-// its RNG purely from cfg.Seed and the domain index, so the result is
-// bit-identical to the serial loop at any parallelism.
+// domains train concurrently through mat.ForEach: each Pretrain derives its
+// RNG purely from cfg.Seed and the domain index, so the result is
+// bit-identical to the serial loop at any worker count.
 func PretrainAll(corp *corpus.Corpus, cfg Config) []*Codec {
 	out := make([]*Codec, len(corp.Domains))
-	mat.ParallelFor(len(corp.Domains), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = Pretrain(corp.Domains[i], corp, cfg)
-		}
+	_ = mat.ForEach(len(corp.Domains), func(i int) error {
+		out[i] = Pretrain(corp.Domains[i], corp, cfg)
+		return nil
 	})
 	return out
 }
