@@ -16,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/mat"
-	"repro/internal/semantic"
 	"repro/internal/trace"
 )
 
@@ -99,14 +98,14 @@ func streamPoses() {
 	mix.Randomize(rng.Split(), 0.6)
 	samplePose := func(dst []float64) {
 		z := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-		mix.MulVec(dst, z)
+		mat.MulMatT(&mat.Dense{Rows: 1, Cols: len(dst), Data: dst}, &mat.Dense{Rows: 1, Cols: len(z), Data: z}, mix)
 	}
 	train := make([][]float64, 600)
 	for i := range train {
 		train[i] = make([]float64, 12)
 		samplePose(train[i])
 	}
-	vc := semantic.NewVectorCodec(rng.Split(), 12, 5)
+	vc := experiments.NewVectorCodec(rng.Split(), 12, 5)
 	if _, err := vc.Train(train, 40, 0.02, 0.05, rng.Split()); err != nil {
 		log.Fatalf("metaverse: pose codec: %v", err)
 	}

@@ -79,12 +79,14 @@ func directSender(t *testing.T, srv *Server, domain, user string, words []string
 		t.Fatal(err)
 	}
 	c := acq.Model.Codec
+	sc := mat.GetScratch()
+	defer mat.PutScratch(sc)
 	feats := make([]float64, len(words)*c.FeatureDim())
 	concepts := make([]int, len(words))
 	for i, w := range words {
 		row := feats[i*c.FeatureDim() : (i+1)*c.FeatureDim()]
 		c.EncodeSurfaceID(c.Domain().SurfaceID(w), row)
-		concepts[i] = c.DecodeFeature(row)
+		c.DecodeFeaturesInto(sc, sc.Wrap(1, len(row), row), concepts[i:i+1])
 	}
 	return feats, concepts
 }

@@ -4,7 +4,6 @@ import (
 	"repro/internal/channel"
 	"repro/internal/mat"
 	"repro/internal/metrics"
-	"repro/internal/semantic"
 )
 
 // E10Options parameterizes the multimodal (continuous vector stream)
@@ -70,7 +69,7 @@ func genPoses(rng *mat.RNG, n, dim, latent int) [][]float64 {
 			z[j] = rng.NormFloat64()
 		}
 		x := make([]float64, dim)
-		mix.MulVec(x, z)
+		mat.MulMatT(rowOf(x), rowOf(z), mix)
 		for j := range x {
 			x[j] += 0.02 * rng.NormFloat64()
 		}
@@ -89,7 +88,7 @@ func RunE10(env *Env, opts E10Options) (*E10Result, error) {
 	all := genPoses(rng.Split(), 800+opts.Frames, opts.PoseDim, opts.LatentDim)
 	train, test := all[:800], all[800:]
 
-	vc := semantic.NewVectorCodec(rng.Split(), opts.PoseDim, opts.FeatureDim)
+	vc := NewVectorCodec(rng.Split(), opts.PoseDim, opts.FeatureDim)
 	if _, err := vc.Train(train, 60, 0.02, 0.05, rng.Split()); err != nil {
 		return nil, err
 	}

@@ -176,16 +176,23 @@ func lossySync(receiver *semantic.Codec, upd *fl.Update, opts compressOptions) (
 
 // crossEvaluate measures end-to-end reconstruction accuracy when the
 // sender's encoder feeds the receiver's decoder — the metric that exposes
-// decoder-copy staleness and lossy-sync error.
+// decoder-copy staleness and lossy-sync error. The whole example set is
+// one batch: the sender's table encodes it, the receiver's GEMMs decode it.
 func crossEvaluate(sender, receiver *semantic.Codec, examples []semantic.Example) float64 {
 	if len(examples) == 0 {
 		return 0
 	}
-	feat := make([]float64, sender.FeatureDim())
+	sc := mat.GetScratch()
+	defer mat.PutScratch(sc)
+	ids := sc.Ints(len(examples))
+	for i, ex := range examples {
+		ids[i] = ex.SurfaceID
+	}
+	concepts := sc.Ints(len(examples))
+	receiver.DecodeFeaturesInto(sc, sender.EncodeSurfaceIDsInto(sc, ids), concepts)
 	correct := 0
-	for _, ex := range examples {
-		sender.EncodeSurfaceID(ex.SurfaceID, feat)
-		if receiver.DecodeFeature(feat) == ex.ConceptID {
+	for i, ex := range examples {
+		if concepts[i] == ex.ConceptID {
 			correct++
 		}
 	}

@@ -1,4 +1,4 @@
-package semantic
+package experiments
 
 import (
 	"testing"
@@ -6,42 +6,19 @@ import (
 	"repro/internal/mat"
 )
 
-// poseSamples synthesizes correlated "avatar pose" vectors: observable
-// dim-D vectors generated from a low-dimensional latent, i.e. compressible
-// structure a semantic codec can exploit.
-func poseSamples(rng *mat.RNG, n, dim, latent int) [][]float64 {
-	// Fixed mixing matrix.
-	mix := mat.NewDense(dim, latent)
-	mix.Randomize(rng, 1)
-	out := make([][]float64, n)
-	z := make([]float64, latent)
-	for i := range out {
-		for j := range z {
-			z[j] = rng.NormFloat64()
-		}
-		x := make([]float64, dim)
-		mix.MulVec(x, z)
-		for j := range x {
-			x[j] += 0.02 * rng.NormFloat64() // small observation noise
-		}
-		out[i] = x
-	}
-	return out
-}
-
 func TestVectorCodecLearnsCompressibleData(t *testing.T) {
 	rng := mat.NewRNG(5)
 	// Train and test must share the mixing matrix: one draw, then split.
-	all := poseSamples(mat.NewRNG(7), 500, 12, 4)
+	all := genPoses(mat.NewRNG(7), 500, 12, 4)
 	train, test := all[:400], all[400:]
 
 	vc := NewVectorCodec(rng.Split(), 12, 5)
-	before := vc.NMSE(test)
+	before := vc.nmse(test)
 	mse, err := vc.Train(train, 30, 0.02, 0.05, rng.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := vc.NMSE(test)
+	after := vc.nmse(test)
 	if after >= before {
 		t.Fatalf("training did not reduce NMSE: %v -> %v", before, after)
 	}
@@ -57,7 +34,7 @@ func TestVectorCodecLearnsCompressibleData(t *testing.T) {
 func TestVectorCodecBottleneckLimits(t *testing.T) {
 	// With feature dim below the latent dimension, reconstruction must be
 	// lossy: NMSE stays well above the roomy codec's.
-	all := poseSamples(mat.NewRNG(9), 500, 12, 6)
+	all := genPoses(mat.NewRNG(9), 500, 12, 6)
 	train, test := all[:400], all[400:]
 	rng := mat.NewRNG(10)
 
@@ -69,14 +46,14 @@ func TestVectorCodecBottleneckLimits(t *testing.T) {
 	if _, err := roomy.Train(train, 30, 0.02, 0.05, rng.Split()); err != nil {
 		t.Fatal(err)
 	}
-	if tight.NMSE(test) <= roomy.NMSE(test) {
+	if tight.nmse(test) <= roomy.nmse(test) {
 		t.Fatalf("2-dim bottleneck (%v) should reconstruct worse than 8-dim (%v)",
-			tight.NMSE(test), roomy.NMSE(test))
+			tight.nmse(test), roomy.nmse(test))
 	}
 }
 
 func TestVectorCodecFeaturesBounded(t *testing.T) {
-	all := poseSamples(mat.NewRNG(11), 50, 8, 3)
+	all := genPoses(mat.NewRNG(11), 50, 8, 3)
 	vc := NewVectorCodec(mat.NewRNG(12), 8, 4)
 	feat := make([]float64, 4)
 	for _, x := range all {
@@ -104,15 +81,28 @@ func TestVectorCodecValidation(t *testing.T) {
 
 func TestVectorCodecNMSEEmpty(t *testing.T) {
 	vc := NewVectorCodec(mat.NewRNG(1), 4, 2)
-	if vc.NMSE(nil) != 0 {
+	if vc.nmse(nil) != 0 {
 		t.Fatal("empty NMSE should be 0")
 	}
 }
 
-// NMSE is these tests' quality measure: the normalized mean squared
+func TestMSE(t *testing.T) {
+	pred := []float64{1, 2}
+	target := []float64{0, 2}
+	d := make([]float64, 2)
+	loss := mse(d, pred, target)
+	if loss != 0.5 {
+		t.Fatalf("MSE loss = %v, want 0.5", loss)
+	}
+	if d[0] != 1 || d[1] != 0 {
+		t.Fatalf("MSE grad = %v", d)
+	}
+}
+
+// nmse is these tests' quality measure: the normalized mean squared
 // reconstruction error of the codec over samples (reconstruction energy
 // relative to signal energy), without noise. Lower is better; 0 is perfect.
-func (vc *VectorCodec) NMSE(samples [][]float64) float64 {
+func (vc *VectorCodec) nmse(samples [][]float64) float64 {
 	if len(samples) == 0 {
 		return 0
 	}

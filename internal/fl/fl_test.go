@@ -137,12 +137,18 @@ func TestApplyUpdateSynchronizesReceiver(t *testing.T) {
 	}
 	// Lossless sync: every feature the sender's encoder makes decodes on
 	// the receiver as on the sender.
+	sc := mat.GetScratch()
+	defer mat.PutScratch(sc)
 	feat := make([]float64, sender.FeatureDim())
+	var a, b [1]int
 	for _, ex := range buf.Examples() {
 		sender.EncodeSurfaceID(ex.SurfaceID, feat)
-		if a, b := sender.DecodeFeature(feat), receiver.DecodeFeature(feat); a != b {
-			t.Fatalf("surface %d: sender decodes %d, receiver %d", ex.SurfaceID, a, b)
+		sender.DecodeFeaturesInto(sc, sc.Wrap(1, len(feat), feat), a[:])
+		receiver.DecodeFeaturesInto(sc, sc.Wrap(1, len(feat), feat), b[:])
+		if a != b {
+			t.Fatalf("surface %d: sender decodes %d, receiver %d", ex.SurfaceID, a[0], b[0])
 		}
+		sc.Reset()
 	}
 }
 

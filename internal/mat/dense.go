@@ -64,58 +64,6 @@ func (m *Dense) GlorotInit(rng *RNG, fanIn, fanOut int) {
 	m.Randomize(rng, limit)
 }
 
-// MulVec computes dst = m * x where x has length Cols and dst has length
-// Rows. dst must not alias x. It panics on length mismatches.
-func (m *Dense) MulVec(dst, x []float64) {
-	if len(x) != m.Cols || len(dst) != m.Rows {
-		panic("mat: MulVec length mismatch")
-	}
-	for i := range dst {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		s := 0.0
-		for j, w := range row {
-			s += w * x[j]
-		}
-		dst[i] = s
-	}
-}
-
-// MulVecT computes dst = mᵀ * x where x has length Rows and dst has length
-// Cols. dst must not alias x. It panics on length mismatches.
-func (m *Dense) MulVecT(dst, x []float64) {
-	if len(x) != m.Rows || len(dst) != m.Cols {
-		panic("mat: MulVecT length mismatch")
-	}
-	Zero(dst)
-	for i, xi := range x {
-		if xi == 0 {
-			continue
-		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, w := range row {
-			dst[j] += w * xi
-		}
-	}
-}
-
-// AddOuter accumulates m += a * x * yᵀ, where x has length Rows and y has
-// length Cols. It panics on length mismatches.
-func (m *Dense) AddOuter(a float64, x, y []float64) {
-	if len(x) != m.Rows || len(y) != m.Cols {
-		panic("mat: AddOuter length mismatch")
-	}
-	for i, xi := range x {
-		axi := a * xi
-		if axi == 0 {
-			continue
-		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, yj := range y {
-			row[j] += axi * yj
-		}
-	}
-}
-
 const denseMagic = uint32(0x4d415431) // "MAT1"
 
 // denseHeaderBytes is the size of a serialized matrix's header: magic,

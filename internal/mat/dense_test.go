@@ -32,33 +32,36 @@ func TestDensePanicsOnBadDims(t *testing.T) {
 	NewDense(0, 3)
 }
 
+// TestMulVec: m·x as a one-row MulMatT.
 func TestMulVec(t *testing.T) {
 	m := NewDense(2, 3)
 	copy(m.Data, []float64{1, 2, 3, 4, 5, 6})
 	dst := make([]float64, 2)
-	m.MulVec(dst, []float64{1, 1, 1})
+	MulMatT(rowOf(dst), rowOf([]float64{1, 1, 1}), m)
 	if dst[0] != 6 || dst[1] != 15 {
-		t.Fatalf("MulVec = %v", dst)
+		t.Fatalf("m·x = %v", dst)
 	}
 }
 
+// TestMulVecT: mᵀ·x as a one-row MulMat.
 func TestMulVecT(t *testing.T) {
 	m := NewDense(2, 3)
 	copy(m.Data, []float64{1, 2, 3, 4, 5, 6})
 	dst := make([]float64, 3)
-	m.MulVecT(dst, []float64{1, 1})
+	MulMat(rowOf(dst), rowOf([]float64{1, 1}), m)
 	if dst[0] != 5 || dst[1] != 7 || dst[2] != 9 {
-		t.Fatalf("MulVecT = %v", dst)
+		t.Fatalf("mᵀ·x = %v", dst)
 	}
 }
 
+// TestAddOuter: m += a·x·yᵀ as a one-row AddOuterBatch.
 func TestAddOuter(t *testing.T) {
 	m := NewDense(2, 2)
-	m.AddOuter(2, []float64{1, 2}, []float64{3, 4})
+	AddOuterBatch(m, 2, rowOf([]float64{1, 2}), rowOf([]float64{3, 4}))
 	want := []float64{6, 8, 12, 16}
 	for i, v := range want {
 		if m.Data[i] != v {
-			t.Fatalf("AddOuter data = %v, want %v", m.Data, want)
+			t.Fatalf("outer product data = %v, want %v", m.Data, want)
 		}
 	}
 }
@@ -200,8 +203,9 @@ func allocatedBytes(fn func()) uint64 {
 	return (after.TotalAlloc - before.TotalAlloc) / runs
 }
 
-// Property: (Mᵀ)ᵀ x == M x is trivially true, but MulVec and MulVecT must be
-// consistent adjoints: <Mx, y> == <x, Mᵀy>.
+// Property: (Mᵀ)ᵀ x == M x is trivially true, but the one-row GEMMs for M x
+// (MulMatT) and Mᵀ y (MulMat) must be consistent adjoints:
+// <Mx, y> == <x, Mᵀy>.
 func TestMulVecAdjointQuick(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := NewRNG(seed)
@@ -216,9 +220,9 @@ func TestMulVecAdjointQuick(t *testing.T) {
 			y[i] = rng.NormFloat64()
 		}
 		mx := make([]float64, 4)
-		m.MulVec(mx, x)
+		MulMatT(rowOf(mx), rowOf(x), m)
 		mty := make([]float64, 6)
-		m.MulVecT(mty, y)
+		MulMat(rowOf(mty), rowOf(y), m)
 		return almostEqual(Dot(mx, y), Dot(x, mty), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -1,9 +1,10 @@
 package mat
 
-// This file implements the blocked matrix-matrix kernels the batched codec
-// paths run on. Every kernel keeps the EXACT serial accumulation order for
-// each individual output element, so results are bit-identical to the
-// per-vector kernels (MulVec, MulVecT, AddOuter) applied row by row.
+// This file implements the blocked matrix-matrix kernels every layer runs
+// on; a single example is a one-row matrix. Every kernel keeps the EXACT
+// serial accumulation order for each individual output element, so results
+// are bit-identical to the plain matrix-vector loops (dst = m·x, dst = mᵀ·x,
+// m += a·x·yᵀ) applied row by row, which the tests keep as their oracle.
 // Throughput comes not from reordering floating-point sums (which would
 // change bits) but from interleaving several independent output elements'
 // accumulation chains in the inner loop, hiding FP-add latency that a
@@ -12,9 +13,9 @@ package mat
 // MulMatT computes dst = a * bᵀ, where a is m x k, b is n x k and dst is
 // m x n: the batched forward kernel of a Linear layer (rows of a are
 // inputs, rows of b are weight rows). Each dst element is the serial dot
-// product of one a-row and one b-row — the same accumulation order as
-// MulVec — so results are bit-identical to the per-vector path. dst must
-// not alias a or b. It panics on shape mismatches.
+// product of one a-row and one b-row in ascending order — the order of
+// the plain matrix-vector loop b·x — so results do not depend on how many
+// rows a has. dst must not alias a or b. It panics on shape mismatches.
 func MulMatT(dst, a, b *Dense) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic("mat: MulMatT shape mismatch")
@@ -120,9 +121,9 @@ func gemmTRows(dst, a, b *Dense, bias []float64, i0, rows int) {
 // MulMat computes dst = a * b, where a is m x k, b is k x n and dst is
 // m x n: the batched input-gradient kernel (dst rows are per-example
 // gradients, b is the weight matrix). Each dst element accumulates b-rows
-// in ascending order and skips zero a-elements, exactly like MulVecT, so
-// results are bit-identical to the per-vector path. dst must not alias a
-// or b. It panics on shape mismatches.
+// in ascending order and skips zero a-elements, exactly like the plain
+// bᵀ·x loop, so results do not depend on how many rows a has. dst must not
+// alias a or b. It panics on shape mismatches.
 func MulMat(dst, a, b *Dense) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic("mat: MulMat shape mismatch")
@@ -133,8 +134,9 @@ func MulMat(dst, a, b *Dense) {
 // mulMatRange computes rows lo..hi of dst = a * b in AXPY form: out += ap *
 // b-row. The adds across one output row are independent, so the plain loop
 // already has instruction-level parallelism; the per-element order over p
-// (ascending, zeros skipped) matches MulVecT — and f64AxpyRows, which
-// runs the same sum with the output row held in registers.
+// (ascending, zeros skipped) matches the plain bᵀ·x loop — and
+// f64AxpyRows, which runs the same sum with the output row held in
+// registers.
 func mulMatRange(dst, a, b *Dense, lo, hi int) {
 	k := a.Cols
 	n := b.Cols
@@ -159,11 +161,11 @@ func mulMatRange(dst, a, b *Dense, lo, hi int) {
 }
 
 // AddOuterBatch accumulates m += a * xᵀ * y, where x is t x Rows and y is
-// t x Cols: the batched weight-gradient kernel, equivalent to calling
-// m.AddOuter(a, x.Row(i), y.Row(i)) for every row i in order. Each m
+// t x Cols: the batched weight-gradient kernel, equivalent to adding the
+// outer product a·x.Row(i)·y.Row(i)ᵀ for every row i in order. Each m
 // element accumulates examples in ascending row order and skips zero
-// coefficients, exactly like the per-vector AddOuter loop, so results are
-// bit-identical to it. It panics on shape mismatches.
+// coefficients, exactly like that per-example outer-product loop, so
+// results are bit-identical to it. It panics on shape mismatches.
 func AddOuterBatch(m *Dense, a float64, x, y *Dense) {
 	if x.Rows != y.Rows || x.Cols != m.Rows || y.Cols != m.Cols {
 		panic("mat: AddOuterBatch shape mismatch")

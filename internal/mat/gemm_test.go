@@ -29,27 +29,27 @@ func fillDeterministic(d *Dense, seed uint64) {
 	}
 }
 
-// refMulMatT computes dst = a * bᵀ one row-pair dot at a time via MulVec on
-// single rows: the per-vector reference path.
+// refMulMatT computes dst = a * bᵀ one row at a time through the reference
+// matrix-vector loop serialMulVec.
 func refMulMatT(dst, a, b *Dense) {
 	row := make([]float64, b.Rows)
 	for i := 0; i < a.Rows; i++ {
-		b.MulVec(row, a.Row(i))
+		serialMulVec(b, row, a.Row(i))
 		copy(dst.Row(i), row)
 	}
 }
 
-// refMulMat computes dst = a * b via MulVecT per row.
+// refMulMat computes dst = a * b through serialMulVecT per row.
 func refMulMat(dst, a, b *Dense) {
 	row := make([]float64, b.Cols)
 	for i := 0; i < a.Rows; i++ {
-		b.MulVecT(row, a.Row(i))
+		serialMulVecT(b, row, a.Row(i))
 		copy(dst.Row(i), row)
 	}
 }
 
 // TestMulMatTMatchesMulVec asserts MulMatT is bit-identical to the
-// per-vector MulVec path.
+// reference matrix-vector loop (serialMulVec) applied row by row.
 func TestMulMatTMatchesMulVec(t *testing.T) {
 	for _, sh := range gemmShapes {
 		a := NewDense(sh.m, sh.k)
@@ -75,7 +75,8 @@ func requireSameGEMM(t *testing.T, m, k, n int, got, want *Dense) {
 }
 
 // TestMulMatMatchesMulVecT asserts MulMat is bit-identical to the
-// per-vector MulVecT path.
+// reference transposed matrix-vector loop (serialMulVecT) applied row by
+// row.
 func TestMulMatMatchesMulVecT(t *testing.T) {
 	for _, sh := range gemmShapes {
 		a := NewDense(sh.m, sh.k)
@@ -90,8 +91,8 @@ func TestMulMatMatchesMulVecT(t *testing.T) {
 	}
 }
 
-// TestAddOuterBatchMatchesAddOuter asserts AddOuterBatch equals per-row
-// AddOuter calls bitwise.
+// TestAddOuterBatchMatchesAddOuter asserts AddOuterBatch equals the
+// reference outer-product loop (serialAddOuter) run per row, bitwise.
 func TestAddOuterBatchMatchesAddOuter(t *testing.T) {
 	for _, sh := range gemmShapes {
 		x := NewDense(sh.k, sh.m) // k examples of dimension m
@@ -101,7 +102,7 @@ func TestAddOuterBatchMatchesAddOuter(t *testing.T) {
 		want := NewDense(sh.m, sh.n)
 		fillDeterministic(want, 7)
 		for i := 0; i < sh.k; i++ {
-			want.AddOuter(0.5, x.Row(i), y.Row(i))
+			serialAddOuter(want, 0.5, x.Row(i), y.Row(i))
 		}
 		got := NewDense(sh.m, sh.n)
 		fillDeterministic(got, 7)
@@ -110,8 +111,9 @@ func TestAddOuterBatchMatchesAddOuter(t *testing.T) {
 	}
 }
 
-// TestMulVecBlockedTail exercises the 4-row interleaved MulVec kernel on
-// row counts around the block width, against a scalar reference.
+// TestMulVecBlockedTail computes m·x as a one-row MulMatT, whose Go loop
+// fills four outputs at a time, on output counts around that block width,
+// against a scalar reference.
 func TestMulVecBlockedTail(t *testing.T) {
 	for rows := 1; rows <= 9; rows++ {
 		m := NewDense(rows, 13)
@@ -129,7 +131,7 @@ func TestMulVecBlockedTail(t *testing.T) {
 			want[i] = s
 		}
 		got := make([]float64, rows)
-		m.MulVec(got, x)
+		MulMatT(rowOf(got), rowOf(x), m)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("rows=%d: dst[%d] = %v, want %v", rows, i, got[i], want[i])

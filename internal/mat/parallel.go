@@ -8,9 +8,9 @@ import (
 
 // This file holds the repository's one fan-out: ForEach runs independent
 // jobs — a domain's pretraining, an experiment's trial — across a worker
-// budget. The codec kernels (gemm.go, the per-vector kernels) are serial:
-// a served daemon runs its requests in parallel across users, and the
-// codec's matrices are far too small for sharding them to pay.
+// budget. The codec kernels (gemm.go) are serial: a served daemon runs
+// its requests in parallel across users, and the codec's matrices are far
+// too small for sharding them to pay.
 
 var workers atomic.Int64
 

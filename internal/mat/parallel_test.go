@@ -17,6 +17,11 @@ func withParallelism(t *testing.T, n int, fn func()) {
 	fn()
 }
 
+// The three loops below are the per-vector kernels Dense.MulVec,
+// Dense.MulVecT and Dense.AddOuter, kept verbatim as the reference the
+// GEMMs are held to once those methods were deleted: a single example is a
+// one-row matrix on the GEMM path.
+
 // serialMulVec is the reference dst = m * x loop.
 func serialMulVec(m *Dense, dst, x []float64) {
 	for i := 0; i < m.Rows; i++ {
@@ -58,6 +63,9 @@ func serialAddOuter(m *Dense, a float64, x, y []float64) {
 		}
 	}
 }
+
+// rowOf wraps v as a one-row matrix sharing its storage.
+func rowOf(v []float64) *Dense { return &Dense{Rows: 1, Cols: len(v), Data: v} }
 
 // kernelShapes run from tiny to a few hundred thousand elements, including
 // skinny and wide aspect ratios and the 4-row block tails.
@@ -102,15 +110,17 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
-// TestParallelKernelsMatchSerial: the per-vector kernels (MulVec, MulVecT,
-// AddOuter) are bit-identical to their plain reference loops.
+// TestParallelKernelsMatchSerial: the GEMMs on one-row operands —
+// MulMatT as m·x, MulMat as mᵀ·x, AddOuterBatch as m += a·x·yᵀ — are
+// bit-identical to the plain reference loops, from 1×1 to a 40000-wide row
+// and a 40000-tall column.
 func TestParallelKernelsMatchSerial(t *testing.T) {
 	rng := NewRNG(42)
 	for _, sh := range kernelShapes {
 		m := NewDense(sh.rows, sh.cols)
 		m.Randomize(rng, 1)
-		xr := randomVec(rng, sh.rows) // length Rows: MulVecT input, AddOuter x
-		xc := randomVec(rng, sh.cols) // length Cols: MulVec input, AddOuter y
+		xr := randomVec(rng, sh.rows) // length Rows: mᵀ·x input, outer-product x
+		xc := randomVec(rng, sh.cols) // length Cols: m·x input, outer-product y
 
 		wantMV := make([]float64, sh.rows)
 		serialMulVec(m, wantMV, xc)
@@ -120,19 +130,19 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 		serialAddOuter(wantAO, 0.75, xr, xc)
 
 		got := make([]float64, sh.rows)
-		m.MulVec(got, xc)
+		MulMatT(rowOf(got), rowOf(xc), m)
 		if !bitsEqual(got, wantMV) {
-			t.Errorf("MulVec %dx%d differs from serial", sh.rows, sh.cols)
+			t.Errorf("one-row MulMatT %dx%d differs from serial m·x", sh.rows, sh.cols)
 		}
 		gotT := make([]float64, sh.cols)
-		m.MulVecT(gotT, xr)
+		MulMat(rowOf(gotT), rowOf(xr), m)
 		if !bitsEqual(gotT, wantMVT) {
-			t.Errorf("MulVecT %dx%d differs from serial", sh.rows, sh.cols)
+			t.Errorf("one-row MulMat %dx%d differs from serial mᵀ·x", sh.rows, sh.cols)
 		}
 		ao := m.Clone()
-		ao.AddOuter(0.75, xr, xc)
+		AddOuterBatch(ao, 0.75, rowOf(xr), rowOf(xc))
 		if !bitsEqual(ao.Data, wantAO.Data) {
-			t.Errorf("AddOuter %dx%d differs from serial", sh.rows, sh.cols)
+			t.Errorf("one-row AddOuterBatch %dx%d differs from serial outer product", sh.rows, sh.cols)
 		}
 	}
 }

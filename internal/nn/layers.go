@@ -43,25 +43,19 @@ func NewLinear(rng *mat.RNG, in, out int) *Linear {
 	return l
 }
 
-// Forward computes dst = W*x + b. dst must have length Out and must not
-// alias x.
-func (l *Linear) Forward(dst, x []float64) {
-	l.W.MulVec(dst, x)
-	mat.AddTo(dst, l.B.Row(0))
-}
-
 // ForwardBatch computes dst = x*Wᵀ + b for a batch: row i of dst is the
-// layer output for row i of x. It is bit-identical to calling Forward on
-// each row in order (each output element keeps the serial dot-product
-// accumulation order). dst must not alias x.
+// layer output W*x_i + b for row i of x, and a single example is a one-row
+// batch. Each output element keeps the serial dot-product accumulation
+// order, so a row's output does not depend on the rows beside it. dst must
+// not alias x.
 func (l *Linear) ForwardBatch(dst, x *mat.Dense) {
 	mat.MulMatTAddRow(dst, x, l.W, l.B.Row(0))
 }
 
 // BackwardBatch accumulates parameter gradients for a batch of examples and
-// computes per-example input gradients. It is bit-identical to calling
-// Backward on each (x, dy) row pair in ascending order: every gradient
-// element accumulates examples in exactly that order.
+// computes per-example input gradients. Every gradient element accumulates
+// the examples in ascending row order, so the result is bit-identical to
+// running the batch one one-row call at a time.
 //
 //	x      — batch inputs, one example per row
 //	dy     — batch output gradients, aligned with x
@@ -72,21 +66,6 @@ func (l *Linear) BackwardBatch(x, dy *mat.Dense, gW, gB *mat.Dense, dx *mat.Dens
 	mat.AddRowsTo(gB.Row(0), dy)
 	if dx != nil {
 		mat.MulMat(dx, dy, l.W)
-	}
-}
-
-// Backward accumulates parameter gradients for one example and computes the
-// gradient with respect to the input.
-//
-//	x      — the input that produced the forward pass
-//	dy     — gradient of the loss w.r.t. the layer output
-//	gW, gB — gradient accumulators shaped like W and B
-//	dx     — output buffer for the input gradient (may be nil to skip)
-func (l *Linear) Backward(x, dy []float64, gW, gB *mat.Dense, dx []float64) {
-	gW.AddOuter(1, dy, x)
-	mat.AddTo(gB.Row(0), dy)
-	if dx != nil {
-		l.W.MulVecT(dx, dy)
 	}
 }
 

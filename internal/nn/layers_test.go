@@ -15,10 +15,17 @@ func crossEntropy(logits []float64, target int) float64 {
 	return -math.Log(p[target])
 }
 
-// rowCE runs SoftmaxCrossEntropy on one example: a minibatch of one row.
-func rowCE(dLogits, logits []float64, target int) {
-	SoftmaxCrossEntropy(&mat.Dense{Rows: 1, Cols: len(dLogits), Data: dLogits},
-		&mat.Dense{Rows: 1, Cols: len(logits), Data: logits}, []int{target})
+// rowOf wraps v as a one-row batch sharing its storage.
+func rowOf(v []float64) *mat.Dense { return &mat.Dense{Rows: 1, Cols: len(v), Data: v} }
+
+// batchCE is the summed cross-entropy of every row of logits against its
+// target.
+func batchCE(logits *mat.Dense, targets []int) float64 {
+	total := 0.0
+	for i, target := range targets {
+		total += crossEntropy(logits.Row(i), target)
+	}
+	return total
 }
 
 // numericalGrad estimates d(loss)/d(param) by central differences.
@@ -33,29 +40,35 @@ func numericalGrad(param *float64, loss func() float64) float64 {
 	return (up - down) / (2 * h)
 }
 
-// TestLinearGradCheck verifies the analytic backward pass of Linear against
-// numerical differentiation through a softmax cross-entropy head.
+// TestLinearGradCheck verifies the batched backward pass of Linear against
+// numerical differentiation through a softmax cross-entropy head, on a
+// batch of three examples: gW and gB sum over the rows, and each row of dx
+// is that example's input gradient.
 func TestLinearGradCheck(t *testing.T) {
 	rng := mat.NewRNG(1)
 	l := NewLinear(rng, 4, 3)
-	x := []float64{0.3, -0.5, 0.9, 0.1}
-	target := 2
+	x := &mat.Dense{Rows: 3, Cols: 4, Data: []float64{
+		0.3, -0.5, 0.9, 0.1,
+		-0.8, 0.2, 0.4, -0.6,
+		0.7, 0.05, -0.3, 0.5,
+	}}
+	targets := []int{2, 0, 1}
 
 	loss := func() float64 {
-		y := make([]float64, 3)
-		l.Forward(y, x)
-		return crossEntropy(y, target)
+		y := mat.NewDense(3, 3)
+		l.ForwardBatch(y, x)
+		return batchCE(y, targets)
 	}
 
 	// Analytic gradients.
-	y := make([]float64, 3)
-	l.Forward(y, x)
-	dy := make([]float64, 3)
-	rowCE(dy, y, target)
+	y := mat.NewDense(3, 3)
+	l.ForwardBatch(y, x)
+	dy := mat.NewDense(3, 3)
+	SoftmaxCrossEntropy(dy, y, targets)
 	gW := mat.NewDense(3, 4)
 	gB := mat.NewDense(1, 3)
-	dx := make([]float64, 4)
-	l.Backward(x, dy, gW, gB, dx)
+	dx := mat.NewDense(3, 4)
+	l.BackwardBatch(x, dy, gW, gB, dx)
 
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 4; j++ {
@@ -71,10 +84,12 @@ func TestLinearGradCheck(t *testing.T) {
 			t.Errorf("dB[%d]: analytic %v numeric %v", j, gB.Data[j], num)
 		}
 	}
-	for j := 0; j < 4; j++ {
-		num := numericalGrad(&x[j], loss)
-		if math.Abs(num-dx[j]) > 1e-5 {
-			t.Errorf("dx[%d]: analytic %v numeric %v", j, dx[j], num)
+	for r := 0; r < 3; r++ {
+		for j := 0; j < 4; j++ {
+			num := numericalGrad(&x.Data[r*4+j], loss)
+			if math.Abs(num-dx.At(r, j)) > 1e-5 {
+				t.Errorf("dx[%d,%d]: analytic %v numeric %v", r, j, dx.At(r, j), num)
+			}
 		}
 	}
 }
@@ -84,35 +99,34 @@ func TestTanhGradCheck(t *testing.T) {
 	rng := mat.NewRNG(2)
 	l1 := NewLinear(rng, 3, 5)
 	l2 := NewLinear(rng, 5, 2)
-	x := []float64{0.2, -0.7, 0.4}
-	target := 1
+	x := rowOf([]float64{0.2, -0.7, 0.4})
+	targets := []int{1}
 
+	forward := func() (h, y *mat.Dense) {
+		h = mat.NewDense(1, 5)
+		l1.ForwardBatch(h, x)
+		TanhForward(h.Data, h.Data)
+		y = mat.NewDense(1, 2)
+		l2.ForwardBatch(y, h)
+		return h, y
+	}
 	loss := func() float64 {
-		h := make([]float64, 5)
-		l1.Forward(h, x)
-		TanhForward(h, h)
-		y := make([]float64, 2)
-		l2.Forward(y, h)
-		return crossEntropy(y, target)
+		_, y := forward()
+		return batchCE(y, targets)
 	}
 
-	// Forward.
-	h := make([]float64, 5)
-	l1.Forward(h, x)
-	TanhForward(h, h)
-	y := make([]float64, 2)
-	l2.Forward(y, h)
-	dy := make([]float64, 2)
-	rowCE(dy, y, target)
+	h, y := forward()
+	dy := mat.NewDense(1, 2)
+	SoftmaxCrossEntropy(dy, y, targets)
 	// Backward.
 	g2W := mat.NewDense(2, 5)
 	g2B := mat.NewDense(1, 2)
-	dh := make([]float64, 5)
-	l2.Backward(h, dy, g2W, g2B, dh)
-	TanhBackward(dh, h, dh)
+	dh := mat.NewDense(1, 5)
+	l2.BackwardBatch(h, dy, g2W, g2B, dh)
+	TanhBackward(dh.Data, h.Data, dh.Data)
 	g1W := mat.NewDense(5, 3)
 	g1B := mat.NewDense(1, 5)
-	l1.Backward(x, dh, g1W, g1B, nil)
+	l1.BackwardBatch(x, dh, g1W, g1B, nil)
 
 	for i := 0; i < 5; i++ {
 		for j := 0; j < 3; j++ {
@@ -130,24 +144,25 @@ func TestEmbeddingGradCheck(t *testing.T) {
 	emb := NewEmbedding(rng, 6, 4)
 	l := NewLinear(rng, 4, 3)
 	id := 2
-	target := 0
+	targets := []int{0}
+	x := rowOf(emb.Lookup(id)) // a view: perturbing the table moves x
 
 	loss := func() float64 {
-		y := make([]float64, 3)
-		l.Forward(y, emb.Lookup(id))
-		return crossEntropy(y, target)
+		y := mat.NewDense(1, 3)
+		l.ForwardBatch(y, x)
+		return batchCE(y, targets)
 	}
 
-	y := make([]float64, 3)
-	l.Forward(y, emb.Lookup(id))
-	dy := make([]float64, 3)
-	rowCE(dy, y, target)
+	y := mat.NewDense(1, 3)
+	l.ForwardBatch(y, x)
+	dy := mat.NewDense(1, 3)
+	SoftmaxCrossEntropy(dy, y, targets)
 	gW := mat.NewDense(3, 4)
 	gB := mat.NewDense(1, 3)
-	dEmb := make([]float64, 4)
-	l.Backward(emb.Lookup(id), dy, gW, gB, dEmb)
+	dEmb := mat.NewDense(1, 4)
+	l.BackwardBatch(x, dy, gW, gB, dEmb)
 	gTable := mat.NewDense(6, 4)
-	emb.AccumulateGrad(gTable, id, dEmb)
+	emb.AccumulateGrad(gTable, id, dEmb.Row(0))
 
 	for j := 0; j < 4; j++ {
 		num := numericalGrad(&emb.Table.Data[id*4+j], loss)
@@ -163,19 +178,6 @@ func TestEmbeddingGradCheck(t *testing.T) {
 		if mat.MaxAbs(gTable.Row(r)) != 0 {
 			t.Errorf("embedding row %d has nonzero gradient without lookup", r)
 		}
-	}
-}
-
-func TestMSE(t *testing.T) {
-	pred := []float64{1, 2}
-	target := []float64{0, 2}
-	d := make([]float64, 2)
-	loss := MSE(d, pred, target)
-	if loss != 0.5 {
-		t.Fatalf("MSE loss = %v, want 0.5", loss)
-	}
-	if d[0] != 1 || d[1] != 0 {
-		t.Fatalf("MSE grad = %v", d)
 	}
 }
 

@@ -24,18 +24,3 @@ func SoftmaxCrossEntropy(dLogits, logits *mat.Dense, targets []int) {
 		dLogits.Data[i*dLogits.Cols+t] -= 1
 	}
 }
-
-// MSE computes 0.5*||pred-target||^2 and writes the gradient (pred-target)
-// into dPred. dPred may alias pred.
-func MSE(dPred, pred, target []float64) float64 {
-	if len(pred) != len(target) || len(dPred) != len(pred) {
-		panic("nn: MSE length mismatch")
-	}
-	loss := 0.0
-	for i := range pred {
-		d := pred[i] - target[i]
-		loss += 0.5 * d * d
-		dPred[i] = d
-	}
-	return loss
-}

@@ -7,9 +7,9 @@ import (
 	"repro/internal/mat"
 )
 
-// toyProblem builds a 2-class linearly separable classification task and
-// returns (params, trainStep) where trainStep runs one full-batch update and
-// returns the mean loss.
+// toyProblem builds a 2-class linearly separable classification task of 40
+// examples, runs 201 full-batch updates through ForwardBatch /
+// BackwardBatch and returns the mean loss of the first and the last.
 func toyProblem(opt Optimizer) (loss0, lossN float64) {
 	rng := mat.NewRNG(7)
 	l := NewLinear(rng, 2, 2)
@@ -18,32 +18,26 @@ func toyProblem(opt Optimizer) (loss0, lossN float64) {
 	params.Add("B", l.B)
 	grads := params.ZeroClone()
 
-	type ex struct {
-		x []float64
-		y int
-	}
-	var data []ex
-	for i := 0; i < 40; i++ {
-		x := []float64{rng.NormFloat64(), rng.NormFloat64()}
-		y := 0
-		if x[0]+x[1] > 0 {
-			y = 1
+	const n = 40
+	x := mat.NewDense(n, 2)
+	targets := make([]int, n)
+	for i := range targets {
+		x.Set(i, 0, rng.NormFloat64())
+		x.Set(i, 1, rng.NormFloat64())
+		if x.At(i, 0)+x.At(i, 1) > 0 {
+			targets[i] = 1
 		}
-		data = append(data, ex{x, y})
 	}
 
+	y := mat.NewDense(n, 2)
+	dy := mat.NewDense(n, 2)
 	step := func() float64 {
-		total := 0.0
-		y := make([]float64, 2)
-		dy := make([]float64, 2)
-		for _, e := range data {
-			l.Forward(y, e.x)
-			total += crossEntropy(y, e.y)
-			rowCE(dy, y, e.y)
-			l.Backward(e.x, dy, grads.ByName("W"), grads.ByName("B"), nil)
-		}
-		opt.Step(params, grads, 1/float64(len(data)))
-		return total / float64(len(data))
+		l.ForwardBatch(y, x)
+		total := batchCE(y, targets)
+		SoftmaxCrossEntropy(dy, y, targets)
+		l.BackwardBatch(x, dy, grads.ByName("W"), grads.ByName("B"), nil)
+		opt.Step(params, grads, 1/float64(n))
+		return total / n
 	}
 
 	loss0 = step()

@@ -253,12 +253,15 @@ func (c *Codec) EncoderSizeBytes() int64 { return c.encoderParams().SizeBytes() 
 // DecoderSizeBytes returns the serialized size of the decoder tensors.
 func (c *Codec) DecoderSizeBytes() int64 { return c.decoderParams().SizeBytes() }
 
-// EncodeSurfaceID computes the feature vector for one local surface ID.
+// EncodeSurfaceID computes the feature vector for one local surface ID
+// through the encoder as a one-row batch, without the sender table: the
+// per-token reference the table (EncodeSurfaceIDsInto) is tested against.
 func (c *Codec) EncodeSurfaceID(id int, dst []float64) {
 	if len(dst) != c.cfg.FeatureDim {
 		panic("semantic: EncodeSurfaceID dst length mismatch")
 	}
-	c.enc.Forward(dst, c.embeddingRow(id))
+	x := c.embeddingRow(id)
+	c.enc.ForwardBatch(&mat.Dense{Rows: 1, Cols: len(dst), Data: dst}, &mat.Dense{Rows: 1, Cols: len(x), Data: x})
 	nn.TanhForward(dst, dst)
 }
 
@@ -293,22 +296,11 @@ func (c *Codec) EncodeWordsInto(sc *mat.Scratch, words []string) *mat.Dense {
 	return c.EncodeSurfaceIDsInto(sc, ids)
 }
 
-// DecodeFeature returns the most likely concept index for one feature
-// vector. Scratch comes from the package pool, so steady-state calls are
-// allocation-free.
-func (c *Codec) DecodeFeature(feat []float64) int {
-	sc := mat.GetScratch()
-	defer mat.PutScratch(sc)
-	var dst [1]int
-	c.DecodeFeaturesInto(sc, sc.Wrap(1, len(feat), feat), dst[:])
-	return dst[0]
-}
-
 // DecodeFeaturesInto decodes a feats.Rows x FeatureDim feature matrix into
 // concept indices written to dst (length feats.Rows): two batched GEMMs
 // (hidden, logits) and an argmax sweep, with all temporaries drawn from sc.
-// It is the zero-allocation batched decode used by the steady-state serving
-// path and is bit-identical to per-token DecodeFeature calls.
+// It is the zero-allocation decode of the steady-state serving path, and a
+// row's concept does not depend on the rows decoded beside it.
 func (c *Codec) DecodeFeaturesInto(sc *mat.Scratch, feats *mat.Dense, dst []int) {
 	if len(dst) != feats.Rows {
 		panic("semantic: DecodeFeaturesInto dst length mismatch")

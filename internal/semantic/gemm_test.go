@@ -167,9 +167,19 @@ func TestTrainEpochMatchesReference(t *testing.T) {
 	}
 }
 
+// decodeOne decodes one feature vector as a one-row batch: the per-token
+// decode the message-wide batches and the sender table are held to.
+func decodeOne(c *Codec, feat []float64) int {
+	sc := mat.GetScratch()
+	defer mat.PutScratch(sc)
+	var dst [1]int
+	c.DecodeFeaturesInto(sc, sc.Wrap(1, len(feat), feat), dst[:])
+	return dst[0]
+}
+
 // TestEncodeDecodeGEMMMatchesPerToken asserts the batched encode/decode
-// entry points are bit-identical to the per-token EncodeSurfaceID /
-// single-vector decode path.
+// entry points are bit-identical to the per-token path: EncodeSurfaceID
+// and a one-row decode per token.
 func TestEncodeDecodeGEMMMatchesPerToken(t *testing.T) {
 	corp, codec := sharedFixtures(t)
 	msgs := batchMessages(corp, 12)
@@ -186,7 +196,7 @@ func TestEncodeDecodeGEMMMatchesPerToken(t *testing.T) {
 		}
 		wantConcepts := make([]int, len(words))
 		for i, f := range wantFeats {
-			wantConcepts[i] = codec.DecodeFeature(f)
+			wantConcepts[i] = decodeOne(codec, f)
 		}
 
 		sc.Reset()
@@ -227,7 +237,7 @@ func TestEvaluateMatchesPerExample(t *testing.T) {
 	correct := 0
 	for _, ex := range examples {
 		codec.EncodeSurfaceID(ex.SurfaceID, feat)
-		if codec.DecodeFeature(feat) == ex.ConceptID {
+		if decodeOne(codec, feat) == ex.ConceptID {
 			correct++
 		}
 	}

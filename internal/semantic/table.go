@@ -38,7 +38,7 @@ import (
 type senderTable struct {
 	stamp    uint64
 	feats    *mat.Dense // vocab x FeatureDim: EncodeSurfaceID of each filled surface
-	concepts []int32    // DecodeFeature of each filled feats row
+	concepts []int32    // the decoder's concept for each filled feats row
 	// filled has one bit per surface, set — after the row and its concept
 	// are written — by fill, which mu serializes.
 	filled []atomic.Uint64

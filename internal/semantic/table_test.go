@@ -12,7 +12,7 @@ import (
 // requireTableMatchesKernels reads ids through the sender table — the
 // gathered feature rows and the decoder-copy concepts — and fails unless
 // every row equals per-token EncodeSurfaceID bit for bit and every concept
-// equals DecodeFeature of that row. Errors go through t.Errorf so worker
+// equals the one-row decode of that row. Errors go through t.Errorf so worker
 // goroutines may call it; it reports whether everything matched.
 func requireTableMatchesKernels(t *testing.T, sc *mat.Scratch, c *Codec, ids []int, what string) bool {
 	t.Helper()
@@ -33,8 +33,8 @@ func requireTableMatchesKernels(t *testing.T, sc *mat.Scratch, c *Codec, ids []i
 				return false
 			}
 		}
-		if ci := c.DecodeFeature(want); concepts[i] != ci {
-			t.Errorf("%s: id %d decoder-copies to %d from the table, DecodeFeature says %d", what, id, concepts[i], ci)
+		if ci := decodeOne(c, want); concepts[i] != ci {
+			t.Errorf("%s: id %d decoder-copies to %d from the table, the one-row decode says %d", what, id, concepts[i], ci)
 			return false
 		}
 	}

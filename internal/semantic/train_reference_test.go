@@ -11,14 +11,81 @@ import (
 // for bit: the pre-GEMM per-example loop and the dense optimizers and clip
 // as they were before gradients could be row-sparse. They share no code
 // with the paths they check beyond the mat kernels (which mat's own tests
-// hold to the pure-Go loops).
+// hold to the pure-Go loops): the per-example layer passes are the deleted
+// nn.Linear.Forward / Backward and the mat.Dense.MulVec / MulVecT /
+// AddOuter loops under them, kept below verbatim.
+
+// mulVecReference is mat.Dense.MulVec as it was: dst = m * x.
+func mulVecReference(m *mat.Dense, dst, x []float64) {
+	if len(x) != m.Cols || len(dst) != m.Rows {
+		panic("mat: MulVec length mismatch")
+	}
+	for i := range dst {
+		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+		s := 0.0
+		for j, w := range row {
+			s += w * x[j]
+		}
+		dst[i] = s
+	}
+}
+
+// mulVecTReference is mat.Dense.MulVecT as it was: dst = mᵀ * x.
+func mulVecTReference(m *mat.Dense, dst, x []float64) {
+	if len(x) != m.Rows || len(dst) != m.Cols {
+		panic("mat: MulVecT length mismatch")
+	}
+	mat.Zero(dst)
+	for i, xi := range x {
+		if xi == 0 {
+			continue
+		}
+		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+		for j, w := range row {
+			dst[j] += w * xi
+		}
+	}
+}
+
+// addOuterReference is mat.Dense.AddOuter as it was: m += a * x * yᵀ.
+func addOuterReference(m *mat.Dense, a float64, x, y []float64) {
+	if len(x) != m.Rows || len(y) != m.Cols {
+		panic("mat: AddOuter length mismatch")
+	}
+	for i, xi := range x {
+		axi := a * xi
+		if axi == 0 {
+			continue
+		}
+		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+		for j, yj := range y {
+			row[j] += axi * yj
+		}
+	}
+}
+
+// linearForwardReference is nn.Linear.Forward as it was: dst = W*x + b.
+func linearForwardReference(l *nn.Linear, dst, x []float64) {
+	mulVecReference(l.W, dst, x)
+	mat.AddTo(dst, l.B.Row(0))
+}
+
+// linearBackwardReference is nn.Linear.Backward as it was: gW += dy*xᵀ,
+// gB += dy and, when dx is non-nil, dx = Wᵀ*dy.
+func linearBackwardReference(l *nn.Linear, x, dy []float64, gW, gB *mat.Dense, dx []float64) {
+	addOuterReference(gW, 1, dy, x)
+	mat.AddTo(gB.Row(0), dy)
+	if dx != nil {
+		mulVecTReference(l.W, dx, dy)
+	}
+}
 
 // trainEpochReference is the pre-GEMM per-example training loop, preserved
 // as the bit-identity reference for the batched TrainEpoch: one example at
-// a time through Forward/Backward with fresh per-call scratch slices, a
-// dense gradient set, stepping the optimizer every 8 examples. It computes
-// no loss or accuracy (the cross-entropy is gradient-only); otherwise it is
-// the historical loop verbatim.
+// a time through the per-example layer passes above with fresh per-call
+// scratch slices, a dense gradient set, stepping the optimizer every 8
+// examples. It computes no loss or accuracy (the cross-entropy is
+// gradient-only); otherwise it is the historical loop verbatim.
 func trainEpochReference(c *Codec, examples []Example, opt nn.Optimizer, rng *mat.RNG, noiseStd float64) {
 	params := c.Params()
 	grads := params.ZeroClone()
@@ -50,7 +117,7 @@ func trainEpochReference(c *Codec, examples []Example, opt nn.Optimizer, rng *ma
 		ex := examples[oi]
 		// Forward: encoder.
 		x := c.emb.Lookup(ex.SurfaceID)
-		c.enc.Forward(pre, x)
+		linearForwardReference(c.enc, pre, x)
 		nn.TanhForward(feat, pre)
 		// Channel-noise injection (denoising training).
 		copy(noisy, feat)
@@ -60,18 +127,18 @@ func trainEpochReference(c *Codec, examples []Example, opt nn.Optimizer, rng *ma
 			}
 		}
 		// Forward: decoder.
-		c.dec.Forward(hPre, noisy)
+		linearForwardReference(c.dec, hPre, noisy)
 		nn.TanhForward(h, hPre)
-		c.out.Forward(logits, h)
+		linearForwardReference(c.out, logits, h)
 		mat.Softmax(dLogits, logits) // the cross-entropy gradient
 		dLogits[ex.ConceptID] -= 1
 		// Backward: decoder.
-		c.out.Backward(h, dLogits, gOutW, gOutB, dH)
+		linearBackwardReference(c.out, h, dLogits, gOutW, gOutB, dH)
 		nn.TanhBackward(dH, h, dH)
-		c.dec.Backward(noisy, dH, gDecW, gDecB, dFeat)
+		linearBackwardReference(c.dec, noisy, dH, gDecW, gDecB, dFeat)
 		// Backward through the (noise-free) tanh feature into the encoder.
 		nn.TanhBackward(dFeat, feat, dFeat)
-		c.enc.Backward(x, dFeat, gEncW, gEncB, dEmb)
+		linearBackwardReference(c.enc, x, dFeat, gEncW, gEncB, dEmb)
 		c.emb.AccumulateGrad(gEmb, ex.SurfaceID, dEmb)
 
 		inBatch++
