@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"log"
+	"math"
 	"os"
 	"os/exec"
 	"runtime"
@@ -87,7 +88,7 @@ func parseMix(corp *corpus.Corpus, mix string) ([]float64, error) {
 		w := 1.0
 		if hasW {
 			var err error
-			if w, err = strconv.ParseFloat(wstr, 64); err != nil || w < 0 {
+			if w, err = strconv.ParseFloat(wstr, 64); err != nil || math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
 				return nil, fmt.Errorf("bad mix weight %q", part)
 			}
 		}
@@ -103,6 +104,9 @@ func parseMix(corp *corpus.Corpus, mix string) ([]float64, error) {
 	}
 	if total == 0 {
 		return nil, fmt.Errorf("mix %q has zero total weight", mix)
+	}
+	if math.IsInf(total, 0) {
+		return nil, fmt.Errorf("mix %q overflows its total weight", mix)
 	}
 	return weights, nil
 }

@@ -138,3 +138,22 @@ func TestUserLoopFailsWhenRedialFails(t *testing.T) {
 		t.Fatalf("timed out %d requests, want 1", timedOut)
 	}
 }
+
+// TestParseMixRefusesNonFiniteWeights: strconv.ParseFloat reads "NaN",
+// "Inf" and "+Inf", and such a weight, or finite ones whose sum overflows,
+// would send every draw of pickDomain to the last domain.
+func TestParseMixRefusesNonFiniteWeights(t *testing.T) {
+	corp := corpus.Build()
+	for _, mix := range []string{"it:NaN", "it:Inf", "it:1,medical:+Inf", "it:-Inf", "it:-1", "it:1e308,medical:1e308"} {
+		if w, err := parseMix(corp, mix); err == nil {
+			t.Errorf("parseMix(%q) = %v, want an error", mix, w)
+		}
+	}
+	w, err := parseMix(corp, "it:3, medical")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w[corp.Domain("it").Index] != 3 || w[corp.Domain("medical").Index] != 1 {
+		t.Fatalf("parseMix(\"it:3, medical\") = %v", w)
+	}
+}

@@ -239,13 +239,6 @@ func (c *Cache) Stats() Stats {
 	return c.stats
 }
 
-// ResetStats zeroes the counters (capacity and contents are unchanged).
-func (c *Cache) ResetStats() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stats = Stats{}
-}
-
 // KeysWhere returns the cached keys satisfying pred, in no particular
 // order. pred runs under the cache lock and must not call back into the
 // cache.

@@ -295,18 +295,6 @@ func TestUsedNeverExceedsCapacity(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	c, err := New(capacityFor(t, 2), NewLRU())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Get(kb.Key{Domain: "x", Role: kb.RoleCodec})
-	c.ResetStats()
-	if s := c.Stats(); s.Misses != 0 {
-		t.Fatalf("stats after reset = %+v", s)
-	}
-}
-
 func TestNewPolicyByName(t *testing.T) {
 	for _, name := range []string{"lru", "fifo", "lfu", "gdsf"} {
 		p, ok := NewPolicy(name)

@@ -16,26 +16,6 @@ func randomBits(rng *mat.RNG, n int) []bool {
 	return out
 }
 
-func TestPackUnpackRoundTrip(t *testing.T) {
-	rng := mat.NewRNG(1)
-	for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 100} {
-		bits := randomBits(rng, n)
-		got := UnpackBits(PackBits(bits), n)
-		if BitErrors(bits, got) != 0 {
-			t.Fatalf("pack/unpack round trip failed for n=%d", n)
-		}
-	}
-}
-
-func TestUnpackPanicsOnOverrun(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	UnpackBits([]byte{0xff}, 9)
-}
-
 func TestBitErrors(t *testing.T) {
 	a := []bool{true, false, true}
 	b := []bool{true, true, true}
@@ -47,24 +27,6 @@ func TestBitErrors(t *testing.T) {
 	}
 	if BitErrors(nil, nil) != 0 {
 		t.Fatal("empty comparison should be 0")
-	}
-}
-
-func TestCRC16KnownVector(t *testing.T) {
-	// CRC-16/CCITT-FALSE of "123456789" is 0x29B1.
-	bits := BytesToBits([]byte("123456789"))
-	if got := CRC16(bits); got != 0x29B1 {
-		t.Fatalf("CRC16 = %#x, want 0x29B1", got)
-	}
-}
-
-func TestCRCDetectsChange(t *testing.T) {
-	rng := mat.NewRNG(2)
-	bits := randomBits(rng, 128)
-	orig := CRC16(bits)
-	bits[17] = !bits[17]
-	if CRC16(bits) == orig {
-		t.Fatal("single bit flip not detected")
 	}
 }
 
@@ -103,20 +65,6 @@ func TestQuantizerBitsBounds(t *testing.T) {
 	Quantizer{Bits: 0, Lo: 0, Hi: 1}.Encode([]float64{0.5})
 }
 
-func TestCodesRoundTripClean(t *testing.T) {
-	rng := mat.NewRNG(4)
-	for _, code := range []Code{Identity{}, Repetition{N: 3}, Repetition{N: 5}, Hamming74{}} {
-		bits := randomBits(rng, 64)
-		decoded := code.DecodeTo(nil, code.EncodeTo(nil, bits))
-		if len(decoded) < len(bits) {
-			t.Fatalf("%T: decoded shorter than input", code)
-		}
-		if BitErrors(bits, decoded[:len(bits)]) != 0 {
-			t.Fatalf("%T: clean round trip corrupted bits", code)
-		}
-	}
-}
-
 func TestHamming74CorrectsSingleErrors(t *testing.T) {
 	rng := mat.NewRNG(5)
 	code := Hamming74{}
@@ -130,18 +78,6 @@ func TestHamming74CorrectsSingleErrors(t *testing.T) {
 	decoded := code.DecodeTo(nil, coded)
 	if BitErrors(bits, decoded[:len(bits)]) != 0 {
 		t.Fatal("Hamming74 failed to correct single errors per block")
-	}
-}
-
-func TestRepetitionCorrectsMinorityErrors(t *testing.T) {
-	code := Repetition{N: 3}
-	bits := []bool{true, false, true, true}
-	coded := code.EncodeTo(nil, bits)
-	coded[0] = !coded[0] // one of three copies
-	coded[5] = !coded[5]
-	decoded := code.DecodeTo(nil, coded)
-	if BitErrors(bits, decoded) != 0 {
-		t.Fatal("rep3 failed to correct single flips")
 	}
 }
 
@@ -196,64 +132,6 @@ func TestAWGNTheoreticalBER(t *testing.T) {
 	}
 }
 
-func TestRayleighWorseThanAWGN(t *testing.T) {
-	rng := mat.NewRNG(10)
-	bits := randomBits(rng, 30000)
-	berA := bpskBER(&AWGN{SNRdB: 8, Rng: rng.Split()}, bits)
-	berR := bpskBER(&Rayleigh{SNRdB: 8, Rng: rng.Split()}, bits)
-	if berR <= berA {
-		t.Fatalf("Rayleigh BER %v should exceed AWGN BER %v at equal SNR", berR, berA)
-	}
-}
-
-// TestRayleighDegradesVsAWGN is the same claim one layer up, on the link
-// every system crosses: at 6 dB, features sent through DefaultFeatureLink
-// arrive further from what was sent over Rayleigh fading than over AWGN,
-// Hamming(7,4) included.
-func TestRayleighDegradesVsAWGN(t *testing.T) {
-	rng := mat.NewRNG(71)
-	flat := make([]float64, 80*8*8) // 80 messages of 8 tokens x 8 dims
-	for i := range flat {
-		flat[i] = 2*rng.Float64() - 1
-	}
-	mse := func(ch Channel) float64 {
-		rx := make([]float64, len(flat))
-		DefaultFeatureLink(ch).SendFlatScratch(nil, rx, flat)
-		sum := 0.0
-		for i := range flat {
-			sum += (rx[i] - flat[i]) * (rx[i] - flat[i])
-		}
-		return sum / float64(len(flat))
-	}
-	a := mse(&AWGN{SNRdB: 6, Rng: rng.Split()})
-	r := mse(&Rayleigh{SNRdB: 6, Rng: rng.Split()})
-	// Quantization alone costs both links 0.027; AWGN adds next to nothing
-	// behind the code, fading about as much again.
-	if r <= 1.5*a {
-		t.Fatalf("feature MSE over Rayleigh (%v) should be well above AWGN (%v) at 6 dB", r, a)
-	}
-}
-
-func TestErasureRate(t *testing.T) {
-	rng := mat.NewRNG(11)
-	ch := &Erasure{P: 0.2, Rng: rng.Split()}
-	symbols := make([]complex128, 10000)
-	for i := range symbols {
-		symbols[i] = complex(1, 0)
-	}
-	rx := ch.TransmitTo(nil, symbols)
-	erased := 0
-	for _, s := range rx {
-		if s == 0 {
-			erased++
-		}
-	}
-	frac := float64(erased) / float64(len(rx))
-	if math.Abs(frac-0.2) > 0.03 {
-		t.Fatalf("erasure fraction %v, want ~0.2", frac)
-	}
-}
-
 func TestCleanChannelIdentity(t *testing.T) {
 	in := []complex128{1, complex(0, 1), complex(-0.5, 0.5)}
 	out := Clean{}.TransmitTo(nil, in)
@@ -304,21 +182,6 @@ func TestFeatureLinkNoisePerturbsGracefully(t *testing.T) {
 	}
 }
 
-func TestAnalogLinkCleanIsExact(t *testing.T) {
-	link := AnalogLink{Ch: Clean{}}
-	feats := []float64{0.3, -0.7, 0.1, 0.2}
-	rx := make([]float64, len(feats))
-	stats := link.SendFlatScratch(nil, rx, feats)
-	for i := range feats {
-		if rx[i] != feats[i] {
-			t.Fatal("analog clean transport should be exact")
-		}
-	}
-	if stats.Symbols != 2 {
-		t.Fatalf("symbols = %d, want 2 (two dims per symbol)", stats.Symbols)
-	}
-}
-
 // Property: Hamming(7,4) corrects any single-bit error in any block for
 // arbitrary payloads.
 func TestHammingQuick(t *testing.T) {
@@ -360,32 +223,13 @@ func TestQuantizerQuick(t *testing.T) {
 	}
 }
 
-// The bit helpers below serve only these tests (as the inverse of PackBits
-// and as the error count every round-trip assertion uses).
+// The bit helpers below serve only these tests.
 
 // bpskBER sends bits over ch as BPSK symbols and returns the share the
 // hard decision gets wrong.
 func bpskBER(ch Channel, bits []bool) float64 {
 	rx := BPSK{}.DemodulateTo(nil, ch.TransmitTo(nil, BPSK{}.ModulateTo(nil, bits)))
 	return float64(BitErrors(bits, rx)) / float64(len(bits))
-}
-
-// UnpackBits expands bytes into n bits, most significant bit first. It
-// panics if n exceeds the available bits.
-func UnpackBits(data []byte, n int) []bool {
-	if n > 8*len(data) {
-		panic("channel: UnpackBits length exceeds data")
-	}
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = data[i/8]&(1<<(7-uint(i%8))) != 0
-	}
-	return out
-}
-
-// BytesToBits converts a byte slice to its full bit representation.
-func BytesToBits(data []byte) []bool {
-	return UnpackBits(data, 8*len(data))
 }
 
 // BitErrors counts positions where a and b differ, comparing over the

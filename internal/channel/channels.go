@@ -93,102 +93,3 @@ func (c *AWGN) TransmitTo(dst, symbols []complex128) []complex128 {
 // sigma. TransmitTo and the fused hard-decision crossing (hard.go) both
 // evaluate it, so the two paths cannot drift apart by a rounding.
 func awgnComponent(x, sigma, n float64) float64 { return x + sigma*n }
-
-// Rayleigh models flat Rayleigh fading with AWGN and perfect channel state
-// information at the receiver: y = h*x + n, equalized as y/h.
-type Rayleigh struct {
-	// SNRdB is the average per-symbol signal-to-noise ratio in decibels.
-	SNRdB float64
-	// BlockLen is the number of symbols sharing one fading coefficient
-	// (coherence block); 0 means per-symbol fading.
-	BlockLen int
-	// Rng drives fading and noise; it must be non-nil.
-	Rng *mat.RNG
-
-	// sigma cache + block-draw buffer, as in AWGN.
-	sigmaFor float64
-	sigma    float64
-	sigmaOK  bool
-	noise    []float64
-}
-
-var _ Channel = (*Rayleigh)(nil)
-
-// noiseSigmaCached returns the per-component noise sigma, recomputing only
-// when SNRdB changed since the last call.
-func (c *Rayleigh) noiseSigmaCached() float64 {
-	if !c.sigmaOK || c.sigmaFor != c.SNRdB {
-		noisePower := math.Pow(10, -c.SNRdB/10)
-		c.sigma = math.Sqrt(noisePower / 2)
-		c.sigmaFor = c.SNRdB
-		c.sigmaOK = true
-	}
-	return c.sigma
-}
-
-// TransmitTo implements Channel. Per-symbol fading (the default) draws all
-// four deviates per symbol — h_re, h_im, n_re, n_im — as one block per
-// message, bit-identical to the scalar sequence; coherence blocks larger
-// than one keep the scalar draw pattern.
-func (c *Rayleigh) TransmitTo(dst, symbols []complex128) []complex128 {
-	sigma := c.noiseSigmaCached()
-	block := c.BlockLen
-	if block <= 0 {
-		block = 1
-	}
-	if block == 1 {
-		need := 4 * len(symbols)
-		if cap(c.noise) < need {
-			c.noise = make([]float64, need)
-		}
-		nz := c.noise[:need]
-		c.Rng.NormFloat64Block(nz)
-		for i, s := range symbols {
-			h := complex(nz[4*i]/math.Sqrt2, nz[4*i+1]/math.Sqrt2)
-			// Avoid pathological division in deep fades.
-			if abs := math.Hypot(real(h), imag(h)); abs < 1e-3 {
-				h = complex(1e-3, 0)
-			}
-			n := complex(sigma*nz[4*i+2], sigma*nz[4*i+3])
-			dst = append(dst, (h*s+n)/h)
-		}
-		return dst
-	}
-	var h complex128
-	for i, s := range symbols {
-		if i%block == 0 {
-			// h ~ CN(0,1): unit average power fade.
-			h = complex(c.Rng.NormFloat64()/math.Sqrt2, c.Rng.NormFloat64()/math.Sqrt2)
-			// Avoid pathological division in deep fades.
-			if abs := math.Hypot(real(h), imag(h)); abs < 1e-3 {
-				h = complex(1e-3, 0)
-			}
-		}
-		n := complex(sigma*c.Rng.NormFloat64(), sigma*c.Rng.NormFloat64())
-		dst = append(dst, (h*s+n)/h)
-	}
-	return dst
-}
-
-// Erasure zeroes each symbol independently with probability P, modeling
-// deep packet-level losses.
-type Erasure struct {
-	// P is the per-symbol erasure probability in [0,1].
-	P float64
-	// Rng drives erasures; it must be non-nil.
-	Rng *mat.RNG
-}
-
-var _ Channel = (*Erasure)(nil)
-
-// TransmitTo implements Channel.
-func (c *Erasure) TransmitTo(dst, symbols []complex128) []complex128 {
-	for _, s := range symbols {
-		if c.Rng.Float64() < c.P {
-			dst = append(dst, 0)
-		} else {
-			dst = append(dst, s)
-		}
-	}
-	return dst
-}

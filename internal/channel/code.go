@@ -10,63 +10,6 @@ type Code interface {
 	DecodeTo(dst, coded []bool) []bool
 }
 
-// Identity is the no-coding passthrough.
-type Identity struct{}
-
-var _ Code = Identity{}
-
-// EncodeTo implements Code.
-func (Identity) EncodeTo(dst, bits []bool) []bool {
-	return append(dst, bits...)
-}
-
-// DecodeTo implements Code.
-func (Identity) DecodeTo(dst, coded []bool) []bool {
-	return append(dst, coded...)
-}
-
-// Repetition repeats every bit N times and decodes by majority vote. N must
-// be odd and >= 3.
-type Repetition struct {
-	N int
-}
-
-var _ Code = Repetition{}
-
-func (r Repetition) n() int {
-	if r.N < 3 {
-		return 3
-	}
-	return r.N | 1 // force odd
-}
-
-// EncodeTo implements Code.
-func (r Repetition) EncodeTo(dst, bits []bool) []bool {
-	n := r.n()
-	for _, b := range bits {
-		for i := 0; i < n; i++ {
-			dst = append(dst, b)
-		}
-	}
-	return dst
-}
-
-// DecodeTo implements Code.
-func (r Repetition) DecodeTo(dst, coded []bool) []bool {
-	n := r.n()
-	count := len(coded) / n
-	for i := 0; i < count; i++ {
-		ones := 0
-		for j := 0; j < n; j++ {
-			if coded[i*n+j] {
-				ones++
-			}
-		}
-		dst = append(dst, ones*2 > n)
-	}
-	return dst
-}
-
 // Hamming74 is the classic (7,4) Hamming code: 4 information bits per
 // 7-bit codeword with single-error correction. Information streams are
 // zero-padded to a multiple of 4; callers track payload length.

@@ -205,8 +205,6 @@ func TestHardLinkSelection(t *testing.T) {
 	}{
 		{"default", DefaultFeatureLink(awgn()), true},
 		{"another modulation", FeatureLink{Quant: DefaultQuantizer(), Code: Hamming74{}, Mod: struct{ BPSK }{}, Ch: awgn()}, false},
-		{"identity", FeatureLink{Quant: DefaultQuantizer(), Code: Identity{}, Mod: BPSK{}, Ch: awgn()}, false},
-		{"rayleigh", DefaultFeatureLink(&Rayleigh{SNRdB: 6, Rng: mat.NewRNG(1)}), false},
 		{"clean", DefaultFeatureLink(Clean{}), false},
 		{"staged twin", FeatureLink{Quant: DefaultQuantizer(), Code: stagedHamming74{}, Mod: BPSK{}, Ch: awgn()}, false},
 	}

@@ -1,3 +1,10 @@
+// Package channel simulates the physical layer of the semantic
+// communication workflow: feature quantization, the Hamming(7,4) channel
+// code, BPSK modulation and the AWGN channel, each stage one append-style
+// call, and the fused hard-decision crossing of the one link every daemon
+// builds. The experiments' other codes and channels (and their traditional
+// bit-oriented pipeline) plug into the same Code, Modulation and Channel
+// interfaces, so comparisons see identical channel conditions.
 package channel
 
 // LinkStats reports the transport cost of one transmission.
@@ -78,42 +85,4 @@ func (l FeatureLink) SendFlatScratch(ts *TxScratch, dst, flat []float64) LinkSta
 		dst[i] = 0
 	}
 	return LinkStats{InfoBits: len(ts.info), CodedBits: len(ts.coded), Symbols: len(ts.symbols)}
-}
-
-// AnalogLink transmits features directly as symbol amplitudes (two feature
-// dimensions per complex symbol) with no quantization or coding — the
-// DeepSC-style analog transport used as an ablation.
-type AnalogLink struct {
-	Ch Channel
-}
-
-// SendFlatScratch transmits a flat feature buffer in analog form under
-// the contract of FeatureLink.SendFlatScratch. Payload accounting charges
-// what the default digital link would — one DefaultQuantizer code per
-// dimension — so analog and digital rows are comparable in the ablation
-// tables.
-func (l AnalogLink) SendFlatScratch(ts *TxScratch, dst, flat []float64) LinkStats {
-	if len(dst) != len(flat) {
-		panic("channel: SendFlatScratch buffer length mismatch")
-	}
-	if ts == nil {
-		ts = new(TxScratch)
-	}
-	ts.symbols = ts.symbols[:0]
-	for i := 0; i < len(flat); i += 2 {
-		im := 0.0
-		if i+1 < len(flat) {
-			im = flat[i+1]
-		}
-		ts.symbols = append(ts.symbols, complex(flat[i], im))
-	}
-	ts.received = l.Ch.TransmitTo(ts.received[:0], ts.symbols)
-	for i, r := range ts.received {
-		dst[2*i] = real(r)
-		if 2*i+1 < len(dst) {
-			dst[2*i+1] = imag(r)
-		}
-	}
-	bits := DefaultQuantizer().Bits * len(flat)
-	return LinkStats{InfoBits: bits, CodedBits: bits, Symbols: len(ts.symbols)}
 }

@@ -6,15 +6,15 @@ import (
 	"repro/internal/mat"
 )
 
-// scratchConfigs cover every code and channel, on the fused crossing
-// (config 0) and on the staged pipeline (the rest).
+// scratchConfigs are the default link on the fused crossing (config 0)
+// and links on the staged pipeline: a 4-bit quantizer over 0 dB AWGN
+// through stagedHamming74, which hardLink declines, and the default
+// quantizer over Clean.
 func scratchConfigs() []FeatureLink {
 	return []FeatureLink{
 		{Quant: DefaultQuantizer(), Code: Hamming74{}, Mod: BPSK{}, Ch: &AWGN{SNRdB: 6, Rng: mat.NewRNG(1)}},
-		{Quant: Quantizer{Bits: 4, Lo: -1, Hi: 1}, Code: Identity{}, Mod: BPSK{}, Ch: &AWGN{SNRdB: 0, Rng: mat.NewRNG(2)}},
-		{Quant: DefaultQuantizer(), Code: Repetition{N: 3}, Mod: BPSK{}, Ch: &Rayleigh{SNRdB: 10, Rng: mat.NewRNG(3)}},
+		{Quant: Quantizer{Bits: 4, Lo: -1, Hi: 1}, Code: stagedHamming74{}, Mod: BPSK{}, Ch: &AWGN{SNRdB: 0, Rng: mat.NewRNG(2)}},
 		{Quant: DefaultQuantizer(), Code: Hamming74{}, Mod: BPSK{}, Ch: Clean{}},
-		{Quant: DefaultQuantizer(), Code: Hamming74{}, Mod: BPSK{}, Ch: &Erasure{P: 0.2, Rng: mat.NewRNG(4)}},
 	}
 }
 

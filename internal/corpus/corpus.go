@@ -57,12 +57,6 @@ func (d *Domain) SurfaceIDsInto(dst []int, words []string) {
 // SurfaceID returns it) expresses, or -1 for the unknown surface.
 func (d *Domain) SurfaceConcept(id int) int { return d.surfaceConcept[id] }
 
-// ConceptOf returns the concept index expressed by word within this domain.
-func (d *Domain) ConceptOf(word string) (int, bool) {
-	ci := d.SurfaceConcept(d.SurfaceID(word))
-	return ci, ci >= 0
-}
-
 // Canonical returns the canonical surface of concept index ci.
 func (d *Domain) Canonical(ci int) string {
 	if ci < 0 || ci >= len(d.Concepts) {

@@ -24,8 +24,7 @@ func TestBuildInvariants(t *testing.T) {
 		// Every surface must map back to exactly the concept that owns it.
 		for ci := range d.Concepts {
 			for _, s := range d.Concepts[ci].Surfaces {
-				got, ok := d.ConceptOf(s)
-				if !ok || got != ci {
+				if got := d.SurfaceConcept(d.SurfaceID(s)); got != ci {
 					t.Errorf("%s: surface %q maps to concept %d, want %d", d.Name, s, got, ci)
 				}
 			}
@@ -54,7 +53,7 @@ func TestUnknownSurface(t *testing.T) {
 	if d.SurfaceID("zzzzz") != UnknownSurfaceID {
 		t.Error("unknown word should map to UnknownSurfaceID")
 	}
-	if _, ok := d.ConceptOf("zzzzz"); ok {
+	if d.SurfaceConcept(d.SurfaceID("zzzzz")) >= 0 {
 		t.Error("unknown word should have no concept")
 	}
 }
@@ -78,9 +77,9 @@ func TestPolysemyAcrossDomains(t *testing.T) {
 	}
 	for _, tc := range cases {
 		da, db := c.Domain(tc.domainA), c.Domain(tc.domainB)
-		ca, oka := da.ConceptOf(tc.word)
-		cb, okb := db.ConceptOf(tc.word)
-		if !oka || !okb {
+		ca := da.SurfaceConcept(da.SurfaceID(tc.word))
+		cb := db.SurfaceConcept(db.SurfaceID(tc.word))
+		if ca < 0 || cb < 0 {
 			t.Errorf("%q missing from %s or %s", tc.word, tc.domainA, tc.domainB)
 			continue
 		}
@@ -102,8 +101,8 @@ func TestBusExampleFromPaper(t *testing.T) {
 	c := Build()
 	it := c.Domain("it")
 	travel := c.Domain("travel")
-	ci, _ := it.ConceptOf("bus")
-	ct, _ := travel.ConceptOf("bus")
+	ci := it.SurfaceConcept(it.SurfaceID("bus"))
+	ct := travel.SurfaceConcept(travel.SurfaceID("bus"))
 	if it.Canonical(ci) != "interconnect" {
 		t.Errorf("it canonical for bus = %q, want interconnect", it.Canonical(ci))
 	}
@@ -139,8 +138,8 @@ func TestGeneratedMessagesWellFormed(t *testing.T) {
 				t.Fatal("words and concepts misaligned")
 			}
 			for j, w := range m.Words {
-				ci, ok := d.ConceptOf(w)
-				if !ok {
+				ci := d.SurfaceConcept(d.SurfaceID(w))
+				if ci < 0 {
 					t.Fatalf("generated word %q not in domain %s", w, d.Name)
 				}
 				if ci != m.ConceptIDs[j] {

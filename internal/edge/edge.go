@@ -145,9 +145,6 @@ func (s *Server) Name() string { return s.name }
 // CacheStats returns a snapshot of the model-cache counters.
 func (s *Server) CacheStats() cache.Stats { return s.cache.Stats() }
 
-// ResetCacheStats zeroes the cache counters.
-func (s *Server) ResetCacheStats() { s.cache.ResetStats() }
-
 // Cache exposes the underlying model cache for inspection.
 func (s *Server) Cache() *cache.Cache { return s.cache }
 

@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/baseline"
 	"repro/internal/channel"
 	"repro/internal/corpus"
 	"repro/internal/mat"
-	"repro/internal/metrics"
 	"repro/internal/semantic"
 )
 
@@ -103,9 +101,9 @@ func measureErasure(env *Env, codec *semantic.Codec, p float64, opts AblationOpt
 	d := codec.Domain()
 	rng := mat.NewRNG(opts.Seed + 991)
 	gen := corpus.NewGenerator(env.Corpus, rng.Split())
-	ch := &channel.Erasure{P: p, Rng: rng.Split()}
+	ch := &erasureChannel{p: p, rng: rng.Split()}
 	link := channel.DefaultFeatureLink(ch)
-	pipe := tradPipeline(env, ch)
+	pipe := newTradPipeline(env, ch)
 
 	sc := mat.GetScratch()
 	defer mat.PutScratch(sc)
@@ -116,7 +114,7 @@ func measureErasure(env *Env, codec *semantic.Codec, p float64, opts AblationOpt
 		decoded, _ := roundTrip(sc, &ts, codec, codec, link, m.Words)
 		row.SemanticAcc += semantic.ConceptAccuracy(decoded, m.ConceptIDs)
 
-		got, _, _ := pipe.Send(m.Text())
+		got, _, _ := pipe.send(m.Text())
 		concepts := conceptsOfText(d, got, len(m.ConceptIDs))
 		row.TraditionalAcc += semantic.ConceptAccuracy(concepts, m.ConceptIDs)
 	}
@@ -139,13 +137,13 @@ func measureTransport(env *Env, codec *semantic.Codec, name string, opts Ablatio
 	case "digital/hamming":
 		link = digital
 	case "digital/none":
-		digital.Code = channel.Identity{}
+		digital.Code = identityCode{}
 		link = digital
 	case "digital/rep3":
-		digital.Code = channel.Repetition{N: 3}
+		digital.Code = repetitionCode{n: 3}
 		link = digital
 	default: // analog
-		link = channel.AnalogLink{Ch: ch}
+		link = &analogLink{ch: ch}
 	}
 
 	sc := mat.GetScratch()
@@ -166,35 +164,25 @@ func measureTransport(env *Env, codec *semantic.Codec, name string, opts Ablatio
 	return row
 }
 
-// tradPipeline builds the traditional pipeline over ch.
-func tradPipeline(env *Env, ch channel.Channel) baseline.Pipeline {
-	return baseline.Pipeline{
-		Huff: env.Huffman,
-		Code: channel.Hamming74{},
-		Mod:  channel.BPSK{},
-		Ch:   ch,
-	}
-}
-
 // Tables renders all ablation studies.
-func (r *AblationResult) Tables() []*metrics.Table {
-	t1 := metrics.NewTable("Ablation 1: codec bottleneck width (6 dB AWGN)",
+func (r *AblationResult) Tables() []*table {
+	t1 := newTable("Ablation 1: codec bottleneck width (6 dB AWGN)",
 		"config", "similarity", "concept_acc", "bytes_per_msg")
 	for _, row := range r.FeatureDim {
-		t1.AddRow(row.Config, metrics.F(row.Similarity, 3), metrics.F(row.ConceptAcc, 3),
-			metrics.F(row.PayloadBytes, 1))
+		t1.addRow(row.Config, fixed(row.Similarity, 3), fixed(row.ConceptAcc, 3),
+			fixed(row.PayloadBytes, 1))
 	}
-	t2 := metrics.NewTable("Ablation 2: feature transport (6 dB AWGN)",
+	t2 := newTable("Ablation 2: feature transport (6 dB AWGN)",
 		"config", "similarity", "concept_acc", "bytes_per_msg")
 	for _, row := range r.Transport {
-		t2.AddRow(row.Config, metrics.F(row.Similarity, 3), metrics.F(row.ConceptAcc, 3),
-			metrics.F(row.PayloadBytes, 1))
+		t2.addRow(row.Config, fixed(row.Similarity, 3), fixed(row.ConceptAcc, 3),
+			fixed(row.PayloadBytes, 1))
 	}
-	t3 := metrics.NewTable("Ablation 3: symbol erasures (losses/congestion)",
+	t3 := newTable("Ablation 3: symbol erasures (losses/congestion)",
 		"erasure_p", "semantic_concept_acc", "traditional_concept_acc")
 	for _, row := range r.Erasure {
-		t3.AddRow(metrics.F(row.ErasureP, 2), metrics.F(row.SemanticAcc, 3),
-			metrics.F(row.TraditionalAcc, 3))
+		t3.addRow(fixed(row.ErasureP, 2), fixed(row.SemanticAcc, 3),
+			fixed(row.TraditionalAcc, 3))
 	}
-	return []*metrics.Table{t1, t2, t3}
+	return []*table{t1, t2, t3}
 }

@@ -4,7 +4,6 @@ import (
 	"repro/internal/channel"
 	"repro/internal/corpus"
 	"repro/internal/mat"
-	"repro/internal/metrics"
 	"repro/internal/semantic"
 	"repro/internal/text"
 )
@@ -96,12 +95,12 @@ func RunE1(env *Env, opts E1Options) (*E1Result, error) {
 		snr := opts.SNRs[pi]
 		var ch channel.Channel
 		if opts.Rayleigh {
-			ch = &channel.Rayleigh{SNRdB: snr, Rng: noiseRNGs[pi]}
+			ch = newRayleigh(snr, noiseRNGs[pi])
 		} else {
 			ch = &channel.AWGN{SNRdB: snr, Rng: noiseRNGs[pi]}
 		}
 		link := channel.DefaultFeatureLink(ch)
-		pipe := tradPipeline(env, ch)
+		pipe := newTradPipeline(env, ch)
 		sc := mat.GetScratch()
 		defer mat.PutScratch(sc)
 		var ts channel.TxScratch
@@ -119,7 +118,7 @@ func RunE1(env *Env, opts E1Options) (*E1Result, error) {
 
 				// Traditional pipeline: recover text, then meaning.
 				txt := m.Text()
-				got, _, tstats := pipe.Send(txt)
+				got, _, tstats := pipe.send(txt)
 				if got == txt {
 					pt.TradExactRate++
 				}
@@ -149,41 +148,37 @@ func conceptsOfText(d *corpus.Domain, s string, want int) []int {
 	tokens := text.Tokenize(s)
 	out := make([]int, 0, want)
 	for _, tok := range tokens {
-		if ci, ok := d.ConceptOf(tok); ok {
-			out = append(out, ci)
-		} else {
-			out = append(out, -1)
-		}
+		out = append(out, d.SurfaceConcept(d.SurfaceID(tok)))
 	}
 	return out
 }
 
 // FigureA renders the fidelity-versus-SNR series.
-func (r *E1Result) FigureA() *metrics.Table {
+func (r *E1Result) FigureA() *table {
 	name := "Figure A: meaning fidelity vs SNR (AWGN, BPSK, Hamming(7,4))"
 	if r.Rayleigh {
 		name = "Figure A': meaning fidelity vs SNR (Rayleigh, BPSK, Hamming(7,4))"
 	}
-	t := metrics.NewTable(name,
+	t := newTable(name,
 		"snr_db", "semantic_similarity", "semantic_concept_acc", "traditional_concept_acc", "traditional_exact")
 	for _, p := range r.Points {
-		t.AddRow(metrics.F(p.SNRdB, 0), metrics.F(p.SemSimilarity, 3),
-			metrics.F(p.SemConceptAcc, 3), metrics.F(p.TradConceptAcc, 3),
-			metrics.F(p.TradExactRate, 3))
+		t.addRow(fixed(p.SNRdB, 0), fixed(p.SemSimilarity, 3),
+			fixed(p.SemConceptAcc, 3), fixed(p.TradConceptAcc, 3),
+			fixed(p.TradExactRate, 3))
 	}
 	return t
 }
 
 // TableA renders the payload comparison at the highest-SNR point.
-func (r *E1Result) TableA() *metrics.Table {
-	t := metrics.NewTable("Table A: transmitted payload per message",
+func (r *E1Result) TableA() *table {
+	t := newTable("Table A: transmitted payload per message",
 		"pipeline", "bytes_per_message", "relative")
 	if len(r.Points) == 0 {
 		return t
 	}
 	last := r.Points[len(r.Points)-1]
-	t.AddRow("semantic", metrics.F(last.SemPayloadByte, 1), "1.00x")
+	t.addRow("semantic", fixed(last.SemPayloadByte, 1), "1.00x")
 	ratio := last.TradPayloadByte / last.SemPayloadByte
-	t.AddRow("traditional", metrics.F(last.TradPayloadByte, 1), metrics.F(ratio, 2)+"x")
+	t.addRow("traditional", fixed(last.TradPayloadByte, 1), fixed(ratio, 2)+"x")
 	return t
 }

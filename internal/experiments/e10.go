@@ -3,7 +3,6 @@ package experiments
 import (
 	"repro/internal/channel"
 	"repro/internal/mat"
-	"repro/internal/metrics"
 )
 
 // E10Options parameterizes the multimodal (continuous vector stream)
@@ -145,11 +144,11 @@ func RunE10(env *Env, opts E10Options) (*E10Result, error) {
 }
 
 // TableF renders the multimodal comparison.
-func (r *E10Result) TableF() *metrics.Table {
-	t := metrics.NewTable("Table F (extension): avatar pose streams — semantic vs raw transport (6 dB AWGN)",
+func (r *E10Result) TableF() *table {
+	t := newTable("Table F (extension): avatar pose streams — semantic vs raw transport (6 dB AWGN)",
 		"transport", "nmse", "bytes_per_pose")
 	for _, row := range r.Rows {
-		t.AddRow(row.Transport, metrics.F(row.NMSE, 4), metrics.F(row.BytesPerPose, 1))
+		t.addRow(row.Transport, fixed(row.NMSE, 4), fixed(row.BytesPerPose, 1))
 	}
 	return t
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/edged"
 	"repro/internal/mat"
 	"repro/internal/mesh"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/rpc"
 	"repro/internal/trace"
@@ -206,13 +205,13 @@ func RunE11(env *Env, opts E11Options) (*E11Result, error) {
 }
 
 // TableG renders the sweep: one row per combination.
-func (r *E11Result) TableG() *metrics.Table {
-	t := metrics.NewTable("Table G: cluster caching/handover trade-off (policy x nodes x mobility)",
+func (r *E11Result) TableG() *table {
+	t := newTable("Table G: cluster caching/handover trade-off (policy x nodes x mobility)",
 		"policy", "nodes", "mobility", "local_hit", "neighbor_share", "handovers", "migrated_kb", "fetch_ms")
 	for _, c := range r.Cells {
-		t.AddRow(c.Policy, fmt.Sprintf("%d", c.Nodes), metrics.F(c.MobilityRate, 2),
-			metrics.F(c.LocalHitRate, 3), metrics.F(c.NeighborShare, 3),
-			fmt.Sprintf("%d", c.Handovers), metrics.F(c.MigratedKB, 1), metrics.F(c.MeanFetchMs, 2))
+		t.addRow(c.Policy, fmt.Sprintf("%d", c.Nodes), fixed(c.MobilityRate, 2),
+			fixed(c.LocalHitRate, 3), fixed(c.NeighborShare, 3),
+			fmt.Sprintf("%d", c.Handovers), fixed(c.MigratedKB, 1), fixed(c.MeanFetchMs, 2))
 	}
 	return t
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/edge"
 	"repro/internal/kb"
 	"repro/internal/mat"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/trace"
 )
@@ -126,31 +125,31 @@ func RunE2(env *Env, opts E2Options) (*E2Result, error) {
 }
 
 // FigureB renders hit rate versus capacity, one column per policy.
-func (r *E2Result) FigureB() *metrics.Table {
+func (r *E2Result) FigureB() *table {
 	policies, capacities := r.axes()
-	t := metrics.NewTable("Figure B: model-cache hit rate vs capacity (Zipf domain popularity)",
+	t := newTable("Figure B: model-cache hit rate vs capacity (Zipf domain popularity)",
 		append([]string{"capacity_models"}, policies...)...)
 	for _, c := range capacities {
 		row := []string{fmt.Sprintf("%d", c)}
 		for _, p := range policies {
-			row = append(row, metrics.F(r.cell(p, c).HitRate, 3))
+			row = append(row, fixed(r.cell(p, c).HitRate, 3))
 		}
-		t.AddRow(row...)
+		t.addRow(row...)
 	}
 	return t
 }
 
 // LatencyTable renders mean model-acquisition latency versus capacity.
-func (r *E2Result) LatencyTable() *metrics.Table {
+func (r *E2Result) LatencyTable() *table {
 	policies, capacities := r.axes()
-	t := metrics.NewTable("Figure B (companion): mean model-fetch latency per request, ms",
+	t := newTable("Figure B (companion): mean model-fetch latency per request, ms",
 		append([]string{"capacity_models"}, policies...)...)
 	for _, c := range capacities {
 		row := []string{fmt.Sprintf("%d", c)}
 		for _, p := range policies {
-			row = append(row, metrics.F(r.cell(p, c).MeanFetchMs, 2))
+			row = append(row, fixed(r.cell(p, c).MeanFetchMs, 2))
 		}
-		t.AddRow(row...)
+		t.addRow(row...)
 	}
 	return t
 }

@@ -4,7 +4,6 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/fl"
 	"repro/internal/mat"
-	"repro/internal/metrics"
 	"repro/internal/semantic"
 )
 
@@ -135,14 +134,14 @@ func RunE3(env *Env, opts E3Options) (*E3Result, error) {
 }
 
 // FigureC renders the mismatch trajectory.
-func (r *E3Result) FigureC() *metrics.Table {
-	t := metrics.NewTable("Figure C: semantic mismatch vs communication round (idiolect users)",
+func (r *E3Result) FigureC() *table {
+	t := newTable("Figure C: semantic mismatch vs communication round (idiolect users)",
 		"round", "general_model", "individual_model", "updates_fired")
 	for _, row := range r.Rounds {
-		t.AddRow(metrics.F(float64(row.Round), 0),
-			metrics.F(row.GeneralMismatch, 4),
-			metrics.F(row.IndividualMismatch, 4),
-			metrics.F(float64(row.UpdatesFired), 0))
+		t.addRow(fixed(float64(row.Round), 0),
+			fixed(row.GeneralMismatch, 4),
+			fixed(row.IndividualMismatch, 4),
+			fixed(float64(row.UpdatesFired), 0))
 	}
 	return t
 }

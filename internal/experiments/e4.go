@@ -4,7 +4,6 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/fl"
 	"repro/internal/mat"
-	"repro/internal/metrics"
 )
 
 // E4Options parameterizes the decoder-copy traffic comparison.
@@ -142,15 +141,15 @@ func RunE4(env *Env, opts E4Options) (*E4Result, error) {
 }
 
 // TableB renders the traffic comparison.
-func (r *E4Result) TableB() *metrics.Table {
-	t := metrics.NewTable("Table B: mismatch-feedback and decoder-sync traffic (per user, per domain)",
+func (r *E4Result) TableB() *table {
+	t := newTable("Table B: mismatch-feedback and decoder-sync traffic (per user, per domain)",
 		"mechanism", "feedback_B_per_round", "sync_B_per_update", "total_B", "post_sync_accuracy")
 	for _, m := range r.Mechanisms {
-		t.AddRow(m.Name,
-			metrics.F(m.FeedbackBytesPerRound, 0),
-			metrics.F(m.SyncBytesPerUpdate, 0),
-			metrics.F(m.TotalBytes, 0),
-			metrics.F(m.PostAccuracy, 3))
+		t.addRow(m.Name,
+			fixed(m.FeedbackBytesPerRound, 0),
+			fixed(m.SyncBytesPerUpdate, 0),
+			fixed(m.TotalBytes, 0),
+			fixed(m.PostAccuracy, 3))
 	}
 	return t
 }

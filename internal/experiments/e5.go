@@ -4,7 +4,6 @@ import (
 	"math"
 	"repro/internal/core"
 	"repro/internal/mat"
-	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -111,15 +110,15 @@ func RunE5(env *Env, opts E5Options) (*E5Result, error) {
 }
 
 // FigureD renders the selection comparison.
-func (r *E5Result) FigureD() *metrics.Table {
-	t := metrics.NewTable("Figure D: model selection under topic drift (ambiguous short messages)",
+func (r *E5Result) FigureD() *table {
+	t := newTable("Figure D: model selection under topic drift (ambiguous short messages)",
 		"selector", "selection_acc", "word_acc", "similarity", "sender_mismatch")
 	for _, row := range r.Rows {
-		t.AddRow(row.Selector,
-			metrics.F(row.SelectionAccuracy, 3),
-			metrics.F(row.WordAccuracy, 3),
-			metrics.F(row.Similarity, 3),
-			metrics.F(row.Mismatch, 3))
+		t.addRow(row.Selector,
+			fixed(row.SelectionAccuracy, 3),
+			fixed(row.WordAccuracy, 3),
+			fixed(row.Similarity, 3),
+			fixed(row.Mismatch, 3))
 	}
 	return t
 }

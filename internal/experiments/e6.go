@@ -4,8 +4,8 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -90,9 +90,9 @@ func RunE6(env *Env, opts E6Options) (*E6Result, error) {
 			if _, err := sys.Receiver.Prefetch(sys.Corpus.Names()); err != nil {
 				return nil, err
 			}
-			sys.Sender.ResetCacheStats()
-			sys.Receiver.ResetCacheStats()
 		}
+		// The hit rate counts the trace alone, not the prefetch.
+		before := sys.Sender.CacheStats()
 		w := trace.Generate(sys.Corpus, trace.Config{
 			Users: 8, Messages: opts.Messages, MeanRunLength: 6, Seed: opts.Seed + 9,
 		})
@@ -100,30 +100,31 @@ func RunE6(env *Env, opts E6Options) (*E6Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		var lat metrics.Durations
+		var lat durations
 		for _, r := range results {
-			lat.Add(r.Latency)
+			lat.add(r.Latency)
 		}
+		after := sys.Sender.CacheStats()
 		res.Rows = append(res.Rows, E6Row{
 			Condition: cond.name,
-			P50:       lat.P(50),
-			P95:       lat.P(95),
-			P99:       lat.P(99),
-			Mean:      lat.Mean(),
-			HitRate:   sys.Sender.CacheStats().HitRate(),
+			P50:       lat.percentile(50),
+			P95:       lat.percentile(95),
+			P99:       lat.percentile(99),
+			Mean:      lat.mean(),
+			HitRate:   cache.Stats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses}.HitRate(),
 		})
 	}
 	return res, nil
 }
 
 // TableC renders the latency percentile comparison.
-func (r *E6Result) TableC() *metrics.Table {
-	t := metrics.NewTable("Table C: end-to-end message latency by model placement",
+func (r *E6Result) TableC() *table {
+	t := newTable("Table C: end-to-end message latency by model placement",
 		"condition", "p50_ms", "p95_ms", "p99_ms", "mean_ms", "sender_hit_rate")
-	ms := func(d time.Duration) string { return metrics.F(float64(d)/float64(time.Millisecond), 2) }
+	ms := func(d time.Duration) string { return fixed(float64(d)/float64(time.Millisecond), 2) }
 	for _, row := range r.Rows {
-		t.AddRow(row.Condition, ms(row.P50), ms(row.P95), ms(row.P99), ms(row.Mean),
-			metrics.F(row.HitRate, 3))
+		t.addRow(row.Condition, ms(row.P50), ms(row.P95), ms(row.P99), ms(row.Mean),
+			fixed(row.HitRate, 3))
 	}
 	return t
 }

@@ -6,7 +6,6 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/fl"
 	"repro/internal/mat"
-	"repro/internal/metrics"
 )
 
 // E7Options parameterizes the gradient-compression ablation.
@@ -116,17 +115,17 @@ func RunE7(env *Env, opts E7Options) (*E7Result, error) {
 }
 
 // FigureE renders the compression sweep.
-func (r *E7Result) FigureE() *metrics.Table {
-	t := metrics.NewTable("Figure E: decoder-update compression vs post-sync accuracy",
+func (r *E7Result) FigureE() *table {
+	t := newTable("Figure E: decoder-update compression vs post-sync accuracy",
 		"topk_frac", "int8", "bytes_per_sync", "sender_acc", "receiver_acc", "acc_loss")
 	for _, p := range r.Points {
-		t.AddRow(
-			metrics.F(p.TopKFrac, 2),
+		t.addRow(
+			fixed(p.TopKFrac, 2),
 			fmt.Sprintf("%v", p.Int8),
-			metrics.F(p.BytesPerSync, 0),
-			metrics.F(p.SenderAccuracy, 3),
-			metrics.F(p.ReceiverAccuracy, 3),
-			metrics.F(p.SenderAccuracy-p.ReceiverAccuracy, 3))
+			fixed(p.BytesPerSync, 0),
+			fixed(p.SenderAccuracy, 3),
+			fixed(p.ReceiverAccuracy, 3),
+			fixed(p.SenderAccuracy-p.ReceiverAccuracy, 3))
 	}
 	return t
 }

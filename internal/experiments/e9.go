@@ -3,7 +3,6 @@ package experiments
 import (
 	"repro/internal/corpus"
 	"repro/internal/mat"
-	"repro/internal/metrics"
 	"repro/internal/semantic"
 )
 
@@ -125,14 +124,14 @@ func RunE9(env *Env, opts E9Options) (*E9Result, error) {
 }
 
 // TableE renders the FedAvg comparison.
-func (r *E9Result) TableE() *metrics.Table {
-	t := metrics.NewTable("Table E (extension): FedAvg-improved general model, cold-start users",
+func (r *E9Result) TableE() *table {
+	t := newTable("Table E (extension): FedAvg-improved general model, cold-start users",
 		"model", "coldstart_acc", "coldstart_mismatch", "generic_acc")
 	for _, row := range r.Rows {
-		t.AddRow(row.Model,
-			metrics.F(row.ColdStartAcc, 3),
-			metrics.F(row.ColdStartMismatch, 3),
-			metrics.F(row.GenericAcc, 3))
+		t.addRow(row.Model,
+			fixed(row.ColdStartAcc, 3),
+			fixed(row.ColdStartMismatch, 3),
+			fixed(row.GenericAcc, 3))
 	}
 	return t
 }

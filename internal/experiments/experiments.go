@@ -9,7 +9,6 @@ package experiments
 import (
 	"sync"
 
-	"repro/internal/baseline"
 	"repro/internal/channel"
 	"repro/internal/corpus"
 	"repro/internal/fl"
@@ -22,7 +21,7 @@ import (
 type Env struct {
 	Corpus   *corpus.Corpus
 	Generals []*semantic.Codec
-	Huffman  *baseline.Huffman
+	huff     *huffman
 }
 
 var (
@@ -46,14 +45,14 @@ func Environment() *Env {
 		envInst = &Env{
 			Corpus:   corp,
 			Generals: generals,
-			Huffman:  baseline.Train(samples),
+			huff:     trainHuffman(samples),
 		}
 	})
 	return envInst
 }
 
 // transport carries a flat feature buffer across the physical layer: the
-// digital channel.FeatureLink or the analog ablation link.
+// digital channel.FeatureLink or the ablation's analogLink.
 type transport interface {
 	SendFlatScratch(ts *channel.TxScratch, dst, flat []float64) channel.LinkStats
 }

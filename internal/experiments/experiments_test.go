@@ -45,7 +45,7 @@ func TestE1Shapes(t *testing.T) {
 			high.SemPayloadByte, high.TradPayloadByte)
 	}
 	// Tables render.
-	if res.FigureA().NumRows() != 3 || res.TableA().NumRows() != 2 {
+	if len(res.FigureA().rows) != 3 || len(res.TableA().rows) != 2 {
 		t.Fatal("table shapes wrong")
 	}
 }
@@ -78,7 +78,7 @@ func TestE2Shapes(t *testing.T) {
 			t.Fatalf("%s: latency should shrink with capacity", p)
 		}
 	}
-	if res.FigureB().NumRows() != 3 || res.LatencyTable().NumRows() != 3 {
+	if len(res.FigureB().rows) != 3 || len(res.LatencyTable().rows) != 3 {
 		t.Fatal("table shapes wrong")
 	}
 }
@@ -112,7 +112,7 @@ func TestE3Shapes(t *testing.T) {
 	if updates == 0 {
 		t.Fatal("no updates fired")
 	}
-	if res.FigureC().NumRows() != 12 {
+	if len(res.FigureC().rows) != 12 {
 		t.Fatal("table shape wrong")
 	}
 }
@@ -142,7 +142,7 @@ func TestE4Shapes(t *testing.T) {
 	if res.Mechanisms[3].SyncBytesPerUpdate >= decoderCopy.SyncBytesPerUpdate {
 		t.Fatal("compressed sync not smaller than dense")
 	}
-	if res.TableB().NumRows() != 4 {
+	if len(res.TableB().rows) != 4 {
 		t.Fatal("table shape wrong")
 	}
 }
@@ -178,7 +178,7 @@ func TestE5Shapes(t *testing.T) {
 	if byName["oracle"].WordAccuracy <= byName["static"].WordAccuracy {
 		t.Fatal("oracle fidelity should beat static")
 	}
-	if res.FigureD().NumRows() != 4 {
+	if len(res.FigureD().rows) != 4 {
 		t.Fatal("table shape wrong")
 	}
 }
@@ -210,7 +210,7 @@ func TestE6Shapes(t *testing.T) {
 	if thrash.HitRate > 0.9 {
 		t.Fatalf("thrashing hit rate suspiciously high: %v", thrash.HitRate)
 	}
-	if res.TableC().NumRows() != 3 {
+	if len(res.TableC().rows) != 3 {
 		t.Fatal("table shape wrong")
 	}
 }
@@ -246,7 +246,7 @@ func TestE7Shapes(t *testing.T) {
 		t.Fatalf("dense sync should be lossless: %v vs %v",
 			dense.ReceiverAccuracy, dense.SenderAccuracy)
 	}
-	if res.FigureE().NumRows() != 4 {
+	if len(res.FigureE().rows) != 4 {
 		t.Fatal("table shape wrong")
 	}
 }

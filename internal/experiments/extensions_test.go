@@ -22,7 +22,7 @@ func TestE9Shapes(t *testing.T) {
 		t.Fatalf("FedAvg degraded generic traffic: %v -> %v",
 			stock.GenericAcc, fed.GenericAcc)
 	}
-	if res.TableE().NumRows() != 2 {
+	if len(res.TableE().rows) != 2 {
 		t.Fatal("table shape wrong")
 	}
 }
@@ -54,7 +54,7 @@ func TestE10Shapes(t *testing.T) {
 	if raw6.NMSE >= raw3.NMSE {
 		t.Fatalf("raw 6-bit (%v) should beat raw 3-bit (%v)", raw6.NMSE, raw3.NMSE)
 	}
-	if res.TableF().NumRows() != 3 {
+	if len(res.TableF().rows) != 3 {
 		t.Fatal("table shape wrong")
 	}
 }
@@ -169,7 +169,7 @@ func TestE11Shapes(t *testing.T) {
 			t.Fatalf("cell %d not deterministic: %+v != %+v", i, res.Cells[i], res2.Cells[i])
 		}
 	}
-	if res.TableG().NumRows() != 8 {
+	if len(res.TableG().rows) != 8 {
 		t.Fatal("table shape wrong")
 	}
 }

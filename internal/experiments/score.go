@@ -70,7 +70,7 @@ func score(sys *core.System, req trace.Request, res *core.Result) Scored {
 	// give back the decoded concepts exactly.
 	decoded := make([]int, len(res.RestoredWords))
 	for i, w := range res.RestoredWords {
-		decoded[i], _ = trueDomain.ConceptOf(w)
+		decoded[i] = trueDomain.SurfaceConcept(trueDomain.SurfaceID(w))
 	}
 	sc.Similarity = semantic.Similarity(sys.Generals[msg.DomainIndex], decoded, msg.ConceptIDs)
 	return sc

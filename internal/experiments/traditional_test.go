@@ -1,4 +1,4 @@
-package baseline
+package experiments
 
 import (
 	"strings"
@@ -11,7 +11,7 @@ import (
 )
 
 // trainedHuffman returns a Huffman coder trained on generated corpus text.
-func trainedHuffman(t *testing.T) (*Huffman, []string) {
+func trainedHuffman(t *testing.T) (*huffman, []string) {
 	t.Helper()
 	corp := corpus.Build()
 	gen := corpus.NewGenerator(corp, mat.NewRNG(1))
@@ -21,13 +21,13 @@ func trainedHuffman(t *testing.T) (*Huffman, []string) {
 			samples = append(samples, m.Text())
 		}
 	}
-	return Train(samples), samples
+	return trainHuffman(samples), samples
 }
 
 func TestHuffmanRoundTrip(t *testing.T) {
 	h, samples := trainedHuffman(t)
 	for _, s := range samples[:100] {
-		got := h.Decode(h.Encode(s))
+		got := h.decode(h.encode(s))
 		if got != s {
 			t.Fatalf("round trip failed: %q -> %q", s, got)
 		}
@@ -38,7 +38,7 @@ func TestHuffmanCompresses(t *testing.T) {
 	h, samples := trainedHuffman(t)
 	bits, bytes := 0, 0
 	for _, s := range samples {
-		bits += len(h.Encode(s))
+		bits += len(h.encode(s))
 		bytes += len(s)
 	}
 	mean := float64(bits) / float64(bytes)
@@ -77,9 +77,9 @@ func TestHuffmanPrefixFree(t *testing.T) {
 }
 
 func TestHuffmanSmoothedAlphabetAlwaysEncodable(t *testing.T) {
-	h := Train([]string{"aaa"}) // minimal training data
+	h := trainHuffman([]string{"aaa"}) // minimal training data
 	s := "the quick brown fox 0123456789"
-	if got := h.Decode(h.Encode(s)); got != s {
+	if got := h.decode(h.encode(s)); got != s {
 		t.Fatalf("smoothed alphabet round trip failed: %q", got)
 	}
 }
@@ -87,10 +87,10 @@ func TestHuffmanSmoothedAlphabetAlwaysEncodable(t *testing.T) {
 func TestHuffmanBitFlipCorruptsSuffix(t *testing.T) {
 	h, samples := trainedHuffman(t)
 	s := samples[0]
-	bits := h.Encode(s)
+	bits := h.encode(s)
 	// Flip an early bit: decoding desynchronizes and the text diverges.
 	bits[2] = !bits[2]
-	got := h.Decode(bits)
+	got := h.decode(bits)
 	if got == s {
 		t.Fatal("bit flip did not corrupt Huffman decoding")
 	}
@@ -98,8 +98,8 @@ func TestHuffmanBitFlipCorruptsSuffix(t *testing.T) {
 
 func TestHuffmanDeterministic(t *testing.T) {
 	_, samples := trainedHuffman(t)
-	h1 := Train(samples)
-	h2 := Train(samples)
+	h1 := trainHuffman(samples)
+	h2 := trainHuffman(samples)
 	for b := 0; b < 256; b++ {
 		if len(h1.codes[byte(b)]) != len(h2.codes[byte(b)]) {
 			t.Fatal("Huffman training not deterministic")
@@ -109,9 +109,9 @@ func TestHuffmanDeterministic(t *testing.T) {
 
 func TestPipelineCleanChannel(t *testing.T) {
 	h, samples := trainedHuffman(t)
-	p := Pipeline{Huff: h, Code: channel.Hamming74{}, Mod: channel.BPSK{}, Ch: channel.Clean{}}
+	p := tradPipeline{huff: h, code: channel.Hamming74{}, mod: channel.BPSK{}, ch: channel.Clean{}}
 	for _, s := range samples[:20] {
-		got, ok, stats := p.Send(s)
+		got, ok, stats := p.send(s)
 		if !ok {
 			t.Fatalf("clean channel CRC failed for %q", s)
 		}
@@ -127,15 +127,15 @@ func TestPipelineCleanChannel(t *testing.T) {
 func TestPipelineHighSNRMostlyClean(t *testing.T) {
 	h, samples := trainedHuffman(t)
 	rng := mat.NewRNG(33)
-	p := Pipeline{
-		Huff: h,
-		Code: channel.Hamming74{},
-		Mod:  channel.BPSK{},
-		Ch:   &channel.AWGN{SNRdB: 12, Rng: rng.Split()},
+	p := tradPipeline{
+		huff: h,
+		code: channel.Hamming74{},
+		mod:  channel.BPSK{},
+		ch:   &channel.AWGN{SNRdB: 12, Rng: rng.Split()},
 	}
 	okCount := 0
 	for _, s := range samples[:50] {
-		_, ok, _ := p.Send(s)
+		_, ok, _ := p.send(s)
 		if ok {
 			okCount++
 		}
@@ -148,15 +148,15 @@ func TestPipelineHighSNRMostlyClean(t *testing.T) {
 func TestPipelineLowSNRFails(t *testing.T) {
 	h, samples := trainedHuffman(t)
 	rng := mat.NewRNG(34)
-	p := Pipeline{
-		Huff: h,
-		Code: channel.Identity{},
-		Mod:  channel.BPSK{},
-		Ch:   &channel.AWGN{SNRdB: -4, Rng: rng.Split()},
+	p := tradPipeline{
+		huff: h,
+		code: identityCode{},
+		mod:  channel.BPSK{},
+		ch:   &channel.AWGN{SNRdB: -4, Rng: rng.Split()},
 	}
 	exact := 0
 	for _, s := range samples[:50] {
-		got, _, _ := p.Send(s)
+		got, _, _ := p.send(s)
 		if got == s {
 			exact++
 		}
@@ -169,15 +169,15 @@ func TestPipelineLowSNRFails(t *testing.T) {
 func TestPipelineCRCDetectsCorruption(t *testing.T) {
 	h, samples := trainedHuffman(t)
 	rng := mat.NewRNG(35)
-	p := Pipeline{
-		Huff: h,
-		Code: channel.Identity{},
-		Mod:  channel.BPSK{},
-		Ch:   &channel.AWGN{SNRdB: 2, Rng: rng.Split()},
+	p := tradPipeline{
+		huff: h,
+		code: identityCode{},
+		mod:  channel.BPSK{},
+		ch:   &channel.AWGN{SNRdB: 2, Rng: rng.Split()},
 	}
 	falseAccepts := 0
 	for _, s := range samples[:100] {
-		got, ok, _ := p.Send(s)
+		got, ok, _ := p.send(s)
 		if ok && got != s {
 			falseAccepts++
 		}
@@ -192,7 +192,7 @@ func TestPipelineCRCDetectsCorruption(t *testing.T) {
 // Property: round-trip holds for arbitrary strings drawn from the smoothed
 // alphabet.
 func TestHuffmanQuick(t *testing.T) {
-	h := Train([]string{"the server is down and the network has a bug"})
+	h := trainHuffman([]string{"the server is down and the network has a bug"})
 	alphabet := "abcdefghijklmnopqrstuvwxyz 0123456789"
 	f := func(seed uint64, lnRaw uint8) bool {
 		rng := mat.NewRNG(seed)
@@ -202,9 +202,60 @@ func TestHuffmanQuick(t *testing.T) {
 			sb.WriteByte(alphabet[rng.Intn(len(alphabet))])
 		}
 		s := sb.String()
-		return h.Decode(h.Encode(s)) == s
+		return h.decode(h.encode(s)) == s
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestPackUnpackRoundTrip(t *testing.T) {
+	rng := mat.NewRNG(1)
+	for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 100} {
+		bits := randomBits(rng, n)
+		got := unpackBits(packBits(bits), n)
+		if bitErrors(bits, got) != 0 {
+			t.Fatalf("pack/unpack round trip failed for n=%d", n)
+		}
+	}
+}
+
+func TestUnpackPanicsOnOverrun(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	unpackBits([]byte{0xff}, 9)
+}
+
+func TestCRC16KnownVector(t *testing.T) {
+	// CRC-16/CCITT-FALSE of "123456789" is 0x29B1.
+	data := []byte("123456789")
+	if got := crc16(unpackBits(data, 8*len(data))); got != 0x29B1 {
+		t.Fatalf("crc16 = %#x, want 0x29B1", got)
+	}
+}
+
+func TestCRCDetectsChange(t *testing.T) {
+	rng := mat.NewRNG(2)
+	bits := randomBits(rng, 128)
+	orig := crc16(bits)
+	bits[17] = !bits[17]
+	if crc16(bits) == orig {
+		t.Fatal("single bit flip not detected")
+	}
+}
+
+// unpackBits expands bytes into n bits, most significant bit first: the
+// inverse of packBits. It panics if n exceeds the available bits.
+func unpackBits(data []byte, n int) []bool {
+	if n > 8*len(data) {
+		panic("experiments: unpackBits length exceeds data")
+	}
+	out := make([]bool, n)
+	for i := range out {
+		out[i] = data[i/8]&(1<<(7-uint(i%8))) != 0
+	}
+	return out
 }

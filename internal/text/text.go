@@ -1,5 +1,5 @@
-// Package text provides the tokenizer shared by the daemon, the classical
-// baseline and the experiments.
+// Package text provides the tokenizer shared by the daemon and the
+// experiments (which score the classical baseline's decoded text with it).
 package text
 
 import (

@@ -28,9 +28,9 @@ import (
 var servedBinaries = map[string]bool{"cmd-edged": true, "cmd-semcli": true, "cmd-semkb": true, "cmd-semload": true}
 
 // reproductionPackages exist only to reproduce the paper: the trace
-// generator, the experiment runners and the classical baseline they
+// generator, and the experiment runners with the classical baseline they
 // compare against.
-var reproductionPackages = []string{"repro/internal/baseline", "repro/internal/experiments", "repro/internal/trace"}
+var reproductionPackages = []string{"repro/internal/experiments", "repro/internal/trace"}
 
 // TestServedBinariesLinkNoReproduction fails for every served binary that
 // depends on a reproduction package: what the daemon and its tools run
