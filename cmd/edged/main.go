@@ -1,8 +1,8 @@
 // Command edged runs a semantic edge-server daemon: it boots the full
 // two-edge semantic communication system (general models pretrained at
 // startup) as one member of an edge mesh and serves transmit/move/stats
-// requests over a length-prefixed TCP protocol of JSON documents; mesh
-// frames carry model parameters raw after the document (see internal/rpc).
+// requests over a length-prefixed TCP protocol of binary frames, model
+// parameters carried raw in mesh frames (see internal/rpc).
 //
 // Connections dispatch directly into the concurrent core.System: requests
 // from different users run in parallel, bounded by the -max-inflight gate;

@@ -1,7 +1,7 @@
 package edged
 
 import (
-	"encoding/json"
+	"bytes"
 	"strings"
 	"sync"
 	"testing"
@@ -104,21 +104,22 @@ func TestDispatchStats(t *testing.T) {
 	if resp.Stats.Messages < 1 || resp.Stats.CachedModels < 8 {
 		t.Fatalf("stats implausible: %+v", resp.Stats)
 	}
-	// No update has run yet: the update percentiles stay off the wire.
-	wire, err := json.Marshal(resp.Stats.Serve)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(wire), "update_p") {
-		t.Fatalf("update percentiles on the wire before any update: %s", wire)
+	// No update has run yet: the update percentiles read zero.
+	if sv := resp.Stats.Serve; sv == nil || sv.UpdateP50Ms != 0 || sv.UpdateP99Ms != 0 {
+		t.Fatalf("update percentiles before any update: %+v", sv)
 	}
 	// Every token of the transmit was decoded twice — receiver and decoder
 	// copy — through the edge servers' decode memos, and the stats say so.
 	if st := resp.Stats; st.MemoLookups == 0 || st.MemoInserts == 0 || st.MemoHits > st.MemoLookups {
 		t.Fatalf("decode-memo counters after a transmit: %+v", st.MemoStats)
 	}
-	if wire, err = json.Marshal(resp.Stats); err != nil || !strings.Contains(string(wire), `"memo_lookups":`) {
-		t.Fatalf("memo counters missing from the stats wire form: %s (%v)", wire, err)
+	// And so does the stats response's wire form.
+	var wire bytes.Buffer
+	if err := rpc.WriteV(&wire, rpc.Version, resp); err != nil {
+		t.Fatal(err)
+	}
+	if back, _, err := rpc.ReadResponseV(&wire); err != nil || back.Stats == nil || back.Stats.MemoStats != resp.Stats.MemoStats {
+		t.Fatalf("memo counters did not survive the stats wire form: %+v (%v)", back, err)
 	}
 }
 

@@ -618,12 +618,13 @@ func TestMeshMemoStatsMerge(t *testing.T) {
 }
 
 // TestMeshRefusesV1Frame pins the one wire layout: a frame at a retired
-// version — a client op and a mesh op at version 1, and a version-2
-// handover push, whose pending transactions travel as JSON arrays a
-// version-3 reader would ignore — is never served. Each fails the read
-// with *rpc.VersionError; the daemon closes the connection unanswered,
-// takes no user in, and serves current clients and peers on other
-// connections as before.
+// version — a client op and a mesh op at version 1, a version-2 handover
+// push, whose pending transactions travel as JSON arrays, and a version-3
+// push from the member's real peer, a JSON document with the parameters
+// and packed transactions behind it — is never served. Each fails the
+// read with *rpc.VersionError; the daemon closes the connection
+// unanswered, takes no user in, and serves current clients and peers on
+// other connections as before.
 func TestMeshRefusesV1Frame(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mesh boot in -short mode")
@@ -642,6 +643,10 @@ func TestMeshRefusesV1Frame(t *testing.T) {
 
 	v2push := `{"op":"handover-push","handoff":{"user":"stale-push","from_node":"node-1","noise_seq":17,` +
 		`"buffers":[{"domain":"it","txs":[{"surfaces":[3,1],"concepts":[2,-1],"decoded":[3,1]}]}]}}`
+	v3push := `{"op":"handover-push","handoff":{"user":"stale-push","from_node":"` + m.Members[1].Mesh.Self().Name +
+		`","noise_seq":17,"buffers":[{"domain":"it","txs_len":36}]}}`
+	v3txs := "\x02\x00\x00\x00\x02\x00\x00\x00\x02\x00\x00\x00" + // three list lengths, then the int32 ids
+		"\x03\x00\x00\x00\x01\x00\x00\x00\x02\x00\x00\x00\xff\xff\xff\xff\x03\x00\x00\x00\x01\x00\x00\x00"
 	for _, stale := range []struct {
 		version byte
 		body    []byte
@@ -649,6 +654,7 @@ func TestMeshRefusesV1Frame(t *testing.T) {
 		{1, []byte(`{"op":"transmit","user":"stale","text":"the server has a kernel bug"}`)},
 		{1, []byte(`{"op":"join","peer":{"name":"node-1","index":1}}`)},
 		{2, append(binary.LittleEndian.AppendUint32(nil, uint32(len(v2push))), v2push...)},
+		{3, append(binary.LittleEndian.AppendUint32(nil, uint32(len(v3push))), v3push+v3txs...)},
 	} {
 		frame := append([]byte{stale.version}, binary.LittleEndian.AppendUint32(nil, uint32(len(stale.body)))...)
 		frame = append(frame, stale.body...)
@@ -670,7 +676,7 @@ func TestMeshRefusesV1Frame(t *testing.T) {
 		conn.Close()
 	}
 	if got := m.Members[0].Sys.Users(); !slices.Equal(got, usersBefore) {
-		t.Fatalf("a refused v2 push changed the member's users: %v -> %v", usersBefore, got)
+		t.Fatalf("a refused v2 or v3 push changed the member's users: %v -> %v", usersBefore, got)
 	}
 
 	after, err := cl.Stats()

@@ -2,7 +2,6 @@ package mesh_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -35,7 +34,7 @@ func cacheListing(c *cache.Cache, where func(kb.Key) bool) string {
 // userState captures everything a handover push may change on a member:
 // which individual models each edge caches and at what version, and the
 // complete exportable state (model bytes, noise sequence, belief, pending
-// buffers) of the named users.
+// buffers) of the named users, each as the push frame that would ship it.
 func userState(t *testing.T, sys *core.System, users ...string) string {
 	t.Helper()
 	var b strings.Builder
@@ -47,11 +46,11 @@ func userState(t *testing.T, sys *core.System, users ...string) string {
 		if err != nil {
 			t.Fatalf("export %q: %v", u, err)
 		}
-		js, err := json.Marshal(exp)
-		if err != nil {
+		var frame bytes.Buffer
+		if err := rpc.WriteV(&frame, rpc.Version, &rpc.Request{Op: rpc.OpHandoverPush, Handoff: mesh.ExportToWire(exp, "")}); err != nil {
 			t.Fatal(err)
 		}
-		b.Write(js)
+		b.Write(frame.Bytes())
 	}
 	return b.String()
 }
@@ -126,7 +125,7 @@ func FuzzHandleHandoverPush(f *testing.F) {
 			return
 		}
 		if after := userState(t, target.sys, resident, h.User); !reflect.DeepEqual(after, before) {
-			t.Fatalf("a refused push changed the member's state:\nbefore %.300s\nafter  %.300s", before, after)
+			t.Fatalf("a refused push changed the member's state:\nbefore %.300q\nafter  %.300q", before, after)
 		}
 	})
 }

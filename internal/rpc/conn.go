@@ -3,7 +3,6 @@ package rpc
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -26,27 +25,17 @@ const (
 	// (≈80 KB for two models per edge side) fits one step, so its buffer
 	// is allocated once, at its size class, when the pool has none.
 	growStepBytes = 128 << 10
-	// jsonLenBytes is the size of a body's JSON length prefix.
-	jsonLenBytes = 4
 )
 
 // frameBuf assembles and parses frames: 5 header bytes, then the body (see
 // the package comment). Frames up to connBufBytes reuse one buffer; a
 // larger one takes a buffer from the pool, which release gives back. A
-// decoded frame with a parameter tail hands its buffer over to the
-// message, whose Params slice it, so the next frame never overwrites
-// them; a Conn serving requests lends it instead and takes it back
-// (reclaim) once the response is written.
+// decoded message whose Params view the frame takes its buffer over, so
+// the next frame never overwrites them; a Conn serving requests lends it
+// instead and takes it back (reclaim) once the response is written.
 type frameBuf struct {
-	b    []byte        // the frame under assembly or just read
-	lent []byte        // the frame the last request's Params view
-	enc  *json.Encoder // appends to b through Write
-}
-
-// Write appends to the frame under assembly; it is the json.Encoder's sink.
-func (f *frameBuf) Write(p []byte) (int, error) {
-	f.b = append(f.b, p...)
-	return len(p), nil
+	b    []byte // the frame under assembly or just read
+	lent []byte // the frame the last request's Params view
 }
 
 // reset empties the buffer, allocating it when absent.
@@ -72,50 +61,29 @@ func (f *frameBuf) reclaim() {
 	f.lent = nil
 }
 
-// encode marshals v straight into the buffer behind the reserved header
-// and JSON length bytes, appends the binary tail, and returns the
-// complete frame, valid until the next use of f. A frame with a tail
-// sizes the buffer for it, and for a document of up to minFrameBytes,
-// before the document is written, taking it from the pool when that is
-// more than connBufBytes.
+// encode returns v (a *Request or *Response) as one complete frame, valid
+// until the next use of f. A first walk of v sizes the body, so the
+// buffer grows at most once — taken from the pool when the frame is over
+// connBufBytes — and a message that cannot be framed, too large or with
+// a transaction id past int32, fails before a byte is written.
 func (f *frameBuf) encode(v interface{}) ([]byte, error) {
-	if f.enc == nil {
-		f.enc = json.NewEncoder(f)
+	c := codec{mode: sizing}
+	if err := c.message(v); err != nil {
+		return nil, err
 	}
-	ms, bs := tailParts(v)
-	tail := 0
-	for _, m := range ms {
-		tail += len(m.Params)
-	}
-	for _, b := range bs {
-		tail += packedTxsBytes(b.Txs)
-	}
-	if size := headerBytes + jsonLenBytes + minFrameBytes + tail; tail > 0 && size > connBufBytes {
-		f.b = GetBuffer(size)
-	} else {
-		f.reset()
-	}
-	f.b = append(f.b, Version, 0, 0, 0, 0, 0, 0, 0, 0)
-	start := len(f.b)
-	if err := f.enc.Encode(v); err != nil {
-		return nil, fmt.Errorf("rpc: marshal: %w", err)
-	}
-	// Encode ends the document with a newline json.Marshal does not
-	// produce; the wire format is the bare document.
-	f.b = f.b[:len(f.b)-1]
-	binary.LittleEndian.PutUint32(f.b[headerBytes:], uint32(len(f.b)-start))
-	f.b = slices.Grow(f.b, tail)
-	for _, m := range ms {
-		f.b = append(f.b, m.Params...)
-	}
-	for _, b := range bs {
-		f.b = appendTxs(f.b, b.Txs)
-	}
-	n := len(f.b) - headerBytes
-	if n > MaxMessageBytes {
+	if c.n > MaxMessageBytes {
 		return nil, errFrameTooLarge
 	}
-	binary.LittleEndian.PutUint32(f.b[1:], uint32(n))
+	switch total := headerBytes + c.n; {
+	case total > connBufBytes:
+		f.b = GetBuffer(total)
+	case cap(f.b) < total:
+		f.b = make([]byte, 0, max(total, minFrameBytes))
+	}
+	c.b = binary.LittleEndian.AppendUint32(append(f.b[:0], Version), uint32(c.n))
+	c.mode = writing
+	c.message(v)
+	f.b = c.b
 	return f.b, nil
 }
 
@@ -156,74 +124,36 @@ func (f *frameBuf) read(r io.Reader) ([]byte, error) {
 	return f.b[headerBytes:], nil
 }
 
-// decode reads one frame into v (a *Request or *Response): the JSON
-// document, then each ModelPayload's Params sliced off the tail by its
-// params_len, then each BufferState's Txs unpacked from the rest by its
-// txs_len. The lengths must consume the body exactly.
-//
-// When lend is set and Params were sliced, the buffer is lent to v until
-// reclaim; otherwise v owns it.
-func (f *frameBuf) decode(r io.Reader, v interface{}, lend bool) error {
+// readMsg reads one frame and parses its body, which the message must
+// consume exactly. When the message's Params view the frame, its buffer is
+// lent to the message until reclaim if lend is set, and handed over
+// otherwise.
+func readMsg[T Request | Response](f *frameBuf, r io.Reader, lend bool) (*T, error) {
 	body, err := f.read(r)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if len(body) < jsonLenBytes {
-		return errBadTail
+	m := new(T)
+	c := codec{mode: reading, b: body}
+	switch m := any(m).(type) {
+	case *Request:
+		c.request(m)
+	case *Response:
+		c.response(m)
 	}
-	n := binary.LittleEndian.Uint32(body)
-	if uint64(n) > uint64(len(body)-jsonLenBytes) {
-		return errBadTail
+	if len(c.b) != 0 {
+		c.fail()
 	}
-	doc, tail := body[jsonLenBytes:jsonLenBytes+n], body[jsonLenBytes+n:]
-	if err := json.Unmarshal(doc, v); err != nil {
-		return fmt.Errorf("rpc: unmarshal: %w", err)
+	if c.err != nil {
+		return nil, c.err
 	}
-	ms, bs := tailParts(v)
-	rest, sliced := tail, false
-	for _, m := range ms {
-		n := m.paramsLen
-		if n < 0 || n > len(rest) {
-			return errBadTail
-		}
-		if n > 0 {
-			m.Params, sliced = rest[:n:n], true
-		}
-		m.paramsLen = 0
-		rest = rest[n:]
-	}
-	for _, b := range bs {
-		n := b.txsLen
-		if n < 0 || n > len(rest) {
-			return errBadTail
-		}
-		txs, err := unpackTxs(rest[:n])
-		if err != nil {
-			return err
-		}
-		b.Txs, b.txsLen = txs, 0
-		rest = rest[n:]
-	}
-	if len(rest) != 0 {
-		return errBadTail
-	}
-	if sliced {
+	if c.sliced {
 		if lend {
 			f.lent = f.b
 		}
 		f.b = nil // the decoded Params hold the buffer now
 	}
-	return nil
-}
-
-// readMsg reads and decodes one framed Request or Response, lending it the
-// frame's buffer when lend is set (see decode).
-func readMsg[T Request | Response](f *frameBuf, r io.Reader, lend bool) (*T, error) {
-	var m T
-	if err := f.decode(r, &m, lend); err != nil {
-		return nil, err
-	}
-	return &m, nil
+	return m, nil
 }
 
 // Conn is one framed connection: every frame a Client, the daemon or a
@@ -252,9 +182,9 @@ func NewConn(conn net.Conn) *Conn {
 	return &Conn{conn: conn, br: bufio.NewReaderSize(conn, connBufBytes)}
 }
 
-// Write marshals v and sends it as one frame, in a single Write. Once the
-// frame is written, the frame buffer and the last request's lent frame go
-// back to the pool.
+// Write encodes v (a *Request or *Response) and sends it as one frame, in
+// a single Write. Once the frame is written, the frame buffer and the last
+// request's lent frame go back to the pool.
 func (c *Conn) Write(v interface{}) error {
 	defer c.f.reclaim()
 	defer c.f.release()
@@ -283,169 +213,4 @@ func (c *Conn) ReadResponse() (*Response, error) {
 	c.f.reclaim()
 	defer c.f.release()
 	return readMsg[Response](&c.f, c.br, false)
-}
-
-// modelPayloadJSON is ModelPayload's JSON form.
-type modelPayloadJSON struct {
-	Domain    string `json:"domain"`
-	User      string `json:"user,omitempty"`
-	Version   int    `json:"version"`
-	ParamsLen int    `json:"params_len"`
-}
-
-// MarshalJSON writes the payload with params_len in place of Params.
-func (m ModelPayload) MarshalJSON() ([]byte, error) {
-	return json.Marshal(modelPayloadJSON{Domain: m.Domain, User: m.User, Version: m.Version, ParamsLen: len(m.Params)})
-}
-
-// UnmarshalJSON reads the payload's fields and params_len; Params stays
-// nil until the frame decoder fills it from the tail. A JSON null leaves
-// m unchanged, as it does for any other struct.
-func (m *ModelPayload) UnmarshalJSON(data []byte) error {
-	if string(data) == "null" {
-		return nil
-	}
-	var w modelPayloadJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	*m = ModelPayload{Domain: w.Domain, User: w.User, Version: w.Version, paramsLen: w.ParamsLen}
-	return nil
-}
-
-// bufferStateJSON is BufferState's JSON form.
-type bufferStateJSON struct {
-	Domain string `json:"domain"`
-	TxsLen int    `json:"txs_len"`
-}
-
-// MarshalJSON writes the buffer with txs_len, the packed size of its
-// transactions, in place of Txs. An id outside int32 fails it.
-func (b BufferState) MarshalJSON() ([]byte, error) {
-	for _, tx := range b.Txs {
-		for _, ids := range [...][]int{tx.Surfaces, tx.Concepts, tx.Decoded} {
-			for _, id := range ids {
-				if id != int(int32(id)) {
-					return nil, fmt.Errorf("rpc: buffer %q: transaction id %d does not fit in an int32", b.Domain, id)
-				}
-			}
-		}
-	}
-	return json.Marshal(bufferStateJSON{Domain: b.Domain, TxsLen: packedTxsBytes(b.Txs)})
-}
-
-// UnmarshalJSON reads the buffer's domain and txs_len; Txs stays nil until
-// the frame decoder unpacks it from the tail. A JSON null leaves b
-// unchanged.
-func (b *BufferState) UnmarshalJSON(data []byte) error {
-	if string(data) == "null" {
-		return nil
-	}
-	var w bufferStateJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	*b = BufferState{Domain: w.Domain, txsLen: w.TxsLen}
-	return nil
-}
-
-// txHeaderBytes is the size of a packed transaction's header: the uint32
-// lengths of its surface, concept and decoded lists.
-const txHeaderBytes = 12
-
-// packedTxsBytes is the size of txs in appendTxs's form.
-func packedTxsBytes(txs []TxState) int {
-	n := 0
-	for _, tx := range txs {
-		n += txHeaderBytes + 4*(len(tx.Surfaces)+len(tx.Concepts)+len(tx.Decoded))
-	}
-	return n
-}
-
-// appendTxs packs txs onto dst: per transaction the three list lengths,
-// then the surfaces, concepts and decoded ids, every number 4 bytes
-// little-endian, the ids as int32.
-func appendTxs(dst []byte, txs []TxState) []byte {
-	for _, tx := range txs {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(tx.Surfaces)))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(tx.Concepts)))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(tx.Decoded)))
-		for _, ids := range [...][]int{tx.Surfaces, tx.Concepts, tx.Decoded} {
-			for _, id := range ids {
-				dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(id)))
-			}
-		}
-	}
-	return dst
-}
-
-// unpackTxs decodes what appendTxs packed, which must be all of b. A first
-// pass checks every length against the bytes present, so the transactions
-// and their ids are then allocated once each, sized exactly.
-func unpackTxs(b []byte) ([]TxState, error) {
-	count, ids := 0, 0
-	for rest := b; len(rest) > 0; count++ {
-		if len(rest) < txHeaderBytes {
-			return nil, errBadTail
-		}
-		n := uint64(binary.LittleEndian.Uint32(rest)) +
-			uint64(binary.LittleEndian.Uint32(rest[4:])) +
-			uint64(binary.LittleEndian.Uint32(rest[8:]))
-		if n > uint64(len(rest)-txHeaderBytes)/4 {
-			return nil, errBadTail
-		}
-		ids += int(n)
-		rest = rest[txHeaderBytes+4*n:]
-	}
-	if count == 0 {
-		return nil, nil
-	}
-	txs, all := make([]TxState, count), make([]int, ids)
-	for i := range txs {
-		var lens [3]int
-		for j := range lens {
-			lens[j] = int(binary.LittleEndian.Uint32(b[4*j:]))
-		}
-		b = b[txHeaderBytes:]
-		for j, dst := range [...]*[]int{&txs[i].Surfaces, &txs[i].Concepts, &txs[i].Decoded} {
-			n := lens[j]
-			if n == 0 {
-				continue
-			}
-			list := all[:n:n]
-			for k := range list {
-				list[k] = int(int32(binary.LittleEndian.Uint32(b[4*k:])))
-			}
-			*dst, all, b = list, all[n:], b[4*n:]
-		}
-	}
-	return txs, nil
-}
-
-// tailParts lists what a message carries in the frame's tail, in document
-// order: its ModelPayloads, whose Params come first, then its
-// BufferStates, whose packed Txs follow. Messages of other types carry
-// neither.
-func tailParts(v interface{}) ([]*ModelPayload, []*BufferState) {
-	var ms []*ModelPayload
-	var bs []*BufferState
-	switch m := v.(type) {
-	case *Request:
-		if m != nil && m.Handoff != nil {
-			for i := range m.Handoff.Models {
-				ms = append(ms, &m.Handoff.Models[i].Model)
-			}
-			for i := range m.Handoff.General {
-				ms = append(ms, &m.Handoff.General[i])
-			}
-			for i := range m.Handoff.Buffers {
-				bs = append(bs, &m.Handoff.Buffers[i])
-			}
-		}
-	case *Response:
-		if m != nil && m.Model != nil {
-			ms = append(ms, m.Model)
-		}
-	}
-	return ms, bs
 }

@@ -3,6 +3,7 @@ package rpc
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -13,11 +14,11 @@ import (
 	"repro/internal/rpc/rpctest"
 )
 
+// z8 is a float64 zero: 8 zero bytes.
+const z8 = "\x00\x00\x00\x00\x00\x00\x00\x00"
+
 // Pinned wire frames, one layout for every op: the version byte, the body
-// length, the JSON length, the JSON document, then the binary tail — the
-// raw parameters, then the packed transactions. The transmit request and response are the JSON documents the
-// pre-Conn framing (json.Marshal behind a separate header write) put on
-// the wire, now behind the JSON length prefix.
+// length, then the message's fields in struct order (see codec.go).
 var goldenFrames = []struct {
 	name string
 	msg  interface{}
@@ -25,10 +26,21 @@ var goldenFrames = []struct {
 }{
 	{"transmit request",
 		&Request{Op: OpTransmit, User: "alice", Text: "the <server> is down & out", DeadlineMs: 250.5},
-		"\x03k\x00\x00\x00g\x00\x00\x00{\"op\":\"transmit\",\"user\":\"alice\",\"text\":\"the \\u003cserver\\u003e is down \\u0026 out\",\"deadline_ms\":250.5}"},
+		"\x04" + "\x36\x00\x00\x00" + // version 4, a 54-byte body
+			"\x08transmit" + "\x05alice" + "\x1athe <server> is down & out" + // Op, User, Text
+			"\x00" + // Cell 0
+			"\x00\x00\x00\x00\x00\x50\x6f\x40" + // DeadlineMs 250.5
+			"\x00\x00\x00"}, // no Peer, Fetch or Handoff
 	{"transmit response",
 		&Response{OK: true, Restored: "the server is down", SelectedDomain: "it", Mismatch: 0.125, PayloadBytes: 18, LatencyMs: 12.5, CacheHit: true},
-		"\x03\x8d\x00\x00\x00\x89\x00\x00\x00{\"ok\":true,\"restored\":\"the server is down\",\"selected_domain\":\"it\",\"mismatch\":0.125,\"payload_bytes\":18,\"latency_ms\":12.5,\"cache_hit\":true}"},
+		"\x04" + "\x2e\x00\x00\x00" + // a 46-byte body
+			"\x09" + // flags: OK (bit 0), CacheHit (bit 3)
+			"\x00" + "\x12the server is down" + "\x02it" + // Error, Restored, SelectedDomain
+			"\x00\x00\x00\x00\x00\x00\xc0\x3f" + // Mismatch 0.125
+			"\x24" + // PayloadBytes 18, zigzag
+			"\x00\x00\x00\x00\x00\x00\x29\x40" + // LatencyMs 12.5
+			"\x00\x00\x00\x00" + // no Handover, Stats, Model or Node
+			"\x00"}, // no Peers
 	{"handoff push",
 		&Request{Op: OpHandoverPush, Handoff: &HandoffPayload{
 			User: "alice", FromNode: "node-0", NoiseSeq: 17,
@@ -36,13 +48,48 @@ var goldenFrames = []struct {
 			Reason: HandoffDrain, Belief: []float64{0.5, 0.25},
 			Buffers: []BufferState{{Domain: "it", Txs: []TxState{{Surfaces: []int{3, 1}, Concepts: []int{2, -1}, Decoded: []int{3, 1}}}}},
 		}},
-		"\x03/\x01\x00\x00\x02\x01\x00\x00{\"op\":\"handover-push\",\"handoff\":{\"user\":\"alice\",\"from_node\":\"node-0\",\"noise_seq\":17,\"models\":[{\"side\":\"sender\",\"model\":{\"domain\":\"it\",\"user\":\"alice\",\"version\":2,\"params_len\":5}}],\"reason\":\"drain\",\"belief\":[0.5,0.25],\"buffers\":[{\"domain\":\"it\",\"txs_len\":36}]}}" +
-			"\x00\x01\x02\xfa\xff" + // the model's parameters
-			"\x02\x00\x00\x00\x02\x00\x00\x00\x02\x00\x00\x00" + // the transaction's three list lengths
-			"\x03\x00\x00\x00\x01\x00\x00\x00\x02\x00\x00\x00\xff\xff\xff\xff\x03\x00\x00\x00\x01\x00\x00\x00"}, // its ids, int32,
+		"\x04" + "\x83\x00\x00\x00" + // version 4, a 131-byte body
+			"\x0dhandover-push" + "\x00" + "\x00" + "\x00" + z8 + // Op, no User or Text, Cell 0, DeadlineMs 0
+			"\x00\x00" + "\x01" + // no Peer or Fetch; a Handoff:
+			"\x05alice" + "\x06node-0" + "\x11" + // User, FromNode, NoiseSeq 17
+			"\x01" + "\x06sender" + // one model, its Side
+			"\x02it" + "\x05alice" + "\x04" + // its Domain, User, Version 2 (zigzag)
+			"\x05\x00\x01\x02\xfa\xff" + // its Params, raw
+			"\x05drain" + "\x00" + // Reason, no General
+			"\x02" + "\x00\x00\x00\x00\x00\x00\xe0\x3f" + "\x00\x00\x00\x00\x00\x00\xd0\x3f" + // Belief 0.5, 0.25
+			"\x01" + "\x02it" + "\x01" + // one buffer, its Domain, one transaction:
+			"\x02\x00\x00\x00\x02\x00\x00\x00\x02\x00\x00\x00" + // its three list lengths
+			"\x03\x00\x00\x00\x01\x00\x00\x00\x02\x00\x00\x00\xff\xff\xff\xff\x03\x00\x00\x00\x01\x00\x00\x00"}, // its ids, int32
 	{"fetch-model hit",
 		&Response{OK: true, Model: &ModelPayload{Domain: "it", User: "alice", Version: 3, Params: []byte{7, 0, 9}}},
-		"\x03\x82\x00\x00\x00{\x00\x00\x00{\"ok\":true,\"mismatch\":0,\"payload_bytes\":0,\"latency_ms\":0,\"model\":{\"domain\":\"it\",\"user\":\"alice\",\"version\":3,\"params_len\":3}}\a\x00\t"},
+		"\x04" + "\x28\x00\x00\x00" + // a 40-byte body
+			"\x01" + "\x00\x00\x00" + z8 + "\x00" + z8 + // OK; empty strings, zero transmit results
+			"\x00\x00" + "\x01" + // no Handover or Stats; a Model:
+			"\x02it" + "\x05alice" + "\x06" + "\x03\x07\x00\x09" + // Domain, User, Version 3, Params
+			"\x00" + "\x00"}, // no Node, no Peers
+	{"stats response",
+		&Response{OK: true, Stats: &Stats{Messages: 70, SenderHitRate: 0.5, SyncBytes: 300, SyncCount: 2,
+			CachedModels: 8, CacheUsedBytes: 64, UpdateFailures: -1,
+			MemoStats: MemoStats{MemoLookups: 200, MemoHits: 150, MemoInserts: 50, MemoReplaced: 1},
+			Serve:     &ServeStats{InFlight: 1, LatencyP99Ms: 2, Shed: 3},
+			Nodes: []NodeStats{{Name: "node-0", Users: 4, CachedModels: 8, Generals: []string{"it"},
+				Hot: []DomainHeat{{Domain: "it", Count: 70}}, MemoStats: MemoStats{MemoHits: 150}}},
+			Handovers: 5, MigratedBytes: 4096}},
+		"\x04" + "\xaa\x00\x00\x00" + // a 170-byte body
+			"\x01" + "\x00\x00\x00" + z8 + "\x00" + z8 + "\x00" + // OK, no transmit results, no Handover
+			"\x01" + // a Stats:
+			"\x8c\x01" + "\x00\x00\x00\x00\x00\x00\xe0\x3f" + // Messages 70 (zigzag, two bytes), SenderHitRate 0.5
+			"\xd8\x04" + "\x04" + "\x10" + "\x80\x01" + "\x01" + // SyncBytes 300, SyncCount 2, CachedModels 8, CacheUsedBytes 64, UpdateFailures -1
+			"\xc8\x01" + "\x96\x01" + "\x32" + "\x01" + // MemoStats: lookups, hits, inserts, replaced (uvarints)
+			"\x01" + "\x02" + z8 + z8 + // a Serve: InFlight 1, LatencyP50Ms, LatencyP95Ms
+			"\x00\x00\x00\x00\x00\x00\x00\x40" + z8 + z8 + z8 + // LatencyP99Ms 2, the queue-wait percentiles
+			"\x06" + z8 + z8 + // Shed 3, the update percentiles
+			"\x01" + "\x06node-0" + "\x08" + z8 + "\x10" + // one node: Name, Users 4, HitRate, CachedModels 8
+			"\x00\x00\x00\x00\x00\x00\x00\x00" + z8 + // CacheUsedBytes … OriginBytes, FetchLatencyMs
+			"\x01\x02it" + "\x01\x02it\x8c\x01" + // Generals, Hot
+			"\x00\x00" + "\x00\x96\x01\x00\x00" + // ReplicasOut, ReplicasIn, MemoStats
+			"\x0a" + "\x80\x40" + // Handovers 5, MigratedBytes 4096
+			"\x00\x00" + "\x00"}, // no Model or Node, no Peers
 }
 
 // sinkConn records every Write as one segment; nothing else is used.
@@ -436,4 +483,142 @@ func BenchmarkHandoverPushFrame(b *testing.B) {
 			}
 		}
 	})
+}
+
+// boundaryShapes are the messages TestFramesAtBufferBoundaries pads: one
+// string or Params field of each takes the padding.
+var boundaryShapes = []struct {
+	name string
+	msg  func(pad []byte) interface{}
+}{
+	{"transmit request", func(p []byte) interface{} {
+		return &Request{Op: OpTransmit, User: "u07", Text: string(p), DeadlineMs: 1800}
+	}},
+	{"transmit response", func(p []byte) interface{} {
+		return &Response{OK: true, Restored: string(p), SelectedDomain: "it", Mismatch: 0.125, PayloadBytes: 18, LatencyMs: 4.5, CacheHit: true}
+	}},
+	{"move request", func(p []byte) interface{} { return &Request{Op: OpMove, User: string(p), Cell: 2} }},
+	{"move response", func(p []byte) interface{} {
+		return &Response{OK: true, Handover: &Handover{From: string(p), To: "node-1", Moved: true, Models: 2, MigratedBytes: 63 << 10, LatencyMs: 1.5}}
+	}},
+	{"stats response", func(p []byte) interface{} {
+		node := func(name string) NodeStats {
+			return NodeStats{Name: name, Users: 3, HitRate: 0.75, CachedModels: 8, HandoversIn: 2, OriginFetches: 1,
+				Generals: []string{"it", "medical"}, Hot: []DomainHeat{{Domain: "it", Count: 40}, {Domain: "sports", Count: 2}},
+				MemoStats: MemoStats{MemoLookups: 90, MemoHits: 80, MemoInserts: 10}}
+		}
+		return &Response{OK: true, Stats: &Stats{Messages: 42, SenderHitRate: 0.9, CachedModels: 16,
+			Serve: &ServeStats{InFlight: 1, LatencyP50Ms: 0.01, LatencyP99Ms: 0.2, Shed: 1},
+			Nodes: []NodeStats{node("node-0"), node(string(p))}, Handovers: 2}}
+	}},
+	{"join request", func(p []byte) interface{} {
+		return &Request{Op: OpJoin, Peer: &PeerInfo{Name: "node-1", Index: 1, Addr: string(p)}}
+	}},
+	{"join response", func(p []byte) interface{} {
+		return &Response{OK: true, Peers: []PeerInfo{{Name: "node-0", Addr: "127.0.0.1:7101"}, {Name: string(p), Index: 1}}}
+	}},
+	{"fetch-model hit", func(p []byte) interface{} {
+		return &Response{OK: true, Model: &ModelPayload{Domain: "it", Version: 2, Params: p}}
+	}},
+	{"handover push", func(p []byte) interface{} {
+		return &Request{Op: OpHandoverPush, Handoff: &HandoffPayload{
+			User: "u07", FromNode: "node-0", NoiseSeq: 1234,
+			Models:  []HandoffModel{{Side: "sender", Model: ModelPayload{Domain: "it", User: "u07", Version: 4, Params: p}}},
+			General: []ModelPayload{{Domain: "medical", Version: 1, Params: []byte{1, 2, 3}}},
+			Belief:  []float64{0.61, 0.12, 0.27},
+			Buffers: []BufferState{{Domain: "it", Txs: []TxState{{Surfaces: []int{5, 6}, Concepts: []int{1, -1}, Decoded: []int{1, 0}}, {}}}},
+		}}
+	}},
+}
+
+// padFor returns how many bytes of padding give msg a body of exactly n
+// bytes: the padding plus its uvarint length prefix fill what the rest of
+// the message leaves.
+func padFor(t *testing.T, msg func([]byte) interface{}, n int) int {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteV(&buf, Version, msg(nil)); err != nil {
+		t.Fatal(err)
+	}
+	rest := buf.Len() - headerBytes - 1 // the empty field's length takes a byte
+	for prefix := 1; prefix <= 3; prefix++ {
+		if pad := n - rest - prefix; pad >= 0 && len(binary.AppendUvarint(nil, uint64(pad))) == prefix {
+			return pad
+		}
+	}
+	t.Fatalf("no padding gives a %d-byte body", n)
+	return 0
+}
+
+// padding is n bytes of text.
+func padding(n int) []byte {
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = 'a' + byte(i%26)
+	}
+	return p
+}
+
+// TestFramesAtBufferBoundaries pads each message shape so that its body,
+// and so that its whole frame, lands on each side of the frame buffer's
+// size steps — minFrameBytes, connBufBytes, growStepBytes — and at
+// MaxMessageBytes. Every such frame comes back equal through both write
+// paths and both read paths: Conn.Write then Conn.ReadRequest /
+// ReadResponse, and WriteV then ReadRequestV / ReadResponseV, the calls
+// the benchmark's frame measurement makes. A body one byte over
+// MaxMessageBytes is refused by both writers with nothing written.
+func TestFramesAtBufferBoundaries(t *testing.T) {
+	var sizes []int
+	for _, edge := range []int{minFrameBytes, connBufBytes} {
+		for _, n := range []int{edge - 1, edge, edge + 1} {
+			sizes = append(sizes, n, n-headerBytes)
+		}
+	}
+	sizes = append(sizes, growStepBytes+1, growStepBytes+1-headerBytes, MaxMessageBytes)
+	for _, shape := range boundaryShapes {
+		for _, n := range sizes {
+			want := shape.msg(padding(padFor(t, shape.msg, n)))
+			_, isReq := want.(*Request)
+			sink := &sinkConn{}
+			if err := NewConn(sink).Write(want); err != nil || len(sink.segments) != 1 {
+				t.Fatalf("%s, %d-byte body: Conn.Write made %d writes (err %v)", shape.name, n, len(sink.segments), err)
+			}
+			frame := sink.segments[0]
+			if len(frame) != headerBytes+n {
+				t.Fatalf("%s: padded for a %d-byte body, framed %d bytes", shape.name, n, len(frame))
+			}
+			var got interface{}
+			var err error
+			conn := NewConn(replayConn{data: bytes.NewReader(frame)})
+			if isReq {
+				got, err = conn.ReadRequest()
+			} else {
+				got, err = conn.ReadResponse()
+			}
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, %d-byte body: the Conn read back a different message (err %v)", shape.name, n, err)
+			}
+			var buf bytes.Buffer
+			if err := WriteV(&buf, Version, want); err != nil || !bytes.Equal(buf.Bytes(), frame) {
+				t.Fatalf("%s, %d-byte body: WriteV wrote other bytes than Conn.Write (err %v)", shape.name, n, err)
+			}
+			if isReq {
+				got, _, err = ReadRequestV(&buf)
+			} else {
+				got, _, err = ReadResponseV(&buf)
+			}
+			if err != nil || !reflect.DeepEqual(got, want) || buf.Len() != 0 {
+				t.Fatalf("%s, %d-byte body: ReadV read back a different message (err %v, %d bytes left)", shape.name, n, err, buf.Len())
+			}
+		}
+		over := shape.msg(padding(padFor(t, shape.msg, MaxMessageBytes) + 1))
+		var buf bytes.Buffer
+		if err := WriteV(&buf, Version, over); !errors.Is(err, errFrameTooLarge) || buf.Len() != 0 {
+			t.Fatalf("%s, a body over MaxMessageBytes: WriteV wrote %d bytes (err %v)", shape.name, buf.Len(), err)
+		}
+		sink := &sinkConn{}
+		if err := NewConn(sink).Write(over); !errors.Is(err, errFrameTooLarge) || len(sink.segments) != 0 {
+			t.Fatalf("%s, a body over MaxMessageBytes: Conn.Write made %d writes (err %v)", shape.name, len(sink.segments), err)
+		}
+	}
 }

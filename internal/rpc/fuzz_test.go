@@ -5,9 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -35,19 +35,14 @@ func checkBuffered(t *testing.T, data []byte, want interface{}, wantErr error) {
 	if (err == nil) != (wantErr == nil) {
 		t.Fatalf("buffered read: err %v, plain read: err %v", err, wantErr)
 	}
-	if err == nil && !reflect.DeepEqual(got, want) {
+	if err == nil && !equalBits(reflect.ValueOf(got), reflect.ValueOf(want)) {
 		t.Fatalf("buffered read decoded %+v, plain read %+v", got, want)
 	}
 }
 
-// frame wraps a JSON document in the wire format (possibly with a lying
-// header when lieLen is set) for seeding the fuzz corpus.
-func frame(doc []byte, lieLen uint32) []byte {
-	return frameV(Version, body(-1, string(doc), nil), lieLen)
-}
-
-// frameV puts payload behind a header with an explicit version byte, for
-// seeding wrong-version and malformed-body inputs.
+// frameV puts payload behind a header with an explicit version byte (and
+// a lying length when lieLen is set), for seeding wrong-version and
+// malformed-body inputs.
 func frameV(version byte, payload []byte, lieLen uint32) []byte {
 	hdr := make([]byte, headerBytes)
 	hdr[0] = version
@@ -59,9 +54,20 @@ func frameV(version byte, payload []byte, lieLen uint32) []byte {
 	return append(hdr, payload...)
 }
 
+// v3Push and v3Hit are a handover push and a fetch-model hit as a
+// version-3 member framed them: a uint32 JSON length, the JSON document,
+// then the raw parameters and the packed transactions.
+const (
+	v3Push = "\x03/\x01\x00\x00\x02\x01\x00\x00{\"op\":\"handover-push\",\"handoff\":{\"user\":\"alice\",\"from_node\":\"node-0\",\"noise_seq\":17,\"models\":[{\"side\":\"sender\",\"model\":{\"domain\":\"it\",\"user\":\"alice\",\"version\":2,\"params_len\":5}}],\"reason\":\"drain\",\"belief\":[0.5,0.25],\"buffers\":[{\"domain\":\"it\",\"txs_len\":36}]}}" +
+		"\x00\x01\x02\xfa\xff" +
+		"\x02\x00\x00\x00\x02\x00\x00\x00\x02\x00\x00\x00" +
+		"\x03\x00\x00\x00\x01\x00\x00\x00\x02\x00\x00\x00\xff\xff\xff\xff\x03\x00\x00\x00\x01\x00\x00\x00"
+	v3Hit = "\x03\x82\x00\x00\x00{\x00\x00\x00{\"ok\":true,\"mismatch\":0,\"payload_bytes\":0,\"latency_ms\":0,\"model\":{\"domain\":\"it\",\"user\":\"alice\",\"version\":3,\"params_len\":3}}\a\x00\t"
+)
+
 // seedFrames is the shared corpus for both framed-message parsers: valid
-// messages, truncations, oversized and lying headers, JSON garbage and
-// wrong version bytes.
+// messages, truncations, oversized and lying headers, text and garbage
+// bodies and wrong version bytes.
 func seedFrames(f *testing.F, valid interface{}) {
 	f.Helper()
 	var buf bytes.Buffer
@@ -69,114 +75,133 @@ func seedFrames(f *testing.F, valid interface{}) {
 		f.Fatal(err)
 	}
 	full := buf.Bytes()
-	doc := full[headerBytes+jsonLenBytes:]
 	f.Add(full)
-	f.Add(full[:len(full)-2])                       // truncated payload
-	f.Add(full[:3])                                 // truncated header
-	f.Add([]byte{})                                 // empty stream
-	f.Add(frame([]byte(`{"op":`), 0))               // malformed JSON
-	f.Add(frame([]byte(`null`), 0))                 // null document
-	f.Add(frame([]byte(`{}`), 1<<30))               // lying oversize header
-	f.Add(frame(bytes.Repeat([]byte{0xff}, 64), 0)) // binary garbage
-	f.Add(frameV(0, []byte(`{}`), 0))               // pre-versioning framing
-	f.Add(frameV(1, doc, 0))                        // the retired version 1
-	f.Add(frameV(2, full[headerBytes:], 0))         // the retired version 2
-	f.Add(frameV(4, []byte(`{}`), 0))               // future protocol version
-	f.Add(frameV(0xff, []byte(`{}`), 0))            // junk version byte
+	f.Add(full[:len(full)-2])                                 // truncated payload
+	f.Add(full[:3])                                           // truncated header
+	f.Add([]byte{})                                           // empty stream
+	f.Add(frameV(Version, []byte(`{"op":`), 0))               // a JSON fragment
+	f.Add(frameV(Version, nil, 0))                            // empty body
+	f.Add(frameV(Version, []byte{0}, 1<<30))                  // lying oversize header
+	f.Add(frameV(Version, bytes.Repeat([]byte{0xff}, 64), 0)) // binary garbage
+	f.Add(frameV(0, []byte(`{}`), 0))                         // pre-versioning framing
+	f.Add(frameV(1, []byte(`{"op":"ping"}`), 0))              // the retired version 1
+	f.Add(frameV(2, full[headerBytes:], 0))                   // the retired version 2
+	f.Add(frameV(3, full[headerBytes:], 0))                   // the retired version 3
+	f.Add(frameV(5, full[headerBytes:], 0))                   // future protocol version
+	f.Add(frameV(0xff, []byte(`{}`), 0))                      // junk version byte
 }
 
-// body is a frame body: the JSON length (jsonLen, or the document's true
-// length when jsonLen is negative), the document, then tail.
-func body(jsonLen int, doc string, tail []byte) []byte {
-	if jsonLen < 0 {
-		jsonLen = len(doc)
+// Wire pieces for hand-built bodies.
+
+// cat joins wire pieces.
+func cat(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+
+// wstr is s behind its uvarint length.
+func wstr(s string) []byte { return append(binary.AppendUvarint(nil, uint64(len(s))), s...) }
+
+// uv is v as a uvarint.
+func uv(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+
+// u32s packs vs as little-endian uint32s.
+func u32s(vs ...uint32) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint32(b, v)
 	}
-	b := binary.LittleEndian.AppendUint32(nil, uint32(jsonLen))
-	return append(append(b, doc...), tail...)
+	return b
 }
 
-// tailFrame is a frame exercising the parameter tail, and whether the
-// reader of its message type must accept it.
-type tailFrame struct {
+// bodyFrame is a frame exercising the body codec, and whether the reader
+// of its message type must accept it.
+type bodyFrame struct {
 	name  string
 	req   bool // a Request frame; otherwise a Response frame
 	frame []byte
 	ok    bool
 }
 
-// tailFrames builds, for a handover push and a fetch-model hit, frames
-// whose JSON length and params_len fields consume the body exactly or
-// fail to, the same body at the retired versions 1 and 2, and the
-// pre-tail layout with base64 "params"; then push frames whose txs_len
-// fields and packed transactions consume the tail exactly or fail to.
-func tailFrames() []tailFrame {
-	docs := []struct {
-		req bool
-		doc string
-	}{
-		{true, `{"op":"handover-push","handoff":{"user":"u","general":[{"domain":"it","version":1,"params_len":%d}]}}`},
-		{false, `{"ok":true,"model":{"domain":"it","version":2,"params_len":%d}}`},
+// bodyFrames builds, for a handover push and a fetch-model hit, bodies
+// that are exactly one message and bodies that are not — a length past
+// the body, a non-minimal or overflowing varint, a count the bytes left
+// cannot hold, an unknown presence or flags bit, trailing bytes — the
+// same valid body at the retired versions, the version-3 layout at
+// Version; then push bodies whose packed transactions do or do not end
+// where they should.
+func bodyFrames() []bodyFrame {
+	// A push: no User, Text, Cell or DeadlineMs, no Peer or Fetch, then a
+	// Handoff with one general model and then buffers.
+	push := func(paramsLen, params []byte, buffers []byte) []byte {
+		return cat(wstr(OpHandoverPush), wstr(""), wstr(""), uv(0), []byte(z8), []byte{0, 0, 1},
+			wstr("u"), wstr(""), uv(0), uv(0), wstr(""), // User, FromNode, NoiseSeq, no Models, Reason
+			uv(1), wstr("it"), wstr(""), uv(2), paramsLen, params, // one general model, version 1
+			uv(0), buffers) // no Belief, then the buffers
 	}
-	var out []tailFrame
-	for _, d := range docs {
-		tail := []byte{1, 2, 3}
-		add := func(name string, payload []byte, ok bool) {
-			out = append(out, tailFrame{name, d.req, frameV(Version, payload, 0), ok})
+	noBuffers := uv(0)
+	// A fetch-model hit: OK, empty transmit results, then the Model.
+	hit := func(paramsLen, params []byte, _ []byte) []byte {
+		return cat([]byte{1}, wstr(""), wstr(""), wstr(""), []byte(z8), uv(0), []byte(z8), []byte{0, 0, 1},
+			wstr("it"), wstr(""), uv(4), paramsLen, params, // version 2
+			[]byte{0}, uv(0)) // no Node, no Peers
+	}
+	var out []bodyFrame
+	for _, m := range []struct {
+		req  bool
+		body func(paramsLen, params, buffers []byte) []byte
+	}{{true, push}, {false, hit}} {
+		params := []byte{1, 2, 3}
+		exact := m.body(uv(3), params, noBuffers)
+		add := func(name string, body []byte, ok bool) {
+			out = append(out, bodyFrame{name, m.req, frameV(Version, body, 0), ok})
 		}
-		add("exact tail", body(-1, fmt.Sprintf(d.doc, 3), tail), true)
-		add("no params", body(-1, fmt.Sprintf(d.doc, 0), nil), true)
-		add("JSON length past the payload", body(1000, fmt.Sprintf(d.doc, 3), tail), false)
-		add("params_len short of the tail", body(-1, fmt.Sprintf(d.doc, 2), tail), false)
-		add("params_len past the tail", body(-1, fmt.Sprintf(d.doc, 4), tail), false)
-		add("negative params_len", body(-1, fmt.Sprintf(d.doc, -1), tail), false)
-		add("body shorter than the JSON length prefix", []byte{2, 0}, false)
-		for _, v := range []byte{1, 2} {
-			out = append(out, tailFrame{fmt.Sprintf("exact tail at version %d", v), d.req, frameV(v, body(-1, fmt.Sprintf(d.doc, 3), tail), 0), false})
+		add("exact params", exact, true)
+		add("no params", m.body(uv(0), nil, noBuffers), true)
+		add("a params length past the body", m.body(uv(200), params, noBuffers), false)
+		add("a params length short of the params", m.body(uv(2), params, noBuffers), false)
+		add("an overlong params length", m.body([]byte{0x83, 0x00}, params, noBuffers), false)
+		add("a params length past 64 bits", m.body(bytes.Repeat([]byte{0xff}, 10), params, noBuffers), false)
+		add("a trailing byte", append(exact, 0), false)
+		add("a body cut mid-params", exact[:len(exact)-4], false)
+		add("an empty body", nil, false)
+		add("a presence byte of 2", bytes.Replace(exact, []byte{0, 0, 1}, []byte{0, 0, 2}, 1), false)
+		for _, v := range []byte{1, 2, 3} {
+			out = append(out, bodyFrame{fmt.Sprintf("exact params at version %d", v), m.req, frameV(v, exact, 0), false})
 		}
 	}
-	// A push whose model parameters are followed by one buffer's packed
-	// transactions: per transaction three uint32 list lengths, then the
-	// int32 ids.
-	u32s := func(vs ...uint32) []byte {
-		var b []byte
-		for _, v := range vs {
-			b = binary.LittleEndian.AppendUint32(b, v)
-		}
-		return b
-	}
-	const bufDoc = `{"op":"handover-push","handoff":{"user":"u","general":[{"domain":"it","version":1,"params_len":1}],"buffers":[{"domain":"it","txs_len":%d}]}}`
-	txs := u32s(1, 1, 0, 7, 0xffffffff) // surfaces [7], concepts [-1]
-	pushTail := func(txsLen int, packed []byte) []byte {
-		return body(-1, fmt.Sprintf(bufDoc, txsLen), append([]byte{9}, packed...))
-	}
-	for _, c := range []struct {
-		name   string
-		txsLen int
-		packed []byte
-		ok     bool
-	}{
-		{"packed transactions", len(txs), txs, true},
-		{"an empty transaction", 12, u32s(0, 0, 0), true},
-		{"txs_len short of the tail", len(txs) - 4, txs, false},
-		{"txs_len past the tail", len(txs) + 4, txs, false},
-		{"negative txs_len", -1, txs, false},
-		{"txs_len inside a transaction header", 8, u32s(0, 0), false},
-		{"list lengths past the segment", 20, u32s(1, 1, 1, 7, 7), false},
-		{"list lengths that overflow uint32 sums", 16, u32s(0xffffffff, 0xffffffff, 2, 0), false},
-		{"a list length past MaxMessageBytes", 12, u32s(1<<30, 0, 0), false},
-	} {
-		out = append(out, tailFrame{"push with " + c.name, true, frameV(Version, pushTail(c.txsLen, c.packed), 0), c.ok})
-	}
-	// The pre-tail layout, one JSON document with base64 "params": a
-	// member of an older build must be refused, never served a model
-	// with empty Params.
 	out = append(out,
-		tailFrame{"pre-tail push", true, []byte("\x034\x01\x00\x00{\"op\":\"handover-push\",\"handoff\":{\"user\":\"alice\",\"from_node\":\"node-0\",\"noise_seq\":17,\"models\":[{\"side\":\"sender\",\"model\":{\"domain\":\"it\",\"user\":\"alice\",\"version\":2,\"params\":\"AAEC+v8=\"}}],\"reason\":\"drain\",\"belief\":[0.5,0.25],\"buffers\":[{\"domain\":\"it\",\"txs\":[{\"surfaces\":[3,1],\"concepts\":[2],\"decoded\":[3,1]}]}]}}"), false},
-		tailFrame{"pre-tail hit", false, frameV(Version, []byte(`{"ok":true,"model":{"domain":"it","version":2,"params":"AAEC+v8="}}`), 0), false})
-	return out
+		bodyFrame{"hit with an unknown flags bit", false, frameV(Version, append([]byte{0x41}, hit(uv(0), nil, nil)[1:]...), 0), false},
+		bodyFrame{"push with more general models than bytes", true, frameV(Version, bytes.Replace(push(uv(0), nil, noBuffers), []byte{1, 2, 'i', 't'}, []byte{200, 2, 'i', 't'}, 1), 0), false})
+	// One buffer in domain "it": a transaction count, then per
+	// transaction three uint32 list lengths and the int32 ids.
+	buffers := func(count uint64, packed []byte) []byte { return cat(uv(1), wstr("it"), uv(count), packed) }
+	txs := u32s(1, 1, 0, 7, 0xffffffff) // surfaces [7], concepts [-1]
+	for _, c := range []struct {
+		name    string
+		buffers []byte
+		ok      bool
+	}{
+		{"packed transactions", buffers(1, txs), true},
+		{"an empty transaction", buffers(1, u32s(0, 0, 0)), true},
+		{"a buffer with no transactions", buffers(0, nil), true},
+		{"a transaction count past the body", buffers(2, txs), false},
+		{"a transaction count short of the transactions", buffers(1, append(txs, txs...)), false},
+		{"a body cut inside a transaction header", buffers(1, u32s(0, 0)), false},
+		{"list lengths past the body", buffers(1, u32s(1, 1, 1, 7, 7)), false},
+		{"list lengths that overflow uint32 sums", buffers(1, u32s(0xffffffff, 0xffffffff, 2, 0)), false},
+		{"a list length past MaxMessageBytes", buffers(1, u32s(1<<30, 0, 0)), false},
+	} {
+		out = append(out, bodyFrame{"push with " + c.name, true, frameV(Version, push(uv(1), []byte{9}, c.buffers), 0), c.ok})
+	}
+	// The version-3 layout: refused by its version byte, and refused by
+	// the codec when relabelled at Version.
+	relabel := func(frame string) []byte { return frameV(Version, []byte(frame[headerBytes:]), 0) }
+	return append(out,
+		bodyFrame{"version-3 push", true, []byte(v3Push), false},
+		bodyFrame{"version-3 hit", false, []byte(v3Hit), false},
+		bodyFrame{"version-3 push body at Version", true, relabel(v3Push), false},
+		bodyFrame{"version-3 hit body at Version", false, relabel(v3Hit), false})
 }
 
-// seedMeshFrames adds the mesh messages to the corpus, and the tail
+// seedMeshFrames adds the mesh messages to the corpus, and the body
 // frames.
 func seedMeshFrames(f *testing.F, valids ...interface{}) {
 	f.Helper()
@@ -187,56 +212,91 @@ func seedMeshFrames(f *testing.F, valids ...interface{}) {
 		}
 		f.Add(buf.Bytes())
 	}
-	for _, tf := range tailFrames() {
-		f.Add(tf.frame)
+	for _, bf := range bodyFrames() {
+		f.Add(bf.frame)
 	}
-	// Empty arrays, which re-frame as absent fields.
-	f.Add(frameV(Version, body(-1, `{"op":"handover-push","ok":true,"handoff":{"belief":[],"buffers":[{"txs":[{"concepts":[]}]}]},"peers":[]}`, nil), 0))
 }
 
-// TestFrameTailLengths checks the decoder accepts a body only when its
-// JSON length and params_len fields consume it exactly, and only at
-// Version.
+// TestFrameTailLengths checks the decoder accepts a body only when it is
+// exactly one message in the body codec, and only at Version.
 func TestFrameTailLengths(t *testing.T) {
-	for _, tf := range tailFrames() {
+	for _, bf := range bodyFrames() {
 		var err error
-		if tf.req {
-			_, _, err = ReadRequestV(bytes.NewReader(tf.frame))
+		if bf.req {
+			_, _, err = ReadRequestV(bytes.NewReader(bf.frame))
 		} else {
-			_, _, err = ReadResponseV(bytes.NewReader(tf.frame))
+			_, _, err = ReadResponseV(bytes.NewReader(bf.frame))
 		}
-		if (err == nil) != tf.ok {
-			t.Errorf("%s (request %v): err %v, want accepted %v", tf.name, tf.req, err, tf.ok)
+		if (err == nil) != bf.ok {
+			t.Errorf("%s (request %v): err %v, want accepted %v", bf.name, bf.req, err, bf.ok)
 		}
 	}
 }
 
-// canonical sets to nil each empty slice reachable from v that sits in a
-// struct field tagged omitempty: the encoder drops such a field, so a
-// decoded [] re-frames as absent, and no frame can carry the difference.
-// This loosens the round-trip property for exactly those fields; every
-// other slice, Params included, keeps nil and empty apart.
-func canonical(v reflect.Value) {
-	switch v.Kind() {
-	case reflect.Pointer:
-		if !v.IsNil() {
-			canonical(v.Elem())
+// equalBits is reflect.DeepEqual with every float64 compared by its bits:
+// the codec carries a NaN exactly, and DeepEqual finds no NaN equal.
+func equalBits(a, b reflect.Value) bool {
+	_, equal := diffBits(a, b)
+	return equal
+}
+
+// diffBits compares like equalBits and, when a and b differ, also returns
+// the path to the first field, element or pointer that does (".Stats.
+// Nodes[1].Hot", "" for a and b themselves).
+func diffBits(a, b reflect.Value) (string, bool) {
+	switch a.Kind() {
+	case reflect.Float64:
+		return "", math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Pointer, reflect.Interface:
+		if a.IsNil() || b.IsNil() {
+			return "", a.IsNil() == b.IsNil()
 		}
+		return diffBits(a.Elem(), b.Elem())
 	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			fv, ft := v.Field(i), v.Type().Field(i)
-			if !fv.CanSet() {
-				continue
+		for i := range a.NumField() {
+			if path, equal := diffBits(a.Field(i), b.Field(i)); !equal {
+				return "." + a.Type().Field(i).Name + path, false
 			}
-			if fv.Kind() == reflect.Slice && fv.Len() == 0 && strings.Contains(ft.Tag.Get("json"), ",omitempty") {
-				fv.SetZero()
-			}
-			canonical(fv)
 		}
+		return "", true
 	case reflect.Slice:
-		for i := 0; i < v.Len(); i++ {
-			canonical(v.Index(i))
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return "", false
 		}
+		for i := range a.Len() {
+			if path, equal := diffBits(a.Index(i), b.Index(i)); !equal {
+				return fmt.Sprintf("[%d]%s", i, path), false
+			}
+		}
+		return "", true
+	}
+	return "", a.Interface() == b.Interface()
+}
+
+// checkCanonical asserts a parsed message's canonical form: written again
+// it is byte for byte the frame it was parsed from, and that frame parses
+// to an equal message.
+func checkCanonical(t *testing.T, data []byte, msg interface{}) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteV(&buf, Version, msg); err != nil {
+		t.Fatalf("accepted %+v fails to serialize: %v", msg, err)
+	}
+	if n := headerBytes + int(binary.LittleEndian.Uint32(data[1:])); !bytes.Equal(buf.Bytes(), data[:n]) {
+		t.Fatalf("accepted frame re-frames differently:\n got %q\nwant %q", buf.Bytes(), data[:n])
+	}
+	var again interface{}
+	var err error
+	if _, isReq := msg.(*Request); isReq {
+		again, _, err = ReadRequestV(&buf)
+	} else {
+		again, _, err = ReadResponseV(&buf)
+	}
+	if err != nil {
+		t.Fatalf("re-framed message fails to parse: %v", err)
+	}
+	if !equalBits(reflect.ValueOf(again), reflect.ValueOf(msg)) {
+		t.Fatalf("round-trip changed: %+v != %+v", again, msg)
 	}
 }
 
@@ -307,18 +367,7 @@ func FuzzReadRequest(f *testing.F) {
 		if version != Version {
 			t.Fatalf("accepted a frame reported at version %d", version)
 		}
-		var buf bytes.Buffer
-		if err := WriteV(&buf, Version, req); err != nil {
-			t.Fatalf("accepted request %+v fails to serialize: %v", req, err)
-		}
-		again, _, err := ReadRequestV(&buf)
-		if err != nil {
-			t.Fatalf("re-framed request fails to parse: %v", err)
-		}
-		canonical(reflect.ValueOf(req))
-		if !reflect.DeepEqual(again, req) {
-			t.Fatalf("request round-trip changed: %+v != %+v", again, req)
-		}
+		checkCanonical(t, data, req)
 	})
 }
 
@@ -340,6 +389,7 @@ func FuzzReadResponse(f *testing.F) {
 		&Response{OK: true, Peers: []PeerInfo{{Name: "node-0", Index: 0, Addr: "127.0.0.1:7101"}}},
 		&Response{OK: false, Error: (&VersionError{Got: 1}).Error()},
 		&Response{OK: false, Draining: true, Error: "draining: member is leaving the mesh"},
+		&Response{OK: true, Mismatch: math.NaN(), LatencyMs: math.Copysign(0, -1), PayloadBytes: -1},
 	)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		resp, version, err := ReadResponseV(bytes.NewReader(data))
@@ -351,17 +401,6 @@ func FuzzReadResponse(f *testing.F) {
 		if version != Version {
 			t.Fatalf("accepted a frame reported at version %d", version)
 		}
-		var buf bytes.Buffer
-		if err := WriteV(&buf, Version, resp); err != nil {
-			t.Fatalf("accepted response fails to serialize: %v", err)
-		}
-		again, _, err := ReadResponseV(&buf)
-		if err != nil {
-			t.Fatalf("re-framed response fails to parse: %v", err)
-		}
-		canonical(reflect.ValueOf(resp))
-		if !reflect.DeepEqual(again, resp) {
-			t.Fatalf("response round-trip changed: %+v != %+v", again, resp)
-		}
+		checkCanonical(t, data, resp)
 	})
 }

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -112,5 +113,52 @@ func TestPushRoundTripAllocBudget(t *testing.T) {
 	t.Logf("per round trip: %d B allocated for a %d B frame (%d GCs in the window)", perTrip, frame.Len(), after.NumGC-before.NumGC)
 	if limit := uint64(frame.Len()) / 4; perTrip > limit {
 		t.Fatalf("a push round trip allocates %d B, want <= %d: a frame buffer is not coming from the pool", perTrip, limit)
+	}
+}
+
+// transmitAllocBudget is what a warm transmit round trip allocates: the
+// request the server reads (the Request, its User and Text) and the
+// response the client reads (the Response, its Restored and
+// SelectedDomain). The frames themselves reuse each Conn's buffer.
+const transmitAllocBudget = 6
+
+// TestTransmitRoundTripAllocBudget pins the allocations of one warm
+// wire_short-shaped transmit exchange over an in-memory connection:
+// client Write, server ReadRequest, server Write, client ReadResponse. It
+// runs on one P, like TestPushRoundTripAllocBudget.
+func TestTransmitRoundTripAllocBudget(t *testing.T) {
+	if mat.RaceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	clientEnd, serverEnd := pipeConns(t)
+	client, server := NewConn(clientEnd), NewConn(serverEnd)
+	req := &Request{Op: OpTransmit, User: "u03", Text: "the server has a kernel bug and the patch is late", DeadlineMs: 1800}
+	resp := &Response{OK: true, Restored: req.Text, SelectedDomain: "it", Mismatch: 0.1, PayloadBytes: 18, LatencyMs: 4.25, CacheHit: true}
+	go func() {
+		for {
+			if _, err := server.ReadRequest(); err != nil {
+				return
+			}
+			if err := server.Write(resp); err != nil {
+				return
+			}
+		}
+	}()
+	var got *Response
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := client.Write(req); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if got, err = client.ReadResponse(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !reflect.DeepEqual(got, resp) {
+		t.Fatalf("response came back as %+v", got)
+	}
+	t.Logf("%.1f allocations per round trip", allocs)
+	if allocs > transmitAllocBudget {
+		t.Fatalf("a transmit round trip allocates %.1f times, want <= %d", allocs, transmitAllocBudget)
 	}
 }

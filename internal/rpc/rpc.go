@@ -1,13 +1,13 @@
 // Package rpc defines the length-prefixed wire protocol spoken between the
 // edged daemon, its clients and its mesh peers. A frame is a one-byte
-// protocol version, a uint32 little-endian body length, then the body: a
-// uint32 little-endian JSON length, the JSON document, then the binary
-// tail — the raw bytes of every ModelPayload.Params in the message, then
-// the packed transactions of every BufferState, each in document order.
-// A frame without models or buffers is the JSON document behind its
-// 4-byte length. Every op, client and mesh alike, travels in this one
-// layout; a frame with any other version byte is refused with
-// *VersionError.
+// protocol version, a uint32 little-endian body length, then the body: the
+// message's fields in struct order, in one binary form (codec.go). Strings
+// and byte slices are a uvarint length and the bytes, integers varints,
+// float64 values their 8 IEEE bits little-endian; a struct's bools share
+// one flags byte, each optional pointer has a presence byte and each slice
+// a uvarint count; buffered transactions are packed int32 ids. Every op,
+// client and mesh alike, travels in this one layout; a frame with any
+// other version byte is refused with *VersionError.
 // Connections carry frames through a Conn (one Write per frame, buffered
 // reads); Client is the typed request/response surface on top of it.
 package rpc
@@ -19,12 +19,12 @@ import (
 )
 
 // Version is the wire protocol version: the one frame layout this build
-// writes and reads. Version 3 moved the pending transactions of a
-// handover push out of the JSON into the tail. Versions 1 (the JSON
-// document alone behind the header) and 2 (transactions as JSON arrays)
-// are retired; a reader refuses them with *VersionError, so a member of
-// an older build can never hand a user over with its buffers dropped.
-const Version = 3
+// writes and reads. Version 4 replaced the JSON document with the binary
+// body. Versions 1 (the JSON document alone behind the header), 2
+// (transactions as JSON arrays) and 3 (a JSON document, then the raw
+// parameters and packed transactions) are retired; a reader refuses them
+// with *VersionError, so a member of an older build is never misread.
+const Version = 4
 
 // Version2 names Version for callers written when mesh frames had a
 // version of their own.
@@ -83,33 +83,33 @@ func IsMeshOp(op string) bool {
 
 // Request is a client-to-daemon message.
 type Request struct {
-	Op   string `json:"op"`
-	User string `json:"user,omitempty"`
-	Text string `json:"text,omitempty"`
+	Op   string
+	User string
+	Text string
 	// Cell is the target radio cell for OpMove.
-	Cell int `json:"cell,omitempty"`
+	Cell int
 	// DeadlineMs is the client's remaining patience for this call in
 	// milliseconds. Zero means no deadline. The daemon sheds the request
 	// with an error instead of serving it when admission queueing alone
 	// would exceed the deadline.
-	DeadlineMs float64 `json:"deadline_ms,omitempty"`
+	DeadlineMs float64
 
 	// Peer identifies the calling node for OpJoin/OpLeave.
-	Peer *PeerInfo `json:"peer,omitempty"`
+	Peer *PeerInfo
 	// Fetch names the model wanted by OpFetchModel.
-	Fetch *FetchRequest `json:"fetch,omitempty"`
+	Fetch *FetchRequest
 	// Handoff carries the migrating user state for OpHandoverPush.
-	Handoff *HandoffPayload `json:"handoff,omitempty"`
+	Handoff *HandoffPayload
 }
 
 // PeerInfo identifies one mesh member.
 type PeerInfo struct {
 	// Name is the node name ("node-0", ...); Index its mesh position.
-	Name  string `json:"name"`
-	Index int    `json:"index"`
+	Name  string
+	Index int
 	// Addr is the peer's mesh listen address: host:port, or a mem: name
 	// for a member in the dialing process (see Listen).
-	Addr string `json:"addr,omitempty"`
+	Addr string
 }
 
 // FetchRequest names a model for OpFetchModel. The responder answers from
@@ -117,42 +117,34 @@ type PeerInfo struct {
 // distortion) and reports a plain miss, never forwarding to origin — the
 // caller decides when to pay the uplink.
 type FetchRequest struct {
-	Domain string `json:"domain"`
-	User   string `json:"user,omitempty"`
-	Role   string `json:"role"`
+	Domain string
+	User   string
+	Role   string
 }
 
 // ModelPayload is a serialized model shipped between peers: the
-// OpFetchModel hit response and each entry of a handover push. Its JSON
-// form (see conn.go) carries params_len in place of Params, so it is
-// meaningful only inside an rpc frame: serialize a message holding one
-// through WriteV and ReadRequestV / ReadResponseV, never encoding/json.
+// OpFetchModel hit response and each entry of a handover push.
 type ModelPayload struct {
 	Domain  string
 	User    string
 	Version int
 	// Params is the full parameter payload in nn.ParamSet wire form. It
-	// travels raw in the frame's tail; the JSON document carries only its
-	// length, which the frame encoder fills. Decoded, it is a view of the
-	// frame. In a request a Conn served (Conn.ReadRequest) the view is
-	// lent: it is valid until that Conn's next Write or read, after which
-	// the frame's buffer goes back to the pool and is reused, so a handler
-	// parses or copies Params before its response is written. A response
+	// travels raw in the frame; decoded, it is a view of the frame. In a
+	// request a Conn served (Conn.ReadRequest) the view is lent: it is
+	// valid until that Conn's next Write or read, after which the frame's
+	// buffer goes back to the pool and is reused, so a handler parses or
+	// copies Params before its response is written. A response
 	// (Conn.ReadResponse) and a message read by ReadRequestV or
 	// ReadResponseV keep their Params.
 	Params []byte
-
-	// paramsLen is the decoded params_len, held until the frame decoder
-	// slices Params out of the tail.
-	paramsLen int
 }
 
 // HandoffModel is one individual model inside a handover push, tagged
 // with the pipeline side it personalizes.
 type HandoffModel struct {
 	// Side is "sender" or "receiver".
-	Side  string       `json:"side"`
-	Model ModelPayload `json:"model"`
+	Side  string
+	Model ModelPayload
 }
 
 // Handover-push reasons. The empty reason is a mobility handover (OpMove
@@ -176,33 +168,27 @@ const (
 // on the new owner. Drain and replica pushes may instead ship general
 // models with User empty.
 type HandoffPayload struct {
-	User     string         `json:"user"`
-	FromNode string         `json:"from_node"`
-	NoiseSeq uint64         `json:"noise_seq"`
-	Models   []HandoffModel `json:"models,omitempty"`
+	User     string
+	FromNode string
+	NoiseSeq uint64
+	Models   []HandoffModel
 	// Reason tags the push: "" (mobility), HandoffDrain or HandoffReplica.
-	Reason string `json:"reason,omitempty"`
+	Reason string
 	// General carries general (user-independent) models pushed by drain
 	// rebalancing or hot-model replication.
-	General []ModelPayload `json:"general,omitempty"`
+	General []ModelPayload
 	// Belief is the user's domain-selection posterior (sticky selector).
-	Belief []float64 `json:"belief,omitempty"`
+	Belief []float64
 	// Buffers are the user's pending federated-update transactions.
-	Buffers []BufferState `json:"buffers,omitempty"`
+	Buffers []BufferState
 }
 
 // BufferState is one (user, domain) federated-update buffer in wire form.
-// Its JSON form (see conn.go) carries txs_len in place of Txs, so, like
-// ModelPayload, it is meaningful only inside an rpc frame.
 type BufferState struct {
 	Domain string
-	// Txs travel packed in the frame's tail, after every model's Params;
-	// the JSON document carries only their packed length.
+	// Txs travel packed: per transaction its three list lengths, then the
+	// ids, every number 4 bytes.
 	Txs []TxState
-
-	// txsLen is the decoded txs_len, held until the frame decoder unpacks
-	// Txs from the tail.
-	txsLen int
 }
 
 // TxState is one buffered transaction: the surface token ids, the concept
@@ -216,82 +202,80 @@ type TxState struct {
 
 // Response is a daemon-to-client message.
 type Response struct {
-	OK    bool   `json:"ok"`
-	Error string `json:"error,omitempty"`
+	OK    bool
+	Error string
 
 	// Shed marks a request rejected by admission control (queue wait
 	// exceeded the deadline or the shed threshold) rather than failed.
-	Shed bool `json:"shed,omitempty"`
+	Shed bool
 
 	// Draining marks a request refused because the member is gracefully
 	// leaving the mesh. The response is only written after the member has
 	// handed its state off, so a client that retries against the surviving
 	// membership finds the user's state already at the new owner.
-	Draining bool `json:"draining,omitempty"`
+	Draining bool
 
-	// Transmit results. Mismatch, PayloadBytes and LatencyMs always
-	// serialize: a perfect zero-mismatch transmit must stay
-	// distinguishable from a response that never set the field.
-	Restored       string  `json:"restored,omitempty"`
-	SelectedDomain string  `json:"selected_domain,omitempty"`
-	Mismatch       float64 `json:"mismatch"`
-	PayloadBytes   int     `json:"payload_bytes"`
-	LatencyMs      float64 `json:"latency_ms"`
-	CacheHit       bool    `json:"cache_hit,omitempty"`
-	Individual     bool    `json:"individual_model,omitempty"`
-	UpdateFired    bool    `json:"update_fired,omitempty"`
+	// Transmit results.
+	Restored       string
+	SelectedDomain string
+	Mismatch       float64
+	PayloadBytes   int
+	LatencyMs      float64
+	CacheHit       bool
+	Individual     bool
+	UpdateFired    bool
 
 	// Move results.
-	Handover *Handover `json:"handover,omitempty"`
+	Handover *Handover
 
 	// Stats results.
-	Stats *Stats `json:"stats,omitempty"`
+	Stats *Stats
 
 	// Mesh results. Model answers an OpFetchModel hit (nil on miss, with
 	// OK still true); Node answers OpPeerStats; Peers lists the
 	// responder's current view of the mesh membership for OpJoin.
-	Model *ModelPayload `json:"model,omitempty"`
-	Node  *NodeStats    `json:"node,omitempty"`
-	Peers []PeerInfo    `json:"peers,omitempty"`
+	Model *ModelPayload
+	Node  *NodeStats
+	Peers []PeerInfo
 }
 
 // Handover reports one OpMove outcome.
 type Handover struct {
 	// From and To name the old and new serving nodes.
-	From string `json:"from"`
-	To   string `json:"to"`
+	From string
+	To   string
 	// Moved is false when the user was already served by the target node.
-	Moved bool `json:"moved"`
+	Moved bool
 	// Models and MigratedBytes count the individual models shipped over
 	// the mesh; LatencyMs is the simulated migration transfer time.
-	Models        int     `json:"models"`
-	MigratedBytes int64   `json:"migrated_bytes"`
-	LatencyMs     float64 `json:"latency_ms"`
+	Models        int
+	MigratedBytes int64
+	LatencyMs     float64
 }
 
 // Stats reports daemon counters.
 type Stats struct {
-	Messages       int     `json:"messages"`
-	SenderHitRate  float64 `json:"sender_hit_rate"`
-	SyncBytes      int64   `json:"sync_bytes"`
-	SyncCount      int     `json:"sync_count"`
-	CachedModels   int     `json:"cached_models"`
-	CacheUsedBytes int64   `json:"cache_used_bytes"`
+	Messages       int
+	SenderHitRate  float64
+	SyncBytes      int64
+	SyncCount      int
+	CachedModels   int
+	CacheUsedBytes int64
 	// UpdateFailures counts individual-model updates that a transmit
 	// triggered and that failed; the transmits themselves succeeded.
-	UpdateFailures int64 `json:"update_failures,omitempty"`
+	UpdateFailures int64
 	MemoStats
 
 	// Serve carries the daemon's serve-path metrics: admission state and
 	// the latency and queue-wait histograms. Nil when the responder
 	// predates the serve path (e.g. a unit-test stub).
-	Serve *ServeStats `json:"serve,omitempty"`
+	Serve *ServeStats
 
 	// Mesh counters: one NodeStats per member whose snapshot was merged
 	// in (a daemon reports itself; a lone daemon is the only entry).
-	Nodes         []NodeStats `json:"nodes,omitempty"`
-	Handovers     int64       `json:"handovers,omitempty"`
-	MigratedBytes int64       `json:"migrated_bytes,omitempty"`
+	Nodes         []NodeStats
+	Handovers     int64
+	MigratedBytes int64
 }
 
 // ServeStats nests the serve-path metrics: what the daemon is doing right
@@ -299,59 +283,59 @@ type Stats struct {
 // admission queueing takes (queue-wait percentiles plus sheds).
 type ServeStats struct {
 	// InFlight is the number of transmits being served right now.
-	InFlight int `json:"in_flight"`
+	InFlight int
 	// Latency percentiles of daemon-side transmit service time, in
 	// milliseconds, from the daemon's streaming histogram.
-	LatencyP50Ms float64 `json:"latency_p50_ms"`
-	LatencyP95Ms float64 `json:"latency_p95_ms"`
-	LatencyP99Ms float64 `json:"latency_p99_ms"`
+	LatencyP50Ms float64
+	LatencyP95Ms float64
+	LatencyP99Ms float64
 
 	// Queue-wait percentiles measure time spent blocked on the
 	// -max-inflight admission gate before service began, in milliseconds.
-	QueueWaitP50Ms float64 `json:"queue_wait_p50_ms"`
-	QueueWaitP95Ms float64 `json:"queue_wait_p95_ms"`
-	QueueWaitP99Ms float64 `json:"queue_wait_p99_ms"`
+	QueueWaitP50Ms float64
+	QueueWaitP95Ms float64
+	QueueWaitP99Ms float64
 	// Shed counts requests rejected by admission control.
-	Shed int64 `json:"shed,omitempty"`
+	Shed int64
 
 	// Update percentiles are the wall time of the individual-model update
 	// processes (§II-D) this daemon has completed, in milliseconds — the
-	// stall a full buffer adds to its transmit. Absent before the first
+	// stall a full buffer adds to its transmit. Zero before the first
 	// update.
-	UpdateP50Ms float64 `json:"update_p50_ms,omitempty"`
-	UpdateP99Ms float64 `json:"update_p99_ms,omitempty"`
+	UpdateP50Ms float64
+	UpdateP99Ms float64
 }
 
 // NodeStats reports one mesh member's counters: the answer to
 // OpPeerStats, and the member's entry in Stats.Nodes. FetchLatencyMs is
 // simulated transfer time, summed.
 type NodeStats struct {
-	Name           string  `json:"name"`
-	Users          int     `json:"users"`
-	HitRate        float64 `json:"hit_rate"`
-	CachedModels   int     `json:"cached_models"`
-	CacheUsedBytes int64   `json:"cache_used_bytes"`
-	HandoversIn    int64   `json:"handovers_in"`
-	HandoversOut   int64   `json:"handovers_out"`
-	NeighborHits   int64   `json:"neighbor_hits"`
-	NeighborBytes  int64   `json:"neighbor_bytes,omitempty"`
-	NeighborServed int64   `json:"neighbor_served"`
-	OriginFetches  int64   `json:"origin_fetches"`
-	OriginBytes    int64   `json:"origin_bytes,omitempty"`
-	FetchLatencyMs float64 `json:"fetch_latency_ms,omitempty"`
+	Name           string
+	Users          int
+	HitRate        float64
+	CachedModels   int
+	CacheUsedBytes int64
+	HandoversIn    int64
+	HandoversOut   int64
+	NeighborHits   int64
+	NeighborBytes  int64
+	NeighborServed int64
+	OriginFetches  int64
+	OriginBytes    int64
+	FetchLatencyMs float64
 
 	// Generals lists the domains whose general model this node's sender
 	// cache currently holds. Peers use it for coordinated eviction (never
 	// evict the mesh's last copy) and to skip redundant drain pushes.
-	Generals []string `json:"generals,omitempty"`
+	Generals []string
 	// Hot reports per-domain transmit counts, hottest first — the
 	// popularity signal replication promotes on, piggybacked on the
 	// OpPeerStats probe exchange.
-	Hot []DomainHeat `json:"hot,omitempty"`
+	Hot []DomainHeat
 	// ReplicasOut counts general-model replicas this node pushed to its
 	// ring-successors; ReplicasIn counts replicas it received.
-	ReplicasOut int64 `json:"replicas_out,omitempty"`
-	ReplicasIn  int64 `json:"replicas_in,omitempty"`
+	ReplicasOut int64
+	ReplicasIn  int64
 	MemoStats
 }
 
@@ -360,10 +344,10 @@ type NodeStats struct {
 // up, rows that skipped the decoder MLP, entries inserted, and inserts
 // that overwrote a live entry. MemoHits/MemoLookups is the hit rate.
 type MemoStats struct {
-	MemoLookups  uint64 `json:"memo_lookups,omitempty"`
-	MemoHits     uint64 `json:"memo_hits,omitempty"`
-	MemoInserts  uint64 `json:"memo_inserts,omitempty"`
-	MemoReplaced uint64 `json:"memo_replaced,omitempty"`
+	MemoLookups  uint64
+	MemoHits     uint64
+	MemoInserts  uint64
+	MemoReplaced uint64
 }
 
 // HitRate returns MemoHits/MemoLookups, or 0 before any lookup.
@@ -384,8 +368,8 @@ func (m *MemoStats) add(o MemoStats) {
 
 // DomainHeat is one entry of NodeStats.Hot.
 type DomainHeat struct {
-	Domain string `json:"domain"`
-	Count  int64  `json:"count"`
+	Domain string
+	Count  int64
 }
 
 // Merge folds other's counters into s, so the stats scraped from N mesh
@@ -455,10 +439,6 @@ func (s *Stats) Print(w io.Writer) {
 // errFrameTooLarge reports an oversized wire frame.
 var errFrameTooLarge = errors.New("rpc: frame exceeds MaxMessageBytes")
 
-// errBadTail reports a body whose JSON length or params_len fields do not
-// consume it exactly — among them a frame in an older layout.
-var errBadTail = errors.New("rpc: frame body lengths do not match its JSON and parameter tail")
-
 // VersionError reports a frame whose version byte is not Version.
 type VersionError struct {
 	// Got is the version byte received from the peer.
@@ -469,9 +449,9 @@ func (e *VersionError) Error() string {
 	return fmt.Sprintf("rpc: unsupported protocol version %d (want %d)", e.Got, Version)
 }
 
-// WriteV marshals v and writes one frame in a single Write. version must
-// be Version. Connections frame through a Conn; this form serves plain
-// writers.
+// WriteV encodes v (a *Request or *Response) and writes one frame in a
+// single Write. version must be Version. Connections frame through a
+// Conn; this form serves plain writers.
 func WriteV(w io.Writer, version byte, v interface{}) error {
 	if version != Version {
 		return &VersionError{Got: version}

@@ -3,8 +3,8 @@ package rpc
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -43,17 +43,101 @@ func TestResponseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEveryFieldRoundTrips fills every exported field of a Request and of
+// a Response, recursively, and checks each comes back equal. The codec's
+// walks list their fields by hand, so a field added to a message and
+// forgotten in its walk is dropped by the writer and the parser alike;
+// here it comes back zero and fails.
+func TestEveryFieldRoundTrips(t *testing.T) {
+	for _, in := range []interface{}{new(Request), new(Response)} {
+		var leaves int
+		fillDistinct(t, reflect.ValueOf(in).Elem(), &leaves)
+		var buf bytes.Buffer
+		if err := WriteV(&buf, Version, in); err != nil {
+			t.Fatalf("%T: %v", in, err)
+		}
+		var out interface{}
+		var err error
+		if _, isReq := in.(*Request); isReq {
+			out, _, err = ReadRequestV(&buf)
+		} else {
+			out, _, err = ReadResponseV(&buf)
+		}
+		if err != nil {
+			t.Fatalf("%T with every field set: %v", in, err)
+		}
+		if path, equal := diffBits(reflect.ValueOf(out).Elem(), reflect.ValueOf(in).Elem()); !equal {
+			t.Errorf("%T%s did not survive the round trip (%d leaves filled)", in, path, leaves)
+		}
+	}
+}
+
+// fillDistinct sets every exported field under v: each pointer to a new
+// value, each slice to two elements, and each leaf to a value no other
+// leaf holds (a bool to true). *n counts the leaves. A kind it cannot
+// fill fails the test, so a new kind of field extends it rather than
+// going unchecked.
+func fillDistinct(t *testing.T, v reflect.Value, n *int) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fillDistinct(t, v.Elem(), n)
+		return
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := range v.Len() {
+			fillDistinct(t, v.Index(i), n)
+		}
+		return
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if v.Type().Field(i).IsExported() {
+				fillDistinct(t, v.Field(i), n)
+			}
+		}
+		return
+	}
+	*n++
+	switch {
+	case v.Kind() == reflect.String:
+		v.SetString(fmt.Sprintf("s%d", *n))
+	case v.Kind() == reflect.Bool:
+		v.SetBool(true)
+	case v.CanInt():
+		v.SetInt(int64(*n))
+	case v.CanUint():
+		v.SetUint(uint64(*n))
+	case v.CanFloat():
+		v.SetFloat(float64(*n) + 0.25)
+	default:
+		t.Fatalf("fillDistinct: cannot fill a %s", v.Type())
+	}
+}
+
+// TestZeroTransmitFieldsSerialize checks a transmit's numeric results
+// always travel: every one has its place in the body whatever its value,
+// so a flawless transmit (mismatch 0, and here -0) frames to the same
+// length as a lossy one and comes back bit for bit.
 func TestZeroTransmitFieldsSerialize(t *testing.T) {
-	payload, err := json.Marshal(&Response{OK: true, Restored: "perfect"})
+	perfect := &Response{OK: true, Restored: "perfect", Mismatch: math.Copysign(0, -1)}
+	lossy := &Response{OK: true, Restored: "perfect", Mismatch: 0.5, PayloadBytes: 18, LatencyMs: 3.25}
+	var a, b bytes.Buffer
+	if err := WriteV(&a, Version, perfect); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteV(&b, Version, lossy); err != nil {
+		t.Fatal(err)
+	}
+	if a.Len() != b.Len() {
+		t.Fatalf("a zero-valued transmit frames to %d bytes, a lossy one to %d", a.Len(), b.Len())
+	}
+	got, _, err := ReadResponseV(&a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A flawless transmit (mismatch 0) must not be indistinguishable from
-	// a response that never set the field.
-	for _, field := range []string{`"mismatch"`, `"payload_bytes"`, `"latency_ms"`} {
-		if !bytes.Contains(payload, []byte(field)) {
-			t.Fatalf("zero-valued %s dropped from wire form %s", field, payload)
-		}
+	if math.Float64bits(got.Mismatch) != math.Float64bits(perfect.Mismatch) || got.PayloadBytes != 0 || got.LatencyMs != 0 {
+		t.Fatalf("zero transmit fields came back as %+v", got)
 	}
 }
 
@@ -83,10 +167,10 @@ func TestReadTruncatedPayload(t *testing.T) {
 }
 
 // TestWriteEmitsVersionByte checks both writers start every frame with
-// the one protocol version, 3.
+// the one protocol version, 4.
 func TestWriteEmitsVersionByte(t *testing.T) {
-	if Version != 3 {
-		t.Fatalf("Version = %d, want 3", Version)
+	if Version != 4 {
+		t.Fatalf("Version = %d, want 4", Version)
 	}
 	var buf bytes.Buffer
 	if err := WriteV(&buf, Version, &Request{Op: OpPing}); err != nil {
@@ -104,10 +188,10 @@ func TestWriteEmitsVersionByte(t *testing.T) {
 }
 
 // TestReadRejectsUnknownVersions checks every version byte but Version —
-// the retired versions 1 and 2 among them — fails with *VersionError
+// the retired versions 1, 2 and 3 among them — fails with *VersionError
 // before the body is read.
 func TestReadRejectsUnknownVersions(t *testing.T) {
-	for _, v := range []byte{0, 1, 2, 4, 0x7f, 0xff} {
+	for _, v := range []byte{0, 1, 2, 3, 5, 0x7f, 0xff} {
 		var buf bytes.Buffer
 		buf.Write(header(v, 2))
 		buf.WriteString("{}")
@@ -123,9 +207,9 @@ func TestReadRejectsUnknownVersions(t *testing.T) {
 }
 
 // TestV2RequestRoundTrip round-trips a handover push at Version with
-// everything its tail carries: each model's parameters (the tail version
-// 2 introduced) and the packed pending transactions (version 3), empty
-// lists and negative ids included.
+// everything a push carries — each model's raw parameters, the belief and
+// the packed pending transactions, empty lists and negative ids included —
+// and checks that an id past int32 fails the write before a byte of it.
 func TestV2RequestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	in := &Request{Op: OpHandoverPush, Handoff: &HandoffPayload{
@@ -166,10 +250,10 @@ func TestV2RequestRoundTrip(t *testing.T) {
 }
 
 // TestWriteVRejectsUnknownVersion checks WriteV writes only Version: the
-// retired versions 1 and 2 and an unknown byte alike fail with
+// retired versions 1, 2 and 3 and an unknown byte alike fail with
 // *VersionError.
 func TestWriteVRejectsUnknownVersion(t *testing.T) {
-	for _, v := range []byte{1, 2, 9} {
+	for _, v := range []byte{1, 2, 3, 9} {
 		var buf bytes.Buffer
 		err := WriteV(&buf, v, &Request{Op: OpPing})
 		var verr *VersionError
@@ -250,9 +334,14 @@ func TestReadEOFPassthrough(t *testing.T) {
 	}
 }
 
+// TestReadGarbageJSON checks a body that is text, not the binary codec —
+// a JSON fragment or a version-3 document relabelled at Version — is
+// refused, not misread.
 func TestReadGarbageJSON(t *testing.T) {
-	if _, _, err := ReadRequestV(bytes.NewReader(frame([]byte("]]]]"), 0))); err == nil {
-		t.Fatal("garbage JSON accepted")
+	for _, doc := range []string{"]]]]", `{"op":"ping"}`, "\x0d\x00\x00\x00{\"op\":\"ping\"}"} {
+		if req, _, err := ReadRequestV(bytes.NewReader(frameV(Version, []byte(doc), 0))); err == nil {
+			t.Fatalf("garbage body %q parsed to %+v", doc, req)
+		}
 	}
 }
 
