@@ -11,7 +11,7 @@ import (
 
 // BenchmarkUpdateProcess measures one whole §II-D update process as the
 // serve path runs it: System.ProcessUpdate on a full 32-message buffer —
-// fine-tune, decoder delta, payload encode, receiver apply — at the
+// fine-tune, decoder copy, payload size, receiver copy — at the
 // default codec size a daemon serves. The buffer is refilled by 32
 // untimed transmits per iteration.
 func BenchmarkUpdateProcess(b *testing.B) {

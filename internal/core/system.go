@@ -65,7 +65,7 @@ const (
 // The air interface between the two edges is fixed: channel symbols leave
 // at symbolRateHz, and a message pays edgeLatency of propagation on top of
 // its air time. So is the §II-D update: updateEpochs fine-tuning passes,
-// the decoder delta shipped lossless.
+// the decoder shipped lossless.
 const (
 	symbolRateHz = 1e6
 	edgeLatency  = 10 * time.Millisecond
@@ -537,10 +537,10 @@ func (s *System) ProcessUpdate(domain, user string) (int, error) {
 	if err := s.Receiver.ApplyRemoteUpdate(upd); err != nil {
 		return 0, err
 	}
-	s.syncBytes.Add(int64(upd.Stats.PayloadBytes))
+	s.syncBytes.Add(int64(upd.PayloadBytes))
 	s.syncCount.Add(1)
 	s.updateTime.Observe(float64(time.Since(start)) / float64(time.Millisecond))
-	return upd.Stats.PayloadBytes, nil
+	return upd.PayloadBytes, nil
 }
 
 // SyncBytes returns the cumulative decoder-update traffic.

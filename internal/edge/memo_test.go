@@ -130,7 +130,7 @@ func TestEveryWriterRestamps(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			upd, err := donor.RunUpdate("it", "u1", fl.UpdateConfig{Epochs: 6, LR: 0.1, Seed: 5})
+			upd, err := donor.RunUpdate("it", "u1", fl.UpdateConfig{Epochs: 6, Seed: 5})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -108,13 +108,14 @@ func RunE4(env *Env, opts E4Options) (*E4Result, error) {
 				}
 				buf.Add(tx)
 			}
+			before := sender.DecoderParams().Clone()
 			upd, err := fl.RunUpdate(sender, buf, round, fl.UpdateConfig{
 				Epochs: 3, Seed: ftRNG.Uint64()%1000 + 1,
 			})
 			if err != nil {
 				return nil, err
 			}
-			bytes, err := lossySync(receiver, upd, mc.compress)
+			bytes, err := lossySync(receiver, before, upd, mc.compress)
 			if err != nil {
 				return nil, err
 			}

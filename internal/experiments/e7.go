@@ -88,13 +88,14 @@ func RunE7(env *Env, opts E7Options) (*E7Result, error) {
 					msg := gen.Message(d.Index, idio)
 					buf.Add(transaction(sc, d, msg, sender, sender))
 				}
+				before := sender.DecoderParams().Clone()
 				upd, err := fl.RunUpdate(sender, buf, u, fl.UpdateConfig{
 					Epochs: 3, Seed: uint64(u) + 1,
 				})
 				if err != nil {
 					return nil, err
 				}
-				bytes, err := lossySync(receiver, upd, compress)
+				bytes, err := lossySync(receiver, before, upd, compress)
 				if err != nil {
 					return nil, err
 				}

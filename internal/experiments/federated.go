@@ -17,11 +17,32 @@ import (
 // general models immutable (§II-D); this is the explicit relaxation (E9
 // and examples/federated).
 
+// subFrom overwrites before, a copy taken before an update, with the
+// update's delta after − before: each value b becomes a + (−1·b), a being
+// after's value at the same place — the expression mat.AXPY(a, −1, b)
+// evaluates on a copy of after, so the same bits (for every value but NaN,
+// whose sign bit the compiler's −1· may flip) without that copy. It panics
+// on shape mismatch.
+func subFrom(before, after *nn.ParamSet) {
+	if len(before.Params) != len(after.Params) {
+		panic("experiments: subFrom param count mismatch")
+	}
+	for i, p := range before.Params {
+		a := after.Params[i].M
+		if a.Rows != p.M.Rows || a.Cols != p.M.Cols {
+			panic("experiments: subFrom shape mismatch")
+		}
+		for j, b := range p.M.Data {
+			p.M.Data[j] = a.Data[j] + -1*b
+		}
+	}
+}
+
 // codecDelta returns the full parameter delta after - before. The codecs
 // must share shapes (clones of a common ancestor).
 func codecDelta(after, before *semantic.Codec) *nn.ParamSet {
 	delta := before.Params().Clone()
-	delta.SubFrom(after.Params())
+	subFrom(delta, after.Params())
 	return delta
 }
 

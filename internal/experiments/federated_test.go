@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -50,6 +52,36 @@ func donorSets(corp *corpus.Corpus, d *corpus.Domain, donors, sentences int, see
 		out[i] = exs
 	}
 	return out
+}
+
+// TestSubFromMatchesAXPY: subFrom on a copy of the old values writes the
+// bits mat.AXPY(after, −1, before) writes on a copy of the new ones — the
+// delta FedAvg and the lossy syncs take.
+func TestSubFromMatchesAXPY(t *testing.T) {
+	random := func(seed uint64) *nn.ParamSet {
+		rng := mat.NewRNG(seed)
+		ps := &nn.ParamSet{}
+		for _, shape := range [][2]int{{3, 4}, {1, 4}} {
+			m := mat.NewDense(shape[0], shape[1])
+			m.Randomize(rng, 1)
+			ps.Add(fmt.Sprintf("t%dx%d", shape[0], shape[1]), m)
+		}
+		return ps
+	}
+	before, after := random(6), random(7)
+	want := after.Clone()
+	for i, p := range want.Params {
+		mat.AXPY(p.M.Data, -1, before.Params[i].M.Data)
+	}
+	got := before.Clone()
+	subFrom(got, after)
+	for i, p := range want.Params {
+		for j, v := range p.M.Data {
+			if math.Float64bits(got.Params[i].M.Data[j]) != math.Float64bits(v) {
+				t.Fatalf("%s[%d]: subFrom %v, AXPY %v", p.Name, j, got.Params[i].M.Data[j], v)
+			}
+		}
+	}
 }
 
 func TestCodecDelta(t *testing.T) {

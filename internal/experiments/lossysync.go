@@ -11,12 +11,14 @@ import (
 	"repro/internal/semantic"
 )
 
-// This file holds what E4 and E7 measure beside the served decoder sync:
-// lossy encodings of the decoder delta, the sender/receiver agreement they
-// cost, and the output-return feedback the decoder copy avoids.
+// This file holds what E4 and E7 measure beside the served decoder sync,
+// which ships the decoder itself: lossy encodings of the decoder's change
+// over one update, the sender/receiver agreement they cost, and the
+// output-return feedback the decoder copy avoids.
 
 // compressOptions selects the lossy encodings applied to a decoder delta
-// before it is synced. The zero value is dense float64: lossless.
+// before it is synced. The zero value is no encoding at all: the served
+// sync, which copies the decoder.
 type compressOptions struct {
 	// topKFrac keeps only the given fraction (0,1] of entries per tensor,
 	// chosen by largest magnitude. 0 or 1 keeps all entries.
@@ -163,11 +165,18 @@ func (cd *compressedDelta) sizeBytes() int {
 	return size
 }
 
-// lossySync hands upd's decoder delta to receiver compressed under opts, as
-// E4 and E7 meter a sync, and returns its cost in bytes. The zero opts
-// writes the bits the served fl.ApplyUpdate writes.
-func lossySync(receiver *semantic.Codec, upd *fl.Update, opts compressOptions) (int, error) {
-	cd := compress(upd.Delta, opts)
+// lossySync syncs upd to receiver as E4 and E7 meter a sync, and returns
+// its cost in bytes. The zero opts is the served sync, fl.ApplyUpdate.
+// Any other opts adds the decoder's change, upd.Decoder − before,
+// compressed under opts, to the receiver's decoder; before is the sender's
+// decoder taken before the fine-tune that made upd, and lossySync
+// overwrites it with that change.
+func lossySync(receiver *semantic.Codec, before *nn.ParamSet, upd *fl.Update, opts compressOptions) (int, error) {
+	if opts == (compressOptions{}) {
+		return upd.PayloadBytes, fl.ApplyUpdate(receiver, upd)
+	}
+	subFrom(before, upd.Decoder)
+	cd := compress(before, opts)
 	if err := cd.applyTo(receiver.DecoderParams()); err != nil {
 		return 0, err
 	}

@@ -157,6 +157,7 @@ func TestLossySyncZeroOptsIsServedSync(t *testing.T) {
 	sender := gen.Clone()
 	served, measured := gen.Clone(), gen.Clone()
 	buf := fillBuffer(corp, sender, corpus.NewIdiolect(corp, mat.NewRNG(93), 0.5), 48, 94)
+	before := sender.DecoderParams().Clone()
 	upd, err := fl.RunUpdate(sender, buf, 0, fl.UpdateConfig{Epochs: 4, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -164,12 +165,12 @@ func TestLossySyncZeroOptsIsServedSync(t *testing.T) {
 	if err := fl.ApplyUpdate(served, upd); err != nil {
 		t.Fatal(err)
 	}
-	bytes, err := lossySync(measured, upd, compressOptions{})
+	bytes, err := lossySync(measured, before, upd, compressOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes != upd.Stats.PayloadBytes {
-		t.Fatalf("dense lossy sync costs %d bytes, the served sync %d", bytes, upd.Stats.PayloadBytes)
+	if bytes != upd.PayloadBytes {
+		t.Fatalf("dense lossy sync costs %d bytes, the served sync %d", bytes, upd.PayloadBytes)
 	}
 	if !reflect.DeepEqual(served.Params(), measured.Params()) {
 		t.Fatal("dense lossy sync wrote other weights than fl.ApplyUpdate")
@@ -182,11 +183,12 @@ func TestCompressedUpdateCloseToLossless(t *testing.T) {
 	receiver := gen.Clone()
 	buf := fillBuffer(corp, sender, corpus.NewIdiolect(corp, mat.NewRNG(95), 0.5), 48, 96)
 
+	before := sender.DecoderParams().Clone()
 	upd, err := fl.RunUpdate(sender, buf, 0, fl.UpdateConfig{Epochs: 4, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bytes, err := lossySync(receiver, upd, compressOptions{topKFrac: 0.25, int8: true})
+	bytes, err := lossySync(receiver, before, upd, compressOptions{topKFrac: 0.25, int8: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,9 +198,9 @@ func TestCompressedUpdateCloseToLossless(t *testing.T) {
 	if cross < local-0.15 {
 		t.Fatalf("compressed sync degraded too much: local %v cross %v", local, cross)
 	}
-	if bytes >= upd.Stats.PayloadBytes/2 {
+	if bytes >= upd.PayloadBytes/2 {
 		t.Fatalf("top-25%%+int8 payload %d not much smaller than dense %d",
-			bytes, upd.Stats.PayloadBytes)
+			bytes, upd.PayloadBytes)
 	}
 }
 

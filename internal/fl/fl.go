@@ -4,8 +4,8 @@
 // user-specific individual model once enough data accumulates, and ships
 // only the decoder update to the receiver edge — the federated-learning-
 // style synchronization step. Both edges of a deployment live in one
-// process, so the update travels as a parameter delta; its byte count is
-// what a lossless wire encoding of that delta would weigh.
+// process, so the update travels as a copy of the decoder's tensors; its
+// byte count is what a lossless wire encoding of them would weigh.
 package fl
 
 import (
@@ -100,18 +100,8 @@ func (b *Buffer) Transactions() []Transaction {
 type UpdateConfig struct {
 	// Epochs is the number of fine-tuning passes over the buffer.
 	Epochs int
-	// LR is the fine-tuning learning rate; 0 selects the codec default.
-	LR float64
 	// Seed drives fine-tuning randomness.
 	Seed uint64
-}
-
-// UpdateStats meters one update for the experiment tables.
-type UpdateStats struct {
-	// BufferSize is the number of transactions consumed.
-	BufferSize int
-	// PayloadBytes is the lossless wire cost of the decoder delta.
-	PayloadBytes int
 }
 
 // Update is a decoder synchronization message from sender to receiver edge.
@@ -119,17 +109,19 @@ type Update struct {
 	Domain  string
 	User    string
 	Version int
-	// Delta is the decoder's parameter change, after − before.
-	Delta *nn.ParamSet
-	Stats UpdateStats
+	// Decoder is a copy of the sender's decoder tensors after the
+	// fine-tune: the receiver's decoder becomes it bit for bit.
+	Decoder *nn.ParamSet
+	// PayloadBytes is the lossless wire cost of Decoder.
+	PayloadBytes int
 }
 
 // errEmptyBuffer reports an update attempt with no data.
 var errEmptyBuffer = errors.New("fl: update with empty buffer")
 
 // RunUpdate executes Fig. 1 steps 3-4 on the sender edge: fine-tune the
-// user's individual codec on the buffered transactions and package the
-// decoder delta for the receiver. RunUpdate leaves the buffer as it is;
+// user's individual codec on the buffered transactions and package a copy
+// of its decoder for the receiver. RunUpdate leaves the buffer as it is;
 // resetting it is the caller's decision (edge.Server.RunUpdate resets it
 // after every attempt, failed ones included).
 func RunUpdate(codec *semantic.Codec, buf *Buffer, version int, cfg UpdateConfig) (*Update, error) {
@@ -142,32 +134,27 @@ func RunUpdate(codec *semantic.Codec, buf *Buffer, version int, cfg UpdateConfig
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	delta := codec.DecoderParams().Clone() // the decoder before the fine-tune
-	codec.FineTune(buf.Examples(), cfg.Epochs, cfg.LR, mat.NewRNG(cfg.Seed))
-	delta.SubFrom(codec.DecoderParams())
-
+	codec.FineTune(buf.Examples(), cfg.Epochs, 0, mat.NewRNG(cfg.Seed)) // 0: the codec's fine-tune rate
+	dec := codec.DecoderParams().Clone()
 	return &Update{
-		Domain:  buf.Domain,
-		User:    buf.User,
-		Version: version + 1,
-		Delta:   delta,
-		Stats: UpdateStats{
-			BufferSize:   buf.Len(),
-			PayloadBytes: nn.DenseSizeBytes(delta),
-		},
+		Domain:       buf.Domain,
+		User:         buf.User,
+		Version:      version + 1,
+		Decoder:      dec,
+		PayloadBytes: nn.DenseSizeBytes(dec),
 	}, nil
 }
 
-// ApplyUpdate adds a received decoder delta to the receiver's copy of the
-// user's individual codec. A delta whose tensors differ from the decoder's
-// in count, names or shapes is refused before any weight is written.
+// ApplyUpdate overwrites the receiver's copy of the user's individual
+// codec's decoder with the received one, so the receiver's decoder is the
+// sender's decoder copy whatever model it held before. A decoder whose
+// tensors differ from the codec's in count, names or shapes is refused
+// before any weight is written.
 func ApplyUpdate(codec *semantic.Codec, upd *Update) error {
 	dec := codec.DecoderParams()
-	if err := dec.CheckSameShape(upd.Delta); err != nil {
+	if err := dec.CheckSameShape(upd.Decoder); err != nil {
 		return fmt.Errorf("fl: apply update: %w", err)
 	}
-	for i, p := range dec.Params {
-		mat.AddTo(p.M.Data, upd.Delta.Params[i].M.Data)
-	}
+	dec.CopyFrom(upd.Decoder)
 	return nil
 }

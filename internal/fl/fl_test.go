@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -116,8 +117,8 @@ func TestRunUpdateImprovesAccuracy(t *testing.T) {
 	if post := individual.Evaluate(buf.Examples()); post <= pre {
 		t.Fatalf("fine-tune did not improve: %v -> %v", pre, post)
 	}
-	if want := nn.DenseSizeBytes(upd.Delta); upd.Stats.PayloadBytes != want {
-		t.Fatalf("byte accounting wrong: %+v, want %d", upd.Stats, want)
+	if want := nn.DenseSizeBytes(upd.Decoder); upd.PayloadBytes != want {
+		t.Fatalf("byte accounting wrong: %d, want %d", upd.PayloadBytes, want)
 	}
 }
 
@@ -134,6 +135,15 @@ func TestApplyUpdateSynchronizesReceiver(t *testing.T) {
 	}
 	if err := ApplyUpdate(receiver, upd); err != nil {
 		t.Fatal(err)
+	}
+	// The receiver's decoder is the sender's, bit for bit.
+	want, got := sender.DecoderParams(), receiver.DecoderParams()
+	for i, p := range want.Params {
+		for j, v := range p.M.Data {
+			if w := got.Params[i].M.Data[j]; math.Float64bits(w) != math.Float64bits(v) {
+				t.Fatalf("%s[%d]: receiver %v, sender %v", p.Name, j, w, v)
+			}
+		}
 	}
 	// Lossless sync: every feature the sender's encoder makes decodes on
 	// the receiver as on the sender.
@@ -156,13 +166,13 @@ func TestApplyUpdateRejectsGarbage(t *testing.T) {
 	_, gen := fixtures(t)
 	junk := &nn.ParamSet{}
 	junk.Add("junk", mat.NewDense(1, 1))
-	if err := ApplyUpdate(gen.Clone(), &Update{Delta: junk}); err == nil {
-		t.Fatal("garbage delta accepted")
+	if err := ApplyUpdate(gen.Clone(), &Update{Decoder: junk}); err == nil {
+		t.Fatal("garbage decoder accepted")
 	}
 }
 
-// TestApplyUpdateAllOrNothing: a delta whose second tensor is misnamed or
-// misshaped is refused before its first tensor is added, so every weight
+// TestApplyUpdateAllOrNothing: a decoder whose second tensor is misnamed or
+// misshaped is refused before its first tensor is copied, so every weight
 // of the receiver keeps its bits.
 func TestApplyUpdateAllOrNothing(t *testing.T) {
 	_, gen := fixtures(t)
@@ -171,19 +181,19 @@ func TestApplyUpdateAllOrNothing(t *testing.T) {
 		"misshaped": func(p *nn.Param) { p.M = mat.NewDense(p.M.Rows, p.M.Cols+1) },
 	} {
 		receiver := gen.Clone()
-		delta := receiver.DecoderParams().ZeroClone()
-		for _, p := range delta.Params {
+		dec := receiver.DecoderParams().ZeroClone()
+		for _, p := range dec.Params {
 			for i := range p.M.Data {
 				p.M.Data[i] = 1
 			}
 		}
-		spoil(&delta.Params[1])
+		spoil(&dec.Params[1])
 		before := receiver.Params().Clone()
-		if err := ApplyUpdate(receiver, &Update{Delta: delta}); err == nil {
-			t.Fatalf("%s: delta accepted", name)
+		if err := ApplyUpdate(receiver, &Update{Decoder: dec}); err == nil {
+			t.Fatalf("%s: decoder accepted", name)
 		}
 		if !reflect.DeepEqual(receiver.Params(), before) {
-			t.Fatalf("%s: a refused delta changed the receiver's weights", name)
+			t.Fatalf("%s: a refused decoder changed the receiver's weights", name)
 		}
 	}
 }

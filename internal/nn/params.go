@@ -4,8 +4,9 @@
 //
 // It exists because the reproduced paper's knowledge bases (KBs) are
 // deep-learning encoder/decoder models that are trained, fine-tuned per
-// user, and synchronized across edge servers by shipping parameter deltas. This
-// package provides exactly those mechanics with no external dependencies.
+// user, and synchronized across edge servers by shipping their parameters.
+// This package provides exactly those mechanics with no external
+// dependencies.
 package nn
 
 import (
@@ -165,26 +166,6 @@ func (ps *ParamSet) CopyFrom(src *ParamSet) {
 	}
 }
 
-// SubFrom overwrites ps, a copy taken before an update, with the update's
-// delta after − ps: each value b becomes a + (−1·b), a being after's value at
-// the same place — the expression mat.AXPY(a, −1, b) evaluates on a copy of
-// after, so the same bits (for every value but NaN, whose sign bit the
-// compiler's −1· may flip) without that copy. It panics on shape mismatch.
-func (ps *ParamSet) SubFrom(after *ParamSet) {
-	if len(ps.Params) != len(after.Params) {
-		panic("nn: SubFrom param count mismatch")
-	}
-	for i, p := range ps.Params {
-		a := after.Params[i].M
-		if a.Rows != p.M.Rows || a.Cols != p.M.Cols {
-			panic("nn: SubFrom shape mismatch")
-		}
-		for j, b := range p.M.Data {
-			p.M.Data[j] = a.Data[j] + -1*b
-		}
-	}
-}
-
 // NumValues returns the total number of scalar parameters.
 func (ps *ParamSet) NumValues() int {
 	n := 0
@@ -195,11 +176,11 @@ func (ps *ParamSet) NumValues() int {
 }
 
 // DenseSizeBytes is the decoder sync's cost model: the bytes a
-// self-describing lossless encoding of a delta shaped like ps would take,
-// from its shapes alone — an 8-byte set header, then per tensor a
-// length-prefixed name, rows, cols, a flags byte and an entry count, and
-// 8 bytes per value. No such encoding is built: both edges of a deployment
-// share one process, and the delta is handed over as it is.
+// self-describing lossless encoding of ps would take, from its shapes
+// alone — an 8-byte set header, then per tensor a length-prefixed name,
+// rows, cols, a flags byte and an entry count, and 8 bytes per value. No
+// such encoding is built: both edges of a deployment share one process,
+// and the decoder is handed over as it is.
 func DenseSizeBytes(ps *ParamSet) int {
 	size := 8
 	for _, p := range ps.Params {

@@ -63,26 +63,6 @@ func TestCopyFrom(t *testing.T) {
 	}
 }
 
-// TestSubFromMatchesAXPY: SubFrom on a copy of the old values writes the
-// bits mat.AXPY(after, −1, before) writes on a copy of the new ones — the
-// delta FedAvg and the decoder sync take.
-func TestSubFromMatchesAXPY(t *testing.T) {
-	before, after := sampleParams(6), sampleParams(7)
-	want := after.Clone()
-	for i, p := range want.Params {
-		mat.AXPY(p.M.Data, -1, before.Params[i].M.Data)
-	}
-	got := before.Clone()
-	got.SubFrom(after)
-	for i, p := range want.Params {
-		for j, v := range p.M.Data {
-			if math.Float64bits(got.Params[i].M.Data[j]) != math.Float64bits(v) {
-				t.Fatalf("%s[%d]: SubFrom %v, AXPY %v", p.Name, j, got.Params[i].M.Data[j], v)
-			}
-		}
-	}
-}
-
 func TestParamSetSerializationRoundTrip(t *testing.T) {
 	ps := sampleParams(5)
 	b, err := ps.AppendTo(nil)

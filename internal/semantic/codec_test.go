@@ -134,10 +134,10 @@ func TestUnknownWordEncodesAsUnknown(t *testing.T) {
 	}
 }
 
-func TestDecoderSyncViaDelta(t *testing.T) {
-	// A receiver holding a stale decoder copy must, after applying the
-	// sender's decoder delta, decode identically to the sender — the
-	// §II-C/§II-D consistency property the whole update process relies on.
+func TestDecoderSyncViaCopy(t *testing.T) {
+	// A receiver holding a stale decoder copy must, after taking the
+	// sender's decoder, decode identically to the sender — the §II-C/§II-D
+	// consistency property the whole update process relies on.
 	corp, c := sharedFixtures(t)
 	d := corp.Domain("it")
 	sender := c.Clone()
@@ -150,16 +150,11 @@ func TestDecoderSyncViaDelta(t *testing.T) {
 	for _, m := range gen.Batch(d.Index, 60, idio) {
 		examples = append(examples, ExamplesFromMessage(d, m)...)
 	}
-	before := sender.DecoderParams().Clone()
 	sender.FineTune(examples, 2, 0.02, mat.NewRNG(11))
 
-	// Delta = after - before, added to the receiver's decoder as
-	// fl.RunUpdate and fl.ApplyUpdate compute it.
-	delta := before
-	delta.SubFrom(sender.DecoderParams())
-	for i, p := range receiver.DecoderParams().Params {
-		mat.AddTo(p.M.Data, delta.Params[i].M.Data)
-	}
+	// Ship the sender's decoder as fl.RunUpdate (a clone) and
+	// fl.ApplyUpdate (a copy into the receiver's decoder) do.
+	receiver.DecoderParams().CopyFrom(sender.DecoderParams().Clone())
 
 	// Sender and receiver decoders must now agree everywhere.
 	sc := mat.GetScratch()
@@ -173,7 +168,7 @@ func TestDecoderSyncViaDelta(t *testing.T) {
 		receiver.DecodeFeaturesInto(sc, feats, b)
 		for j := range a {
 			if a[j] != b[j] {
-				t.Fatal("receiver decoder diverged after delta sync")
+				t.Fatal("receiver decoder diverged after the decoder sync")
 			}
 		}
 	}
