@@ -44,7 +44,7 @@ func main() {
 	})
 	fmt.Printf("running %d messages from %d avatars...\n\n", len(w.Requests), len(w.Users))
 
-	results, err := experiments.RunTrace(sys, w)
+	results, err := experiments.RunTrace(sys, nil, w)
 	if err != nil {
 		log.Fatalf("metaverse: %v", err)
 	}

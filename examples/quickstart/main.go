@@ -44,8 +44,8 @@ func main() {
 			log.Fatalf("quickstart: transmit: %v", err)
 		}
 		fmt.Printf("%-6s sent    : %s\n", m.user, m.text)
-		fmt.Printf("       domain  : %s (selected by %s model selection)\n",
-			sys.Corpus.Domains[res.SelectedDomain].Name, core.SelectorSticky)
+		fmt.Printf("       domain  : %s (selected by sticky model selection)\n",
+			sys.Corpus.Domains[res.SelectedDomain].Name)
 		fmt.Printf("       restored: %s\n", text.Join(res.RestoredWords))
 		fmt.Printf("       payload : %d bytes   latency: %.2f ms   cache hit: %v\n\n",
 			res.PayloadBytes, float64(res.Latency)/float64(time.Millisecond), res.EncCacheHit)

@@ -11,6 +11,7 @@ import (
 	"log"
 
 	"repro/internal/corpus"
+	"repro/internal/experiments"
 	"repro/internal/mat"
 	"repro/internal/selection"
 	"repro/internal/trace"
@@ -24,13 +25,13 @@ func main() {
 	n := len(corp.Domains)
 
 	factories := map[string]func() selection.Selector{
-		"static":     func() selection.Selector { return &selection.Static{} },
+		"static":     func() selection.Selector { return &experiments.Static{} },
 		"naivebayes": func() selection.Selector { return nb },
 		"sticky":     func() selection.Selector { return selection.NewSticky(nb, 0) },
 		"qlearn": func() selection.Selector {
-			return selection.NewQLearn(nb, n, mat.NewRNG(3))
+			return experiments.NewQLearn(nb, n, mat.NewRNG(3))
 		},
-		"ucb": func() selection.Selector { return selection.NewUCB(nb, n) },
+		"ucb": func() selection.Selector { return experiments.NewUCB(nb, n) },
 	}
 	order := []string{"static", "naivebayes", "sticky", "qlearn", "ucb"}
 

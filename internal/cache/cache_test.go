@@ -1,11 +1,14 @@
-package cache
+package cache_test
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/corpus"
+	"repro/internal/experiments"
 	"repro/internal/kb"
 	"repro/internal/semantic"
 )
@@ -36,19 +39,19 @@ func capacityFor(t *testing.T, n int) int64 {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(0, NewLRU()); err == nil {
+	if _, err := cache.New(0, cache.NewLRU()); err == nil {
 		t.Fatal("accepted zero capacity")
 	}
-	if _, err := New(-5, NewLRU()); err == nil {
+	if _, err := cache.New(-5, cache.NewLRU()); err == nil {
 		t.Fatal("accepted negative capacity")
 	}
-	if _, err := New(100, nil); err == nil {
+	if _, err := cache.New(100, nil); err == nil {
 		t.Fatal("accepted nil policy")
 	}
 }
 
 func TestPutGetHitMiss(t *testing.T) {
-	c, err := New(capacityFor(t, 4), NewLRU())
+	c, err := cache.New(capacityFor(t, 4), cache.NewLRU())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +79,7 @@ func TestPutGetHitMiss(t *testing.T) {
 }
 
 func TestLRUEvictionOrder(t *testing.T) {
-	c, err := New(capacityFor(t, 2), NewLRU())
+	c, err := cache.New(capacityFor(t, 2), cache.NewLRU())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +108,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 }
 
 func TestFIFOIgnoresAccess(t *testing.T) {
-	c, err := New(capacityFor(t, 2), NewFIFO())
+	c, err := cache.New(capacityFor(t, 2), experiments.NewFIFO())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +130,7 @@ func TestFIFOIgnoresAccess(t *testing.T) {
 }
 
 func TestLFUEvictsLeastFrequent(t *testing.T) {
-	c, err := New(capacityFor(t, 2), NewLFU())
+	c, err := cache.New(capacityFor(t, 2), experiments.NewLFU())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +160,7 @@ func TestGDSFPrefersSmallPopular(t *testing.T) {
 	small := testModel(t, "small", "", kb.RoleDecoder)
 	next := testModel(t, "next", "", kb.RoleDecoder)
 	capacity := big.SizeBytes() + small.SizeBytes()
-	c, err := New(capacity, NewGDSF())
+	c, err := cache.New(capacity, experiments.NewGDSF())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +184,7 @@ func TestGDSFPrefersSmallPopular(t *testing.T) {
 }
 
 func TestPinnedNeverEvicted(t *testing.T) {
-	c, err := New(capacityFor(t, 2), NewLRU())
+	c, err := cache.New(capacityFor(t, 2), cache.NewLRU())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,17 +207,17 @@ func TestPinnedNeverEvicted(t *testing.T) {
 
 func TestPutTooLargeFails(t *testing.T) {
 	m := testModel(t, "it", "", kb.RoleCodec)
-	c, err := New(m.SizeBytes()-1, NewLRU())
+	c, err := cache.New(m.SizeBytes()-1, cache.NewLRU())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put(m, false); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("err = %v, want ErrTooLarge", err)
+	if err := c.Put(m, false); !errors.Is(err, cache.ErrTooLarge) {
+		t.Fatalf("err = %v, want cache.ErrTooLarge", err)
 	}
 }
 
 func TestPutBlockedByPinned(t *testing.T) {
-	c, err := New(capacityFor(t, 1), NewLRU())
+	c, err := cache.New(capacityFor(t, 1), cache.NewLRU())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,8 +226,8 @@ func TestPutBlockedByPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := testModel(t, "other", "", kb.RoleCodec)
-	if err := c.Put(other, false); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("err = %v, want ErrTooLarge (pinned blocks)", err)
+	if err := c.Put(other, false); !errors.Is(err, cache.ErrTooLarge) {
+		t.Fatalf("err = %v, want cache.ErrTooLarge (pinned blocks)", err)
 	}
 	if !c.Contains(pinned.Key) {
 		t.Fatal("pinned entry missing after failed Put")
@@ -232,7 +235,7 @@ func TestPutBlockedByPinned(t *testing.T) {
 }
 
 func TestReplaceSameKey(t *testing.T) {
-	c, err := New(capacityFor(t, 2), NewLRU())
+	c, err := cache.New(capacityFor(t, 2), cache.NewLRU())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +260,7 @@ func TestReplaceSameKey(t *testing.T) {
 }
 
 func TestRemove(t *testing.T) {
-	c, err := New(capacityFor(t, 2), NewLRU())
+	c, err := cache.New(capacityFor(t, 2), cache.NewLRU())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +280,7 @@ func TestRemove(t *testing.T) {
 }
 
 func TestUsedNeverExceedsCapacity(t *testing.T) {
-	c, err := New(capacityFor(t, 3), NewLRU())
+	c, err := cache.New(capacityFor(t, 3), cache.NewLRU())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,20 +298,27 @@ func TestUsedNeverExceedsCapacity(t *testing.T) {
 	}
 }
 
+// TestNewPolicyByName: each policy name the cache tables use builds that
+// policy, the served LRU included, and an unknown name builds nothing.
 func TestNewPolicyByName(t *testing.T) {
-	for _, name := range []string{"lru", "fifo", "lfu", "gdsf"} {
-		p, ok := NewPolicy(name)
-		if !ok || p.Name() != name {
-			t.Fatalf("NewPolicy(%q) = %v, %v", name, p, ok)
+	for name, want := range map[string]cache.Policy{
+		"lru":  cache.NewLRU(),
+		"fifo": experiments.NewFIFO(),
+		"lfu":  experiments.NewLFU(),
+		"gdsf": experiments.NewGDSF(),
+	} {
+		p, ok := experiments.NewPolicy(name)
+		if !ok || reflect.TypeOf(p) != reflect.TypeOf(want) {
+			t.Fatalf("NewPolicy(%q) = %T, %v, want a %T", name, p, ok, want)
 		}
 	}
-	if _, ok := NewPolicy("belady"); ok {
+	if _, ok := experiments.NewPolicy("belady"); ok {
 		t.Fatal("NewPolicy accepted unknown name")
 	}
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	c, err := New(capacityFor(t, 4), NewLRU())
+	c, err := cache.New(capacityFor(t, 4), cache.NewLRU())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,15 +351,15 @@ func TestConcurrentAccess(t *testing.T) {
 }
 
 func TestPolicyVictimEmpty(t *testing.T) {
-	for _, p := range []Policy{NewLRU(), NewFIFO(), NewLFU(), NewGDSF()} {
+	for _, p := range []cache.Policy{cache.NewLRU(), experiments.NewFIFO(), experiments.NewLFU(), experiments.NewGDSF()} {
 		if _, ok := p.Victim(); ok {
-			t.Fatalf("%s: empty policy proposed a victim", p.Name())
+			t.Fatalf("%T: empty policy proposed a victim", p)
 		}
 	}
 }
 
 func TestEvictionGuardSparesVetoedVictim(t *testing.T) {
-	c, err := New(capacityFor(t, 2), NewLRU())
+	c, err := cache.New(capacityFor(t, 2), cache.NewLRU())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +402,7 @@ func TestEvictionGuardSparesVetoedVictim(t *testing.T) {
 }
 
 func TestEvictionGuardCapacityWins(t *testing.T) {
-	c, err := New(capacityFor(t, 2), NewLRU())
+	c, err := cache.New(capacityFor(t, 2), cache.NewLRU())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +436,7 @@ func TestEvictionGuardCapacityWins(t *testing.T) {
 }
 
 func TestEvictionGuardNeverSeesPinned(t *testing.T) {
-	c, err := New(capacityFor(t, 2), NewLRU())
+	c, err := cache.New(capacityFor(t, 2), cache.NewLRU())
 	if err != nil {
 		t.Fatal(err)
 	}

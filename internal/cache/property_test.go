@@ -1,14 +1,17 @@
-package cache
+package cache_test
 
 import (
 	"fmt"
 	"testing"
 
+	"repro/internal/cache"
+	"repro/internal/experiments"
 	"repro/internal/kb"
 	"repro/internal/mat"
 )
 
-// This file is the property/invariant harness over every eviction policy:
+// This file is the property/invariant harness over every eviction policy,
+// the served LRU and the FIFO, LFU and GDSF of the experiments' tables:
 // random operation sequences drive a Cache while a shadow model checks,
 // after every single operation, that
 //
@@ -37,8 +40,6 @@ type scanLFU struct {
 func newScanLFU() *scanLFU {
 	return &scanLFU{freq: make(map[kb.Key]int, 16), tick: make(map[kb.Key]uint64, 16)}
 }
-
-func (p *scanLFU) Name() string { return "lfu-scan" }
 
 func (p *scanLFU) OnAdmit(k kb.Key, _ int64) {
 	p.now++
@@ -87,6 +88,11 @@ type scanGDSF struct {
 	clock float64
 }
 
+// sizeKiB is GDSF's size term: bytes in KiB, floored at 1.
+func sizeKiB(size int64) float64 {
+	return max(float64(size)/1024, 1)
+}
+
 func newScanGDSF() *scanGDSF {
 	return &scanGDSF{
 		prio: make(map[kb.Key]float64, 16),
@@ -94,8 +100,6 @@ func newScanGDSF() *scanGDSF {
 		size: make(map[kb.Key]int64, 16),
 	}
 }
-
-func (p *scanGDSF) Name() string { return "gdsf-scan" }
 
 func (p *scanGDSF) OnAdmit(k kb.Key, size int64) {
 	if _, ok := p.freq[k]; !ok {
@@ -154,10 +158,10 @@ func propSize(i int) int64 {
 func TestHeapPoliciesMatchScanReference(t *testing.T) {
 	cases := []struct {
 		name      string
-		heap, ref Policy
+		heap, ref cache.Policy
 	}{
-		{"lfu", NewLFU(), newScanLFU()},
-		{"gdsf", NewGDSF(), newScanGDSF()},
+		{"lfu", experiments.NewLFU(), newScanLFU()},
+		{"gdsf", experiments.NewGDSF(), newScanGDSF()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -213,7 +217,7 @@ type shadowEntry struct {
 }
 
 // checkInvariants verifies every cache invariant against the shadow model.
-func checkInvariants(t *testing.T, step int, c *Cache, shadow map[kb.Key]shadowEntry, gets, admittedBytes int64, evictions uint64) {
+func checkInvariants(t *testing.T, step int, c *cache.Cache, policy cache.Policy, shadow map[kb.Key]shadowEntry, gets, admittedBytes int64, evictions uint64) {
 	t.Helper()
 	if c.Used() > c.Capacity() {
 		t.Fatalf("step %d: Used %d exceeds Capacity %d", step, c.Used(), c.Capacity())
@@ -240,8 +244,8 @@ func checkInvariants(t *testing.T, step int, c *Cache, shadow map[kb.Key]shadowE
 	if c.Len() != len(shadow) {
 		t.Fatalf("step %d: Len %d != shadow %d", step, c.Len(), len(shadow))
 	}
-	if got := c.policy.Len(); got != unpinned {
-		t.Fatalf("step %d: policy %s tracks %d entries, want %d unpinned", step, c.policy.Name(), got, unpinned)
+	if got := policy.Len(); got != unpinned {
+		t.Fatalf("step %d: policy %T tracks %d entries, want %d unpinned", step, policy, got, unpinned)
 	}
 	st := c.Stats()
 	if int64(st.Hits+st.Misses) != gets {
@@ -256,7 +260,7 @@ func checkInvariants(t *testing.T, step int, c *Cache, shadow map[kb.Key]shadowE
 }
 
 // TestCacheInvariantsUnderRandomOps runs the random-op invariant harness
-// over every registered policy.
+// over every policy experiments.NewPolicy names.
 func TestCacheInvariantsUnderRandomOps(t *testing.T) {
 	steps := 3000
 	if testing.Short() {
@@ -264,7 +268,7 @@ func TestCacheInvariantsUnderRandomOps(t *testing.T) {
 	}
 	for _, name := range []string{"lru", "fifo", "lfu", "gdsf"} {
 		t.Run(name, func(t *testing.T) {
-			policy, ok := NewPolicy(name)
+			policy, ok := experiments.NewPolicy(name)
 			if !ok {
 				t.Fatalf("unknown policy %q", name)
 			}
@@ -272,7 +276,7 @@ func TestCacheInvariantsUnderRandomOps(t *testing.T) {
 			// constant; model sizes vary per role.
 			roles := []kb.Role{kb.RoleEncoder, kb.RoleDecoder, kb.RoleCodec}
 			base := testModel(t, "cap", "", kb.RoleCodec).SizeBytes()
-			c, err := New(4*base, policy)
+			c, err := cache.New(4*base, policy)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -326,7 +330,7 @@ func TestCacheInvariantsUnderRandomOps(t *testing.T) {
 						t.Fatalf("step %d: Peek changed stats", step)
 					}
 				}
-				checkInvariants(t, step, c, shadow, gets, admittedBytes, evictions)
+				checkInvariants(t, step, c, policy, shadow, gets, admittedBytes, evictions)
 			}
 			if evictions == 0 {
 				t.Fatal("harness never evicted; capacity too generous to test anything")
@@ -338,7 +342,7 @@ func TestCacheInvariantsUnderRandomOps(t *testing.T) {
 // benchPolicyVictim measures the steady-state victim-selection cost at n
 // resident entries: each iteration accesses one key (heap update path) and
 // asks for a victim.
-func benchPolicyVictim(b *testing.B, p Policy, n int) {
+func benchPolicyVictim(b *testing.B, p cache.Policy, n int) {
 	for i := 0; i < n; i++ {
 		p.OnAdmit(propKey(i), propSize(i))
 	}
@@ -355,11 +359,11 @@ func benchPolicyVictim(b *testing.B, p Policy, n int) {
 // Victim-selection benchmarks at 10k entries: the heap implementations
 // (shipped) against the preserved O(n) scan references (before).
 func BenchmarkLFUVictim10k(b *testing.B) {
-	b.Run("heap", func(b *testing.B) { benchPolicyVictim(b, NewLFU(), 10000) })
+	b.Run("heap", func(b *testing.B) { benchPolicyVictim(b, experiments.NewLFU(), 10000) })
 	b.Run("scan", func(b *testing.B) { benchPolicyVictim(b, newScanLFU(), 10000) })
 }
 
 func BenchmarkGDSFVictim10k(b *testing.B) {
-	b.Run("heap", func(b *testing.B) { benchPolicyVictim(b, NewGDSF(), 10000) })
+	b.Run("heap", func(b *testing.B) { benchPolicyVictim(b, experiments.NewGDSF(), 10000) })
 	b.Run("scan", func(b *testing.B) { benchPolicyVictim(b, newScanGDSF(), 10000) })
 }

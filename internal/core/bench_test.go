@@ -16,7 +16,7 @@ import (
 // untimed transmits per iteration.
 func BenchmarkUpdateProcess(b *testing.B) {
 	sys, err := NewSystem(Config{
-		Selector:        SelectorOracle,
+		Selector:        selectFixed,
 		PinGeneral:      true,
 		BufferThreshold: math.MaxInt,
 	})

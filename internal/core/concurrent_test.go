@@ -157,7 +157,7 @@ func TestConcurrentDistinctUsers(t *testing.T) {
 // exact.
 func TestConcurrentSameUser(t *testing.T) {
 	cfg := goldenConfig()
-	cfg.Selector = SelectorStatic // one domain: buffer counts are exact
+	cfg.Selector = selectFixed // domain 0: buffer counts are exact
 	s, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,7 @@ import (
 func buildSystem(t *testing.T, mutate func(*Config)) *System {
 	t.Helper()
 	cfg := testConfig()
-	cfg.Selector = SelectorOracle
+	cfg.Selector = selectFixed
 	cfg.PinGeneral = true
 	cfg.BufferThreshold = math.MaxInt
 	if mutate != nil {
@@ -45,21 +45,15 @@ func TestTransmitText(t *testing.T) {
 	}
 }
 
-// TestOracleSteersTransmitText: under the oracle selector, the domain a
-// driver sets through Oracle is the domain TransmitText encodes with,
-// whatever the words say — an IT message is sent on each domain in turn.
+// TestOracleSteersTransmitText: under an oracle selector, the domain a
+// driver sets on the user's selector is the domain TransmitText encodes
+// with, whatever the words say — an IT message is sent on each domain in
+// turn.
 func TestOracleSteersTransmitText(t *testing.T) {
-	s := buildSystem(t, nil) // oracle selector
-	sticky, err := NewSystem(batchTestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o := sticky.Oracle(); o != nil {
-		t.Fatalf("Oracle() = %v under the sticky selector, want nil", o)
-	}
+	s := buildSystem(t, nil) // fixed-domain selector
 	words := text.Tokenize("the server has a kernel bug")
 	for _, d := range s.Corpus.Domains {
-		s.Oracle().DomainIndex = d.Index
+		steer(s, "alice", d.Index)
 		res, err := s.TransmitText("alice", words)
 		if err != nil {
 			t.Fatal(err)

@@ -31,7 +31,6 @@
 package core
 
 import (
-	"fmt"
 	"maps"
 	"slices"
 	"sync"
@@ -52,15 +51,24 @@ import (
 	"repro/internal/semantic"
 )
 
-// Selector policy names accepted by Config.Selector.
-const (
-	SelectorOracle     = "oracle"
-	SelectorStatic     = "static"
-	SelectorNaiveBayes = "naivebayes"
-	SelectorSticky     = "sticky"
-	SelectorQLearn     = "qlearn"
-	SelectorUCB        = "ucb"
-)
+// SelectorFunc builds one user's model selector when the system first
+// sees the user: nb is the system's shared naive-Bayes classifier, domains
+// the number of corpus domains, and rng the system's selector generator,
+// which a constructor that draws should Split rather than share.
+type SelectorFunc func(nb *selection.NaiveBayes, domains int, rng *mat.RNG) selection.Selector
+
+// SelectorNaiveBayes shares the system's naive-Bayes classifier among all
+// users: per-message classification, no context (the default).
+func SelectorNaiveBayes(nb *selection.NaiveBayes, _ int, _ *mat.RNG) selection.Selector { return nb }
+
+// SelectorSticky gives each user a sticky-transition filter over the
+// naive-Bayes likelihood: selection that follows the topic of a stream.
+func SelectorSticky(nb *selection.NaiveBayes, _ int, _ *mat.RNG) selection.Selector {
+	return selection.NewSticky(nb, 0)
+}
+
+// servedSelectors names the selection policies a daemon serves.
+var servedSelectors = map[string]SelectorFunc{"naivebayes": SelectorNaiveBayes, "sticky": SelectorSticky}
 
 // The air interface between the two edges is fixed: channel symbols leave
 // at symbolRateHz, and a message pays edgeLatency of propagation on top of
@@ -100,9 +108,9 @@ type Config struct {
 	// individual models.
 	SenderCacheBytes   int64
 	ReceiverCacheBytes int64
-	// Policy names the cache eviction policy ("lru", "fifo", "lfu",
-	// "gdsf"; default "lru").
-	Policy string
+	// Policy builds each edge cache's eviction policy, one call per edge
+	// (nil selects cache.NewLRU, the policy a daemon serves).
+	Policy func() cache.Policy
 	// PinGeneral pins general models in the edge caches once fetched.
 	PinGeneral bool
 
@@ -111,8 +119,8 @@ type Config struct {
 	// form, channel.SeededLink.
 	SNRdB float64
 
-	// Selector names the model-selection policy (default "naivebayes").
-	Selector string
+	// Selector builds each user's model selector (nil: SelectorNaiveBayes).
+	Selector SelectorFunc
 
 	// BufferThreshold triggers individual-model updates (default 32).
 	// math.MaxInt means no update ever fires inside TransmitText; callers
@@ -131,13 +139,13 @@ type Config struct {
 
 // withDefaults returns cfg with zero fields replaced.
 func (cfg Config) withDefaults() Config {
-	if cfg.Policy == "" {
-		cfg.Policy = "lru"
+	if cfg.Policy == nil {
+		cfg.Policy = func() cache.Policy { return cache.NewLRU() }
 	}
 	if cfg.SNRdB == 0 {
 		cfg.SNRdB = 12
 	}
-	if cfg.Selector == "" {
+	if cfg.Selector == nil {
 		cfg.Selector = SelectorNaiveBayes
 	}
 	if cfg.BufferThreshold == 0 {
@@ -164,11 +172,9 @@ type System struct {
 	Receiver *edge.Server
 	Generals []*semantic.Codec
 
-	nb         *selection.NaiveBayes
-	selFactory func() selection.Selector
-	// oracle is the one selector every user shares under SelectorOracle,
-	// nil under any other policy (Oracle).
-	oracle *selection.Static
+	nb *selection.NaiveBayes
+	// selRNG is the generator every Config.Selector call receives.
+	selRNG *mat.RNG
 
 	// users holds one record per user: the member's only user map, so
 	// also the set a drain hands off. usersMu guards the map only; each
@@ -209,8 +215,8 @@ type userState struct {
 }
 
 // userState returns the state shard for user, creating it on first use.
-// Selector construction happens under the map write lock: factories may
-// split a shared RNG, which must not race.
+// Selector construction happens under the map write lock: constructors may
+// split the shared selector RNG, which must not race.
 func (s *System) userState(user string) *userState {
 	s.usersMu.RLock()
 	st := s.users[user]
@@ -221,7 +227,7 @@ func (s *System) userState(user string) *userState {
 	s.usersMu.Lock()
 	defer s.usersMu.Unlock()
 	if st = s.users[user]; st == nil {
-		st = &userState{userHash: cluster.Hash64(user), sel: s.selFactory()}
+		st = &userState{userHash: cluster.Hash64(user), sel: s.cfg.Selector(s.nb, len(s.Corpus.Domains), s.selRNG)}
 		s.users[user] = st
 	}
 	return st
@@ -250,63 +256,31 @@ func (s *System) Users() []string {
 	return slices.Sorted(maps.Keys(s.users))
 }
 
-// selectorFactories maps each selector name to a builder of per-user
-// selector constructors: every policy NewSystem accepts. SelectorNames is
-// the subset a daemon may serve.
-var selectorFactories = map[string]func(s *System, rng *mat.RNG) func() selection.Selector{
-	SelectorOracle: func(s *System, _ *mat.RNG) func() selection.Selector {
-		s.oracle = &selection.Static{}
-		return func() selection.Selector { return s.oracle }
-	},
-	SelectorStatic: func(s *System, _ *mat.RNG) func() selection.Selector {
-		return func() selection.Selector { return &selection.Static{} }
-	},
-	SelectorNaiveBayes: func(s *System, _ *mat.RNG) func() selection.Selector {
-		return func() selection.Selector { return s.nb }
-	},
-	SelectorSticky: func(s *System, _ *mat.RNG) func() selection.Selector {
-		return func() selection.Selector { return selection.NewSticky(s.nb, 0) }
-	},
-	SelectorQLearn: func(s *System, rng *mat.RNG) func() selection.Selector {
-		return func() selection.Selector {
-			return selection.NewQLearn(s.nb, len(s.Corpus.Domains), rng.Split())
-		}
-	},
-	SelectorUCB: func(s *System, _ *mat.RNG) func() selection.Selector {
-		return func() selection.Selector { return selection.NewUCB(s.nb, len(s.Corpus.Domains)) }
-	},
+// UserCount returns len(Users()) without copying or sorting the names.
+func (s *System) UserCount() int {
+	s.usersMu.RLock()
+	defer s.usersMu.RUnlock()
+	return len(s.users)
 }
 
 // SelectorNames returns the sorted names of the selection policies a
-// daemon can serve — the one list edged's -selector flag and validation
-// read. The rest exist for the experiments only: SelectorOracle needs a
-// driver that knows each message's true domain and sets it through Oracle
-// before each transmit, SelectorStatic encodes every message with domain
-// 0's model (E5's Figure D row), and SelectorQLearn / SelectorUCB are
-// Figure D's negative result (0.602 / 0.343 selection accuracy against
-// sticky's 0.978).
-func SelectorNames() []string { return []string{SelectorNaiveBayes, SelectorSticky} }
+// daemon serves — the one list edged's -selector flag and validation read.
+// The other rows of Figure D (oracle, static, Q-learning, UCB) are the
+// experiments' own constructors (internal/experiments).
+func SelectorNames() []string { return slices.Sorted(maps.Keys(servedSelectors)) }
 
-// Oracle returns the selector every user shares under SelectorOracle, nil
-// under any other policy. A driver that knows each message's true domain
-// sets its DomainIndex before each TransmitText. Only a serial driver may
-// use it: the one DomainIndex serves every user, so concurrent transmits
-// would read each other's domain.
-func (s *System) Oracle() *selection.Static { return s.oracle }
+// SelectorByName returns the served selection policy called name, false
+// for any name SelectorNames does not list.
+func SelectorByName(name string) (SelectorFunc, bool) {
+	sel, ok := servedSelectors[name]
+	return sel, ok
+}
 
 // NewSystem pretrains the general models, registers them in the cloud,
 // boots both edge servers and the selection policy, and returns the ready
-// system. Every name-keyed configuration choice is validated before the
-// expensive pretraining so misconfiguration fails fast.
+// system.
 func NewSystem(cfg Config) (*System, error) {
 	cfg = cfg.withDefaults()
-	if _, ok := cache.NewPolicy(cfg.Policy); !ok {
-		return nil, fmt.Errorf("core: unknown cache policy %q", cfg.Policy)
-	}
-	buildSelector, ok := selectorFactories[cfg.Selector]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown selector %q", cfg.Selector)
-	}
 	corp := corpus.Build()
 	var generals []*semantic.Codec
 	if len(cfg.Pretrained) == len(corp.Domains) {
@@ -339,12 +313,11 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 
 	mkEdge := func(name string, capacity int64, fetcher edge.Fetcher) (*edge.Server, error) {
-		// The name was validated above; each edge owns its policy's state.
-		policy, _ := cache.NewPolicy(cfg.Policy)
+		// Each edge owns its policy's state.
 		return edge.New(edge.Config{
 			Name:            name,
 			CacheCapacity:   capacity,
-			Policy:          policy,
+			Policy:          cfg.Policy(),
 			Uplink:          cloudLink,
 			PinGeneral:      cfg.PinGeneral,
 			BufferThreshold: cfg.BufferThreshold,
@@ -376,14 +349,14 @@ func NewSystem(cfg Config) (*System, error) {
 		users:      make(map[string]*userState, 16),
 		updateTime: metrics.NewLatencyHistogram(),
 		// The shared classifier draws from its own seed, not from rng.
-		nb: selection.TrainNaiveBayes(corp, 150, cfg.Seed^0xbead),
+		nb:     selection.TrainNaiveBayes(corp, 150, cfg.Seed^0xbead),
+		selRNG: rng,
 	}
-	s.selFactory = buildSelector(s, rng)
 	// Probe once, as the selector family did before per-user sharding:
-	// factories that split an RNG per instance keep the same split
+	// constructors that split the RNG per instance keep the same split
 	// sequence, so per-user selector streams stay bit-identical to the
 	// recorded goldens.
-	s.selFactory()
+	cfg.Selector(s.nb, len(corp.Domains), rng)
 	return s, nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +11,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/corpus"
 	"repro/internal/mat"
+	"repro/internal/selection"
 	"repro/internal/semantic"
 	"repro/internal/trace"
 )
@@ -37,13 +37,13 @@ var (
 	sysErr  error
 )
 
-// sharedSystem builds one oracle-selector system reused by read-mostly
+// sharedSystem builds one fixed-domain-selector system reused by read-mostly
 // tests. Tests that mutate state (updates, cache churn) build their own.
 func sharedSystem(t *testing.T) *System {
 	t.Helper()
 	sysOnce.Do(func() {
 		cfg := testConfig()
-		cfg.Selector = SelectorOracle
+		cfg.Selector = selectFixed
 		cfg.PinGeneral = true
 		sysInst, sysErr = NewSystem(cfg)
 	})
@@ -53,27 +53,29 @@ func sharedSystem(t *testing.T) *System {
 	return sysInst
 }
 
-func TestNewSystemValidation(t *testing.T) {
-	cfg := testConfig()
-	cfg.Selector = "telepathy"
-	if _, err := NewSystem(cfg); err == nil {
-		t.Fatal("unknown selector accepted")
-	}
-	for _, policy := range []string{"belady", "clock"} { // clock: removed in PR 21
-		cfg = testConfig()
-		cfg.Policy = policy
-		if _, err := NewSystem(cfg); err == nil {
-			t.Fatalf("unknown policy %q accepted", policy)
-		}
+// fixedDomain is the tests' oracle selector: it selects the domain a test
+// last steered it to, whatever the words say.
+type fixedDomain struct{ domain int }
+
+func (f *fixedDomain) Select([]string) int { return f.domain }
+func (f *fixedDomain) Feedback(float64)    {}
+
+// selectFixed gives each user a fixedDomain of their own, at domain 0
+// until steer moves it.
+func selectFixed(*selection.NaiveBayes, int, *mat.RNG) selection.Selector { return &fixedDomain{} }
+
+// steer points user's fixedDomain at domain, creating the user's record
+// first if needed. Under any other selector it does nothing.
+func steer(s *System, user string, domain int) {
+	if f, ok := s.userState(user).sel.(*fixedDomain); ok {
+		f.domain = domain
 	}
 }
 
-// transmitReq sends a trace request through TransmitText, telling the
-// oracle selector its true domain first when s runs one.
+// transmitReq sends a trace request through TransmitText, steering the
+// user's fixedDomain to its true domain first when s runs selectFixed.
 func transmitReq(s *System, req trace.Request) (*Result, error) {
-	if o := s.Oracle(); o != nil {
-		o.DomainIndex = req.Msg.DomainIndex
-	}
+	steer(s, req.User, req.Msg.DomainIndex)
 	return s.TransmitText(req.User, req.Msg.Words)
 }
 
@@ -107,7 +109,7 @@ func TestSemanticPayloadSmallerThanRawText(t *testing.T) {
 
 func TestColdCachePaysFetchLatency(t *testing.T) {
 	cfg := testConfig()
-	cfg.Selector = SelectorOracle
+	cfg.Selector = selectFixed
 	s, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +132,7 @@ func TestColdCachePaysFetchLatency(t *testing.T) {
 
 func TestUpdateProcessFiresAndHelps(t *testing.T) {
 	cfg := testConfig()
-	cfg.Selector = SelectorOracle
+	cfg.Selector = selectFixed
 	cfg.PinGeneral = true
 	cfg.BufferThreshold = 24
 	s, err := NewSystem(cfg)
@@ -188,7 +190,7 @@ func TestUpdateProcessFiresAndHelps(t *testing.T) {
 func TestUpdateFailureCounted(t *testing.T) {
 	const threshold, messages = 4, 10
 	cfg := batchTestConfig()
-	cfg.Selector = SelectorStatic
+	cfg.Selector = selectFixed // domain 0 throughout
 	cfg.BufferThreshold = threshold
 	for _, c := range cfg.Pretrained {
 		cfg.SenderCacheBytes += c.SizeBytes()
@@ -226,42 +228,12 @@ func TestUpdateFailureCounted(t *testing.T) {
 	}
 }
 
-func TestSelectorLearnsFromMismatchReward(t *testing.T) {
-	cfg := testConfig()
-	cfg.Selector = SelectorQLearn
-	cfg.PinGeneral = true
-	cfg.BufferThreshold = math.MaxInt
-	s, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	messages := 800
-	if testing.Short() {
-		messages = 400 // enough reward rounds for the late-accuracy bound
-	}
-	w := trace.Generate(s.Corpus, trace.Config{Users: 1, Messages: messages, Seed: 29})
-	results := runWorkload(t, s, w)
-	// After enough reward-driven updates the policy must operate far
-	// above chance (1/8) in the second half of the stream.
-	half := len(results) / 2
-	lastOK := 0
-	for i := half; i < len(results); i++ {
-		if results[i].SelectedDomain == w.Requests[i].Msg.DomainIndex {
-			lastOK++
-		}
-	}
-	lateAcc := float64(lastOK) / float64(half)
-	if lateAcc < 0.5 {
-		t.Fatalf("late selection accuracy = %v, want >= 0.5 (chance is 0.125)", lateAcc)
-	}
-}
-
-// TestSystemDeterminism runs one oracle workload on two identically
+// TestSystemDeterminism runs one fixed-domain workload on two identically
 // configured systems and requires the same digest over every result.
 func TestSystemDeterminism(t *testing.T) {
 	run := func() string {
 		cfg := testConfig()
-		cfg.Selector = SelectorOracle
+		cfg.Selector = selectFixed
 		cfg.PinGeneral = true
 		s, err := NewSystem(cfg)
 		if err != nil {

@@ -14,7 +14,7 @@ import (
 // divergence), pinned generals, shared pretrained codecs.
 func userNoiseConfig() Config {
 	cfg := batchTestConfig()
-	cfg.Selector = SelectorOracle
+	cfg.Selector = selectFixed
 	return cfg
 }
 

@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 	"time"
 
@@ -140,8 +139,8 @@ func (c *Config) Validate() error {
 	// not oracle (it needs a driver that knows each message's true
 	// domain, which no wire request carries), not static (no flag names
 	// its domain), not the qlearn / ucb experiment rows.
-	if selectors := core.SelectorNames(); !slices.Contains(selectors, c.Selector) {
-		return &ConfigError{Field: "selector", Value: c.Selector, Reason: "unknown policy, want one of " + strings.Join(selectors, "|")}
+	if _, ok := core.SelectorByName(c.Selector); !ok {
+		return &ConfigError{Field: "selector", Value: c.Selector, Reason: "unknown policy, want one of " + strings.Join(core.SelectorNames(), "|")}
 	}
 	// The daemon serves the SNR on its command line or does not boot: a
 	// non-finite value would make the noise sigma not a number, and core

@@ -48,9 +48,9 @@ func TestValidateTypedErrors(t *testing.T) {
 		field string
 	}{
 		{"bad selector", []string{"-selector", "psychic"}, "selector"},
-		{"static selector", []string{"-selector", core.SelectorStatic}, "selector"},
-		{"qlearn selector", []string{"-selector", core.SelectorQLearn}, "selector"},
-		{"ucb selector", []string{"-selector", core.SelectorUCB}, "selector"},
+		{"static selector", []string{"-selector", "static"}, "selector"},
+		{"qlearn selector", []string{"-selector", "qlearn"}, "selector"},
+		{"ucb selector", []string{"-selector", "ucb"}, "selector"},
 		{"zero snr", []string{"-snr", "0"}, "snr"},
 		{"negative zero snr", []string{"-snr", "-0"}, "snr"},
 		{"NaN snr", []string{"-snr", "NaN"}, "snr"},
@@ -134,7 +134,7 @@ func TestSelectorsComeFromCore(t *testing.T) {
 		}
 	}
 	var ce *ConfigError
-	if err := defaultConfig(t, "-selector", core.SelectorOracle).Validate(); !errors.As(err, &ce) || ce.Field != "selector" {
+	if err := defaultConfig(t, "-selector", "oracle").Validate(); !errors.As(err, &ce) || ce.Field != "selector" {
 		t.Fatalf("oracle selector: err = %v, want a *ConfigError on selector", err)
 	}
 }

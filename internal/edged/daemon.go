@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/edge"
 	"repro/internal/mesh"
 	"repro/internal/rpc"
 	"repro/internal/semantic"
@@ -87,8 +86,9 @@ func New(cfg Config) (*Daemon, error) {
 		}()
 	}
 
+	selector, _ := core.SelectorByName(cfg.Selector) // Validate checked the name
 	coreCfg := core.Config{
-		Selector:        cfg.Selector,
+		Selector:        selector,
 		SNRdB:           cfg.SNRdB,
 		PinGeneral:      true,
 		Seed:            cfg.Seed,
@@ -164,7 +164,7 @@ func NewMember(cfg mesh.Config, sysCfg core.Config) (*Daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	node.Bind(sys, edge.NewOriginFetcher(sys.Cloud, sys.CloudLink()))
+	node.Bind(sys)
 	return &Daemon{Sys: sys, Mesh: node, srv: newServer(sys, node)}, nil
 }
 

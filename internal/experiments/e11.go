@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/edged"
 	"repro/internal/mat"
@@ -91,23 +92,27 @@ type E11Result struct {
 // eviction policy decides how much of the working set survives.
 func RunE11(env *Env, opts E11Options) (*E11Result, error) {
 	opts = opts.withDefaults()
-	var modelBytes int64
-	for _, g := range env.Generals {
-		modelBytes = max(modelBytes, g.SizeBytes())
-	}
-
 	type combo struct {
-		policy string
-		nodes  int
-		rate   float64
+		policy    string
+		newPolicy func() cache.Policy
+		nodes     int
+		rate      float64
 	}
 	combos := make([]combo, 0, len(opts.Policies)*len(opts.NodeCounts)*len(opts.MobilityRates))
 	for _, p := range opts.Policies {
+		newPolicy, err := policyByName(p)
+		if err != nil {
+			return nil, err
+		}
 		for _, n := range opts.NodeCounts {
 			for _, r := range opts.MobilityRates {
-				combos = append(combos, combo{p, n, r})
+				combos = append(combos, combo{p, newPolicy, n, r})
 			}
 		}
+	}
+	var modelBytes int64
+	for _, g := range env.Generals {
+		modelBytes = max(modelBytes, g.SizeBytes())
 	}
 
 	res := &E11Result{Cells: make([]E11Cell, len(combos))}
@@ -128,7 +133,7 @@ func RunE11(env *Env, opts E11Options) (*E11Result, error) {
 				MeshLink: netsim.Link{Latency: 5 * time.Millisecond, BandwidthBps: 400e6},
 				RingSeed: opts.Seed,
 			}, core.Config{
-				Policy:           cb.policy,
+				Policy:           cb.newPolicy,
 				SenderCacheBytes: modelBytes * int64(opts.CapacityModels),
 				Seed:             opts.Seed,
 				Pretrained:       env.Generals,

@@ -64,6 +64,13 @@ type E2Result struct {
 // model-acquisition latency.
 func RunE2(env *Env, opts E2Options) (*E2Result, error) {
 	opts = opts.withDefaults()
+	policies := make([]func() cache.Policy, len(opts.Policies))
+	for i, name := range opts.Policies {
+		var err error
+		if policies[i], err = policyByName(name); err != nil {
+			return nil, err
+		}
+	}
 	// Cloud with one general codec model per domain. Capacity units use
 	// the largest model so "n model-equivalents" always fits n models.
 	cloud := kb.NewRegistry()
@@ -85,16 +92,12 @@ func RunE2(env *Env, opts E2Options) (*E2Result, error) {
 	// grid stays in insertion order because cells write by index.
 	res := &E2Result{Cells: make([]E2Cell, len(opts.Policies)*len(opts.Capacities))}
 	err := mat.ForEach(len(res.Cells), func(ci int) error {
-		policyName := opts.Policies[ci/len(opts.Capacities)]
+		pi := ci / len(opts.Capacities)
 		capModels := opts.Capacities[ci%len(opts.Capacities)]
-		policy, ok := cache.NewPolicy(policyName)
-		if !ok {
-			return fmt.Errorf("experiments: unknown policy %q", policyName)
-		}
 		srv, err := edge.New(edge.Config{
 			Name:          "edge-e2",
 			CacheCapacity: modelBytes * int64(capModels),
-			Policy:        policy,
+			Policy:        policies[pi](),
 			Uplink:        netsim.Link{Latency: 40 * time.Millisecond, BandwidthBps: 200e6},
 		}, cloud)
 		if err != nil {
@@ -110,7 +113,7 @@ func RunE2(env *Env, opts E2Options) (*E2Result, error) {
 		}
 		st := srv.CacheStats()
 		res.Cells[ci] = E2Cell{
-			Policy:      policyName,
+			Policy:      opts.Policies[pi],
 			Capacity:    capModels,
 			HitRate:     st.HitRate(),
 			MeanFetchMs: float64(totalFetch.Milliseconds()) / float64(len(w.Requests)),

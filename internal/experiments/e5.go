@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+
 	"repro/internal/core"
 	"repro/internal/mat"
 	"repro/internal/trace"
@@ -24,10 +25,7 @@ type E5Options struct {
 
 func (o E5Options) withDefaults() E5Options {
 	if len(o.Selectors) == 0 {
-		o.Selectors = []string{
-			core.SelectorOracle, core.SelectorStatic, core.SelectorNaiveBayes,
-			core.SelectorSticky, core.SelectorQLearn, core.SelectorUCB,
-		}
+		o.Selectors = []string{"oracle", "static", "naivebayes", "sticky", "qlearn", "ucb"}
 	}
 	if o.Messages == 0 {
 		o.Messages = 3000
@@ -64,14 +62,21 @@ type E5Result struct {
 // approaches should win.
 func RunE5(env *Env, opts E5Options) (*E5Result, error) {
 	opts = opts.withDefaults()
+	sels := make([]core.SelectorFunc, len(opts.Selectors))
+	oracles := make([]*Static, len(opts.Selectors))
+	for i, name := range opts.Selectors {
+		var err error
+		if sels[i], oracles[i], err = selectorByName(name); err != nil {
+			return nil, err
+		}
+	}
 	// Each selector gets its own full System (cloned from the shared
 	// pretrained codecs) and a deterministic workload, so the comparison
 	// rows run through mat.ForEach and land by index.
 	res := &E5Result{Rows: make([]E5Row, len(opts.Selectors))}
 	err := mat.ForEach(len(opts.Selectors), func(si int) error {
-		sel := opts.Selectors[si]
 		sys, err := core.NewSystem(core.Config{
-			Selector:        sel,
+			Selector:        sels[si],
 			PinGeneral:      true,
 			BufferThreshold: math.MaxInt,
 			Seed:            opts.Seed,
@@ -86,7 +91,7 @@ func RunE5(env *Env, opts E5Options) (*E5Result, error) {
 			MinLen:        3, MaxLen: 6, FuncProb: 0.55,
 			Seed: opts.Seed + 100,
 		})
-		results, err := RunTrace(sys, w)
+		results, err := RunTrace(sys, oracles[si], w)
 		if err != nil {
 			return err
 		}
@@ -95,7 +100,7 @@ func RunE5(env *Env, opts E5Options) (*E5Result, error) {
 			return err
 		}
 		res.Rows[si] = E5Row{
-			Selector:          sel,
+			Selector:          opts.Selectors[si],
 			SelectionAccuracy: sum.SelectionAccuracy,
 			WordAccuracy:      sum.MeanWordAccuracy,
 			Similarity:        sum.MeanSimilarity,

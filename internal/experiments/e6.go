@@ -67,8 +67,9 @@ func RunE6(env *Env, opts E6Options) (*E6Result, error) {
 	}
 	res := &E6Result{Rows: make([]E6Row, 0, len(conds))}
 	for _, cond := range conds {
+		oracle := &Static{}
 		cfg := core.Config{
-			Selector:        core.SelectorOracle,
+			Selector:        oracle.shared,
 			PinGeneral:      cond.prewarm,
 			BufferThreshold: math.MaxInt,
 			Seed:            opts.Seed,
@@ -96,7 +97,7 @@ func RunE6(env *Env, opts E6Options) (*E6Result, error) {
 		w := trace.Generate(sys.Corpus, trace.Config{
 			Users: 8, Messages: opts.Messages, MeanRunLength: 6, Seed: opts.Seed + 9,
 		})
-		results, err := RunTrace(sys, w)
+		results, err := RunTrace(sys, oracle, w)
 		if err != nil {
 			return nil, err
 		}

@@ -27,14 +27,15 @@ type Scored struct {
 }
 
 // RunTrace sends every request of w through sys.TransmitText in order —
-// telling the oracle selector each message's true domain first, when sys
-// runs one — and scores each result. A single System has nowhere to move a
-// user to, so the workload's mobility events are not applied.
-func RunTrace(sys *core.System, w *trace.Workload) ([]Scored, error) {
+// first setting oracle, the selector sys hands every user when it runs the
+// oracle policy (nil otherwise), to each message's true domain — and
+// scores each result. A single System has nowhere to move a user to, so
+// the workload's mobility events are not applied.
+func RunTrace(sys *core.System, oracle *Static, w *trace.Workload) ([]Scored, error) {
 	out := make([]Scored, 0, len(w.Requests))
 	for _, req := range w.Requests {
-		if o := sys.Oracle(); o != nil {
-			o.DomainIndex = req.Msg.DomainIndex
+		if oracle != nil {
+			oracle.DomainIndex = req.Msg.DomainIndex
 		}
 		res, err := sys.TransmitText(req.User, req.Msg.Words)
 		if err != nil {

@@ -9,11 +9,16 @@ import (
 	"repro/internal/trace"
 )
 
-// scoreTestSystem builds a small, fast system under the given selector,
+// scoreTestSystem builds a small, fast system under the named selector,
 // generals pinned and no update process, so every score below is the
-// general models' fidelity.
-func scoreTestSystem(t *testing.T, selector string) *core.System {
+// general models' fidelity. It returns the oracle RunTrace steers, nil
+// unless name is "oracle".
+func scoreTestSystem(t *testing.T, name string) (*core.System, *Static) {
 	t.Helper()
+	selector, oracle, err := selectorByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sys, err := core.NewSystem(core.Config{
 		Codec: semantic.Config{
 			EmbedDim:   12,
@@ -30,13 +35,13 @@ func scoreTestSystem(t *testing.T, selector string) *core.System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys
+	return sys, oracle
 }
 
 func TestTransmitEndToEnd(t *testing.T) {
-	s := scoreTestSystem(t, core.SelectorOracle)
+	s, oracle := scoreTestSystem(t, "oracle")
 	w := trace.Generate(s.Corpus, trace.Config{Users: 2, Messages: 30, Seed: 11})
-	results, err := RunTrace(s, w)
+	results, err := RunTrace(s, oracle, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,9 +77,9 @@ func TestTransmitEndToEnd(t *testing.T) {
 }
 
 func TestWrongSelectionScoresLow(t *testing.T) {
-	s := scoreTestSystem(t, core.SelectorStatic) // always domain 0, "it"
+	s, _ := scoreTestSystem(t, "static") // always domain 0, "it"
 	w := trace.Generate(s.Corpus, trace.Config{Users: 2, Messages: 100, Seed: 31})
-	results, err := RunTrace(s, w)
+	results, err := RunTrace(s, nil, w)
 	if err != nil {
 		t.Fatal(err)
 	}

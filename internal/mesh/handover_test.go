@@ -17,9 +17,17 @@ import (
 	"repro/internal/mat"
 	"repro/internal/mesh"
 	"repro/internal/rpc"
+	"repro/internal/selection"
 	"repro/internal/semantic"
 	"repro/internal/trace"
 )
+
+// fixedDomain is the tests' oracle selector: it selects the domain a test
+// last set, whatever the words say.
+type fixedDomain struct{ domain int }
+
+func (f *fixedDomain) Select([]string) int { return f.domain }
+func (f *fixedDomain) Feedback(float64)    {}
 
 // TestMoveOverridesRouting checks the client/member agreement a move
 // rests on: the serving member resolves a cell to a member, the router
@@ -291,7 +299,10 @@ func TestStatsOccupancy(t *testing.T) {
 // fetches must happen (only member 0 is warmed), and two identically
 // seeded meshes must agree result for result.
 func TestWorkloadWithMobility(t *testing.T) {
-	oracle := func(_ int, _ *mesh.Config, sys *core.Config) { sys.Selector = core.SelectorOracle }
+	var oracle fixedDomain // every user on every member: a serial driver steers it
+	shareOracle := func(_ int, _ *mesh.Config, sys *core.Config) {
+		sys.Selector = func(*selection.NaiveBayes, int, *mat.RNG) selection.Selector { return &oracle }
+	}
 	type outcome struct {
 		results              []core.Result
 		wordAcc              float64
@@ -300,7 +311,7 @@ func TestWorkloadWithMobility(t *testing.T) {
 	}
 	var w *trace.Workload
 	run := func() outcome {
-		mm := newMemMesh(t, 3, oracle, nil)
+		mm := newMemMesh(t, 3, shareOracle, nil)
 		mm.warm(t, 0)
 		for _, m := range mm.members[1:] {
 			if _, err := m.sys.Receiver.Prefetch(m.sys.Corpus.Names()); err != nil {
@@ -319,7 +330,7 @@ func TestWorkloadWithMobility(t *testing.T) {
 				mm.move(t, w.Moves[next].User, w.Moves[next].Cell)
 			}
 			m := mm.owner(req.User)
-			m.sys.Oracle().DomainIndex = req.Msg.DomainIndex
+			oracle.domain = req.Msg.DomainIndex
 			res, err := m.sys.TransmitText(req.User, req.Msg.Words)
 			if err != nil {
 				t.Fatalf("request %d: %v", req.Seq, err)

@@ -240,15 +240,16 @@ func NewNode(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// Bind attaches the serving system and the origin fallback fetcher. It
-// must run after core.NewSystem and before serving; the chicken-and-egg
+// Bind attaches the serving system and builds the origin fallback from
+// it: the system's cloud registry, charged over the system's cloud link.
+// It must run after core.NewSystem and before serving; the chicken-and-egg
 // is inherent — the system is built with the node as its SenderFetcher,
 // while the node's origin fallback needs the system's cloud registry.
-func (n *Node) Bind(sys *core.System, origin edge.Fetcher) {
+func (n *Node) Bind(sys *core.System) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.sys = sys
-	n.origin = origin
+	n.origin = edge.NewOriginFetcher(sys.Cloud, sys.CloudLink())
 	n.corp = sys.Corpus
 }
 
@@ -566,7 +567,7 @@ func (n *Node) Stats() rpc.NodeStats {
 		ReplicasOut:    n.replicasOut.Load(),
 	}
 	if sys != nil {
-		st.Users = len(sys.Users())
+		st.Users = sys.UserCount()
 		st.HitRate = sys.Sender.CacheStats().HitRate()
 		st.CachedModels = sys.Sender.Cache().Len()
 		st.CacheUsedBytes = sys.Sender.Cache().Used()

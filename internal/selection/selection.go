@@ -1,12 +1,13 @@
-// Package selection implements the model-selection policies from the
-// paper's research direction §III-A: picking which domain-specialized
-// general model should encode a message.
+// Package selection implements the model-selection policies the daemon
+// serves from the paper's research direction §III-A: picking which
+// domain-specialized general model should encode a message.
 //
-// Policies span the spectrum the paper sketches: a static default, a
-// traditional per-message classifier (naive Bayes over message words), a
-// context-aware classifier that exploits topic persistence, and
+// Two policies are here: the traditional per-message classifier (naive
+// Bayes over message words) and the context-aware one that exploits topic
+// persistence (Sticky). Figure D's other rows — the static default and the
 // reinforcement-learning selectors (ε-greedy Q-learning and UCB) that learn
-// from the downstream semantic-mismatch reward rather than labels.
+// from the downstream semantic-mismatch reward — live with the experiment
+// that compares them (internal/experiments).
 package selection
 
 import (
@@ -19,38 +20,13 @@ import (
 // Selector chooses a domain model for each message and learns from
 // feedback. Implementations are not safe for concurrent use.
 type Selector interface {
-	// Name identifies the selector in experiment output.
-	Name() string
 	// Select returns the domain index chosen for the message words.
 	Select(words []string) int
 	// Feedback reports the reward observed after using the selection
 	// (1 - semantic mismatch, measured via the sender's decoder copy).
 	// Selectors without a learning component ignore it.
 	Feedback(reward float64)
-	// Reset clears per-stream context (topic memory, bandit state is
-	// kept; only conversation context resets).
-	Reset()
 }
-
-// Static always selects a fixed domain — the no-selection baseline.
-type Static struct {
-	// DomainIndex is the fixed choice.
-	DomainIndex int
-}
-
-var _ Selector = (*Static)(nil)
-
-// Name implements Selector.
-func (s *Static) Name() string { return "static" }
-
-// Select implements Selector.
-func (s *Static) Select([]string) int { return s.DomainIndex }
-
-// Feedback implements Selector.
-func (s *Static) Feedback(float64) {}
-
-// Reset implements Selector.
-func (s *Static) Reset() {}
 
 // NaiveBayes is the traditional per-message classification network stand-in
 // from §III-A: multinomial naive Bayes over message words with Laplace
@@ -115,9 +91,6 @@ func TrainNaiveBayes(corp *corpus.Corpus, sentencesPerDomain int, seed uint64) *
 	return nb
 }
 
-// Name implements Selector.
-func (nb *NaiveBayes) Name() string { return "naivebayes" }
-
 // Scores returns the per-domain log-posterior scores for words.
 func (nb *NaiveBayes) Scores(words []string) []float64 {
 	scores := make([]float64, len(nb.domains))
@@ -149,9 +122,6 @@ func (nb *NaiveBayes) Select(words []string) int {
 // Feedback implements Selector.
 func (nb *NaiveBayes) Feedback(float64) {}
 
-// Reset implements Selector.
-func (nb *NaiveBayes) Reset() {}
-
 // Sticky is the context-aware selector of §III-A implemented as an HMM
 // forward filter: it maintains a belief over domains, propagates it through
 // a sticky transition prior (topics arrive in runs), and renormalizes with
@@ -181,9 +151,6 @@ func NewSticky(nb *NaiveBayes, stayProb float64) *Sticky {
 	}
 	return &Sticky{NB: nb, StayProb: stayProb}
 }
-
-// Name implements Selector.
-func (s *Sticky) Name() string { return "sticky" }
 
 // Select implements Selector.
 func (s *Sticky) Select(words []string) int {
@@ -225,9 +192,6 @@ func (s *Sticky) Select(words []string) int {
 // Feedback implements Selector.
 func (s *Sticky) Feedback(float64) {}
 
-// Reset implements Selector.
-func (s *Sticky) Reset() { s.belief = nil }
-
 // BeliefCarrier is implemented by selectors whose per-stream context is a
 // portable posterior over domains, so a user handover can move the
 // selection state to the new serving node and the stream continues
@@ -261,150 +225,3 @@ func (s *Sticky) ImportBelief(b []float64) {
 	s.belief = make([]float64, len(b))
 	copy(s.belief, b)
 }
-
-// QLearn is the reinforcement-learning selector from §III-A implemented as
-// contextual Q-learning: the state is (previous selection, naive-Bayes
-// guess) and the action is the domain to use. The reward is the downstream
-// semantic fidelity computed via the decoder copy, so no labels are needed.
-type QLearn struct {
-	// NB supplies the context feature (its per-message guess).
-	NB *NaiveBayes
-	// Epsilon is the exploration rate.
-	Epsilon float64
-	// Alpha is the learning rate.
-	Alpha float64
-	// Rng drives exploration.
-	Rng *mat.RNG
-
-	n          int
-	q          [][]float64 // q[state][action]
-	prev       int
-	lastState  int
-	lastAction int
-	pending    bool
-}
-
-var _ Selector = (*QLearn)(nil)
-
-// NewQLearn builds a Q-learning selector over n domains.
-func NewQLearn(nb *NaiveBayes, n int, rng *mat.RNG) *QLearn {
-	states := (n + 1) * n // prev in {-1..n-1} encoded as {0..n}, nbGuess in {0..n-1}
-	q := make([][]float64, states)
-	for i := range q {
-		q[i] = make([]float64, n)
-		// Mildly optimistic initialization: high enough to try untested
-		// actions eventually, low enough that a good observed reward
-		// (~0.9 for a correct selection) dominates quickly.
-		for j := range q[i] {
-			q[i][j] = 0.6
-		}
-	}
-	return &QLearn{NB: nb, Epsilon: 0.08, Alpha: 0.3, Rng: rng, n: n, q: q, prev: -1}
-}
-
-// Name implements Selector.
-func (ql *QLearn) Name() string { return "qlearn" }
-
-// state encodes (prev, nbGuess) into a table index.
-func (ql *QLearn) state(nbGuess int) int {
-	return (ql.prev+1)*ql.n + nbGuess
-}
-
-// Select implements Selector.
-func (ql *QLearn) Select(words []string) int {
-	nbGuess := ql.NB.Select(words)
-	s := ql.state(nbGuess)
-	var a int
-	if ql.Rng.Float64() < ql.Epsilon {
-		a = ql.Rng.Intn(ql.n)
-	} else {
-		a = mat.Argmax(ql.q[s])
-	}
-	ql.lastState, ql.lastAction, ql.pending = s, a, true
-	ql.prev = a
-	return a
-}
-
-// Feedback implements Selector.
-func (ql *QLearn) Feedback(reward float64) {
-	if !ql.pending {
-		return
-	}
-	q := ql.q[ql.lastState]
-	q[ql.lastAction] += ql.Alpha * (reward - q[ql.lastAction])
-	ql.pending = false
-}
-
-// Reset implements Selector.
-func (ql *QLearn) Reset() {
-	ql.prev = -1
-	ql.pending = false
-}
-
-// UCB is an upper-confidence-bound bandit conditioned on the naive-Bayes
-// guess: for each context it balances exploiting the best-known domain
-// against exploring under-tried ones.
-type UCB struct {
-	// NB supplies the context feature.
-	NB *NaiveBayes
-	// C is the exploration coefficient; 0 selects a sensible default.
-	C float64
-
-	n          int
-	counts     [][]float64
-	sums       [][]float64
-	total      []float64
-	lastCtx    int
-	lastAction int
-	pending    bool
-}
-
-var _ Selector = (*UCB)(nil)
-
-// NewUCB builds a UCB selector over n domains.
-func NewUCB(nb *NaiveBayes, n int) *UCB {
-	counts := make([][]float64, n)
-	sums := make([][]float64, n)
-	for i := range counts {
-		counts[i] = make([]float64, n)
-		sums[i] = make([]float64, n)
-	}
-	return &UCB{NB: nb, C: 1.2, n: n, counts: counts, sums: sums, total: make([]float64, n)}
-}
-
-// Name implements Selector.
-func (u *UCB) Name() string { return "ucb" }
-
-// Select implements Selector.
-func (u *UCB) Select(words []string) int {
-	ctx := u.NB.Select(words)
-	best, bestScore := 0, math.Inf(-1)
-	for a := 0; a < u.n; a++ {
-		var score float64
-		if u.counts[ctx][a] == 0 {
-			score = math.Inf(1)
-		} else {
-			mean := u.sums[ctx][a] / u.counts[ctx][a]
-			score = mean + u.C*math.Sqrt(math.Log(u.total[ctx]+1)/u.counts[ctx][a])
-		}
-		if score > bestScore {
-			best, bestScore = a, score
-		}
-	}
-	u.lastCtx, u.lastAction, u.pending = ctx, best, true
-	return best
-}
-
-// Feedback implements Selector.
-func (u *UCB) Feedback(reward float64) {
-	if !u.pending {
-		return
-	}
-	u.counts[u.lastCtx][u.lastAction]++
-	u.sums[u.lastCtx][u.lastAction] += reward
-	u.total[u.lastCtx]++
-	u.pending = false
-}
-
-// Reset implements Selector.
-func (u *UCB) Reset() { u.pending = false }
