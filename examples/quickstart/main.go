@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 	"time"
 
 	"repro/internal/core"
@@ -26,7 +27,10 @@ func main() {
 	if err != nil {
 		log.Fatalf("quickstart: %v", err)
 	}
-	fmt.Printf("ready in %v; domains: %v\n\n", time.Since(t0).Round(time.Millisecond), sys.Corpus.Names())
+	// The boot time is wall-clock, so it goes to stderr: stdout is a
+	// function of the seed alone (testdata/stdout.golden).
+	fmt.Fprintf(os.Stderr, "ready in %v\n", time.Since(t0).Round(time.Millisecond))
+	fmt.Printf("domains: %v\n\n", sys.Corpus.Names())
 
 	messages := []struct {
 		user string

@@ -46,7 +46,6 @@ import (
 	"repro/internal/kb"
 	"repro/internal/mat"
 	"repro/internal/metrics"
-	"repro/internal/netsim"
 	"repro/internal/selection"
 	"repro/internal/semantic"
 )
@@ -79,9 +78,6 @@ const (
 	edgeLatency  = 10 * time.Millisecond
 	updateEpochs = 3
 )
-
-// cloudLink is the edge-to-cloud link every origin model fetch is charged.
-var cloudLink = netsim.Link{Latency: 40 * time.Millisecond, BandwidthBps: 200e6}
 
 // Config parameterizes a System. Zero fields select documented defaults.
 type Config struct {
@@ -318,7 +314,6 @@ func NewSystem(cfg Config) (*System, error) {
 			Name:            name,
 			CacheCapacity:   capacity,
 			Policy:          cfg.Policy(),
-			Uplink:          cloudLink,
 			PinGeneral:      cfg.PinGeneral,
 			BufferThreshold: cfg.BufferThreshold,
 			Fetcher:         fetcher,
@@ -537,8 +532,3 @@ func (s *System) DecodeMemoStats() semantic.MemoStats {
 // UpdateTime returns the histogram of completed update processes' wall
 // time in milliseconds.
 func (s *System) UpdateTime() *metrics.Histogram { return s.updateTime }
-
-// CloudLink returns the edge-to-cloud link the system charges for origin
-// model fetches — what an external fetcher (the mesh's origin fallback)
-// must charge to account like the built-in one.
-func (s *System) CloudLink() netsim.Link { return cloudLink }

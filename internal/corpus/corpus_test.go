@@ -159,7 +159,7 @@ func TestTailSurfacesAreRare(t *testing.T) {
 		m := g.Message(d.Index, nil)
 		for j, w := range m.Words {
 			con := &d.Concepts[m.ConceptIDs[j]]
-			// Concepts carrying a curated polyseme follow PolyProb, not
+			// Concepts carrying a curated polyseme follow polyProb, not
 			// TailProb; exclude them here.
 			if con.Function || len(con.Surfaces) < 2 || con.PolyIdx > 0 {
 				continue
@@ -206,7 +206,7 @@ func TestIdiolectShiftsSurfaceChoice(t *testing.T) {
 	}
 	frac := float64(prefUsed) / float64(prefTotal)
 	if frac < 0.8 {
-		t.Fatalf("preferred surface used %v of the time, want ~Adherence 0.9", frac)
+		t.Fatalf("preferred surface used %v of the time, want ~adherence 0.9", frac)
 	}
 }
 

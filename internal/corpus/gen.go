@@ -31,16 +31,22 @@ type Idiolect struct {
 	// prefs maps concept key to the preferred surface index (>= 1, i.e. a
 	// tail synonym).
 	prefs map[string]int
-	// Adherence is the probability the user uses the preferred synonym
-	// when expressing a preferred concept.
-	Adherence float64
 }
+
+// adherence is the probability a user uses the preferred synonym when
+// expressing a preferred concept.
+const adherence float64 = 0.9
+
+// polyProb is the probability a concept carrying a curated polysemous
+// surface (e.g. "bus") is expressed with that surface. Polysemes are
+// everyday words, so this is much higher than Generator.TailProb.
+const polyProb float64 = 0.40
 
 // NewIdiolect samples an idiolect. strength in [0,1] is the fraction of
 // multi-surface content concepts (per domain) for which the user prefers a
 // rare synonym.
 func NewIdiolect(c *Corpus, rng *mat.RNG, strength float64) *Idiolect {
-	id := &Idiolect{prefs: make(map[string]int, 64), Adherence: 0.9}
+	id := &Idiolect{prefs: make(map[string]int, 64)}
 	for _, d := range c.Domains {
 		for _, ci := range d.ContentConcepts() {
 			con := &d.Concepts[ci]
@@ -83,10 +89,6 @@ type Generator struct {
 	// rare synonym instead of its canonical surface (absent idiolect
 	// preference).
 	TailProb float64
-	// PolyProb is the probability a concept carrying a curated polysemous
-	// surface (e.g. "bus") is expressed with that surface. Polysemes are
-	// everyday words, so this is much higher than TailProb.
-	PolyProb float64
 	// Balanced, when true, samples content concepts uniformly instead of
 	// by Zipf popularity. Pretraining corpora are balanced (knowledge
 	// bases are built from broad domain corpora); live traffic is not.
@@ -108,7 +110,6 @@ func NewGenerator(c *Corpus, rng *mat.RNG) *Generator {
 	g := &Generator{
 		FuncProb:    0.35,
 		TailProb:    0.04,
-		PolyProb:    0.40,
 		MinLen:      5,
 		MaxLen:      12,
 		corpus:      c,
@@ -165,9 +166,9 @@ func (g *Generator) Message(di int, idio *Idiolect) Message {
 		surface := con.Canonical()
 		if !con.Function && len(con.Surfaces) > 1 {
 			switch pref, ok := idio.PreferredSurface(con.Key); {
-			case ok && g.rng.Float64() < idio.Adherence:
+			case ok && g.rng.Float64() < adherence:
 				surface = con.Surfaces[pref]
-			case con.PolyIdx > 0 && g.rng.Float64() < g.PolyProb:
+			case con.PolyIdx > 0 && g.rng.Float64() < polyProb:
 				surface = con.Surfaces[con.PolyIdx]
 			case g.rng.Float64() < g.TailProb:
 				surface = con.Surfaces[1+g.rng.Intn(len(con.Surfaces)-1)]

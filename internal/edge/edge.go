@@ -33,6 +33,9 @@ import (
 // computePerToken is the simulated semantic encode/decode cost per token.
 const computePerToken = 200 * time.Microsecond
 
+// cloudLink is the edge-to-cloud link every origin model fetch is charged.
+var cloudLink = netsim.Link{Latency: 40 * time.Millisecond, BandwidthBps: 200e6}
+
 // Config parameterizes an edge server.
 type Config struct {
 	// Name identifies the server (e.g. "edge-a").
@@ -41,16 +44,15 @@ type Config struct {
 	CacheCapacity int64
 	// Policy is the cache eviction policy; nil selects LRU.
 	Policy cache.Policy
-	// Uplink is the link to the cloud origin used for model fetches.
-	Uplink netsim.Link
 	// PinGeneral pins domain-general models in the cache once fetched.
 	PinGeneral bool
 	// BufferThreshold is the per-user domain-buffer size that triggers an
 	// individual-model update; 0 selects 32.
 	BufferThreshold int
 	// Fetcher resolves local cache misses; nil selects the origin fetcher
-	// (cloud registry over Uplink). A mesh member installs its cooperative
-	// fetcher here, which probes neighbor caches before paying the origin.
+	// (cloud registry over the cloud link). A mesh member installs its
+	// cooperative fetcher here, which probes neighbor caches before paying
+	// the origin.
 	Fetcher Fetcher
 }
 
@@ -71,18 +73,17 @@ type Fetcher interface {
 }
 
 // originFetcher is the default Fetcher: straight to the cloud origin over
-// the uplink.
+// the cloud link.
 type originFetcher struct {
 	origin *kb.Registry
-	uplink netsim.Link
 }
 
 // NewOriginFetcher returns the default miss resolver — straight to the
-// cloud origin over uplink. Composite fetchers (the mesh's cooperative
-// fetcher) delegate to it as their fallback so origin-fetch
+// cloud origin over the cloud link. Composite fetchers (the mesh's
+// cooperative fetcher) delegate to it as their fallback so origin-fetch
 // semantics live in one place.
-func NewOriginFetcher(origin *kb.Registry, uplink netsim.Link) Fetcher {
-	return originFetcher{origin: origin, uplink: uplink}
+func NewOriginFetcher(origin *kb.Registry) Fetcher {
+	return originFetcher{origin: origin}
 }
 
 // FetchModel implements Fetcher.
@@ -91,7 +92,7 @@ func (f originFetcher) FetchModel(k kb.Key) (Fetch, error) {
 	if !ok {
 		return Fetch{}, fmt.Errorf("origin has no model %s", k)
 	}
-	return Fetch{Model: m, Latency: f.uplink.TransferTime(m.SizeBytes())}, nil
+	return Fetch{Model: m, Latency: cloudLink.TransferTime(m.SizeBytes())}, nil
 }
 
 // Server is one semantic edge server. It is safe for concurrent use.
@@ -122,7 +123,7 @@ func New(cfg Config, origin *kb.Registry) (*Server, error) {
 		cfg.BufferThreshold = 32
 	}
 	if cfg.Fetcher == nil {
-		cfg.Fetcher = originFetcher{origin: origin, uplink: cfg.Uplink}
+		cfg.Fetcher = originFetcher{origin: origin}
 	}
 	c, err := cache.New(cfg.CacheCapacity, cfg.Policy)
 	if err != nil {

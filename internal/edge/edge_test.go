@@ -10,7 +10,6 @@ import (
 	"repro/internal/fl"
 	"repro/internal/kb"
 	"repro/internal/mat"
-	"repro/internal/netsim"
 	"repro/internal/semantic"
 )
 
@@ -49,7 +48,6 @@ func newServer(t *testing.T, n int, policy cache.Policy) *Server {
 		Name:          "edge-test",
 		CacheCapacity: m.SizeBytes() * int64(n),
 		Policy:        policy,
-		Uplink:        netsim.Link{Latency: 40 * time.Millisecond, BandwidthBps: 200e6},
 	}, cloud)
 	if err != nil {
 		t.Fatal(err)

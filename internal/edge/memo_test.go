@@ -3,13 +3,11 @@ package edge
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/fl"
 	"repro/internal/kb"
 	"repro/internal/mat"
-	"repro/internal/netsim"
 	"repro/internal/semantic"
 )
 
@@ -256,8 +254,7 @@ func TestMemoMixedFeatureDims(t *testing.T) {
 		cloud.Put(m)
 		size += m.SizeBytes()
 	}
-	srv, err := New(Config{Name: "mixed", CacheCapacity: 2 * size,
-		Uplink: netsim.Link{Latency: time.Millisecond, BandwidthBps: 1e9}}, cloud)
+	srv, err := New(Config{Name: "mixed", CacheCapacity: 2 * size}, cloud)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,28 +11,13 @@ import (
 
 // AblationOptions parameterizes the design-choice ablations.
 type AblationOptions struct {
-	// SNRdB is the operating point (default 6: noisy but workable).
-	SNRdB float64
 	// Messages per configuration (default 200).
 	Messages int
-	// Domain under test (default "it").
-	Domain string
-	// Seed (default 1).
-	Seed uint64
 }
 
 func (o AblationOptions) withDefaults() AblationOptions {
-	if o.SNRdB == 0 {
-		o.SNRdB = 6
-	}
 	if o.Messages == 0 {
 		o.Messages = 200
-	}
-	if o.Domain == "" {
-		o.Domain = "it"
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	return o
 }
@@ -67,13 +52,13 @@ type ErasureRow struct {
 // channel-code choices).
 func RunAblations(env *Env, opts AblationOptions) (*AblationResult, error) {
 	opts = opts.withDefaults()
-	d := env.Corpus.Domain(opts.Domain)
+	d := env.Corpus.Domain("it")
 	res := &AblationResult{}
 
 	// Study 1: feature dimension sweep (retrains small codecs).
 	for _, dim := range []int{2, 4, 8, 16} {
 		codec := semantic.Pretrain(d, env.Corpus, semantic.Config{
-			FeatureDim: dim, Seed: opts.Seed,
+			FeatureDim: dim, Seed: tableSeed,
 		})
 		row := measureTransport(env, codec, "digital/hamming", opts)
 		row.Config = fmt.Sprintf("feature_dim=%d", dim)
@@ -99,7 +84,7 @@ func RunAblations(env *Env, opts AblationOptions) (*AblationResult, error) {
 // measureErasure compares meaning recovery under a symbol-erasure channel.
 func measureErasure(env *Env, codec *semantic.Codec, p float64, opts AblationOptions) ErasureRow {
 	d := codec.Domain()
-	rng := mat.NewRNG(opts.Seed + 991)
+	rng := mat.NewRNG(tableSeed + 991)
 	gen := corpus.NewGenerator(env.Corpus, rng.Split())
 	ch := &erasureChannel{p: p, rng: rng.Split()}
 	link := channel.DefaultFeatureLink(ch)
@@ -124,12 +109,16 @@ func measureErasure(env *Env, codec *semantic.Codec, p float64, opts AblationOpt
 	return row
 }
 
+// ablationSNRdB is the transport study's operating point: noisy but
+// workable.
+const ablationSNRdB float64 = 6
+
 // measureTransport runs messages through one transport configuration.
 func measureTransport(env *Env, codec *semantic.Codec, name string, opts AblationOptions) AblationRow {
 	d := codec.Domain()
-	rng := mat.NewRNG(opts.Seed + 77)
+	rng := mat.NewRNG(tableSeed + 77)
 	gen := corpus.NewGenerator(env.Corpus, rng.Split())
-	ch := &channel.AWGN{SNRdB: opts.SNRdB, Rng: rng.Split()}
+	ch := &channel.AWGN{SNRdB: ablationSNRdB, Rng: rng.Split()}
 
 	digital := channel.DefaultFeatureLink(ch)
 	var link transport

@@ -18,8 +18,6 @@ type E1Options struct {
 	Domains []string
 	// Rayleigh switches the channel model from AWGN to Rayleigh fading.
 	Rayleigh bool
-	// Seed drives message generation and noise (default 1).
-	Seed uint64
 }
 
 func (o E1Options) withDefaults() E1Options {
@@ -31,9 +29,6 @@ func (o E1Options) withDefaults() E1Options {
 	}
 	if len(o.Domains) == 0 {
 		o.Domains = []string{"it", "medical", "sports"}
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	return o
 }
@@ -63,7 +58,7 @@ type E1Result struct {
 // the true domain KB to concepts, compared against the ground truth.
 func RunE1(env *Env, opts E1Options) (*E1Result, error) {
 	opts = opts.withDefaults()
-	rng := mat.NewRNG(opts.Seed)
+	rng := mat.NewRNG(tableSeed)
 	gen := corpus.NewGenerator(env.Corpus, rng.Split())
 
 	// Pre-generate one message set per domain, reused at every SNR so the

@@ -8,38 +8,13 @@ import (
 // E10Options parameterizes the multimodal (continuous vector stream)
 // experiment from §III-B: semantic compression of avatar pose data.
 type E10Options struct {
-	// PoseDim is the observable pose dimensionality (default 12).
-	PoseDim int
-	// LatentDim is the true generative latent width (default 4).
-	LatentDim int
-	// FeatureDim is the semantic bottleneck (default 5).
-	FeatureDim int
 	// Frames measured per transport (default 300).
 	Frames int
-	// SNRdB is the channel operating point (default 6).
-	SNRdB float64
-	// Seed (default 1).
-	Seed uint64
 }
 
 func (o E10Options) withDefaults() E10Options {
-	if o.PoseDim == 0 {
-		o.PoseDim = 12
-	}
-	if o.LatentDim == 0 {
-		o.LatentDim = 4
-	}
-	if o.FeatureDim == 0 {
-		o.FeatureDim = 5
-	}
 	if o.Frames == 0 {
 		o.Frames = 300
-	}
-	if o.SNRdB == 0 {
-		o.SNRdB = 6
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	return o
 }
@@ -83,11 +58,15 @@ func genPoses(rng *mat.RNG, n, dim, latent int) [][]float64 {
 // quantization cannot.
 func RunE10(env *Env, opts E10Options) (*E10Result, error) {
 	opts = opts.withDefaults()
-	rng := mat.NewRNG(opts.Seed)
-	all := genPoses(rng.Split(), 800+opts.Frames, opts.PoseDim, opts.LatentDim)
+	// The observable pose width, the true generative latent width, the
+	// semantic bottleneck and the channel operating point.
+	const poseDim, latentDim, featureDim = 12, 4, 5
+	const snrDB float64 = 6
+	rng := mat.NewRNG(tableSeed)
+	all := genPoses(rng.Split(), 800+opts.Frames, poseDim, latentDim)
 	train, test := all[:800], all[800:]
 
-	vc := NewVectorCodec(rng.Split(), opts.PoseDim, opts.FeatureDim)
+	vc := NewVectorCodec(rng.Split(), poseDim, featureDim)
 	if _, err := vc.Train(train, 60, 0.02, 0.05, rng.Split()); err != nil {
 		return nil, err
 	}
@@ -100,7 +79,7 @@ func RunE10(env *Env, opts E10Options) (*E10Result, error) {
 	// link quantizing with q — carry puts one pose on the link and returns
 	// what the receiver restores — and appends the transport's row.
 	score := func(name string, q channel.Quantizer, carry func(link channel.FeatureLink, x []float64) ([]float64, channel.LinkStats)) {
-		link := channel.DefaultFeatureLink(&channel.AWGN{SNRdB: opts.SNRdB, Rng: rng.Split()})
+		link := channel.DefaultFeatureLink(&channel.AWGN{SNRdB: snrDB, Rng: rng.Split()})
 		link.Quant = q
 		num, den, bytes := 0.0, 0.0, 0.0
 		for _, x := range test {
@@ -120,9 +99,9 @@ func RunE10(env *Env, opts E10Options) (*E10Result, error) {
 	}
 
 	// Transport 1: semantic features at 6 bits each.
-	feat := make([]float64, opts.FeatureDim)
-	rxFeat := make([]float64, opts.FeatureDim)
-	pose := make([]float64, opts.PoseDim)
+	feat := make([]float64, featureDim)
+	rxFeat := make([]float64, featureDim)
+	pose := make([]float64, poseDim)
 	score("semantic (vector codec, 5x6b)", channel.Quantizer{Bits: 6, Lo: -1, Hi: 1},
 		func(link channel.FeatureLink, x []float64) ([]float64, channel.LinkStats) {
 			vc.Encode(feat, x)

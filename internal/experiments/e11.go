@@ -29,11 +29,6 @@ type E11Options struct {
 	// Users and Requests size the workload (defaults 24 and 4000).
 	Users    int
 	Requests int
-	// CapacityModels is the per-node cache size in model-equivalents
-	// (default 3: small enough that eviction pressure is constant).
-	CapacityModels int
-	// Seed drives the workload and ring placement (default 1).
-	Seed uint64
 }
 
 func (o E11Options) withDefaults() E11Options {
@@ -51,12 +46,6 @@ func (o E11Options) withDefaults() E11Options {
 	}
 	if o.Requests == 0 {
 		o.Requests = 4000
-	}
-	if o.CapacityModels == 0 {
-		o.CapacityModels = 3
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	return o
 }
@@ -92,6 +81,9 @@ type E11Result struct {
 // eviction policy decides how much of the working set survives.
 func RunE11(env *Env, opts E11Options) (*E11Result, error) {
 	opts = opts.withDefaults()
+	// capacityModels is the per-node cache size in model-equivalents:
+	// small enough that eviction pressure is constant.
+	const capacityModels = 3
 	type combo struct {
 		policy    string
 		newPolicy func() cache.Policy
@@ -122,7 +114,7 @@ func RunE11(env *Env, opts E11Options) (*E11Result, error) {
 		w := trace.Generate(env.Corpus, trace.Config{
 			Users: opts.Users, Messages: opts.Requests,
 			Cells: cb.nodes, MobilityRate: cb.rate,
-			MeanRunLength: 8, Seed: opts.Seed,
+			MeanRunLength: 8, Seed: tableSeed,
 		})
 		// Every member is an edged daemon on the in-memory transport. Nobody
 		// probes (no Mesh.Start), so a cell is deterministic.
@@ -131,11 +123,11 @@ func RunE11(env *Env, opts E11Options) (*E11Result, error) {
 				Self:     members[i],
 				Peers:    slices.Delete(slices.Clone(members), i, i+1),
 				MeshLink: netsim.Link{Latency: 5 * time.Millisecond, BandwidthBps: 400e6},
-				RingSeed: opts.Seed,
+				RingSeed: tableSeed,
 			}, core.Config{
 				Policy:           cb.newPolicy,
-				SenderCacheBytes: modelBytes * int64(opts.CapacityModels),
-				Seed:             opts.Seed,
+				SenderCacheBytes: modelBytes * capacityModels,
+				Seed:             tableSeed,
 				Pretrained:       env.Generals,
 			})
 		}, nil)
@@ -143,7 +135,7 @@ func RunE11(env *Env, opts E11Options) (*E11Result, error) {
 			return err
 		}
 		defer func() { err = errors.Join(err, c.Stop()) }()
-		router := mesh.NewRouter(c.Addrs, opts.Seed)
+		router := mesh.NewRouter(c.Addrs, tableSeed)
 		personalized := make(map[string]bool, opts.Users*2)
 		var totalFetch time.Duration
 		next := 0

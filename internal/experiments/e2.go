@@ -8,7 +8,6 @@ import (
 	"repro/internal/edge"
 	"repro/internal/kb"
 	"repro/internal/mat"
-	"repro/internal/netsim"
 	"repro/internal/trace"
 )
 
@@ -20,10 +19,6 @@ type E2Options struct {
 	Policies []string
 	// Requests per configuration (default 5000).
 	Requests int
-	// ZipfS is the domain-popularity skew (default 1.0).
-	ZipfS float64
-	// Seed drives the workload (default 1).
-	Seed uint64
 }
 
 func (o E2Options) withDefaults() E2Options {
@@ -35,12 +30,6 @@ func (o E2Options) withDefaults() E2Options {
 	}
 	if o.Requests == 0 {
 		o.Requests = 5000
-	}
-	if o.ZipfS == 0 {
-		o.ZipfS = 1.0
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	return o
 }
@@ -83,8 +72,8 @@ func RunE2(env *Env, opts E2Options) (*E2Result, error) {
 		}
 	}
 	w := trace.Generate(env.Corpus, trace.Config{
-		Users: 16, Messages: opts.Requests, DomainZipfS: opts.ZipfS,
-		MeanRunLength: 8, Seed: opts.Seed,
+		Users: 16, Messages: opts.Requests,
+		MeanRunLength: 8, Seed: tableSeed,
 	})
 
 	// Every (policy, capacity) cell replays the same read-only workload
@@ -98,7 +87,6 @@ func RunE2(env *Env, opts E2Options) (*E2Result, error) {
 			Name:          "edge-e2",
 			CacheCapacity: modelBytes * int64(capModels),
 			Policy:        policies[pi](),
-			Uplink:        netsim.Link{Latency: 40 * time.Millisecond, BandwidthBps: 200e6},
 		}, cloud)
 		if err != nil {
 			return err

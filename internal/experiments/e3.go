@@ -13,16 +13,10 @@ type E3Options struct {
 	Users int
 	// Rounds is the number of communication rounds (default 40).
 	Rounds int
-	// MessagesPerRound per user (default 8).
-	MessagesPerRound int
 	// BufferThreshold transactions trigger a fine-tune (default 32).
 	BufferThreshold int
 	// IdiolectStrength in [0,1] (default 0.3).
 	IdiolectStrength float64
-	// Domain under test (default "it").
-	Domain string
-	// Seed drives everything (default 1).
-	Seed uint64
 }
 
 func (o E3Options) withDefaults() E3Options {
@@ -32,20 +26,11 @@ func (o E3Options) withDefaults() E3Options {
 	if o.Rounds == 0 {
 		o.Rounds = 40
 	}
-	if o.MessagesPerRound == 0 {
-		o.MessagesPerRound = 8
-	}
 	if o.BufferThreshold == 0 {
 		o.BufferThreshold = 32
 	}
 	if o.IdiolectStrength == 0 {
 		o.IdiolectStrength = 0.3
-	}
-	if o.Domain == "" {
-		o.Domain = "it"
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	return o
 }
@@ -71,9 +56,10 @@ type E3Result struct {
 // updated through the paper's buffer-triggered fine-tuning.
 func RunE3(env *Env, opts E3Options) (*E3Result, error) {
 	opts = opts.withDefaults()
-	d := env.Corpus.Domain(opts.Domain)
+	const messagesPerRound = 8 // per user
+	d := env.Corpus.Domain("it")
 	general := env.Generals[d.Index]
-	rng := mat.NewRNG(opts.Seed)
+	rng := mat.NewRNG(tableSeed)
 
 	type user struct {
 		idio       *corpus.Idiolect
@@ -99,7 +85,7 @@ func RunE3(env *Env, opts E3Options) (*E3Result, error) {
 	for round := 0; round < opts.Rounds; round++ {
 		row := E3Round{Round: round + 1}
 		for _, u := range users {
-			for m := 0; m < opts.MessagesPerRound; m++ {
+			for m := 0; m < messagesPerRound; m++ {
 				msg := u.gen.Message(d.Index, u.idio)
 				exs := semantic.ExamplesFromMessage(d, msg)
 				// General-model mismatch (frozen baseline).
@@ -118,7 +104,7 @@ func RunE3(env *Env, opts E3Options) (*E3Result, error) {
 				row.UpdatesFired++
 			}
 		}
-		n := float64(opts.Users * opts.MessagesPerRound)
+		n := float64(opts.Users * messagesPerRound)
 		row.GeneralMismatch /= n
 		row.IndividualMismatch /= n
 		res.Rounds = append(res.Rounds, row)

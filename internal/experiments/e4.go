@@ -12,12 +12,6 @@ type E4Options struct {
 	Rounds int
 	// BufferSize transactions per round (default 32).
 	BufferSize int
-	// Domain under test (default "it").
-	Domain string
-	// IdiolectStrength for the simulated user (default 0.4).
-	IdiolectStrength float64
-	// Seed (default 1).
-	Seed uint64
 }
 
 func (o E4Options) withDefaults() E4Options {
@@ -26,15 +20,6 @@ func (o E4Options) withDefaults() E4Options {
 	}
 	if o.BufferSize == 0 {
 		o.BufferSize = 32
-	}
-	if o.Domain == "" {
-		o.Domain = "it"
-	}
-	if o.IdiolectStrength == 0 {
-		o.IdiolectStrength = 0.4
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	return o
 }
@@ -65,10 +50,10 @@ type E4Result struct {
 // mechanisms end with identical fine-tuning; they differ only in traffic.
 func RunE4(env *Env, opts E4Options) (*E4Result, error) {
 	opts = opts.withDefaults()
-	d := env.Corpus.Domain(opts.Domain)
+	d := env.Corpus.Domain("it")
 	general := env.Generals[d.Index]
-	rng := mat.NewRNG(opts.Seed)
-	idio := corpus.NewIdiolect(env.Corpus, rng.Split(), opts.IdiolectStrength)
+	rng := mat.NewRNG(tableSeed)
+	idio := corpus.NewIdiolect(env.Corpus, rng.Split(), 0.4)
 
 	type mech struct {
 		name         string
@@ -88,8 +73,8 @@ func RunE4(env *Env, opts E4Options) (*E4Result, error) {
 	for _, mc := range mechs {
 		sender := general.Clone()
 		receiver := general.Clone()
-		gen := corpus.NewGenerator(env.Corpus, mat.NewRNG(opts.Seed+7))
-		ftRNG := mat.NewRNG(opts.Seed + 13)
+		gen := corpus.NewGenerator(env.Corpus, mat.NewRNG(tableSeed+7))
+		ftRNG := mat.NewRNG(tableSeed + 13)
 
 		var feedbackTotal, syncTotal float64
 		var lastExamples []fl.Transaction

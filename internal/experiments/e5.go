@@ -17,10 +17,6 @@ type E5Options struct {
 	Messages int
 	// Users sharing the stream (default 6).
 	Users int
-	// MeanRunLength of topic runs (default 12).
-	MeanRunLength float64
-	// Seed (default 1).
-	Seed uint64
 }
 
 func (o E5Options) withDefaults() E5Options {
@@ -32,12 +28,6 @@ func (o E5Options) withDefaults() E5Options {
 	}
 	if o.Users == 0 {
 		o.Users = 6
-	}
-	if o.MeanRunLength == 0 {
-		o.MeanRunLength = 12
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	return o
 }
@@ -79,7 +69,7 @@ func RunE5(env *Env, opts E5Options) (*E5Result, error) {
 			Selector:        sels[si],
 			PinGeneral:      true,
 			BufferThreshold: math.MaxInt,
-			Seed:            opts.Seed,
+			Seed:            tableSeed,
 			Pretrained:      env.Generals,
 		})
 		if err != nil {
@@ -87,9 +77,9 @@ func RunE5(env *Env, opts E5Options) (*E5Result, error) {
 		}
 		w := trace.Generate(sys.Corpus, trace.Config{
 			Users: opts.Users, Messages: opts.Messages,
-			MeanRunLength: opts.MeanRunLength,
+			MeanRunLength: 12,
 			MinLen:        3, MaxLen: 6, FuncProb: 0.55,
-			Seed: opts.Seed + 100,
+			Seed: tableSeed + 100,
 		})
 		results, err := RunTrace(sys, oracles[si], w)
 		if err != nil {

@@ -13,16 +13,11 @@ import (
 type E6Options struct {
 	// Messages per condition (default 400).
 	Messages int
-	// Seed (default 1).
-	Seed uint64
 }
 
 func (o E6Options) withDefaults() E6Options {
 	if o.Messages == 0 {
 		o.Messages = 400
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	return o
 }
@@ -72,7 +67,7 @@ func RunE6(env *Env, opts E6Options) (*E6Result, error) {
 			Selector:        oracle.shared,
 			PinGeneral:      cond.prewarm,
 			BufferThreshold: math.MaxInt,
-			Seed:            opts.Seed,
+			Seed:            tableSeed,
 			Pretrained:      env.Generals,
 		}
 		if cond.capacity > 0 {
@@ -95,7 +90,7 @@ func RunE6(env *Env, opts E6Options) (*E6Result, error) {
 		// The hit rate counts the trace alone, not the prefetch.
 		before := sys.Sender.CacheStats()
 		w := trace.Generate(sys.Corpus, trace.Config{
-			Users: 8, Messages: opts.Messages, MeanRunLength: 6, Seed: opts.Seed + 9,
+			Users: 8, Messages: opts.Messages, MeanRunLength: 6, Seed: tableSeed + 9,
 		})
 		results, err := RunTrace(sys, oracle, w)
 		if err != nil {

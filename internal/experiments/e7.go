@@ -16,10 +16,6 @@ type E7Options struct {
 	BufferSize int
 	// Updates applied sequentially per setting (default 6).
 	Updates int
-	// Domain under test (default "it").
-	Domain string
-	// Seed (default 1).
-	Seed uint64
 }
 
 func (o E7Options) withDefaults() E7Options {
@@ -31,12 +27,6 @@ func (o E7Options) withDefaults() E7Options {
 	}
 	if o.Updates == 0 {
 		o.Updates = 6
-	}
-	if o.Domain == "" {
-		o.Domain = "it"
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	return o
 }
@@ -62,7 +52,7 @@ type E7Result struct {
 // receiver-side accuracy retained after a sequence of lossy updates.
 func RunE7(env *Env, opts E7Options) (*E7Result, error) {
 	opts = opts.withDefaults()
-	d := env.Corpus.Domain(opts.Domain)
+	d := env.Corpus.Domain("it")
 	general := env.Generals[d.Index]
 
 	sc := mat.GetScratch()
@@ -74,7 +64,7 @@ func RunE7(env *Env, opts E7Options) (*E7Result, error) {
 			if frac < 1 {
 				compress.topKFrac = frac
 			}
-			rng := mat.NewRNG(opts.Seed)
+			rng := mat.NewRNG(tableSeed)
 			idio := corpus.NewIdiolect(env.Corpus, rng.Split(), 0.4)
 			gen := corpus.NewGenerator(env.Corpus, rng.Split())
 			sender := general.Clone()

@@ -17,12 +17,6 @@ type E9Options struct {
 	Rounds int
 	// ProbeUsers are fresh users measuring cold-start quality (default 6).
 	ProbeUsers int
-	// Domain under test (default "it").
-	Domain string
-	// IdiolectStrength for donors and probes (default 0.5).
-	IdiolectStrength float64
-	// Seed (default 1).
-	Seed uint64
 }
 
 func (o E9Options) withDefaults() E9Options {
@@ -37,15 +31,6 @@ func (o E9Options) withDefaults() E9Options {
 	}
 	if o.ProbeUsers == 0 {
 		o.ProbeUsers = 6
-	}
-	if o.Domain == "" {
-		o.Domain = "it"
-	}
-	if o.IdiolectStrength == 0 {
-		o.IdiolectStrength = 0.5
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	return o
 }
@@ -70,13 +55,14 @@ type E9Result struct {
 // remain the same".
 func RunE9(env *Env, opts E9Options) (*E9Result, error) {
 	opts = opts.withDefaults()
-	d := env.Corpus.Domain(opts.Domain)
+	const idiolectStrength float64 = 0.5 // donors' and probes'
+	d := env.Corpus.Domain("it")
 	stock := env.Generals[d.Index]
-	rng := mat.NewRNG(opts.Seed)
+	rng := mat.NewRNG(tableSeed)
 
 	donors := make([][]semantic.Example, opts.Donors)
 	for i := range donors {
-		idio := corpus.NewIdiolect(env.Corpus, rng.Split(), opts.IdiolectStrength)
+		idio := corpus.NewIdiolect(env.Corpus, rng.Split(), idiolectStrength)
 		gen := corpus.NewGenerator(env.Corpus, rng.Split())
 		var exs []semantic.Example
 		for _, m := range gen.Batch(d.Index, opts.SentencesPerDonor, idio) {
@@ -85,7 +71,7 @@ func RunE9(env *Env, opts E9Options) (*E9Result, error) {
 		donors[i] = exs
 	}
 	improved, err := RunFederated(stock, donors, FederatedConfig{
-		Rounds: opts.Rounds, LocalEpochs: 2, Seed: opts.Seed + 99,
+		Rounds: opts.Rounds, LocalEpochs: 2, Seed: tableSeed + 99,
 	})
 	if err != nil {
 		return nil, err
@@ -94,7 +80,7 @@ func RunE9(env *Env, opts E9Options) (*E9Result, error) {
 	// Fresh probe users: idiolects never seen by any donor.
 	var cold, generic []semantic.Example
 	for p := 0; p < opts.ProbeUsers; p++ {
-		idio := corpus.NewIdiolect(env.Corpus, rng.Split(), opts.IdiolectStrength)
+		idio := corpus.NewIdiolect(env.Corpus, rng.Split(), idiolectStrength)
 		gen := corpus.NewGenerator(env.Corpus, rng.Split())
 		for _, m := range gen.Batch(d.Index, 40, idio) {
 			cold = append(cold, semantic.ExamplesFromMessage(d, m)...)

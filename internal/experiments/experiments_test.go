@@ -86,7 +86,7 @@ func TestE2Shapes(t *testing.T) {
 func TestE3Shapes(t *testing.T) {
 	env := Environment()
 	res, err := RunE3(env, E3Options{
-		Users: 4, Rounds: 12, MessagesPerRound: 8,
+		Users: 4, Rounds: 12,
 		BufferThreshold: 24, IdiolectStrength: 0.4,
 	})
 	if err != nil {

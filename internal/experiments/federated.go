@@ -50,14 +50,13 @@ func codecDelta(after, before *semantic.Codec) *nn.ParamSet {
 var errNoDeltas = errors.New("experiments: no deltas to aggregate")
 
 // applyAverageDelta applies the FedAvg aggregate (the element-wise mean of
-// deltas, scaled by scale) to codec's parameters in place. A scale of 1
-// is classic FedAvg; smaller values damp the global step.
-func applyAverageDelta(codec *semantic.Codec, deltas []*nn.ParamSet, scale float64) error {
+// deltas) to codec's parameters in place.
+func applyAverageDelta(codec *semantic.Codec, deltas []*nn.ParamSet) error {
 	if len(deltas) == 0 {
 		return errNoDeltas
 	}
 	target := codec.Params()
-	factor := scale / float64(len(deltas))
+	factor := 1 / float64(len(deltas))
 	for _, d := range deltas {
 		if err := target.CheckSameShape(d); err != nil {
 			return err
@@ -93,10 +92,6 @@ type FederatedConfig struct {
 	Rounds int
 	// LocalEpochs per donor per round (default 2).
 	LocalEpochs int
-	// LR for donor fine-tuning; 0 selects the codec default.
-	LR float64
-	// Scale damps the aggregated step (default 1 = classic FedAvg).
-	Scale float64
 	// DP optionally makes the aggregation differentially private.
 	DP DPConfig
 	// Seed drives fine-tuning and DP noise (default 1).
@@ -109,9 +104,6 @@ func (c FederatedConfig) withDefaults() FederatedConfig {
 	}
 	if c.LocalEpochs == 0 {
 		c.LocalEpochs = 2
-	}
-	if c.Scale == 0 {
-		c.Scale = 1
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -138,14 +130,14 @@ func RunFederated(general *semantic.Codec, donorData [][]semantic.Example, cfg F
 			}
 			local := global.Clone()
 			seed := cfg.Seed + uint64(round*1009+di*31+1)
-			local.FineTune(examples, cfg.LocalEpochs, cfg.LR, mat.NewRNG(seed))
+			local.FineTune(examples, cfg.LocalEpochs, mat.NewRNG(seed))
 			delta := codecDelta(local, global)
 			if cfg.DP.Enabled() {
 				clipToNorm(delta, cfg.DP.ClipNorm)
 			}
 			deltas = append(deltas, delta)
 		}
-		if err := applyAverageDelta(global, deltas, cfg.Scale); err != nil {
+		if err := applyAverageDelta(global, deltas); err != nil {
 			return nil, err
 		}
 		if cfg.DP.Enabled() && cfg.DP.NoiseMultiplier > 0 {

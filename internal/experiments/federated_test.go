@@ -6,14 +6,12 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/edge"
 	"repro/internal/fl"
 	"repro/internal/kb"
 	"repro/internal/mat"
-	"repro/internal/netsim"
 	"repro/internal/nn"
 	"repro/internal/semantic"
 )
@@ -107,14 +105,14 @@ func TestApplyAverageDelta(t *testing.T) {
 	d1.ByName(semantic.ParamDecB).Data[0] = 4
 	d2.ByName(semantic.ParamDecB).Data[0] = 2
 	orig := base.Params().ByName(semantic.ParamDecB).Data[0]
-	if err := applyAverageDelta(base, []*nn.ParamSet{d1, d2}, 1); err != nil {
+	if err := applyAverageDelta(base, []*nn.ParamSet{d1, d2}); err != nil {
 		t.Fatal(err)
 	}
 	got := base.Params().ByName(semantic.ParamDecB).Data[0]
 	if got != orig+3 {
 		t.Fatalf("after FedAvg = %v, want %v", got, orig+3)
 	}
-	if err := applyAverageDelta(base, nil, 1); err == nil {
+	if err := applyAverageDelta(base, nil); err == nil {
 		t.Fatal("empty aggregation accepted")
 	}
 }
@@ -251,7 +249,6 @@ func restampServer(t *testing.T) *edge.Server {
 	srv, err := edge.New(edge.Config{
 		Name:            "fedavg-test",
 		CacheCapacity:   6 * m.SizeBytes(),
-		Uplink:          netsim.Link{Latency: 40 * time.Millisecond, BandwidthBps: 200e6},
 		BufferThreshold: 24,
 	}, cloud)
 	if err != nil {
@@ -380,7 +377,7 @@ func TestFedAvgWritersRestamp(t *testing.T) {
 			// codecDelta opened the door too; decode between it and the
 			// write so only applyAverageDelta's own stamp can save the test.
 			serverDecode(t, srv, probeRows(served.Model.Codec.FeatureDim()))
-			if err := applyAverageDelta(served.Model.Codec, []*nn.ParamSet{delta}, 1); err != nil {
+			if err := applyAverageDelta(served.Model.Codec, []*nn.ParamSet{delta}); err != nil {
 				t.Fatal(err)
 			}
 		}},

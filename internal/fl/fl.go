@@ -134,7 +134,7 @@ func RunUpdate(codec *semantic.Codec, buf *Buffer, version int, cfg UpdateConfig
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	codec.FineTune(buf.Examples(), cfg.Epochs, 0, mat.NewRNG(cfg.Seed)) // 0: the codec's fine-tune rate
+	codec.FineTune(buf.Examples(), cfg.Epochs, mat.NewRNG(cfg.Seed))
 	dec := codec.DecoderParams().Clone()
 	return &Update{
 		Domain:       buf.Domain,

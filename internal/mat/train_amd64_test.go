@@ -48,7 +48,7 @@ func TestTrainingBitExactWithF64Kernels(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		examples = append(examples, semantic.ExamplesFromMessage(d, gen.Message(d.Index, idio))...)
 	}
-	mat.PureGo(func() { want.FineTune(examples, 3, 0, mat.NewRNG(5)) })
-	got.FineTune(examples, 3, 0, mat.NewRNG(5))
+	mat.PureGo(func() { want.FineTune(examples, 3, mat.NewRNG(5)) })
+	got.FineTune(examples, 3, mat.NewRNG(5))
 	sameParams(t, "FineTune", got.Params(), want.Params())
 }

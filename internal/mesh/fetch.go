@@ -123,14 +123,9 @@ func (n *Node) HandleFetch(f rpc.FetchRequest) (*rpc.ModelPayload, error) {
 	if sys == nil {
 		return nil, errors.New("mesh: node not bound to a system")
 	}
-	m, ok := sys.Sender.Cache().Peek(kb.GeneralKey(f.Domain, role))
-	if !ok {
-		return nil, nil
+	payload, err := generalPayload(sys, kb.GeneralKey(f.Domain, role))
+	if payload != nil {
+		n.neighborServed.Add(1)
 	}
-	stream, err := m.Codec.AppendTo(nil)
-	if err != nil {
-		return nil, err
-	}
-	n.neighborServed.Add(1)
-	return &rpc.ModelPayload{Domain: f.Domain, Version: m.Version, Params: stream}, nil
+	return payload, err
 }

@@ -241,7 +241,7 @@ func NewNode(cfg Config) (*Node, error) {
 }
 
 // Bind attaches the serving system and builds the origin fallback from
-// it: the system's cloud registry, charged over the system's cloud link.
+// it: the system's cloud registry, charged over edge's cloud link.
 // It must run after core.NewSystem and before serving; the chicken-and-egg
 // is inherent — the system is built with the node as its SenderFetcher,
 // while the node's origin fallback needs the system's cloud registry.
@@ -249,7 +249,7 @@ func (n *Node) Bind(sys *core.System) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.sys = sys
-	n.origin = edge.NewOriginFetcher(sys.Cloud, sys.CloudLink())
+	n.origin = edge.NewOriginFetcher(sys.Cloud)
 	n.corp = sys.Corpus
 }
 

@@ -67,14 +67,18 @@ func (n *Node) pushReplicas(domain string) {
 
 // pushGeneral hands domain's general model to p in a one-model push tagged
 // reason. It sends nothing, and reports false, when p's latest stats
-// snapshot already lists the domain (p holds a copy) or when the model is
-// no longer in the local sender cache.
+// snapshot already lists the domain (p holds a copy), when the model is
+// no longer in the local sender cache, or when it fails to serialize
+// (logged).
 func (n *Node) pushGeneral(ctx context.Context, sys *core.System, p *peer, domain, reason string) (bool, error) {
 	if st := p.lastStats.Load(); st != nil && slices.Contains(st.Generals, domain) {
 		return false, nil
 	}
-	payload, ok := n.generalPayload(sys, domain)
-	if !ok {
+	payload, err := generalPayload(sys, kb.GeneralKey(domain, kb.RoleCodec))
+	if err != nil {
+		n.cfg.Logf("mesh: serialize general %s: %v", domain, err)
+	}
+	if payload == nil {
 		return false, nil
 	}
 	push := &rpc.HandoffPayload{
@@ -85,18 +89,17 @@ func (n *Node) pushGeneral(ctx context.Context, sys *core.System, p *peer, domai
 	return true, n.push(ctx, p, push)
 }
 
-// generalPayload serializes domain's general model from the local sender
-// cache with Peek semantics (a push must not distort local hit stats or
-// recency), for drain and replica pushes.
-func (n *Node) generalPayload(sys *core.System, domain string) (*rpc.ModelPayload, bool) {
-	m, ok := sys.Sender.Cache().Peek(kb.Key{Domain: domain, Role: kb.RoleCodec})
+// generalPayload serializes the general model k from the local sender
+// cache with Peek semantics (remote demand and pushes must not distort
+// local hit stats or recency). A miss returns nil and no error.
+func generalPayload(sys *core.System, k kb.Key) (*rpc.ModelPayload, error) {
+	m, ok := sys.Sender.Cache().Peek(k)
 	if !ok {
-		return nil, false
+		return nil, nil
 	}
 	stream, err := m.Codec.AppendTo(nil)
 	if err != nil {
-		n.cfg.Logf("mesh: serialize general %s: %v", domain, err)
-		return nil, false
+		return nil, err
 	}
-	return &rpc.ModelPayload{Domain: domain, Version: m.Version, Params: stream}, true
+	return &rpc.ModelPayload{Domain: k.Domain, Version: m.Version, Params: stream}, nil
 }

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sync/atomic"
 )
@@ -13,10 +12,10 @@ import (
 // instance without locking.
 //
 // Quantiles are approximate: the answer is exact to within one bucket
-// ratio (e.g. ~26% width at 10 buckets per decade), which is ample for
-// latency reporting. Values below Lo land in an underflow bucket and
-// report as Lo; values at or above Hi land in an overflow bucket and
-// report as Hi.
+// ratio (~26% width at 10 buckets per decade), which is ample for latency
+// reporting. Values below the low bound land in an underflow bucket and
+// report as that bound; values at or above the high bound land in an
+// overflow bucket and report as that bound.
 type Histogram struct {
 	lo, hi  float64
 	invLogR float64 // 1 / ln(ratio)
@@ -29,15 +28,13 @@ type Histogram struct {
 	sumBits atomic.Uint64 // float64 bits of the running sum
 }
 
-// NewHistogram builds a histogram covering [lo, hi) with perDecade
-// log-spaced buckets per factor of ten. It panics on invalid bounds; the
-// bounds are compile-time choices, not runtime input.
-func NewHistogram(lo, hi float64, perDecade int) *Histogram {
-	if lo <= 0 || hi <= lo || perDecade <= 0 {
-		panic(fmt.Sprintf("metrics: invalid histogram layout lo=%g hi=%g perDecade=%d", lo, hi, perDecade))
-	}
-	nBuckets := int(math.Ceil(math.Log10(hi/lo) * float64(perDecade)))
-	ratio := math.Pow(10, 1/float64(perDecade))
+// NewLatencyHistogram returns the one histogram layout, shared by the
+// daemon and the load generator: [1µs, 100s) in milliseconds, 10
+// log-spaced buckets per decade.
+func NewLatencyHistogram() *Histogram {
+	const lo, hi, perDecade float64 = 1e-3, 1e5, 10
+	nBuckets := int(math.Ceil(math.Log10(hi/lo) * perDecade))
+	ratio := math.Pow(10, 1/perDecade)
 	return &Histogram{
 		lo:      lo,
 		hi:      hi,
@@ -46,12 +43,6 @@ func NewHistogram(lo, hi float64, perDecade int) *Histogram {
 		logLo:   math.Log(lo),
 		counts:  make([]atomic.Int64, nBuckets),
 	}
-}
-
-// NewLatencyHistogram returns the layout shared by the daemon and the load
-// generator: 1µs to 100s in milliseconds, 10 buckets per decade.
-func NewLatencyHistogram() *Histogram {
-	return NewHistogram(1e-3, 1e5, 10)
 }
 
 // Observe folds one value into the histogram.

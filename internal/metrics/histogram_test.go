@@ -14,7 +14,7 @@ func TestHistogramEmpty(t *testing.T) {
 }
 
 func TestHistogramQuantileAccuracy(t *testing.T) {
-	h := NewHistogram(1e-3, 1e5, 10)
+	h := NewLatencyHistogram()
 	// Uniform ramp 1..1000 ms: quantiles are known exactly.
 	for v := 1.0; v <= 1000; v++ {
 		h.Observe(v)
@@ -39,28 +39,28 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 }
 
 func TestHistogramUnderOverflow(t *testing.T) {
-	h := NewHistogram(1, 100, 5)
-	h.Observe(0.001) // underflow
-	h.Observe(-4)    // negative: underflow, still counted
-	h.Observe(1e9)   // overflow
+	h := NewLatencyHistogram()
+	h.Observe(1e-6) // underflow
+	h.Observe(-4)   // negative: underflow, still counted
+	h.Observe(1e9)  // overflow
 	if h.N() != 3 {
 		t.Fatalf("n = %d", h.N())
 	}
-	if got := h.P(1); got != 1 {
+	if got := h.P(1); got != 1e-3 {
 		t.Fatalf("underflow quantile = %v, want clamped to lo", got)
 	}
-	if got := h.P(99.9); got != 100 {
+	if got := h.P(99.9); got != 1e5 {
 		t.Fatalf("overflow quantile = %v, want clamped to hi", got)
 	}
 }
 
 func TestHistogramBucketEdges(t *testing.T) {
-	h := NewHistogram(1, 1000, 10)
+	h := NewLatencyHistogram()
 	// Exact bucket boundaries must not panic or land out of range.
-	for i := 0; i < 30; i++ {
+	for i := -30; i <= 50; i++ {
 		h.Observe(math.Pow(10, float64(i)/10))
 	}
-	if h.N() != 30 {
+	if h.N() != 81 {
 		t.Fatalf("n = %d", h.N())
 	}
 }

@@ -70,13 +70,11 @@ func (o *SGD) Step(params, grads *ParamSet, scale float64) {
 	clearRows(grads)
 }
 
-// Adam is the Adam optimizer with bias correction.
+// Adam is the Adam optimizer with bias correction, β1 = 0.9, β2 = 0.999
+// and ε = 1e-8.
 type Adam struct {
-	LR    float64 // learning rate; must be > 0
-	Beta1 float64 // first-moment decay; 0 means default 0.9
-	Beta2 float64 // second-moment decay; 0 means default 0.999
-	Eps   float64 // 0 means default 1e-8
-	Clip  float64 // 0 disables clipping
+	LR   float64 // learning rate; must be > 0
+	Clip float64 // 0 disables clipping
 
 	m, v *ParamSet // m's row sets track the rows of both
 	t    int
@@ -86,16 +84,9 @@ var _ Optimizer = (*Adam)(nil)
 
 // Step applies one Adam update to params.
 func (o *Adam) Step(params, grads *ParamSet, scale float64) {
-	b1, b2, eps := o.Beta1, o.Beta2, o.Eps
-	if b1 == 0 {
-		b1 = 0.9
-	}
-	if b2 == 0 {
-		b2 = 0.999
-	}
-	if eps == 0 {
-		eps = 1e-8
-	}
+	// Typed, so 1-b1 and 1-b2 round to float64 like a runtime subtraction:
+	// untyped, 1-0.9 would fold exactly and change the pinned bits.
+	const b1, b2, eps float64 = 0.9, 0.999, 1e-8
 	if o.m == nil {
 		o.m = stateFor(params, grads)
 		o.v = params.ZeroClone()

@@ -150,7 +150,7 @@ func TestDecoderSyncViaCopy(t *testing.T) {
 	for _, m := range gen.Batch(d.Index, 60, idio) {
 		examples = append(examples, ExamplesFromMessage(d, m)...)
 	}
-	sender.FineTune(examples, 2, 0.02, mat.NewRNG(11))
+	sender.FineTune(examples, 2, mat.NewRNG(11))
 
 	// Ship the sender's decoder as fl.RunUpdate (a clone) and
 	// fl.ApplyUpdate (a copy into the receiver's decoder) do.
@@ -193,7 +193,7 @@ func TestPersonalizationReducesIdiolectMismatch(t *testing.T) {
 
 	generalAcc := general.Evaluate(test)
 	individual := general.Clone()
-	individual.FineTune(train, 4, 0.03, rng.Split())
+	individual.FineTune(train, 4, rng.Split())
 	individualAcc := individual.Evaluate(test)
 
 	if individualAcc <= generalAcc {
@@ -234,7 +234,7 @@ func TestTrainEpochEmptyExamples(t *testing.T) {
 	before := c.Clone()
 	c.TrainEpoch(nil, &nn.SGD{LR: 0.1}, mat.NewRNG(1), 0)
 	c.TrainEpoch(nil, &nn.Adam{LR: 0.1, Clip: 5}, mat.NewRNG(1), 0.2)
-	c.FineTune(nil, 3, 0, mat.NewRNG(1))
+	c.FineTune(nil, 3, mat.NewRNG(1))
 	sameParamBits(t, "empty epochs", c.Params(), before.Params())
 }
 

@@ -158,7 +158,7 @@ func TestTrainEpochMatchesReference(t *testing.T) {
 
 			got := from.Clone()
 			if tc.epochs > 0 {
-				got.FineTune(tc.examples, tc.epochs, 0, mat.NewRNG(31))
+				got.FineTune(tc.examples, tc.epochs, mat.NewRNG(31))
 			} else {
 				got.TrainEpoch(tc.examples, tc.opt(), mat.NewRNG(31), tc.noiseStd)
 			}

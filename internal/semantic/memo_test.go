@@ -332,7 +332,7 @@ func TestSemanticWritersRestamp(t *testing.T) {
 		write func(c *Codec) *Codec
 	}{
 		{"FineTune", func(c *Codec) *Codec {
-			c.FineTune(examples, 2, 0.2, mat.NewRNG(1))
+			c.FineTune(examples, 2, mat.NewRNG(1))
 			return c
 		}},
 		{"TrainEpoch", func(c *Codec) *Codec { // the pretraining epoch

@@ -231,13 +231,11 @@ func PretrainAll(corp *corpus.Corpus, cfg Config) []*Codec {
 }
 
 // FineTune adapts a codec (typically a Clone of the general model) on a
-// user's buffered traffic for the given number of epochs. This is the
-// individual-model update step of the paper's §II-D.
-func (c *Codec) FineTune(examples []Example, epochs int, lr float64, rng *mat.RNG) {
-	if lr <= 0 {
-		lr = c.cfg.LR / 2
-	}
-	opt := &nn.SGD{LR: lr, Momentum: 0.5, Clip: 5}
+// user's buffered traffic for the given number of epochs, at half the
+// codec's pretraining rate. This is the individual-model update step of the
+// paper's §II-D.
+func (c *Codec) FineTune(examples []Example, epochs int, rng *mat.RNG) {
+	opt := &nn.SGD{LR: c.cfg.LR / 2, Momentum: 0.5, Clip: 5}
 	grads := c.newGrads()
 	for e := 0; e < epochs; e++ {
 		c.trainEpoch(examples, opt, rng, c.cfg.NoiseStd/2, grads)

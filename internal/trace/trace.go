@@ -42,8 +42,6 @@ type Config struct {
 	// MeanRunLength is the expected number of consecutive same-domain
 	// messages per user (geometric runs, default 12).
 	MeanRunLength float64
-	// DomainZipfS is the Zipf exponent of domain popularity (default 1.0).
-	DomainZipfS float64
 	// IdiolectStrength is the per-user idiolect strength in [0,1]
 	// (default 0: generic speakers).
 	IdiolectStrength float64
@@ -75,9 +73,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.MeanRunLength == 0 {
 		cfg.MeanRunLength = 12
-	}
-	if cfg.DomainZipfS == 0 {
-		cfg.DomainZipfS = 1.0
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -116,7 +111,8 @@ func Generate(corp *corpus.Corpus, cfg Config) *Workload {
 	if cfg.FuncProb > 0 {
 		gen.FuncProb = cfg.FuncProb
 	}
-	domainZipf := mat.NewZipf(rng.Split(), len(corp.Domains), cfg.DomainZipfS)
+	const domainZipfS float64 = 1 // the Zipf exponent of domain popularity
+	domainZipf := mat.NewZipf(rng.Split(), len(corp.Domains), domainZipfS)
 	idioRNG := rng.Split()
 	// Mobility draws come from an independently seeded stream (a Split
 	// would advance the root RNG), so enabling mobility never perturbs

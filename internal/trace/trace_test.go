@@ -55,7 +55,7 @@ func TestGenerateSeedsDiffer(t *testing.T) {
 
 func TestZipfDomainPopularity(t *testing.T) {
 	corp := corpus.Build()
-	w := Generate(corp, Config{Messages: 5000, DomainZipfS: 1.2, Seed: 3})
+	w := Generate(corp, Config{Messages: 5000, Seed: 3})
 	counts := make([]int, len(corp.Domains))
 	for _, r := range w.Requests {
 		counts[r.Msg.DomainIndex]++
